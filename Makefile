@@ -9,7 +9,7 @@ test:
 	$(GO) test ./...
 
 # The full verification gate (vet + build + tests + race detector over
-# the internal packages). Referenced from ROADMAP.md's tier-1 verify.
+# every package). Referenced from ROADMAP.md's tier-1 verify.
 check:
 	sh scripts/check.sh
 

@@ -161,10 +161,6 @@ func ParseBarrierAlg(s string) (BarrierAlg, error) {
 	return 0, fmt.Errorf("armci: unknown barrier algorithm %q (want auto, pairwise, dissemination, central, knomial or hierarchical)", s)
 }
 
-// Topology is the synthetic node layout of the in-process fabrics (see
-// Options.Topology).
-type Topology = model.Topology
-
 // FabricKind selects the execution fabric.
 type FabricKind uint8
 
@@ -246,7 +242,9 @@ type Options struct {
 	// Procs is the number of user processes. Required.
 	Procs int
 	// ProcsPerNode is how many consecutive ranks share an SMP node;
-	// default 1 (the paper's configuration).
+	// default 1 (the paper's configuration). Intra-node traffic costs
+	// model.Params.LocalLatency, inter-node traffic the full Latency —
+	// the gradient the hierarchical barrier exploits.
 	ProcsPerNode int
 	// Fabric selects the execution substrate; default FabricSim.
 	Fabric FabricKind
@@ -264,14 +262,6 @@ type Options struct {
 	// and the tree-based reductions; 0 selects collective.DefaultRadix
 	// (4). Must be >= 2 when set.
 	BarrierRadix int
-	// Topology is an alternative way to describe the node layout of the
-	// in-process fabrics: Nodes SMP nodes of PPN consecutive ranks,
-	// mirroring armci-run's -n/-ppn. When set it must satisfy
-	// Nodes*PPN == Procs and agree with ProcsPerNode if both are given.
-	// Intra-node traffic costs model.Params.LocalLatency, inter-node
-	// traffic the full Latency — the gradient the hierarchical barrier
-	// exploits. The zero value defers to ProcsPerNode.
-	Topology Topology
 	// NICFenceOffload makes every data server answer fence round-trips
 	// at NIC cost (model.Params.NICService) without a host wake-up or
 	// the ServiceFence PCI drain, and switches the combined Barrier to
@@ -310,16 +300,6 @@ type Options struct {
 	// histograms, fault counters and (with Metrics.SetTimeline) a
 	// delivery timeline from the run.
 	Metrics *Metrics
-	// Jitter, when positive, adds a uniformly random extra delay in
-	// [0, Jitter) to every message. Per-pair FIFO delivery is preserved.
-	//
-	// Deprecated: use Faults.Jitter, which applies on every fabric and
-	// composes with the other fault knobs.
-	Jitter time.Duration
-	// JitterSeed seeds the jitter generator (0 uses a fixed default).
-	//
-	// Deprecated: use Faults.Seed.
-	JitterSeed int64
 	// ScheduleSeed, when non-zero, randomizes (reproducibly) which of the
 	// simultaneously runnable simulated processes runs next on FabricSim —
 	// schedule exploration for protocol testing. Seed 0 is the FIFO
@@ -363,9 +343,6 @@ func (o *Options) normalize() (model.Params, error) {
 			return model.Params{}, fmt.Errorf("armci: LockHomes[%d] = %d out of range [0,%d)", i, h, o.Procs)
 		}
 	}
-	if o.Jitter < 0 {
-		return model.Params{}, fmt.Errorf("armci: Options.Jitter must be >= 0, got %v", o.Jitter)
-	}
 	if o.Deadline < 0 {
 		return model.Params{}, fmt.Errorf("armci: Options.Deadline must be >= 0, got %v", o.Deadline)
 	}
@@ -380,20 +357,6 @@ func (o *Options) normalize() (model.Params, error) {
 	}
 	if o.BarrierRadix != 0 && o.BarrierRadix < 2 {
 		return model.Params{}, fmt.Errorf("armci: Options.BarrierRadix must be >= 2, got %d", o.BarrierRadix)
-	}
-	if o.Topology != (Topology{}) {
-		if err := o.Topology.Validate(); err != nil {
-			return model.Params{}, err
-		}
-		if o.Topology.Procs() != o.Procs {
-			return model.Params{}, fmt.Errorf("armci: Topology %dx%d describes %d ranks, Procs is %d",
-				o.Topology.Nodes, o.Topology.PPN, o.Topology.Procs(), o.Procs)
-		}
-		if o.ProcsPerNode != 0 && o.ProcsPerNode != o.Topology.PPN {
-			return model.Params{}, fmt.Errorf("armci: ProcsPerNode %d disagrees with Topology PPN %d",
-				o.ProcsPerNode, o.Topology.PPN)
-		}
-		o.ProcsPerNode = o.Topology.PPN
 	}
 	if err := o.Faults.Validate(); err != nil {
 		return model.Params{}, fmt.Errorf("armci: bad fault plan: %w", err)
@@ -445,8 +408,6 @@ func Run(opt Options, body func(p *Proc)) (*Report, error) {
 		Trace:           stats,
 		Faults:          opt.Faults,
 		Metrics:         opt.Metrics,
-		Jitter:          opt.Jitter,
-		JitterSeed:      opt.JitterSeed,
 		ScheduleSeed:    opt.ScheduleSeed,
 		EventPoolHazard: opt.SimEventPoolHazard,
 		Deadline:        opt.Deadline,

@@ -247,17 +247,24 @@ func CollectBaseline(opts BaselineOpts) (*Baseline, error) {
 	sess := testing.Benchmark(benchSessionSend)
 	noisy("hotpath/procnet_send/ns_op", float64(sess.NsPerOp()), "ns/op")
 
-	if opts.Handicap > 0 {
-		h := 1 + opts.Handicap
-		for name, m := range b.Metrics {
-			switch m.Unit {
-			case "us", "ms", "ns/op":
-				m.Value *= h
-				b.Metrics[name] = m
-			}
+	b.handicap(opts.Handicap)
+	return b, nil
+}
+
+// handicap inflates every time-valued metric of a collected document by
+// frac (see BaselineOpts.Handicap); frac <= 0 is a no-op. Counts and
+// ratios are left alone — a slowdown moves neither.
+func (b *Baseline) handicap(frac float64) {
+	if frac <= 0 {
+		return
+	}
+	for name, m := range b.Metrics {
+		switch m.Unit {
+		case "us", "ms", "ns/op":
+			m.Value *= 1 + frac
+			b.Metrics[name] = m
 		}
 	}
-	return b, nil
 }
 
 // benchKernelSchedule mirrors sim.BenchmarkKernelSchedule: one Sleep per

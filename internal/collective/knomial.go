@@ -7,7 +7,8 @@
 // inter-node exchange among leaders only — keeps all but one message per
 // node off the wire. Both are driven by the node topology the transport
 // already carries (env.Node), so the same code serves procnet's real
-// `-ppn` layout and the synthetic Topology of the in-process fabrics.
+// `-ppn` layout and the synthetic ProcsPerNode layout of the in-process
+// fabrics.
 package collective
 
 import "fmt"

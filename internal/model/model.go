@@ -23,40 +23,8 @@
 package model
 
 import (
-	"fmt"
 	"time"
 )
-
-// Topology is a synthetic node layout for the in-process fabrics:
-// Nodes SMP nodes with PPN consecutive ranks each, mirroring what
-// procnet's -ppn gives a real multi-process launch. Endpoints on the
-// same node communicate at LocalLatency, distinct nodes at Latency —
-// the distinction the hierarchical two-level collectives exploit by
-// keeping all member traffic intra-node.
-type Topology struct {
-	// Nodes is the number of SMP nodes.
-	Nodes int
-	// PPN is the number of consecutive ranks per node.
-	PPN int
-}
-
-// Procs returns the total rank count of the layout.
-func (t Topology) Procs() int { return t.Nodes * t.PPN }
-
-// NodeOf returns the node hosting rank.
-func (t Topology) NodeOf(rank int) int { return rank / t.PPN }
-
-// Leader returns the lowest rank on rank's node — the per-node leader
-// of the hierarchical collectives.
-func (t Topology) Leader(rank int) int { return (rank / t.PPN) * t.PPN }
-
-// Validate rejects degenerate layouts.
-func (t Topology) Validate() error {
-	if t.Nodes < 1 || t.PPN < 1 {
-		return fmt.Errorf("model: topology %dx%d needs at least one node and one rank per node", t.Nodes, t.PPN)
-	}
-	return nil
-}
 
 // Params is the set of cost-model parameters, all expressed as durations
 // (per-byte costs as the duration per single byte).

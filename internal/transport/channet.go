@@ -1,16 +1,10 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
-	"armci/internal/model"
 	"armci/internal/msg"
-	"armci/internal/pipeline"
-	"armci/internal/shmem"
-	"armci/internal/trace"
 )
 
 // ChanFabric runs the cluster as real goroutines communicating through
@@ -19,397 +13,34 @@ import (
 // the sequential simulator cannot exhibit are exercised here. With a
 // non-zero cost model it also injects latency in wall time (arrival-time
 // stamping on a FIFO pipe model), which the demo benchmarks use.
-type ChanFabric struct {
-	cfg   Config
-	space *shmem.Space
-	pipe  *pipeline.Pipeline
-
-	mu        sync.Mutex
-	cond      *sync.Cond // broadcast on memory writes, deliveries, shutdown
-	mailboxes map[msg.Addr]*msg.Queue
-	shutdown  bool
-	crashAt   time.Time // wall time of the first fail-stop (zero: none)
-
-	users   []actorSpec
-	servers []actorSpec
-
-	start time.Time
-
-	panics chan error
-}
+type ChanFabric struct{ *wallFabric }
 
 // NewChan builds an in-process channel fabric for the configuration.
 func NewChan(cfg Config) (*ChanFabric, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	f := &ChanFabric{
-		cfg:       cfg,
-		space:     shmem.NewSpace(cfg.nodeMap()),
-		mailboxes: make(map[msg.Addr]*msg.Queue),
-		panics:    make(chan error, cfg.Procs+cfg.numNodes()),
-	}
-	f.pipe = cfg.newPipeline(f.space, cfg.Model.Latency > 0)
-	f.cond = sync.NewCond(&f.mu)
-	f.space.SetOnWrite(func() {
-		f.mu.Lock()
-		f.cond.Broadcast()
-		f.mu.Unlock()
-	})
-	// A fail-stop wakes every blocked wait (crash-aware spins re-check the
-	// registry) and arms the grace timer that unwedges waits with no
-	// recovery path — see Config.CrashGrace.
-	f.pipe.SetCrashNotify(func() {
-		f.mu.Lock()
-		if f.crashAt.IsZero() {
-			f.crashAt = time.Now()
-			time.AfterFunc(f.cfg.CrashGrace+10*time.Millisecond, func() {
-				f.mu.Lock()
-				f.cond.Broadcast()
-				f.mu.Unlock()
-			})
-		}
-		f.cond.Broadcast()
-		f.mu.Unlock()
-	})
-	return f, nil
+	f := newWallFabric("channet", cfg, cfg.Model.Latency > 0)
+	f.link = chanLink{f}
+	return &ChanFabric{f}, nil
 }
 
-// crashBound arms the holder-crash grace bound for one blocking wait by
-// a user actor. overdue (call with f.mu held) reports that a registered
-// crash has outlived CrashGrace *and* this wait has itself been blocked
-// at least that long — a per-wait bound, so a run that keeps making
-// progress after lease repair is never aborted retroactively, while any
-// single operation wedged on the dead rank is. When the bound is not yet
-// reached, overdue schedules a broadcast for the moment it will be, so
-// the waiting loop is guaranteed to re-check. stop releases that timer.
-func (e *chanEnv) crashBound() (overdue func() bool, stop func()) {
-	start := time.Now()
-	var t *time.Timer
-	overdue = func() bool {
-		if e.addr.Server || e.f.crashAt.IsZero() {
-			return false
-		}
-		grace := e.f.cfg.CrashGrace
-		blocked := time.Since(start)
-		sinceCrash := time.Since(e.f.crashAt)
-		if blocked > grace && sinceCrash > grace {
-			return true
-		}
-		if t == nil {
-			d := grace - blocked
-			if rem := grace - sinceCrash; rem > d {
-				d = rem
-			}
-			t = time.AfterFunc(d+10*time.Millisecond, func() {
-				e.f.mu.Lock()
-				e.f.cond.Broadcast()
-				e.f.mu.Unlock()
-			})
-		}
-		return false
-	}
-	stop = func() {
-		if t != nil {
-			t.Stop()
-		}
-	}
-	return overdue, stop
-}
+// chanLink is the in-memory link: there is no medium, so a frame goes
+// straight from the sender's goroutine into the destination mailbox.
+type chanLink struct{ f *wallFabric }
 
-// Space returns the cluster's shared memory.
-func (f *ChanFabric) Space() *shmem.Space { return f.space }
+func (chanLink) up() error                     { return nil }
+func (chanLink) usersDone(time.Duration) error { return nil }
+func (chanLink) down()                         {}
 
-// Config returns the cluster configuration.
-func (f *ChanFabric) Config() *Config { return &f.cfg }
-
-// SpawnUser registers the body of rank's user process.
-func (f *ChanFabric) SpawnUser(rank int, body func(Env)) {
-	f.users = append(f.users, actorSpec{addr: msg.User(rank), body: body})
-}
-
-// SpawnServer registers the body of node's data server.
-func (f *ChanFabric) SpawnServer(node int, body func(Env)) {
-	f.servers = append(f.servers, actorSpec{addr: msg.ServerOf(node), body: body})
-}
-
-// Run starts every actor goroutine, waits for all user processes, then
-// shuts the servers down (their pending Recv returns nil) and waits for
-// them too. It returns the first actor panic, or an error if the deadline
-// (default 120 s wall time) elapses.
-func (f *ChanFabric) Run() error {
-	for _, a := range f.users {
-		f.mailboxes[a.addr] = &msg.Queue{}
-	}
-	for _, a := range f.servers {
-		f.mailboxes[a.addr] = &msg.Queue{}
-	}
-	f.start = time.Now()
-
-	var userWG, serverWG sync.WaitGroup
-	runActor := func(spec actorSpec, wg *sync.WaitGroup) {
-		defer wg.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(failStop); ok {
-					return // injected fail-stop: the actor vanishes, the run continues
-				}
-				if a, ok := r.(abort); ok && a.err != nil {
-					f.panics <- a.err // structured fault, propagate verbatim
-				} else {
-					f.panics <- fmt.Errorf("channet: actor %v panicked: %v", spec.addr, r)
-				}
-				f.mu.Lock()
-				f.shutdown = true // unwedge everyone else
-				f.cond.Broadcast()
-				f.mu.Unlock()
-			}
-		}()
-		spec.body(&chanEnv{f: f, addr: spec.addr})
-	}
-	for _, a := range f.servers {
-		serverWG.Add(1)
-		go runActor(a, &serverWG)
-	}
-	for _, a := range f.users {
-		userWG.Add(1)
-		go runActor(a, &userWG)
-	}
-
-	deadline := f.cfg.Deadline
-	if deadline == 0 {
-		deadline = 120 * time.Second
-	}
-	usersDone := make(chan struct{})
-	go func() { userWG.Wait(); close(usersDone) }()
-	select {
-	case <-usersDone:
-	case err := <-f.panics:
-		return err
-	case <-time.After(deadline):
-		return fmt.Errorf("channet: deadline %v exceeded waiting for user processes", deadline)
-	}
-
-	f.mu.Lock()
-	f.shutdown = true
-	f.cond.Broadcast()
-	f.mu.Unlock()
-
-	serversDone := make(chan struct{})
-	go func() { serverWG.Wait(); close(serversDone) }()
-	select {
-	case <-serversDone:
-	case err := <-f.panics:
-		return err
-	case <-time.After(deadline):
-		return fmt.Errorf("channet: deadline %v exceeded waiting for servers to drain", deadline)
-	}
-	select {
-	case err := <-f.panics:
-		return err
-	default:
-	}
-	return nil
-}
-
-// chanEnv is the Env of one channel-fabric actor.
-type chanEnv struct {
-	f    *ChanFabric
-	addr msg.Addr
-}
-
-var _ Env = (*chanEnv)(nil)
-
-func (e *chanEnv) Self() msg.Addr       { return e.addr }
-func (e *chanEnv) Rank() int            { return e.addr.ID }
-func (e *chanEnv) Size() int            { return e.f.cfg.Procs }
-func (e *chanEnv) NumNodes() int        { return e.f.cfg.numNodes() }
-func (e *chanEnv) Node(rank int) int    { return e.f.space.Node(rank) }
-func (e *chanEnv) Space() *shmem.Space  { return e.f.space }
-func (e *chanEnv) Params() model.Params { return e.f.cfg.Model }
-func (e *chanEnv) Trace() *trace.Stats  { return e.f.cfg.Trace }
-
-type wallClock struct{ start time.Time }
-
-func (c wallClock) Now() time.Duration { return time.Since(c.start) }
-func (c wallClock) Sleep(d time.Duration) {
-	if d > 0 {
-		time.Sleep(d)
-	}
-}
-
-func (e *chanEnv) Clock() Clock { return wallClock{e.f.start} }
-
-func (e *chanEnv) Charge(d time.Duration) {
-	if d > 0 && e.f.cfg.Model.Latency > 0 {
-		time.Sleep(d)
-	}
-}
-
-func (e *chanEnv) Send(to msg.Addr, m *msg.Message) {
-	// The mailbox map is fixed before any actor starts, so reading it
-	// without f.mu is race-free here.
-	q, ok := e.f.mailboxes[to]
+func (l chanLink) carry(m *msg.Message) {
+	// Stricter than the socket links, which drop such frames: a local
+	// send to an unregistered endpoint is a bug in the caller. The
+	// mailbox map is fixed before any actor starts, so reading it without
+	// f.mu is race-free here.
+	q, ok := l.f.mailboxes[m.Dst]
 	if !ok {
-		panic(fmt.Sprintf("channet: send to unknown endpoint %v", to))
+		panic(fmt.Sprintf("channet: send to unknown endpoint %v", m.Dst))
 	}
-	// Messages enter the mailbox immediately in send order (injected
-	// duplicates trail their original, where dedup drops them); the
-	// stamped arrival time is enforced on the receive side. emit runs
-	// outside the pipeline lock, so taking f.mu here cannot deadlock
-	// against Inbound's pipeline locking.
-	err := e.f.pipe.SendTo(e.addr, to, m,
-		func() time.Duration { return time.Since(e.f.start) }, e.Charge,
-		func(d pipeline.Delivery) {
-			e.f.mu.Lock()
-			if e.f.pipe.Inbound(d.Msg, time.Since(e.f.start)) {
-				q.Put(d.Msg)
-			}
-			e.f.cond.Broadcast()
-			e.f.mu.Unlock()
-		})
-	if err != nil {
-		var fe *pipeline.FaultError
-		if errors.As(err, &fe) && fe.Kind == pipeline.FaultCrash && !e.addr.Server {
-			// Injected crash: fail-stop this actor only; survivors learn of
-			// it through the crash registry (and the grace timer).
-			e.f.pipe.NoteCrash(e.addr.ID)
-			panic(failStop{})
-		}
-		panic(abort{err}) // retry exhaustion: abort this actor
-	}
-}
-
-func (e *chanEnv) Recv(match msg.Match) *msg.Message {
-	q := e.f.mailboxes[e.addr]
-	// Bound user-process Recvs by the per-op deadline: a timer broadcast
-	// wakes the cond loop, which then fails the actor with a structured
-	// op-timeout fault. Servers are exempt (idling is their job).
-	tag := "recv@" + e.addr.String()
-	expired, stop := e.opTimer(e.addr.Server)
-	defer stop()
-	crashOverdue, crashStop := e.crashBound()
-	defer crashStop()
-	e.f.mu.Lock()
-	for {
-		if m := q.TryPop(match); m != nil {
-			e.f.mu.Unlock()
-			// Enforce the modeled arrival time in wall time.
-			if wait := m.Arrival - time.Since(e.f.start); wait > 0 {
-				time.Sleep(wait)
-			}
-			e.f.pipe.RecvCharge(e.Charge)
-			return m
-		}
-		if e.addr.Server && e.f.shutdown {
-			e.f.mu.Unlock()
-			return nil
-		}
-		if crashOverdue() {
-			r := e.f.pipe.FirstCrashed()
-			e.f.mu.Unlock()
-			panic(abort{&pipeline.FaultError{Rank: r, Op: tag, Kind: pipeline.FaultCrash}})
-		}
-		if expired() {
-			e.f.mu.Unlock()
-			panic(opTimeout(e.addr, tag))
-		}
-		e.f.cond.Wait()
-	}
-}
-
-func (e *chanEnv) TryRecv(match msg.Match) *msg.Message {
-	// Only messages whose stamped arrival time has passed are eligible:
-	// polling must never observe a message earlier than Recv (which
-	// sleeps out the remaining latency) would deliver it. Per-pair
-	// arrival times are monotone, so gating on arrival keeps FIFO.
-	now := time.Since(e.f.start)
-	e.f.mu.Lock()
-	m := e.f.mailboxes[e.addr].TryPop(func(m *msg.Message) bool {
-		return m.Arrival <= now && match(m)
-	})
-	e.f.mu.Unlock()
-	if m != nil {
-		e.f.pipe.RecvCharge(e.Charge)
-	}
-	return m
-}
-
-func (e *chanEnv) WaitUntil(tag string, pred func() bool) {
-	expired, stop := e.opTimer(false)
-	defer stop()
-	crashOverdue, crashStop := e.crashBound()
-	defer crashStop()
-	e.f.mu.Lock()
-	for !pred() {
-		if e.f.shutdown && e.addr.Server {
-			break
-		}
-		if crashOverdue() {
-			r := e.f.pipe.FirstCrashed()
-			e.f.mu.Unlock()
-			panic(abort{&pipeline.FaultError{Rank: r, Op: tag, Kind: pipeline.FaultCrash}})
-		}
-		if expired() {
-			e.f.mu.Unlock()
-			panic(opTimeout(e.addr, tag))
-		}
-		e.f.cond.Wait()
-	}
-	e.f.mu.Unlock()
-}
-
-func (e *chanEnv) WaitUntilFor(tag string, pred func() bool, d time.Duration) bool {
-	if d <= 0 {
-		e.WaitUntil(tag, pred)
-		return true
-	}
-	deadline := time.Now().Add(d)
-	t := time.AfterFunc(d, func() {
-		e.f.mu.Lock()
-		e.f.cond.Broadcast()
-		e.f.mu.Unlock()
-	})
-	defer t.Stop()
-	e.f.mu.Lock()
-	for !pred() {
-		if !time.Now().Before(deadline) {
-			e.f.mu.Unlock()
-			return false
-		}
-		e.f.cond.Wait()
-	}
-	e.f.mu.Unlock()
-	return true
-}
-
-func (e *chanEnv) Faults() pipeline.Faults { return e.f.pipe.Faults() }
-
-func (e *chanEnv) CrashedRank() int { return e.f.pipe.FirstCrashed() }
-
-func (e *chanEnv) FailStop(op string) {
-	e.f.pipe.CrashNow(e.addr.ID, op)
-	panic(failStop{})
-}
-
-func (e *chanEnv) AbortFault(err *pipeline.FaultError) {
-	panic(abort{err})
-}
-
-// opTimer arms the per-op deadline for one blocking operation: expired
-// reports whether it has elapsed (always false when disabled or exempt),
-// and the timer broadcast wakes the fabric cond so the waiting loop
-// re-checks. stop releases the timer.
-func (e *chanEnv) opTimer(exempt bool) (expired func() bool, stop func()) {
-	od := e.f.cfg.OpDeadline
-	if od <= 0 || exempt {
-		return func() bool { return false }, func() {}
-	}
-	deadline := time.Now().Add(od)
-	t := time.AfterFunc(od, func() {
-		e.f.mu.Lock()
-		e.f.cond.Broadcast()
-		e.f.mu.Unlock()
-	})
-	return func() bool { return !time.Now().Before(deadline) }, func() { t.Stop() }
+	l.f.arrive(q, m)
 }

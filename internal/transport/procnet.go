@@ -3,15 +3,11 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"armci/internal/cluster"
-	"armci/internal/model"
 	"armci/internal/msg"
 	"armci/internal/pipeline"
-	"armci/internal/shmem"
-	"armci/internal/trace"
 	"armci/internal/wire"
 )
 
@@ -34,33 +30,8 @@ import (
 // race because a directed pair's send state lives only at its source
 // worker.
 type ProcFabric struct {
-	cfg   Config
-	env   cluster.WorkerEnv
-	space *shmem.Space
-	pipe  *pipeline.Pipeline
-
-	mu        sync.Mutex
-	cond      *sync.Cond
-	mailboxes map[msg.Addr]*msg.Queue
-	shutdown  bool
-	fault     error // cluster fault; aborts every blocked local actor
-
-	// Elastic membership state, guarded by mu. A view change interrupts
-	// local user actors (viewIntr) so the elastic runner can drive the
-	// recovery protocol; servers keep running to serve restore reads.
-	viewEpoch uint64            // installed membership view epoch
-	viewDead  int               // node slot replaced by the pending view change
-	viewIntr  bool              // user actors must abort into recovery
-	resume    *wire.EpochReport // latest recovery hand-off, nil until broadcast
-	released  map[uint64]bool   // cluster barrier releases observed
-
-	users   []actorSpec
-	servers []actorSpec
-
-	start time.Time
-	sess  *cluster.Session
-
-	panics chan error
+	*wallFabric
+	proc *procLink
 }
 
 // NewProc builds the fabric for the worker described by env. The config
@@ -75,77 +46,70 @@ func NewProc(cfg Config, env cluster.WorkerEnv) (*ProcFabric, error) {
 		return nil, fmt.Errorf("procnet: config shape %d procs × %d/node does not match launch env %d × %d",
 			cfg.Procs, cfg.ProcsPerNode, env.Procs, env.ProcsPerNode)
 	}
-	f := &ProcFabric{
-		cfg:       cfg,
+	// Like tcpnet, procnet measures real socket costs: the cost-model
+	// stage stays inactive; trace, fault injection and metrics run.
+	f := newWallFabric(fmt.Sprintf("procnet node %d", env.Node), cfg, false)
+	l := &procLink{
+		f:         f,
 		env:       env,
-		space:     shmem.NewSpace(cfg.nodeMap()),
-		mailboxes: make(map[msg.Addr]*msg.Queue),
 		viewEpoch: env.ViewEpoch,
 		viewDead:  -1,
 		released:  make(map[uint64]bool),
-		panics:    make(chan error, cfg.Procs+2*cfg.numNodes()+1),
 	}
-	// Like tcpnet, procnet measures real socket costs: the cost-model
-	// stage stays inactive; trace, fault injection and metrics run.
-	f.pipe = cfg.newPipeline(f.space, false)
+	f.link, f.intr, f.crashFatal = l, l.interrupted, true
 	// A respawned incarnation stamps its traffic into the view it was
 	// spawned under from its first message.
 	f.pipe.SetEpoch(env.ViewEpoch)
-	f.cond = sync.NewCond(&f.mu)
-	f.space.SetOnWrite(func() {
-		f.mu.Lock()
-		f.cond.Broadcast()
-		f.mu.Unlock()
-	})
-	return f, nil
+	return &ProcFabric{f, l}, nil
 }
 
-// Space returns this worker's shared-memory replica.
-func (f *ProcFabric) Space() *shmem.Space { return f.space }
-
-// Config returns the cluster configuration.
-func (f *ProcFabric) Config() *Config { return &f.cfg }
-
 // SpawnUser registers the body of rank's user process. Ranks hosted by
-// other workers are ignored — they run in their own OS processes.
+// other workers are ignored — they run in their own OS processes. The
+// body's Env additionally implements ElasticEnv.
 func (f *ProcFabric) SpawnUser(rank int, body func(Env)) {
-	a := msg.User(rank)
-	if endpointNode(f.space, a) != f.env.Node {
-		return
+	if endpointNode(f.space, msg.User(rank)) == f.proc.env.Node {
+		f.wallFabric.SpawnUser(rank, func(e Env) { body(&procEnv{e, f.proc}) })
 	}
-	f.users = append(f.users, actorSpec{addr: a, body: body})
 }
 
 // SpawnServer registers the body of node's data server (or NIC agent,
 // for IDs at or beyond the node count). Non-local ones are ignored.
 func (f *ProcFabric) SpawnServer(node int, body func(Env)) {
-	a := msg.ServerOf(node)
-	if endpointNode(f.space, a) != f.env.Node {
-		return
+	if endpointNode(f.space, msg.ServerOf(node)) == f.proc.env.Node {
+		f.wallFabric.SpawnServer(node, body)
 	}
-	f.servers = append(f.servers, actorSpec{addr: a, body: body})
 }
 
-// Run joins the launch rendezvous, executes the local actors to
-// completion, participates in the cluster drain protocol and tears the
-// session down. A worker lost elsewhere in the launch surfaces as its
-// rank-attributed *pipeline.FaultError.
-func (f *ProcFabric) Run() error {
-	// Mailboxes and the clock epoch must exist before Join: the session
-	// can deliver data the instant the rendezvous completes, and onData
-	// stamps arrivals against f.start.
-	all := append(append([]actorSpec(nil), f.users...), f.servers...)
-	for _, a := range all {
-		f.mailboxes[a.addr] = &msg.Queue{}
-	}
-	f.start = time.Now()
+// procLink is the cluster.Session link: frames cross real inter-process
+// TCP connections set up by the launch rendezvous. It also owns what only
+// a multi-process run has — the cluster fault and the elastic membership
+// view — all guarded by the fabric's f.mu so the one wait loop sees it.
+type procLink struct {
+	f    *wallFabric
+	env  cluster.WorkerEnv
+	sess *cluster.Session
 
-	sess, err := cluster.Join(f.env, cluster.Handlers{
-		Data:    f.onData,
-		Fault:   f.onFault,
-		View:    f.onView,
-		Resume:  f.onResume,
-		Release: f.onRelease,
+	fault error // cluster fault; aborts every blocked local actor
+
+	// Elastic membership state. A view change interrupts local user
+	// actors (viewIntr) so the elastic runner can drive the recovery
+	// protocol; servers keep running to serve restore reads.
+	viewEpoch uint64            // installed membership view epoch
+	viewDead  int               // node slot replaced by the pending view change
+	viewIntr  bool              // user actors must abort into recovery
+	resume    *wire.EpochReport // latest recovery hand-off, nil until broadcast
+	released  map[uint64]bool   // cluster barrier releases observed
+}
+
+// up joins the launch rendezvous. A worker lost elsewhere in the launch
+// surfaces as its rank-attributed *pipeline.FaultError.
+func (l *procLink) up() error {
+	sess, err := cluster.Join(l.env, cluster.Handlers{
+		Data:    l.onData,
+		Fault:   l.onFault,
+		View:    l.onView,
+		Resume:  l.onResume,
+		Release: l.onRelease,
 	})
 	if err != nil {
 		var fe *pipeline.FaultError
@@ -154,113 +118,75 @@ func (f *ProcFabric) Run() error {
 		}
 		return fmt.Errorf("procnet: %w", err)
 	}
-	f.sess = sess
-	defer sess.Close()
-	var userWG, serverWG sync.WaitGroup
-	runActor := func(spec actorSpec, wg *sync.WaitGroup) {
-		defer wg.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				if a, ok := r.(abort); ok && a.err != nil {
-					f.panics <- a.err // structured fault, propagate verbatim
-				} else {
-					f.panics <- fmt.Errorf("procnet: actor %v panicked: %v", spec.addr, r)
-				}
-				f.mu.Lock()
-				f.shutdown = true
-				f.cond.Broadcast()
-				f.mu.Unlock()
-			}
-		}()
-		spec.body(&procEnv{f: f, addr: spec.addr})
-	}
-	for _, a := range f.servers {
-		serverWG.Add(1)
-		go runActor(a, &serverWG)
-	}
-	for _, a := range f.users {
-		userWG.Add(1)
-		go runActor(a, &userWG)
-	}
+	l.sess = sess
+	return nil
+}
 
-	deadline := f.cfg.Deadline
-	if deadline == 0 {
-		deadline = 120 * time.Second
+func (l *procLink) carry(m *msg.Message) {
+	if err := l.sess.SendMsg(m); err != nil {
+		l.sessFail(fmt.Sprintf("send %v -> %v", m.Src, m.Dst), err)
 	}
-	usersDone := make(chan struct{})
-	go func() { userWG.Wait(); close(usersDone) }()
-	select {
-	case <-usersDone:
-	case perr := <-f.panics:
-		return perr
-	case <-time.After(deadline):
-		return fmt.Errorf("procnet: deadline %v exceeded waiting for node %d's user processes", deadline, f.env.Node)
-	}
+}
 
-	// Local users finished; servers must keep serving until every
-	// node's users have — remote ranks may still target this node's
-	// memory. The coordinator's drain broadcast is that barrier.
-	if derr := sess.UserDone(); derr != nil {
-		if fe := sess.Err(); fe != nil {
+// usersDone is the cluster drain. Local users finished, but the servers
+// must keep serving until every node's users have — remote ranks may
+// still target this node's memory. The coordinator's drain broadcast is
+// that barrier.
+func (l *procLink) usersDone(deadline time.Duration) error {
+	if err := l.sess.UserDone(); err != nil {
+		if fe := l.sess.Err(); fe != nil {
 			return fe
 		}
-		return fmt.Errorf("procnet: reporting users done: %w", derr)
+		return fmt.Errorf("procnet: reporting users done: %w", err)
 	}
-	select {
-	case <-sess.Drained():
-	case perr := <-f.panics:
-		return perr
-	case <-time.After(deadline):
-		return fmt.Errorf("procnet: deadline %v exceeded waiting for the cluster drain", deadline)
-	}
+	return l.f.await(l.sess.Drained(), deadline, "the cluster drain")
+}
 
-	f.mu.Lock()
-	f.shutdown = true
-	f.cond.Broadcast()
-	f.mu.Unlock()
-
-	serversDone := make(chan struct{})
-	go func() { serverWG.Wait(); close(serversDone) }()
-	select {
-	case <-serversDone:
-	case perr := <-f.panics:
-		return perr
-	case <-time.After(deadline):
-		return fmt.Errorf("procnet: deadline %v exceeded waiting for servers to drain", deadline)
+func (l *procLink) down() {
+	if l.sess != nil {
+		l.sess.Close()
 	}
-	select {
-	case perr := <-f.panics:
-		return perr
-	default:
+}
+
+// sessFail aborts the calling actor over a failed session write: with the
+// cluster fault when one was surfaced (keeping its rank attribution),
+// else as a plain panic naming what failed.
+func (l *procLink) sessFail(what string, err error) {
+	if fe := l.sess.Err(); fe != nil {
+		panic(abort{fe})
+	}
+	panic(fmt.Sprintf("procnet: node %d %s: %v", l.env.Node, what, err))
+}
+
+// interrupted is the fabric's intr hook (f.mu held): a cluster fault
+// aborts any local actor, a pending view change only user actors —
+// servers must keep serving the restore reads of the recovery protocol.
+func (l *procLink) interrupted(server bool) error {
+	if l.fault != nil {
+		return l.fault
+	}
+	if l.viewIntr && !server {
+		return &ViewInterrupt{Epoch: l.viewEpoch, Dead: l.viewDead}
 	}
 	return nil
 }
 
-// onData is the session's delivery callback: decode, run the inbound
-// pipeline stages (dedup, arrival stamping, metrics) and hand the
-// message to the destination actor's mailbox.
-func (f *ProcFabric) onData(body []byte) {
+// onData is the session's delivery callback.
+func (l *procLink) onData(body []byte) {
 	m, err := wire.Decode(body)
 	if err != nil {
-		f.panics <- fmt.Errorf("procnet: node %d received corrupt frame: %w", f.env.Node, err)
+		l.f.panics <- fmt.Errorf("procnet: node %d received corrupt frame: %w", l.env.Node, err)
 		return
 	}
-	if !f.pipe.Inbound(m, time.Since(f.start)) {
-		return
-	}
-	f.mu.Lock()
-	if q := f.mailboxes[m.Dst]; q != nil {
-		q.Put(m)
-	}
-	f.cond.Broadcast()
-	f.mu.Unlock()
+	l.f.arrive(l.f.mailboxes[m.Dst], m)
 }
 
 // onFault surfaces a cluster fault — a peer worker died or the
 // coordinator vanished — to every blocked local actor and to Run.
-func (f *ProcFabric) onFault(fe *pipeline.FaultError) {
+func (l *procLink) onFault(fe *pipeline.FaultError) {
+	f := l.f
 	f.mu.Lock()
-	f.fault = fe
+	l.fault = fe
 	f.shutdown = true
 	f.cond.Broadcast()
 	f.mu.Unlock()
@@ -274,33 +200,33 @@ func (f *ProcFabric) onFault(fe *pipeline.FaultError) {
 // AckView, after the user actor has unwound, so every message this
 // worker sent for the aborted epoch still carries the old view epoch
 // and is fenced out at receivers that have already advanced.
-func (f *ProcFabric) onView(v wire.View) {
-	f.mu.Lock()
-	if v.Epoch > f.viewEpoch {
-		f.viewEpoch = v.Epoch
-		f.viewDead = v.Dead
-		f.viewIntr = true
-		f.resume = nil
-		f.released = make(map[uint64]bool)
-		f.cond.Broadcast()
+func (l *procLink) onView(v wire.View) {
+	l.f.mu.Lock()
+	if v.Epoch > l.viewEpoch {
+		l.viewEpoch = v.Epoch
+		l.viewDead = v.Dead
+		l.viewIntr = true
+		l.resume = nil
+		l.released = make(map[uint64]bool)
+		l.f.cond.Broadcast()
 	}
-	f.mu.Unlock()
+	l.f.mu.Unlock()
 }
 
 // onResume records the coordinator's recovery hand-off.
-func (f *ProcFabric) onResume(r wire.EpochReport) {
-	f.mu.Lock()
-	f.resume = &r
-	f.cond.Broadcast()
-	f.mu.Unlock()
+func (l *procLink) onResume(r wire.EpochReport) {
+	l.f.mu.Lock()
+	l.resume = &r
+	l.f.cond.Broadcast()
+	l.f.mu.Unlock()
 }
 
 // onRelease records a cluster barrier release.
-func (f *ProcFabric) onRelease(id uint64) {
-	f.mu.Lock()
-	f.released[id] = true
-	f.cond.Broadcast()
-	f.mu.Unlock()
+func (l *procLink) onRelease(id uint64) {
+	l.f.mu.Lock()
+	l.released[id] = true
+	l.f.cond.Broadcast()
+	l.f.mu.Unlock()
 }
 
 // ViewInterrupt is the abort thrown through a user actor's blocking
@@ -360,15 +286,22 @@ type ElasticEnv interface {
 	ClusterBarrier(id uint64)
 }
 
+// procEnv is the Env of a user actor on the proc fabric: the shared
+// wall-clock Env plus the elastic recovery surface.
+type procEnv struct {
+	Env
+	l *procLink
+}
+
 var _ ElasticEnv = (*procEnv)(nil)
 
-func (e *procEnv) ElasticEnabled() bool { return e.f.env.Elastic }
-func (e *procEnv) Incarnation() uint32  { return e.f.env.Incarnation }
+func (e *procEnv) ElasticEnabled() bool { return e.l.env.Elastic }
+func (e *procEnv) Incarnation() uint32  { return e.l.env.Incarnation }
 
 func (e *procEnv) ViewEpoch() uint64 {
-	e.f.mu.Lock()
-	defer e.f.mu.Unlock()
-	return e.f.viewEpoch
+	e.l.f.mu.Lock()
+	defer e.l.f.mu.Unlock()
+	return e.l.viewEpoch
 }
 
 // AckView fences the aborted sync epoch and acknowledges the view: from
@@ -376,11 +309,11 @@ func (e *procEnv) ViewEpoch() uint64 {
 // traffic, and forgets per-pair sequencing with the replaced node (its
 // respawned incarnation restarts sequences at 1).
 func (e *procEnv) AckView(committed, shadow, staged uint64) {
-	f := e.f
+	l, f := e.l, e.l.f
 	f.mu.Lock()
-	epoch := f.viewEpoch
-	dead := f.viewDead
-	f.viewIntr = false
+	epoch := l.viewEpoch
+	dead := l.viewDead
+	l.viewIntr = false
 	for _, q := range f.mailboxes {
 		for q.TryPop(func(m *msg.Message) bool { return m.Epoch < epoch }) != nil {
 		}
@@ -388,13 +321,10 @@ func (e *procEnv) AckView(committed, shadow, staged uint64) {
 	f.mu.Unlock()
 	f.pipe.SetEpoch(epoch)
 	f.pipe.ResetPeer(func(a msg.Addr) bool { return endpointNode(f.space, a) == dead })
-	if err := f.sess.SendViewAck(wire.ViewAck{
-		Node: f.env.Node, Epoch: epoch, Committed: committed, Shadow: shadow, Staged: staged,
+	if err := l.sess.SendViewAck(wire.ViewAck{
+		Node: l.env.Node, Epoch: epoch, Committed: committed, Shadow: shadow, Staged: staged,
 	}); err != nil {
-		if fe := f.sess.Err(); fe != nil {
-			panic(abort{fe})
-		}
-		panic(fmt.Sprintf("procnet: node %d view ack: %v", f.env.Node, err))
+		l.sessFail("view ack", err)
 	}
 }
 
@@ -402,16 +332,15 @@ func (e *procEnv) AckView(committed, shadow, staged uint64) {
 // from the per-op deadline: the window includes a full process respawn,
 // bounded by the cluster join timeout and the run deadline instead.
 func (e *procEnv) AwaitResume() (int, uint64) {
-	f := e.f
+	l, f := e.l, e.l.f
 	f.mu.Lock()
-	for f.resume == nil {
-		if ferr := f.fault; ferr != nil {
-			f.mu.Unlock()
-			panic(abort{ferr})
+	for l.resume == nil {
+		if l.fault != nil {
+			f.abortLocked(l.fault)
 		}
 		f.cond.Wait()
 	}
-	r := *f.resume
+	r := *l.resume
 	f.mu.Unlock()
 	return r.Node, r.Epoch
 }
@@ -419,220 +348,21 @@ func (e *procEnv) AwaitResume() (int, uint64) {
 // ClusterBarrier enters coordinator barrier id and blocks for its
 // release. A view change mid-wait aborts with a ViewInterrupt.
 func (e *procEnv) ClusterBarrier(id uint64) {
-	f := e.f
+	l, f := e.l, e.l.f
 	f.mu.Lock()
 	// A release for this id from a previous use (pre-recovery
 	// re-execution) must not satisfy this entry.
-	delete(f.released, id)
+	delete(l.released, id)
 	f.mu.Unlock()
-	if err := f.sess.EnterBarrier(id); err != nil {
-		if fe := f.sess.Err(); fe != nil {
-			panic(abort{fe})
-		}
-		panic(fmt.Sprintf("procnet: node %d barrier %d: %v", f.env.Node, id, err))
+	if err := l.sess.EnterBarrier(id); err != nil {
+		l.sessFail(fmt.Sprintf("barrier %d", id), err)
 	}
 	f.mu.Lock()
-	for !f.released[id] {
-		if ferr := f.fault; ferr != nil {
-			f.mu.Unlock()
-			panic(abort{ferr})
-		}
-		if f.viewIntr {
-			vi := &ViewInterrupt{Epoch: f.viewEpoch, Dead: f.viewDead}
-			f.mu.Unlock()
-			panic(abort{vi})
+	for !l.released[id] {
+		if err := l.interrupted(false); err != nil {
+			f.abortLocked(err)
 		}
 		f.cond.Wait()
 	}
 	f.mu.Unlock()
-}
-
-// viewIntrCheckLocked aborts a user actor caught by a membership
-// change. Callers hold f.mu; servers are never interrupted — they must
-// keep serving the restore reads of the recovery protocol.
-func (e *procEnv) viewIntrCheckLocked() {
-	f := e.f
-	if f.viewIntr && !e.addr.Server {
-		vi := &ViewInterrupt{Epoch: f.viewEpoch, Dead: f.viewDead}
-		f.mu.Unlock()
-		panic(abort{vi})
-	}
-}
-
-// procEnv is the Env of one local actor on the proc fabric.
-type procEnv struct {
-	f    *ProcFabric
-	addr msg.Addr
-}
-
-var _ Env = (*procEnv)(nil)
-
-func (e *procEnv) Self() msg.Addr       { return e.addr }
-func (e *procEnv) Rank() int            { return e.addr.ID }
-func (e *procEnv) Size() int            { return e.f.cfg.Procs }
-func (e *procEnv) NumNodes() int        { return e.f.cfg.numNodes() }
-func (e *procEnv) Node(rank int) int    { return e.f.space.Node(rank) }
-func (e *procEnv) Space() *shmem.Space  { return e.f.space }
-func (e *procEnv) Params() model.Params { return e.f.cfg.Model }
-func (e *procEnv) Trace() *trace.Stats  { return e.f.cfg.Trace }
-func (e *procEnv) Clock() Clock         { return wallClock{e.f.start} }
-
-func (e *procEnv) Charge(d time.Duration) {
-	// Like tcpnet: real socket costs, no injected CPU model.
-}
-
-func (e *procEnv) Send(to msg.Addr, m *msg.Message) {
-	e.f.mu.Lock()
-	e.viewIntrCheckLocked()
-	e.f.mu.Unlock()
-	err := e.f.pipe.SendTo(e.addr, to, m,
-		func() time.Duration { return time.Since(e.f.start) }, nil,
-		func(d pipeline.Delivery) {
-			if werr := e.f.sess.SendMsg(d.Msg); werr != nil {
-				if fe := e.f.sess.Err(); fe != nil {
-					panic(abort{fe})
-				}
-				panic(fmt.Sprintf("procnet: send %v -> %v: %v", e.addr, to, werr))
-			}
-		})
-	if err != nil {
-		panic(abort{err}) // crash / retry exhaustion: abort this actor
-	}
-}
-
-func (e *procEnv) Recv(match msg.Match) *msg.Message {
-	q := e.f.mailboxes[e.addr]
-	tag := "recv@" + e.addr.String()
-	expired, stop := e.opTimer(e.addr.Server)
-	defer stop()
-	e.f.mu.Lock()
-	for {
-		if m := q.TryPop(match); m != nil {
-			e.f.mu.Unlock()
-			// Enforce a fault-injected arrival time in wall time (with
-			// no faults the stamp is the actual socket arrival, already
-			// in the past).
-			if wait := m.Arrival - time.Since(e.f.start); wait > 0 {
-				time.Sleep(wait)
-			}
-			return m
-		}
-		if ferr := e.f.fault; ferr != nil {
-			e.f.mu.Unlock()
-			panic(abort{ferr})
-		}
-		e.viewIntrCheckLocked()
-		if e.addr.Server && e.f.shutdown {
-			e.f.mu.Unlock()
-			return nil
-		}
-		if expired() {
-			e.f.mu.Unlock()
-			panic(opTimeout(e.addr, tag))
-		}
-		e.f.cond.Wait()
-	}
-}
-
-func (e *procEnv) TryRecv(match msg.Match) *msg.Message {
-	now := time.Since(e.f.start)
-	e.f.mu.Lock()
-	if ferr := e.f.fault; ferr != nil {
-		e.f.mu.Unlock()
-		panic(abort{ferr})
-	}
-	e.viewIntrCheckLocked()
-	m := e.f.mailboxes[e.addr].TryPop(func(m *msg.Message) bool {
-		return m.Arrival <= now && match(m)
-	})
-	e.f.mu.Unlock()
-	return m
-}
-
-func (e *procEnv) WaitUntil(tag string, pred func() bool) {
-	expired, stop := e.opTimer(false)
-	defer stop()
-	e.f.mu.Lock()
-	for !pred() {
-		if ferr := e.f.fault; ferr != nil {
-			e.f.mu.Unlock()
-			panic(abort{ferr})
-		}
-		e.viewIntrCheckLocked()
-		if e.f.shutdown && e.addr.Server {
-			break
-		}
-		if expired() {
-			e.f.mu.Unlock()
-			panic(opTimeout(e.addr, tag))
-		}
-		e.f.cond.Wait()
-	}
-	e.f.mu.Unlock()
-}
-
-func (e *procEnv) WaitUntilFor(tag string, pred func() bool, d time.Duration) bool {
-	if d <= 0 {
-		e.WaitUntil(tag, pred)
-		return true
-	}
-	deadline := time.Now().Add(d)
-	t := time.AfterFunc(d, func() {
-		e.f.mu.Lock()
-		e.f.cond.Broadcast()
-		e.f.mu.Unlock()
-	})
-	defer t.Stop()
-	e.f.mu.Lock()
-	for !pred() {
-		if ferr := e.f.fault; ferr != nil {
-			e.f.mu.Unlock()
-			panic(abort{ferr})
-		}
-		e.viewIntrCheckLocked()
-		if !time.Now().Before(deadline) {
-			e.f.mu.Unlock()
-			return false
-		}
-		e.f.cond.Wait()
-	}
-	e.f.mu.Unlock()
-	return true
-}
-
-func (e *procEnv) Faults() pipeline.Faults { return e.f.pipe.Faults() }
-
-// CrashedRank consults the process-local registry only: a rank
-// fail-stopped on another worker is detected by the cluster layer
-// (heartbeats / connection loss) as a FaultPeerLost instead. Lease-lock
-// waiters on this fabric therefore rely purely on TTL timing, which
-// needs no registry at all.
-func (e *procEnv) CrashedRank() int { return e.f.pipe.FirstCrashed() }
-
-// FailStop on the multi-process fabric is job-fatal: the crash registry
-// cannot cross process boundaries, so remote waiters could never
-// distinguish the fail-stop from a wedged peer. The run aborts with the
-// rank-attributed FaultError instead of silently dropping the actor.
-func (e *procEnv) FailStop(op string) {
-	panic(abort{e.f.pipe.CrashNow(e.addr.ID, op)})
-}
-
-func (e *procEnv) AbortFault(err *pipeline.FaultError) {
-	panic(abort{err})
-}
-
-// opTimer arms the per-op deadline for one blocking operation,
-// mirroring the channel and TCP fabrics' helper.
-func (e *procEnv) opTimer(exempt bool) (expired func() bool, stop func()) {
-	od := e.f.cfg.OpDeadline
-	if od <= 0 || exempt {
-		return func() bool { return false }, func() {}
-	}
-	deadline := time.Now().Add(od)
-	t := time.AfterFunc(od, func() {
-		e.f.mu.Lock()
-		e.f.cond.Broadcast()
-		e.f.mu.Unlock()
-	})
-	return func() bool { return !time.Now().Before(deadline) }, func() { t.Stop() }
 }

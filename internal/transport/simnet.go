@@ -212,7 +212,7 @@ func (e *simEnv) Recv(match msg.Match) *msg.Message {
 			// crash's fault, so attribute it to the dead rank.
 			panic(sim.Abort{Err: &pipeline.FaultError{Rank: r, Op: tag, Kind: pipeline.FaultCrash}})
 		}
-		panic(sim.Abort{Err: opTimeout(e.addr, tag).err})
+		panic(sim.Abort{Err: opTimeout(e.addr, tag)})
 	}
 	if got != nil {
 		e.f.pipe.RecvCharge(e.Charge)
@@ -244,7 +244,7 @@ func (e *simEnv) WaitUntil(tag string, pred func() bool) {
 		if r := e.f.pipe.FirstCrashed(); r >= 0 {
 			panic(sim.Abort{Err: &pipeline.FaultError{Rank: r, Op: tag, Kind: pipeline.FaultCrash}})
 		}
-		panic(sim.Abort{Err: opTimeout(e.addr, tag).err})
+		panic(sim.Abort{Err: opTimeout(e.addr, tag)})
 	}
 	if g := e.f.cfg.Model.PollGap; g > 0 {
 		// Model the detection delay between the memory write and the

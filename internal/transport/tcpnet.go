@@ -1,18 +1,13 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
 	"armci/internal/cluster"
-	"armci/internal/model"
 	"armci/internal/msg"
-	"armci/internal/pipeline"
-	"armci/internal/shmem"
-	"armci/internal/trace"
 	"armci/internal/wire"
 )
 
@@ -21,28 +16,28 @@ import (
 // loopback TCP socket through a star router. It emulates the message path
 // of a socket-based ARMCI port: the paper's cluster interconnect is
 // replaced by real kernel sockets, per the reproduction substitution rule.
-type TCPFabric struct {
-	cfg   Config
-	space *shmem.Space
-	pipe  *pipeline.Pipeline
+type TCPFabric struct{ *wallFabric }
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	mailboxes map[msg.Addr]*msg.Queue
-	shutdown  bool
-	crashAt   time.Time // wall time of the first fail-stop (zero: none)
+// NewTCP builds a TCP fabric. The router listens on an ephemeral loopback
+// port; everything is torn down when Run returns.
+func NewTCP(cfg Config) (*TCPFabric, error) {
+	if err := cfg.normalize(); err != nil {
+		return nil, err
+	}
+	// The TCP fabric measures real socket costs, so the cost-model
+	// stage is inactive; trace, fault injection and metrics still run.
+	f := newWallFabric("tcpnet", cfg, false)
+	f.link = &tcpLink{f: f, conns: make(map[msg.Addr]*endpointConn)}
+	return &TCPFabric{f}, nil
+}
 
-	users   []actorSpec
-	servers []actorSpec
-
-	start time.Time
-
+// tcpLink is the router-and-sockets link: every endpoint dials the star
+// router, writes its frames there and reads what the router forwards.
+type tcpLink struct {
+	f        *wallFabric
 	listener net.Listener
 	router   *router
-
-	conns map[msg.Addr]*endpointConn
-
-	panics chan error
+	conns    map[msg.Addr]*endpointConn // dialed side, fixed once up returns
 }
 
 // endpointConn is an endpoint's dialed connection to the router.
@@ -67,206 +62,63 @@ func (ec *endpointConn) writeMsg(m *msg.Message) error {
 	return wire.WriteFrame(ec.c, ec.buf)
 }
 
-// NewTCP builds a TCP fabric. The router listens on an ephemeral loopback
-// port; everything is torn down when Run returns.
-func NewTCP(cfg Config) (*TCPFabric, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	f := &TCPFabric{
-		cfg:       cfg,
-		space:     shmem.NewSpace(cfg.nodeMap()),
-		mailboxes: make(map[msg.Addr]*msg.Queue),
-		conns:     make(map[msg.Addr]*endpointConn),
-		panics:    make(chan error, cfg.Procs+cfg.numNodes()),
-	}
-	// The TCP fabric measures real socket costs, so the cost-model
-	// stage is inactive; trace, fault injection and metrics still run.
-	f.pipe = cfg.newPipeline(f.space, false)
-	f.cond = sync.NewCond(&f.mu)
-	f.space.SetOnWrite(func() {
-		f.mu.Lock()
-		f.cond.Broadcast()
-		f.mu.Unlock()
-	})
-	// Mirror the channel fabric's crash wiring: wake blocked waits and arm
-	// the grace timer (see Config.CrashGrace).
-	f.pipe.SetCrashNotify(func() {
-		f.mu.Lock()
-		if f.crashAt.IsZero() {
-			f.crashAt = time.Now()
-			time.AfterFunc(f.cfg.CrashGrace+10*time.Millisecond, func() {
-				f.mu.Lock()
-				f.cond.Broadcast()
-				f.mu.Unlock()
-			})
-		}
-		f.cond.Broadcast()
-		f.mu.Unlock()
-	})
-	return f, nil
-}
-
-// crashBound arms the holder-crash grace bound for one blocking wait by
-// a user actor — the per-wait mirror of the channel fabric's crashBound:
-// overdue (call with f.mu held) only fires when a registered crash has
-// outlived CrashGrace and this wait has itself been blocked that long,
-// scheduling its own wake-up broadcast when the bound is still pending.
-func (e *tcpEnv) crashBound() (overdue func() bool, stop func()) {
-	start := time.Now()
-	var t *time.Timer
-	overdue = func() bool {
-		if e.addr.Server || e.f.crashAt.IsZero() {
-			return false
-		}
-		grace := e.f.cfg.CrashGrace
-		blocked := time.Since(start)
-		sinceCrash := time.Since(e.f.crashAt)
-		if blocked > grace && sinceCrash > grace {
-			return true
-		}
-		if t == nil {
-			d := grace - blocked
-			if rem := grace - sinceCrash; rem > d {
-				d = rem
-			}
-			t = time.AfterFunc(d+10*time.Millisecond, func() {
-				e.f.mu.Lock()
-				e.f.cond.Broadcast()
-				e.f.mu.Unlock()
-			})
-		}
-		return false
-	}
-	stop = func() {
-		if t != nil {
-			t.Stop()
-		}
-	}
-	return overdue, stop
-}
-
-// Space returns the cluster's shared memory.
-func (f *TCPFabric) Space() *shmem.Space { return f.space }
-
-// Config returns the cluster configuration.
-func (f *TCPFabric) Config() *Config { return &f.cfg }
-
-// SpawnUser registers the body of rank's user process.
-func (f *TCPFabric) SpawnUser(rank int, body func(Env)) {
-	f.users = append(f.users, actorSpec{addr: msg.User(rank), body: body})
-}
-
-// SpawnServer registers the body of node's data server.
-func (f *TCPFabric) SpawnServer(node int, body func(Env)) {
-	f.servers = append(f.servers, actorSpec{addr: msg.ServerOf(node), body: body})
-}
-
-// Run brings up the router, connects every endpoint, executes the actors
-// to completion and tears the network down.
-func (f *TCPFabric) Run() (err error) {
+// up brings up the router and connects every endpoint to it.
+func (l *tcpLink) up() (err error) {
 	// cluster.Listen reports the address on failure and rides out
 	// ephemeral-port rebind races, so repeated -count runs never flake.
-	f.listener, err = cluster.Listen("127.0.0.1:0")
+	l.listener, err = cluster.Listen("127.0.0.1:0")
 	if err != nil {
 		return fmt.Errorf("tcpnet: %w", err)
 	}
-	f.router = newRouter(f.listener)
-	go f.router.serve()
-	defer func() {
-		f.listener.Close()
-		f.router.closeAll()
-	}()
+	l.router = newRouter(l.listener)
+	go l.router.serve()
 
-	all := append(append([]actorSpec(nil), f.users...), f.servers...)
+	all := l.f.endpoints()
 	for _, a := range all {
-		f.mailboxes[a.addr] = &msg.Queue{}
-		conn, derr := net.Dial("tcp", f.listener.Addr().String())
+		conn, derr := net.Dial("tcp", l.listener.Addr().String())
 		if derr != nil {
 			return fmt.Errorf("tcpnet: dial router: %w", derr)
 		}
 		ec := &endpointConn{c: conn}
+		l.conns[a.addr] = ec // registered first, so down closes it on every path
 		if werr := ec.writeFrame(wire.EncodeHello(a.addr)); werr != nil {
 			return fmt.Errorf("tcpnet: hello: %w", werr)
 		}
-		f.conns[a.addr] = ec
-		go f.readLoop(a.addr, conn)
+		go l.readLoop(a.addr, conn)
 	}
 	// Wait for the router to have registered every endpoint before any
 	// actor sends, so no frame races ahead of its destination's hello.
-	if werr := f.router.waitRegistered(len(all), 10*time.Second); werr != nil {
-		return werr
-	}
+	return l.router.waitRegistered(len(all), 10*time.Second)
+}
 
-	f.start = time.Now()
-	var userWG, serverWG sync.WaitGroup
-	runActor := func(spec actorSpec, wg *sync.WaitGroup) {
-		defer wg.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(failStop); ok {
-					return // injected fail-stop: the actor vanishes, the run continues
-				}
-				if a, ok := r.(abort); ok && a.err != nil {
-					f.panics <- a.err // structured fault, propagate verbatim
-				} else {
-					f.panics <- fmt.Errorf("tcpnet: actor %v panicked: %v", spec.addr, r)
-				}
-				f.mu.Lock()
-				f.shutdown = true
-				f.cond.Broadcast()
-				f.mu.Unlock()
-			}
-		}()
-		spec.body(&tcpEnv{f: f, addr: spec.addr})
+func (l *tcpLink) carry(m *msg.Message) {
+	ec := l.conns[m.Src]
+	if ec == nil {
+		panic(fmt.Sprintf("tcpnet: send from unknown endpoint %v", m.Src))
 	}
-	for _, a := range f.servers {
-		serverWG.Add(1)
-		go runActor(a, &serverWG)
+	if err := ec.writeMsg(m); err != nil {
+		panic(fmt.Sprintf("tcpnet: send %v -> %v: %v", m.Src, m.Dst, err))
 	}
-	for _, a := range f.users {
-		userWG.Add(1)
-		go runActor(a, &userWG)
-	}
+}
 
-	deadline := f.cfg.Deadline
-	if deadline == 0 {
-		deadline = 120 * time.Second
-	}
-	usersDone := make(chan struct{})
-	go func() { userWG.Wait(); close(usersDone) }()
-	select {
-	case <-usersDone:
-	case perr := <-f.panics:
-		return perr
-	case <-time.After(deadline):
-		return fmt.Errorf("tcpnet: deadline %v exceeded waiting for user processes", deadline)
-	}
+func (tcpLink) usersDone(time.Duration) error { return nil }
 
-	f.mu.Lock()
-	f.shutdown = true
-	f.cond.Broadcast()
-	f.mu.Unlock()
-
-	serversDone := make(chan struct{})
-	go func() { serverWG.Wait(); close(serversDone) }()
-	select {
-	case <-serversDone:
-	case perr := <-f.panics:
-		return perr
-	case <-time.After(deadline):
-		return fmt.Errorf("tcpnet: deadline %v exceeded waiting for servers to drain", deadline)
+// down closes the listener and both ends of every connection, which is
+// also what ends the router's and the endpoints' reader goroutines.
+func (l *tcpLink) down() {
+	if l.listener == nil {
+		return
 	}
-	select {
-	case perr := <-f.panics:
-		return perr
-	default:
+	l.listener.Close()
+	l.router.closeAll()
+	for _, ec := range l.conns {
+		ec.c.Close()
 	}
-	return nil
 }
 
 // readLoop drains frames arriving for one endpoint into its mailbox.
-func (f *TCPFabric) readLoop(a msg.Addr, conn net.Conn) {
+func (l *tcpLink) readLoop(a msg.Addr, conn net.Conn) {
+	q := l.f.mailboxes[a]
 	for {
 		body, err := wire.ReadFrame(conn)
 		if err != nil {
@@ -274,19 +126,10 @@ func (f *TCPFabric) readLoop(a msg.Addr, conn net.Conn) {
 		}
 		m, err := wire.Decode(body)
 		if err != nil {
-			f.panics <- fmt.Errorf("tcpnet: endpoint %v received corrupt frame: %w", a, err)
+			l.f.panics <- fmt.Errorf("tcpnet: endpoint %v received corrupt frame: %w", a, err)
 			return
 		}
-		// The inbound pipeline stages: duplicate suppression, arrival
-		// stamping (actual socket arrival, or the fault-injected future
-		// arrival carried in the frame), trace back-annotation, metrics.
-		if !f.pipe.Inbound(m, time.Since(f.start)) {
-			continue
-		}
-		f.mu.Lock()
-		f.mailboxes[a].Put(m)
-		f.cond.Broadcast()
-		f.mu.Unlock()
+		l.f.arrive(q, m)
 	}
 }
 
@@ -314,14 +157,15 @@ func (r *router) serve() {
 }
 
 func (r *router) serveConn(c net.Conn) {
+	// closeAll only reaches registered connections; one that loses the
+	// race with a failed bring-up's teardown is closed here instead.
+	defer c.Close()
 	hello, err := wire.ReadFrame(c)
 	if err != nil {
-		c.Close()
 		return
 	}
 	addr, err := wire.DecodeHello(hello)
 	if err != nil {
-		c.Close()
 		return
 	}
 	ec := &endpointConn{c: c}
@@ -376,175 +220,4 @@ func (r *router) closeAll() {
 	for _, ec := range r.conns {
 		ec.c.Close()
 	}
-}
-
-// tcpEnv is the Env of one TCP-fabric actor.
-type tcpEnv struct {
-	f    *TCPFabric
-	addr msg.Addr
-}
-
-var _ Env = (*tcpEnv)(nil)
-
-func (e *tcpEnv) Self() msg.Addr       { return e.addr }
-func (e *tcpEnv) Rank() int            { return e.addr.ID }
-func (e *tcpEnv) Size() int            { return e.f.cfg.Procs }
-func (e *tcpEnv) NumNodes() int        { return e.f.cfg.numNodes() }
-func (e *tcpEnv) Node(rank int) int    { return e.f.space.Node(rank) }
-func (e *tcpEnv) Space() *shmem.Space  { return e.f.space }
-func (e *tcpEnv) Params() model.Params { return e.f.cfg.Model }
-func (e *tcpEnv) Trace() *trace.Stats  { return e.f.cfg.Trace }
-func (e *tcpEnv) Clock() Clock         { return wallClock{e.f.start} }
-
-func (e *tcpEnv) Charge(d time.Duration) {
-	// The TCP fabric measures real socket costs; no injected CPU model.
-}
-
-func (e *tcpEnv) Send(to msg.Addr, m *msg.Message) {
-	ec := e.f.conns[e.addr]
-	if ec == nil {
-		panic(fmt.Sprintf("tcpnet: send from unknown endpoint %v", e.addr))
-	}
-	err := e.f.pipe.SendTo(e.addr, to, m,
-		func() time.Duration { return time.Since(e.f.start) }, nil,
-		func(d pipeline.Delivery) {
-			if werr := ec.writeMsg(d.Msg); werr != nil {
-				panic(fmt.Sprintf("tcpnet: send %v -> %v: %v", e.addr, to, werr))
-			}
-		})
-	if err != nil {
-		var fe *pipeline.FaultError
-		if errors.As(err, &fe) && fe.Kind == pipeline.FaultCrash && !e.addr.Server {
-			// Injected crash: fail-stop this actor only; survivors learn of
-			// it through the crash registry (and the grace timer).
-			e.f.pipe.NoteCrash(e.addr.ID)
-			panic(failStop{})
-		}
-		panic(abort{err}) // retry exhaustion: abort this actor
-	}
-}
-
-func (e *tcpEnv) Recv(match msg.Match) *msg.Message {
-	q := e.f.mailboxes[e.addr]
-	tag := "recv@" + e.addr.String()
-	expired, stop := e.opTimer(e.addr.Server)
-	defer stop()
-	crashOverdue, crashStop := e.crashBound()
-	defer crashStop()
-	e.f.mu.Lock()
-	for {
-		if m := q.TryPop(match); m != nil {
-			e.f.mu.Unlock()
-			// Enforce a fault-injected arrival time in wall time (with
-			// no faults the stamp is the actual socket arrival, already
-			// in the past).
-			if wait := m.Arrival - time.Since(e.f.start); wait > 0 {
-				time.Sleep(wait)
-			}
-			return m
-		}
-		if e.addr.Server && e.f.shutdown {
-			e.f.mu.Unlock()
-			return nil
-		}
-		if crashOverdue() {
-			r := e.f.pipe.FirstCrashed()
-			e.f.mu.Unlock()
-			panic(abort{&pipeline.FaultError{Rank: r, Op: tag, Kind: pipeline.FaultCrash}})
-		}
-		if expired() {
-			e.f.mu.Unlock()
-			panic(opTimeout(e.addr, tag))
-		}
-		e.f.cond.Wait()
-	}
-}
-
-func (e *tcpEnv) TryRecv(match msg.Match) *msg.Message {
-	// Gate on the stamped arrival time so polling cannot observe a
-	// fault-delayed message before Recv would deliver it.
-	now := time.Since(e.f.start)
-	e.f.mu.Lock()
-	m := e.f.mailboxes[e.addr].TryPop(func(m *msg.Message) bool {
-		return m.Arrival <= now && match(m)
-	})
-	e.f.mu.Unlock()
-	return m
-}
-
-func (e *tcpEnv) WaitUntil(tag string, pred func() bool) {
-	expired, stop := e.opTimer(false)
-	defer stop()
-	crashOverdue, crashStop := e.crashBound()
-	defer crashStop()
-	e.f.mu.Lock()
-	for !pred() {
-		if e.f.shutdown && e.addr.Server {
-			break
-		}
-		if crashOverdue() {
-			r := e.f.pipe.FirstCrashed()
-			e.f.mu.Unlock()
-			panic(abort{&pipeline.FaultError{Rank: r, Op: tag, Kind: pipeline.FaultCrash}})
-		}
-		if expired() {
-			e.f.mu.Unlock()
-			panic(opTimeout(e.addr, tag))
-		}
-		e.f.cond.Wait()
-	}
-	e.f.mu.Unlock()
-}
-
-func (e *tcpEnv) WaitUntilFor(tag string, pred func() bool, d time.Duration) bool {
-	if d <= 0 {
-		e.WaitUntil(tag, pred)
-		return true
-	}
-	deadline := time.Now().Add(d)
-	t := time.AfterFunc(d, func() {
-		e.f.mu.Lock()
-		e.f.cond.Broadcast()
-		e.f.mu.Unlock()
-	})
-	defer t.Stop()
-	e.f.mu.Lock()
-	for !pred() {
-		if !time.Now().Before(deadline) {
-			e.f.mu.Unlock()
-			return false
-		}
-		e.f.cond.Wait()
-	}
-	e.f.mu.Unlock()
-	return true
-}
-
-func (e *tcpEnv) Faults() pipeline.Faults { return e.f.pipe.Faults() }
-
-func (e *tcpEnv) CrashedRank() int { return e.f.pipe.FirstCrashed() }
-
-func (e *tcpEnv) FailStop(op string) {
-	e.f.pipe.CrashNow(e.addr.ID, op)
-	panic(failStop{})
-}
-
-func (e *tcpEnv) AbortFault(err *pipeline.FaultError) {
-	panic(abort{err})
-}
-
-// opTimer arms the per-op deadline for one blocking operation, mirroring
-// the channel fabric's helper.
-func (e *tcpEnv) opTimer(exempt bool) (expired func() bool, stop func()) {
-	od := e.f.cfg.OpDeadline
-	if od <= 0 || exempt {
-		return func() bool { return false }, func() {}
-	}
-	deadline := time.Now().Add(od)
-	t := time.AfterFunc(od, func() {
-		e.f.mu.Lock()
-		e.f.cond.Broadcast()
-		e.f.mu.Unlock()
-	})
-	return func() bool { return !time.Now().Before(deadline) }, func() { t.Stop() }
 }

@@ -9,7 +9,14 @@
 //   - channet: real goroutines exchanging messages through in-process
 //     mailboxes — the fabric correctness tests use;
 //   - tcpnet:  real goroutines whose every message crosses a loopback TCP
-//     socket through a star router — the "emulate over sockets" fabric.
+//     socket through a star router — the "emulate over sockets" fabric;
+//   - procnet: one OS process per SMP node, every inter-node message over
+//     a real TCP connection set up by internal/cluster — the fabric
+//     cmd/armci-run launches.
+//
+// The last three run in wall time and are one runtime (wallnet.go: the
+// mailboxes, the bounded wait, deadlines, crash grace, the actor life
+// cycle) over three links that only move frames.
 package transport
 
 import (
@@ -123,17 +130,6 @@ type Config struct {
 	// Metrics, if non-nil, collects per-kind/per-pair message latency
 	// histograms, fault counters and (optionally) a delivery timeline.
 	Metrics *pipeline.Metrics
-	// Jitter adds a uniformly random extra delay in [0, Jitter) to
-	// every message arrival.
-	//
-	// Deprecated: this was the channel-fabric-only stress knob; it now
-	// maps onto Faults.Jitter (and applies on every fabric). Set
-	// Faults.Jitter directly instead.
-	Jitter time.Duration
-	// JitterSeed seeds the jitter generator.
-	//
-	// Deprecated: maps onto Faults.Seed; set that instead.
-	JitterSeed int64
 	// ScheduleSeed, when non-zero, makes the simulated fabric pick among
 	// simultaneously runnable processes pseudo-randomly (reproducibly for
 	// a given seed) instead of FIFO — interleaving exploration for
@@ -177,9 +173,6 @@ func (c *Config) normalize() error {
 	if c.Procs <= 0 {
 		return fmt.Errorf("transport: config needs Procs >= 1, got %d", c.Procs)
 	}
-	if c.Jitter < 0 {
-		return fmt.Errorf("transport: config needs Jitter >= 0, got %v", c.Jitter)
-	}
 	if c.Deadline < 0 {
 		return fmt.Errorf("transport: config needs Deadline >= 0, got %v", c.Deadline)
 	}
@@ -209,13 +202,6 @@ func (c *Config) normalize() error {
 	}
 	if c.Trace == nil {
 		c.Trace = trace.New()
-	}
-	// Fold the deprecated jitter knobs into the fault plan.
-	if c.Jitter > 0 && c.Faults.Jitter == 0 {
-		c.Faults.Jitter = c.Jitter
-		if c.Faults.Seed == 0 {
-			c.Faults.Seed = c.JitterSeed
-		}
 	}
 	return nil
 }
@@ -269,7 +255,7 @@ type Fabric interface {
 	Run() error
 }
 
-// abort is the panic value the concurrent fabrics use to terminate an
+// abort is the panic value the wall-clock fabrics use to terminate an
 // actor with a structured error: runActor recovery propagates err
 // verbatim (the simulated fabric uses sim.Abort for the same purpose).
 type abort struct{ err error }
@@ -282,11 +268,10 @@ type abort struct{ err error }
 // visible to survivors only through the pipeline's crash registry.
 type failStop struct{}
 
-// opTimeout builds the abort raised when one operation of the actor at a
+// opTimeout builds the fault raised when one operation of the actor at a
 // exceeds Config.OpDeadline.
-func opTimeout(a msg.Addr, op string) abort {
-	rank, server := a.ID, a.Server
-	return abort{err: &pipeline.FaultError{Rank: rank, Server: server, Op: op, Kind: pipeline.FaultOpTimeout}}
+func opTimeout(a msg.Addr, op string) *pipeline.FaultError {
+	return &pipeline.FaultError{Rank: a.ID, Server: a.Server, Op: op, Kind: pipeline.FaultOpTimeout}
 }
 
 // endpointNode returns the node an endpoint lives on. Server-class

@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -32,7 +35,6 @@ func TestConfigRejectsBadKnobs(t *testing.T) {
 		cfg  Config
 		want string // substring of the error
 	}{
-		{"negative jitter", Config{Procs: 2, Jitter: -time.Microsecond}, "Jitter >= 0"},
 		{"negative deadline", Config{Procs: 2, Deadline: -time.Second}, "Deadline >= 0"},
 		{"negative fault jitter", Config{Procs: 2, Faults: pipeline.Faults{Jitter: -1}}, "fault plan"},
 		{"negative spike delay", Config{Procs: 2, Faults: pipeline.Faults{SpikeDelay: -time.Millisecond, SpikeProb: 0.1}}, "fault plan"},
@@ -51,14 +53,6 @@ func TestConfigRejectsBadKnobs(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
-	}
-	// And the deprecated Jitter knob must still fold into the fault plan.
-	cfg := Config{Procs: 2, Jitter: 5 * time.Microsecond, JitterSeed: 9}
-	if err := cfg.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Faults.Jitter != 5*time.Microsecond || cfg.Faults.Seed != 9 {
-		t.Fatalf("deprecated Jitter not folded: %+v", cfg.Faults)
 	}
 }
 
@@ -517,7 +511,7 @@ func TestChanSendToUnknownEndpointPanics(t *testing.T) {
 // TestJitterPreservesPerPairFIFO at the transport level: with heavy
 // jitter, tagged messages from one sender still arrive in send order.
 func TestJitterPreservesPerPairFIFO(t *testing.T) {
-	f, err := NewChan(Config{Procs: 2, Jitter: 2 * time.Millisecond, JitterSeed: 3})
+	f, err := NewChan(Config{Procs: 2, Faults: pipeline.Faults{Jitter: 2 * time.Millisecond, Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -632,5 +626,180 @@ func TestSimScheduleShuffleDeterminism(t *testing.T) {
 	}
 	if run(5) == run(6) && run(6) == run(7) {
 		t.Fatal("three different seeds gave identical schedules — shuffle inert")
+	}
+}
+
+// never is the predicate of a wait nothing will ever satisfy.
+func never() bool { return false }
+
+// wantFault runs f and requires a *pipeline.FaultError of the given kind.
+func wantFault(t *testing.T, f Fabric, kind pipeline.FaultKind) *pipeline.FaultError {
+	t.Helper()
+	var fe *pipeline.FaultError
+	if err := f.Run(); !errors.As(err, &fe) {
+		t.Fatalf("want *pipeline.FaultError, got %v", err)
+	}
+	if fe.Kind != kind {
+		t.Fatalf("want kind %v, got %v", kind, fe)
+	}
+	return fe
+}
+
+// TestOpDeadlineBoundsUserRecvOnly: a user Recv nothing satisfies is cut
+// off at OpDeadline with a rank-attributed op-timeout carrying the recv
+// tag, while a server idling in Recv for several deadlines is left alone
+// and gets nil at shutdown — on every fabric.
+func TestOpDeadlineBoundsUserRecvOnly(t *testing.T) {
+	const od = 30 * time.Millisecond
+	for name, mk := range fabricsUnderTest(t, Config{Procs: 2, OpDeadline: od}) {
+		t.Run(name+"/user", func(t *testing.T) {
+			f, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.SpawnUser(0, func(env Env) {})
+			f.SpawnUser(1, func(env Env) { env.Recv(func(*msg.Message) bool { return false }) })
+			fe := wantFault(t, f, pipeline.FaultOpTimeout)
+			if fe.Rank != 1 || fe.Server || fe.Op != "recv@"+msg.User(1).String() {
+				t.Fatalf("timeout attributed to %+v, want user rank 1 in its recv", fe)
+			}
+		})
+		t.Run(name+"/server", func(t *testing.T) {
+			f, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			released := false
+			f.SpawnServer(0, func(env Env) { released = env.Recv(msg.MatchAny) == nil })
+			f.SpawnUser(0, func(env Env) { env.Clock().Sleep(4 * od) })
+			f.SpawnUser(1, func(env Env) {})
+			if err := f.Run(); err != nil {
+				t.Fatalf("idle server tripped the op deadline: %v", err)
+			}
+			if !released {
+				t.Fatal("server Recv did not return nil at shutdown")
+			}
+		})
+	}
+}
+
+// TestWaitUntilForOwnsItsBound: the bounded wait reports false at d —
+// even past OpDeadline, the recovery decision is the caller's — and
+// d <= 0 degrades to WaitUntil, which OpDeadline does police.
+func TestWaitUntilForOwnsItsBound(t *testing.T) {
+	const od, d = 30 * time.Millisecond, 80 * time.Millisecond
+	for name, mk := range fabricsUnderTest(t, Config{Procs: 1, OpDeadline: od}) {
+		t.Run(name, func(t *testing.T) {
+			f, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			satisfied := true
+			var took time.Duration
+			f.SpawnUser(0, func(env Env) {
+				t0 := env.Clock().Now()
+				satisfied = env.WaitUntilFor("bounded", never, d)
+				took = env.Clock().Now() - t0
+				env.WaitUntilFor("unbounded", never, 0)
+			})
+			fe := wantFault(t, f, pipeline.FaultOpTimeout)
+			if satisfied || took < d {
+				t.Fatalf("WaitUntilFor(%v) = %v after %v, want false at the bound", d, satisfied, took)
+			}
+			if fe.Rank != 0 || fe.Op != "unbounded" {
+				t.Fatalf("timeout attributed to %+v, want rank 0 in the d<=0 wait", fe)
+			}
+		})
+	}
+}
+
+// TestCrashGraceBoundsEachWait: after a peer fail-stops, a user that keeps
+// completing short waits is never aborted (the data server serves it well
+// past the grace), but its first wait wedged for CrashGrace aborts with a
+// FaultCrash naming the dead rank — no earlier than the grace and within
+// a second after it. The simulator has no grace (a wedged survivor is a
+// virtual-time deadlock), so this row is wall-clock only.
+func TestCrashGraceBoundsEachWait(t *testing.T) {
+	const grace, slack = 100 * time.Millisecond, time.Second
+	fabrics := fabricsUnderTest(t, Config{Procs: 2, CrashGrace: grace})
+	delete(fabrics, "sim")
+	for name, mk := range fabrics {
+		t.Run(name, func(t *testing.T) {
+			f, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.SpawnServer(0, func(env Env) {
+				for m := env.Recv(msg.MatchAny); m != nil; m = env.Recv(msg.MatchAny) {
+					env.Send(m.Src, &msg.Message{Kind: msg.KindRmwResp, Token: m.Token})
+				}
+			})
+			f.SpawnUser(1, func(env Env) { env.FailStop("test") })
+			var wedged time.Time
+			f.SpawnUser(0, func(env Env) {
+				env.WaitUntil("crash on record", func() bool { return env.CrashedRank() == 1 })
+				for tok, t0 := uint64(0), time.Now(); time.Since(t0) < 2*grace; tok++ {
+					env.Send(msg.ServerOf(0), &msg.Message{Kind: msg.KindRmw, Token: tok})
+					env.Recv(msg.MatchToken(msg.KindRmwResp, tok))
+				}
+				wedged = time.Now()
+				env.WaitUntil("wedged", never)
+			})
+			fe := wantFault(t, f, pipeline.FaultCrash)
+			if fe.Rank != 1 || fe.Op != "wedged" {
+				t.Fatalf("crash attributed to %+v, want rank 1 at the wedged wait", fe)
+			}
+			if took := time.Since(wedged); took < grace || took > grace+slack {
+				t.Fatalf("wedged wait aborted after %v, want within [%v, %v]", took, grace, grace+slack)
+			}
+		})
+	}
+}
+
+// TestTCPRunLeavesNoFDs: every socket a TCP run opens — listener, both
+// ends of every endpoint connection — is closed by the time Run returns
+// (or moments later, when the reader goroutine holding it unblocks), not
+// left to a GC finalizer.
+func TestTCPRunLeavesNoFDs(t *testing.T) {
+	countFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no fd table to count: %v", err)
+		}
+		return len(ents)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // finalizers must not hide a leak
+	run := func() {
+		f, err := NewTCP(Config{Procs: 4, ProcsPerNode: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < 2; n++ {
+			f.SpawnServer(n, func(env Env) {
+				for env.Recv(msg.MatchAny) != nil {
+				}
+			})
+		}
+		for r := 0; r < 4; r++ {
+			f.SpawnUser(r, func(env Env) {
+				env.Send(msg.User((env.Rank()+1)%4), &msg.Message{Kind: msg.KindSend})
+				env.Recv(msg.MatchKind(msg.KindSend))
+			})
+		}
+		if err := f.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // the runtime's own descriptors (netpoller) exist from here on
+	before := countFDs()
+	for i := 0; i < 8; i++ {
+		run()
+	}
+	after := countFDs()
+	for wait := time.Now(); after > before && time.Since(wait) < 2*time.Second; after = countFDs() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after > before {
+		t.Fatalf("8 TCP runs leaked %d descriptors (%d -> %d)", after-before, before, after)
 	}
 }

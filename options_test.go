@@ -273,8 +273,7 @@ func TestJitterStress(t *testing.T) {
 		Procs:      procs,
 		Fabric:     armci.FabricChan,
 		NumMutexes: 1,
-		Jitter:     300 * time.Microsecond,
-		JitterSeed: 7,
+		Faults:     armci.Faults{Jitter: 300 * time.Microsecond, Seed: 7},
 	}, func(p *armci.Proc) {
 		ptrs := p.MallocWords(procs)
 		mu := p.Mutex(0, armci.LockQueue)
