@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench benchcheck soak explore procsmoke
+.PHONY: build test check bench benchcheck soak explore procsmoke loc
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,11 @@ bench:
 # `go run ./cmd/armci-bench -baseline`.
 benchcheck:
 	sh scripts/benchdiff.sh
+
+# Non-test Go lines per package, benchmark/ excluded, total last — the
+# number simplicity PRs quote before and after.
+loc:
+	sh scripts/loc.sh
 
 # The multi-process smoke: launch a smoke-sized Fig. 7 point across 4
 # real OS processes via armci-run and require a clean rendezvous, run

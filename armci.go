@@ -107,15 +107,14 @@ const (
 // (pipeline.DefaultMaxOps ops / DefaultMaxBytes bytes per batch).
 type Coalesce = pipeline.CoalesceOpts
 
-// Metrics collects per-kind and per-pair message latency histograms,
-// fault counters and (optionally) a delivery timeline from the transport
-// pipeline. One Metrics may be shared across runs to aggregate an
-// experiment.
-type Metrics = pipeline.Metrics
+// Metrics is the run recorder (the type of Report.Stats) in its second
+// role: passed in Options.Metrics it aggregates an experiment's runs —
+// message and fault counters, per-kind and per-pair latency histograms
+// and (with SetTimeline) the captured per-message timeline.
+type Metrics = trace.Stats
 
-// NewMetrics returns an empty latency-metrics collector to pass in
-// Options.Metrics.
-func NewMetrics() *Metrics { return pipeline.NewMetrics() }
+// NewMetrics returns an empty recorder to pass in Options.Metrics.
+func NewMetrics() *Metrics { return trace.New() }
 
 // Contig returns the strided descriptor of a contiguous n-byte run.
 func Contig(n int) Strided { return shmem.Contig(n) }
@@ -296,9 +295,11 @@ type Options struct {
 	// Faults configures deterministic fault injection (jitter, latency
 	// spikes, duplicate delivery) on every fabric. Zero value: no faults.
 	Faults Faults
-	// Metrics, if non-nil, collects per-kind/per-pair message latency
-	// histograms, fault counters and (with Metrics.SetTimeline) a
-	// delivery timeline from the run.
+	// Metrics, if non-nil, makes the run feed per-kind/per-pair message
+	// latency histograms (and, with Metrics.SetTimeline, capture its
+	// message events) and folds the finished run into it, so one
+	// collector aggregates every run it is handed to. Report.Stats
+	// stays per-run.
 	Metrics *Metrics
 	// ScheduleSeed, when non-zero, randomizes (reproducibly) which of the
 	// simultaneously runnable simulated processes runs next on FabricSim —
@@ -378,11 +379,9 @@ type Report struct {
 	// Elapsed is the cluster's end-to-end time: virtual for FabricSim,
 	// wall for the concurrent fabrics.
 	Elapsed time.Duration
-	// Stats is the message-trace collector of the run.
+	// Stats is the recorder of the run: message and fault counters,
+	// plus captured events under Options.CaptureTrace.
 	Stats *trace.Stats
-	// Metrics is the latency-metrics collector of the run (nil unless
-	// Options.Metrics was set).
-	Metrics *Metrics
 }
 
 // Run builds a cluster per opt, executes body once per rank (concurrently
@@ -400,14 +399,18 @@ func Run(opt Options, body func(p *Proc)) (*Report, error) {
 		return nil, err
 	}
 	stats := trace.New()
-	stats.SetCapture(opt.CaptureTrace)
+	if opt.Metrics != nil {
+		stats = opt.Metrics.NewRun()
+	}
+	if opt.CaptureTrace {
+		stats.SetCapture(true)
+	}
 	cfg := transport.Config{
 		Procs:           opt.Procs,
 		ProcsPerNode:    opt.ProcsPerNode,
 		Model:           params,
 		Trace:           stats,
 		Faults:          opt.Faults,
-		Metrics:         opt.Metrics,
 		ScheduleSeed:    opt.ScheduleSeed,
 		EventPoolHazard: opt.SimEventPoolHazard,
 		Deadline:        opt.Deadline,
@@ -496,7 +499,10 @@ func Run(opt Options, body func(p *Proc)) (*Report, error) {
 
 	start := time.Now()
 	runErr := fabric.Run()
-	rep := &Report{Stats: stats, Metrics: opt.Metrics}
+	if opt.Metrics != nil {
+		opt.Metrics.Add(stats)
+	}
+	rep := &Report{Stats: stats}
 	if simF != nil {
 		rep.Elapsed = simF.Now()
 	} else {

@@ -471,8 +471,7 @@ func runCrossoverN(common bench.Opts, procCounts []int, csv bool) {
 }
 
 // writeTimeline captures one combined barrier under the cost model and
-// dumps every message as CSV: sequence, kind, source, destination,
-// payload bytes, arrival time in microseconds.
+// dumps every message as CSV (the recorder's TimelineCSV).
 func writeTimeline(path string, procs int, preset armci.CostPreset) error {
 	rep, err := armci.Run(armci.Options{
 		Procs:        procs,
@@ -492,13 +491,7 @@ func writeTimeline(path string, procs int, preset armci.CostPreset) error {
 	if err != nil {
 		return err
 	}
-	var b strings.Builder
-	b.WriteString("seq,kind,src,dst,bytes,arrival_us\n")
-	for _, e := range rep.Stats.Events() {
-		fmt.Fprintf(&b, "%d,%s,%s,%s,%d,%.3f\n",
-			e.Seq, e.Kind, e.Src, e.Dst, e.Size, float64(e.Arrival)/1000)
-	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
+	return os.WriteFile(path, []byte(rep.Stats.TimelineCSV()), 0o644)
 }
 
 func runCounts(procCounts []int) {

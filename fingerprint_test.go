@@ -21,6 +21,9 @@ import (
 // under every sim schedule-shuffle seed. A change to the digested
 // fields, their encoding, or the pipeline's send-order bookkeeping
 // breaks replay/determinism tests; this test makes that breakage loud.
+// Handing the run an Options.Metrics aggregate (which switches the
+// recorder's latency histograms on and folds the run into it) must not
+// change the fingerprint either.
 func TestFingerprintStableAcrossFabricsAndSeeds(t *testing.T) {
 	const procs, laps = 5, 3
 	ring := func(p *armci.Proc) {
@@ -42,7 +45,7 @@ func TestFingerprintStableAcrossFabricsAndSeeds(t *testing.T) {
 			}
 		}
 	}
-	run := func(fabric armci.FabricKind, seed int64) string {
+	runWith := func(fabric armci.FabricKind, seed int64, metrics *armci.Metrics) string {
 		t.Helper()
 		opts := armci.Options{
 			Procs:        procs,
@@ -51,6 +54,7 @@ func TestFingerprintStableAcrossFabricsAndSeeds(t *testing.T) {
 			Preset:       armci.PresetMyrinet2000,
 			ScheduleSeed: seed,
 			CaptureTrace: true,
+			Metrics:      metrics,
 		}
 		if fabric != armci.FabricSim {
 			opts.OpDeadline = 30 * time.Second
@@ -60,6 +64,10 @@ func TestFingerprintStableAcrossFabricsAndSeeds(t *testing.T) {
 			t.Fatalf("fabric %v seed %d: %v", fabric, seed, err)
 		}
 		return rep.Stats.Fingerprint()
+	}
+	run := func(fabric armci.FabricKind, seed int64) string {
+		t.Helper()
+		return runWith(fabric, seed, nil)
 	}
 
 	want := run(armci.FabricSim, 0) // the FIFO baseline
@@ -74,6 +82,11 @@ func TestFingerprintStableAcrossFabricsAndSeeds(t *testing.T) {
 	for _, fabric := range []armci.FabricKind{armci.FabricChan, armci.FabricTCP} {
 		if got := run(fabric, 0); got != want {
 			t.Errorf("%v fingerprint diverged from sim baseline:\nsim  %s\n%v %s", fabric, want, fabric, got)
+		}
+	}
+	for _, fabric := range []armci.FabricKind{armci.FabricSim, armci.FabricChan, armci.FabricTCP} {
+		if got := runWith(fabric, 0, armci.NewMetrics()); got != want {
+			t.Errorf("%v fingerprint changed by Options.Metrics:\nwithout %s\nwith    %s", fabric, want, got)
 		}
 	}
 }

@@ -6,8 +6,6 @@
 package core
 
 import (
-	"fmt"
-
 	"armci/internal/collective"
 	"armci/internal/proc"
 	"armci/internal/trace"
@@ -137,7 +135,7 @@ func (s *Sync) Barrier() {
 	myNode := env.Node(env.Rank())
 	opDone := s.eng.Layout().OpDone[myNode]
 	want := sum[myNode]
-	env.WaitUntil(fmt.Sprintf("op_done>=%d", want), func() bool {
+	env.WaitUntil("op_done", func() bool {
 		return env.Space().Load(opDone) >= want
 	})
 

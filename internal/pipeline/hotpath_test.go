@@ -11,8 +11,8 @@ import (
 
 // BenchmarkPipelineSendRecv measures one message through the full
 // pipeline hot path — SendTo (identity, cost, fault, FIFO stages) plus
-// Inbound (dedup, arrival stamping, trace, metrics) — the per-message
-// cost every fabric pays. With pairState consolidation and the
+// Inbound (dedup, arrival stamping, recorder) — the per-message cost
+// every fabric pays. With pairState consolidation and the
 // emit-based SendTo this is allocation-free in steady state.
 func BenchmarkPipelineSendRecv(b *testing.B) {
 	b.ReportAllocs()
@@ -38,9 +38,15 @@ func BenchmarkPipelineSendRecv(b *testing.B) {
 // allocations per message once the per-pair state and trace counters
 // are warm. A regression back to per-send map churn or delivery-slice
 // allocation fails this test directly rather than waiting for someone
-// to notice benchmark drift.
+// to notice benchmark drift. The budget holds for the default counting
+// recorder and for one that also feeds latency histograms.
 func TestHotPathAllocBudget(t *testing.T) {
-	p := New(Config{Params: model.Myrinet2000(), ChargeModel: true, Stats: trace.New()})
+	t.Run("counting", func(t *testing.T) { hotPathAllocBudget(t, trace.New()) })
+	t.Run("latency", func(t *testing.T) { hotPathAllocBudget(t, trace.New().NewRun()) })
+}
+
+func hotPathAllocBudget(t *testing.T, rec *trace.Stats) {
+	p := New(Config{Params: model.Myrinet2000(), ChargeModel: true, Stats: rec})
 	a, dst := msg.User(0), msg.User(1)
 	clk := &vclock{}
 	m := &msg.Message{Kind: msg.KindSend}
@@ -57,7 +63,7 @@ func TestHotPathAllocBudget(t *testing.T) {
 			sendErr = err
 		}
 	}
-	send() // warm the pair state and trace counter entries
+	send() // warm the pair state and the recorder's map entries
 	if avg := testing.AllocsPerRun(200, send); avg > 0 {
 		t.Errorf("warm send/recv path allocates %.2f allocs/msg, budget 0", avg)
 	}

@@ -22,14 +22,18 @@
 //     with a rank-attributed *FaultError instead of hanging the
 //     receiver. An injected Crash fault fail-stops a rank at its N-th
 //     send the same way;
-//  5. trace/metrics — record the send (and any duplicate) in the trace
-//     collector and the fault counters (including drops/retransmits).
+//  5. record — one call to the run's recorder (trace.Stats) per send:
+//     the message, any injected duplicate, and the fault decisions it
+//     drew (jitter, spike, dup, drops/retransmits). A send that fails
+//     reports its fault counters instead.
 //
 // On the receive side, Inbound applies the mirror stages: duplicate
 // suppression by sequence number (the transport stays exactly-once even
 // under injected duplication), arrival stamping (so trace.Event.Arrival
 // is populated on every fabric, including TCP where the arrival is only
-// known at the receiver), trace back-annotation and latency metrics.
+// known at the receiver), and again one recorder call: the admission
+// (arrival back-annotation, OpDeliver, latency histograms) or the
+// rejection's fault counter.
 // Dedup deliberately sits after the reliability stage: retransmitted
 // copies keep their original sequence number and resolve to exactly one
 // delivery before the FIFO stamp, so the only copies dedup ever sees are
@@ -466,11 +470,8 @@ type Config struct {
 	ChargeModel bool
 	// Faults is the fault-injection plan (zero value: no faults).
 	Faults Faults
-	// Stats is the trace collector (may be nil).
+	// Stats is the run's recorder (nil: a private one nobody reads).
 	Stats *trace.Stats
-	// Metrics collects latency histograms and fault counters (may be
-	// nil).
-	Metrics *Metrics
 	// Local reports whether two endpoints share a node, selecting the
 	// intra-node latency. nil treats every pair as remote.
 	Local func(src, dst msg.Addr) bool
@@ -506,7 +507,7 @@ type Pipeline struct {
 	mu           sync.Mutex
 	pairs        map[Pair]*pairState // sequencing/FIFO/dedup state per pipe
 	sends        map[msg.Addr]uint64 // total sends per source (crash fault)
-	crashCounted bool                // the crash was counted in metrics
+	crashCounted bool                // the crash was counted by the recorder
 	epoch        uint64              // membership view epoch stamped on sends
 
 	crashMu     sync.Mutex
@@ -516,6 +517,9 @@ type Pipeline struct {
 
 // New builds a pipeline for one fabric instance.
 func New(cfg Config) *Pipeline {
+	if cfg.Stats == nil {
+		cfg.Stats = trace.New()
+	}
 	return &Pipeline{
 		cfg:   cfg,
 		pairs: make(map[Pair]*pairState),
@@ -626,17 +630,24 @@ func (p *Pipeline) IsCrashed(rank int) bool {
 
 // CrashNow builds the fail-stop error for a crash that happens outside
 // the send path — the crash-while-holding fault, injected by the lock
-// layer after the configured acquisition — counting it in the metrics
-// exactly once and registering the rank. The fabric aborts the actor
-// with the returned error.
+// layer after the configured acquisition — counting it exactly once and
+// registering the rank. The fabric aborts the actor with the returned
+// error.
 func (p *Pipeline) CrashNow(rank int, op string) *FaultError {
 	p.mu.Lock()
-	first := !p.crashCounted
-	p.crashCounted = true
+	p.countCrashLocked()
 	p.mu.Unlock()
-	p.cfg.Metrics.countCrash(first)
 	p.NoteCrash(rank)
 	return &FaultError{Rank: rank, Op: op, Kind: FaultCrash}
+}
+
+// countCrashLocked reports the run's first crash — and only the first —
+// to the recorder. Callers hold p.mu.
+func (p *Pipeline) countCrashLocked() {
+	if !p.crashCounted {
+		p.crashCounted = true
+		p.cfg.Stats.RecordFaults(trace.FaultCounts{Crashes: 1})
+	}
 }
 
 // Send runs the outbound stage chain for m from src to dst: it charges
@@ -674,10 +685,10 @@ func (p *Pipeline) SendTo(src, dst msg.Addr, m *msg.Message, clock func() time.D
 	now := clock()
 
 	p.mu.Lock()
-	if err := p.crashCheckLocked(src, m); err != nil {
+	if p.crashedLocked(src) {
+		p.countCrashLocked()
 		p.mu.Unlock()
-		p.cfg.Metrics.countCrash(err.crashCounted)
-		return err.FaultError
+		return &FaultError{Rank: src.ID, Op: m.Kind.String(), Kind: FaultCrash}
 	}
 	ps := p.pairLocked(Pair{src, dst})
 	ps.seq++
@@ -691,7 +702,7 @@ func (p *Pipeline) SendTo(src, dst msg.Addr, m *msg.Message, clock func() time.D
 	if exhausted {
 		p.mu.Unlock()
 		rank, server := attrRank(src, dst)
-		p.cfg.Metrics.countRetryExhausted(drops, drops-1)
+		p.cfg.Stats.RecordFaults(trace.FaultCounts{Dropped: drops, Retransmits: drops - 1, RetryExhausted: 1})
 		return &FaultError{Rank: rank, Server: server, Op: m.Kind.String(), Kind: FaultRetryExhausted}
 	}
 
@@ -700,8 +711,16 @@ func (p *Pipeline) SendTo(src, dst msg.Addr, m *msg.Message, clock func() time.D
 		local := p.cfg.Local != nil && p.cfg.Local(src, dst)
 		wire = p.cfg.Params.WireTime(m.PayloadBytes(), local)
 	}
+	// Every drop of a delivered message triggered exactly one
+	// retransmission.
+	faults := trace.FaultCounts{Dropped: drops, Retransmits: drops}
 	extra, spiked := p.cfg.Faults.extra(src, dst, seq)
-	jittered := extra > 0 && p.cfg.Faults.Jitter > 0
+	if extra > 0 && p.cfg.Faults.Jitter > 0 {
+		faults.Jittered = 1
+	}
+	if spiked {
+		faults.Spiked = 1
+	}
 	extra += retransDelay
 	m.FaultDelay = extra
 	at := arrivalLocked(ps, now, wire+extra)
@@ -714,14 +733,11 @@ func (p *Pipeline) SendTo(src, dst msg.Addr, m *msg.Message, clock func() time.D
 		c.Dup = true
 		c.Arrival = arrivalLocked(ps, now, wire+extra+p.cfg.Faults.dupDelay())
 		dup = &c
+		faults.DupsInjected = 1
 	}
 	p.mu.Unlock()
 
-	p.cfg.Stats.RecordSend(m)
-	if dup != nil {
-		p.cfg.Stats.RecordSend(dup)
-	}
-	p.cfg.Metrics.countSend(jittered, spiked, dup != nil, drops)
+	p.cfg.Stats.RecordSend(m, dup, faults)
 	emit(Delivery{Msg: m, At: at})
 	if dup != nil {
 		emit(Delivery{Msg: dup, At: dup.Arrival, Dup: true})
@@ -729,31 +745,16 @@ func (p *Pipeline) SendTo(src, dst msg.Addr, m *msg.Message, clock func() time.D
 	return nil
 }
 
-// crashError pairs the fault with whether this call was the first to
-// observe the crash (so metrics count it exactly once).
-type crashError struct {
-	*FaultError
-	crashCounted bool
-}
-
-// crashCheckLocked applies the fail-stop crash fault: when src is the
-// crash rank, its CrashAfterSends-th send — and every later one — fails.
+// crashedLocked applies the fail-stop crash fault: when src is the crash
+// rank, its CrashAfterSends-th send — and every later one — fails.
 // Callers hold p.mu.
-func (p *Pipeline) crashCheckLocked(src msg.Addr, m *msg.Message) *crashError {
+func (p *Pipeline) crashedLocked(src msg.Addr) bool {
 	f := p.cfg.Faults
 	if f.CrashAfterSends <= 0 || src.Server || src.ID != f.CrashRank {
-		return nil
+		return false
 	}
 	p.sends[src]++
-	if p.sends[src] < uint64(f.CrashAfterSends) {
-		return nil
-	}
-	first := !p.crashCounted
-	p.crashCounted = true
-	return &crashError{
-		FaultError:   &FaultError{Rank: src.ID, Op: m.Kind.String(), Kind: FaultCrash},
-		crashCounted: first,
-	}
+	return p.sends[src] >= uint64(f.CrashAfterSends)
 }
 
 // arrivalLocked computes the delivery time of a message sent at now with
@@ -775,7 +776,7 @@ func arrivalLocked(ps *pairState, now, wire time.Duration) time.Duration {
 // number) are suppressed; admitted messages get their Arrival stamped to
 // the actual arrival when the modeled one is earlier or absent — this is
 // what populates trace.Event.Arrival on the TCP fabric — and are
-// observed by the metrics stage.
+// reported to the recorder.
 // Messages stamped with a membership view epoch older than the current
 // one are rejected first: they were in flight when a view change deposed
 // their sender's incarnation, and admitting them would let a dead rank's
@@ -785,13 +786,13 @@ func (p *Pipeline) Inbound(m *msg.Message, now time.Duration) bool {
 		p.mu.Lock()
 		if m.Epoch < p.epoch {
 			p.mu.Unlock()
-			p.cfg.Metrics.countStaleEpoch()
+			p.cfg.Stats.RecordFaults(trace.FaultCounts{StaleEpochs: 1})
 			return false
 		}
 		ps := p.pairLocked(Pair{m.Src, m.Dst})
 		if m.Seq <= ps.seen {
 			p.mu.Unlock()
-			p.cfg.Metrics.countDupSuppressed()
+			p.cfg.Stats.RecordFaults(trace.FaultCounts{DupsSuppressed: 1})
 			return false
 		}
 		ps.seen = m.Seq
@@ -800,9 +801,7 @@ func (p *Pipeline) Inbound(m *msg.Message, now time.Duration) bool {
 	if m.Arrival < now {
 		m.Arrival = now
 	}
-	p.cfg.Stats.RecordArrival(m)
-	p.cfg.Stats.RecordDelivery(m, now)
-	p.cfg.Metrics.observe(m)
+	p.cfg.Stats.RecordArrival(m, now)
 	return true
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"armci/internal/model"
 	"armci/internal/msg"
+	"armci/internal/trace"
 )
 
 // virtual clock helper: a settable fabric time.
@@ -101,8 +102,8 @@ func TestFaultRatesRoughlyMatchProbabilities(t *testing.T) {
 }
 
 func TestInboundSuppressesDuplicates(t *testing.T) {
-	mx := NewMetrics()
-	p := New(Config{Metrics: mx})
+	mx := trace.New()
+	p := New(Config{Stats: mx})
 	a, b := msg.User(0), msg.User(1)
 	m := &msg.Message{Kind: msg.KindSend, Src: a, Dst: b, Seq: 1}
 	if !p.Inbound(m, 0) {
@@ -211,68 +212,50 @@ func TestFaultsValidate(t *testing.T) {
 	}
 }
 
-func TestHistogramBasics(t *testing.T) {
-	var h Histogram
-	for _, d := range []time.Duration{100, 200, 400, 800, 100_000} {
-		h.add(d)
-	}
-	if h.Count != 5 || h.Min != 100 || h.Max != 100_000 {
-		t.Fatalf("stats wrong: %+v", h)
-	}
-	if m := h.Mean(); m != (100+200+400+800+100_000)/5 {
-		t.Fatalf("mean = %v", m)
-	}
-	if q := h.Quantile(0.5); q < 200 || q > 1024 {
-		t.Fatalf("p50 = %v", q)
-	}
-	if q := h.Quantile(1); q != 100_000 {
-		t.Fatalf("p100 = %v, want clamped to max", q)
-	}
-	var empty Histogram
-	if empty.Mean() != 0 || empty.Quantile(0.99) != 0 {
-		t.Fatal("empty histogram not zero")
-	}
-}
-
-func TestMetricsObserveAndExport(t *testing.T) {
-	mx := NewMetrics()
-	mx.SetTimeline(true)
-	p := New(Config{Params: model.Myrinet2000(), ChargeModel: true, Metrics: mx})
+// TestPipelineFeedsRecorder: the two recorder calls per message carry
+// everything the run's recorder keeps — the send count, the event with
+// the arrival Inbound observed, the OpDeliver event and the latency
+// histograms.
+func TestPipelineFeedsRecorder(t *testing.T) {
+	agg := trace.New()
+	agg.SetTimeline(true)
+	rec := agg.NewRun()
+	p := New(Config{Params: model.Myrinet2000(), ChargeModel: true, Stats: rec})
 	a, b := msg.User(0), msg.User(1)
 	clk := &vclock{}
+	var ats []time.Duration
 	for i := 0; i < 4; i++ {
 		ds, _ := p.Send(a, b, &msg.Message{Kind: msg.KindSend, Tag: i}, clk.now, nil)
 		for _, d := range ds {
-			p.Inbound(d.Msg, d.At)
+			p.Inbound(d.Msg, d.At+time.Microsecond) // the receiver sees it late
+			ats = append(ats, d.At+time.Microsecond)
 		}
 		clk.t += 100 * time.Microsecond
 	}
-	if got := mx.Observed(); got != 4 {
-		t.Fatalf("observed %d deliveries", got)
+	if rec.Sends() != 4 || rec.Count(msg.KindSend) != 4 {
+		t.Fatalf("sends = %d", rec.Sends())
 	}
-	h := mx.KindHistogram(msg.KindSend)
-	if h.Count != 4 || h.Mean() <= 0 {
+	if h := rec.KindHistogram(msg.KindSend); h.Count != 4 || h.Mean() <= 0 {
 		t.Fatalf("kind histogram: %+v", h)
 	}
-	if hp := mx.PairHistogram(a, b); hp.Count != 4 {
+	if hp := rec.PairHistogram(a, b); hp.Count != 4 {
 		t.Fatalf("pair histogram: %+v", hp)
 	}
-	tl := mx.Timeline()
-	if len(tl) != 4 || tl[0].PairSeq != 1 || tl[3].PairSeq != 4 {
+	tl := rec.Timeline()
+	if len(tl) != 4 {
 		t.Fatalf("timeline: %+v", tl)
 	}
-	csv := mx.TimelineCSV()
-	if !strings.HasPrefix(csv, "seq,kind,src,dst,pair_seq,bytes,sent_us,arrival_us,latency_us\n") {
-		t.Fatalf("timeline CSV header: %q", csv)
+	for i, e := range tl {
+		if e.PairSeq != uint64(i+1) || e.Arrival != ats[i] {
+			t.Fatalf("timeline[%d] = %+v, want arrival %v back-annotated", i, e, ats[i])
+		}
 	}
-	if lines := strings.Count(csv, "\n"); lines != 5 {
-		t.Fatalf("timeline CSV has %d lines", lines)
+	ops := rec.OpEvents()
+	if len(ops) != 4 || ops[3].Kind != trace.OpDeliver || ops[3].PairSeq != 4 {
+		t.Fatalf("op events: %+v", ops)
 	}
-	if hcsv := mx.HistogramCSV(); !strings.Contains(hcsv, "kind,bucket_lo_ns") {
-		t.Fatalf("histogram CSV: %q", hcsv)
-	}
-	if s := mx.String(); !strings.Contains(s, "message latency by kind (4 deliveries") {
-		t.Fatalf("report: %q", s)
+	if rec.Faults() != (trace.FaultCounts{}) {
+		t.Fatalf("fault-free traffic counted faults: %+v", rec.Faults())
 	}
 }
 
@@ -353,10 +336,10 @@ func TestLossBurstExtendsDrops(t *testing.T) {
 }
 
 func TestRetryExhaustionFailsSendWithCounters(t *testing.T) {
-	mx := NewMetrics()
+	mx := trace.New()
 	p := New(Config{
-		Faults:  Faults{Seed: 1, LossProb: 1, RetryBudget: 2},
-		Metrics: mx,
+		Faults: Faults{Seed: 1, LossProb: 1, RetryBudget: 2},
+		Stats:  mx,
 	})
 	clk := &vclock{}
 	ds, err := p.Send(msg.User(3), msg.ServerOf(0), &msg.Message{Kind: msg.KindPut}, clk.now, nil)
@@ -375,6 +358,9 @@ func TestRetryExhaustionFailsSendWithCounters(t *testing.T) {
 	if f.Dropped != 3 || f.Retransmits != 2 || f.RetryExhausted != 1 {
 		t.Fatalf("counters: %+v", f)
 	}
+	if mx.Sends() != 0 {
+		t.Fatalf("failed send counted as %d sends", mx.Sends())
+	}
 }
 
 func TestRetryExhaustionAttributesServerSends(t *testing.T) {
@@ -391,9 +377,9 @@ func TestRetryExhaustionAttributesServerSends(t *testing.T) {
 }
 
 func TestRecoveredLossDelaysArrivalAndCounts(t *testing.T) {
-	mx := NewMetrics()
+	mx := trace.New()
 	base := Faults{Seed: 11, LossProb: 0.25, RTO: 100 * time.Microsecond, RetryBudget: 8}
-	p := New(Config{Faults: base, Metrics: mx})
+	p := New(Config{Faults: base, Stats: mx})
 	clean := New(Config{})
 	a, b := msg.User(0), msg.User(1)
 	clk := &vclock{}
@@ -429,10 +415,10 @@ func TestRecoveredLossDelaysArrivalAndCounts(t *testing.T) {
 }
 
 func TestCrashFailsNthSend(t *testing.T) {
-	mx := NewMetrics()
+	mx := trace.New()
 	p := New(Config{
-		Faults:  Faults{CrashRank: 2, CrashAfterSends: 3},
-		Metrics: mx,
+		Faults: Faults{CrashRank: 2, CrashAfterSends: 3},
+		Stats:  mx,
 	})
 	clk := &vclock{}
 	crasher, other := msg.User(2), msg.User(0)
@@ -460,6 +446,9 @@ func TestCrashFailsNthSend(t *testing.T) {
 	if got := mx.Faults().Crashes; got != 1 {
 		t.Fatalf("Crashes = %d, want exactly 1", got)
 	}
+	if mx.Sends() != 3 {
+		t.Fatalf("sends = %d, want the 3 that left (crashed sends do not count)", mx.Sends())
+	}
 }
 
 func TestFaultErrorStrings(t *testing.T) {
@@ -481,8 +470,8 @@ func TestFaultErrorStrings(t *testing.T) {
 // rejected (and counted), current-epoch traffic still flows, and sends
 // pick up the new stamp.
 func TestInboundRejectsStaleEpoch(t *testing.T) {
-	mx := NewMetrics()
-	p := New(Config{Metrics: mx})
+	mx := trace.New()
+	p := New(Config{Stats: mx})
 	a, b := msg.User(0), msg.User(1)
 	clk := &vclock{}
 

@@ -107,6 +107,10 @@ type Engine struct {
 	opInit      []int64 // fence-counted ops issued, per destination node
 	outstanding []int64 // unacknowledged ops, per destination node (FenceAck)
 	tokens      uint64
+
+	// flagTag is WaitFlag's diagnostic wait tag, read only when a wait
+	// times out; built once so the wait itself allocates nothing.
+	flagTag string
 }
 
 // NewEngine builds the engine for the calling user process.
@@ -117,6 +121,7 @@ func NewEngine(env transport.Env, lay *Layout, mode FenceMode) *Engine {
 		mode:        mode,
 		opInit:      make([]int64, env.NumNodes()),
 		outstanding: make([]int64, env.NumNodes()),
+		flagTag:     fmt.Sprintf("wait-flag@p%d", env.Rank()),
 	}
 }
 

@@ -3,11 +3,17 @@
 // one-way latencies, the new barrier 2·log₂N; MCS lock hand-off takes one
 // message where the hybrid lock takes two) are verified by counting
 // messages here rather than only by timing.
+//
+// Stats is the one recorder of a run. The transport pipeline calls it
+// once per send (RecordSend) and once per admission (RecordArrival), or
+// once with the fault counters of a send or copy that did not get
+// through (RecordFaults); each call takes the recorder's mutex once. The
+// captured events carry Sent and the actual Arrival, so they double as
+// the per-message timeline.
 package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -15,19 +21,23 @@ import (
 	"armci/internal/msg"
 )
 
-// Stats accumulates counters. The zero value is ready to use; all methods
-// are safe for concurrent use.
+// Stats is the recorder of one run: message counters, fault counters,
+// and — when switched on — captured events and latency histograms. All
+// methods are safe for concurrent use.
 type Stats struct {
-	mu       sync.Mutex
-	byKind   map[msg.Kind]int
-	bytes    int64
-	sends    int
-	events   []Event
-	byKey    map[eventKey]int // (src,dst,pairSeq) -> events index, capture mode
-	opEvents []OpEvent
-	capture  bool
-	perPair  map[pair]int
-	disabled bool
+	mu        sync.Mutex
+	byKind    map[msg.Kind]int
+	bytes     int64
+	sends     int
+	faults    FaultCounts
+	events    []Event
+	byKey     map[eventKey]int // (src,dst,pairSeq) -> events index, capture mode
+	opEvents  []OpEvent
+	capture   bool
+	perPair   map[pair]int
+	latency   bool // feed the histograms (NewRun recorders only)
+	latByKind map[msg.Kind]*Histogram
+	latByPair map[pair]*Histogram
 }
 
 type pair struct{ src, dst msg.Addr }
@@ -51,9 +61,9 @@ type Event struct {
 	Sent time.Duration
 	// Arrival is the fabric delivery time of the message. The send-side
 	// record carries the modeled arrival when the fabric computed one;
-	// the receive-side trace stage back-annotates the actual arrival
-	// (RecordArrival), so it is populated on every fabric — including
-	// TCP, where the arrival is only known at the receiver.
+	// RecordArrival back-annotates the actual arrival, so it is
+	// populated on every fabric — including TCP, where the arrival is
+	// only known at the receiver.
 	Arrival time.Duration
 	// Dup marks an injected duplicate delivery (fault injection).
 	Dup bool
@@ -162,40 +172,58 @@ type OpEvent struct {
 	Time time.Duration
 }
 
-// New returns an empty Stats collector.
+// New returns an empty recorder: counters on, capture and latency
+// histograms off.
 func New() *Stats {
 	return &Stats{
-		byKind:  make(map[msg.Kind]int),
-		perPair: make(map[pair]int),
-		byKey:   make(map[eventKey]int),
+		byKind:    make(map[msg.Kind]int),
+		perPair:   make(map[pair]int),
+		byKey:     make(map[eventKey]int),
+		latByKind: make(map[msg.Kind]*Histogram),
+		latByPair: make(map[pair]*Histogram),
 	}
 }
 
-// SetCapture toggles recording of individual send events (for determinism
-// tests and debugging); counting is always on.
+// NewRun returns the private recorder of one run whose results Add will
+// fold into s: it feeds latency histograms, and captures events exactly
+// when s does. Keeping the hot-path recorder private means runs that
+// share s never contend on it and each keeps per-run counters.
+func (s *Stats) NewRun() *Stats {
+	r := New()
+	r.latency = true
+	s.mu.Lock()
+	r.capture = s.capture
+	s.mu.Unlock()
+	return r
+}
+
+// SetCapture toggles recording of individual send events and op events
+// (for determinism tests, timelines and debugging); counting is always
+// on.
 func (s *Stats) SetCapture(on bool) {
 	s.mu.Lock()
 	s.capture = on
 	s.mu.Unlock()
 }
 
-// SetDisabled pauses all accounting (used to exclude warm-up phases).
-func (s *Stats) SetDisabled(off bool) {
-	s.mu.Lock()
-	s.disabled = off
-	s.mu.Unlock()
-}
+// SetTimeline is SetCapture under the name latency collectors use: the
+// captured events are the timeline.
+func (s *Stats) SetTimeline(on bool) { s.SetCapture(on) }
 
-// RecordSend accounts one message send.
-func (s *Stats) RecordSend(m *msg.Message) {
-	if s == nil {
-		return
-	}
+// RecordSend accounts one pipeline send: the message m, its injected
+// duplicate dup (nil when there is none), and the fault decisions the
+// send drew.
+func (s *Stats) RecordSend(m, dup *msg.Message, f FaultCounts) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.disabled {
-		return
+	s.sendLocked(m)
+	if dup != nil {
+		s.sendLocked(dup)
 	}
+	s.faults.add(f)
+}
+
+func (s *Stats) sendLocked(m *msg.Message) {
 	s.sends++
 	s.byKind[m.Kind]++
 	s.bytes += int64(m.PayloadBytes())
@@ -212,21 +240,37 @@ func (s *Stats) RecordSend(m *msg.Message) {
 	}
 }
 
-// RecordArrival back-annotates the captured send event of m with the
-// actual arrival time the receive side observed. This is the trace
-// stage's receive half: on fabrics where the sender cannot know the
-// arrival (TCP), it is what populates Event.Arrival.
-func (s *Stats) RecordArrival(m *msg.Message) {
-	if s == nil {
-		return
-	}
+// RecordFaults accounts fault outcomes that produced no send or no
+// admission: a crashed or retry-exhausted send, a suppressed duplicate,
+// a stale-epoch rejection.
+func (s *Stats) RecordFaults(f FaultCounts) {
+	s.mu.Lock()
+	s.faults.add(f)
+	s.mu.Unlock()
+}
+
+// RecordArrival accounts the admission of m into the destination mailbox
+// at fabric time now (the pipeline's post-dedup receive stage). In
+// capture mode it back-annotates the send event of m with the arrival
+// the receive side observed — on fabrics where the sender cannot know it
+// (TCP), this is what populates Event.Arrival — and records the
+// OpDeliver event; on a NewRun recorder it feeds the latency histograms.
+func (s *Stats) RecordArrival(m *msg.Message, now time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.disabled || !s.capture {
-		return
+	if s.capture {
+		if i, ok := s.byKey[eventKey{m.Src, m.Dst, m.Seq}]; ok {
+			s.events[i].Arrival = m.Arrival
+		}
+		s.opLocked(OpEvent{
+			Kind: OpDeliver, Rank: -1, Prev: -1, Ticket: -1,
+			Src: m.Src, Dst: m.Dst, PairSeq: m.Seq, Time: now,
+		})
 	}
-	if i, ok := s.byKey[eventKey{m.Src, m.Dst, m.Seq}]; ok {
-		s.events[i].Arrival = m.Arrival
+	if s.latency {
+		lat := m.Arrival - m.Sent
+		histogramOf(s.latByKind, m.Kind).add(lat)
+		histogramOf(s.latByPair, pair{m.Src, m.Dst}).add(lat)
 	}
 }
 
@@ -236,29 +280,48 @@ func (s *Stats) RecordArrival(m *msg.Message) {
 // being recorded: acquires after the lock is held, releases before the
 // hand-off starts, completions before they become observable.
 func (s *Stats) RecordOp(e OpEvent) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.disabled || !s.capture {
-		return
+	if s.capture {
+		s.opLocked(e)
 	}
+}
+
+func (s *Stats) opLocked(e OpEvent) {
 	e.Seq = len(s.opEvents) + 1
 	s.opEvents = append(s.opEvents, e)
 }
 
-// RecordDelivery records the admission of m into the destination mailbox
-// at fabric time now (the pipeline's post-dedup receive stage). Capture
-// mode only.
-func (s *Stats) RecordDelivery(m *msg.Message, now time.Duration) {
-	if s == nil {
-		return
+// Add folds the finished run recorded by run into s: message counters,
+// fault counters, latency histograms and — while s is capturing — the
+// captured events, renumbered to continue s's own send count. Op events
+// stay with the run; they are a per-run linearization witness.
+func (s *Stats) Add(run *Stats) {
+	run.mu.Lock()
+	defer run.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.capture {
+		for _, e := range run.events {
+			e.Seq += s.sends
+			s.events = append(s.events, e)
+		}
 	}
-	s.RecordOp(OpEvent{
-		Kind: OpDeliver, Rank: -1, Prev: -1, Ticket: -1,
-		Src: m.Src, Dst: m.Dst, PairSeq: m.Seq, Time: now,
-	})
+	s.sends += run.sends
+	s.bytes += run.bytes
+	for k, n := range run.byKind {
+		s.byKind[k] += n
+	}
+	for pr, n := range run.perPair {
+		s.perPair[pr] += n
+	}
+	s.faults.add(run.faults)
+	for k, h := range run.latByKind {
+		histogramOf(s.latByKind, k).merge(h)
+	}
+	for pr, h := range run.latByPair {
+		histogramOf(s.latByPair, pr).merge(h)
+	}
 }
 
 // OpEvents returns a copy of the recorded protocol-level events.
@@ -303,31 +366,13 @@ func (s *Stats) Events() []Event {
 	return append([]Event(nil), s.events...)
 }
 
-// Reset clears all counters and captured events.
-func (s *Stats) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sends = 0
-	s.bytes = 0
-	s.byKind = make(map[msg.Kind]int)
-	s.perPair = make(map[pair]int)
-	s.byKey = make(map[eventKey]int)
-	s.events = nil
-	s.opEvents = nil
-}
-
 // Summary formats the per-kind counters, sorted by kind, for reports.
 func (s *Stats) Summary() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	kinds := make([]msg.Kind, 0, len(s.byKind))
-	for k := range s.byKind {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d msgs, %d bytes:", s.sends, s.bytes)
-	for _, k := range kinds {
+	for _, k := range sortedKinds(s.byKind) {
 		fmt.Fprintf(&b, " %s=%d", k, s.byKind[k])
 	}
 	return b.String()

@@ -1,15 +1,17 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"armci/internal/msg"
 )
 
 func send(s *Stats, kind msg.Kind, src, dst msg.Addr, n int) {
-	s.RecordSend(&msg.Message{Kind: kind, Src: src, Dst: dst, Data: make([]byte, n)})
+	s.RecordSend(&msg.Message{Kind: kind, Src: src, Dst: dst, Data: make([]byte, n)}, nil, FaultCounts{})
 }
 
 func TestCountsAndBytes(t *testing.T) {
@@ -32,11 +34,6 @@ func TestCountsAndBytes(t *testing.T) {
 	if s.PairCount(msg.User(0), msg.ServerOf(1)) != 2 {
 		t.Fatalf("pair count = %d", s.PairCount(msg.User(0), msg.ServerOf(1)))
 	}
-}
-
-func TestNilStatsIsSafe(t *testing.T) {
-	var s *Stats
-	s.RecordSend(&msg.Message{Kind: msg.KindPut}) // must not panic
 }
 
 func TestCaptureAndFingerprint(t *testing.T) {
@@ -74,28 +71,6 @@ func TestCaptureOffByDefault(t *testing.T) {
 	}
 }
 
-func TestDisabledPausesAccounting(t *testing.T) {
-	s := New()
-	send(s, msg.KindPut, msg.User(0), msg.ServerOf(0), 1)
-	s.SetDisabled(true)
-	send(s, msg.KindPut, msg.User(0), msg.ServerOf(0), 1)
-	s.SetDisabled(false)
-	send(s, msg.KindPut, msg.User(0), msg.ServerOf(0), 1)
-	if s.Sends() != 2 {
-		t.Fatalf("sends = %d, want 2", s.Sends())
-	}
-}
-
-func TestReset(t *testing.T) {
-	s := New()
-	s.SetCapture(true)
-	send(s, msg.KindPut, msg.User(0), msg.ServerOf(0), 1)
-	s.Reset()
-	if s.Sends() != 0 || s.Bytes() != 0 || len(s.Events()) != 0 || s.Count(msg.KindPut) != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
 func TestSummaryFormat(t *testing.T) {
 	s := New()
 	send(s, msg.KindPut, msg.User(0), msg.ServerOf(0), 1)
@@ -124,5 +99,120 @@ func TestConcurrentRecording(t *testing.T) {
 	wg.Wait()
 	if s.Sends() != workers*each {
 		t.Fatalf("sends = %d, want %d", s.Sends(), workers*each)
+	}
+}
+
+func TestHistogramBasics(t *testing.T) {
+	var h Histogram
+	for _, d := range []time.Duration{100, 200, 400, 800, 100_000} {
+		h.add(d)
+	}
+	if h.Count != 5 || h.Min != 100 || h.Max != 100_000 {
+		t.Fatalf("stats wrong: %+v", h)
+	}
+	if m := h.Mean(); m != (100+200+400+800+100_000)/5 {
+		t.Fatalf("mean = %v", m)
+	}
+	if q := h.Quantile(0.5); q < 200 || q > 1024 {
+		t.Fatalf("p50 = %v", q)
+	}
+	if q := h.Quantile(1); q != 100_000 {
+		t.Fatalf("p100 = %v, want clamped to max", q)
+	}
+	var empty Histogram
+	if empty.Mean() != 0 || empty.Quantile(0.99) != 0 {
+		t.Fatal("empty histogram not zero")
+	}
+	// Merging is the same as having added the other's samples.
+	var lo, hi, both Histogram
+	for _, d := range []time.Duration{100, 200} {
+		lo.add(d)
+		both.add(d)
+	}
+	for _, d := range []time.Duration{50, 100_000} {
+		hi.add(d)
+		both.add(d)
+	}
+	lo.merge(&hi)
+	lo.merge(&empty)
+	if lo != both {
+		t.Fatalf("merged %+v, want %+v", lo, both)
+	}
+}
+
+// TestRecorderLatencyAndTimeline feeds the same four deliveries to each
+// shape of recorder: a plain one only counts, a run of an aggregate also
+// feeds the histograms, and a run of a capturing aggregate also keeps the
+// timeline — which the aggregate holds after Add.
+func TestRecorderLatencyAndTimeline(t *testing.T) {
+	const n = 4
+	a, b := msg.User(0), msg.User(1)
+	feed := func(s *Stats) {
+		for i := 1; i <= n; i++ {
+			sent := time.Duration(i) * 100 * time.Microsecond
+			m := &msg.Message{Kind: msg.KindSend, Src: a, Dst: b, Seq: uint64(i), Sent: sent}
+			s.RecordSend(m, nil, FaultCounts{})
+			m.Arrival = sent + time.Duration(10+i)*time.Microsecond // known only at the receiver
+			s.RecordArrival(m, m.Arrival)
+		}
+	}
+	fed := func(s *Stats) *Stats { feed(s); return s }
+	capturing := New()
+	capturing.SetTimeline(true)
+	folded := New()
+	folded.SetTimeline(true)
+	folded.Add(fed(folded.NewRun()))
+
+	cases := []struct {
+		name                 string
+		rec                  *Stats
+		latency, events, ops int
+	}{
+		{"plain recorder", fed(New()), 0, 0, 0},
+		{"run of a counting aggregate", fed(New().NewRun()), n, 0, 0},
+		{"run of a capturing aggregate", fed(capturing.NewRun()), n, n, n},
+		{"aggregate after Add", folded, n, n, 0}, // op events stay with the run
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.rec.Sends() != n || tc.rec.PairCount(a, b) != n {
+				t.Fatalf("sends = %d, pair count = %d", tc.rec.Sends(), tc.rec.PairCount(a, b))
+			}
+			h := tc.rec.KindHistogram(msg.KindSend)
+			if h.Count != tc.latency || (tc.latency > 0 && (h.Min != 11*time.Microsecond || h.Max != 14*time.Microsecond)) {
+				t.Fatalf("kind histogram: %+v", h)
+			}
+			if hp := tc.rec.PairHistogram(a, b); hp.Count != tc.latency {
+				t.Fatalf("pair histogram: %+v", hp)
+			}
+			if hp := tc.rec.PairHistogram(b, a); hp.Count != 0 {
+				t.Fatalf("reverse pair histogram: %+v", hp)
+			}
+			if want := fmt.Sprintf("message latency by kind (%d deliveries)", tc.latency); !strings.HasPrefix(tc.rec.String(), want) {
+				t.Fatalf("report %q, want prefix %q", tc.rec.String(), want)
+			}
+			tl := tc.rec.Timeline()
+			if len(tl) != tc.events {
+				t.Fatalf("timeline has %d events, want %d", len(tl), tc.events)
+			}
+			for i, e := range tl {
+				if e.Seq != i+1 || e.PairSeq != uint64(i+1) || e.Arrival-e.Sent != time.Duration(11+i)*time.Microsecond {
+					t.Fatalf("timeline[%d] = %+v", i, e)
+				}
+			}
+			csv := tc.rec.TimelineCSV()
+			if !strings.HasPrefix(csv, "seq,kind,src,dst,pair_seq,bytes,sent_us,arrival_us,latency_us\n") {
+				t.Fatalf("timeline CSV header: %q", csv)
+			}
+			if lines := strings.Count(csv, "\n"); lines != tc.events+1 {
+				t.Fatalf("timeline CSV has %d lines", lines)
+			}
+			if tc.events > 0 && !strings.Contains(csv, "\n1,send,p0,p1,1,") {
+				t.Fatalf("timeline CSV rows: %q", csv)
+			}
+			if ops := tc.rec.OpEvents(); len(ops) != tc.ops {
+				t.Fatalf("%d deliver op events, want %d", len(ops), tc.ops)
+			}
+		})
 	}
 }

@@ -118,7 +118,9 @@ type Config struct {
 	// Model is the cost model. The zero value (model.Zero()) disables
 	// all latency injection on the real fabrics.
 	Model model.Params
-	// Trace, if non-nil, collects message statistics.
+	// Trace, if non-nil, is the run's recorder: message counters, fault
+	// counters and, when switched on, captured events and latency
+	// histograms.
 	Trace *trace.Stats
 	// Faults configures deterministic fault injection — uniform jitter,
 	// per-pair latency spikes and bounded duplicate delivery — applied
@@ -127,9 +129,6 @@ type Config struct {
 	// are suppressed at the receiver, so protocol code still observes
 	// reliable exactly-once delivery. The zero value disables faults.
 	Faults pipeline.Faults
-	// Metrics, if non-nil, collects per-kind/per-pair message latency
-	// histograms, fault counters and (optionally) a delivery timeline.
-	Metrics *pipeline.Metrics
 	// ScheduleSeed, when non-zero, makes the simulated fabric pick among
 	// simultaneously runnable processes pseudo-randomly (reproducibly for
 	// a given seed) instead of FIFO — interleaving exploration for
@@ -217,7 +216,6 @@ func (c *Config) newPipeline(space *shmem.Space, chargeModel bool) *pipeline.Pip
 		ChargeModel: chargeModel,
 		Faults:      c.Faults,
 		Stats:       c.Trace,
-		Metrics:     c.Metrics,
 		Local: func(src, dst msg.Addr) bool {
 			return endpointNode(space, src) == endpointNode(space, dst)
 		},

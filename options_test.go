@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"armci"
+	"armci/internal/msg"
 )
 
 func TestOptionsValidation(t *testing.T) {
@@ -86,6 +87,77 @@ func TestReportContents(t *testing.T) {
 	}
 	if rep.Stats.Sends() == 0 {
 		t.Fatal("trace empty")
+	}
+}
+
+// TestRecorderAddAggregates: two runs handed the same Options.Metrics
+// leave it with the sum of both — sends, per-kind latency histogram
+// counts, fault counters, captured events — while each Report.Stats
+// holds only its own run.
+func TestRecorderAddAggregates(t *testing.T) {
+	metrics := armci.NewMetrics()
+	metrics.SetTimeline(true)
+	run := func(seed int64, rounds int) *armci.Report {
+		t.Helper()
+		rep, err := armci.Run(armci.Options{
+			Procs:   3,
+			Fabric:  armci.FabricSim,
+			Preset:  armci.PresetMyrinet2000,
+			Faults:  faultPlan(seed),
+			Metrics: metrics,
+		}, func(p *armci.Proc) {
+			ptrs := p.Malloc(64)
+			for i := 0; i < rounds; i++ {
+				p.Put(ptrs[(p.Rank()+1)%p.Size()], make([]byte, 64))
+				p.Barrier()
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	r1, r2 := run(3, 4), run(5, 7)
+	s1, s2 := r1.Stats, r2.Stats
+
+	if s1.Sends() == 0 || s2.Sends() <= s1.Sends() {
+		t.Fatalf("runs sent %d and %d messages; the longer run should send more", s1.Sends(), s2.Sends())
+	}
+	if got, want := metrics.Sends(), s1.Sends()+s2.Sends(); got != want {
+		t.Fatalf("aggregate sends = %d, want %d+%d", got, s1.Sends(), s2.Sends())
+	}
+	if got, want := metrics.Bytes(), s1.Bytes()+s2.Bytes(); got != want {
+		t.Fatalf("aggregate bytes = %d, want %d", got, want)
+	}
+	for _, k := range []msg.Kind{msg.KindPut, msg.KindColl} {
+		h1, h2, h := s1.KindHistogram(k), s2.KindHistogram(k), metrics.KindHistogram(k)
+		if h1.Count == 0 || h.Count != h1.Count+h2.Count || h.Sum != h1.Sum+h2.Sum {
+			t.Fatalf("%v latency: aggregate n=%d sum=%v, runs n=%d+%d", k, h.Count, h.Sum, h1.Count, h2.Count)
+		}
+		if got, want := metrics.Count(k), s1.Count(k)+s2.Count(k); got != want {
+			t.Fatalf("%v count: aggregate %d, want %d", k, got, want)
+		}
+	}
+	f1, f2, f := s1.Faults(), s2.Faults(), metrics.Faults()
+	if f1.Jittered == 0 || f1.DupsInjected == 0 {
+		t.Fatalf("fault plan inert in run 1: %+v", f1)
+	}
+	if f.Jittered != f1.Jittered+f2.Jittered || f.Spiked != f1.Spiked+f2.Spiked ||
+		f.DupsInjected != f1.DupsInjected+f2.DupsInjected || f.DupsSuppressed != f1.DupsSuppressed+f2.DupsSuppressed {
+		t.Fatalf("aggregate faults %+v, runs %+v and %+v", f, f1, f2)
+	}
+	// The aggregate asked for a timeline, so each run captured its events
+	// (numbered from 1) and the aggregate holds both, numbered through.
+	e1, e2, all := s1.Events(), s2.Events(), metrics.Timeline()
+	if len(e1) != s1.Sends() || len(e2) != s2.Sends() || e2[0].Seq != 1 {
+		t.Fatalf("per-run capture: %d and %d events for %d and %d sends, run 2 starts at seq %d",
+			len(e1), len(e2), s1.Sends(), s2.Sends(), e2[0].Seq)
+	}
+	if len(all) != len(e1)+len(e2) {
+		t.Fatalf("aggregate timeline has %d events, want %d+%d", len(all), len(e1), len(e2))
+	}
+	if got := all[len(e1)]; got.Seq != len(e1)+1 || got.Kind != e2[0].Kind || got.Arrival != e2[0].Arrival {
+		t.Fatalf("first folded event of run 2 = %+v, want %+v renumbered to %d", got, e2[0], len(e1)+1)
 	}
 }
 
