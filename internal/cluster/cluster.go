@@ -2,11 +2,13 @@
 // fabric: rendezvous and membership, inter-process message routing, and
 // failure detection for armci workers running as separate OS processes.
 //
-// The topology is a star, mirroring the in-process tcpnet router. A
-// coordinator (owned by the launcher, cmd/armci-run) listens on a TCP
-// address; each worker process hosts one SMP node — that node's user
-// ranks, data server and NIC agent as goroutines — and dials the
-// coordinator exactly once. Admission requires a versioned hello
+// The topology is a star for control, with lazily dialed direct peer
+// connections for data where a worker advertises a listener (the
+// in-process tcpnet link dials its pairs the same way). A coordinator
+// (owned by the launcher, cmd/armci-run) listens on a TCP address; each
+// worker process hosts one SMP node — that node's user ranks, data server
+// and NIC agent as goroutines — and dials the coordinator exactly once.
+// Admission requires a versioned hello
 // handshake (magic, protocol version, node claim, cluster shape, launch
 // cookie); once all nodes have arrived the coordinator broadcasts the
 // roster and the run begins. Data frames are forwarded by peeking the

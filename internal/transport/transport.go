@@ -9,7 +9,8 @@
 //   - channet: real goroutines exchanging messages through in-process
 //     mailboxes — the fabric correctness tests use;
 //   - tcpnet:  real goroutines whose every message crosses a loopback TCP
-//     socket through a star router — the "emulate over sockets" fabric;
+//     socket of its (source, destination) pair, dialed on the pair's
+//     first frame — the "emulate over sockets" fabric;
 //   - procnet: one OS process per SMP node, every inter-node message over
 //     a real TCP connection set up by internal/cluster — the fabric
 //     cmd/armci-run launches.

@@ -3,7 +3,9 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"net"
 	"os"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"armci/internal/msg"
 	"armci/internal/pipeline"
 	"armci/internal/trace"
+	"armci/internal/wire"
 )
 
 func TestConfigValidation(t *testing.T) {
@@ -391,7 +394,8 @@ func TestManyToOneStress(t *testing.T) {
 	}
 }
 
-// TestTCPLargePayload pushes a 1 MiB frame through the router.
+// TestTCPLargePayload pushes a 1 MiB frame over a pair connection, far
+// past the frame reader's initial buffer.
 func TestTCPLargePayload(t *testing.T) {
 	f, err := NewTCP(Config{Procs: 2})
 	if err != nil {
@@ -468,10 +472,9 @@ func TestFabricKindStringsViaEnv(t *testing.T) {
 	}
 }
 
-// TestTCPRouterDropsUnknownDestination: a frame addressed to an endpoint
-// that never registered is dropped by the router without disturbing the
-// rest of the cluster.
-func TestTCPRouterDropsUnknownDestination(t *testing.T) {
+// TestTCPDropsUnknownDestination: a frame addressed to an endpoint nobody
+// hosts is dropped on arrival without disturbing the rest of the cluster.
+func TestTCPDropsUnknownDestination(t *testing.T) {
 	f, err := NewTCP(Config{Procs: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -757,9 +760,9 @@ func TestCrashGraceBoundsEachWait(t *testing.T) {
 }
 
 // TestTCPRunLeavesNoFDs: every socket a TCP run opens — listener, both
-// ends of every endpoint connection — is closed by the time Run returns
-// (or moments later, when the reader goroutine holding it unblocks), not
-// left to a GC finalizer.
+// ends of every pair connection — is closed by the time Run returns (or
+// moments later, when the reader goroutine holding it unblocks), not left
+// to a GC finalizer, and the accept loop and per-connection readers exit.
 func TestTCPRunLeavesNoFDs(t *testing.T) {
 	countFDs := func() int {
 		ents, err := os.ReadDir("/proc/self/fd")
@@ -769,31 +772,11 @@ func TestTCPRunLeavesNoFDs(t *testing.T) {
 		return len(ents)
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // finalizers must not hide a leak
-	run := func() {
-		f, err := NewTCP(Config{Procs: 4, ProcsPerNode: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for n := 0; n < 2; n++ {
-			f.SpawnServer(n, func(env Env) {
-				for env.Recv(msg.MatchAny) != nil {
-				}
-			})
-		}
-		for r := 0; r < 4; r++ {
-			f.SpawnUser(r, func(env Env) {
-				env.Send(msg.User((env.Rank()+1)%4), &msg.Message{Kind: msg.KindSend})
-				env.Recv(msg.MatchKind(msg.KindSend))
-			})
-		}
-		if err := f.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // the runtime's own descriptors (netpoller) exist from here on
+	beforeG := runtime.NumGoroutine()
+	runTCPRing(t) // the runtime's own descriptors (netpoller) exist from here on
 	before := countFDs()
 	for i := 0; i < 8; i++ {
-		run()
+		runTCPRing(t)
 	}
 	after := countFDs()
 	for wait := time.Now(); after > before && time.Since(wait) < 2*time.Second; after = countFDs() {
@@ -801,5 +784,157 @@ func TestTCPRunLeavesNoFDs(t *testing.T) {
 	}
 	if after > before {
 		t.Fatalf("8 TCP runs leaked %d descriptors (%d -> %d)", after-before, before, after)
+	}
+	if afterG := settledGoroutines(beforeG); afterG > beforeG {
+		t.Fatalf("9 TCP runs leaked %d goroutines (%d -> %d)", afterG-beforeG, beforeG, afterG)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it is back at or
+// below want, giving up after 2 s: readers and waiters exit moments after
+// Run returns.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for wait := time.Now(); n > want && time.Since(wait) < 2*time.Second; n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	return n
+}
+
+// dialedPairs counts the pair connections a finished TCP run opened; each
+// was accepted once, so this is also the number of accepted connections.
+func dialedPairs(f *TCPFabric) int {
+	n := 0
+	for _, o := range f.link.(*tcpLink).out {
+		o.mu.Lock()
+		n += len(o.to)
+		o.mu.Unlock()
+	}
+	return n
+}
+
+// runTCPRing runs a 4-rank token ring, two ranks and one idle server per
+// node, on a fresh TCP fabric and returns the finished fabric.
+func runTCPRing(t *testing.T) *TCPFabric {
+	f, err := NewTCP(Config{Procs: 4, ProcsPerNode: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 2; n++ {
+		f.SpawnServer(n, func(env Env) {
+			for env.Recv(msg.MatchAny) != nil {
+			}
+		})
+	}
+	for r := 0; r < 4; r++ {
+		f.SpawnUser(r, func(env Env) {
+			for i := 0; i < 10; i++ {
+				env.Send(msg.User((env.Rank()+1)%4), &msg.Message{Kind: msg.KindSend, Tag: i})
+				env.Recv(msg.MatchSrcTag(msg.KindSend, msg.User((env.Rank()+3)%4), i))
+			}
+		})
+	}
+	if err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestTCPDialsOnlyPairsThatTalk: connections are per (source, destination)
+// pair and dialed on the pair's first frame only, so a 4-rank ring with
+// two idle servers opens 4 of them — not one per endpoint, not the mesh.
+func TestTCPDialsOnlyPairsThatTalk(t *testing.T) {
+	if got := dialedPairs(runTCPRing(t)); got != 4 {
+		t.Fatalf("a 4-rank ring opened %d connections, want 4", got)
+	}
+}
+
+// TestTCPPerPairFIFOAcrossConnections: three senders stream to one
+// receiver over three separate connections whose readers file into the
+// one mailbox concurrently; each source's frames still arrive in exactly
+// the order it sent them.
+func TestTCPPerPairFIFOAcrossConnections(t *testing.T) {
+	const senders, frames = 3, 1000
+	f, err := NewTCP(Config{Procs: senders + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order string
+	f.SpawnUser(0, func(env Env) {
+		next := make(map[msg.Addr]int)
+		for i := 0; i < senders*frames; i++ {
+			m := env.Recv(msg.MatchKind(msg.KindSend))
+			if m.Tag != next[m.Src] && order == "" {
+				order = fmt.Sprintf("frame %d from %v arrived where %d was due", m.Tag, m.Src, next[m.Src])
+			}
+			next[m.Src]++
+		}
+	})
+	for r := 1; r <= senders; r++ {
+		f.SpawnUser(r, func(env Env) {
+			for i := 0; i < frames; i++ {
+				env.Send(msg.User(0), &msg.Message{Kind: msg.KindSend, Tag: i, Data: make([]byte, i%97)})
+			}
+		})
+	}
+	if err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if order != "" {
+		t.Fatal(order)
+	}
+	if got := dialedPairs(f); got != senders {
+		t.Fatalf("%d senders opened %d connections", senders, got)
+	}
+}
+
+// TestTCPCorruptFramesFailRunOnceAndLeakNothing: more pair connections
+// than the failure channel has room for each deliver a corrupt frame. Run
+// fails with one of the reports, and every reader — also those whose
+// report nobody will read — exits and closes its connection.
+func TestTCPCorruptFramesFailRunOnceAndLeakNothing(t *testing.T) {
+	beforeG := runtime.NumGoroutine()
+	f, err := NewTCP(Config{Procs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	var conns []net.Conn
+	var dialErr error
+	f.SpawnUser(0, func(env Env) {
+		// Dial them all before corrupting any: the first report fails Run,
+		// which closes the listener.
+		for i := 0; i < cap(f.panics)+8 && dialErr == nil; i++ {
+			var c net.Conn
+			if c, dialErr = net.Dial("tcp", f.link.(*tcpLink).listener.Addr().String()); dialErr == nil {
+				conns = append(conns, c)
+				_, dialErr = c.Write(wire.EncodeHello(msg.User(1)))
+			}
+		}
+		for _, c := range conns {
+			c.Write([]byte{3, 0, 0, 0, 0xff, 0xff, 0xff}) // fails only on one reset while still unaccepted
+		}
+		<-release
+	})
+	f.SpawnUser(1, func(Env) { <-release })
+	err = f.Run()
+	close(release)
+	if dialErr != nil {
+		t.Fatal(dialErr)
+	}
+	if err == nil || !strings.Contains(err.Error(), "corrupt frame") {
+		t.Fatalf("Run returned %v, want a corrupt-frame failure", err)
+	}
+	// Each reader closed its end, so no injected connection stays readable.
+	deadline := time.Now().Add(2 * time.Second)
+	for i, c := range conns {
+		c.SetReadDeadline(deadline)
+		if _, rerr := c.Read(make([]byte, 1)); rerr == nil || errors.Is(rerr, os.ErrDeadlineExceeded) {
+			t.Errorf("connection %d: reader left its end open (%v)", i, rerr)
+		}
+		c.Close()
+	}
+	if afterG := settledGoroutines(beforeG); afterG > beforeG {
+		t.Fatalf("%d reader goroutines leaked (%d -> %d)", afterG-beforeG, beforeG, afterG)
 	}
 }

@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"armci/internal/msg"
 	"armci/internal/shmem"
@@ -37,7 +39,7 @@ func FuzzWireDecode(f *testing.F) {
 	})
 }
 
-// FuzzHelloDecode covers the router handshake frame the same way.
+// FuzzHelloDecode covers the pair-connection hello frame the same way.
 func FuzzHelloDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeHello(msg.User(3))[4:])
@@ -49,6 +51,44 @@ func FuzzHelloDecode(f *testing.F) {
 		}
 		if re := EncodeHello(a)[4:]; !bytes.Equal(re, data) {
 			t.Fatalf("accepted hello does not round-trip: in=%x out=%x", data, re)
+		}
+	})
+}
+
+// FuzzFrameReader reads arbitrary bytes as a frame stream twice — with
+// ReadFrame, and with a FrameReader fed in half-sized reads — and requires
+// the same bodies, and an error from both or from neither, at every frame.
+func FuzzFrameReader(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{16, 0, 0, 0, 1, 2, 3})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	var stream []byte
+	for _, a := range []msg.Addr{msg.User(3), msg.ServerOf(1)} {
+		stream = append(stream, EncodeHello(a)...)
+		f.Add(EncodeHello(a))
+	}
+	for _, m := range sampleMessages() {
+		stream = append(stream, Encode(m)...)
+		f.Add(Encode(m))
+	}
+	f.Add(stream)
+	f.Add(stream[:len(stream)-3])
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		plain := bytes.NewReader(data)
+		fr := FrameReader{R: iotest.HalfReader(bytes.NewReader(data))}
+		for i := 0; ; i++ {
+			want, werr := ReadFrame(plain)
+			got, gerr := fr.Next()
+			if (werr == nil) != (gerr == nil) || (werr == io.EOF) != (gerr == io.EOF) {
+				t.Fatalf("frame %d: ReadFrame err %v, FrameReader err %v", i, werr, gerr)
+			}
+			if werr != nil {
+				return
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("frame %d: ReadFrame %x, FrameReader %x", i, want, got)
+			}
 		}
 	})
 }

@@ -121,8 +121,9 @@ func PeekDst(body []byte) (msg.Addr, error) {
 	return DecodeHello(body[6:11])
 }
 
-// Hello is the first frame an endpoint sends the router: just an address,
-// encoded with the same primitives.
+// EncodeHello builds the first frame on a tcpnet pair connection: just
+// the address of the destination endpoint every following frame on the
+// stream is for, encoded with the same primitives.
 func EncodeHello(a msg.Addr) []byte {
 	b := make([]byte, 0, 9)
 	b = appendAddr(b, a)
@@ -254,6 +255,59 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("wire: short frame: %w", err)
 	}
 	return body, nil
+}
+
+// FrameReader reads a stream of frames from R through one reused buffer:
+// a single read usually brings in a frame's header and body together,
+// often several frames, and nothing is allocated per frame. The zero
+// value with R set is ready to use.
+type FrameReader struct {
+	R    io.Reader
+	buf  []byte
+	r, w int // buf[r:w] is read from R but not yet returned
+}
+
+// Next returns the next frame body. The slice aliases the reader's buffer
+// and is valid only until the next call. A stream that ends between
+// frames yields a bare io.EOF.
+func (fr *FrameReader) Next() ([]byte, error) {
+	if err := fr.fill(4); err != nil {
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(fr.buf[fr.r:])
+	if n > MaxFrame {
+		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrame)
+	}
+	fr.r += 4
+	if err := fr.fill(int(n)); err != nil {
+		return nil, fmt.Errorf("wire: short frame: %w", err)
+	}
+	body := fr.buf[fr.r : fr.r+int(n)]
+	fr.r += int(n)
+	return body, nil
+}
+
+// fill reads until buf[r:w] holds at least n bytes, first moving the
+// unread bytes to the front of a buffer large enough for them.
+func (fr *FrameReader) fill(n int) error {
+	have := fr.w - fr.r
+	if have >= n {
+		return nil
+	}
+	if have == 0 || fr.r+n > len(fr.buf) { // with nothing unread the move is free
+		buf := fr.buf
+		if n > len(buf) {
+			buf = make([]byte, max(n, 2*len(buf), 4096))
+		}
+		copy(buf, fr.buf[fr.r:fr.w])
+		fr.buf, fr.r, fr.w = buf, 0, have
+	}
+	got, err := io.ReadAtLeast(fr.R, fr.buf[fr.w:], n-have)
+	fr.w += got
+	if err == io.EOF && have > 0 {
+		err = io.ErrUnexpectedEOF // the stream ended inside a frame
+	}
+	return err
 }
 
 func frame(body []byte) []byte {

@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 	"time"
 
@@ -213,5 +215,94 @@ func TestPayloadLengthOverrun(t *testing.T) {
 	body[len(body)-8] = 0xFF
 	if _, err := Decode(body); err == nil {
 		t.Fatal("overrun payload length accepted")
+	}
+}
+
+// frameStream concatenates the frames of n random messages, one of them
+// far larger than the FrameReader's initial buffer.
+func frameStream(n int) (stream []byte, bodies [][]byte) {
+	r := rand.New(rand.NewSource(42))
+	for i := 0; i < n; i++ {
+		m := randomMessage(r)
+		if i == n/2 {
+			m.Data = bytes.Repeat([]byte{byte(i)}, 100<<10)
+		}
+		f := Encode(m)
+		stream = append(stream, f...)
+		bodies = append(bodies, f[4:])
+	}
+	return stream, bodies
+}
+
+// TestFrameReaderYieldsEveryFrame: however the stream is cut into reads —
+// all at once, byte by byte, in halves — FrameReader returns the same
+// bodies ReadFrame does, then a bare io.EOF.
+func TestFrameReaderYieldsEveryFrame(t *testing.T) {
+	stream, bodies := frameStream(20)
+	for name, wrap := range map[string]func(io.Reader) io.Reader{
+		"whole":   func(r io.Reader) io.Reader { return r },
+		"onebyte": iotest.OneByteReader,
+		"half":    iotest.HalfReader,
+		"dataerr": iotest.DataErrReader,
+	} {
+		fr := FrameReader{R: wrap(bytes.NewReader(stream))}
+		for i, want := range bodies {
+			got, err := fr.Next()
+			if err != nil {
+				t.Fatalf("%s: frame %d: %v", name, i, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: frame %d differs (%d bytes, want %d)", name, i, len(got), len(want))
+			}
+		}
+		if _, err := fr.Next(); err != io.EOF {
+			t.Fatalf("%s: end of stream gave %v, want io.EOF", name, err)
+		}
+	}
+}
+
+// TestFrameReaderRejections: the limit and the short-frame error of
+// ReadFrame hold, and a stream cut inside a frame is never a clean EOF.
+func TestFrameReaderRejections(t *testing.T) {
+	for name, stream := range map[string][]byte{
+		"oversized":  {0xFF, 0xFF, 0xFF, 0xFF},
+		"short body": {16, 0, 0, 0, 1, 2, 3},
+		"no body":    {16, 0, 0, 0},
+		"cut header": {16, 0},
+	} {
+		fr := FrameReader{R: bytes.NewReader(stream)}
+		if body, err := fr.Next(); err == nil || err == io.EOF {
+			t.Errorf("%s: got body %x, err %v; want a framing error", name, body, err)
+		}
+	}
+}
+
+// cycle is an endless stream repeating one byte sequence.
+type cycle struct {
+	b   []byte
+	pos int
+}
+
+func (c *cycle) Read(p []byte) (int, error) {
+	n := copy(p, c.b[c.pos:])
+	c.pos = (c.pos + n) % len(c.b)
+	return n, nil
+}
+
+// TestFrameReaderSteadyStateAllocs: once the buffer has grown to the
+// largest frame, reading allocates nothing.
+func TestFrameReaderSteadyStateAllocs(t *testing.T) {
+	stream, bodies := frameStream(8)
+	fr := FrameReader{R: &cycle{b: stream}}
+	lap := func() {
+		for i := range bodies {
+			if body, err := fr.Next(); err != nil || len(body) != len(bodies[i]) {
+				t.Fatalf("frame %d: %d bytes, err %v", i, len(body), err)
+			}
+		}
+	}
+	lap()
+	if allocs := testing.AllocsPerRun(50, lap); allocs != 0 {
+		t.Fatalf("%.1f allocations per %d frames, want 0", allocs, len(bodies))
 	}
 }
