@@ -22,10 +22,6 @@
 //	armci-bench -baseline -o BENCH_1.json # explicit output path
 //	armci-bench -compare BENCH_0.json     # fail (exit 1) on >tolerance regression
 //	armci-bench -compare BENCH_0.json -quick   # judge deterministic metrics only (CI)
-//
-// ARMCI_BENCH_HANDICAP (a fraction, e.g. 0.2) inflates every time-valued
-// metric at collection — a test hook that synthesizes a slowdown to prove
-// the gate fails when performance regresses.
 package main
 
 import (
@@ -75,7 +71,7 @@ func main() {
 		os.Exit(runBaseline(*baseline, *compare, *quick, *outPath))
 	}
 
-	fk, err := parseFabric(*fabric)
+	fk, err := armci.ParseFabric(*fabric)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -185,23 +181,11 @@ func main() {
 }
 
 // runBaseline handles the -baseline and -compare modes: collect the
-// current metrics (optionally handicapped via ARMCI_BENCH_HANDICAP),
-// then either write the snapshot or judge it against a committed one.
+// current metrics, then either write the snapshot or judge it against a
+// committed one.
 func runBaseline(write bool, comparePath string, quick bool, outPath string) int {
-	var opts bench.BaselineOpts
-	if h := os.Getenv("ARMCI_BENCH_HANDICAP"); h != "" {
-		v, err := strconv.ParseFloat(h, 64)
-		if err != nil || v < 0 {
-			log.Printf("bad ARMCI_BENCH_HANDICAP %q: want a non-negative fraction", h)
-			return 2
-		}
-		opts.Handicap = v
-		fmt.Printf("handicap: inflating time metrics by %+.0f%% (test hook)\n", 100*v)
-	}
-	opts.Commit = gitCommit()
-
 	fmt.Println("collecting baseline metrics (figures, sweep, hot-path benches)...")
-	cur, err := bench.CollectBaseline(opts)
+	cur, err := bench.CollectBaseline(gitCommit())
 	if err != nil {
 		log.Print(err)
 		return 2
@@ -291,10 +275,6 @@ func parseFaults(s string) (armci.Faults, error) {
 		return f, fmt.Errorf("-faults: %w", err)
 	}
 	return f, nil
-}
-
-func parseFabric(s string) (armci.FabricKind, error) {
-	return armci.ParseFabric(s)
 }
 
 func parseProcs(s string) ([]int, error) {

@@ -86,12 +86,11 @@ func Ablations(opts AblationOpts) (*AblationResult, error) {
 
 	// Queuing-lock release variant, uncontended remote case (the case the
 	// CAS round trip hurts).
-	lockOpts := LockOpts{Opts: opts.Opts, Iters: 100}
-	cas, err := lockRun(lockOpts, 2, 1, armci.LockQueue)
+	cas, err := lockRun(opts.Opts, armci.Options{Procs: 2}, 100, 1, armci.LockQueue)
 	if err != nil {
 		return nil, fmt.Errorf("bench: ablate lock cas: %w", err)
 	}
-	swapOnly, err := lockRun(lockOpts, 2, 1, armci.LockQueueNoCAS)
+	swapOnly, err := lockRun(opts.Opts, armci.Options{Procs: 2}, 100, 1, armci.LockQueueNoCAS)
 	if err != nil {
 		return nil, fmt.Errorf("bench: ablate lock nocas: %w", err)
 	}
@@ -103,11 +102,11 @@ func Ablations(opts AblationOpts) (*AblationResult, error) {
 	// NIC-assisted control traffic (§5 future work): the queuing lock's
 	// weak spot — the uncontended release compare&swap round trip —
 	// served by the host data server versus a polling NIC agent.
-	hostRel, err := lockRunNIC(opts, false)
+	hostRel, err := lockRun(opts.Opts, armci.Options{Procs: 2}, 60, 1, armci.LockQueue)
 	if err != nil {
 		return nil, fmt.Errorf("bench: ablate host lock: %w", err)
 	}
-	nicRel, err := lockRunNIC(opts, true)
+	nicRel, err := lockRun(opts.Opts, armci.Options{Procs: 2, NICAssist: true}, 60, 1, armci.LockQueue)
 	if err != nil {
 		return nil, fmt.Errorf("bench: ablate nic lock: %w", err)
 	}
@@ -133,11 +132,11 @@ func Ablations(opts AblationOpts) (*AblationResult, error) {
 
 	// SMP co-location: with several ranks per node, the queuing lock's
 	// hand-offs between co-located waiters touch no network at all.
-	colocated, err := lockRunPPN(opts, 8, 4, armci.LockQueue)
+	colocated, err := lockRun(opts.Opts, armci.Options{Procs: 8, ProcsPerNode: 4}, 60, -1, armci.LockQueue)
 	if err != nil {
 		return nil, fmt.Errorf("bench: ablate colocated lock: %w", err)
 	}
-	spread, err := lockRunPPN(opts, 8, 1, armci.LockQueue)
+	spread, err := lockRun(opts.Opts, armci.Options{Procs: 8, ProcsPerNode: 1}, 60, -1, armci.LockQueue)
 	if err != nil {
 		return nil, fmt.Errorf("bench: ablate spread lock: %w", err)
 	}
@@ -152,196 +151,68 @@ func Ablations(opts AblationOpts) (*AblationResult, error) {
 // matrix, strided versus row-by-row, fenced.
 func tileTime(opts AblationOpts, strided bool) (float64, error) {
 	const rows, rowBytes, ld = 32, 32 * 8, 64 * 8
-	times := newPerRank(2, opts.Reps)
-	_, err := armci.Run(opts.inject(armci.Options{
-		Procs:  2,
-		Fabric: opts.Fabric,
-		Preset: opts.Preset,
-	}), func(p *armci.Proc) {
+	return opts.meanLap(armci.Options{Procs: 2}, opts.Reps, func(p *armci.Proc, l *laps) {
 		ptrs := p.Malloc(64 * 64 * 8)
 		if p.Rank() == 0 {
 			tile := make([]byte, rows*rowBytes)
-			for rep := 0; rep < opts.Warmup+opts.Reps; rep++ {
-				t0 := p.Now()
-				if strided {
-					p.PutStrided(ptrs[1], armci.Strided{
-						Count:  []int{rowBytes, rows},
-						Stride: []int64{ld},
-					}, tile)
-				} else {
-					for r := 0; r < rows; r++ {
-						p.Put(ptrs[1].Add(int64(r*ld)), tile[r*rowBytes:(r+1)*rowBytes])
+			l.loop(p, func(_ int, lap func(func())) {
+				lap(func() {
+					if strided {
+						p.PutStrided(ptrs[1], armci.Strided{
+							Count:  []int{rowBytes, rows},
+							Stride: []int64{ld},
+						}, tile)
+					} else {
+						for r := 0; r < rows; r++ {
+							p.Put(ptrs[1].Add(int64(r*ld)), tile[r*rowBytes:(r+1)*rowBytes])
+						}
 					}
-				}
-				p.Fence(p.NodeOf(1))
-				if rep >= opts.Warmup {
-					times.add(0, us(p.Now()-t0))
-				}
-			}
+					p.Fence(p.NodeOf(1))
+				})
+			})
 		}
 		p.Barrier()
 	})
-	if err != nil {
-		return 0, err
-	}
-	return times.meanAll(), nil
-}
-
-// lockRunNIC measures the single-contender remote queuing lock with and
-// without NIC-assisted control traffic.
-func lockRunNIC(opts AblationOpts, nic bool) (LockSample, error) {
-	iters := 60
-	acq := newPerRank(2, iters)
-	rel := newPerRank(2, iters)
-	_, err := armci.Run(opts.inject(armci.Options{
-		Procs:      2,
-		Fabric:     opts.Fabric,
-		Preset:     opts.Preset,
-		NICAssist:  nic,
-		NumMutexes: 1,
-		LockHomes:  []int{0},
-	}), func(p *armci.Proc) {
-		if p.Rank() != 1 {
-			return
-		}
-		mu := p.Mutex(0, armci.LockQueue)
-		for i := 0; i < opts.Warmup+iters; i++ {
-			t0 := p.Now()
-			mu.Lock()
-			t1 := p.Now()
-			mu.Unlock()
-			t2 := p.Now()
-			if i >= opts.Warmup {
-				acq.add(1, us(t1-t0))
-				rel.add(1, us(t2-t1))
-			}
-		}
-	})
-	if err != nil {
-		return LockSample{}, err
-	}
-	s := LockSample{AcquireUS: acq.meanAll(), ReleaseUS: rel.meanAll()}
-	s.TotalUS = s.AcquireUS + s.ReleaseUS
-	return s, nil
-}
-
-// lockRunPPN is the lock loop with a chosen processes-per-node packing.
-func lockRunPPN(opts AblationOpts, procs, ppn int, alg armci.LockAlg) (LockSample, error) {
-	iters := 60
-	acq := newPerRank(procs, iters)
-	rel := newPerRank(procs, iters)
-	_, err := armci.Run(opts.inject(armci.Options{
-		Procs:        procs,
-		ProcsPerNode: ppn,
-		Fabric:       opts.Fabric,
-		Preset:       opts.Preset,
-		NumMutexes:   1,
-		LockHomes:    []int{0},
-	}), func(p *armci.Proc) {
-		mu := p.Mutex(0, alg)
-		p.MPIBarrier()
-		for i := 0; i < opts.Warmup+iters; i++ {
-			t0 := p.Now()
-			mu.Lock()
-			t1 := p.Now()
-			mu.Unlock()
-			t2 := p.Now()
-			if i >= opts.Warmup {
-				acq.add(p.Rank(), us(t1-t0))
-				rel.add(p.Rank(), us(t2-t1))
-			}
-		}
-		p.MPIBarrier()
-	})
-	if err != nil {
-		return LockSample{}, err
-	}
-	s := LockSample{AcquireUS: acq.meanAll(), ReleaseUS: rel.meanAll()}
-	s.TotalUS = s.AcquireUS + s.ReleaseUS
-	return s, nil
 }
 
 // barrierTime measures the combined barrier with the given stage-3
 // pattern under an all-to-all write workload.
 func barrierTime(opts AblationOpts, alg armci.BarrierAlg) (float64, error) {
 	procs := opts.Procs
-	times := newPerRank(procs, opts.Reps)
-	_, err := armci.Run(opts.inject(armci.Options{
-		Procs:      procs,
-		Fabric:     opts.Fabric,
-		Preset:     opts.Preset,
-		BarrierAlg: alg,
-	}), func(p *armci.Proc) {
+	return opts.meanLap(armci.Options{Procs: procs, BarrierAlg: alg}, opts.Reps, func(p *armci.Proc, l *laps) {
 		me := p.Rank()
 		ptrs := p.Malloc(64)
 		payload := make([]byte, 64)
-		for rep := 0; rep < opts.Warmup+opts.Reps; rep++ {
+		l.loop(p, func(_ int, lap func(func())) {
 			for q := 0; q < procs; q++ {
 				if q != me {
 					p.Put(ptrs[q], payload)
 				}
 			}
 			p.MPIBarrier()
-			t0 := p.Now()
-			p.Barrier()
-			dt := p.Now() - t0
-			if rep >= opts.Warmup {
-				times.add(me, us(dt))
-			}
-		}
+			lap(p.Barrier)
+		})
 	})
-	if err != nil {
-		return 0, err
-	}
-	return times.meanAll(), nil
 }
 
 // syncVariantTime measures a GA_Sync variant under a fence mode with the
-// Figure 7 workload.
+// Figure 7 workload (4x4 patches into a 128x128 array).
 func syncVariantTime(opts AblationOpts, mode ga.SyncMode, fm armci.FenceMode) (float64, error) {
-	procs := opts.Procs
-	times := newPerRank(procs, opts.Reps)
-	_, err := armci.Run(opts.inject(armci.Options{
-		Procs:     procs,
-		Fabric:    opts.Fabric,
-		Preset:    opts.Preset,
-		FenceMode: fm,
-	}), func(p *armci.Proc) {
+	return opts.meanLap(armci.Options{Procs: opts.Procs, FenceMode: fm}, opts.Reps, func(p *armci.Proc, l *laps) {
 		a, err := ga.Create(p, "ablate", 128, 128)
 		if err != nil {
 			panic(err)
 		}
 		a.SetSyncMode(mode)
-		me := p.Rank()
-		patch := make([]float64, 16)
-		for rep := 0; rep < opts.Warmup+opts.Reps; rep++ {
-			for q := 0; q < procs; q++ {
-				if q == me {
-					continue
-				}
-				rlo, _, clo, _ := a.Distribution(q)
-				a.Put(rlo, rlo+4, clo, clo+4, patch)
-			}
-			p.MPIBarrier()
-			t0 := p.Now()
-			a.Sync()
-			dt := p.Now() - t0
-			if rep >= opts.Warmup {
-				times.add(me, us(dt))
-			}
-		}
+		l.loop(p, gaSyncStep(p, a, 4))
 	})
-	if err != nil {
-		return 0, err
-	}
-	return times.meanAll(), nil
 }
 
 // FormatAblations renders the ablation table.
 func FormatAblations(r *AblationResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Ablations (N=%d, %s fabric, %s model)\n",
-		r.Opts.Procs, fabricName(r.Opts.Fabric), presetName(r.Opts.Preset))
+		r.Opts.Procs, r.Opts.Fabric, presetName(r.Opts.Preset))
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%-22s %-24s %10.1f us   %-24s %10.1f us   (%s)\n",
 			row.Name, row.A, row.AUS, row.B, row.BUS, row.Metric)

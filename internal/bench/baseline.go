@@ -8,9 +8,10 @@
 //     event count of a fixed conformance sweep. These are exactly
 //     reproducible, carry the tight default tolerance, and are the only
 //     metrics a quick (CI) comparison judges.
-//   - noisy metrics — wall-clock ns/op of the hot-path benchmarks and
-//     the sweep's wall time. Machine-dependent; recorded for trend
-//     analysis and judged only in full mode, with a wide tolerance.
+//   - noisy metrics — wall-clock ns/op of the one hot path the
+//     wall-clock benchmark (benchmark/) has no workload for, the procnet
+//     session send. Machine-dependent; recorded for trend analysis and
+//     judged only in full mode, with a wide tolerance.
 package bench
 
 import (
@@ -73,35 +74,20 @@ type Baseline struct {
 	Metrics map[string]Metric `json:"metrics"`
 }
 
-// BaselineOpts configures a collection run.
-type BaselineOpts struct {
-	// Handicap inflates every time-valued metric by the given fraction
-	// (0.2 = +20%) after collection. Test hook: it synthesizes the
-	// slowdown the comparison gate exists to catch, proving the gate
-	// fails when performance regresses. Also reachable via the
-	// ARMCI_BENCH_HANDICAP environment variable in cmd/armci-bench.
-	Handicap float64
-	// Commit is recorded verbatim in the document (typically the git
-	// revision, resolved by the caller).
-	Commit string
-}
-
 // CollectBaseline measures every tracked metric and assembles the
-// document.
-func CollectBaseline(opts BaselineOpts) (*Baseline, error) {
+// document. commit is recorded verbatim (typically the git revision,
+// resolved by the caller).
+func CollectBaseline(commit string) (*Baseline, error) {
 	b := &Baseline{
 		Schema:  BaselineSchema,
 		Created: time.Now().UTC().Format(time.RFC3339),
-		Commit:  opts.Commit,
+		Commit:  commit,
 		Go:      runtime.Version(),
 		Preset:  string(armci.PresetMyrinet2000),
 		Metrics: map[string]Metric{},
 	}
 	det := func(name string, v float64, unit string) {
 		b.Metrics[name] = Metric{Value: v, Unit: unit, Tol: defaultTol, Abs: defaultAbs}
-	}
-	noisy := func(name string, v float64, unit string) {
-		b.Metrics[name] = Metric{Value: v, Unit: unit, Tol: noisyTol, Abs: defaultAbs, Noisy: true}
 	}
 
 	// Figure 7: GA_Sync virtual time, old and new, per cluster size.
@@ -202,21 +188,18 @@ func CollectBaseline(opts BaselineOpts) (*Baseline, error) {
 		det("workload/"+row.Spec+"/sends", float64(row.Sends), "sends")
 	}
 
-	// Conformance sweep: a fixed 160-case matrix. The protocol event
-	// count is deterministic; the wall time is the throughput trend.
+	// Conformance sweep: a fixed 160-case matrix with a deterministic
+	// protocol event count.
 	cases := check.Matrix([]armci.FabricKind{armci.FabricSim}, nil,
 		[]string{"queue", "hybrid", "ticket", "queue-nocas", "lease"},
 		[]string{"barrier", "sync-old"}, nil, 6, 2, 1, 16)
-	start := time.Now()
 	sweep := check.RunAllParallel(cases, 0, nil)
-	wall := time.Since(start)
 	if len(sweep.Violations) > 0 || len(sweep.Errs) > 0 || sweep.Panics > 0 {
 		return nil, fmt.Errorf("bench: baseline sweep not clean: %d violations, %d errors, %d panics",
 			len(sweep.Violations), len(sweep.Errs), sweep.Panics)
 	}
 	det("explore/cases", float64(sweep.Cases), "cases")
 	det("explore/events", float64(sweep.Events), "events")
-	noisy("explore/wall", float64(wall)/float64(time.Millisecond), "ms")
 
 	// Workload sweep: the four named workloads through the harness
 	// matrix. The event count pins the generated programs — a grammar or
@@ -232,39 +215,17 @@ func CollectBaseline(opts BaselineOpts) (*Baseline, error) {
 	det("explore/workloads/cases", float64(wsweep.Cases), "cases")
 	det("explore/workloads/events", float64(wsweep.Events), "events")
 
-	// Hot-path micro-benchmarks: ns/op is noisy, allocs/op is exact.
-	kernel := testing.Benchmark(benchKernelSchedule)
-	noisy("hotpath/kernel_schedule/ns_op", float64(kernel.NsPerOp()), "ns/op")
-	det("hotpath/kernel_schedule/allocs_op", float64(kernel.AllocsPerOp()), "allocs/op")
-
-	pipe := testing.Benchmark(benchPipelineSendRecv)
-	noisy("hotpath/pipeline_sendrecv/ns_op", float64(pipe.NsPerOp()), "ns/op")
-	det("hotpath/pipeline_sendrecv/allocs_op", float64(pipe.AllocsPerOp()), "allocs/op")
-
-	cb := testing.Benchmark(benchExploreCase)
-	noisy("hotpath/explore_case/ns_op", float64(cb.NsPerOp()), "ns/op")
-
-	sess := testing.Benchmark(benchSessionSend)
-	noisy("hotpath/procnet_send/ns_op", float64(sess.NsPerOp()), "ns/op")
-
-	b.handicap(opts.Handicap)
+	// Hot-path micro-benchmarks: the exact allocs/op budgets of the
+	// pooled paths, and the wall-clock ns/op of the procnet send only —
+	// benchmark/ times the kernel and the pipeline (sim.event_ns,
+	// pipeline.sendto_ns) but has no proc workload.
+	det("hotpath/kernel_schedule/allocs_op", float64(testing.Benchmark(benchKernelSchedule).AllocsPerOp()), "allocs/op")
+	det("hotpath/pipeline_sendrecv/allocs_op", float64(testing.Benchmark(benchPipelineSendRecv).AllocsPerOp()), "allocs/op")
+	b.Metrics["hotpath/procnet_send/ns_op"] = Metric{
+		Value: float64(testing.Benchmark(benchSessionSend).NsPerOp()), Unit: "ns/op",
+		Tol: noisyTol, Abs: defaultAbs, Noisy: true,
+	}
 	return b, nil
-}
-
-// handicap inflates every time-valued metric of a collected document by
-// frac (see BaselineOpts.Handicap); frac <= 0 is a no-op. Counts and
-// ratios are left alone — a slowdown moves neither.
-func (b *Baseline) handicap(frac float64) {
-	if frac <= 0 {
-		return
-	}
-	for name, m := range b.Metrics {
-		switch m.Unit {
-		case "us", "ms", "ns/op":
-			m.Value *= 1 + frac
-			b.Metrics[name] = m
-		}
-	}
 }
 
 // benchKernelSchedule mirrors sim.BenchmarkKernelSchedule: one Sleep per
@@ -360,17 +321,6 @@ func benchSessionSend(b *testing.B) {
 	deadline := time.Now().Add(10 * time.Second)
 	for received.Load() < int64(b.N) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// benchExploreCase mirrors check.BenchmarkExploreCase: one full
-// conformance case per iteration.
-func benchExploreCase(b *testing.B) {
-	c := check.Case{Fabric: armci.FabricSim, Alg: "queue", Seed: 1}
-	for i := 0; i < b.N; i++ {
-		if r := check.RunCase(c); !r.Passed() {
-			b.Fatalf("baseline case failed: %+v", r)
-		}
 	}
 }
 

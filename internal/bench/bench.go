@@ -44,12 +44,31 @@ type Opts struct {
 	Metrics *armci.Metrics
 }
 
-// inject copies the experiment-wide fault plan and metrics collector
-// into one run's options.
-func (o Opts) inject(ao armci.Options) armci.Options {
-	ao.Faults = o.Faults
-	ao.Metrics = o.Metrics
-	return ao
+// run executes body on a cluster configured by ao plus the experiment's
+// fabric, cost model, fault plan and metrics collector, handing every
+// rank the run's lap recorder. reps is the number of timed steps a
+// laps.loop records after o.Warmup untimed ones. An armci.Run error
+// comes back as is; callers add the experiment's context.
+func (o Opts) run(ao armci.Options, reps int, body func(p *armci.Proc, l *laps)) (*laps, error) {
+	ao.Fabric, ao.Preset = o.Fabric, o.Preset
+	ao.Faults, ao.Metrics = o.Faults, o.Metrics
+	l := &laps{warmup: o.Warmup, reps: reps, cols: make([][][]float64, ao.Procs)}
+	var err error
+	l.report, err = armci.Run(ao, func(p *armci.Proc) { body(p, l) })
+	if err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// meanLap is run for the experiments that time one section per step:
+// the mean of lap 0 over every timed step of every rank.
+func (o Opts) meanLap(ao armci.Options, reps int, body func(p *armci.Proc, l *laps)) (float64, error) {
+	l, err := o.run(ao, reps, body)
+	if err != nil {
+		return 0, err
+	}
+	return mean(l.col(0)), nil
 }
 
 func (o Opts) withDefaults() Opts {
@@ -82,28 +101,56 @@ func mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// perRank collects one value per (rank, rep) without cross-rank sharing
-// hazards: every rank writes only its own row.
-type perRank struct {
-	vals [][]float64 // [rank][rep]
+// laps is the paper's one measurement method (§4): time a section on
+// the rank's own clock, repeat, drop the warm-up, average over
+// repetitions and processes. Samples are in microseconds, one column
+// per timed section of a step; every rank appends only to its own
+// columns, so ranks share nothing while the run is live.
+type laps struct {
+	warmup, reps int
+	cols         [][][]float64 // [rank][lap][timed step]
+	report       *armci.Report
 }
 
-func newPerRank(procs, reps int) *perRank {
-	v := make([][]float64, procs)
-	for i := range v {
-		v[i] = make([]float64, 0, reps)
+// add records v as rank's next sample of lap k.
+func (l *laps) add(rank, k int, v float64) {
+	for len(l.cols[rank]) <= k {
+		l.cols[rank] = append(l.cols[rank], make([]float64, 0, l.reps))
 	}
-	return &perRank{vals: v}
+	l.cols[rank][k] = append(l.cols[rank][k], v)
 }
 
-func (p *perRank) add(rank int, v float64) { p.vals[rank] = append(p.vals[rank], v) }
+// loop runs warmup+reps steps on p. Each lap(section) call inside a
+// step times section; the k-th lap of every timed step lands in the
+// k-th column this loop opened (a second loop on the same rank opens
+// fresh columns after the first's).
+func (l *laps) loop(p *armci.Proc, step func(rep int, lap func(section func()))) {
+	me := p.Rank()
+	base := len(l.cols[me])
+	for rep := 0; rep < l.warmup+l.reps; rep++ {
+		k := base
+		step(rep, func(section func()) {
+			t0 := p.Now()
+			section()
+			dt := p.Now() - t0
+			if rep >= l.warmup {
+				l.add(me, k, us(dt))
+			}
+			k++
+		})
+	}
+}
 
-func (p *perRank) meanAll() float64 {
+// col returns every rank's samples of lap k in rank-then-repetition
+// order (the order keeps the figures' float sums reproducible).
+func (l *laps) col(k int) []float64 {
 	var all []float64
-	for _, row := range p.vals {
-		all = append(all, row...)
+	for _, rank := range l.cols {
+		if k < len(rank) {
+			all = append(all, rank[k]...)
+		}
 	}
-	return mean(all)
+	return all
 }
 
 // checkPow2 rejects process counts the paper's pairwise algorithms need

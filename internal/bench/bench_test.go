@@ -2,8 +2,11 @@ package bench
 
 import (
 	"math"
+	"os"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"armci"
 )
@@ -12,6 +15,55 @@ import (
 // few repetitions lose nothing.
 func fastOpts() Opts {
 	return Opts{Fabric: armci.FabricSim, Preset: armci.PresetMyrinet2000, Reps: 3, Warmup: 1}
+}
+
+// TestRunnerLaps pins the one measured loop every experiment goes
+// through: warm-up steps run but are not recorded, the k-th lap of a
+// step lands in column k in rank-then-repetition order, a rank that
+// never loops adds no samples, and a failed run's error comes back as
+// armci.Run reported it.
+func TestRunnerLaps(t *testing.T) {
+	o := Opts{Fabric: armci.FabricSim, Preset: armci.PresetMyrinet2000, Warmup: 2}
+	steps := make([]int, 3)
+	l, err := o.run(armci.Options{Procs: 3}, 2, func(p *armci.Proc, l *laps) {
+		me := p.Rank()
+		if me == 2 {
+			return
+		}
+		l.loop(p, func(rep int, lap func(func())) {
+			steps[me]++
+			// Each lap sleeps a virtual time naming its rank, step and lap.
+			nap := func(k int) func() {
+				return func() { p.Env().Clock().Sleep(time.Duration(100*(me+1)+10*rep+k) * time.Microsecond) }
+			}
+			lap(nap(1))
+			lap(nap(2))
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(steps, []int{4, 4, 0}) {
+		t.Fatalf("steps per rank = %v, want warmup+reps = 4 on the looping ranks", steps)
+	}
+	if got, want := l.col(0), []float64{121, 131, 221, 231}; !slices.Equal(got, want) {
+		t.Fatalf("lap 0 = %v, want %v (timed steps only, rank then repetition)", got, want)
+	}
+	if got, want := l.col(1), []float64{122, 132, 222, 232}; !slices.Equal(got, want) {
+		t.Fatalf("lap 1 = %v, want %v", got, want)
+	}
+	if got := l.col(2); got != nil {
+		t.Fatalf("lap 2 = %v, want no samples", got)
+	}
+	if got := mean(l.col(0)); got != 176 {
+		t.Fatalf("mean lap 0 = %v, want 176: the idle rank must not dilute it", got)
+	}
+
+	_, want := armci.Run(armci.Options{Procs: 2, Preset: o.Preset}, func(*armci.Proc) { panic("boom") })
+	got, err := o.meanLap(armci.Options{Procs: 2}, 1, func(*armci.Proc, *laps) { panic("boom") })
+	if want == nil || err == nil || err.Error() != want.Error() || got != 0 {
+		t.Fatalf("failed run returned (%v, %v), want (0, %v) with no added context", got, err, want)
+	}
 }
 
 // TestFig7ReproducesPaperShape pins the headline result: the combined
@@ -308,6 +360,53 @@ func TestSensitivityAcrossNetworks(t *testing.T) {
 		if row.Factor > myrinet {
 			t.Fatalf("%s factor %.2f exceeds the calibrated Myrinet point %.2f",
 				row.Preset, row.Factor, myrinet)
+		}
+	}
+}
+
+// TestGoldenTables is the harness's output contract: the cheap sections
+// of `armci-bench -fig all`, rendered through the same Format* calls at
+// the CLI's defaults, must appear byte for byte in the committed
+// results/all-tables.txt (sim virtual times are exactly reproducible).
+// A deliberate change regenerates the file with
+// `go run ./cmd/armci-bench -fig all > results/all-tables.txt`.
+func TestGoldenTables(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden-table rendering skipped in -short")
+	}
+	golden, err := os.ReadFile("../../results/all-tables.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	f7, err := Fig7(Fig7Opts{})
+	must(err)
+	cr, err := Crossover(CrossoverOpts{})
+	must(err)
+	var counts []*MessageCounts
+	for _, n := range []int{2, 4, 8, 16} {
+		c, err := CountSyncMessages(n)
+		must(err)
+		counts = append(counts, c)
+	}
+	sp, err := SmallPut(SmallPutOpts{})
+	must(err)
+	wl, err := Workloads(WorkloadsOpts{})
+	must(err)
+	for name, got := range map[string]string{
+		"fig7":      FormatFig7(f7),
+		"crossover": FormatCrossover(cr),
+		"counts":    FormatMessageCounts(counts),
+		"smallput":  FormatSmallPut(sp),
+		"workloads": FormatWorkloads(wl),
+	} {
+		if !strings.Contains(string(golden), got) {
+			t.Errorf("%s section is not in results/all-tables.txt verbatim:\n%s", name, got)
 		}
 	}
 }

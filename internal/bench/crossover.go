@@ -64,36 +64,22 @@ func Crossover(opts CrossoverOpts) (*CrossoverResult, error) {
 
 func crossoverRun(opts CrossoverOpts, k int, old bool) (float64, error) {
 	procs := opts.Procs
-	times := newPerRank(procs, opts.Reps)
-	_, err := armci.Run(opts.inject(armci.Options{
-		Procs:  procs,
-		Fabric: opts.Fabric,
-		Preset: opts.Preset,
-	}), func(p *armci.Proc) {
+	return opts.meanLap(armci.Options{Procs: procs}, opts.Reps, func(p *armci.Proc, l *laps) {
 		me := p.Rank()
 		ptrs := p.Malloc(8 * procs)
 		payload := make([]byte, 64)
-		for rep := 0; rep < opts.Warmup+opts.Reps; rep++ {
+		syncOp := p.Barrier
+		if old {
+			syncOp = p.SyncOld
+		}
+		l.loop(p, func(_ int, lap func(func())) {
 			for j := 1; j <= k; j++ {
 				p.Put(ptrs[(me+j)%procs], payload)
 			}
 			p.MPIBarrier()
-			t0 := p.Now()
-			if old {
-				p.SyncOld()
-			} else {
-				p.Barrier()
-			}
-			dt := p.Now() - t0
-			if rep >= opts.Warmup {
-				times.add(me, us(dt))
-			}
-		}
+			lap(syncOp)
+		})
 	})
-	if err != nil {
-		return 0, err
-	}
-	return times.meanAll(), nil
 }
 
 // MessageCounts verifies the paper's analytical claims by counting, with

@@ -131,19 +131,16 @@ func crossoverNReps(explicit, n int) (warmup, reps int) {
 }
 
 func crossoverNRun(opts CrossoverNOpts, procs int, v CrossoverNVariant, explicitReps int) (float64, error) {
+	o, ppn := opts.Opts, opts.PPN
 	warmup, reps := crossoverNReps(explicitReps, procs)
-	ppn := opts.PPN
-	times := newPerRank(procs, reps)
-	_, err := armci.Run(opts.inject(armci.Options{
+	o.Warmup = warmup // the sweep's own, not the experiment-wide default
+	return o.meanLap(armci.Options{
 		Procs:           procs,
 		ProcsPerNode:    ppn,
-		Fabric:          opts.Fabric,
-		Preset:          opts.Preset,
 		BarrierAlg:      v.Alg,
 		BarrierRadix:    v.Radix,
 		NICFenceOffload: v.NICFence,
-	}), func(p *armci.Proc) {
-		me := p.Rank()
+	}, reps, func(p *armci.Proc, l *laps) {
 		// Every rank's first allocation lands in segment 1 of its own
 		// word space, so the matching slot of any peer is this rank's
 		// pointer with the rank swapped. The collective Malloc would
@@ -151,20 +148,11 @@ func crossoverNRun(opts CrossoverNOpts, procs int, v CrossoverNVariant, explicit
 		// per run — pure setup cost at N=4096.
 		mine := p.MallocWordsLocal(1)
 		peer := mine
-		peer.Rank = int32((me + ppn) % procs)
-		for rep := 0; rep < warmup+reps; rep++ {
+		peer.Rank = int32((p.Rank() + ppn) % procs)
+		l.loop(p, func(rep int, lap func(func())) {
 			p.Store(peer, int64(rep+1))
 			p.MPIBarrier()
-			t0 := p.Now()
-			p.Barrier()
-			dt := p.Now() - t0
-			if rep >= warmup {
-				times.add(me, us(dt))
-			}
-		}
+			lap(p.Barrier)
+		})
 	})
-	if err != nil {
-		return 0, err
-	}
-	return times.meanAll(), nil
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"armci"
@@ -87,20 +88,17 @@ func Elastic(opts ElasticOpts) (*ElasticResult, error) {
 	res.Fingerprint = want
 
 	run := func(cfg elastic.Config) (makespanUS, recoveryUS float64, err error) {
-		times := newPerRank(opts.Procs, 2)
-		_, err = armci.Run(opts.inject(armci.Options{
+		l, err := opts.run(armci.Options{
 			Procs:        opts.Procs,
 			ProcsPerNode: opts.PPN,
-			Fabric:       armci.FabricSim,
-			Preset:       opts.Preset,
 			ScheduleSeed: opts.Seed,
-		}), func(p *armci.Proc) {
+		}, 1, func(p *armci.Proc, l *laps) {
 			// Absorb start-up skew so the makespan is the workload's own.
 			p.MPIBarrier()
 			t0 := p.Now()
 			r := elastic.Run(p, cfg)
-			times.add(p.Rank(), us(p.Now()-t0))
-			times.add(p.Rank(), us(r.RecoveryTime))
+			l.add(p.Rank(), 0, us(p.Now()-t0))
+			l.add(p.Rank(), 1, us(r.RecoveryTime))
 			if r.Fingerprint != want {
 				panic(fmt.Sprintf("bench: elastic rank %d fingerprint 0x%016x diverges from the pure-replay oracle 0x%016x",
 					p.Rank(), r.Fingerprint, want))
@@ -109,11 +107,7 @@ func Elastic(opts ElasticOpts) (*ElasticResult, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		for _, row := range times.vals {
-			makespanUS = max(makespanUS, row[0])
-			recoveryUS = max(recoveryUS, row[1])
-		}
-		return makespanUS, recoveryUS, nil
+		return slices.Max(l.col(0)), slices.Max(l.col(1)), nil
 	}
 
 	base := elastic.Config{Steps: opts.Steps, Seed: opts.Seed, NoRepl: true}

@@ -73,51 +73,47 @@ func Fig7(opts Fig7Opts) (*Fig7Result, error) {
 
 // gaSyncTime measures the mean GA_Sync time for one configuration.
 func gaSyncTime(opts Fig7Opts, procs int, mode ga.SyncMode) (float64, error) {
-	times := newPerRank(procs, opts.Reps)
-	// The array gives every process one BlockDim×BlockDim block, laid
-	// out on the near-square grid ga chooses.
-	_, err := armci.Run(opts.inject(armci.Options{
-		Procs:  procs,
-		Fabric: opts.Fabric,
-		Preset: opts.Preset,
-	}), func(p *armci.Proc) {
-		pr := gridRows(procs)
-		pc := procs / pr
-		a, err := ga.Create(p, "fig7", pr*opts.BlockDim, pc*opts.BlockDim)
-		if err != nil {
-			panic(err)
-		}
+	return opts.meanLap(armci.Options{Procs: procs}, opts.Reps, func(p *armci.Proc, l *laps) {
+		a := fig7Array(p, opts.BlockDim)
 		a.SetSyncMode(mode)
-		me := p.Rank()
-		patch := make([]float64, opts.PatchDim*opts.PatchDim)
-		for i := range patch {
-			patch[i] = float64(me + 1)
-		}
-		for rep := 0; rep < opts.Warmup+opts.Reps; rep++ {
-			// Write a patch into every remote process's block — the
-			// paper's workload guarantees the processes "perform fence
-			// operations with each other".
-			for q := 0; q < procs; q++ {
-				if q == me {
-					continue
-				}
-				rlo, _, clo, _ := a.Distribution(q)
-				a.Put(rlo, rlo+opts.PatchDim, clo, clo+opts.PatchDim, patch)
-			}
-			// Absorb process skew so the timing reflects GA_Sync alone.
-			p.MPIBarrier()
-			t0 := p.Now()
-			a.Sync()
-			dt := p.Now() - t0
-			if rep >= opts.Warmup {
-				times.add(me, us(dt))
-			}
-		}
+		l.loop(p, gaSyncStep(p, a, opts.PatchDim))
 	})
+}
+
+// fig7Array gives every process one blockDim×blockDim block, laid out
+// on the near-square grid ga chooses.
+func fig7Array(p *armci.Proc, blockDim int) *ga.Array {
+	pr := gridRows(p.Size())
+	a, err := ga.Create(p, "fig7", pr*blockDim, p.Size()/pr*blockDim)
 	if err != nil {
-		return 0, err
+		panic(err)
 	}
-	return times.meanAll(), nil
+	return a
+}
+
+// gaSyncStep returns one Fig. 7 repetition over a, for laps.loop: the
+// one timed lap is a.Sync() under whatever sync mode a is in.
+func gaSyncStep(p *armci.Proc, a *ga.Array, patchDim int) func(rep int, lap func(func())) {
+	me, procs := p.Rank(), p.Size()
+	patch := make([]float64, patchDim*patchDim)
+	for i := range patch {
+		patch[i] = float64(me + 1)
+	}
+	return func(_ int, lap func(func())) {
+		// Write a patch into every remote process's block — the
+		// paper's workload guarantees the processes "perform fence
+		// operations with each other".
+		for q := 0; q < procs; q++ {
+			if q == me {
+				continue
+			}
+			rlo, _, clo, _ := a.Distribution(q)
+			a.Put(rlo, rlo+patchDim, clo, clo+patchDim, patch)
+		}
+		// Absorb process skew so the timing reflects GA_Sync alone.
+		p.MPIBarrier()
+		lap(a.Sync)
+	}
 }
 
 // gridRows mirrors ga's near-square grid choice.

@@ -93,47 +93,18 @@ func RunFig7ProcWorker(opts Fig7Opts, procs int) error {
 	if we.Procs != procs {
 		return fmt.Errorf("bench: fig7 worker built for %d procs but launched with %d", procs, we.Procs)
 	}
-	_, err = armci.Run(opts.inject(armci.Options{
-		Procs:        procs,
-		ProcsPerNode: we.ProcsPerNode,
-		Fabric:       armci.FabricProc,
-		Preset:       opts.Preset,
-	}), func(p *armci.Proc) {
-		pr := gridRows(procs)
-		pc := procs / pr
-		a, err := ga.Create(p, "fig7", pr*opts.BlockDim, pc*opts.BlockDim)
-		if err != nil {
-			panic(err)
-		}
+	opts.Fabric = armci.FabricProc
+	_, err = opts.run(armci.Options{Procs: procs, ProcsPerNode: we.ProcsPerNode}, opts.Reps, func(p *armci.Proc, l *laps) {
+		a := fig7Array(p, opts.BlockDim)
+		step := gaSyncStep(p, a, opts.PatchDim)
 		me := p.Rank()
-		patch := make([]float64, opts.PatchDim*opts.PatchDim)
-		for i := range patch {
-			patch[i] = float64(me + 1)
-		}
-		measure := func(mode ga.SyncMode) float64 {
-			a.SetSyncMode(mode)
-			var sum float64
-			for rep := 0; rep < opts.Warmup+opts.Reps; rep++ {
-				for q := 0; q < procs; q++ {
-					if q == me {
-						continue
-					}
-					rlo, _, clo, _ := a.Distribution(q)
-					a.Put(rlo, rlo+opts.PatchDim, clo, clo+opts.PatchDim, patch)
-				}
-				p.MPIBarrier()
-				t0 := p.Now()
-				a.Sync()
-				dt := p.Now() - t0
-				if rep >= opts.Warmup {
-					sum += us(dt)
-				}
-			}
-			return sum / float64(opts.Reps)
-		}
-		vec := []float64{measure(ga.SyncOld), measure(ga.SyncNew)}
+		a.SetSyncMode(ga.SyncOld)
+		l.loop(p, step)
+		a.SetSyncMode(ga.SyncNew)
+		l.loop(p, step)
 		// Every rank contributes its mean; the all-reduce leaves the
 		// cluster-wide sums everywhere, and rank 0 reports the average.
+		vec := []float64{mean(l.cols[me][0]), mean(l.cols[me][1])}
 		p.AllReduceSumFloat64(vec)
 		if me == 0 {
 			n := float64(procs)

@@ -83,11 +83,12 @@ func Lock(opts LockOpts) (*LockResult, error) {
 func lockSample(opts LockOpts, procs int, alg armci.LockAlg) (LockSample, error) {
 	if procs == 1 {
 		// Average of the local-lock and remote-lock single-process cases.
-		local, err := lockRun(opts, 2, 0, alg) // contender rank 0, lock at 0
+		ao := armci.Options{Procs: 2}
+		local, err := lockRun(opts.Opts, ao, opts.Iters, 0, alg) // contender rank 0, lock at 0
 		if err != nil {
 			return LockSample{}, err
 		}
-		remote, err := lockRun(opts, 2, 1, alg) // contender rank 1, lock at 0
+		remote, err := lockRun(opts.Opts, ao, opts.Iters, 1, alg) // contender rank 1, lock at 0
 		if err != nil {
 			return LockSample{}, err
 		}
@@ -97,45 +98,30 @@ func lockSample(opts LockOpts, procs int, alg armci.LockAlg) (LockSample, error)
 			TotalUS:   (local.TotalUS + remote.TotalUS) / 2,
 		}, nil
 	}
-	return lockRun(opts, procs, -1, alg)
+	return lockRun(opts.Opts, armci.Options{Procs: procs}, opts.Iters, -1, alg)
 }
 
-// lockRun executes the loop on a cluster of `procs` ranks. When only ==
-// -1 every rank contends; otherwise only that rank does. The lock is
-// always homed at rank 0.
-func lockRun(opts LockOpts, procs, only int, alg armci.LockAlg) (LockSample, error) {
-	acq := newPerRank(procs, opts.Iters)
-	rel := newPerRank(procs, opts.Iters)
-	_, err := armci.Run(opts.inject(armci.Options{
-		Procs:      procs,
-		Fabric:     opts.Fabric,
-		Preset:     opts.Preset,
-		NumMutexes: 1,
-		LockHomes:  []int{0},
-	}), func(p *armci.Proc) {
-		me := p.Rank()
+// lockRun executes iters timed lock/unlock pairs on the cluster ao
+// describes (its size, node packing and NIC options; the one lock is
+// always homed at rank 0). When only == -1 every rank contends;
+// otherwise only that rank does.
+func lockRun(o Opts, ao armci.Options, iters, only int, alg armci.LockAlg) (LockSample, error) {
+	ao.NumMutexes, ao.LockHomes = 1, []int{0}
+	l, err := o.run(ao, iters, func(p *armci.Proc, l *laps) {
 		mu := p.Mutex(0, alg)
-		participate := only == -1 || me == only
 		p.MPIBarrier()
-		if participate {
-			for i := 0; i < opts.Warmup+opts.Iters; i++ {
-				t0 := p.Now()
-				mu.Lock()
-				t1 := p.Now()
-				mu.Unlock()
-				t2 := p.Now()
-				if i >= opts.Warmup {
-					acq.add(me, us(t1-t0))
-					rel.add(me, us(t2-t1))
-				}
-			}
+		if only == -1 || p.Rank() == only {
+			l.loop(p, func(_ int, lap func(func())) {
+				lap(mu.Lock)
+				lap(mu.Unlock)
+			})
 		}
 		p.MPIBarrier()
 	})
 	if err != nil {
 		return LockSample{}, err
 	}
-	s := LockSample{AcquireUS: acq.meanAll(), ReleaseUS: rel.meanAll()}
+	s := LockSample{AcquireUS: mean(l.col(0)), ReleaseUS: mean(l.col(1))}
 	s.TotalUS = s.AcquireUS + s.ReleaseUS
 	return s, nil
 }

@@ -79,14 +79,11 @@ func SmallPut(opts SmallPutOpts) (*SmallPutResult, error) {
 
 // smallPutTime measures the mean per-rank time for one variant.
 func smallPutTime(opts SmallPutOpts, coalesce bool) (float64, error) {
-	times := newPerRank(opts.Procs, opts.Reps)
-	_, err := armci.Run(opts.inject(armci.Options{
+	return opts.meanLap(armci.Options{
 		Procs:        opts.Procs,
 		ProcsPerNode: 1,
-		Fabric:       opts.Fabric,
-		Preset:       opts.Preset,
 		Coalesce:     armci.Coalesce{Enabled: coalesce},
-	}), func(p *armci.Proc) {
+	}, opts.Reps, func(p *armci.Proc, l *laps) {
 		me, n := p.Rank(), p.Size()
 		bufs := p.Malloc(opts.OpsPerRank * opts.Bytes)
 		dst := (me + 1) % n
@@ -95,24 +92,17 @@ func smallPutTime(opts SmallPutOpts, coalesce bool) (float64, error) {
 		for i := range data {
 			data[i] = byte(me + 1)
 		}
-		for rep := 0; rep < opts.Warmup+opts.Reps; rep++ {
+		l.loop(p, func(_ int, lap func(func())) {
 			// Absorb skew so the timing reflects the put stream alone.
 			p.MPIBarrier()
-			t0 := p.Now()
-			for i := 0; i < opts.OpsPerRank; i++ {
-				p.Put(bufs[dst].Add(int64(i*opts.Bytes)), data)
-			}
-			p.Fence(dstNode)
-			dt := p.Now() - t0
-			if rep >= opts.Warmup {
-				times.add(me, us(dt))
-			}
-		}
+			lap(func() {
+				for i := 0; i < opts.OpsPerRank; i++ {
+					p.Put(bufs[dst].Add(int64(i*opts.Bytes)), data)
+				}
+				p.Fence(dstNode)
+			})
+		})
 	})
-	if err != nil {
-		return 0, err
-	}
-	return times.meanAll(), nil
 }
 
 // FormatSmallPut renders the throughput comparison.
@@ -120,7 +110,7 @@ func FormatSmallPut(r *SmallPutResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Sustained small puts: %d ranks x %d puts of %d bytes (%s fabric, %s model, %d reps)\n",
 		r.Opts.Procs, r.Opts.OpsPerRank, r.Opts.Bytes,
-		fabricName(r.Opts.Fabric), presetName(r.Opts.Preset), r.Opts.Reps)
+		r.Opts.Fabric, presetName(r.Opts.Preset), r.Opts.Reps)
 	fmt.Fprintf(&b, "%14s %14s %14s\n", "", "time (us)", "ops/sec")
 	fmt.Fprintf(&b, "%14s %14.1f %14.0f\n", "uncoalesced", r.UncoalescedUS, r.UncoalescedOps)
 	fmt.Fprintf(&b, "%14s %14.1f %14.0f\n", "coalesced", r.CoalescedUS, r.CoalescedOps)

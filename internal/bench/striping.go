@@ -67,37 +67,23 @@ func Striping(opts StripingOpts) (*StripingResult, error) {
 }
 
 func stripingRun(opts StripingOpts, nLocks int, alg armci.LockAlg) (float64, error) {
-	procs := opts.Procs
-	times := newPerRank(procs, opts.Iters)
-	_, err := armci.Run(opts.inject(armci.Options{
-		Procs:      procs,
-		Fabric:     opts.Fabric,
-		Preset:     opts.Preset,
-		NumMutexes: nLocks, // homed round-robin by default
-	}), func(p *armci.Proc) {
-		me := p.Rank()
-		rng := rand.New(rand.NewSource(int64(me)*31 + 7))
+	// NumMutexes locks are homed round-robin by default.
+	return opts.meanLap(armci.Options{Procs: opts.Procs, NumMutexes: nLocks}, opts.Iters, func(p *armci.Proc, l *laps) {
+		rng := rand.New(rand.NewSource(int64(p.Rank())*31 + 7))
 		locks := make([]armci.Mutex, nLocks)
 		for i := range locks {
 			locks[i] = p.Mutex(i, alg)
 		}
 		p.MPIBarrier()
-		for i := 0; i < opts.Warmup+opts.Iters; i++ {
+		l.loop(p, func(_ int, lap func(func())) {
 			mu := locks[rng.Intn(nLocks)]
-			t0 := p.Now()
-			mu.Lock()
-			mu.Unlock()
-			dt := p.Now() - t0
-			if i >= opts.Warmup {
-				times.add(me, us(dt))
-			}
-		}
+			lap(func() {
+				mu.Lock()
+				mu.Unlock()
+			})
+		})
 		p.MPIBarrier()
 	})
-	if err != nil {
-		return 0, err
-	}
-	return times.meanAll(), nil
 }
 
 // CSVStriping renders the striping sweep as CSV.
@@ -113,7 +99,7 @@ func CSVStriping(r *StripingResult) string {
 // FormatStriping renders the extension table.
 func FormatStriping(r *StripingResult) string {
 	out := fmt.Sprintf("Lock striping (extension): %d procs, %d iters (%s fabric, %s model)\n",
-		r.Opts.Procs, r.Opts.Iters, fabricName(r.Opts.Fabric), presetName(r.Opts.Preset))
+		r.Opts.Procs, r.Opts.Iters, r.Opts.Fabric, presetName(r.Opts.Preset))
 	out += fmt.Sprintf("%8s %14s %14s %10s\n", "locks", "hybrid (us)", "queue (us)", "factor")
 	for _, row := range r.Rows {
 		out += fmt.Sprintf("%8d %14.1f %14.1f %10.2f\n",

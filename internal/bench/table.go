@@ -12,7 +12,7 @@ import (
 func FormatFig7(r *Fig7Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 7(a): GA_Sync() time (%s fabric, %s model, %d reps)\n",
-		fabricName(r.Opts.Fabric), presetName(r.Opts.Preset), r.Opts.Reps)
+		r.Opts.Fabric, presetName(r.Opts.Preset), r.Opts.Reps)
 	fmt.Fprintf(&b, "%8s %14s %14s\n", "procs", "current (us)", "new (us)")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%8d %14.1f %14.1f\n", row.Procs, row.OldUS, row.NewUS)
@@ -29,7 +29,7 @@ func FormatFig7(r *Fig7Result) string {
 func FormatLock(r *LockResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 8(a): time to request and release a lock (%s fabric, %s model, %d iters)\n",
-		fabricName(r.Opts.Fabric), presetName(r.Opts.Preset), r.Opts.Iters)
+		r.Opts.Fabric, presetName(r.Opts.Preset), r.Opts.Iters)
 	fmt.Fprintf(&b, "%8s %14s %14s\n", "procs", "current (us)", "new (us)")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%8d %14.1f %14.1f\n", row.Procs, row.Current.TotalUS, row.New.TotalUS)
@@ -57,7 +57,7 @@ func FormatLockCrash(r *LockCrashResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Lock holder-crash recovery: lease lock, %d procs (ppn %d), victim rank %d at acquire %d, TTL %s (%s fabric, %s model)\n",
 		r.Opts.Procs, r.Opts.PPN, r.Opts.Victim, r.Opts.CrashAcquire, r.Opts.TTL,
-		fabricName(armci.FabricSim), presetName(r.Opts.Preset))
+		armci.FabricSim, presetName(r.Opts.Preset))
 	fmt.Fprintf(&b, "%28s %14s\n", "metric", "value")
 	fmt.Fprintf(&b, "%28s %14.1f\n", "hand-off (us, crash-free)", r.HandoffUS)
 	fmt.Fprintf(&b, "%28s %14.1f\n", "recovery (us, crash)", r.RecoveryUS)
@@ -70,7 +70,7 @@ func FormatLockCrash(r *LockCrashResult) string {
 func FormatCrossover(r *CrossoverResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Crossover (§3.1.2): sync time vs writer fan-out, N=%d (%s fabric, %s model)\n",
-		r.Opts.Procs, fabricName(r.Opts.Fabric), presetName(r.Opts.Preset))
+		r.Opts.Procs, r.Opts.Fabric, presetName(r.Opts.Preset))
 	fmt.Fprintf(&b, "%8s %14s %14s %8s\n", "targets", "old (us)", "new (us)", "winner")
 	for _, row := range r.Rows {
 		winner := "new"
@@ -89,7 +89,7 @@ func FormatCrossover(r *CrossoverResult) string {
 func FormatCrossoverN(r *CrossoverNResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Crossover-N: ARMCI_Barrier time vs cluster size, ppn %d (%s fabric, %s model)\n",
-		r.Opts.PPN, fabricName(r.Opts.Fabric), presetName(r.Opts.Preset))
+		r.Opts.PPN, r.Opts.Fabric, presetName(r.Opts.Preset))
 	fmt.Fprintf(&b, "%8s", "procs")
 	for _, v := range r.Variants {
 		fmt.Fprintf(&b, " %14s", v.Name)
@@ -195,8 +195,6 @@ func CSVCrossoverN(r *CrossoverNResult) string {
 	}
 	return b.String()
 }
-
-func fabricName(k armci.FabricKind) string { return k.String() }
 
 func presetName(p armci.CostPreset) string {
 	if p == "" {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"armci"
@@ -74,36 +75,25 @@ func Workloads(opts WorkloadsOpts) (*WorkloadsResult, error) {
 			return nil, fmt.Errorf("bench: %w", err)
 		}
 		body := workload.Build(sp, workload.Config{Seed: opts.Seed})
-		times := newPerRank(opts.Procs, 1)
-		rep, err := armci.Run(opts.inject(armci.Options{
+		l, err := opts.run(armci.Options{
 			Procs:        opts.Procs,
 			ProcsPerNode: opts.PPN,
-			Fabric:       armci.FabricSim,
-			Preset:       opts.Preset,
 			ScheduleSeed: opts.Seed,
-		}), func(p *armci.Proc) {
+		}, 1, func(p *armci.Proc, l *laps) {
 			// Absorb start-up skew so the makespan is the workload's own.
 			p.MPIBarrier()
 			t0 := p.Now()
 			body(p)
-			times.add(p.Rank(), us(p.Now()-t0))
+			l.add(p.Rank(), 0, us(p.Now()-t0))
 		})
 		if err != nil {
 			return nil, fmt.Errorf("bench: workload %q: %w", spec, err)
 		}
-		var makespan float64
-		for _, row := range times.vals {
-			for _, v := range row {
-				if v > makespan {
-					makespan = v
-				}
-			}
-		}
 		res.Rows = append(res.Rows, WorkloadRow{
 			Spec:  workload.Format(sp),
-			US:    makespan,
-			Sends: rep.Stats.Sends(),
-			Bytes: rep.Stats.Bytes(),
+			US:    slices.Max(l.col(0)),
+			Sends: l.report.Stats.Sends(),
+			Bytes: l.report.Stats.Bytes(),
 		})
 	}
 	return res, nil

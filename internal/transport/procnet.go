@@ -175,7 +175,7 @@ func (l *procLink) interrupted(server bool) error {
 func (l *procLink) onData(body []byte) {
 	m, err := wire.Decode(body)
 	if err != nil {
-		l.f.panics <- fmt.Errorf("procnet: node %d received corrupt frame: %w", l.env.Node, err)
+		l.f.report(fmt.Errorf("procnet: node %d received corrupt frame: %w", l.env.Node, err))
 		return
 	}
 	l.f.arrive(l.f.mailboxes[m.Dst], m)
@@ -190,7 +190,7 @@ func (l *procLink) onFault(fe *pipeline.FaultError) {
 	f.shutdown = true
 	f.cond.Broadcast()
 	f.mu.Unlock()
-	f.panics <- fe
+	f.report(fe)
 }
 
 // onView installs a membership view. A newer epoch is a membership

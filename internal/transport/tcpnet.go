@@ -150,12 +150,7 @@ func (l *tcpLink) read(c net.Conn) {
 			m, err = wire.Decode(body)
 		}
 		if err != nil {
-			// Several readers can fail at once and Run may already be
-			// gone: never block, the first report is the one Run returns.
-			select {
-			case l.f.panics <- fmt.Errorf("tcpnet: endpoint %v received corrupt frame: %w", dst, err):
-			default:
-			}
+			l.f.report(fmt.Errorf("tcpnet: endpoint %v received corrupt frame: %w", dst, err))
 			return
 		}
 		l.f.arrive(q, m)

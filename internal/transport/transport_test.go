@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"armci/internal/cluster"
 	"armci/internal/model"
 	"armci/internal/msg"
 	"armci/internal/pipeline"
@@ -936,5 +937,32 @@ func TestTCPCorruptFramesFailRunOnceAndLeakNothing(t *testing.T) {
 	}
 	if afterG := settledGoroutines(beforeG); afterG > beforeG {
 		t.Fatalf("%d reader goroutines leaked (%d -> %d)", afterG-beforeG, beforeG, afterG)
+	}
+}
+
+// TestProcCorruptFramesNeverBlockTheReader: the session readers report
+// into the fabric after Run may have returned and stopped draining. More
+// corrupt frames than the report channel has slots must be dropped, not
+// park a reader forever.
+func TestProcCorruptFramesNeverBlockTheReader(t *testing.T) {
+	f, err := NewProc(Config{Procs: 2, ProcsPerNode: 1},
+		cluster.WorkerEnv{Node: 0, Procs: 2, ProcsPerNode: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < cap(f.panics)+2; i++ {
+			f.proc.onData([]byte{0xff, 0xff, 0xff})
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("onData blocked on a full report channel with nobody draining it")
+	}
+	if len(f.panics) != cap(f.panics) {
+		t.Fatalf("%d of %d report slots used: the corrupt frames were not reported", len(f.panics), cap(f.panics))
 	}
 }

@@ -201,6 +201,16 @@ func (f *wallFabric) runActor(spec actorSpec, wg *sync.WaitGroup) {
 	spec.body(&wallEnv{f: f, addr: spec.addr, q: f.mailboxes[spec.addr], recvTag: "recv@" + spec.addr.String()})
 }
 
+// report hands a link-side failure to Run without ever blocking: several
+// readers can fail at once and Run may already be gone, so a full
+// channel drops the report — the first one is the one Run returns.
+func (f *wallFabric) report(err error) {
+	select {
+	case f.panics <- err:
+	default:
+	}
+}
+
 // stop releases every server from its serve loop.
 func (f *wallFabric) stop() {
 	f.mu.Lock()

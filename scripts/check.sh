@@ -1,12 +1,14 @@
 #!/bin/sh
-# check.sh — the full local verification gate: vet, build, tests, and the
-# race detector over every package. CI and the tier-1 verify in ROADMAP.md
+# check.sh — the full local verification gate: gofmt, vet, build, tests, and
+# the race detector over every package. CI and the tier-1 verify in ROADMAP.md
 # run the same steps; use `make check` or run this directly before sending
 # a change.
 set -eux
 
 cd "$(dirname "$0")/.."
 
+# Formatting first: it is the cheapest step, and nothing else enforces it.
+test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test ./...
@@ -35,3 +37,5 @@ go run ./cmd/armci-run -n 4 -workload elastic -elastic -faults crashrank=1@3
 # cannot flake on a loaded machine; run `make benchcheck` for the full
 # comparison including wall-clock metrics.
 sh scripts/benchdiff.sh -quick
+# The number simplicity PRs quote: non-test Go lines, benchmark/ excluded.
+sh scripts/loc.sh | tail -1
