@@ -29,10 +29,12 @@ loc:
 	sh scripts/loc.sh
 
 # The multi-process smoke: launch a smoke-sized Fig. 7 point across 4
-# real OS processes via armci-run and require a clean rendezvous, run
-# and drain. check runs this too; this target is the standalone version.
+# real OS processes via armci-run, then across 2 hosting 2 ranks each
+# (same-node traffic), and require a clean rendezvous, run and drain.
+# check runs this too; this target is the standalone version.
 procsmoke:
 	$(GO) run ./cmd/armci-run -n 4 -workload fig7-small
+	$(GO) run ./cmd/armci-run -n 4 -ppn 2 -workload fig7-small
 
 # The reliability soak: every lock and barrier algorithm on every fabric
 # under bursty packet loss, with the race detector on. check's race pass

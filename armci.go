@@ -17,9 +17,10 @@
 //     correctness and stress testing;
 //   - FabricTCP — real goroutines whose every message crosses a loopback
 //     TCP socket, the "emulated over sockets" configuration;
-//   - FabricProc — one SMP node per OS process, rendezvoused and routed
+//   - FabricProc — one SMP node per OS process, launched and rendezvoused
 //     by cmd/armci-run: the multi-process cluster runtime, where every
-//     remote message crosses a real process boundary.
+//     message crosses a socket and every inter-node one a real process
+//     boundary, worker to worker.
 //
 // The synchronization operations under study are exposed on Proc:
 // AllFence+MPIBarrier (the original GA_Sync path), Barrier (the paper's

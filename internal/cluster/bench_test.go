@@ -9,39 +9,25 @@ import (
 )
 
 // BenchmarkSessionSend measures the procnet hot path: encoding one
-// small message into the session's reused frame buffer and shipping it
-// through the coordinator star to the peer worker. This is the figure
-// the bench baseline tracks as hotpath/procnet_send/ns_op.
+// small message into the peer connection's reused frame buffer and
+// writing it to the socket this worker dialed to the destination's
+// worker, whose reader runs beside it. This is the figure the bench
+// baseline tracks as hotpath/procnet_send/ns_op.
 func BenchmarkSessionSend(b *testing.B) {
-	co, err := NewCoordinator(Config{Procs: 2, Cookie: 7})
-	if err != nil {
-		b.Fatalf("NewCoordinator: %v", err)
-	}
-	defer co.Close()
-
 	var received atomic.Int64
-	h1 := Handlers{Data: func(body []byte) { received.Add(1) }}
-	ch0 := joinAsync(testEnv(co, 0), Handlers{})
-	ch1 := joinAsync(testEnv(co, 1), h1)
-	r0, r1 := <-ch0, <-ch1
-	if r0.err != nil || r1.err != nil {
-		b.Fatalf("join: node0=%v node1=%v", r0.err, r1.err)
-	}
-	defer r0.s.Close()
-	defer r1.s.Close()
+	_, sess := startCluster(b, Config{Procs: 2, Cookie: 7}, func(node int) Handlers {
+		return Handlers{Data: func(body []byte) { received.Add(1) }}
+	})
 
 	m := &msg.Message{Kind: msg.KindPut, Src: msg.User(0), Dst: msg.User(1), Data: make([]byte, 64)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Seq = uint64(i + 1)
-		if err := r0.s.SendMsg(m); err != nil {
-			b.Fatalf("SendMsg: %v", err)
-		}
+		sess[0].SendMsg(m)
 	}
 	b.StopTimer()
-	// Drain before teardown so the coordinator is not mid-route when
-	// the connections drop.
+	// Let the receiver finish before teardown closes its socket.
 	deadline := time.Now().Add(10 * time.Second)
 	for received.Load() < int64(b.N) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

@@ -1,18 +1,19 @@
 // Package cluster is the multi-process runtime underneath the proc
-// fabric: rendezvous and membership, inter-process message routing, and
+// fabric: rendezvous and membership, worker-to-worker data sockets, and
 // failure detection for armci workers running as separate OS processes.
 //
-// The topology is a star for control, with lazily dialed direct peer
-// connections for data where a worker advertises a listener (the
-// in-process tcpnet link dials its pairs the same way). A coordinator
-// (owned by the launcher, cmd/armci-run) listens on a TCP address; each
-// worker process hosts one SMP node — that node's user ranks, data server
-// and NIC agent as goroutines — and dials the coordinator exactly once.
-// Admission requires a versioned hello
-// handshake (magic, protocol version, node claim, cluster shape, launch
-// cookie); once all nodes have arrived the coordinator broadcasts the
-// roster and the run begins. Data frames are forwarded by peeking the
-// destination address (wire.PeekDst) without a full decode.
+// Control is a star, data is not. A coordinator (owned by the launcher,
+// cmd/armci-run) listens on a TCP address; each worker process hosts one
+// SMP node — that node's user ranks, data server and NIC agent as
+// goroutines — and dials the coordinator exactly once. Admission
+// requires a versioned hello handshake (magic, protocol version, node
+// claim, cluster shape, launch cookie); once all nodes have arrived the
+// coordinator broadcasts the roster and the membership view, which
+// carries every worker's data-listener address, and the run begins. The
+// coordinator carries control frames only: every message, same-node ones
+// included, crosses a socket the sending worker dials on first send to
+// the destination worker's listener (as the in-process tcpnet link dials
+// its pairs).
 //
 // Failure detection is two-layered and wall-clock based: a worker whose
 // connection drops (process death — the common, instantaneous signal) or
@@ -43,8 +44,9 @@ import (
 )
 
 // Cluster frame types, carried as the first byte of every frame body on
-// a coordinator⇄worker connection. All frames reuse the wire package's
-// length-prefixed framing.
+// a coordinator⇄worker connection and of the hello that opens a peer
+// connection. All frames reuse the wire package's length-prefixed
+// framing.
 const (
 	// frameHello: worker → coordinator; payload is a wire.ClusterHello
 	// body. Must be the first frame on every connection.
@@ -56,10 +58,10 @@ const (
 	// joined; payload echoes the cluster shape (procs, ppn, nodes). Its
 	// arrival is the admission acknowledgment and the start signal.
 	frameRoster
-	// frameData: either direction; payload is a complete wire message
-	// frame (inner length prefix + encoded message body). The
-	// coordinator forwards it to the destination endpoint's node.
-	frameData
+	// 4 was the data frame the coordinator forwarded up to ClusterVersion
+	// 2. It stays unassigned so that one sent to the coordinator is an
+	// unknown frame — a declared fault — and never parses as control.
+	_
 	// framePing: worker → coordinator heartbeat; empty payload.
 	framePing
 	// frameUserDone: worker → coordinator; this node's user ranks all
@@ -90,10 +92,10 @@ const (
 	// replaced slot and whose Epoch is the sync epoch to resume from.
 	frameResume
 	// framePeerHello: worker → worker; the first frame on a lazily dialed
-	// direct peer connection. Payload is a wire.ClusterHello body (the
-	// dialer's node claim and launch cookie); validated like the
-	// coordinator handshake, after which the connection carries only
-	// frameData frames from dialer to acceptor.
+	// peer connection. Payload is a wire.ClusterHello body (the dialer's
+	// node claim, launch cookie, incarnation and own listener address);
+	// validated like the coordinator handshake, after which the connection
+	// carries bare wire message frames from dialer to acceptor.
 	framePeerHello
 )
 
@@ -118,9 +120,10 @@ func Listen(addr string) (net.Listener, error) {
 	return nil, fmt.Errorf("cluster: listen %s: %w", addr, lastErr)
 }
 
-// clusterConn wraps one coordinator⇄worker connection with a write
-// mutex and a reused frame buffer, so concurrent writers interleave
-// whole frames and steady-state sends do not allocate.
+// clusterConn wraps one connection — coordinator⇄worker or the dialed
+// end of a peer connection — with a write mutex and a reused frame
+// buffer, so concurrent writers interleave whole frames and steady-state
+// sends do not allocate.
 type clusterConn struct {
 	c   net.Conn
 	mu  sync.Mutex
@@ -136,29 +139,6 @@ func (cc *clusterConn) writeFrame(typ byte, payload []byte) error {
 	b = append(b, payload...)
 	cc.buf = b
 	return wire.WriteFrame(cc.c, b)
-}
-
-// writeRaw re-frames and writes an already-read frame body (type byte
-// included) — the coordinator's forwarding path.
-func (cc *clusterConn) writeRaw(body []byte) error {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	b := binary.LittleEndian.AppendUint32(cc.buf[:0], uint32(len(body)))
-	b = append(b, body...)
-	cc.buf = b
-	return wire.WriteFrame(cc.c, b)
-}
-
-// dataMsgBody extracts the encoded message body from a data frame's
-// payload (the inner wire frame), validating the inner length prefix.
-func dataMsgBody(payload []byte) ([]byte, error) {
-	if len(payload) < 4 {
-		return nil, fmt.Errorf("cluster: data frame of %d bytes lacks an inner message frame", len(payload))
-	}
-	if n := binary.LittleEndian.Uint32(payload); int(n) != len(payload)-4 {
-		return nil, fmt.Errorf("cluster: data frame inner length %d does not match %d payload bytes", n, len(payload)-4)
-	}
-	return payload[4:], nil
 }
 
 // nodeOf maps an endpoint address to the node hosting it: user ranks by

@@ -1,9 +1,15 @@
 package cluster
 
 import (
+	"errors"
+	"io"
 	"net"
+	"os"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -39,64 +45,313 @@ func testEnv(co *Coordinator, node int) WorkerEnv {
 	}
 }
 
-func TestRendezvousRoutingAndDrain(t *testing.T) {
+// startCluster brings up a coordinator for cfg and joins one Session per
+// node, with the handlers h returns for it. Everything is closed again
+// when the test ends.
+func startCluster(t testing.TB, cfg Config, h func(node int) Handlers) (*Coordinator, []*Session) {
+	t.Helper()
+	co, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	t.Cleanup(co.Close)
+	joins := make([]chan joinResult, co.cfg.numNodes())
+	for node := range joins {
+		joins[node] = joinAsync(testEnv(co, node), h(node))
+	}
+	sess := make([]*Session, len(joins))
+	var failed error
+	for node, ch := range joins {
+		r := <-ch
+		if r.err != nil {
+			failed = r.err
+			continue
+		}
+		sess[node] = r.s
+		t.Cleanup(r.s.Close)
+	}
+	if failed != nil {
+		t.Fatalf("join: %v", failed)
+	}
+	return co, sess
+}
+
+// runLaunch is one whole in-process launch of 4 ranks on 2 nodes:
+// rendezvous, one message from each node to every rank — its own two
+// included — drain, teardown, and a clean coordinator verdict. The
+// coordinator faults on a data frame, so that verdict also proves every
+// message, same-node ones too, took a worker-to-worker socket.
+func runLaunch(t *testing.T) {
+	t.Helper()
+	const procs, ppn = 4, 2
+	got := make(chan *msg.Message, procs*procs/ppn) // every send of the launch
+	co, sess := startCluster(t, Config{Procs: procs, ProcsPerNode: ppn, Cookie: 7}, func(int) Handlers {
+		return Handlers{Data: func(body []byte) {
+			m, derr := wire.Decode(body)
+			if derr != nil {
+				t.Errorf("decode delivered frame: %v", derr)
+				return
+			}
+			got <- m
+		}}
+	})
+	for node, s := range sess {
+		for rank := 0; rank < procs; rank++ {
+			m := &msg.Message{Kind: msg.KindPut, Src: msg.User(node * ppn), Dst: msg.User(rank), Seq: 1, Tag: 42, Data: []byte("ring token")}
+			s.SendMsg(m)
+		}
+	}
+	arrived := make(map[[2]int]bool) // (source rank, destination rank)
+	for len(arrived) < cap(got) {
+		select {
+		case m := <-got:
+			if m.Kind != msg.KindPut || m.Tag != 42 || string(m.Data) != "ring token" || arrived[[2]int{m.Src.ID, m.Dst.ID}] {
+				t.Fatalf("message mutated or duplicated on the way: got %+v", m)
+			}
+			arrived[[2]int{m.Src.ID, m.Dst.ID}] = true
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d messages arrived: %v", len(arrived), cap(got), arrived)
+		}
+	}
+
+	// Drain protocol: every node reports users done, every node observes
+	// the drain broadcast, and the coordinator settles cleanly.
+	for node, s := range sess {
+		if err := s.UserDone(); err != nil {
+			t.Fatalf("UserDone(%d): %v", node, err)
+		}
+	}
+	for node, s := range sess {
+		select {
+		case <-s.Drained():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("node %d never saw the drain broadcast", node)
+		}
+		s.Close()
+	}
+	if err := co.Wait(); err != nil {
+		t.Errorf("clean run: coordinator verdict = %v, want nil", err)
+	}
+}
+
+func TestRendezvousDirectSendAndDrain(t *testing.T) { runLaunch(t) }
+
+// TestClusterRunLeavesNoFDs: every socket a launch opens — the
+// coordinator's listener and its end of each worker connection, each
+// worker's listener, both ends of every peer connection — is closed once
+// the launch is over, and every goroutine behind them exits.
+func TestClusterRunLeavesNoFDs(t *testing.T) {
+	countFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no fd table to count: %v", err)
+		}
+		return len(ents)
+	}
+	// settled polls count until it is back at or below want, for up to
+	// 2 s: readers exit moments after their socket closes.
+	settled := func(count func() int, want int) int {
+		n := count()
+		for wait := time.Now(); n > want && time.Since(wait) < 2*time.Second; n = count() {
+			time.Sleep(10 * time.Millisecond)
+		}
+		return n
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // finalizers must not hide a leak
+	beforeG := runtime.NumGoroutine()
+	runLaunch(t) // the runtime's own descriptors (netpoller) exist from here on
+	settled(runtime.NumGoroutine, beforeG)
+	before := countFDs()
+	for i := 0; i < 8; i++ {
+		runLaunch(t)
+	}
+	if after := settled(countFDs, before); after > before {
+		t.Fatalf("8 launches leaked %d descriptors (%d -> %d)", after-before, before, after)
+	}
+	if afterG := settled(runtime.NumGoroutine, beforeG); afterG > beforeG {
+		t.Fatalf("9 launches leaked %d goroutines (%d -> %d)", afterG-beforeG, beforeG, afterG)
+	}
+}
+
+// rawHello dials addr and writes a hello of the given frame type.
+func rawHello(t *testing.T, addr string, typ byte, h wire.ClusterHello) *clusterConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial %s: %v", addr, err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	cc := &clusterConn{c: conn}
+	if err := cc.writeFrame(typ, wire.EncodeClusterHello(h)[4:]); err != nil {
+		t.Fatalf("write hello: %v", err)
+	}
+	return cc
+}
+
+// TestCoordinatorFaultsOnDataFrame: the coordinator is control-only. A
+// worker that passes the handshake and then sends it what used to be a
+// forwarded data frame (type 4, frameData, up to ClusterVersion 2) is
+// declared dead with a reason naming the frame type, like any other
+// sender of an unknown frame.
+func TestCoordinatorFaultsOnDataFrame(t *testing.T) {
+	const frameData = 4
 	co, err := NewCoordinator(Config{Procs: 2, Cookie: 7})
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
 	defer co.Close()
-
-	got := make(chan *msg.Message, 1)
-	h1 := Handlers{Data: func(body []byte) {
-		m, derr := wire.Decode(body)
-		if derr != nil {
-			t.Errorf("decode routed frame: %v", derr)
-			return
-		}
-		got <- m
-	}}
-	ch0 := joinAsync(testEnv(co, 0), Handlers{})
-	ch1 := joinAsync(testEnv(co, 1), h1)
-	r0, r1 := <-ch0, <-ch1
-	if r0.err != nil || r1.err != nil {
-		t.Fatalf("join: node0=%v node1=%v", r0.err, r1.err)
+	faultCh := make(chan *pipeline.FaultError, 1)
+	ch0 := joinAsync(testEnv(co, 0), Handlers{Fault: func(fe *pipeline.FaultError) { faultCh <- fe }})
+	cc := rawHello(t, co.Addr(), frameHello, wire.ClusterHello{Node: 1, Procs: 2, ProcsPerNode: 1, Cookie: 7})
+	r0 := <-ch0
+	if r0.err != nil {
+		t.Fatalf("join node 0: %v", r0.err)
 	}
-	s0, s1 := r0.s, r1.s
-	defer s0.Close()
-	defer s1.Close()
+	defer r0.s.Close()
 
-	want := &msg.Message{Kind: msg.KindPut, Src: msg.User(0), Dst: msg.User(1), Seq: 1, Tag: 42, Data: []byte("ring token")}
-	if err := s0.SendMsg(want); err != nil {
-		t.Fatalf("SendMsg: %v", err)
+	m := &msg.Message{Kind: msg.KindPut, Src: msg.User(1), Dst: msg.User(0), Seq: 1}
+	if err := cc.writeFrame(frameData, wire.Encode(m)); err != nil {
+		t.Fatalf("write data frame: %v", err)
+	}
+	werr := co.Wait()
+	var fe *pipeline.FaultError
+	if !errors.As(werr, &fe) || fe.Rank != 1 || fe.Kind != pipeline.FaultPeerLost || !strings.Contains(fe.Op, "unknown frame type 0x4") {
+		t.Fatalf("coordinator verdict = %v, want rank 1 lost over unknown frame type 0x4", werr)
 	}
 	select {
-	case m := <-got:
-		if m.Kind != want.Kind || m.Src != want.Src || m.Dst != want.Dst || m.Tag != want.Tag || string(m.Data) != string(want.Data) {
-			t.Errorf("routed message mutated: got %+v", m)
+	case sfe := <-faultCh:
+		if sfe.Rank != 1 || !strings.Contains(sfe.Op, "unknown frame type 0x4") {
+			t.Errorf("survivor's fault = %+v, want rank 1 and the frame type", sfe)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("routed message never arrived at node 1")
+		t.Error("surviving worker never heard the fault broadcast")
+	}
+}
+
+// TestPeerHelloInstallsRejoinerRoute covers the rejoin window: the
+// coordinator hands a respawned worker its view before it refreshes the
+// survivors', so a survivor can be asked something by a node whose
+// address its own view still has blank. The peer hello carries the
+// dialer's listener and incarnation, and the survivor installs it before
+// it delivers the connection's first frame — an answer sent from inside
+// the Data callback already has a route. A superseded incarnation and a
+// foreign cookie install nothing and are hung up on.
+func TestPeerHelloInstallsRejoinerRoute(t *testing.T) {
+	delivered := make(chan struct{}, 1)
+	var s0 *Session
+	_, sess := startCluster(t, Config{Procs: 2, Cookie: 7}, func(node int) Handlers {
+		if node != 0 {
+			return Handlers{}
+		}
+		return Handlers{Data: func(body []byte) {
+			s0.SendMsg(&msg.Message{Kind: msg.KindGetResp, Src: msg.ServerOf(0), Dst: msg.User(1), Seq: 1, Tag: 9})
+			delivered <- struct{}{}
+		}}
+	})
+	s0 = sess[0]
+	addr0 := s0.peerLn.Addr().String()
+
+	// The view a survivor holds while node 1's slot waits for its respawn.
+	s0.installView(wire.View{Epoch: 1, Dead: 1, Members: []wire.ViewMember{{Node: 0, Addr: addr0}, {Node: 1, Incarnation: 1}}})
+	s0.SendMsg(&msg.Message{Kind: msg.KindPut, Src: msg.User(0), Dst: msg.User(1), Seq: 1}) // unreachable: dropped
+
+	rejoiner, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rejoiner.Close()
+	hello := wire.ClusterHello{Node: 1, Procs: 2, ProcsPerNode: 1, Cookie: 7, Incarnation: 1, PeerAddr: rejoiner.Addr().String()}
+	cc := rawHello(t, addr0, framePeerHello, hello)
+	if err := cc.writeMsg(&msg.Message{Kind: msg.KindGet, Src: msg.User(1), Dst: msg.ServerOf(0), Seq: 1}); err != nil {
+		t.Fatalf("write restore read: %v", err)
+	}
+	select {
+	case <-delivered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the rejoiner's frame was never delivered")
+	}
+	// The answer arrives on a connection node 0 dialed to the address
+	// from the hello: its own peer hello first, then the bare frame.
+	rejoiner.(*net.TCPListener).SetDeadline(time.Now().Add(5 * time.Second))
+	back, err := rejoiner.Accept()
+	if err != nil {
+		t.Fatalf("node 0 never dialed the rejoiner: %v", err)
+	}
+	defer back.Close()
+	back.SetDeadline(time.Now().Add(5 * time.Second))
+	if body, err := wire.ReadFrame(back); err != nil || len(body) < 1 || body[0] != framePeerHello {
+		t.Fatalf("first frame from node 0 = %x, %v, want a peer hello", body, err)
+	}
+	body, err := wire.ReadFrame(back)
+	if err != nil {
+		t.Fatalf("read answer: %v", err)
+	}
+	if m, derr := wire.Decode(body); derr != nil || m.Kind != msg.KindGetResp || m.Tag != 9 {
+		t.Fatalf("answer = %+v, %v, want the tagged get response", m, derr)
 	}
 
-	// Drain protocol: both nodes report users done, both observe the
-	// drain broadcast, and the coordinator settles cleanly.
-	if err := s0.UserDone(); err != nil {
-		t.Fatalf("UserDone(0): %v", err)
-	}
-	if err := s1.UserDone(); err != nil {
-		t.Fatalf("UserDone(1): %v", err)
-	}
-	for i, s := range []*Session{s0, s1} {
-		select {
-		case <-s.Drained():
-		case <-time.After(5 * time.Second):
-			t.Fatalf("node %d never saw the drain broadcast", i)
+	for name, bad := range map[string]wire.ClusterHello{
+		"stale incarnation": {Node: 1, Procs: 2, ProcsPerNode: 1, Cookie: 7, Incarnation: 0, PeerAddr: "127.0.0.1:1"},
+		"wrong cookie":      {Node: 1, Procs: 2, ProcsPerNode: 1, Cookie: 8, Incarnation: 2, PeerAddr: "127.0.0.1:1"},
+	} {
+		cc := rawHello(t, addr0, framePeerHello, bad)
+		cc.writeMsg(&msg.Message{Kind: msg.KindGet, Src: msg.User(1), Dst: msg.ServerOf(0), Seq: 2})
+		if _, err := wire.ReadFrame(cc.c); !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) {
+			t.Errorf("%s: connection still open (%v), want it dropped", name, err)
+		}
+		s0.peerMu.Lock()
+		inc, addr := s0.peerInc[1], s0.peerAddrs[1]
+		s0.peerMu.Unlock()
+		if inc != 1 || addr != hello.PeerAddr {
+			t.Errorf("%s: installed incarnation %d at %s, want the route left at incarnation 1 at %s", name, inc, addr, hello.PeerAddr)
 		}
 	}
-	s0.Close()
-	s1.Close()
-	if err := co.Wait(); err != nil {
-		t.Errorf("clean run: coordinator verdict = %v, want nil", err)
+	select {
+	case <-delivered:
+		t.Error("a frame behind a refused hello was delivered")
+	default:
+	}
+}
+
+// TestCoordinatorDeathIsAttributed is the worker-side bound for losing
+// the coordinator, the launch's single point of failure: every session's
+// Fault handler fires exactly once, within 2 s, naming that worker's own
+// first rank and the lost coordinator, and no SendMsg blocks afterwards.
+func TestCoordinatorDeathIsAttributed(t *testing.T) {
+	const procs, ppn = 4, 2
+	faults := make([]chan *pipeline.FaultError, procs/ppn)
+	co, sess := startCluster(t, Config{Procs: procs, ProcsPerNode: ppn, Cookie: 7}, func(node int) Handlers {
+		faults[node] = make(chan *pipeline.FaultError, 2) // room to catch a second firing
+		return Handlers{Fault: func(fe *pipeline.FaultError) { faults[node] <- fe }}
+	})
+	co.Close()
+	for node, s := range sess {
+		select {
+		case fe := <-faults[node]:
+			if fe.Kind != pipeline.FaultPeerLost || fe.Rank != node*ppn || !strings.Contains(fe.Op, "lost the coordinator") {
+				t.Errorf("node %d fault = %+v, want FaultPeerLost on rank %d naming the lost coordinator", node, fe, node*ppn)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("node %d never noticed the coordinator die", node)
+		}
+		sent := make(chan struct{})
+		go func() {
+			defer close(sent)
+			for rank := 0; rank < procs; rank++ {
+				s.SendMsg(&msg.Message{Kind: msg.KindPut, Src: msg.User(node * ppn), Dst: msg.User(rank), Seq: 1})
+			}
+		}()
+		select {
+		case <-sent:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("node %d: SendMsg blocked after the coordinator died", node)
+		}
+	}
+	for node := range sess {
+		if extra := len(faults[node]); extra != 0 {
+			t.Errorf("node %d: Fault handler fired %d more times", node, extra)
+		}
 	}
 }
 
@@ -183,22 +438,15 @@ func TestRendezvousTimeout(t *testing.T) {
 // surviving worker's fault callback attribute the loss to the dead
 // worker's rank.
 func TestConnLossFault(t *testing.T) {
-	co, err := NewCoordinator(Config{Procs: 2, Cookie: 7})
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
-	defer co.Close()
-
 	faultCh := make(chan *pipeline.FaultError, 1)
-	ch0 := joinAsync(testEnv(co, 0), Handlers{Fault: func(fe *pipeline.FaultError) { faultCh <- fe }})
-	ch1 := joinAsync(testEnv(co, 1), Handlers{})
-	r0, r1 := <-ch0, <-ch1
-	if r0.err != nil || r1.err != nil {
-		t.Fatalf("join: node0=%v node1=%v", r0.err, r1.err)
-	}
-	defer r0.s.Close()
+	co, sess := startCluster(t, Config{Procs: 2, Cookie: 7}, func(node int) Handlers {
+		if node != 0 {
+			return Handlers{}
+		}
+		return Handlers{Fault: func(fe *pipeline.FaultError) { faultCh <- fe }}
+	})
 
-	r1.s.cc.c.Close() // node 1 dies abruptly, without the drain protocol
+	sess[1].cc.c.Close() // node 1 dies abruptly, without the drain protocol
 
 	werr := co.Wait()
 	fe, ok := werr.(*pipeline.FaultError)
@@ -242,6 +490,7 @@ func TestHeartbeatTimeout(t *testing.T) {
 	defer r0.s.Close()
 	defer r1.s.Close()
 
+	joined := time.Now()
 	werr := co.Wait()
 	fe, ok := werr.(*pipeline.FaultError)
 	if !ok {
@@ -249,6 +498,11 @@ func TestHeartbeatTimeout(t *testing.T) {
 	}
 	if fe.Rank != 1 || fe.Kind != pipeline.FaultPeerLost {
 		t.Errorf("verdict = %+v, want Rank 1, FaultPeerLost", fe)
+	}
+	// Whichever worker joined first: the join window must not stretch the
+	// first heartbeat deadline.
+	if took := time.Since(joined); took > 5*time.Second {
+		t.Errorf("silence took %v to notice at a 300ms heartbeat timeout", took)
 	}
 	if !strings.Contains(fe.Op, "silent") {
 		t.Errorf("verdict op %q does not describe the silence", fe.Op)
@@ -321,17 +575,11 @@ func TestFromEnvMalformed(t *testing.T) {
 // race detector: many goroutines sending on one session must interleave
 // whole frames.
 func TestSendMsgConcurrent(t *testing.T) {
-	co, err := NewCoordinator(Config{Procs: 2, Cookie: 7})
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
-	defer co.Close()
-
 	const msgs = 64
 	var mu sync.Mutex
 	seen := 0
 	done := make(chan struct{})
-	h1 := Handlers{Data: func(body []byte) {
+	h := Handlers{Data: func(body []byte) {
 		if _, derr := wire.Decode(body); derr != nil {
 			t.Errorf("interleaved frame corrupt: %v", derr)
 		}
@@ -342,14 +590,7 @@ func TestSendMsgConcurrent(t *testing.T) {
 		}
 		mu.Unlock()
 	}}
-	ch0 := joinAsync(testEnv(co, 0), Handlers{})
-	ch1 := joinAsync(testEnv(co, 1), h1)
-	r0, r1 := <-ch0, <-ch1
-	if r0.err != nil || r1.err != nil {
-		t.Fatalf("join: node0=%v node1=%v", r0.err, r1.err)
-	}
-	defer r0.s.Close()
-	defer r1.s.Close()
+	_, sess := startCluster(t, Config{Procs: 2, Cookie: 7}, func(int) Handlers { return h })
 
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -358,10 +599,7 @@ func TestSendMsgConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < msgs; i++ {
 				m := &msg.Message{Kind: msg.KindPut, Src: msg.User(0), Dst: msg.User(1), Seq: uint64(w*msgs + i + 1), Data: []byte("payload")}
-				if err := r0.s.SendMsg(m); err != nil {
-					t.Errorf("SendMsg: %v", err)
-					return
-				}
+				sess[0].SendMsg(m)
 			}
 		}(w)
 	}

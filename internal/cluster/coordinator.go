@@ -10,8 +10,8 @@ import (
 	"armci/internal/wire"
 )
 
-// Config describes one coordinator — the rendezvous point and message
-// router of a multi-process launch.
+// Config describes one coordinator — the rendezvous point and control
+// plane of a multi-process launch.
 type Config struct {
 	// Procs is the total user-process (rank) count of the launch.
 	Procs int
@@ -28,8 +28,8 @@ type Config struct {
 	// 30s.
 	JoinTimeout time.Duration
 	// HeartbeatTimeout is how long a worker connection may stay silent
-	// (no pings, no data) before the worker is declared dead. Defaults
-	// to 5s. Workers ping at a fraction of this (see WorkerEnv).
+	// (no pings, no control frames) before the worker is declared dead.
+	// Defaults to 5s. Workers ping at a fraction of this (see WorkerEnv).
 	HeartbeatTimeout time.Duration
 	// Logf, if non-nil, receives diagnostic log lines (rejections,
 	// fault declarations).
@@ -79,8 +79,10 @@ func (c *Config) normalize() error {
 func (c *Config) numNodes() int { return (c.Procs + c.ProcsPerNode - 1) / c.ProcsPerNode }
 
 // Coordinator accepts worker connections, admits them through the hello
-// handshake, broadcasts the roster, routes data frames between nodes,
-// and watches each worker's liveness. One Coordinator serves one launch.
+// handshake, broadcasts the roster and the membership views, runs the
+// drain and cluster-barrier services, and watches each worker's
+// liveness. It carries no data: every frame it writes it originated.
+// One Coordinator serves one launch.
 type Coordinator struct {
 	cfg Config
 	ln  net.Listener
@@ -185,10 +187,7 @@ func (co *Coordinator) finish(err error) {
 	co.doneOnce.Do(func() {
 		co.mu.Lock()
 		co.err = err
-		conns := make([]*clusterConn, 0, len(co.conns))
-		for _, cc := range co.conns {
-			conns = append(conns, cc)
-		}
+		conns := co.connsLocked(-1)
 		co.mu.Unlock()
 		co.ln.Close()
 		for _, cc := range conns {
@@ -199,19 +198,19 @@ func (co *Coordinator) finish(err error) {
 }
 
 // serveConn runs one worker connection: handshake, then the read loop
-// with per-read liveness deadlines.
+// with per-read liveness deadlines. The socket is closed here on every
+// exit: connFinished and elasticRecover unregister it, so finish cannot.
 func (co *Coordinator) serveConn(c net.Conn) {
+	defer c.Close()
 	cc := &clusterConn{c: c}
 	c.SetReadDeadline(time.Now().Add(co.cfg.JoinTimeout))
 	body, err := wire.ReadFrame(c)
 	if err != nil {
-		c.Close()
 		return
 	}
 	node, rerr := co.admit(cc, body)
 	if rerr != nil {
 		cc.writeFrame(frameReject, []byte(rerr.Error()))
-		c.Close()
 		co.cfg.Logf("cluster: rejected %v: %v", c.RemoteAddr(), rerr)
 		return
 	}
@@ -225,8 +224,9 @@ func (co *Coordinator) serveConn(c net.Conn) {
 		if !co.rosterSent {
 			dl += co.cfg.JoinTimeout
 		}
+		parked := time.Now()
+		c.SetReadDeadline(parked.Add(dl))
 		co.mu.Unlock()
-		c.SetReadDeadline(time.Now().Add(dl))
 
 		body, err := wire.ReadFrame(c)
 		if err != nil {
@@ -240,7 +240,7 @@ func (co *Coordinator) serveConn(c net.Conn) {
 			}
 			reason := fmt.Sprintf("connection to worker node %d lost (%v)", node, err)
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				reason = fmt.Sprintf("worker node %d went silent: no heartbeat for %v", node, dl)
+				reason = fmt.Sprintf("worker node %d went silent: no heartbeat for %v", node, time.Since(parked).Round(time.Millisecond))
 			}
 			if co.elasticRecover(node, reason) {
 				return
@@ -253,8 +253,6 @@ func (co *Coordinator) serveConn(c net.Conn) {
 		}
 		switch body[0] {
 		case framePing:
-		case frameData:
-			co.route(node, body)
 		case frameUserDone:
 			co.userDone(node)
 		case frameEpoch:
@@ -317,12 +315,7 @@ func (co *Coordinator) admit(cc *clusterConn, body []byte) (int, error) {
 		// and current view directly, and refresh everyone else's view so
 		// survivors learn its new peer address.
 		view := co.viewLocked()
-		others := make([]*clusterConn, 0, len(co.conns))
-		for n, other := range co.conns {
-			if n != h.Node {
-				others = append(others, other)
-			}
-		}
+		others := co.connsLocked(h.Node)
 		co.mu.Unlock()
 		cc.writeFrame(frameRoster, rosterPayload(co.cfg.Procs, co.cfg.ProcsPerNode, co.cfg.numNodes()))
 		payload := wire.EncodeView(view)
@@ -338,13 +331,15 @@ func (co *Coordinator) admit(cc *clusterConn, body []byte) (int, error) {
 	if complete {
 		co.rosterSent = true
 	}
-	conns := make([]*clusterConn, 0, len(co.conns))
-	for _, other := range co.conns {
-		conns = append(conns, other)
-	}
+	var conns []*clusterConn
 	var view wire.View
 	if complete {
-		view = co.viewLocked()
+		conns, view = co.connsLocked(-1), co.viewLocked()
+		for _, other := range conns {
+			// A reader parked since before the roster holds a deadline
+			// sized for the join window; heartbeats are due from now on.
+			other.c.SetReadDeadline(time.Now().Add(co.cfg.HeartbeatTimeout))
+		}
 	}
 	co.mu.Unlock()
 
@@ -359,6 +354,19 @@ func (co *Coordinator) admit(cc *clusterConn, body []byte) (int, error) {
 	return h.Node, nil
 }
 
+// connsLocked snapshots the admitted connections, all but node except's
+// (-1 for none), so that frames are written to them outside co.mu.
+// Callers hold co.mu.
+func (co *Coordinator) connsLocked(except int) []*clusterConn {
+	conns := make([]*clusterConn, 0, len(co.conns))
+	for n, cc := range co.conns {
+		if n != except {
+			conns = append(conns, cc)
+		}
+	}
+	return conns
+}
+
 // viewLocked renders the current membership view. Callers hold co.mu.
 func (co *Coordinator) viewLocked() wire.View {
 	v := wire.View{Epoch: co.viewEpoch, Dead: co.deadNode}
@@ -371,31 +379,6 @@ func (co *Coordinator) viewLocked() wire.View {
 	return v
 }
 
-// route forwards a data frame to the node hosting its destination
-// endpoint. A missing destination (torn down during a fault) drops the
-// frame; a write failure is left to the destination's own read loop to
-// diagnose.
-func (co *Coordinator) route(from int, body []byte) {
-	msgBody, err := dataMsgBody(body[1:])
-	if err != nil {
-		co.declareFault(from, fmt.Sprintf("worker node %d sent a corrupt data frame: %v", from, err))
-		return
-	}
-	dst, err := wire.PeekDst(msgBody)
-	if err != nil {
-		co.declareFault(from, fmt.Sprintf("worker node %d sent an unroutable data frame: %v", from, err))
-		return
-	}
-	node := nodeOf(dst, co.cfg.numNodes(), co.cfg.ProcsPerNode)
-	co.mu.Lock()
-	cc := co.conns[node]
-	co.mu.Unlock()
-	if cc == nil {
-		return
-	}
-	cc.writeRaw(body)
-}
-
 // userDone records one node's user ranks finishing; when every node has
 // reported, the drain broadcast tells workers to stop their servers.
 func (co *Coordinator) userDone(node int) {
@@ -406,10 +389,7 @@ func (co *Coordinator) userDone(node int) {
 		return
 	}
 	co.drainSent = true
-	conns := make([]*clusterConn, 0, len(co.conns))
-	for _, cc := range co.conns {
-		conns = append(conns, cc)
-	}
+	conns := co.connsLocked(-1)
 	co.mu.Unlock()
 	for _, cc := range conns {
 		cc.writeFrame(frameDrain, nil)
@@ -448,12 +428,7 @@ func (co *Coordinator) declareFault(node int, reason string) {
 		return
 	}
 	co.fault = fe
-	conns := make([]*clusterConn, 0, len(co.conns))
-	for n, cc := range co.conns {
-		if n != node {
-			conns = append(conns, cc)
-		}
-	}
+	conns := co.connsLocked(node)
 	co.mu.Unlock()
 
 	co.cfg.Logf("cluster: fault: %v", fe)
@@ -492,10 +467,7 @@ func (co *Coordinator) elasticRecover(node int, reason string) bool {
 	epoch := co.viewEpoch
 	incarnation := co.inc[node]
 	view := co.viewLocked()
-	survivors := make([]*clusterConn, 0, len(co.conns))
-	for _, cc := range co.conns {
-		survivors = append(survivors, cc)
-	}
+	survivors := co.connsLocked(-1)
 	co.mu.Unlock()
 
 	co.cfg.Logf("cluster: view %d: node %d lost (%s), respawning incarnation %d", epoch, node, reason, incarnation)
@@ -544,10 +516,7 @@ func (co *Coordinator) onViewAck(node int, a wire.ViewAck) {
 	}
 	dead := co.deadNode
 	co.recovering = false
-	conns := make([]*clusterConn, 0, len(co.conns))
-	for _, cc := range co.conns {
-		conns = append(conns, cc)
-	}
+	conns := co.connsLocked(-1)
 	co.mu.Unlock()
 
 	co.cfg.Logf("cluster: view %d acked by all nodes, resuming from sync epoch %d", a.Epoch, resume)
@@ -574,10 +543,7 @@ func (co *Coordinator) epochArrive(node int, id uint64) {
 		return
 	}
 	delete(co.barriers, id)
-	conns := make([]*clusterConn, 0, len(co.conns))
-	for _, cc := range co.conns {
-		conns = append(conns, cc)
-	}
+	conns := co.connsLocked(-1)
 	co.mu.Unlock()
 
 	payload := wire.EncodeEpochReport(wire.EpochReport{Node: -1, Epoch: id})

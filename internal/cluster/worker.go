@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -16,8 +15,8 @@ import (
 // read loop. Both must be safe for concurrent use and non-blocking
 // enough not to stall the connection.
 type Handlers struct {
-	// Data receives the encoded message body of every data frame routed
-	// to this worker. nil drops data frames.
+	// Data receives the encoded message body of every frame a peer (or
+	// this worker itself) sent to this worker's listener. nil drops them.
 	Data func(body []byte)
 	// Fault is invoked exactly once if the launch fails — a peer was
 	// declared dead (the error carries the dead worker's first rank) or
@@ -36,14 +35,15 @@ type Handlers struct {
 	Release func(id uint64)
 }
 
-// Session is one worker's connection to its launch: it joins via the
-// hello handshake, sends and receives routed data frames, heartbeats
-// the coordinator, participates in the drain protocol and surfaces
-// cluster faults.
+// Session is one worker's membership of its launch: it joins via the
+// hello handshake, heartbeats the coordinator, participates in the drain
+// protocol and surfaces cluster faults over the coordinator connection,
+// and sends and receives messages over peer connections.
 type Session struct {
-	env WorkerEnv
-	cc  *clusterConn
-	h   Handlers
+	env   WorkerEnv
+	cc    *clusterConn
+	h     Handlers
+	hello []byte // this worker's hello body: one for the coordinator and every peer
 
 	drainCh   chan struct{}
 	drainOnce sync.Once
@@ -55,33 +55,34 @@ type Session struct {
 	err    *pipeline.FaultError
 	fOnce  sync.Once
 
-	// Direct peer routing state. Workers advertise a data listener in
-	// their hello; the coordinator redistributes the addresses through
-	// membership views, and the first send to a node dials it directly —
-	// lazily, so pairs that never communicate never hold a connection.
-	// The route per destination node is sticky (direct once dialed,
-	// coordinator once a dial failed) until a view change resets it, so
-	// one node pair's frames stay on a single FIFO path.
+	// Peer routing state. Workers advertise a data listener in their
+	// hello; the coordinator redistributes the addresses through
+	// membership views, and the first send to a node — this one included —
+	// dials it, lazily, so pairs that never communicate never hold a
+	// connection. A node is either connected (or connectable) or, once it
+	// has no address or a dial or write to it failed, unreachable until a
+	// view or a peer hello installs a newer member — so one node pair's
+	// frames stay on a single FIFO stream per incarnation.
 	peerLn    net.Listener
 	peerMu    sync.Mutex
-	peerConns map[int]*clusterConn // node → dialed direct connection
+	peerConns map[int]*clusterConn // node → dialed connection
 	peerAddrs []string             // node → advertised listener address
-	peerInc   []uint32             // node → incarnation, from the last view
-	peerBad   map[int]bool         // node → route via coordinator (sticky)
+	peerInc   []uint32             // node → incarnation of that address
+	peerBad   map[int]bool         // node → unreachable, frames dropped
 }
 
 // Join dials the coordinator (retrying until the join timeout, since
 // the worker may start before the launcher finishes binding), presents
 // the versioned hello, and blocks until the roster broadcast — i.e.
 // until every node of the launch has arrived. On return the session is
-// live: heartbeats flow and data frames are delivered to h.Data.
+// live: heartbeats flow and peers' frames are delivered to h.Data.
 func Join(env WorkerEnv, h Handlers) (*Session, error) {
 	if err := env.validate(); err != nil {
 		return nil, err
 	}
-	// The direct data listener opens before the hello so its address can
-	// be advertised; peers dial it lazily on their first send to this
-	// node.
+	// The data listener opens before the hello so its address can be
+	// advertised; peers dial it lazily on their first send to this node,
+	// and what they send before acceptPeers starts waits in the socket.
 	peerLn, lerr := Listen("127.0.0.1:0")
 	if lerr != nil {
 		return nil, fmt.Errorf("cluster: node %d peer listener: %w", env.Node, lerr)
@@ -119,13 +120,11 @@ func Join(env WorkerEnv, h Handlers) (*Session, error) {
 	}
 
 	conn.SetReadDeadline(deadline)
-	var early [][]byte // data frames that overtook our roster write
 	var initView *wire.View
 	haveRoster := false
 	// The handshake completes on the roster plus the initial membership
-	// view: peer addresses must be installed before the first send, so a
-	// node pair never switches between coordinator and direct routing
-	// mid-stream.
+	// view: peer addresses must be installed before the first send, or it
+	// would find every node unreachable.
 	for initView == nil || !haveRoster {
 		body, err := wire.ReadFrame(conn)
 		if err != nil {
@@ -148,16 +147,6 @@ func Join(env WorkerEnv, h Handlers) (*Session, error) {
 				return fail(fmt.Errorf("cluster: node %d: %w", env.Node, derr))
 			}
 			initView = &v
-		case frameData:
-			// The coordinator broadcasts the roster conn by conn, so a
-			// fast peer that already saw its roster can have a data frame
-			// routed here first. Hold it for delivery once the handshake
-			// completes.
-			mb, derr := dataMsgBody(body[1:])
-			if derr != nil {
-				return fail(fmt.Errorf("cluster: node %d: %w", env.Node, derr))
-			}
-			early = append(early, mb)
 		case frameFault:
 			// The launch already failed (a peer died mid-rendezvous).
 			rank, reason := parseFault(body[1:])
@@ -172,6 +161,7 @@ func Join(env WorkerEnv, h Handlers) (*Session, error) {
 		env:       env,
 		cc:        cc,
 		h:         h,
+		hello:     hello,
 		drainCh:   make(chan struct{}),
 		pingDone:  make(chan struct{}),
 		peerLn:    peerLn,
@@ -184,11 +174,6 @@ func Join(env WorkerEnv, h Handlers) (*Session, error) {
 	if h.View != nil {
 		h.View(*initView)
 	}
-	for _, mb := range early {
-		if h.Data != nil {
-			h.Data(mb)
-		}
-	}
 	go s.acceptPeers()
 	go s.readLoop()
 	go s.pingLoop()
@@ -198,51 +183,39 @@ func Join(env WorkerEnv, h Handlers) (*Session, error) {
 // Env returns the worker env the session joined with.
 func (s *Session) Env() WorkerEnv { return s.env }
 
-// writeDataMsg encodes m as a data frame on cc, reusing the
-// connection's frame buffer so steady-state sends do not allocate.
-func (cc *clusterConn) writeDataMsg(m *msg.Message) error {
+// writeMsg writes m as one bare wire frame — what a peer connection
+// carries after its hello — reusing the connection's frame buffer so
+// steady-state sends do not allocate.
+func (cc *clusterConn) writeMsg(m *msg.Message) error {
 	cc.mu.Lock()
-	b := append(cc.buf[:0], 0, 0, 0, 0, frameData)
-	b = wire.AppendEncode(b, m) // appends the inner [len][msg body] frame
-	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
-	cc.buf = b
-	err := wire.WriteFrame(cc.c, b)
-	cc.mu.Unlock()
-	return err
+	defer cc.mu.Unlock()
+	cc.buf = wire.AppendEncode(cc.buf[:0], m)
+	return wire.WriteFrame(cc.c, cc.buf)
 }
 
-// SendMsg ships m to the node hosting m.Dst — over a lazily dialed
-// direct peer connection when the destination advertises one, otherwise
-// through the coordinator's routing star. The caller must have stamped
-// the message through the pipeline first (Src, Dst, Seq).
-func (s *Session) SendMsg(m *msg.Message) error {
+// SendMsg ships m to the worker hosting m.Dst over the peer connection
+// to its node, dialed on first use. The caller must have stamped the
+// message through the pipeline first (Src, Dst, Seq). A frame for an
+// unreachable node is dropped, and a failed write makes the node
+// unreachable: whether the worker behind it is dead is the coordinator's
+// call, which this session hears as a fault or a view.
+func (s *Session) SendMsg(m *msg.Message) {
 	node := nodeOf(m.Dst, s.env.NumNodes(), s.env.ProcsPerNode)
-	if cc := s.peerConn(node); cc != nil {
-		if err := cc.writeDataMsg(m); err == nil {
-			return nil
-		}
-		// The direct path died mid-run (peer crash or teardown). Fall
-		// back to the coordinator, which either still routes to the node
-		// or has already begun declaring the loss.
-		s.dropPeer(node, true)
+	cc := s.peerConn(node)
+	if cc == nil || cc.writeMsg(m) == nil {
+		return
 	}
-	if err := s.cc.writeDataMsg(m); err != nil {
-		if fe := s.Err(); fe != nil {
-			return fe
-		}
-		return fmt.Errorf("cluster: node %d send: %w", s.env.Node, err)
+	s.peerMu.Lock()
+	if s.peerConns[node] == cc {
+		s.unreachableLocked(node)
 	}
-	return nil
+	s.peerMu.Unlock()
 }
 
-// peerConn returns the direct connection for a destination node, dialing
-// it on first use. Returns nil when the route for the node is the
-// coordinator: the destination is this node's own coordinator star (no
-// address yet), a previous dial failed, or a view change is mid-flight.
+// peerConn returns the connection to a destination node, dialing its
+// advertised listener on first use — this worker's own for a same-node
+// frame. Returns nil when the node is unreachable.
 func (s *Session) peerConn(node int) *clusterConn {
-	if node == s.env.Node {
-		return nil
-	}
 	s.peerMu.Lock()
 	defer s.peerMu.Unlock()
 	if node < 0 || node >= len(s.peerAddrs) || s.peerBad[node] {
@@ -251,74 +224,68 @@ func (s *Session) peerConn(node int) *clusterConn {
 	if cc := s.peerConns[node]; cc != nil {
 		return cc
 	}
-	addr := s.peerAddrs[node]
-	if addr == "" {
-		// No advertised listener (mid-recovery slot). Stick to the
-		// coordinator until the next view change so this pair's frames
-		// stay on one FIFO path.
-		s.peerBad[node] = true
+	if s.peerAddrs[node] == "" { // a slot between incarnations
+		s.unreachableLocked(node)
 		return nil
 	}
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	conn, err := net.DialTimeout("tcp", s.peerAddrs[node], 2*time.Second)
 	if err != nil {
-		s.peerBad[node] = true
+		s.unreachableLocked(node)
 		return nil
 	}
 	cc := &clusterConn{c: conn}
-	hello := wire.EncodeClusterHello(wire.ClusterHello{
-		Node:         s.env.Node,
-		Procs:        s.env.Procs,
-		ProcsPerNode: s.env.ProcsPerNode,
-		Cookie:       s.env.Cookie,
-		Incarnation:  s.env.Incarnation,
-	})[4:]
-	if err := cc.writeFrame(framePeerHello, hello); err != nil {
-		conn.Close()
-		s.peerBad[node] = true
+	s.peerConns[node] = cc
+	// The hello names this worker's own listener and incarnation, so the
+	// acceptor can always answer: see servePeer.
+	if err := cc.writeFrame(framePeerHello, s.hello); err != nil {
+		s.unreachableLocked(node)
 		return nil
 	}
-	s.peerConns[node] = cc
 	return cc
 }
 
-// dropPeer tears down the direct connection to a node. bad pins the
-// node's route to the coordinator until the next view change.
-func (s *Session) dropPeer(node int, bad bool) {
-	s.peerMu.Lock()
+// unreachableLocked closes and forgets the connection to node and drops
+// its frames from here on. Callers hold peerMu.
+func (s *Session) unreachableLocked(node int) {
 	if cc := s.peerConns[node]; cc != nil {
 		cc.c.Close()
 		delete(s.peerConns, node)
 	}
-	if bad {
-		s.peerBad[node] = true
-	}
-	s.peerMu.Unlock()
+	s.peerBad[node] = true
 }
 
 // installView records a membership view's peer addresses and
-// incarnations, resetting the route of every slot that changed.
+// incarnations.
 func (s *Session) installView(v wire.View) {
 	s.peerMu.Lock()
 	for _, m := range v.Members {
-		if m.Node < 0 || m.Node >= len(s.peerAddrs) {
-			continue
-		}
-		if m.Incarnation != s.peerInc[m.Node] || m.Addr != s.peerAddrs[m.Node] {
-			if cc := s.peerConns[m.Node]; cc != nil {
-				cc.c.Close()
-				delete(s.peerConns, m.Node)
-			}
-			delete(s.peerBad, m.Node)
-			s.peerInc[m.Node] = m.Incarnation
-			s.peerAddrs[m.Node] = m.Addr
-		}
+		s.installMemberLocked(m)
 	}
 	s.peerMu.Unlock()
 }
 
-// acceptPeers serves the direct data listener: each inbound connection
-// is a peer's lazily dialed send path, validated by a peer hello and
-// then drained for data frames until the peer closes it.
+// installMemberLocked is the one place a node's route changes: a newer
+// incarnation, or the address of the current one when none is known yet
+// (an incarnation has one listener for life, so a known address is never
+// replaced or blanked), drops the connection to the slot's previous
+// occupant and makes the node reachable again. It reports false for a
+// member older than the one installed. Callers hold peerMu.
+func (s *Session) installMemberLocked(m wire.ViewMember) bool {
+	if m.Node < 0 || m.Node >= len(s.peerAddrs) || m.Incarnation < s.peerInc[m.Node] {
+		return false
+	}
+	if m.Incarnation > s.peerInc[m.Node] || (s.peerAddrs[m.Node] == "" && m.Addr != "") {
+		s.unreachableLocked(m.Node) // hang up on the previous occupant
+		delete(s.peerBad, m.Node)
+		s.peerInc[m.Node] = m.Incarnation
+		s.peerAddrs[m.Node] = m.Addr
+	}
+	return true
+}
+
+// acceptPeers serves the data listener: each inbound connection is a
+// peer's lazily dialed send path, validated by a peer hello and then
+// drained for message frames until the peer closes it.
 func (s *Session) acceptPeers() {
 	for {
 		conn, err := s.peerLn.Accept()
@@ -337,9 +304,18 @@ func (s *Session) servePeer(conn net.Conn) {
 		return
 	}
 	h, err := wire.DecodeClusterHello(body[1:])
-	if err != nil || h.Cookie != s.env.Cookie ||
-		h.Procs != s.env.Procs || h.ProcsPerNode != s.env.ProcsPerNode ||
-		h.Node < 0 || h.Node >= s.env.NumNodes() {
+	if err != nil || h.Cookie != s.env.Cookie || h.PeerAddr == "" ||
+		h.Procs != s.env.Procs || h.ProcsPerNode != s.env.ProcsPerNode {
+		return
+	}
+	// A respawned worker gets its view, and may dial, before the
+	// coordinator refreshes this worker's: install the dialer from its
+	// hello, ahead of its first frame, so the answer to that frame has a
+	// route whichever arrives first. A superseded incarnation is refused.
+	s.peerMu.Lock()
+	current := s.installMemberLocked(wire.ViewMember{Node: h.Node, Incarnation: h.Incarnation, Addr: h.PeerAddr})
+	s.peerMu.Unlock()
+	if !current {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
@@ -348,15 +324,8 @@ func (s *Session) servePeer(conn net.Conn) {
 		if err != nil {
 			return // dialer closed the path; the coordinator judges liveness
 		}
-		if len(body) < 1 || body[0] != frameData {
-			continue
-		}
-		mb, derr := dataMsgBody(body[1:])
-		if derr != nil {
-			return
-		}
 		if s.h.Data != nil {
-			s.h.Data(mb)
+			s.h.Data(body)
 		}
 	}
 }
@@ -397,9 +366,7 @@ func (s *Session) Close() {
 		s.mu.Unlock()
 		close(s.pingDone)
 		s.cc.c.Close()
-		if s.peerLn != nil {
-			s.peerLn.Close()
-		}
+		s.peerLn.Close()
 		s.peerMu.Lock()
 		for node, cc := range s.peerConns {
 			cc.c.Close()
@@ -430,9 +397,9 @@ func (s *Session) fail(fe *pipeline.FaultError) {
 	})
 }
 
-// readLoop drains coordinator frames: data to the handler, drain to the
-// drain channel, fault broadcasts (and unexpected connection loss) to
-// the fault handler.
+// readLoop drains coordinator frames: drain to the drain channel, views,
+// resumes and barrier releases to their handlers, fault broadcasts (and
+// unexpected connection loss) to the fault handler.
 func (s *Session) readLoop() {
 	for {
 		body, err := wire.ReadFrame(s.cc.c)
@@ -454,19 +421,6 @@ func (s *Session) readLoop() {
 			continue
 		}
 		switch body[0] {
-		case frameData:
-			mb, derr := dataMsgBody(body[1:])
-			if derr != nil {
-				s.fail(&pipeline.FaultError{
-					Rank: s.env.FirstRank(),
-					Op:   derr.Error(),
-					Kind: pipeline.FaultPeerLost,
-				})
-				return
-			}
-			if s.h.Data != nil {
-				s.h.Data(mb)
-			}
 		case frameDrain:
 			s.drainOnce.Do(func() { close(s.drainCh) })
 		case frameFault:

@@ -13,8 +13,9 @@ import (
 
 // ProcFabric runs one SMP node's slice of a multi-process cluster
 // inside this OS process: the node's user ranks, data server and NIC
-// agent as goroutines, with every message crossing a real inter-process
-// TCP connection through the launch coordinator's star (see
+// agent as goroutines, with every message crossing a real TCP connection
+// this worker dials straight to the destination's worker — its own, for
+// a same-node message; the launch coordinator carries control only (see
 // internal/cluster). It is the fourth fabric — the same protocol code
 // that runs on simnet/channet/tcpnet runs here across genuine process
 // boundaries, launched by cmd/armci-run.
@@ -80,10 +81,11 @@ func (f *ProcFabric) SpawnServer(node int, body func(Env)) {
 	}
 }
 
-// procLink is the cluster.Session link: frames cross real inter-process
-// TCP connections set up by the launch rendezvous. It also owns what only
-// a multi-process run has — the cluster fault and the elastic membership
-// view — all guarded by the fabric's f.mu so the one wait loop sees it.
+// procLink is the cluster.Session link: frames cross worker-to-worker
+// TCP connections whose addresses the launch rendezvous hands out. It
+// also owns what only a multi-process run has — the cluster fault and
+// the elastic membership view — all guarded by the fabric's f.mu so the
+// one wait loop sees it.
 type procLink struct {
 	f    *wallFabric
 	env  cluster.WorkerEnv
@@ -122,11 +124,9 @@ func (l *procLink) up() error {
 	return nil
 }
 
-func (l *procLink) carry(m *msg.Message) {
-	if err := l.sess.SendMsg(m); err != nil {
-		l.sessFail(fmt.Sprintf("send %v -> %v", m.Src, m.Dst), err)
-	}
-}
+// carry cannot fail: a frame for a node the session cannot reach is
+// dropped, and the loss behind it arrives as a cluster fault or a view.
+func (l *procLink) carry(m *msg.Message) { l.sess.SendMsg(m) }
 
 // usersDone is the cluster drain. Local users finished, but the servers
 // must keep serving until every node's users have — remote ranks may

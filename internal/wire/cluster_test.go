@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"strings"
 	"testing"
-
-	"armci/internal/msg"
 )
 
 func TestClusterHelloRoundTrip(t *testing.T) {
@@ -58,21 +56,6 @@ func TestClusterHelloStrictness(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", name, err, tc.want)
 		}
-	}
-}
-
-func TestPeekDst(t *testing.T) {
-	m := &msg.Message{Kind: msg.KindPut, Src: msg.User(2), Dst: msg.ServerOf(5), Data: []byte{1}}
-	body := Encode(m)[4:]
-	dst, err := PeekDst(body)
-	if err != nil {
-		t.Fatalf("PeekDst: %v", err)
-	}
-	if dst != m.Dst {
-		t.Errorf("PeekDst = %v, want %v", dst, m.Dst)
-	}
-	if _, err := PeekDst(body[:10]); err == nil {
-		t.Error("PeekDst accepted a body too short to carry a destination")
 	}
 }
 

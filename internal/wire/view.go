@@ -20,9 +20,9 @@ type ViewMember struct {
 	// Incarnation is the spawn count of the process currently admitted
 	// for the slot (0 = initial launch).
 	Incarnation uint32
-	// Addr is the member's direct data-listener address, dialed lazily
-	// by peers on first send; empty when the member routes through the
-	// coordinator only.
+	// Addr is the member's data-listener address, dialed lazily by every
+	// worker on its first send to the node; empty while the slot waits
+	// for a respawned incarnation, which makes the node unreachable.
 	Addr string
 }
 

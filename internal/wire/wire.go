@@ -35,8 +35,11 @@ const ClusterMagic = 0x434d5241
 // changes incompatibly; mismatched peers are rejected with a descriptive
 // error instead of desynchronizing mid-run. Version 2 added the message
 // epoch field, the worker incarnation number and the peer data-listener
-// address (elastic membership).
-const ClusterVersion = 2
+// address (elastic membership). Version 3 removed the data frame from
+// coordinator connections and its envelope from peer connections, which
+// carry bare message frames after a hello that names the dialer's own
+// listener.
+const ClusterVersion = 3
 
 // clusterHelloFixed is the fixed prefix of a cluster hello frame body:
 // magic(4) + version(2) + node(4) + procs(4) + ppn(4) + cookie(8) +
@@ -44,7 +47,8 @@ const ClusterVersion = 2
 const clusterHelloFixed = 32
 
 // ClusterHello is the versioned handshake a multi-process worker presents
-// to the rendezvous coordinator before being admitted: which node it
+// to the rendezvous coordinator before being admitted, and to a peer
+// worker at the head of each data connection it dials: which node it
 // claims, the cluster shape it was launched with, and the shared-secret
 // cookie proving it belongs to this run.
 type ClusterHello struct {
@@ -61,9 +65,9 @@ type ClusterHello struct {
 	// (re)spawned: 0 for the initial launch, bumped by the coordinator
 	// on every elastic respawn so stale traffic is attributable.
 	Incarnation uint32
-	// PeerAddr is the worker's direct data-listener address, dialed
-	// lazily by peers on first send. Empty when the worker only routes
-	// through the coordinator.
+	// PeerAddr is the worker's data-listener address, dialed lazily by
+	// every worker (itself included) on its first send to this node. In
+	// a peer hello it tells the acceptor where to send its answers.
 	PeerAddr string
 }
 
@@ -109,16 +113,6 @@ func DecodeClusterHello(body []byte) (ClusterHello, error) {
 	}
 	h.PeerAddr = string(body[clusterHelloFixed:])
 	return h, nil
-}
-
-// PeekDst extracts the destination address of an encoded message body
-// without a full decode: it sits right after the kind (1 byte) and the
-// source address (5 bytes). Routers use it to forward frames cheaply.
-func PeekDst(body []byte) (msg.Addr, error) {
-	if len(body) < 11 {
-		return msg.Addr{}, fmt.Errorf("wire: message body of %d bytes too short to carry a destination", len(body))
-	}
-	return DecodeHello(body[6:11])
 }
 
 // EncodeHello builds the first frame on a tcpnet pair connection: just

@@ -24,8 +24,11 @@ go test -race -short ./...
 # kill-and-respawn): real OS worker processes, race detector on.
 go test -race -run Procnet .
 # The multi-process smoke: a 4-rank smoke-sized Fig. 7 point through
-# armci-run — real OS processes, rendezvous, routed puts, clean drain.
+# armci-run — real OS processes, rendezvous, puts over worker-to-worker
+# sockets, clean drain — then the same on 2 workers of 2 ranks each, where
+# a third of the frames are same-node and take a worker's socket to itself.
 go run ./cmd/armci-run -n 4 -workload fig7-small
+go run ./cmd/armci-run -n 4 -ppn 2 -workload fig7-small
 # The elastic smoke: the same 4-rank launch with one worker killed
 # mid-epoch and recovered by respawn; the launcher verifies every rank's
 # fingerprint (the respawned one included) against the pure-replay
