@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench benchcheck soak explore procsmoke loc
+.PHONY: build test check bench benchcheck golden soak explore procsmoke loc
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,13 @@ bench:
 # `go run ./cmd/armci-bench -baseline`.
 benchcheck:
 	sh scripts/benchdiff.sh
+
+# The harness's output contract in full: every figure regenerated and
+# diffed against the committed tables (sim virtual times reproduce byte
+# for byte). ~2.5 min, so not a check.sh step; TestGoldenTables holds the
+# cheap sections.
+golden:
+	$(GO) run ./cmd/armci-bench -fig all | diff -u results/all-tables.txt -
 
 # Non-test Go lines per package, benchmark/ excluded, total last — the
 # number simplicity PRs quote before and after.

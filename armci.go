@@ -7,7 +7,7 @@
 // servers inside one Go program. Processes issue one-sided operations
 // (put, get, accumulate, read-modify-write) against globally addressable
 // memory; operations on remote nodes travel as messages to that node's
-// data server, exactly as in ARMCI's client-server architecture. Three
+// data server, exactly as in ARMCI's client-server architecture. Four
 // execution fabrics are available:
 //
 //   - FabricSim — a deterministic discrete-event simulation with a
@@ -147,19 +147,6 @@ const (
 	BarrierKnomial       = collective.BarrierKnomial
 	BarrierHierarchical  = collective.BarrierHierarchical
 )
-
-// ParseBarrierAlg resolves a barrier algorithm name — the shared
-// vocabulary of the command-line tools ("auto", "pairwise",
-// "dissemination", "central", "knomial", "hierarchical").
-func ParseBarrierAlg(s string) (BarrierAlg, error) {
-	for _, a := range []BarrierAlg{BarrierAuto, BarrierPairwise, BarrierDissemination,
-		BarrierCentral, BarrierKnomial, BarrierHierarchical} {
-		if s == a.String() {
-			return a, nil
-		}
-	}
-	return 0, fmt.Errorf("armci: unknown barrier algorithm %q (want auto, pairwise, dissemination, central, knomial or hierarchical)", s)
-}
 
 // FabricKind selects the execution fabric.
 type FabricKind uint8

@@ -44,14 +44,14 @@ func main() {
 	log.SetPrefix("armci-bench: ")
 
 	var (
-		fig      = flag.String("fig", "all", "experiment: 7, 8, 9, 10, lock, lockcrash, elastic, crossover, crossover-n, counts, ablate, smallput, workloads, all")
+		fig      = flag.String("fig", "all", "experiment: 7, 8, 9, 10, lock, lockcrash, elastic, crossover, crossover-n, counts, ablate, striping, sensitivity, smallput, workloads, all")
 		workload = flag.String("workload", "", "with -fig workloads: semicolon-separated workload specs (default stencil;paramserver;prodcons;mixed)")
 		fabric   = flag.String("fabric", "sim", "fabric: sim, chan, tcp, proc (proc: multi-process, see -fabric proc notes)")
 		preset   = flag.String("preset", string(armci.PresetMyrinet2000), "cost model: myrinet2000, fast-ethernet, zero")
 		procsF   = flag.String("procs", "", "comma-separated process counts (default per experiment)")
 		reps     = flag.Int("reps", 0, "timed repetitions per point (default per experiment)")
 		iters    = flag.Int("iters", 0, "lock iterations per process (default 200)")
-		format   = flag.String("format", "table", "output format: table or csv (figs 7, 8, crossover)")
+		format   = flag.String("format", "table", "output format: table or csv (figs 7, 8, crossover, crossover-n, striping)")
 		timeline = flag.String("timeline", "", "write a per-message CSV timeline of one sync to this file and exit")
 		faultsF  = flag.String("faults", "", "fault-injection plan, e.g. jitter=500us,spike=2ms@0.05,dup=0.02,loss=0.05@2,rto=200us@4ms,retry=6,crash=2@40,seed=7")
 		hist     = flag.Bool("hist", false, "print per-kind message latency histograms after the experiment")

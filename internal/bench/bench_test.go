@@ -365,10 +365,11 @@ func TestSensitivityAcrossNetworks(t *testing.T) {
 }
 
 // TestGoldenTables is the harness's output contract: the cheap sections
-// of `armci-bench -fig all`, rendered through the same Format* calls at
-// the CLI's defaults, must appear byte for byte in the committed
-// results/all-tables.txt (sim virtual times are exactly reproducible).
-// A deliberate change regenerates the file with
+// of `armci-bench -fig all` and the small rows of its Crossover-N table,
+// rendered through the same Format* calls at the CLI's defaults, must
+// appear byte for byte in the committed results/all-tables.txt (sim
+// virtual times are exactly reproducible). `make golden` diffs the whole
+// file. A deliberate change regenerates the file with
 // `go run ./cmd/armci-bench -fig all > results/all-tables.txt`.
 func TestGoldenTables(t *testing.T) {
 	if testing.Short() {
@@ -407,6 +408,17 @@ func TestGoldenTables(t *testing.T) {
 	} {
 		if !strings.Contains(string(golden), got) {
 			t.Errorf("%s section is not in results/all-tables.txt verbatim:\n%s", name, got)
+		}
+	}
+	// The Crossover-N table moves first when a collective's peer order
+	// changes. Its large rows take minutes, so hold the small ones line
+	// by line (title, header, rows and the crossover summary, which these
+	// three sizes already decide).
+	cn, err := CrossoverN(CrossoverNOpts{NValues: []int{16, 64, 256}})
+	must(err)
+	for _, line := range strings.SplitAfter(FormatCrossoverN(cn), "\n") {
+		if !strings.Contains(string(golden), "\n"+line) {
+			t.Errorf("crossover-n line is not in results/all-tables.txt verbatim:\n%s", line)
 		}
 	}
 }

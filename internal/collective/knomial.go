@@ -1,14 +1,16 @@
-// K-nomial and hierarchical two-level collectives.
+// K-nomial and hierarchical two-level schedules.
 //
 // The binary-exchange algorithms of the paper stop being the right shape
 // past a few dozen ranks: a radix-r (k-nomial) tree trades message count
 // for depth (⌈log_r N⌉ rounds instead of ⌈log₂ N⌉), and on multi-core
 // nodes a two-level scheme — gather/release through a per-node leader,
 // inter-node exchange among leaders only — keeps all but one message per
-// node off the wire. Both are driven by the node topology the transport
-// already carries (env.Node), so the same code serves procnet's real
-// `-ppn` layout and the synthetic ProcsPerNode layout of the in-process
-// fabrics.
+// node off the wire. This file holds their two schedule builders
+// (treeSteps, hierSteps) and the tree and node arithmetic they are built
+// from; the runner in collective.go executes them as a barrier or as a
+// reduction. The node layout is the one the transport already carries
+// (env.Node), so the same schedules serve procnet's real `-ppn` layout
+// and the synthetic ProcsPerNode layout of the in-process fabrics.
 package collective
 
 import "fmt"
@@ -20,7 +22,7 @@ import "fmt"
 const DefaultRadix = 4
 
 // releasePhase tags the leader→member release of the hierarchical
-// collectives. It shares the 16-bit phase space of tag() with the
+// collectives. It shares the runner's 16-bit phase space with the
 // inter-leader exchange phases, which stay below log₂(nodes)+2.
 const releasePhase = 1 << 15
 
@@ -32,6 +34,7 @@ func (c *Comm) SetRadix(radix int) {
 		panic(fmt.Sprintf("collective: k-nomial radix must be >= 2, got %d", radix))
 	}
 	c.radix = radix
+	c.sched = [numShapes][]step{} // the tree schedules were built for the old radix
 }
 
 // Radix returns the configured k-nomial radix (DefaultRadix if unset).
@@ -82,21 +85,26 @@ func KnomialTree(n, me, radix int) (parent int, children []int) {
 	return parent, children
 }
 
-// barrierKnomial gathers up the radix-r tree (every rank reports to its
-// parent once all children reported) and releases back down it.
-func (c *Comm) barrierKnomial() {
-	n, me := c.env.Size(), c.env.Rank()
-	parent, children := KnomialTree(n, me, c.Radix())
+// treeSteps is the radix-r tree over positions [0,n) rooted at 0, run up
+// then down: every position takes its children's contributions (phase),
+// reports to its parent and waits for the parent's total (phase+1), then
+// passes the total down. 2·depth latencies with depth ⌈log_r n⌉, but only
+// n−1 messages per direction versus binary exchange's n·log₂ n — and a
+// parent takes its r−1 children of a round one after the other.
+func treeSteps(n, me, radix, phase int, ranks []int) []step {
+	parent, children := KnomialTree(n, me, radix)
+	var steps []step
 	for _, child := range children {
-		c.recvFrom(child, 0)
+		steps = append(steps, step{recvAdd, rankAt(ranks, child), phase})
 	}
 	if parent >= 0 {
-		c.sendTo(parent, 0, nil)
-		c.recvFrom(parent, 1)
+		up := rankAt(ranks, parent)
+		steps = append(steps, step{send, up, phase}, step{recvSet, up, phase + 1})
 	}
 	for _, child := range children {
-		c.sendTo(child, 1, nil)
+		steps = append(steps, step{send, rankAt(ranks, child), phase + 1})
 	}
+	return steps
 }
 
 // topology is the per-node view every rank derives from env.Node: its
@@ -142,118 +150,31 @@ func (t *topology) leaderIndex(me int) int {
 	panic(fmt.Sprintf("collective: rank %d is not a node leader", me))
 }
 
-// barrierHierarchical is the two-level barrier: non-leaders report to
-// their node leader and wait for its release; leaders gather their node,
-// run a dissemination barrier among themselves (one inter-node message
-// per node per round), then release their members. On a single node it
-// degenerates to the central barrier with zero wire traffic.
-func (c *Comm) barrierHierarchical() {
-	me := c.env.Rank()
-	t := c.topo()
+// hierSteps is the two-level shape: non-leaders report to their node
+// leader (phase 0) and wait for its release (releasePhase); leaders
+// gather their node, run the inter-node stage among themselves from phase
+// 1 — a dissemination barrier (one inter-node message per node per
+// round), or for a reduction a k-nomial reduce+broadcast spanning the
+// leaders list (phases 1 and 2) — then release their members. Only the
+// leader stage crosses node boundaries, so the wire carries one message
+// per node per round or tree edge; on a single node the shape degenerates
+// to the central one with zero wire traffic.
+func hierSteps(t *topology, me, radix int, reduce bool) []step {
 	if me != t.leader {
-		c.sendTo(t.leader, 0, nil)
-		c.recvFrom(t.leader, releasePhase)
-		return
+		return []step{{send, t.leader, 0}, {recvSet, t.leader, releasePhase}}
+	}
+	var steps []step
+	for _, m := range t.members[1:] {
+		steps = append(steps, step{recvAdd, m, 0})
+	}
+	k, idx := len(t.leaders), t.leaderIndex(me)
+	if reduce {
+		steps = append(steps, treeSteps(k, idx, radix, 1, t.leaders)...)
+	} else {
+		steps = append(steps, disseminationSteps(k, idx, 1, t.leaders)...)
 	}
 	for _, m := range t.members[1:] {
-		c.recvFrom(m, 0)
+		steps = append(steps, step{send, m, releasePhase})
 	}
-	k := len(t.leaders)
-	idx := t.leaderIndex(me)
-	for x, phase := 1, 1; x < k; x, phase = x<<1, phase+1 {
-		to := t.leaders[(idx+x)%k]
-		from := t.leaders[(idx-x%k+k)%k]
-		c.sendTo(to, phase, nil)
-		c.recvFrom(from, phase)
-	}
-	for _, m := range t.members[1:] {
-		c.sendTo(m, releasePhase, nil)
-	}
-}
-
-// AllReduceSumInt64Alg element-wise sums vec across all processes using
-// the communication pattern matching alg: BarrierKnomial reduces and
-// broadcasts over the radix-r tree, BarrierHierarchical sums within each
-// node at the leader and runs a k-nomial reduce+broadcast among leaders
-// only, and every other algorithm uses the paper's binary exchange
-// (AllReduceSumInt64). All variants leave the identical summed vector on
-// every process.
-func (c *Comm) AllReduceSumInt64Alg(vec []int64, alg BarrierAlg) {
-	switch alg {
-	case BarrierKnomial:
-		c.allReduceKnomial(vec)
-	case BarrierHierarchical:
-		c.allReduceHierarchical(vec)
-	default:
-		c.AllReduceSumInt64(vec)
-	}
-}
-
-// allReduceKnomial reduces up the radix-r tree (phase 0) and broadcasts
-// the root's total back down it (phase 1): 2·depth latencies, but only
-// n-1 messages per direction versus binary exchange's n·log₂ n.
-func (c *Comm) allReduceKnomial(vec []int64) {
-	n, me := c.env.Size(), c.env.Rank()
-	if n == 1 {
-		c.seq++
-		return
-	}
-	parent, children := KnomialTree(n, me, c.Radix())
-	for _, child := range children {
-		m := c.recvFrom(child, 0)
-		addVec(vec, m.Data)
-	}
-	if parent >= 0 {
-		c.sendTo(parent, 0, encodeVec(vec))
-		m := c.recvFrom(parent, 1)
-		decodeVecInto(vec, m.Data)
-	}
-	for _, child := range children {
-		c.sendTo(child, 1, encodeVec(vec))
-	}
-	c.seq++
-}
-
-// allReduceHierarchical sums member vectors at each node leader (phase
-// 0), reduce+broadcasts among the leaders over a k-nomial tree spanning
-// the leaders list (phases 1 and 2), and releases the total to the
-// members (releasePhase). Only the leader exchange crosses node
-// boundaries, so the wire carries one payload per node per tree edge.
-func (c *Comm) allReduceHierarchical(vec []int64) {
-	n, me := c.env.Size(), c.env.Rank()
-	if n == 1 {
-		c.seq++
-		return
-	}
-	t := c.topo()
-	if me != t.leader {
-		c.sendTo(t.leader, 0, encodeVec(vec))
-		m := c.recvFrom(t.leader, releasePhase)
-		decodeVecInto(vec, m.Data)
-		c.seq++
-		return
-	}
-	for _, m := range t.members[1:] {
-		got := c.recvFrom(m, 0)
-		addVec(vec, got.Data)
-	}
-	k := len(t.leaders)
-	idx := t.leaderIndex(me)
-	gparent, gchildren := KnomialTree(k, idx, c.Radix())
-	for _, gc := range gchildren {
-		got := c.recvFrom(t.leaders[gc], 1)
-		addVec(vec, got.Data)
-	}
-	if gparent >= 0 {
-		c.sendTo(t.leaders[gparent], 1, encodeVec(vec))
-		got := c.recvFrom(t.leaders[gparent], 2)
-		decodeVecInto(vec, got.Data)
-	}
-	for _, gc := range gchildren {
-		c.sendTo(t.leaders[gc], 2, encodeVec(vec))
-	}
-	for _, m := range t.members[1:] {
-		c.sendTo(m, releasePhase, encodeVec(vec))
-	}
-	c.seq++
+	return steps
 }

@@ -108,45 +108,19 @@ func (c *Comm) ctag(phase int) int { return reservedTagBase + c.seq<<4 + phase }
 // Bcast distributes root's data to every rank along a binomial tree
 // (log₂(N) rounds) and returns each rank's copy. All ranks must call it;
 // non-root ranks may pass nil.
-func (c *Comm) Bcast(root int, data []byte) []byte {
-	n, me := c.Size(), c.Rank()
-	if n == 1 {
-		c.seq++
-		return data
-	}
-	// Rotate so the root is virtual rank 0.
-	vr := (me - root + n) % n
-	if vr != 0 {
-		// Receive from the parent: clear the lowest set bit of vr.
-		parent := vr & (vr - 1)
-		data = c.recv((parent+root)%n, c.ctag(0))
-	}
-	// Forward to children: set each higher zero bit below the next
-	// power of two.
-	for bit := 1; bit < n; bit <<= 1 {
-		if vr&bit != 0 {
-			break // bits at and above our lowest set bit are the parent's job
-		}
-		if vr+bit < n {
-			c.send((vr+bit+root)%n, c.ctag(0), data)
-		}
-	}
-	c.seq++
-	return data
-}
+func (c *Comm) Bcast(root int, data []byte) []byte { return c.BcastTree(root, 2, data) }
 
 // BcastTree is Bcast over a radix-r k-nomial tree: ⌈log_r N⌉ rounds
 // instead of the binomial tree's ⌈log₂ N⌉, at the price of the root
-// sending radix−1 copies per round. BcastTree(root, 2, data) is
-// shape-identical to Bcast. All ranks must call it with the same root
-// and radix; non-root ranks may pass nil.
+// sending radix−1 copies per round. All ranks must call it with the same
+// root and radix; non-root ranks may pass nil.
 func (c *Comm) BcastTree(root, radix int, data []byte) []byte {
 	n, me := c.Size(), c.Rank()
 	if n == 1 {
 		c.seq++
 		return data
 	}
-	// Rotate so the root is virtual rank 0, as in Bcast.
+	// Rotate so the root is virtual rank 0.
 	vr := (me - root + n) % n
 	parent, children := collective.KnomialTree(n, vr, radix)
 	if parent >= 0 {
