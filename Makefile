@@ -53,8 +53,11 @@ soak:
 # of every lock algorithm and sync variant on the simulated fabric, a
 # spot-check on the concurrent fabrics, the same sweep under loss /
 # duplication / latency-spike fault plans, and the mutation self-test
-# proving the oracles catch deliberately broken variants. `go test
-# ./internal/check` runs a shorter version of the same matrix.
+# proving the oracles catch deliberately broken variants. The holder-crash
+# row ends inverted (`! ...`): the same plan against locks without a
+# lease must exit non-zero, so a crashheld plan that silently never fires
+# cannot come back. `go test ./internal/check` runs a shorter version of
+# the same matrix.
 explore:
 	$(GO) run ./cmd/armci-check -seeds 256
 	$(GO) run ./cmd/armci-check -coalesce -algs queue,hybrid -seeds 128
@@ -74,6 +77,8 @@ explore:
 	$(GO) run ./cmd/armci-check -algs lease -syncs barrier \
 		-faults 'crashheld=1@1;crashheld=2@2;crashheld=5@3' \
 		-seeds 64
+	! $(GO) run ./cmd/armci-check -algs queue-nocas,hybrid -syncs barrier \
+		-faults 'crashheld=1@2' -seeds 4
 	$(GO) run ./cmd/armci-check \
 		-workload 'stencil;paramserver;prodcons;mixed' -seeds 64
 	$(GO) run ./cmd/armci-check -fabrics sim,chan,tcp \

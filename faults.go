@@ -22,9 +22,10 @@ import (
 //	                     (default 16×rto)
 //	retry=<n>            retransmission budget per message, n >= 1
 //	crash=<rank>@<sends> fail-stop rank at its sends-th send, sends >= 1
-//	crashheld=<rank>@<n> fail-stop rank right after its n-th lock
-//	                     acquisition — the rank dies holding the lock,
-//	                     n >= 1
+//	crashheld=<rank>@<n> fail-stop rank right after its n-th
+//	                     acquisition of a lock (counted per Mutex
+//	                     handle, honoured by every LockAlg) — the
+//	                     rank dies holding the lock, n >= 1
 //	crashrank=<rank>@<n> kill rank partway through sync epoch n of an
 //	                     elastic-replication workload (a real worker
 //	                     exit under armci-run -elastic, a cooperative

@@ -39,10 +39,12 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"armci"
+	"armci/internal/trace"
 	"armci/internal/workload"
 )
 
@@ -269,6 +271,13 @@ func RunCase(c Case) Result {
 		events := rep.Stats.OpEvents()
 		r.Events = len(events)
 		r.Violations = append(r.Violations, checkHistory(events, c)...)
+		// A crashheld plan the victim's iterations reach must leave its
+		// OpCrash witness; a sweep whose crash never happened proved
+		// nothing about crashes and must not read as a clean pass.
+		crashed := func(e trace.OpEvent) bool { return e.Kind == trace.OpCrash }
+		if n := faults.CrashHeldAcquire; n > 0 && n <= c.Iters && !slices.ContainsFunc(events, crashed) {
+			r.Err = fmt.Errorf("check: fault plan %q did not fire: no crash witness in the trace of %s", c.Faults, c.Reproducer())
+		}
 	}
 	return r
 }

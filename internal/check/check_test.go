@@ -1,9 +1,13 @@
 package check
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"armci"
+	"armci/internal/msg"
+	"armci/internal/trace"
 )
 
 // sweepAlgs / sweepSyncs are the short-mode conformance matrix: every
@@ -112,22 +116,27 @@ func TestLeaseCrashSweep(t *testing.T) {
 }
 
 // TestQueueCrashFailsFastInHarness pins the other half of the contract:
-// the same crashheld plan against the plain queuing lock must surface as
-// a liveness violation (a rank-attributed fault abort), never pass and
-// never hang.
+// the same crashheld plan against every lock without a lease must
+// surface as a liveness violation (a rank-attributed fault abort), never
+// pass and never hang — and never be skipped: a plan that does not fire
+// is a case error (RunCase's witness guard), which fails here too.
 func TestQueueCrashFailsFastInHarness(t *testing.T) {
-	r := RunCase(Case{Fabric: armci.FabricSim, Alg: "queue", Sync: "barrier",
-		Faults: "crashheld=1@1", Seed: 1})
-	if r.Err != nil {
-		t.Fatalf("case failed to run: %v", r.Err)
+	for _, alg := range []string{"queue", "queue-nocas", "hybrid", "ticket"} {
+		t.Run(alg, func(t *testing.T) {
+			r := RunCase(Case{Fabric: armci.FabricSim, Alg: alg, Sync: "barrier",
+				Faults: "crashheld=1@1", Seed: 1})
+			if r.Err != nil {
+				t.Fatalf("case failed to run: %v", r.Err)
+			}
+			for _, v := range r.Violations {
+				if v.Oracle == "liveness" && strings.Contains(v.Detail, "rank 1") {
+					t.Logf("fail-fast surfaced as: %s", v)
+					return
+				}
+			}
+			t.Fatalf("%s lock under a holder crash produced no rank-attributed liveness violation: %v", alg, r.Violations)
+		})
 	}
-	for _, v := range r.Violations {
-		if v.Oracle == "liveness" {
-			t.Logf("fail-fast surfaced as: %s", v)
-			return
-		}
-	}
-	t.Fatalf("queue lock under a holder crash produced no liveness violation: %v", r.Violations)
 }
 
 // TestConcurrentFabrics spot-checks the same workload on the goroutine
@@ -279,5 +288,74 @@ func TestSeedZeroIsFIFOBaseline(t *testing.T) {
 	r := RunCase(Case{Fabric: armci.FabricSim, Alg: "queue", Sync: "barrier", Seed: 0})
 	if !r.Passed() {
 		t.Fatalf("FIFO baseline failed: err=%v violations=%v", r.Err, r.Violations)
+	}
+}
+
+// TestLockMutantsMatchRealLockWhileDormant is the fidelity half of the
+// mutation contract: a lock mutant is the real lock with one step
+// overridden, so with that step's bug dormant — FIFO seed 0, no fault
+// plan, and the ranks taking the lock in turn (a late link and an early
+// admit both need a waiter; a faster release reorders later enqueues) —
+// it must produce the same lock-event sequence and per-kind message
+// counts as the algorithm it mutates. The one licensed difference is the
+// overridden step itself: the lease mutant's unconditional store gets no
+// reply where the real release's compare&swap does.
+func TestLockMutantsMatchRealLockWhileDormant(t *testing.T) {
+	const procs, rounds = 6, 3
+	cases := []struct {
+		mutation string
+		alg      armci.LockAlg
+		ppn      int
+		fewer    map[msg.Kind]int // messages the overridden step saves
+	}{
+		{MutQueueSkipLinkWait, armci.LockQueue, 2, nil},
+		{MutLeaseStaleRelease, armci.LockLease, 2,
+			map[msg.Kind]int{msg.KindRmwResp: rounds * (procs - 2)}}, // one per remote release
+		{MutTicketOffByOne, armci.LockTicket, procs, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.mutation, func(t *testing.T) {
+			history := func(lock func(p *armci.Proc) armci.Mutex) ([]trace.OpEvent, *armci.Metrics) {
+				rep, err := armci.Run(armci.Options{
+					Procs: procs, ProcsPerNode: tc.ppn, Fabric: armci.FabricSim,
+					Preset: armci.PresetMyrinet2000, NumMutexes: 1, CaptureTrace: true,
+				}, func(p *armci.Proc) {
+					mu := lock(p)
+					for turn := 0; turn < rounds*procs; turn++ {
+						if turn%procs == p.Rank() {
+							mu.Lock()
+							mu.Unlock()
+						}
+						p.Barrier()
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ops []trace.OpEvent
+				for _, e := range rep.Stats.OpEvents() {
+					switch e.Kind {
+					case trace.OpAcquire, trace.OpRelease, trace.OpRepair, trace.OpStaleRelease, trace.OpCrash:
+						e.Seq, e.Time = 0, 0 // positions among non-lock events, not lock behaviour
+						ops = append(ops, e)
+					}
+				}
+				return ops, rep.Stats
+			}
+			realOps, realStats := history(func(p *armci.Proc) armci.Mutex { return p.Mutex(0, tc.alg) })
+			mutOps, mutStats := history(mutationSpecs[tc.mutation].lock)
+			if want := 2 * procs * rounds; len(realOps) < want {
+				t.Fatalf("real lock recorded %d lock events, want at least %d", len(realOps), want)
+			}
+			if !slices.Equal(mutOps, realOps) {
+				t.Errorf("dormant mutant's lock events diverge from the real lock's:\n mutant %v\n real   %v", mutOps, realOps)
+			}
+			for k := msg.KindPut; k <= msg.KindBatch; k++ {
+				if got, want := mutStats.Count(k), realStats.Count(k)-tc.fewer[k]; got != want {
+					t.Errorf("dormant mutant sent %d %v messages, want %d (real lock %d, overridden step saves %d)",
+						got, k, want, realStats.Count(k), tc.fewer[k])
+				}
+			}
+		})
 	}
 }

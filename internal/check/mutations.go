@@ -6,8 +6,8 @@ import (
 
 	"armci"
 	"armci/internal/collective"
+	"armci/internal/core"
 	"armci/internal/msg"
-	"armci/internal/proc"
 	"armci/internal/shmem"
 	"armci/internal/trace"
 	"armci/internal/workload"
@@ -17,9 +17,12 @@ import (
 // under test. Each reintroduces a bug class the oracles exist to catch —
 // a release that races its late-linking successor, an off-by-one ticket
 // gate, a barrier whose fence stage is skipped — and the harness proves
-// itself by detecting every one of them under a seed sweep. The variants
-// are implemented here, against the public Proc surface, rather than in
-// internal/core: production code carries no test-only broken paths.
+// itself by detecting every one of them under a seed sweep. A lock mutant
+// is the real lock from internal/core, embedded, with exactly the buggy
+// step overridden out of the same exported module steps the real lock
+// composes (core.Queue, core.Lease, core.Gate, core.Holder); the sync
+// mutants re-stage the barrier against the Proc surface. The bugs live
+// here: internal/core carries no hazard flag, hook or broken path.
 
 // Mutation names.
 const (
@@ -75,7 +78,7 @@ const (
 	// routinely deposed and their broken releases hand the lock to a
 	// second rank mid-tenure. Detected by the modulo-lease
 	// mutual-exclusion oracle: a deposed rank's ordinary release, an
-	// epoch granted twice, or an acquire while a never-deposed rank
+	// epoch registered twice, or an acquire while a never-deposed rank
 	// holds.
 	MutLeaseStaleRelease = "lease-stale-release"
 	// MutAccLostUpdate: the parameter-server workload's atomic
@@ -170,16 +173,22 @@ type mutationSpec struct {
 
 var mutationSpecs = map[string]mutationSpec{
 	MutQueueSkipLinkWait: {alg: "queue", sync: "barrier", faults: "spike=1ms@0.2",
-		lock: func(p *armci.Proc) armci.Mutex { return &brokenQueueLock{p: p, idx: 0} }},
+		lock: func(p *armci.Proc) armci.Mutex {
+			return brokenQueueLock{p.Mutex(0, armci.LockQueue).(*core.QueueLock)}
+		}},
 	MutTicketOffByOne: {alg: "ticket", sync: "barrier",
-		lock: func(p *armci.Proc) armci.Mutex { return &brokenTicket{p: p, idx: 0} }},
+		lock: func(p *armci.Proc) armci.Mutex {
+			return brokenTicket{p.Mutex(0, armci.LockTicket).(*core.Ticket), p}
+		}},
 	MutBarrierSkipStage2: {alg: "queue", sync: "barrier", faults: "spike=1ms@0.2", syncFn: brokenBarrier},
 	MutSyncOldSkipFence:  {alg: "queue", sync: "sync-old", syncFn: brokenSyncOld},
 	MutEventPoolRecycle:  {alg: "queue", sync: "barrier", simHazard: true},
 	MutCoalesceReorder:   {sync: "barrier", coalesceHazard: true},
 	MutLeaseStaleRelease: {alg: "lease", sync: "barrier", faults: "crashheld=1@1",
 		leaseTTL: 10 * time.Microsecond, csDelay: 300 * time.Microsecond,
-		lock: func(p *armci.Proc) armci.Mutex { return &brokenLeaseLock{p: p, idx: 0, ttl: 10 * time.Microsecond} }},
+		lock: func(p *armci.Proc) armci.Mutex {
+			return brokenLeaseLock{p.Mutex(0, armci.LockLease).(*core.LeaseLock), p}
+		}},
 	MutAccLostUpdate: {workload: "paramserver", sync: "barrier",
 		hazards: workload.Hazards{AccLostUpdate: true}},
 	MutFlagBeforeData: {workload: "prodcons", sync: "barrier", ppn: 1,
@@ -244,296 +253,62 @@ func DetectMutation(name string, seedLo, seedHi int64) (Result, bool) {
 	return Result{}, false
 }
 
-// --- trace recording for the mutated variants ---
+// --- lock mutants: the real lock, one step overridden ---
 
-func recordLockOp(p *armci.Proc, kind trace.OpKind, idx, prev int, ticket int64) {
-	env := p.Env()
-	env.Trace().RecordOp(trace.OpEvent{
-		Kind: kind, Rank: env.Rank(), Node: env.Node(env.Rank()),
-		Lock: idx, Prev: prev, Ticket: ticket, Time: env.Clock().Now(),
-	})
-}
+// brokenQueueLock is core.QueueLock except that its release skips the
+// late-link wait: when the detach fails because a requester swapped
+// itself in but has not linked yet, the correct release waits for the
+// link; this one reads the next pointer once and gives up, orphaning the
+// successor on its spin.
+type brokenQueueLock struct{ *core.QueueLock }
 
-func recordSyncOp(p *armci.Proc, kind trace.OpKind, epoch int) {
-	env := p.Env()
-	env.Trace().RecordOp(trace.OpEvent{
-		Kind: kind, Rank: env.Rank(), Node: env.Node(env.Rank()),
-		Prev: -1, Ticket: -1, Epoch: epoch, Time: env.Clock().Now(),
-	})
-}
-
-// --- broken MCS queue lock ---
-
-type brokenQueueLock struct {
-	p   *armci.Proc
-	idx int
-}
-
-func (q *brokenQueueLock) table() *proc.LockTable { return q.p.Locks() }
-
-func (q *brokenQueueLock) qnode() shmem.Ptr {
-	return q.table().QNode[q.idx][q.p.Rank()]
-}
-
-// Lock is the correct MCS acquire (the bug is in the release).
-func (q *brokenQueueLock) Lock() {
-	p := q.p
-	env := p.Env()
-	mine := q.qnode()
-	minePacked := shmem.PackPtr(mine)
-
-	p.StorePair(mine.Add(proc.QNodeNextHi), shmem.Pair{})
-	prev := p.SwapPair(q.table().MCS[q.idx], minePacked).UnpackPtr()
-	if prev.IsNil() {
-		recordLockOp(p, trace.OpAcquire, q.idx, -1, -1)
-		return
-	}
-	p.Store(mine.Add(proc.QNodeLocked), 1)
-	p.StorePair(prev.Add(proc.QNodeNextHi), minePacked)
-	locked := mine.Add(proc.QNodeLocked)
-	env.WaitUntil("broken-mcs-acquire", func() bool {
-		return env.Space().Load(locked) == 0
-	})
-	recordLockOp(p, trace.OpAcquire, q.idx, int(prev.Rank), -1)
-}
-
-// Unlock skips the late-link wait: when the compare&swap fails because a
-// requester swapped itself in but has not linked yet, the correct
-// release waits for the link; this one reads the next pointer once and
-// gives up, orphaning the successor on its spin.
-func (q *brokenQueueLock) Unlock() {
-	p := q.p
-	recordLockOp(p, trace.OpRelease, q.idx, -1, -1)
-	mine := q.qnode()
-	minePacked := shmem.PackPtr(mine)
-	nextField := mine.Add(proc.QNodeNextHi)
-
-	next := p.LoadPair(nextField).UnpackPtr()
+func (q brokenQueueLock) Unlock() {
+	q.Released()
+	next := q.Successor()
 	if next.IsNil() {
-		observed := p.CompareAndSwapPair(q.table().MCS[q.idx], minePacked, shmem.Pair{})
-		if observed == minePacked {
+		if q.Detach() {
 			return
 		}
-		// BUG: should WaitUntil the successor links; gives up instead.
-		next = p.LoadPair(nextField).UnpackPtr()
-		if next.IsNil() {
+		// BUG: should be q.AwaitLink(); gives up instead.
+		if next = q.Successor(); next.IsNil() {
 			return // successor orphaned: it spins on its flag forever
 		}
 	}
-	p.Store(next.Add(proc.QNodeLocked), 0)
+	q.Wake(next)
 }
 
-// --- broken lease lock ---
-
-// brokenLeaseLock mirrors core.LeaseLock — MCS queue for wake hints, the
-// lease state pair {epoch, tenant} as the sole source of truth, TTL
-// timeouts arming repair once a crash is on record — except that its
-// release skips the epoch compare&swap (the bug, in Unlock).
+// brokenLeaseLock is core.LeaseLock except that its release frees the
+// lease WITHOUT the epoch compare&swap: a deposed holder should lose
+// that CAS and have its release rejected as stale; this one stores the
+// freed state unconditionally, handing the lock away from under whoever
+// the repair gave it to.
 type brokenLeaseLock struct {
-	p   *armci.Proc
-	idx int
-	ttl time.Duration
-
-	epoch    int64
-	acquires int
+	*core.LeaseLock
+	p *armci.Proc
 }
 
-func (l *brokenLeaseLock) table() *proc.LockTable { return l.p.Locks() }
-
-// Lock is the correct lease acquire (the bug is in the release).
-func (l *brokenLeaseLock) Lock() {
-	p := l.p
-	env := p.Env()
-	t := l.table()
-	mine := t.LeaseQNode[l.idx][p.Rank()]
-	minePacked := shmem.PackPtr(mine)
-
-	p.StorePair(mine.Add(proc.QNodeNextHi), shmem.Pair{})
-	p.Store(mine.Add(proc.QNodeLocked), 1)
-	prev := p.SwapPair(t.LeaseTail[l.idx], minePacked).UnpackPtr()
-	prevRank := -1
-	useFlag := false
-	if !prev.IsNil() {
-		prevRank = int(prev.Rank)
-		useFlag = true
-		p.StorePair(prev.Add(proc.QNodeNextHi), minePacked)
-	}
-
-	locked := mine.Add(proc.QNodeLocked)
-	for {
-		if useFlag {
-			woke := env.WaitUntilFor("broken-lease-acquire", func() bool {
-				return env.Space().Load(locked) == 0
-			}, l.ttl)
-			if woke {
-				useFlag = false
-				if l.tryRegister(prevRank) {
-					return
-				}
-				continue
-			}
-			if l.maybeRecover() {
-				return
-			}
-			continue
-		}
-		if l.tryRegister(prevRank) {
-			return
-		}
-		env.WaitUntilFor("broken-lease-backoff", func() bool { return false }, l.ttl)
-		if l.maybeRecover() {
-			return
-		}
-	}
+func (l brokenLeaseLock) Unlock() {
+	l.Released()
+	// BUG: should be l.Release(l.Epoch()), whose CAS a stale epoch loses.
+	l.p.StorePair(l.p.Locks().LeaseState[0], shmem.Pair{Hi: l.Epoch() + 1, Lo: -int64(l.p.Rank() + 1)})
+	l.Stamp(l.p.Env().Clock().Now())
+	l.HandOff()
 }
 
-func (l *brokenLeaseLock) tryRegister(prevRank int) bool {
-	p := l.p
-	me := int64(p.Rank())
-	state := l.table().LeaseState[l.idx]
-	st := p.LoadPair(state)
-	for st.Lo <= 0 {
-		obs := p.CompareAndSwapPair(state, st, shmem.Pair{Hi: st.Hi, Lo: me + 1})
-		if obs == st {
-			l.granted(st.Hi, prevRank)
-			return true
-		}
-		st = obs
-	}
-	return false
-}
-
-func (l *brokenLeaseLock) granted(epoch int64, prevRank int) {
-	p := l.p
-	l.epoch = epoch
-	p.Store(l.table().LeaseStamp[l.idx], int64(p.Env().Clock().Now()))
-	recordLeaseOp(p, trace.OpAcquire, l.idx, prevRank, int(epoch))
-	l.acquires++
-	l.maybeCrashHeld()
-}
-
-// maybeCrashHeld mirrors the lock layer's crashheld hook: the mutated
-// variant must still honor the plan that designates the dying holder.
-func (l *brokenLeaseLock) maybeCrashHeld() {
-	p := l.p
-	env := p.Env()
-	f := env.Faults()
-	if f.CrashHeldAcquire == 0 || p.Rank() != f.CrashHeldRank || l.acquires != f.CrashHeldAcquire {
-		return
-	}
-	recordLeaseOp(p, trace.OpCrash, l.idx, -1, 0)
-	env.FailStop("crashheld: fail-stop holding lock (mutated lease)")
-}
-
-func (l *brokenLeaseLock) maybeRecover() bool {
-	p := l.p
-	env := p.Env()
-	if env.CrashedRank() < 0 {
-		return false
-	}
-	t := l.table()
-	state := t.LeaseState[l.idx]
-	st := p.LoadPair(state)
-	stamp := time.Duration(p.Load(t.LeaseStamp[l.idx]))
-	now := env.Clock().Now()
-	if now-stamp <= l.ttl {
-		return false
-	}
-	if st.Lo > 0 {
-		holder := int(st.Lo) - 1
-		obs := p.CompareAndSwapPair(state, st, shmem.Pair{Hi: st.Hi + 1, Lo: -st.Lo})
-		if obs != st {
-			return false
-		}
-		recordLeaseOp(p, trace.OpRepair, l.idx, holder, int(st.Hi)+1)
-		p.Store(t.LeaseStamp[l.idx], int64(now))
-		victim := t.LeaseQNode[l.idx][holder]
-		next := p.LoadPair(victim.Add(proc.QNodeNextHi)).UnpackPtr()
-		if !next.IsNil() {
-			p.Store(next.Add(proc.QNodeLocked), 0)
-		}
-		return false
-	}
-	me := int64(p.Rank())
-	if p.CompareAndSwapPair(state, st, shmem.Pair{Hi: st.Hi, Lo: me + 1}) == st {
-		l.granted(st.Hi, -1)
-		return true
-	}
-	return false
-}
-
-// Unlock frees the lock WITHOUT the epoch compare&swap: a deposed holder
-// should lose that CAS and have its release rejected as stale; this one
-// stores the freed state unconditionally, handing the lock away from
-// under whoever the repair granted it to.
-func (l *brokenLeaseLock) Unlock() {
-	p := l.p
-	env := p.Env()
-	t := l.table()
-	me := int64(p.Rank())
-	recordLeaseOp(p, trace.OpRelease, l.idx, -1, int(l.epoch))
-	// BUG: should be CompareAndSwapPair({epoch, me+1} -> {epoch+1,
-	// -(me+1)}) with the stale-release fallback; frees unconditionally.
-	p.StorePair(t.LeaseState[l.idx], shmem.Pair{Hi: l.epoch + 1, Lo: -(me + 1)})
-	p.Store(t.LeaseStamp[l.idx], int64(env.Clock().Now()))
-
-	// MCS dequeue and wake, as the real release does.
-	mine := t.LeaseQNode[l.idx][p.Rank()]
-	minePacked := shmem.PackPtr(mine)
-	nextField := mine.Add(proc.QNodeNextHi)
-	next := p.LoadPair(nextField).UnpackPtr()
-	if next.IsNil() {
-		if p.CompareAndSwapPair(t.LeaseTail[l.idx], minePacked, shmem.Pair{}) == minePacked {
-			return
-		}
-		for !env.WaitUntilFor("broken-lease-release-link", func() bool {
-			return !p.LoadPair(nextField).UnpackPtr().IsNil()
-		}, l.ttl) {
-			if env.CrashedRank() >= 0 {
-				return
-			}
-		}
-		next = p.LoadPair(nextField).UnpackPtr()
-	}
-	p.Store(next.Add(proc.QNodeLocked), 0)
-}
-
-// recordLeaseOp is recordLockOp with the lease epoch attached.
-func recordLeaseOp(p *armci.Proc, kind trace.OpKind, idx, prev, epoch int) {
-	env := p.Env()
-	env.Trace().RecordOp(trace.OpEvent{
-		Kind: kind, Rank: env.Rank(), Node: env.Node(env.Rank()),
-		Lock: idx, Prev: prev, Ticket: -1, Epoch: epoch, Time: env.Clock().Now(),
-	})
-}
-
-// --- broken ticket lock ---
-
+// brokenTicket is core.Ticket except that its poll admits one position
+// early: counter >= ticket-1 instead of == ticket, so the next waiter
+// overlaps the current holder.
 type brokenTicket struct {
-	p      *armci.Proc
-	idx    int
-	ticket int64
+	*core.Ticket
+	p *armci.Proc
 }
 
-// Lock takes a ticket but admits one position early: counter >= ticket-1
-// instead of == ticket, so the next waiter overlaps the current holder.
-func (l *brokenTicket) Lock() {
-	p := l.p
-	env := p.Env()
-	base := p.Locks().TicketCounter[l.idx]
-	l.ticket = p.FetchAdd(base.Add(proc.TicketWord), 1)
-	counter := base.Add(proc.CounterWord)
-	env.WaitUntil("broken-ticket-lock", func() bool {
-		return env.Space().Load(counter) >= l.ticket-1 // BUG: off by one
+func (l brokenTicket) Lock() {
+	ticket := l.Take()
+	l.p.Env().WaitUntil("broken-ticket-gate", func() bool {
+		return l.Counter() >= ticket-1 // BUG: off by one
 	})
-	recordLockOp(p, trace.OpAcquire, l.idx, -1, l.ticket)
-}
-
-func (l *brokenTicket) Unlock() {
-	p := l.p
-	recordLockOp(p, trace.OpRelease, l.idx, -1, l.ticket)
-	base := p.Locks().TicketCounter[l.idx]
-	p.FetchAdd(base.Add(proc.CounterWord), 1)
+	l.Acquired(-1, ticket, 0)
 }
 
 // --- broken synchronization variants ---
@@ -544,14 +319,14 @@ func (l *brokenTicket) Unlock() {
 func brokenBarrier(p *armci.Proc, epoch *int) func() {
 	return func() {
 		*epoch++
-		recordSyncOp(p, trace.OpSyncEnter, *epoch)
+		core.Record(p.Env(), trace.OpEvent{Kind: trace.OpSyncEnter, Prev: -1, Ticket: -1, Epoch: *epoch})
 		sum := make([]int64, p.NumNodes())
 		copy(sum, p.Engine().OpInit())
 		p.Comm().AllReduceSumInt64(sum)
 		// BUG: stage ii — the wait for op_done[myNode] >= sum[myNode] —
 		// is skipped.
 		p.Comm().Barrier(collective.BarrierAuto)
-		recordSyncOp(p, trace.OpSyncExit, *epoch)
+		core.Record(p.Env(), trace.OpEvent{Kind: trace.OpSyncExit, Prev: -1, Ticket: -1, Epoch: *epoch})
 	}
 }
 
@@ -572,7 +347,7 @@ const mutTagBase = 1 << 29
 func brokenKnomialBarrier(p *armci.Proc, epoch *int) func() {
 	return func() {
 		*epoch++
-		recordSyncOp(p, trace.OpSyncEnter, *epoch)
+		core.Record(p.Env(), trace.OpEvent{Kind: trace.OpSyncEnter, Prev: -1, Ticket: -1, Epoch: *epoch})
 		env := p.Env()
 
 		// Stage i, correct: distribute op_init.
@@ -609,7 +384,7 @@ func brokenKnomialBarrier(p *armci.Proc, epoch *int) func() {
 				env.Send(msg.User(child), &msg.Message{Kind: msg.KindSend, Tag: release})
 			}
 		}
-		recordSyncOp(p, trace.OpSyncExit, *epoch)
+		core.Record(p.Env(), trace.OpEvent{Kind: trace.OpSyncExit, Prev: -1, Ticket: -1, Epoch: *epoch})
 	}
 }
 
@@ -618,9 +393,9 @@ func brokenKnomialBarrier(p *armci.Proc, epoch *int) func() {
 func brokenSyncOld(p *armci.Proc, epoch *int) func() {
 	return func() {
 		*epoch++
-		recordSyncOp(p, trace.OpSyncEnter, *epoch)
+		core.Record(p.Env(), trace.OpEvent{Kind: trace.OpSyncEnter, Prev: -1, Ticket: -1, Epoch: *epoch})
 		// BUG: AllFence skipped entirely.
 		p.Comm().Barrier(collective.BarrierAuto)
-		recordSyncOp(p, trace.OpSyncExit, *epoch)
+		core.Record(p.Env(), trace.OpEvent{Kind: trace.OpSyncExit, Prev: -1, Ticket: -1, Epoch: *epoch})
 	}
 }

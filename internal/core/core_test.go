@@ -28,9 +28,15 @@ type world struct {
 
 func newWorld(t *testing.T, procs, ppn int, params model.Params, lockHomes []int) *world {
 	t.Helper()
+	return newSeededWorld(t, procs, ppn, params, lockHomes, 0)
+}
+
+// newSeededWorld is newWorld under kernel shuffle seed seed (0 = FIFO).
+func newSeededWorld(t *testing.T, procs, ppn int, params model.Params, lockHomes []int, seed int64) *world {
+	t.Helper()
 	stats := trace.New()
 	f, err := transport.NewSim(transport.Config{
-		Procs: procs, ProcsPerNode: ppn, Model: params, Trace: stats,
+		Procs: procs, ProcsPerNode: ppn, Model: params, Trace: stats, ScheduleSeed: seed,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,98 +5,71 @@ import (
 	"armci/internal/transport"
 )
 
-// recordAcquire notes in the trace that the calling rank now holds lock
-// idx. It must be called *after* the algorithm's acquire condition is
-// satisfied and *before* the caller touches protected state, so that in
-// the recorded order the event sits inside the critical section. prev is
-// the rank this acquire queued behind (-1 when unknown or the lock was
-// free); ticket is the ticket number under ticket-ordered algorithms (-1
-// otherwise). The conformance oracles in internal/check consume these.
-func recordAcquire(env transport.Env, idx, prev int, ticket int64) {
-	env.Trace().RecordOp(trace.OpEvent{
-		Kind: trace.OpAcquire, Rank: env.Rank(), Node: env.Node(env.Rank()),
-		Lock: idx, Prev: prev, Ticket: ticket, Time: env.Clock().Now(),
-	})
+// Record is the one protocol-event recorder: it stamps ev with the
+// calling rank, its node and the fabric time and appends it to the run's
+// trace for the conformance oracles in internal/check. The caller sets
+// Kind and whichever of Lock, Prev, Ticket and Epoch the kind carries;
+// Prev and Ticket are -1 when they do not apply. Where an event sits in
+// the recorded order is the caller's contract:
+//
+//   - OpAcquire after the algorithm's acquire condition holds and before
+//     the caller touches protected state, so the event sits inside the
+//     critical section (Prev: the rank queued behind, Ticket: the ticket
+//     under ticket-ordered algorithms, Epoch: the lease epoch registered
+//     under);
+//   - OpRelease at the start of the release, before any hand-off store
+//     or unlock message, so it precedes the successor's acquire (Epoch:
+//     the epoch the releaser will present);
+//   - OpRepair only by the winner of the depose CAS, immediately after
+//     it (Prev: the victim, Epoch: the epoch installed); OpStaleRelease
+//     by a release that lost the epoch check and touched nothing;
+//   - OpSyncEnter / OpSyncExit around a global synchronization (Epoch
+//     numbers the rank's calls from 1; Node is the rank's own node,
+//     whose completion counter the fence oracle audits).
+func Record(env transport.Env, ev trace.OpEvent) {
+	ev.Rank, ev.Node, ev.Time = env.Rank(), env.Node(env.Rank()), env.Clock().Now()
+	env.Trace().RecordOp(ev)
 }
 
-// recordRelease notes that the calling rank is giving up lock idx. It
-// must be called at the *start* of the release, before any hand-off
-// store or unlock message, so the event precedes the successor's acquire
-// in the recorded order.
-func recordRelease(env transport.Env, idx int, ticket int64) {
-	env.Trace().RecordOp(trace.OpEvent{
-		Kind: trace.OpRelease, Rank: env.Rank(), Node: env.Node(env.Rank()),
-		Lock: idx, Prev: -1, Ticket: ticket, Time: env.Clock().Now(),
-	})
+// Holder is the ownership step every lock algorithm ends its acquire and
+// begins its release with. It remembers the ticket and lease epoch of
+// the current tenure, so the release records what the acquire was
+// granted, and counts the rank's acquisitions of this lock — fault
+// injection cannot see them, and the crashheld plan names one.
+type Holder struct {
+	env      transport.Env
+	idx      int
+	acquires int
+	crashAt  int   // the acquisition a crashheld plan kills this rank in; 0: none
+	ticket   int64 // -1 outside ticket-ordered algorithms
+	epoch    int64 // 0 outside the lease lock
 }
 
-// recordReleaseEpoch is recordRelease for the lease lock: it carries the
-// epoch the releaser will present to the epoch check.
-func recordReleaseEpoch(env transport.Env, idx int, epoch int) {
-	env.Trace().RecordOp(trace.OpEvent{
-		Kind: trace.OpRelease, Rank: env.Rank(), Node: env.Node(env.Rank()),
-		Lock: idx, Prev: -1, Ticket: -1, Epoch: epoch, Time: env.Clock().Now(),
-	})
-}
-
-// recordAcquireEpoch is recordAcquire for the lease lock: it also
-// carries the lease epoch the acquisition registered under, so the
-// modulo-lease oracle can match releases against the epoch they must
-// present.
-func recordAcquireEpoch(env transport.Env, idx, prev int, epoch int) {
-	env.Trace().RecordOp(trace.OpEvent{
-		Kind: trace.OpAcquire, Rank: env.Rank(), Node: env.Node(env.Rank()),
-		Lock: idx, Prev: prev, Ticket: -1, Epoch: epoch, Time: env.Clock().Now(),
-	})
-}
-
-// recordRepair notes that the calling rank deposed victim's expired
-// lease on lock idx and installed epoch. It must be recorded only by the
-// winner of the depose CAS, immediately after the CAS succeeds, so the
-// event sits between the victim's (now void) acquire and whichever
-// acquire the repair enables.
-func recordRepair(env transport.Env, idx, victim, epoch int) {
-	env.Trace().RecordOp(trace.OpEvent{
-		Kind: trace.OpRepair, Rank: env.Rank(), Node: env.Node(env.Rank()),
-		Lock: idx, Prev: victim, Ticket: -1, Epoch: epoch, Time: env.Clock().Now(),
-	})
-}
-
-// recordStaleRelease notes that the calling rank's release of lock idx
-// lost the epoch check — it had been deposed — and was rejected without
-// touching the lock state. epoch is the stale epoch the release
-// presented.
-func recordStaleRelease(env transport.Env, idx, epoch int) {
-	env.Trace().RecordOp(trace.OpEvent{
-		Kind: trace.OpStaleRelease, Rank: env.Rank(), Node: env.Node(env.Rank()),
-		Lock: idx, Prev: -1, Ticket: -1, Epoch: epoch, Time: env.Clock().Now(),
-	})
-}
-
-// maybeCrashHeld implements the crashheld fault for the lock layer:
-// fault injection cannot see lock acquisitions, so each lock algorithm
-// counts its own and calls this right after acquire number n completes.
-// When the plan designates the calling rank and this acquisition, the
-// rank records an OpCrash witness and fail-stops — dying while holding
-// the lock.
-func maybeCrashHeld(env transport.Env, idx, n int) {
-	f := env.Faults()
-	if f.CrashHeldAcquire == 0 || env.Rank() != f.CrashHeldRank || n != f.CrashHeldAcquire {
-		return
+func newHolder(env transport.Env, idx int) Holder {
+	h := Holder{env: env, idx: idx, ticket: -1}
+	if f := env.Faults(); env.Rank() == f.CrashHeldRank {
+		h.crashAt = f.CrashHeldAcquire
 	}
-	env.Trace().RecordOp(trace.OpEvent{
-		Kind: trace.OpCrash, Rank: env.Rank(), Node: env.Node(env.Rank()),
-		Lock: idx, Prev: -1, Ticket: -1, Time: env.Clock().Now(),
-	})
-	env.FailStop("crashheld: fail-stop holding lock")
+	return h
 }
 
-// recordSync notes barrier entry or exit for the calling rank. epoch
-// numbers the rank's barrier calls from 1; node is the rank's own node
-// (whose completion counter the fence oracle audits).
-func recordSync(env transport.Env, kind trace.OpKind, epoch int) {
-	env.Trace().RecordOp(trace.OpEvent{
-		Kind: kind, Rank: env.Rank(), Node: env.Node(env.Rank()),
-		Prev: -1, Ticket: -1, Epoch: epoch, Time: env.Clock().Now(),
-	})
+// Acquired records that the calling rank now holds the lock. When the
+// fault plan designates this rank and this acquisition (crashheld), the
+// rank then records an OpCrash witness and fail-stops — dying while
+// holding the lock, under every algorithm alike.
+func (h *Holder) Acquired(prev int, ticket, epoch int64) {
+	h.ticket, h.epoch = ticket, epoch
+	Record(h.env, trace.OpEvent{Kind: trace.OpAcquire, Lock: h.idx, Prev: prev, Ticket: ticket, Epoch: int(epoch)})
+	if h.acquires++; h.acquires == h.crashAt {
+		Record(h.env, trace.OpEvent{Kind: trace.OpCrash, Lock: h.idx, Prev: -1, Ticket: -1})
+		h.env.FailStop("crashheld: fail-stop holding lock")
+	}
 }
+
+// Released records that the calling rank is giving the lock up.
+func (h *Holder) Released() {
+	Record(h.env, trace.OpEvent{Kind: trace.OpRelease, Lock: h.idx, Prev: -1, Ticket: h.ticket, Epoch: int(h.epoch)})
+}
+
+// Epoch returns the lease epoch of the current tenure.
+func (h *Holder) Epoch() int64 { return h.epoch }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"armci/internal/proc"
-	"armci/internal/shmem"
 )
 
 // Ticket is the plain ticket-based lock (the local half of the hybrid
@@ -12,10 +11,8 @@ import (
 // as a baseline for tests and ablations; the hybrid lock is what ARMCI
 // actually exposes.
 type Ticket struct {
-	eng    *proc.Engine
-	t      *proc.LockTable
-	idx    int
-	ticket int64
+	Holder
+	Gate
 }
 
 // NewTicket returns rank-local state for lock idx. The caller must be on
@@ -26,108 +23,21 @@ func NewTicket(eng *proc.Engine, t *proc.LockTable, idx int) *Ticket {
 		panic(fmt.Sprintf("core: ticket lock %d homed on node %d used from node %d",
 			idx, env.Node(t.Home[idx]), env.Node(env.Rank())))
 	}
-	return &Ticket{eng: eng, t: t, idx: idx}
+	return &Ticket{newHolder(env, idx), newGate(eng, t, idx)}
 }
 
 var _ Mutex = (*Ticket)(nil)
 
 // Lock takes a ticket and polls the counter.
 func (l *Ticket) Lock() {
-	env := l.eng.Env()
-	base := l.t.TicketCounter[l.idx]
-	l.ticket = l.eng.FetchAdd(base.Add(proc.TicketWord), 1)
-	counter := base.Add(proc.CounterWord)
-	env.WaitUntil("ticket-lock", func() bool {
-		return env.Space().Load(counter) == l.ticket
-	})
-	recordAcquire(env, l.idx, -1, l.ticket)
+	ticket := l.Take()
+	l.Await(ticket)
+	l.Acquired(-1, ticket, 0)
 }
 
 // Unlock advances the counter directly (no server round trip — this is
 // the pure shared-memory algorithm, not ARMCI's hybrid).
 func (l *Ticket) Unlock() {
-	recordRelease(l.eng.Env(), l.idx, l.ticket)
-	base := l.t.TicketCounter[l.idx]
-	l.eng.FetchAdd(base.Add(proc.CounterWord), 1)
-}
-
-// QueueLockNoCAS is the paper's stated future work ("we are working on
-// optimizing the lock operation to eliminate the need for the
-// compare&swap operation when releasing a lock"), implemented with the
-// swap-based release from Mellor-Crummey & Scott's original report. An
-// uncontended release performs a single atomic swap instead of a
-// compare&swap; if the swap detaches a chain of concurrent requesters, a
-// second swap re-installs it and any usurper chain is spliced behind it.
-// FIFO order can be violated in that window, but mutual exclusion holds.
-type QueueLockNoCAS struct {
-	eng *proc.Engine
-	t   *proc.LockTable
-	idx int
-}
-
-// NewQueueLockNoCAS returns rank-local state for lock idx of the table.
-func NewQueueLockNoCAS(eng *proc.Engine, t *proc.LockTable, idx int) *QueueLockNoCAS {
-	return &QueueLockNoCAS{eng: eng, t: t, idx: idx}
-}
-
-var _ Mutex = (*QueueLockNoCAS)(nil)
-
-func (q *QueueLockNoCAS) qnode() shmem.Ptr {
-	return q.t.QNode[q.idx][q.eng.Rank()]
-}
-
-// Lock is identical to the CAS variant's acquire path.
-func (q *QueueLockNoCAS) Lock() {
-	env := q.eng.Env()
-	space := env.Space()
-	mine := q.qnode()
-	minePacked := shmem.PackPtr(mine)
-
-	space.StorePair(mine.Add(proc.QNodeNextHi), shmem.Pair{})
-	prev := q.eng.SwapPair(q.t.MCS[q.idx], minePacked).UnpackPtr()
-	if prev.IsNil() {
-		recordAcquire(env, q.idx, -1, -1)
-		return
-	}
-	space.Store(mine.Add(proc.QNodeLocked), 1)
-	q.eng.StorePair(prev.Add(proc.QNodeNextHi), minePacked)
-	locked := mine.Add(proc.QNodeLocked)
-	env.WaitUntil("mcs-nocas-acquire", func() bool {
-		return space.Load(locked) == 0
-	})
-	recordAcquire(env, q.idx, int(prev.Rank), -1)
-}
-
-// Unlock releases with swap instead of compare&swap.
-func (q *QueueLockNoCAS) Unlock() {
-	env := q.eng.Env()
-	recordRelease(env, q.idx, -1)
-	space := env.Space()
-	mine := q.qnode()
-	nextField := mine.Add(proc.QNodeNextHi)
-
-	next := space.LoadPair(nextField).UnpackPtr()
-	if next.IsNil() {
-		// swap(Lock, NULL): if we were still the tail, the lock is free
-		// and we are done — same message count as the hybrid release.
-		oldTail := q.eng.SwapPair(q.t.MCS[q.idx], shmem.Pair{}).UnpackPtr()
-		if oldTail == mine {
-			return
-		}
-		// Requesters sneaked in: the chain me→…→oldTail is detached and
-		// the lock now reads free. Re-install the detached tail; anyone
-		// who swapped in between is a usurper chain we must splice our
-		// successors behind.
-		usurper := q.eng.SwapPair(q.t.MCS[q.idx], shmem.PackPtr(oldTail)).UnpackPtr()
-		env.WaitUntil("mcs-nocas-link", func() bool {
-			return !space.LoadPair(nextField).UnpackPtr().IsNil()
-		})
-		next = space.LoadPair(nextField).UnpackPtr()
-		if !usurper.IsNil() {
-			// The usurper chain's tail inherits our successors.
-			q.eng.StorePair(usurper.Add(proc.QNodeNextHi), shmem.PackPtr(next))
-			return
-		}
-	}
-	q.eng.Store(next.Add(proc.QNodeLocked), 0)
+	l.Released()
+	l.Advance()
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"armci/internal/msg"
 	"armci/internal/proc"
+	"armci/internal/shmem"
 )
 
 // Mutex is a distributed lock handle. Lock blocks until the calling
@@ -27,48 +28,31 @@ type Mutex interface {
 //     message latencies (release → server, server → next waiter), the
 //     inefficiency the queuing lock removes.
 type Hybrid struct {
-	eng *proc.Engine
-	t   *proc.LockTable
-	idx int
-
-	ticket int64 // ticket held while a local acquisition is in flight
+	Holder
+	Gate
+	home int // node hosting the lock's variables
 }
 
 // NewHybrid returns rank-local state for lock idx of the table.
 func NewHybrid(eng *proc.Engine, t *proc.LockTable, idx int) *Hybrid {
-	return &Hybrid{eng: eng, t: t, idx: idx}
+	return &Hybrid{newHolder(eng.Env(), idx), newGate(eng, t, idx), eng.Env().Node(t.Home[idx])}
 }
 
 var _ Mutex = (*Hybrid)(nil)
 
-// homeNode returns the node hosting the lock's variables.
-func (h *Hybrid) homeNode() int {
-	return h.eng.Env().Node(h.t.Home[h.idx])
-}
-
-// isLocal reports whether the lock's variables are directly accessible.
-func (h *Hybrid) isLocal() bool {
-	env := h.eng.Env()
-	return env.Node(env.Rank()) == h.homeNode()
-}
-
 // Lock acquires the lock.
 func (h *Hybrid) Lock() {
-	env := h.eng.Env()
-	base := h.t.TicketCounter[h.idx]
-	if h.isLocal() {
+	env := h.env
+	if env.Node(env.Rank()) == h.home {
 		// Ticket-based path: direct atomics, no server involvement.
-		h.ticket = h.eng.FetchAdd(base.Add(proc.TicketWord), 1)
-		counter := base.Add(proc.CounterWord)
-		env.WaitUntil("hybrid-local-lock", func() bool {
-			return env.Space().Load(counter) == h.ticket
-		})
-		recordAcquire(env, h.idx, -1, h.ticket)
+		ticket := h.Take()
+		h.Await(ticket)
+		h.Acquired(-1, ticket, 0)
 		return
 	}
 	// Server-based path: one request, one grant (possibly queued).
 	tok := h.eng.NextToken()
-	env.Send(msg.ServerOf(h.homeNode()), &msg.Message{
+	env.Send(msg.ServerOf(h.home), &msg.Message{
 		Kind:   msg.KindLockReq,
 		Origin: env.Rank(),
 		Token:  tok,
@@ -76,19 +60,47 @@ func (h *Hybrid) Lock() {
 	})
 	grant := env.Recv(msg.MatchToken(msg.KindLockGrant, tok))
 	// The grant echoes the ticket the server took on our behalf.
-	h.ticket = grant.Operands[0]
-	recordAcquire(env, h.idx, -1, h.ticket)
+	h.Acquired(-1, grant.Operands[0], 0)
 }
 
 // Unlock releases the lock. Whether the lock is local or remote, the
 // server is contacted (one message, no reply): it increments the counter
 // and wakes the next waiter, queued remotely or polling locally.
 func (h *Hybrid) Unlock() {
-	env := h.eng.Env()
-	recordRelease(env, h.idx, h.ticket)
-	env.Send(msg.ServerOf(h.homeNode()), &msg.Message{
+	h.Released()
+	h.env.Send(msg.ServerOf(h.home), &msg.Message{
 		Kind:   msg.KindUnlock,
-		Origin: env.Rank(),
+		Origin: h.env.Rank(),
 		Tag:    h.idx,
 	})
 }
+
+// Gate is the ticket/counter word pair of §3.2.1 at a lock's home, for
+// processes that can reach it with direct atomics: take a ticket with a
+// fetch-and-increment, poll the counter until it shows that ticket
+// (Figure 3 a-b), advance the counter to admit the next one. Its one
+// invariant: tickets are admitted one at a time, in the order taken.
+type Gate struct {
+	eng  *proc.Engine
+	base shmem.Ptr
+}
+
+func newGate(eng *proc.Engine, t *proc.LockTable, idx int) Gate {
+	return Gate{eng, t.TicketCounter[idx]}
+}
+
+// Take draws the next ticket.
+func (g *Gate) Take() int64 { return g.eng.FetchAdd(g.base.Add(proc.TicketWord), 1) }
+
+// Counter reads the ticket currently admitted.
+func (g *Gate) Counter() int64 {
+	return g.eng.Env().Space().Load(g.base.Add(proc.CounterWord))
+}
+
+// Await polls until ticket is admitted.
+func (g *Gate) Await(ticket int64) {
+	g.eng.Env().WaitUntil("ticket-gate", func() bool { return g.Counter() == ticket })
+}
+
+// Advance admits the next ticket.
+func (g *Gate) Advance() { g.eng.FetchAdd(g.base.Add(proc.CounterWord), 1) }

@@ -4,50 +4,32 @@ import (
 	"time"
 
 	"armci/internal/proc"
-	"armci/internal/shmem"
 )
-
-// DefaultLeaseTTL is the lease duration used when the run does not set
-// one: comfortably longer than any critical section in the experiments
-// (which run microseconds), short enough that holder-crash recovery is
-// quick. Virtual time on the simulated fabric, wall time elsewhere.
-const DefaultLeaseTTL = 10 * time.Millisecond
 
 // LeaseLock is the crash-survivable variant of the software queuing
 // lock: MCS queueing for ordering and one-message hand-off, plus an
 // epoch-stamped lease that lets waiters repair the lock when its holder
-// fail-stops. The design splits the two concerns of a lock:
+// fail-stops. It composes the two concerns of a lock, each in one file:
 //
-//   - The *queue* (LeaseTail + per-rank queue nodes) only orders waiters
-//     and carries wake hints. A wake is never a grant; stale, duplicated
-//     or lost wakes cost time, not correctness.
-//   - The *lease word* (LeaseState, a pair {epoch, holder}) is the sole
-//     source of truth. A waiter becomes the holder only by winning a
-//     compare&swap that registers it under the current epoch, and a
-//     holder frees the lock only by winning a compare&swap that advances
-//     the epoch. A holder that was deposed while slow (or dead) presents
-//     a stale epoch, loses that CAS, and its release is rejected —
-//     resurrected holders cannot free a lock somebody else now owns.
+//   - The Queue (queue.go, over LeaseTail + the LeaseQNode nodes, every
+//     wait bounded by the TTL) only orders waiters and carries wake
+//     hints. A wake is never a grant; stale, duplicated or lost wakes
+//     cost time, not correctness.
+//   - The Lease word (lease.go) is the truth: a waiter holds the lock
+//     only by registering under the current epoch, and frees it only by
+//     advancing the epoch.
 //
-// Recovery arms only after a fail-stop is on record (Env.CrashedRank):
-// in crash-free runs the protocol is exactly MCS plus one registration
-// CAS, FIFO and deterministic. Once a crash exists, a waiter whose
-// bounded wait outlives the lease TTL (per LeaseStamp, the fabric-time
-// stamp of the last state change) deposes the expired holder by
-// advancing the epoch, wakes the victim's queue successor so FIFO
-// resumes from the crash point, and — when the queue itself is wedged
-// (the lock free but nobody left to wake) — self-grants by registering
-// directly. Mutual exclusion is therefore absolute per epoch, and
-// "modulo lease expiry" across epochs: two ranks overlap only if one of
-// them was first deposed by a repair event.
+// In crash-free runs the protocol is exactly MCS plus one registration
+// CAS, FIFO and deterministic. Once a crash is on record, a waiter whose
+// bounded wait outlives the TTL runs Lease.Recover: it deposes the
+// expired holder and wakes the victim's queue successor, or — when the
+// queue itself is wedged — self-grants. Mutual exclusion is therefore
+// absolute per epoch, and "modulo lease expiry" across epochs: two ranks
+// overlap only if one of them was first deposed by a repair event.
 type LeaseLock struct {
-	eng *proc.Engine
-	t   *proc.LockTable
-	idx int
-	ttl time.Duration
-
-	epoch    int64 // epoch of the current tenure (valid while held)
-	acquires int   // own completed acquisitions (crashheld accounting)
+	Holder
+	Queue
+	Lease
 }
 
 // NewLeaseLock returns rank-local state for lock idx of the table. ttl
@@ -57,50 +39,25 @@ func NewLeaseLock(eng *proc.Engine, t *proc.LockTable, idx int, ttl time.Duratio
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
-	return &LeaseLock{eng: eng, t: t, idx: idx, ttl: ttl}
+	return &LeaseLock{newHolder(eng.Env(), idx),
+		NewQueue(eng, t.LeaseTail[idx], t.LeaseQNode[idx], ttl), NewLease(eng, t, idx, ttl)}
 }
 
 var _ Mutex = (*LeaseLock)(nil)
 
-// state encoding of the LeaseState pair: Hi is the epoch, Lo the tenant.
-// Lo = r+1 > 0 means rank r holds the lease; Lo = -(r+1) < 0 means the
-// lock is free and rank r was the last holder; Lo = 0 means never held.
-
 // Lock acquires the lock, surviving holder crashes.
 func (l *LeaseLock) Lock() {
-	env := l.eng.Env()
-	space := env.Space()
-	me := l.eng.Rank()
-	mine := l.t.LeaseQNode[l.idx][me]
-	minePacked := shmem.PackPtr(mine)
-
-	// Arm the wake flag before publishing the node: a repairer may walk
-	// to it the instant it becomes reachable.
-	space.StorePair(mine.Add(proc.QNodeNextHi), shmem.Pair{})
-	space.Store(mine.Add(proc.QNodeLocked), 1)
-
-	prev := l.eng.SwapPair(l.t.LeaseTail[l.idx], minePacked).UnpackPtr()
-	prevRank := -1
-	useFlag := false
-	if !prev.IsNil() {
-		prevRank = int(prev.Rank)
-		useFlag = true
-		l.eng.StorePair(prev.Add(proc.QNodeNextHi), minePacked)
-	}
-	// prev == NIL: we are the queue head; the lock is free (or about to
-	// be) and nobody will write our flag — register directly.
-
-	locked := mine.Add(proc.QNodeLocked)
+	prev := l.Enqueue()
+	// With no predecessor we are the queue head: the lock is free (or
+	// about to be) and nobody will write our flag — register directly.
+	useFlag := prev >= 0
 	for {
 		if useFlag {
-			woke := env.WaitUntilFor("lease-acquire", func() bool {
-				return space.Load(locked) == 0
-			}, l.ttl)
-			if woke {
+			if l.AwaitWake() {
 				// Hand-off (or repair wake) received: the hint is now
 				// consumed, so on failure fall through to state polling.
 				useFlag = false
-				if l.tryRegister(prevRank) {
+				if l.register(prev) {
 					return
 				}
 				continue
@@ -108,143 +65,48 @@ func (l *LeaseLock) Lock() {
 			// TTL elapsed without a wake: recovery check, then keep
 			// waiting on the flag — a live holder's hand-off may still
 			// arrive.
-			if l.maybeRecover() {
+			if l.repair() {
 				return
 			}
 			continue
 		}
 		// State-polling mode (queue head, or a consumed wake that found
 		// the lock held): try to register, then back off one TTL.
-		if l.tryRegister(prevRank) {
+		if l.register(prev) {
 			return
 		}
-		env.WaitUntilFor("lease-backoff", func() bool { return false }, l.ttl)
-		if l.maybeRecover() {
+		l.env.WaitUntilFor("lease-backoff", func() bool { return false }, l.ttl)
+		if l.repair() {
 			return
 		}
 	}
 }
 
-// tryRegister attempts the registration CAS — the linearization point of
-// every acquisition: {epoch, free} -> {epoch, me}. It returns false as
-// soon as it observes another registered tenant.
-func (l *LeaseLock) tryRegister(prevRank int) bool {
-	me := int64(l.eng.Rank())
-	state := l.t.LeaseState[l.idx]
-	st := l.eng.LoadPair(state)
-	for st.Lo <= 0 {
-		obs := l.eng.CompareAndSwapPair(state, st, shmem.Pair{Hi: st.Hi, Lo: me + 1})
-		if obs == st {
-			l.granted(st.Hi, prevRank)
-			return true
-		}
-		st = obs
+// register completes the acquisition when the registration CAS wins.
+func (l *LeaseLock) register(prev int) bool {
+	epoch, ok := l.Register()
+	if ok {
+		l.Acquired(prev, -1, epoch)
 	}
-	return false
+	return ok
 }
 
-// granted completes an acquisition under epoch: stamp the tenure start,
-// record the acquire, and honor a crashheld fault plan.
-func (l *LeaseLock) granted(epoch int64, prevRank int) {
-	env := l.eng.Env()
-	l.epoch = epoch
-	l.eng.Store(l.t.LeaseStamp[l.idx], int64(env.Clock().Now()))
-	recordAcquireEpoch(env, l.idx, prevRank, int(epoch))
-	l.acquires++
-	maybeCrashHeld(env, l.idx, l.acquires)
-}
-
-// maybeRecover runs the repair protocol after a bounded wait timed out.
-// It returns true when the caller acquired the lock (the wedged-queue
-// self-grant); deposing an expired holder returns false — the repair
-// wake or the next registration attempt completes the acquisition.
-func (l *LeaseLock) maybeRecover() bool {
-	env := l.eng.Env()
-	if env.CrashedRank() < 0 {
-		return false // recovery arms only once a fail-stop is on record
+// repair completes the acquisition when recovery self-granted; that is a
+// repair boundary, so the predecessor is unknowable.
+func (l *LeaseLock) repair() bool {
+	epoch, ok := l.Recover(&l.Queue)
+	if ok {
+		l.Acquired(-1, -1, epoch)
 	}
-	state := l.t.LeaseState[l.idx]
-	st := l.eng.LoadPair(state)
-	stamp := time.Duration(l.eng.Load(l.t.LeaseStamp[l.idx]))
-	now := env.Clock().Now()
-	if now-stamp <= l.ttl {
-		return false // the lease (or the hand-off in flight) is fresh
-	}
-	if st.Lo > 0 {
-		// Expired holder: depose it by advancing the epoch. Losing the
-		// CAS means another waiter repaired (or the holder woke up and
-		// released) — either way the state moved on and we re-wait.
-		holder := int(st.Lo) - 1
-		obs := l.eng.CompareAndSwapPair(state, st, shmem.Pair{Hi: st.Hi + 1, Lo: -st.Lo})
-		if obs != st {
-			return false
-		}
-		recordRepair(env, l.idx, holder, int(st.Hi)+1)
-		l.eng.Store(l.t.LeaseStamp[l.idx], int64(now))
-		// Wake the victim's queue successor so FIFO resumes from the
-		// crash point. If the victim has no visible successor, the
-		// stale-free path below self-grants on a later timeout.
-		victim := l.t.LeaseQNode[l.idx][holder]
-		next := l.eng.LoadPair(victim.Add(proc.QNodeNextHi)).UnpackPtr()
-		if !next.IsNil() {
-			l.eng.Store(next.Add(proc.QNodeLocked), 0)
-		}
-		return false
-	}
-	// Free but stale: the lock was released (or repaired) at least one
-	// TTL ago and nobody registered — the wake chain is wedged (a waiter
-	// died between enqueue and link, or the woken successor died).
-	// Self-grant by registering directly.
-	me := int64(l.eng.Rank())
-	if l.eng.CompareAndSwapPair(state, st, shmem.Pair{Hi: st.Hi, Lo: me + 1}) == st {
-		l.granted(st.Hi, -1) // repair boundary: predecessor unknowable
-		return true
-	}
-	return false
+	return ok
 }
 
 // Unlock releases the lock. A deposed holder's release is rejected by
-// the epoch check and touches nothing; the queue hand-off still runs,
-// because wake hints are always safe to pass on.
+// the epoch check; the queue hand-off runs regardless, because our
+// successors are queued behind this node and wake hints are always safe
+// to pass on, whichever epoch grants them the lock.
 func (l *LeaseLock) Unlock() {
-	env := l.eng.Env()
-	space := env.Space()
-	me := int64(l.eng.Rank())
-	state := l.t.LeaseState[l.idx]
-	recordReleaseEpoch(env, l.idx, int(l.epoch))
-
-	held := shmem.Pair{Hi: l.epoch, Lo: me + 1}
-	if l.eng.CompareAndSwapPair(state, held, shmem.Pair{Hi: l.epoch + 1, Lo: -(me + 1)}) == held {
-		l.eng.Store(l.t.LeaseStamp[l.idx], int64(env.Clock().Now()))
-	} else {
-		// We were deposed while holding: a repairer advanced the epoch.
-		// The lock is no longer ours to free.
-		recordStaleRelease(env, l.idx, int(l.epoch))
-	}
-
-	// MCS dequeue and wake hint, deposed or not: our successors are
-	// queued behind this node and must be woken regardless of which
-	// epoch grants them the lock.
-	mine := l.t.LeaseQNode[l.idx][l.eng.Rank()]
-	minePacked := shmem.PackPtr(mine)
-	nextField := mine.Add(proc.QNodeNextHi)
-	next := space.LoadPair(nextField).UnpackPtr()
-	if next.IsNil() {
-		if l.eng.CompareAndSwapPair(l.t.LeaseTail[l.idx], minePacked, shmem.Pair{}) == minePacked {
-			return
-		}
-		// A successor swapped in but has not linked yet. Crash-free this
-		// resolves in bounded steps, so wait as MCS does; once a crash
-		// is on record the linker may be dead — give up after one TTL
-		// and let the lease machinery recover the orphaned queue.
-		for !env.WaitUntilFor("lease-release-link", func() bool {
-			return !space.LoadPair(nextField).UnpackPtr().IsNil()
-		}, l.ttl) {
-			if env.CrashedRank() >= 0 {
-				return
-			}
-		}
-		next = space.LoadPair(nextField).UnpackPtr()
-	}
-	l.eng.Store(next.Add(proc.QNodeLocked), 0)
+	l.Released()
+	l.Release(l.Epoch())
+	l.HandOff()
 }

@@ -1,112 +1,70 @@
 package core
 
-import (
-	"armci/internal/proc"
-	"armci/internal/shmem"
-)
+import "armci/internal/proc"
 
-// QueueLock is the paper's software queuing lock (§3.2.2): an MCS lock
-// built from ARMCI atomic memory operations on pairs of longs. Requesting
-// processes link themselves into a distributed list; each waiter spins on
-// a flag in its *own* memory; the releaser writes that flag directly —
-// one message when the next waiter is remote, zero when it is local —
-// instead of the hybrid lock's two-message server relay.
-//
-// The memory layout matches the paper's Figure 5: a Lock variable (a
-// global pointer, two words) at the lock's home, and per process a single
-// queue-node structure of a next pointer (two words) and a locked flag.
-// Lines 9, 12, 18 and 22 of the pseudocode — the statements touching
-// another process's memory — map to SwapPair, StorePair, CompareAndSwapPair
-// and Store on the engine, which execute directly when the target is
-// local and as (one-way, where possible) server operations when remote.
+// QueueLock is the paper's software queuing lock (§3.2.2): the Queue of
+// Figure 5 over the lock table's MCS / QNode variables plus the simplest
+// ownership rule — a rank that found the queue empty, or was woken, owns
+// the lock. Waits are therefore unbounded and a wake is never lost.
 type QueueLock struct {
-	eng *proc.Engine
-	t   *proc.LockTable
-	idx int
-
-	acquires int // own completed acquisitions (crashheld accounting)
+	Holder
+	Queue
 }
 
 // NewQueueLock returns rank-local state for lock idx of the table.
 func NewQueueLock(eng *proc.Engine, t *proc.LockTable, idx int) *QueueLock {
-	return &QueueLock{eng: eng, t: t, idx: idx}
+	return &QueueLock{newHolder(eng.Env(), idx), NewQueue(eng, t.MCS[idx], t.QNode[idx], 0)}
 }
 
 var _ Mutex = (*QueueLock)(nil)
 
-// qnode returns the calling process's queue-node base pointer for this
-// lock.
-func (q *QueueLock) qnode() shmem.Ptr {
-	return q.t.QNode[q.idx][q.eng.Rank()]
-}
-
 // Lock acquires the lock (Figure 5, request).
 func (q *QueueLock) Lock() {
-	env := q.eng.Env()
-	space := env.Space()
-	mine := q.qnode()
-	minePacked := shmem.PackPtr(mine)
-
-	// mynode->next = NULL — our own memory, always a direct store.
-	space.StorePair(mine.Add(proc.QNodeNextHi), shmem.Pair{})
-
-	// prev_node = swap(Lock, mynode) — atomic on the lock's home.
-	prev := q.eng.SwapPair(q.t.MCS[q.idx], minePacked).UnpackPtr()
-	if prev.IsNil() {
-		recordAcquire(env, q.idx, -1, -1) // lock was free; we hold it
-		q.acquires++
-		maybeCrashHeld(env, q.idx, q.acquires)
-		return
+	prev := q.Enqueue()
+	if prev >= 0 {
+		q.AwaitWake() // while (mynode->locked) {} — spin on our own memory
 	}
-
-	// mynode->locked = TRUE before linking, so the releaser can never
-	// observe the link without the armed flag.
-	space.Store(mine.Add(proc.QNodeLocked), 1)
-
-	// prev_node->next = mynode — a store into the predecessor's memory:
-	// direct if co-located, one fire-and-forget message otherwise.
-	q.eng.StorePair(prev.Add(proc.QNodeNextHi), minePacked)
-
-	// while (mynode->locked) {} — spin on our own memory.
-	locked := mine.Add(proc.QNodeLocked)
-	env.WaitUntil("mcs-acquire", func() bool {
-		return space.Load(locked) == 0
-	})
-	// Queue-nodes live in their owner's memory, so the predecessor node's
-	// Rank is the rank we queued behind (the FIFO oracle's witness).
-	recordAcquire(env, q.idx, int(prev.Rank), -1)
-	q.acquires++
-	maybeCrashHeld(env, q.idx, q.acquires)
+	q.Acquired(prev, -1, 0)
 }
 
 // Unlock releases the lock (Figure 5, release).
 func (q *QueueLock) Unlock() {
-	env := q.eng.Env()
-	recordRelease(env, q.idx, -1)
-	space := env.Space()
-	mine := q.qnode()
-	minePacked := shmem.PackPtr(mine)
-	nextField := mine.Add(proc.QNodeNextHi)
+	q.Released()
+	q.HandOff()
+}
 
-	next := space.LoadPair(nextField).UnpackPtr()
+// QueueLockNoCAS is the paper's stated future work ("we are working on
+// optimizing the lock operation to eliminate the need for the
+// compare&swap operation when releasing a lock"): the same lock with the
+// swap-only detach. An uncontended release performs a single atomic swap
+// instead of a compare&swap; if the swap detaches a chain of concurrent
+// requesters, a second swap re-installs it and any usurper chain is
+// spliced behind it. FIFO order can be violated in that window, but
+// mutual exclusion holds.
+type QueueLockNoCAS struct{ QueueLock }
+
+// NewQueueLockNoCAS returns rank-local state for lock idx of the table.
+func NewQueueLockNoCAS(eng *proc.Engine, t *proc.LockTable, idx int) *QueueLockNoCAS {
+	return &QueueLockNoCAS{*NewQueueLock(eng, t, idx)}
+}
+
+var _ Mutex = (*QueueLockNoCAS)(nil)
+
+// Unlock releases with swap instead of compare&swap.
+func (q *QueueLockNoCAS) Unlock() {
+	q.Released()
+	next := q.Successor()
 	if next.IsNil() {
-		// Nobody visibly queued. compare&swap(Lock, mynode, NULL): when
-		// the lock still points at us, no one is requesting and we are
-		// done. Remote locks pay a full round trip here — the one case
-		// where the queuing lock is slower than the hybrid (Figure 10).
-		observed := q.eng.CompareAndSwapPair(q.t.MCS[q.idx], minePacked, shmem.Pair{})
-		if observed == minePacked {
+		usurper, empty := q.DetachSwap()
+		if empty {
 			return
 		}
-		// A requester swapped itself in but has not linked yet; wait for
-		// it to set our next pointer.
-		env.WaitUntil("mcs-release-link", func() bool {
-			return !space.LoadPair(nextField).UnpackPtr().IsNil()
-		})
-		next = space.LoadPair(nextField).UnpackPtr()
+		next = q.AwaitLink()
+		if !usurper.IsNil() {
+			// The usurper chain's tail inherits our successors.
+			q.link(usurper, next)
+			return
+		}
 	}
-
-	// mynode->next->locked = FALSE — hand the lock to the next waiter
-	// directly: zero messages if local, one if remote.
-	q.eng.Store(next.Add(proc.QNodeLocked), 0)
+	q.Wake(next)
 }

@@ -42,7 +42,7 @@ import (
 	"time"
 
 	"armci"
-	"armci/internal/proc"
+	"armci/internal/core"
 	"armci/internal/shmem"
 	"armci/internal/transport"
 	"armci/internal/wire"
@@ -405,7 +405,7 @@ func (r *runner) repairLeases(dead int) {
 	if t == nil {
 		return
 	}
-	if freed := proc.RepairLeasesHeldBy(r.p.Engine(), t, dead); freed > 0 {
+	if freed := core.RepairLeasesHeldBy(r.p.Engine(), t, dead); freed > 0 {
 		r.logf("elastic: rank %d freed %d lease(s) held by dead rank %d", r.rank, freed, dead)
 	}
 }

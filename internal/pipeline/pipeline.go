@@ -128,9 +128,10 @@ type Faults struct {
 	// CrashHeldAcquire, when > 0, crashes CrashHeldRank immediately
 	// after its CrashHeldAcquire-th lock acquisition — the rank dies
 	// holding the lock. The pipeline cannot see acquisitions, so the
-	// lock layer counts them and fail-stops the rank itself; the knob
-	// lives here so it rides the same plan/grammar as every other
-	// fault. 0 disables the fault.
+	// lock layer's one ownership step (core.Holder.Acquired, which every
+	// lock algorithm ends its acquire with) counts them per lock handle
+	// and fail-stops the rank itself; the knob lives here so it rides
+	// the same plan/grammar as every other fault. 0 disables the fault.
 	CrashHeldAcquire int
 	// ElasticCrashRank selects the rank killed by the elastic crash
 	// fault (used only when ElasticCrashStep > 0).

@@ -175,50 +175,69 @@ func TestLeaseLockSurvivesHolderCrash(t *testing.T) {
 	}
 }
 
-// TestQueueLockCrashHeldFailsFast: the same crashheld plan against the
-// plain queuing lock must never hang — the run fails fast with a
-// FaultError attributing the crash, on every fabric.
+// TestQueueLockCrashHeldFailsFast: the same crashheld plan against every
+// lock without a lease must never hang, and must never be silently
+// skipped — the run fails fast with a FaultError attributing the crash,
+// on every fabric, under every such algorithm.
 func TestQueueLockCrashHeldFailsFast(t *testing.T) {
+	// taken reports, from rank 0 where lock 0 is homed, whether the
+	// victim has occupied the lock: a non-nil MCS tail, or a drawn ticket.
+	tail := func(p *armci.Proc) bool { return !p.Engine().LoadPair(p.Locks().MCS[0]).UnpackPtr().IsNil() }
+	ticket := func(p *armci.Proc) bool { return p.Engine().Load(p.Locks().TicketCounter[0]) > 0 }
+	algs := []struct {
+		alg   armci.LockAlg
+		ppn   int // the pure ticket lock needs every rank on the home node
+		taken func(p *armci.Proc) bool
+	}{
+		{armci.LockQueue, 1, tail},
+		{armci.LockQueueNoCAS, 1, tail},
+		{armci.LockHybrid, 1, ticket},
+		{armci.LockTicket, 2, ticket},
+	}
 	for _, fabric := range []armci.FabricKind{armci.FabricSim, armci.FabricChan, armci.FabricTCP} {
 		t.Run(fabric.String(), func(t *testing.T) {
-			rep, err := armci.Run(armci.Options{
-				Procs:      2,
-				Fabric:     fabric,
-				NumMutexes: 1,
-				LockHomes:  []int{0},
-				Faults:     leaseCrashPlan(),
-			}, func(p *armci.Proc) {
-				p.MallocWords(1)
-				mu := p.Mutex(0, armci.LockQueue)
-				if p.Rank() == 1 {
-					mu.Lock() // dies here
-					panic("rank 1 survived its designated crashheld fault")
-				}
-				// Wait until rank 1 occupies the queue (the MCS tail is
-				// homed at rank 0), then block on the dead holder.
-				eng := p.Engine()
-				tail := p.Locks().MCS[0]
-				for eng.LoadPair(tail).UnpackPtr().IsNil() {
-					p.Env().Clock().Sleep(100 * time.Microsecond)
-				}
-				mu.Lock()
-				panic("rank 0 acquired a lock whose holder died without releasing")
-			})
-			if err == nil {
-				t.Fatal("queue lock under a holder crash completed; want a fault error")
-			}
-			var fe *armci.FaultError
-			if !errors.As(err, &fe) {
-				t.Fatalf("error %v (%T) is not a *FaultError", err, err)
-			}
-			if fe.Kind != armci.FaultCrash {
-				t.Fatalf("fault kind %v, want FaultCrash", fe.Kind)
-			}
-			if fe.Rank != 1 {
-				t.Fatalf("fault attributed to rank %d, want the crashed rank 1", fe.Rank)
-			}
-			if rep == nil {
-				t.Fatal("fault abort returned no partial report")
+			for _, a := range algs {
+				t.Run(a.alg.String(), func(t *testing.T) {
+					t.Parallel() // a wall-clock fabric takes ~1 s to attribute the crash
+					rep, err := armci.Run(armci.Options{
+						Procs:        2,
+						ProcsPerNode: a.ppn,
+						Fabric:       fabric,
+						NumMutexes:   1,
+						LockHomes:    []int{0},
+						Faults:       leaseCrashPlan(),
+					}, func(p *armci.Proc) {
+						p.MallocWords(1)
+						mu := p.Mutex(0, a.alg)
+						if p.Rank() == 1 {
+							mu.Lock() // dies here
+							panic("rank 1 survived its designated crashheld fault")
+						}
+						// Wait until rank 1 occupies the lock, then block on
+						// the dead holder.
+						for !a.taken(p) {
+							p.Env().Clock().Sleep(100 * time.Microsecond)
+						}
+						mu.Lock()
+						panic("rank 0 acquired a lock whose holder died without releasing")
+					})
+					if err == nil {
+						t.Fatal("lock under a holder crash completed; want a fault error")
+					}
+					var fe *armci.FaultError
+					if !errors.As(err, &fe) {
+						t.Fatalf("error %v (%T) is not a *FaultError", err, err)
+					}
+					if fe.Kind != armci.FaultCrash {
+						t.Fatalf("fault kind %v, want FaultCrash", fe.Kind)
+					}
+					if fe.Rank != 1 {
+						t.Fatalf("fault attributed to rank %d, want the crashed rank 1", fe.Rank)
+					}
+					if rep == nil {
+						t.Fatal("fault abort returned no partial report")
+					}
+				})
 			}
 		})
 	}

@@ -19,6 +19,10 @@ go test ./...
 # barrier parity, elastic recovery — is covered by the same line, so a
 # new test needs no entry here.
 go test -race -short ./...
+# The lock modules once more, five times over: the late-link and usurper
+# splice windows of the MCS queue are schedule-dependent, and one race
+# pass rarely enters them.
+go test -race -count=5 ./internal/core
 # The multi-process tests -short skips (ring/coalesced/workload/
 # hierarchical parity with TCP, worker-death attribution, elastic
 # kill-and-respawn): real OS worker processes, race detector on.
