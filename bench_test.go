@@ -64,14 +64,15 @@ func BenchmarkFig7bFactor(b *testing.B) {
 	}
 }
 
-// lockRow runs the lock experiment at one process count.
-func lockRow(b *testing.B, n int) bench.LockRow {
+// lockRow runs the lock experiment at one process count and returns the
+// accessor of its one row's cells.
+func lockRow(b *testing.B, n int) func(key string) float64 {
 	b.Helper()
 	res, err := bench.Lock(bench.LockOpts{Opts: simOpts(), ProcCounts: []int{n}, Iters: 50})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return res.Rows[0]
+	return func(key string) float64 { return res.Float(0, key) }
 }
 
 // BenchmarkFig8aLockTotal regenerates Figure 8(a): mean time to request
@@ -79,12 +80,12 @@ func lockRow(b *testing.B, n int) bench.LockRow {
 func BenchmarkFig8aLockTotal(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("procs=%d", n), func(b *testing.B) {
-			var row bench.LockRow
+			var row func(string) float64
 			for i := 0; i < b.N; i++ {
 				row = lockRow(b, n)
 			}
-			b.ReportMetric(row.Current.TotalUS, "vt_us_cur")
-			b.ReportMetric(row.New.TotalUS, "vt_us_new")
+			b.ReportMetric(row("cur_total_us"), "vt_us_cur")
+			b.ReportMetric(row("new_total_us"), "vt_us_new")
 		})
 	}
 }
@@ -94,11 +95,11 @@ func BenchmarkFig8aLockTotal(b *testing.B) {
 func BenchmarkFig8bFactor(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("procs=%d", n), func(b *testing.B) {
-			var row bench.LockRow
+			var row func(string) float64
 			for i := 0; i < b.N; i++ {
 				row = lockRow(b, n)
 			}
-			b.ReportMetric(row.Factor, "factor")
+			b.ReportMetric(row("factor"), "factor")
 		})
 	}
 }
@@ -108,12 +109,12 @@ func BenchmarkFig8bFactor(b *testing.B) {
 func BenchmarkFig9LockAcquire(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("procs=%d", n), func(b *testing.B) {
-			var row bench.LockRow
+			var row func(string) float64
 			for i := 0; i < b.N; i++ {
 				row = lockRow(b, n)
 			}
-			b.ReportMetric(row.Current.AcquireUS, "vt_us_cur")
-			b.ReportMetric(row.New.AcquireUS, "vt_us_new")
+			b.ReportMetric(row("cur_acquire_us"), "vt_us_cur")
+			b.ReportMetric(row("new_acquire_us"), "vt_us_new")
 		})
 	}
 }
@@ -123,12 +124,12 @@ func BenchmarkFig9LockAcquire(b *testing.B) {
 func BenchmarkFig10LockRelease(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("procs=%d", n), func(b *testing.B) {
-			var row bench.LockRow
+			var row func(string) float64
 			for i := 0; i < b.N; i++ {
 				row = lockRow(b, n)
 			}
-			b.ReportMetric(row.Current.ReleaseUS, "vt_us_cur")
-			b.ReportMetric(row.New.ReleaseUS, "vt_us_new")
+			b.ReportMetric(row("cur_release_us"), "vt_us_cur")
+			b.ReportMetric(row("new_release_us"), "vt_us_new")
 		})
 	}
 }
@@ -139,18 +140,18 @@ func BenchmarkFig10LockRelease(b *testing.B) {
 func BenchmarkCrossover(b *testing.B) {
 	for _, k := range []int{0, 1, 2, 4} {
 		b.Run(fmt.Sprintf("targets=%d", k), func(b *testing.B) {
-			var row bench.CrossoverRow
+			var res *bench.Table
 			for i := 0; i < b.N; i++ {
-				res, err := bench.Crossover(bench.CrossoverOpts{
+				var err error
+				res, err = bench.Crossover(bench.CrossoverOpts{
 					Opts: simOpts(), Procs: 16, KValues: []int{k},
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				row = res.Rows[0]
 			}
-			b.ReportMetric(row.OldUS, "vt_us_old")
-			b.ReportMetric(row.NewUS, "vt_us_new")
+			b.ReportMetric(res.Float(0, "old_us"), "vt_us_old")
+			b.ReportMetric(res.Float(0, "new_us"), "vt_us_new")
 		})
 	}
 }

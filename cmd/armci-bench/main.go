@@ -2,16 +2,21 @@
 // Synchronization Operations for Remote Memory Communication Systems"
 // (IPPS 2003): Figure 7 (GA_Sync, original vs combined barrier), Figures
 // 8-10 (hybrid vs software queuing locks), the §3.1.2 sparse-writer
-// crossover, and the analytical message-count check.
+// crossover, the analytical message-count check and the extensions. The
+// experiments are the rows of bench.Experiments: -fig selects one by name
+// or alias, -fig all runs them in order, and every one prints as a text
+// table or, with -format csv, as its row set.
 //
 // Usage:
 //
 //	armci-bench -fig all                  # everything, simulated fabric
 //	armci-bench -fig 7 -procs 2,4,8,16,32 # extend the sweep
 //	armci-bench -fig 8 -fabric chan       # wall-clock sanity run
+//	armci-bench -fig all -fabric tcp      # sim-only experiments print a "skipped" line
 //	armci-bench -fig crossover
 //	armci-bench -fig crossover-n            # barrier algorithms vs cluster size, 16..4096 ranks
 //	armci-bench -fig counts
+//	armci-bench -fig sensitivity -format csv
 //	armci-bench -fig workloads            # named scenario makespans (internal/workload grammar)
 //	armci-bench -fig workloads -workload 'stencil:rows=16,halo=2;mixed:skew=hot'
 //
@@ -20,11 +25,12 @@
 //
 //	armci-bench -baseline                 # write the next BENCH_<n>.json
 //	armci-bench -baseline -o BENCH_1.json # explicit output path
-//	armci-bench -compare BENCH_0.json     # fail (exit 1) on >tolerance regression
-//	armci-bench -compare BENCH_0.json -quick   # judge deterministic metrics only (CI)
+//	armci-bench -compare BENCH_7.json     # fail (exit 1) on >tolerance regression
+//	armci-bench -compare BENCH_7.json -quick   # judge deterministic metrics only (CI)
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -42,71 +48,117 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("armci-bench: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run is the command: args are the command-line arguments, out receives
+// the tables.
+func run(args []string, out io.Writer) error {
+	figs := strings.Join(bench.FigNames(), ", ") + ", all"
+	fs := flag.NewFlagSet("armci-bench", flag.ExitOnError)
 	var (
-		fig      = flag.String("fig", "all", "experiment: 7, 8, 9, 10, lock, lockcrash, elastic, crossover, crossover-n, counts, ablate, striping, sensitivity, smallput, workloads, all")
-		workload = flag.String("workload", "", "with -fig workloads: semicolon-separated workload specs (default stencil;paramserver;prodcons;mixed)")
-		fabric   = flag.String("fabric", "sim", "fabric: sim, chan, tcp, proc (proc: multi-process, see -fabric proc notes)")
-		preset   = flag.String("preset", string(armci.PresetMyrinet2000), "cost model: myrinet2000, fast-ethernet, zero")
-		procsF   = flag.String("procs", "", "comma-separated process counts (default per experiment)")
-		reps     = flag.Int("reps", 0, "timed repetitions per point (default per experiment)")
-		iters    = flag.Int("iters", 0, "lock iterations per process (default 200)")
-		format   = flag.String("format", "table", "output format: table or csv (figs 7, 8, crossover, crossover-n, striping)")
-		timeline = flag.String("timeline", "", "write a per-message CSV timeline of one sync to this file and exit")
-		faultsF  = flag.String("faults", "", "fault-injection plan, e.g. jitter=500us,spike=2ms@0.05,dup=0.02,loss=0.05@2,rto=200us@4ms,retry=6,crash=2@40,seed=7")
-		hist     = flag.Bool("hist", false, "print per-kind message latency histograms after the experiment")
-		baseline = flag.Bool("baseline", false, "collect a performance baseline and write BENCH_<n>.json instead of running an experiment")
-		compare  = flag.String("compare", "", "collect the current metrics and compare against this BENCH_*.json; exit 1 on regression")
-		quick    = flag.Bool("quick", false, "with -compare: judge only deterministic metrics (skip wall-clock ones)")
-		outPath  = flag.String("o", "", "with -baseline: output path (default the next free BENCH_<n>.json)")
-		procWkr  = flag.Bool("proc-fig7-worker", false, "internal: run as one multi-process fig7 worker (set by -fabric proc)")
+		fig      = fs.String("fig", "all", "experiment: "+figs)
+		workload = fs.String("workload", "", "with -fig workloads: semicolon-separated workload specs (default stencil;paramserver;prodcons;mixed)")
+		fabric   = fs.String("fabric", "sim", "fabric: sim, chan, tcp, proc (proc: multi-process, see -fabric proc notes)")
+		preset   = fs.String("preset", string(armci.PresetMyrinet2000), "cost model: myrinet2000, fast-ethernet, zero")
+		procsF   = fs.String("procs", "", "comma-separated process counts (default per experiment)")
+		reps     = fs.Int("reps", 0, "timed repetitions per point (default per experiment)")
+		iters    = fs.Int("iters", 0, "lock iterations per process (default 200)")
+		format   = fs.String("format", "table", "output format: table or csv")
+		timeline = fs.String("timeline", "", "write a per-message CSV timeline of one sync to this file and exit")
+		faultsF  = fs.String("faults", "", "fault-injection plan, e.g. jitter=500us,spike=2ms@0.05,dup=0.02,loss=0.05@2,rto=200us@4ms,retry=6,crash=2@40,seed=7")
+		hist     = fs.Bool("hist", false, "print per-kind message latency histograms after the experiment")
+		baseline = fs.Bool("baseline", false, "collect a performance baseline and write BENCH_<n>.json instead of running an experiment")
+		compare  = fs.String("compare", "", "collect the current metrics and compare against this BENCH_*.json; exit 1 on regression")
+		quick    = fs.Bool("quick", false, "with -compare: judge only deterministic metrics (skip wall-clock ones)")
+		outPath  = fs.String("o", "", "with -baseline: output path (default the next free BENCH_<n>.json)")
+		procWkr  = fs.Bool("proc-fig7-worker", false, "internal: run as one multi-process fig7 worker (set by -fabric proc)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	if *procWkr {
 		os.Exit(runProcFig7Worker(*procsF, *reps))
 	}
-
 	if *baseline || *compare != "" {
 		os.Exit(runBaseline(*baseline, *compare, *quick, *outPath))
 	}
 
 	fk, err := armci.ParseFabric(*fabric)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	procCounts, err := parseProcs(*procsF)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	faults, err := parseFaults(*faultsF)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var metrics *armci.Metrics
 	if *hist {
 		metrics = armci.NewMetrics()
 	}
-	common := bench.Opts{Fabric: fk, Preset: armci.CostPreset(*preset), Reps: *reps,
-		Faults: faults, Metrics: metrics}
-	csv := *format == "csv"
+	a := bench.Args{Procs: procCounts, Iters: *iters, Opts: bench.Opts{Fabric: fk,
+		Preset: armci.CostPreset(*preset), Reps: *reps, Faults: faults, Metrics: metrics}}
+	for _, s := range strings.Split(*workload, ";") {
+		if s = strings.TrimSpace(s); s != "" {
+			a.Specs = append(a.Specs, s)
+		}
+	}
 	if *format != "table" && *format != "csv" {
-		log.Fatalf("unknown -format %q", *format)
+		return fmt.Errorf("unknown -format %q", *format)
+	}
+	show := func(t *bench.Table) {
+		if *format == "csv" {
+			fmt.Fprint(out, t.CSV())
+		} else {
+			fmt.Fprint(out, t.Text())
+		}
+	}
+	// The registry rows -fig selects: one, or all of them in order.
+	var selected []*bench.Experiment
+	if e := bench.Find(*fig); e != nil {
+		selected = []*bench.Experiment{e}
+	} else if *fig != "all" {
+		return fmt.Errorf("unknown -fig %q (want one of %s)", *fig, figs)
+	} else {
+		for i := range bench.Experiments {
+			selected = append(selected, &bench.Experiments[i])
+		}
 	}
 
 	if fk == armci.FabricProc {
 		// Each proc-fabric point is a separate multi-process launch that
-		// re-executes this binary as the workers; only the figures listed
-		// in procFigs are wired for that.
-		if launch, ok := procFigs[*fig]; !ok {
-			log.Fatalf("-fabric proc supports %s; run the other figures on sim, chan or tcp",
-				procFigList())
-		} else if *faultsF != "" || *hist || *timeline != "" {
-			log.Fatal("-fabric proc does not combine with -faults, -hist or -timeline")
-		} else {
-			launch(procCounts, *reps, csv)
-			return
+		// re-executes this binary as the workers; only the experiments
+		// with a Proc launcher are wired for that.
+		if len(selected) != 1 || selected[0].Proc == nil {
+			var wired []string
+			for _, e := range bench.Experiments {
+				if e.Proc != nil {
+					wired = append(wired, "-fig "+e.Name)
+				}
+			}
+			return fmt.Errorf("-fabric proc supports only %s; run the other figures on sim, chan or tcp",
+				strings.Join(wired, ", "))
 		}
+		if *faultsF != "" || *hist || *timeline != "" {
+			return errors.New("-fabric proc does not combine with -faults, -hist or -timeline")
+		}
+		self, err := os.Executable()
+		if err != nil {
+			return fmt.Errorf("resolving own binary for self-exec: %w", err)
+		}
+		t, err := selected[0].Proc(a, func(n int) []string {
+			return []string{self, "-proc-fig7-worker", "-procs", fmt.Sprint(n), "-reps", fmt.Sprint(*reps)}
+		})
+		if err != nil {
+			return err
+		}
+		show(t)
+		return nil
 	}
 
 	if *timeline != "" {
@@ -115,69 +167,34 @@ func main() {
 			n = procCounts[len(procCounts)-1]
 		}
 		if err := writeTimeline(*timeline, n, armci.CostPreset(*preset)); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("timeline of one ARMCI_Barrier at %d processes written to %s\n", n, *timeline)
-		return
+		fmt.Fprintf(out, "timeline of one ARMCI_Barrier at %d processes written to %s\n", n, *timeline)
+		return nil
 	}
 
-	switch *fig {
-	case "7":
-		runFig7(common, procCounts, csv)
-	case "8", "9", "10", "lock":
-		runLock(common, procCounts, *iters, csv)
-	case "lockcrash":
-		runLockCrash(common, procCounts)
-	case "elastic":
-		runElastic(common, procCounts)
-	case "crossover":
-		runCrossover(common, procCounts, csv)
-	case "crossover-n":
-		runCrossoverN(common, procCounts, csv)
-	case "counts":
-		runCounts(procCounts)
-	case "ablate":
-		runAblations(common)
-	case "striping":
-		runStriping(common, csv)
-	case "sensitivity":
-		runSensitivity(common)
-	case "smallput":
-		runSmallPut(common, procCounts)
-	case "workloads":
-		runWorkloads(common, *workload)
-	case "all":
-		runFig7(common, procCounts, csv)
-		fmt.Println()
-		runLock(common, procCounts, *iters, csv)
-		fmt.Println()
-		runLockCrash(common, procCounts)
-		fmt.Println()
-		runElastic(common, procCounts)
-		fmt.Println()
-		runCrossover(common, nil, csv)
-		fmt.Println()
-		runCrossoverN(common, nil, csv)
-		fmt.Println()
-		runCounts(procCounts)
-		fmt.Println()
-		runAblations(common)
-		fmt.Println()
-		runStriping(common, csv)
-		fmt.Println()
-		runSensitivity(common)
-		fmt.Println()
-		runSmallPut(common, procCounts)
-		fmt.Println()
-		runWorkloads(common, *workload)
-	default:
-		log.Fatalf("unknown -fig %q", *fig)
+	for i, e := range selected {
+		if i > 0 {
+			fmt.Fprintln(out)
+		}
+		ea := a
+		if e.OwnSweep && len(selected) > 1 {
+			ea.Procs = nil
+		}
+		t, err := e.Run(ea)
+		if errors.Is(err, bench.ErrSimOnly) {
+			fmt.Fprintf(out, "%s: skipped (%v)\n", e.Name, err)
+			continue
+		} else if err != nil {
+			return err
+		}
+		show(t)
 	}
-
 	if metrics != nil {
-		fmt.Println()
-		fmt.Print(metrics.String())
+		fmt.Fprintln(out)
+		fmt.Fprint(out, metrics.String())
 	}
+	return nil
 }
 
 // runBaseline handles the -baseline and -compare modes: collect the
@@ -292,23 +309,6 @@ func parseProcs(s string) ([]int, error) {
 	return out, nil
 }
 
-// procFigs enumerates the figures wired for the multi-process proc
-// fabric, each as its own launcher: adding a proc-capable experiment
-// means one table entry, not another copy of the restriction message.
-var procFigs = map[string]func(procCounts []int, reps int, csv bool){
-	"7": runFig7Proc,
-}
-
-// procFigList renders the proc-capable figures for the error message.
-func procFigList() string {
-	figs := make([]string, 0, len(procFigs))
-	for f := range procFigs {
-		figs = append(figs, "-fig "+f)
-	}
-	sort.Strings(figs)
-	return "only " + strings.Join(figs, ", ")
-}
-
 // runProcFig7Worker is the worker-side dispatch of -fabric proc: the
 // launcher re-executes this binary with the hidden flag inside the
 // cluster rendezvous environment.
@@ -325,129 +325,6 @@ func runProcFig7Worker(procsF string, reps int) int {
 		return 1
 	}
 	return 0
-}
-
-// runFig7Proc sweeps Figure 7 across real OS processes: one cluster
-// launch per point, re-executing this binary as the workers.
-func runFig7Proc(procCounts []int, reps int, csv bool) {
-	if procCounts == nil {
-		procCounts = []int{2, 4, 8}
-	}
-	self, err := os.Executable()
-	if err != nil {
-		log.Fatalf("resolving own binary for self-exec: %v", err)
-	}
-	res := &bench.Fig7Result{Opts: bench.Fig7Opts{ProcCounts: procCounts}}
-	// Header metadata only: the proc fabric measures wall clock, so no
-	// cost preset applies; reps default to the worker-side 10.
-	res.Opts.Opts = bench.Opts{Fabric: armci.FabricProc, Preset: "wall-clock", Reps: reps}
-	if reps <= 0 {
-		res.Opts.Reps = 10
-	}
-	for _, n := range procCounts {
-		row, err := bench.LaunchFig7Proc(bench.Fig7ProcLaunch{
-			Procs:   n,
-			Command: []string{self, "-proc-fig7-worker", "-procs", fmt.Sprint(n), "-reps", fmt.Sprint(reps)},
-			Output:  io.Discard,
-		})
-		if err != nil {
-			log.Fatalf("fig7 proc N=%d: %v", n, err)
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	if csv {
-		fmt.Print(bench.CSVFig7(res))
-		return
-	}
-	fmt.Print(bench.FormatFig7(res))
-}
-
-func runFig7(common bench.Opts, procCounts []int, csv bool) {
-	res, err := bench.Fig7(bench.Fig7Opts{Opts: common, ProcCounts: procCounts})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if csv {
-		fmt.Print(bench.CSVFig7(res))
-		return
-	}
-	fmt.Print(bench.FormatFig7(res))
-}
-
-func runLock(common bench.Opts, procCounts []int, iters int, csv bool) {
-	res, err := bench.Lock(bench.LockOpts{Opts: common, ProcCounts: procCounts, Iters: iters})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if csv {
-		fmt.Print(bench.CSVLock(res))
-		return
-	}
-	fmt.Print(bench.FormatLock(res))
-}
-
-func runLockCrash(common bench.Opts, procCounts []int) {
-	if common.Fabric != armci.FabricSim {
-		fmt.Println("lockcrash: skipped (measures deterministic virtual times; sim fabric only)")
-		return
-	}
-	opts := bench.LockCrashOpts{Opts: common}
-	if len(procCounts) > 0 {
-		opts.Procs = procCounts[len(procCounts)-1]
-	}
-	res, err := bench.LockCrash(opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(bench.FormatLockCrash(res))
-}
-
-// runElastic prices the elastic subsystem: steady-state replication
-// overhead and crash-recovery latency, both deterministic virtual times.
-func runElastic(common bench.Opts, procCounts []int) {
-	if common.Fabric != armci.FabricSim {
-		fmt.Println("elastic: skipped (measures deterministic virtual times; sim fabric only — the real-crash path is armci-run -workload elastic)")
-		return
-	}
-	opts := bench.ElasticOpts{Opts: common}
-	if len(procCounts) > 0 {
-		opts.Procs = procCounts[len(procCounts)-1]
-	}
-	res, err := bench.Elastic(opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(bench.FormatElastic(res))
-}
-
-func runCrossover(common bench.Opts, procCounts []int, csv bool) {
-	procs := 16
-	if len(procCounts) > 0 {
-		procs = procCounts[len(procCounts)-1]
-	}
-	res, err := bench.Crossover(bench.CrossoverOpts{Opts: common, Procs: procs})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if csv {
-		fmt.Print(bench.CSVCrossover(res))
-		return
-	}
-	fmt.Print(bench.FormatCrossover(res))
-}
-
-// runCrossoverN sweeps one combined barrier across cluster sizes and
-// algorithms; -procs overrides the default N values.
-func runCrossoverN(common bench.Opts, procCounts []int, csv bool) {
-	res, err := bench.CrossoverN(bench.CrossoverNOpts{Opts: common, NValues: procCounts})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if csv {
-		fmt.Print(bench.CSVCrossoverN(res))
-		return
-	}
-	fmt.Print(bench.FormatCrossoverN(res))
 }
 
 // writeTimeline captures one combined barrier under the cost model and
@@ -472,76 +349,4 @@ func writeTimeline(path string, procs int, preset armci.CostPreset) error {
 		return err
 	}
 	return os.WriteFile(path, []byte(rep.Stats.TimelineCSV()), 0o644)
-}
-
-func runCounts(procCounts []int) {
-	if procCounts == nil {
-		procCounts = []int{2, 4, 8, 16}
-	}
-	var all []*bench.MessageCounts
-	for _, n := range procCounts {
-		c, err := bench.CountSyncMessages(n)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "armci-bench: counts N=%d: %v (skipped)\n", n, err)
-			continue
-		}
-		all = append(all, c)
-	}
-	fmt.Print(bench.FormatMessageCounts(all))
-}
-
-func runStriping(common bench.Opts, csv bool) {
-	res, err := bench.Striping(bench.StripingOpts{Opts: common})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if csv {
-		fmt.Print(bench.CSVStriping(res))
-		return
-	}
-	fmt.Print(bench.FormatStriping(res))
-}
-
-func runSmallPut(common bench.Opts, procCounts []int) {
-	opts := bench.SmallPutOpts{Opts: common}
-	if len(procCounts) > 0 {
-		opts.Procs = procCounts[len(procCounts)-1]
-	}
-	res, err := bench.SmallPut(opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(bench.FormatSmallPut(res))
-}
-
-func runWorkloads(common bench.Opts, specsF string) {
-	opts := bench.WorkloadsOpts{Opts: common}
-	if specsF != "" {
-		for _, s := range strings.Split(specsF, ";") {
-			if s = strings.TrimSpace(s); s != "" {
-				opts.Specs = append(opts.Specs, s)
-			}
-		}
-	}
-	res, err := bench.Workloads(opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(bench.FormatWorkloads(res))
-}
-
-func runSensitivity(common bench.Opts) {
-	res, err := bench.Sensitivity(bench.SensitivityOpts{Opts: common})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(bench.FormatSensitivity(res))
-}
-
-func runAblations(common bench.Opts) {
-	res, err := bench.Ablations(bench.AblationOpts{Opts: common})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(bench.FormatAblations(res))
 }

@@ -1,12 +1,51 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
 
 	"armci"
+	"armci/internal/bench"
 )
+
+// TestFigAllOnWallClockFabricReachesTheEnd: on a fabric other than sim,
+// -fig all prints one "skipped" line for every sim-only experiment and
+// carries on to the last section; it used to die in the sim-only error
+// of the last one. -format csv is honoured by every section that runs.
+func TestFigAllOnWallClockFabricReachesTheEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every figure on the chan fabric (seconds of wall clock)")
+	}
+	var out bytes.Buffer
+	if err := run(strings.Fields("-fig all -fabric chan -procs 2 -reps 1 -iters 2 -format csv"), &out); err != nil {
+		t.Fatalf("-fig all -fabric chan: %v\n%s", err, &out)
+	}
+	blocks := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n\n")
+	if len(blocks) != len(bench.Experiments) {
+		t.Fatalf("%d output blocks for %d experiments:\n%s", len(blocks), len(bench.Experiments), &out)
+	}
+	for i, e := range bench.Experiments {
+		skipped := strings.HasPrefix(blocks[i], e.Name+": skipped (")
+		if skipped != e.SimOnly {
+			t.Errorf("-fig %s (sim-only %v) printed:\n%s", e.Name, e.SimOnly, blocks[i])
+		}
+		// A CSV block opens with its column keys; a text one with a title.
+		if header, _, _ := strings.Cut(blocks[i], "\n"); !skipped && strings.Contains(header, " ") {
+			t.Errorf("-fig %s ignored -format csv:\n%s", e.Name, blocks[i])
+		}
+	}
+}
+
+// TestUnknownFigNamesTheRegistry: the error for a figure no row carries
+// lists the ones that exist.
+func TestUnknownFigNamesTheRegistry(t *testing.T) {
+	err := run([]string{"-fig", "fig7"}, new(bytes.Buffer))
+	if err == nil || !strings.Contains(err.Error(), strings.Join(bench.FigNames(), ", ")) {
+		t.Fatalf("-fig fig7: error %v does not list the registry's names", err)
+	}
+}
 
 func TestParseFaultsGrammar(t *testing.T) {
 	got, err := parseFaults("jitter=500us,spike=2ms@0.05,dup=0.02,loss=0.1@3,rto=200us@4ms,retry=6,crash=2@40,seed=7")

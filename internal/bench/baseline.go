@@ -90,102 +90,10 @@ func CollectBaseline(commit string) (*Baseline, error) {
 		b.Metrics[name] = Metric{Value: v, Unit: unit, Tol: defaultTol, Abs: defaultAbs}
 	}
 
-	// Figure 7: GA_Sync virtual time, old and new, per cluster size.
-	f7, err := Fig7(Fig7Opts{ProcCounts: []int{2, 4, 8, 16}})
-	if err != nil {
-		return nil, fmt.Errorf("bench: baseline fig7: %w", err)
-	}
-	for _, row := range f7.Rows {
-		det(fmt.Sprintf("fig7/old/p%d", row.Procs), row.OldUS, "us")
-		det(fmt.Sprintf("fig7/new/p%d", row.Procs), row.NewUS, "us")
-	}
-
-	// Figure 8: lock request+release virtual time, hybrid and queue.
-	lk, err := Lock(LockOpts{ProcCounts: []int{2, 4, 8}, Iters: 100})
-	if err != nil {
-		return nil, fmt.Errorf("bench: baseline lock: %w", err)
-	}
-	for _, row := range lk.Rows {
-		det(fmt.Sprintf("fig8/hybrid/p%d", row.Procs), row.Current.TotalUS, "us")
-		det(fmt.Sprintf("fig8/queue/p%d", row.Procs), row.New.TotalUS, "us")
-	}
-
-	// Sustained small-put throughput, coalescing off and on. The ratio
-	// metric is in percent (coalesced time as % of uncoalesced) so the
-	// absolute slack defaultAbs=0.75 stays negligible against it; the
-	// collection itself enforces the structural >=2x win — a baseline
-	// recording a lost speedup must never be writable.
-	sp, err := SmallPut(SmallPutOpts{})
-	if err != nil {
-		return nil, fmt.Errorf("bench: baseline smallput: %w", err)
-	}
-	det("smallput/uncoalesced/us", sp.UncoalescedUS, "us")
-	det("smallput/coalesced/us", sp.CoalescedUS, "us")
-	ratioPct := 100 * sp.CoalescedUS / sp.UncoalescedUS
-	det("smallput/ratio_pct", ratioPct, "pct")
-	if ratioPct > 50 {
-		return nil, fmt.Errorf("bench: coalescing speedup degraded to %.2fx (ratio %.1f%%), below the structural 2x floor",
-			sp.Factor, ratioPct)
-	}
-
-	// Large-N barrier crossover: one combined barrier per algorithm at
-	// cluster sizes up to 1024 ranks (the CLI sweep goes to 4096; the
-	// 4096 point costs a minute of simulation, too heavy for a gate
-	// that also runs under go test). Every point is a deterministic
-	// virtual time. The structural floor mirrors the sweep's headline
-	// claim: at N >= 1024 the hierarchical barrier with the NIC-offload
-	// fence must beat the flat dissemination exchange — a baseline
-	// recording a lost topology win must never be writable.
-	xn, err := CrossoverN(CrossoverNOpts{NValues: []int{64, 256, 1024}})
-	if err != nil {
-		return nil, fmt.Errorf("bench: baseline crossover-n: %w", err)
-	}
-	for _, row := range xn.Rows {
-		for i, v := range xn.Variants {
-			det(fmt.Sprintf("crossover/%s/n%d/us", v.Name, row.N), row.US[i], "us")
-		}
-		if row.N >= 1024 {
-			hier := xn.VariantUS(row, "hier-nicfence")
-			diss := xn.VariantUS(row, "dissemination")
-			if hier >= diss {
-				return nil, fmt.Errorf("bench: hierarchical+NIC barrier lost to dissemination at N=%d (%.1fus >= %.1fus), below the structural crossover floor",
-					row.N, hier, diss)
-			}
-		}
-	}
-
-	// Holder-crash recovery: crash-free hand-off vs crash-recovery
-	// latency of the lease lock, both deterministic virtual times.
-	lc, err := LockCrash(LockCrashOpts{})
-	if err != nil {
-		return nil, fmt.Errorf("bench: baseline lockcrash: %w", err)
-	}
-	det("lockcrash/handoff/us", lc.HandoffUS, "us")
-	det("lockcrash/recovery/us", lc.RecoveryUS, "us")
-
-	// Elastic recovery: the kill-one-rank recovery latency and the
-	// steady-state replication overhead (percent premium of streaming
-	// dirty-page deltas every sync epoch), both deterministic virtual
-	// values; the experiment itself rejects any run whose fingerprint
-	// diverges from the pure-replay oracle.
-	el, err := Elastic(ElasticOpts{})
-	if err != nil {
-		return nil, fmt.Errorf("bench: baseline elastic: %w", err)
-	}
-	det("elastic/recovery/us", el.RecoveryUS, "us")
-	det("elastic/repl_overhead_pct", el.OverheadPct, "pct")
-
-	// Named workloads: deterministic virtual makespan and wire totals of
-	// each scenario kind at its default shape, so a protocol change that
-	// slows a whole communication pattern — not just one primitive — is
-	// caught.
-	wl, err := Workloads(WorkloadsOpts{})
-	if err != nil {
-		return nil, fmt.Errorf("bench: baseline workloads: %w", err)
-	}
-	for _, row := range wl.Rows {
-		det("workload/"+row.Spec+"/us", row.US, "us")
-		det("workload/"+row.Spec+"/sends", float64(row.Sends), "sends")
+	// The figures: every gated column of every gated experiment, all
+	// deterministic virtual times and counts.
+	if err := gatedMetrics(det); err != nil {
+		return nil, err
 	}
 
 	// Conformance sweep: a fixed 160-case matrix with a deterministic

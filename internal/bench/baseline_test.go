@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,17 +21,27 @@ func TestBaselineRoundTripAndGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{
-		"fig7/old/p16", "fig7/new/p16", "fig8/hybrid/p8", "fig8/queue/p8",
-		"explore/cases", "explore/events",
-		"hotpath/kernel_schedule/allocs_op", "hotpath/pipeline_sendrecv/allocs_op",
-		"hotpath/procnet_send/ns_op",
-		"smallput/uncoalesced/us", "smallput/coalesced/us", "smallput/ratio_pct",
-		"lockcrash/handoff/us", "lockcrash/recovery/us",
-		"elastic/recovery/us", "elastic/repl_overhead_pct",
-	} {
-		if _, ok := base.Metrics[name]; !ok {
-			t.Errorf("baseline is missing tracked metric %q", name)
+	// The behavioural contract, exact: this build reports the metric
+	// names of the newest committed baseline, no more and no fewer, and
+	// every deterministic one at the committed value — so a drift too
+	// small or in the wrong direction for the gate's +15% rule, or a
+	// silently renamed metric, fails here. An intended change refreshes
+	// the baseline (`go run ./cmd/armci-bench -baseline`).
+	committed, err := ReadBaseline(newestBaseline(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range committed.Metrics {
+		got, ok := base.Metrics[name]
+		if !ok {
+			t.Errorf("this build no longer reports committed metric %q", name)
+		} else if !want.Noisy && got.Value != want.Value {
+			t.Errorf("%s = %v, the committed baseline has %v", name, got.Value, want.Value)
+		}
+	}
+	for name := range base.Metrics {
+		if _, ok := committed.Metrics[name]; !ok {
+			t.Errorf("this build reports %q, which the committed baseline does not track", name)
 		}
 	}
 	if got := base.Metrics["hotpath/kernel_schedule/allocs_op"].Value; got > 0 {
@@ -81,6 +92,23 @@ func TestBaselineRoundTripAndGate(t *testing.T) {
 			t.Errorf("handicap tripped unexpected metric %s", r)
 		}
 	}
+}
+
+// newestBaseline returns the committed BENCH_<n>.json with the highest n
+// — the file scripts/benchdiff.sh gates against.
+func newestBaseline(t *testing.T) string {
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed BENCH_<n>.json (glob error %v)", err)
+	}
+	newest, best := "", -1
+	for _, p := range paths {
+		var n int
+		if _, err := fmt.Sscanf(filepath.Base(p), "BENCH_%d.json", &n); err == nil && n > best {
+			newest, best = p, n
+		}
+	}
+	return newest
 }
 
 // handicap inflates every time-valued metric of a collected document by

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"slices"
@@ -128,37 +129,40 @@ func TestLockReproducesPaperShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byProcs := map[int]LockRow{}
-	for _, row := range res.Rows {
-		byProcs[row.Procs] = row
+	at := func(key string) map[int]float64 { // the column, by process count
+		col := map[int]float64{}
+		for i := range res.Rows {
+			col[res.Cell(i, "procs").(int)] = res.Float(i, key)
+		}
+		return col
 	}
 	// Figure 8(b): below 1 at one process, above 1 from 2 on.
-	if f := byProcs[1].Factor; f >= 1 {
+	factor := at("factor")
+	if f := factor[1]; f >= 1 {
 		t.Fatalf("single-process factor %.2f, want < 1 (the CAS penalty)", f)
 	}
 	for _, n := range []int{2, 4, 8, 16} {
-		if f := byProcs[n].Factor; f <= 1 {
+		if f := factor[n]; f <= 1 {
 			t.Fatalf("N=%d factor %.2f, want > 1", n, f)
 		}
 	}
-	if f := byProcs[8].Factor; f < 1.1 || f > 2.2 {
+	if f := factor[8]; f < 1.1 || f > 2.2 {
 		t.Fatalf("N=8 factor %.2f outside the paper-shaped band (paper: 1.25)", f)
 	}
 	// Figure 9: the new lock always acquires faster.
+	curAcq, newAcq := at("cur_acquire_us"), at("new_acquire_us")
 	for _, n := range []int{1, 2, 4, 8, 16} {
-		if byProcs[n].New.AcquireUS >= byProcs[n].Current.AcquireUS {
-			t.Fatalf("N=%d: new acquire %.1f not below current %.1f",
-				n, byProcs[n].New.AcquireUS, byProcs[n].Current.AcquireUS)
+		if newAcq[n] >= curAcq[n] {
+			t.Fatalf("N=%d: new acquire %.1f not below current %.1f", n, newAcq[n], curAcq[n])
 		}
 	}
 	// Figure 10: the new release is slower at low contention (CAS) and
 	// the gap shrinks as waiters appear.
-	if byProcs[1].New.ReleaseUS <= byProcs[1].Current.ReleaseUS {
+	curRel, newRel := at("cur_release_us"), at("new_release_us")
+	if newRel[1] <= curRel[1] {
 		t.Fatal("uncontended new release should pay the CAS round trip")
 	}
-	gap1 := byProcs[1].New.ReleaseUS - byProcs[1].Current.ReleaseUS
-	gap16 := byProcs[16].New.ReleaseUS - byProcs[16].Current.ReleaseUS
-	if gap16 >= gap1 {
+	if gap1, gap16 := newRel[1]-curRel[1], newRel[16]-curRel[16]; gap16 >= gap1 {
 		t.Fatalf("release gap should shrink with contention: %.1f at 1, %.1f at 16", gap1, gap16)
 	}
 }
@@ -171,19 +175,14 @@ func TestCrossoverMatchesAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range res.Rows {
-		oldWins := row.OldUS < row.NewUS
-		wantOldWins := row.K < 2
-		if oldWins != wantOldWins {
-			t.Fatalf("K=%d: old=%.1f new=%.1f — crossover off the log2(N)/2 prediction",
-				row.K, row.OldUS, row.NewUS)
+	for i := range res.Rows {
+		k, oldUS, newUS := res.Cell(i, "targets").(int), res.Float(i, "old_us"), res.Float(i, "new_us")
+		if oldWins, wantOldWins := oldUS < newUS, k < 2; oldWins != wantOldWins {
+			t.Fatalf("K=%d: old=%.1f new=%.1f — crossover off the log2(N)/2 prediction", k, oldUS, newUS)
 		}
-	}
-	// The new barrier's cost must not depend on K at all.
-	base := res.Rows[0].NewUS
-	for _, row := range res.Rows {
-		if math.Abs(row.NewUS-base) > base*0.05 {
-			t.Fatalf("new barrier cost varies with K: %.1f vs %.1f", row.NewUS, base)
+		// The new barrier's cost must not depend on K at all.
+		if base := res.Float(0, "new_us"); math.Abs(newUS-base) > base*0.05 {
+			t.Fatalf("new barrier cost varies with K: %.1f vs %.1f", newUS, base)
 		}
 	}
 }
@@ -191,32 +190,40 @@ func TestCrossoverMatchesAnalysis(t *testing.T) {
 // TestMessageCountFormulas: exact message complexity, the analytical core
 // of §3.1.
 func TestMessageCountFormulas(t *testing.T) {
-	for _, n := range []int{2, 4, 8, 16} {
-		c, err := CountSyncMessages(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.OldFenceReqs != n*(n-1) {
-			t.Fatalf("N=%d: old fence requests %d, want N(N-1)=%d", n, c.OldFenceReqs, n*(n-1))
+	res, err := MessageCounts([]int{2, 4, 8, 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range res.Rows {
+		n := res.Cell(i, "procs").(int)
+		cell := func(key string) int { return res.Cell(i, key).(int) }
+		if cell("old_fence_reqs") != n*(n-1) || cell("exp_fence_reqs") != n*(n-1) {
+			t.Fatalf("N=%d: old fence requests %d, want N(N-1)=%d", n, cell("old_fence_reqs"), n*(n-1))
 		}
 		logN := 0
 		for 1<<logN < n {
 			logN++
 		}
-		if c.NewColl != 2*n*logN {
-			t.Fatalf("N=%d: new collective messages %d, want 2N*log2(N)=%d", n, c.NewColl, 2*n*logN)
+		if cell("new_coll") != 2*n*logN || cell("exp_coll") != 2*n*logN {
+			t.Fatalf("N=%d: new collective messages %d, want 2N*log2(N)=%d", n, cell("new_coll"), 2*n*logN)
 		}
 		// The new barrier must send no fence traffic at all; its total
 		// is exactly the collective messages.
-		if c.NewTotal != c.NewColl {
-			t.Fatalf("N=%d: new barrier sent %d extra non-collective messages", n, c.NewTotal-c.NewColl)
+		if cell("new_total") != cell("new_coll") {
+			t.Fatalf("N=%d: new barrier sent %d extra non-collective messages", n, cell("new_total")-cell("new_coll"))
 		}
 	}
 }
 
+// A process count that is not a power of two is left out of the table
+// and named in a note.
 func TestCountSyncMessagesRejectsNonPow2(t *testing.T) {
-	if _, err := CountSyncMessages(6); err == nil {
-		t.Fatal("non-power-of-two accepted")
+	res, err := MessageCounts([]int{6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 0 || len(res.Notes) != 1 || !strings.Contains(res.Notes[0], "N=6") {
+		t.Fatalf("non-power-of-two accepted: rows %v, notes %q", res.Rows, res.Notes)
 	}
 }
 
@@ -229,67 +236,90 @@ func TestAblationsRun(t *testing.T) {
 	if len(res.Rows) != 7 {
 		t.Fatalf("%d ablation rows", len(res.Rows))
 	}
-	rows := map[string]AblationRow{}
-	for _, row := range res.Rows {
-		if row.AUS <= 0 || row.BUS <= 0 {
-			t.Fatalf("%s: non-positive times %+v", row.Name, row)
+	aUS, bUS := map[string]float64{}, map[string]float64{}
+	for i := range res.Rows {
+		name := res.Cell(i, "name").(string)
+		aUS[name], bUS[name] = res.Float(i, "a_us"), res.Float(i, "b_us")
+		if aUS[name] <= 0 || bUS[name] <= 0 {
+			t.Fatalf("%s: non-positive times %v", name, res.Rows[i])
 		}
-		rows[row.Name] = row
 	}
 	// Pipelining the fence round trips must help, and per-put acks must
 	// beat explicit confirmations for the old sync.
-	if r := rows["allfence round trips"]; r.BUS >= r.AUS {
-		t.Fatalf("pipelined allfence (%.1f) not faster than serialized (%.1f)", r.BUS, r.AUS)
+	if n := "allfence round trips"; bUS[n] >= aUS[n] {
+		t.Fatalf("pipelined allfence (%.1f) not faster than serialized (%.1f)", bUS[n], aUS[n])
 	}
-	if r := rows["fence mode"]; r.BUS >= r.AUS {
-		t.Fatalf("ack-mode sync (%.1f) not faster than request-mode (%.1f)", r.BUS, r.AUS)
+	if n := "fence mode"; bUS[n] >= aUS[n] {
+		t.Fatalf("ack-mode sync (%.1f) not faster than request-mode (%.1f)", bUS[n], aUS[n])
 	}
 	// The strided tile transfer must beat one put per row.
-	if r := rows["tile transfer"]; r.AUS >= r.BUS {
-		t.Fatalf("strided put (%.1f) not faster than per-row puts (%.1f)", r.AUS, r.BUS)
+	if n := "tile transfer"; aUS[n] >= bUS[n] {
+		t.Fatalf("strided put (%.1f) not faster than per-row puts (%.1f)", aUS[n], bUS[n])
 	}
 	// Co-locating contenders must help the queuing lock (local hand-offs).
-	if r := rows["queue lock on SMP"]; r.AUS >= r.BUS {
-		t.Fatalf("co-located queue lock (%.1f) not faster than spread (%.1f)", r.AUS, r.BUS)
+	if n := "queue lock on SMP"; aUS[n] >= bUS[n] {
+		t.Fatalf("co-located queue lock (%.1f) not faster than spread (%.1f)", aUS[n], bUS[n])
 	}
 	// The NIC agent must cut the uncontended release cost (§5).
-	if r := rows["NIC-assisted atomics"]; r.BUS >= r.AUS {
-		t.Fatalf("NIC-served release (%.1f) not faster than host-served (%.1f)", r.BUS, r.AUS)
+	if n := "NIC-assisted atomics"; bUS[n] >= aUS[n] {
+		t.Fatalf("NIC-served release (%.1f) not faster than host-served (%.1f)", bUS[n], aUS[n])
 	}
 }
 
-// TestFormatters produce the paper-style tables without choking.
+// TestFormatters pins the one text renderer, the one CSV renderer and the
+// metric expansion on a hand-made table with every feature — a grid
+// section, a layout section, a text-only column, a left-aligned one, a
+// cell that needs quoting, a note — and the registry's dispatch: every
+// name and alias selects its row, and nothing else does.
 func TestFormatters(t *testing.T) {
-	f7, err := Fig7(Fig7Opts{Opts: fastOpts(), ProcCounts: []int{2, 4}})
-	if err != nil {
-		t.Fatal(err)
+	tab := &Table{
+		Cols: []Col{
+			{Key: "spec", Head: "spec", Width: -8},
+			usCol("t_us", "time (us)", "x/{}/us"),
+			{Key: "n", Head: "n", Width: 4, Metric: "x/{}/n", Unit: "sends"},
+			{Key: "best", Head: "best", Width: 5, TextOnly: true},
+		},
+		Rows: [][]any{{"a,b", 1.25, 7, "yes"}, {"c", 10.0, 12, "no"}},
+		Sections: []Section{
+			{Title: "Grid", Cols: "spec t_us best"},
+			{Title: "Lines", Cols: "n spec", Layout: "%d of %s"},
+		},
+		Notes: []string{"a note"},
 	}
-	if s := FormatFig7(f7); !strings.Contains(s, "Figure 7(a)") || !strings.Contains(s, "factor") {
-		t.Fatalf("fig7 table malformed:\n%s", s)
+	wantText := "Grid\nspec          time (us)  best\na,b                 1.2   yes\nc                  10.0    no\n" +
+		"\nLines\n7 of a,b\n12 of c\na note\n"
+	if got := tab.Text(); got != wantText {
+		t.Errorf("text:\n%q\nwant\n%q", got, wantText)
 	}
-	lk, err := Lock(LockOpts{Opts: fastOpts(), ProcCounts: []int{1, 2}, Iters: 10})
-	if err != nil {
-		t.Fatal(err)
+	if got, want := tab.CSV(), "spec,t_us,n\n\"a,b\",1.250,7\nc,10.000,12\n"; got != want {
+		t.Errorf("csv:\n%q\nwant\n%q", got, want)
 	}
-	s := FormatLock(lk)
-	for _, want := range []string{"Figure 8(a)", "Figure 8(b)", "Figure 9", "Figure 10"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("lock table missing %q:\n%s", want, s)
+	var metrics []string
+	tab.Metrics(func(name string, v float64, unit string) {
+		metrics = append(metrics, fmt.Sprintf("%s=%v %s", name, v, unit))
+	})
+	if want := []string{"x/a,b/us=1.25 us", "x/c/us=10 us", "x/a,b/n=7 sends", "x/c/n=12 sends"}; !slices.Equal(metrics, want) {
+		t.Errorf("metrics %q, want %q", metrics, want)
+	}
+
+	seen := map[string]bool{}
+	for i := range Experiments {
+		e := &Experiments[i]
+		for _, name := range append([]string{e.Name}, e.Aliases...) {
+			if Find(name) != e {
+				t.Errorf("-fig %s does not dispatch to the %s row", name, e.Name)
+			}
+			if seen[name] {
+				t.Errorf("-fig %s is claimed by two rows", name)
+			}
+			seen[name] = true
 		}
 	}
-	cr, err := Crossover(CrossoverOpts{Opts: fastOpts(), Procs: 8, KValues: []int{0, 1}})
-	if err != nil {
-		t.Fatal(err)
+	if got := FigNames(); len(got) != len(seen) {
+		t.Errorf("FigNames() = %v, want the %d names and aliases of the registry", got, len(seen))
 	}
-	if s := FormatCrossover(cr); !strings.Contains(s, "Crossover") {
-		t.Fatalf("crossover table malformed:\n%s", s)
-	}
-	mc, err := CountSyncMessages(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := FormatMessageCounts([]*MessageCounts{mc}); !strings.Contains(s, "Message complexity") {
-		t.Fatalf("counts table malformed:\n%s", s)
+	if Find("all") != nil || Find("") != nil || Find("fig7") != nil {
+		t.Error("Find accepts a name no row carries")
 	}
 }
 
@@ -324,15 +354,15 @@ func TestStripingShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, last := res.Rows[0], res.Rows[len(res.Rows)-1]
-	if first.Locks != 1 || last.Locks != 8 {
-		t.Fatalf("unexpected sweep %+v", res.Rows)
+	last := len(res.Rows) - 1
+	if res.Cell(0, "locks") != 1 || res.Cell(last, "locks") != 8 {
+		t.Fatalf("unexpected sweep %v", res.Rows)
 	}
-	if first.ThroughputFactor <= 1 {
-		t.Fatalf("hot single lock: queue lock should win (factor %.2f)", first.ThroughputFactor)
+	if f := res.Float(0, "factor"); f <= 1 {
+		t.Fatalf("hot single lock: queue lock should win (factor %.2f)", f)
 	}
-	if last.ThroughputFactor >= 1 {
-		t.Fatalf("8-way striping: hybrid should win the uncontended regime (factor %.2f)", last.ThroughputFactor)
+	if f := res.Float(last, "factor"); f >= 1 {
+		t.Fatalf("8-way striping: hybrid should win the uncontended regime (factor %.2f)", f)
 	}
 }
 
@@ -340,7 +370,7 @@ func TestStripingShape(t *testing.T) {
 // processes under every cost model spanning an order of magnitude of
 // latency, with the calibrated Myrinet point the strongest.
 func TestSensitivityAcrossNetworks(t *testing.T) {
-	res, err := Sensitivity(SensitivityOpts{Opts: fastOpts()})
+	res, err := Sensitivity(fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,28 +378,27 @@ func TestSensitivityAcrossNetworks(t *testing.T) {
 		t.Fatalf("%d rows", len(res.Rows))
 	}
 	var myrinet float64
-	for _, row := range res.Rows {
-		if row.Factor < 4 {
-			t.Fatalf("%s: factor %.2f below 4", row.Preset, row.Factor)
-		}
-		if row.Preset == armci.PresetMyrinet2000 {
-			myrinet = row.Factor
+	for i := range res.Rows {
+		if f := res.Float(i, "factor"); f < 4 {
+			t.Fatalf("%v: factor %.2f below 4", res.Cell(i, "model"), f)
+		} else if res.Cell(i, "model") == string(armci.PresetMyrinet2000) {
+			myrinet = f
 		}
 	}
-	for _, row := range res.Rows {
-		if row.Factor > myrinet {
-			t.Fatalf("%s factor %.2f exceeds the calibrated Myrinet point %.2f",
-				row.Preset, row.Factor, myrinet)
+	for i := range res.Rows {
+		if f := res.Float(i, "factor"); f > myrinet {
+			t.Fatalf("%v factor %.2f exceeds the calibrated Myrinet point %.2f", res.Cell(i, "model"), f, myrinet)
 		}
 	}
 }
 
-// TestGoldenTables is the harness's output contract: the cheap sections
-// of `armci-bench -fig all` and the small rows of its Crossover-N table,
-// rendered through the same Format* calls at the CLI's defaults, must
-// appear byte for byte in the committed results/all-tables.txt (sim
-// virtual times are exactly reproducible). `make golden` diffs the whole
-// file. A deliberate change regenerates the file with
+// TestGoldenTables is the harness's output contract, driven from the
+// registry: every experiment, run as `armci-bench -fig <name>` runs it
+// at the CLI's defaults, must appear byte for byte in the committed
+// results/all-tables.txt (sim virtual times are exactly reproducible),
+// and must render a CSV whose header is its column keys with one line
+// per row. `make golden` diffs the whole file. A deliberate change
+// regenerates the file with
 // `go run ./cmd/armci-bench -fig all > results/all-tables.txt`.
 func TestGoldenTables(t *testing.T) {
 	if testing.Short() {
@@ -379,46 +408,37 @@ func TestGoldenTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	f7, err := Fig7(Fig7Opts{})
-	must(err)
-	cr, err := Crossover(CrossoverOpts{})
-	must(err)
-	var counts []*MessageCounts
-	for _, n := range []int{2, 4, 8, 16} {
-		c, err := CountSyncMessages(n)
-		must(err)
-		counts = append(counts, c)
-	}
-	sp, err := SmallPut(SmallPutOpts{})
-	must(err)
-	wl, err := Workloads(WorkloadsOpts{})
-	must(err)
-	for name, got := range map[string]string{
-		"fig7":      FormatFig7(f7),
-		"crossover": FormatCrossover(cr),
-		"counts":    FormatMessageCounts(counts),
-		"smallput":  FormatSmallPut(sp),
-		"workloads": FormatWorkloads(wl),
-	} {
-		if !strings.Contains(string(golden), got) {
-			t.Errorf("%s section is not in results/all-tables.txt verbatim:\n%s", name, got)
-		}
-	}
 	// The Crossover-N table moves first when a collective's peer order
 	// changes. Its large rows take minutes, so hold the small ones line
 	// by line (title, header, rows and the crossover summary, which these
 	// three sizes already decide).
-	cn, err := CrossoverN(CrossoverNOpts{NValues: []int{16, 64, 256}})
-	must(err)
-	for _, line := range strings.SplitAfter(FormatCrossoverN(cn), "\n") {
-		if !strings.Contains(string(golden), "\n"+line) {
-			t.Errorf("crossover-n line is not in results/all-tables.txt verbatim:\n%s", line)
+	slow := map[string]Args{"crossover-n": {Procs: []int{16, 64, 256}}}
+	for _, e := range Experiments {
+		args, lineByLine := slow[e.Name]
+		tab, err := e.Run(args)
+		if err != nil {
+			t.Errorf("-fig %s: %v", e.Name, err)
+			continue
+		}
+		text := tab.Text()
+		if lineByLine {
+			for _, line := range strings.SplitAfter(text, "\n") {
+				if !strings.Contains(string(golden), "\n"+line) {
+					t.Errorf("-fig %s: line is not in results/all-tables.txt verbatim:\n%s", e.Name, line)
+				}
+			}
+		} else if !strings.Contains("\n\n"+string(golden), "\n\n"+text) {
+			t.Errorf("-fig %s is not in results/all-tables.txt verbatim:\n%s", e.Name, text)
+		}
+		var keys []string
+		for _, c := range tab.Cols {
+			if !c.TextOnly {
+				keys = append(keys, c.Key)
+			}
+		}
+		lines := strings.Split(strings.TrimSuffix(tab.CSV(), "\n"), "\n")
+		if lines[0] != strings.Join(keys, ",") || len(lines) != 1+len(tab.Rows) || len(tab.Rows) == 0 {
+			t.Errorf("-fig %s: CSV is not its %d rows under its column keys %v:\n%s", e.Name, len(tab.Rows), keys, tab.CSV())
 		}
 	}
 }

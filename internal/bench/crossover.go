@@ -22,21 +22,9 @@ type CrossoverOpts struct {
 	KValues []int
 }
 
-// CrossoverRow is one target-count sample.
-type CrossoverRow struct {
-	K            int
-	OldUS, NewUS float64
-}
-
-// CrossoverResult is the sweep.
-type CrossoverResult struct {
-	Opts CrossoverOpts
-	Rows []CrossoverRow
-}
-
 // Crossover measures sync time versus writer fan-out for both
 // implementations.
-func Crossover(opts CrossoverOpts) (*CrossoverResult, error) {
+func Crossover(opts CrossoverOpts) (*Table, error) {
 	opts.Opts = opts.Opts.withDefaults()
 	if opts.Procs <= 0 {
 		opts.Procs = 16
@@ -44,7 +32,18 @@ func Crossover(opts CrossoverOpts) (*CrossoverResult, error) {
 	if opts.KValues == nil {
 		opts.KValues = []int{0, 1, 2, 3, 4, 5}
 	}
-	res := &CrossoverResult{Opts: opts}
+	t := &Table{
+		Cols: []Col{
+			{Key: "targets", Head: "targets", Width: 8},
+			usCol("old_us", "old (us)", ""), usCol("new_us", "new (us)", ""),
+			{Key: "winner", Head: "winner", Width: 8, TextOnly: true},
+		},
+		Sections: []Section{{
+			Title: fmt.Sprintf("Crossover (§3.1.2): sync time vs writer fan-out, N=%d (%s fabric, %s model)",
+				opts.Procs, opts.Fabric, opts.Preset),
+			Cols: "targets old_us new_us winner",
+		}},
+	}
 	for _, k := range opts.KValues {
 		if k >= opts.Procs {
 			return nil, fmt.Errorf("bench: crossover K=%d needs at least %d processes", k, k+1)
@@ -57,9 +56,13 @@ func Crossover(opts CrossoverOpts) (*CrossoverResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: crossover new K=%d: %w", k, err)
 		}
-		res.Rows = append(res.Rows, CrossoverRow{K: k, OldUS: oldUS, NewUS: newUS})
+		winner := "new"
+		if oldUS < newUS {
+			winner = "old"
+		}
+		t.Rows = append(t.Rows, []any{k, oldUS, newUS, winner})
 	}
-	return res, nil
+	return t, nil
 }
 
 func crossoverRun(opts CrossoverOpts, k int, old bool) (float64, error) {
@@ -83,49 +86,66 @@ func crossoverRun(opts CrossoverOpts, k int, old bool) (float64, error) {
 }
 
 // MessageCounts verifies the paper's analytical claims by counting, with
-// all modeled costs disabled, the messages one collective sync needs.
-type MessageCounts struct {
-	Procs int
-	// OldFenceReqs is the number of fence confirmation requests of one
-	// all-process SyncOld — N(N−1) when everyone wrote to everyone.
-	OldFenceReqs int
-	// OldTotal counts every message of the SyncOld phase.
-	OldTotal int
-	// NewColl is the number of collective messages of one ARMCI_Barrier
-	// — 2·N·log₂(N) for the two binary-exchange stages.
-	NewColl int
-	// NewTotal counts every message of the Barrier phase.
-	NewTotal int
+// all modeled costs disabled, the messages one collective sync needs at
+// each process count, every process having first written to every other:
+// the fence confirmation requests and every message of one all-process
+// SyncOld — N(N−1) requests — and the collective messages and every
+// message of one ARMCI_Barrier — 2·N·log₂(N) for the two binary-exchange
+// stages. To isolate the sync phase exactly, the deterministic simulation
+// is run twice — with one and with two sync calls — and the difference is
+// the per-sync cost. A count that is not a power of two is skipped with a
+// note.
+func MessageCounts(procCounts []int) (*Table, error) {
+	if procCounts == nil {
+		procCounts = []int{2, 4, 8, 16}
+	}
+	count := func(key, head string, width int) Col { return Col{Key: key, Head: head, Width: width} }
+	t := &Table{
+		Cols: []Col{
+			count("procs", "procs", 8),
+			count("old_fence_reqs", "old fence-reqs", 16), count("exp_fence_reqs", "expected N(N-1)", 16),
+			count("new_coll", "new coll", 14), count("exp_coll", "exp 2N*log2N", 14),
+			count("old_total", "old total", 14), count("new_total", "new total", 14),
+		},
+		Sections: []Section{{
+			Title: "Message complexity of one all-process sync (all-to-all writers)",
+			Cols:  "procs old_fence_reqs exp_fence_reqs new_coll exp_coll",
+		}},
+	}
+	for _, n := range procCounts {
+		if err := checkPow2(n); err != nil {
+			t.Notes = append(t.Notes, fmt.Sprintf("counts N=%d: %v (skipped)", n, err))
+			continue
+		}
+		fenceReqs, oldTotal, err := syncMessages(n, true, msg.KindFenceReq)
+		if err != nil {
+			return nil, err
+		}
+		coll, newTotal, err := syncMessages(n, false, msg.KindColl)
+		if err != nil {
+			return nil, err
+		}
+		logN := 0
+		for 1<<logN < n {
+			logN++
+		}
+		t.Rows = append(t.Rows, []any{n, fenceReqs, n * (n - 1), coll, 2 * n * logN, oldTotal, newTotal})
+	}
+	return t, nil
 }
 
-// CountSyncMessages measures the message complexity of both sync
-// implementations at the given process count (power of two), with every
-// process having first written to every other. To isolate the sync phase
-// exactly, the deterministic simulation is run twice — with one and with
-// two sync calls — and the difference is the per-sync cost.
-func CountSyncMessages(procs int) (*MessageCounts, error) {
-	if err := checkPow2(procs); err != nil {
-		return nil, err
+// syncMessages returns how many messages of the given kind, and how many
+// in total, one more sync call adds to a run.
+func syncMessages(procs int, old bool, kind msg.Kind) (ofKind, total int, err error) {
+	one, err := countRun(procs, old, 1)
+	if err != nil {
+		return 0, 0, err
 	}
-	out := &MessageCounts{Procs: procs}
-	for _, old := range []bool{true, false} {
-		one, err := countRun(procs, old, 1)
-		if err != nil {
-			return nil, err
-		}
-		two, err := countRun(procs, old, 2)
-		if err != nil {
-			return nil, err
-		}
-		if old {
-			out.OldFenceReqs = two.Count(msg.KindFenceReq) - one.Count(msg.KindFenceReq)
-			out.OldTotal = two.Sends() - one.Sends()
-		} else {
-			out.NewColl = two.Count(msg.KindColl) - one.Count(msg.KindColl)
-			out.NewTotal = two.Sends() - one.Sends()
-		}
+	two, err := countRun(procs, old, 2)
+	if err != nil {
+		return 0, 0, err
 	}
-	return out, nil
+	return two.Count(kind) - one.Count(kind), two.Sends() - one.Sends(), nil
 }
 
 func countRun(procs int, old bool, syncs int) (*trace.Stats, error) {

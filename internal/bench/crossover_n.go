@@ -18,10 +18,11 @@ type CrossoverNOpts struct {
 	// NValues are the cluster sizes (default 16, 64, 256, 1024, 4096;
 	// powers of two so the pairwise variant stays legal).
 	NValues []int
-	// PPN is the processes-per-node of the synthetic topology
-	// (default 8). The hierarchical variants split on it.
-	PPN int
 }
+
+// crossoverNPPN is the processes-per-node of the synthetic topology; the
+// hierarchical variants split on it.
+const crossoverNPPN = 8
 
 // CrossoverNVariant is one barrier configuration of the sweep.
 type CrossoverNVariant struct {
@@ -31,86 +32,93 @@ type CrossoverNVariant struct {
 	NICFence bool // answer fences on the NIC, no host wake-up
 }
 
-// CrossoverNVariants returns the swept configurations in display order.
-func CrossoverNVariants() []CrossoverNVariant {
-	return []CrossoverNVariant{
-		{Name: "central", Alg: armci.BarrierCentral},
-		{Name: "pairwise", Alg: armci.BarrierPairwise},
-		{Name: "dissemination", Alg: armci.BarrierDissemination},
-		{Name: "knomial4", Alg: armci.BarrierKnomial, Radix: 4},
-		{Name: "hierarchical", Alg: armci.BarrierHierarchical},
-		{Name: "hier-nicfence", Alg: armci.BarrierHierarchical, NICFence: true},
-	}
-}
-
-// CrossoverNRow is one cluster size: US[i] is the mean ARMCI_Barrier
-// time of variant i (indexed like the result's Variants).
-type CrossoverNRow struct {
-	N  int
-	US []float64
-}
-
-// CrossoverNResult is the sweep.
-type CrossoverNResult struct {
-	Opts     CrossoverNOpts
-	Variants []CrossoverNVariant
-	Rows     []CrossoverNRow
-}
-
-// VariantUS returns the time of the named variant at row r, or -1 when
-// the variant is unknown.
-func (res *CrossoverNResult) VariantUS(r CrossoverNRow, name string) float64 {
-	for i, v := range res.Variants {
-		if v.Name == name {
-			return r.US[i]
-		}
-	}
-	return -1
-}
-
-// Winner returns the name of the fastest variant of a row.
-func (res *CrossoverNResult) Winner(r CrossoverNRow) string {
-	best := 0
-	for i := range r.US {
-		if r.US[i] < r.US[best] {
-			best = i
-		}
-	}
-	return res.Variants[best].Name
+// crossoverNVariants are the swept configurations in display order.
+var crossoverNVariants = []CrossoverNVariant{
+	{Name: "central", Alg: armci.BarrierCentral},
+	{Name: "pairwise", Alg: armci.BarrierPairwise},
+	{Name: "dissemination", Alg: armci.BarrierDissemination},
+	{Name: "knomial4", Alg: armci.BarrierKnomial, Radix: 4},
+	{Name: "hierarchical", Alg: armci.BarrierHierarchical},
+	{Name: "hier-nicfence", Alg: armci.BarrierHierarchical, NICFence: true},
 }
 
 // CrossoverN sweeps one combined barrier across cluster sizes and
-// algorithms. Every rank first issues one word-sized put to the
-// matching rank of the next node, so the fence stage of the barrier has
-// real inter-node traffic to prove complete.
-func CrossoverN(opts CrossoverNOpts) (*CrossoverNResult, error) {
+// algorithms: one row per cluster size, one column per variant, then
+// from which N each structured variant beats the flat dissemination
+// exchange. Every rank first issues one word-sized put to the matching
+// rank of the next node, so the fence stage of the barrier has real
+// inter-node traffic to prove complete.
+func CrossoverN(opts CrossoverNOpts) (*Table, error) {
 	explicitReps := opts.Reps
 	opts.Opts = opts.Opts.withDefaults()
 	if opts.NValues == nil {
 		opts.NValues = []int{16, 64, 256, 1024, 4096}
 	}
-	if opts.PPN <= 0 {
-		opts.PPN = 8
+	t := &Table{Cols: []Col{{Key: "procs", Head: "procs", Width: 8}}}
+	keys := "procs"
+	for _, v := range crossoverNVariants {
+		t.Cols = append(t.Cols, usCol(v.Name+"_us", v.Name, "crossover/"+v.Name+"/n{}/us"))
+		keys += " " + v.Name + "_us"
 	}
-	res := &CrossoverNResult{Opts: opts, Variants: CrossoverNVariants()}
+	t.Cols = append(t.Cols, Col{Key: "winner", Head: "winner", Width: 14, TextOnly: true})
+	t.Sections = []Section{{
+		Title: fmt.Sprintf("Crossover-N: ARMCI_Barrier time vs cluster size, ppn %d (%s fabric, %s model)",
+			crossoverNPPN, opts.Fabric, opts.Preset),
+		Cols: keys + " winner",
+	}}
 	for _, n := range opts.NValues {
 		if err := checkPow2(n); err != nil {
 			return nil, fmt.Errorf("bench: crossover-n: %w (the pairwise variant needs powers of two)", err)
 		}
-		if n%opts.PPN != 0 {
-			return nil, fmt.Errorf("bench: crossover-n N=%d is not a multiple of ppn %d", n, opts.PPN)
+		if n%crossoverNPPN != 0 {
+			return nil, fmt.Errorf("bench: crossover-n N=%d is not a multiple of ppn %d", n, crossoverNPPN)
 		}
-		row := CrossoverNRow{N: n}
-		for _, v := range res.Variants {
+		row, best := []any{n}, 0
+		for i, v := range crossoverNVariants {
 			usv, err := crossoverNRun(opts, n, v, explicitReps)
 			if err != nil {
 				return nil, fmt.Errorf("bench: crossover-n %s N=%d: %w", v.Name, n, err)
 			}
-			row.US = append(row.US, usv)
+			if i > 0 && usv < row[1+best].(float64) {
+				best = i
+			}
+			row = append(row, usv)
 		}
-		res.Rows = append(res.Rows, row)
+		t.Rows = append(t.Rows, append(row, crossoverNVariants[best].Name))
 	}
-	return res, nil
+	for _, name := range []string{"knomial4", "hierarchical", "hier-nicfence"} {
+		// The smallest swept N from which the variant stays faster than
+		// dissemination for every larger N.
+		from := 0
+		for i, row := range t.Rows {
+			if t.Float(i, name+"_us") >= t.Float(i, "dissemination_us") {
+				from = 0
+			} else if from == 0 {
+				from = row[0].(int)
+			}
+		}
+		if from > 0 {
+			t.Notes = append(t.Notes, fmt.Sprintf("%s beats dissemination from N=%d", name, from))
+		} else {
+			t.Notes = append(t.Notes, fmt.Sprintf("%s never beats dissemination in this sweep", name))
+		}
+	}
+	return t, nil
+}
+
+// crossoverNFloor is the structural floor of the baseline gate, the
+// sweep's headline claim: at N >= 1024 the hierarchical barrier with the
+// NIC-offload fence must beat the flat dissemination exchange — a
+// baseline recording a lost topology win must never be writable.
+func crossoverNFloor(t *Table) error {
+	for i, row := range t.Rows {
+		hier, diss := t.Float(i, "hier-nicfence_us"), t.Float(i, "dissemination_us")
+		if n := row[0].(int); n >= 1024 && hier >= diss {
+			return fmt.Errorf("bench: hierarchical+NIC barrier lost to dissemination at N=%d (%.1fus >= %.1fus), below the structural crossover floor",
+				n, hier, diss)
+		}
+	}
+	return nil
 }
 
 // crossoverNReps scales the repetition count down with the cluster
@@ -131,7 +139,7 @@ func crossoverNReps(explicit, n int) (warmup, reps int) {
 }
 
 func crossoverNRun(opts CrossoverNOpts, procs int, v CrossoverNVariant, explicitReps int) (float64, error) {
-	o, ppn := opts.Opts, opts.PPN
+	o, ppn := opts.Opts, crossoverNPPN
 	warmup, reps := crossoverNReps(explicitReps, procs)
 	o.Warmup = warmup // the sweep's own, not the experiment-wide default
 	return o.meanLap(armci.Options{

@@ -1,6 +1,9 @@
 package bench
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestElasticExperiment runs the elastic-recovery experiment at its
 // default shape and checks the structure of the result: replication
@@ -8,24 +11,24 @@ import "testing"
 // positive span, and determinism holds across a repeat — these are the
 // numbers the baseline gate tracks.
 func TestElasticExperiment(t *testing.T) {
-	r, err := Elastic(ElasticOpts{})
+	r, err := Elastic(Opts{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.BaseUS <= 0 || r.ReplUS <= r.BaseUS {
-		t.Errorf("replication must cost something: base %.1fus, replicated %.1fus", r.BaseUS, r.ReplUS)
+	if base, repl := r.Float(0, "base_us"), r.Float(0, "repl_us"); base <= 0 || repl <= base {
+		t.Errorf("replication must cost something: base %.1fus, replicated %.1fus", base, repl)
 	}
-	if r.OverheadPct <= 0 {
-		t.Errorf("overhead = %.2f%%, want positive", r.OverheadPct)
+	if pct := r.Float(0, "overhead_pct"); pct <= 0 {
+		t.Errorf("overhead = %.2f%%, want positive", pct)
 	}
-	if r.RecoveryUS <= 0 {
-		t.Errorf("recovery span = %.1fus, want positive", r.RecoveryUS)
+	if rec := r.Float(0, "recovery_us"); rec <= 0 {
+		t.Errorf("recovery span = %.1fus, want positive", rec)
 	}
-	again, err := Elastic(ElasticOpts{})
+	again, err := Elastic(Opts{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *again != *r {
-		t.Errorf("experiment not deterministic:\nfirst  %+v\nsecond %+v", *r, *again)
+	if !reflect.DeepEqual(again.Rows, r.Rows) {
+		t.Errorf("experiment not deterministic:\nfirst  %v\nsecond %v", r.Rows, again.Rows)
 	}
 }

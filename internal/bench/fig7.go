@@ -71,6 +71,28 @@ func Fig7(opts Fig7Opts) (*Fig7Result, error) {
 	return res, nil
 }
 
+// Table lays the sweep out as the paper does: Figure 7(a), the two
+// times, and Figure 7(b), their ratio.
+func (r *Fig7Result) Table() *Table {
+	t := &Table{
+		Cols: []Col{
+			{Key: "procs", Head: "procs", Width: 8},
+			usCol("current_us", "current (us)", "fig7/old/p{}"),
+			usCol("new_us", "new (us)", "fig7/new/p{}"),
+			{Key: "factor", Head: "factor", Width: 14, Prec: 2},
+		},
+		Sections: []Section{
+			{Title: fmt.Sprintf("Figure 7(a): GA_Sync() time (%s fabric, %s model, %d reps)",
+				r.Opts.Fabric, r.Opts.Preset, r.Opts.Reps), Cols: "procs current_us new_us"},
+			{Title: "Figure 7(b): factor of improvement", Cols: "procs factor"},
+		},
+	}
+	for _, row := range r.Rows {
+		t.Rows = append(t.Rows, []any{row.Procs, row.OldUS, row.NewUS, row.Factor})
+	}
+	return t
+}
+
 // gaSyncTime measures the mean GA_Sync time for one configuration.
 func gaSyncTime(opts Fig7Opts, procs int, mode ga.SyncMode) (float64, error) {
 	return opts.meanLap(armci.Options{Procs: procs}, opts.Reps, func(p *armci.Proc, l *laps) {

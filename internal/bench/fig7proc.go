@@ -116,6 +116,26 @@ func RunFig7ProcWorker(opts Fig7Opts, procs int) error {
 	return err
 }
 
+// Fig7Proc sweeps Figure 7 across real OS processes: one cluster launch
+// per point (default 2, 4, 8 ranks), its workers started as worker(n).
+func Fig7Proc(a Args, worker func(n int) []string) (*Table, error) {
+	if a.Procs == nil {
+		a.Procs = []int{2, 4, 8}
+	}
+	// Header metadata only: the proc fabric measures wall clock, so no
+	// cost preset applies; reps default as they do on the worker side.
+	res := &Fig7Result{Opts: Fig7Opts{ProcCounts: a.Procs,
+		Opts: Opts{Fabric: armci.FabricProc, Preset: "wall-clock", Reps: a.Reps}.withDefaults()}}
+	for _, n := range a.Procs {
+		row, err := LaunchFig7Proc(Fig7ProcLaunch{Procs: n, Command: worker(n), Output: io.Discard})
+		if err != nil {
+			return nil, fmt.Errorf("fig7 proc N=%d: %w", n, err)
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	return res.Table(), nil
+}
+
 // Fig7ProcLaunch describes one launcher-side multi-process Fig. 7 point.
 type Fig7ProcLaunch struct {
 	// Procs is the cluster size (workers are one rank each by default).

@@ -14,9 +14,11 @@ type LockOpts struct {
 	// Iters is the number of lock/unlock pairs each process performs
 	// per run (default 200; the paper uses 10 000 on hardware).
 	Iters int
-	// Algorithms compared; default hybrid (current) vs queue (new).
-	Current, New armci.LockAlg
 }
+
+// The algorithms Figures 8-10 compare: the hybrid lock ARMCI shipped
+// (current) against the software queuing lock (new).
+const lockCurrent, lockNew = armci.LockHybrid, armci.LockQueue
 
 // LockSample is one algorithm's timing at one process count, all in
 // microseconds, averaged over all iterations of all competing processes.
@@ -29,29 +31,16 @@ type LockSample struct {
 	TotalUS float64
 }
 
-// LockRow is one process count of the comparison.
-type LockRow struct {
-	Procs   int
-	Current LockSample
-	New     LockSample
-	// Factor is Current.TotalUS / New.TotalUS — Figure 8(b).
-	Factor float64
-}
-
-// LockResult is the full sweep.
-type LockResult struct {
-	Opts LockOpts
-	Rows []LockRow
-}
-
 // Lock reproduces the lock evaluation (§4.2): every process repeatedly
 // requests and releases a lock located at process 0, the acquire and
 // release phases are timed separately, and the times are averaged over
 // all iterations and processes. For the single-process point the paper
 // averages a local-lock case and a remote-lock case; we do the same by
 // running a two-node cluster in which only one process exercises the
-// lock, homed first on its own node and then on the other.
-func Lock(opts LockOpts) (*LockResult, error) {
+// lock, homed first on its own node and then on the other. One row per
+// process count, laid out as Figures 8(a), 8(b) — the current/new ratio
+// of the totals —, 9 and 10.
+func Lock(opts LockOpts) (*Table, error) {
 	opts.Opts = opts.Opts.withDefaults()
 	if opts.ProcCounts == nil {
 		opts.ProcCounts = []int{1, 2, 4, 8, 16}
@@ -59,24 +48,36 @@ func Lock(opts LockOpts) (*LockResult, error) {
 	if opts.Iters <= 0 {
 		opts.Iters = 200
 	}
-	if opts.Current == opts.New {
-		opts.Current, opts.New = armci.LockHybrid, armci.LockQueue
+	t := &Table{
+		Cols: []Col{
+			{Key: "procs", Head: "procs", Width: 8},
+			usCol("cur_total_us", "current (us)", "fig8/hybrid/p{}"),
+			usCol("new_total_us", "new (us)", "fig8/queue/p{}"),
+			{Key: "factor", Head: "factor", Width: 14, Prec: 2},
+			usCol("cur_acquire_us", "current (us)", ""), usCol("new_acquire_us", "new (us)", ""),
+			usCol("cur_release_us", "current (us)", ""), usCol("new_release_us", "new (us)", ""),
+		},
+		Sections: []Section{
+			{Title: fmt.Sprintf("Figure 8(a): time to request and release a lock (%s fabric, %s model, %d iters)",
+				opts.Fabric, opts.Preset, opts.Iters), Cols: "procs cur_total_us new_total_us"},
+			{Title: "Figure 8(b): factor of improvement", Cols: "procs factor"},
+			{Title: "Figure 9: time to request and acquire a lock", Cols: "procs cur_acquire_us new_acquire_us"},
+			{Title: "Figure 10: time to release a lock", Cols: "procs cur_release_us new_release_us"},
+		},
 	}
-	res := &LockResult{Opts: opts}
 	for _, n := range opts.ProcCounts {
-		cur, err := lockSample(opts, n, opts.Current)
+		cur, err := lockSample(opts, n, lockCurrent)
 		if err != nil {
-			return nil, fmt.Errorf("bench: lock %v N=%d: %w", opts.Current, n, err)
+			return nil, fmt.Errorf("bench: lock %v N=%d: %w", lockCurrent, n, err)
 		}
-		nw, err := lockSample(opts, n, opts.New)
+		nw, err := lockSample(opts, n, lockNew)
 		if err != nil {
-			return nil, fmt.Errorf("bench: lock %v N=%d: %w", opts.New, n, err)
+			return nil, fmt.Errorf("bench: lock %v N=%d: %w", lockNew, n, err)
 		}
-		res.Rows = append(res.Rows, LockRow{
-			Procs: n, Current: cur, New: nw, Factor: cur.TotalUS / nw.TotalUS,
-		})
+		t.Rows = append(t.Rows, []any{n, cur.TotalUS, nw.TotalUS, cur.TotalUS / nw.TotalUS,
+			cur.AcquireUS, nw.AcquireUS, cur.ReleaseUS, nw.ReleaseUS})
 	}
-	return res, nil
+	return t, nil
 }
 
 // lockSample measures one algorithm at one competing-process count.

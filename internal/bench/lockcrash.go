@@ -8,103 +8,65 @@ import (
 	"armci/internal/trace"
 )
 
-// LockCrashOpts configures the holder-crash recovery experiment: a
-// cluster of ranks contends on one lease lock, one rank fail-stops
-// while holding it, and the survivors' lease-expiry repair puts the
-// lock back in service. The experiment reports the steady-state
-// hand-off latency next to the crash-recovery latency, so the cost of
-// surviving a holder crash is a number, not a claim.
-type LockCrashOpts struct {
-	Opts
-	// Procs is the number of competing ranks (default 64).
-	Procs int
-	// PPN is how many consecutive ranks share a node (default 8).
-	PPN int
-	// Iters is the number of critical sections each rank runs
-	// (default 3).
-	Iters int
-	// TTL is the lease TTL (default 2ms). It must comfortably exceed a
-	// congested critical section at this contention level, or waiters
-	// depose live holders and the run is rejected (repairs != 1).
-	TTL time.Duration
-	// Victim is the rank that fail-stops (default 1).
-	Victim int
-	// CrashAcquire is the victim's fatal acquire, 1-based (default 1).
-	CrashAcquire int
-}
+// The holder-crash recovery experiment's fixed shape.
+const (
+	lockCrashPPN   = 8 // consecutive ranks sharing a node
+	lockCrashIters = 3 // critical sections each rank runs
+	// The lease TTL must comfortably exceed a congested critical section
+	// at this contention level, or waiters depose live holders and the
+	// run is rejected (repairs != 1).
+	lockCrashTTL     = 2 * time.Millisecond
+	lockCrashVictim  = 1 // the rank that fail-stops
+	lockCrashAcquire = 1 // the victim's fatal acquire, 1-based
+)
 
-// LockCrashResult is the outcome of one recovery run.
-type LockCrashResult struct {
-	Opts LockCrashOpts
-	// HandoffUS is the mean crash-free release-to-next-acquire gap in
-	// microseconds, measured over Handoffs hand-offs (the window
-	// spanning the crash and its repair is excluded).
-	HandoffUS float64
-	Handoffs  int
-	// RecoveryUS is the gap from the victim's fail-stop to the first
-	// post-repair acquire: TTL expiry, the depose CAS, and the grant.
-	RecoveryUS float64
-	// Repairs counts OpRepair events; the run is rejected unless it is
-	// exactly 1 (one crash, one winning depose).
-	Repairs int
-}
+// LockCrash is the holder-crash recovery experiment: procs ranks
+// (default 64) contend on one lease lock, one rank fail-stops while
+// holding it, and the survivors' lease-expiry repair puts the lock back
+// in service. It reports the steady-state hand-off latency next to the
+// crash-recovery latency, so the cost of surviving a holder crash is a
+// number, not a claim.
+//
+// It runs on the simulated fabric: every rank — the victim included —
+// loops lock / increment a counter homed at rank 0 / unlock; the victim
+// dies inside its designated acquire while holding the lock. The record
+// comes from the captured op-event history, so its times are
+// deterministic virtual microseconds: the mean crash-free
+// release-to-next-acquire gap over the hand-offs measured (the window
+// spanning the crash and its repair is excluded), the gap from the
+// victim's fail-stop to the first post-repair acquire (TTL expiry, the
+// depose CAS, and the grant), and the OpRepair count — the run is
+// rejected unless it is exactly 1 (one crash, one winning depose).
+func LockCrash(o Opts, procs int) (*Table, error) {
+	o = o.withDefaults()
+	if procs <= 0 {
+		procs = 64
+	}
+	if lockCrashVictim >= procs {
+		return nil, fmt.Errorf("bench: lockcrash victim rank %d out of range for %d procs", lockCrashVictim, procs)
+	}
+	faults := o.Faults
+	faults.CrashHeldRank = lockCrashVictim
+	faults.CrashHeldAcquire = lockCrashAcquire
+	const victimIters = lockCrashAcquire - 1 // completed before the fatal one
 
-// LockCrash runs the experiment on the simulated fabric: every rank —
-// the victim included — loops lock / increment a counter homed at rank
-// 0 / unlock; the victim dies inside its designated acquire while
-// holding the lock. The metrics come from the captured op-event
-// history, so both numbers are deterministic virtual times.
-func LockCrash(opts LockCrashOpts) (*LockCrashResult, error) {
-	opts.Opts = opts.Opts.withDefaults()
-	if opts.Fabric != armci.FabricSim {
-		return nil, fmt.Errorf("bench: lockcrash measures deterministic virtual times; run it on the sim fabric, not %s", opts.Fabric)
-	}
-	if opts.Procs <= 0 {
-		opts.Procs = 64
-	}
-	if opts.PPN <= 0 {
-		opts.PPN = 8
-	}
-	if opts.Iters <= 0 {
-		opts.Iters = 3
-	}
-	if opts.TTL <= 0 {
-		opts.TTL = 2 * time.Millisecond
-	}
-	if opts.Victim <= 0 {
-		opts.Victim = 1
-	}
-	if opts.CrashAcquire <= 0 {
-		opts.CrashAcquire = 1
-	}
-	if opts.Victim >= opts.Procs {
-		return nil, fmt.Errorf("bench: lockcrash victim rank %d out of range for %d procs", opts.Victim, opts.Procs)
-	}
-	faults := opts.Faults
-	faults.CrashHeldRank = opts.Victim
-	faults.CrashHeldAcquire = opts.CrashAcquire
-
-	victimIters := opts.Iters
-	if opts.CrashAcquire <= opts.Iters {
-		victimIters = opts.CrashAcquire - 1
-	}
 	rep, err := armci.Run(armci.Options{
-		Procs:        opts.Procs,
-		ProcsPerNode: opts.PPN,
+		Procs:        procs,
+		ProcsPerNode: lockCrashPPN,
 		Fabric:       armci.FabricSim,
-		Preset:       opts.Preset,
+		Preset:       o.Preset,
 		NumMutexes:   1,
 		ScheduleSeed: 1,
 		CaptureTrace: true,
-		LeaseTTL:     opts.TTL,
+		LeaseTTL:     lockCrashTTL,
 		Faults:       faults,
-		Metrics:      opts.Metrics,
+		Metrics:      o.Metrics,
 	}, func(p *armci.Proc) {
 		me, n := p.Rank(), p.Size()
 		counter := p.MallocWords(1)[0] // rank 0's cell
 		mu := p.Mutex(0, armci.LockLease)
 		node0 := p.NodeOf(0)
-		for i := 0; i < opts.Iters; i++ {
+		for i := 0; i < lockCrashIters; i++ {
 			mu.Lock() // the victim dies in here at its designated acquire
 			p.Store(counter, p.Load(counter)+1)
 			if node0 != p.MyNode() {
@@ -117,7 +79,7 @@ func LockCrash(opts LockCrashOpts) (*LockCrashResult, error) {
 		}
 		// Survivors fence their increments before releasing; wait until
 		// the last one lands so the history below is complete.
-		want := int64((n-1)*opts.Iters + victimIters)
+		want := int64((n-1)*lockCrashIters + victimIters)
 		p.Env().WaitUntilFor("lockcrash-counter", func() bool {
 			return p.Load(counter) >= want
 		}, time.Second)
@@ -126,8 +88,10 @@ func LockCrash(opts LockCrashOpts) (*LockCrashResult, error) {
 		return nil, fmt.Errorf("bench: lockcrash run: %w", err)
 	}
 
-	res := &LockCrashResult{Opts: opts}
 	var (
+		handoffs    int
+		repairs     int
+		recoveryUS  float64
 		crashAt     time.Duration
 		crashSeen   bool
 		recovered   bool
@@ -142,7 +106,7 @@ func LockCrash(opts LockCrashOpts) (*LockCrashResult, error) {
 			crashSeen, crashAt = true, e.Time
 			hazard = true
 		case trace.OpRepair:
-			res.Repairs++
+			repairs++
 			hazard = true
 		case trace.OpRelease:
 			if e.Lock == 0 {
@@ -154,22 +118,35 @@ func LockCrash(opts LockCrashOpts) (*LockCrashResult, error) {
 			}
 			if crashSeen && !recovered {
 				recovered = true
-				res.RecoveryUS = us(e.Time - crashAt)
+				recoveryUS = us(e.Time - crashAt)
 			} else if haveRelease && !hazard {
 				handoffSum += us(e.Time - lastRelease)
-				res.Handoffs++
+				handoffs++
 			}
 		}
 	}
 	if !crashSeen {
 		return nil, fmt.Errorf("bench: lockcrash run recorded no fail-stop; the crashheld plan did not fire")
 	}
-	if res.Repairs != 1 {
-		return nil, fmt.Errorf("bench: lockcrash run recorded %d repairs, want exactly 1", res.Repairs)
+	if repairs != 1 {
+		return nil, fmt.Errorf("bench: lockcrash run recorded %d repairs, want exactly 1", repairs)
 	}
-	if !recovered || res.Handoffs == 0 {
-		return nil, fmt.Errorf("bench: lockcrash history too sparse (recovered=%v, %d hand-offs)", recovered, res.Handoffs)
+	if !recovered || handoffs == 0 {
+		return nil, fmt.Errorf("bench: lockcrash history too sparse (recovered=%v, %d hand-offs)", recovered, handoffs)
 	}
-	res.HandoffUS = handoffSum / float64(res.Handoffs)
-	return res, nil
+	return &Table{
+		Cols: []Col{
+			{Key: "handoff_us", Prec: 1, Metric: "lockcrash/handoff/us"},
+			{Key: "recovery_us", Prec: 1, Metric: "lockcrash/recovery/us"},
+			{Key: "handoffs"}, {Key: "repairs"},
+		},
+		Rows: [][]any{{handoffSum / float64(handoffs), recoveryUS, handoffs, repairs}},
+		Sections: []Section{{
+			Title: fmt.Sprintf("Lock holder-crash recovery: lease lock, %d procs (ppn %d), victim rank %d at acquire %d, TTL %s (%s fabric, %s model)",
+				procs, lockCrashPPN, lockCrashVictim, lockCrashAcquire, lockCrashTTL, armci.FabricSim, o.Preset),
+			Cols: "handoff_us recovery_us handoffs repairs",
+			Layout: fmt.Sprintf("%28s %14s\n%28s %%14.1f\n%28s %%14.1f\n%28s %%14d\n%28s %%14d", "metric", "value",
+				"hand-off (us, crash-free)", "recovery (us, crash)", "hand-offs measured", "repairs"),
+		}},
+	}, nil
 }

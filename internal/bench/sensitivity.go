@@ -2,71 +2,40 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 
 	"armci"
 )
 
-// SensitivityOpts configures the network-sensitivity analysis: the same
-// Figure 7 workload under cost models spanning an order of magnitude of
-// interconnect latency, answering "how much of the paper's 9× depends on
-// Myrinet-class latency?".
-type SensitivityOpts struct {
-	Opts
-	// Procs is the cluster size (default 16, the paper's headline point).
-	Procs int
-	// Presets to sweep (default low-latency, myrinet2000, fast-ethernet).
-	Presets []armci.CostPreset
+// sensitivityPresets span an order of magnitude of interconnect latency.
+var sensitivityPresets = []armci.CostPreset{
+	armci.PresetLowLatency, armci.PresetMyrinet2000, armci.PresetFastEthernet,
 }
 
-// SensitivityRow is one cost model's Figure 7 point.
-type SensitivityRow struct {
-	Preset       armci.CostPreset
-	OldUS, NewUS float64
-	Factor       float64
-}
-
-// SensitivityResult is the sweep.
-type SensitivityResult struct {
-	Opts SensitivityOpts
-	Rows []SensitivityRow
-}
-
-// Sensitivity measures GA_Sync old vs new at one process count under each
-// preset.
-func Sensitivity(opts SensitivityOpts) (*SensitivityResult, error) {
-	opts.Opts = opts.Opts.withDefaults()
-	if opts.Procs <= 0 {
-		opts.Procs = 16
+// Sensitivity is the network-sensitivity analysis: the Figure 7 workload
+// at 16 processes (the paper's headline point), GA_Sync old vs new,
+// under each of sensitivityPresets — answering "how much of the paper's
+// 9× depends on Myrinet-class latency?".
+func Sensitivity(o Opts) (*Table, error) {
+	const procs = 16
+	t := &Table{
+		Cols: []Col{
+			{Key: "model", Head: "model", Width: 16},
+			usCol("current_us", "current (us)", ""), usCol("new_us", "new (us)", ""),
+			{Key: "factor", Head: "factor", Width: 10, Prec: 2},
+		},
+		Sections: []Section{{
+			Title: fmt.Sprintf("Network sensitivity (extension): GA_Sync at %d procs per cost model", procs),
+			Cols:  "model current_us new_us factor",
+		}},
 	}
-	if opts.Presets == nil {
-		opts.Presets = []armci.CostPreset{
-			armci.PresetLowLatency, armci.PresetMyrinet2000, armci.PresetFastEthernet,
-		}
-	}
-	res := &SensitivityResult{Opts: opts}
-	for _, preset := range opts.Presets {
-		o := opts
+	for _, preset := range sensitivityPresets {
 		o.Preset = preset
-		f7, err := Fig7(Fig7Opts{Opts: o.Opts, ProcCounts: []int{opts.Procs}})
+		f7, err := Fig7(Fig7Opts{Opts: o, ProcCounts: []int{procs}})
 		if err != nil {
 			return nil, fmt.Errorf("bench: sensitivity %s: %w", preset, err)
 		}
 		row := f7.Rows[0]
-		res.Rows = append(res.Rows, SensitivityRow{
-			Preset: preset, OldUS: row.OldUS, NewUS: row.NewUS, Factor: row.Factor,
-		})
+		t.Rows = append(t.Rows, []any{string(preset), row.OldUS, row.NewUS, row.Factor})
 	}
-	return res, nil
-}
-
-// FormatSensitivity renders the sweep.
-func FormatSensitivity(r *SensitivityResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Network sensitivity (extension): GA_Sync at %d procs per cost model\n", r.Opts.Procs)
-	fmt.Fprintf(&b, "%16s %14s %14s %10s\n", "model", "current (us)", "new (us)", "factor")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%16s %14.1f %14.1f %10.2f\n", row.Preset, row.OldUS, row.NewUS, row.Factor)
-	}
-	return b.String()
+	return t, nil
 }

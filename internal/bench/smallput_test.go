@@ -1,6 +1,9 @@
 package bench
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestSmallPutCoalescingSpeedup is the structural gate on the tentpole
 // win: packing the small-put stream into batched frames must at least
@@ -10,14 +13,14 @@ import "testing"
 // the benchmark baseline (smallput/ratio_pct), so a regression below 2x
 // fails both this test and the benchcheck gate.
 func TestSmallPutCoalescingSpeedup(t *testing.T) {
-	r, err := SmallPut(SmallPutOpts{})
+	r, err := SmallPut(Opts{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("uncoalesced %.1fus (%.0f ops/sec), coalesced %.1fus (%.0f ops/sec), speedup %.2fx",
-		r.UncoalescedUS, r.UncoalescedOps, r.CoalescedUS, r.CoalescedOps, r.Factor)
-	if r.Factor < 2 {
-		t.Fatalf("coalescing speedup %.2fx, want >= 2x", r.Factor)
+	t.Logf("uncoalesced %.1fus (%.0f ops/sec), coalesced %.1fus (%.0f ops/sec)", r.Float(0, "uncoalesced_us"),
+		r.Float(0, "uncoalesced_ops"), r.Float(0, "coalesced_us"), r.Float(0, "coalesced_ops"))
+	if f := r.Float(0, "factor"); f < 2 || smallPutFloor(r) != nil {
+		t.Fatalf("coalescing speedup %.2fx, want >= 2x (the gate's floor says %v)", f, smallPutFloor(r))
 	}
 }
 
@@ -25,16 +28,15 @@ func TestSmallPutCoalescingSpeedup(t *testing.T) {
 // fabric must yield identical numbers across runs, or the baseline
 // metrics are not comparable.
 func TestSmallPutDeterministic(t *testing.T) {
-	a, err := SmallPut(SmallPutOpts{})
+	a, err := SmallPut(Opts{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SmallPut(SmallPutOpts{})
+	b, err := SmallPut(Opts{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.UncoalescedUS != b.UncoalescedUS || a.CoalescedUS != b.CoalescedUS {
-		t.Fatalf("smallput not deterministic: run 1 (%.3f, %.3f) vs run 2 (%.3f, %.3f)",
-			a.UncoalescedUS, a.CoalescedUS, b.UncoalescedUS, b.CoalescedUS)
+	if !reflect.DeepEqual(a.Rows, b.Rows) {
+		t.Fatalf("smallput not deterministic: run 1 %v vs run 2 %v", a.Rows, b.Rows)
 	}
 }

@@ -1,204 +1,168 @@
 package bench
 
 import (
+	"encoding/csv"
 	"fmt"
+	"strconv"
 	"strings"
-
-	"armci"
 )
 
-// FormatFig7 renders the Figure 7 tables (time and factor of improvement)
-// in the layout of the paper.
-func FormatFig7(r *Fig7Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 7(a): GA_Sync() time (%s fabric, %s model, %d reps)\n",
-		r.Opts.Fabric, presetName(r.Opts.Preset), r.Opts.Reps)
-	fmt.Fprintf(&b, "%8s %14s %14s\n", "procs", "current (us)", "new (us)")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%8d %14.1f %14.1f\n", row.Procs, row.OldUS, row.NewUS)
-	}
-	b.WriteString("\nFigure 7(b): factor of improvement\n")
-	fmt.Fprintf(&b, "%8s %14s\n", "procs", "factor")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%8d %14.2f\n", row.Procs, row.Factor)
-	}
-	return b.String()
+// Col is one typed column of a Table.
+type Col struct {
+	// Key names the column in the CSV header, in a Section and in Cell.
+	Key string
+	// Head, Width and Prec lay the column out in a text grid: the header,
+	// the field width (negative left-aligns) and the decimals of a float
+	// cell. The CSV prints two decimals more.
+	Head        string
+	Width, Prec int
+	// Metric, when set, gates the column: each row's cell is the BENCH
+	// metric named Metric with "{}" replaced by the row's first cell.
+	// Unit is that metric's display unit (default "us").
+	Metric, Unit string
+	// TextOnly columns restate the row (a winner) and stay out of the CSV.
+	TextOnly bool
 }
 
-// FormatLock renders the Figure 8/9/10 tables.
-func FormatLock(r *LockResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 8(a): time to request and release a lock (%s fabric, %s model, %d iters)\n",
-		r.Opts.Fabric, presetName(r.Opts.Preset), r.Opts.Iters)
-	fmt.Fprintf(&b, "%8s %14s %14s\n", "procs", "current (us)", "new (us)")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%8d %14.1f %14.1f\n", row.Procs, row.Current.TotalUS, row.New.TotalUS)
-	}
-	b.WriteString("\nFigure 8(b): factor of improvement\n")
-	fmt.Fprintf(&b, "%8s %14s\n", "procs", "factor")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%8d %14.2f\n", row.Procs, row.Factor)
-	}
-	b.WriteString("\nFigure 9: time to request and acquire a lock\n")
-	fmt.Fprintf(&b, "%8s %14s %14s\n", "procs", "current (us)", "new (us)")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%8d %14.1f %14.1f\n", row.Procs, row.Current.AcquireUS, row.New.AcquireUS)
-	}
-	b.WriteString("\nFigure 10: time to release a lock\n")
-	fmt.Fprintf(&b, "%8s %14s %14s\n", "procs", "current (us)", "new (us)")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%8d %14.1f %14.1f\n", row.Procs, row.Current.ReleaseUS, row.New.ReleaseUS)
-	}
-	return b.String()
+// usCol is a column of microsecond times in the figures' usual layout;
+// metric gates it when non-empty.
+func usCol(key, head, metric string) Col {
+	return Col{Key: key, Head: head, Width: 14, Prec: 1, Metric: metric}
 }
 
-// FormatLockCrash renders the holder-crash recovery experiment.
-func FormatLockCrash(r *LockCrashResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Lock holder-crash recovery: lease lock, %d procs (ppn %d), victim rank %d at acquire %d, TTL %s (%s fabric, %s model)\n",
-		r.Opts.Procs, r.Opts.PPN, r.Opts.Victim, r.Opts.CrashAcquire, r.Opts.TTL,
-		armci.FabricSim, presetName(r.Opts.Preset))
-	fmt.Fprintf(&b, "%28s %14s\n", "metric", "value")
-	fmt.Fprintf(&b, "%28s %14.1f\n", "hand-off (us, crash-free)", r.HandoffUS)
-	fmt.Fprintf(&b, "%28s %14.1f\n", "recovery (us, crash)", r.RecoveryUS)
-	fmt.Fprintf(&b, "%28s %14d\n", "hand-offs measured", r.Handoffs)
-	fmt.Fprintf(&b, "%28s %14d\n", "repairs", r.Repairs)
-	return b.String()
+// Section is one titled text table over a subset of a Table's columns.
+type Section struct {
+	Title string
+	// Cols are the keys of the columns shown, space-separated, in order.
+	Cols string
+	// Layout, when set, is the printf layout of one row's Cols cells; it
+	// replaces the header-and-grid rendering (records and tables whose
+	// lines carry units or remarks between the cells).
+	Layout string
 }
 
-// FormatCrossover renders the §3.1.2 sparse-writer table.
-func FormatCrossover(r *CrossoverResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Crossover (§3.1.2): sync time vs writer fan-out, N=%d (%s fabric, %s model)\n",
-		r.Opts.Procs, r.Opts.Fabric, presetName(r.Opts.Preset))
-	fmt.Fprintf(&b, "%8s %14s %14s %8s\n", "targets", "old (us)", "new (us)", "winner")
-	for _, row := range r.Rows {
-		winner := "new"
-		if row.OldUS < row.NewUS {
-			winner = "old"
-		}
-		fmt.Fprintf(&b, "%8d %14.1f %14.1f %8s\n", row.K, row.OldUS, row.NewUS, winner)
-	}
-	return b.String()
+// Table is the result of every experiment: rows of int, float64 or
+// string cells under typed columns, the text sections that show them,
+// and trailing note lines. The CSV is the row set itself.
+type Table struct {
+	Cols     []Col
+	Rows     [][]any
+	Sections []Section
+	Notes    []string
 }
 
-// FormatCrossoverN renders the large-N barrier crossover sweep: one
-// column per algorithm, one row per cluster size, then the crossover
-// analysis — from which N each structured variant beats the flat
-// dissemination exchange.
-func FormatCrossoverN(r *CrossoverNResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Crossover-N: ARMCI_Barrier time vs cluster size, ppn %d (%s fabric, %s model)\n",
-		r.Opts.PPN, r.Opts.Fabric, presetName(r.Opts.Preset))
-	fmt.Fprintf(&b, "%8s", "procs")
-	for _, v := range r.Variants {
-		fmt.Fprintf(&b, " %14s", v.Name)
-	}
-	fmt.Fprintf(&b, " %14s\n", "winner")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%8d", row.N)
-		for _, t := range row.US {
-			fmt.Fprintf(&b, " %14.1f", t)
-		}
-		fmt.Fprintf(&b, " %14s\n", r.Winner(row))
-	}
-	for _, name := range []string{"knomial4", "hierarchical", "hier-nicfence"} {
-		if n := crossoverNAgainst(r, name, "dissemination"); n > 0 {
-			fmt.Fprintf(&b, "%s beats dissemination from N=%d\n", name, n)
-		} else {
-			fmt.Fprintf(&b, "%s never beats dissemination in this sweep\n", name)
+// col returns the index of the column named key.
+func (t *Table) col(key string) int {
+	for i, c := range t.Cols {
+		if c.Key == key {
+			return i
 		}
 	}
-	return b.String()
+	panic(fmt.Sprintf("bench: table has no column %q", key))
 }
 
-// crossoverNAgainst returns the smallest swept N from which variant a
-// stays faster than variant b for every larger N, or 0 if none.
-func crossoverNAgainst(r *CrossoverNResult, a, b string) int {
-	n := 0
-	for _, row := range r.Rows {
-		if r.VariantUS(row, a) < r.VariantUS(row, b) {
-			if n == 0 {
-				n = row.N
+// Cell returns the cell of the given row under the column named key.
+func (t *Table) Cell(row int, key string) any { return t.Rows[row][t.col(key)] }
+
+// Float is Cell for a numeric column.
+func (t *Table) Float(row int, key string) float64 {
+	if n, ok := t.Cell(row, key).(int); ok {
+		return float64(n)
+	}
+	return t.Cell(row, key).(float64)
+}
+
+// Text renders the sections, a blank line apart, then the notes.
+func (t *Table) Text() string {
+	var b strings.Builder
+	for i, s := range t.Sections {
+		if i > 0 {
+			b.WriteByte('\n')
+		}
+		b.WriteString(s.Title + "\n")
+		var idx []int
+		for _, key := range strings.Fields(s.Cols) {
+			idx = append(idx, t.col(key))
+		}
+		sep := func(j int) {
+			if j > 0 {
+				b.WriteByte(' ')
 			}
-		} else {
-			n = 0
+		}
+		if s.Layout == "" {
+			for j, c := range idx {
+				sep(j)
+				fmt.Fprintf(&b, "%*s", t.Cols[c].Width, t.Cols[c].Head)
+			}
+			b.WriteByte('\n')
+		}
+		for _, row := range t.Rows {
+			if s.Layout != "" {
+				cells := make([]any, len(idx))
+				for j, c := range idx {
+					cells[j] = row[c]
+				}
+				fmt.Fprintf(&b, s.Layout+"\n", cells...)
+				continue
+			}
+			for j, c := range idx {
+				sep(j)
+				if f, ok := row[c].(float64); ok {
+					fmt.Fprintf(&b, "%*.*f", t.Cols[c].Width, t.Cols[c].Prec, f)
+				} else {
+					fmt.Fprintf(&b, "%*v", t.Cols[c].Width, row[c])
+				}
+			}
+			b.WriteByte('\n')
 		}
 	}
-	return n
+	for _, n := range t.Notes {
+		b.WriteString(n + "\n")
+	}
+	return b.String()
 }
 
-// FormatMessageCounts renders the analytical message-count check.
-func FormatMessageCounts(cs []*MessageCounts) string {
+// CSV renders the row set under the column keys, plot-ready.
+func (t *Table) CSV() string {
 	var b strings.Builder
-	b.WriteString("Message complexity of one all-process sync (all-to-all writers)\n")
-	fmt.Fprintf(&b, "%8s %16s %16s %14s %14s\n",
-		"procs", "old fence-reqs", "expected N(N-1)", "new coll", "exp 2N*log2N")
-	for _, c := range cs {
-		logN := 0
-		for 1<<logN < c.Procs {
-			logN++
+	w := csv.NewWriter(&b)
+	rec := make([]string, 0, len(t.Cols))
+	for _, c := range t.Cols {
+		if !c.TextOnly {
+			rec = append(rec, c.Key)
 		}
-		fmt.Fprintf(&b, "%8d %16d %16d %14d %14d\n",
-			c.Procs, c.OldFenceReqs, c.Procs*(c.Procs-1), c.NewColl, 2*c.Procs*logN)
 	}
-	return b.String()
-}
-
-// CSVFig7 renders the Figure 7 sweep as CSV (plot-ready).
-func CSVFig7(r *Fig7Result) string {
-	var b strings.Builder
-	b.WriteString("procs,current_us,new_us,factor\n")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%d,%.3f,%.3f,%.4f\n", row.Procs, row.OldUS, row.NewUS, row.Factor)
-	}
-	return b.String()
-}
-
-// CSVLock renders the Figure 8/9/10 sweep as CSV.
-func CSVLock(r *LockResult) string {
-	var b strings.Builder
-	b.WriteString("procs,cur_total_us,new_total_us,factor,cur_acquire_us,new_acquire_us,cur_release_us,new_release_us\n")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%d,%.3f,%.3f,%.4f,%.3f,%.3f,%.3f,%.3f\n",
-			row.Procs, row.Current.TotalUS, row.New.TotalUS, row.Factor,
-			row.Current.AcquireUS, row.New.AcquireUS,
-			row.Current.ReleaseUS, row.New.ReleaseUS)
-	}
-	return b.String()
-}
-
-// CSVCrossover renders the sparse-writer sweep as CSV.
-func CSVCrossover(r *CrossoverResult) string {
-	var b strings.Builder
-	b.WriteString("targets,old_us,new_us\n")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%d,%.3f,%.3f\n", row.K, row.OldUS, row.NewUS)
-	}
-	return b.String()
-}
-
-// CSVCrossoverN renders the large-N barrier sweep as CSV.
-func CSVCrossoverN(r *CrossoverNResult) string {
-	var b strings.Builder
-	b.WriteString("procs")
-	for _, v := range r.Variants {
-		b.WriteString("," + v.Name + "_us")
-	}
-	b.WriteString("\n")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%d", row.N)
-		for _, t := range row.US {
-			fmt.Fprintf(&b, ",%.3f", t)
+	w.Write(rec)
+	for _, row := range t.Rows {
+		rec = rec[:0]
+		for i, c := range t.Cols {
+			if c.TextOnly {
+				continue
+			}
+			if f, ok := row[i].(float64); ok {
+				rec = append(rec, strconv.FormatFloat(f, 'f', c.Prec+2, 64))
+			} else {
+				rec = append(rec, fmt.Sprint(row[i]))
+			}
 		}
-		b.WriteString("\n")
+		w.Write(rec)
 	}
+	w.Flush()
 	return b.String()
 }
 
-func presetName(p armci.CostPreset) string {
-	if p == "" {
-		return string(armci.PresetZero)
+// Metrics reports every cell of every gated column as a BENCH metric.
+func (t *Table) Metrics(emit func(name string, v float64, unit string)) {
+	for _, c := range t.Cols {
+		if c.Metric == "" {
+			continue
+		}
+		unit := c.Unit
+		if unit == "" {
+			unit = "us"
+		}
+		for i, row := range t.Rows {
+			emit(strings.ReplaceAll(c.Metric, "{}", fmt.Sprint(row[0])), t.Float(i, c.Key), unit)
+		}
 	}
-	return string(p)
 }

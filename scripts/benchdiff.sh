@@ -20,13 +20,12 @@ if [ "${1:-}" = "-quick" ]; then
     quick="-quick"
 fi
 
-latest=""
-for f in BENCH_*.json; do
-    [ -e "$f" ] && latest="$f"
-done
-if [ -z "$latest" ]; then
-    echo "benchdiff: no BENCH_*.json baseline committed; create one with: go run ./cmd/armci-bench -baseline" >&2
+# The newest baseline is the one with the numerically highest <n> (the
+# shell's glob order would put BENCH_10.json before BENCH_2.json).
+n=$(ls | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$/\1/p' | sort -n | tail -1)
+if [ -z "$n" ]; then
+    echo "benchdiff: no BENCH_<n>.json baseline committed; create one with: go run ./cmd/armci-bench -baseline" >&2
     exit 2
 fi
 
-exec go run ./cmd/armci-bench -compare "$latest" $quick
+exec go run ./cmd/armci-bench -compare "BENCH_$n.json" $quick
