@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench benchcheck golden soak explore procsmoke loc
+.PHONY: build test check bench benchcheck golden soak explore procsmoke elasticsoak loc
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,19 @@ loc:
 procsmoke:
 	$(GO) run ./cmd/armci-run -n 4 -workload fig7-small
 	$(GO) run ./cmd/armci-run -n 4 -ppn 2 -workload fig7-small
+
+# The elastic smoke of check.sh — a 4-rank launch with one worker killed
+# mid-epoch and respawned, every rank's fingerprint checked against the
+# pure-replay oracle — N times over, one binary built once. Prints
+# failed/N and the tail of each failing run; any failure fails the target.
+N ?= 200
+elasticsoak:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/armci-run" ./cmd/armci-run && \
+	failed=0 && i=0 && while [ $$i -lt $(N) ]; do i=$$((i+1)); \
+		"$$dir/armci-run" -n 4 -workload elastic -elastic -faults crashrank=1@3 >"$$dir/out" 2>&1 || \
+			{ failed=$$((failed+1)); echo "run $$i:"; tail -5 "$$dir/out"; }; \
+	done && echo "elasticsoak: $$failed/$(N) failed" && [ $$failed -eq 0 ]
 
 # The reliability soak: every lock and barrier algorithm on every fabric
 # under bursty packet loss, with the race detector on. check's race pass

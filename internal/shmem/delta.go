@@ -263,7 +263,7 @@ func (s *Space) Restore(rank int, snap *RankSnapshot) {
 		}
 		ps.dirty = make(map[pageKey]struct{})
 	})
-	s.notify()
+	s.notify(int32(rank))
 }
 
 // WipeProtected zeroes rank's protected segments — the in-process
@@ -287,7 +287,7 @@ func (s *Space) WipeProtected(rank int) {
 		}
 		ps.dirty = make(map[pageKey]struct{})
 	})
-	s.notify()
+	s.notify(int32(rank))
 }
 
 // ReadRaw serializes n bytes of memory at p into little-endian raw form.
@@ -328,7 +328,7 @@ func (s *Space) WriteRaw(p Ptr, data []byte) {
 		}
 		s.mark(p, int64(len(w)))
 	})
-	s.notify()
+	s.notify(p.Rank)
 }
 
 // ProtectedShape returns the cell/byte counts of rank's protected

@@ -19,10 +19,11 @@ type Space struct {
 	prot     []protState // per-rank dirty-page tracking (nil until Protect)
 
 	// onWrite, when non-nil, is invoked (outside the space lock) after
-	// every mutation. The concurrent fabrics use it to wake processes
+	// every mutation with the rank whose memory was written. The
+	// concurrent fabrics use it to wake the processes of that rank's node
 	// blocked in WaitUntil on local memory (MCS locked flags, op_done
 	// counters); the simulated fabric re-evaluates predicates on its own.
-	onWrite func()
+	onWrite func(rank int)
 }
 
 type rankMem struct {
@@ -48,7 +49,7 @@ func NewSpace(nodeOf []int) *Space {
 func (s *Space) NumNodes() int { return s.numNodes }
 
 // SetOnWrite installs the post-mutation notification hook.
-func (s *Space) SetOnWrite(fn func()) { s.onWrite = fn }
+func (s *Space) SetOnWrite(fn func(rank int)) { s.onWrite = fn }
 
 // NumRanks returns the number of processes in the space.
 func (s *Space) NumRanks() int { return len(s.ranks) }
@@ -59,10 +60,10 @@ func (s *Space) Node(rank int) int { return s.nodeOf[rank] }
 // SameNode reports whether the two ranks are co-located on one SMP node.
 func (s *Space) SameNode(a, b int) bool { return s.nodeOf[a] == s.nodeOf[b] }
 
-// notify runs the onWrite hook, if any.
-func (s *Space) notify() {
+// notify runs the onWrite hook, if any, for a mutation of rank's memory.
+func (s *Space) notify(rank int32) {
 	if s.onWrite != nil {
-		s.onWrite()
+		s.onWrite(int(rank))
 	}
 }
 
@@ -143,7 +144,7 @@ func (s *Space) Load(p Ptr) int64 {
 // Store atomically writes v to the cell at p.
 func (s *Space) Store(p Ptr, v int64) {
 	s.locked(func() { s.words(p, 1)[0] = v; s.mark(p, 1) })
-	s.notify()
+	s.notify(p.Rank)
 }
 
 // FetchAdd atomically adds delta to the cell at p and returns the previous
@@ -156,7 +157,7 @@ func (s *Space) FetchAdd(p Ptr, delta int64) int64 {
 		w[0] += delta
 		s.mark(p, 1)
 	})
-	s.notify()
+	s.notify(p.Rank)
 	return old
 }
 
@@ -170,7 +171,7 @@ func (s *Space) Swap(p Ptr, v int64) int64 {
 		w[0] = v
 		s.mark(p, 1)
 	})
-	s.notify()
+	s.notify(p.Rank)
 	return old
 }
 
@@ -187,7 +188,7 @@ func (s *Space) CompareAndSwap(p Ptr, old, new int64) int64 {
 			s.mark(p, 1)
 		}
 	})
-	s.notify()
+	s.notify(p.Rank)
 	return prev
 }
 
@@ -216,7 +217,7 @@ func (s *Space) StorePair(p Ptr, v Pair) {
 		w[0], w[1] = v.Hi, v.Lo
 		s.mark(p, 2)
 	})
-	s.notify()
+	s.notify(p.Rank)
 }
 
 // SwapPair atomically replaces the two consecutive cells at p with v and
@@ -229,7 +230,7 @@ func (s *Space) SwapPair(p Ptr, v Pair) Pair {
 		w[0], w[1] = v.Hi, v.Lo
 		s.mark(p, 2)
 	})
-	s.notify()
+	s.notify(p.Rank)
 	return old
 }
 
@@ -246,7 +247,7 @@ func (s *Space) CompareAndSwapPair(p Ptr, old, new Pair) Pair {
 			s.mark(p, 2)
 		}
 	})
-	s.notify()
+	s.notify(p.Rank)
 	return prev
 }
 
@@ -255,7 +256,7 @@ func (s *Space) CompareAndSwapPair(p Ptr, old, new Pair) Pair {
 // Put copies data into memory at p.
 func (s *Space) Put(p Ptr, data []byte) {
 	s.locked(func() { copy(s.bytesAt(p, int64(len(data))), data); s.mark(p, int64(len(data))) })
-	s.notify()
+	s.notify(p.Rank)
 }
 
 // Get copies n bytes out of memory at p.
@@ -306,7 +307,7 @@ func (s *Space) Accumulate(op AccOp, p Ptr, data []byte, scale float64) {
 			panic(fmt.Sprintf("shmem: unknown accumulate op %d", op))
 		}
 	})
-	s.notify()
+	s.notify(p.Rank)
 }
 
 func leUint64(b []byte) uint64 {

@@ -257,11 +257,16 @@ func TestConcurrentPairSwapChain(t *testing.T) {
 }
 
 func TestOnWriteHookFires(t *testing.T) {
-	s := newTestSpace(t, 1)
+	s := newTestSpace(t, 2)
 	count := 0
-	s.SetOnWrite(func() { count++ })
-	w := s.AllocWords(0, 2)
-	b := s.AllocBytes(0, 16)
+	s.SetOnWrite(func(rank int) {
+		if rank != 1 {
+			t.Errorf("onWrite named rank %d for a write to rank 1", rank)
+		}
+		count++
+	})
+	w := s.AllocWords(1, 2)
+	b := s.AllocBytes(1, 16)
 	s.Store(w, 1)
 	s.FetchAdd(w, 1)
 	s.Swap(w, 2)

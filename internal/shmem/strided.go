@@ -132,7 +132,7 @@ func (s *Space) UnpackTo(dst Ptr, d Strided, data []byte) {
 			pos += n
 		})
 	})
-	s.notify()
+	s.notify(dst.Rank)
 }
 
 // AccumulateStrided performs dst += scale*src elementwise over the strided

@@ -35,12 +35,10 @@ func (chanLink) down()                         {}
 
 func (l chanLink) carry(m *msg.Message) {
 	// Stricter than the socket links, which drop such frames: a local
-	// send to an unregistered endpoint is a bug in the caller. The
-	// mailbox map is fixed before any actor starts, so reading it without
-	// f.mu is race-free here.
-	q, ok := l.f.mailboxes[m.Dst]
+	// send to an unregistered endpoint is a bug in the caller.
+	b, ok := l.f.boxes[m.Dst]
 	if !ok {
 		panic(fmt.Sprintf("channet: send to unknown endpoint %v", m.Dst))
 	}
-	l.f.arrive(q, m)
+	l.f.arrive(b, m)
 }

@@ -69,7 +69,7 @@ func NewProc(cfg Config, env cluster.WorkerEnv) (*ProcFabric, error) {
 // body's Env additionally implements ElasticEnv.
 func (f *ProcFabric) SpawnUser(rank int, body func(Env)) {
 	if endpointNode(f.space, msg.User(rank)) == f.proc.env.Node {
-		f.wallFabric.SpawnUser(rank, func(e Env) { body(&procEnv{e, f.proc}) })
+		f.wallFabric.SpawnUser(rank, func(e Env) { body(&procEnv{e.(*wallEnv), f.proc}) })
 	}
 }
 
@@ -178,19 +178,14 @@ func (l *procLink) onData(body []byte) {
 		l.f.report(fmt.Errorf("procnet: node %d received corrupt frame: %w", l.env.Node, err))
 		return
 	}
-	l.f.arrive(l.f.mailboxes[m.Dst], m)
+	l.f.arrive(l.f.boxes[m.Dst], m)
 }
 
 // onFault surfaces a cluster fault — a peer worker died or the
 // coordinator vanished — to every blocked local actor and to Run.
 func (l *procLink) onFault(fe *pipeline.FaultError) {
-	f := l.f
-	f.mu.Lock()
-	l.fault = fe
-	f.shutdown = true
-	f.cond.Broadcast()
-	f.mu.Unlock()
-	f.report(fe)
+	l.f.control(func() { l.fault, l.f.shutdown = fe, true })
+	l.f.report(fe)
 }
 
 // onView installs a membership view. A newer epoch is a membership
@@ -201,32 +196,25 @@ func (l *procLink) onFault(fe *pipeline.FaultError) {
 // worker sent for the aborted epoch still carries the old view epoch
 // and is fenced out at receivers that have already advanced.
 func (l *procLink) onView(v wire.View) {
-	l.f.mu.Lock()
-	if v.Epoch > l.viewEpoch {
-		l.viewEpoch = v.Epoch
-		l.viewDead = v.Dead
-		l.viewIntr = true
-		l.resume = nil
-		l.released = make(map[uint64]bool)
-		l.f.cond.Broadcast()
-	}
-	l.f.mu.Unlock()
+	l.f.control(func() {
+		if v.Epoch > l.viewEpoch {
+			l.viewEpoch = v.Epoch
+			l.viewDead = v.Dead
+			l.viewIntr = true
+			l.resume = nil
+			l.released = make(map[uint64]bool)
+		}
+	})
 }
 
 // onResume records the coordinator's recovery hand-off.
 func (l *procLink) onResume(r wire.EpochReport) {
-	l.f.mu.Lock()
-	l.resume = &r
-	l.f.cond.Broadcast()
-	l.f.mu.Unlock()
+	l.f.control(func() { l.resume = &r })
 }
 
 // onRelease records a cluster barrier release.
 func (l *procLink) onRelease(id uint64) {
-	l.f.mu.Lock()
-	l.released[id] = true
-	l.f.cond.Broadcast()
-	l.f.mu.Unlock()
+	l.f.control(func() { l.released[id] = true })
 }
 
 // ViewInterrupt is the abort thrown through a user actor's blocking
@@ -289,7 +277,7 @@ type ElasticEnv interface {
 // procEnv is the Env of a user actor on the proc fabric: the shared
 // wall-clock Env plus the elastic recovery surface.
 type procEnv struct {
-	Env
+	*wallEnv
 	l *procLink
 }
 
@@ -299,46 +287,77 @@ func (e *procEnv) ElasticEnabled() bool { return e.l.env.Elastic }
 func (e *procEnv) Incarnation() uint32  { return e.l.env.Incarnation }
 
 func (e *procEnv) ViewEpoch() uint64 {
-	e.l.f.mu.Lock()
-	defer e.l.f.mu.Unlock()
+	e.f.mu.Lock()
+	defer e.f.mu.Unlock()
 	return e.l.viewEpoch
 }
 
-// AckView fences the aborted sync epoch and acknowledges the view: from
-// here on this worker stamps the new epoch, drops queued old-epoch
-// traffic, and forgets per-pair sequencing with the replaced node (its
-// respawned incarnation restarts sequences at 1).
+// parkLocked parks the actor until its box is signalled — which every
+// control event does — releasing f.mu, which the caller holds, meanwhile.
+func (e *procEnv) parkLocked() {
+	e.f.mu.Unlock()
+	<-e.b.ready
+	e.f.mu.Lock()
+}
+
+// AckView fences the aborted sync epoch and acknowledges the view.
 func (e *procEnv) AckView(committed, shadow, staged uint64) {
-	l, f := e.l, e.l.f
-	f.mu.Lock()
-	epoch := l.viewEpoch
-	dead := l.viewDead
-	l.viewIntr = false
-	for _, q := range f.mailboxes {
-		for q.TryPop(func(m *msg.Message) bool { return m.Epoch < epoch }) != nil {
-		}
+	if err := e.l.sess.SendViewAck(wire.ViewAck{
+		Node: e.l.env.Node, Epoch: e.fenceView(), Committed: committed, Shadow: shadow, Staged: staged,
+	}); err != nil {
+		e.l.sessFail("view ack", err)
 	}
-	f.mu.Unlock()
+}
+
+// fenceView closes every membership epoch below the installed view's on
+// this worker and returns that view's epoch. Each local box, under its own
+// lock, refuses older frames from here on (arrive), drops the ones queued,
+// and holds the caller until a frame its server had already popped is
+// applied: that frame is in neither mailbox nor pipeline, and applied
+// after the caller's rollback it would resurrect the aborted epoch. Only
+// then does this worker stamp the new epoch and forget per-pair sequencing
+// with the replaced node (its respawned incarnation restarts sequences at
+// 1). A cluster fault aborts the wait.
+func (e *procEnv) fenceView() uint64 {
+	l, f := e.l, e.f
+	var epoch uint64
+	var dead int
+	f.control(func() {
+		epoch, dead = l.viewEpoch, l.viewDead
+		l.viewIntr = false
+	})
+	for _, b := range f.boxes {
+		b.mu.Lock()
+		b.fence = epoch
+		for b.q.TryPop(func(m *msg.Message) bool { return m.Epoch < epoch }) != nil {
+		}
+		for b.draining = b.inService; b.draining; b.mu.Lock() {
+			b.mu.Unlock()
+			f.mu.Lock()
+			if l.fault != nil {
+				f.abortLocked(l.fault)
+			}
+			e.parkLocked()
+			f.mu.Unlock()
+		}
+		b.mu.Unlock()
+	}
 	f.pipe.SetEpoch(epoch)
 	f.pipe.ResetPeer(func(a msg.Addr) bool { return endpointNode(f.space, a) == dead })
-	if err := l.sess.SendViewAck(wire.ViewAck{
-		Node: l.env.Node, Epoch: epoch, Committed: committed, Shadow: shadow, Staged: staged,
-	}); err != nil {
-		l.sessFail("view ack", err)
-	}
+	return epoch
 }
 
 // AwaitResume blocks for the recovery hand-off. Deliberately exempt
 // from the per-op deadline: the window includes a full process respawn,
 // bounded by the cluster join timeout and the run deadline instead.
 func (e *procEnv) AwaitResume() (int, uint64) {
-	l, f := e.l, e.l.f
+	l, f := e.l, e.f
 	f.mu.Lock()
 	for l.resume == nil {
 		if l.fault != nil {
 			f.abortLocked(l.fault)
 		}
-		f.cond.Wait()
+		e.parkLocked()
 	}
 	r := *l.resume
 	f.mu.Unlock()
@@ -348,7 +367,7 @@ func (e *procEnv) AwaitResume() (int, uint64) {
 // ClusterBarrier enters coordinator barrier id and blocks for its
 // release. A view change mid-wait aborts with a ViewInterrupt.
 func (e *procEnv) ClusterBarrier(id uint64) {
-	l, f := e.l, e.l.f
+	l, f := e.l, e.f
 	f.mu.Lock()
 	// A release for this id from a previous use (pre-recovery
 	// re-execution) must not satisfy this entry.
@@ -362,7 +381,7 @@ func (e *procEnv) ClusterBarrier(id uint64) {
 		if err := l.interrupted(false); err != nil {
 			f.abortLocked(err)
 		}
-		f.cond.Wait()
+		e.parkLocked()
 	}
 	f.mu.Unlock()
 }

@@ -63,8 +63,8 @@ func (l *tcpLink) up() (err error) {
 	if err != nil {
 		return fmt.Errorf("tcpnet: %w", err)
 	}
-	for _, a := range l.f.endpoints() {
-		l.out[a.addr] = &pairConns{to: make(map[msg.Addr]net.Conn)}
+	for addr := range l.f.boxes {
+		l.out[addr] = &pairConns{to: make(map[msg.Addr]net.Conn)}
 	}
 	go l.accept()
 	return nil
@@ -126,7 +126,7 @@ func (l *tcpLink) accept() {
 	}
 }
 
-// read drains one pair's connection into the mailbox of the destination
+// read drains one pair's connection into the box of the destination
 // its hello named — nil when nobody hosts it, and arrive drops the frames.
 func (l *tcpLink) read(c net.Conn) {
 	defer c.Close()
@@ -139,7 +139,7 @@ func (l *tcpLink) read(c net.Conn) {
 	if err != nil {
 		return // not one of our endpoints
 	}
-	q := l.f.mailboxes[dst]
+	b := l.f.boxes[dst]
 	for {
 		body, err := fr.Next()
 		if err == io.EOF {
@@ -153,6 +153,6 @@ func (l *tcpLink) read(c net.Conn) {
 			l.f.report(fmt.Errorf("tcpnet: endpoint %v received corrupt frame: %w", dst, err))
 			return
 		}
-		l.f.arrive(q, m)
+		l.f.arrive(b, m)
 	}
 }

@@ -15,9 +15,9 @@
 //     a real TCP connection set up by internal/cluster — the fabric
 //     cmd/armci-run launches.
 //
-// The last three run in wall time and are one runtime (wallnet.go: the
-// mailboxes, the bounded wait, deadlines, crash grace, the actor life
-// cycle) over three links that only move frames.
+// The last three run in wall time and are one runtime (wallnet.go: one
+// box per endpoint, the bounded wait, deadlines, crash grace, the actor
+// life cycle) over three links that only move frames.
 package transport
 
 import (
@@ -73,9 +73,13 @@ type Env interface {
 	TryRecv(match msg.Match) *msg.Message
 	// Charge models d of CPU work by this actor.
 	Charge(d time.Duration)
-	// WaitUntil blocks until pred() is true. pred must depend only on
-	// shared memory or other fabric-visible state, so the fabric can
-	// re-evaluate it when that state changes. tag is diagnostic.
+	// WaitUntil blocks until pred() is true. pred may read the memory of
+	// the caller's own node (its own and co-located ranks' segments) and
+	// fabric control state (CrashedRank), nothing else: the wall-clock
+	// fabrics re-evaluate it when a rank of that node is written or a
+	// control event occurs — not on writes elsewhere, where proc holds
+	// only a stale replica anyway, and not on deliveries. tag is
+	// diagnostic.
 	WaitUntil(tag string, pred func() bool)
 	// WaitUntilFor is the bounded form of WaitUntil: it blocks until
 	// pred() is true or d has elapsed (virtual time on the simulated

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"armci/internal/model"
@@ -36,10 +37,16 @@ type link interface {
 }
 
 // wallFabric is the one wall-clock runtime behind the chan, tcp and proc
-// fabrics: real goroutines as actors, one mailbox per endpoint, and a
-// single condition variable that every memory write, delivery, timer and
-// shutdown broadcasts on. What the three fabrics do differently is the
-// link plus the three fields below it.
+// fabrics: real goroutines as actors, each parking in its own box. On the
+// data path a wake-up disturbs only whom it addresses: a delivery signals
+// its destination's box (arrive), and a write to a rank's memory signals
+// the boxes of that rank's node whose owner is in WaitUntil/WaitUntilFor
+// (the Space write hook) — a Recv never wakes for a memory write. f.mu
+// guards control state only; an event changes it through control, which
+// then signals every box, and a wait looks at it only while alert is set,
+// so the steady-state wait takes no fabric-wide lock. Lock order: a box's
+// mu, then f.mu. What the three fabrics do differently is the link plus
+// the three fields below it.
 type wallFabric struct {
 	name  string // error-message prefix: "channet", "tcpnet", "procnet node N"
 	cfg   Config
@@ -56,45 +63,105 @@ type wallFabric struct {
 	// waiters could never tell the fail-stop from a wedged peer.
 	crashFatal bool
 	// intr, when set, is consulted (f.mu held) in every wait and before
-	// every send; a non-nil error aborts the actor with it. Only proc has
-	// one: the cluster fault and the membership-view interrupt.
+	// every send while alert is set; a non-nil error aborts the actor. Only
+	// proc has one: the cluster fault and the membership-view interrupt.
 	intr func(server bool) error
 
-	mu        sync.Mutex
-	cond      *sync.Cond // broadcast on memory writes, deliveries, timers, shutdown
-	wake      func()     // lock, broadcast, unlock: the timer and write callback
-	mailboxes map[msg.Addr]*msg.Queue
-	shutdown  bool
-	crashAt   time.Time // wall time of the first fail-stop (zero: none)
+	// Both fixed before any actor starts, read without a lock from then on.
+	boxes  map[msg.Addr]*box
+	byNode [][]*box // the boxes a write to one of the node's ranks may wake
 
-	users   []actorSpec
-	servers []actorSpec
+	mu       sync.Mutex  // control state: the fields below and proc's (procLink)
+	alert    atomic.Bool // some control state a wait or send must look at is set
+	shutdown bool
+	crashAt  time.Time // wall time of the first fail-stop (zero: none)
 
 	start time.Time
 
 	panics chan error
 }
 
+// box is one endpoint's share of the runtime: its actor, its mailbox, the
+// slot that actor — the owner, the only goroutine that ever waits on it —
+// parks in, and what the fabric knows about the owner's state.
+type box struct {
+	addr msg.Addr
+	body func(Env)
+	// ready is the park/ready slot, of one token: a signal never blocks,
+	// one sent before the owner parks is not lost, and a stale one costs a
+	// spurious re-check.
+	ready chan struct{}
+	timer *time.Timer // the owner's one deadline; its fire signals this box only
+	// watching marks the owner as inside WaitUntil/WaitUntilFor; set before
+	// the predicate runs, so a write is seen by one or the other.
+	watching atomic.Bool
+
+	mu     sync.Mutex
+	q      msg.Queue
+	parked bool // the owner's last look at q found nothing: a delivery signals it
+	// The membership fence (proc): frames of an epoch below fence are
+	// refused; a server is in service from the Recv that popped a frame to
+	// its next; a fence finding it so sets draining and is woken at that.
+	fence               uint64
+	inService, draining bool
+}
+
+// signal readies the box's owner.
+func (b *box) signal() {
+	select {
+	case b.ready <- struct{}{}:
+	default:
+	}
+}
+
 func newWallFabric(name string, cfg Config, charge bool) *wallFabric {
 	f := &wallFabric{
-		name:      name,
-		cfg:       cfg,
-		space:     shmem.NewSpace(cfg.nodeMap()),
-		charge:    charge,
-		mailboxes: make(map[msg.Addr]*msg.Queue),
+		name:   name,
+		cfg:    cfg,
+		space:  shmem.NewSpace(cfg.nodeMap()),
+		charge: charge,
+		boxes:  make(map[msg.Addr]*box),
+		byNode: make([][]*box, cfg.numNodes()),
 		// Room for every actor (users, servers, NIC agents) plus the
 		// link's own reader to report without blocking after Run returned.
 		panics: make(chan error, cfg.Procs+2*cfg.numNodes()+1),
 	}
 	f.pipe = cfg.newPipeline(f.space, charge)
-	f.cond = sync.NewCond(&f.mu)
-	f.wake = func() {
-		f.mu.Lock()
-		f.cond.Broadcast()
-		f.mu.Unlock()
-	}
-	f.space.SetOnWrite(f.wake)
+	f.space.SetOnWrite(func(rank int) {
+		for _, b := range f.byNode[f.space.Node(rank)] {
+			if b.watching.Load() {
+				b.signal()
+			}
+		}
+	})
 	return f
+}
+
+// spawn registers an actor: it makes its box.
+func (f *wallFabric) spawn(addr msg.Addr, body func(Env)) {
+	b := &box{addr: addr, body: body, ready: make(chan struct{}, 1)}
+	b.timer = time.AfterFunc(time.Hour, b.signal)
+	b.timer.Stop()
+	f.boxes[addr] = b
+	node := endpointNode(f.space, addr)
+	f.byNode[node] = append(f.byNode[node], b)
+}
+
+// control changes control state: set runs under f.mu, then every box is
+// signalled — after f.mu is released, so a woken actor never queues
+// behind the event that woke it.
+func (f *wallFabric) control(set func()) {
+	f.mu.Lock()
+	set()
+	f.alert.Store(f.shutdown || !f.crashAt.IsZero() || f.intr != nil && f.intr(false) != nil)
+	f.mu.Unlock()
+	f.wakeAll()
+}
+
+func (f *wallFabric) wakeAll() {
+	for _, b := range f.boxes {
+		b.signal()
+	}
 }
 
 // Space returns the cluster's shared memory.
@@ -105,17 +172,12 @@ func (f *wallFabric) Config() *Config { return &f.cfg }
 
 // SpawnUser registers the body of rank's user process.
 func (f *wallFabric) SpawnUser(rank int, body func(Env)) {
-	f.users = append(f.users, actorSpec{addr: msg.User(rank), body: body})
+	f.spawn(msg.User(rank), body)
 }
 
 // SpawnServer registers the body of node's data server.
 func (f *wallFabric) SpawnServer(node int, body func(Env)) {
-	f.servers = append(f.servers, actorSpec{addr: msg.ServerOf(node), body: body})
-}
-
-// endpoints lists every registered actor, users first.
-func (f *wallFabric) endpoints() []actorSpec {
-	return append(append([]actorSpec(nil), f.users...), f.servers...)
+	f.spawn(msg.ServerOf(node), body)
 }
 
 // Run brings the link up, starts every actor goroutine, waits for all
@@ -124,25 +186,20 @@ func (f *wallFabric) endpoints() []actorSpec {
 // actor panic or link failure, or an error if the deadline (default 120 s
 // wall time) elapses.
 func (f *wallFabric) Run() error {
-	// Mailboxes and the clock epoch must exist before the link comes up:
-	// it can deliver the instant it is up, and arrive stamps arrivals
-	// against f.start.
-	for _, a := range f.endpoints() {
-		f.mailboxes[a.addr] = &msg.Queue{}
-	}
+	// The clock epoch must exist before the link comes up (the boxes have
+	// since Spawn): it can deliver the instant it is up, and arrive stamps
+	// arrivals against f.start.
 	f.start = time.Now()
 	if !f.crashFatal {
-		// A fail-stop wakes every blocked wait (crash-aware spins re-check
-		// the registry) and arms the grace timer that unwedges waits with
-		// no recovery path — see Config.CrashGrace.
+		// A fail-stop wakes every blocked wait: crash-aware spins re-check
+		// the registry, the others set their box timer to the grace that
+		// unwedges waits with no recovery path — see Config.CrashGrace.
 		f.pipe.SetCrashNotify(func() {
-			f.mu.Lock()
-			if f.crashAt.IsZero() {
-				f.crashAt = time.Now()
-				time.AfterFunc(f.cfg.CrashGrace+10*time.Millisecond, f.wake)
-			}
-			f.cond.Broadcast()
-			f.mu.Unlock()
+			f.control(func() {
+				if f.crashAt.IsZero() {
+					f.crashAt = time.Now()
+				}
+			})
 		})
 	}
 	defer f.link.down()
@@ -151,13 +208,13 @@ func (f *wallFabric) Run() error {
 	}
 
 	var userWG, serverWG sync.WaitGroup
-	for _, a := range f.servers {
-		serverWG.Add(1)
-		go f.runActor(a, &serverWG)
-	}
-	for _, a := range f.users {
-		userWG.Add(1)
-		go f.runActor(a, &userWG)
+	for _, b := range f.boxes {
+		wg := &userWG
+		if b.addr.Server {
+			wg = &serverWG
+		}
+		wg.Add(1)
+		go f.runActor(b, wg)
 	}
 
 	deadline := f.cfg.Deadline
@@ -183,9 +240,11 @@ func (f *wallFabric) Run() error {
 }
 
 // runActor runs one actor body and turns its panics into Run's error.
-func (f *wallFabric) runActor(spec actorSpec, wg *sync.WaitGroup) {
+func (f *wallFabric) runActor(b *box, wg *sync.WaitGroup) {
+	e := &wallEnv{f: f, addr: b.addr, b: b, recvTag: "recv@" + b.addr.String()}
 	defer wg.Done()
 	defer func() {
+		e.pop(func(*msg.Message) bool { return false }) // an actor that is gone serves nothing
 		if r := recover(); r != nil {
 			if _, ok := r.(failStop); ok {
 				return // injected fail-stop: the actor vanishes, the run continues
@@ -193,12 +252,12 @@ func (f *wallFabric) runActor(spec actorSpec, wg *sync.WaitGroup) {
 			if a, ok := r.(abort); ok && a.err != nil {
 				f.panics <- a.err // structured fault, propagate verbatim
 			} else {
-				f.panics <- fmt.Errorf("%s: actor %v panicked: %v", f.name, spec.addr, r)
+				f.panics <- fmt.Errorf("%s: actor %v panicked: %v", f.name, b.addr, r)
 			}
 			f.stop() // unwedge everyone else
 		}
 	}()
-	spec.body(&wallEnv{f: f, addr: spec.addr, q: f.mailboxes[spec.addr], recvTag: "recv@" + spec.addr.String()})
+	b.body(e)
 }
 
 // report hands a link-side failure to Run without ever blocking: several
@@ -213,10 +272,7 @@ func (f *wallFabric) report(err error) {
 
 // stop releases every server from its serve loop.
 func (f *wallFabric) stop() {
-	f.mu.Lock()
-	f.shutdown = true
-	f.cond.Broadcast()
-	f.mu.Unlock()
+	f.control(func() { f.shutdown = true })
 }
 
 // await blocks for done, the first reported failure, or the deadline.
@@ -241,16 +297,28 @@ func waitChan(wg *sync.WaitGroup) <-chan struct{} {
 // stages on a frame that reached its destination's process (duplicate
 // suppression, arrival stamping — the actual arrival, or the modeled or
 // fault-injected future one the frame carries — trace back-annotation,
-// metrics) and files it in q, the destination's mailbox, which the link
+// metrics) and files it in b, the destination's box, which the link
 // resolved — nil, an endpoint this process does not host, drops the frame.
-func (f *wallFabric) arrive(q *msg.Queue, m *msg.Message) {
-	if !f.pipe.Inbound(m, time.Since(f.start)) || q == nil {
+// Only that box is locked and only its owner, if parked on it, is woken;
+// the fence is checked under the lock of the Put, so a frame of a closed
+// epoch that passed Inbound a moment ago cannot follow the purge.
+func (f *wallFabric) arrive(b *box, m *msg.Message) {
+	if !f.pipe.Inbound(m, time.Since(f.start)) || b == nil {
 		return
 	}
-	f.mu.Lock()
-	q.Put(m)
-	f.cond.Broadcast()
-	f.mu.Unlock()
+	b.mu.Lock()
+	if m.Epoch < b.fence {
+		b.mu.Unlock()
+		f.cfg.Trace.RecordFaults(trace.FaultCounts{StaleEpochs: 1})
+		return
+	}
+	b.q.Put(m)
+	parked := b.parked
+	b.parked = false
+	b.mu.Unlock()
+	if parked {
+		b.signal()
+	}
 }
 
 // abortLocked fails the calling actor with err; the caller holds f.mu.
@@ -269,12 +337,22 @@ func (e *wallEnv) interruptLocked() {
 	}
 }
 
+// interrupt is interruptLocked for a send or a poll: one atomic load while
+// no control state is set.
+func (e *wallEnv) interrupt() {
+	if f := e.f; f.alert.Load() && f.intr != nil {
+		f.mu.Lock()
+		e.interruptLocked()
+		f.mu.Unlock()
+	}
+}
+
 // wallEnv is the Env of one actor on a wall-clock fabric.
 type wallEnv struct {
 	f       *wallFabric
 	addr    msg.Addr
-	q       *msg.Queue // the actor's own mailbox
-	recvTag string     // diagnostic tag of its Recvs, "recv@<addr>"
+	b       *box   // the actor's own box
+	recvTag string // diagnostic tag of its Recvs, "recv@<addr>"
 }
 
 var _ Env = (*wallEnv)(nil)
@@ -287,7 +365,7 @@ func (e *wallEnv) Node(rank int) int       { return e.f.space.Node(rank) }
 func (e *wallEnv) Space() *shmem.Space     { return e.f.space }
 func (e *wallEnv) Params() model.Params    { return e.f.cfg.Model }
 func (e *wallEnv) Trace() *trace.Stats     { return e.f.cfg.Trace }
-func (e *wallEnv) Clock() Clock            { return wallClock{e.f.start} }
+func (e *wallEnv) Clock() Clock            { return wallClock{e.f} }
 func (e *wallEnv) Faults() pipeline.Faults { return e.f.pipe.Faults() }
 
 // CrashedRank consults the process-local registry. On proc that never
@@ -296,9 +374,11 @@ func (e *wallEnv) Faults() pipeline.Faults { return e.f.pipe.Faults() }
 // timing, which needs no registry at all.
 func (e *wallEnv) CrashedRank() int { return e.f.pipe.FirstCrashed() }
 
-type wallClock struct{ start time.Time }
+// wallClock is pointer-shaped, so handing it out as a Clock allocates
+// nothing: servers and the engine ask for the clock once per message.
+type wallClock struct{ f *wallFabric }
 
-func (c wallClock) Now() time.Duration { return time.Since(c.start) }
+func (c wallClock) Now() time.Duration { return time.Since(c.f.start) }
 func (c wallClock) Sleep(d time.Duration) {
 	if d > 0 {
 		time.Sleep(d)
@@ -313,11 +393,7 @@ func (e *wallEnv) Charge(d time.Duration) {
 
 func (e *wallEnv) Send(to msg.Addr, m *msg.Message) {
 	f := e.f
-	if f.intr != nil { // keeps f.mu off the chan and tcp send path
-		f.mu.Lock()
-		e.interruptLocked()
-		f.mu.Unlock()
-	}
+	e.interrupt()
 	// Frames reach the destination mailbox in send order (an injected
 	// duplicate trails its original, where dedup drops it); the stamped
 	// arrival time is enforced on the receive side. carry runs outside the
@@ -341,7 +417,7 @@ func (e *wallEnv) Recv(match msg.Match) *msg.Message {
 	var m *msg.Message
 	// Servers are exempt from the per-op deadline: idling in the serve
 	// loop is their job.
-	if !e.block(e.recvTag, func() bool { m = e.q.TryPop(match); return m != nil }, 0, !e.addr.Server) {
+	if !e.block(e.recvTag, func() bool { m = e.pop(match); return m != nil }, 0, !e.addr.Server, false) {
 		return nil // a server released by shutdown
 	}
 	// Enforce the stamped arrival in wall time: the modeled latency, a
@@ -354,17 +430,35 @@ func (e *wallEnv) Recv(match msg.Match) *msg.Message {
 	return m
 }
 
+// pop is Recv's look at the mailbox. One critical section ends a server's
+// service of its last frame and begins that of this one, so a fence never
+// finds a busy server between frames.
+func (e *wallEnv) pop(match msg.Match) *msg.Message {
+	b := e.b
+	b.mu.Lock()
+	drained := b.draining
+	b.draining = false
+	m := b.q.TryPop(match)
+	b.inService = e.addr.Server && m != nil
+	b.parked = m == nil
+	b.mu.Unlock()
+	if drained {
+		e.f.wakeAll()
+	}
+	return m
+}
+
 func (e *wallEnv) TryRecv(match msg.Match) *msg.Message {
-	f := e.f
+	f, b := e.f, e.b
 	// Only messages whose stamped arrival time has passed are eligible:
 	// polling must never observe a message earlier than Recv (which
 	// sleeps out the remaining latency) would deliver it. Per-pair
 	// arrival times are monotone, so gating on arrival keeps FIFO.
 	now := time.Since(f.start)
-	f.mu.Lock()
-	e.interruptLocked()
-	m := e.q.TryPop(func(m *msg.Message) bool { return m.Arrival <= now && match(m) })
-	f.mu.Unlock()
+	e.interrupt()
+	b.mu.Lock()
+	m := b.q.TryPop(func(m *msg.Message) bool { return m.Arrival <= now && match(m) })
+	b.mu.Unlock()
 	if m != nil {
 		f.pipe.RecvCharge(e.Charge)
 	}
@@ -372,7 +466,7 @@ func (e *wallEnv) TryRecv(match msg.Match) *msg.Message {
 }
 
 func (e *wallEnv) WaitUntil(tag string, pred func() bool) {
-	e.block(tag, pred, 0, true)
+	e.block(tag, pred, 0, true, true)
 }
 
 func (e *wallEnv) WaitUntilFor(tag string, pred func() bool, d time.Duration) bool {
@@ -380,11 +474,13 @@ func (e *wallEnv) WaitUntilFor(tag string, pred func() bool, d time.Duration) bo
 		e.WaitUntil(tag, pred)
 		return true
 	}
-	return e.block(tag, pred, d, false)
+	return e.block(tag, pred, d, false, true)
 }
 
-// block is the one bounded wait of the wall-clock fabrics. It re-evaluates
-// done (with f.mu held) on every broadcast and returns true once it holds.
+// block is the one bounded wait of the wall-clock fabrics: it parks the
+// actor in its box until done holds, re-evaluating done on every signal —
+// a delivery, with watch a memory write on the actor's node, the box
+// timer, a control event. If done holds at once no clock is read.
 //
 // With limit > 0 the caller owns the bound: block returns false at limit
 // and never aborts on its own account. Otherwise the wait is the fabric's
@@ -394,58 +490,70 @@ func (e *wallEnv) WaitUntilFor(tag string, pred func() bool, d time.Duration) bo
 // — a per-wait bound, so a run that keeps making progress after lease
 // repair is never aborted retroactively, while any single operation wedged
 // on the dead rank is; and with opBound, exceeding Config.OpDeadline
-// aborts with a FaultOpTimeout. Every bound arms a timer that broadcasts
-// when it falls due, so the loop is guaranteed to re-check.
-func (e *wallEnv) block(tag string, done func() bool, limit time.Duration, opBound bool) bool {
-	f := e.f
+// aborts with a FaultOpTimeout. The box timer is kept at the earliest
+// bound, so the loop re-checks when one falls due.
+func (e *wallEnv) block(tag string, done func() bool, limit time.Duration, opBound, watch bool) bool {
+	if done() {
+		return true
+	}
+	f, b := e.f, e.b
 	began := time.Now()
 	callerBound := limit > 0
 	if !callerBound && opBound {
 		limit = f.cfg.OpDeadline
 	}
-	var until time.Time
+	var until, armed time.Time
 	if limit > 0 {
 		until = began.Add(limit)
-		defer time.AfterFunc(limit, f.wake).Stop()
 	}
-	var graceWake *time.Timer
+	due := until // the earliest bound pending: where the box timer must be
 	defer func() {
-		if graceWake != nil {
-			graceWake.Stop()
-		}
+		b.timer.Stop() // a fire already under way is a spurious re-check later
+		b.watching.Store(false)
 	}()
-	f.mu.Lock()
-	for !done() {
-		e.interruptLocked()
-		if callerBound {
-			if !time.Now().Before(until) {
-				f.mu.Unlock()
-				return false
-			}
-			f.cond.Wait()
-			continue
+	if watch {
+		b.watching.Store(true)
+		if done() { // a write may have landed before the mark was up
+			return true
 		}
-		if e.addr.Server && f.shutdown {
+	}
+	for {
+		if f.alert.Load() {
+			f.mu.Lock()
+			e.interruptLocked()
+			if !callerBound {
+				if e.addr.Server && f.shutdown {
+					f.mu.Unlock()
+					return done() // a frame filed before the shutdown is still served
+				}
+				if !e.addr.Server && !f.crashAt.IsZero() {
+					grace := f.cfg.CrashGrace
+					blocked, sinceCrash := time.Since(began), time.Since(f.crashAt)
+					if blocked > grace && sinceCrash > grace {
+						f.abortLocked(&pipeline.FaultError{Rank: f.pipe.FirstCrashed(), Op: tag, Kind: pipeline.FaultCrash})
+					}
+					if g := began.Add(blocked + grace - min(blocked, sinceCrash) + 10*time.Millisecond); due.IsZero() || g.Before(due) {
+						due = g
+					}
+				}
+			}
 			f.mu.Unlock()
-			return false
-		}
-		if !e.addr.Server && !f.crashAt.IsZero() {
-			grace := f.cfg.CrashGrace
-			blocked, sinceCrash := time.Since(began), time.Since(f.crashAt)
-			if blocked > grace && sinceCrash > grace {
-				f.abortLocked(&pipeline.FaultError{Rank: f.pipe.FirstCrashed(), Op: tag, Kind: pipeline.FaultCrash})
-			}
-			if graceWake == nil {
-				graceWake = time.AfterFunc(grace-min(blocked, sinceCrash)+10*time.Millisecond, f.wake)
-			}
 		}
 		if limit > 0 && !time.Now().Before(until) {
-			f.abortLocked(opTimeout(e.addr, tag))
+			if callerBound {
+				return false
+			}
+			panic(abort{opTimeout(e.addr, tag)})
 		}
-		f.cond.Wait()
+		if !due.Equal(armed) {
+			b.timer.Reset(time.Until(due))
+			armed = due
+		}
+		<-b.ready
+		if done() {
+			return true
+		}
 	}
-	f.mu.Unlock()
-	return true
 }
 
 // FailStop terminates this actor as an injected fail-stop crash: it

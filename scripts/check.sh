@@ -23,6 +23,9 @@ go test -race -short ./...
 # splice windows of the MCS queue are schedule-dependent, and one race
 # pass rarely enters them.
 go test -race -count=5 ./internal/core
+# The wall-clock runtime likewise: whether a signal lands before or after
+# its box's owner parks is the scheduler's choice on every wait.
+go test -race -count=5 ./internal/transport
 # The multi-process tests -short skips (ring/coalesced/workload/
 # hierarchical parity with TCP, worker-death attribution, elastic
 # kill-and-respawn): real OS worker processes, race detector on.
@@ -36,7 +39,8 @@ go run ./cmd/armci-run -n 4 -ppn 2 -workload fig7-small
 # The elastic smoke: the same 4-rank launch with one worker killed
 # mid-epoch and recovered by respawn; the launcher verifies every rank's
 # fingerprint (the respawned one included) against the pure-replay
-# oracle, so a lost or duplicated op fails the gate.
+# oracle, so a lost or duplicated op fails the gate (`make elasticsoak`
+# loops exactly this run).
 go run ./cmd/armci-run -n 4 -workload elastic -elastic -faults crashrank=1@3
 # The benchmark-regression gate against the committed BENCH_*.json
 # baseline. -quick judges only the deterministic metrics (simulated
