@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench benchcheck golden soak explore procsmoke elasticsoak loc
+.PHONY: build test check bench benchcheck benchpairs golden soak explore procsmoke elasticsoak loc
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,16 @@ bench:
 # `go run ./cmd/armci-bench -baseline`.
 benchcheck:
 	sh scripts/benchdiff.sh
+
+# A claimed wall-clock gain, measured: REF (the parent commit) against the
+# working tree on workload W of BENCHMARK.json, N alternating pairs of
+# runs; medians, quartiles, wins and a verdict per end-to-end metric.
+# The default 10 pairs of 12 s take about 5 minutes.
+REF ?= HEAD
+W ?= app-tcp4
+benchpairs: N = 10
+benchpairs:
+	sh scripts/benchpairs.sh $(REF) $(W) $(N)
 
 # The harness's output contract in full: every figure regenerated and
 # diffed against the committed tables (sim virtual times reproduce byte

@@ -225,6 +225,9 @@ func (s *Stats) String() string {
 		fmt.Fprintf(&b, "; reliability: dropped=%d retransmits=%d exhausted=%d crashes=%d",
 			f.Dropped, f.Retransmits, f.RetryExhausted, f.Crashes)
 	}
+	if s.writes > 0 {
+		fmt.Fprintf(&b, "; link: sends=%d writes=%d written=%dB", s.sends, s.writes, s.written)
+	}
 	b.WriteString("):\n")
 	for _, k := range sortedKinds(s.latByKind) {
 		h := s.latByKind[k]

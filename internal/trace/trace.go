@@ -7,9 +7,10 @@
 // Stats is the one recorder of a run. The transport pipeline calls it
 // once per send (RecordSend) and once per admission (RecordArrival), or
 // once with the fault counters of a send or copy that did not get
-// through (RecordFaults); each call takes the recorder's mutex once. The
-// captured events carry Sent and the actual Arrival, so they double as
-// the per-message timeline.
+// through (RecordFaults); each call takes the recorder's mutex once. A
+// socket link reports its write(2) count when it comes down
+// (RecordLinkWrites). The captured events carry Sent and the actual
+// Arrival, so they double as the per-message timeline.
 package trace
 
 import (
@@ -29,6 +30,8 @@ type Stats struct {
 	byKind    map[msg.Kind]int
 	bytes     int64
 	sends     int
+	writes    int   // write(2) calls of the socket link (tcp only)
+	written   int64 // the encoded bytes they carried, hellos included
 	faults    FaultCounts
 	events    []Event
 	byKey     map[eventKey]int // (src,dst,pairSeq) -> events index, capture mode
@@ -249,6 +252,17 @@ func (s *Stats) RecordFaults(f FaultCounts) {
 	s.mu.Unlock()
 }
 
+// RecordLinkWrites accounts writes of a socket link and the encoded bytes
+// they carried: a burst that rode in one write counts once here and once
+// per frame in RecordSend. The link counts where it writes and reports
+// when it comes down.
+func (s *Stats) RecordLinkWrites(writes, bytes int) {
+	s.mu.Lock()
+	s.writes += writes
+	s.written += int64(bytes)
+	s.mu.Unlock()
+}
+
 // RecordArrival accounts the admission of m into the destination mailbox
 // at fabric time now (the pipeline's post-dedup receive stage). In
 // capture mode it back-annotates the send event of m with the arrival
@@ -292,9 +306,9 @@ func (s *Stats) opLocked(e OpEvent) {
 	s.opEvents = append(s.opEvents, e)
 }
 
-// Add folds the finished run recorded by run into s: message counters,
-// fault counters, latency histograms and — while s is capturing — the
-// captured events, renumbered to continue s's own send count. Op events
+// Add folds the finished run recorded by run into s: message and link-write
+// counters, fault counters, latency histograms and — while s is capturing —
+// the captured events, renumbered to continue s's own send count. Op events
 // stay with the run; they are a per-run linearization witness.
 func (s *Stats) Add(run *Stats) {
 	run.mu.Lock()
@@ -309,6 +323,8 @@ func (s *Stats) Add(run *Stats) {
 	}
 	s.sends += run.sends
 	s.bytes += run.bytes
+	s.writes += run.writes
+	s.written += run.written
 	for k, n := range run.byKind {
 		s.byKind[k] += n
 	}
@@ -350,6 +366,14 @@ func (s *Stats) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.bytes
+}
+
+// LinkWrites returns how many writes the socket link made and the encoded
+// bytes they carried; both are zero on fabrics without a socket.
+func (s *Stats) LinkWrites() (writes int, bytes int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.writes, s.written
 }
 
 // PairCount returns the number of messages sent from src to dst.

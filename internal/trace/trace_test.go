@@ -216,3 +216,32 @@ func TestRecorderLatencyAndTimeline(t *testing.T) {
 		})
 	}
 }
+
+// TestLinkWritesFoldAndPrint: a socket link's writes are counted beside the
+// sends they carried, Add folds them into the aggregate, and the report
+// names them — only when there are any, so a report of a fabric without a
+// socket reads as before.
+func TestLinkWritesFoldAndPrint(t *testing.T) {
+	agg := New()
+	for i := 0; i < 2; i++ {
+		run := agg.NewRun()
+		for j := 0; j < 3; j++ {
+			run.RecordSend(&msg.Message{Kind: msg.KindSend}, nil, FaultCounts{})
+		}
+		run.RecordLinkWrites(1, 100)
+		run.RecordLinkWrites(1, 20)
+		if w, b := run.LinkWrites(); w != 2 || b != 120 {
+			t.Fatalf("run: %d writes, %d bytes", w, b)
+		}
+		agg.Add(run)
+	}
+	if w, b := agg.LinkWrites(); w != 4 || b != 240 {
+		t.Fatalf("aggregate: %d writes, %d bytes", w, b)
+	}
+	if got, want := agg.String(), "(0 deliveries; link: sends=6 writes=4 written=240B):"; !strings.Contains(got, want) {
+		t.Fatalf("report %q does not say %q", got, want)
+	}
+	if got := New().String(); strings.Contains(got, "link:") {
+		t.Fatalf("report of a run with no link write: %q", got)
+	}
+}

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"time"
 
 	"armci/internal/msg"
 )
@@ -29,11 +28,12 @@ func NewChan(cfg Config) (*ChanFabric, error) {
 // straight from the sender's goroutine into the destination mailbox.
 type chanLink struct{ f *wallFabric }
 
-func (chanLink) up() error                     { return nil }
-func (chanLink) usersDone(time.Duration) error { return nil }
-func (chanLink) down()                         {}
+func (chanLink) up() error        { return nil }
+func (chanLink) usersDone() error { return nil }
+func (chanLink) down()            {}
+func (chanLink) flush(msg.Addr)   {}
 
-func (l chanLink) carry(m *msg.Message) {
+func (l chanLink) carry(m *msg.Message, _ uint64) (held bool) {
 	// Stricter than the socket links, which drop such frames: a local
 	// send to an unregistered endpoint is a bug in the caller.
 	b, ok := l.f.boxes[m.Dst]
@@ -41,4 +41,5 @@ func (l chanLink) carry(m *msg.Message) {
 		panic(fmt.Sprintf("channet: send to unknown endpoint %v", m.Dst))
 	}
 	l.f.arrive(b, m)
+	return false
 }

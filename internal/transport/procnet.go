@@ -3,7 +3,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"armci/internal/cluster"
 	"armci/internal/msg"
@@ -126,20 +125,25 @@ func (l *procLink) up() error {
 
 // carry cannot fail: a frame for a node the session cannot reach is
 // dropped, and the loss behind it arrives as a cluster fault or a view.
-func (l *procLink) carry(m *msg.Message) { l.sess.SendMsg(m) }
+func (l *procLink) carry(m *msg.Message, _ uint64) (held bool) {
+	l.sess.SendMsg(m) // written as it is carried: flush has nothing to do
+	return false
+}
+
+func (*procLink) flush(msg.Addr) {}
 
 // usersDone is the cluster drain. Local users finished, but the servers
 // must keep serving until every node's users have — remote ranks may
 // still target this node's memory. The coordinator's drain broadcast is
 // that barrier.
-func (l *procLink) usersDone(deadline time.Duration) error {
+func (l *procLink) usersDone() error {
 	if err := l.sess.UserDone(); err != nil {
 		if fe := l.sess.Err(); fe != nil {
 			return fe
 		}
 		return fmt.Errorf("procnet: reporting users done: %w", err)
 	}
-	return l.f.await(l.sess.Drained(), deadline, "the cluster drain")
+	return l.f.await(l.sess.Drained(), "the cluster drain")
 }
 
 func (l *procLink) down() {

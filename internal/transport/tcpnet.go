@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"time"
 
 	"armci/internal/cluster"
 	"armci/internal/msg"
@@ -40,18 +39,44 @@ func NewTCP(cfg Config) (*TCPFabric, error) {
 // stream, so none can overtake it; the accepting side reads each
 // connection straight into the destination's mailbox. Frames of different
 // pairs are not ordered against each other.
+//
+// A burst rides in one write. Every pair has a write buffer, and a frame
+// leaves at once only when it is its pair's first since the source actor
+// last listened (carry's gen moved on) or when it fills the buffer to
+// writeCap; the frames behind a first one wait for the actor's next listen
+// (flush) — Nagle's rule with "the sender listened" where TCP has the ACK,
+// decided at program points and never by a timer. Request/response traffic
+// therefore sees one write per frame, and only the tail of a burst waits:
+// for one fabric call at most.
 type tcpLink struct {
 	f        *wallFabric
 	listener net.Listener
 	out      map[msg.Addr]*pairConns // by source, fixed once up returns
 }
 
+// writeCap is how many buffered bytes a pair writes without waiting for
+// its sender to listen.
+const writeCap = 16 << 10
+
 // pairConns is the sending side of one endpoint. Only the endpoint's own
 // actor sends from it; mu orders that actor against down.
 type pairConns struct {
-	mu  sync.Mutex
-	to  map[msg.Addr]net.Conn // dialed connections by destination
-	buf []byte                // reused frame buffer
+	mu     sync.Mutex
+	to     map[msg.Addr]*pairConn // dialed connections by destination
+	corked []*pairConn            // the pairs that held frames back since the last flush
+	// What write counted; down hands it to the run's recorder. The
+	// recorder's mutex is not taken per write: what a sender does between
+	// its write and its park shows several-fold in a round trip (three
+	// uncontended mutex pairs there cost a 21 us Get 0.8 us on 2 cores).
+	writes, written int
+}
+
+// pairConn is one pair's connection and its write buffer.
+type pairConn struct {
+	net.Conn
+	dst msg.Addr
+	buf []byte // encoded frames (and the hello) not yet written
+	gen uint64 // the source's generation at the pair's last frame
 }
 
 // up opens the rendezvous listener. No connection exists yet: each pair
@@ -64,38 +89,71 @@ func (l *tcpLink) up() (err error) {
 		return fmt.Errorf("tcpnet: %w", err)
 	}
 	for addr := range l.f.boxes {
-		l.out[addr] = &pairConns{to: make(map[msg.Addr]net.Conn)}
+		l.out[addr] = &pairConns{to: make(map[msg.Addr]*pairConn)}
 	}
 	go l.accept()
 	return nil
 }
 
-// carry writes m on its pair's connection, dialing it first if this is the
-// pair's first frame; the hello then rides in the same write.
-func (l *tcpLink) carry(m *msg.Message) {
+// carry appends m to its pair's buffer, dialing the pair first if this is
+// its first frame ever (the hello then leads the buffer), and writes the
+// buffer if the frame is the pair's first of generation gen or fills it.
+func (l *tcpLink) carry(m *msg.Message, gen uint64) (held bool) {
 	o := l.out[m.Src]
 	if o == nil {
 		panic(fmt.Sprintf("tcpnet: send from unknown endpoint %v", m.Src))
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.buf = o.buf[:0]
-	c := o.to[m.Dst]
-	if c == nil {
-		var err error
-		if c, err = net.Dial("tcp", l.listener.Addr().String()); err != nil {
+	p := o.to[m.Dst]
+	first := p == nil || p.gen != gen
+	if p == nil {
+		c, err := net.Dial("tcp", l.listener.Addr().String())
+		if err != nil {
 			panic(fmt.Sprintf("tcpnet: dial %v -> %v: %v", m.Src, m.Dst, err))
 		}
-		o.to[m.Dst] = c // registered first, so down closes it on every path
-		o.buf = append(o.buf, wire.EncodeHello(m.Dst)...)
+		p = &pairConn{Conn: c, dst: m.Dst, buf: wire.EncodeHello(m.Dst)}
+		o.to[m.Dst] = p // registered first, so down closes it on every path
 	}
-	o.buf = wire.AppendEncode(o.buf, m)
-	if _, err := c.Write(o.buf); err != nil {
-		panic(fmt.Sprintf("tcpnet: send %v -> %v: %v", m.Src, m.Dst, err))
+	p.gen = gen
+	empty := len(p.buf) == 0
+	p.buf = wire.AppendEncode(p.buf, m)
+	if first || len(p.buf) >= writeCap {
+		o.write(m.Src, p)
+		return false
 	}
+	if empty { // else the pair is listed already, by the frame that found it so
+		o.corked = append(o.corked, p)
+	}
+	return true
 }
 
-func (tcpLink) usersDone(time.Duration) error { return nil }
+// flush writes every buffer src's frames are waiting in.
+func (l *tcpLink) flush(src msg.Addr) {
+	o := l.out[src]
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for _, p := range o.corked {
+		if len(p.buf) > 0 { // else it filled and left since it was listed
+			o.write(src, p)
+		}
+	}
+	o.corked = o.corked[:0]
+}
+
+// write is the link's one Write: p's whole buffer. A refused write aborts
+// the sending actor, whose goroutine this is. The caller holds o.mu.
+func (o *pairConns) write(src msg.Addr, p *pairConn) {
+	n, err := p.Write(p.buf)
+	p.buf = p.buf[:0]
+	if err != nil {
+		panic(fmt.Sprintf("tcpnet: send %v -> %v: %v", src, p.dst, err))
+	}
+	o.writes++
+	o.written += n
+}
+
+func (tcpLink) usersDone() error { return nil }
 
 // down closes the listener, which ends accept, and the dialed end of
 // every pair, which ends that pair's reader; each reader closes the
@@ -109,9 +167,10 @@ func (l *tcpLink) down() {
 	l.listener.Close()
 	for _, o := range l.out {
 		o.mu.Lock()
-		for _, c := range o.to {
-			c.Close()
+		for _, p := range o.to {
+			p.Close()
 		}
+		l.f.cfg.Trace.RecordLinkWrites(o.writes, o.written)
 		o.mu.Unlock()
 	}
 }

@@ -763,7 +763,8 @@ func TestCrashGraceBoundsEachWait(t *testing.T) {
 // TestTCPRunLeavesNoFDs: every socket a TCP run opens — listener, both
 // ends of every pair connection — is closed by the time Run returns (or
 // moments later, when the reader goroutine holding it unblocks), not left
-// to a GC finalizer, and the accept loop and per-connection readers exit.
+// to a GC finalizer, and the accept loop and per-connection readers exit:
+// after a clean run and after one that failed with frames still buffered.
 func TestTCPRunLeavesNoFDs(t *testing.T) {
 	countFDs := func() int {
 		ents, err := os.ReadDir("/proc/self/fd")
@@ -778,16 +779,17 @@ func TestTCPRunLeavesNoFDs(t *testing.T) {
 	before := countFDs()
 	for i := 0; i < 8; i++ {
 		runTCPRing(t)
+		runTCPFailsWhileCorked(t) // a pair torn down with frames still in its buffer
 	}
 	after := countFDs()
 	for wait := time.Now(); after > before && time.Since(wait) < 2*time.Second; after = countFDs() {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if after > before {
-		t.Fatalf("8 TCP runs leaked %d descriptors (%d -> %d)", after-before, before, after)
+		t.Fatalf("16 TCP runs leaked %d descriptors (%d -> %d)", after-before, before, after)
 	}
 	if afterG := settledGoroutines(beforeG); afterG > beforeG {
-		t.Fatalf("9 TCP runs leaked %d goroutines (%d -> %d)", afterG-beforeG, beforeG, afterG)
+		t.Fatalf("17 TCP runs leaked %d goroutines (%d -> %d)", afterG-beforeG, beforeG, afterG)
 	}
 }
 

@@ -26,11 +26,16 @@ type link interface {
 	// carry takes one stamped frame (m.Src and m.Dst are set) towards its
 	// destination, which files it with wallFabric.arrive. It is called on
 	// the sender's goroutine outside every fabric lock, and aborts the
-	// sender by panicking when the medium refuses the frame.
-	carry(m *msg.Message)
+	// sender by panicking when the medium refuses the frame. gen counts the
+	// sender's listens (wallEnv.listen) so far; a link may hold back a frame
+	// that is not the first of its generation to m.Dst, and says so.
+	carry(m *msg.Message, gen uint64) (held bool)
+	// flush sends what carry held back of src's frames, on src's goroutine,
+	// and aborts the actor like carry if it cannot.
+	flush(src msg.Addr)
 	// usersDone runs between the last local user finishing and the local
 	// servers being shut down: the place for a cluster-wide drain.
-	usersDone(deadline time.Duration) error
+	usersDone() error
 	// down releases whatever up acquired. It runs on every exit path of
 	// Run, including a failed or partial up.
 	down()
@@ -77,6 +82,11 @@ type wallFabric struct {
 	crashAt  time.Time // wall time of the first fail-stop (zero: none)
 
 	start time.Time
+	// Run's bound on each of its waits and the one timer that enforces it,
+	// stopped when Run returns: a time.After per wait stayed pinned for the
+	// whole bound after a run of a millisecond.
+	deadline time.Duration
+	timer    *time.Timer
 
 	panics chan error
 }
@@ -190,6 +200,12 @@ func (f *wallFabric) Run() error {
 	// since Spawn): it can deliver the instant it is up, and arrive stamps
 	// arrivals against f.start.
 	f.start = time.Now()
+	f.deadline = f.cfg.Deadline
+	if f.deadline == 0 {
+		f.deadline = 120 * time.Second
+	}
+	f.timer = time.NewTimer(f.deadline)
+	defer f.timer.Stop()
 	if !f.crashFatal {
 		// A fail-stop wakes every blocked wait: crash-aware spins re-check
 		// the registry, the others set their box timer to the grace that
@@ -217,18 +233,14 @@ func (f *wallFabric) Run() error {
 		go f.runActor(b, wg)
 	}
 
-	deadline := f.cfg.Deadline
-	if deadline == 0 {
-		deadline = 120 * time.Second
-	}
-	if err := f.await(waitChan(&userWG), deadline, "user processes"); err != nil {
+	if err := f.await(waitChan(&userWG), "user processes"); err != nil {
 		return err
 	}
-	if err := f.link.usersDone(deadline); err != nil {
+	if err := f.link.usersDone(); err != nil {
 		return err
 	}
 	f.stop()
-	if err := f.await(waitChan(&serverWG), deadline, "servers to drain"); err != nil {
+	if err := f.await(waitChan(&serverWG), "servers to drain"); err != nil {
 		return err
 	}
 	select {
@@ -258,6 +270,7 @@ func (f *wallFabric) runActor(b *box, wg *sync.WaitGroup) {
 		}
 	}()
 	b.body(e)
+	e.listen() // what the actor sent leaves with it
 }
 
 // report hands a link-side failure to Run without ever blocking: several
@@ -275,15 +288,17 @@ func (f *wallFabric) stop() {
 	f.control(func() { f.shutdown = true })
 }
 
-// await blocks for done, the first reported failure, or the deadline.
-func (f *wallFabric) await(done <-chan struct{}, deadline time.Duration, what string) error {
+// await blocks for done, the first reported failure, or Run's deadline,
+// counted from here.
+func (f *wallFabric) await(done <-chan struct{}, what string) error {
+	f.timer.Reset(f.deadline)
 	select {
 	case <-done:
 		return nil
 	case err := <-f.panics:
 		return err
-	case <-time.After(deadline):
-		return fmt.Errorf("%s: deadline %v exceeded waiting for %s", f.name, deadline, what)
+	case <-f.timer.C:
+		return fmt.Errorf("%s: deadline %v exceeded waiting for %s", f.name, f.deadline, what)
 	}
 }
 
@@ -353,6 +368,10 @@ type wallEnv struct {
 	addr    msg.Addr
 	b       *box   // the actor's own box
 	recvTag string // diagnostic tag of its Recvs, "recv@<addr>"
+	// listens counts the actor's listens; held, that the link holds frames
+	// of it back for the next one. Only the actor's goroutine touches them.
+	listens uint64
+	held    bool
 }
 
 var _ Env = (*wallEnv)(nil)
@@ -365,7 +384,7 @@ func (e *wallEnv) Node(rank int) int       { return e.f.space.Node(rank) }
 func (e *wallEnv) Space() *shmem.Space     { return e.f.space }
 func (e *wallEnv) Params() model.Params    { return e.f.cfg.Model }
 func (e *wallEnv) Trace() *trace.Stats     { return e.f.cfg.Trace }
-func (e *wallEnv) Clock() Clock            { return wallClock{e.f} }
+func (e *wallEnv) Clock() Clock            { return wallClock{e} }
 func (e *wallEnv) Faults() pipeline.Faults { return e.f.pipe.Faults() }
 
 // CrashedRank consults the process-local registry. On proc that never
@@ -375,13 +394,29 @@ func (e *wallEnv) Faults() pipeline.Faults { return e.f.pipe.Faults() }
 func (e *wallEnv) CrashedRank() int { return e.f.pipe.FirstCrashed() }
 
 // wallClock is pointer-shaped, so handing it out as a Clock allocates
-// nothing: servers and the engine ask for the clock once per message.
-type wallClock struct{ f *wallFabric }
+// nothing: servers and the engine ask for the clock once per message. It
+// is its actor's env because a Sleep is a listen.
+type wallClock struct{ e *wallEnv }
 
-func (c wallClock) Now() time.Duration { return time.Since(c.f.start) }
+func (c wallClock) Now() time.Duration { return time.Since(c.e.f.start) }
 func (c wallClock) Sleep(d time.Duration) {
+	c.e.listen()
 	if d > 0 {
 		time.Sleep(d)
+	}
+}
+
+// listen is the top of every Env call but Send, and the actor's exit: the
+// program points where the actor may come to wait for an answer to what it
+// sent. It opens the actor's next generation of frames — of which the link
+// sends each pair's first at once — and has the link send what it held
+// back of the last. With nothing held it costs an increment: a sender's
+// steps between its write and its park are on every round trip's path.
+func (e *wallEnv) listen() {
+	e.listens++
+	if e.held {
+		e.held = false
+		e.f.link.flush(e.addr)
 	}
 }
 
@@ -400,14 +435,18 @@ func (e *wallEnv) Send(to msg.Addr, m *msg.Message) {
 	// pipeline lock, so arrive's own pipeline locking cannot deadlock.
 	err := f.pipe.SendTo(e.addr, to, m,
 		func() time.Duration { return time.Since(f.start) }, e.Charge,
-		func(d pipeline.Delivery) { f.link.carry(d.Msg) })
+		func(d pipeline.Delivery) {
+			if f.link.carry(d.Msg, e.listens) {
+				e.held = true
+			}
+		})
 	if err != nil {
 		var fe *pipeline.FaultError
 		if !f.crashFatal && !e.addr.Server && errors.As(err, &fe) && fe.Kind == pipeline.FaultCrash {
 			// Injected crash: fail-stop this actor only; survivors learn of
 			// it through the crash registry (and the grace timer).
 			f.pipe.NoteCrash(e.addr.ID)
-			panic(failStop{})
+			e.vanish()
 		}
 		panic(abort{err}) // retry exhaustion, or any fault where crashes are job-fatal
 	}
@@ -455,6 +494,7 @@ func (e *wallEnv) TryRecv(match msg.Match) *msg.Message {
 	// sleeps out the remaining latency) would deliver it. Per-pair
 	// arrival times are monotone, so gating on arrival keeps FIFO.
 	now := time.Since(f.start)
+	e.listen()
 	e.interrupt()
 	b.mu.Lock()
 	m := b.q.TryPop(func(m *msg.Message) bool { return m.Arrival <= now && match(m) })
@@ -493,10 +533,11 @@ func (e *wallEnv) WaitUntilFor(tag string, pred func() bool, d time.Duration) bo
 // aborts with a FaultOpTimeout. The box timer is kept at the earliest
 // bound, so the loop re-checks when one falls due.
 func (e *wallEnv) block(tag string, done func() bool, limit time.Duration, opBound, watch bool) bool {
+	f, b := e.f, e.b
+	e.listen() // whether or not it parks
 	if done() {
 		return true
 	}
-	f, b := e.f, e.b
 	began := time.Now()
 	callerBound := limit > 0
 	if !callerBound && opBound {
@@ -565,6 +606,14 @@ func (e *wallEnv) FailStop(op string) {
 	if e.f.crashFatal {
 		panic(abort{fe})
 	}
+	e.vanish()
+}
+
+// vanish ends the actor as a fail-stop. The frames it sent before the crash
+// still leave: a crash plan counts sends, and "crash=R@N" means N frames
+// left R.
+func (e *wallEnv) vanish() {
+	e.listen()
 	panic(failStop{})
 }
 
