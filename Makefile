@@ -35,8 +35,7 @@ benchpairs:
 
 # The harness's output contract in full: every figure regenerated and
 # diffed against the committed tables (sim virtual times reproduce byte
-# for byte). ~2.5 min, so not a check.sh step; TestGoldenTables holds the
-# cheap sections.
+# for byte), crossover-N to 4096 ranks included. ~15 s; check.sh runs it.
 golden:
 	$(GO) run ./cmd/armci-bench -fig all | diff -u results/all-tables.txt -
 

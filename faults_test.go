@@ -3,6 +3,7 @@ package armci_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -488,6 +489,67 @@ func TestOpDeadlineBoundsAWedgedWait(t *testing.T) {
 				t.Fatalf("fault does not carry the wait tag: %v", fe)
 			}
 		})
+	}
+}
+
+// TestSimRunLeavesNoGoroutines: a sim run that ends with processes still
+// parked — an op-timeout, survivors wedged on a fail-stopped rank, a lock
+// whose holder died, the virtual deadline — stops them on its way out.
+// Each is a coroutine of the kernel, so a run that only abandoned them
+// would leave every one behind as a goroutine parked for good.
+func TestSimRunLeavesNoGoroutines(t *testing.T) {
+	const procs = 4
+	ring := func(p *armci.Proc) { // puts round the ring, then a barrier: all ranks and servers busy
+		slots := p.Malloc(8)
+		p.Put(slots[(p.Rank()+1)%procs], []byte{1, 2, 3, 4, 5, 6, 7, 8})
+		p.Barrier()
+	}
+	aborted := []struct {
+		name string
+		opt  armci.Options
+		body func(p *armci.Proc)
+	}{
+		{"op-timeout", armci.Options{OpDeadline: 100 * time.Millisecond}, func(p *armci.Proc) {
+			ring(p)
+			if p.Rank() == 0 {
+				p.Env().WaitUntil("wedged", func() bool { return false })
+			}
+			p.Barrier()
+		}},
+		{"crashed rank", armci.Options{Faults: armci.Faults{CrashRank: 1, CrashAfterSends: 3}}, func(p *armci.Proc) {
+			for i := 0; i < 8; i++ {
+				ring(p)
+			}
+		}},
+		{"crashed holder", armci.Options{NumMutexes: 1, LockHomes: []int{0}, Faults: leaseCrashPlan()}, func(p *armci.Proc) {
+			mu := p.Mutex(0, armci.LockQueue)
+			mu.Lock()
+			mu.Unlock()
+		}},
+		{"virtual deadline", armci.Options{Deadline: time.Millisecond}, func(p *armci.Proc) {
+			ring(p)
+			p.Env().Clock().Sleep(time.Second)
+		}},
+	}
+	run := func() {
+		for _, a := range aborted {
+			a.opt.Procs, a.opt.Fabric = procs, armci.FabricSim
+			if _, err := armci.Run(a.opt, a.body); err == nil {
+				t.Fatalf("%s: run finished cleanly; it was meant to end with processes still parked", a.name)
+			}
+		}
+	}
+	run() // whatever the runtime starts once is running from here on
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		run()
+	}
+	after := runtime.NumGoroutine()
+	for wait := time.Now(); after > before && time.Since(wait) < 2*time.Second; after = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after > before {
+		t.Fatalf("20 aborted sim runs left %d goroutines behind (%d -> %d)", after-before, before, after)
 	}
 }
 

@@ -22,7 +22,7 @@ type Space struct {
 	// every mutation with the rank whose memory was written. The
 	// concurrent fabrics use it to wake the processes of that rank's node
 	// blocked in WaitUntil on local memory (MCS locked flags, op_done
-	// counters); the simulated fabric re-evaluates predicates on its own.
+	// counters); the simulated fabric pokes every process in a WaitUntil.
 	onWrite func(rank int)
 }
 

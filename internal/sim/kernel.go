@@ -1,26 +1,29 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
 // A Kernel owns a virtual clock and a set of cooperating processes. Each
-// process runs in its own goroutine, but the kernel guarantees that at most
-// one process executes at any instant: a process runs until it calls one of
-// the blocking primitives (Sleep, Wait, WaitUntil, Yield), at which point
-// control returns to the kernel's scheduler, which advances virtual time
-// only when no process is runnable. Execution is therefore fully
-// deterministic — the same program produces the same event trace and the
-// same virtual-time results on every run — which is what allows the
-// benchmark harness to report reproducible "paper figure" numbers.
+// process is a coroutine (iter.Pull) of the goroutine that called Run: a
+// process runs until it calls one of the blocking primitives (Sleep,
+// WaitUntil, YieldProc), at which point control switches straight back to
+// the kernel's scheduler — no run queue of the Go runtime, no second
+// thread — which advances virtual time only when no process is runnable.
+// Execution is therefore fully deterministic — the same program produces
+// the same event trace and the same virtual-time results on every run —
+// which is what allows the benchmark harness to report reproducible
+// "paper figure" numbers.
 //
 // The design follows the classic cooperative process-based simulation
-// style (SimPy, CSIM): a baton is passed between the scheduler and exactly
-// one process goroutine at a time.
+// style (SimPy, CSIM). A process blocked in WaitUntil is re-evaluated when
+// it was poked (Proc.Poke), not on every step: whoever changes the state a
+// predicate reads pokes its waiter, and a poke nobody made is reported by
+// Run as a missed wake-up rather than a deadlock.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -35,14 +38,14 @@ type Kernel struct {
 	now      time.Duration
 	events   eventHeap
 	eventSeq uint64
+	free     []*event // fired events awaiting reuse
 
 	procs    []*Proc
 	runnable []*Proc // FIFO run queue
 	live     int     // processes started and not yet finished
 
-	condWaiters []*Proc // processes blocked in WaitUntil
-
-	baton chan *Proc // scheduler -> process hand-off rendezvous
+	condWaiters []*Proc // processes blocked in WaitUntil, in registration order
+	poked       int     // how many of them carry a poke not yet rechecked
 
 	// shuffle, when non-nil, picks the next runnable process
 	// pseudo-randomly instead of FIFO. Still fully deterministic for a
@@ -51,18 +54,18 @@ type Kernel struct {
 
 	// hazard enables the deliberately broken event-recycling scheme used
 	// by the conformance harness's mutation self-test (see
-	// SetEventPoolHazard). Hazard kernels never touch the shared event
-	// pool, so their corruption cannot leak into healthy kernels.
+	// SetEventPoolHazard).
 	hazard      bool
 	hazardStash *event // still-scheduled event queued for unsafe reuse
 	hazardCount int
 
-	failure error // first panic propagated out of a process
+	stopping bool  // Run is unwinding the processes it did not finish
+	failure  error // first panic propagated out of a process
 }
 
 // New returns an empty kernel at virtual time zero.
 func New() *Kernel {
-	return &Kernel{baton: make(chan *Proc), events: make(eventHeap, 0, initialHeapCap)}
+	return &Kernel{events: make(eventHeap, 0, initialHeapCap)}
 }
 
 // Now returns the current virtual time.
@@ -87,13 +90,6 @@ type event struct {
 // initialHeapCap pre-sizes a kernel's event heap so steady-state
 // scheduling never regrows the slice for typical cluster sizes.
 const initialHeapCap = 128
-
-// eventPool recycles event structs across kernels: the scheduling hot
-// path allocates nothing once the pool is warm. Events are returned with
-// fn cleared so the pool never pins a dead closure. The pop order of the
-// heap is a strict total order on (at, seq), so pooling cannot perturb
-// determinism.
-var eventPool = sync.Pool{New: func() any { return new(event) }}
 
 // eventHeap is a hand-rolled binary min-heap on (at, seq). It replaces
 // container/heap so pushes and pops stay free of the interface{} boxing
@@ -126,7 +122,7 @@ func (h *eventHeap) pop() *event {
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = nil // release the reference so pooled events are not pinned
+	s[n] = nil // release the reference so recycled events are not pinned
 	s = s[:n]
 	*h = s
 	for i := 0; ; {
@@ -171,30 +167,34 @@ func (k *Kernel) At(at time.Duration, fn func()) {
 	}
 }
 
-// getEvent takes an event struct for scheduling. Healthy kernels draw
-// from the shared pool; hazard kernels deterministically reuse a
-// still-scheduled event instead (and never touch the shared pool, so the
-// corruption stays confined to this kernel).
+// getEvent takes an event struct for scheduling: the one the hazard mode
+// stashed while it was still scheduled, else the kernel's free list, else
+// a new one. A kernel is single-threaded, so the list needs no lock, and
+// the scheduling hot path allocates nothing once it holds as many events
+// as were ever pending at once. The pop order of the heap is a strict
+// total order on (at, seq), so reuse cannot perturb determinism.
 func (k *Kernel) getEvent() *event {
-	if k.hazard {
-		if e := k.hazardStash; e != nil {
-			k.hazardStash = nil
-			return e
-		}
-		return new(event)
+	if e := k.hazardStash; e != nil {
+		k.hazardStash = nil
+		return e
 	}
-	return eventPool.Get().(*event)
+	if n := len(k.free); n > 0 {
+		e := k.free[n-1]
+		k.free = k.free[:n-1]
+		return e
+	}
+	return new(event)
 }
 
-// putEvent returns a fired event to the pool. Hazard kernels skip the
-// pool entirely: their heap can hold the same pointer twice, and a
-// double-put would leak the corruption to other kernels in the process.
+// putEvent returns a fired event to the free list, fn cleared so the list
+// never pins a dead closure. A hazard kernel's heap can hold the same
+// event twice, still to fire again, so it recycles only through its stash.
 func (k *Kernel) putEvent(e *event) {
 	if k.hazard {
 		return
 	}
 	e.fn = nil
-	eventPool.Put(e)
+	k.free = append(k.free, e)
 }
 
 // hazardEvery is how often the hazard mode recycles a still-scheduled
@@ -213,7 +213,7 @@ func (k *Kernel) SetEventPoolHazard(on bool) { k.hazard = on }
 // After schedules fn to run d from now.
 func (k *Kernel) After(d time.Duration, fn func()) { k.At(k.now+d, fn) }
 
-// procState is the lifecycle of a process goroutine.
+// procState is the lifecycle of a process.
 type procState int
 
 const (
@@ -224,9 +224,9 @@ const (
 	stateDone
 )
 
-// Proc is a simulated process. All of its methods except Kernel-side
-// bookkeeping must be called from the process's own goroutine while it
-// holds the baton.
+// Proc is a simulated process. All of its methods except Poke and the
+// Kernel-side bookkeeping must be called from the process's own body while
+// it is the one running.
 type Proc struct {
 	k     *Kernel
 	id    int
@@ -234,9 +234,16 @@ type Proc struct {
 	state procState
 	fn    func(p *Proc)
 
-	resume chan struct{} // scheduler tells the process to run
-	cond   func() bool   // predicate when blocked in WaitUntil
-	wake   func()        // cached Sleep-timer callback (built once in Spawn)
+	// The process's coroutine (built when Run starts it): next switches to
+	// it until it parks or returns, park switches back to the scheduler
+	// and reports false once stop has been called.
+	next func() (struct{}, bool)
+	stop func()
+	park func(struct{}) bool
+
+	cond  func() bool // predicate when blocked in WaitUntil
+	poked bool        // cond is due a recheck
+	wake  func()      // cached Sleep-timer callback (built once in Spawn)
 
 	wakeAt   time.Duration // diagnostic: time of pending timer, -1 if none
 	blockTag string        // diagnostic: what the process is blocked on
@@ -251,7 +258,6 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 		name:   name,
 		state:  stateNew,
 		fn:     fn,
-		resume: make(chan struct{}),
 		wakeAt: -1,
 	}
 	// One wake closure per process, reused by every Sleep: a process can
@@ -290,14 +296,21 @@ func (k *Kernel) markRunnable(p *Proc) {
 // Run starts every spawned process and drives the simulation until all
 // processes finish, a deadline elapses (0 = none), or a deadlock occurs.
 // It returns an error on deadlock, on deadline, or if a process panicked.
+// Whatever it did not finish it stops on the way out: each such process
+// unwinds from where it was parked, deferred calls included, with
+// Stopping reporting true.
 func (k *Kernel) Run(deadline time.Duration) error {
 	for _, p := range k.procs {
 		if p.state == stateNew {
 			k.live++
 			k.markRunnable(p)
-			go k.procMain(p)
+			p.next, p.stop = iter.Pull(func(park func(struct{}) bool) {
+				p.park = park
+				k.procMain(p)
+			})
 		}
 	}
+	defer k.stopUnfinished()
 	for k.live > 0 {
 		if k.failure != nil {
 			return k.failure
@@ -314,11 +327,11 @@ func (k *Kernel) Run(deadline time.Duration) error {
 			continue
 		}
 		if len(k.events) == 0 {
-			return k.deadlockError()
+			return k.orMissedWake(k.deadlockError())
 		}
 		next := k.events.peek().at
 		if deadline > 0 && next > deadline {
-			return fmt.Errorf("sim: deadline %v exceeded (next event at %v)", deadline, next)
+			return k.orMissedWake(fmt.Errorf("sim: deadline %v exceeded (next event at %v)", deadline, next))
 		}
 		k.now = next
 		for len(k.events) > 0 && k.events.peek().at == k.now {
@@ -332,12 +345,31 @@ func (k *Kernel) Run(deadline time.Duration) error {
 	return k.failure
 }
 
-// step hands the baton to p and waits for it to yield or finish.
+// step switches to p and returns when it parks or finishes.
 func (k *Kernel) step(p *Proc) {
 	p.state = stateRunning
-	p.resume <- struct{}{}
-	<-k.baton // p (or its completion path) hands the baton back
+	p.next()
 }
+
+// stopUnfinished unwinds every process Run is leaving behind — parked in
+// a wait, or never started — so that no coroutine outlives the run.
+func (k *Kernel) stopUnfinished() {
+	k.stopping = true
+	for _, p := range k.procs {
+		if p.state != stateDone && p.stop != nil {
+			p.stop()
+			p.state = stateDone
+		}
+	}
+}
+
+// Stopping reports whether Run is on its way out and unwinding the
+// processes it did not finish. A call a process deferred reads it to tell
+// that unwind from the process finishing (or exiting) on its own.
+func (k *Kernel) Stopping() bool { return k.stopping }
+
+// stopped is the panic that unwinds a process Run stops.
+type stopped struct{}
 
 // Abort is a panic value a process may raise to terminate the whole
 // simulation with a structured error: Run returns Err verbatim instead
@@ -352,11 +384,14 @@ type Abort struct{ Err error }
 // other process keeps running (and may recover, e.g. by lease repair).
 type Exit struct{}
 
-// procMain is the goroutine body wrapping a process function.
+// procMain is the coroutine body wrapping a process function.
 func (k *Kernel) procMain(p *Proc) {
-	<-p.resume
 	defer func() {
-		if r := recover(); r != nil {
+		r := recover()
+		if k.stopping {
+			return // stopped{}, or whatever a deferred call raised over it
+		}
+		if r != nil {
 			if _, ok := r.(Exit); !ok && k.failure == nil {
 				if a, ok := r.(Abort); ok && a.Err != nil {
 					k.failure = a.Err
@@ -367,17 +402,17 @@ func (k *Kernel) procMain(p *Proc) {
 		}
 		p.state = stateDone
 		k.live--
-		k.baton <- p
 	}()
 	p.fn(p)
 }
 
 // yield parks the calling process (whose state has already been set) and
-// returns the baton to the scheduler. It returns when the scheduler
-// resumes the process.
+// switches to the scheduler. It returns when the scheduler resumes the
+// process, and unwinds it when Run stops it instead.
 func (p *Proc) yield() {
-	p.k.baton <- p
-	<-p.resume
+	if !p.park(struct{}{}) {
+		panic(stopped{})
+	}
 	p.state = stateRunning
 }
 
@@ -406,9 +441,10 @@ func (p *Proc) YieldProc() {
 }
 
 // WaitUntil blocks the process until pred() reports true. The predicate is
-// re-evaluated by the kernel after every process time slice and after every
-// fired event, so any state change made by another actor is observed at the
-// virtual time it happens.
+// evaluated once on entry and then after every process time slice or event
+// batch in which the process was poked: whoever changes state that pred
+// reads calls Poke, so the change is observed at the virtual time it
+// happens.
 func (p *Proc) WaitUntil(tag string, pred func() bool) {
 	if pred() {
 		return
@@ -420,22 +456,50 @@ func (p *Proc) WaitUntil(tag string, pred func() bool) {
 	p.yield()
 }
 
-// recheckConds wakes every cond-blocked process whose predicate has become
-// true. Processes are woken in registration order for determinism.
+// Poke marks p for re-evaluation if it is blocked in WaitUntil, and does
+// nothing otherwise. It may be called from any process or event callback;
+// the recheck follows the current time slice or event batch.
+func (p *Proc) Poke() {
+	if p.cond != nil && !p.poked {
+		p.poked = true
+		p.k.poked++
+	}
+}
+
+// recheckConds wakes every poked process whose predicate has become true.
+// Processes are woken in registration order, whatever the order of the
+// pokes, for determinism.
 func (k *Kernel) recheckConds() {
-	if len(k.condWaiters) == 0 {
+	if k.poked == 0 {
 		return
 	}
+	k.poked = 0
 	remaining := k.condWaiters[:0]
 	for _, p := range k.condWaiters {
-		if p.state == stateBlocked && p.cond != nil && p.cond() {
-			p.cond = nil
-			k.markRunnable(p)
-			continue
+		if p.poked {
+			p.poked = false
+			if p.cond() {
+				p.cond = nil
+				k.markRunnable(p)
+				continue
+			}
 		}
 		remaining = append(remaining, p)
 	}
 	k.condWaiters = remaining
+}
+
+// orMissedWake returns err, the deadlock or deadline Run is about to
+// report, unless a waiter's predicate reads true: every poke has been
+// rechecked by then, so that waiter was owed one it never got, and the bug
+// is named instead of surfacing as a hang or a timeout elsewhere.
+func (k *Kernel) orMissedWake(err error) error {
+	for _, p := range k.condWaiters {
+		if p.cond() {
+			return fmt.Errorf("sim: missed wake-up at %v: %s(%s) holds a true condition nobody poked it for", k.now, p.name, p.blockTag)
+		}
+	}
+	return err
 }
 
 // deadlockError reports every blocked process and what it was waiting for.

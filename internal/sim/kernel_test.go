@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -95,13 +96,14 @@ func TestWaitUntilObservesOtherProcess(t *testing.T) {
 	k := New()
 	flag := false
 	var waited time.Duration
-	k.Spawn("waiter", func(p *Proc) {
+	waiter := k.Spawn("waiter", func(p *Proc) {
 		p.WaitUntil("flag", func() bool { return flag })
 		waited = p.Now()
 	})
 	k.Spawn("setter", func(p *Proc) {
 		p.Sleep(5 * time.Millisecond)
 		flag = true
+		waiter.Poke()
 	})
 	if err := k.Run(0); err != nil {
 		t.Fatal(err)
@@ -269,5 +271,185 @@ func TestProcIdentity(t *testing.T) {
 	}
 	if err := k.Run(0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPokedWaitersWakeInRegistrationOrder: the order of the pokes inside
+// one event batch is not the order of the wake-ups — waiters run in the
+// order they registered, which is what keeps every virtual time where the
+// every-step recheck had it.
+func TestPokedWaitersWakeInRegistrationOrder(t *testing.T) {
+	k := New()
+	open := false
+	var order []string
+	procs := map[string]*Proc{}
+	for _, name := range []string{"A", "B", "C"} {
+		procs[name] = k.Spawn(name, func(p *Proc) {
+			p.WaitUntil("gate", func() bool { return open })
+			order = append(order, name)
+		})
+	}
+	k.Spawn("opener", func(p *Proc) {
+		k.After(time.Millisecond, func() { open = true; procs["C"].Poke() })
+		k.After(time.Millisecond, func() { procs["A"].Poke() })
+		p.Sleep(2 * time.Millisecond)
+		procs["B"].Poke()
+	})
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(order, ","); got != "A,C,B" {
+		t.Fatalf("wake order %q, want A,C,B (registration order within the batch, B a batch later)", got)
+	}
+}
+
+// TestUnpokedWaiterIsNotReevaluated: a waiter nobody pokes pays for its
+// predicate once, on entry, however many steps and events go by.
+func TestUnpokedWaiterIsNotReevaluated(t *testing.T) {
+	k := New()
+	calls := 0
+	done := false
+	waiter := k.Spawn("waiter", func(p *Proc) {
+		p.WaitUntil("done", func() bool { calls++; return done })
+	})
+	k.Spawn("busy", func(p *Proc) {
+		for i := 0; i < 100; i++ {
+			p.Sleep(time.Microsecond)
+		}
+		if calls != 1 {
+			t.Errorf("predicate called %d times over 100 steps with no poke, want 1", calls)
+		}
+		done = true
+		waiter.Poke()
+	})
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 2 {
+		t.Errorf("predicate called %d times, want 2 (entry and the one poke)", calls)
+	}
+}
+
+// TestPokeOnProcessNotWaitingIsNoOp: a poke leaves no mark behind, and a
+// WaitUntil entered later still evaluates its predicate on entry.
+func TestPokeOnProcessNotWaitingIsNoOp(t *testing.T) {
+	k := New()
+	ready := false
+	var resumed time.Duration
+	target := k.Spawn("target", func(p *Proc) {
+		p.Sleep(2 * time.Millisecond)
+		p.WaitUntil("ready", func() bool { return ready })
+		resumed = p.Now()
+	})
+	k.Spawn("poker", func(p *Proc) {
+		target.Poke() // not started
+		p.Sleep(time.Millisecond)
+		ready = true
+		target.Poke() // asleep
+	})
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if resumed != 2*time.Millisecond {
+		t.Fatalf("target passed its wait at %v, want 2ms (true on entry)", resumed)
+	}
+	if k.poked != 0 {
+		t.Fatalf("pokes of a process not waiting left %d marks", k.poked)
+	}
+}
+
+// TestMissedPokeIsNamed: a condition that turned true with no poke is a
+// bug in whoever changed the state, and Run says so — with the process
+// and its tag, and not as a deadlock or a deadline a caller might excuse.
+func TestMissedPokeIsNamed(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		deadline time.Duration
+	}{{"deadlock", 0}, {"deadline", time.Second}} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := New()
+			flag := false
+			k.Spawn("waiter", func(p *Proc) {
+				p.WaitUntil("flag", func() bool { return flag })
+			})
+			k.Spawn("setter", func(p *Proc) {
+				flag = true // and no poke
+				if tc.deadline > 0 {
+					p.Sleep(time.Hour)
+				}
+			})
+			err := k.Run(tc.deadline)
+			if err == nil || errors.Is(err, ErrDeadlock) {
+				t.Fatalf("want a missed wake-up error outside ErrDeadlock, got %v", err)
+			}
+			for _, want := range []string{"missed wake-up", "waiter(flag)"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not mention %q", err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestExitAndAbortInsideCoroutine: the two structured panics mean what
+// they meant on goroutines — Exit ends one process and the run goes on,
+// Abort ends the run with its error verbatim.
+func TestExitAndAbortInsideCoroutine(t *testing.T) {
+	k := New()
+	finished := false
+	k.Spawn("victim", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		panic(Exit{})
+	})
+	k.Spawn("survivor", func(p *Proc) {
+		p.Sleep(2 * time.Millisecond)
+		finished = true
+	})
+	if err := k.Run(0); err != nil || !finished {
+		t.Fatalf("Exit: err %v, survivor finished %v; want nil, true", err, finished)
+	}
+
+	k = New()
+	boom := errors.New("structured")
+	k.Spawn("aborter", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		panic(Abort{Err: boom})
+	})
+	k.Spawn("other", func(p *Proc) { p.Sleep(time.Hour) })
+	if err := k.Run(0); err != boom {
+		t.Fatalf("Abort: Run returned %v, want the error verbatim", err)
+	}
+}
+
+// TestRunStopsWhatItDidNotFinish: a process still parked when Run returns
+// is unwound there and then — its deferred calls run, with Stopping true —
+// and counts neither as finished nor as a failure.
+func TestRunStopsWhatItDidNotFinish(t *testing.T) {
+	k := New()
+	var unwound []string
+	for _, name := range []string{"sleeper", "waiter"} {
+		k.Spawn(name, func(p *Proc) {
+			defer func() {
+				if k.Stopping() {
+					unwound = append(unwound, name)
+				}
+				p.Sleep(time.Millisecond) // a blocking call in the unwind must not park again
+			}()
+			if name == "sleeper" {
+				p.Sleep(time.Hour)
+			} else {
+				p.WaitUntil("never", func() bool { return false })
+			}
+		})
+	}
+	err := k.Run(time.Second)
+	if err == nil || !strings.Contains(err.Error(), "deadline") {
+		t.Fatalf("want deadline error, got %v", err)
+	}
+	if got := strings.Join(unwound, ","); got != "sleeper,waiter" {
+		t.Fatalf("unwound %q, want sleeper,waiter", got)
+	}
+	if k.live != 2 {
+		t.Fatalf("live = %d after the stop, want 2: a stopped process did not finish", k.live)
 	}
 }

@@ -6,9 +6,9 @@ import (
 )
 
 // BenchmarkKernelSchedule measures the event-scheduling hot path: one
-// Sleep per iteration is one event pushed, popped and fired plus two
-// baton hand-offs. With the pooled-event scheme and the cached per-proc
-// wake closure this path is allocation-free in steady state.
+// Sleep per iteration is one event pushed, popped and fired plus a
+// coroutine switch each way. With the recycled events and the cached
+// per-proc wake closure this path is allocation-free in steady state.
 func BenchmarkKernelSchedule(b *testing.B) {
 	b.ReportAllocs()
 	k := New()
@@ -23,15 +23,32 @@ func BenchmarkKernelSchedule(b *testing.B) {
 	}
 }
 
-// TestKernelEventAllocBudget pins the pooled scheduling path to its
-// allocation budget: the marginal cost of one scheduled-and-fired event
-// must stay far below one allocation. A pooling regression (every event
-// heap-allocated again) shows up as ~1 alloc/event and fails this test
-// rather than waiting for benchmark drift to be noticed.
-func TestKernelEventAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector makes sync.Pool drop Puts at random; the pooling budget cannot hold")
+// BenchmarkKernelSwitch measures the process switch alone: two processes
+// alternate 1 µs sleeps, so every step resumes the process that did not
+// run last. ns/op is one switch into a process and back out (plus its
+// timer event), with no allocation.
+func BenchmarkKernelSwitch(b *testing.B) {
+	b.ReportAllocs()
+	k := New()
+	for _, name := range []string{"ping", "pong"} {
+		k.Spawn(name, func(p *Proc) {
+			for i := 0; i < b.N/2; i++ {
+				p.Sleep(time.Microsecond)
+			}
+		})
 	}
+	b.ResetTimer()
+	if err := k.Run(0); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// TestKernelEventAllocBudget pins the scheduling path to its allocation
+// budget: the marginal cost of one scheduled-and-fired event must stay far
+// below one allocation. A recycling regression (every event heap-allocated
+// again) shows up as ~1 alloc/event and fails this test rather than
+// waiting for benchmark drift to be noticed.
+func TestKernelEventAllocBudget(t *testing.T) {
 	const events = 5000
 	var runErr error
 	avg := testing.AllocsPerRun(5, func() {
@@ -48,32 +65,25 @@ func TestKernelEventAllocBudget(t *testing.T) {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	// Fixed setup (kernel, proc, goroutine) amortizes over the events;
-	// GC may empty the shared pool mid-run, so allow a small refill
-	// margin on top.
-	if perEvent := avg / events; perEvent > 0.05 {
-		t.Errorf("scheduling hot path allocates %.3f allocs/event, budget 0.05 — event pooling regressed", perEvent)
+	// Fixed setup (kernel, proc, coroutine) amortizes over the events.
+	if perEvent := avg / events; perEvent > 0.01 {
+		t.Errorf("scheduling hot path allocates %.3f allocs/event, budget 0.01 — event recycling regressed", perEvent)
 	}
 }
 
-// TestEventPoolReuse proves fired events actually return to the pool:
-// two kernels run back to back must not grow the heap beyond its
-// pre-sized capacity, and the second run draws its events from the pool
-// warmed by the first.
+// TestEventPoolReuse proves fired events actually return to the free
+// list: a 1-deep event stream of any length lives on one event struct
+// and never grows the heap beyond its pre-sized capacity.
 func TestEventPoolReuse(t *testing.T) {
-	run := func() *Kernel {
-		k := New()
-		k.Spawn("p", func(p *Proc) {
-			for i := 0; i < 100; i++ {
-				p.Sleep(time.Microsecond)
-			}
-		})
-		if err := k.Run(0); err != nil {
-			t.Fatal(err)
+	k := New()
+	k.Spawn("p", func(p *Proc) {
+		for i := 0; i < 100; i++ {
+			p.Sleep(time.Microsecond)
 		}
-		return k
+	})
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
 	}
-	k := run()
 	if len(k.events) != 0 {
 		t.Fatalf("heap holds %d events after drain, want 0", len(k.events))
 	}
@@ -81,7 +91,9 @@ func TestEventPoolReuse(t *testing.T) {
 		t.Errorf("heap grew to cap %d for a 1-deep event stream, want <= %d (pre-size defeated)",
 			cap(k.events), initialHeapCap)
 	}
-	run()
+	if len(k.free) != 1 {
+		t.Errorf("free list holds %d events after 100 sleeps one at a time, want the 1 they all reused", len(k.free))
+	}
 }
 
 // TestEventPoolHazardCorrupts proves the mutation hook misbehaves the

@@ -16,23 +16,28 @@ import (
 // SimFabric runs the cluster on the discrete-event kernel. Execution is
 // deterministic and all times are virtual, governed by the cost model; it
 // is the fabric used to regenerate the paper's figures.
+//
+// A blocked actor is re-evaluated when it is poked, and the fabric pokes
+// where the state its waits read changes: a delivery pokes the mailbox's
+// owner, a Space write or a registered crash pokes every actor in a memory
+// wait (a predicate may read any node's cells), a deadline timer pokes its
+// own waiter, the last user's exit pokes the servers.
 type SimFabric struct {
 	cfg    Config
 	kernel *sim.Kernel
 	space  *shmem.Space
 	pipe   *pipeline.Pipeline
 
-	mailboxes map[msg.Addr]*msg.Queue
+	envs    map[msg.Addr]*simEnv
+	users   []*simEnv
+	servers []*simEnv
+	// watchers are the actors inside WaitUntil/WaitUntilFor right now; a
+	// wait joins on entry and leaves on return, so a write costs the
+	// waits in progress, not a scan over every endpoint.
+	watchers []*simEnv
 
-	users     []actorSpec
-	servers   []actorSpec
 	liveUsers int
 	shutdown  bool
-}
-
-type actorSpec struct {
-	addr msg.Addr
-	body func(Env)
 }
 
 // NewSim builds a simulated fabric for the given configuration.
@@ -41,12 +46,14 @@ func NewSim(cfg Config) (*SimFabric, error) {
 		return nil, err
 	}
 	f := &SimFabric{
-		cfg:       cfg,
-		kernel:    sim.New(),
-		space:     shmem.NewSpace(cfg.nodeMap()),
-		mailboxes: make(map[msg.Addr]*msg.Queue),
+		cfg:    cfg,
+		kernel: sim.New(),
+		space:  shmem.NewSpace(cfg.nodeMap()),
+		envs:   make(map[msg.Addr]*simEnv),
 	}
 	f.pipe = cfg.newPipeline(f.space, true)
+	f.space.SetOnWrite(func(int) { f.pokeWatchers() })
+	f.pipe.SetCrashNotify(f.pokeWatchers)
 	if cfg.ScheduleSeed != 0 {
 		f.kernel.SetShuffle(cfg.ScheduleSeed)
 	}
@@ -67,41 +74,35 @@ func (f *SimFabric) Kernel() *sim.Kernel { return f.kernel }
 
 // SpawnUser registers the body of rank's user process.
 func (f *SimFabric) SpawnUser(rank int, body func(Env)) {
-	f.users = append(f.users, actorSpec{addr: msg.User(rank), body: body})
+	f.users = append(f.users, f.newEnv(msg.User(rank), body))
 }
 
 // SpawnServer registers the body of node's data server.
 func (f *SimFabric) SpawnServer(node int, body func(Env)) {
-	f.servers = append(f.servers, actorSpec{addr: msg.ServerOf(node), body: body})
+	f.servers = append(f.servers, f.newEnv(msg.ServerOf(node), body))
+}
+
+// newEnv makes addr's endpoint record: its mailbox, and what every Recv
+// of it would otherwise build again.
+func (f *SimFabric) newEnv(addr msg.Addr, body func(Env)) *simEnv {
+	e := &simEnv{f: f, addr: addr, body: body, recvTag: "recv@" + addr.String()}
+	e.recvReady = e.pollMailbox
+	f.envs[addr] = e
+	return e
 }
 
 // Run executes the simulation until every user process finishes. Servers
 // are unblocked with a nil Recv result once the last user is done.
 func (f *SimFabric) Run() error {
-	for _, a := range f.users {
-		f.mailboxes[a.addr] = &msg.Queue{}
-	}
-	for _, a := range f.servers {
-		f.mailboxes[a.addr] = &msg.Queue{}
-	}
 	f.liveUsers = len(f.users)
-	for _, a := range f.users {
-		spec := a
-		f.kernel.Spawn(spec.addr.String(), func(p *sim.Proc) {
-			defer func() {
-				f.liveUsers--
-				if f.liveUsers == 0 {
-					f.shutdown = true
-				}
-			}()
-			spec.body(&simEnv{f: f, p: p, addr: spec.addr})
+	for _, e := range f.users {
+		e.p = f.kernel.Spawn(e.addr.String(), func(*sim.Proc) {
+			defer f.userDone()
+			e.body(e)
 		})
 	}
-	for _, a := range f.servers {
-		spec := a
-		f.kernel.Spawn(spec.addr.String(), func(p *sim.Proc) {
-			spec.body(&simEnv{f: f, p: p, addr: spec.addr})
-		})
+	for _, e := range f.servers {
+		e.p = f.kernel.Spawn(e.addr.String(), func(*sim.Proc) { e.body(e) })
 	}
 	deadline := f.cfg.Deadline
 	if deadline == 0 {
@@ -124,14 +125,51 @@ func (f *SimFabric) Run() error {
 	return err
 }
 
+// pokeWatchers has every actor in a memory wait re-evaluated: Space
+// memory or the crash registry, which such a wait may read, has changed.
+func (f *SimFabric) pokeWatchers() {
+	for _, e := range f.watchers {
+		e.p.Poke()
+	}
+}
+
+// userDone counts a user that finished or fail-stopped; the last one
+// releases the servers from their Recv. A user the kernel is unwinding
+// because the run is over did neither, and must not turn a deadlock into
+// a clean drain.
+func (f *SimFabric) userDone() {
+	if f.kernel.Stopping() {
+		return
+	}
+	f.liveUsers--
+	if f.liveUsers == 0 {
+		f.shutdown = true
+		for _, e := range f.servers {
+			e.p.Poke()
+		}
+	}
+}
+
 // Now returns the current virtual time (valid during and after Run).
 func (f *SimFabric) Now() time.Duration { return f.kernel.Now() }
 
-// simEnv is the Env of one simulated actor.
+// simEnv is one simulated actor's endpoint record and its Env.
 type simEnv struct {
 	f    *SimFabric
 	p    *sim.Proc
 	addr msg.Addr
+	body func(Env)
+	q    msg.Queue // the mailbox
+
+	// The Recv in progress: what it matches, what it got, and its
+	// deadline flag (nil when the wait has no bound).
+	recvTag   string
+	recvReady func() bool // pollMailbox, bound once
+	match     msg.Match
+	got       *msg.Message
+	late      *bool
+
+	watchAt int // index in f.watchers while inside a memory wait
 }
 
 var _ Env = (*simEnv)(nil)
@@ -158,15 +196,16 @@ func (e *simEnv) Charge(d time.Duration) {
 }
 
 func (e *simEnv) Send(to msg.Addr, m *msg.Message) {
-	q, ok := e.f.mailboxes[to]
+	dst, ok := e.f.envs[to]
 	if !ok {
 		panic(fmt.Sprintf("simnet: send to unknown endpoint %v", to))
 	}
 	err := e.f.pipe.SendTo(e.addr, to, m, e.p.Now, e.Charge, func(d pipeline.Delivery) {
 		dm := d.Msg
-		e.p.Kernel().At(d.At, func() {
+		e.f.kernel.At(d.At, func() {
 			if e.f.pipe.Inbound(dm, e.f.kernel.Now()) {
-				q.Put(dm)
+				dst.q.Put(dm)
+				dst.p.Poke()
 			}
 		})
 	})
@@ -185,72 +224,105 @@ func (e *simEnv) Send(to msg.Addr, m *msg.Message) {
 	}
 }
 
-func (e *simEnv) Recv(match msg.Match) *msg.Message {
-	q := e.f.mailboxes[e.addr]
-	var got *msg.Message
-	// Bound user-process Recvs by the per-op deadline via a virtual-time
-	// timer flag re-checked by the wait predicate. Servers are exempt:
-	// idling in the serve loop is their normal state.
-	timedOut := false
-	if od := e.f.cfg.OpDeadline; od > 0 && !e.addr.Server {
-		e.p.Kernel().After(od, func() { timedOut = true })
+// deadlineFlag arms a virtual-time timer for one wait: at d it sets the
+// returned flag and pokes the waiter. The flag is the wait's own, so a
+// timer that outlives its wait can never fire into a later one. With
+// d <= 0 the wait is unbounded and the flag nil.
+func (e *simEnv) deadlineFlag(d time.Duration) *bool {
+	if d <= 0 {
+		return nil
 	}
-	tag := "recv@" + e.addr.String()
-	e.p.WaitUntil(tag, func() bool {
-		if e.addr.Server && e.f.shutdown && q.Len() == 0 {
-			return true // drained and cluster is shutting down
-		}
-		if m := q.TryPop(match); m != nil {
-			got = m
-			return true
-		}
-		return timedOut
+	late := new(bool)
+	e.f.kernel.After(d, func() {
+		*late = true
+		e.p.Poke()
 	})
-	if got == nil && timedOut {
-		if r := e.f.pipe.FirstCrashed(); r >= 0 {
-			// The wait outlived a fail-stopped peer: the timeout is the
-			// crash's fault, so attribute it to the dead rank.
-			panic(sim.Abort{Err: &pipeline.FaultError{Rank: r, Op: tag, Kind: pipeline.FaultCrash}})
+	return late
+}
+
+// abortLate fails the run for a wait that outlived Config.OpDeadline.
+func (e *simEnv) abortLate(tag string) {
+	if r := e.f.pipe.FirstCrashed(); r >= 0 {
+		// The wait outlived a fail-stopped peer: the timeout is the
+		// crash's fault, so attribute it to the dead rank.
+		panic(sim.Abort{Err: &pipeline.FaultError{Rank: r, Op: tag, Kind: pipeline.FaultCrash}})
+	}
+	panic(sim.Abort{Err: opTimeout(e.addr, tag)})
+}
+
+func (e *simEnv) Recv(match msg.Match) *msg.Message {
+	// User-process Recvs are bounded by the per-op deadline. Servers are
+	// exempt: idling in the serve loop is their normal state.
+	var bound time.Duration
+	if !e.addr.Server {
+		bound = e.f.cfg.OpDeadline
+	}
+	e.match, e.got, e.late = match, nil, e.deadlineFlag(bound)
+	e.p.WaitUntil(e.recvTag, e.recvReady)
+	if e.got == nil {
+		if e.late != nil && *e.late {
+			e.abortLate(e.recvTag)
 		}
-		panic(sim.Abort{Err: opTimeout(e.addr, tag)})
+		return nil // a server, drained and released by shutdown
 	}
-	if got != nil {
-		e.f.pipe.RecvCharge(e.Charge)
+	e.f.pipe.RecvCharge(e.Charge)
+	return e.got
+}
+
+// pollMailbox is Recv's wait predicate.
+func (e *simEnv) pollMailbox() bool {
+	if e.addr.Server && e.f.shutdown && e.q.Len() == 0 {
+		return true // drained and cluster is shutting down
 	}
-	return got
+	if m := e.q.TryPop(e.match); m != nil {
+		e.got = m
+		return true
+	}
+	return e.late != nil && *e.late
 }
 
 func (e *simEnv) TryRecv(match msg.Match) *msg.Message {
 	// Messages reach the mailbox only at their delivery instant (the
 	// kernel's At callback), so anything queued has already arrived.
-	m := e.f.mailboxes[e.addr].TryPop(match)
+	m := e.q.TryPop(match)
 	if m != nil {
 		e.f.pipe.RecvCharge(e.Charge)
 	}
 	return m
 }
 
-func (e *simEnv) WaitUntil(tag string, pred func() bool) {
-	timedOut := false
-	if od := e.f.cfg.OpDeadline; od > 0 {
-		e.p.Kernel().After(od, func() { timedOut = true })
-	}
+// watch is the one memory wait: it blocks until pred holds or bound
+// passes (0 = never) and reports which. While it lasts the actor is on
+// the fabric's watcher list, where every Space write pokes it.
+func (e *simEnv) watch(tag string, pred func() bool, bound time.Duration) bool {
+	late := e.deadlineFlag(bound)
 	done := false
+	e.watchAt = len(e.f.watchers)
+	e.f.watchers = append(e.f.watchers, e)
 	e.p.WaitUntil(tag, func() bool {
 		done = pred()
-		return done || timedOut
+		return done || late != nil && *late
 	})
-	if !done && timedOut {
-		if r := e.f.pipe.FirstCrashed(); r >= 0 {
-			panic(sim.Abort{Err: &pipeline.FaultError{Rank: r, Op: tag, Kind: pipeline.FaultCrash}})
-		}
-		panic(sim.Abort{Err: opTimeout(e.addr, tag)})
-	}
+	last := len(e.f.watchers) - 1
+	moved := e.f.watchers[last]
+	e.f.watchers[e.watchAt], moved.watchAt = moved, e.watchAt
+	e.f.watchers = e.f.watchers[:last]
+	return done
+}
+
+// pollGap models the detection delay between the memory write and the
+// spinning process noticing it.
+func (e *simEnv) pollGap() {
 	if g := e.f.cfg.Model.PollGap; g > 0 {
-		// Model the detection delay between the memory write and the
-		// spinning process noticing it.
 		e.p.Sleep(g)
 	}
+}
+
+func (e *simEnv) WaitUntil(tag string, pred func() bool) {
+	if !e.watch(tag, pred, e.f.cfg.OpDeadline) {
+		e.abortLate(tag)
+	}
+	e.pollGap()
 }
 
 func (e *simEnv) WaitUntilFor(tag string, pred func() bool, d time.Duration) bool {
@@ -258,16 +330,8 @@ func (e *simEnv) WaitUntilFor(tag string, pred func() bool, d time.Duration) boo
 		e.WaitUntil(tag, pred)
 		return true
 	}
-	timedOut := false
-	e.p.Kernel().After(d, func() { timedOut = true })
-	done := false
-	e.p.WaitUntil(tag, func() bool {
-		done = pred()
-		return done || timedOut
-	})
-	if g := e.f.cfg.Model.PollGap; g > 0 {
-		e.p.Sleep(g)
-	}
+	done := e.watch(tag, pred, d)
+	e.pollGap()
 	return done
 }
 

@@ -78,8 +78,10 @@ type Env interface {
 	// fabric control state (CrashedRank), nothing else: the wall-clock
 	// fabrics re-evaluate it when a rank of that node is written or a
 	// control event occurs — not on writes elsewhere, where proc holds
-	// only a stale replica anyway, and not on deliveries. tag is
-	// diagnostic.
+	// only a stale replica anyway, and not on deliveries. (The simulated
+	// fabric re-evaluates it on a write to any node and on a registered
+	// crash, and names a predicate that turned true on anything else as a
+	// missed wake-up when the run ends.) tag is diagnostic.
 	WaitUntil(tag string, pred func() bool)
 	// WaitUntilFor is the bounded form of WaitUntil: it blocks until
 	// pred() is true or d has elapsed (virtual time on the simulated

@@ -42,6 +42,10 @@ go run ./cmd/armci-run -n 4 -ppn 2 -workload fig7-small
 # oracle, so a lost or duplicated op fails the gate (`make elasticsoak`
 # loops exactly this run).
 go run ./cmd/armci-run -n 4 -workload elastic -elastic -faults crashrank=1@3
+# The harness's output contract in full: every figure regenerated on the
+# simulator and diffed against results/all-tables.txt, byte for byte
+# (~15 s since the kernel switches coroutines and rechecks on a poke).
+make golden
 # The benchmark-regression gate against the committed BENCH_*.json
 # baseline. -quick judges only the deterministic metrics (simulated
 # virtual times, allocation budgets, sweep event counts), so this pass
