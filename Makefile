@@ -24,9 +24,10 @@ benchcheck:
 	sh scripts/benchdiff.sh
 
 # A claimed wall-clock gain, measured: REF (the parent commit) against the
-# working tree on workload W of BENCHMARK.json, N alternating pairs of
-# runs; medians, quartiles, wins and a verdict per end-to-end metric.
-# The default 10 pairs of 12 s take about 5 minutes.
+# working tree on workload W of BENCHMARK.json (W=all: every workload, one
+# table, exit 1 on a regression anywhere), N alternating pairs of runs per
+# workload; medians, quartiles, wins and a verdict per end-to-end metric.
+# The default 10 pairs of 12 s take about 5 minutes a workload.
 REF ?= HEAD
 W ?= app-tcp4
 benchpairs: N = 10

@@ -55,7 +55,8 @@ const (
 	// reason. The connection is closed immediately after.
 	frameReject
 	// frameRoster: coordinator → worker, broadcast once all nodes have
-	// joined; payload echoes the cluster shape (procs, ppn, nodes). Its
+	// joined; payload echoes the cluster shape (procs, ppn, nodes) and
+	// carries the launch's clock start (see Handlers.ClockStart). Its
 	// arrival is the admission acknowledgment and the start signal.
 	frameRoster
 	// 4 was the data frame the coordinator forwarded up to ClusterVersion
@@ -155,28 +156,33 @@ func nodeOf(a msg.Addr, numNodes, procsPerNode int) int {
 	return a.ID / procsPerNode
 }
 
-// rosterPayload encodes the shape echo broadcast in a roster frame.
-func rosterPayload(procs, ppn, nodes int) []byte {
+// rosterPayload encodes a roster frame: the shape echo and the launch's
+// clock start in Unix nanoseconds.
+func rosterPayload(procs, ppn, nodes int, clockStart int64) []byte {
 	b := binary.LittleEndian.AppendUint32(nil, uint32(int32(procs)))
 	b = binary.LittleEndian.AppendUint32(b, uint32(int32(ppn)))
-	return binary.LittleEndian.AppendUint32(b, uint32(int32(nodes)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(int32(nodes)))
+	return binary.LittleEndian.AppendUint64(b, uint64(clockStart))
 }
 
-// checkRoster validates the coordinator's shape echo against what the
-// worker was launched with; a mismatch means launcher and worker
-// disagree about the world and must not run.
-func checkRoster(payload []byte, env WorkerEnv) error {
-	if len(payload) != 12 {
-		return fmt.Errorf("cluster: roster frame has %d payload bytes, want 12", len(payload))
+// parseRoster validates the coordinator's shape echo against what the
+// worker was launched with — a mismatch means launcher and worker
+// disagree about the world and must not run — and returns the launch's
+// clock start as a local time: it carries this process's monotonic
+// reading, so time.Since on it is immune to wall-clock steps from here on.
+func parseRoster(payload []byte, env WorkerEnv) (time.Time, error) {
+	if len(payload) != 20 {
+		return time.Time{}, fmt.Errorf("cluster: roster frame has %d payload bytes, want 20", len(payload))
 	}
 	procs := int(int32(binary.LittleEndian.Uint32(payload)))
 	ppn := int(int32(binary.LittleEndian.Uint32(payload[4:])))
 	nodes := int(int32(binary.LittleEndian.Uint32(payload[8:])))
 	if procs != env.Procs || ppn != env.ProcsPerNode || nodes != env.NumNodes() {
-		return fmt.Errorf("cluster: roster shape %d procs × %d/node over %d nodes does not match worker env %d procs × %d/node over %d nodes",
+		return time.Time{}, fmt.Errorf("cluster: roster shape %d procs × %d/node over %d nodes does not match worker env %d procs × %d/node over %d nodes",
 			procs, ppn, nodes, env.Procs, env.ProcsPerNode, env.NumNodes())
 	}
-	return nil
+	now := time.Now()
+	return now.Add(-time.Duration(now.UnixNano() - int64(binary.LittleEndian.Uint64(payload[12:])))), nil
 }
 
 // faultPayload encodes a fault broadcast: dead worker's first rank plus

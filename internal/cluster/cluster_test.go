@@ -136,6 +136,26 @@ func runLaunch(t *testing.T) {
 
 func TestRendezvousDirectSendAndDrain(t *testing.T) { runLaunch(t) }
 
+// TestRosterHandsOutOneClock: every worker of a launch gets the same clock
+// start from the roster before Join returns — the instant their message
+// stamps are measured from — and it is the moment the roster went out.
+func TestRosterHandsOutOneClock(t *testing.T) {
+	starts := make([]time.Time, 2)
+	before := time.Now()
+	startCluster(t, Config{Procs: 2, Cookie: 7}, func(node int) Handlers {
+		return Handlers{ClockStart: func(start time.Time) { starts[node] = start }}
+	})
+	after := time.Now()
+	if starts[0].UnixNano() != starts[1].UnixNano() {
+		t.Fatalf("clock starts %v and %v differ", starts[0], starts[1])
+	}
+	for node, s := range starts {
+		if s.Before(before.Add(-time.Millisecond)) || s.After(after) {
+			t.Fatalf("node %d clock start %v outside the launch [%v, %v]", node, s, before, after)
+		}
+	}
+}
+
 // TestClusterRunLeavesNoFDs: every socket a launch opens — the
 // coordinator's listener and its end of each worker connection, each
 // worker's listener, both ends of every peer connection — is closed once

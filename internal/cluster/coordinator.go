@@ -91,6 +91,7 @@ type Coordinator struct {
 	conns      map[int]*clusterConn // node → admitted connection
 	joined     int
 	rosterSent bool
+	clockStart int64 // Unix ns of the roster broadcast: every worker's fabric time 0
 	usersDone  map[int]bool
 	drainSent  bool
 	finished   int                  // conns closed normally after drain
@@ -317,7 +318,7 @@ func (co *Coordinator) admit(cc *clusterConn, body []byte) (int, error) {
 		view := co.viewLocked()
 		others := co.connsLocked(h.Node)
 		co.mu.Unlock()
-		cc.writeFrame(frameRoster, rosterPayload(co.cfg.Procs, co.cfg.ProcsPerNode, co.cfg.numNodes()))
+		cc.writeFrame(frameRoster, rosterPayload(co.cfg.Procs, co.cfg.ProcsPerNode, co.cfg.numNodes(), co.clockStart))
 		payload := wire.EncodeView(view)
 		cc.writeFrame(frameView, payload)
 		for _, other := range others {
@@ -330,6 +331,7 @@ func (co *Coordinator) admit(cc *clusterConn, body []byte) (int, error) {
 	complete := co.joined == co.cfg.numNodes()
 	if complete {
 		co.rosterSent = true
+		co.clockStart = time.Now().UnixNano()
 	}
 	var conns []*clusterConn
 	var view wire.View
@@ -344,7 +346,7 @@ func (co *Coordinator) admit(cc *clusterConn, body []byte) (int, error) {
 	co.mu.Unlock()
 
 	if complete {
-		payload := rosterPayload(co.cfg.Procs, co.cfg.ProcsPerNode, co.cfg.numNodes())
+		payload := rosterPayload(co.cfg.Procs, co.cfg.ProcsPerNode, co.cfg.numNodes(), co.clockStart)
 		viewPayload := wire.EncodeView(view)
 		for _, other := range conns {
 			other.writeFrame(frameRoster, payload)

@@ -15,6 +15,12 @@ import (
 // read loop. Both must be safe for concurrent use and non-blocking
 // enough not to stall the connection.
 type Handlers struct {
+	// ClockStart receives, from Join and before any other callback, the
+	// instant every worker of the launch — a respawned incarnation too —
+	// measures fabric time from. Message stamps travel between workers, so
+	// they must mean the same on each: against a worker's own start they
+	// would differ by the workers' start skew. nil ignores it.
+	ClockStart func(time.Time)
 	// Data receives the encoded message body of every frame a peer (or
 	// this worker itself) sent to this worker's listener. nil drops them.
 	Data func(body []byte)
@@ -121,6 +127,7 @@ func Join(env WorkerEnv, h Handlers) (*Session, error) {
 
 	conn.SetReadDeadline(deadline)
 	var initView *wire.View
+	var clockStart time.Time
 	haveRoster := false
 	// The handshake completes on the roster plus the initial membership
 	// view: peer addresses must be installed before the first send, or it
@@ -137,7 +144,8 @@ func Join(env WorkerEnv, h Handlers) (*Session, error) {
 		case frameReject:
 			return fail(fmt.Errorf("cluster: node %d rejected by coordinator: %s", env.Node, body[1:]))
 		case frameRoster:
-			if rerr := checkRoster(body[1:], env); rerr != nil {
+			var rerr error
+			if clockStart, rerr = parseRoster(body[1:], env); rerr != nil {
 				return fail(rerr)
 			}
 			haveRoster = true
@@ -171,6 +179,9 @@ func Join(env WorkerEnv, h Handlers) (*Session, error) {
 		peerBad:   make(map[int]bool),
 	}
 	s.installView(*initView)
+	if h.ClockStart != nil {
+		h.ClockStart(clockStart)
+	}
 	if h.View != nil {
 		h.View(*initView)
 	}

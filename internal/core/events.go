@@ -7,7 +7,8 @@ import (
 
 // Record is the one protocol-event recorder: it stamps ev with the
 // calling rank, its node and the fabric time and appends it to the run's
-// trace for the conformance oracles in internal/check. The caller sets
+// trace for the conformance oracles in internal/check — a loud trace; a
+// quiet one is never asked, and no clock is read for it. The caller sets
 // Kind and whichever of Lock, Prev, Ticket and Epoch the kind carries;
 // Prev and Ticket are -1 when they do not apply. Where an event sits in
 // the recorded order is the caller's contract:
@@ -27,8 +28,12 @@ import (
 //     numbers the rank's calls from 1; Node is the rank's own node,
 //     whose completion counter the fence oracle audits).
 func Record(env transport.Env, ev trace.OpEvent) {
+	tr := env.Trace()
+	if !tr.Loud() {
+		return
+	}
 	ev.Rank, ev.Node, ev.Time = env.Rank(), env.Node(env.Rank()), env.Clock().Now()
-	env.Trace().RecordOp(ev)
+	tr.RecordOp(ev)
 }
 
 // Holder is the ownership step every lock algorithm ends its acquire and

@@ -40,6 +40,34 @@ func (a Addr) String() string {
 // IsNIC reports whether a is a NIC agent address, given the node count.
 func (a Addr) IsNIC(numNodes int) bool { return a.Server && a.ID >= numNodes }
 
+// Pair is a directed (source, destination) endpoint pair packed into one
+// word: the key of every per-pair table on the message path (pipeline
+// sequencing, the recorder's counters and histograms). A map keyed by a
+// uint64 takes the runtime's fast path, where a two-Addr struct is hashed
+// as 32 bytes on every send and every arrival. Endpoint IDs fit in 31 bits.
+type Pair uint64
+
+// PairOf packs the pair src → dst.
+func PairOf(src, dst Addr) Pair { return Pair(addrWord(src))<<32 | Pair(addrWord(dst)) }
+
+// Src returns the pair's source endpoint.
+func (p Pair) Src() Addr { return wordAddr(uint32(p >> 32)) }
+
+// Dst returns the pair's destination endpoint.
+func (p Pair) Dst() Addr { return wordAddr(uint32(p)) }
+
+const serverBit = 1 << 31
+
+func addrWord(a Addr) uint32 {
+	w := uint32(a.ID) &^ serverBit
+	if a.Server {
+		w |= serverBit
+	}
+	return w
+}
+
+func wordAddr(w uint32) Addr { return Addr{Server: w&serverBit != 0, ID: int(w &^ serverBit)} }
+
 // Kind is the protocol message type.
 type Kind uint8
 

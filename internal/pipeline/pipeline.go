@@ -6,8 +6,9 @@
 // different places. The pipeline factors that hot path into four shared
 // stages, applied in order on every Send:
 //
-//  1. identity — stamp Src/Dst, the per-(src,dst) sequence number and
-//     the send time onto the message;
+//  1. identity — stamp Src/Dst, the per-(src,dst) sequence number and,
+//     when the message needs one (see below), the send time onto the
+//     message;
 //  2. cost model — charge the sender the modeled send overhead and
 //     compute the base arrival time (now + latency + bytes·G), honoring
 //     intra-node locality;
@@ -34,6 +35,17 @@
 // known at the receiver), and again one recorder call: the admission
 // (arrival back-annotation, OpDeliver, latency histograms) or the
 // rejection's fault counter.
+//
+// A stamp is taken only for whoever reads it. Send and arrival times exist
+// for three readers — the cost model (ChargeModel), a fault plan, whose
+// delays are enforced against them, and a loud recorder (capture or
+// latency histograms, trace.Stats.Loud) — and a message gets them, and a
+// fabric reads its clock for it, only while one of those is present
+// (Stamps). Otherwise Sent and Arrival stay 0 and the fabric reads no
+// clock on the message's path. Only the first two can put an arrival in
+// the receiver's future, so only they make a fabric wait one out
+// (Delays).
+//
 // Dedup deliberately sits after the reliability stage: retransmitted
 // copies keep their original sequence number and resolve to exactly one
 // delivery before the FIFO stamp, so the only copies dedup ever sees are
@@ -58,9 +70,6 @@ import (
 	"armci/internal/msg"
 	"armci/internal/trace"
 )
-
-// Pair identifies one directed (source, destination) message pipe.
-type Pair [2]msg.Addr
 
 // Faults configures deterministic fault injection. The zero value
 // disables every fault. All decisions derive from hashing (Seed, src,
@@ -504,12 +513,14 @@ type pairState struct {
 // methods are safe for concurrent use.
 type Pipeline struct {
 	cfg Config
+	// delays: an arrival may lie in the receiver's future (Delays).
+	delays bool
 
 	mu           sync.Mutex
-	pairs        map[Pair]*pairState // sequencing/FIFO/dedup state per pipe
-	sends        map[msg.Addr]uint64 // total sends per source (crash fault)
-	crashCounted bool                // the crash was counted by the recorder
-	epoch        uint64              // membership view epoch stamped on sends
+	pairs        map[msg.Pair]*pairState // sequencing/FIFO/dedup state per pipe
+	sends        map[msg.Addr]uint64     // total sends per source (crash fault)
+	crashCounted bool                    // the crash was counted by the recorder
+	epoch        uint64                  // membership view epoch stamped on sends
 
 	crashMu     sync.Mutex
 	crashed     []int  // user ranks that fail-stopped, in crash order
@@ -522,15 +533,27 @@ func New(cfg Config) *Pipeline {
 		cfg.Stats = trace.New()
 	}
 	return &Pipeline{
-		cfg:   cfg,
-		pairs: make(map[Pair]*pairState),
-		sends: make(map[msg.Addr]uint64),
+		cfg:    cfg,
+		delays: cfg.ChargeModel || cfg.Faults.Enabled(),
+		pairs:  make(map[msg.Pair]*pairState),
+		sends:  make(map[msg.Addr]uint64),
 	}
 }
 
+// Stamps reports whether messages get send and arrival times: whether the
+// cost model, a fault plan or a loud recorder reads them. SendTo reads its
+// clock only then, and a fabric reads its own for Inbound only then.
+func (p *Pipeline) Stamps() bool { return p.delays || p.cfg.Stats.Loud() }
+
+// Delays reports whether a stamped arrival can lie in the receiver's
+// future — the cost model or a fault plan put it there — so a fabric that
+// delivers early must hold the message until then. Without either, the
+// arrival is the moment the message reached the receiver.
+func (p *Pipeline) Delays() bool { return p.delays }
+
 // pairLocked returns the sequencing state of one directed pipe, creating
 // it on first use. Callers hold p.mu.
-func (p *Pipeline) pairLocked(pr Pair) *pairState {
+func (p *Pipeline) pairLocked(pr msg.Pair) *pairState {
 	ps := p.pairs[pr]
 	if ps == nil {
 		ps = &pairState{}
@@ -568,7 +591,7 @@ func (p *Pipeline) Epoch() uint64 {
 func (p *Pipeline) ResetPeer(match func(msg.Addr) bool) {
 	p.mu.Lock()
 	for pr := range p.pairs {
-		if match(pr[0]) || match(pr[1]) {
+		if match(pr.Src()) || match(pr.Dst()) {
 			delete(p.pairs, pr)
 		}
 	}
@@ -656,10 +679,11 @@ func (p *Pipeline) countCrashLocked() {
 // active), stamps identity, sequence number, send time and arrival,
 // replays the reliability stage's ack/retransmit exchange, and records
 // the send. clock is read after the overhead charge so arrivals account
-// for the time spent injecting. The returned deliveries — the original
-// plus any injected duplicate, in arrival order — must each be handed to
-// the destination via the fabric's own delivery mechanism and passed
-// through Inbound at the destination side.
+// for the time spent injecting, and only when the message needs stamps
+// (Stamps); otherwise Sent and Arrival are 0. The returned deliveries —
+// the original plus any injected duplicate, in arrival order — must each
+// be handed to the destination via the fabric's own delivery mechanism
+// and passed through Inbound at the destination side.
 //
 // A non-nil error is always a *FaultError — the sender's rank crashed
 // (fail-stop) or the message exhausted its retransmission budget — and
@@ -683,7 +707,10 @@ func (p *Pipeline) SendTo(src, dst msg.Addr, m *msg.Message, clock func() time.D
 	if p.cfg.ChargeModel && charge != nil {
 		charge(p.cfg.Params.SendOverhead)
 	}
-	now := clock()
+	var now time.Duration
+	if p.Stamps() {
+		now = clock()
+	}
 
 	p.mu.Lock()
 	if p.crashedLocked(src) {
@@ -691,7 +718,7 @@ func (p *Pipeline) SendTo(src, dst msg.Addr, m *msg.Message, clock func() time.D
 		p.mu.Unlock()
 		return &FaultError{Rank: src.ID, Op: m.Kind.String(), Kind: FaultCrash}
 	}
-	ps := p.pairLocked(Pair{src, dst})
+	ps := p.pairLocked(msg.PairOf(src, dst))
 	ps.seq++
 	seq := ps.seq
 	m.Src, m.Dst = src, dst
@@ -777,7 +804,8 @@ func arrivalLocked(ps *pairState, now, wire time.Duration) time.Duration {
 // number) are suppressed; admitted messages get their Arrival stamped to
 // the actual arrival when the modeled one is earlier or absent — this is
 // what populates trace.Event.Arrival on the TCP fabric — and are
-// reported to the recorder.
+// reported to the recorder. The stamp follows SendTo's rule: without
+// Stamps, now is not read (a fabric may pass 0) and Arrival stays 0.
 // Messages stamped with a membership view epoch older than the current
 // one are rejected first: they were in flight when a view change deposed
 // their sender's incarnation, and admitting them would let a dead rank's
@@ -790,7 +818,7 @@ func (p *Pipeline) Inbound(m *msg.Message, now time.Duration) bool {
 			p.cfg.Stats.RecordFaults(trace.FaultCounts{StaleEpochs: 1})
 			return false
 		}
-		ps := p.pairLocked(Pair{m.Src, m.Dst})
+		ps := p.pairLocked(msg.PairOf(m.Src, m.Dst))
 		if m.Seq <= ps.seen {
 			p.mu.Unlock()
 			p.cfg.Stats.RecordFaults(trace.FaultCounts{DupsSuppressed: 1})
@@ -799,7 +827,7 @@ func (p *Pipeline) Inbound(m *msg.Message, now time.Duration) bool {
 		ps.seen = m.Seq
 		p.mu.Unlock()
 	}
-	if m.Arrival < now {
+	if m.Arrival < now && p.Stamps() {
 		m.Arrival = now
 	}
 	p.cfg.Stats.RecordArrival(m, now)

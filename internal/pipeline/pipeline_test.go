@@ -127,8 +127,17 @@ func TestInboundSuppressesDuplicates(t *testing.T) {
 	}
 }
 
+// TestInboundStampsArrival: a pipeline with a stamp reader records the
+// actual arrival unless a modeled one lies later; one without leaves it 0.
 func TestInboundStampsArrival(t *testing.T) {
-	p := New(Config{})
+	quiet := &msg.Message{Kind: msg.KindSend, Src: msg.User(0), Dst: msg.User(1), Seq: 1}
+	New(Config{}).Inbound(quiet, 42*time.Microsecond)
+	if quiet.Arrival != 0 {
+		t.Fatalf("a quiet pipeline stamped an arrival: %v", quiet.Arrival)
+	}
+	loud := trace.New()
+	loud.SetCapture(true)
+	p := New(Config{Stats: loud})
 	m := &msg.Message{Kind: msg.KindSend, Src: msg.User(0), Dst: msg.User(1), Seq: 1}
 	p.Inbound(m, 42*time.Microsecond)
 	if m.Arrival != 42*time.Microsecond {

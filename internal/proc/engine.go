@@ -231,17 +231,19 @@ func (g *Engine) NextToken() uint64 {
 func (g *Engine) nextToken() uint64 { return g.NextToken() }
 
 // countIssue records one fence-counted operation to node, both in
-// op_init[] (what the fence algorithms compare) and as an OpIssue trace
-// event (what the conformance fence oracle compares).
+// op_init[] (what the fence algorithms compare) and, for a loud recorder,
+// as an OpIssue trace event (what the conformance fence oracle compares).
 func (g *Engine) countIssue(node int) {
 	g.opInit[node]++
 	if g.mode == FenceAck {
 		g.outstanding[node]++
 	}
-	g.env.Trace().RecordOp(trace.OpEvent{
-		Kind: trace.OpIssue, Rank: g.env.Rank(), Node: node,
-		Prev: -1, Ticket: -1, Time: g.env.Clock().Now(),
-	})
+	if tr := g.env.Trace(); tr.Loud() {
+		tr.RecordOp(trace.OpEvent{
+			Kind: trace.OpIssue, Rank: g.env.Rank(), Node: node,
+			Prev: -1, Ticket: -1, Time: g.env.Clock().Now(),
+		})
+	}
 }
 
 // OpInit returns the engine's op_init[] array (live; callers must not

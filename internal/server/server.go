@@ -15,7 +15,8 @@
 //     ticket comes up, and processes every unlock (the paper's Figures 3
 //     and 4);
 //   - models the wake-up penalty of a server thread that sleeps in a
-//     blocking receive while idle.
+//     blocking receive while idle — the server's only use of its clock,
+//     read only where the cost model in force charges a penalty.
 package server
 
 import (
@@ -69,7 +70,7 @@ type Server struct {
 	lockQueues map[int][]waiter
 
 	// lastFinish is when the server last completed a request, for the
-	// idle/wake model.
+	// idle/wake model; kept only while ServerWake is charged.
 	lastFinish time.Duration
 	everBusy   bool
 }
@@ -152,8 +153,7 @@ func (s *Server) HandleOne(m *msg.Message) {
 		})
 		return
 	}
-	now := s.env.Clock().Now()
-	if p.ServerWake > 0 && (!s.everBusy || now-s.lastFinish > p.ServerIdleAfter) {
+	if p.ServerWake > 0 && (!s.everBusy || s.env.Clock().Now()-s.lastFinish > p.ServerIdleAfter) {
 		// The server thread was asleep in its blocking receive; the
 		// request pays the wake-up penalty.
 		s.env.Charge(p.ServerWake)
@@ -221,7 +221,9 @@ func (s *Server) HandleOne(m *msg.Message) {
 	default:
 		panic(fmt.Sprintf("server: node %d received unexpected %v", s.node, m))
 	}
-	s.lastFinish = s.env.Clock().Now()
+	if p.ServerWake > 0 {
+		s.lastFinish = s.env.Clock().Now()
+	}
 }
 
 // handleBatch unpacks one coalesced frame. The per-message costs — wake
@@ -264,12 +266,14 @@ func (s *Server) handleBatch(m *msg.Message) {
 // mode. The OpComplete trace event is recorded first — before the
 // counters advance — so that in the recorded order a completion always
 // precedes any barrier exit the fence algorithm justified with it (the
-// invariant the conformance fence oracle checks).
+// invariant the conformance fence oracle checks) — by a loud recorder only.
 func (s *Server) completeStore(m *msg.Message) {
-	s.env.Trace().RecordOp(trace.OpEvent{
-		Kind: trace.OpComplete, Rank: m.Origin, Node: s.node,
-		Prev: -1, Ticket: -1, Time: s.env.Clock().Now(),
-	})
+	if tr := s.env.Trace(); tr.Loud() {
+		tr.RecordOp(trace.OpEvent{
+			Kind: trace.OpComplete, Rank: m.Origin, Node: s.node,
+			Prev: -1, Ticket: -1, Time: s.env.Clock().Now(),
+		})
+	}
 	s.env.Space().FetchAdd(s.lay.OpDone[s.node], 1)
 	s.env.Space().FetchAdd(s.lay.PerOrigin[s.node].Add(int64(m.Origin)), 1)
 	if s.opt.FenceMode == proc.FenceAck {
@@ -302,7 +306,6 @@ func (s *Server) handleOneNIC(m *msg.Message) {
 	default:
 		panic(fmt.Sprintf("server: NIC agent %d received unexpected %v", s.node, m))
 	}
-	s.lastFinish = s.env.Clock().Now()
 }
 
 // handleRmw executes an atomic word operation on node memory.

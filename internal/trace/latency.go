@@ -171,7 +171,7 @@ func (s *Stats) KindHistogram(k msg.Kind) Histogram {
 func (s *Stats) PairHistogram(src, dst msg.Addr) Histogram {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if h := s.latByPair[pair{src, dst}]; h != nil {
+	if h := s.latByPair[msg.PairOf(src, dst)]; h != nil {
 		return *h
 	}
 	return Histogram{}

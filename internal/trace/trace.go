@@ -11,12 +11,19 @@
 // socket link reports its write(2) count when it comes down
 // (RecordLinkWrites). The captured events carry Sent and the actual
 // Arrival, so they double as the per-message timeline.
+//
+// A recorder is loud while it captures or feeds latency histograms, and
+// quiet otherwise. Only a loud one reads message stamps or op events, so
+// Loud is what the layers above ask before they take a clock reading or
+// build an event for it: a quiet run's admissions and op events cost an
+// atomic load.
 package trace
 
 import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"armci/internal/msg"
@@ -34,20 +41,19 @@ type Stats struct {
 	written   int64 // the encoded bytes they carried, hellos included
 	faults    FaultCounts
 	events    []Event
-	byKey     map[eventKey]int // (src,dst,pairSeq) -> events index, capture mode
+	byKey     map[eventKey]int // (pair,pairSeq) -> events index, capture mode
 	opEvents  []OpEvent
 	capture   bool
-	perPair   map[pair]int
+	perPair   map[msg.Pair]int
 	latency   bool // feed the histograms (NewRun recorders only)
 	latByKind map[msg.Kind]*Histogram
-	latByPair map[pair]*Histogram
+	latByPair map[msg.Pair]*Histogram
+	loud      atomic.Bool // capture || latency, readable without mu
 }
 
-type pair struct{ src, dst msg.Addr }
-
 type eventKey struct {
-	src, dst msg.Addr
-	seq      uint64
+	pair msg.Pair
+	seq  uint64
 }
 
 // Event is one recorded message send (capture mode only).
@@ -180,10 +186,10 @@ type OpEvent struct {
 func New() *Stats {
 	return &Stats{
 		byKind:    make(map[msg.Kind]int),
-		perPair:   make(map[pair]int),
+		perPair:   make(map[msg.Pair]int),
 		byKey:     make(map[eventKey]int),
 		latByKind: make(map[msg.Kind]*Histogram),
-		latByPair: make(map[pair]*Histogram),
+		latByPair: make(map[msg.Pair]*Histogram),
 	}
 }
 
@@ -194,6 +200,7 @@ func New() *Stats {
 func (s *Stats) NewRun() *Stats {
 	r := New()
 	r.latency = true
+	r.loud.Store(true)
 	s.mu.Lock()
 	r.capture = s.capture
 	s.mu.Unlock()
@@ -202,12 +209,18 @@ func (s *Stats) NewRun() *Stats {
 
 // SetCapture toggles recording of individual send events and op events
 // (for determinism tests, timelines and debugging); counting is always
-// on.
+// on. Set it before the run: a message sent while the recorder was quiet
+// carries no stamps.
 func (s *Stats) SetCapture(on bool) {
 	s.mu.Lock()
 	s.capture = on
+	s.loud.Store(on || s.latency)
 	s.mu.Unlock()
 }
+
+// Loud reports whether the recorder reads what a quiet run never needs:
+// message send and arrival stamps and op events. It takes no lock.
+func (s *Stats) Loud() bool { return s.loud.Load() }
 
 // SetTimeline is SetCapture under the name latency collectors use: the
 // captured events are the timeline.
@@ -230,7 +243,7 @@ func (s *Stats) sendLocked(m *msg.Message) {
 	s.sends++
 	s.byKind[m.Kind]++
 	s.bytes += int64(m.PayloadBytes())
-	s.perPair[pair{m.Src, m.Dst}]++
+	s.perPair[msg.PairOf(m.Src, m.Dst)]++
 	if s.capture {
 		s.events = append(s.events, Event{
 			Seq: s.sends, Kind: m.Kind, Src: m.Src, Dst: m.Dst,
@@ -238,7 +251,7 @@ func (s *Stats) sendLocked(m *msg.Message) {
 			Arrival: m.Arrival, Dup: m.Dup, FaultDelay: m.FaultDelay,
 		})
 		if !m.Dup && m.Seq != 0 {
-			s.byKey[eventKey{m.Src, m.Dst, m.Seq}] = len(s.events) - 1
+			s.byKey[eventKey{msg.PairOf(m.Src, m.Dst), m.Seq}] = len(s.events) - 1
 		}
 	}
 }
@@ -269,11 +282,16 @@ func (s *Stats) RecordLinkWrites(writes, bytes int) {
 // the receive side observed — on fabrics where the sender cannot know it
 // (TCP), this is what populates Event.Arrival — and records the
 // OpDeliver event; on a NewRun recorder it feeds the latency histograms.
+// A quiet recorder does neither, and returns before its mutex.
 func (s *Stats) RecordArrival(m *msg.Message, now time.Duration) {
+	if !s.Loud() {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	pr := msg.PairOf(m.Src, m.Dst)
 	if s.capture {
-		if i, ok := s.byKey[eventKey{m.Src, m.Dst, m.Seq}]; ok {
+		if i, ok := s.byKey[eventKey{pr, m.Seq}]; ok {
 			s.events[i].Arrival = m.Arrival
 		}
 		s.opLocked(OpEvent{
@@ -284,7 +302,7 @@ func (s *Stats) RecordArrival(m *msg.Message, now time.Duration) {
 	if s.latency {
 		lat := m.Arrival - m.Sent
 		histogramOf(s.latByKind, m.Kind).add(lat)
-		histogramOf(s.latByPair, pair{m.Src, m.Dst}).add(lat)
+		histogramOf(s.latByPair, pr).add(lat)
 	}
 }
 
@@ -292,8 +310,12 @@ func (s *Stats) RecordArrival(m *msg.Message, now time.Duration) {
 // OpEvent). Callers fill every field but Seq, which is assigned here.
 // The call must be placed so that the record order witnesses the claim
 // being recorded: acquires after the lock is held, releases before the
-// hand-off starts, completions before they become observable.
+// hand-off starts, completions before they become observable. Callers
+// that must read a clock or do other work to build e ask Loud first.
 func (s *Stats) RecordOp(e OpEvent) {
+	if !s.Loud() {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.capture {
@@ -380,7 +402,7 @@ func (s *Stats) LinkWrites() (writes int, bytes int64) {
 func (s *Stats) PairCount(src, dst msg.Addr) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.perPair[pair{src, dst}]
+	return s.perPair[msg.PairOf(src, dst)]
 }
 
 // Events returns a copy of the captured send events.

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"armci/internal/cluster"
 	"armci/internal/msg"
@@ -106,11 +107,12 @@ type procLink struct {
 // surfaces as its rank-attributed *pipeline.FaultError.
 func (l *procLink) up() error {
 	sess, err := cluster.Join(l.env, cluster.Handlers{
-		Data:    l.onData,
-		Fault:   l.onFault,
-		View:    l.onView,
-		Resume:  l.onResume,
-		Release: l.onRelease,
+		ClockStart: l.onClockStart,
+		Data:       l.onData,
+		Fault:      l.onFault,
+		View:       l.onView,
+		Resume:     l.onResume,
+		Release:    l.onRelease,
 	})
 	if err != nil {
 		var fe *pipeline.FaultError
@@ -174,6 +176,13 @@ func (l *procLink) interrupted(server bool) error {
 	}
 	return nil
 }
+
+// onClockStart adopts the launch's clock start as this worker's fabric time
+// 0. It runs inside up, before any frame is delivered and any actor starts,
+// so every stamp a frame carries between workers is taken against the one
+// launch clock: against each worker's own start, a receiver would hold every
+// frame from a worker that started earlier for the difference.
+func (l *procLink) onClockStart(t time.Time) { l.f.start = t }
 
 // onData is the session's delivery callback.
 func (l *procLink) onData(body []byte) {

@@ -633,6 +633,66 @@ func TestSimScheduleShuffleDeterminism(t *testing.T) {
 	}
 }
 
+// TestStampsOnlyForAReader pins when a message carries send and arrival
+// times (pipeline.Stamps): in a quiet run on chan and tcp never — Sent and
+// Arrival stay 0 and no clock is read for them; under capture, a NewRun
+// recorder or a jitter plan always, with 0 < Sent <= Arrival and TryRecv
+// never handing out a message before its stamped arrival; on sim always,
+// since its cost model reads them.
+func TestStampsOnlyForAReader(t *testing.T) {
+	const n = 20
+	readers := map[string]func(*Config){
+		"quiet":        func(*Config) {},
+		"capture":      func(c *Config) { c.Trace = trace.New(); c.Trace.SetCapture(true) },
+		"run recorder": func(c *Config) { c.Trace = trace.New().NewRun() },
+		"jitter":       func(c *Config) { c.Faults = pipeline.Faults{Seed: 1, Jitter: time.Millisecond} },
+	}
+	for reader, set := range readers {
+		for _, fabric := range []string{"sim", "chan", "tcp"} {
+			t.Run(reader+"/"+fabric, func(t *testing.T) {
+				cfg := Config{Procs: 2, Model: model.Myrinet2000()} // sim's; chan and tcp run the zero model
+				set(&cfg)
+				f, err := fabricsUnderTest(t, cfg)[fabric]()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []*msg.Message
+				early := 0
+				f.SpawnUser(0, func(env Env) {
+					for i := 0; i < n; i++ {
+						env.Send(msg.User(1), &msg.Message{Kind: msg.KindSend, Tag: i})
+					}
+				})
+				f.SpawnUser(1, func(env Env) {
+					for len(got) < n {
+						m := env.TryRecv(msg.MatchKind(msg.KindSend))
+						if m == nil {
+							env.Clock().Sleep(20 * time.Microsecond)
+							continue
+						}
+						if m.Arrival > env.Clock().Now() {
+							early++
+						}
+						got = append(got, m)
+					}
+				})
+				if err := f.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if early > 0 {
+					t.Fatalf("TryRecv handed out %d of %d messages before their stamped arrival", early, n)
+				}
+				stamped := reader != "quiet" || fabric == "sim"
+				for _, m := range got {
+					if stamped && !(0 < m.Sent && m.Sent <= m.Arrival) || !stamped && (m.Sent != 0 || m.Arrival != 0) {
+						t.Fatalf("message %d stamped sent %v, arrival %v; want stamps: %v", m.Tag, m.Sent, m.Arrival, stamped)
+					}
+				}
+			})
+		}
+	}
+}
+
 // never is the predicate of a wait nothing will ever satisfy.
 func never() bool { return false }
 
@@ -755,6 +815,29 @@ func TestCrashGraceBoundsEachWait(t *testing.T) {
 			}
 			if took := time.Since(wedged); took < grace || took > grace+slack {
 				t.Fatalf("wedged wait aborted after %v, want within [%v, %v]", took, grace, grace+slack)
+			}
+		})
+		// A wait the crash finds parked reads no clock at its start (no
+		// bound then); it must still abort CrashGrace after the crash, not
+		// at once and not a grace after the alert woke it.
+		t.Run(name+"/parked before the crash", func(t *testing.T) {
+			f, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var crashed time.Time
+			f.SpawnUser(1, func(env Env) {
+				env.Clock().Sleep(3 * grace) // rank 0 is long parked by now
+				crashed = time.Now()
+				env.FailStop("test")
+			})
+			f.SpawnUser(0, func(env Env) { env.WaitUntil("wedged", never) })
+			fe := wantFault(t, f, pipeline.FaultCrash)
+			if fe.Rank != 1 || fe.Op != "wedged" {
+				t.Fatalf("crash attributed to %+v, want rank 1 at the wedged wait", fe)
+			}
+			if took := time.Since(crashed); took < grace || took > grace+slack {
+				t.Fatalf("wait parked before the crash aborted %v after it, want within [%v, %v]", took, grace, grace+slack)
 			}
 		})
 	}

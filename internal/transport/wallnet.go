@@ -63,6 +63,11 @@ type wallFabric struct {
 	// arrival sleep): chan under latency injection only — the socket
 	// fabrics measure real costs. It is the bool given to newPipeline.
 	charge bool
+	// model is the cost model in force, what Params hands out: cfg.Model
+	// where charge is set, else the zero model — so a layer that reads the
+	// clock only to work out a charge (the server's wake-up penalty) knows
+	// there is none.
+	model model.Params
 	// crashFatal makes an injected crash abort the job instead of letting
 	// the actor vanish: proc's crash registry is process-local, so remote
 	// waiters could never tell the fail-stop from a wedged peer.
@@ -136,6 +141,10 @@ func newWallFabric(name string, cfg Config, charge bool) *wallFabric {
 		// link's own reader to report without blocking after Run returned.
 		panics: make(chan error, cfg.Procs+2*cfg.numNodes()+1),
 	}
+	f.model = model.Zero()
+	if charge {
+		f.model = cfg.Model
+	}
 	f.pipe = cfg.newPipeline(f.space, charge)
 	f.space.SetOnWrite(func(rank int) {
 		for _, b := range f.byNode[f.space.Node(rank)] {
@@ -198,7 +207,8 @@ func (f *wallFabric) SpawnServer(node int, body func(Env)) {
 func (f *wallFabric) Run() error {
 	// The clock epoch must exist before the link comes up (the boxes have
 	// since Spawn): it can deliver the instant it is up, and arrive stamps
-	// arrivals against f.start.
+	// arrivals against f.start. proc's link moves it to the launch's clock
+	// start as it comes up, before it delivers anything.
 	f.start = time.Now()
 	f.deadline = f.cfg.Deadline
 	if f.deadline == 0 {
@@ -314,11 +324,16 @@ func waitChan(wg *sync.WaitGroup) <-chan struct{} {
 // fault-injected future one the frame carries — trace back-annotation,
 // metrics) and files it in b, the destination's box, which the link
 // resolved — nil, an endpoint this process does not host, drops the frame.
+// The clock is read only for a frame the pipeline stamps.
 // Only that box is locked and only its owner, if parked on it, is woken;
 // the fence is checked under the lock of the Put, so a frame of a closed
 // epoch that passed Inbound a moment ago cannot follow the purge.
 func (f *wallFabric) arrive(b *box, m *msg.Message) {
-	if !f.pipe.Inbound(m, time.Since(f.start)) || b == nil {
+	var now time.Duration
+	if f.pipe.Stamps() {
+		now = time.Since(f.start)
+	}
+	if !f.pipe.Inbound(m, now) || b == nil {
 		return
 	}
 	b.mu.Lock()
@@ -382,7 +397,7 @@ func (e *wallEnv) Size() int               { return e.f.cfg.Procs }
 func (e *wallEnv) NumNodes() int           { return e.f.cfg.numNodes() }
 func (e *wallEnv) Node(rank int) int       { return e.f.space.Node(rank) }
 func (e *wallEnv) Space() *shmem.Space     { return e.f.space }
-func (e *wallEnv) Params() model.Params    { return e.f.cfg.Model }
+func (e *wallEnv) Params() model.Params    { return e.f.model }
 func (e *wallEnv) Trace() *trace.Stats     { return e.f.cfg.Trace }
 func (e *wallEnv) Clock() Clock            { return wallClock{e} }
 func (e *wallEnv) Faults() pipeline.Faults { return e.f.pipe.Faults() }
@@ -394,8 +409,8 @@ func (e *wallEnv) Faults() pipeline.Faults { return e.f.pipe.Faults() }
 func (e *wallEnv) CrashedRank() int { return e.f.pipe.FirstCrashed() }
 
 // wallClock is pointer-shaped, so handing it out as a Clock allocates
-// nothing: servers and the engine ask for the clock once per message. It
-// is its actor's env because a Sleep is a listen.
+// nothing, however often the layers above ask for one. It is its actor's
+// env because a Sleep is a listen.
 type wallClock struct{ e *wallEnv }
 
 func (c wallClock) Now() time.Duration { return time.Since(c.e.f.start) }
@@ -459,11 +474,12 @@ func (e *wallEnv) Recv(match msg.Match) *msg.Message {
 	if !e.block(e.recvTag, func() bool { m = e.pop(match); return m != nil }, 0, !e.addr.Server, false) {
 		return nil // a server released by shutdown
 	}
-	// Enforce the stamped arrival in wall time: the modeled latency, a
-	// fault-injected delay, or nothing — a plain socket arrival is
-	// already in the past.
-	if wait := m.Arrival - time.Since(e.f.start); wait > 0 {
-		time.Sleep(wait)
+	// Enforce the stamped arrival in wall time: the modeled latency or a
+	// fault-injected delay. Without either the arrival is already past.
+	if e.f.pipe.Delays() {
+		if wait := m.Arrival - time.Since(e.f.start); wait > 0 {
+			time.Sleep(wait)
+		}
 	}
 	e.f.pipe.RecvCharge(e.Charge)
 	return m
@@ -489,15 +505,19 @@ func (e *wallEnv) pop(match msg.Match) *msg.Message {
 
 func (e *wallEnv) TryRecv(match msg.Match) *msg.Message {
 	f, b := e.f, e.b
-	// Only messages whose stamped arrival time has passed are eligible:
-	// polling must never observe a message earlier than Recv (which
-	// sleeps out the remaining latency) would deliver it. Per-pair
-	// arrival times are monotone, so gating on arrival keeps FIFO.
-	now := time.Since(f.start)
+	// Where arrivals can lie ahead (Delays), only messages whose stamped
+	// arrival time has passed are eligible: polling must never observe a
+	// message earlier than Recv (which sleeps out the remaining latency)
+	// would deliver it. Per-pair arrival times are monotone, so gating on
+	// arrival keeps FIFO.
+	if f.pipe.Delays() {
+		now, arrived := time.Since(f.start), match
+		match = func(m *msg.Message) bool { return m.Arrival <= now && arrived(m) }
+	}
 	e.listen()
 	e.interrupt()
 	b.mu.Lock()
-	m := b.q.TryPop(func(m *msg.Message) bool { return m.Arrival <= now && match(m) })
+	m := b.q.TryPop(match)
 	b.mu.Unlock()
 	if m != nil {
 		f.pipe.RecvCharge(e.Charge)
@@ -520,7 +540,9 @@ func (e *wallEnv) WaitUntilFor(tag string, pred func() bool, d time.Duration) bo
 // block is the one bounded wait of the wall-clock fabrics: it parks the
 // actor in its box until done holds, re-evaluating done on every signal —
 // a delivery, with watch a memory write on the actor's node, the box
-// timer, a control event. If done holds at once no clock is read.
+// timer, a control event. The clock is read only for a bound: a caller's
+// limit or the op deadline at the start, the crash grace once a crash is
+// on record.
 //
 // With limit > 0 the caller owns the bound: block returns false at limit
 // and never aborts on its own account. Otherwise the wait is the fabric's
@@ -530,22 +552,24 @@ func (e *wallEnv) WaitUntilFor(tag string, pred func() bool, d time.Duration) bo
 // — a per-wait bound, so a run that keeps making progress after lease
 // repair is never aborted retroactively, while any single operation wedged
 // on the dead rank is; and with opBound, exceeding Config.OpDeadline
-// aborts with a FaultOpTimeout. The box timer is kept at the earliest
-// bound, so the loop re-checks when one falls due.
+// aborts with a FaultOpTimeout. The grace counts from the later of the
+// wait's start and the crash, which is all the rule depends on: a wait the
+// crash found parked counts from crashAt, one that begins with the crash
+// on record reads the clock. The box timer is kept at the earliest bound,
+// so the loop re-checks when one falls due.
 func (e *wallEnv) block(tag string, done func() bool, limit time.Duration, opBound, watch bool) bool {
 	f, b := e.f, e.b
 	e.listen() // whether or not it parks
 	if done() {
 		return true
 	}
-	began := time.Now()
 	callerBound := limit > 0
 	if !callerBound && opBound {
 		limit = f.cfg.OpDeadline
 	}
-	var until, armed time.Time
+	var until, armed, graceFrom time.Time
 	if limit > 0 {
-		until = began.Add(limit)
+		until = time.Now().Add(limit)
 	}
 	due := until // the earliest bound pending: where the box timer must be
 	defer func() {
@@ -558,7 +582,7 @@ func (e *wallEnv) block(tag string, done func() bool, limit time.Duration, opBou
 			return true
 		}
 	}
-	for {
+	for parked := false; ; parked = true {
 		if f.alert.Load() {
 			f.mu.Lock()
 			e.interruptLocked()
@@ -568,12 +592,17 @@ func (e *wallEnv) block(tag string, done func() bool, limit time.Duration, opBou
 					return done() // a frame filed before the shutdown is still served
 				}
 				if !e.addr.Server && !f.crashAt.IsZero() {
+					if graceFrom.IsZero() {
+						graceFrom = f.crashAt
+						if !parked {
+							graceFrom = time.Now()
+						}
+					}
 					grace := f.cfg.CrashGrace
-					blocked, sinceCrash := time.Since(began), time.Since(f.crashAt)
-					if blocked > grace && sinceCrash > grace {
+					if time.Since(graceFrom) > grace {
 						f.abortLocked(&pipeline.FaultError{Rank: f.pipe.FirstCrashed(), Op: tag, Kind: pipeline.FaultCrash})
 					}
-					if g := began.Add(blocked + grace - min(blocked, sinceCrash) + 10*time.Millisecond); due.IsZero() || g.Before(due) {
+					if g := graceFrom.Add(grace + 10*time.Millisecond); due.IsZero() || g.Before(due) {
 						due = g
 					}
 				}

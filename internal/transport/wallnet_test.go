@@ -183,8 +183,11 @@ func procNode0(t *testing.T) *ProcFabric {
 
 // startActors runs f's actors the way Run does but brings no link up, so a
 // proc fabric needs no coordinator; the caller ends the servers with stop.
+// A clock start the test already set (what proc's link would) is kept.
 func startActors(f *wallFabric) *sync.WaitGroup {
-	f.start = time.Now()
+	if f.start.IsZero() {
+		f.start = time.Now()
+	}
 	var wg sync.WaitGroup
 	for _, b := range f.boxes {
 		wg.Add(1)
@@ -374,4 +377,53 @@ func TestBoundedWaitsAllocateNothing(t *testing.T) {
 	if recvAllocs != 0 || waitAllocs != 0 {
 		t.Fatalf("allocations per call: Recv of a queued message %v, WaitUntilFor that parks once %v; want 0 and 0", recvAllocs, waitAllocs)
 	}
+}
+
+// TestProcStampsShareTheLaunchClock: stamps travel between worker
+// processes, so every worker measures them from the launch's clock start
+// (onClockStart, which up wires to the roster), not from its own start. A
+// frame stamped by a worker that started 200 ms before this one is received
+// without a wait; a frame whose stamps carry a fault delay still waits that
+// delay out.
+func TestProcStampsShareTheLaunchClock(t *testing.T) {
+	const skew, delay = 200 * time.Millisecond, 30 * time.Millisecond
+	// A fault plan: stamps are on and the receiver enforces them.
+	cfg := Config{Procs: 2, Faults: pipeline.Faults{Jitter: time.Microsecond}}
+	node := func(n int) *ProcFabric {
+		f, err := NewProc(cfg, cluster.WorkerEnv{Node: n, Procs: 2, ProcsPerNode: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	peer, f := node(1), node(0)
+	peer.start, f.start = time.Now().Add(-skew), time.Now() // each worker's own Run start
+	launch := time.Now()
+	peer.proc.onClockStart(launch)
+	f.proc.onClockStart(launch)
+
+	got := make(chan time.Time, 2)
+	f.SpawnUser(0, func(env Env) {
+		for i := 0; i < 2; i++ {
+			env.Recv(msg.MatchKind(msg.KindSend))
+			got <- time.Now()
+		}
+	})
+	wg := startActors(f.wallFabric)
+	// What the peer's pipeline stamps: its clock at the send, and the
+	// arrival behind the injected delay.
+	took := func(seq uint64, fault time.Duration) time.Duration {
+		sent := time.Since(peer.start)
+		t0 := time.Now()
+		f.proc.onData(wire.Encode(&msg.Message{Kind: msg.KindSend, Src: msg.User(1), Dst: msg.User(0),
+			Seq: seq, Sent: sent, Arrival: sent + fault})[4:])
+		return (<-got).Sub(t0)
+	}
+	if d := took(1, 0); d > skew/2 {
+		t.Fatalf("a frame with no delay from a worker started %v earlier was held %v", skew, d)
+	}
+	if d := took(2, delay); d < delay-time.Millisecond || d > delay+skew/2 {
+		t.Fatalf("a frame with a %v fault delay was held %v, want about the delay", delay, d)
+	}
+	wg.Wait()
 }

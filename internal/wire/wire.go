@@ -38,8 +38,8 @@ const ClusterMagic = 0x434d5241
 // address (elastic membership). Version 3 removed the data frame from
 // coordinator connections and its envelope from peer connections, which
 // carry bare message frames after a hello that names the dialer's own
-// listener.
-const ClusterVersion = 3
+// listener. Version 4 added the launch's clock start to the roster.
+const ClusterVersion = 4
 
 // clusterHelloFixed is the fixed prefix of a cluster hello frame body:
 // magic(4) + version(2) + node(4) + procs(4) + ppn(4) + cookie(8) +
