@@ -175,12 +175,12 @@ func benchPipelineSendRecv(b *testing.B) {
 	}
 }
 
-// benchSessionSend mirrors cluster.BenchmarkSessionSend: the procnet
-// hot path — encode one small message into the peer connection's reused
-// frame buffer and write it to the socket dialed to the peer worker.
+// benchSessionSend mirrors cluster.BenchmarkSessionSend: the procnet hot
+// path — encode one small message into the pair connection's buffer and
+// write it, each in a fresh generation: one encode plus one write a frame.
 // Only the noisy ns/op is tracked: allocs/op would also count whatever
-// slice the concurrent receive side happens to allocate inside the
-// timing window, which is not deterministic.
+// the concurrent receive side happens to allocate inside the timing
+// window, which is not deterministic.
 func benchSessionSend(b *testing.B) {
 	const cookie = 1
 	co, err := cluster.NewCoordinator(cluster.Config{Procs: 2, Cookie: cookie})
@@ -198,7 +198,7 @@ func benchSessionSend(b *testing.B) {
 	for node := 0; node < 2; node++ {
 		var h cluster.Handlers
 		if node == 1 {
-			h.Data = func([]byte) { received.Add(1) }
+			h.Data = func(*msg.Message) { received.Add(1) }
 		}
 		wg.Add(1)
 		go func(node int, h cluster.Handlers) {
@@ -214,12 +214,13 @@ func benchSessionSend(b *testing.B) {
 		defer sessions[node].Close()
 	}
 
+	var from cluster.Sender
 	m := &msg.Message{Kind: msg.KindPut, Src: msg.User(0), Dst: msg.User(1), Data: make([]byte, 64)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Seq = uint64(i + 1)
-		sessions[0].SendMsg(m)
+		sessions[0].SendMsg(&from, m.Seq, 1, m)
 	}
 	b.StopTimer()
 	// Let the receiver finish before teardown closes its socket.

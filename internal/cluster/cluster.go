@@ -12,8 +12,9 @@
 // carries every worker's data-listener address, and the run begins. The
 // coordinator carries control frames only: every message, same-node ones
 // included, crosses a socket the sending worker dials on first send to
-// the destination worker's listener (as the in-process tcpnet link dials
-// its pairs).
+// the destination worker's listener: a Pair, the one connection both
+// socket links write and read messages through (the in-process tcpnet link
+// dials one per endpoint pair), here shared by all of the worker's actors.
 //
 // Failure detection is two-layered and wall-clock based: a worker whose
 // connection drops (process death — the common, instantaneous signal) or
@@ -39,7 +40,6 @@ import (
 	"syscall"
 	"time"
 
-	"armci/internal/msg"
 	"armci/internal/wire"
 )
 
@@ -121,10 +121,21 @@ func Listen(addr string) (net.Listener, error) {
 	return nil, fmt.Errorf("cluster: listen %s: %w", addr, lastErr)
 }
 
-// clusterConn wraps one connection — coordinator⇄worker or the dialed
-// end of a peer connection — with a write mutex and a reused frame
-// buffer, so concurrent writers interleave whole frames and steady-state
-// sends do not allocate.
+// Accept serves every connection ln accepts on a goroutine of its own,
+// until ln is closed at teardown.
+func Accept(ln net.Listener, serve func(net.Conn)) {
+	for {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		go serve(c)
+	}
+}
+
+// clusterConn wraps one coordinator⇄worker connection with a write mutex
+// and a reused frame buffer, so concurrent writers interleave whole frames
+// and steady-state sends do not allocate.
 type clusterConn struct {
 	c   net.Conn
 	mu  sync.Mutex
@@ -140,20 +151,6 @@ func (cc *clusterConn) writeFrame(typ byte, payload []byte) error {
 	b = append(b, payload...)
 	cc.buf = b
 	return wire.WriteFrame(cc.c, b)
-}
-
-// nodeOf maps an endpoint address to the node hosting it: user ranks by
-// the rank→node grouping, server IDs directly, NIC-agent IDs (at or
-// beyond the node count) shifted down — the same convention as
-// transport's endpointNode.
-func nodeOf(a msg.Addr, numNodes, procsPerNode int) int {
-	if a.Server {
-		if a.ID >= numNodes {
-			return a.ID - numNodes
-		}
-		return a.ID
-	}
-	return a.ID / procsPerNode
 }
 
 // rosterPayload encodes a roster frame: the shape echo and the launch's

@@ -68,7 +68,7 @@ func startCluster(t testing.TB, cfg Config, h func(node int) Handlers) (*Coordin
 			continue
 		}
 		sess[node] = r.s
-		t.Cleanup(r.s.Close)
+		t.Cleanup(func() { r.s.Close() })
 	}
 	if failed != nil {
 		t.Fatalf("join: %v", failed)
@@ -78,28 +78,24 @@ func startCluster(t testing.TB, cfg Config, h func(node int) Handlers) (*Coordin
 
 // runLaunch is one whole in-process launch of 4 ranks on 2 nodes:
 // rendezvous, one message from each node to every rank — its own two
-// included — drain, teardown, and a clean coordinator verdict. The
-// coordinator faults on a data frame, so that verdict also proves every
-// message, same-node ones too, took a worker-to-worker socket.
+// included, the second frame to each node held for the sender's flush —
+// drain, teardown, and a clean coordinator verdict. The coordinator faults
+// on a data frame, so that verdict also proves every message, same-node
+// ones too, took a worker-to-worker socket.
 func runLaunch(t *testing.T) {
 	t.Helper()
 	const procs, ppn = 4, 2
 	got := make(chan *msg.Message, procs*procs/ppn) // every send of the launch
 	co, sess := startCluster(t, Config{Procs: procs, ProcsPerNode: ppn, Cookie: 7}, func(int) Handlers {
-		return Handlers{Data: func(body []byte) {
-			m, derr := wire.Decode(body)
-			if derr != nil {
-				t.Errorf("decode delivered frame: %v", derr)
-				return
-			}
-			got <- m
-		}}
+		return Handlers{Data: func(m *msg.Message) { got <- m }}
 	})
 	for node, s := range sess {
+		var from Sender
 		for rank := 0; rank < procs; rank++ {
 			m := &msg.Message{Kind: msg.KindPut, Src: msg.User(node * ppn), Dst: msg.User(rank), Seq: 1, Tag: 42, Data: []byte("ring token")}
-			s.SendMsg(m)
+			s.SendMsg(&from, 0, rank/ppn, m)
 		}
+		from.Flush()
 	}
 	arrived := make(map[[2]int]bool) // (source rank, destination rank)
 	for len(arrived) < cap(got) {
@@ -156,10 +152,50 @@ func TestRosterHandsOutOneClock(t *testing.T) {
 	}
 }
 
+// runLaunchFailsWhileCorked holds two frames for node 1 on node 0's
+// connection to it, then takes the route away under them: a newer view that
+// replaces node 1, or with closeSession node 0's Close. The sender's next
+// flush drops them without a panic; node 1 gets only the first frame, which
+// left at once.
+func runLaunchFailsWhileCorked(t *testing.T, closeSession bool) {
+	t.Helper()
+	got := make(chan *msg.Message, 3)
+	co, sess := startCluster(t, Config{Procs: 2, Cookie: 7}, func(int) Handlers {
+		return Handlers{Data: func(m *msg.Message) { got <- m }}
+	})
+	var from Sender
+	for i := 0; i < cap(got); i++ {
+		m := &msg.Message{Kind: msg.KindPut, Src: msg.User(0), Dst: msg.User(1), Seq: uint64(i + 1)}
+		if held := sess[0].SendMsg(&from, 0, 1, m); held != (i > 0) {
+			t.Fatalf("frame %d held = %v", i, held)
+		}
+	}
+	select {
+	case <-got:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first frame never arrived")
+	}
+	if closeSession {
+		sess[0].Close()
+	} else {
+		sess[0].installView(wire.View{Epoch: 1, Dead: 1, Members: []wire.ViewMember{
+			{Node: 0, Addr: sess[0].peerLn.Addr().String()}, {Node: 1, Incarnation: 1}}})
+	}
+	from.Flush()
+	for _, s := range sess {
+		s.Close()
+	}
+	co.Close()
+	if len(got) != 0 {
+		t.Fatalf("%d frames held for a closed connection were delivered", len(got))
+	}
+}
+
 // TestClusterRunLeavesNoFDs: every socket a launch opens — the
 // coordinator's listener and its end of each worker connection, each
 // worker's listener, both ends of every peer connection — is closed once
-// the launch is over, and every goroutine behind them exits.
+// the launch is over, and every goroutine behind them exits: after a clean
+// launch and after one whose connection closed with frames held for it.
 func TestClusterRunLeavesNoFDs(t *testing.T) {
 	countFDs := func() int {
 		ents, err := os.ReadDir("/proc/self/fd")
@@ -184,12 +220,13 @@ func TestClusterRunLeavesNoFDs(t *testing.T) {
 	before := countFDs()
 	for i := 0; i < 8; i++ {
 		runLaunch(t)
+		runLaunchFailsWhileCorked(t, i%2 == 0)
 	}
 	if after := settled(countFDs, before); after > before {
-		t.Fatalf("8 launches leaked %d descriptors (%d -> %d)", after-before, before, after)
+		t.Fatalf("16 launches leaked %d descriptors (%d -> %d)", after-before, before, after)
 	}
 	if afterG := settled(runtime.NumGoroutine, beforeG); afterG > beforeG {
-		t.Fatalf("9 launches leaked %d goroutines (%d -> %d)", afterG-beforeG, beforeG, afterG)
+		t.Fatalf("17 launches leaked %d goroutines (%d -> %d)", afterG-beforeG, beforeG, afterG)
 	}
 }
 
@@ -264,8 +301,8 @@ func TestPeerHelloInstallsRejoinerRoute(t *testing.T) {
 		if node != 0 {
 			return Handlers{}
 		}
-		return Handlers{Data: func(body []byte) {
-			s0.SendMsg(&msg.Message{Kind: msg.KindGetResp, Src: msg.ServerOf(0), Dst: msg.User(1), Seq: 1, Tag: 9})
+		return Handlers{Data: func(*msg.Message) {
+			s0.SendMsg(new(Sender), 0, 1, &msg.Message{Kind: msg.KindGetResp, Src: msg.ServerOf(0), Dst: msg.User(1), Seq: 1, Tag: 9})
 			delivered <- struct{}{}
 		}}
 	})
@@ -274,7 +311,7 @@ func TestPeerHelloInstallsRejoinerRoute(t *testing.T) {
 
 	// The view a survivor holds while node 1's slot waits for its respawn.
 	s0.installView(wire.View{Epoch: 1, Dead: 1, Members: []wire.ViewMember{{Node: 0, Addr: addr0}, {Node: 1, Incarnation: 1}}})
-	s0.SendMsg(&msg.Message{Kind: msg.KindPut, Src: msg.User(0), Dst: msg.User(1), Seq: 1}) // unreachable: dropped
+	s0.SendMsg(new(Sender), 0, 1, &msg.Message{Kind: msg.KindPut, Src: msg.User(0), Dst: msg.User(1), Seq: 1}) // unreachable: dropped
 
 	rejoiner, err := Listen("127.0.0.1:0")
 	if err != nil {
@@ -283,7 +320,7 @@ func TestPeerHelloInstallsRejoinerRoute(t *testing.T) {
 	defer rejoiner.Close()
 	hello := wire.ClusterHello{Node: 1, Procs: 2, ProcsPerNode: 1, Cookie: 7, Incarnation: 1, PeerAddr: rejoiner.Addr().String()}
 	cc := rawHello(t, addr0, framePeerHello, hello)
-	if err := cc.writeMsg(&msg.Message{Kind: msg.KindGet, Src: msg.User(1), Dst: msg.ServerOf(0), Seq: 1}); err != nil {
+	if _, err := cc.c.Write(wire.Encode(&msg.Message{Kind: msg.KindGet, Src: msg.User(1), Dst: msg.ServerOf(0), Seq: 1})); err != nil {
 		t.Fatalf("write restore read: %v", err)
 	}
 	select {
@@ -316,7 +353,7 @@ func TestPeerHelloInstallsRejoinerRoute(t *testing.T) {
 		"wrong cookie":      {Node: 1, Procs: 2, ProcsPerNode: 1, Cookie: 8, Incarnation: 2, PeerAddr: "127.0.0.1:1"},
 	} {
 		cc := rawHello(t, addr0, framePeerHello, bad)
-		cc.writeMsg(&msg.Message{Kind: msg.KindGet, Src: msg.User(1), Dst: msg.ServerOf(0), Seq: 2})
+		cc.c.Write(wire.Encode(&msg.Message{Kind: msg.KindGet, Src: msg.User(1), Dst: msg.ServerOf(0), Seq: 2}))
 		if _, err := wire.ReadFrame(cc.c); !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) {
 			t.Errorf("%s: connection still open (%v), want it dropped", name, err)
 		}
@@ -358,8 +395,9 @@ func TestCoordinatorDeathIsAttributed(t *testing.T) {
 		sent := make(chan struct{})
 		go func() {
 			defer close(sent)
+			var from Sender
 			for rank := 0; rank < procs; rank++ {
-				s.SendMsg(&msg.Message{Kind: msg.KindPut, Src: msg.User(node * ppn), Dst: msg.User(rank), Seq: 1})
+				s.SendMsg(&from, uint64(rank), rank/ppn, &msg.Message{Kind: msg.KindPut, Src: msg.User(node * ppn), Dst: msg.User(rank), Seq: 1})
 			}
 		}()
 		select {
@@ -591,43 +629,133 @@ func TestFromEnvMalformed(t *testing.T) {
 	}
 }
 
-// TestSendMsgConcurrent exercises the shared frame buffer under the
-// race detector: many goroutines sending on one session must interleave
-// whole frames.
+// TestSendMsgConcurrent is the pair write rule on the connection all of a
+// node's senders share to another node. Senders interleaving bursts on it
+// deliver every frame exactly once and each sender's in its order, under the
+// race detector; a burst in one generation takes fewer writes than frames,
+// and a ping-pong exactly one write per frame.
 func TestSendMsgConcurrent(t *testing.T) {
-	const msgs = 64
-	var mu sync.Mutex
-	seen := 0
-	done := make(chan struct{})
-	h := Handlers{Data: func(body []byte) {
-		if _, derr := wire.Decode(body); derr != nil {
-			t.Errorf("interleaved frame corrupt: %v", derr)
-		}
-		mu.Lock()
-		seen++
-		if seen == 2*msgs {
-			close(done)
-		}
-		mu.Unlock()
-	}}
-	_, sess := startCluster(t, Config{Procs: 2, Cookie: 7}, func(int) Handlers { return h })
-
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < msgs; i++ {
-				m := &msg.Message{Kind: msg.KindPut, Src: msg.User(0), Dst: msg.User(1), Seq: uint64(w*msgs + i + 1), Data: []byte("payload")}
-				sess[0].SendMsg(m)
+	put := func(sender, i int) *msg.Message {
+		return &msg.Message{Kind: msg.KindPut, Src: msg.User(0), Dst: msg.User(1), Tag: sender, Seq: uint64(i + 1), Data: []byte("payload")}
+	}
+	frameLen := len(wire.Encode(put(0, 0)))
+	// launch joins two nodes whose messages go to got, and returns node 0.
+	launch := func(t *testing.T, got chan *msg.Message) *Session {
+		_, sess := startCluster(t, Config{Procs: 2, Cookie: 7}, func(int) Handlers {
+			return Handlers{Data: func(m *msg.Message) { got <- m }}
+		})
+		return sess[0]
+	}
+	// receive takes n messages from got and checks each sender's arrive in
+	// its order, each once.
+	receive := func(t *testing.T, got chan *msg.Message, n int) {
+		next := make(map[int]uint64)
+		for i := 0; i < n; i++ {
+			select {
+			case m := <-got:
+				if next[m.Tag]++; m.Seq != next[m.Tag] {
+					t.Fatalf("sender %d: frame %d arrived where %d was due", m.Tag, m.Seq, next[m.Tag])
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("only %d of %d frames arrived", i, n)
 			}
-		}(w)
+		}
 	}
-	wg.Wait()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		mu.Lock()
-		t.Fatalf("only %d of %d concurrent sends arrived", seen, 2*msgs)
+	// writes closes s and returns its writes, having checked they carried
+	// the hello and frames frames, each once.
+	writes := func(t *testing.T, s *Session, frames int) int {
+		w, n := s.Close()
+		if want := 4 + len(s.peerHello) + frames*frameLen; n != want {
+			t.Fatalf("%d frames wrote %d bytes, want %d", frames, n, want)
+		}
+		return w
 	}
+
+	t.Run("interleaved", func(t *testing.T) {
+		const senders, msgs, burst = 4, 64, 8
+		got := make(chan *msg.Message, senders*msgs)
+		s := launch(t, got)
+		var wg sync.WaitGroup
+		for w := 0; w < senders; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				var from Sender
+				for i := 0; i < msgs; i++ {
+					if i%burst == 0 {
+						from.Flush() // a listen: the next burst is a new generation
+					}
+					s.SendMsg(&from, uint64(i/burst), 1, put(w, i))
+				}
+				from.Flush()
+			}(w)
+		}
+		wg.Wait()
+		receive(t, got, senders*msgs)
+		if w := writes(t, s, senders*msgs); w > senders*msgs {
+			t.Fatalf("%d frames took %d writes", senders*msgs, w)
+		}
+	})
+
+	t.Run("burst", func(t *testing.T) {
+		const msgs = 64
+		got := make(chan *msg.Message, msgs)
+		s := launch(t, got)
+		var from Sender
+		for i := 0; i < msgs; i++ {
+			s.SendMsg(&from, 0, 1, put(0, i))
+		}
+		from.Flush()
+		receive(t, got, msgs)
+		if w := writes(t, s, msgs); w != 2 {
+			t.Fatalf("a burst of %d frames took %d writes, want 2: the first, then the rest at the flush", msgs, w)
+		}
+	})
+
+	t.Run("another sender", func(t *testing.T) {
+		got := make(chan *msg.Message, 3)
+		s := launch(t, got)
+		var a, b Sender
+		s.SendMsg(&a, 0, 1, put(0, 0))
+		if !s.SendMsg(&a, 0, 1, put(0, 1)) {
+			t.Fatal("a second frame in one generation was not held")
+		}
+		// Neither sender flushes: b's frame leaves at once and takes a's along.
+		if s.SendMsg(&b, 0, 1, put(1, 0)) {
+			t.Fatal("a frame behind another sender's was held")
+		}
+		receive(t, got, 3)
+		if w := writes(t, s, 3); w != 2 {
+			t.Fatalf("3 frames took %d writes, want 2", w)
+		}
+	})
+
+	t.Run("ping-pong", func(t *testing.T) {
+		const rounds = 50
+		got := [2]chan *msg.Message{make(chan *msg.Message), make(chan *msg.Message)}
+		_, sess := startCluster(t, Config{Procs: 2, Cookie: 7}, func(node int) Handlers {
+			return Handlers{Data: func(m *msg.Message) { got[node] <- m }}
+		})
+		var from [2]Sender
+		for i := 0; i < rounds; i++ {
+			for node, s := range sess { // node 0 asks, node 1 answers: each a new generation
+				m := put(node, i)
+				m.Src, m.Dst = msg.User(node), msg.User(1-node)
+				s.SendMsg(&from[node], uint64(i+1), 1-node, m)
+				select {
+				case m := <-got[1-node]:
+					if m.Seq != uint64(i+1) {
+						t.Fatalf("round %d: node %d got frame %d", i+1, 1-node, m.Seq)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("round %d: node %d's frame never arrived", i+1, node)
+				}
+			}
+		}
+		for node, s := range sess {
+			if w := writes(t, s, rounds); w != rounds {
+				t.Fatalf("node %d: a ping-pong of %d rounds took %d writes", node, rounds, w)
+			}
+		}
+	})
 }

@@ -134,7 +134,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		barriers:  make(map[uint64]map[int]bool),
 		done:      make(chan struct{}),
 	}
-	go co.acceptLoop()
+	go Accept(ln, co.serveConn)
 	time.AfterFunc(cfg.JoinTimeout, co.joinDeadline)
 	return co, nil
 }
@@ -157,16 +157,6 @@ func (co *Coordinator) Wait() error {
 // error from Wait.
 func (co *Coordinator) Close() {
 	co.finish(fmt.Errorf("cluster: coordinator closed"))
-}
-
-func (co *Coordinator) acceptLoop() {
-	for {
-		c, err := co.ln.Accept()
-		if err != nil {
-			return // listener closed at teardown
-		}
-		go co.serveConn(c)
-	}
 }
 
 // joinDeadline fails the launch if rendezvous did not complete in time.

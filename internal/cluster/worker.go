@@ -21,9 +21,12 @@ type Handlers struct {
 	// they must mean the same on each: against a worker's own start they
 	// would differ by the workers' start skew. nil ignores it.
 	ClockStart func(time.Time)
-	// Data receives the encoded message body of every frame a peer (or
-	// this worker itself) sent to this worker's listener. nil drops them.
-	Data func(body []byte)
+	// Data receives every message a peer (or this worker itself) sent to
+	// this worker's listener. nil drops them.
+	Data func(*msg.Message)
+	// Corrupt receives the error of a peer connection's corrupt frame,
+	// which ended that connection (ServePair). nil ignores it.
+	Corrupt func(error)
 	// Fault is invoked exactly once if the launch fails — a peer was
 	// declared dead (the error carries the dead worker's first rank) or
 	// the coordinator itself vanished. nil ignores faults.
@@ -46,10 +49,10 @@ type Handlers struct {
 // protocol and surfaces cluster faults over the coordinator connection,
 // and sends and receives messages over peer connections.
 type Session struct {
-	env   WorkerEnv
-	cc    *clusterConn
-	h     Handlers
-	hello []byte // this worker's hello body: one for the coordinator and every peer
+	env       WorkerEnv
+	cc        *clusterConn
+	h         Handlers
+	peerHello []byte // the hello body every peer connection of this worker opens with
 
 	drainCh   chan struct{}
 	drainOnce sync.Once
@@ -66,29 +69,31 @@ type Session struct {
 	// membership views, and the first send to a node — this one included —
 	// dials it, lazily, so pairs that never communicate never hold a
 	// connection. A node is either connected (or connectable) or, once it
-	// has no address or a dial or write to it failed, unreachable until a
-	// view or a peer hello installs a newer member — so one node pair's
-	// frames stay on a single FIFO stream per incarnation.
+	// has no address or a dial to it failed, unreachable until a view or a
+	// peer hello installs a newer member — so one node pair's frames stay on
+	// a single FIFO stream per incarnation.
 	peerLn    net.Listener
 	peerMu    sync.Mutex
-	peerConns map[int]*clusterConn // node → dialed connection
-	peerAddrs []string             // node → advertised listener address
-	peerInc   []uint32             // node → incarnation of that address
-	peerBad   map[int]bool         // node → unreachable, frames dropped
+	peerConns map[int]*Pair // node → dialed connection
+	peerAddrs []string      // node → advertised listener address
+	peerInc   []uint32      // node → incarnation of that address
+	peerBad   map[int]bool  // node → unreachable, frames dropped
+
+	writes, written int // what the closed peer connections wrote, for Close
 }
 
 // Join dials the coordinator (retrying until the join timeout, since
 // the worker may start before the launcher finishes binding), presents
 // the versioned hello, and blocks until the roster broadcast — i.e.
 // until every node of the launch has arrived. On return the session is
-// live: heartbeats flow and peers' frames are delivered to h.Data.
+// live: heartbeats flow and peers' messages are delivered to h.Data.
 func Join(env WorkerEnv, h Handlers) (*Session, error) {
 	if err := env.validate(); err != nil {
 		return nil, err
 	}
 	// The data listener opens before the hello so its address can be
 	// advertised; peers dial it lazily on their first send to this node,
-	// and what they send before acceptPeers starts waits in the socket.
+	// and what they send before Accept starts waits in the socket.
 	peerLn, lerr := Listen("127.0.0.1:0")
 	if lerr != nil {
 		return nil, fmt.Errorf("cluster: node %d peer listener: %w", env.Node, lerr)
@@ -165,15 +170,23 @@ func Join(env WorkerEnv, h Handlers) (*Session, error) {
 	}
 	conn.SetReadDeadline(time.Time{})
 
+	if h.Data == nil {
+		h.Data = func(*msg.Message) {}
+	}
+	if h.Corrupt == nil {
+		h.Corrupt = func(error) {}
+	}
 	s := &Session{
-		env:       env,
-		cc:        cc,
-		h:         h,
-		hello:     hello,
+		env: env,
+		cc:  cc,
+		h:   h,
+		// The peer hello names this worker's own listener and incarnation,
+		// so the acceptor can always answer: see servePeer.
+		peerHello: append([]byte{framePeerHello}, hello...),
 		drainCh:   make(chan struct{}),
 		pingDone:  make(chan struct{}),
 		peerLn:    peerLn,
-		peerConns: make(map[int]*clusterConn),
+		peerConns: make(map[int]*Pair),
 		peerAddrs: make([]string, env.NumNodes()),
 		peerInc:   make([]uint32, env.NumNodes()),
 		peerBad:   make(map[int]bool),
@@ -185,81 +198,55 @@ func Join(env WorkerEnv, h Handlers) (*Session, error) {
 	if h.View != nil {
 		h.View(*initView)
 	}
-	go s.acceptPeers()
+	go Accept(peerLn, s.servePeer)
 	go s.readLoop()
 	go s.pingLoop()
 	return s, nil
 }
 
-// Env returns the worker env the session joined with.
-func (s *Session) Env() WorkerEnv { return s.env }
-
-// writeMsg writes m as one bare wire frame — what a peer connection
-// carries after its hello — reusing the connection's frame buffer so
-// steady-state sends do not allocate.
-func (cc *clusterConn) writeMsg(m *msg.Message) error {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	cc.buf = wire.AppendEncode(cc.buf[:0], m)
-	return wire.WriteFrame(cc.c, cc.buf)
-}
-
-// SendMsg ships m to the worker hosting m.Dst over the peer connection
-// to its node, dialed on first use. The caller must have stamped the
-// message through the pipeline first (Src, Dst, Seq). A frame for an
-// unreachable node is dropped, and a failed write makes the node
-// unreachable: whether the worker behind it is dead is the coordinator's
-// call, which this session hears as a fault or a view.
-func (s *Session) SendMsg(m *msg.Message) {
-	node := nodeOf(m.Dst, s.env.NumNodes(), s.env.ProcsPerNode)
-	cc := s.peerConn(node)
-	if cc == nil || cc.writeMsg(m) == nil {
-		return
-	}
-	s.peerMu.Lock()
-	if s.peerConns[node] == cc {
-		s.unreachableLocked(node)
-	}
-	s.peerMu.Unlock()
+// SendMsg carries m, stamped by the pipeline and sent by from in its
+// generation gen, over the pair connection to node, m.Dst's, dialed on
+// first use; it reports whether m waits for from.Flush (Pair.Send). Frames
+// for an unreachable node, or on a connection whose write was refused, are
+// dropped until a view or a peer hello installs a newer member: whether the
+// worker behind it is dead is the coordinator's call, which this session
+// hears as a fault or a view.
+func (s *Session) SendMsg(from *Sender, gen uint64, node int, m *msg.Message) (held bool) {
+	p := s.peerConn(node)
+	return p != nil && p.Send(from, gen, m)
 }
 
 // peerConn returns the connection to a destination node, dialing its
 // advertised listener on first use — this worker's own for a same-node
 // frame. Returns nil when the node is unreachable.
-func (s *Session) peerConn(node int) *clusterConn {
+func (s *Session) peerConn(node int) *Pair {
 	s.peerMu.Lock()
 	defer s.peerMu.Unlock()
 	if node < 0 || node >= len(s.peerAddrs) || s.peerBad[node] {
 		return nil
 	}
-	if cc := s.peerConns[node]; cc != nil {
-		return cc
+	if p := s.peerConns[node]; p != nil {
+		return p
 	}
 	if s.peerAddrs[node] == "" { // a slot between incarnations
 		s.unreachableLocked(node)
 		return nil
 	}
-	conn, err := net.DialTimeout("tcp", s.peerAddrs[node], 2*time.Second)
+	p, err := DialPair(s.peerAddrs[node], s.peerHello, func(error) {})
 	if err != nil {
 		s.unreachableLocked(node)
 		return nil
 	}
-	cc := &clusterConn{c: conn}
-	s.peerConns[node] = cc
-	// The hello names this worker's own listener and incarnation, so the
-	// acceptor can always answer: see servePeer.
-	if err := cc.writeFrame(framePeerHello, s.hello); err != nil {
-		s.unreachableLocked(node)
-		return nil
-	}
-	return cc
+	s.peerConns[node] = p
+	return p
 }
 
-// unreachableLocked closes and forgets the connection to node and drops
-// its frames from here on. Callers hold peerMu.
+// unreachableLocked closes and forgets the connection to node, counting
+// what it wrote, and drops its frames from here on. Callers hold peerMu.
 func (s *Session) unreachableLocked(node int) {
-	if cc := s.peerConns[node]; cc != nil {
-		cc.c.Close()
+	if p := s.peerConns[node]; p != nil {
+		w, n := p.Close()
+		s.writes, s.written = s.writes+w, s.written+n
 		delete(s.peerConns, node)
 	}
 	s.peerBad[node] = true
@@ -294,51 +281,30 @@ func (s *Session) installMemberLocked(m wire.ViewMember) bool {
 	return true
 }
 
-// acceptPeers serves the data listener: each inbound connection is a
-// peer's lazily dialed send path, validated by a peer hello and then
-// drained for message frames until the peer closes it.
-func (s *Session) acceptPeers() {
-	for {
-		conn, err := s.peerLn.Accept()
-		if err != nil {
-			return // listener closed at teardown
-		}
-		go s.servePeer(conn)
-	}
-}
-
+// servePeer serves one connection to the data listener: a peer's lazily
+// dialed send path, validated by a peer hello and then drained into
+// Handlers.Data until the peer closes it.
 func (s *Session) servePeer(conn net.Conn) {
-	defer conn.Close()
 	conn.SetReadDeadline(time.Now().Add(s.env.joinTimeout()))
-	body, err := wire.ReadFrame(conn)
-	if err != nil || len(body) < 1 || body[0] != framePeerHello {
-		return
-	}
-	h, err := wire.DecodeClusterHello(body[1:])
-	if err != nil || h.Cookie != s.env.Cookie || h.PeerAddr == "" ||
-		h.Procs != s.env.Procs || h.ProcsPerNode != s.env.ProcsPerNode {
-		return
-	}
-	// A respawned worker gets its view, and may dial, before the
-	// coordinator refreshes this worker's: install the dialer from its
-	// hello, ahead of its first frame, so the answer to that frame has a
-	// route whichever arrives first. A superseded incarnation is refused.
-	s.peerMu.Lock()
-	current := s.installMemberLocked(wire.ViewMember{Node: h.Node, Incarnation: h.Incarnation, Addr: h.PeerAddr})
-	s.peerMu.Unlock()
-	if !current {
-		return
-	}
-	conn.SetReadDeadline(time.Time{})
-	for {
-		body, err := wire.ReadFrame(conn)
-		if err != nil {
-			return // dialer closed the path; the coordinator judges liveness
+	ServePair(conn, func(body []byte) bool {
+		if len(body) < 1 || body[0] != framePeerHello {
+			return false
 		}
-		if s.h.Data != nil {
-			s.h.Data(body)
+		h, err := wire.DecodeClusterHello(body[1:])
+		if err != nil || h.Cookie != s.env.Cookie || h.PeerAddr == "" ||
+			h.Procs != s.env.Procs || h.ProcsPerNode != s.env.ProcsPerNode {
+			return false
 		}
-	}
+		// A respawned worker gets its view, and may dial, before the
+		// coordinator refreshes this worker's: install the dialer from its
+		// hello, ahead of its first frame, so the answer to that frame has a
+		// route whichever arrives first. A superseded incarnation is refused.
+		s.peerMu.Lock()
+		current := s.installMemberLocked(wire.ViewMember{Node: h.Node, Incarnation: h.Incarnation, Addr: h.PeerAddr})
+		s.peerMu.Unlock()
+		conn.SetReadDeadline(time.Time{})
+		return current
+	}, s.h.Data, s.h.Corrupt)
 }
 
 // SendViewAck answers a membership change with this node's committed
@@ -367,10 +333,11 @@ func (s *Session) Err() *pipeline.FaultError {
 	return s.err
 }
 
-// Close tears the session down. A close after the drain is the normal
-// end of a worker's life; the coordinator treats the connection loss as
-// benign.
-func (s *Session) Close() {
+// Close tears the session down and returns how many writes its peer
+// connections made and the bytes they carried. A close after the drain is
+// the normal end of a worker's life; the coordinator treats the connection
+// loss as benign.
+func (s *Session) Close() (writes, written int) {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()
 		s.closed = true
@@ -378,13 +345,13 @@ func (s *Session) Close() {
 		close(s.pingDone)
 		s.cc.c.Close()
 		s.peerLn.Close()
-		s.peerMu.Lock()
-		for node, cc := range s.peerConns {
-			cc.c.Close()
-			delete(s.peerConns, node)
-		}
-		s.peerMu.Unlock()
 	})
+	s.peerMu.Lock()
+	defer s.peerMu.Unlock()
+	for node := range s.peerAddrs { // no send dials again
+		s.unreachableLocked(node)
+	}
+	return s.writes, s.written
 }
 
 func (s *Session) drained() bool {

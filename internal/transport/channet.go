@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 
+	"armci/internal/cluster"
 	"armci/internal/msg"
 )
 
@@ -31,9 +32,8 @@ type chanLink struct{ f *wallFabric }
 func (chanLink) up() error        { return nil }
 func (chanLink) usersDone() error { return nil }
 func (chanLink) down()            {}
-func (chanLink) flush(msg.Addr)   {}
 
-func (l chanLink) carry(m *msg.Message, _ uint64) (held bool) {
+func (l chanLink) carry(_ *cluster.Sender, m *msg.Message, _ uint64) (held bool) {
 	// Stricter than the socket links, which drop such frames: a local
 	// send to an unregistered endpoint is a bug in the caller.
 	b, ok := l.f.boxes[m.Dst]

@@ -82,10 +82,10 @@ func (f *ProcFabric) SpawnServer(node int, body func(Env)) {
 }
 
 // procLink is the cluster.Session link: frames cross worker-to-worker
-// TCP connections whose addresses the launch rendezvous hands out. It
-// also owns what only a multi-process run has — the cluster fault and
-// the elastic membership view — all guarded by the fabric's f.mu so the
-// one wait loop sees it.
+// pair connections (cluster.Pair), one per destination node, whose
+// addresses the launch rendezvous hands out. It also owns what only a
+// multi-process run has — the cluster fault and the elastic membership
+// view — all guarded by the fabric's f.mu so the one wait loop sees it.
 type procLink struct {
 	f    *wallFabric
 	env  cluster.WorkerEnv
@@ -109,6 +109,7 @@ func (l *procLink) up() error {
 	sess, err := cluster.Join(l.env, cluster.Handlers{
 		ClockStart: l.onClockStart,
 		Data:       l.onData,
+		Corrupt:    l.onCorrupt,
 		Fault:      l.onFault,
 		View:       l.onView,
 		Resume:     l.onResume,
@@ -125,14 +126,11 @@ func (l *procLink) up() error {
 	return nil
 }
 
-// carry cannot fail: a frame for a node the session cannot reach is
-// dropped, and the loss behind it arrives as a cluster fault or a view.
-func (l *procLink) carry(m *msg.Message, _ uint64) (held bool) {
-	l.sess.SendMsg(m) // written as it is carried: flush has nothing to do
-	return false
+// carry cannot fail: a frame the session cannot deliver is dropped, and
+// the loss behind it arrives as a cluster fault or a view.
+func (l *procLink) carry(from *cluster.Sender, m *msg.Message, gen uint64) (held bool) {
+	return l.sess.SendMsg(from, gen, endpointNode(l.f.space, m.Dst), m)
 }
-
-func (*procLink) flush(msg.Addr) {}
 
 // usersDone is the cluster drain. Local users finished, but the servers
 // must keep serving until every node's users have — remote ranks may
@@ -150,7 +148,7 @@ func (l *procLink) usersDone() error {
 
 func (l *procLink) down() {
 	if l.sess != nil {
-		l.sess.Close()
+		l.f.cfg.Trace.RecordLinkWrites(l.sess.Close())
 	}
 }
 
@@ -185,13 +183,11 @@ func (l *procLink) interrupted(server bool) error {
 func (l *procLink) onClockStart(t time.Time) { l.f.start = t }
 
 // onData is the session's delivery callback.
-func (l *procLink) onData(body []byte) {
-	m, err := wire.Decode(body)
-	if err != nil {
-		l.f.report(fmt.Errorf("procnet: node %d received corrupt frame: %w", l.env.Node, err))
-		return
-	}
-	l.f.arrive(l.f.boxes[m.Dst], m)
+func (l *procLink) onData(m *msg.Message) { l.f.arrive(l.f.boxes[m.Dst], m) }
+
+// onCorrupt reports a peer connection's corrupt frame, which ended it.
+func (l *procLink) onCorrupt(err error) {
+	l.f.report(fmt.Errorf("procnet: node %d received corrupt frame: %w", l.env.Node, err))
 }
 
 // onFault surfaces a cluster fault — a peer worker died or the
@@ -313,8 +309,10 @@ func (e *procEnv) parkLocked() {
 	e.f.mu.Lock()
 }
 
-// AckView fences the aborted sync epoch and acknowledges the view.
+// AckView fences the aborted sync epoch and acknowledges the view. Like
+// AwaitResume and ClusterBarrier it waits, so it listens first.
 func (e *procEnv) AckView(committed, shadow, staged uint64) {
+	e.listen()
 	if err := e.l.sess.SendViewAck(wire.ViewAck{
 		Node: e.l.env.Node, Epoch: e.fenceView(), Committed: committed, Shadow: shadow, Staged: staged,
 	}); err != nil {
@@ -365,6 +363,7 @@ func (e *procEnv) fenceView() uint64 {
 // bounded by the cluster join timeout and the run deadline instead.
 func (e *procEnv) AwaitResume() (int, uint64) {
 	l, f := e.l, e.f
+	e.listen()
 	f.mu.Lock()
 	for l.resume == nil {
 		if l.fault != nil {
@@ -381,6 +380,7 @@ func (e *procEnv) AwaitResume() (int, uint64) {
 // release. A view change mid-wait aborts with a ViewInterrupt.
 func (e *procEnv) ClusterBarrier(id uint64) {
 	l, f := e.l, e.f
+	e.listen()
 	f.mu.Lock()
 	// A release for this id from a previous use (pre-recovery
 	// re-execution) must not satisfy this entry.

@@ -8,13 +8,17 @@ import (
 	"testing"
 	"time"
 
+	"armci/internal/cluster"
 	"armci/internal/msg"
 	"armci/internal/trace"
 )
 
-// The tests of tcpLink's write rule: a pair's first frame since its sender
-// last listened leaves at once, the frames behind it go out together at the
-// sender's next listen, at writeCap buffered bytes, or when it exits.
+// The tests of tcpLink's write rule (cluster.Pair's): a pair's first frame
+// since its sender last listened leaves at once, the frames behind it go out
+// together at the sender's next listen, at writeCap buffered bytes, or when
+// it exits.
+
+const writeCap = cluster.WriteCap
 
 // newTCPPair builds a 2-rank TCP fabric whose hang would end in a deadline
 // error rather than the test binary's timeout.

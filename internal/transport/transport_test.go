@@ -1,13 +1,16 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -890,13 +893,10 @@ func settledGoroutines(want int) int {
 // dialedPairs counts the pair connections a finished TCP run opened; each
 // was accepted once, so this is also the number of accepted connections.
 func dialedPairs(f *TCPFabric) int {
-	n := 0
-	for _, o := range f.link.(*tcpLink).out {
-		o.mu.Lock()
-		n += len(o.to)
-		o.mu.Unlock()
-	}
-	return n
+	l := f.link.(*tcpLink)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.pairs)
 }
 
 // runTCPRing runs a 4-rank token ring, two ranks and one idle server per
@@ -1025,27 +1025,35 @@ func TestTCPCorruptFramesFailRunOnceAndLeakNothing(t *testing.T) {
 	}
 }
 
-// TestProcCorruptFramesNeverBlockTheReader: the session readers report
-// into the fabric after Run may have returned and stopped draining. More
-// corrupt frames than the report channel has slots must be dropped, not
-// park a reader forever.
+// TestProcCorruptFramesNeverBlockTheReader: the pair reader reports a
+// corrupt frame into the proc fabric, perhaps after Run has returned and
+// stopped draining, and ends the connection — the frame behind it is never
+// delivered. More corrupt connections than the report channel has slots
+// must be dropped, not park a reader forever.
 func TestProcCorruptFramesNeverBlockTheReader(t *testing.T) {
 	f, err := NewProc(Config{Procs: 2, ProcsPerNode: 1},
 		cluster.WorkerEnv{Node: 0, Procs: 2, ProcsPerNode: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	stream := append(wire.EncodeHello(msg.User(0)), 3, 0, 0, 0, 0xff, 0xff, 0xff)
+	stream = append(stream, wire.Encode(&msg.Message{Kind: msg.KindSend, Src: msg.User(1), Dst: msg.User(0), Seq: 1})...)
+	var delivered atomic.Int32
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < cap(f.panics)+2; i++ {
-			f.proc.onData([]byte{0xff, 0xff, 0xff})
+			cluster.ServePair(io.NopCloser(bytes.NewReader(stream)), func([]byte) bool { return true },
+				func(*msg.Message) { delivered.Add(1) }, f.proc.onCorrupt)
 		}
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("onData blocked on a full report channel with nobody draining it")
+		t.Fatal("the reader blocked on a full report channel with nobody draining it")
+	}
+	if n := delivered.Load(); n != 0 {
+		t.Fatalf("%d frames behind a corrupt one were delivered", n)
 	}
 	if len(f.panics) != cap(f.panics) {
 		t.Fatalf("%d of %d report slots used: the corrupt frames were not reported", len(f.panics), cap(f.panics))

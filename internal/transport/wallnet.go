@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"armci/internal/cluster"
 	"armci/internal/model"
 	"armci/internal/msg"
 	"armci/internal/pipeline"
@@ -27,12 +28,9 @@ type link interface {
 	// destination, which files it with wallFabric.arrive. It is called on
 	// the sender's goroutine outside every fabric lock, and aborts the
 	// sender by panicking when the medium refuses the frame. gen counts the
-	// sender's listens (wallEnv.listen) so far; a link may hold back a frame
-	// that is not the first of its generation to m.Dst, and says so.
-	carry(m *msg.Message, gen uint64) (held bool)
-	// flush sends what carry held back of src's frames, on src's goroutine,
-	// and aborts the actor like carry if it cannot.
-	flush(src msg.Addr)
+	// sender's listens (wallEnv.listen) so far; a socket link may hold the
+	// frame back for from.Flush (cluster.Pair.Send), and says so.
+	carry(from *cluster.Sender, m *msg.Message, gen uint64) (held bool)
 	// usersDone runs between the last local user finishing and the local
 	// servers being shut down: the place for a cluster-wide drain.
 	usersDone() error
@@ -383,10 +381,11 @@ type wallEnv struct {
 	addr    msg.Addr
 	b       *box   // the actor's own box
 	recvTag string // diagnostic tag of its Recvs, "recv@<addr>"
-	// listens counts the actor's listens; held, that the link holds frames
-	// of it back for the next one. Only the actor's goroutine touches them.
+	// listens counts the actor's listens; held, that out holds frames of it
+	// back for the next one. Only the actor's goroutine touches them.
 	listens uint64
 	held    bool
+	out     cluster.Sender
 }
 
 var _ Env = (*wallEnv)(nil)
@@ -431,7 +430,7 @@ func (e *wallEnv) listen() {
 	e.listens++
 	if e.held {
 		e.held = false
-		e.f.link.flush(e.addr)
+		e.out.Flush()
 	}
 }
 
@@ -451,7 +450,7 @@ func (e *wallEnv) Send(to msg.Addr, m *msg.Message) {
 	err := f.pipe.SendTo(e.addr, to, m,
 		func() time.Duration { return time.Since(f.start) }, e.Charge,
 		func(d pipeline.Delivery) {
-			if f.link.carry(d.Msg, e.listens) {
+			if f.link.carry(&e.out, d.Msg, e.listens) {
 				e.held = true
 			}
 		})

@@ -415,8 +415,8 @@ func TestProcStampsShareTheLaunchClock(t *testing.T) {
 	took := func(seq uint64, fault time.Duration) time.Duration {
 		sent := time.Since(peer.start)
 		t0 := time.Now()
-		f.proc.onData(wire.Encode(&msg.Message{Kind: msg.KindSend, Src: msg.User(1), Dst: msg.User(0),
-			Seq: seq, Sent: sent, Arrival: sent + fault})[4:])
+		f.proc.onData(&msg.Message{Kind: msg.KindSend, Src: msg.User(1), Dst: msg.User(0),
+			Seq: seq, Sent: sent, Arrival: sent + fault})
 		return (<-got).Sub(t0)
 	}
 	if d := took(1, 0); d > skew/2 {

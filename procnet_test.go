@@ -104,7 +104,8 @@ func procWorkerRing() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	fmt.Printf("RING_FP node=%d fp=%s\n", we.Node, rep.Stats.Fingerprint())
+	writes, _ := rep.Stats.LinkWrites()
+	fmt.Printf("RING_FP node=%d fp=%s writes=%d sends=%d\n", we.Node, rep.Stats.Fingerprint(), writes, rep.Stats.Sends())
 	return 0
 }
 
@@ -410,7 +411,8 @@ func procSrcNode(a msg.Addr) int { return a.ID }
 // between the in-process TCP fabric and the multi-process proc fabric.
 // Each procnet worker records exactly its own node's sends, so its
 // local fingerprint must equal the fingerprint of the TCP run's global
-// capture filtered to that node.
+// capture filtered to that node. Each worker also counts the writes its
+// pair connections made: at least one, and no more than its sends.
 func TestProcnetRingParityWithTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -451,6 +453,13 @@ func TestProcnetRingParityWithTCP(t *testing.T) {
 			fp, ok := parseTagged(line, "RING_FP", "fp")
 			if !ok {
 				return
+			}
+			w, _ := parseTagged(line, "RING_FP", "writes")
+			s, _ := parseTagged(line, "RING_FP", "sends")
+			writes, _ := strconv.Atoi(w)
+			sends, _ := strconv.Atoi(s)
+			if writes < 1 || writes > sends {
+				t.Errorf("node %d: %d link writes for %d sends", node, writes, sends)
 			}
 			mu.Lock()
 			got[node] = fp

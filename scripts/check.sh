@@ -26,6 +26,9 @@ go test -race -count=5 ./internal/core
 # The wall-clock runtime likewise: whether a signal lands before or after
 # its box's owner parks is the scheduler's choice on every wait.
 go test -race -count=5 ./internal/transport
+# And the pair connection: whether a second sender's frame lands before or
+# after the first one's flush on a shared connection is the scheduler's too.
+go test -race -count=5 ./internal/cluster
 # The multi-process tests -short skips (ring/coalesced/workload/
 # hierarchical parity with TCP, worker-death attribution, elastic
 # kill-and-respawn): real OS worker processes, race detector on.
