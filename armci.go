@@ -99,14 +99,38 @@ const (
 	FaultPeerLost = pipeline.FaultPeerLost
 )
 
-// Coalesce configures the engine's per-destination small-op coalescing
-// stage: eligible small puts and accumulates bound for the same node are
-// buffered in program order and shipped as one batched wire frame,
-// flushed by size thresholds and at every ordering point (fence,
-// barrier, notify flag, or any other message to the same node). The
-// zero value disables coalescing; set Enabled for the defaults
-// (pipeline.DefaultMaxOps ops / DefaultMaxBytes bytes per batch).
-type Coalesce = pipeline.CoalesceOpts
+// Coalesce switches the engine's per-destination small-op coalescing
+// stage: eligible puts, accumulates and notify stores (at most
+// pipeline.MaxEntryBytes each) bound for the same node are buffered in
+// program order and shipped as one batched wire frame, flushed when a
+// buffer holds pipeline.MaxOps entries or pipeline.MaxBytes of payload
+// and at every ordering point (fence, barrier, notify flag, or any other
+// message to the same node). The zero value disables coalescing.
+type Coalesce struct {
+	Enabled bool
+}
+
+// NICMode selects how much of the synchronization traffic the NIC
+// answers (§5 of the paper, future work).
+type NICMode uint8
+
+const (
+	// NICNone: the host data servers answer everything.
+	NICNone NICMode = iota
+	// NICFence: every data server answers fence round-trips at NIC cost
+	// (model.Params.NICService) without a host wake-up or the
+	// ServiceFence PCI drain, and the combined Barrier runs one
+	// pipelined fence round-trip per written node instead of the counter
+	// exchange. The NIC answers on the server's own channel, so per-pair
+	// FIFO still proves completion.
+	NICFence
+	// NICAgent: a NIC agent per node serves atomic operations and fence
+	// confirmations at NIC cost (no server wake-up, sub-microsecond
+	// service), while bulk puts and gets still flow through the host
+	// data servers. Fence confirmations then check per-origin completion
+	// counters instead of message FIFO.
+	NICAgent
+)
 
 // Metrics is the run recorder (the type of Report.Stats) in its second
 // role: passed in Options.Metrics it aggregates an experiment's runs —
@@ -249,14 +273,9 @@ type Options struct {
 	// and the tree-based reductions; 0 selects collective.DefaultRadix
 	// (4). Must be >= 2 when set.
 	BarrierRadix int
-	// NICFenceOffload makes every data server answer fence round-trips
-	// at NIC cost (model.Params.NICService) without a host wake-up or
-	// the ServiceFence PCI drain, and switches the combined Barrier to
-	// one pipelined fence round-trip per written node instead of the
-	// counter exchange. Unlike NICAssist it adds no extra agents: the
-	// NIC answers on the server's own channel, so per-pair FIFO still
-	// proves completion.
-	NICFenceOffload bool
+	// NIC selects the NIC's share of the synchronization traffic;
+	// default NICNone.
+	NIC NICMode
 	// NumMutexes is how many cluster locks to create. Lock i is homed at
 	// rank LockHomes[i] if given, else at rank i modulo Procs.
 	NumMutexes int
@@ -269,14 +288,8 @@ type Options struct {
 	LeaseTTL time.Duration
 	// LockHomes optionally places each lock; len must equal NumMutexes.
 	LockHomes []int
-	// NICAssist enables the paper's §5 future work: a NIC agent per node
-	// handles atomic operations and fence confirmations at NIC cost (no
-	// server wake-up, sub-microsecond service), while bulk puts and gets
-	// still flow through the host data servers. Fence confirmations then
-	// check per-origin completion counters instead of message FIFO.
-	NICAssist bool
-	// Coalesce configures per-destination small-op coalescing on the
-	// send path. Zero value: every operation is its own wire frame.
+	// Coalesce switches per-destination small-op coalescing on the send
+	// path. Zero value: every operation is its own wire frame.
 	Coalesce Coalesce
 	// CaptureTrace records every message send for inspection.
 	CaptureTrace bool
@@ -295,11 +308,6 @@ type Options struct {
 	// baseline: processes run in arrival order, the schedule every other
 	// test sees. Must be >= 0; ignored by FabricChan and FabricTCP.
 	ScheduleSeed int64
-	// SimEventPoolHazard arms the simulated kernel's deliberate
-	// event-pool bug (recycling a still-scheduled event). Test-only: the
-	// conformance harness uses it to prove its oracles catch
-	// pooling-induced corruption. Ignored by FabricChan and FabricTCP.
-	SimEventPoolHazard bool
 	// Deadline bounds the run (virtual time for FabricSim, wall time
 	// otherwise); 0 uses the fabric default.
 	Deadline time.Duration
@@ -314,12 +322,10 @@ type Options struct {
 	OpDeadline time.Duration
 }
 
-// normalize validates the options and resolves the cost preset,
-// mirroring transport.Config.normalize for the knobs owned by this
-// layer. It rejects invalid loss/crash/retry plans (negative or >1
-// probabilities, negative retry budgets, crash ranks out of range)
-// before the fabric is built, so callers get one descriptive error
-// instead of a partially constructed cluster.
+// normalize validates the knobs this layer owns and resolves the cost
+// preset. The knobs it hands to the fabric unchanged — deadlines, the
+// schedule seed, the fault plan — are validated once, by the fabric's
+// constructor, before any actor runs.
 func (o *Options) normalize() (model.Params, error) {
 	if o.Procs <= 0 {
 		return model.Params{}, fmt.Errorf("armci: Options.Procs must be positive, got %d", o.Procs)
@@ -332,32 +338,14 @@ func (o *Options) normalize() (model.Params, error) {
 			return model.Params{}, fmt.Errorf("armci: LockHomes[%d] = %d out of range [0,%d)", i, h, o.Procs)
 		}
 	}
-	if o.Deadline < 0 {
-		return model.Params{}, fmt.Errorf("armci: Options.Deadline must be >= 0, got %v", o.Deadline)
-	}
-	if o.OpDeadline < 0 {
-		return model.Params{}, fmt.Errorf("armci: Options.OpDeadline must be >= 0, got %v", o.OpDeadline)
-	}
 	if o.LeaseTTL < 0 {
 		return model.Params{}, fmt.Errorf("armci: Options.LeaseTTL must be >= 0, got %v", o.LeaseTTL)
-	}
-	if o.ScheduleSeed < 0 {
-		return model.Params{}, fmt.Errorf("armci: Options.ScheduleSeed must be >= 0, got %d", o.ScheduleSeed)
 	}
 	if o.BarrierRadix != 0 && o.BarrierRadix < 2 {
 		return model.Params{}, fmt.Errorf("armci: Options.BarrierRadix must be >= 2, got %d", o.BarrierRadix)
 	}
-	if err := o.Faults.Validate(); err != nil {
-		return model.Params{}, fmt.Errorf("armci: bad fault plan: %w", err)
-	}
-	if err := o.Coalesce.Validate(); err != nil {
-		return model.Params{}, fmt.Errorf("armci: bad coalesce options: %w", err)
-	}
-	if o.Faults.CrashAfterSends > 0 && o.Faults.CrashRank >= o.Procs {
-		return model.Params{}, fmt.Errorf("armci: Faults.CrashRank %d out of range [0,%d)", o.Faults.CrashRank, o.Procs)
-	}
-	if o.Faults.CrashHeldAcquire > 0 && o.Faults.CrashHeldRank >= o.Procs {
-		return model.Params{}, fmt.Errorf("armci: Faults.CrashHeldRank %d out of range [0,%d)", o.Faults.CrashHeldRank, o.Procs)
+	if o.NIC > NICAgent {
+		return model.Params{}, fmt.Errorf("armci: unknown Options.NIC mode %d", o.NIC)
 	}
 	return o.Preset.params()
 }
@@ -394,15 +382,14 @@ func Run(opt Options, body func(p *Proc)) (*Report, error) {
 		stats.SetCapture(true)
 	}
 	cfg := transport.Config{
-		Procs:           opt.Procs,
-		ProcsPerNode:    opt.ProcsPerNode,
-		Model:           params,
-		Trace:           stats,
-		Faults:          opt.Faults,
-		ScheduleSeed:    opt.ScheduleSeed,
-		EventPoolHazard: opt.SimEventPoolHazard,
-		Deadline:        opt.Deadline,
-		OpDeadline:      opt.OpDeadline,
+		Procs:        opt.Procs,
+		ProcsPerNode: opt.ProcsPerNode,
+		Model:        params,
+		Trace:        stats,
+		Faults:       opt.Faults,
+		ScheduleSeed: opt.ScheduleSeed,
+		Deadline:     opt.Deadline,
+		OpDeadline:   opt.OpDeadline,
 	}
 
 	var fabric transport.Fabric
@@ -449,16 +436,17 @@ func Run(opt Options, body func(p *Proc)) (*Report, error) {
 		locks = proc.NewLockTable(space, homes)
 	}
 
+	nicFence, nicAgent := opt.NIC == NICFence, opt.NIC == NICAgent
 	for n := 0; n < numNodes; n++ {
 		fabric.SpawnServer(n, func(env transport.Env) {
 			server.New(env, layout, server.Options{
 				FenceMode: opt.FenceMode,
 				Locks:     locks,
-				NICFence:  opt.NICFenceOffload,
+				NICFence:  nicFence,
 			}).Serve()
 		})
 	}
-	if opt.NICAssist {
+	if nicAgent {
 		for n := 0; n < numNodes; n++ {
 			// NIC agents live in the server ID space above the node
 			// count and share the server lifecycle.
@@ -472,15 +460,15 @@ func Run(opt Options, body func(p *Proc)) (*Report, error) {
 	for r := 0; r < opt.Procs; r++ {
 		fabric.SpawnUser(r, func(env transport.Env) {
 			eng := proc.NewEngine(env, layout, opt.FenceMode)
-			eng.SetNICAssist(opt.NICAssist)
-			eng.SetCoalescing(opt.Coalesce)
+			eng.SetNICAssist(nicAgent)
+			eng.SetCoalescing(opt.Coalesce.Enabled)
 			comm := collective.New(env)
 			if opt.BarrierRadix != 0 {
 				comm.SetRadix(opt.BarrierRadix)
 			}
 			sync := core.NewSync(eng, comm)
 			sync.BarrierAlg = opt.BarrierAlg
-			sync.NICFence = opt.NICFenceOffload
+			sync.NICFence = nicFence
 			body(&Proc{eng: eng, comm: comm, sync: sync, locks: locks, leaseTTL: opt.LeaseTTL})
 		})
 	}

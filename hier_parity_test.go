@@ -32,11 +32,11 @@ func TestHierarchicalBarrierFingerprintParity(t *testing.T) {
 	variants := []struct {
 		name string
 		alg  armci.BarrierAlg
-		nic  bool
+		nic  armci.NICMode
 	}{
-		{"knomial", armci.BarrierKnomial, false},
-		{"hierarchical", armci.BarrierHierarchical, false},
-		{"hierarchical-nic", armci.BarrierHierarchical, true},
+		{"knomial", armci.BarrierKnomial, armci.NICNone},
+		{"hierarchical", armci.BarrierHierarchical, armci.NICNone},
+		{"hierarchical-nic", armci.BarrierHierarchical, armci.NICFence},
 	}
 	body := func(p *armci.Proc) {
 		me, n := p.Rank(), p.Size()
@@ -57,18 +57,18 @@ func TestHierarchicalBarrierFingerprintParity(t *testing.T) {
 	run := func(v struct {
 		name string
 		alg  armci.BarrierAlg
-		nic  bool
+		nic  armci.NICMode
 	}, fabric armci.FabricKind, seed int64) string {
 		t.Helper()
 		opts := armci.Options{
-			Procs:           procs,
-			ProcsPerNode:    ppn,
-			Fabric:          fabric,
-			Preset:          armci.PresetMyrinet2000,
-			ScheduleSeed:    seed,
-			BarrierAlg:      v.alg,
-			NICFenceOffload: v.nic,
-			CaptureTrace:    true,
+			Procs:        procs,
+			ProcsPerNode: ppn,
+			Fabric:       fabric,
+			Preset:       armci.PresetMyrinet2000,
+			ScheduleSeed: seed,
+			BarrierAlg:   v.alg,
+			NIC:          v.nic,
+			CaptureTrace: true,
 		}
 		if fabric != armci.FabricSim {
 			opts.OpDeadline = 30 * time.Second

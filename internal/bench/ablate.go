@@ -44,7 +44,7 @@ var ablations = []ablation{
 	// round trip served by the host data server vs a polling NIC agent.
 	{"NIC-assisted atomics", "host data server", "NIC agent (§5)", "uncontended remote release time",
 		lockTime(armci.Options{Procs: 2}, 60, 1, armci.LockQueue, true),
-		lockTime(armci.Options{Procs: 2, NICAssist: true}, 60, 1, armci.LockQueue, true)},
+		lockTime(armci.Options{Procs: 2, NIC: armci.NICAgent}, 60, 1, armci.LockQueue, true)},
 	// Non-contiguous transfer: ARMCI's strided put moves a 2-D tile in
 	// one message; the naive equivalent sends one put per row.
 	{"tile transfer", "strided put (ARMCI)", "one put per row", "32x32-double tile put+fence",

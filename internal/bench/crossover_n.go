@@ -26,10 +26,10 @@ const crossoverNPPN = 8
 
 // CrossoverNVariant is one barrier configuration of the sweep.
 type CrossoverNVariant struct {
-	Name     string
-	Alg      armci.BarrierAlg
-	Radix    int  // k-nomial radix (0 = algorithm default)
-	NICFence bool // answer fences on the NIC, no host wake-up
+	Name  string
+	Alg   armci.BarrierAlg
+	Radix int           // k-nomial radix (0 = algorithm default)
+	NIC   armci.NICMode // NICFence: answer fences on the NIC, no host wake-up
 }
 
 // crossoverNVariants are the swept configurations in display order.
@@ -39,7 +39,7 @@ var crossoverNVariants = []CrossoverNVariant{
 	{Name: "dissemination", Alg: armci.BarrierDissemination},
 	{Name: "knomial4", Alg: armci.BarrierKnomial, Radix: 4},
 	{Name: "hierarchical", Alg: armci.BarrierHierarchical},
-	{Name: "hier-nicfence", Alg: armci.BarrierHierarchical, NICFence: true},
+	{Name: "hier-nicfence", Alg: armci.BarrierHierarchical, NIC: armci.NICFence},
 }
 
 // CrossoverN sweeps one combined barrier across cluster sizes and
@@ -143,11 +143,11 @@ func crossoverNRun(opts CrossoverNOpts, procs int, v CrossoverNVariant, explicit
 	warmup, reps := crossoverNReps(explicitReps, procs)
 	o.Warmup = warmup // the sweep's own, not the experiment-wide default
 	return o.meanLap(armci.Options{
-		Procs:           procs,
-		ProcsPerNode:    ppn,
-		BarrierAlg:      v.Alg,
-		BarrierRadix:    v.Radix,
-		NICFenceOffload: v.NICFence,
+		Procs:        procs,
+		ProcsPerNode: ppn,
+		BarrierAlg:   v.Alg,
+		BarrierRadix: v.Radix,
+		NIC:          v.NIC,
 	}, reps, func(p *armci.Proc, l *laps) {
 		// Every rank's first allocation lands in segment 1 of its own
 		// word space, so the matching slot of any peer is this rank's

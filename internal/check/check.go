@@ -45,6 +45,7 @@ import (
 
 	"armci"
 	"armci/internal/trace"
+	"armci/internal/transport"
 	"armci/internal/workload"
 )
 
@@ -235,26 +236,22 @@ func RunCase(c Case) Result {
 		panic(fmt.Sprintf("check: deliberate harness panic for case %s", c.Reproducer()))
 	}
 	col := &collector{}
-	alg, nicFence := syncOptions(c.Sync)
+	alg, nic := syncOptions(c.Sync)
 	rep, runErr := armci.Run(armci.Options{
-		Procs:           c.Procs,
-		ProcsPerNode:    c.PPN,
-		Fabric:          c.Fabric,
-		Preset:          c.Preset,
-		NumMutexes:      1,
-		ScheduleSeed:    c.Seed,
-		BarrierAlg:      alg,
-		NICFenceOffload: nicFence,
-		Coalesce: armci.Coalesce{
-			Enabled:       c.Coalesce || spec.coalesceHazard,
-			ReorderHazard: spec.coalesceHazard,
-		},
-		SimEventPoolHazard: spec.simHazard,
-		CaptureTrace:       true,
-		Faults:             faults,
-		LeaseTTL:           c.LeaseTTL,
-		OpDeadline:         c.OpDeadline,
-	}, workloadBody(c, col))
+		Procs:        c.Procs,
+		ProcsPerNode: c.PPN,
+		Fabric:       c.Fabric,
+		Preset:       c.Preset,
+		NumMutexes:   1,
+		ScheduleSeed: c.Seed,
+		BarrierAlg:   alg,
+		NIC:          nic,
+		Coalesce:     armci.Coalesce{Enabled: c.Coalesce || spec.coalesceHazard},
+		CaptureTrace: true,
+		Faults:       faults,
+		LeaseTTL:     c.LeaseTTL,
+		OpDeadline:   c.OpDeadline,
+	}, armSubstrate(spec, workloadBody(c, col)))
 
 	r := Result{Case: c}
 	if runErr != nil {
@@ -282,21 +279,41 @@ func RunCase(c Case) Result {
 	return r
 }
 
+// armSubstrate returns body with the mutation's substrate bug, if it has
+// one, armed in its first statement: the simulated kernel every rank
+// shares, or the rank's own coalescer, reached through the handles the
+// body holds. It is armed before the rank's first operation, so the bug
+// bites from the start of the run.
+func armSubstrate(spec mutationSpec, body func(*armci.Proc)) func(*armci.Proc) {
+	if !spec.simHazard && !spec.coalesceHazard {
+		return body
+	}
+	return func(p *armci.Proc) {
+		if spec.simHazard {
+			transport.SimKernel(p.Env()).SetEventPoolHazard(true)
+		}
+		if spec.coalesceHazard {
+			p.Engine().Coalescer().SetReorderHazard(true)
+		}
+		body(p)
+	}
+}
+
 // syncOptions maps a topology-aware sync variant to the run options it
 // requires: the barrier exchange algorithm (which also drives the
 // combined barrier's stage-1 allreduce pattern) and whether the data
 // servers answer fence round-trips at NIC cost. The classic variants
 // keep the defaults.
-func syncOptions(sync string) (alg armci.BarrierAlg, nicFence bool) {
+func syncOptions(sync string) (armci.BarrierAlg, armci.NICMode) {
 	switch sync {
 	case "barrier-knomial":
-		return armci.BarrierKnomial, false
+		return armci.BarrierKnomial, armci.NICNone
 	case "barrier-hier":
-		return armci.BarrierHierarchical, false
+		return armci.BarrierHierarchical, armci.NICNone
 	case "barrier-hier-nic":
-		return armci.BarrierHierarchical, true
+		return armci.BarrierHierarchical, armci.NICFence
 	}
-	return armci.BarrierAuto, false
+	return armci.BarrierAuto, armci.NICNone
 }
 
 // validateCase rejects unknown algorithm / sync / mutation names before
@@ -316,6 +333,9 @@ func validateCase(c Case) error {
 	m, knownMut := mutationSpecs[c.Mutation]
 	if c.Mutation != "" && !knownMut {
 		return fmt.Errorf("check: unknown mutation %q", c.Mutation)
+	}
+	if m.simHazard && c.Fabric != armci.FabricSim {
+		return fmt.Errorf("check: mutation %q breaks the simulated kernel; fabric %s has none", c.Mutation, c.Fabric)
 	}
 	if c.Workload != "" {
 		sp, err := workload.Parse(c.Workload)

@@ -180,7 +180,22 @@ func runSweep(t *testing.T, cases []Case) {
 // TestMutationsDetected proves the oracles catch the bugs they exist to
 // find: every deliberately broken variant must be detected somewhere in
 // a 64-seed sweep, and the violation must carry a minimal reproducer.
+// The seed of the first catch is pinned too, so a mutant that gets
+// weaker, or is armed later in the run, fails here instead of drifting.
 func TestMutationsDetected(t *testing.T) {
+	firstCaught := map[string]int64{
+		MutQueueSkipLinkWait:  4,
+		MutTicketOffByOne:     1,
+		MutBarrierSkipStage2:  19,
+		MutSyncOldSkipFence:   2,
+		MutEventPoolRecycle:   1,
+		MutCoalesceReorder:    1,
+		MutLeaseStaleRelease:  1,
+		MutAccLostUpdate:      1,
+		MutFlagBeforeData:     1,
+		MutKnomialSkipSubtree: 20,
+		MutReplStaleEpoch:     1,
+	}
 	for _, name := range Mutations() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -191,6 +206,9 @@ func TestMutationsDetected(t *testing.T) {
 			v := r.Violations[0]
 			if v.Case.Mutation != name {
 				t.Fatalf("violation reproducer names mutation %q, want %q", v.Case.Mutation, name)
+			}
+			if want := firstCaught[name]; r.Case.Seed != want {
+				t.Errorf("first caught at seed %d, want %d: %s", r.Case.Seed, want, v)
 			}
 			t.Logf("caught at seed %d: %s", r.Case.Seed, v)
 		})
@@ -249,7 +267,8 @@ func TestRunCaseRejectsBadConfig(t *testing.T) {
 		{Fabric: armci.FabricSim, Workload: "mixed", Alg: "queue"}, // workloads have no lock phase
 		{Fabric: armci.FabricSim, Workload: "mixed", Mutation: MutTicketOffByOne},
 		{Fabric: armci.FabricSim, Workload: "prodcons", Faults: "crashheld=1@1"},
-		{Fabric: armci.FabricSim, Mutation: MutAccLostUpdate}, // hazard mutation needs its workload
+		{Fabric: armci.FabricSim, Mutation: MutAccLostUpdate},     // hazard mutation needs its workload
+		{Fabric: armci.FabricChan, Mutation: MutEventPoolRecycle}, // no simulated kernel to break
 	} {
 		if r := RunCase(c); r.Err == nil {
 			t.Errorf("case %+v: want setup error, got none", c)

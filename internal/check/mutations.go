@@ -62,7 +62,7 @@ const (
 	// just protocol bugs.
 	MutEventPoolRecycle = "event-pool-recycle"
 	// MutCoalesceReorder: the coalescer flushes each batch with its
-	// entries reversed (pipeline.CoalesceOpts.ReorderHazard), so a
+	// entries reversed (pipeline.Coalescer.SetReorderHazard), so a
 	// notify flag coalesced behind its data chunks is applied first and
 	// the consumer's spin wakes while the chunks are still landing.
 	// Detected by the state oracle: the notify/wait phase reads a stale
@@ -145,10 +145,10 @@ type mutationSpec struct {
 	lock   func(p *armci.Proc) armci.Mutex
 	syncFn func(p *armci.Proc, epoch *int) func()
 	// simHazard arms the simulated kernel's event-pool bug instead of
-	// mutating an algorithm.
+	// mutating an algorithm (sim fabric only; see armSubstrate).
 	simHazard bool
-	// coalesceHazard runs the case with coalescing enabled and the
-	// coalescer's within-batch reorder bug armed.
+	// coalesceHazard runs the case with coalescing enabled and each
+	// rank's coalescer's within-batch reorder bug armed.
 	coalesceHazard bool
 	// harnessPanic makes RunCase panic mid-case (runner-recovery test).
 	harnessPanic bool

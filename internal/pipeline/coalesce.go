@@ -1,72 +1,21 @@
 package pipeline
 
 import (
-	"fmt"
 	"sort"
 
 	"armci/internal/msg"
 	"armci/internal/wire"
 )
 
-// Coalescing defaults: a buffer flushes once it holds DefaultMaxOps
-// entries or DefaultMaxBytes of payload, and only operations no larger
-// than DefaultMaxEntryBytes are eligible at all (bigger transfers
-// amortize their own per-message overhead and go out directly).
+// Coalescing limits: a buffer flushes once it holds MaxOps entries or
+// MaxBytes of payload, and only operations no larger than MaxEntryBytes
+// are eligible at all (bigger transfers amortize their own per-message
+// overhead and go out directly).
 const (
-	DefaultMaxOps        = 16
-	DefaultMaxBytes      = 8192
-	DefaultMaxEntryBytes = 1024
+	MaxOps        = 16
+	MaxBytes      = 8192
+	MaxEntryBytes = 1024
 )
-
-// CoalesceOpts configures the per-destination small-op coalescing stage
-// of the send path. When enabled, eligible small puts, accumulates and
-// notify stores bound for the same node are buffered in program order
-// and shipped as one msg.KindBatch frame instead of one frame each.
-type CoalesceOpts struct {
-	// Enabled turns coalescing on. The zero value leaves the send path
-	// exactly as it was: one wire frame per operation.
-	Enabled bool
-	// MaxOps flushes a destination's buffer once it holds this many
-	// entries. 0 means DefaultMaxOps.
-	MaxOps int
-	// MaxBytes flushes a destination's buffer once its payload reaches
-	// this many bytes. 0 means DefaultMaxBytes.
-	MaxBytes int
-	// MaxEntryBytes is the largest single operation that may coalesce;
-	// bigger ones bypass the buffer (flushing it first to keep program
-	// order). 0 means DefaultMaxEntryBytes.
-	MaxEntryBytes int
-	// ReorderHazard arms a deliberate bug for the conformance harness:
-	// a flushed batch ships its entries in reverse program order, so a
-	// notify store overtakes the puts it is meant to cover. Test-only,
-	// like transport.Config.EventPoolHazard.
-	ReorderHazard bool
-}
-
-// Validate rejects malformed option values.
-func (o CoalesceOpts) Validate() error {
-	if o.MaxOps < 0 || o.MaxBytes < 0 || o.MaxEntryBytes < 0 {
-		return fmt.Errorf("pipeline: coalesce limits must be >= 0, got ops=%d bytes=%d entry=%d",
-			o.MaxOps, o.MaxBytes, o.MaxEntryBytes)
-	}
-	if o.ReorderHazard && !o.Enabled {
-		return fmt.Errorf("pipeline: ReorderHazard needs Enabled")
-	}
-	return nil
-}
-
-func (o CoalesceOpts) withDefaults() CoalesceOpts {
-	if o.MaxOps == 0 {
-		o.MaxOps = DefaultMaxOps
-	}
-	if o.MaxBytes == 0 {
-		o.MaxBytes = DefaultMaxBytes
-	}
-	if o.MaxEntryBytes == 0 {
-		o.MaxEntryBytes = DefaultMaxEntryBytes
-	}
-	return o
-}
 
 // Coalescer buffers eligible small operations per destination node and
 // packs each buffer into one batched wire frame. It belongs to a single
@@ -78,9 +27,9 @@ func (o CoalesceOpts) withDefaults() CoalesceOpts {
 // a pure function of the program and the trace fingerprint stays
 // identical across fabrics and schedule seeds.
 type Coalescer struct {
-	origin int
-	opts   CoalesceOpts
-	bufs   map[int]*destBuf
+	origin  int
+	reorder bool // see SetReorderHazard
+	bufs    map[int]*destBuf
 }
 
 type destBuf struct {
@@ -95,13 +44,20 @@ type Batch struct {
 }
 
 // NewCoalescer builds a coalescer for one origin rank.
-func NewCoalescer(origin int, opts CoalesceOpts) *Coalescer {
-	return &Coalescer{origin: origin, opts: opts.withDefaults(), bufs: make(map[int]*destBuf)}
+func NewCoalescer(origin int) *Coalescer {
+	return &Coalescer{origin: origin, bufs: make(map[int]*destBuf)}
 }
+
+// SetReorderHazard arms a deliberate bug: every flushed batch ships its
+// entries in reverse program order, so a notify store overtakes the puts
+// it is meant to cover. It exists solely as a mutation hook for the
+// conformance harness's oracle self-test; never enable it outside tests.
+// It affects the batches flushed after the call.
+func (c *Coalescer) SetReorderHazard(on bool) { c.reorder = on }
 
 // Fits reports whether an operation of n payload bytes is eligible for
 // coalescing at all.
-func (c *Coalescer) Fits(n int) bool { return n > 0 && n <= c.opts.MaxEntryBytes }
+func (c *Coalescer) Fits(n int) bool { return n > 0 && n <= MaxEntryBytes }
 
 // Add buffers e for node. If the addition fills the buffer (MaxOps
 // entries or MaxBytes payload), the packed frame is returned and the
@@ -114,7 +70,7 @@ func (c *Coalescer) Add(node int, e wire.BatchEntry) *msg.Message {
 	}
 	b.entries = append(b.entries, e)
 	b.bytes += len(e.Data)
-	if len(b.entries) >= c.opts.MaxOps || b.bytes >= c.opts.MaxBytes {
+	if len(b.entries) >= MaxOps || b.bytes >= MaxBytes {
 		return c.Flush(node)
 	}
 	return nil
@@ -137,7 +93,7 @@ func (c *Coalescer) Flush(node int) *msg.Message {
 	}
 	entries := b.entries
 	b.entries, b.bytes = nil, 0
-	if c.opts.ReorderHazard {
+	if c.reorder {
 		// The armed bug: ship the batch back to front. The wire format
 		// still tiles (offsets are assigned at encode time); only the
 		// application order is wrong, which is exactly what the

@@ -23,29 +23,10 @@ func bput(rank, off, n int) wire.BatchEntry {
 	}
 }
 
-func TestCoalesceOptsValidate(t *testing.T) {
-	cases := []struct {
-		opts pipeline.CoalesceOpts
-		ok   bool
-	}{
-		{pipeline.CoalesceOpts{}, true},
-		{pipeline.CoalesceOpts{Enabled: true}, true},
-		{pipeline.CoalesceOpts{Enabled: true, MaxOps: 4, MaxBytes: 64, MaxEntryBytes: 16}, true},
-		{pipeline.CoalesceOpts{MaxOps: -1}, false},
-		{pipeline.CoalesceOpts{MaxBytes: -1}, false},
-		{pipeline.CoalesceOpts{MaxEntryBytes: -1}, false},
-		{pipeline.CoalesceOpts{ReorderHazard: true}, false}, // hazard needs Enabled
-	}
-	for i, c := range cases {
-		if err := c.opts.Validate(); (err == nil) != c.ok {
-			t.Errorf("case %d: Validate(%+v) = %v, want ok=%v", i, c.opts, err, c.ok)
-		}
-	}
-}
-
 func TestCoalescerFits(t *testing.T) {
-	c := pipeline.NewCoalescer(0, pipeline.CoalesceOpts{Enabled: true, MaxEntryBytes: 16})
-	for n, want := range map[int]bool{0: false, -1: false, 1: true, 16: true, 17: false} {
+	c := pipeline.NewCoalescer(0)
+	const limit = pipeline.MaxEntryBytes
+	for n, want := range map[int]bool{0: false, -1: false, 1: true, limit: true, limit + 1: false} {
 		if got := c.Fits(n); got != want {
 			t.Errorf("Fits(%d) = %v, want %v", n, got, want)
 		}
@@ -55,8 +36,8 @@ func TestCoalescerFits(t *testing.T) {
 // TestCoalescerFlushesAtMaxOps: the buffer ships exactly when the entry
 // threshold fills, with all entries in program order.
 func TestCoalescerFlushesAtMaxOps(t *testing.T) {
-	const maxOps = 4
-	c := pipeline.NewCoalescer(2, pipeline.CoalesceOpts{Enabled: true, MaxOps: maxOps})
+	const maxOps = pipeline.MaxOps
+	c := pipeline.NewCoalescer(2)
 	for i := 0; i < maxOps-1; i++ {
 		if m := c.Add(1, bput(3, i*8, 8)); m != nil {
 			t.Fatalf("premature flush after %d entries", i+1)
@@ -89,11 +70,12 @@ func TestCoalescerFlushesAtMaxOps(t *testing.T) {
 // TestCoalescerFlushesAtMaxBytes: the payload threshold also ships the
 // buffer, regardless of entry count.
 func TestCoalescerFlushesAtMaxBytes(t *testing.T) {
-	c := pipeline.NewCoalescer(0, pipeline.CoalesceOpts{Enabled: true, MaxOps: 100, MaxBytes: 64})
-	if m := c.Add(1, bput(1, 0, 32)); m != nil {
+	const half = pipeline.MaxBytes / 2
+	c := pipeline.NewCoalescer(0)
+	if m := c.Add(1, bput(1, 0, half)); m != nil {
 		t.Fatal("flushed below MaxBytes")
 	}
-	m := c.Add(1, bput(1, 32, 32))
+	m := c.Add(1, bput(1, half, half))
 	if m == nil {
 		t.Fatal("no flush at MaxBytes payload")
 	}
@@ -105,7 +87,7 @@ func TestCoalescerFlushesAtMaxBytes(t *testing.T) {
 // TestCoalescerBuffersPerDestination: entries for different nodes land
 // in independent buffers; FlushAll drains them in ascending node order.
 func TestCoalescerBuffersPerDestination(t *testing.T) {
-	c := pipeline.NewCoalescer(0, pipeline.CoalesceOpts{Enabled: true})
+	c := pipeline.NewCoalescer(0)
 	for _, node := range []int{3, 1, 2, 1, 3} {
 		if m := c.Add(node, bput(node, c.Pending(node)*8, 8)); m != nil {
 			t.Fatalf("unexpected flush for node %d", node)
@@ -138,7 +120,8 @@ func TestCoalescerBuffersPerDestination(t *testing.T) {
 // time) — the reorder is an application-order bug, which is exactly
 // what the conformance harness's state oracle must catch.
 func TestCoalescerReorderHazard(t *testing.T) {
-	c := pipeline.NewCoalescer(0, pipeline.CoalesceOpts{Enabled: true, ReorderHazard: true})
+	c := pipeline.NewCoalescer(0)
+	c.SetReorderHazard(true)
 	for i := 0; i < 3; i++ {
 		c.Add(1, bput(1, i*8, 8))
 	}

@@ -24,7 +24,7 @@ func TestEngineCoalescedPutsRideOneFrame(t *testing.T) {
 			env.WaitUntil("done", func() bool { return env.Space().Load(done) == 1 })
 			return
 		}
-		g.SetCoalescing(pipeline.CoalesceOpts{Enabled: true})
+		g.SetCoalescing(true)
 		for i := 0; i < puts; i++ {
 			g.Put(buf.Add(int64(i*width)), bytes.Repeat([]byte{byte(i + 1)}, width))
 		}
@@ -53,14 +53,14 @@ func TestEngineCoalescedPutsRideOneFrame(t *testing.T) {
 // TestEngineCoalescerThresholdFlush: crossing MaxOps mid-stream ships a
 // full frame immediately; the remainder goes out at the fence.
 func TestEngineCoalescerThresholdFlush(t *testing.T) {
-	const maxOps = 4
+	const maxOps = pipeline.MaxOps
 	c := newCluster(t, 2, 1, proc.FenceRequest, 0)
 	buf := c.space().AllocBytes(1, (maxOps+1)*8)
 	c.run(func(g *proc.Engine) {
 		if g.Rank() != 0 {
 			return
 		}
-		g.SetCoalescing(pipeline.CoalesceOpts{Enabled: true, MaxOps: maxOps})
+		g.SetCoalescing(true)
 		for i := 0; i < maxOps+1; i++ {
 			g.Put(buf.Add(int64(i*8)), bytes.Repeat([]byte{0xAB}, 8))
 		}
@@ -82,7 +82,7 @@ func TestEngineCoalescedStoreHandles(t *testing.T) {
 		if g.Rank() != 0 {
 			return
 		}
-		g.SetCoalescing(pipeline.CoalesceOpts{Enabled: true})
+		g.SetCoalescing(true)
 		hs := make([]*proc.Handle, puts)
 		for i := range hs {
 			hs[i] = g.NbPut(buf.Add(int64(i*8)), bytes.Repeat([]byte{byte(i + 1)}, 8))
@@ -123,7 +123,7 @@ func TestEnginePutFlagCoalesced(t *testing.T) {
 	c.run(func(g *proc.Engine) {
 		switch g.Rank() {
 		case 0:
-			g.SetCoalescing(pipeline.CoalesceOpts{Enabled: true})
+			g.SetCoalescing(true)
 			g.PutFlag(buf, want, flag, 9)
 		case 1:
 			g.WaitFlag(flag, 9)

@@ -141,18 +141,17 @@ func (g *Engine) SetNICAssist(on bool) { g.useNIC = on }
 // NICAssist reports whether NIC routing is enabled.
 func (g *Engine) NICAssist() bool { return g.useNIC }
 
-// SetCoalescing configures the per-destination small-op coalescing
-// stage. Disabled (the default) leaves the send path untouched.
-func (g *Engine) SetCoalescing(opts pipeline.CoalesceOpts) {
-	if !opts.Enabled {
-		g.coal = nil
-		return
+// SetCoalescing turns the per-destination small-op coalescing stage on
+// or off. Off (the default) leaves the send path untouched.
+func (g *Engine) SetCoalescing(on bool) {
+	g.coal = nil
+	if on {
+		g.coal = pipeline.NewCoalescer(g.env.Rank())
 	}
-	g.coal = pipeline.NewCoalescer(g.env.Rank(), opts)
 }
 
-// Coalescing reports whether small-op coalescing is enabled.
-func (g *Engine) Coalescing() bool { return g.coal != nil }
+// Coalescer returns the coalescing stage, nil while coalescing is off.
+func (g *Engine) Coalescer() *pipeline.Coalescer { return g.coal }
 
 // ctlAddr returns the endpoint that handles control operations (RMW,
 // fence) for node: the NIC agent when offload is on, else the server.

@@ -207,7 +207,8 @@ const hazardEvery = 3
 // scheduled, so a later At clobbers its fire time and callback in place.
 // It exists solely as a mutation hook for the conformance harness's
 // oracle self-test (the bug class a correct event pool must not have);
-// never enable it outside tests. Call before Run.
+// never enable it outside tests. It may be called before Run or from
+// process context; it affects the events scheduled after the call.
 func (k *Kernel) SetEventPoolHazard(on bool) { k.hazard = on }
 
 // After schedules fn to run d from now.

@@ -106,11 +106,10 @@ func TestEventPoolReuse(t *testing.T) {
 func TestEventPoolHazardCorrupts(t *testing.T) {
 	fire := func(hazard bool) []int {
 		k := New()
-		if hazard {
-			k.SetEventPoolHazard(true)
-		}
 		var fired []int
 		k.Spawn("scheduler", func(p *Proc) {
+			// Armed from process context, the way the harness arms it.
+			k.SetEventPoolHazard(hazard)
 			// Keep many events in the heap at once so the hazard's
 			// stashed event is still scheduled when it gets reused.
 			for i := 0; i < 12; i++ {

@@ -57,9 +57,6 @@ func NewSim(cfg Config) (*SimFabric, error) {
 	if cfg.ScheduleSeed != 0 {
 		f.kernel.SetShuffle(cfg.ScheduleSeed)
 	}
-	if cfg.EventPoolHazard {
-		f.kernel.SetEventPoolHazard(true)
-	}
 	return f, nil
 }
 
@@ -69,8 +66,14 @@ func (f *SimFabric) Space() *shmem.Space { return f.space }
 // Config returns the cluster configuration.
 func (f *SimFabric) Config() *Config { return &f.cfg }
 
-// Kernel exposes the underlying discrete-event kernel (for tests).
-func (f *SimFabric) Kernel() *sim.Kernel { return f.kernel }
+// SimKernel returns the kernel a simulated actor runs on, or nil when env
+// belongs to a wall-clock fabric.
+func SimKernel(env Env) *sim.Kernel {
+	if e, ok := env.(*simEnv); ok {
+		return e.f.kernel
+	}
+	return nil
+}
 
 // SpawnUser registers the body of rank's user process.
 func (f *SimFabric) SpawnUser(rank int, body func(Env)) {

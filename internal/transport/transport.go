@@ -142,11 +142,6 @@ type Config struct {
 	// protocol tests. Seed 0 is the FIFO baseline schedule. Must be >= 0;
 	// ignored by the concurrent fabrics.
 	ScheduleSeed int64
-	// EventPoolHazard, when set, arms the simulated kernel's deliberate
-	// event-pool bug (recycling a still-scheduled event). Test-only: it
-	// exists so the conformance harness can prove its oracles detect
-	// pooling-induced corruption. Ignored by the concurrent fabrics.
-	EventPoolHazard bool
 	// Deadline bounds a fabric run; 0 means the fabric default.
 	Deadline time.Duration
 	// OpDeadline bounds a single blocking operation — one user-process

@@ -19,7 +19,7 @@ func TestNICAssistCorrectness(t *testing.T) {
 			_, err := armci.Run(armci.Options{
 				Procs:      procs,
 				Fabric:     fk,
-				NICAssist:  true,
+				NIC:        armci.NICAgent,
 				NumMutexes: 1,
 			}, func(p *armci.Proc) {
 				me := p.Rank()
@@ -67,14 +67,14 @@ func TestNICAssistCorrectness(t *testing.T) {
 	}
 }
 
-// TestNICRoutesControlTraffic: with NIC assist on, RMW and fence traffic
+// TestNICRoutesControlTraffic: under NICAgent, RMW and fence traffic
 // goes to the agents while bulk puts still go to the host servers.
 func TestNICRoutesControlTraffic(t *testing.T) {
 	const procs = 2
 	rep, err := armci.Run(armci.Options{
-		Procs:     procs,
-		Fabric:    armci.FabricSim,
-		NICAssist: true,
+		Procs:  procs,
+		Fabric: armci.FabricSim,
+		NIC:    armci.NICAgent,
 	}, func(p *armci.Proc) {
 		ptrs := p.Malloc(64)
 		words := p.MallocWords(1)
@@ -104,10 +104,10 @@ func TestNICRoutesControlTraffic(t *testing.T) {
 // been applied by the (slower) host server.
 func TestNICFenceWaitsForPuts(t *testing.T) {
 	_, err := armci.Run(armci.Options{
-		Procs:     2,
-		Fabric:    armci.FabricSim,
-		Preset:    armci.PresetMyrinet2000,
-		NICAssist: true,
+		Procs:  2,
+		Fabric: armci.FabricSim,
+		Preset: armci.PresetMyrinet2000,
+		NIC:    armci.NICAgent,
 	}, func(p *armci.Proc) {
 		ptrs := p.Malloc(256 << 10)
 		if p.Rank() == 0 {
@@ -135,13 +135,13 @@ func TestNICFenceWaitsForPuts(t *testing.T) {
 // much cheaper when served by the NIC, which is exactly what the paper's
 // future-work section anticipates.
 func TestNICSpeedsUpUncontendedRelease(t *testing.T) {
-	release := func(nic bool) float64 {
+	release := func(nic armci.NICMode) float64 {
 		var total float64
 		_, err := armci.Run(armci.Options{
 			Procs:      2,
 			Fabric:     armci.FabricSim,
 			Preset:     armci.PresetMyrinet2000,
-			NICAssist:  nic,
+			NIC:        nic,
 			NumMutexes: 1,
 			LockHomes:  []int{0},
 		}, func(p *armci.Proc) {
@@ -162,7 +162,7 @@ func TestNICSpeedsUpUncontendedRelease(t *testing.T) {
 		}
 		return total
 	}
-	host, nic := release(false), release(true)
+	host, nic := release(armci.NICNone), release(armci.NICAgent)
 	if nic >= host {
 		t.Fatalf("NIC-served release (%.0fns) not faster than host-served (%.0fns)", nic, host)
 	}

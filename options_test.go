@@ -22,6 +22,7 @@ func TestOptionsValidation(t *testing.T) {
 		{Procs: 2, NumMutexes: 1, LockHomes: []int{5}},       // home out of range
 		{Procs: 2, Deadline: -time.Second},
 		{Procs: 2, OpDeadline: -time.Millisecond},
+		{Procs: 2, NIC: armci.NICAgent + 1}, // unknown NIC mode
 	}
 	for i, opt := range cases {
 		if _, err := armci.Run(opt, func(p *armci.Proc) {}); err == nil {
