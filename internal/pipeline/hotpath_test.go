@@ -39,14 +39,18 @@ func BenchmarkPipelineSendRecv(b *testing.B) {
 // are warm. A regression back to per-send map churn or delivery-slice
 // allocation fails this test directly rather than waiting for someone
 // to notice benchmark drift. The budget holds for the default counting
-// recorder and for one that also feeds latency histograms.
+// recorder, for one that also feeds latency histograms, and through the
+// fault stage of a jitter plan.
 func TestHotPathAllocBudget(t *testing.T) {
-	t.Run("counting", func(t *testing.T) { hotPathAllocBudget(t, trace.New()) })
-	t.Run("latency", func(t *testing.T) { hotPathAllocBudget(t, trace.New().NewRun()) })
+	t.Run("counting", func(t *testing.T) { hotPathAllocBudget(t, trace.New(), Faults{}) })
+	t.Run("latency", func(t *testing.T) { hotPathAllocBudget(t, trace.New().NewRun(), Faults{}) })
+	t.Run("faults", func(t *testing.T) {
+		hotPathAllocBudget(t, trace.New(), Faults{Seed: 1, Jitter: time.Microsecond})
+	})
 }
 
-func hotPathAllocBudget(t *testing.T, rec *trace.Stats) {
-	p := New(Config{Params: model.Myrinet2000(), ChargeModel: true, Stats: rec})
+func hotPathAllocBudget(t *testing.T, rec *trace.Stats, f Faults) {
+	p := New(Config{Params: model.Myrinet2000(), ChargeModel: true, Stats: rec, Faults: f})
 	a, dst := msg.User(0), msg.User(1)
 	clk := &vclock{}
 	m := &msg.Message{Kind: msg.KindSend}
@@ -71,6 +75,9 @@ func hotPathAllocBudget(t *testing.T, rec *trace.Stats) {
 		t.Fatal(sendErr)
 	}
 	if suppressed {
-		t.Fatal("delivery suppressed with no faults configured")
+		t.Fatal("delivery suppressed with no duplicate injected")
+	}
+	if f.Enabled() && rec.Faults().Jittered == 0 {
+		t.Fatal("the fault stage never ran")
 	}
 }

@@ -1,69 +1,54 @@
-// Package pipeline implements the composable send/receive path every
-// transport fabric routes messages through. Historically each fabric
-// (simnet, channet, tcpnet) hand-rolled its own delivery path: jitter
-// existed only on the channel fabric, TCP arrivals were never stamped
-// into trace events, and the cost model was charged in three slightly
-// different places. The pipeline factors that hot path into four shared
-// stages, applied in order on every Send:
+// Package pipeline is the send/receive path every transport fabric routes
+// its messages through. SendTo applies, in order:
 //
-//  1. identity — stamp Src/Dst, the per-(src,dst) sequence number and,
-//     when the message needs one (see below), the send time onto the
-//     message;
-//  2. cost model — charge the sender the modeled send overhead and
-//     compute the base arrival time (now + latency + bytes·G), honoring
-//     intra-node locality;
-//  3. fault injection — seeded, deterministic extra delay (uniform
-//     jitter and latency spikes) plus bounded duplicate delivery; the
-//     per-pair FIFO stamp keeps arrivals monotonic per pipe throughout;
-//  4. reliability — when loss injection is on, replay the ack/retransmit
-//     exchange of the message: each transmission copy is dropped with
-//     LossProb (plus burst extension), every drop costs one retransmit
-//     timeout of exponentially backed-off RTO, and a message that is
-//     still undelivered after RetryBudget retransmissions fails the send
-//     with a rank-attributed *FaultError instead of hanging the
-//     receiver. An injected Crash fault fail-stops a rank at its N-th
-//     send the same way;
-//  5. record — one call to the run's recorder (trace.Stats) per send:
-//     the message, any injected duplicate, and the fault decisions it
-//     drew (jitter, spike, dup, drops/retransmits). A send that fails
-//     reports its fault counters instead.
+//  1. identity — stamp Src/Dst, the per-pipe sequence number, the view
+//     epoch and, when the message needs one (see below), the send time;
+//  2. cost model — charge the modeled send overhead and compute the base
+//     arrival (now + latency + bytes·G), honoring intra-node locality;
+//  3. faults, under a fault plan only — seeded extra delay (jitter and
+//     spikes), bounded duplicate delivery, and the reliability stage: it
+//     replays the message's ack/retransmit exchange (each copy is dropped
+//     with LossProb, each drop costs an exponentially backed-off RTO) and
+//     fails the send with a rank-attributed *FaultError once RetryBudget is
+//     spent, as an injected Crash does at the rank's N-th send. The
+//     per-pipe FIFO stamp keeps arrivals monotonic throughout;
+//  4. record — one recorder call per send: the message, any injected
+//     duplicate, and the fault decisions the send drew.
 //
-// On the receive side, Inbound applies the mirror stages: duplicate
-// suppression by sequence number (the transport stays exactly-once even
-// under injected duplication), arrival stamping (so trace.Event.Arrival
-// is populated on every fabric, including TCP where the arrival is only
-// known at the receiver), and again one recorder call: the admission
-// (arrival back-annotation, OpDeliver, latency histograms) or the
-// rejection's fault counter.
+// Inbound mirrors them at the destination: it rejects a stale view epoch,
+// suppresses duplicates by sequence number (exactly-once even under
+// injected duplication), stamps the arrival (so trace.Event.Arrival is set
+// on every fabric, TCP included) and makes one recorder call. Dedup sits
+// after the reliability stage on purpose: a retransmitted copy keeps its
+// sequence number and resolves to one delivery before the FIFO stamp, so
+// dedup only ever sees injected duplicates.
 //
-// A stamp is taken only for whoever reads it. Send and arrival times exist
-// for three readers — the cost model (ChargeModel), a fault plan, whose
-// delays are enforced against them, and a loud recorder (capture or
-// latency histograms, trace.Stats.Loud) — and a message gets them, and a
-// fabric reads its clock for it, only while one of those is present
-// (Stamps). Otherwise Sent and Arrival stay 0 and the fabric reads no
-// clock on the message's path. Only the first two can put an arrival in
-// the receiver's future, so only they make a fabric wait one out
-// (Delays).
+// A stamp is taken only for whoever reads it: the cost model, a fault plan,
+// whose delays are enforced against stamps, or a loud recorder
+// (trace.Stats.Loud). Without one (Stamps) Sent and Arrival stay 0 and no
+// clock is read on the message's path; only the first two can put an
+// arrival in the receiver's future (Delays).
 //
-// Dedup deliberately sits after the reliability stage: retransmitted
-// copies keep their original sequence number and resolve to exactly one
-// delivery before the FIFO stamp, so the only copies dedup ever sees are
-// genuine injected duplicates — running it earlier would mistake a
-// retransmission for a replay and break the exactly-once contract.
+// A message touches only state its own actors own. A pipe's sequence
+// number, FIFO clamp and duplicate budget belong to the sending endpoint
+// and only its actor writes them, as it writes its own send counters (a
+// trace.Actor); the dedup watermark belongs to the destination and only its
+// deliveries, which the fabric serializes, write it. The view epoch and the
+// crash registry are atomics. So a send takes no lock another actor takes.
 //
-// Fault decisions — including every per-attempt loss decision of the
-// reliability stage — are pure functions of (seed, src, dst, sequence),
-// not of wall-clock timing or scheduling order, so the same seed injects
-// the identical fault pattern on the deterministic simulated fabric and
-// on the concurrent fabrics — that is what makes cross-fabric
-// determinism tests possible: identical retransmit counts and trace
-// fingerprints for a given seed and workload.
+// Fault decisions — every per-attempt loss decision included — are pure
+// functions of (seed, src, dst, sequence), never of timing or scheduling,
+// so a seed injects the same faults on the simulated and the concurrent
+// fabrics: identical retransmit counts and trace fingerprints.
 package pipeline
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"armci/internal/model"
@@ -162,45 +147,36 @@ func (f Faults) Enabled() bool {
 		f.LossProb > 0 || f.CrashAfterSends > 0 || f.CrashHeldAcquire > 0
 }
 
-// Validate rejects nonsensical fault plans with a descriptive error.
+// Validate rejects nonsensical fault plans with an error naming the knob.
 // Probability checks are written in the negated form so that NaN (which
 // fails every comparison) is rejected too.
 func (f Faults) Validate() error {
-	switch {
-	case f.Jitter < 0:
-		return fmt.Errorf("pipeline: Faults.Jitter must be >= 0, got %v", f.Jitter)
-	case f.SpikeDelay < 0:
-		return fmt.Errorf("pipeline: Faults.SpikeDelay must be >= 0, got %v", f.SpikeDelay)
-	case f.DupDelay < 0:
-		return fmt.Errorf("pipeline: Faults.DupDelay must be >= 0, got %v", f.DupDelay)
-	case !(f.SpikeProb >= 0 && f.SpikeProb <= 1):
-		return fmt.Errorf("pipeline: Faults.SpikeProb must be in [0,1], got %g", f.SpikeProb)
-	case !(f.DupProb >= 0 && f.DupProb <= 1):
-		return fmt.Errorf("pipeline: Faults.DupProb must be in [0,1], got %g", f.DupProb)
-	case f.MaxDupsPerPair < 0:
-		return fmt.Errorf("pipeline: Faults.MaxDupsPerPair must be >= 0, got %d", f.MaxDupsPerPair)
-	case !(f.LossProb >= 0 && f.LossProb <= 1):
-		return fmt.Errorf("pipeline: Faults.LossProb must be in [0,1], got %g", f.LossProb)
-	case f.LossBurst < 0:
-		return fmt.Errorf("pipeline: Faults.LossBurst must be >= 0, got %d", f.LossBurst)
-	case f.RetryBudget < 0:
-		return fmt.Errorf("pipeline: Faults.RetryBudget must be >= 1 (0 selects the default of %d), got %d", defaultRetryBudget, f.RetryBudget)
-	case f.RTO < 0:
-		return fmt.Errorf("pipeline: Faults.RTO must be >= 0, got %v", f.RTO)
-	case f.RTOCap < 0:
-		return fmt.Errorf("pipeline: Faults.RTOCap must be >= 0, got %v", f.RTOCap)
-	case f.CrashRank < 0:
-		return fmt.Errorf("pipeline: Faults.CrashRank must be >= 0, got %d", f.CrashRank)
-	case f.CrashAfterSends < 0:
-		return fmt.Errorf("pipeline: Faults.CrashAfterSends must be >= 0, got %d", f.CrashAfterSends)
-	case f.CrashHeldRank < 0:
-		return fmt.Errorf("pipeline: Faults.CrashHeldRank must be >= 0, got %d", f.CrashHeldRank)
-	case f.CrashHeldAcquire < 0:
-		return fmt.Errorf("pipeline: Faults.CrashHeldAcquire must be >= 0, got %d", f.CrashHeldAcquire)
-	case f.ElasticCrashRank < 0:
-		return fmt.Errorf("pipeline: Faults.ElasticCrashRank must be >= 0, got %d", f.ElasticCrashRank)
-	case f.ElasticCrashStep < 0:
-		return fmt.Errorf("pipeline: Faults.ElasticCrashStep must be >= 0, got %d", f.ElasticCrashStep)
+	for _, k := range []struct {
+		bad        bool
+		name, rule string
+		got        any
+	}{
+		{f.Jitter < 0, "Jitter", ">= 0", f.Jitter},
+		{f.SpikeDelay < 0, "SpikeDelay", ">= 0", f.SpikeDelay},
+		{f.DupDelay < 0, "DupDelay", ">= 0", f.DupDelay},
+		{!(f.SpikeProb >= 0 && f.SpikeProb <= 1), "SpikeProb", "in [0,1]", f.SpikeProb},
+		{!(f.DupProb >= 0 && f.DupProb <= 1), "DupProb", "in [0,1]", f.DupProb},
+		{f.MaxDupsPerPair < 0, "MaxDupsPerPair", ">= 0", f.MaxDupsPerPair},
+		{!(f.LossProb >= 0 && f.LossProb <= 1), "LossProb", "in [0,1]", f.LossProb},
+		{f.LossBurst < 0, "LossBurst", ">= 0", f.LossBurst},
+		{f.RetryBudget < 0, "RetryBudget", fmt.Sprintf(">= 1 (0 selects the default of %d)", defaultRetryBudget), f.RetryBudget},
+		{f.RTO < 0, "RTO", ">= 0", f.RTO},
+		{f.RTOCap < 0, "RTOCap", ">= 0", f.RTOCap},
+		{f.CrashRank < 0, "CrashRank", ">= 0", f.CrashRank},
+		{f.CrashAfterSends < 0, "CrashAfterSends", ">= 0", f.CrashAfterSends},
+		{f.CrashHeldRank < 0, "CrashHeldRank", ">= 0", f.CrashHeldRank},
+		{f.CrashHeldAcquire < 0, "CrashHeldAcquire", ">= 0", f.CrashHeldAcquire},
+		{f.ElasticCrashRank < 0, "ElasticCrashRank", ">= 0", f.ElasticCrashRank},
+		{f.ElasticCrashStep < 0, "ElasticCrashStep", ">= 0", f.ElasticCrashStep},
+	} {
+		if k.bad {
+			return fmt.Errorf("pipeline: Faults.%s must be %s, got %v", k.name, k.rule, k.got)
+		}
 	}
 	return nil
 }
@@ -296,7 +272,7 @@ const (
 // roll derives a 64-bit pseudo-random value for one decision about one
 // message. It depends only on the plan seed, the pair and the sequence
 // number — never on timing — so decisions replay across fabrics.
-func (f Faults) roll(src, dst msg.Addr, seq, salt uint64) uint64 {
+func (f *Faults) roll(src, dst msg.Addr, seq, salt uint64) uint64 {
 	seed := uint64(f.Seed)
 	if seed == 0 {
 		seed = 1
@@ -326,20 +302,15 @@ func addrBits(a msg.Addr) uint64 {
 	return b
 }
 
-// hit converts a roll into a probability decision.
+// hit converts a roll into a probability decision: the roll's top 53 bits
+// are a uniform fraction in [0,1), below prob with probability prob.
 func hit(r uint64, prob float64) bool {
-	if prob <= 0 {
-		return false
-	}
-	if prob >= 1 {
-		return true
-	}
 	return float64(r>>11)/(1<<53) < prob
 }
 
 // extra returns the injected extra delay of message seq on the pair and
 // whether it includes a spike.
-func (f Faults) extra(src, dst msg.Addr, seq uint64) (d time.Duration, spiked bool) {
+func (f *Faults) extra(src, dst msg.Addr, seq uint64) (d time.Duration, spiked bool) {
 	if f.Jitter > 0 {
 		d += time.Duration(f.roll(src, dst, seq, saltJitter) % uint64(f.Jitter))
 	}
@@ -352,73 +323,34 @@ func (f Faults) extra(src, dst msg.Addr, seq uint64) (d time.Duration, spiked bo
 
 // dup reports whether message seq should be delivered twice (before the
 // per-pair bound is applied).
-func (f Faults) dup(src, dst msg.Addr, seq uint64) bool {
+func (f *Faults) dup(src, dst msg.Addr, seq uint64) bool {
 	return f.DupProb > 0 && hit(f.roll(src, dst, seq, saltDup), f.DupProb)
 }
 
-func (f Faults) dupDelay() time.Duration {
-	if f.DupDelay > 0 {
-		return f.DupDelay
-	}
-	if f.Jitter > 0 {
-		return f.Jitter
-	}
-	return time.Microsecond
-}
-
-func (f Faults) maxDupsPerPair() int {
-	if f.MaxDupsPerPair > 0 {
-		return f.MaxDupsPerPair
-	}
-	return 8
-}
-
-func (f Faults) retryBudget() int {
-	if f.RetryBudget > 0 {
-		return f.RetryBudget
-	}
-	return defaultRetryBudget
-}
-
-func (f Faults) rto() time.Duration {
-	if f.RTO > 0 {
-		return f.RTO
-	}
-	return defaultRTO
-}
-
-func (f Faults) rtoCap() time.Duration {
-	if f.RTOCap > 0 {
-		return f.RTOCap
-	}
-	return 16 * f.rto()
-}
-
-func (f Faults) lossBurst() int {
-	if f.LossBurst > 1 {
-		return f.LossBurst
-	}
-	return 1
-}
+// The knobs whose zero value selects a default; Validate has rejected
+// negative ones.
+func (f *Faults) dupDelay() time.Duration { return cmp.Or(f.DupDelay, f.Jitter, time.Microsecond) }
+func (f *Faults) maxDupsPerPair() int     { return cmp.Or(f.MaxDupsPerPair, 8) }
+func (f *Faults) retryBudget() int        { return cmp.Or(f.RetryBudget, defaultRetryBudget) }
+func (f *Faults) rto() time.Duration      { return cmp.Or(f.RTO, defaultRTO) }
+func (f *Faults) rtoCap() time.Duration   { return cmp.Or(f.RTOCap, 16*f.rto()) }
+func (f *Faults) lossBurst() int          { return max(f.LossBurst, 1) }
 
 // backoff returns the retransmit timeout after the i-th drop of one
 // message: RTO doubled i times, capped at RTOCap.
-func (f Faults) backoff(i int) time.Duration {
+func (f *Faults) backoff(i int) time.Duration {
 	d, cap := f.rto(), f.rtoCap()
 	for ; i > 0 && d < cap; i-- {
 		d *= 2
 	}
-	if d > cap {
-		d = cap
-	}
-	return d
+	return min(d, cap)
 }
 
 // firstCopyLost reports whether the original transmission of message seq
 // is dropped. A loss event anchored at sequence s drops the first copy
 // of messages s .. s+LossBurst-1 on the pair, so bursts model transient
 // outages while remaining a pure function of (seed, pair, seq).
-func (f Faults) firstCopyLost(src, dst msg.Addr, seq uint64) bool {
+func (f *Faults) firstCopyLost(src, dst msg.Addr, seq uint64) bool {
 	if f.LossProb <= 0 {
 		return false
 	}
@@ -436,7 +368,7 @@ func (f Faults) firstCopyLost(src, dst msg.Addr, seq uint64) bool {
 
 // retransLost reports whether retransmission attempt a (1-based) of
 // message seq is dropped. Each attempt rolls independently.
-func (f Faults) retransLost(src, dst msg.Addr, seq uint64, a int) bool {
+func (f *Faults) retransLost(src, dst msg.Addr, seq uint64, a int) bool {
 	return hit(f.roll(src, dst, seq, saltRetry^mix64(uint64(a))), f.LossProb)
 }
 
@@ -447,7 +379,7 @@ func (f Faults) retransLost(src, dst msg.Addr, seq uint64, a int) bool {
 // budget was exhausted with no copy delivered. Because every per-attempt
 // decision is a pure hash of (seed, pair, seq, attempt), the outcome is
 // identical on every fabric.
-func (f Faults) lossAttempts(src, dst msg.Addr, seq uint64) (drops int, delay time.Duration, exhausted bool) {
+func (f *Faults) lossAttempts(src, dst msg.Addr, seq uint64) (drops int, delay time.Duration, exhausted bool) {
 	if f.LossProb <= 0 {
 		return 0, 0, false
 	}
@@ -499,32 +431,47 @@ type Delivery struct {
 	Dup bool
 }
 
-// pairState is the per-directed-pipe sequencing state, consolidated into
-// one struct so the send hot path performs a single map lookup instead
-// of four and reuses the same cell for every message on the pipe.
+// pairState is the send-side state of one directed pipe.
 type pairState struct {
 	fifo time.Duration // last stamped arrival
 	seq  uint64        // last assigned sequence number
-	seen uint64        // last admitted sequence number (receive side)
 	dups int           // duplicates injected
 }
 
-// Pipeline is the shared send/receive path of one fabric instance. All
-// methods are safe for concurrent use.
+// endpoint is one actor's share of the pipeline: a send half only the
+// actor writes, and a receive half only its serialized deliveries write.
+// Each half applies a ResetPeer the next time its writer uses it.
+type endpoint struct {
+	out      map[msg.Pair]*pairState // send half
+	sends    uint64                  // sends so far (the crash fault)
+	rec      *trace.Actor            // the actor's send counters
+	outReset int                     // ResetPeer calls out has applied
+
+	seen    map[msg.Pair]uint64 // receive half: last admitted sequence number
+	inReset int
+}
+
+// Pipeline is the shared send/receive path of one fabric instance. One
+// endpoint's sends must be serialized (it is one actor's), and so must its
+// deliveries (the box lock on the wall-clock fabrics, the kernel goroutine
+// on sim); all else is safe for concurrent use.
 type Pipeline struct {
 	cfg Config
 	// delays: an arrival may lie in the receiver's future (Delays).
 	delays bool
+	// faulty: the plan injects something; otherwise SendTo runs no fault stage.
+	faulty bool
 
-	mu           sync.Mutex
-	pairs        map[msg.Pair]*pairState // sequencing/FIFO/dedup state per pipe
-	sends        map[msg.Addr]uint64     // total sends per source (crash fault)
-	crashCounted bool                    // the crash was counted by the recorder
-	epoch        uint64                  // membership view epoch stamped on sends
+	eps    atomic.Pointer[[]*endpoint]           // by endpoint index, grown by copying
+	resets atomic.Pointer[[]func(msg.Addr) bool] // ResetPeer's matches, in call order
 
-	crashMu     sync.Mutex
-	crashed     []int  // user ranks that fail-stopped, in crash order
-	crashNotify func() // fabric hook, invoked (once per crash) outside crashMu
+	epoch        atomic.Uint64 // membership view epoch stamped on sends
+	crashCounted atomic.Bool   // the crash was counted by the recorder
+	firstCrashed atomic.Int64  // 1 + the first rank NoteCrash recorded (0: none)
+
+	mu          sync.Mutex // serializes the writers of eps, resets and these:
+	crashed     []int      // user ranks that fail-stopped, in crash order
+	crashNotify func()     // fabric hook, invoked (once per crash) outside mu
 }
 
 // New builds a pipeline for one fabric instance.
@@ -532,12 +479,11 @@ func New(cfg Config) *Pipeline {
 	if cfg.Stats == nil {
 		cfg.Stats = trace.New()
 	}
-	return &Pipeline{
-		cfg:    cfg,
-		delays: cfg.ChargeModel || cfg.Faults.Enabled(),
-		pairs:  make(map[msg.Pair]*pairState),
-		sends:  make(map[msg.Addr]uint64),
-	}
+	p := &Pipeline{cfg: cfg, faulty: cfg.Faults.Enabled()}
+	p.delays = cfg.ChargeModel || p.faulty
+	p.eps.Store(new([]*endpoint))
+	p.resets.Store(new([]func(msg.Addr) bool))
+	return p
 }
 
 // Stamps reports whether messages get send and arrival times: whether the
@@ -551,15 +497,56 @@ func (p *Pipeline) Stamps() bool { return p.delays || p.cfg.Stats.Loud() }
 // arrival is the moment the message reached the receiver.
 func (p *Pipeline) Delays() bool { return p.delays }
 
-// pairLocked returns the sequencing state of one directed pipe, creating
-// it on first use. Callers hold p.mu.
-func (p *Pipeline) pairLocked(pr msg.Pair) *pairState {
-	ps := p.pairs[pr]
+// endpoint returns a's share of the pipeline: one load, unless a is new to
+// the table, which then grows to twice its size.
+func (p *Pipeline) endpoint(a msg.Addr) *endpoint {
+	i := 2 * a.ID
+	if a.Server {
+		i++
+	}
+	if t := *p.eps.Load(); i < len(t) {
+		return t[i]
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	t := *p.eps.Load()
+	if i >= len(t) {
+		g := make([]*endpoint, max(i+1, 2*len(t)))
+		for j := copy(g, t); j < len(g); j++ {
+			g[j] = &endpoint{out: make(map[msg.Pair]*pairState), seen: make(map[msg.Pair]uint64)}
+		}
+		p.eps.Store(&g)
+		t = g
+	}
+	return t[i]
+}
+
+// pair returns the send state of pr, after the endpoint's first-use set-up
+// and any ResetPeer it has not applied yet. Only the sending actor calls it.
+func (ep *endpoint) pair(p *Pipeline, pr msg.Pair) *pairState {
+	if ep.rec == nil {
+		ep.rec = p.cfg.Stats.Actor()
+	}
+	catchUp(p, &ep.outReset, ep.out)
+	ps := ep.out[pr]
 	if ps == nil {
 		ps = &pairState{}
-		p.pairs[pr] = ps
+		ep.out[pr] = ps
 	}
 	return ps
+}
+
+// catchUp applies to one half of an endpoint the ResetPeer calls after the
+// first *done: it drops the pipes they match.
+func catchUp[V any](p *Pipeline, done *int, pipes map[msg.Pair]V) {
+	rs := *p.resets.Load()
+	if len(rs) == *done { // no write: the other half's writer reads this line
+		return
+	}
+	for _, match := range rs[*done:] {
+		maps.DeleteFunc(pipes, func(pr msg.Pair, _ V) bool { return match(pr.Src()) || match(pr.Dst()) })
+	}
+	*done = len(rs)
 }
 
 // Faults returns the active fault plan.
@@ -569,32 +556,23 @@ func (p *Pipeline) Faults() Faults { return p.cfg.Faults }
 // subsequent send. Elastic fabrics bump it on a view change; messages
 // already in flight carry the old epoch and are rejected by Inbound,
 // which is what fences out traffic from deposed incarnations.
-func (p *Pipeline) SetEpoch(e uint64) {
-	p.mu.Lock()
-	p.epoch = e
-	p.mu.Unlock()
-}
+func (p *Pipeline) SetEpoch(e uint64) { p.epoch.Store(e) }
 
 // Epoch returns the current membership view epoch.
-func (p *Pipeline) Epoch() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.epoch
-}
+func (p *Pipeline) Epoch() uint64 { return p.epoch.Load() }
 
 // ResetPeer clears the sequencing state of every directed pipe whose
 // source or destination endpoint matches. A respawned incarnation
 // restarts its sequence numbers at 1, so survivors must forget both the
 // receive-side dedup watermark (or every message from the newcomer
 // would be suppressed as a duplicate) and the send-side counter (so the
-// newcomer's fresh watermark admits them).
+// newcomer's fresh watermark admits them). Each endpoint applies the reset
+// before its next send or delivery, so a send on a matched pipe is wholly
+// before the reset or wholly after it.
 func (p *Pipeline) ResetPeer(match func(msg.Addr) bool) {
 	p.mu.Lock()
-	for pr := range p.pairs {
-		if match(pr.Src()) || match(pr.Dst()) {
-			delete(p.pairs, pr)
-		}
-	}
+	rs := append(slices.Clone(*p.resets.Load()), match)
+	p.resets.Store(&rs)
 	p.mu.Unlock()
 }
 
@@ -603,9 +581,9 @@ func (p *Pipeline) ResetPeer(match func(msg.Addr) bool) {
 // wake blocked waiters (condition variables, kernel re-checks) that
 // must now observe the crash instead of spinning on a dead peer.
 func (p *Pipeline) SetCrashNotify(fn func()) {
-	p.crashMu.Lock()
+	p.mu.Lock()
 	p.crashNotify = fn
-	p.crashMu.Unlock()
+	p.mu.Unlock()
 }
 
 // NoteCrash records that a user rank fail-stopped. The crash registry
@@ -614,16 +592,15 @@ func (p *Pipeline) SetCrashNotify(fn func()) {
 // rank-attributed FaultCrash, and the lease lock's repair path skips
 // registered ranks when splicing the queue. Idempotent per rank.
 func (p *Pipeline) NoteCrash(rank int) {
-	p.crashMu.Lock()
-	for _, r := range p.crashed {
-		if r == rank {
-			p.crashMu.Unlock()
-			return
-		}
+	p.mu.Lock()
+	if slices.Contains(p.crashed, rank) {
+		p.mu.Unlock()
+		return
 	}
 	p.crashed = append(p.crashed, rank)
+	p.firstCrashed.CompareAndSwap(0, int64(rank)+1)
 	fn := p.crashNotify
-	p.crashMu.Unlock()
+	p.mu.Unlock()
 	if fn != nil {
 		fn()
 	}
@@ -631,26 +608,7 @@ func (p *Pipeline) NoteCrash(rank int) {
 
 // FirstCrashed returns the first rank recorded by NoteCrash, or -1
 // when no rank has crashed.
-func (p *Pipeline) FirstCrashed() int {
-	p.crashMu.Lock()
-	defer p.crashMu.Unlock()
-	if len(p.crashed) == 0 {
-		return -1
-	}
-	return p.crashed[0]
-}
-
-// IsCrashed reports whether rank has been recorded by NoteCrash.
-func (p *Pipeline) IsCrashed(rank int) bool {
-	p.crashMu.Lock()
-	defer p.crashMu.Unlock()
-	for _, r := range p.crashed {
-		if r == rank {
-			return true
-		}
-	}
-	return false
-}
+func (p *Pipeline) FirstCrashed() int { return int(p.firstCrashed.Load()) - 1 }
 
 // CrashNow builds the fail-stop error for a crash that happens outside
 // the send path — the crash-while-holding fault, injected by the lock
@@ -658,51 +616,35 @@ func (p *Pipeline) IsCrashed(rank int) bool {
 // registering the rank. The fabric aborts the actor with the returned
 // error.
 func (p *Pipeline) CrashNow(rank int, op string) *FaultError {
-	p.mu.Lock()
-	p.countCrashLocked()
-	p.mu.Unlock()
+	p.countCrash()
 	p.NoteCrash(rank)
 	return &FaultError{Rank: rank, Op: op, Kind: FaultCrash}
 }
 
-// countCrashLocked reports the run's first crash — and only the first —
-// to the recorder. Callers hold p.mu.
-func (p *Pipeline) countCrashLocked() {
-	if !p.crashCounted {
-		p.crashCounted = true
+// countCrash reports the run's first crash — and only the first — to the
+// recorder.
+func (p *Pipeline) countCrash() {
+	if p.crashCounted.CompareAndSwap(false, true) {
 		p.cfg.Stats.RecordFaults(trace.FaultCounts{Crashes: 1})
 	}
 }
 
-// Send runs the outbound stage chain for m from src to dst: it charges
+// SendTo runs the outbound stage chain for m from src to dst: it charges
 // the modeled send overhead through charge (when the cost model is
 // active), stamps identity, sequence number, send time and arrival,
 // replays the reliability stage's ack/retransmit exchange, and records
 // the send. clock is read after the overhead charge so arrivals account
 // for the time spent injecting, and only when the message needs stamps
-// (Stamps); otherwise Sent and Arrival are 0. The returned deliveries —
-// the original plus any injected duplicate, in arrival order — must each
-// be handed to the destination via the fabric's own delivery mechanism
-// and passed through Inbound at the destination side.
+// (Stamps); otherwise Sent and Arrival are 0. It then invokes emit once
+// per delivery — the original, then any injected duplicate, in arrival
+// order — which the fabric must hand to the destination and pass through
+// Inbound there. With no fault injected the send performs zero heap
+// allocations.
 //
 // A non-nil error is always a *FaultError — the sender's rank crashed
 // (fail-stop) or the message exhausted its retransmission budget — and
 // means no delivery was produced; the fabric must abort the failing
 // actor with it rather than hang the destination.
-func (p *Pipeline) Send(src, dst msg.Addr, m *msg.Message, clock func() time.Duration, charge func(time.Duration)) ([]Delivery, error) {
-	var ds []Delivery
-	if err := p.SendTo(src, dst, m, clock, charge, func(d Delivery) { ds = append(ds, d) }); err != nil {
-		return nil, err
-	}
-	return ds, nil
-}
-
-// SendTo is the allocation-free form of Send: instead of returning a
-// delivery slice it invokes emit once per delivery (the original first,
-// then any injected duplicate), in arrival order. The fabrics' hot paths
-// call this directly; with no fault injected the whole send performs
-// zero heap allocations. emit is called outside the pipeline lock, so it
-// may take fabric locks or schedule kernel events freely.
 func (p *Pipeline) SendTo(src, dst msg.Addr, m *msg.Message, clock func() time.Duration, charge func(time.Duration), emit func(Delivery)) error {
 	if p.cfg.ChargeModel && charge != nil {
 		charge(p.cfg.Params.SendOverhead)
@@ -711,39 +653,58 @@ func (p *Pipeline) SendTo(src, dst msg.Addr, m *msg.Message, clock func() time.D
 	if p.Stamps() {
 		now = clock()
 	}
-
-	p.mu.Lock()
-	if p.crashedLocked(src) {
-		p.countCrashLocked()
-		p.mu.Unlock()
+	ep := p.endpoint(src)
+	if p.faulty && p.crashes(ep, src) {
+		p.countCrash()
 		return &FaultError{Rank: src.ID, Op: m.Kind.String(), Kind: FaultCrash}
 	}
-	ps := p.pairLocked(msg.PairOf(src, dst))
+	ps := ep.pair(p, msg.PairOf(src, dst))
 	ps.seq++
-	seq := ps.seq
 	m.Src, m.Dst = src, dst
-	m.Seq, m.Sent = seq, now
-	m.Epoch = p.epoch
+	m.Seq, m.Sent = ps.seq, now
+	m.Epoch = p.epoch.Load()
 	m.Dup, m.FaultDelay = false, 0
-
-	drops, retransDelay, exhausted := p.cfg.Faults.lossAttempts(src, dst, seq)
-	if exhausted {
-		p.mu.Unlock()
-		rank, server := attrRank(src, dst)
-		p.cfg.Stats.RecordFaults(trace.FaultCounts{Dropped: drops, Retransmits: drops - 1, RetryExhausted: 1})
-		return &FaultError{Rank: rank, Server: server, Op: m.Kind.String(), Kind: FaultRetryExhausted}
-	}
 
 	var wire time.Duration
 	if p.cfg.ChargeModel {
 		local := p.cfg.Local != nil && p.cfg.Local(src, dst)
 		wire = p.cfg.Params.WireTime(m.PayloadBytes(), local)
 	}
+	var dup *msg.Message
+	var faults trace.FaultCounts
+	if p.faulty {
+		var err error
+		if dup, faults, err = p.inject(ps, m, now, wire); err != nil {
+			return err
+		}
+	} else {
+		m.Arrival = ps.arrival(now, wire)
+	}
+	ep.rec.RecordSend(m, dup, faults)
+	emit(Delivery{Msg: m, At: m.Arrival})
+	if dup != nil {
+		emit(Delivery{Msg: dup, At: dup.Arrival, Dup: true})
+	}
+	return nil
+}
+
+// inject runs the fault and reliability stages on m, stamped at now with
+// wire time wire: it fails the send, or sets m's arrival and returns the
+// duplicate to deliver after it (nil: none) and the faults the send drew.
+func (p *Pipeline) inject(ps *pairState, m *msg.Message, now, wire time.Duration) (*msg.Message, trace.FaultCounts, error) {
+	f := &p.cfg.Faults
+	src, dst, seq := m.Src, m.Dst, m.Seq
+	drops, retransDelay, exhausted := f.lossAttempts(src, dst, seq)
+	if exhausted {
+		rank, server := attrRank(src, dst)
+		p.cfg.Stats.RecordFaults(trace.FaultCounts{Dropped: drops, Retransmits: drops - 1, RetryExhausted: 1})
+		return nil, trace.FaultCounts{}, &FaultError{Rank: rank, Server: server, Op: m.Kind.String(), Kind: FaultRetryExhausted}
+	}
 	// Every drop of a delivered message triggered exactly one
 	// retransmission.
 	faults := trace.FaultCounts{Dropped: drops, Retransmits: drops}
-	extra, spiked := p.cfg.Faults.extra(src, dst, seq)
-	if extra > 0 && p.cfg.Faults.Jitter > 0 {
+	extra, spiked := f.extra(src, dst, seq)
+	if extra > 0 && f.Jitter > 0 {
 		faults.Jittered = 1
 	}
 	if spiked {
@@ -751,45 +712,34 @@ func (p *Pipeline) SendTo(src, dst msg.Addr, m *msg.Message, clock func() time.D
 	}
 	extra += retransDelay
 	m.FaultDelay = extra
-	at := arrivalLocked(ps, now, wire+extra)
-	m.Arrival = at
-
-	var dup *msg.Message
-	if p.cfg.Faults.dup(src, dst, seq) && ps.dups < p.cfg.Faults.maxDupsPerPair() {
-		ps.dups++
-		c := *m // shallow copy; payload is read-only in transit
-		c.Dup = true
-		c.Arrival = arrivalLocked(ps, now, wire+extra+p.cfg.Faults.dupDelay())
-		dup = &c
-		faults.DupsInjected = 1
+	m.Arrival = ps.arrival(now, wire+extra)
+	if !f.dup(src, dst, seq) || ps.dups >= f.maxDupsPerPair() {
+		return nil, faults, nil
 	}
-	p.mu.Unlock()
-
-	p.cfg.Stats.RecordSend(m, dup, faults)
-	emit(Delivery{Msg: m, At: at})
-	if dup != nil {
-		emit(Delivery{Msg: dup, At: dup.Arrival, Dup: true})
-	}
-	return nil
+	ps.dups++
+	c := *m // shallow copy; payload is read-only in transit
+	c.Dup = true
+	c.Arrival = ps.arrival(now, wire+extra+f.dupDelay())
+	faults.DupsInjected = 1
+	return &c, faults, nil
 }
 
-// crashedLocked applies the fail-stop crash fault: when src is the crash
-// rank, its CrashAfterSends-th send — and every later one — fails.
-// Callers hold p.mu.
-func (p *Pipeline) crashedLocked(src msg.Addr) bool {
-	f := p.cfg.Faults
+// crashes applies the fail-stop crash fault: when src is the crash rank,
+// its CrashAfterSends-th send — and every later one — fails.
+func (p *Pipeline) crashes(ep *endpoint, src msg.Addr) bool {
+	f := &p.cfg.Faults
 	if f.CrashAfterSends <= 0 || src.Server || src.ID != f.CrashRank {
 		return false
 	}
-	p.sends[src]++
-	return p.sends[src] >= uint64(f.CrashAfterSends)
+	ep.sends++
+	return ep.sends >= uint64(f.CrashAfterSends)
 }
 
-// arrivalLocked computes the delivery time of a message sent at now with
-// the given wire time, keeping arrivals monotonic per pipe: a later
-// message never arrives before an earlier one, even if it is smaller or
-// drew less jitter. Callers hold p.mu.
-func arrivalLocked(ps *pairState, now, wire time.Duration) time.Duration {
+// arrival computes the delivery time of a message sent at now with the
+// given wire time, keeping arrivals monotonic per pipe: a later message
+// never arrives before an earlier one, even if it is smaller or drew less
+// jitter.
+func (ps *pairState) arrival(now, wire time.Duration) time.Duration {
 	at := now + wire
 	if at < ps.fifo {
 		at = ps.fifo
@@ -812,20 +762,17 @@ func arrivalLocked(ps *pairState, now, wire time.Duration) time.Duration {
 // writes land after its replacement restored state.
 func (p *Pipeline) Inbound(m *msg.Message, now time.Duration) bool {
 	if m.Seq != 0 {
-		p.mu.Lock()
-		if m.Epoch < p.epoch {
-			p.mu.Unlock()
+		if m.Epoch < p.epoch.Load() {
 			p.cfg.Stats.RecordFaults(trace.FaultCounts{StaleEpochs: 1})
 			return false
 		}
-		ps := p.pairLocked(msg.PairOf(m.Src, m.Dst))
-		if m.Seq <= ps.seen {
-			p.mu.Unlock()
+		ep, pr := p.endpoint(m.Dst), msg.PairOf(m.Src, m.Dst)
+		catchUp(p, &ep.inReset, ep.seen)
+		if m.Seq <= ep.seen[pr] {
 			p.cfg.Stats.RecordFaults(trace.FaultCounts{DupsSuppressed: 1})
 			return false
 		}
-		ps.seen = m.Seq
-		p.mu.Unlock()
+		ep.seen[pr] = m.Seq
 	}
 	if m.Arrival < now && p.Stamps() {
 		m.Arrival = now

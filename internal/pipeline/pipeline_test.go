@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,6 +18,16 @@ type vclock struct{ t time.Duration }
 
 func (c *vclock) now() time.Duration { return c.t }
 
+// send is SendTo with the deliveries returned as a slice, the original
+// first, then any injected duplicate.
+func send(p *Pipeline, src, dst msg.Addr, m *msg.Message, clock func() time.Duration, charge func(time.Duration)) ([]Delivery, error) {
+	var ds []Delivery
+	if err := p.SendTo(src, dst, m, clock, charge, func(d Delivery) { ds = append(ds, d) }); err != nil {
+		return nil, err
+	}
+	return ds, nil
+}
+
 func TestArrivalMonotonicPerPair(t *testing.T) {
 	p := New(Config{Params: model.Myrinet2000(), ChargeModel: true})
 	a, b := msg.User(0), msg.User(1)
@@ -25,13 +36,13 @@ func TestArrivalMonotonicPerPair(t *testing.T) {
 	// would be earlier; the FIFO stamp must push it after the big one.
 	big := &msg.Message{Kind: msg.KindSend, Data: make([]byte, 64<<10)}
 	small := &msg.Message{Kind: msg.KindSend}
-	d1, _ := p.Send(a, b, big, clk.now, nil)
-	d2, _ := p.Send(a, b, small, clk.now, nil)
+	d1, _ := send(p, a, b, big, clk.now, nil)
+	d2, _ := send(p, a, b, small, clk.now, nil)
 	if d2[0].At < d1[0].At {
 		t.Fatalf("pipe reordered: %v then %v", d1[0].At, d2[0].At)
 	}
 	// A different pair is independent of the loaded one.
-	d3, _ := p.Send(b, a, &msg.Message{Kind: msg.KindSend}, clk.now, nil)
+	d3, _ := send(p, b, a, &msg.Message{Kind: msg.KindSend}, clk.now, nil)
 	if d3[0].At >= d1[0].At {
 		t.Fatalf("independent pair delayed behind big transfer: %v >= %v", d3[0].At, d1[0].At)
 	}
@@ -43,7 +54,7 @@ func TestSendStampsIdentity(t *testing.T) {
 	clk := &vclock{t: 5 * time.Microsecond}
 	var charged time.Duration
 	m := &msg.Message{Kind: msg.KindSend}
-	p.Send(a, b, m, clk.now, func(d time.Duration) { charged += d })
+	send(p, a, b, m, clk.now, func(d time.Duration) { charged += d })
 	if charged != model.Myrinet2000().SendOverhead {
 		t.Fatalf("send overhead charged %v", charged)
 	}
@@ -51,7 +62,7 @@ func TestSendStampsIdentity(t *testing.T) {
 		t.Fatalf("identity stamp wrong: %+v", m)
 	}
 	m2 := &msg.Message{Kind: msg.KindSend}
-	p.Send(a, b, m2, clk.now, nil)
+	send(p, a, b, m2, clk.now, nil)
 	if m2.Seq != 2 {
 		t.Fatalf("sequence did not advance: %d", m2.Seq)
 	}
@@ -158,7 +169,7 @@ func TestDuplicateInjectionBoundedPerPair(t *testing.T) {
 	clk := &vclock{}
 	total := 0
 	for i := 0; i < 20; i++ {
-		ds, _ := p.Send(a, b, &msg.Message{Kind: msg.KindSend}, clk.now, nil)
+		ds, _ := send(p, a, b, &msg.Message{Kind: msg.KindSend}, clk.now, nil)
 		for _, d := range ds {
 			if d.Dup {
 				total++
@@ -175,7 +186,7 @@ func TestDuplicateInjectionBoundedPerPair(t *testing.T) {
 		t.Fatalf("injected %d duplicates, want the per-pair bound 2", total)
 	}
 	// The bound is per pair: a different pipe gets its own allowance.
-	ds, _ := p.Send(b, a, &msg.Message{Kind: msg.KindSend}, clk.now, nil)
+	ds, _ := send(p, b, a, &msg.Message{Kind: msg.KindSend}, clk.now, nil)
 	if len(ds) != 2 {
 		t.Fatalf("fresh pair got %d deliveries, want original+dup", len(ds))
 	}
@@ -234,7 +245,7 @@ func TestPipelineFeedsRecorder(t *testing.T) {
 	clk := &vclock{}
 	var ats []time.Duration
 	for i := 0; i < 4; i++ {
-		ds, _ := p.Send(a, b, &msg.Message{Kind: msg.KindSend, Tag: i}, clk.now, nil)
+		ds, _ := send(p, a, b, &msg.Message{Kind: msg.KindSend, Tag: i}, clk.now, nil)
 		for _, d := range ds {
 			p.Inbound(d.Msg, d.At+time.Microsecond) // the receiver sees it late
 			ats = append(ats, d.At+time.Microsecond)
@@ -271,7 +282,7 @@ func TestPipelineFeedsRecorder(t *testing.T) {
 func TestNilMetricsAndStatsAreSafe(t *testing.T) {
 	p := New(Config{Faults: Faults{Seed: 1, Jitter: time.Microsecond, DupProb: 1}})
 	clk := &vclock{}
-	ds, _ := p.Send(msg.User(0), msg.User(1), &msg.Message{Kind: msg.KindSend}, clk.now, nil)
+	ds, _ := send(p, msg.User(0), msg.User(1), &msg.Message{Kind: msg.KindSend}, clk.now, nil)
 	for _, d := range ds {
 		p.Inbound(d.Msg, d.At)
 	}
@@ -351,7 +362,7 @@ func TestRetryExhaustionFailsSendWithCounters(t *testing.T) {
 		Stats:  mx,
 	})
 	clk := &vclock{}
-	ds, err := p.Send(msg.User(3), msg.ServerOf(0), &msg.Message{Kind: msg.KindPut}, clk.now, nil)
+	ds, err := send(p, msg.User(3), msg.ServerOf(0), &msg.Message{Kind: msg.KindPut}, clk.now, nil)
 	if ds != nil {
 		t.Fatalf("exhausted send still produced deliveries: %v", ds)
 	}
@@ -375,7 +386,7 @@ func TestRetryExhaustionFailsSendWithCounters(t *testing.T) {
 func TestRetryExhaustionAttributesServerSends(t *testing.T) {
 	p := New(Config{Faults: Faults{Seed: 1, LossProb: 1, RetryBudget: 1}})
 	clk := &vclock{}
-	_, err := p.Send(msg.ServerOf(0), msg.User(2), &msg.Message{Kind: msg.KindGetResp}, clk.now, nil)
+	_, err := send(p, msg.ServerOf(0), msg.User(2), &msg.Message{Kind: msg.KindGetResp}, clk.now, nil)
 	var fe *FaultError
 	if !errors.As(err, &fe) {
 		t.Fatalf("error %v is not a *FaultError", err)
@@ -397,11 +408,11 @@ func TestRecoveredLossDelaysArrivalAndCounts(t *testing.T) {
 		if exhausted {
 			t.Fatalf("seq %d exhausted at budget 8", seq)
 		}
-		ds, err := p.Send(a, b, &msg.Message{Kind: msg.KindSend}, clk.now, nil)
+		ds, err := send(p, a, b, &msg.Message{Kind: msg.KindSend}, clk.now, nil)
 		if err != nil {
 			t.Fatalf("seq %d: %v", seq, err)
 		}
-		ref, _ := clean.Send(a, b, &msg.Message{Kind: msg.KindSend}, clk.now, nil)
+		ref, _ := send(clean, a, b, &msg.Message{Kind: msg.KindSend}, clk.now, nil)
 		if drops > 0 {
 			if ds[0].Msg.FaultDelay < delay {
 				t.Fatalf("seq %d: retransmit delay %v not folded into FaultDelay %v", seq, delay, ds[0].Msg.FaultDelay)
@@ -433,11 +444,11 @@ func TestCrashFailsNthSend(t *testing.T) {
 	crasher, other := msg.User(2), msg.User(0)
 	dst := msg.ServerOf(0)
 	for i := 1; i <= 2; i++ {
-		if _, err := p.Send(crasher, dst, &msg.Message{Kind: msg.KindPut}, clk.now, nil); err != nil {
+		if _, err := send(p, crasher, dst, &msg.Message{Kind: msg.KindPut}, clk.now, nil); err != nil {
 			t.Fatalf("send %d before crash failed: %v", i, err)
 		}
 	}
-	_, err := p.Send(crasher, dst, &msg.Message{Kind: msg.KindLockReq}, clk.now, nil)
+	_, err := send(p, crasher, dst, &msg.Message{Kind: msg.KindLockReq}, clk.now, nil)
 	var fe *FaultError
 	if !errors.As(err, &fe) {
 		t.Fatalf("3rd send error %v is not a *FaultError", err)
@@ -446,10 +457,10 @@ func TestCrashFailsNthSend(t *testing.T) {
 		t.Fatalf("wrong crash attribution: %+v", fe)
 	}
 	// The crashed rank stays dead; other ranks are unaffected.
-	if _, err := p.Send(crasher, dst, &msg.Message{Kind: msg.KindPut}, clk.now, nil); err == nil {
+	if _, err := send(p, crasher, dst, &msg.Message{Kind: msg.KindPut}, clk.now, nil); err == nil {
 		t.Fatal("crashed rank sent again")
 	}
-	if _, err := p.Send(other, dst, &msg.Message{Kind: msg.KindPut}, clk.now, nil); err != nil {
+	if _, err := send(p, other, dst, &msg.Message{Kind: msg.KindPut}, clk.now, nil); err != nil {
 		t.Fatalf("unrelated rank affected by crash: %v", err)
 	}
 	if got := mx.Faults().Crashes; got != 1 {
@@ -485,7 +496,7 @@ func TestInboundRejectsStaleEpoch(t *testing.T) {
 	clk := &vclock{}
 
 	old := &msg.Message{Kind: msg.KindSend}
-	p.Send(a, b, old, clk.now, nil)
+	send(p, a, b, old, clk.now, nil)
 	if old.Epoch != 0 {
 		t.Fatalf("initial epoch stamp = %d", old.Epoch)
 	}
@@ -499,7 +510,7 @@ func TestInboundRejectsStaleEpoch(t *testing.T) {
 	}
 
 	cur := &msg.Message{Kind: msg.KindSend}
-	p.Send(a, b, cur, clk.now, nil)
+	send(p, a, b, cur, clk.now, nil)
 	if cur.Epoch != 3 {
 		t.Fatalf("send not stamped with new epoch: %d", cur.Epoch)
 	}
@@ -538,8 +549,64 @@ func TestResetPeerForgetsPairState(t *testing.T) {
 	// The send-side counter toward the reset peer restarts at 1 too.
 	m := &msg.Message{Kind: msg.KindSend}
 	clk := &vclock{}
-	p.Send(b, a, m, clk.now, nil)
+	send(p, b, a, m, clk.now, nil)
 	if m.Seq != 1 {
 		t.Fatalf("send counter survived reset: seq %d", m.Seq)
 	}
+}
+
+// TestResetPeerWhileOthersSend: resetting one peer's pipes is atomic
+// against the sends of every other actor, which take no lock the reset
+// takes. Three actors send to rank 0 while the reset runs; deliveries to
+// rank 0 are serialized by a lock standing in for its box, as a fabric
+// does. The reset pipes restart at sequence 1 and are admitted; the others
+// number on without a gap and never lose a message.
+func TestResetPeerWhileOthersSend(t *testing.T) {
+	p := New(Config{})
+	dst, peer := msg.User(0), msg.User(9)
+	var box sync.Mutex
+	send := func(src, to msg.Addr) (seq uint64, admitted bool) {
+		m := &msg.Message{Kind: msg.KindSend}
+		err := p.SendTo(src, to, m, nil, nil, func(d Delivery) {
+			box.Lock()
+			admitted = p.Inbound(d.Msg, 0)
+			box.Unlock()
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		return m.Seq, admitted
+	}
+	for i := 0; i < 3; i++ { // the peer's old incarnation, both ways
+		send(peer, dst)
+		send(dst, peer)
+	}
+
+	const n = 2000
+	var started, done sync.WaitGroup
+	for r := 1; r <= 3; r++ {
+		started.Add(1)
+		done.Add(1)
+		go func(src msg.Addr) {
+			defer done.Done()
+			for i := uint64(1); i <= n; i++ {
+				if seq, ok := send(src, dst); seq != i || !ok {
+					t.Errorf("%v -> %v: send %d got seq %d, admitted %v", src, dst, i, seq, ok)
+					return
+				}
+				if i == n/2 {
+					started.Done()
+				}
+			}
+		}(msg.User(r))
+	}
+	started.Wait() // every sender is mid-stream
+	p.ResetPeer(func(a msg.Addr) bool { return a == peer })
+	if seq, ok := send(peer, dst); seq != 1 || !ok {
+		t.Errorf("the new incarnation's first send: seq %d, admitted %v; want 1, true", seq, ok)
+	}
+	if seq, ok := send(dst, peer); seq != 1 || !ok {
+		t.Errorf("the first send to the new incarnation: seq %d, admitted %v; want 1, true", seq, ok)
+	}
+	done.Wait()
 }

@@ -149,7 +149,7 @@ func (f *FaultCounts) add(o FaultCounts) {
 
 // Faults returns the fault counters.
 func (s *Stats) Faults() FaultCounts {
-	s.mu.Lock()
+	s.lockFolded()
 	defer s.mu.Unlock()
 	return s.faults
 }
@@ -208,7 +208,7 @@ func sortedKinds[V any](m map[msg.Kind]V) []msg.Kind {
 // String renders the per-kind latency histograms and fault counters as
 // a human-readable report.
 func (s *Stats) String() string {
-	s.mu.Lock()
+	s.lockFolded()
 	defer s.mu.Unlock()
 	var b strings.Builder
 	total := 0

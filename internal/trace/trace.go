@@ -5,12 +5,14 @@
 // messages here rather than only by timing.
 //
 // Stats is the one recorder of a run. The transport pipeline calls it
-// once per send (RecordSend) and once per admission (RecordArrival), or
-// once with the fault counters of a send or copy that did not get
-// through (RecordFaults); each call takes the recorder's mutex once. A
-// socket link reports its write(2) count when it comes down
-// (RecordLinkWrites). The captured events carry Sent and the actual
-// Arrival, so they double as the per-message timeline.
+// once per send (the sending actor's Actor.RecordSend) and once per
+// admission (RecordArrival), or once with the fault counters of a send or
+// copy that did not get through (RecordFaults). A send takes only its
+// actor's lock, which no other sender takes, and a reader folds every
+// actor's counts in; a capturing recorder takes its own mutex for a send,
+// to number the events in one order. A socket link reports its write(2)
+// count when it comes down (RecordLinkWrites). The captured events carry
+// Sent and the actual Arrival, so they double as the per-message timeline.
 //
 // A recorder is loud while it captures or feeds latency histograms, and
 // quiet otherwise. Only a loud one reads message stamps or op events, so
@@ -33,18 +35,15 @@ import (
 // and — when switched on — captured events and latency histograms. All
 // methods are safe for concurrent use.
 type Stats struct {
-	mu        sync.Mutex
-	byKind    map[msg.Kind]int
-	bytes     int64
-	sends     int
-	writes    int   // write(2) calls of the socket link (tcp only)
-	written   int64 // the encoded bytes they carried, hellos included
-	faults    FaultCounts
+	mu sync.Mutex
+	counts
+	actors    []*Actor // their counts are folded into counts by every reader
+	writes    int      // write(2) calls of the socket link (tcp only)
+	written   int64    // the encoded bytes they carried, hellos included
 	events    []Event
 	byKey     map[eventKey]int // (pair,pairSeq) -> events index, capture mode
 	opEvents  []OpEvent
-	capture   bool
-	perPair   map[msg.Pair]int
+	capture   atomic.Bool
 	latency   bool // feed the histograms (NewRun recorders only)
 	latByKind map[msg.Kind]*Histogram
 	latByPair map[msg.Pair]*Histogram
@@ -185,8 +184,7 @@ type OpEvent struct {
 // histograms off.
 func New() *Stats {
 	return &Stats{
-		byKind:    make(map[msg.Kind]int),
-		perPair:   make(map[msg.Pair]int),
+		counts:    newCounts(),
 		byKey:     make(map[eventKey]int),
 		latByKind: make(map[msg.Kind]*Histogram),
 		latByPair: make(map[msg.Pair]*Histogram),
@@ -201,9 +199,7 @@ func (s *Stats) NewRun() *Stats {
 	r := New()
 	r.latency = true
 	r.loud.Store(true)
-	s.mu.Lock()
-	r.capture = s.capture
-	s.mu.Unlock()
+	r.capture.Store(s.capture.Load())
 	return r
 }
 
@@ -213,7 +209,7 @@ func (s *Stats) NewRun() *Stats {
 // carries no stamps.
 func (s *Stats) SetCapture(on bool) {
 	s.mu.Lock()
-	s.capture = on
+	s.capture.Store(on)
 	s.loud.Store(on || s.latency)
 	s.mu.Unlock()
 }
@@ -226,33 +222,96 @@ func (s *Stats) Loud() bool { return s.loud.Load() }
 // captured events are the timeline.
 func (s *Stats) SetTimeline(on bool) { s.SetCapture(on) }
 
-// RecordSend accounts one pipeline send: the message m, its injected
-// duplicate dup (nil when there is none), and the fault decisions the
-// send drew.
-func (s *Stats) RecordSend(m, dup *msg.Message, f FaultCounts) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sendLocked(m)
-	if dup != nil {
-		s.sendLocked(dup)
-	}
-	s.faults.add(f)
+// counts is what a recorder always keeps: RecordSend's counters.
+type counts struct {
+	sends   int
+	bytes   int64
+	byKind  map[msg.Kind]int
+	perPair map[msg.Pair]int
+	faults  FaultCounts
 }
 
-func (s *Stats) sendLocked(m *msg.Message) {
-	s.sends++
-	s.byKind[m.Kind]++
-	s.bytes += int64(m.PayloadBytes())
-	s.perPair[msg.PairOf(m.Src, m.Dst)]++
-	if s.capture {
-		s.events = append(s.events, Event{
-			Seq: s.sends, Kind: m.Kind, Src: m.Src, Dst: m.Dst,
-			Size: m.PayloadBytes(), PairSeq: m.Seq, Sent: m.Sent,
-			Arrival: m.Arrival, Dup: m.Dup, FaultDelay: m.FaultDelay,
-		})
-		if !m.Dup && m.Seq != 0 {
-			s.byKey[eventKey{msg.PairOf(m.Src, m.Dst), m.Seq}] = len(s.events) - 1
+func newCounts() counts {
+	return counts{byKind: make(map[msg.Kind]int), perPair: make(map[msg.Pair]int)}
+}
+
+func (c *counts) send(m *msg.Message) {
+	c.sends++
+	c.byKind[m.Kind]++
+	c.bytes += int64(m.PayloadBytes())
+	c.perPair[msg.PairOf(m.Src, m.Dst)]++
+}
+
+func (c *counts) add(o *counts) {
+	c.sends += o.sends
+	c.bytes += o.bytes
+	for k, n := range o.byKind {
+		c.byKind[k] += n
+	}
+	for pr, n := range o.perPair {
+		c.perPair[pr] += n
+	}
+	c.faults.add(o.faults)
+}
+
+// Actor is one sending actor's share of a recorder's counters.
+type Actor struct {
+	s  *Stats
+	mu sync.Mutex // taken by the actor and by readers folding it in
+	counts
+}
+
+// Actor returns a new share of s's counters for one sending actor.
+func (s *Stats) Actor() *Actor {
+	a := &Actor{s: s, counts: newCounts()}
+	s.mu.Lock()
+	s.actors = append(s.actors, a)
+	s.mu.Unlock()
+	return a
+}
+
+// RecordSend accounts one send of a's actor: the message m, its injected
+// duplicate dup (nil when there is none), and the fault decisions the send
+// drew. It takes only the actor's lock, unless the recorder captures: then
+// it takes the recorder's, which numbers the events in one order.
+func (a *Actor) RecordSend(m, dup *msg.Message, f FaultCounts) {
+	s, c, mu := a.s, &a.counts, &a.mu
+	capture := s.capture.Load()
+	if capture {
+		c, mu = &s.counts, &s.mu
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, m := range [2]*msg.Message{m, dup} {
+		if m == nil {
+			continue
 		}
+		c.send(m)
+		if capture {
+			s.events = append(s.events, Event{
+				Seq: s.sends, Kind: m.Kind, Src: m.Src, Dst: m.Dst,
+				Size: m.PayloadBytes(), PairSeq: m.Seq, Sent: m.Sent,
+				Arrival: m.Arrival, Dup: m.Dup, FaultDelay: m.FaultDelay,
+			})
+			if !m.Dup && m.Seq != 0 {
+				s.byKey[eventKey{msg.PairOf(m.Src, m.Dst), m.Seq}] = len(s.events) - 1
+			}
+		}
+	}
+	c.faults.add(f)
+}
+
+// lockFolded takes s.mu and moves every actor's counters into s's own, as
+// every reader of them does first.
+func (s *Stats) lockFolded() {
+	s.mu.Lock()
+	for _, a := range s.actors {
+		a.mu.Lock()
+		s.add(&a.counts)
+		clear(a.byKind)
+		clear(a.perPair)
+		a.counts = counts{byKind: a.byKind, perPair: a.perPair}
+		a.mu.Unlock()
 	}
 }
 
@@ -290,7 +349,7 @@ func (s *Stats) RecordArrival(m *msg.Message, now time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	pr := msg.PairOf(m.Src, m.Dst)
-	if s.capture {
+	if s.capture.Load() {
 		if i, ok := s.byKey[eventKey{pr, m.Seq}]; ok {
 			s.events[i].Arrival = m.Arrival
 		}
@@ -318,7 +377,7 @@ func (s *Stats) RecordOp(e OpEvent) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.capture {
+	if s.capture.Load() {
 		s.opLocked(e)
 	}
 }
@@ -333,27 +392,19 @@ func (s *Stats) opLocked(e OpEvent) {
 // the captured events, renumbered to continue s's own send count. Op events
 // stay with the run; they are a per-run linearization witness.
 func (s *Stats) Add(run *Stats) {
-	run.mu.Lock()
+	run.lockFolded()
 	defer run.mu.Unlock()
-	s.mu.Lock()
+	s.lockFolded()
 	defer s.mu.Unlock()
-	if s.capture {
+	if s.capture.Load() {
 		for _, e := range run.events {
 			e.Seq += s.sends
 			s.events = append(s.events, e)
 		}
 	}
-	s.sends += run.sends
-	s.bytes += run.bytes
+	s.add(&run.counts)
 	s.writes += run.writes
 	s.written += run.written
-	for k, n := range run.byKind {
-		s.byKind[k] += n
-	}
-	for pr, n := range run.perPair {
-		s.perPair[pr] += n
-	}
-	s.faults.add(run.faults)
 	for k, h := range run.latByKind {
 		histogramOf(s.latByKind, k).merge(h)
 	}
@@ -371,21 +422,21 @@ func (s *Stats) OpEvents() []OpEvent {
 
 // Sends returns the total number of messages sent.
 func (s *Stats) Sends() int {
-	s.mu.Lock()
+	s.lockFolded()
 	defer s.mu.Unlock()
 	return s.sends
 }
 
 // Count returns the number of messages of kind k.
 func (s *Stats) Count(k msg.Kind) int {
-	s.mu.Lock()
+	s.lockFolded()
 	defer s.mu.Unlock()
 	return s.byKind[k]
 }
 
 // Bytes returns the total modeled payload bytes sent.
 func (s *Stats) Bytes() int64 {
-	s.mu.Lock()
+	s.lockFolded()
 	defer s.mu.Unlock()
 	return s.bytes
 }
@@ -400,7 +451,7 @@ func (s *Stats) LinkWrites() (writes int, bytes int64) {
 
 // PairCount returns the number of messages sent from src to dst.
 func (s *Stats) PairCount(src, dst msg.Addr) int {
-	s.mu.Lock()
+	s.lockFolded()
 	defer s.mu.Unlock()
 	return s.perPair[msg.PairOf(src, dst)]
 }
@@ -414,7 +465,7 @@ func (s *Stats) Events() []Event {
 
 // Summary formats the per-kind counters, sorted by kind, for reports.
 func (s *Stats) Summary() string {
-	s.mu.Lock()
+	s.lockFolded()
 	defer s.mu.Unlock()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d msgs, %d bytes:", s.sends, s.bytes)

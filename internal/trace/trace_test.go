@@ -11,7 +11,7 @@ import (
 )
 
 func send(s *Stats, kind msg.Kind, src, dst msg.Addr, n int) {
-	s.RecordSend(&msg.Message{Kind: kind, Src: src, Dst: dst, Data: make([]byte, n)}, nil, FaultCounts{})
+	s.Actor().RecordSend(&msg.Message{Kind: kind, Src: src, Dst: dst, Data: make([]byte, n)}, nil, FaultCounts{})
 }
 
 func TestCountsAndBytes(t *testing.T) {
@@ -83,6 +83,9 @@ func TestSummaryFormat(t *testing.T) {
 	}
 }
 
+// TestConcurrentRecording: half the senders record through the recorder,
+// half through their own Actor, while a reader folds the actors' counts in
+// under them; the totals come out whole.
 func TestConcurrentRecording(t *testing.T) {
 	s := New()
 	const workers, each = 8, 200
@@ -91,14 +94,30 @@ func TestConcurrentRecording(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			a := s.Actor()
 			for i := 0; i < each; i++ {
-				send(s, msg.KindPut, msg.User(0), msg.ServerOf(0), 4)
+				if w%2 == 0 {
+					send(s, msg.KindPut, msg.User(w), msg.ServerOf(0), 4)
+				} else {
+					a.RecordSend(&msg.Message{Kind: msg.KindPut, Src: msg.User(w), Dst: msg.ServerOf(0)}, nil, FaultCounts{Jittered: 1})
+				}
 			}
 		}()
 	}
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for s.Sends() < workers*each {
+		}
+	}()
 	wg.Wait()
-	if s.Sends() != workers*each {
-		t.Fatalf("sends = %d, want %d", s.Sends(), workers*each)
+	<-read
+	if s.Sends() != workers*each || s.Count(msg.KindPut) != workers*each || s.Faults().Jittered != workers/2*each {
+		t.Fatalf("sends = %d, puts = %d, jittered = %d; want %d, %d, %d",
+			s.Sends(), s.Count(msg.KindPut), s.Faults().Jittered, workers*each, workers*each, workers/2*each)
+	}
+	if n := s.PairCount(msg.User(1), msg.ServerOf(0)); n != each {
+		t.Fatalf("an actor's pair count = %d, want %d", n, each)
 	}
 }
 
@@ -151,7 +170,7 @@ func TestRecorderLatencyAndTimeline(t *testing.T) {
 		for i := 1; i <= n; i++ {
 			sent := time.Duration(i) * 100 * time.Microsecond
 			m := &msg.Message{Kind: msg.KindSend, Src: a, Dst: b, Seq: uint64(i), Sent: sent}
-			s.RecordSend(m, nil, FaultCounts{})
+			s.Actor().RecordSend(m, nil, FaultCounts{})
 			m.Arrival = sent + time.Duration(10+i)*time.Microsecond // known only at the receiver
 			s.RecordArrival(m, m.Arrival)
 		}
@@ -226,7 +245,7 @@ func TestLinkWritesFoldAndPrint(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		run := agg.NewRun()
 		for j := 0; j < 3; j++ {
-			run.RecordSend(&msg.Message{Kind: msg.KindSend}, nil, FaultCounts{})
+			run.Actor().RecordSend(&msg.Message{Kind: msg.KindSend}, nil, FaultCounts{})
 		}
 		run.RecordLinkWrites(1, 100)
 		run.RecordLinkWrites(1, 20)

@@ -696,6 +696,61 @@ func TestStampsOnlyForAReader(t *testing.T) {
 	}
 }
 
+// TestQuietCountsEqualCaptured: a quiet recorder counts each send in its
+// actor's own share and folds the shares in when read; a capturing one
+// counts every send itself. The same 4-rank chan exchange must read the
+// same totals from both, however the sends interleaved.
+func TestQuietCountsEqualCaptured(t *testing.T) {
+	const procs, each = 4, 50
+	run := func(capture bool) *trace.Stats {
+		rec := trace.New()
+		rec.SetCapture(capture)
+		f, err := NewChan(Config{Procs: procs, Model: model.Zero(), Trace: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < procs; r++ {
+			f.SpawnUser(r, func(env Env) {
+				for i := 0; i < each; i++ {
+					for to := 0; to < procs; to++ {
+						if to != r {
+							kind := []msg.Kind{msg.KindSend, msg.KindColl}[i%2]
+							env.Send(msg.User(to), &msg.Message{Kind: kind, Data: make([]byte, r+to+i%3)})
+						}
+					}
+				}
+				for i := 0; i < each*(procs-1); i++ {
+					env.Recv(msg.MatchAny)
+				}
+			})
+		}
+		if err := f.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	quiet, captured := run(false), run(true)
+	if n := len(captured.Events()); quiet.Sends() != n || captured.Sends() != n || n != procs*(procs-1)*each {
+		t.Fatalf("sends: quiet %d, captured %d, %d events", quiet.Sends(), captured.Sends(), n)
+	}
+	for _, k := range []msg.Kind{msg.KindSend, msg.KindColl} {
+		if quiet.Count(k) != captured.Count(k) {
+			t.Errorf("%v: quiet %d, captured %d", k, quiet.Count(k), captured.Count(k))
+		}
+	}
+	if quiet.Bytes() != captured.Bytes() {
+		t.Errorf("bytes: quiet %d, captured %d", quiet.Bytes(), captured.Bytes())
+	}
+	for src := 0; src < procs; src++ {
+		for dst := 0; dst < procs; dst++ {
+			q, c := quiet.PairCount(msg.User(src), msg.User(dst)), captured.PairCount(msg.User(src), msg.User(dst))
+			if q != c {
+				t.Errorf("pair %d->%d: quiet %d, captured %d", src, dst, q, c)
+			}
+		}
+	}
+}
+
 // never is the predicate of a wait nothing will ever satisfy.
 func never() bool { return false }
 

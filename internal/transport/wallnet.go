@@ -323,18 +323,23 @@ func waitChan(wg *sync.WaitGroup) <-chan struct{} {
 // metrics) and files it in b, the destination's box, which the link
 // resolved — nil, an endpoint this process does not host, drops the frame.
 // The clock is read only for a frame the pipeline stamps.
-// Only that box is locked and only its owner, if parked on it, is woken;
-// the fence is checked under the lock of the Put, so a frame of a closed
-// epoch that passed Inbound a moment ago cannot follow the purge.
+// Only that box is locked — it serializes the box's deliveries, as Inbound
+// requires, so the dedup watermark is the box's own — and only its owner, if
+// parked on it, is woken. The fence is checked under the lock of the Put, so
+// a frame of a closed epoch cannot follow the purge.
 func (f *wallFabric) arrive(b *box, m *msg.Message) {
+	if b == nil {
+		return
+	}
 	var now time.Duration
 	if f.pipe.Stamps() {
 		now = time.Since(f.start)
 	}
-	if !f.pipe.Inbound(m, now) || b == nil {
+	b.mu.Lock()
+	if !f.pipe.Inbound(m, now) {
+		b.mu.Unlock()
 		return
 	}
-	b.mu.Lock()
 	if m.Epoch < b.fence {
 		b.mu.Unlock()
 		f.cfg.Trace.RecordFaults(trace.FaultCounts{StaleEpochs: 1})
@@ -445,8 +450,7 @@ func (e *wallEnv) Send(to msg.Addr, m *msg.Message) {
 	e.interrupt()
 	// Frames reach the destination mailbox in send order (an injected
 	// duplicate trails its original, where dedup drops it); the stamped
-	// arrival time is enforced on the receive side. carry runs outside the
-	// pipeline lock, so arrive's own pipeline locking cannot deadlock.
+	// arrival time is enforced on the receive side.
 	err := f.pipe.SendTo(e.addr, to, m,
 		func() time.Duration { return time.Since(f.start) }, e.Charge,
 		func(d pipeline.Delivery) {
@@ -572,10 +576,12 @@ func (e *wallEnv) block(tag string, done func() bool, limit time.Duration, opBou
 	}
 	due := until // the earliest bound pending: where the box timer must be
 	defer func() {
-		b.timer.Stop() // a fire already under way is a spurious re-check later
-		b.watching.Store(false)
+		if !armed.IsZero() {
+			b.timer.Stop() // a fire already under way is a spurious re-check later
+		}
 	}()
 	if watch {
+		defer b.watching.Store(false)
 		b.watching.Store(true)
 		if done() { // a write may have landed before the mark was up
 			return true

@@ -26,6 +26,9 @@ go test -race -count=5 ./internal/core
 # The wall-clock runtime likewise: whether a signal lands before or after
 # its box's owner parks is the scheduler's choice on every wait.
 go test -race -count=5 ./internal/transport
+# And the per-actor state under it: a reset landing mid-stream on other
+# actors' pipes, a reader folding counters an actor is still adding to.
+go test -race -count=5 ./internal/pipeline ./internal/trace
 # And the pair connection: whether a second sender's frame lands before or
 # after the first one's flush on a shared connection is the scheduler's too.
 go test -race -count=5 ./internal/cluster
