@@ -30,6 +30,8 @@ package armci
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"armci/internal/cluster"
@@ -189,34 +191,25 @@ const (
 	FabricProc
 )
 
+// fabricNames holds each FabricKind's name, read by String and
+// ParseFabric.
+var fabricNames = [...]string{FabricSim: "sim", FabricChan: "chan", FabricTCP: "tcp", FabricProc: "proc"}
+
 func (k FabricKind) String() string {
-	switch k {
-	case FabricSim:
-		return "sim"
-	case FabricChan:
-		return "chan"
-	case FabricTCP:
-		return "tcp"
-	case FabricProc:
-		return "proc"
+	if int(k) < len(fabricNames) {
+		return fabricNames[k]
 	}
 	return fmt.Sprintf("FabricKind(%d)", uint8(k))
 }
 
 // ParseFabric resolves a fabric name — the shared vocabulary of every
-// command-line tool that selects fabrics ("sim", "chan", "tcp", "proc").
+// command-line tool that selects fabrics — the inverse of
+// FabricKind.String.
 func ParseFabric(s string) (FabricKind, error) {
-	switch s {
-	case "sim":
-		return FabricSim, nil
-	case "chan":
-		return FabricChan, nil
-	case "tcp":
-		return FabricTCP, nil
-	case "proc":
-		return FabricProc, nil
+	if i := slices.Index(fabricNames[:], s); i >= 0 {
+		return FabricKind(i), nil
 	}
-	return 0, fmt.Errorf("armci: unknown fabric %q (want sim, chan, tcp or proc)", s)
+	return 0, fmt.Errorf("armci: unknown fabric %q (want %s)", s, strings.Join(fabricNames[:], ", "))
 }
 
 // CostPreset names a cost model for the simulated fabric.

@@ -62,7 +62,7 @@ func run(args []string, out io.Writer) error {
 		fig      = fs.String("fig", "all", "experiment: "+figs)
 		workload = fs.String("workload", "", "with -fig workloads: semicolon-separated workload specs (default stencil;paramserver;prodcons;mixed)")
 		fabric   = fs.String("fabric", "sim", "fabric: sim, chan, tcp, proc (proc: multi-process, see -fabric proc notes)")
-		preset   = fs.String("preset", string(armci.PresetMyrinet2000), "cost model: myrinet2000, fast-ethernet, zero")
+		preset   = fs.String("preset", string(armci.PresetMyrinet2000), "cost model: myrinet2000, fast-ethernet, low-latency, zero")
 		procsF   = fs.String("procs", "", "comma-separated process counts (default per experiment)")
 		reps     = fs.Int("reps", 0, "timed repetitions per point (default per experiment)")
 		iters    = fs.Int("iters", 0, "lock iterations per process (default 200)")
@@ -283,9 +283,8 @@ func orUnknown(s string) string {
 	return s
 }
 
-// parseFaults parses the -faults plan (see armci.ParseFaults for the
-// grammar: jitter, spike, dup, loss, rto, retry, crash, seed; each knob
-// at most once), wrapping errors with the flag name.
+// parseFaults parses the -faults plan (armci.ParseFaults holds the
+// grammar), wrapping errors with the flag name.
 func parseFaults(s string) (armci.Faults, error) {
 	f, err := armci.ParseFaults(s)
 	if err != nil {

@@ -69,6 +69,21 @@ func TestParseFaultsGrammar(t *testing.T) {
 	if got != want {
 		t.Fatalf("parsed %+v,\nwant %+v", got, want)
 	}
+	got, err = parseFaults("dup=0.25@3ms,crashheld=1@2,crashrank=3@4")
+	if err != nil {
+		t.Fatalf("crash-position plan rejected: %v", err)
+	}
+	want = armci.Faults{
+		DupProb:          0.25,
+		DupDelay:         3 * time.Millisecond,
+		CrashHeldRank:    1,
+		CrashHeldAcquire: 2,
+		ElasticCrashRank: 3,
+		ElasticCrashStep: 4,
+	}
+	if got != want {
+		t.Fatalf("parsed %+v,\nwant %+v", got, want)
+	}
 	if empty, err := parseFaults(""); err != nil || empty != (armci.Faults{}) {
 		t.Fatalf("empty plan: %+v, %v", empty, err)
 	}
@@ -108,6 +123,13 @@ func TestParseFaultsRejectsBadValues(t *testing.T) {
 		"crashrank=2",
 		"crashrank=-1@3",
 		"crashrank=2@0",
+		"crashheld=2",
+		"crashheld=-1@5",
+		"crashheld=2@0",
+		"spike=1ms@x",
+		"dup=0.1@x",
+		"rto=1ms@x",
+		"seed=x",
 	} {
 		if _, err := parseFaults(plan); err == nil {
 			t.Fatalf("bad plan %q accepted", plan)

@@ -46,6 +46,7 @@ import (
 
 	"armci"
 	"armci/internal/check"
+	"armci/internal/workload"
 )
 
 func main() {
@@ -58,12 +59,19 @@ func main() {
 // the command-line flags, output goes to out, and the exit code is
 // returned instead of passed to os.Exit.
 func run(args []string, out io.Writer) int {
+	var algs, syncs []string
+	for a := armci.LockHybrid; a <= armci.LockLease; a++ {
+		algs = append(algs, a.String())
+	}
+	for _, s := range workload.Syncs {
+		syncs = append(syncs, s.Name)
+	}
 	fs := flag.NewFlagSet("armci-check", flag.ExitOnError)
 	var (
 		fabricsF  = fs.String("fabrics", "sim", "comma-separated in-process fabrics: sim, chan, tcp")
-		algsF     = fs.String("algs", "queue,hybrid,ticket,queue-nocas,lease", "comma-separated lock algorithms (empty entry = no lock phase)")
+		algsF     = fs.String("algs", "queue,hybrid,ticket,queue-nocas,lease", "comma-separated lock algorithms: "+strings.Join(algs, ", ")+" (empty entry = no lock phase)")
 		workloadF = fs.String("workload", "", "semicolon-separated workload specs (specs contain commas), e.g. 'stencil:rows=16;mixed:skew=hot,nb=75'; replaces the lock/put/notify workload and ignores -algs")
-		syncsF    = fs.String("syncs", "barrier,sync-old", "comma-separated sync variants: barrier, sync-old, sync-old-pipelined, barrier-knomial, barrier-hier, barrier-hier-nic")
+		syncsF    = fs.String("syncs", "barrier,sync-old", "comma-separated sync variants: "+strings.Join(syncs, ", "))
 		faultsF   = fs.String("faults", "", "semicolon-separated fault plans (plans contain commas), e.g. 'loss=0.15,retry=12;dup=0.2'")
 		procs     = fs.Int("procs", 6, "user processes")
 		ppn       = fs.Int("ppn", 2, "processes per node (ticket forces ppn=procs)")
@@ -71,7 +79,7 @@ func run(args []string, out io.Writer) int {
 		seedStart = fs.Int64("seed-start", 1, "first seed of the sweep (0 = FIFO baseline)")
 		iters     = fs.Int("iters", 0, "critical sections per rank (0 = default)")
 		rounds    = fs.Int("rounds", 0, "put+sync rounds (0 = default)")
-		preset    = fs.String("preset", "", "cost model: myrinet2000, low-latency, zero (empty = default)")
+		preset    = fs.String("preset", "", "cost model: myrinet2000, fast-ethernet, low-latency, zero (empty = default)")
 		coalesce  = fs.Bool("coalesce", false, "run every case with per-destination op coalescing enabled (batched wire frames)")
 		mutation  = fs.String("mutation", "", "run every case under this broken variant (replays a 'mutation=' reproducer)")
 		workers   = fs.Int("j", runtime.GOMAXPROCS(0), "concurrent case workers (output is identical at any -j)")

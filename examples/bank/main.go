@@ -31,16 +31,9 @@ func main() {
 	algFlag := flag.String("alg", "queue", "lock algorithm: queue, queue-nocas, hybrid")
 	flag.Parse()
 
-	var alg armci.LockAlg
-	switch *algFlag {
-	case "queue":
-		alg = armci.LockQueue
-	case "queue-nocas":
-		alg = armci.LockQueueNoCAS
-	case "hybrid":
-		alg = armci.LockHybrid
-	default:
-		log.Fatalf("unknown lock algorithm %q", *algFlag)
+	alg, err := armci.ParseLockAlg(*algFlag)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	const initialBalance = 1000

@@ -24,16 +24,9 @@ func main() {
 	procs := flag.Int("procs", 4, "number of emulated processes")
 	flag.Parse()
 
-	var fk armci.FabricKind
-	switch *fabricFlag {
-	case "sim":
-		fk = armci.FabricSim
-	case "chan":
-		fk = armci.FabricChan
-	case "tcp":
-		fk = armci.FabricTCP
-	default:
-		log.Fatalf("unknown fabric %q", *fabricFlag)
+	fk, err := armci.ParseFabric(*fabricFlag)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	var mu sync.Mutex

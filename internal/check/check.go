@@ -59,9 +59,8 @@ type Case struct {
 	// PPN is how many consecutive ranks share a node (default 2; forced
 	// to Procs for the ticket algorithm, which is single-node only).
 	PPN int
-	// Alg is the lock algorithm exercised by the critical-section phase:
-	// "queue", "hybrid", "ticket", "queue-nocas", "lease", or "" for no
-	// lock phase.
+	// Alg is the lock algorithm exercised by the critical-section phase,
+	// an armci.LockAlg name (armci.ParseLockAlg), or "" for no lock phase.
 	Alg string
 	// Workload selects a named workload program in the internal/workload
 	// grammar — "stencil", "paramserver:hot=2", "prodcons",
@@ -70,13 +69,9 @@ type Case struct {
 	// three-phase lock/put/notify workload. Named workloads have no lock
 	// phase (Alg must be empty) and no crashheld support.
 	Workload string
-	// Sync is the global synchronization variant: "barrier" (the paper's
-	// combined ARMCI_Barrier, the default), "sync-old" (serialized
-	// AllFence + MPI_Barrier), "sync-old-pipelined", or a topology-aware
-	// flavor of the combined barrier — "barrier-knomial" (radix-4
-	// k-nomial exchange stages), "barrier-hier" (two-level hierarchical
-	// exchange through per-node leaders), "barrier-hier-nic"
-	// (hierarchical with the servers answering fences at NIC cost).
+	// Sync is the global synchronization variant, the name of a row of
+	// workload.Syncs (default "barrier", the paper's combined
+	// ARMCI_Barrier).
 	Sync string
 	// Faults is a fault plan in the armci.ParseFaults grammar ("" = no
 	// faults). A plan without an explicit seed= knob is seeded with Seed,
@@ -117,7 +112,7 @@ func (c Case) withDefaults() Case {
 	if c.PPN <= 0 {
 		c.PPN = 2
 	}
-	if c.Alg == "ticket" {
+	if c.Alg == armci.LockTicket.String() {
 		// The pure ticket lock requires every rank on the lock's home
 		// node.
 		c.PPN = c.Procs
@@ -236,7 +231,7 @@ func RunCase(c Case) Result {
 		panic(fmt.Sprintf("check: deliberate harness panic for case %s", c.Reproducer()))
 	}
 	col := &collector{}
-	alg, nic := syncOptions(c.Sync)
+	sy, _ := workload.SyncNamed(c.Sync)
 	rep, runErr := armci.Run(armci.Options{
 		Procs:        c.Procs,
 		ProcsPerNode: c.PPN,
@@ -244,8 +239,8 @@ func RunCase(c Case) Result {
 		Preset:       c.Preset,
 		NumMutexes:   1,
 		ScheduleSeed: c.Seed,
-		BarrierAlg:   alg,
-		NIC:          nic,
+		BarrierAlg:   sy.Barrier,
+		NIC:          sy.NIC,
 		Coalesce:     armci.Coalesce{Enabled: c.Coalesce || spec.coalesceHazard},
 		CaptureTrace: true,
 		Faults:       faults,
@@ -299,35 +294,15 @@ func armSubstrate(spec mutationSpec, body func(*armci.Proc)) func(*armci.Proc) {
 	}
 }
 
-// syncOptions maps a topology-aware sync variant to the run options it
-// requires: the barrier exchange algorithm (which also drives the
-// combined barrier's stage-1 allreduce pattern) and whether the data
-// servers answer fence round-trips at NIC cost. The classic variants
-// keep the defaults.
-func syncOptions(sync string) (armci.BarrierAlg, armci.NICMode) {
-	switch sync {
-	case "barrier-knomial":
-		return armci.BarrierKnomial, armci.NICNone
-	case "barrier-hier":
-		return armci.BarrierHierarchical, armci.NICNone
-	case "barrier-hier-nic":
-		return armci.BarrierHierarchical, armci.NICFence
-	}
-	return armci.BarrierAuto, armci.NICNone
-}
-
 // validateCase rejects unknown algorithm / sync / mutation names before
 // spending a run on them.
 func validateCase(c Case) error {
-	switch c.Alg {
-	case "", "queue", "hybrid", "ticket", "queue-nocas", "lease":
-	default:
-		return fmt.Errorf("check: unknown lock algorithm %q", c.Alg)
+	if c.Alg != "" {
+		if _, err := armci.ParseLockAlg(c.Alg); err != nil {
+			return fmt.Errorf("check: %w", err)
+		}
 	}
-	switch c.Sync {
-	case "barrier", "sync-old", "sync-old-pipelined",
-		"barrier-knomial", "barrier-hier", "barrier-hier-nic":
-	default:
+	if _, ok := workload.SyncNamed(c.Sync); !ok {
 		return fmt.Errorf("check: unknown sync variant %q", c.Sync)
 	}
 	m, knownMut := mutationSpecs[c.Mutation]

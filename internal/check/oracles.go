@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"armci"
 	"armci/internal/msg"
 	"armci/internal/trace"
 )
@@ -28,14 +29,12 @@ const (
 	fifoTicket                 // Hybrid/Ticket: strictly increasing tickets
 )
 
-func fifoKindFor(alg string) fifoKind {
-	switch alg {
-	case "queue":
-		return fifoQueue
-	case "hybrid", "ticket":
-		return fifoTicket
-	}
-	return fifoNone
+// fifoOf is the hand-off order check of each lock algorithm name; a name
+// it lacks is checked for mutual exclusion only.
+var fifoOf = map[string]fifoKind{
+	armci.LockQueue.String():  fifoQueue,
+	armci.LockHybrid.String(): fifoTicket,
+	armci.LockTicket.String(): fifoTicket,
 }
 
 // checkHistory runs every trace-level oracle over one run's history.
@@ -44,7 +43,7 @@ func checkHistory(events []trace.OpEvent, c Case) []Violation {
 	if leaseSemantics(c) {
 		vs = append(vs, checkMutexLease(events, c)...)
 	} else {
-		vs = append(vs, checkMutex(events, c, fifoKindFor(c.Alg))...)
+		vs = append(vs, checkMutex(events, c, fifoOf[c.Alg])...)
 	}
 	vs = append(vs, checkFence(events, c)...)
 	vs = append(vs, checkDelivery(events, c)...)
@@ -53,7 +52,7 @@ func checkHistory(events []trace.OpEvent, c Case) []Violation {
 
 // leaseSemantics reports whether the case's lock history must be judged
 // by the modulo-lease oracle: the lease algorithm, real or mutated.
-func leaseSemantics(c Case) bool { return c.Alg == "lease" }
+func leaseSemantics(c Case) bool { return c.Alg == armci.LockLease.String() }
 
 // checkMutex validates mutual exclusion and — per fifo kind — FIFO
 // hand-off order, lock by lock, in one scan.

@@ -236,19 +236,11 @@ func lockFor(p *armci.Proc, c Case) armci.Mutex {
 	if m, ok := mutationSpecs[c.Mutation]; ok && m.lock != nil {
 		return m.lock(p)
 	}
-	switch c.Alg {
-	case "queue":
-		return p.Mutex(0, armci.LockQueue)
-	case "hybrid":
-		return p.Mutex(0, armci.LockHybrid)
-	case "queue-nocas":
-		return p.Mutex(0, armci.LockQueueNoCAS)
-	case "ticket":
-		return p.Mutex(0, armci.LockTicket)
-	case "lease":
-		return p.Mutex(0, armci.LockLease)
+	alg, err := armci.ParseLockAlg(c.Alg)
+	if err != nil {
+		panic(fmt.Sprintf("check: lockFor on unvalidated case: %v", err))
 	}
-	panic("check: lockFor called with no lock algorithm")
+	return p.Mutex(0, alg)
 }
 
 // syncFor returns the case's global synchronization: the real variant,
@@ -257,11 +249,6 @@ func syncFor(p *armci.Proc, c Case, epoch *int) func() {
 	if m, ok := mutationSpecs[c.Mutation]; ok && m.syncFn != nil {
 		return m.syncFn(p, epoch)
 	}
-	switch c.Sync {
-	case "sync-old":
-		return p.SyncOld
-	case "sync-old-pipelined":
-		return p.SyncOldPipelined
-	}
-	return p.Barrier
+	sy, _ := workload.SyncNamed(c.Sync)
+	return func() { sy.Proc(p) }
 }

@@ -107,7 +107,9 @@ type Result struct {
 	RecoveryTime time.Duration
 }
 
-func (c *Config) defaults(p *armci.Proc) {
+// sized fills the workload's unset shape knobs for n ranks; Run and
+// Oracle both start from it.
+func (c *Config) sized(n int) {
 	if c.Steps == 0 {
 		c.Steps = 6
 	}
@@ -115,11 +117,15 @@ func (c *Config) defaults(p *armci.Proc) {
 		c.Rows = 3 * shmem.PageWords
 	}
 	if c.Bytes == 0 {
-		c.Bytes = SlotBytes * p.Size()
+		c.Bytes = SlotBytes * n
 	}
 	if c.Ops == 0 {
 		c.Ops = 8
 	}
+}
+
+func (c *Config) defaults(p *armci.Proc) {
+	c.sized(p.Size())
 	if c.CrashStep == 0 {
 		f := p.Env().Faults()
 		c.CrashRank, c.CrashStep = f.ElasticCrashRank, f.ElasticCrashStep
@@ -476,18 +482,7 @@ func (r *runner) fingerprint(bar func(id uint64)) uint64 {
 // recovered — must converge to. Launchers and the conformance harness
 // verify results against it with no reference execution.
 func Oracle(cfg Config, n int) uint64 {
-	if cfg.Steps == 0 {
-		cfg.Steps = 6
-	}
-	if cfg.Rows == 0 {
-		cfg.Rows = 3 * shmem.PageWords
-	}
-	if cfg.Bytes == 0 {
-		cfg.Bytes = SlotBytes * n
-	}
-	if cfg.Ops == 0 {
-		cfg.Ops = 8
-	}
+	cfg.sized(n)
 	words := make([][]int64, n)
 	bufs := make([][]byte, n)
 	for q := 0; q < n; q++ {

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -10,31 +12,23 @@ import (
 //
 //	<kind>[:<knob>=<value>,<knob>=<value>,...]
 //
-// with one kind from Kinds() and kind-specific integer knobs, each
-// given at most once and with no whitespace. Every kind accepts a
-// seed=<int> knob overriding the case seed as the generator seed.
-// Errors carry the byte offset of the offending token (ParseError);
-// any accepted spec round-trips through Format, and Format output is a
-// canonical fixed point (defaults elided, knobs in a fixed order).
+// with one kind from Kinds() and the knobs that apply to it — the rows of
+// knobs — each given at most once and with no whitespace. Errors carry
+// the byte offset of the offending token (ParseError); any accepted spec
+// round-trips through Format, and Format output is a canonical fixed
+// point (defaults elided, knobs in table order).
 
 // Workload kinds.
 const (
 	// KindStencil: halo-exchange Jacobi sweeps over a ga 2-D array.
-	// Knobs: rows, cols (grid shape), halo (neighbor distance — may
-	// exceed the per-rank tile), steps (sweep count).
 	KindStencil = "stencil"
 	// KindParamServer: all ranks Accumulate update vectors into one hot
-	// rank's parameter vector. Knobs: hot (server rank), updates (per
-	// rank), width (vector length in words).
+	// rank's parameter vector.
 	KindParamServer = "paramserver"
 	// KindProdCons: pipelined producer→consumer chain via PutFlag /
-	// WaitFlag. Knobs: chunks (per item), bytes (per chunk), depth
-	// (items in flight).
+	// WaitFlag.
 	KindProdCons = "prodcons"
 	// KindMixed: adversarial program sampled from the seeded grammar.
-	// Knobs: ops (per rank per round), rounds, skew
-	// (uniform|hot|neighbor), maxbytes (payload cap), nb (percent of
-	// eligible ops issued non-blocking).
 	KindMixed = "mixed"
 )
 
@@ -69,6 +63,94 @@ type Spec struct {
 	GenSeed int64
 }
 
+// knob is one row of the grammar: its key, the kind it applies to ("" =
+// every kind), the range of an integer value or the names of an enum
+// one, its default as written ("" = none), and the Spec field it sets —
+// an *int, the *int64 seed or the *string skew. explicitZero marks the
+// one knob whose written 0 is not its default: Spec.nbSet records it.
+type knob struct {
+	key, kind    string
+	lo, hi       int64
+	enum         []string
+	def          string
+	explicitZero bool
+	field        func(*Spec) any
+}
+
+// knobs is the workload grammar, one row per knob in canonical order.
+// Parse, Format, withDefaults and the error messages' knob lists all
+// read it. Defaults are sized so a default case stays fast under a seed
+// sweep while still exercising multi-chunk, multi-round geometry.
+var knobs = []knob{
+	// stencil: grid shape, neighbor distance (may exceed the per-rank
+	// tile), sweep count
+	{key: "rows", kind: KindStencil, lo: 1, hi: 256, def: "8", field: func(s *Spec) any { return &s.Rows }},
+	{key: "cols", kind: KindStencil, lo: 1, hi: 256, def: "8", field: func(s *Spec) any { return &s.Cols }},
+	{key: "halo", kind: KindStencil, lo: 1, hi: 16, def: "1", field: func(s *Spec) any { return &s.Halo }},
+	{key: "steps", kind: KindStencil, lo: 1, hi: 32, def: "2", field: func(s *Spec) any { return &s.Steps }},
+	// paramserver: server rank, updates per rank, vector length in words
+	{key: "hot", kind: KindParamServer, lo: 0, hi: 4095, field: func(s *Spec) any { return &s.Hot }},
+	{key: "updates", kind: KindParamServer, lo: 1, hi: 1024, def: "4", field: func(s *Spec) any { return &s.Updates }},
+	{key: "width", kind: KindParamServer, lo: 1, hi: 512, def: "8", field: func(s *Spec) any { return &s.Width }},
+	// prodcons: chunks per item, bytes per chunk, items in flight
+	{key: "chunks", kind: KindProdCons, lo: 1, hi: 64, def: "3", field: func(s *Spec) any { return &s.Chunks }},
+	{key: "bytes", kind: KindProdCons, lo: 1, hi: 4096, def: "128", field: func(s *Spec) any { return &s.Bytes }},
+	{key: "depth", kind: KindProdCons, lo: 1, hi: 64, def: "2", field: func(s *Spec) any { return &s.Depth }},
+	// mixed: ops per rank per round, rounds, target skew, payload cap,
+	// percent of eligible ops issued non-blocking
+	{key: "ops", kind: KindMixed, lo: 1, hi: 4096, def: "12", field: func(s *Spec) any { return &s.Ops }},
+	{key: "rounds", kind: KindMixed, lo: 1, hi: 64, def: "2", field: func(s *Spec) any { return &s.Rounds }},
+	{key: "skew", kind: KindMixed, enum: []string{"uniform", "hot", "neighbor"}, def: "uniform", field: func(s *Spec) any { return &s.Skew }},
+	{key: "maxbytes", kind: KindMixed, lo: 8, hi: 4096, def: "256", field: func(s *Spec) any { return &s.MaxBytes }},
+	{key: "nb", kind: KindMixed, lo: 0, hi: 100, def: "50", explicitZero: true, field: func(s *Spec) any { return &s.NbPct }},
+	// every kind: the generator seed, overriding the case seed
+	{key: "seed", lo: 0, hi: math.MaxInt64, field: func(s *Spec) any { return &s.GenSeed }},
+}
+
+func (k knob) appliesTo(kind string) bool { return k.kind == "" || k.kind == kind }
+
+// set parses val into the knob's field of sp.
+func (k knob) set(sp *Spec, val string) error {
+	if p, ok := k.field(sp).(*string); ok {
+		if !slices.Contains(k.enum, val) {
+			return fmt.Errorf("bad %s %q (want %s)", k.key, val, strings.Join(k.enum, ", "))
+		}
+		*p = val
+		return nil
+	}
+	n, err := strconv.ParseInt(val, 10, 64)
+	if err != nil {
+		return fmt.Errorf("bad %s value %q: want an integer", k.key, val)
+	}
+	if n < k.lo || n > k.hi {
+		return fmt.Errorf("%s=%d out of range [%d,%d]", k.key, n, k.lo, k.hi)
+	}
+	switch p := k.field(sp).(type) {
+	case *int:
+		*p = int(n)
+	case *int64:
+		*p = n
+	}
+	sp.nbSet = sp.nbSet || k.explicitZero
+	return nil
+}
+
+// get returns the knob's value in sp as written and whether it is set;
+// an unset knob takes its default.
+func (k knob) get(sp *Spec) (string, bool) {
+	switch p := k.field(sp).(type) {
+	case *string:
+		return *p, *p != ""
+	case *int64:
+		return strconv.FormatInt(*p, 10), *p != 0
+	}
+	n := *k.field(sp).(*int)
+	if k.explicitZero {
+		return strconv.Itoa(n), sp.nbSet
+	}
+	return strconv.Itoa(n), n != 0
+}
+
 // ParseError is a workload-grammar syntax error, locating the
 // offending token by byte offset in the input.
 type ParseError struct {
@@ -81,39 +163,19 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("workload %q: pos %d: %s", e.Input, e.Pos, e.Msg)
 }
 
-// knobKinds maps each knob to the kinds it applies to.
-var knobKinds = map[string][]string{
-	"rows":     {KindStencil},
-	"cols":     {KindStencil},
-	"halo":     {KindStencil},
-	"steps":    {KindStencil},
-	"hot":      {KindParamServer},
-	"updates":  {KindParamServer},
-	"width":    {KindParamServer},
-	"chunks":   {KindProdCons},
-	"bytes":    {KindProdCons},
-	"depth":    {KindProdCons},
-	"ops":      {KindMixed},
-	"rounds":   {KindMixed},
-	"skew":     {KindMixed},
-	"maxbytes": {KindMixed},
-	"nb":       {KindMixed},
-	"seed":     {KindStencil, KindParamServer, KindProdCons, KindMixed},
-}
-
 // Parse parses a workload spec string. On error the returned error is
 // a *ParseError carrying the byte offset of the offending token.
 func Parse(s string) (Spec, error) {
 	var sp Spec
+	fail := func(pos int, format string, args ...any) (Spec, error) {
+		return sp, &ParseError{Input: s, Pos: pos, Msg: fmt.Sprintf(format, args...)}
+	}
 	if s == "" {
-		return sp, &ParseError{Input: s, Pos: 0, Msg: "empty workload spec (want <kind>[:knob=value,...])"}
+		return fail(0, "empty workload spec (want <kind>[:knob=value,...])")
 	}
 	kind, rest, hasKnobs := strings.Cut(s, ":")
-	switch kind {
-	case KindStencil, KindParamServer, KindProdCons, KindMixed:
-	default:
-		return sp, &ParseError{Input: s, Pos: 0,
-			Msg: fmt.Sprintf("unknown workload kind %q (want %s)", kind, strings.Join(Kinds(), ", "))}
+	if !slices.Contains(Kinds(), kind) {
+		return fail(0, "unknown workload kind %q (want %s)", kind, strings.Join(Kinds(), ", "))
 	}
 	sp.Kind = kind
 	if !hasKnobs {
@@ -121,168 +183,55 @@ func Parse(s string) (Spec, error) {
 	}
 	off := len(kind) + 1
 	if rest == "" {
-		return sp, &ParseError{Input: s, Pos: off, Msg: "empty knob list after ':'"}
+		return fail(off, "empty knob list after ':'")
 	}
 	seen := make(map[string]bool)
 	for _, part := range strings.Split(rest, ",") {
 		key, val, ok := strings.Cut(part, "=")
 		if !ok || key == "" {
-			return sp, &ParseError{Input: s, Pos: off,
-				Msg: fmt.Sprintf("bad knob %q (want key=value)", part)}
+			return fail(off, "bad knob %q (want key=value)", part)
 		}
 		if seen[key] {
-			return sp, &ParseError{Input: s, Pos: off,
-				Msg: fmt.Sprintf("duplicate knob %q: each knob may be given at most once", key)}
+			return fail(off, "duplicate knob %q: each knob may be given at most once", key)
 		}
 		seen[key] = true
-		if err := sp.setKnob(s, key, val, off, off+len(key)+1); err != nil {
-			return sp, err
+		i := slices.IndexFunc(knobs, func(k knob) bool { return k.key == key })
+		if i < 0 {
+			return fail(off, "unknown knob %q (%s knobs: %s)", key, kind, kindKnobs(kind))
+		}
+		if !knobs[i].appliesTo(kind) {
+			return fail(off, "knob %q does not apply to kind %q (%s knobs: %s)", key, kind, kind, kindKnobs(kind))
+		}
+		if err := knobs[i].set(&sp, val); err != nil {
+			return fail(off+len(key)+1, "%v", err)
 		}
 		off += len(part) + 1
 	}
 	return sp, nil
 }
 
-// setKnob validates and assigns one knob. keyPos / valPos are the byte
-// offsets of the key and value in the full input.
-func (sp *Spec) setKnob(input, key, val string, keyPos, valPos int) error {
-	kinds, known := knobKinds[key]
-	if !known {
-		return &ParseError{Input: input, Pos: keyPos,
-			Msg: fmt.Sprintf("unknown knob %q (%s knobs: %s)", key, sp.Kind, strings.Join(kindKnobs(sp.Kind), ", "))}
-	}
-	applies := false
-	for _, k := range kinds {
-		applies = applies || k == sp.Kind
-	}
-	if !applies {
-		return &ParseError{Input: input, Pos: keyPos,
-			Msg: fmt.Sprintf("knob %q does not apply to kind %q (%s knobs: %s)", key, sp.Kind, sp.Kind, strings.Join(kindKnobs(sp.Kind), ", "))}
-	}
-	intKnob := func(dst *int, lo, hi int) error {
-		n, err := strconv.Atoi(val)
-		if err != nil {
-			return &ParseError{Input: input, Pos: valPos,
-				Msg: fmt.Sprintf("bad %s value %q: want an integer", key, val)}
+// kindKnobs lists the knobs that apply to a kind, in table order.
+func kindKnobs(kind string) string {
+	var keys []string
+	for _, k := range knobs {
+		if k.appliesTo(kind) {
+			keys = append(keys, k.key)
 		}
-		if n < lo || n > hi {
-			return &ParseError{Input: input, Pos: valPos,
-				Msg: fmt.Sprintf("%s=%d out of range [%d,%d]", key, n, lo, hi)}
-		}
-		*dst = n
-		return nil
 	}
-	switch key {
-	case "rows":
-		return intKnob(&sp.Rows, 1, 256)
-	case "cols":
-		return intKnob(&sp.Cols, 1, 256)
-	case "halo":
-		return intKnob(&sp.Halo, 1, 16)
-	case "steps":
-		return intKnob(&sp.Steps, 1, 32)
-	case "hot":
-		return intKnob(&sp.Hot, 0, 4095)
-	case "updates":
-		return intKnob(&sp.Updates, 1, 1024)
-	case "width":
-		return intKnob(&sp.Width, 1, 512)
-	case "chunks":
-		return intKnob(&sp.Chunks, 1, 64)
-	case "bytes":
-		return intKnob(&sp.Bytes, 1, 4096)
-	case "depth":
-		return intKnob(&sp.Depth, 1, 64)
-	case "ops":
-		return intKnob(&sp.Ops, 1, 4096)
-	case "rounds":
-		return intKnob(&sp.Rounds, 1, 64)
-	case "maxbytes":
-		return intKnob(&sp.MaxBytes, 8, 4096)
-	case "skew":
-		switch val {
-		case "uniform", "hot", "neighbor":
-			sp.Skew = val
-			return nil
-		}
-		return &ParseError{Input: input, Pos: valPos,
-			Msg: fmt.Sprintf("bad skew %q (want uniform, hot or neighbor)", val)}
-	case "nb":
-		if err := intKnob(&sp.NbPct, 0, 100); err != nil {
-			return err
-		}
-		sp.nbSet = true
-		return nil
-	case "seed":
-		n, err := strconv.ParseInt(val, 10, 64)
-		if err != nil || n < 0 {
-			return &ParseError{Input: input, Pos: valPos,
-				Msg: fmt.Sprintf("bad seed %q: want a non-negative integer", val)}
-		}
-		sp.GenSeed = n
-		return nil
-	}
-	panic("workload: knob table and switch out of sync for " + key)
+	return strings.Join(keys, ", ")
 }
 
-// kindKnobs lists the knobs valid for a kind, in canonical order.
-func kindKnobs(kind string) []string {
-	switch kind {
-	case KindStencil:
-		return []string{"rows", "cols", "halo", "steps", "seed"}
-	case KindParamServer:
-		return []string{"hot", "updates", "width", "seed"}
-	case KindProdCons:
-		return []string{"chunks", "bytes", "depth", "seed"}
-	case KindMixed:
-		return []string{"ops", "rounds", "skew", "maxbytes", "nb", "seed"}
-	}
-	return nil
-}
-
-// Format renders the canonical spec string: knobs in fixed order with
-// defaults (zero values) elided. Parse(Format(sp)) returns sp for any
-// sp produced by Parse, and Format(Parse(Format(sp))) is a fixed
-// point.
+// Format renders the canonical spec string: the kind's knobs in table
+// order with unset ones elided. Parse(Format(sp)) returns sp for any sp
+// produced by Parse, and Format(Parse(Format(sp))) is a fixed point.
 func Format(sp Spec) string {
-	var knobs []string
-	addInt := func(key string, v int) {
-		if v != 0 {
-			knobs = append(knobs, fmt.Sprintf("%s=%d", key, v))
+	s, sep := sp.Kind, ":"
+	for _, k := range knobs {
+		if v, set := k.get(&sp); set && k.appliesTo(sp.Kind) {
+			s, sep = s+sep+k.key+"="+v, ","
 		}
 	}
-	switch sp.Kind {
-	case KindStencil:
-		addInt("rows", sp.Rows)
-		addInt("cols", sp.Cols)
-		addInt("halo", sp.Halo)
-		addInt("steps", sp.Steps)
-	case KindParamServer:
-		addInt("hot", sp.Hot)
-		addInt("updates", sp.Updates)
-		addInt("width", sp.Width)
-	case KindProdCons:
-		addInt("chunks", sp.Chunks)
-		addInt("bytes", sp.Bytes)
-		addInt("depth", sp.Depth)
-	case KindMixed:
-		addInt("ops", sp.Ops)
-		addInt("rounds", sp.Rounds)
-		if sp.Skew != "" {
-			knobs = append(knobs, "skew="+sp.Skew)
-		}
-		addInt("maxbytes", sp.MaxBytes)
-		if sp.nbSet {
-			knobs = append(knobs, fmt.Sprintf("nb=%d", sp.NbPct))
-		}
-	}
-	if sp.GenSeed != 0 {
-		knobs = append(knobs, fmt.Sprintf("seed=%d", sp.GenSeed))
-	}
-	if len(knobs) == 0 {
-		return sp.Kind
-	}
-	return sp.Kind + ":" + strings.Join(knobs, ",")
+	return s
 }
 
 // ValidateFor checks the knobs that depend on the run shape: Parse
@@ -294,38 +243,13 @@ func (sp Spec) ValidateFor(procs int) error {
 	return nil
 }
 
-// withDefaults fills unset knobs with the kind's defaults, sized so a
-// default case stays fast under a seed sweep while still exercising
-// multi-chunk, multi-round geometry.
+// withDefaults fills the kind's unset knobs with their defaults.
 func (sp Spec) withDefaults() Spec {
-	def := func(dst *int, v int) {
-		if *dst == 0 {
-			*dst = v
-		}
-	}
-	switch sp.Kind {
-	case KindStencil:
-		def(&sp.Rows, 8)
-		def(&sp.Cols, 8)
-		def(&sp.Halo, 1)
-		def(&sp.Steps, 2)
-	case KindParamServer:
-		def(&sp.Updates, 4)
-		def(&sp.Width, 8)
-	case KindProdCons:
-		def(&sp.Chunks, 3)
-		def(&sp.Bytes, 128)
-		def(&sp.Depth, 2)
-	case KindMixed:
-		def(&sp.Ops, 12)
-		def(&sp.Rounds, 2)
-		if sp.Skew == "" {
-			sp.Skew = "uniform"
-		}
-		def(&sp.MaxBytes, 256)
-		if !sp.nbSet {
-			sp.NbPct = 50
-			sp.nbSet = true
+	for _, k := range knobs {
+		if _, set := k.get(&sp); !set && k.def != "" && k.appliesTo(sp.Kind) {
+			if err := k.set(&sp, k.def); err != nil {
+				panic("workload: bad default in the knob table: " + err.Error())
+			}
 		}
 	}
 	return sp

@@ -24,14 +24,14 @@ import (
 // plan-sampled remote reads that exercise the get path against other
 // ranks' regions.
 func mixedBody(sp Spec, cfg Config) func(*armci.Proc) {
+	sy, _ := SyncNamed(cfg.Sync)
 	return func(p *armci.Proc) {
 		me, n := p.Rank(), p.Size()
 		ops, rounds, maxBytes, nbPct := sp.Ops, sp.Rounds, sp.MaxBytes, sp.NbPct
 		wordSlots := p.MallocWords(n)
 		byteRegion := p.Malloc(n * maxBytes)
 		accRegion := p.Malloc(8 * mixedAccCells)
-		syncFn := syncFor(p, cfg.Sync)
-		syncFn()
+		sy.Proc(p)
 
 		// Model of the whole distributed state, indexed [owner][writer].
 		words := make([]int64, n*n)
@@ -77,7 +77,7 @@ func mixedBody(sp Spec, cfg Config) func(*armci.Proc) {
 				}
 			}
 			p.WaitAll(hs...)
-			syncFn()
+			sy.Proc(p)
 
 			for w := 0; w < n; w++ {
 				if got, want := p.Load(wordSlots[me].Add(int64(w))), words[me*n+w]; got != want {
@@ -118,7 +118,7 @@ func mixedBody(sp Spec, cfg Config) func(*armci.Proc) {
 					}
 				}
 			}
-			syncFn()
+			sy.Proc(p)
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 // total of every cell, and any interleaving that lost an update is
 // unambiguous.
 func paramServerBody(sp Spec, cfg Config) func(*armci.Proc) {
+	sy, _ := SyncNamed(cfg.Sync)
 	return func(p *armci.Proc) {
 		me, n := p.Rank(), p.Size()
 		hot, updates, width := sp.Hot, sp.Updates, sp.Width
@@ -27,8 +28,7 @@ func paramServerBody(sp Spec, cfg Config) func(*armci.Proc) {
 			hot = 0 // defensive; check.validateCase rejects this earlier
 		}
 		params := p.Malloc(8 * width)
-		syncFn := syncFor(p, cfg.Sync)
-		syncFn()
+		sy.Proc(p)
 
 		var hs []*armci.Handle
 		for u := 0; u < updates; u++ {
@@ -55,7 +55,7 @@ func paramServerBody(sp Spec, cfg Config) func(*armci.Proc) {
 			}
 		}
 		p.WaitAll(hs...)
-		syncFn()
+		sy.Proc(p)
 
 		got := p.Get(params[hot], 8*width)
 		for i := 0; i < width; i++ {
@@ -71,7 +71,7 @@ func paramServerBody(sp Spec, cfg Config) func(*armci.Proc) {
 				break
 			}
 		}
-		syncFn()
+		sy.Proc(p)
 	}
 }
 

@@ -24,13 +24,13 @@ import (
 // a flag that arrives before its data exposes stale bytes that match no
 // hop count.
 func prodConsBody(sp Spec, cfg Config) func(*armci.Proc) {
+	sy, _ := SyncNamed(cfg.Sync)
 	return func(p *armci.Proc) {
 		me, n := p.Rank(), p.Size()
 		chunks, nbytes, depth := sp.Chunks, sp.Bytes, sp.Depth
 		buf := p.Malloc(depth * chunks * nbytes)
 		flags := p.MallocWords(depth)
-		syncFn := syncFor(p, cfg.Sync)
-		syncFn()
+		sy.Proc(p)
 
 		off := func(t, k int) int64 { return int64((t*chunks + k) * nbytes) }
 		var hs []*armci.Handle
@@ -68,7 +68,7 @@ func prodConsBody(sp Spec, cfg Config) func(*armci.Proc) {
 			}
 		}
 		p.WaitAll(hs...)
-		syncFn()
+		sy.Proc(p)
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 // agree.
 func stencilBody(sp Spec, cfg Config) func(*armci.Proc) {
 	rows, cols, halo, steps := sp.Rows, sp.Cols, sp.Halo, sp.Steps
+	sy, _ := SyncNamed(cfg.Sync)
 	return func(p *armci.Proc) {
 		me := p.Rank()
 		a, err := ga.Create(p, "wl-stencil-a", rows, cols)
@@ -37,8 +38,8 @@ func stencilBody(sp Spec, cfg Config) func(*armci.Proc) {
 			cfg.reportf("stencil: create b: %v", err)
 			return
 		}
-		a.SetSyncMode(gaMode(cfg.Sync))
-		b.SetSyncMode(gaMode(cfg.Sync))
+		a.SetSyncMode(sy.GA)
+		b.SetSyncMode(sy.GA)
 
 		rlo, rhi, clo, chi := a.Distribution(me)
 		// Degenerate shapes (1×N under a 2-D grid) leave some ranks with

@@ -42,8 +42,8 @@ type Config struct {
 	// knob (the mixed workload's program, in particular, is a pure
 	// function of it).
 	Seed int64
-	// Sync selects the global synchronization variant, as in
-	// check.Case: "barrier" (default), "sync-old", "sync-old-pipelined".
+	// Sync names the global synchronization variant, a row of Syncs
+	// ("" = the default, "barrier").
 	Sync string
 	// Report receives invariant-oracle failures (printf-style). Nil
 	// panics on the first failure — the right default for standalone
@@ -100,26 +100,41 @@ func (cfg Config) reportf(format string, args ...any) {
 	panic(fmt.Sprintf("workload: "+format, args...))
 }
 
-// syncFor maps the config's sync-variant name to the proc's collective.
-func syncFor(p *armci.Proc, mode string) func() {
-	switch mode {
-	case "sync-old":
-		return p.SyncOld
-	case "sync-old-pipelined":
-		return p.SyncOldPipelined
-	}
-	return p.Barrier
+// Sync is one global synchronization variant: its name, the run options
+// it needs and the operation a rank calls, as a Proc method and as a ga
+// SyncMode.
+type Sync struct {
+	Name    string
+	Barrier armci.BarrierAlg // exchange pattern of the barrier and of the combined barrier's allreduce
+	NIC     armci.NICMode    // whether the data servers answer fences at NIC cost
+	Proc    func(*armci.Proc)
+	GA      ga.SyncMode
 }
 
-// gaMode maps the config's sync-variant name to the ga SyncMode.
-func gaMode(mode string) ga.SyncMode {
-	switch mode {
-	case "sync-old":
-		return ga.SyncOld
-	case "sync-old-pipelined":
-		return ga.SyncOldPipelined
+// Syncs lists the sync variants, the default first: the paper's combined
+// barrier, the serialized AllFence + MPI_Barrier it replaces (and that
+// one's pipelined ablation), and the combined barrier over the
+// topology-aware exchanges — radix-4 k-nomial stages, a two-level
+// hierarchy through per-node leaders, and that hierarchy with the servers
+// answering fences at NIC cost.
+var Syncs = []Sync{
+	{"barrier", armci.BarrierAuto, armci.NICNone, (*armci.Proc).Barrier, ga.SyncNew},
+	{"sync-old", armci.BarrierAuto, armci.NICNone, (*armci.Proc).SyncOld, ga.SyncOld},
+	{"sync-old-pipelined", armci.BarrierAuto, armci.NICNone, (*armci.Proc).SyncOldPipelined, ga.SyncOldPipelined},
+	{"barrier-knomial", armci.BarrierKnomial, armci.NICNone, (*armci.Proc).Barrier, ga.SyncNew},
+	{"barrier-hier", armci.BarrierHierarchical, armci.NICNone, (*armci.Proc).Barrier, ga.SyncNew},
+	{"barrier-hier-nic", armci.BarrierHierarchical, armci.NICFence, (*armci.Proc).Barrier, ga.SyncNew},
+}
+
+// SyncNamed returns the sync variant called name; for an unknown name it
+// returns the default variant and false.
+func SyncNamed(name string) (Sync, bool) {
+	for _, s := range Syncs {
+		if s.Name == name {
+			return s, true
+		}
 	}
-	return ga.SyncNew
+	return Syncs[0], false
 }
 
 // leWords encodes int64 values little-endian, the wire layout of

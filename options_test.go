@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,6 +29,27 @@ func TestOptionsValidation(t *testing.T) {
 		if _, err := armci.Run(opt, func(p *armci.Proc) {}); err == nil {
 			t.Errorf("case %d: invalid options accepted: %+v", i, opt)
 		}
+	}
+}
+
+// TestNamesParseBack: every lock algorithm and fabric parses back from
+// its String, and an unknown name is an error that lists the known ones.
+func TestNamesParseBack(t *testing.T) {
+	for a := armci.LockHybrid; a <= armci.LockLease; a++ {
+		if got, err := armci.ParseLockAlg(a.String()); err != nil || got != a {
+			t.Errorf("ParseLockAlg(%q) = %v, %v", a, got, err)
+		}
+	}
+	for k := armci.FabricSim; k <= armci.FabricProc; k++ {
+		if got, err := armci.ParseFabric(k.String()); err != nil || got != k {
+			t.Errorf("ParseFabric(%q) = %v, %v", k, got, err)
+		}
+	}
+	if _, err := armci.ParseLockAlg("mcs"); err == nil || !strings.Contains(err.Error(), "queue-nocas") {
+		t.Errorf("ParseLockAlg(mcs): error %v does not list the algorithms", err)
+	}
+	if _, err := armci.ParseFabric("udp"); err == nil || !strings.Contains(err.Error(), "proc") {
+		t.Errorf("ParseFabric(udp): error %v does not list the fabrics", err)
 	}
 }
 

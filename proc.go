@@ -2,6 +2,8 @@ package armci
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"armci/internal/collective"
@@ -290,20 +292,29 @@ const (
 	LockLease
 )
 
+// lockAlgNames holds each LockAlg's name, read by String and ParseLockAlg.
+var lockAlgNames = [...]string{
+	LockHybrid:     "hybrid",
+	LockQueue:      "queue",
+	LockQueueNoCAS: "queue-nocas",
+	LockTicket:     "ticket",
+	LockLease:      "lease",
+}
+
 func (a LockAlg) String() string {
-	switch a {
-	case LockHybrid:
-		return "hybrid"
-	case LockQueue:
-		return "queue"
-	case LockQueueNoCAS:
-		return "queue-nocas"
-	case LockTicket:
-		return "ticket"
-	case LockLease:
-		return "lease"
+	if int(a) < len(lockAlgNames) {
+		return lockAlgNames[a]
 	}
 	return fmt.Sprintf("LockAlg(%d)", uint8(a))
+}
+
+// ParseLockAlg resolves a lock algorithm name, the inverse of
+// LockAlg.String.
+func ParseLockAlg(s string) (LockAlg, error) {
+	if i := slices.Index(lockAlgNames[:], s); i >= 0 {
+		return LockAlg(i), nil
+	}
+	return 0, fmt.Errorf("armci: unknown lock algorithm %q (want %s)", s, strings.Join(lockAlgNames[:], ", "))
 }
 
 // Mutex is a distributed lock handle.

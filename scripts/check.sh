@@ -12,6 +12,11 @@ test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test ./...
+# The two textual grammars are tables (faultKnobs, the workload knobs);
+# their round-trip fuzzers are the contract the tables lean on, so the
+# fuzz engine explores past the seed corpora `go test` replays.
+go test -run '^$' -fuzz '^FuzzParseFaults$' -fuzztime 10s .
+go test -run '^$' -fuzz '^FuzzWorkloadGrammar$' -fuzztime 10s ./internal/workload
 # The race detector over every package. -short trims the conformance
 # sweep to the sim-fabric matrix and skips the long soak (`make soak`),
 # the baseline collection and the helper-process tests; the whole root
