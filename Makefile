@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench benchcheck benchpairs golden soak explore procsmoke elasticsoak loc
+.PHONY: build test check bench benchpairs golden soak explore procsmoke elasticsoak loc
 
 build:
 	$(GO) build ./...
@@ -15,13 +15,6 @@ check:
 
 bench:
 	$(GO) test -bench=. -benchmem
-
-# The benchmark-regression gate: re-collect the tracked metrics and diff
-# against the newest committed BENCH_<n>.json, failing on any >tolerance
-# regression. Refresh the baseline after an intentional perf change with
-# `go run ./cmd/armci-bench -baseline`.
-benchcheck:
-	sh scripts/benchdiff.sh
 
 # A claimed wall-clock gain, measured: REF (the parent commit) against the
 # working tree on workload W of BENCHMARK.json (W=all: every workload, one

@@ -20,13 +20,12 @@
 //	armci-bench -fig workloads            # named scenario makespans (internal/workload grammar)
 //	armci-bench -fig workloads -workload 'stencil:rows=16,halo=2;mixed:skew=hot'
 //
-// Baseline mode snapshots the repo's performance into a machine-readable
-// BENCH_<n>.json and gates later runs against it:
+// Baseline mode snapshots the deterministic numbers into a
+// machine-readable BENCH_<n>.json; the newest one is the exact contract
+// `go test ./internal/bench` holds this build to:
 //
-//	armci-bench -baseline                 # write the next BENCH_<n>.json
-//	armci-bench -baseline -o BENCH_1.json # explicit output path
-//	armci-bench -compare BENCH_7.json     # fail (exit 1) on >tolerance regression
-//	armci-bench -compare BENCH_7.json -quick   # judge deterministic metrics only (CI)
+//	armci-bench -baseline                 # write BENCH_<newest+1>.json
+//	armci-bench -baseline -o b.json       # explicit output path
 package main
 
 import (
@@ -70,10 +69,8 @@ func run(args []string, out io.Writer) error {
 		timeline = fs.String("timeline", "", "write a per-message CSV timeline of one sync to this file and exit")
 		faultsF  = fs.String("faults", "", "fault-injection plan, e.g. jitter=500us,spike=2ms@0.05,dup=0.02,loss=0.05@2,rto=200us@4ms,retry=6,crash=2@40,seed=7")
 		hist     = fs.Bool("hist", false, "print per-kind message latency histograms after the experiment")
-		baseline = fs.Bool("baseline", false, "collect a performance baseline and write BENCH_<n>.json instead of running an experiment")
-		compare  = fs.String("compare", "", "collect the current metrics and compare against this BENCH_*.json; exit 1 on regression")
-		quick    = fs.Bool("quick", false, "with -compare: judge only deterministic metrics (skip wall-clock ones)")
-		outPath  = fs.String("o", "", "with -baseline: output path (default the next free BENCH_<n>.json)")
+		baseline = fs.Bool("baseline", false, "collect the deterministic baseline and write it as the next BENCH_<n>.json instead of running an experiment")
+		outPath  = fs.String("o", "", "with -baseline: output path (default BENCH_<n+1>.json after the newest BENCH_<n>.json)")
 		procWkr  = fs.Bool("proc-fig7-worker", false, "internal: run as one multi-process fig7 worker (set by -fabric proc)")
 	)
 	fs.Parse(args)
@@ -81,8 +78,8 @@ func run(args []string, out io.Writer) error {
 	if *procWkr {
 		os.Exit(runProcFig7Worker(*procsF, *reps))
 	}
-	if *baseline || *compare != "" {
-		os.Exit(runBaseline(*baseline, *compare, *quick, *outPath))
+	if *baseline {
+		return runBaseline(*outPath, out)
 	}
 
 	fk, err := armci.ParseFabric(*fabric)
@@ -197,50 +194,20 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// runBaseline handles the -baseline and -compare modes: collect the
-// current metrics, then either write the snapshot or judge it against a
-// committed one.
-func runBaseline(write bool, comparePath string, quick bool, outPath string) int {
-	fmt.Println("collecting baseline metrics (figures, sweep, hot-path benches)...")
+// runBaseline is the -baseline mode: collect the metrics and write the
+// snapshot to outPath, by default the baseline after the newest one in
+// the current directory.
+func runBaseline(outPath string, out io.Writer) error {
+	fmt.Fprintln(out, "collecting baseline metrics (figures and sweeps)...")
 	cur, err := bench.CollectBaseline(gitCommit())
 	if err != nil {
-		log.Print(err)
-		return 2
+		return err
 	}
-
-	if comparePath != "" {
-		base, err := bench.ReadBaseline(comparePath)
-		if err != nil {
-			log.Print(err)
-			return 2
-		}
-		regs, missing := bench.CompareBaselines(base, cur, quick)
-		mode := "full"
-		if quick {
-			mode = "quick"
-		}
-		fmt.Printf("compared against %s (%s mode, commit %s)\n", comparePath, mode, orUnknown(base.Commit))
-		for _, name := range missing {
-			fmt.Printf("MISSING %s: tracked by the baseline but not reported by this build\n", name)
-		}
-		for _, r := range regs {
-			fmt.Printf("REGRESSION %s\n", r)
-		}
-		if len(regs) > 0 || len(missing) > 0 {
-			fmt.Printf("%d regressions, %d missing metrics\n", len(regs), len(missing))
-			return 1
-		}
-		fmt.Printf("all %d tracked metrics within tolerance\n", len(base.Metrics))
-		return 0
+	if outPath == "" {
+		outPath = bench.BaselinePath(".", bench.NewestBaseline(".")+1)
 	}
-
-	path := outPath
-	if path == "" {
-		path = nextBaselinePath()
-	}
-	if err := bench.WriteBaseline(cur, path); err != nil {
-		log.Print(err)
-		return 2
+	if err := bench.WriteBaseline(cur, outPath); err != nil {
+		return err
 	}
 	names := make([]string, 0, len(cur.Metrics))
 	for name := range cur.Metrics {
@@ -249,21 +216,14 @@ func runBaseline(write bool, comparePath string, quick bool, outPath string) int
 	sort.Strings(names)
 	for _, name := range names {
 		m := cur.Metrics[name]
-		fmt.Printf("  %-42s %12.4g %s\n", name, m.Value, m.Unit)
+		fmt.Fprintf(out, "  %-42s %12.4g %s\n", name, m.Value, m.Unit)
 	}
-	fmt.Printf("baseline (%d metrics, commit %s) written to %s\n", len(cur.Metrics), orUnknown(cur.Commit), path)
-	return 0
-}
-
-// nextBaselinePath returns the first free BENCH_<n>.json in the current
-// directory.
-func nextBaselinePath() string {
-	for n := 0; ; n++ {
-		path := fmt.Sprintf("BENCH_%d.json", n)
-		if _, err := os.Stat(path); os.IsNotExist(err) {
-			return path
-		}
+	commit := cur.Commit
+	if commit == "" {
+		commit = "unknown"
 	}
+	fmt.Fprintf(out, "baseline (%d metrics, commit %s) written to %s\n", len(cur.Metrics), commit, outPath)
+	return nil
 }
 
 // gitCommit best-effort resolves the working tree's revision for the
@@ -274,13 +234,6 @@ func gitCommit() string {
 		return ""
 	}
 	return strings.TrimSpace(string(out))
-}
-
-func orUnknown(s string) string {
-	if s == "" {
-		return "unknown"
-	}
-	return s
 }
 
 // parseFaults parses the -faults plan (armci.ParseFaults holds the

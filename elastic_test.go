@@ -11,22 +11,27 @@ import (
 // fabric and returns every rank's result. On the in-process fabrics the
 // crash (when armed) is the cooperative emulation: the victim's memory
 // is wiped and rebuilt from the peer replica through real remote gets.
-func runElasticWorkload(fabric armci.FabricKind, schedSeed int64, cfg elastic.Config) ([]elastic.Result, error) {
+// crash is the fault plan: its elastic crashrank knob arms the crash.
+func runElasticWorkload(fabric armci.FabricKind, schedSeed int64, cfg elastic.Config, crash armci.Faults) ([]elastic.Result, error) {
 	const procs = 4
 	results := make([]elastic.Result, procs)
 	_, err := armci.Run(armci.Options{
 		Procs:        procs,
 		Fabric:       fabric,
 		ScheduleSeed: schedSeed,
+		Faults:       crash,
 	}, func(p *armci.Proc) {
 		results[p.Rank()] = elastic.Run(p, cfg)
 	})
 	return results, err
 }
 
-func elasticCrashCfg() elastic.Config {
-	return elastic.Config{Steps: 5, Seed: 42, CrashRank: 1, CrashStep: 3}
-}
+// elasticCfg is the recovery tests' workload; elasticCrash kills its
+// rank 1 partway through sync epoch 3.
+var (
+	elasticCfg   = elastic.Config{Steps: 5, Seed: 42}
+	elasticCrash = armci.Faults{ElasticCrashRank: 1, ElasticCrashStep: 3}
+)
 
 // TestElasticRecoveryDeterministic: the post-recovery cluster
 // fingerprint is byte-identical to the crash-free run's, on every
@@ -34,7 +39,7 @@ func elasticCrashCfg() elastic.Config {
 // is commutative by construction, so rollback plus re-execution must
 // reconverge on exactly the crash-free state.
 func TestElasticRecoveryDeterministic(t *testing.T) {
-	oracle, err := runElasticWorkload(armci.FabricSim, 0, elastic.Config{Steps: 5, Seed: 42})
+	oracle, err := runElasticWorkload(armci.FabricSim, 0, elasticCfg, armci.Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +47,7 @@ func TestElasticRecoveryDeterministic(t *testing.T) {
 	if want == 0 {
 		t.Fatal("crash-free run produced a zero fingerprint")
 	}
-	if o := elastic.Oracle(elastic.Config{Steps: 5, Seed: 42}, 4); o != want {
+	if o := elastic.Oracle(elasticCfg, 4); o != want {
 		t.Fatalf("pure-replay oracle %#x != crash-free run %#x", o, want)
 	}
 	for r, res := range oracle {
@@ -54,7 +59,7 @@ func TestElasticRecoveryDeterministic(t *testing.T) {
 		}
 	}
 	for _, seed := range []int64{0, 1, 7, 23} {
-		results, err := runElasticWorkload(armci.FabricSim, seed, elasticCrashCfg())
+		results, err := runElasticWorkload(armci.FabricSim, seed, elasticCfg, elasticCrash)
 		if err != nil {
 			t.Fatalf("sim seed %d: %v", seed, err)
 		}
@@ -69,7 +74,7 @@ func TestElasticRecoveryDeterministic(t *testing.T) {
 		}
 	}
 	for _, fabric := range []armci.FabricKind{armci.FabricChan, armci.FabricTCP} {
-		results, err := runElasticWorkload(fabric, 0, elasticCrashCfg())
+		results, err := runElasticWorkload(fabric, 0, elasticCfg, elasticCrash)
 		if err != nil {
 			t.Fatalf("%v: %v", fabric, err)
 		}
@@ -88,13 +93,11 @@ func TestElasticRecoveryDeterministic(t *testing.T) {
 // fingerprint must diverge from the crash-free oracle — the signal the
 // conformance harness's state oracle keys on.
 func TestElasticStaleEpochMutationDiverges(t *testing.T) {
-	oracle, err := runElasticWorkload(armci.FabricSim, 0, elastic.Config{Steps: 5, Seed: 42})
+	oracle, err := runElasticWorkload(armci.FabricSim, 0, elasticCfg, armci.Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := elasticCrashCfg()
-	cfg.SkipRollback = true
-	mutated, err := runElasticWorkload(armci.FabricSim, 0, cfg)
+	mutated, err := runElasticWorkload(armci.FabricSim, 0, elastic.Config{Steps: 5, Seed: 42, SkipRollback: true}, elasticCrash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +111,12 @@ func TestElasticStaleEpochMutationDiverges(t *testing.T) {
 // fabric converges on the same deterministic fingerprint — the oracle
 // the recovery runs are held to is fabric-independent.
 func TestElasticCrashFreeMatchesAcrossFabrics(t *testing.T) {
-	oracle, err := runElasticWorkload(armci.FabricSim, 0, elastic.Config{Steps: 3, Seed: 7})
+	oracle, err := runElasticWorkload(armci.FabricSim, 0, elastic.Config{Steps: 3, Seed: 7}, armci.Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, fabric := range []armci.FabricKind{armci.FabricChan, armci.FabricTCP} {
-		results, err := runElasticWorkload(fabric, 0, elastic.Config{Steps: 3, Seed: 7})
+		results, err := runElasticWorkload(fabric, 0, elastic.Config{Steps: 3, Seed: 7}, armci.Faults{})
 		if err != nil {
 			t.Fatalf("%v: %v", fabric, err)
 		}

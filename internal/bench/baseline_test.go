@@ -2,166 +2,153 @@ package bench
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestBaselineRoundTripAndGate is the end-to-end contract of the
-// regression gate: a collected baseline survives the JSON round trip,
-// compares clean against itself, and a synthetic 20% slowdown injected
-// by the handicap helper trips the gate — proving the gate would catch
-// a real regression of the same size.
+// repoRoot is where the committed BENCH_<n>.json files live.
+const repoRoot = "../.."
+
+// TestBaselineRoundTripAndGate is the exact contract of the committed
+// numbers: this build reports the metric names of the newest committed
+// baseline, no more and no fewer, every value bit-equal to it, and the
+// collected document survives the JSON round trip bit for bit. An
+// intended change writes the next baseline (`go run ./cmd/armci-bench
+// -baseline`).
 func TestBaselineRoundTripAndGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("baseline collection skipped in -short")
 	}
-	base, err := CollectBaseline("test")
+	cur, err := CollectBaseline("test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The behavioural contract, exact: this build reports the metric
-	// names of the newest committed baseline, no more and no fewer, and
-	// every deterministic one at the committed value — so a drift too
-	// small or in the wrong direction for the gate's +15% rule, or a
-	// silently renamed metric, fails here. An intended change refreshes
-	// the baseline (`go run ./cmd/armci-bench -baseline`).
-	committed, err := ReadBaseline(newestBaseline(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, want := range committed.Metrics {
-		got, ok := base.Metrics[name]
-		if !ok {
-			t.Errorf("this build no longer reports committed metric %q", name)
-		} else if !want.Noisy && got.Value != want.Value {
-			t.Errorf("%s = %v, the committed baseline has %v", name, got.Value, want.Value)
-		}
-	}
-	for name := range base.Metrics {
-		if _, ok := committed.Metrics[name]; !ok {
-			t.Errorf("this build reports %q, which the committed baseline does not track", name)
-		}
-	}
-	if got := base.Metrics["hotpath/kernel_schedule/allocs_op"].Value; got > 0 {
-		t.Errorf("kernel schedule allocates %v allocs/op at collection time, want 0", got)
-	}
-	if got := base.Metrics["hotpath/pipeline_sendrecv/allocs_op"].Value; got > 0 {
-		t.Errorf("pipeline send/recv allocates %v allocs/op at collection time, want 0", got)
+	for _, d := range contractDiff(newestCommitted(t), cur) {
+		t.Error(d)
 	}
 
 	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	if err := WriteBaseline(base, path); err != nil {
+	if err := WriteBaseline(cur, path); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := ReadBaseline(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Self-comparison must be clean: deterministic metrics are exactly
-	// equal, and even the noisy ones match because both sides are the
-	// same document.
-	if regs, missing := CompareBaselines(loaded, base, false); len(regs) > 0 || len(missing) > 0 {
-		t.Fatalf("baseline regresses against itself: %v, missing %v", regs, missing)
+	for _, d := range contractDiff(cur, loaded) {
+		t.Errorf("JSON round trip: %s", d)
 	}
+}
 
-	// The synthetic slowdown: +20% on every time metric exceeds the 15%
-	// deterministic budget, so the quick gate must fail on the figure
-	// and small-put times while the alloc and event counts — and the
-	// smallput ratio, whose numerator and denominator slow down together
-	// — stay clean. The handicap is a pure post-collection multiply, so
-	// it is applied to a second copy of the one collection rather than
-	// paying for another.
-	slow, err := ReadBaseline(path)
+// contractDiff lists every way got breaks the contract want sets: a
+// metric want tracks that got lacks, one got reports that want does not
+// track, and a value that differs in any bit. A renamed metric shows as
+// one of each of the first two.
+func contractDiff(want, got *Baseline) []string {
+	var diffs []string
+	for name, w := range want.Metrics {
+		g, ok := got.Metrics[name]
+		if !ok {
+			diffs = append(diffs, "missing "+name+": tracked by the baseline, not reported by this build")
+		} else if math.Float64bits(g.Value) != math.Float64bits(w.Value) {
+			// %v prints the shortest text that parses back to the same bits.
+			diffs = append(diffs, fmt.Sprintf("%s: %v, the baseline has %v", name, g.Value, w.Value))
+		}
+	}
+	for name := range got.Metrics {
+		if _, ok := want.Metrics[name]; !ok {
+			diffs = append(diffs, "extra "+name+": reported by this build, not tracked by the baseline")
+		}
+	}
+	slices.Sort(diffs)
+	return diffs
+}
+
+// newestCommitted reads the committed baseline NewestBaseline picks.
+func newestCommitted(t *testing.T) *Baseline {
+	t.Helper()
+	n := NewestBaseline(repoRoot)
+	if n < 0 {
+		t.Fatal("no committed BENCH_<n>.json")
+	}
+	b, err := ReadBaseline(BaselinePath(repoRoot, n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow.handicap(0.2)
-	regs, _ := CompareBaselines(loaded, slow, true)
-	if len(regs) == 0 {
-		t.Fatal("a 20% handicap produced no regressions: the gate is blind")
+	return b
+}
+
+// TestBaselineContractIsNotBlind injects each defect the contract exists
+// to catch into a copy of the newest committed baseline and requires
+// contractDiff to name it, and to find nothing in the unchanged copy.
+func TestBaselineContractIsNotBlind(t *testing.T) {
+	committed := newestCommitted(t)
+	names := make([]string, 0, len(committed.Metrics))
+	for name := range committed.Metrics {
+		names = append(names, name)
 	}
-	timeMetric := func(name string) bool {
-		return strings.Contains(name, "fig7/") || strings.Contains(name, "fig8/") ||
-			strings.HasSuffix(name, "/us")
-	}
-	for _, r := range regs {
-		if !timeMetric(r.Name) {
-			t.Errorf("handicap tripped unexpected metric %s", r)
-		}
+	slices.Sort(names)
+	victim := names[0]
+
+	for _, tc := range []struct {
+		defect string
+		mutate func(m map[string]Metric)
+		want   []string // a substring of each reported difference, in order
+	}{
+		{"unchanged", func(map[string]Metric) {}, nil},
+		{"one ulp", func(m map[string]Metric) {
+			v := m[victim]
+			v.Value = math.Nextafter(v.Value, math.Inf(1))
+			m[victim] = v
+		}, []string{victim + ": "}},
+		{"renamed", func(m map[string]Metric) {
+			m[victim+"-renamed"] = m[victim]
+			delete(m, victim)
+		}, []string{"extra " + victim + "-renamed", "missing " + victim}},
+		{"missing", func(m map[string]Metric) { delete(m, victim) }, []string{"missing " + victim}},
+		{"extra", func(m map[string]Metric) { m["extra/metric"] = Metric{Value: 1, Unit: "us"} },
+			[]string{"extra extra/metric"}},
+	} {
+		t.Run(tc.defect, func(t *testing.T) {
+			cur := *committed
+			cur.Metrics = maps.Clone(committed.Metrics)
+			tc.mutate(cur.Metrics)
+			got := contractDiff(committed, &cur)
+			if len(got) != len(tc.want) {
+				t.Fatalf("reported %q, want %d difference(s) containing %q", got, len(tc.want), tc.want)
+			}
+			for i, w := range tc.want {
+				if !strings.Contains(got[i], w) {
+					t.Errorf("difference %d is %q, want it to contain %q", i, got[i], w)
+				}
+			}
+		})
 	}
 }
 
-// newestBaseline returns the committed BENCH_<n>.json with the highest n
-// — the file scripts/benchdiff.sh gates against.
-func newestBaseline(t *testing.T) string {
-	paths, err := filepath.Glob("../../BENCH_*.json")
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no committed BENCH_<n>.json (glob error %v)", err)
+// TestNewestBaselineComparesNumbers pins the one rule for the current
+// file: the highest n wins as a number, not as text, and names that are
+// not exactly BENCH_<n>.json do not count.
+func TestNewestBaselineComparesNumbers(t *testing.T) {
+	dir := t.TempDir()
+	if n := NewestBaseline(dir); n != -1 {
+		t.Fatalf("empty directory: newest %d, want -1", n)
 	}
-	newest, best := "", -1
-	for _, p := range paths {
-		var n int
-		if _, err := fmt.Sscanf(filepath.Base(p), "BENCH_%d.json", &n); err == nil && n > best {
-			newest, best = p, n
+	for _, name := range []string{"BENCH_9.json", "BENCH_10.json", "BENCH_11.json.bak", "BENCH_012.json"} {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	return newest
-}
-
-// handicap inflates every time-valued metric of a collected document by
-// frac, synthesizing the slowdown the comparison gate exists to catch.
-// Counts and ratios are left alone — a slowdown moves neither.
-func (b *Baseline) handicap(frac float64) {
-	for name, m := range b.Metrics {
-		switch m.Unit {
-		case "us", "ms", "ns/op":
-			m.Value *= 1 + frac
-			b.Metrics[name] = m
-		}
+	if n := NewestBaseline(dir); n != 10 {
+		t.Fatalf("newest %d, want 10 (BENCH_10.json beats BENCH_9.json)", n)
 	}
-}
-
-// TestCompareBaselinesJudgment covers the gate's decision table without
-// any collection: tolerance edges, the absolute slack on zero bases,
-// noisy metrics under quick vs full, and missing-metric detection.
-func TestCompareBaselinesJudgment(t *testing.T) {
-	mk := func(metrics map[string]Metric) *Baseline {
-		return &Baseline{Schema: BaselineSchema, Metrics: metrics}
-	}
-	base := mk(map[string]Metric{
-		"det":       {Value: 100, Unit: "us", Tol: 0.15, Abs: 0.75},
-		"zero":      {Value: 0, Unit: "allocs/op", Tol: 0.15, Abs: 0.75},
-		"wallclock": {Value: 100, Unit: "ns/op", Tol: 0.60, Abs: 0.75, Noisy: true},
-	})
-
-	cur := mk(map[string]Metric{
-		"det":       {Value: 114}, // +14%: inside the 15% budget
-		"zero":      {Value: 0.5}, // below the absolute slack
-		"wallclock": {Value: 150}, // +50%: inside the noisy budget
-	})
-	if regs, missing := CompareBaselines(base, cur, false); len(regs) > 0 || len(missing) > 0 {
-		t.Fatalf("within-budget run flagged: %v, missing %v", regs, missing)
-	}
-
-	cur = mk(map[string]Metric{
-		"det":       {Value: 120}, // +20%: regression
-		"zero":      {Value: 2},   // past the absolute slack on a 0 base
-		"wallclock": {Value: 170}, // +70%: noisy regression
-	})
-	regs, _ := CompareBaselines(base, cur, false)
-	if len(regs) != 3 {
-		t.Fatalf("full comparison found %d regressions, want 3: %v", len(regs), regs)
-	}
-	if regs, _ := CompareBaselines(base, cur, true); len(regs) != 2 {
-		t.Fatalf("quick comparison found %d regressions, want 2 (noisy skipped): %v", len(regs), regs)
-	}
-
-	cur = mk(map[string]Metric{"det": {Value: 100}})
-	if _, missing := CompareBaselines(base, cur, true); len(missing) != 1 || missing[0] != "zero" {
-		t.Fatalf("dropped metric not reported: %v", missing)
+	if got, want := BaselinePath(dir, 11), filepath.Join(dir, "BENCH_11.json"); got != want {
+		t.Fatalf("BaselinePath = %q, want %q", got, want)
 	}
 }
 
@@ -186,5 +173,10 @@ func TestReadBaselineRejectsBadDocuments(t *testing.T) {
 	}
 	if _, err := ReadBaseline(write("empty.json", `{"schema":1,"metrics":{}}`)); err == nil {
 		t.Error("metric-free document accepted")
+	}
+	// A file written with the retired tolerance fields still loads.
+	old, err := ReadBaseline(write("old.json", `{"schema":1,"metrics":{"x":{"value":1.5,"unit":"us","tol":0.15,"abs":0.75,"noisy":true}}}`))
+	if err != nil || old.Metrics["x"] != (Metric{Value: 1.5, Unit: "us"}) {
+		t.Errorf("document with tolerance fields: %+v, %v", old, err)
 	}
 }

@@ -46,7 +46,7 @@ func Elastic(o Opts, procs int) (*Table, error) {
 	repl := elastic.Config{Steps: elasticSteps, Seed: elasticSeed}
 	want := elastic.Oracle(repl, procs)
 
-	run := func(cfg elastic.Config) (makespanUS, recoveryUS float64, err error) {
+	run := func(o Opts, cfg elastic.Config) (makespanUS, recoveryUS float64, err error) {
 		l, err := o.run(armci.Options{
 			Procs:        procs,
 			ProcsPerNode: elasticPPN,
@@ -69,18 +69,19 @@ func Elastic(o Opts, procs int) (*Table, error) {
 		return slices.Max(l.col(0)), slices.Max(l.col(1)), nil
 	}
 
-	base, crash := repl, repl
+	base := repl
 	base.NoRepl = true
-	crash.CrashRank, crash.CrashStep = elasticCrashRank, elasticCrashStep
-	baseUS, _, err := run(base)
+	crash := o
+	crash.Faults.ElasticCrashRank, crash.Faults.ElasticCrashStep = elasticCrashRank, elasticCrashStep
+	baseUS, _, err := run(o, base)
 	if err != nil {
 		return nil, fmt.Errorf("bench: elastic base run: %w", err)
 	}
-	replUS, _, err := run(repl)
+	replUS, _, err := run(o, repl)
 	if err != nil {
 		return nil, fmt.Errorf("bench: elastic replication run: %w", err)
 	}
-	_, recoveryUS, err := run(crash)
+	_, recoveryUS, err := run(crash, repl)
 	if err != nil {
 		return nil, fmt.Errorf("bench: elastic crash run: %w", err)
 	}

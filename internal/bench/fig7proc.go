@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -19,41 +18,22 @@ import (
 // print is passed through untouched.
 const Fig7ProcResultPrefix = "ARMCI_FIG7_RESULT"
 
+// fig7ProcResultFormat is the tagged line's one format, printed by
+// formatFig7ProcResult and read back by ParseFig7ProcResult.
+const fig7ProcResultFormat = Fig7ProcResultPrefix + " procs=%d old_us=%g new_us=%g"
+
 // formatFig7ProcResult renders one measured point as the tagged line.
 func formatFig7ProcResult(r Fig7Row) string {
-	return fmt.Sprintf("%s procs=%d old_us=%.6g new_us=%.6g",
-		Fig7ProcResultPrefix, r.Procs, r.OldUS, r.NewUS)
+	return fmt.Sprintf(fig7ProcResultFormat, r.Procs, r.OldUS, r.NewUS)
 }
 
-// ParseFig7ProcResult recognizes a tagged result line. The factor is
-// recomputed from the two means so the line stays minimal.
+// ParseFig7ProcResult recognizes a tagged result line: the format's
+// literal prefix must match and every value must be positive. The factor
+// is recomputed from the two means so the line stays minimal.
 func ParseFig7ProcResult(line string) (Fig7Row, bool) {
-	line = strings.TrimSpace(line)
-	if !strings.HasPrefix(line, Fig7ProcResultPrefix) {
-		return Fig7Row{}, false
-	}
 	var r Fig7Row
-	for _, field := range strings.Fields(line[len(Fig7ProcResultPrefix):]) {
-		k, v, ok := strings.Cut(field, "=")
-		if !ok {
-			return Fig7Row{}, false
-		}
-		var err error
-		switch k {
-		case "procs":
-			r.Procs, err = strconv.Atoi(v)
-		case "old_us":
-			r.OldUS, err = strconv.ParseFloat(v, 64)
-		case "new_us":
-			r.NewUS, err = strconv.ParseFloat(v, 64)
-		default:
-			err = fmt.Errorf("unknown field %q", k)
-		}
-		if err != nil {
-			return Fig7Row{}, false
-		}
-	}
-	if r.Procs <= 0 || r.OldUS <= 0 || r.NewUS <= 0 {
+	if _, err := fmt.Sscanf(strings.TrimSpace(line), fig7ProcResultFormat, &r.Procs, &r.OldUS, &r.NewUS); err != nil ||
+		r.Procs <= 0 || !(r.OldUS > 0 && r.NewUS > 0) {
 		return Fig7Row{}, false
 	}
 	r.Factor = r.OldUS / r.NewUS

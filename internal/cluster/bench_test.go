@@ -12,8 +12,9 @@ import (
 // small message into the pair connection's reused buffer and writing it
 // to the socket this worker dialed to the destination's worker, whose
 // reader runs beside it. Each frame is sent in a generation of its own,
-// so each is one encode plus one write. This is the figure the bench
-// baseline tracks as hotpath/procnet_send/ns_op.
+// so each is one encode plus one write. It is wall-clock, so no baseline
+// gates it: compare two builds with alternating `go test -bench
+// SessionSend` runs.
 func BenchmarkSessionSend(b *testing.B) {
 	var received atomic.Int64
 	_, sess := startCluster(b, Config{Procs: 2, Cookie: 7}, func(node int) Handlers {

@@ -48,27 +48,14 @@ import (
 	"armci/internal/wire"
 )
 
-// Config parameterizes one elastic-replication run. The zero value of
-// every knob selects a default sized for tests.
+// Config parameterizes one elastic-replication run. The injected crash
+// is the run's fault plan: its crashrank knob (Faults.ElasticCrashRank
+// and ElasticCrashStep) kills that rank partway through that sync epoch.
 type Config struct {
-	// Steps is the number of sync epochs of useful work.
+	// Steps is the number of sync epochs of useful work (0: 6).
 	Steps int
-	// Rows is the size, in int64 cells, of each rank's protected state
-	// vector — the target of the remote fetch-adds.
-	Rows int
-	// Bytes is the size of each rank's protected byte buffer. It must
-	// hold one SlotBytes slot per rank; 0 sizes it exactly.
-	Bytes int
-	// Ops is how many remote fetch-adds each rank issues per step.
-	Ops int
 	// Seed varies the operation mix (targets, cells, addends).
 	Seed int64
-	// CrashRank/CrashStep select the injected crash: CrashRank is
-	// killed partway through sync epoch CrashStep. CrashStep 0 disables
-	// the crash. Both default from the fault plan's crashrank knob when
-	// left zero.
-	CrashRank int
-	CrashStep int
 	// NoRepl disables the replication machinery entirely: each step is
 	// body + fence + one barrier, nothing captured, streamed or
 	// snapshotted. The benchmark layer prices the steady-state
@@ -80,8 +67,6 @@ type Config struct {
 	// partial writes, so re-execution double-applies fetch-adds. The
 	// conformance harness proves the state oracle catches this.
 	SkipRollback bool
-	// Logf, if non-nil, receives per-rank protocol diagnostics.
-	Logf func(format string, args ...any)
 }
 
 // SlotBytes is the per-writer slot width of the protected byte buffer:
@@ -107,37 +92,18 @@ type Result struct {
 	RecoveryTime time.Duration
 }
 
-// sized fills the workload's unset shape knobs for n ranks; Run and
-// Oracle both start from it.
-func (c *Config) sized(n int) {
+// The workload's fixed shape: each rank's protected state is rows int64
+// cells, the target of the remote fetch-adds, plus a byte buffer of one
+// SlotBytes slot per rank; each rank issues ops fetch-adds per step.
+const (
+	rows = 3 * shmem.PageWords
+	ops  = 8
+)
+
+// sized fills the unset Steps; Run and Oracle both start from it.
+func (c *Config) sized() {
 	if c.Steps == 0 {
 		c.Steps = 6
-	}
-	if c.Rows == 0 {
-		c.Rows = 3 * shmem.PageWords
-	}
-	if c.Bytes == 0 {
-		c.Bytes = SlotBytes * n
-	}
-	if c.Ops == 0 {
-		c.Ops = 8
-	}
-}
-
-func (c *Config) defaults(p *armci.Proc) {
-	c.sized(p.Size())
-	if c.CrashStep == 0 {
-		f := p.Env().Faults()
-		c.CrashRank, c.CrashStep = f.ElasticCrashRank, f.ElasticCrashStep
-	}
-	if c.Bytes < SlotBytes*p.Size() {
-		panic(fmt.Sprintf("elastic: Bytes %d cannot hold %d slots of %d bytes", c.Bytes, p.Size(), SlotBytes))
-	}
-	if c.CrashStep > c.Steps {
-		panic(fmt.Sprintf("elastic: CrashStep %d beyond Steps %d", c.CrashStep, c.Steps))
-	}
-	if c.NoRepl && c.CrashStep > 0 {
-		panic("elastic: NoRepl cannot combine with a crash — there is no replica to recover from")
 	}
 }
 
@@ -154,8 +120,11 @@ type runner struct {
 	peer  int // (rank+1)%n — where this rank's replica lives
 	left  int // (rank-1+n)%n — whose replica this rank holds
 
-	stateW  []armci.Ptr // word: Rows cells of fetch-add state       (protected)
-	stateB  []armci.Ptr // byte: Bytes buffer of per-writer slots    (protected)
+	// The injected crash (crashStep 0: none), from the fault plan.
+	crashRank, crashStep int
+
+	stateW  []armci.Ptr // word: rows cells of fetch-add state       (protected)
+	stateB  []armci.Ptr // byte: n SlotBytes slots, one per writer   (protected)
 	shadowE []armci.Ptr // word: 1 cell, sync epoch of the shadow
 	hdr     []armci.Ptr // word: 2 cells, staging header [len, epoch]
 	fp      []armci.Ptr // word: n+1 cells, fingerprint exchange
@@ -174,7 +143,12 @@ type runner struct {
 // cooperatively. The returned fingerprint equals the crash-free run's
 // on every fabric.
 func Run(p *armci.Proc, cfg Config) Result {
-	cfg.defaults(p)
+	cfg.sized()
+	if f := p.Env().Faults(); f.ElasticCrashStep > cfg.Steps {
+		panic(fmt.Sprintf("elastic: crash epoch %d beyond Steps %d", f.ElasticCrashStep, cfg.Steps))
+	} else if cfg.NoRepl && f.ElasticCrashStep > 0 {
+		panic("elastic: NoRepl cannot combine with a crash — there is no replica to recover from")
+	}
 	if ee, ok := p.Env().(transport.ElasticEnv); ok && ee.ElasticEnabled() {
 		return newRunner(p, cfg, true).runElastic(ee)
 	}
@@ -192,9 +166,11 @@ func Run(p *armci.Proc, cfg Config) Result {
 // local allocations, making every rank's layout identical.
 func newRunner(p *armci.Proc, cfg Config, symmetric bool) *runner {
 	n := p.Size()
+	f := p.Env().Faults()
 	r := &runner{
 		p: p, cfg: cfg, space: p.Env().Space(),
 		n: n, rank: p.Rank(), peer: (p.Rank() + 1) % n, left: (p.Rank() - 1 + n) % n,
+		crashRank: f.ElasticCrashRank % n, crashStep: f.ElasticCrashStep,
 	}
 	words := func(count int) []armci.Ptr {
 		if !symmetric {
@@ -209,8 +185,8 @@ func newRunner(p *armci.Proc, cfg Config, symmetric bool) *runner {
 		return mirror(p.MallocLocal(count), n)
 	}
 	// Protected application state.
-	r.stateW = words(cfg.Rows)
-	r.stateB = bytes(cfg.Bytes)
+	r.stateW = words(rows)
+	r.stateB = bytes(SlotBytes * n)
 	// Protect only the window just allocated: segments below it are
 	// runtime internals (live synchronization state that must never be
 	// captured or rolled back), segments after it the replica machinery.
@@ -240,13 +216,13 @@ func mirror(mine armci.Ptr, n int) []armci.Ptr {
 
 // shadowLen is the shadow byte-segment size: the left neighbor's full
 // protected set, word cells as raw little-endian first, bytes after.
-func (r *runner) shadowLen() int { return 8*r.cfg.Rows + r.cfg.Bytes }
+func (r *runner) shadowLen() int { return 8*rows + SlotBytes*r.n }
 
 // stagingCap bounds the delta blob: batch header + one entry per
 // worst-case alternating dirty page + full payload.
 func (r *runner) stagingCap() int {
-	pages := (r.cfg.Rows+shmem.PageWords-1)/shmem.PageWords +
-		(r.cfg.Bytes+shmem.PageBytes-1)/shmem.PageBytes
+	pages := (rows+shmem.PageWords-1)/shmem.PageWords +
+		(SlotBytes*r.n+shmem.PageBytes-1)/shmem.PageBytes
 	return 8 + 40*(pages+2) + r.shadowLen()
 }
 
@@ -263,7 +239,7 @@ func (r *runner) shadowOff(p shmem.Ptr) int64 {
 	if p.Seg != r.stateB[r.rank].Seg {
 		panic(fmt.Sprintf("elastic: delta range in unexpected byte segment %d", p.Seg))
 	}
-	return int64(8*r.cfg.Rows) + p.Off
+	return 8*rows + p.Off
 }
 
 // --- deterministic workload ---
@@ -289,14 +265,14 @@ func mix(vs ...uint64) uint64 {
 // mid-body crash leaves behind.
 func (r *runner) body(e uint64, partial bool) {
 	seed := uint64(r.cfg.Seed)
-	ops := r.cfg.Ops
+	count := ops
 	if partial {
-		ops = r.cfg.Ops / 2
+		count = ops / 2
 	}
-	for k := 0; k < ops; k++ {
+	for k := 0; k < count; k++ {
 		h := mix(seed, e, uint64(r.rank), uint64(k))
 		target := int(h % uint64(r.n))
-		cell := int64((h >> 16) % uint64(r.cfg.Rows))
+		cell := int64((h >> 16) % rows)
 		add := int64(1 + (h>>40)%7)
 		r.p.FetchAdd(r.stateW[target].Add(cell), add)
 	}
@@ -411,9 +387,7 @@ func (r *runner) repairLeases(dead int) {
 	if t == nil {
 		return
 	}
-	if freed := core.RepairLeasesHeldBy(r.p.Engine(), t, dead); freed > 0 {
-		r.logf("elastic: rank %d freed %d lease(s) held by dead rank %d", r.rank, freed, dead)
-	}
+	core.RepairLeasesHeldBy(r.p.Engine(), t, dead)
 }
 
 // restoreFromPeer rebuilds this rank's protected memory from the
@@ -424,8 +398,8 @@ func (r *runner) restoreFromPeer(resume uint64) {
 		panic(fmt.Sprintf("elastic: rank %d replica on rank %d is at epoch %d, want %d", r.rank, r.peer, se, resume))
 	}
 	buf := r.p.Get(r.shadow[r.peer], r.shadowLen())
-	r.space.WriteRaw(r.stateW[r.rank], buf[:8*r.cfg.Rows])
-	r.space.WriteRaw(r.stateB[r.rank], buf[8*r.cfg.Rows:])
+	r.space.WriteRaw(r.stateW[r.rank], buf[:8*rows])
+	r.space.WriteRaw(r.stateB[r.rank], buf[8*rows:])
 	r.snap = r.space.Snapshot(r.rank, resume)
 	r.committed = resume
 }
@@ -445,8 +419,8 @@ func fnvFold(h uint64, b []byte) uint64 {
 // localFp hashes this rank's protected memory (FNV-1a over the raw
 // little-endian serialization).
 func (r *runner) localFp() uint64 {
-	h := fnvFold(fnvOffset, r.space.ReadRaw(r.stateW[r.rank], 8*r.cfg.Rows))
-	return fnvFold(h, r.space.ReadRaw(r.stateB[r.rank], r.cfg.Bytes))
+	h := fnvFold(fnvOffset, r.space.ReadRaw(r.stateW[r.rank], 8*rows))
+	return fnvFold(h, r.space.ReadRaw(r.stateB[r.rank], SlotBytes*r.n))
 }
 
 // fingerprint combines every rank's local digest into one cluster
@@ -482,19 +456,19 @@ func (r *runner) fingerprint(bar func(id uint64)) uint64 {
 // recovered — must converge to. Launchers and the conformance harness
 // verify results against it with no reference execution.
 func Oracle(cfg Config, n int) uint64 {
-	cfg.sized(n)
+	cfg.sized()
 	words := make([][]int64, n)
 	bufs := make([][]byte, n)
 	for q := 0; q < n; q++ {
-		words[q] = make([]int64, cfg.Rows)
-		bufs[q] = make([]byte, cfg.Bytes)
+		words[q] = make([]int64, rows)
+		bufs[q] = make([]byte, SlotBytes*n)
 	}
 	seed := uint64(cfg.Seed)
 	for e := uint64(1); e <= uint64(cfg.Steps); e++ {
 		for q := 0; q < n; q++ {
-			for k := 0; k < cfg.Ops; k++ {
+			for k := 0; k < ops; k++ {
 				h := mix(seed, e, uint64(q), uint64(k))
-				words[h%uint64(n)][(h>>16)%uint64(cfg.Rows)] += int64(1 + (h>>40)%7)
+				words[h%uint64(n)][(h>>16)%rows] += int64(1 + (h>>40)%7)
 			}
 			// Epochs replay in order, so last-writer-wins falls out of
 			// the iteration.
@@ -530,12 +504,6 @@ func recBar(view uint64, k uint64) uint64 {
 }
 func fpBar(k uint64) uint64 { return (2 << 32) + k }
 
-func (r *runner) logf(format string, args ...any) {
-	if r.cfg.Logf != nil {
-		r.cfg.Logf(format, args...)
-	}
-}
-
 // --- emulated crash (sim / chan / tcp) ---
 
 // runEmulated drives the workload with a cooperative crash: at the
@@ -552,20 +520,19 @@ func (r *runner) runEmulated() Result {
 	r.p.Barrier()
 	crashed := false
 	for e := uint64(1); e <= uint64(r.cfg.Steps); e++ {
-		if r.cfg.CrashStep > 0 && e == uint64(r.cfg.CrashStep) && !crashed {
+		if r.crashStep > 0 && e == uint64(r.crashStep) && !crashed {
 			crashed = true
-			victim := r.rank == r.cfg.CrashRank%r.n
+			victim := r.rank == r.crashRank
 			r.body(e, victim)
 			r.p.AllFence()
 			r.p.Barrier() // all partial-epoch mutations applied: "crash detected"
 			recT0 := r.p.Now()
 			resume := e - 1
 			if victim {
-				r.logf("elastic: rank %d emulating crash at epoch %d", r.rank, e)
 				r.space.WipeProtected(r.rank)
 				r.restoreFromPeer(resume)
 			} else {
-				r.repairLeases(r.cfg.CrashRank % r.n)
+				r.repairLeases(r.crashRank)
 				if !r.cfg.SkipRollback {
 					r.space.Restore(r.rank, r.snap)
 				}
@@ -600,7 +567,6 @@ func (r *runner) runElastic(ee transport.ElasticEnv) Result {
 		// op at this rank before it allocates: they are parked in the
 		// first recovery barrier, which this rank enters only after
 		// newRunner laid the segments out.)
-		r.logf("elastic: rank %d incarnation %d joining recovery", r.rank, inc)
 		r.recoverVictim(ee)
 	} else {
 		// Allocation is purely local; no remote op may land before
@@ -608,10 +574,10 @@ func (r *runner) runElastic(ee transport.ElasticEnv) Result {
 		bar(stepBar(0, 0))
 	}
 	for e := r.committed + 1; e <= uint64(r.cfg.Steps); e++ {
-		crashHere := inc == 0 && r.cfg.CrashStep > 0 &&
-			r.rank == r.cfg.CrashRank%r.n && e == uint64(r.cfg.CrashStep)
-		if vi := r.guarded(func() { r.stepElastic(e, crashHere, bar) }); vi != nil {
-			r.recoverSurvivor(ee, vi)
+		crashHere := inc == 0 && r.crashStep > 0 &&
+			r.rank == r.crashRank && e == uint64(r.crashStep)
+		if r.guarded(func() { r.stepElastic(e, crashHere, bar) }) {
+			r.recoverSurvivor(ee)
 		}
 		e = r.committed
 	}
@@ -624,26 +590,24 @@ func (r *runner) runElastic(ee transport.ElasticEnv) Result {
 func (r *runner) stepElastic(e uint64, crashHere bool, bar func(id uint64)) {
 	if crashHere {
 		r.body(e, true)
-		r.logf("elastic: rank %d exiting at epoch %d (crashrank fault)", r.rank, e)
 		os.Exit(3)
 	}
 	r.step(e, false, bar)
 }
 
-// guarded runs fn, converting a membership-change abort into a returned
-// ViewInterrupt; every other panic propagates.
-func (r *runner) guarded(fn func()) (vi *transport.ViewInterrupt) {
+// guarded runs fn and reports whether a membership change aborted it
+// (a ViewInterrupt); every other panic propagates.
+func (r *runner) guarded(fn func()) (interrupted bool) {
 	defer func() {
 		if p := recover(); p != nil {
-			if v, ok := transport.AsViewInterrupt(p); ok {
-				vi = v
-				return
+			if _, ok := transport.AsViewInterrupt(p); !ok {
+				panic(p)
 			}
-			panic(p)
+			interrupted = true
 		}
 	}()
 	fn()
-	return nil
+	return false
 }
 
 // recoverSurvivor converges a surviving rank on the cluster resume
@@ -651,14 +615,12 @@ func (r *runner) guarded(fn func()) (vi *transport.ViewInterrupt) {
 // epoch's traffic (epoch bump, mailbox purge, dead-pair reset) and
 // reports this rank's committed state for the coordinator's resume
 // computation.
-func (r *runner) recoverSurvivor(ee transport.ElasticEnv, vi *transport.ViewInterrupt) {
+func (r *runner) recoverSurvivor(ee transport.ElasticEnv) {
 	recT0 := r.p.Now()
 	shadowE := uint64(r.p.Load(r.shadowE[r.rank]))
 	stagedE := uint64(r.p.Load(r.hdr[r.rank].Add(1)))
 	ee.AckView(r.committed, shadowE, stagedE)
 	dead, resume := ee.AwaitResume()
-	r.logf("elastic: rank %d surviving view %d: node %d replaced, resume epoch %d (committed %d)",
-		r.rank, vi.Epoch, dead, resume, r.committed)
 	r.repairLeases(dead)
 	switch {
 	case r.committed == resume:
@@ -702,8 +664,6 @@ func (r *runner) recoverVictim(ee transport.ElasticEnv) {
 	view := ee.ViewEpoch()
 	ee.ClusterBarrier(recBar(view, 0)) // survivors converged; replica stable
 	r.restoreFromPeer(resume)
-	r.logf("elastic: rank %d restored %d bytes from rank %d's replica at epoch %d",
-		r.rank, r.shadowLen(), r.peer, resume)
 	ee.ClusterBarrier(recBar(view, 1))
 	r.reestablish(resume,
 		func() { ee.ClusterBarrier(recBar(view, 2)) },
