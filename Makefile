@@ -29,9 +29,15 @@ benchpairs:
 
 # The harness's output contract in full: every figure regenerated and
 # diffed against the committed tables (sim virtual times reproduce byte
-# for byte), crossover-N to 4096 ranks included. ~15 s; check.sh runs it.
+# for byte), crossover-N to 4096 ranks included, then the per-message
+# timeline of one 16-rank barrier against its committed CSV — the
+# captured stream's send view, joined to the arrivals. ~15 s; check.sh
+# runs it.
 golden:
 	$(GO) run ./cmd/armci-bench -fig all | diff -u results/all-tables.txt -
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+	$(GO) run ./cmd/armci-bench -timeline "$$tmp" -procs 16 >/dev/null && \
+	diff -u results/timeline-barrier-16.csv "$$tmp"
 
 # Non-test Go lines per package, benchmark/ excluded, total last — the
 # number simplicity PRs quote before and after.

@@ -136,8 +136,8 @@ const (
 
 // Metrics is the run recorder (the type of Report.Stats) in its second
 // role: passed in Options.Metrics it aggregates an experiment's runs —
-// message and fault counters, per-kind and per-pair latency histograms
-// and (with SetTimeline) the captured per-message timeline.
+// message and fault counters, per-kind latency histograms and (with
+// SetTimeline) the captured sends, joined to their arrivals.
 type Metrics = trace.Stats
 
 // NewMetrics returns an empty recorder to pass in Options.Metrics.
@@ -284,14 +284,15 @@ type Options struct {
 	// Coalesce switches per-destination small-op coalescing on the send
 	// path. Zero value: every operation is its own wire frame.
 	Coalesce Coalesce
-	// CaptureTrace records every message send for inspection.
+	// CaptureTrace records the run's stream for inspection: every message
+	// send and admission and every protocol step, in one order.
 	CaptureTrace bool
 	// Faults configures deterministic fault injection (jitter, latency
 	// spikes, duplicate delivery) on every fabric. Zero value: no faults.
 	Faults Faults
-	// Metrics, if non-nil, makes the run feed per-kind/per-pair message
-	// latency histograms (and, with Metrics.SetTimeline, capture its
-	// message events) and folds the finished run into it, so one
+	// Metrics, if non-nil, makes the run feed per-kind message latency
+	// histograms (and, with Metrics.SetTimeline, capture its stream) and
+	// folds the finished run into it — its sends, not its steps — so one
 	// collector aggregates every run it is handed to. Report.Stats
 	// stays per-run.
 	Metrics *Metrics
@@ -348,8 +349,8 @@ type Report struct {
 	// Elapsed is the cluster's end-to-end time: virtual for FabricSim,
 	// wall for the concurrent fabrics.
 	Elapsed time.Duration
-	// Stats is the recorder of the run: message and fault counters,
-	// plus captured events under Options.CaptureTrace.
+	// Stats is the recorder of the run: message and fault counters, plus
+	// the captured stream (Stats.Stream) under Options.CaptureTrace.
 	Stats *trace.Stats
 }
 

@@ -107,8 +107,8 @@ func TestSyncInvariantsUnderFaults(t *testing.T) {
 }
 
 // TestTCPTraceArrivalPopulated: on the TCP fabric the sender cannot know
-// the arrival time, so the receive-side trace stage must back-annotate
-// it — every captured event ends up with a non-zero arrival.
+// the arrival time, so the receive side's admission record must supply it
+// — every captured send is joined to a non-zero arrival.
 func TestTCPTraceArrivalPopulated(t *testing.T) {
 	rep, err := armci.Run(armci.Options{
 		Procs:        2,

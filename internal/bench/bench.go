@@ -39,8 +39,8 @@ type Opts struct {
 	// Faults is the deterministic fault-injection plan applied to every
 	// run of the experiment (zero value: no faults).
 	Faults armci.Faults
-	// Metrics, if non-nil, aggregates per-kind/per-pair message latency
-	// histograms and fault counters across the experiment's runs.
+	// Metrics, if non-nil, aggregates per-kind message latency histograms
+	// and fault counters across the experiment's runs.
 	Metrics *armci.Metrics
 }
 

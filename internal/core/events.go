@@ -7,8 +7,8 @@ import (
 
 // Record is the one protocol-event recorder: it stamps ev with the
 // calling rank, its node and the fabric time and appends it to the run's
-// trace for the conformance oracles in internal/check — a loud trace; a
-// quiet one is never asked, and no clock is read for it. The caller sets
+// stream, ordered with its messages, for the oracles of internal/check —
+// a loud trace; a quiet one is never asked, and no clock is read for it. The caller sets
 // Kind and whichever of Lock, Prev, Ticket and Epoch the kind carries;
 // Prev and Ticket are -1 when they do not apply. Where an event sits in
 // the recorded order is the caller's contract:

@@ -17,8 +17,8 @@
 //
 // Inbound mirrors them at the destination: it rejects a stale view epoch,
 // suppresses duplicates by sequence number (exactly-once even under
-// injected duplication), stamps the arrival (so trace.Event.Arrival is set
-// on every fabric, TCP included) and makes one recorder call. Dedup sits
+// injected duplication), stamps the arrival (the captured OpDeliver carries
+// it on every fabric, TCP included) and makes one recorder call. Dedup sits
 // after the reliability stage on purpose: a retransmitted copy keeps its
 // sequence number and resolves to one delivery before the FIFO stamp, so
 // dedup only ever sees injected duplicates.
@@ -752,8 +752,8 @@ func (ps *pairState) arrival(now, wire time.Duration) time.Duration {
 // destination at fabric time now, and reports whether the message may
 // enter the mailbox. Duplicates (same pair, non-increasing sequence
 // number) are suppressed; admitted messages get their Arrival stamped to
-// the actual arrival when the modeled one is earlier or absent — this is
-// what populates trace.Event.Arrival on the TCP fabric — and are
+// the actual arrival when the modeled one is earlier or absent — on the
+// TCP fabric the only arrival its captured send is joined to — and are
 // reported to the recorder. The stamp follows SendTo's rule: without
 // Stamps, now is not read (a fabric may pass 0) and Arrival stays 0.
 // Messages stamped with a membership view epoch older than the current

@@ -235,7 +235,7 @@ func TestFaultsValidate(t *testing.T) {
 // TestPipelineFeedsRecorder: the two recorder calls per message carry
 // everything the run's recorder keeps — the send count, the event with
 // the arrival Inbound observed, the OpDeliver event and the latency
-// histograms.
+// histogram.
 func TestPipelineFeedsRecorder(t *testing.T) {
 	agg := trace.New()
 	agg.SetTimeline(true)
@@ -258,16 +258,13 @@ func TestPipelineFeedsRecorder(t *testing.T) {
 	if h := rec.KindHistogram(msg.KindSend); h.Count != 4 || h.Mean() <= 0 {
 		t.Fatalf("kind histogram: %+v", h)
 	}
-	if hp := rec.PairHistogram(a, b); hp.Count != 4 {
-		t.Fatalf("pair histogram: %+v", hp)
-	}
 	tl := rec.Timeline()
 	if len(tl) != 4 {
 		t.Fatalf("timeline: %+v", tl)
 	}
 	for i, e := range tl {
 		if e.PairSeq != uint64(i+1) || e.Arrival != ats[i] {
-			t.Fatalf("timeline[%d] = %+v, want arrival %v back-annotated", i, e, ats[i])
+			t.Fatalf("timeline[%d] = %+v, want arrival %v joined", i, e, ats[i])
 		}
 	}
 	ops := rec.OpEvents()

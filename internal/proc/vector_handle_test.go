@@ -189,6 +189,7 @@ func TestEngineNICFenceRouting(t *testing.T) {
 	}
 	buf := c.space().AllocBytes(1, 8)
 	done := c.space().AllocWords(1, 1)
+	c.stats.SetCapture(true) // PairCount reads the captured sends
 	c.run(func(g *proc.Engine) {
 		env := g.Env()
 		g.SetNICAssist(true)

@@ -166,29 +166,18 @@ func (s *Stats) KindHistogram(k msg.Kind) Histogram {
 	return Histogram{}
 }
 
-// PairHistogram returns a copy of the latency histogram of one directed
-// pair.
-func (s *Stats) PairHistogram(src, dst msg.Addr) Histogram {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if h := s.latByPair[msg.PairOf(src, dst)]; h != nil {
-		return *h
-	}
-	return Histogram{}
-}
-
-// Timeline returns the captured send events under the name latency
-// collectors use: each carries Sent and the actual Arrival.
+// Timeline returns the captured sends under the name latency collectors
+// use: each carries Sent and the actual Arrival.
 func (s *Stats) Timeline() []Event { return s.Events() }
 
-// TimelineCSV renders the captured events as CSV (times in microseconds
+// TimelineCSV renders the captured sends as CSV (times in microseconds
 // — virtual or wall, per the fabric that fed the recorder).
 func (s *Stats) TimelineCSV() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var b strings.Builder
 	b.WriteString("seq,kind,src,dst,pair_seq,bytes,sent_us,arrival_us,latency_us\n")
-	for _, e := range s.events {
+	for _, e := range s.events() {
 		fmt.Fprintf(&b, "%d,%s,%v,%v,%d,%d,%.3f,%.3f,%.3f\n",
 			e.Seq, e.Kind, e.Src, e.Dst, e.PairSeq, e.Size,
 			float64(e.Sent)/1000, float64(e.Arrival)/1000, float64(e.Arrival-e.Sent)/1000)

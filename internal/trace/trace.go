@@ -6,13 +6,14 @@
 //
 // Stats is the one recorder of a run. The transport pipeline calls it
 // once per send (the sending actor's Actor.RecordSend) and once per
-// admission (RecordArrival), or once with the fault counters of a send or
-// copy that did not get through (RecordFaults). A send takes only its
-// actor's lock, which no other sender takes, and a reader folds every
-// actor's counts in; a capturing recorder takes its own mutex for a send,
-// to number the events in one order. A socket link reports its write(2)
-// count when it comes down (RecordLinkWrites). The captured events carry
-// Sent and the actual Arrival, so they double as the per-message timeline.
+// admission (RecordArrival), or with the fault counters of a send or copy
+// that did not get through (RecordFaults); protocol layers call RecordOp
+// per step. A send takes only its actor's lock, and a reader folds every
+// actor's counts in. A socket link reports its writes (RecordLinkWrites).
+//
+// A capturing recorder keeps one stream (Stream) of sends, admissions and
+// steps in the one order its mutex gave them. Events, Timeline, OpEvents,
+// Fingerprint, TimelineCSV and PairCount are filters over it.
 //
 // A recorder is loud while it captures or feeds latency histograms, and
 // quiet otherwise. Only a loud one reads message stamps or op events, so
@@ -23,6 +24,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -32,46 +34,36 @@ import (
 )
 
 // Stats is the recorder of one run: message counters, fault counters,
-// and — when switched on — captured events and latency histograms. All
+// and — when switched on — the captured stream and latency histograms. All
 // methods are safe for concurrent use.
 type Stats struct {
 	mu sync.Mutex
 	counts
-	actors    []*Actor // their counts are folded into counts by every reader
-	writes    int      // write(2) calls of the socket link (tcp only)
-	written   int64    // the encoded bytes they carried, hellos included
-	events    []Event
-	byKey     map[eventKey]int // (pair,pairSeq) -> events index, capture mode
-	opEvents  []OpEvent
+	actors    []*Actor  // their counts are folded into counts by every reader
+	writes    int       // write(2) calls of the socket link (tcp only)
+	written   int64     // the encoded bytes they carried, hellos included
+	stream    []OpEvent // capture mode: sends, deliveries and steps in record order
 	capture   atomic.Bool
-	latency   bool // feed the histograms (NewRun recorders only)
+	latency   bool // feed the histograms: set by NewRun, never changed
 	latByKind map[msg.Kind]*Histogram
-	latByPair map[msg.Pair]*Histogram
-	loud      atomic.Bool // capture || latency, readable without mu
 }
 
-type eventKey struct {
-	pair msg.Pair
-	seq  uint64
-}
-
-// Event is one recorded message send (capture mode only).
+// Event is one captured message: the view Events returns of a send, and
+// the message an OpSend or OpDeliver record carries.
 type Event struct {
-	Seq  int
-	Kind msg.Kind
-	Src  msg.Addr
-	Dst  msg.Addr
-	Size int
+	Seq      int
+	Kind     msg.Kind
+	Src, Dst msg.Addr
+	Size     int
 	// PairSeq is the per-(Src,Dst) sequence number the transport
 	// pipeline stamped on the message.
 	PairSeq uint64
 	// Sent is the fabric time the send was initiated.
 	Sent time.Duration
-	// Arrival is the fabric delivery time of the message. The send-side
-	// record carries the modeled arrival when the fabric computed one;
-	// RecordArrival back-annotates the actual arrival, so it is
-	// populated on every fabric — including TCP, where the arrival is
-	// only known at the receiver.
+	// Arrival is the fabric delivery time of the message. A send record
+	// carries the modeled arrival when the fabric computed one; Events
+	// joins in the arrival its receiver admitted it at, so it is set on
+	// every fabric — including TCP, where only the receiver knows it.
 	Arrival time.Duration
 	// Dup marks an injected duplicate delivery (fault injection).
 	Dup bool
@@ -79,11 +71,11 @@ type Event struct {
 	FaultDelay time.Duration
 }
 
-// OpKind classifies a protocol-level operation event. Unlike message
-// Events — which describe the wire — op events describe the *semantic*
-// history of a run: lock hand-offs, fence/barrier crossings, the issue
-// and completion of fence-counted stores, and post-dedup deliveries.
-// They are what the conformance oracles in internal/check consume.
+// OpKind classifies a record of the captured stream: a message send, or a
+// step of the *semantic* history of a run — lock hand-offs, fence/barrier
+// crossings, the issue and completion of fence-counted stores, and
+// post-dedup deliveries. The steps are what the conformance oracles in
+// internal/check consume.
 type OpKind uint8
 
 const (
@@ -105,32 +97,31 @@ const (
 	// accumulate, fire-and-forget store) to a remote node. Carries Rank
 	// (origin) and Node (destination).
 	OpIssue
-	// OpComplete: a node's server completed one fence-counted operation.
-	// Recorded after the memory effect is applied and before the op_done
-	// counter is advanced, so in the recorded order a completion always
-	// precedes any barrier exit that the fence algorithm justified with
-	// it. Carries Rank (origin) and Node.
+	// OpComplete: a node's server completed one fence-counted operation
+	// (Rank: origin, Node). Recorded after the memory effect and before
+	// op_done advances, so in the recorded order a completion precedes
+	// any barrier exit the fence algorithm justified with it.
 	OpComplete
 	// OpDeliver: the transport pipeline admitted a message into the
-	// destination mailbox (after duplicate suppression). Carries Src,
-	// Dst and PairSeq; the per-pair FIFO/exactly-once oracle checks that
-	// PairSeq is strictly increasing per directed pair.
+	// destination mailbox (after dedup). Its Event is the message with the
+	// arrival it was admitted at; the per-pair FIFO/exactly-once oracle
+	// checks that PairSeq strictly increases per directed pair.
 	OpDeliver
 	// OpRepair: a lease-lock waiter deposed an expired holder. Carries
 	// Lock, Rank (the repairer), Prev (the deposed rank) and Epoch (the
-	// new lease epoch installed by the repair CAS). From this event on,
-	// releases by Prev under an older epoch are stale and must not free
-	// the lock.
+	// new lease epoch installed by the repair CAS). From here on, releases
+	// by Prev under an older epoch are stale and must not free the lock.
 	OpRepair
-	// OpStaleRelease: a deposed holder's release lost the epoch check
-	// and was rejected. Carries Lock and Rank (the deposed rank). The
-	// event witnesses that the release had no effect; an oracle treats
-	// it as a no-op in the hand-off order.
+	// OpStaleRelease: a deposed holder's release lost the epoch check and
+	// was rejected (Lock, Rank: the deposed rank). It witnesses that the
+	// release had no effect; an oracle treats it as a no-op.
 	OpStaleRelease
 	// OpCrash: a rank fail-stopped by fault injection (crash/crashheld).
-	// Carries Rank. Later lock events involving Rank are excused from
-	// liveness accounting.
+	// Carries Rank, whose later lock events are excused from liveness.
 	OpCrash
+	// OpSend: a message, or an injected duplicate (Dup), left its sender.
+	// Its Event is the message, Arrival the modeled one; Time is Sent.
+	OpSend
 )
 
 var opKindNames = map[OpKind]string{
@@ -138,6 +129,7 @@ var opKindNames = map[OpKind]string{
 	OpSyncEnter: "sync-enter", OpSyncExit: "sync-exit",
 	OpIssue: "op-issue", OpComplete: "op-complete", OpDeliver: "deliver",
 	OpRepair: "repair", OpStaleRelease: "stale-release", OpCrash: "crash",
+	OpSend: "send",
 }
 
 func (k OpKind) String() string {
@@ -147,14 +139,16 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("OpKind(%d)", uint8(k))
 }
 
-// OpEvent is one recorded protocol-level event (capture mode only). All
-// op events of a run share one global sequence: because every record
-// goes through the collector's mutex at the instant the event happens,
-// the recorded order is consistent with the happens-before order of the
-// run on every fabric — which is what makes the order usable as a
-// linearization witness by the invariant oracles.
+// OpEvent is one record of the captured stream (capture mode only): a
+// message send or admission, or a protocol step. All records of a run
+// share one sequence: because every record goes through the collector's
+// mutex at the instant the event happens, the recorded order is
+// consistent with the happens-before order of the run on every fabric —
+// which is what makes the order usable as a linearization witness by the
+// invariant oracles, and lets a send be ordered against a lock step.
 type OpEvent struct {
-	// Seq is the global record order, 1-based, shared by all op events.
+	// Seq is the record order, 1-based: over every record in Stream,
+	// over the deliveries and steps in OpEvents.
 	Seq int
 	// Kind classifies the event.
 	Kind OpKind
@@ -172,23 +166,20 @@ type OpEvent struct {
 	Ticket int64
 	// Epoch is the per-rank sync epoch of OpSyncEnter/OpSyncExit.
 	Epoch int
-	// Src, Dst and PairSeq identify the delivered message of OpDeliver.
-	Src, Dst msg.Addr
-	PairSeq  uint64
 	// Time is the fabric time at the record (virtual on sim, wall
 	// otherwise). Diagnostic only; oracles use Seq.
 	Time time.Duration
+	// Event is the message of an OpSend or OpDeliver record, zero on a
+	// step. Its Src, Dst and PairSeq identify the message; its own Seq
+	// and Kind, which the record's shadow, are the send's number in
+	// Events and the message kind.
+	Event
 }
 
 // New returns an empty recorder: counters on, capture and latency
 // histograms off.
 func New() *Stats {
-	return &Stats{
-		counts:    newCounts(),
-		byKey:     make(map[eventKey]int),
-		latByKind: make(map[msg.Kind]*Histogram),
-		latByPair: make(map[msg.Pair]*Histogram),
-	}
+	return &Stats{counts: newCounts(), latByKind: make(map[msg.Kind]*Histogram)}
 }
 
 // NewRun returns the private recorder of one run whose results Add will
@@ -198,48 +189,38 @@ func New() *Stats {
 func (s *Stats) NewRun() *Stats {
 	r := New()
 	r.latency = true
-	r.loud.Store(true)
 	r.capture.Store(s.capture.Load())
 	return r
 }
 
-// SetCapture toggles recording of individual send events and op events
-// (for determinism tests, timelines and debugging); counting is always
-// on. Set it before the run: a message sent while the recorder was quiet
-// carries no stamps.
-func (s *Stats) SetCapture(on bool) {
-	s.mu.Lock()
-	s.capture.Store(on)
-	s.loud.Store(on || s.latency)
-	s.mu.Unlock()
-}
+// SetCapture toggles recording of the stream of sends, deliveries and
+// steps (for determinism tests, timelines and debugging); counting is
+// always on. Set it before the run: a message sent while the recorder was
+// quiet carries no stamps.
+func (s *Stats) SetCapture(on bool) { s.capture.Store(on) }
 
 // Loud reports whether the recorder reads what a quiet run never needs:
 // message send and arrival stamps and op events. It takes no lock.
-func (s *Stats) Loud() bool { return s.loud.Load() }
+func (s *Stats) Loud() bool { return s.latency || s.capture.Load() }
 
 // SetTimeline is SetCapture under the name latency collectors use: the
-// captured events are the timeline.
+// captured sends are the timeline.
 func (s *Stats) SetTimeline(on bool) { s.SetCapture(on) }
 
 // counts is what a recorder always keeps: RecordSend's counters.
 type counts struct {
-	sends   int
-	bytes   int64
-	byKind  map[msg.Kind]int
-	perPair map[msg.Pair]int
-	faults  FaultCounts
+	sends  int
+	bytes  int64
+	byKind map[msg.Kind]int
+	faults FaultCounts
 }
 
-func newCounts() counts {
-	return counts{byKind: make(map[msg.Kind]int), perPair: make(map[msg.Pair]int)}
-}
+func newCounts() counts { return counts{byKind: make(map[msg.Kind]int)} }
 
 func (c *counts) send(m *msg.Message) {
 	c.sends++
 	c.byKind[m.Kind]++
 	c.bytes += int64(m.PayloadBytes())
-	c.perPair[msg.PairOf(m.Src, m.Dst)]++
 }
 
 func (c *counts) add(o *counts) {
@@ -247,9 +228,6 @@ func (c *counts) add(o *counts) {
 	c.bytes += o.bytes
 	for k, n := range o.byKind {
 		c.byKind[k] += n
-	}
-	for pr, n := range o.perPair {
-		c.perPair[pr] += n
 	}
 	c.faults.add(o.faults)
 }
@@ -273,7 +251,7 @@ func (s *Stats) Actor() *Actor {
 // RecordSend accounts one send of a's actor: the message m, its injected
 // duplicate dup (nil when there is none), and the fault decisions the send
 // drew. It takes only the actor's lock, unless the recorder captures: then
-// it takes the recorder's, which numbers the events in one order.
+// it takes the recorder's, which numbers the stream in one order.
 func (a *Actor) RecordSend(m, dup *msg.Message, f FaultCounts) {
 	s, c, mu := a.s, &a.counts, &a.mu
 	capture := s.capture.Load()
@@ -288,17 +266,30 @@ func (a *Actor) RecordSend(m, dup *msg.Message, f FaultCounts) {
 		}
 		c.send(m)
 		if capture {
-			s.events = append(s.events, Event{
-				Seq: s.sends, Kind: m.Kind, Src: m.Src, Dst: m.Dst,
-				Size: m.PayloadBytes(), PairSeq: m.Seq, Sent: m.Sent,
-				Arrival: m.Arrival, Dup: m.Dup, FaultDelay: m.FaultDelay,
-			})
-			if !m.Dup && m.Seq != 0 {
-				s.byKey[eventKey{msg.PairOf(m.Src, m.Dst), m.Seq}] = len(s.events) - 1
-			}
+			s.recordMsg(OpSend, m, s.sends, m.Sent)
 		}
 	}
 	c.faults.add(f)
+}
+
+// record appends e as the stream's next record; s.mu is held. A full
+// stream doubles: append would grow a long one by a quarter, copying more.
+func (s *Stats) record(e OpEvent) {
+	e.Seq = len(s.stream) + 1
+	if len(s.stream) == cap(s.stream) {
+		s.stream = slices.Grow(s.stream, len(s.stream)+64)
+	}
+	s.stream = append(s.stream, e)
+}
+
+// recordMsg records the send (OpSend, the recorder's send number seq) or
+// the admission (OpDeliver) of m at fabric time at; s.mu is held.
+func (s *Stats) recordMsg(k OpKind, m *msg.Message, seq int, at time.Duration) {
+	s.record(OpEvent{Kind: k, Rank: -1, Prev: -1, Ticket: -1, Time: at, Event: Event{
+		Seq: seq, Kind: m.Kind, Src: m.Src, Dst: m.Dst,
+		Size: m.PayloadBytes(), PairSeq: m.Seq, Sent: m.Sent,
+		Arrival: m.Arrival, Dup: m.Dup, FaultDelay: m.FaultDelay,
+	}})
 }
 
 // lockFolded takes s.mu and moves every actor's counters into s's own, as
@@ -309,8 +300,7 @@ func (s *Stats) lockFolded() {
 		a.mu.Lock()
 		s.add(&a.counts)
 		clear(a.byKind)
-		clear(a.perPair)
-		a.counts = counts{byKind: a.byKind, perPair: a.perPair}
+		a.counts = counts{byKind: a.byKind}
 		a.mu.Unlock()
 	}
 }
@@ -336,70 +326,52 @@ func (s *Stats) RecordLinkWrites(writes, bytes int) {
 }
 
 // RecordArrival accounts the admission of m into the destination mailbox
-// at fabric time now (the pipeline's post-dedup receive stage). In
-// capture mode it back-annotates the send event of m with the arrival
-// the receive side observed — on fabrics where the sender cannot know it
-// (TCP), this is what populates Event.Arrival — and records the
-// OpDeliver event; on a NewRun recorder it feeds the latency histograms.
-// A quiet recorder does neither, and returns before its mutex.
+// at fabric time now (the pipeline's post-dedup receive stage): in capture
+// mode an OpDeliver, whose arrival Events joins into the send — the only
+// source of it where the sender cannot know it (TCP); on a NewRun recorder
+// the latency histograms. A quiet recorder returns before its mutex.
 func (s *Stats) RecordArrival(m *msg.Message, now time.Duration) {
 	if !s.Loud() {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pr := msg.PairOf(m.Src, m.Dst)
 	if s.capture.Load() {
-		if i, ok := s.byKey[eventKey{pr, m.Seq}]; ok {
-			s.events[i].Arrival = m.Arrival
-		}
-		s.opLocked(OpEvent{
-			Kind: OpDeliver, Rank: -1, Prev: -1, Ticket: -1,
-			Src: m.Src, Dst: m.Dst, PairSeq: m.Seq, Time: now,
-		})
+		s.recordMsg(OpDeliver, m, 0, now)
 	}
 	if s.latency {
-		lat := m.Arrival - m.Sent
-		histogramOf(s.latByKind, m.Kind).add(lat)
-		histogramOf(s.latByPair, pr).add(lat)
+		histogramOf(s.latByKind, m.Kind).add(m.Arrival - m.Sent)
 	}
 }
 
-// RecordOp records one protocol-level event (capture mode only; see
-// OpEvent). Callers fill every field but Seq, which is assigned here.
+// RecordOp records one protocol step (capture mode only; see OpEvent).
+// Callers fill every field but Seq, which is assigned here.
 // The call must be placed so that the record order witnesses the claim
 // being recorded: acquires after the lock is held, releases before the
 // hand-off starts, completions before they become observable. Callers
 // that must read a clock or do other work to build e ask Loud first.
 func (s *Stats) RecordOp(e OpEvent) {
-	if !s.Loud() {
+	if !s.capture.Load() {
 		return
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.capture.Load() {
-		s.opLocked(e)
-	}
-}
-
-func (s *Stats) opLocked(e OpEvent) {
-	e.Seq = len(s.opEvents) + 1
-	s.opEvents = append(s.opEvents, e)
+	s.record(e)
+	s.mu.Unlock()
 }
 
 // Add folds the finished run recorded by run into s: message and link-write
 // counters, fault counters, latency histograms and — while s is capturing —
-// the captured events, renumbered to continue s's own send count. Op events
-// stay with the run; they are a per-run linearization witness.
+// the run's sends, joined to their arrivals and renumbered after s's own.
+// Deliveries and steps stay with the run: a per-run linearization witness.
 func (s *Stats) Add(run *Stats) {
 	run.lockFolded()
 	defer run.mu.Unlock()
 	s.lockFolded()
 	defer s.mu.Unlock()
 	if s.capture.Load() {
-		for _, e := range run.events {
+		for _, e := range run.events() {
 			e.Seq += s.sends
-			s.events = append(s.events, e)
+			s.record(OpEvent{Kind: OpSend, Rank: -1, Prev: -1, Ticket: -1, Time: e.Sent, Event: e})
 		}
 	}
 	s.add(&run.counts)
@@ -408,16 +380,29 @@ func (s *Stats) Add(run *Stats) {
 	for k, h := range run.latByKind {
 		histogramOf(s.latByKind, k).merge(h)
 	}
-	for pr, h := range run.latByPair {
-		histogramOf(s.latByPair, pr).merge(h)
-	}
 }
 
-// OpEvents returns a copy of the recorded protocol-level events.
+// Stream returns a copy of the captured records — sends, deliveries and
+// protocol steps — in their one recorded order.
+func (s *Stats) Stream() []OpEvent {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]OpEvent(nil), s.stream...)
+}
+
+// OpEvents returns the captured deliveries and protocol steps, numbered
+// among themselves.
 func (s *Stats) OpEvents() []OpEvent {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]OpEvent(nil), s.opEvents...)
+	ops := make([]OpEvent, 0, len(s.stream)) // one allocation: cap covers the sends it skips
+	for _, e := range s.stream {
+		if e.Kind != OpSend {
+			e.Seq = len(ops) + 1
+			ops = append(ops, e)
+		}
+	}
+	return ops
 }
 
 // Sends returns the total number of messages sent.
@@ -449,18 +434,52 @@ func (s *Stats) LinkWrites() (writes int, bytes int64) {
 	return s.writes, s.written
 }
 
-// PairCount returns the number of messages sent from src to dst.
+// PairCount returns the number of captured messages sent from src to dst,
+// injected duplicates included. It needs capture: a quiet recorder reads 0.
 func (s *Stats) PairCount(src, dst msg.Addr) int {
-	s.lockFolded()
-	defer s.mu.Unlock()
-	return s.perPair[msg.PairOf(src, dst)]
+	n := 0
+	for _, e := range s.Events() {
+		if e.Src == src && e.Dst == dst {
+			n++
+		}
+	}
+	return n
 }
 
-// Events returns a copy of the captured send events.
+// Events returns the captured sends, each joined to its arrival.
 func (s *Stats) Events() []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]Event(nil), s.events...)
+	return s.events()
+}
+
+// events is the send view of the stream; s.mu is held. A delivery's
+// arrival lands on the latest send of its (pair, PairSeq) recorded before
+// it that is no injected duplicate and has a PairSeq — so a duplicate
+// admitted first stands for its original, and a restarted pair joins its
+// new sends.
+func (s *Stats) events() []Event {
+	type key struct {
+		pr  msg.Pair
+		seq uint64
+	}
+	var events []Event
+	latest := make(map[key]int) // index into events
+	for _, e := range s.stream {
+		k := key{msg.PairOf(e.Src, e.Dst), e.PairSeq}
+		switch e.Kind {
+		case OpSend:
+			if !e.Dup && e.PairSeq != 0 {
+				latest[k] = len(events)
+			}
+			events = append(events, e.Event)
+		case OpDeliver:
+			if i, ok := latest[k]; ok {
+				events[i].Arrival = e.Arrival
+			}
+		}
+	}
+	return events
 }
 
 // Summary formats the per-kind counters, sorted by kind, for reports.
@@ -475,43 +494,34 @@ func (s *Stats) Summary() string {
 	return b.String()
 }
 
-// Fingerprint returns a deterministic digest of the captured event
-// stream, used by determinism tests to compare two runs. Besides the
-// message identity it folds in the per-pair sequence number and the
-// fault-injection metadata (injected delay, duplicate marker), so that
-// two runs with different fault seeds fingerprint differently even when
-// they exchange the same messages — and two runs with the same seed
-// fingerprint identically across fabrics when their send order agrees.
-// Arrival times are deliberately excluded: they are virtual on the
-// simulated fabric and wall-clock on the concurrent ones.
-//
-// Stability guarantee: the fingerprint is a pure function of the global
-// send order and, per message, of (kind, src, dst, payload size,
-// per-pair sequence number, injected fault delay, duplicate marker).
-// It does not depend on the fabric, the clock, the schedule seed, or
-// the op-event stream. Two runs that exchange the same messages in the
-// same global send order therefore fingerprint identically — across
-// fabrics, and across sim schedule seeds for workloads whose message
-// order is data-dependent rather than schedule-dependent. Determinism
-// and replay tests rely on this; changing the digested fields or their
-// encoding is a breaking change to those tests.
+// Fingerprint returns a deterministic digest of the captured sends, used
+// by determinism and replay tests to compare two runs. It is a pure
+// function of the global send order and, per message, of (kind, src,
+// dst, payload size, per-pair sequence number, injected fault delay,
+// duplicate marker): two runs with different fault seeds differ even when
+// they exchange the same messages, and two runs that exchange the same
+// messages in the same send order agree — across fabrics, and across sim
+// schedule seeds for workloads whose message order is data-dependent.
+// Arrival times (virtual on sim, wall elsewhere) and the deliveries and
+// steps beside the sends are left out. Changing the digested fields or
+// their encoding breaks those tests.
 func (s *Stats) Fingerprint() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var b strings.Builder
-	for _, e := range s.events {
-		appendFingerprint(&b, e, e.Seq)
+	for _, e := range s.stream {
+		if e.Kind == OpSend {
+			appendFingerprint(&b, e.Event, e.Event.Seq)
+		}
 	}
 	return b.String()
 }
 
-// FingerprintEvents digests an arbitrary event slice with the same
-// per-event encoding as Fingerprint, but numbered by position in the
-// slice rather than by the recorded Seq. That makes the digest of a
-// filtered sub-stream comparable to a capture that only ever saw that
-// sub-stream — e.g. a single cluster worker's local trace, whose send
-// events are exactly the global stream restricted to sources on its
-// node.
+// FingerprintEvents digests an arbitrary event slice with Fingerprint's
+// per-event encoding, numbered by position in the slice rather than by
+// the recorded Seq, so the digest of a filtered sub-stream compares to a
+// capture that only ever saw it — e.g. a cluster worker's local trace,
+// whose sends are the global ones restricted to sources on its node.
 func FingerprintEvents(events []Event) string {
 	var b strings.Builder
 	for i, e := range events {
@@ -523,11 +533,9 @@ func FingerprintEvents(events []Event) string {
 // FingerprintOpEvents digests a protocol-level event slice, numbered by
 // position like FingerprintEvents. It folds in the fields the lock
 // oracles reason about — kind, rank, lock, predecessor, ticket, epoch —
-// and deliberately excludes Time (virtual on sim, wall elsewhere) and
-// the global Seq (which counts events of every kind, so a filtered lock
-// sub-stream would inherit unrelated interleaving). Two runs whose lock
-// hand-off history agrees fingerprint identically across fabrics and
-// schedule seeds.
+// and leaves out Time (virtual on sim, wall elsewhere) and Seq (a
+// filtered lock sub-stream would inherit unrelated interleaving), so two
+// runs whose hand-off history agrees match across fabrics and seeds.
 func FingerprintOpEvents(events []OpEvent) string {
 	var b strings.Builder
 	for i, e := range events {

@@ -31,9 +31,6 @@ func TestCountsAndBytes(t *testing.T) {
 	if s.Bytes() != wantBytes {
 		t.Fatalf("bytes = %d, want %d", s.Bytes(), wantBytes)
 	}
-	if s.PairCount(msg.User(0), msg.ServerOf(1)) != 2 {
-		t.Fatalf("pair count = %d", s.PairCount(msg.User(0), msg.ServerOf(1)))
-	}
 }
 
 func TestCaptureAndFingerprint(t *testing.T) {
@@ -58,12 +55,15 @@ func TestCaptureAndFingerprint(t *testing.T) {
 	if len(a.Events()) != 2 {
 		t.Fatalf("captured %d events", len(a.Events()))
 	}
+	if n := a.PairCount(msg.User(0), msg.User(1)); n != 1 {
+		t.Fatalf("pair count = %d", n)
+	}
 }
 
 func TestCaptureOffByDefault(t *testing.T) {
 	s := New()
 	send(s, msg.KindPut, msg.User(0), msg.ServerOf(0), 1)
-	if len(s.Events()) != 0 {
+	if len(s.Events()) != 0 || s.PairCount(msg.User(0), msg.ServerOf(0)) != 0 {
 		t.Fatal("events captured without capture mode")
 	}
 	if s.Sends() != 1 {
@@ -115,9 +115,6 @@ func TestConcurrentRecording(t *testing.T) {
 	if s.Sends() != workers*each || s.Count(msg.KindPut) != workers*each || s.Faults().Jittered != workers/2*each {
 		t.Fatalf("sends = %d, puts = %d, jittered = %d; want %d, %d, %d",
 			s.Sends(), s.Count(msg.KindPut), s.Faults().Jittered, workers*each, workers*each, workers/2*each)
-	}
-	if n := s.PairCount(msg.User(1), msg.ServerOf(0)); n != each {
-		t.Fatalf("an actor's pair count = %d, want %d", n, each)
 	}
 }
 
@@ -194,18 +191,12 @@ func TestRecorderLatencyAndTimeline(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.rec.Sends() != n || tc.rec.PairCount(a, b) != n {
-				t.Fatalf("sends = %d, pair count = %d", tc.rec.Sends(), tc.rec.PairCount(a, b))
+			if tc.rec.Sends() != n {
+				t.Fatalf("sends = %d", tc.rec.Sends())
 			}
 			h := tc.rec.KindHistogram(msg.KindSend)
 			if h.Count != tc.latency || (tc.latency > 0 && (h.Min != 11*time.Microsecond || h.Max != 14*time.Microsecond)) {
 				t.Fatalf("kind histogram: %+v", h)
-			}
-			if hp := tc.rec.PairHistogram(a, b); hp.Count != tc.latency {
-				t.Fatalf("pair histogram: %+v", hp)
-			}
-			if hp := tc.rec.PairHistogram(b, a); hp.Count != 0 {
-				t.Fatalf("reverse pair histogram: %+v", hp)
 			}
 			if want := fmt.Sprintf("message latency by kind (%d deliveries)", tc.latency); !strings.HasPrefix(tc.rec.String(), want) {
 				t.Fatalf("report %q, want prefix %q", tc.rec.String(), want)
@@ -262,5 +253,154 @@ func TestLinkWritesFoldAndPrint(t *testing.T) {
 	}
 	if got := New().String(); strings.Contains(got, "link:") {
 		t.Fatalf("report of a run with no link write: %q", got)
+	}
+}
+
+// TestTimelineJoinRule pins how Events joins each captured send to the
+// arrival its receiver admitted it at: the latest send of the same pair and
+// PairSeq recorded before the admission, counting only sends that are not
+// injected duplicates and carry a sequence number.
+func TestTimelineJoinRule(t *testing.T) {
+	a, b := msg.User(0), msg.User(1)
+	mk := func(seq uint64, sent time.Duration) *msg.Message {
+		return &msg.Message{Kind: msg.KindSend, Src: a, Dst: b, Seq: seq, Sent: sent, Arrival: sent + 5}
+	}
+	arrive := func(s *Stats, m *msg.Message, at time.Duration) {
+		c := *m
+		c.Arrival = at
+		s.RecordArrival(&c, at)
+	}
+	capturing := func() *Stats {
+		s := New()
+		s.SetCapture(true)
+		return s
+	}
+	type want struct {
+		seq     int
+		pairSeq uint64
+		dup     bool
+		arrival time.Duration
+	}
+	cases := []struct {
+		name string
+		feed func() *Stats // returns the recorder to read
+		want []want
+	}{
+		{"a send and its arrival", func() *Stats {
+			s := capturing()
+			m := mk(1, 10)
+			s.Actor().RecordSend(m, nil, FaultCounts{})
+			arrive(s, m, 40)
+			return s
+		}, []want{{1, 1, false, 40}}},
+		{"an injected duplicate's arrival lands on the original", func() *Stats {
+			s := capturing()
+			m := mk(1, 10)
+			dup := *m
+			dup.Dup, dup.Arrival = true, 20
+			s.Actor().RecordSend(m, &dup, FaultCounts{DupsInjected: 1})
+			arrive(s, &dup, 30) // the copy wins; the original is suppressed
+			return s
+		}, []want{{1, 1, false, 30}, {2, 1, true, 20}}},
+		{"a message without a sequence number is never joined", func() *Stats {
+			s := capturing()
+			m := mk(0, 10)
+			s.Actor().RecordSend(m, nil, FaultCounts{})
+			arrive(s, m, 40)
+			return s
+		}, []want{{1, 0, false, 15}}},
+		{"a pair whose numbering restarted joins its new send", func() *Stats {
+			s := capturing()
+			first, second := mk(1, 10), mk(1, 100)
+			s.Actor().RecordSend(first, nil, FaultCounts{})
+			arrive(s, first, 40)
+			s.Actor().RecordSend(second, nil, FaultCounts{})
+			arrive(s, second, 140)
+			return s
+		}, []want{{1, 1, false, 40}, {2, 1, false, 140}}},
+		{"an arrival with no captured send", func() *Stats {
+			s := capturing()
+			arrive(s, mk(7, 10), 40)
+			s.Actor().RecordSend(mk(1, 50), nil, FaultCounts{})
+			return s
+		}, []want{{1, 1, false, 55}}},
+		{"Add into a capturing aggregate", func() *Stats {
+			agg := capturing()
+			agg.Actor().RecordSend(mk(0, 1), nil, FaultCounts{})
+			run := agg.NewRun()
+			m := mk(1, 10)
+			run.Actor().RecordSend(m, nil, FaultCounts{})
+			arrive(run, m, 40)
+			agg.Add(run)
+			return agg
+		}, []want{{1, 0, false, 6}, {2, 1, false, 40}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.feed()
+			for _, view := range [][]Event{s.Events(), s.Timeline()} {
+				if len(view) != len(tc.want) {
+					t.Fatalf("%d events, want %d: %+v", len(view), len(tc.want), view)
+				}
+				for i, w := range tc.want {
+					e := view[i]
+					if got := (want{e.Seq, e.PairSeq, e.Dup, e.Arrival}); got != w {
+						t.Errorf("event %d = %+v, want %+v", i, got, w)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestStreamOrder: sends, admissions and steps share one sequence, and the
+// views keep their own numbering — Events the send count, OpEvents the
+// position among deliveries and steps.
+func TestStreamOrder(t *testing.T) {
+	s := New()
+	s.SetCapture(true)
+	m := &msg.Message{Kind: msg.KindPut, Src: msg.User(0), Dst: msg.ServerOf(1), Seq: 1}
+	s.RecordOp(OpEvent{Kind: OpIssue, Rank: 0, Node: 1, Prev: -1, Ticket: -1})
+	s.Actor().RecordSend(m, nil, FaultCounts{})
+	s.RecordArrival(m, 0)
+	s.RecordOp(OpEvent{Kind: OpComplete, Rank: 0, Node: 1, Prev: -1, Ticket: -1})
+	var got []string
+	for i, e := range s.Stream() {
+		if e.Seq != i+1 {
+			t.Fatalf("record %d numbered %d", i, e.Seq)
+		}
+		got = append(got, e.Kind.String())
+	}
+	if want := "op-issue send deliver op-complete"; strings.Join(got, " ") != want {
+		t.Fatalf("stream %v, want %s", got, want)
+	}
+	ops := s.OpEvents()
+	if len(ops) != 3 || ops[1].Kind != OpDeliver || ops[1].Seq != 2 || ops[1].PairSeq != 1 || ops[2].Seq != 3 {
+		t.Fatalf("op events: %+v", ops)
+	}
+	if ev := s.Events(); len(ev) != 1 || ev[0].Seq != 1 || ev[0].Kind != msg.KindPut {
+		t.Fatalf("events: %+v", ev)
+	}
+}
+
+// BenchmarkRecordCaptured is the capture cost per message: one send, its
+// arrival and one protocol step into a capturing recorder. A fresh recorder
+// every 1024 iterations keeps the stream the size of a small run's.
+func BenchmarkRecordCaptured(b *testing.B) {
+	var s *Stats
+	var a *Actor
+	m := &msg.Message{Kind: msg.KindPut, Src: msg.User(0), Dst: msg.ServerOf(1)}
+	step := OpEvent{Kind: OpAcquire, Prev: -1, Ticket: -1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%1024 == 0 {
+			s = New()
+			s.SetCapture(true)
+			a = s.Actor()
+		}
+		m.Seq = uint64(i%1024 + 1)
+		a.RecordSend(m, nil, FaultCounts{})
+		s.RecordArrival(m, time.Duration(i))
+		s.RecordOp(step)
 	}
 }

@@ -319,8 +319,8 @@ func waitChan(wg *sync.WaitGroup) <-chan struct{} {
 // arrive is the receive side of every link: it runs the inbound pipeline
 // stages on a frame that reached its destination's process (duplicate
 // suppression, arrival stamping — the actual arrival, or the modeled or
-// fault-injected future one the frame carries — trace back-annotation,
-// metrics) and files it in b, the destination's box, which the link
+// fault-injected future one the frame carries — the recorder's admission
+// record, metrics) and files it in b, the destination's box, which the link
 // resolved — nil, an endpoint this process does not host, drops the frame.
 // The clock is read only for a frame the pipeline stamps.
 // Only that box is locked — it serializes the box's deliveries, as Inbound

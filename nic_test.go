@@ -72,9 +72,10 @@ func TestNICAssistCorrectness(t *testing.T) {
 func TestNICRoutesControlTraffic(t *testing.T) {
 	const procs = 2
 	rep, err := armci.Run(armci.Options{
-		Procs:  procs,
-		Fabric: armci.FabricSim,
-		NIC:    armci.NICAgent,
+		Procs:        procs,
+		Fabric:       armci.FabricSim,
+		NIC:          armci.NICAgent,
+		CaptureTrace: true, // PairCount reads the captured sends
 	}, func(p *armci.Proc) {
 		ptrs := p.Malloc(64)
 		words := p.MallocWords(1)
