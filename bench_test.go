@@ -193,6 +193,39 @@ func BenchmarkWireSync(b *testing.B) {
 	}
 }
 
+// BenchmarkCoalescedBurst is the coalesced small-put path on its own —
+// the alternate operation of the rma-tcp2 workload without the socket:
+// 2 ranks on the chan fabric, rank 0 issuing 256 puts of 8 B from one
+// reused buffer to rank 1 and then a Fence, per iteration. allocs/op
+// counts one whole burst: the engine, the coalescer, the pipeline and
+// the data server applying its 16 frames.
+func BenchmarkCoalescedBurst(b *testing.B) {
+	const puts, size = 256, 8
+	b.ReportAllocs()
+	_, err := armci.Run(armci.Options{
+		Procs: 2, Fabric: armci.FabricChan, Coalesce: armci.Coalesce{Enabled: true},
+	}, func(p *armci.Proc) {
+		dst := p.Malloc(puts * size)
+		p.MPIBarrier()
+		if p.Rank() == 0 {
+			payload := make([]byte, size)
+			node := p.NodeOf(1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < puts; k++ {
+					p.Put(dst[1].Add(int64(k*size)), payload)
+				}
+				p.Fence(node)
+			}
+			b.StopTimer()
+		}
+		p.MPIBarrier()
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkWireLock measures one lock+unlock cycle per op on the real
 // in-process fabric under contention, per algorithm.
 func BenchmarkWireLock(b *testing.B) {

@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"sort"
-
 	"armci/internal/msg"
 	"armci/internal/wire"
 )
@@ -26,26 +24,32 @@ const (
 // the same node) — never by timers — so the resulting message stream is
 // a pure function of the program and the trace fingerprint stays
 // identical across fabrics and schedule seeds.
+//
+// Bytes change hands twice. Add copies each payload into its node's
+// arena, so the caller may reuse its buffer as soon as Add returns. A
+// flush encodes the buffer into a fresh body of exact size that belongs
+// to the returned message alone, so a duplicated or retransmitted frame
+// still carries its own bytes after the arena has been refilled. Each
+// buffer's entry table and arena keep their capacity across flushes: a
+// warm buffer allocates only the body and the message, once per frame.
 type Coalescer struct {
 	origin  int
-	reorder bool // see SetReorderHazard
-	bufs    map[int]*destBuf
+	reorder bool      // see SetReorderHazard
+	bufs    []destBuf // indexed by destination node, grown on first use
 }
 
+// destBuf is one node's pending frame: the entry table and the arena its
+// entries' payloads were copied into, in order. An entry added before
+// the arena last grew still points into the array append left behind;
+// those bytes never change, so the frame encodes the same.
 type destBuf struct {
 	entries []wire.BatchEntry
-	bytes   int
-}
-
-// Batch is one flushed frame and the node it is bound for.
-type Batch struct {
-	Node int
-	Msg  *msg.Message
+	arena   []byte
 }
 
 // NewCoalescer builds a coalescer for one origin rank.
 func NewCoalescer(origin int) *Coalescer {
-	return &Coalescer{origin: origin, bufs: make(map[int]*destBuf)}
+	return &Coalescer{origin: origin}
 }
 
 // SetReorderHazard arms a deliberate bug: every flushed batch ships its
@@ -59,18 +63,23 @@ func (c *Coalescer) SetReorderHazard(on bool) { c.reorder = on }
 // coalescing at all.
 func (c *Coalescer) Fits(n int) bool { return n > 0 && n <= MaxEntryBytes }
 
-// Add buffers e for node. If the addition fills the buffer (MaxOps
-// entries or MaxBytes payload), the packed frame is returned and the
-// buffer reset; otherwise Add returns nil.
+// Add buffers e for node, copying e.Data into the node's arena. If the
+// addition fills the buffer (MaxOps entries or MaxBytes payload), the
+// packed frame is returned and the buffer reset; otherwise Add returns
+// nil.
 func (c *Coalescer) Add(node int, e wire.BatchEntry) *msg.Message {
-	b := c.bufs[node]
-	if b == nil {
-		b = &destBuf{}
-		c.bufs[node] = b
+	for node >= len(c.bufs) {
+		c.bufs = append(c.bufs, destBuf{})
 	}
-	b.entries = append(b.entries, e)
-	b.bytes += len(e.Data)
-	if len(b.entries) >= MaxOps || b.bytes >= MaxBytes {
+	b := &c.bufs[node]
+	start := len(b.arena)
+	b.arena = append(b.arena, e.Data...)
+	// Field by field, so the caller's e.Data is only read, never kept.
+	b.entries = append(b.entries, wire.BatchEntry{
+		Op: e.Op, Ptr: e.Ptr, AccOp: e.AccOp, Scale: e.Scale,
+		Data: b.arena[start:len(b.arena):len(b.arena)],
+	})
+	if len(b.entries) >= MaxOps || len(b.arena) >= MaxBytes {
 		return c.Flush(node)
 	}
 	return nil
@@ -78,8 +87,8 @@ func (c *Coalescer) Add(node int, e wire.BatchEntry) *msg.Message {
 
 // Pending returns the number of buffered entries for node.
 func (c *Coalescer) Pending(node int) int {
-	if b := c.bufs[node]; b != nil {
-		return len(b.entries)
+	if node < len(c.bufs) {
+		return len(c.bufs[node].entries)
 	}
 	return 0
 }
@@ -87,12 +96,11 @@ func (c *Coalescer) Pending(node int) int {
 // Flush packs node's buffered entries into one KindBatch message and
 // resets the buffer. Returns nil when the buffer is empty.
 func (c *Coalescer) Flush(node int) *msg.Message {
-	b := c.bufs[node]
-	if b == nil || len(b.entries) == 0 {
+	if c.Pending(node) == 0 {
 		return nil
 	}
+	b := &c.bufs[node]
 	entries := b.entries
-	b.entries, b.bytes = nil, 0
 	if c.reorder {
 		// The armed bug: ship the batch back to front. The wire format
 		// still tiles (offsets are assigned at encode time); only the
@@ -102,27 +110,23 @@ func (c *Coalescer) Flush(node int) *msg.Message {
 			entries[i], entries[j] = entries[j], entries[i]
 		}
 	}
-	return &msg.Message{
+	m := &msg.Message{
 		Kind:   msg.KindBatch,
 		Origin: c.origin,
 		N:      len(entries),
 		Data:   wire.EncodeBatch(entries),
 	}
+	b.entries, b.arena = entries[:0], b.arena[:0]
+	return m
 }
 
-// FlushAll flushes every non-empty buffer, in ascending node order so
-// the emitted message sequence is deterministic.
-func (c *Coalescer) FlushAll() []Batch {
-	var nodes []int
-	for node, b := range c.bufs {
-		if len(b.entries) > 0 {
-			nodes = append(nodes, node)
+// FlushAll flushes every non-empty buffer and hands each frame to emit,
+// in ascending node order so the emitted message sequence is
+// deterministic.
+func (c *Coalescer) FlushAll(emit func(node int, m *msg.Message)) {
+	for node := range c.bufs {
+		if m := c.Flush(node); m != nil {
+			emit(node, m)
 		}
 	}
-	sort.Ints(nodes)
-	out := make([]Batch, 0, len(nodes))
-	for _, node := range nodes {
-		out = append(out, Batch{Node: node, Msg: c.Flush(node)})
-	}
-	return out
 }

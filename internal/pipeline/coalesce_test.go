@@ -96,20 +96,17 @@ func TestCoalescerBuffersPerDestination(t *testing.T) {
 	if got := fmt.Sprint(c.Pending(1), c.Pending(2), c.Pending(3)); got != "2 1 2" {
 		t.Fatalf("pending per node = %s, want 2 1 2", got)
 	}
-	batches := c.FlushAll()
 	var order []int
-	for _, b := range batches {
-		order = append(order, b.Node)
-		if b.Msg == nil || b.Msg.Kind != msg.KindBatch {
-			t.Fatalf("node %d: bad flushed frame %+v", b.Node, b.Msg)
+	c.FlushAll(func(node int, m *msg.Message) {
+		order = append(order, node)
+		if m == nil || m.Kind != msg.KindBatch {
+			t.Fatalf("node %d: bad flushed frame %+v", node, m)
 		}
-	}
+	})
 	if fmt.Sprint(order) != "[1 2 3]" {
 		t.Fatalf("FlushAll order = %v, want ascending [1 2 3]", order)
 	}
-	if again := c.FlushAll(); len(again) != 0 {
-		t.Fatalf("second FlushAll returned %d batches, want 0", len(again))
-	}
+	c.FlushAll(func(node int, _ *msg.Message) { t.Fatalf("second FlushAll emitted a frame for node %d", node) })
 	if c.Flush(1) != nil {
 		t.Fatal("Flush of an empty buffer returned a frame")
 	}

@@ -6,7 +6,9 @@ import (
 
 	"armci/internal/model"
 	"armci/internal/msg"
+	"armci/internal/shmem"
 	"armci/internal/trace"
+	"armci/internal/wire"
 )
 
 // BenchmarkPipelineSendRecv measures one message through the full
@@ -79,5 +81,52 @@ func hotPathAllocBudget(t *testing.T, rec *trace.Stats, f Faults) {
 	}
 	if f.Enabled() && rec.Faults().Jittered == 0 {
 		t.Fatal("the fault stage never ran")
+	}
+}
+
+// TestCoalescerAllocBudget pins the coalesced small-operation path once
+// a node's buffer is warm: an Add that does not fill the buffer
+// allocates nothing (the payload lands in the arena the buffer keeps),
+// a whole frame's worth of Adds allocates at most the filling Add's
+// body and message, and FlushAll with nothing buffered allocates
+// nothing.
+func TestCoalescerAllocBudget(t *testing.T) {
+	const node = 1
+	c := NewCoalescer(0)
+	e := wire.BatchEntry{
+		Op:   wire.BatchPut,
+		Ptr:  shmem.Ptr{Rank: 1, Kind: shmem.KindByte, Seg: 1},
+		Data: make([]byte, 8),
+	}
+	frames := 0
+	add := func() {
+		if c.Add(node, e) != nil {
+			frames++
+		}
+	}
+	frame := func() {
+		for i := 0; i < MaxOps; i++ {
+			add()
+		}
+	}
+	frame() // warm the node's entry table and arena
+	// AllocsPerRun makes one extra warm-up call: MaxOps-1 Adds in all,
+	// one short of the threshold.
+	if avg := testing.AllocsPerRun(MaxOps-2, add); avg > 0 {
+		t.Errorf("an Add that does not fill the buffer allocates %.2f, budget 0", avg)
+	}
+	if got := c.Pending(node); got != MaxOps-1 {
+		t.Fatalf("Pending = %d after the non-filling Adds, want %d", got, MaxOps-1)
+	}
+	add() // fill and ship the partial frame
+	if avg := testing.AllocsPerRun(100, frame); avg > 2 {
+		t.Errorf("a frame of %d Adds allocates %.2f, budget 2 (body and message)", MaxOps, avg)
+	}
+	if want := 2 + 101; frames != want {
+		t.Fatalf("%d frames flushed, want %d", frames, want)
+	}
+	emit := func(int, *msg.Message) { t.Fatal("FlushAll emitted a frame with nothing buffered") }
+	if avg := testing.AllocsPerRun(100, func() { c.FlushAll(emit) }); avg > 0 {
+		t.Errorf("an empty FlushAll allocates %.2f, budget 0", avg)
 	}
 }

@@ -168,7 +168,7 @@ func (g *Engine) Flush(node int) {
 		return
 	}
 	if m := g.coal.Flush(node); m != nil {
-		g.env.Send(msg.ServerOf(node), m)
+		g.sendBatch(node, m)
 	}
 }
 
@@ -178,9 +178,12 @@ func (g *Engine) FlushAll() {
 	if g.coal == nil {
 		return
 	}
-	for _, b := range g.coal.FlushAll() {
-		g.env.Send(msg.ServerOf(b.Node), b.Msg)
-	}
+	g.coal.FlushAll(g.sendBatch)
+}
+
+// sendBatch ships one flushed coalescing frame to node's data server.
+func (g *Engine) sendBatch(node int, m *msg.Message) {
+	g.env.Send(msg.ServerOf(node), m)
 }
 
 // sendServer flushes node's coalescing buffer and ships m to node's
@@ -200,10 +203,11 @@ func (g *Engine) sendCtl(node int, m *msg.Message) {
 }
 
 // addCoalesced buffers one eligible operation for node, shipping the
-// packed frame if the addition filled the buffer.
+// packed frame if the addition filled the buffer. The coalescer copies
+// e.Data, so the caller's buffer is free again on return.
 func (g *Engine) addCoalesced(node int, e wire.BatchEntry) {
 	if m := g.coal.Add(node, e); m != nil {
-		g.env.Send(msg.ServerOf(node), m)
+		g.sendBatch(node, m)
 	}
 }
 
@@ -260,7 +264,10 @@ func (g *Engine) OpInit() []int64 { return g.opInit }
 // may return before the data is visible at the destination; completion is
 // guaranteed only after a fence covering dst's node.
 func (g *Engine) Put(dst shmem.Ptr, data []byte) {
-	g.PutStrided(dst, shmem.Contig(len(data)), data)
+	// A put the coalescer takes needs no strided descriptor.
+	if !g.putCoalesced(dst, data) {
+		g.PutStrided(dst, shmem.Contig(len(data)), data)
+	}
 }
 
 // PutStrided scatters data into the strided region at dst, ARMCI's
@@ -269,6 +276,9 @@ func (g *Engine) PutStrided(dst shmem.Ptr, d shmem.Strided, data []byte) {
 	if want := d.TotalBytes(); want != len(data) {
 		panic(fmt.Sprintf("proc: strided put of %d bytes with descriptor covering %d", len(data), want))
 	}
+	if d.Levels() == 0 && g.putCoalesced(dst, data) {
+		return
+	}
 	if g.local(dst.Rank) {
 		g.chargeCopy(len(data))
 		g.env.Space().UnpackTo(dst, d, data)
@@ -276,14 +286,6 @@ func (g *Engine) PutStrided(dst shmem.Ptr, d shmem.Strided, data []byte) {
 	}
 	node := g.env.Node(int(dst.Rank))
 	g.countIssue(node)
-	if g.coal != nil && d.Levels() == 0 && g.coal.Fits(len(data)) {
-		g.addCoalesced(node, wire.BatchEntry{
-			Op:   wire.BatchPut,
-			Ptr:  dst,
-			Data: append([]byte(nil), data...),
-		})
-		return
-	}
 	g.sendServer(node, &msg.Message{
 		Kind:   msg.KindPut,
 		Origin: g.env.Rank(),
@@ -291,6 +293,19 @@ func (g *Engine) PutStrided(dst shmem.Ptr, d shmem.Strided, data []byte) {
 		Stride: d,
 		Data:   append([]byte(nil), data...),
 	})
+}
+
+// putCoalesced buffers a contiguous put for a remote node when
+// coalescing is on and data fits a batch entry, and reports whether it
+// did.
+func (g *Engine) putCoalesced(dst shmem.Ptr, data []byte) bool {
+	if g.coal == nil || !g.coal.Fits(len(data)) || g.local(dst.Rank) {
+		return false
+	}
+	node := g.env.Node(int(dst.Rank))
+	g.countIssue(node)
+	g.addCoalesced(node, wire.BatchEntry{Op: wire.BatchPut, Ptr: dst, Data: data})
+	return true
 }
 
 // Get copies n bytes out of the (byte) memory at src. Blocking.
@@ -338,7 +353,7 @@ func (g *Engine) Accumulate(op shmem.AccOp, dst shmem.Ptr, d shmem.Strided, data
 			Ptr:   dst,
 			AccOp: uint8(op),
 			Scale: scale,
-			Data:  append([]byte(nil), data...),
+			Data:  data,
 		})
 		return
 	}

@@ -39,16 +39,10 @@ func (g *Engine) PutFlag(dst shmem.Ptr, data []byte, flag shmem.Ptr, val int64) 
 	g.countIssue(node) // the data put
 	g.countIssue(node) // the flag store
 	if g.coal != nil && g.coal.Fits(len(data)) {
-		g.addCoalesced(node, wire.BatchEntry{
-			Op:   wire.BatchPut,
-			Ptr:  dst,
-			Data: append([]byte(nil), data...),
-		})
-		g.addCoalesced(node, wire.BatchEntry{
-			Op:   wire.BatchStore,
-			Ptr:  flag,
-			Data: binary.LittleEndian.AppendUint64(nil, uint64(val)),
-		})
+		g.addCoalesced(node, wire.BatchEntry{Op: wire.BatchPut, Ptr: dst, Data: data})
+		var word [8]byte // copied into the batch by addCoalesced
+		binary.LittleEndian.PutUint64(word[:], uint64(val))
+		g.addCoalesced(node, wire.BatchEntry{Op: wire.BatchStore, Ptr: flag, Data: word[:]})
 		g.Flush(node)
 		return
 	}

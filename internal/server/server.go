@@ -73,6 +73,9 @@ type Server struct {
 	// idle/wake model; kept only while ServerWake is charged.
 	lastFinish time.Duration
 	everBusy   bool
+
+	// batch is handleBatch's entry table, reused from frame to frame.
+	batch []wire.BatchEntry
 }
 
 // New builds a server for the node identified by env (a server endpoint).
@@ -229,13 +232,19 @@ func (s *Server) HandleOne(m *msg.Message) {
 // handleBatch unpacks one coalesced frame. The per-message costs — wake
 // penalty, receive overhead, the fixed ServiceSmall — are paid once for
 // the whole frame (that is the point of batching); each entry then pays
-// its own copy cost and advances the fence accounting individually, so
-// op_done and per-origin counters agree exactly with the per-entry
+// its own copy cost and records its own completion, and after the last
+// entry the fence accounting advances once by the entry count, so
+// op_done and the per-origin counter agree exactly with the per-entry
 // countIssue on the client. The frame travels as one pipeline message:
 // loss, retransmission and duplicate suppression apply to the batch as
 // a unit, so exactly-once covers all entries or none.
+//
+// The server owns m.Data, so the decoded entries alias it: no payload
+// is copied before the store into node memory, and the entry table is
+// the server's own, so a warm frame allocates nothing.
 func (s *Server) handleBatch(m *msg.Message) {
-	entries, err := wire.DecodeBatch(m.Data)
+	entries, err := wire.AppendDecodeBatch(s.batch[:0], m.Data)
+	s.batch = entries
 	if err != nil {
 		// Batches are only ever produced by our own coalescer; a
 		// malformed one is a protocol bug, not a recoverable condition.
@@ -257,27 +266,41 @@ func (s *Server) handleBatch(m *msg.Message) {
 			s.env.Charge(p.AtomicOp)
 			space.Store(e.Ptr, int64(binary.LittleEndian.Uint64(e.Data)))
 		}
-		s.completeStore(m)
+		s.recordComplete(m)
 	}
+	s.countComplete(m, len(entries))
 }
 
-// completeStore counts a fence-counted store in op_done (aggregate and
-// per-origin) and acknowledges it when the fabric runs in per-put-ack
-// mode. The OpComplete trace event is recorded first — before the
-// counters advance — so that in the recorded order a completion always
-// precedes any barrier exit the fence algorithm justified with it (the
-// invariant the conformance fence oracle checks) — by a loud recorder only.
+// completeStore completes one fence-counted store outside a batch.
 func (s *Server) completeStore(m *msg.Message) {
+	s.recordComplete(m)
+	s.countComplete(m, 1)
+}
+
+// recordComplete records a store's OpComplete trace event, by a loud
+// recorder only. It comes before countComplete advances the counters, so
+// that in the recorded order a completion always precedes any barrier
+// exit the fence algorithm justified with it (the invariant the
+// conformance fence oracle checks).
+func (s *Server) recordComplete(m *msg.Message) {
 	if tr := s.env.Trace(); tr.Loud() {
 		tr.RecordOp(trace.OpEvent{
 			Kind: trace.OpComplete, Rank: m.Origin, Node: s.node,
 			Prev: -1, Ticket: -1, Time: s.env.Clock().Now(),
 		})
 	}
-	s.env.Space().FetchAdd(s.lay.OpDone[s.node], 1)
-	s.env.Space().FetchAdd(s.lay.PerOrigin[s.node].Add(int64(m.Origin)), 1)
+}
+
+// countComplete counts n completed fence-counted stores of m's origin in
+// op_done (aggregate and per-origin) — one update of each cell however
+// many — and acknowledges each when the fabric runs in per-put-ack mode.
+func (s *Server) countComplete(m *msg.Message, n int) {
+	s.env.Space().FetchAdd(s.lay.OpDone[s.node], int64(n))
+	s.env.Space().FetchAdd(s.lay.PerOrigin[s.node].Add(int64(m.Origin)), int64(n))
 	if s.opt.FenceMode == proc.FenceAck {
-		s.env.Send(msg.User(m.Origin), &msg.Message{Kind: msg.KindPutAck, Origin: m.Origin})
+		for range n {
+			s.env.Send(msg.User(m.Origin), &msg.Message{Kind: msg.KindPutAck, Origin: m.Origin})
+		}
 	}
 }
 

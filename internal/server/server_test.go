@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"armci/internal/server"
 	"armci/internal/shmem"
 	"armci/internal/transport"
+	"armci/internal/wire"
 )
 
 // harness runs one server on a simulated fabric with a single scripted
@@ -388,5 +390,55 @@ func TestNewAgentRejectsHostAddress(t *testing.T) {
 	f.SpawnUser(0, func(env transport.Env) {})
 	if err := f.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServerBatchAllocBudget pins the server half of the coalesced path:
+// a warm 16-entry KindBatch allocates nothing — the entries alias the
+// frame's body and the entry table is the server's own — and op_done
+// and the per-origin cell each advance by the frame's entry count.
+func TestServerBatchAllocBudget(t *testing.T) {
+	const entries = 16
+	f, err := transport.NewSim(transport.Config{Procs: 1, Model: model.Zero()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay := proc.NewLayout(f.Space(), 1, 1)
+	buf := f.Space().AllocBytes(0, 8*entries)
+	batch := make([]wire.BatchEntry, entries)
+	for i := range batch {
+		batch[i] = wire.BatchEntry{Op: wire.BatchPut, Ptr: buf.Add(int64(8 * i)), Data: []byte{byte(i + 1), 0, 0, 0, 0, 0, 0, 0}}
+	}
+	m := &msg.Message{Kind: msg.KindBatch, Origin: 0, N: entries, Data: wire.EncodeBatch(batch)}
+	var avg float64
+	frames := 0
+	f.SpawnServer(0, func(env transport.Env) {
+		s := server.New(env, lay, server.Options{})
+		handle := func() {
+			s.HandleOne(m)
+			frames++
+		}
+		handle() // warm
+		avg = testing.AllocsPerRun(100, handle)
+	})
+	f.SpawnUser(0, func(transport.Env) {})
+	if err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if avg > 0 {
+		t.Errorf("a warm %d-entry batch allocates %.2f, budget 0", entries, avg)
+	}
+	want := int64(entries * frames)
+	if got := f.Space().Load(lay.OpDone[0]); got != want {
+		t.Errorf("op_done = %d after %d frames, want %d", got, frames, want)
+	}
+	if got := f.Space().Load(lay.PerOrigin[0]); got != want {
+		t.Errorf("per-origin count = %d after %d frames, want %d", got, frames, want)
+	}
+	got := f.Space().Get(buf, 8*entries)
+	for i := range batch {
+		if !bytes.Equal(got[8*i:8*i+8], batch[i].Data) {
+			t.Fatalf("entry %d landed as %v, want %v", i, got[8*i:8*i+8], batch[i].Data)
+		}
 	}
 }

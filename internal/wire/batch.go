@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"armci/internal/shmem"
 )
@@ -74,10 +75,15 @@ const batchEntrySize = 35
 // batchHeaderSize is count(2) + payloadLen(4).
 const batchHeaderSize = 6
 
-// EncodeBatch serializes entries into a batch body (no length prefix —
-// the body travels as a message payload, not a raw frame).
+// EncodeBatch serializes entries into a freshly allocated batch body of
+// exactly the encoded size (no length prefix — the body travels as a
+// message payload, not a raw frame).
 func EncodeBatch(entries []BatchEntry) []byte {
-	return AppendBatch(nil, entries)
+	n := batchHeaderSize + len(entries)*batchEntrySize
+	for _, e := range entries {
+		n += len(e.Data)
+	}
+	return AppendBatch(make([]byte, 0, n), entries)
 }
 
 // AppendBatch appends the batch body for entries to b and returns the
@@ -108,11 +114,23 @@ func AppendBatch(b []byte, entries []BatchEntry) []byte {
 	return b
 }
 
-// DecodeBatch parses a batch body produced by AppendBatch. It rejects
+// DecodeBatch parses a batch body produced by AppendBatch into a new
+// entry table of exact size; see AppendDecodeBatch.
+func DecodeBatch(body []byte) ([]BatchEntry, error) {
+	return AppendDecodeBatch(nil, body)
+}
+
+// AppendDecodeBatch parses a batch body produced by AppendBatch and
+// appends its entries to dst, growing it at most once. It rejects
 // anything malformed: zero entries, unknown ops, zero-length or
 // out-of-order entries, tables that overlap, leave gaps, or run past the
-// payload, per-op field misuse, and trailing bytes.
-func DecodeBatch(body []byte) ([]BatchEntry, error) {
+// payload, per-op field misuse, and trailing bytes — all before it
+// returns any entry, so a caller never applies part of a bad frame.
+//
+// Each entry's Data aliases body (capped at the entry's end, so an
+// append to it cannot overwrite the next entry): the caller must own
+// body and leave it unchanged while it uses the entries.
+func AppendDecodeBatch(dst []BatchEntry, body []byte) ([]BatchEntry, error) {
 	d := decoder{buf: body}
 	count := int(d.u16())
 	payloadLen := int(d.u32())
@@ -127,7 +145,8 @@ func DecodeBatch(body []byte) ([]BatchEntry, error) {
 		return nil, fmt.Errorf("wire: batch body is %d bytes, want %d (%d entries + %d payload)",
 			len(body), want, count, payloadLen)
 	}
-	entries := make([]BatchEntry, count)
+	dst = slices.Grow(dst, count)
+	entries := dst[len(dst) : len(dst)+count]
 	running := 0
 	for i := range entries {
 		e := &entries[i]
@@ -168,11 +187,12 @@ func DecodeBatch(body []byte) ([]BatchEntry, error) {
 		default:
 			return nil, fmt.Errorf("wire: batch entry %d has unknown op %d", i, uint8(e.Op))
 		}
-		e.Data = append([]byte(nil), body[entriesEnd+off:entriesEnd+off+n]...)
+		start, end := entriesEnd+off, entriesEnd+off+n
+		e.Data = body[start:end:end]
 		running = off + n
 	}
 	if running != payloadLen {
 		return nil, fmt.Errorf("wire: batch payload of %d bytes but entries cover %d", payloadLen, running)
 	}
-	return entries, nil
+	return dst[:len(dst)+count], nil
 }

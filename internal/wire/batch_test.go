@@ -33,7 +33,11 @@ func sampleBatches() [][]BatchEntry {
 // FuzzBatchDecode feeds arbitrary bytes to the batch-body decoder: it
 // must never panic or over-allocate, and any body it accepts must
 // re-encode byte-identically, so truncated, overlapping or padded entry
-// tables can never alias a valid batch.
+// tables can never alias a valid batch. Every accepted entry's Data must
+// be the sub-slice of the input its table row names — the decoder
+// aliases the body rather than copying it — with no capacity past the
+// entry's end, and decoding onto a non-empty table must append the same
+// entries and keep the ones already there.
 func FuzzBatchDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x00})
@@ -56,6 +60,18 @@ func FuzzBatchDecode(f *testing.F) {
 		}
 		if re := EncodeBatch(entries); !bytes.Equal(re, data) {
 			t.Fatalf("accepted batch body does not round-trip:\n in=%x\nout=%x", data, re)
+		}
+		start := batchHeaderSize + len(entries)*batchEntrySize
+		for i, e := range entries {
+			if &e.Data[0] != &data[start] || cap(e.Data) != len(e.Data) {
+				t.Fatalf("entry %d: Data is not the input's bytes [%d,%d)", i, start, start+len(e.Data))
+			}
+			start += len(e.Data)
+		}
+		kept := []BatchEntry{{Op: BatchStore, Data: []byte("kept")}}
+		appended, err := AppendDecodeBatch(kept, data)
+		if err != nil || !reflect.DeepEqual(appended[:1], kept) || !bytes.Equal(EncodeBatch(appended[1:]), data) {
+			t.Fatalf("AppendDecodeBatch onto a non-empty table: %v\n got %+v\nwant %+v after %+v", err, appended, entries, kept)
 		}
 	})
 }

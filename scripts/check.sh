@@ -20,6 +20,10 @@ go test ./...
 # fuzz engine explores past the seed corpora `go test` replays.
 go test -run '^$' -fuzz '^FuzzParseFaults$' -fuzztime 10s .
 go test -run '^$' -fuzz '^FuzzWorkloadGrammar$' -fuzztime 10s ./internal/workload
+# The batch decoder is strict and aliases its input: every accepted body
+# re-encodes byte-identically and every entry's Data is the body's own
+# bytes — the contract the server's in-place apply leans on.
+go test -run '^$' -fuzz '^FuzzBatchDecode$' -fuzztime 10s ./internal/wire
 # The race detector over every package. -short trims the conformance
 # sweep to the sim-fabric matrix and skips the long soak (`make soak`),
 # the baseline collection and the helper-process tests; the whole root
