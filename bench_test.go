@@ -14,6 +14,7 @@ package armci_test
 
 import (
 	"fmt"
+	"runtime/metrics"
 	"testing"
 
 	"armci"
@@ -218,6 +219,43 @@ func BenchmarkCoalescedBurst(b *testing.B) {
 				p.Fence(node)
 			}
 			b.StopTimer()
+		}
+		p.MPIBarrier()
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkTCPGet is the operation of the rma-tcp2 workload on its own: 2
+// ranks on the tcp fabric, rank 0 reading 8 B of rank 1's memory with a
+// blocking Get per iteration — one request and one response frame, each
+// encoded, written, read and decoded. Besides time and allocations per
+// Get it reports, from runtime/metrics, gc/block — the collector's cycles
+// per block of 512 Gets, the workload's op block — and gc-ns/op, the CPU
+// the collector spent per Get: what the garbage of a round trip costs the
+// loop.
+func BenchmarkTCPGet(b *testing.B) {
+	const block = 512
+	b.ReportAllocs()
+	gcs := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}, {Name: "/cpu/classes/gc/total:cpu-seconds"}}
+	_, err := armci.Run(armci.Options{Procs: 2, Fabric: armci.FabricTCP}, func(p *armci.Proc) {
+		buf := p.Malloc(8)
+		p.MPIBarrier()
+		if p.Rank() == 0 {
+			for range block {
+				p.Get(buf[1], 8) // dial the pairs, warm the arenas
+			}
+			metrics.Read(gcs)
+			cycles, cpu := gcs[0].Value.Uint64(), gcs[1].Value.Float64()
+			b.ResetTimer()
+			for range b.N {
+				p.Get(buf[1], 8)
+			}
+			b.StopTimer()
+			metrics.Read(gcs)
+			b.ReportMetric(float64(gcs[0].Value.Uint64()-cycles)*block/float64(b.N), "gc/block")
+			b.ReportMetric((gcs[1].Value.Float64()-cpu)*1e9/float64(b.N), "gc-ns/op")
 		}
 		p.MPIBarrier()
 	})

@@ -104,13 +104,15 @@ func (p *Pair) Close() (writes, written int) {
 }
 
 // ServePair is the accepting end of a pair connection, which it closes
-// when done: admit judges the hello, deliver gets the messages behind it. A
-// frame that is not a message (over wire.MaxFrame, or undecodable) goes to
-// corrupt and ends the connection; a stream that ends or fails, between
-// frames or inside one, ends it silently: the peer's fate is the link's.
+// when done: admit judges the hello, deliver gets the messages behind it,
+// each born in the reader's own msg.Arena. A frame that is not a message
+// (over wire.MaxFrame, or undecodable) goes to corrupt and ends the
+// connection; a stream that ends or fails, between frames or inside one,
+// ends it silently: the peer's fate is the link's.
 func ServePair(c io.ReadCloser, admit func(hello []byte) bool, deliver func(*msg.Message), corrupt func(error)) {
 	defer c.Close()
 	fr := wire.FrameReader{R: c}
+	var arena msg.Arena
 	hello, err := fr.Next()
 	if err != nil || !admit(hello) {
 		return
@@ -119,7 +121,7 @@ func ServePair(c io.ReadCloser, admit func(hello []byte) bool, deliver func(*msg
 		body, err := fr.Next()
 		var m *msg.Message
 		if err == nil {
-			m, err = wire.Decode(body)
+			m, err = wire.DecodeIn(&arena, body)
 		} else if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.As(err, new(net.Error)) {
 			return
 		}

@@ -99,19 +99,18 @@ func (c *Comm) schedule(sh BarrierAlg) []step {
 // collective touches the fabric. Every send carries the current vec as
 // 8-byte little-endian words (nothing for a barrier's nil vec); every
 // receive must bring exactly len(vec) words. The tag seq<<16|phase keeps
-// the phases of one collective, and consecutive collectives, apart.
+// the phases of one collective, and consecutive collectives, apart. The
+// sends and their payloads are born in the actor's arena.
 func run[T int64 | float64](c *Comm, sh BarrierAlg, vec []T) {
+	arena := c.env.Arena()
 	for _, s := range c.schedule(sh) {
 		tag := c.seq<<16 | s.phase
 		if s.op == send {
-			var data []byte
-			if vec != nil {
-				data = make([]byte, 8*len(vec))
-				for i, v := range vec {
-					binary.LittleEndian.PutUint64(data[8*i:], toWord(v))
-				}
+			m := arena.NewWith(msg.Message{Kind: msg.KindColl, Tag: tag}, 8*len(vec))
+			for i, v := range vec {
+				binary.LittleEndian.PutUint64(m.Data[8*i:], toWord(v))
 			}
-			c.env.Send(msg.User(s.peer), &msg.Message{Kind: msg.KindColl, Tag: tag, Data: data})
+			c.env.Send(msg.User(s.peer), m)
 			continue
 		}
 		m := c.env.Recv(msg.MatchSrcTag(msg.KindColl, msg.User(s.peer), tag))

@@ -36,11 +36,22 @@ type Sync struct {
 	// SyncOldPipelined), numbering the SyncEnter/SyncExit trace events the
 	// conformance fence oracle pairs up across ranks.
 	epoch int
+
+	// Barrier's scratch: the summed op_init[] vector, and its stage-2 wait
+	// predicate, bound once, which compares the node's op_done cell with
+	// want.
+	sum    []int64
+	want   int64
+	caught func() bool
 }
 
 // NewSync builds the synchronization driver for the calling process.
 func NewSync(eng *proc.Engine, comm *collective.Comm) *Sync {
-	return &Sync{eng: eng, comm: comm}
+	env := eng.Env()
+	s := &Sync{eng: eng, comm: comm, sum: make([]int64, env.NumNodes())}
+	space, opDone := env.Space(), eng.Layout().OpDone[env.Node(env.Rank())]
+	s.caught = func() bool { return space.Load(opDone) >= s.want }
+	return s
 }
 
 // Engine returns the underlying ARMCI engine.
@@ -127,17 +138,12 @@ func (s *Sync) Barrier() {
 	// Stage 1: distribute op_init[]. The engine's counters are
 	// cumulative for the life of the run (as are the servers' op_done
 	// counters), so the summed vector is directly comparable.
-	sum := make([]int64, env.NumNodes())
-	copy(sum, s.eng.OpInit())
-	s.comm.AllReduceSumInt64Alg(sum, s.BarrierAlg)
+	copy(s.sum, s.eng.OpInit())
+	s.comm.AllReduceSumInt64Alg(s.sum, s.BarrierAlg)
 
 	// Stage 2: wait for the local server to catch up.
-	myNode := env.Node(env.Rank())
-	opDone := s.eng.Layout().OpDone[myNode]
-	want := sum[myNode]
-	env.WaitUntil("op_done", func() bool {
-		return env.Space().Load(opDone) >= want
-	})
+	s.want = s.sum[env.Node(env.Rank())]
+	env.WaitUntil("op_done", s.caught)
 
 	// Stage 3: barrier synchronization.
 	s.MPIBarrier()

@@ -52,7 +52,7 @@ func (h *Hybrid) Lock() {
 	}
 	// Server-based path: one request, one grant (possibly queued).
 	tok := h.eng.NextToken()
-	env.Send(msg.ServerOf(h.home), &msg.Message{
+	h.eng.Send(msg.ServerOf(h.home), msg.Message{
 		Kind:   msg.KindLockReq,
 		Origin: env.Rank(),
 		Token:  tok,
@@ -68,7 +68,7 @@ func (h *Hybrid) Lock() {
 // and wakes the next waiter, queued remotely or polling locally.
 func (h *Hybrid) Unlock() {
 	h.Released()
-	h.env.Send(msg.ServerOf(h.home), &msg.Message{
+	h.eng.Send(msg.ServerOf(h.home), msg.Message{
 		Kind:   msg.KindUnlock,
 		Origin: h.env.Rank(),
 		Tag:    h.idx,
@@ -83,10 +83,21 @@ func (h *Hybrid) Unlock() {
 type Gate struct {
 	eng  *proc.Engine
 	base shmem.Ptr
+	wait *gateWait
+}
+
+// gateWait is Await's state: the ticket awaited and the predicate, bound
+// once, that compares the counter with it.
+type gateWait struct {
+	ticket   int64
+	admitted func() bool
 }
 
 func newGate(eng *proc.Engine, t *proc.LockTable, idx int) Gate {
-	return Gate{eng, t.TicketCounter[idx]}
+	g := Gate{eng, t.TicketCounter[idx], &gateWait{}}
+	w := g.wait
+	w.admitted = func() bool { return g.Counter() == w.ticket }
+	return g
 }
 
 // Take draws the next ticket.
@@ -99,7 +110,8 @@ func (g *Gate) Counter() int64 {
 
 // Await polls until ticket is admitted.
 func (g *Gate) Await(ticket int64) {
-	g.eng.Env().WaitUntil("ticket-gate", func() bool { return g.Counter() == ticket })
+	g.wait.ticket = ticket
+	g.eng.Env().WaitUntil("ticket-gate", g.wait.admitted)
 }
 
 // Advance admits the next ticket.

@@ -34,12 +34,17 @@ type Queue struct {
 	// and a link wait is abandoned once a crash is on record. Zero waits
 	// forever: a woken waiter is the owner, so nothing may be given up.
 	bound time.Duration
+	// woken is AwaitWake's predicate, bound once: the caller's flag is
+	// clear.
+	woken func() bool
 }
 
 // NewQueue returns the calling rank's view of the queue over tail and
 // the per-rank nodes.
 func NewQueue(eng *proc.Engine, tail shmem.Ptr, node []shmem.Ptr, bound time.Duration) Queue {
-	return Queue{eng: eng, tail: tail, node: node, bound: bound}
+	space, locked := eng.Env().Space(), node[eng.Rank()].Add(proc.QNodeLocked)
+	woken := func() bool { return space.Load(locked) == 0 }
+	return Queue{eng: eng, tail: tail, node: node, bound: bound, woken: woken}
 }
 
 func (q *Queue) mine() shmem.Ptr { return q.node[q.eng.Rank()] }
@@ -79,13 +84,11 @@ func (q *Queue) link(behind, node shmem.Ptr) {
 // at most the queue's bound; it reports whether the wake arrived.
 func (q *Queue) AwaitWake() bool {
 	env := q.eng.Env()
-	space, locked := env.Space(), q.mine().Add(proc.QNodeLocked)
-	woken := func() bool { return space.Load(locked) == 0 }
 	if q.bound <= 0 {
-		env.WaitUntil("queue-wake", woken)
+		env.WaitUntil("queue-wake", q.woken)
 		return true
 	}
-	return env.WaitUntilFor("queue-wake", woken, q.bound)
+	return env.WaitUntilFor("queue-wake", q.woken, q.bound)
 }
 
 // Successor returns the node linked behind the caller's, nil when none

@@ -5,6 +5,8 @@ package msg
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"armci/internal/shmem"
@@ -74,7 +76,7 @@ type Kind uint8
 const (
 	// KindPut is a non-blocking put request carried to a data server.
 	KindPut Kind = iota + 1
-	// KindPutAck acknowledges one put (FenceModeAck fabrics only).
+	// KindPutAck acknowledges one put (FenceAck mode only).
 	KindPutAck
 	// KindGet requests a (possibly strided) read; answered by KindGetResp.
 	KindGet
@@ -276,26 +278,57 @@ type VecSeg struct {
 	N   int
 }
 
-// Match is a predicate selecting messages from a mailbox.
-type Match func(*Message) bool
+// Match selects messages from a mailbox: those of one kind (any kind for
+// the zero Kind), and optionally of one source and tag or of one token. It
+// is a comparable value, so building one allocates nothing.
+type Match struct {
+	kind  Kind
+	by    matchBy
+	src   Addr
+	tag   int
+	token uint64
+}
+
+// matchBy says which fields beyond the kind a Match compares.
+type matchBy uint8
+
+const (
+	byKind matchBy = iota
+	bySrcTag
+	byToken
+	byNothing // selects no message
+)
+
+// MatchAny selects every message.
+var MatchAny = Match{}
+
+// MatchNone selects no message.
+var MatchNone = Match{by: byNothing}
 
 // MatchKind selects messages of one kind.
-func MatchKind(k Kind) Match {
-	return func(m *Message) bool { return m.Kind == k }
-}
+func MatchKind(k Kind) Match { return Match{kind: k, by: byKind} }
 
 // MatchToken selects the response carrying a given token.
-func MatchToken(k Kind, token uint64) Match {
-	return func(m *Message) bool { return m.Kind == k && m.Token == token }
-}
+func MatchToken(k Kind, token uint64) Match { return Match{kind: k, by: byToken, token: token} }
 
 // MatchSrcTag selects mp-layer messages by kind, source endpoint and tag.
 func MatchSrcTag(k Kind, src Addr, tag int) Match {
-	return func(m *Message) bool { return m.Kind == k && m.Src == src && m.Tag == tag }
+	return Match{kind: k, by: bySrcTag, src: src, tag: tag}
 }
 
-// MatchAny selects every message.
-func MatchAny(*Message) bool { return true }
+// Matches reports whether mt selects m.
+func (mt Match) Matches(m *Message) bool {
+	if mt.by == byNothing || mt.kind != 0 && m.Kind != mt.kind {
+		return false
+	}
+	switch mt.by {
+	case bySrcTag:
+		return m.Src == mt.src && m.Tag == mt.tag
+	case byToken:
+		return m.Token == mt.token
+	}
+	return true
+}
 
 // Queue is an unbounded in-order message queue with matched removal. It is
 // not self-synchronizing; each fabric wraps it with its own blocking
@@ -307,15 +340,25 @@ type Queue struct {
 // Put appends m.
 func (q *Queue) Put(m *Message) { q.items = append(q.items, m) }
 
-// TryPop removes and returns the first message satisfying match, or nil.
-func (q *Queue) TryPop(match Match) *Message {
+// TryPop removes and returns the first message match selects, or nil.
+func (q *Queue) TryPop(match Match) *Message { return q.TryPopArrived(match, math.MaxInt64) }
+
+// TryPopArrived is TryPop over the messages whose Arrival is at or before
+// now: a poll that must not see a message before its stamped arrival.
+func (q *Queue) TryPopArrived(match Match, now time.Duration) *Message {
 	for i, m := range q.items {
-		if match(m) {
-			q.items = append(q.items[:i], q.items[i+1:]...)
+		if m.Arrival <= now && match.Matches(m) {
+			q.items = slices.Delete(q.items, i, i+1) // clears the vacated slot
 			return m
 		}
 	}
 	return nil
+}
+
+// DropBelow removes every message of a view epoch below epoch, keeping
+// the order of the rest.
+func (q *Queue) DropBelow(epoch uint64) {
+	q.items = slices.DeleteFunc(q.items, func(m *Message) bool { return m.Epoch < epoch })
 }
 
 // Len returns the number of queued messages.

@@ -83,23 +83,75 @@ func TestQueueMatchedRemovalSkipsOthers(t *testing.T) {
 
 func TestMatchToken(t *testing.T) {
 	m := &Message{Kind: KindGetResp, Token: 5}
-	if !MatchToken(KindGetResp, 5)(m) {
+	if !MatchToken(KindGetResp, 5).Matches(m) {
 		t.Fatal("should match")
 	}
-	if MatchToken(KindGetResp, 6)(m) || MatchToken(KindRmwResp, 5)(m) {
+	if MatchToken(KindGetResp, 6).Matches(m) || MatchToken(KindRmwResp, 5).Matches(m) {
 		t.Fatal("should not match")
 	}
 }
 
 func TestMatchSrcTag(t *testing.T) {
 	m := &Message{Kind: KindColl, Src: User(2), Tag: 77}
-	if !MatchSrcTag(KindColl, User(2), 77)(m) {
+	if !MatchSrcTag(KindColl, User(2), 77).Matches(m) {
 		t.Fatal("should match")
 	}
-	if MatchSrcTag(KindColl, User(3), 77)(m) ||
-		MatchSrcTag(KindColl, User(2), 78)(m) ||
-		MatchSrcTag(KindSend, User(2), 77)(m) {
+	if MatchSrcTag(KindColl, User(3), 77).Matches(m) ||
+		MatchSrcTag(KindColl, User(2), 78).Matches(m) ||
+		MatchSrcTag(KindSend, User(2), 77).Matches(m) {
 		t.Fatal("should not match")
+	}
+}
+
+func TestMatchKindAnyNone(t *testing.T) {
+	m := &Message{Kind: KindColl, Src: User(2), Tag: 77, Token: 5}
+	if !MatchKind(KindColl).Matches(m) || MatchKind(KindSend).Matches(m) {
+		t.Fatal("MatchKind compares the kind alone")
+	}
+	if !MatchAny.Matches(m) || MatchNone.Matches(m) {
+		t.Fatal("MatchAny selects every message, MatchNone none")
+	}
+	if MatchToken(KindColl, 5) != MatchToken(KindColl, 5) || MatchToken(KindColl, 5) == MatchKind(KindColl) {
+		t.Fatal("a Match is a comparable value")
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if !MatchSrcTag(KindColl, User(2), 77).Matches(m) || !MatchToken(KindColl, 5).Matches(m) {
+			t.Fatal("should match")
+		}
+	}); avg != 0 {
+		t.Fatalf("building and applying a Match allocates %.2f, want 0", avg)
+	}
+}
+
+func TestQueueArrivalCutoff(t *testing.T) {
+	var q Queue
+	q.Put(&Message{Kind: KindSend, Tag: 0, Arrival: 30})
+	q.Put(&Message{Kind: KindColl, Tag: 1, Arrival: 10})
+	q.Put(&Message{Kind: KindSend, Tag: 2, Arrival: 20})
+	if m := q.TryPopArrived(MatchKind(KindSend), 25); m == nil || m.Tag != 2 {
+		t.Fatalf("arrived send popped %+v, want tag 2", m)
+	}
+	if m := q.TryPopArrived(MatchKind(KindSend), 25); m != nil {
+		t.Fatalf("a send arriving at 30 popped at 25: %+v", m)
+	}
+	if m := q.TryPop(MatchKind(KindSend)); m == nil || m.Tag != 0 {
+		t.Fatalf("TryPop has no cutoff: popped %+v, want tag 0", m)
+	}
+}
+
+func TestQueueDropBelow(t *testing.T) {
+	var q Queue
+	for i, e := range []uint64{2, 1, 3, 0, 2} {
+		q.Put(&Message{Kind: KindSend, Tag: i, Epoch: e})
+	}
+	q.DropBelow(2)
+	for _, want := range []int{0, 2, 4} {
+		if m := q.TryPop(MatchAny); m == nil || m.Tag != want {
+			t.Fatalf("after DropBelow(2) popped %+v, want tag %d", m, want)
+		}
+	}
+	if q.Len() != 0 {
+		t.Fatalf("%d messages left", q.Len())
 	}
 }
 

@@ -27,15 +27,17 @@ const (
 //
 // Bytes change hands twice. Add copies each payload into its node's
 // arena, so the caller may reuse its buffer as soon as Add returns. A
-// flush encodes the buffer into a fresh body of exact size that belongs
-// to the returned message alone, so a duplicated or retransmitted frame
-// still carries its own bytes after the arena has been refilled. Each
-// buffer's entry table and arena keep their capacity across flushes: a
-// warm buffer allocates only the body and the message, once per frame.
+// flush encodes the buffer into a body of exact size that belongs to the
+// returned message alone, so a duplicated or retransmitted frame still
+// carries its own bytes after the arena has been refilled. Each buffer's
+// entry table and arena keep their capacity across flushes, and a frame's
+// message and body are carved from the coalescer's msg.Arena: a warm
+// buffer allocates a share of a chunk and of a slab per frame.
 type Coalescer struct {
 	origin  int
 	reorder bool      // see SetReorderHazard
 	bufs    []destBuf // indexed by destination node, grown on first use
+	frames  msg.Arena // where flushed frames are born
 }
 
 // destBuf is one node's pending frame: the entry table and the arena its
@@ -110,12 +112,12 @@ func (c *Coalescer) Flush(node int) *msg.Message {
 			entries[i], entries[j] = entries[j], entries[i]
 		}
 	}
-	m := &msg.Message{
+	m := c.frames.NewWith(msg.Message{
 		Kind:   msg.KindBatch,
 		Origin: c.origin,
 		N:      len(entries),
-		Data:   wire.EncodeBatch(entries),
-	}
+	}, wire.BatchSize(entries))
+	m.Data = wire.AppendBatch(m.Data[:0], entries)
 	b.entries, b.arena = entries[:0], b.arena[:0]
 	return m
 }

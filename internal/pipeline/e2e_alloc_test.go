@@ -1,0 +1,86 @@
+package pipeline_test
+
+import (
+	"runtime"
+	"testing"
+
+	"armci"
+)
+
+// mallocsPer runs op n times and returns the heap allocations the whole
+// process made per run — every goroutine's, the socket readers' and the
+// data servers' included — as a fraction: what an arena chunk costs is a
+// share per message.
+func mallocsPer(n int, op func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(n)
+}
+
+// TestTCPRoundTripAllocBudget pins a warm 8 B Get on the tcp fabric to 3
+// allocations: the server's copy out of memory, the result the caller
+// owns, and a share of the arena chunks its request and response, each
+// encoded once and decoded once, are born in.
+func TestTCPRoundTripAllocBudget(t *testing.T) {
+	const runs = 2000
+	var per float64
+	_, err := armci.Run(armci.Options{Procs: 2, Fabric: armci.FabricTCP}, func(p *armci.Proc) {
+		buf := p.Malloc(8)
+		p.MPIBarrier()
+		if p.Rank() == 0 {
+			get := func() { p.Get(buf[1], 8) }
+			mallocsPer(runs, get) // warm the pair, the arenas and the chunk sizes
+			per = mallocsPer(runs, get)
+		}
+		p.MPIBarrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%.2f allocations per Get", per)
+	if per > 3 {
+		t.Errorf("a warm 8 B Get on tcp allocates %.2f times, budget 3", per)
+	}
+}
+
+// TestTCPSyncAllocBudget pins the sync-tcp4 operation: 4 ranks on tcp,
+// each putting 64 B to every peer and then entering the combined
+// Barrier, cost at most 8 allocations per operation, counted across the
+// whole process — 28 frames, each sent and decoded in an arena.
+func TestTCPSyncAllocBudget(t *testing.T) {
+	const procs, runs = 4, 400
+	var per float64
+	_, err := armci.Run(armci.Options{Procs: procs, Fabric: armci.FabricTCP}, func(p *armci.Proc) {
+		slots := p.Malloc(64 * procs)
+		payload := make([]byte, 64)
+		op := func() {
+			for q := range procs {
+				if q != p.Rank() {
+					p.Put(slots[q].Add(int64(64*p.Rank())), payload)
+				}
+			}
+			p.Barrier()
+		}
+		for range runs {
+			op() // warm every pair, arena and chunk size
+		}
+		if p.Rank() == 0 {
+			per = mallocsPer(runs, op) // the barrier keeps the others in step
+		} else {
+			for range runs {
+				op()
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%.2f allocations per operation", per)
+	if per > 8 {
+		t.Errorf("a 4-rank put-to-each-peer and Barrier on tcp allocates %.2f times per operation, budget 8", per)
+	}
+}

@@ -108,6 +108,10 @@ type Engine struct {
 	outstanding []int64 // unacknowledged ops, per destination node (FenceAck)
 	tokens      uint64
 
+	// arena is where the engine's requests and their payloads are born:
+	// its actor's (Env.Arena).
+	arena *msg.Arena
+
 	// flagTag is WaitFlag's diagnostic wait tag, read only when a wait
 	// times out; built once so the wait itself allocates nothing.
 	flagTag string
@@ -122,6 +126,7 @@ func NewEngine(env transport.Env, lay *Layout, mode FenceMode) *Engine {
 		opInit:      make([]int64, env.NumNodes()),
 		outstanding: make([]int64, env.NumNodes()),
 		flagTag:     fmt.Sprintf("wait-flag@p%d", env.Rank()),
+		arena:       env.Arena(),
 	}
 }
 
@@ -184,6 +189,20 @@ func (g *Engine) FlushAll() {
 // sendBatch ships one flushed coalescing frame to node's data server.
 func (g *Engine) sendBatch(node int, m *msg.Message) {
 	g.env.Send(msg.ServerOf(node), m)
+}
+
+// Send ships a message holding m's fields, born in the engine's arena, to
+// the endpoint to. m.Data is not copied: it must be the message's own.
+func (g *Engine) Send(to msg.Addr, m msg.Message) {
+	g.env.Send(to, g.arena.New(m))
+}
+
+// withCopy returns a message holding m's fields and a copy of data, both
+// born in the engine's arena.
+func (g *Engine) withCopy(m msg.Message, data []byte) *msg.Message {
+	p := g.arena.NewWith(m, len(data))
+	copy(p.Data, data)
+	return p
 }
 
 // sendServer flushes node's coalescing buffer and ships m to node's
@@ -262,11 +281,11 @@ func (g *Engine) OpInit() []int64 { return g.opInit }
 
 // Put copies data into the (byte) memory at dst. It is non-blocking: it
 // may return before the data is visible at the destination; completion is
-// guaranteed only after a fence covering dst's node.
+// guaranteed only after a fence covering dst's node. A contiguous transfer
+// travels with the zero strided descriptor; its length is its payload's.
 func (g *Engine) Put(dst shmem.Ptr, data []byte) {
-	// A put the coalescer takes needs no strided descriptor.
 	if !g.putCoalesced(dst, data) {
-		g.PutStrided(dst, shmem.Contig(len(data)), data)
+		g.put(dst, shmem.Strided{}, data)
 	}
 }
 
@@ -276,23 +295,33 @@ func (g *Engine) PutStrided(dst shmem.Ptr, d shmem.Strided, data []byte) {
 	if want := d.TotalBytes(); want != len(data) {
 		panic(fmt.Sprintf("proc: strided put of %d bytes with descriptor covering %d", len(data), want))
 	}
-	if d.Levels() == 0 && g.putCoalesced(dst, data) {
+	if d.Levels() == 0 {
+		g.Put(dst, data)
 		return
 	}
+	g.put(dst, d, data)
+}
+
+// put applies or ships a put the coalescer did not take; d is the zero
+// descriptor for a contiguous one.
+func (g *Engine) put(dst shmem.Ptr, d shmem.Strided, data []byte) {
 	if g.local(dst.Rank) {
 		g.chargeCopy(len(data))
-		g.env.Space().UnpackTo(dst, d, data)
+		if d.IsZero() {
+			g.env.Space().Put(dst, data)
+		} else {
+			g.env.Space().UnpackTo(dst, d, data)
+		}
 		return
 	}
 	node := g.env.Node(int(dst.Rank))
 	g.countIssue(node)
-	g.sendServer(node, &msg.Message{
+	g.sendServer(node, g.withCopy(msg.Message{
 		Kind:   msg.KindPut,
 		Origin: g.env.Rank(),
 		Ptr:    dst,
 		Stride: d,
-		Data:   append([]byte(nil), data...),
-	})
+	}, data))
 }
 
 // putCoalesced buffers a contiguous put for a remote node when
@@ -310,28 +339,59 @@ func (g *Engine) putCoalesced(dst shmem.Ptr, data []byte) bool {
 
 // Get copies n bytes out of the (byte) memory at src. Blocking.
 func (g *Engine) Get(src shmem.Ptr, n int) []byte {
-	return g.GetStrided(src, shmem.Contig(n))
+	return g.get(src, shmem.Strided{}, n)
 }
 
 // GetStrided gathers the strided region at src into a flat buffer.
 // Blocking.
 func (g *Engine) GetStrided(src shmem.Ptr, d shmem.Strided) []byte {
-	if g.local(src.Rank) {
-		g.chargeCopy(d.TotalBytes())
-		return g.env.Space().PackFrom(src, d)
+	return g.get(src, asSent(d), d.TotalBytes())
+}
+
+// get reads the n bytes of region d at src (the zero d: contiguous).
+func (g *Engine) get(src shmem.Ptr, d shmem.Strided, n int) []byte {
+	if local, data := g.getLocal(src, d, n); local {
+		return data
 	}
-	node := g.env.Node(int(src.Rank))
+	tok := g.sendGet(src, d, n)
+	return g.env.Recv(msg.MatchToken(msg.KindGetResp, tok)).Data
+}
+
+// getLocal reads region d at src directly when src is on the caller's
+// node, and reports whether it was.
+func (g *Engine) getLocal(src shmem.Ptr, d shmem.Strided, n int) (bool, []byte) {
+	if !g.local(src.Rank) {
+		return false, nil
+	}
+	g.chargeCopy(n)
+	if d.IsZero() {
+		return true, g.env.Space().Get(src, n)
+	}
+	return true, g.env.Space().PackFrom(src, d)
+}
+
+// sendGet asks src's server for region d at src, n bytes, and returns the
+// token its response will carry.
+func (g *Engine) sendGet(src shmem.Ptr, d shmem.Strided, n int) uint64 {
 	tok := g.nextToken()
-	g.sendServer(node, &msg.Message{
+	g.sendServer(g.env.Node(int(src.Rank)), g.arena.New(msg.Message{
 		Kind:   msg.KindGet,
 		Origin: g.env.Rank(),
 		Token:  tok,
 		Ptr:    src,
 		Stride: d,
-		N:      d.TotalBytes(),
-	})
-	resp := g.env.Recv(msg.MatchToken(msg.KindGetResp, tok))
-	return resp.Data
+		N:      n,
+	}))
+	return tok
+}
+
+// asSent returns the form a transfer over d travels in: the zero
+// descriptor for a contiguous d, d itself otherwise.
+func asSent(d shmem.Strided) shmem.Strided {
+	if d.Levels() == 0 {
+		return shmem.Strided{}
+	}
+	return d
 }
 
 // Accumulate atomically performs dst += scale*src over the strided region
@@ -340,14 +400,24 @@ func (g *Engine) Accumulate(op shmem.AccOp, dst shmem.Ptr, d shmem.Strided, data
 	if want := d.TotalBytes(); want != len(data) {
 		panic(fmt.Sprintf("proc: strided accumulate of %d bytes with descriptor covering %d", len(data), want))
 	}
+	g.accumulate(op, dst, asSent(d), data, scale)
+}
+
+// accumulate applies or ships an accumulate over region d at dst (the zero
+// d: contiguous).
+func (g *Engine) accumulate(op shmem.AccOp, dst shmem.Ptr, d shmem.Strided, data []byte, scale float64) {
 	if g.local(dst.Rank) {
 		g.chargeCopy(len(data))
-		g.env.Space().AccumulateStrided(op, dst, d, data, scale)
+		if d.IsZero() {
+			g.env.Space().Accumulate(op, dst, data, scale)
+		} else {
+			g.env.Space().AccumulateStrided(op, dst, d, data, scale)
+		}
 		return
 	}
 	node := g.env.Node(int(dst.Rank))
 	g.countIssue(node)
-	if g.coal != nil && d.Levels() == 0 && g.coal.Fits(len(data)) {
+	if g.coal != nil && d.IsZero() && g.coal.Fits(len(data)) {
 		g.addCoalesced(node, wire.BatchEntry{
 			Op:    wire.BatchAcc,
 			Ptr:   dst,
@@ -357,15 +427,14 @@ func (g *Engine) Accumulate(op shmem.AccOp, dst shmem.Ptr, d shmem.Strided, data
 		})
 		return
 	}
-	g.sendServer(node, &msg.Message{
+	g.sendServer(node, g.withCopy(msg.Message{
 		Kind:   msg.KindAcc,
 		Origin: g.env.Rank(),
 		Ptr:    dst,
 		Stride: d,
 		Op:     uint8(op),
 		Scale:  scale,
-		Data:   append([]byte(nil), data...),
-	})
+	}, data))
 }
 
 // chargeCopy models the CPU cost of a local memory copy.
@@ -380,14 +449,14 @@ func (g *Engine) chargeCopy(n int) {
 func (g *Engine) rmwBlocking(p shmem.Ptr, op msg.RmwOp, operands [4]int64) [4]int64 {
 	node := g.env.Node(int(p.Rank))
 	tok := g.nextToken()
-	g.sendCtl(node, &msg.Message{
+	g.sendCtl(node, g.arena.New(msg.Message{
 		Kind:     msg.KindRmw,
 		Origin:   g.env.Rank(),
 		Token:    tok,
 		Ptr:      p,
 		Op:       uint8(op),
 		Operands: operands,
-	})
+	}))
 	resp := g.env.Recv(msg.MatchToken(msg.KindRmwResp, tok))
 	return resp.Operands
 }
@@ -478,13 +547,13 @@ func (g *Engine) Store(p shmem.Ptr, v int64) {
 	// Word stores are lock hand-offs; they never coalesce (buffering one
 	// would stall a spinning successor), but they must flush what program
 	// order put before them.
-	g.sendCtl(node, &msg.Message{
+	g.sendCtl(node, g.arena.New(msg.Message{
 		Kind:     msg.KindRmw,
 		Origin:   g.env.Rank(),
 		Ptr:      p,
 		Op:       uint8(msg.RmwStore),
 		Operands: [4]int64{v},
-	})
+	}))
 }
 
 // StorePair writes v to the pair of words at p, fire-and-forget when
@@ -497,11 +566,11 @@ func (g *Engine) StorePair(p shmem.Ptr, v shmem.Pair) {
 	}
 	node := g.env.Node(int(p.Rank))
 	g.countIssue(node)
-	g.sendCtl(node, &msg.Message{
+	g.sendCtl(node, g.arena.New(msg.Message{
 		Kind:     msg.KindRmw,
 		Origin:   g.env.Rank(),
 		Ptr:      p,
 		Op:       uint8(msg.RmwStorePair),
 		Operands: [4]int64{v.Hi, v.Lo},
-	})
+	}))
 }

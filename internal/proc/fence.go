@@ -30,14 +30,14 @@ func (g *Engine) Fence(node int) {
 		// sendCtl flushes node's coalescing buffer first: buffered ops
 		// are already in op_init, so the confirmation request must trail
 		// them on the FIFO pipe.
-		g.sendCtl(node, &msg.Message{
+		g.sendCtl(node, g.arena.New(msg.Message{
 			Kind:   msg.KindFenceReq,
 			Origin: g.env.Rank(),
 			Token:  tok,
 			// The NIC agent confirms against per-origin completion
 			// counts rather than message FIFO; carry the issued count.
 			Operands: [4]int64{g.opInit[node]},
-		})
+		}))
 		g.env.Recv(msg.MatchToken(msg.KindFenceAck, tok))
 	case FenceAck:
 		g.Flush(node) // buffered ops count as outstanding; ship them
@@ -124,7 +124,7 @@ func (g *Engine) AllFencePipelined() {
 		}
 		tok := g.nextToken()
 		tokens = append(tokens, tok)
-		g.env.Send(g.ctlAddr(node), &msg.Message{
+		g.Send(g.ctlAddr(node), msg.Message{
 			Kind:     msg.KindFenceReq,
 			Origin:   g.env.Rank(),
 			Token:    tok,

@@ -46,17 +46,15 @@ func (g *Engine) PutFlag(dst shmem.Ptr, data []byte, flag shmem.Ptr, val int64) 
 		g.Flush(node)
 		return
 	}
-	g.sendServer(node, &msg.Message{
+	g.sendServer(node, g.withCopy(msg.Message{
 		Kind:   msg.KindPut,
 		Origin: g.env.Rank(),
 		Ptr:    dst,
-		Stride: shmem.Contig(len(data)),
-		Data:   append([]byte(nil), data...),
-	})
+	}, data))
 	// The flag store goes to the data server, not ctlAddr: with NIC
 	// assist on, routing it to the agent would race it past the put on a
 	// different FIFO pipe.
-	g.env.Send(msg.ServerOf(node), &msg.Message{
+	g.Send(msg.ServerOf(node), msg.Message{
 		Kind:     msg.KindRmw,
 		Origin:   g.env.Rank(),
 		Ptr:      flag,

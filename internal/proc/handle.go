@@ -35,28 +35,21 @@ type Handle struct {
 
 // NbGet starts a non-blocking contiguous get of n bytes at src.
 func (g *Engine) NbGet(src shmem.Ptr, n int) *Handle {
-	return g.NbGetStrided(src, shmem.Contig(n))
+	return g.nbGet(src, shmem.Strided{}, n)
 }
 
 // NbGetStrided starts a non-blocking strided get. The caller may issue
 // other operations, then call Wait to collect the flat buffer.
 func (g *Engine) NbGetStrided(src shmem.Ptr, d shmem.Strided) *Handle {
-	if g.local(src.Rank) {
+	return g.nbGet(src, asSent(d), d.TotalBytes())
+}
+
+func (g *Engine) nbGet(src shmem.Ptr, d shmem.Strided, n int) *Handle {
+	if local, data := g.getLocal(src, d, n); local {
 		// Local gets complete immediately; the handle is already done.
-		g.chargeCopy(d.TotalBytes())
-		return &Handle{g: g, kind: hGet, done: true, data: g.env.Space().PackFrom(src, d)}
+		return &Handle{g: g, kind: hGet, done: true, data: data}
 	}
-	node := g.env.Node(int(src.Rank))
-	tok := g.nextToken()
-	g.sendServer(node, &msg.Message{
-		Kind:   msg.KindGet,
-		Origin: g.env.Rank(),
-		Token:  tok,
-		Ptr:    src,
-		Stride: d,
-		N:      d.TotalBytes(),
-	})
-	return &Handle{g: g, kind: hGet, token: tok}
+	return &Handle{g: g, kind: hGet, token: g.sendGet(src, d, n)}
 }
 
 // NbPut starts a non-blocking contiguous put and returns its completion
@@ -64,7 +57,8 @@ func (g *Engine) NbGetStrided(src shmem.Ptr, d shmem.Strided) *Handle {
 // eligibility); the handle adds per-operation completion on top of the
 // fence machinery.
 func (g *Engine) NbPut(dst shmem.Ptr, data []byte) *Handle {
-	return g.NbPutStrided(dst, shmem.Contig(len(data)), data)
+	g.Put(dst, data)
+	return g.storeHandle(dst)
 }
 
 // NbPutStrided starts a non-blocking strided put with a handle.
@@ -75,7 +69,7 @@ func (g *Engine) NbPutStrided(dst shmem.Ptr, d shmem.Strided, data []byte) *Hand
 
 // NbAcc starts a non-blocking contiguous accumulate with a handle.
 func (g *Engine) NbAcc(op shmem.AccOp, dst shmem.Ptr, data []byte, scale float64) *Handle {
-	g.Accumulate(op, dst, shmem.Contig(len(data)), data, scale)
+	g.accumulate(op, dst, shmem.Strided{}, data, scale)
 	return g.storeHandle(dst)
 }
 

@@ -55,12 +55,12 @@ func (g *Engine) PutV(pieces []VecPiece) {
 		data = append(data, pc.Data...)
 	}
 	g.countIssue(node)
-	g.sendServer(node, &msg.Message{
+	g.sendServer(node, g.arena.New(msg.Message{
 		Kind:   msg.KindPutV,
 		Origin: g.env.Rank(),
 		Vec:    segs,
 		Data:   data,
-	})
+	}))
 }
 
 // GetV performs a generalized I/O-vector get (ARMCI_GetV): all reads must
@@ -95,13 +95,13 @@ func (g *Engine) GetV(reads []VecRead) [][]byte {
 		segs[i] = msg.VecSeg{Ptr: rd.Ptr, N: rd.N}
 	}
 	tok := g.nextToken()
-	g.sendServer(node, &msg.Message{
+	g.sendServer(node, g.arena.New(msg.Message{
 		Kind:   msg.KindGetV,
 		Origin: g.env.Rank(),
 		Token:  tok,
 		Vec:    segs,
 		N:      total,
-	})
+	}))
 	resp := g.env.Recv(msg.MatchToken(msg.KindGetResp, tok))
 	out := make([][]byte, len(reads))
 	pos := 0

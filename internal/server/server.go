@@ -76,6 +76,10 @@ type Server struct {
 
 	// batch is handleBatch's entry table, reused from frame to frame.
 	batch []wire.BatchEntry
+
+	// arena is where the server's replies are born: its actor's
+	// (Env.Arena).
+	arena *msg.Arena
 }
 
 // New builds a server for the node identified by env (a server endpoint).
@@ -89,6 +93,7 @@ func New(env transport.Env, lay *proc.Layout, opt Options) *Server {
 		lay:        lay,
 		node:       env.Self().ID,
 		lockQueues: make(map[int][]waiter),
+		arena:      env.Arena(),
 	}
 }
 
@@ -111,6 +116,7 @@ func NewAgent(env transport.Env, lay *proc.Layout, opt Options) *Server {
 		node:       env.Self().ID - env.NumNodes(),
 		nic:        true,
 		lockQueues: make(map[int][]waiter),
+		arena:      env.Arena(),
 	}
 }
 
@@ -133,6 +139,12 @@ func (s *Server) Serve() {
 	}
 }
 
+// reply sends a message holding m's fields, born in the server's arena,
+// to the user process of rank.
+func (s *Server) reply(rank int, m msg.Message) {
+	s.env.Send(msg.User(rank), s.arena.New(m))
+}
+
 // HandleOne executes a single request, including the idle-wake and
 // service-time accounting.
 func (s *Server) HandleOne(m *msg.Message) {
@@ -149,7 +161,7 @@ func (s *Server) HandleOne(m *msg.Message) {
 		// the host thread never wakes, so neither the wake penalty nor
 		// the busy-period clock moves.
 		s.env.Charge(p.NICService)
-		s.env.Send(msg.User(m.Origin), &msg.Message{
+		s.reply(m.Origin, msg.Message{
 			Kind:   msg.KindFenceAck,
 			Origin: m.Origin,
 			Token:  m.Token,
@@ -166,11 +178,19 @@ func (s *Server) HandleOne(m *msg.Message) {
 	switch m.Kind {
 	case msg.KindPut:
 		s.env.Charge(p.ServiceTime(len(m.Data)))
-		s.env.Space().UnpackTo(m.Ptr, m.Stride, m.Data)
+		if m.Stride.IsZero() {
+			s.env.Space().Put(m.Ptr, m.Data)
+		} else {
+			s.env.Space().UnpackTo(m.Ptr, m.Stride, m.Data)
+		}
 		s.completeStore(m)
 	case msg.KindAcc:
 		s.env.Charge(p.ServiceTime(len(m.Data)))
-		s.env.Space().AccumulateStrided(shmem.AccOp(m.Op), m.Ptr, m.Stride, m.Data, m.Scale)
+		if m.Stride.IsZero() {
+			s.env.Space().Accumulate(shmem.AccOp(m.Op), m.Ptr, m.Data, m.Scale)
+		} else {
+			s.env.Space().AccumulateStrided(shmem.AccOp(m.Op), m.Ptr, m.Stride, m.Data, m.Scale)
+		}
 		s.completeStore(m)
 	case msg.KindPutV:
 		s.env.Charge(p.ServiceTime(len(m.Data)))
@@ -188,7 +208,7 @@ func (s *Server) HandleOne(m *msg.Message) {
 		for _, seg := range m.Vec {
 			data = append(data, space.Get(seg.Ptr, seg.N)...)
 		}
-		s.env.Send(msg.User(m.Origin), &msg.Message{
+		s.reply(m.Origin, msg.Message{
 			Kind:   msg.KindGetResp,
 			Origin: m.Origin,
 			Token:  m.Token,
@@ -196,8 +216,13 @@ func (s *Server) HandleOne(m *msg.Message) {
 		})
 	case msg.KindGet:
 		s.env.Charge(p.ServiceTime(m.N))
-		data := s.env.Space().PackFrom(m.Ptr, m.Stride)
-		s.env.Send(msg.User(m.Origin), &msg.Message{
+		var data []byte
+		if m.Stride.IsZero() {
+			data = s.env.Space().Get(m.Ptr, m.N)
+		} else {
+			data = s.env.Space().PackFrom(m.Ptr, m.Stride)
+		}
+		s.reply(m.Origin, msg.Message{
 			Kind:   msg.KindGetResp,
 			Origin: m.Origin,
 			Token:  m.Token,
@@ -212,7 +237,7 @@ func (s *Server) HandleOne(m *msg.Message) {
 		// server has already been handled, so the server only needs to
 		// drain the NIC DMA engine (ServiceFence) to confirm.
 		s.env.Charge(p.ServiceSmall + p.ServiceFence)
-		s.env.Send(msg.User(m.Origin), &msg.Message{
+		s.reply(m.Origin, msg.Message{
 			Kind:   msg.KindFenceAck,
 			Origin: m.Origin,
 			Token:  m.Token,
@@ -299,7 +324,7 @@ func (s *Server) countComplete(m *msg.Message, n int) {
 	s.env.Space().FetchAdd(s.lay.PerOrigin[s.node].Add(int64(m.Origin)), int64(n))
 	if s.opt.FenceMode == proc.FenceAck {
 		for range n {
-			s.env.Send(msg.User(m.Origin), &msg.Message{Kind: msg.KindPutAck, Origin: m.Origin})
+			s.reply(m.Origin, msg.Message{Kind: msg.KindPutAck, Origin: m.Origin})
 		}
 	}
 }
@@ -321,7 +346,7 @@ func (s *Server) handleOneNIC(m *msg.Message) {
 		s.env.WaitUntil("nic-fence", func() bool {
 			return s.env.Space().Load(cell) >= want
 		})
-		s.env.Send(msg.User(m.Origin), &msg.Message{
+		s.reply(m.Origin, msg.Message{
 			Kind:   msg.KindFenceAck,
 			Origin: m.Origin,
 			Token:  m.Token,
@@ -372,7 +397,7 @@ func (s *Server) handleRmw(m *msg.Message) {
 		panic(fmt.Sprintf("server: node %d: unknown rmw op %d", s.node, m.Op))
 	}
 	if reply {
-		s.env.Send(msg.User(m.Origin), &msg.Message{
+		s.reply(m.Origin, msg.Message{
 			Kind:     msg.KindRmwResp,
 			Origin:   m.Origin,
 			Token:    m.Token,
@@ -418,7 +443,9 @@ func (s *Server) handleUnlock(m *msg.Message) {
 	q := s.lockQueues[idx]
 	if len(q) > 0 && q[0].ticket == counter {
 		head := q[0]
-		s.lockQueues[idx] = q[1:]
+		// Shifted in place, so the queue's array is reused: slicing the
+		// head off would shrink its capacity and make appends reallocate.
+		s.lockQueues[idx] = append(q[:0], q[1:]...)
 		s.grant(idx, head.origin, head.token, head.ticket)
 	}
 }
@@ -428,7 +455,7 @@ func (s *Server) handleUnlock(m *msg.Message) {
 // report it (the conformance FIFO oracle checks grants arrive in ticket
 // order).
 func (s *Server) grant(idx, origin int, token uint64, ticket int64) {
-	s.env.Send(msg.User(origin), &msg.Message{
+	s.reply(origin, msg.Message{
 		Kind:     msg.KindLockGrant,
 		Origin:   origin,
 		Token:    token,

@@ -26,6 +26,10 @@ type Strided struct {
 // Contig returns the descriptor of a contiguous n-byte run.
 func Contig(n int) Strided { return Strided{Count: []int{n}} }
 
+// IsZero reports whether d is the zero descriptor, which a contiguous
+// transfer travels with: its length is the payload's, or the request's.
+func (d Strided) IsZero() bool { return len(d.Count) == 0 }
+
 // Levels returns the number of stride levels.
 func (d Strided) Levels() int { return len(d.Stride) }
 

@@ -340,8 +340,7 @@ func (e *procEnv) fenceView() uint64 {
 	for _, b := range f.boxes {
 		b.mu.Lock()
 		b.fence = epoch
-		for b.q.TryPop(func(m *msg.Message) bool { return m.Epoch < epoch }) != nil {
-		}
+		b.q.DropBelow(epoch)
 		for b.draining = b.inService; b.draining; b.mu.Lock() {
 			b.mu.Unlock()
 			f.mu.Lock()

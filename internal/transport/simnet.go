@@ -38,6 +38,9 @@ type SimFabric struct {
 
 	liveUsers int
 	shutdown  bool
+
+	// arena is every actor's: they all run on the kernel's goroutine.
+	arena msg.Arena
 }
 
 // NewSim builds a simulated fabric for the given configuration.
@@ -339,6 +342,8 @@ func (e *simEnv) WaitUntilFor(tag string, pred func() bool, d time.Duration) boo
 }
 
 func (e *simEnv) Faults() pipeline.Faults { return e.f.pipe.Faults() }
+
+func (e *simEnv) Arena() *msg.Arena { return &e.f.arena }
 
 func (e *simEnv) CrashedRank() int { return e.f.pipe.FirstCrashed() }
 

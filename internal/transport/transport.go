@@ -61,6 +61,10 @@ type Env interface {
 	// FIFO per (source, destination) pair. Send charges the sender the
 	// modeled send overhead and returns without waiting for delivery.
 	Send(to msg.Addr, m *msg.Message)
+	// Arena returns the arena the actor's messages are born in: its own on
+	// a wall-clock fabric; on the simulated one, the fabric's, which every
+	// actor shares, since they all run on the kernel's goroutine.
+	Arena() *msg.Arena
 	// Recv blocks until a message satisfying match is available, removes
 	// it from the mailbox and returns it.
 	Recv(match msg.Match) *msg.Message

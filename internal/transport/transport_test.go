@@ -280,7 +280,10 @@ func TestSimDeterminism(t *testing.T) {
 						to = (to + 1) % 4
 					}
 					env.Send(msg.User(to), &msg.Message{Kind: msg.KindSend, Tag: r*100 + round})
-					env.Recv(func(m *msg.Message) bool { return m.Kind == msg.KindSend && m.Tag%100 == round })
+					// The round's sends are a rotation of the ranks, so one
+					// message of the round is for r, from the rank r - (to - r).
+					from := (r - (to-r+4)%4 + 4) % 4
+					env.Recv(msg.MatchSrcTag(msg.KindSend, msg.User(from), from*100+round))
 				}
 			})
 		}
@@ -772,7 +775,7 @@ func TestOpDeadlineBoundsUserRecvOnly(t *testing.T) {
 				t.Fatal(err)
 			}
 			f.SpawnUser(0, func(env Env) {})
-			f.SpawnUser(1, func(env Env) { env.Recv(func(*msg.Message) bool { return false }) })
+			f.SpawnUser(1, func(env Env) { env.Recv(msg.MatchNone) })
 			fe := wantFault(t, f, pipeline.FaultOpTimeout)
 			if fe.Rank != 1 || fe.Server || fe.Op != "recv@"+msg.User(1).String() {
 				t.Fatalf("timeout attributed to %+v, want user rank 1 in its recv", fe)

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -264,7 +265,7 @@ func (f *wallFabric) runActor(b *box, wg *sync.WaitGroup) {
 	e := &wallEnv{f: f, addr: b.addr, b: b, recvTag: "recv@" + b.addr.String()}
 	defer wg.Done()
 	defer func() {
-		e.pop(func(*msg.Message) bool { return false }) // an actor that is gone serves nothing
+		e.pop(msg.MatchNone) // an actor that is gone serves nothing
 		if r := recover(); r != nil {
 			if _, ok := r.(failStop); ok {
 				return // injected fail-stop: the actor vanishes, the run continues
@@ -391,6 +392,7 @@ type wallEnv struct {
 	listens uint64
 	held    bool
 	out     cluster.Sender
+	arena   msg.Arena
 }
 
 var _ Env = (*wallEnv)(nil)
@@ -405,6 +407,7 @@ func (e *wallEnv) Params() model.Params    { return e.f.model }
 func (e *wallEnv) Trace() *trace.Stats     { return e.f.cfg.Trace }
 func (e *wallEnv) Clock() Clock            { return wallClock{e} }
 func (e *wallEnv) Faults() pipeline.Faults { return e.f.pipe.Faults() }
+func (e *wallEnv) Arena() *msg.Arena       { return &e.arena }
 
 // CrashedRank consults the process-local registry. On proc that never
 // holds a rank fail-stopped on another worker — the cluster layer reports
@@ -513,14 +516,14 @@ func (e *wallEnv) TryRecv(match msg.Match) *msg.Message {
 	// message earlier than Recv (which sleeps out the remaining latency)
 	// would deliver it. Per-pair arrival times are monotone, so gating on
 	// arrival keeps FIFO.
+	cutoff := time.Duration(math.MaxInt64)
 	if f.pipe.Delays() {
-		now, arrived := time.Since(f.start), match
-		match = func(m *msg.Message) bool { return m.Arrival <= now && arrived(m) }
+		cutoff = time.Since(f.start)
 	}
 	e.listen()
 	e.interrupt()
 	b.mu.Lock()
-	m := b.q.TryPop(match)
+	m := b.q.TryPopArrived(match, cutoff)
 	b.mu.Unlock()
 	if m != nil {
 		f.pipe.RecvCharge(e.Charge)

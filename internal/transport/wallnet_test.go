@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"armci/internal/cluster"
+	"armci/internal/model"
 	"armci/internal/msg"
 	"armci/internal/pipeline"
 	"armci/internal/wire"
@@ -151,7 +152,7 @@ func TestShutdownAndCrashReachEveryBox(t *testing.T) {
 			noticed.Add(1)
 		})
 	}
-	f.SpawnUser(2, func(env Env) { env.Recv(func(*msg.Message) bool { return false }) })
+	f.SpawnUser(2, func(env Env) { env.Recv(msg.MatchNone) })
 	f.SpawnUser(3, func(env Env) { env.FailStop("test") })
 	fe := wantFault(t, f, pipeline.FaultCrash)
 	if fe.Rank != 3 || fe.Op != "recv@"+msg.User(2).String() {
@@ -356,26 +357,63 @@ func TestViewFenceIsInterruptibleByAFault(t *testing.T) {
 // TestBoundedWaitsAllocateNothing holds the one-timer-per-actor rule where
 // it shows: with an op deadline in force, a user Recv that finds its
 // message arms nothing, and a bounded wait that parks re-arms the box's
-// own timer — neither allocates.
+// own timer — neither allocates. A match is a value, so a Recv by token
+// allocates nothing either, and neither does a TryRecv polling a chan
+// fabric under latency injection, whose arrival cutoff is a queue
+// operation rather than a wrapped match.
 func TestBoundedWaitsAllocateNothing(t *testing.T) {
 	const runs = 50
 	f, err := NewChan(Config{Procs: 1, OpDeadline: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recvAllocs, waitAllocs float64
+	var recvAllocs, waitAllocs, tokenAllocs float64
 	f.SpawnUser(0, func(env Env) {
 		for i := 0; i <= runs; i++ { // AllocsPerRun warms up with one extra call
 			env.Send(msg.User(0), &msg.Message{Kind: msg.KindColl})
 		}
 		recvAllocs = testing.AllocsPerRun(runs, func() { env.Recv(msg.MatchAny) })
 		waitAllocs = testing.AllocsPerRun(runs, func() { env.WaitUntilFor("bounded", never, 100*time.Microsecond) })
+		for i := 0; i <= runs; i++ {
+			env.Send(msg.User(0), &msg.Message{Kind: msg.KindRmwResp, Token: uint64(i)})
+		}
+		tok := uint64(runs) // the last first: each Recv skips the ones before it
+		tokenAllocs = testing.AllocsPerRun(runs, func() {
+			if env.Recv(msg.MatchToken(msg.KindRmwResp, tok)) == nil {
+				t.Error("no response for a sent token")
+			}
+			tok--
+		})
 	})
 	if err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if recvAllocs != 0 || waitAllocs != 0 {
-		t.Fatalf("allocations per call: Recv of a queued message %v, WaitUntilFor that parks once %v; want 0 and 0", recvAllocs, waitAllocs)
+	if recvAllocs != 0 || waitAllocs != 0 || tokenAllocs != 0 {
+		t.Fatalf("allocations per call: Recv of a queued message %v, WaitUntilFor that parks once %v, Recv by token %v; want 0, 0 and 0",
+			recvAllocs, waitAllocs, tokenAllocs)
+	}
+
+	delayed, err := NewChan(Config{Procs: 1, Model: model.Myrinet2000()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !delayed.pipe.Delays() {
+		t.Fatal("a chan fabric with a latency model does not inject delays")
+	}
+	var pollAllocs float64
+	delayed.SpawnUser(0, func(env Env) {
+		env.Send(msg.User(0), &msg.Message{Kind: msg.KindColl}) // queued, never selected
+		pollAllocs = testing.AllocsPerRun(runs, func() {
+			if env.TryRecv(msg.MatchKind(msg.KindSend)) != nil {
+				t.Error("a poll popped a message of another kind")
+			}
+		})
+	})
+	if err := delayed.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if pollAllocs != 0 {
+		t.Fatalf("a TryRecv poll under latency injection allocates %v, want 0", pollAllocs)
 	}
 }
 

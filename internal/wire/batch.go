@@ -79,11 +79,16 @@ const batchHeaderSize = 6
 // exactly the encoded size (no length prefix — the body travels as a
 // message payload, not a raw frame).
 func EncodeBatch(entries []BatchEntry) []byte {
+	return AppendBatch(make([]byte, 0, BatchSize(entries)), entries)
+}
+
+// BatchSize returns the encoded size of the batch body for entries.
+func BatchSize(entries []BatchEntry) int {
 	n := batchHeaderSize + len(entries)*batchEntrySize
 	for _, e := range entries {
 		n += len(e.Data)
 	}
-	return AppendBatch(make([]byte, 0, n), entries)
+	return n
 }
 
 // AppendBatch appends the batch body for entries to b and returns the

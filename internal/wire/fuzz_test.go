@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"reflect"
 	"testing"
@@ -88,6 +89,76 @@ func FuzzFrameReader(f *testing.F) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("frame %d: ReadFrame %x, FrameReader %x", i, want, got)
+			}
+		}
+	})
+}
+
+// FuzzLinkDecode is the differential test of the link reader's decoder: a
+// frame stream's bodies go, over and over, through one arena (DecodeIn) —
+// far enough to cross chunk and slab boundaries, with payloads inline in a
+// slot, carved from a slab and allocated on their own — and through
+// Decode. For
+// every body both reject it or both return equal messages, and at the end
+// every message the arena produced still equals its body's fresh decoding:
+// nothing carved later wrote into an earlier message or payload.
+func FuzzLinkDecode(f *testing.F) {
+	f.Add([]byte{})
+	var stream []byte
+	for _, m := range sampleMessages() {
+		stream = append(stream, Encode(m)...)
+	}
+	f.Add(stream)
+	big := &msg.Message{Kind: msg.KindPut, Data: bytes.Repeat([]byte{7}, msg.SlabBytes/4+1)}
+	mid := &msg.Message{Kind: msg.KindAcc, Data: bytes.Repeat([]byte{5}, msg.SlabBytes/4)}
+	slab := &msg.Message{Kind: msg.KindPut, Data: bytes.Repeat([]byte{3}, msg.InlineBytes+1)}
+	resp := &msg.Message{Kind: msg.KindGetResp, Token: 3, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}}
+	var mixed []byte
+	for _, m := range []*msg.Message{big, mid, slab, resp} {
+		mixed = append(mixed, Encode(m)...)
+	}
+	f.Add(append(append([]byte{}, stream...), mixed...))
+	f.Add(append(append([]byte{}, stream...), 0xff, 0, 0, 0, 1))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var bodies [][]byte // the frames data holds in full
+		for len(data) >= 4 {
+			n := binary.LittleEndian.Uint32(data)
+			if uint64(n) > uint64(len(data)-4) {
+				break
+			}
+			bodies, data = append(bodies, data[4:4+n]), data[4+n:]
+		}
+		if len(bodies) == 0 {
+			return
+		}
+		type kept struct {
+			m    *msg.Message
+			body []byte
+		}
+		var arena msg.Arena
+		var all []kept
+		for i := 0; i < 8*msg.ChunkMessages; i++ {
+			body := bodies[i%len(bodies)]
+			got, gerr := DecodeIn(&arena, body)
+			want, werr := Decode(body)
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("body %x: link decoder err %v, Decode err %v", body, gerr, werr)
+			}
+			if gerr != nil {
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("body %x:\nlink   %#v\nDecode %#v", body, got, want)
+			}
+			if len(got.Data) != cap(got.Data) {
+				t.Fatalf("payload of len %d has cap %d: an append would write into a neighbour", len(got.Data), cap(got.Data))
+			}
+			all = append(all, kept{got, body})
+		}
+		for _, k := range all {
+			if want, _ := Decode(k.body); !reflect.DeepEqual(k.m, want) {
+				t.Fatalf("a message changed after later decodes:\nnow  %#v\nwant %#v", k.m, want)
 			}
 		}
 	})

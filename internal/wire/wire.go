@@ -182,10 +182,18 @@ func AppendEncode(b []byte, m *msg.Message) []byte {
 	return b
 }
 
-// Decode parses a frame body produced by Encode.
-func Decode(body []byte) (*msg.Message, error) {
+// Decode parses a frame body produced by Encode into a message of its own,
+// with a payload of its own.
+func Decode(body []byte) (*msg.Message, error) { return DecodeIn(nil, body) }
+
+// DecodeIn is Decode for a link reader: the message and its payload are
+// born in a, which belongs to the caller's goroutine (nil: allocated on
+// their own). The payload of a get response or of a user-level send is the
+// one exception: it goes to the caller of Get or Recv, who may keep it for
+// as long as it likes, so it is always an exact allocation of its own.
+func DecodeIn(a *msg.Arena, body []byte) (*msg.Message, error) {
 	d := decoder{buf: body}
-	m := &msg.Message{}
+	var m msg.Message
 	m.Kind = msg.Kind(d.u8())
 	m.Src = d.addr()
 	m.Dst = d.addr()
@@ -215,17 +223,22 @@ func Decode(body []byte) (*msg.Message, error) {
 	if d.err == nil && (n < 0 || n > len(d.buf)-d.pos) {
 		d.err = fmt.Errorf("wire: payload length %d exceeds remaining %d bytes", n, len(d.buf)-d.pos)
 	}
-	if d.err == nil && n > 0 {
-		m.Data = append([]byte(nil), d.buf[d.pos:d.pos+n]...)
-		d.pos += n
-	}
-	if d.err == nil && d.pos != len(d.buf) {
-		d.err = fmt.Errorf("wire: %d trailing bytes", len(d.buf)-d.pos)
+	if d.err == nil && d.pos+n != len(d.buf) {
+		d.err = fmt.Errorf("wire: %d trailing bytes", len(d.buf)-d.pos-n)
 	}
 	if d.err != nil {
 		return nil, d.err
 	}
-	return m, nil
+	payload := d.buf[d.pos : d.pos+n]
+	if m.Kind == msg.KindGetResp || m.Kind == msg.KindSend {
+		if n > 0 {
+			m.Data = append([]byte(nil), payload...)
+		}
+		return a.New(m), nil
+	}
+	p := a.NewWith(m, n)
+	copy(p.Data, payload)
+	return p, nil
 }
 
 // WriteFrame writes one pre-encoded frame to w.

@@ -24,6 +24,12 @@ go test -run '^$' -fuzz '^FuzzWorkloadGrammar$' -fuzztime 10s ./internal/workloa
 # re-encodes byte-identically and every entry's Data is the body's own
 # bytes — the contract the server's in-place apply leans on.
 go test -run '^$' -fuzz '^FuzzBatchDecode$' -fuzztime 10s ./internal/wire
+# The message decoder the same way: every accepted body re-encodes
+# byte-identically, and the link readers' arena-carving decoder agrees with
+# it on every body of a stream long enough to cross chunk and slab
+# boundaries, leaving earlier messages untouched.
+go test -run '^$' -fuzz '^FuzzWireDecode$' -fuzztime 10s ./internal/wire
+go test -run '^$' -fuzz '^FuzzLinkDecode$' -fuzztime 10s ./internal/wire
 # The race detector over every package. -short trims the conformance
 # sweep to the sim-fabric matrix and skips the long soak (`make soak`),
 # the baseline collection and the helper-process tests; the whole root
