@@ -54,15 +54,18 @@ procsmoke:
 
 # The elastic smoke of check.sh — a 4-rank launch with one worker killed
 # mid-epoch and respawned, every rank's fingerprint checked against the
-# pure-replay oracle — N times over, one binary built once. Prints
-# failed/N and the tail of each failing run; any failure fails the target.
+# pure-replay oracle — N times over, one binary built once. A run that
+# takes over 20 s is killed (a healthy one takes well under 1 s). Prints
+# failed/N and, for each failing run, the tail of its log: the
+# coordinator's view, ack and fault lines (-v) and the workers' output.
+# Any failure fails the target.
 N ?= 200
 elasticsoak:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/armci-run" ./cmd/armci-run && \
 	failed=0 && i=0 && while [ $$i -lt $(N) ]; do i=$$((i+1)); \
-		"$$dir/armci-run" -n 4 -workload elastic -elastic -faults crashrank=1@3 >"$$dir/out" 2>&1 || \
-			{ failed=$$((failed+1)); echo "run $$i:"; tail -5 "$$dir/out"; }; \
+		"$$dir/armci-run" -v -timeout 20s -n 4 -workload elastic -elastic -faults crashrank=1@3 >"$$dir/out" 2>&1 || \
+			{ failed=$$((failed+1)); echo "run $$i:"; tail -12 "$$dir/out"; }; \
 	done && echo "elasticsoak: $$failed/$(N) failed" && [ $$failed -eq 0 ]
 
 # The reliability soak: every lock and barrier algorithm on every fabric

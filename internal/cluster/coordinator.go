@@ -522,8 +522,19 @@ func (co *Coordinator) onViewAck(node int, a wire.ViewAck) {
 // barrier id; when every node of the current view has arrived, the
 // release is broadcast and the barrier forgotten (ids are reused across
 // recovery re-executions).
+//
+// While a view awaits acks, an arrival from a node that has not acked it
+// is of the old view, read after elasticRecover reset the barriers: it is
+// dropped, or the barrier's re-execution would release without that node.
+// A node's arrivals and ack share one ordered connection, and it acks
+// before its first barrier of the new view, so none of those is dropped.
 func (co *Coordinator) epochArrive(node int, id uint64) {
 	co.mu.Lock()
+	if _, acked := co.acks[node]; co.recovering && !acked {
+		co.mu.Unlock()
+		co.cfg.Logf("cluster: dropped node %d's arrival at barrier %d from before the view being recovered", node, id)
+		return
+	}
 	m := co.barriers[id]
 	if m == nil {
 		m = make(map[int]bool)

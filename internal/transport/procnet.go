@@ -260,7 +260,8 @@ func AsViewInterrupt(r any) (*ViewInterrupt, bool) {
 // ElasticEnv is the recovery interface of fabrics that support elastic
 // membership (currently procnet). The elastic runner type-asserts its
 // Env to reach it; on fabrics without it, crashes are emulated
-// cooperatively in-process instead.
+// cooperatively in-process instead. A cluster fault or a newer view
+// aborts each of its waits; OpDeadline bounds each but AwaitResume.
 type ElasticEnv interface {
 	// ElasticEnabled reports whether this run repairs worker loss.
 	ElasticEnabled() bool
@@ -277,6 +278,8 @@ type ElasticEnv interface {
 	AckView(committed, shadow, staged uint64)
 	// AwaitResume blocks for the coordinator's recovery hand-off and
 	// returns the replaced node slot and the sync epoch to resume from.
+	// The coordinator bounds it: a respawn that does not rejoin within
+	// the join timeout is a cluster fault.
 	AwaitResume() (dead int, resume uint64)
 	// ClusterBarrier blocks until every node of the launch entered
 	// barrier id. Ids are reused across recovery re-executions.
@@ -301,14 +304,6 @@ func (e *procEnv) ViewEpoch() uint64 {
 	return e.l.viewEpoch
 }
 
-// parkLocked parks the actor until its box is signalled — which every
-// control event does — releasing f.mu, which the caller holds, meanwhile.
-func (e *procEnv) parkLocked() {
-	e.f.mu.Unlock()
-	<-e.b.ready
-	e.f.mu.Lock()
-}
-
 // AckView fences the aborted sync epoch and acknowledges the view. Like
 // AwaitResume and ClusterBarrier it waits, so it listens first.
 func (e *procEnv) AckView(committed, shadow, staged uint64) {
@@ -322,13 +317,14 @@ func (e *procEnv) AckView(committed, shadow, staged uint64) {
 
 // fenceView closes every membership epoch below the installed view's on
 // this worker and returns that view's epoch. Each local box, under its own
-// lock, refuses older frames from here on (arrive), drops the ones queued,
-// and holds the caller until a frame its server had already popped is
-// applied: that frame is in neither mailbox nor pipeline, and applied
-// after the caller's rollback it would resurrect the aborted epoch. Only
-// then does this worker stamp the new epoch and forget per-pair sequencing
-// with the replaced node (its respawned incarnation restarts sequences at
-// 1). A cluster fault aborts the wait.
+// lock, refuses older frames from here on (arrive) and drops the ones
+// queued; then the caller waits ("view-fence") until the box's server has
+// applied a frame it had already popped: that frame is in neither mailbox
+// nor pipeline, and applied after the caller's rollback it would resurrect
+// the aborted epoch. Only then does this worker stamp the new epoch and
+// forget per-pair sequencing with the replaced node (its respawned
+// incarnation restarts sequences at 1). The wait is an operation like any
+// other: a cluster fault or a newer view aborts it, and so does OpDeadline.
 func (e *procEnv) fenceView() uint64 {
 	l, f := e.l, e.f
 	var epoch uint64
@@ -341,42 +337,36 @@ func (e *procEnv) fenceView() uint64 {
 		b.mu.Lock()
 		b.fence = epoch
 		b.q.DropBelow(epoch)
-		for b.draining = b.inService; b.draining; b.mu.Lock() {
-			b.mu.Unlock()
-			f.mu.Lock()
-			if l.fault != nil {
-				f.abortLocked(l.fault)
-			}
-			e.parkLocked()
-			f.mu.Unlock()
-		}
+		b.draining = b.inService
 		b.mu.Unlock()
+		e.block("view-fence", func() bool {
+			b.mu.Lock()
+			defer b.mu.Unlock()
+			return !b.draining
+		}, 0, true, false)
 	}
 	f.pipe.SetEpoch(epoch)
 	f.pipe.ResetPeer(func(a msg.Addr) bool { return endpointNode(f.space, a) == dead })
 	return epoch
 }
 
-// AwaitResume blocks for the recovery hand-off. Deliberately exempt
-// from the per-op deadline: the window includes a full process respawn,
-// bounded by the cluster join timeout and the run deadline instead.
+// AwaitResume waits ("resume") for the recovery hand-off. It is exempt
+// from OpDeadline: the window holds a process respawn, which the
+// coordinator's rejoin watchdog bounds instead (see ElasticEnv).
 func (e *procEnv) AwaitResume() (int, uint64) {
 	l, f := e.l, e.f
-	e.listen()
-	f.mu.Lock()
-	for l.resume == nil {
-		if l.fault != nil {
-			f.abortLocked(l.fault)
-		}
-		e.parkLocked()
-	}
-	r := *l.resume
-	f.mu.Unlock()
+	var r *wire.EpochReport
+	e.block("resume", func() bool {
+		f.mu.Lock()
+		r = l.resume
+		f.mu.Unlock()
+		return r != nil
+	}, 0, false, false)
 	return r.Node, r.Epoch
 }
 
-// ClusterBarrier enters coordinator barrier id and blocks for its
-// release. A view change mid-wait aborts with a ViewInterrupt.
+// ClusterBarrier enters coordinator barrier id and waits
+// ("cluster-barrier") for its release.
 func (e *procEnv) ClusterBarrier(id uint64) {
 	l, f := e.l, e.f
 	e.listen()
@@ -388,12 +378,9 @@ func (e *procEnv) ClusterBarrier(id uint64) {
 	if err := l.sess.EnterBarrier(id); err != nil {
 		l.sessFail(fmt.Sprintf("barrier %d", id), err)
 	}
-	f.mu.Lock()
-	for !l.released[id] {
-		if err := l.interrupted(false); err != nil {
-			f.abortLocked(err)
-		}
-		e.parkLocked()
-	}
-	f.mu.Unlock()
+	e.block("cluster-barrier", func() bool {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return l.released[id]
+	}, 0, true, false)
 }

@@ -543,12 +543,14 @@ func (e *wallEnv) WaitUntilFor(tag string, pred func() bool, d time.Duration) bo
 	return e.block(tag, pred, d, false, true)
 }
 
-// block is the one bounded wait of the wall-clock fabrics: it parks the
-// actor in its box until done holds, re-evaluating done on every signal —
-// a delivery, with watch a memory write on the actor's node, the box
-// timer, a control event. The clock is read only for a bound: a caller's
-// limit or the op deadline at the start, the crash grace once a crash is
-// on record.
+// block is the one wait of the wall-clock fabrics — Recv, WaitUntil and
+// proc's control waits alike: it parks the actor in its box until done
+// holds, re-evaluating done on every signal — a delivery, with watch a
+// memory write on the actor's node, the box timer, a control event. done
+// is called with no lock held, so it may take a box's mu or f.mu (proc's
+// control waits do), in the fabric's lock order. The clock is read only
+// for a bound: a caller's limit or the op deadline at the start, the
+// crash grace once a crash is on record.
 //
 // With limit > 0 the caller owns the bound: block returns false at limit
 // and never aborts on its own account. Otherwise the wait is the fabric's

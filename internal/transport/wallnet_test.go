@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -323,35 +324,101 @@ func TestViewFenceClosesTheEpochWhereOpsAreApplied(t *testing.T) {
 	}
 }
 
-// TestViewFenceIsInterruptibleByAFault: a fence waiting on a server that
-// never finishes is not a hang — a cluster fault aborts it.
-func TestViewFenceIsInterruptibleByAFault(t *testing.T) {
-	f := procNode0(t)
-	popped, release := make(chan struct{}), make(chan struct{})
-	f.SpawnServer(0, func(env Env) {
-		if env.Recv(msg.MatchAny) != nil {
-			close(popped)
-			<-release
+// procNodeInLaunch builds node 0 of a live 2-node launch, one rank per
+// node, with its session up: the launch's node 1 is a bare session that
+// never takes part, so a cluster barrier node 0 enters is never released.
+func procNodeInLaunch(t *testing.T, opDeadline time.Duration) *ProcFabric {
+	t.Helper()
+	co, err := cluster.NewCoordinator(cluster.Config{Procs: 2, Cookie: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(co.Close)
+	env := func(node int) cluster.WorkerEnv {
+		return cluster.WorkerEnv{Addr: co.Addr(), Node: node, Procs: 2, ProcsPerNode: 1, Cookie: 7}
+	}
+	peer := make(chan *cluster.Session, 1)
+	go func() {
+		s, err := cluster.Join(env(1), cluster.Handlers{})
+		if err != nil {
+			t.Errorf("node 1 join: %v", err)
 		}
-	})
-	f.SpawnUser(0, func(env Env) {
-		<-popped
-		env.(*procEnv).fenceView()
-	})
-	f.SpawnUser(1, func(Env) {})
-	server := f.boxes[msg.ServerOf(0)]
-	wg := startActors(f.wallFabric)
-	f.arrive(server, &msg.Message{Kind: msg.KindRmw, Src: msg.User(1), Dst: msg.ServerOf(0)})
-	eventually(t, "the fence to wait on the server in service", func() bool {
-		server.mu.Lock()
-		defer server.mu.Unlock()
-		return server.draining
-	})
+		peer <- s
+	}()
+	f, err := NewProc(Config{Procs: 2, OpDeadline: opDeadline}, env(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.proc.up(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.proc.down)
+	if s := <-peer; s != nil {
+		t.Cleanup(func() { s.Close() })
+	}
+	return f
+}
+
+// TestControlWaitsAreInterruptibleAndBounded: proc's control waits are
+// block calls like every other wait. A cluster fault aborts each with that
+// fault. Under OpDeadline the view fence (on a server that never finishes
+// its frame) and a cluster barrier nobody else enters abort with a
+// FaultOpTimeout naming their tag, while AwaitResume — bounded by the
+// coordinator's rejoin watchdog instead — waits on until the fault.
+func TestControlWaitsAreInterruptibleAndBounded(t *testing.T) {
+	const deadline = 20 * time.Millisecond
 	lost := &pipeline.FaultError{Rank: 1, Kind: pipeline.FaultPeerLost}
-	f.proc.onFault(lost)
-	eventually(t, "the fault to abort the fence", func() bool { return len(f.panics) == 2 }) // the report and the abort
-	close(release)
-	wg.Wait()
+	for _, w := range []struct {
+		name, tag string // tag "" marks a wait exempt from OpDeadline
+		wait      func(e *procEnv)
+	}{
+		{"fence", "view-fence", func(e *procEnv) { e.fenceView() }},
+		{"resume", "", func(e *procEnv) { e.AwaitResume() }},
+		{"barrier", "cluster-barrier", func(e *procEnv) { e.ClusterBarrier(3) }},
+	} {
+		for _, bounded := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/deadline=%v", w.name, bounded), func(t *testing.T) {
+				var d time.Duration
+				if bounded {
+					d = deadline
+				}
+				f := procNodeInLaunch(t, d)
+				release := make(chan struct{})
+				f.SpawnServer(0, func(Env) { <-release })
+				server := f.boxes[msg.ServerOf(0)]
+				server.inService = true // a frame popped and never applied: the fence waits on it
+				got := make(chan error, 1)
+				f.SpawnUser(0, func(env Env) {
+					defer func() { a, _ := recover().(abort); got <- a.err }() // nil: the wait returned
+					w.wait(env.(*procEnv))
+				})
+				wg := startActors(f.wallFabric)
+				defer wg.Wait()
+				defer close(release)
+
+				want := *lost
+				if bounded && w.tag != "" {
+					want = pipeline.FaultError{Rank: 0, Op: w.tag, Kind: pipeline.FaultOpTimeout}
+				} else {
+					select {
+					case err := <-got:
+						t.Fatalf("the wait ended with %v before any fault", err)
+					case <-time.After(10 * deadline): // a fault on entry aborts the same way
+					}
+					f.proc.onFault(lost)
+				}
+				select {
+				case err := <-got:
+					if fe, ok := err.(*pipeline.FaultError); !ok || *fe != want {
+						t.Fatalf("the wait aborted with %#v, want %#v", err, want)
+					}
+				case <-time.After(5 * time.Second):
+					f.proc.onFault(lost) // let the deferred wg.Wait return
+					t.Fatalf("the wait was not aborted (want %#v)", want)
+				}
+			})
+		}
+	}
 }
 
 // TestBoundedWaitsAllocateNothing holds the one-timer-per-actor rule where
