@@ -39,8 +39,9 @@ golden:
 	$(GO) run ./cmd/armci-bench -timeline "$$tmp" -procs 16 >/dev/null && \
 	diff -u results/timeline-barrier-16.csv "$$tmp"
 
-# Non-test Go lines per package, benchmark/ excluded, total last — the
-# number simplicity PRs quote before and after.
+# Non-test Go lines per package, benchmark/ excluded, then the test-file
+# total, and the non-test total last — the number simplicity PRs quote
+# before and after.
 loc:
 	sh scripts/loc.sh
 

@@ -153,8 +153,7 @@ func renderFaultField(field any) (string, bool) {
 // FormatFaults renders a fault plan in the canonical form of the
 // ParseFaults grammar: knobs in faultKnobs order, knobs that are off
 // omitted, an optional '@' value omitted when zero. The output re-parses
-// to the same struct for any plan ParseFaults accepts. MaxDupsPerPair has
-// no textual form and is not rendered.
+// to the same struct for any plan ParseFaults accepts.
 func FormatFaults(f Faults) string {
 	var parts []string
 	for _, k := range faultKnobs {

@@ -76,8 +76,8 @@ func TestHaloExchangeDegenerateShapes(t *testing.T) {
 				if !empty {
 					// The halo patch, clamped at the array edge. With a halo
 					// wider than the tile this spans several owners' blocks.
-					hrlo, hrhi := maxInt(0, rlo-tc.halo), minInt(tc.rows, rhi+tc.halo)
-					hclo, hchi := maxInt(0, clo-tc.halo), minInt(tc.cols, chi+tc.halo)
+					hrlo, hrhi := max(0, rlo-tc.halo), min(tc.rows, rhi+tc.halo)
+					hclo, hchi := max(0, clo-tc.halo), min(tc.cols, chi+tc.halo)
 					patch := a.Get(hrlo, hrhi, hclo, hchi)
 					at := func(r, c int) float64 {
 						return patch[(r-hrlo)*(hchi-hclo)+(c-hclo)]
@@ -127,18 +127,4 @@ func TestHaloExchangeDegenerateShapes(t *testing.T) {
 			})
 		})
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -12,10 +12,10 @@ import (
 	"armci/mp"
 )
 
-// Integration tests: the example applications' workloads, shrunk and
-// asserted, on every fabric — so the full stack (GA patches, strided
-// transfers, accumulate, counters, collectives, locks, syncs) is
-// exercised end to end by `go test` alone.
+// Integration tests: small applications — a stencil, a histogram, a task
+// farm, a sample sort and a bank — asserted on every fabric, so the full
+// stack (GA patches, strided transfers, accumulate, counters, collectives,
+// locks, syncs) is exercised end to end by `go test` alone.
 
 // TestIntegrationStencil runs a small Jacobi heat iteration and checks
 // that heat diffuses and energy stays plausible on every fabric and both
@@ -48,8 +48,8 @@ func TestIntegrationStencil(t *testing.T) {
 					rlo, rhi, clo, chi := grids[0].Distribution(p.Rank())
 					for it := 0; it < iters; it++ {
 						src, dst := grids[it%2], grids[(it+1)%2]
-						hrlo, hrhi := maxI(rlo-1, 0), minI(rhi+1, n)
-						hclo, hchi := maxI(clo-1, 0), minI(chi+1, n)
+						hrlo, hrhi := max(rlo-1, 0), min(rhi+1, n)
+						hclo, hchi := max(clo-1, 0), min(chi+1, n)
 						w := hchi - hclo
 						halo := src.Get(hrlo, hrhi, hclo, hchi)
 						at := func(r, c int) float64 {
@@ -275,6 +275,76 @@ func TestIntegrationSampleSort(t *testing.T) {
 	}
 }
 
+// TestIntegrationBank moves money between accounts, each guarded by its
+// own mutex homed with it, so every transfer holds two locks at once: the
+// nesting that needs one queue node per (process, lock) rather than per
+// process (DESIGN §7). Locks are taken in account order and released in
+// reverse; a conserved total proves no update was lost. LockTicket is left
+// out: its callers must be on the lock's home node.
+func TestIntegrationBank(t *testing.T) {
+	algs := []armci.LockAlg{armci.LockHybrid, armci.LockQueue, armci.LockQueueNoCAS, armci.LockLease}
+	for _, fk := range fabrics {
+		for _, alg := range algs {
+			t.Run(fmt.Sprintf("%v/%v", fk, alg), func(t *testing.T) {
+				const procs, accounts, transfers, initial = 4, 8, 40, 1000
+				var total int64
+				_, err := armci.Run(armci.Options{
+					Procs: procs, Fabric: fk, NumMutexes: accounts, // lock i homed at rank i%procs
+				}, func(p *armci.Proc) {
+					me, n := p.Rank(), p.Size()
+					// Account i is word i/n of rank i%n's allocation,
+					// beside its lock.
+					ptrs := p.MallocWords(accounts / n)
+					table := make([]armci.Ptr, accounts)
+					locks := make([]armci.Mutex, accounts)
+					for i := range table {
+						table[i] = ptrs[i%n].Add(int64(i / n))
+						locks[i] = p.Mutex(i, alg)
+					}
+					if me == 0 {
+						for _, a := range table {
+							p.Store(a, initial)
+						}
+					}
+					p.Barrier()
+					rng := rand.New(rand.NewSource(int64(me) + 1))
+					for range transfers {
+						from := rng.Intn(accounts)
+						to := (from + 1 + rng.Intn(accounts-1)) % accounts
+						amount := int64(rng.Intn(50) + 1)
+						lo, hi := min(from, to), max(from, to)
+						locks[lo].Lock()
+						locks[hi].Lock()
+						if fb := p.Load(table[from]); fb >= amount {
+							p.Store(table[from], fb-amount)
+							p.Store(table[to], p.Load(table[to])+amount)
+							for _, a := range []int{from, to} {
+								if node := p.NodeOf(a % n); node != p.MyNode() {
+									p.Fence(node)
+								}
+							}
+						}
+						locks[hi].Unlock()
+						locks[lo].Unlock()
+					}
+					p.Barrier()
+					if me == 0 {
+						for _, a := range table {
+							total += p.Load(a)
+						}
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if total != accounts*initial {
+					t.Fatalf("total balance %d, want %d: mutual exclusion failed", total, accounts*initial)
+				}
+			})
+		}
+	}
+}
+
 func i64b(v []int64) []byte {
 	out := make([]byte, 8*len(v))
 	for i, x := range v {
@@ -295,18 +365,4 @@ func b2i64(b []byte) []int64 {
 		out[i] = int64(x)
 	}
 	return out
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -37,11 +37,9 @@ type Config struct {
 	// Elastic turns worker loss from a fatal fault into a membership
 	// change: the coordinator bumps the view epoch, respawns the dead
 	// node's worker, and drives survivors through the recovery barrier
-	// protocol instead of failing the launch.
+	// protocol instead of failing the launch. One loss per launch is
+	// repaired (maxRecoveries); a later one is a fault.
 	Elastic bool
-	// MaxRecoveries bounds how many worker losses are repaired before
-	// the coordinator gives up and declares a fault. Defaults to 1.
-	MaxRecoveries int
 	// Respawn relaunches the worker process for a node slot at the given
 	// incarnation (>= 1) and view epoch. Required when Elastic is set;
 	// invoked from its own goroutine.
@@ -67,14 +65,17 @@ func (c *Config) normalize() error {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
-	if c.MaxRecoveries <= 0 {
-		c.MaxRecoveries = 1
-	}
 	if c.Elastic && c.Respawn == nil {
 		return fmt.Errorf("cluster: elastic config needs a Respawn hook")
 	}
 	return nil
 }
+
+// maxRecoveries bounds how many worker losses one launch repairs; a later
+// loss is declared a fault, as is one arriving while a repair is in flight.
+// At one, no installed view is ever superseded: the waits that abort on a
+// newer view (transport.ElasticEnv) cannot meet one.
+const maxRecoveries = 1
 
 func (c *Config) numNodes() int { return (c.Procs + c.ProcsPerNode - 1) / c.ProcsPerNode }
 
@@ -440,7 +441,7 @@ func (co *Coordinator) declareFault(node int, reason string) {
 func (co *Coordinator) elasticRecover(node int, reason string) bool {
 	co.mu.Lock()
 	if !co.cfg.Elastic || !co.rosterSent || co.recovering ||
-		co.recoveries >= co.cfg.MaxRecoveries || co.fault != nil || co.err != nil {
+		co.recoveries >= maxRecoveries || co.fault != nil || co.err != nil {
 		co.mu.Unlock()
 		return false
 	}

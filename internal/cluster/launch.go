@@ -55,9 +55,8 @@ type Spec struct {
 	// Elastic makes worker loss survivable: the coordinator respawns the
 	// dead node's worker (same command, bumped incarnation) and drives
 	// the membership recovery protocol instead of failing the launch.
+	// One loss per launch is repaired; a later one fails it.
 	Elastic bool
-	// MaxRecoveries bounds elastic repairs per launch. Defaults to 1.
-	MaxRecoveries int
 }
 
 // Outcome is the aggregate result of one launch.
@@ -206,7 +205,6 @@ func Launch(spec Spec) (*Outcome, error) {
 		HeartbeatTimeout: spec.HeartbeatTimeout,
 		Logf:             spec.Logf,
 		Elastic:          spec.Elastic,
-		MaxRecoveries:    spec.MaxRecoveries,
 		Respawn: func(node int, incarnation uint32, viewEpoch uint64) error {
 			spawnMu.Lock()
 			dead := live == 0

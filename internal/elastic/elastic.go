@@ -613,13 +613,11 @@ func (r *runner) guarded(fn func()) (interrupted bool) {
 // recoverSurvivor converges a surviving rank on the cluster resume
 // epoch after a view change. AckView first: it fences the aborted
 // epoch's traffic (epoch bump, mailbox purge, dead-pair reset) and
-// reports this rank's committed state for the coordinator's resume
+// reports this rank's committed sync epoch for the coordinator's resume
 // computation.
 func (r *runner) recoverSurvivor(ee transport.ElasticEnv) {
 	recT0 := r.p.Now()
-	shadowE := uint64(r.p.Load(r.shadowE[r.rank]))
-	stagedE := uint64(r.p.Load(r.hdr[r.rank].Add(1)))
-	ee.AckView(r.committed, shadowE, stagedE)
+	ee.AckView(r.committed)
 	dead, resume := ee.AwaitResume()
 	r.repairLeases(dead)
 	switch {
@@ -656,7 +654,7 @@ func (r *runner) recoverSurvivor(ee transport.ElasticEnv) {
 // memory from the peer replica and rejoin the full checkpoint.
 func (r *runner) recoverVictim(ee transport.ElasticEnv) {
 	recT0 := r.p.Now()
-	ee.AckView(0, 0, 0)
+	ee.AckView(0)
 	dead, resume := ee.AwaitResume()
 	if dead != r.rank {
 		panic(fmt.Sprintf("elastic: respawned rank %d told node %d is the replaced slot", r.rank, dead))

@@ -76,16 +76,12 @@ type Faults struct {
 	// DupProb is the per-message probability that the fabric delivers
 	// the message twice. The duplicate trails the original and is
 	// always suppressed by the receive-side dedup stage, so protocol
-	// code still observes exactly-once delivery.
+	// code still observes exactly-once delivery. At most maxDupsPerPair
+	// duplicates are injected per directed pair.
 	DupProb float64
 	// DupDelay is the extra delay of the duplicate copy. 0 picks a
 	// small default.
 	DupDelay time.Duration
-	// MaxDupsPerPair bounds how many duplicates are injected per
-	// directed pair (0 means the default of 8). The bound is per pair
-	// rather than global so that it is independent of cross-pair
-	// scheduling order.
-	MaxDupsPerPair int
 	// LossProb is the per-transmission probability that a message copy
 	// is dropped on the wire. A dropped copy is recovered by the
 	// reliability stage: the sender retransmits after an exponentially
@@ -161,7 +157,6 @@ func (f Faults) Validate() error {
 		{f.DupDelay < 0, "DupDelay", ">= 0", f.DupDelay},
 		{!(f.SpikeProb >= 0 && f.SpikeProb <= 1), "SpikeProb", "in [0,1]", f.SpikeProb},
 		{!(f.DupProb >= 0 && f.DupProb <= 1), "DupProb", "in [0,1]", f.DupProb},
-		{f.MaxDupsPerPair < 0, "MaxDupsPerPair", ">= 0", f.MaxDupsPerPair},
 		{!(f.LossProb >= 0 && f.LossProb <= 1), "LossProb", "in [0,1]", f.LossProb},
 		{f.LossBurst < 0, "LossBurst", ">= 0", f.LossBurst},
 		{f.RetryBudget < 0, "RetryBudget", fmt.Sprintf(">= 1 (0 selects the default of %d)", defaultRetryBudget), f.RetryBudget},
@@ -267,6 +262,10 @@ const (
 const (
 	defaultRetryBudget = 8
 	defaultRTO         = 500 * time.Microsecond
+	// maxDupsPerPair bounds the duplicates injected on one directed pair.
+	// The bound is per pair rather than global so that it is independent
+	// of cross-pair scheduling order.
+	maxDupsPerPair = 8
 )
 
 // roll derives a 64-bit pseudo-random value for one decision about one
@@ -330,7 +329,6 @@ func (f *Faults) dup(src, dst msg.Addr, seq uint64) bool {
 // The knobs whose zero value selects a default; Validate has rejected
 // negative ones.
 func (f *Faults) dupDelay() time.Duration { return cmp.Or(f.DupDelay, f.Jitter, time.Microsecond) }
-func (f *Faults) maxDupsPerPair() int     { return cmp.Or(f.MaxDupsPerPair, 8) }
 func (f *Faults) retryBudget() int        { return cmp.Or(f.RetryBudget, defaultRetryBudget) }
 func (f *Faults) rto() time.Duration      { return cmp.Or(f.RTO, defaultRTO) }
 func (f *Faults) rtoCap() time.Duration   { return cmp.Or(f.RTOCap, 16*f.rto()) }
@@ -713,7 +711,7 @@ func (p *Pipeline) inject(ps *pairState, m *msg.Message, now, wire time.Duration
 	extra += retransDelay
 	m.FaultDelay = extra
 	m.Arrival = ps.arrival(now, wire+extra)
-	if !f.dup(src, dst, seq) || ps.dups >= f.maxDupsPerPair() {
+	if !f.dup(src, dst, seq) || ps.dups >= maxDupsPerPair {
 		return nil, faults, nil
 	}
 	ps.dups++

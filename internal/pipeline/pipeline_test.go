@@ -164,11 +164,11 @@ func TestInboundStampsArrival(t *testing.T) {
 }
 
 func TestDuplicateInjectionBoundedPerPair(t *testing.T) {
-	p := New(Config{Faults: Faults{Seed: 3, DupProb: 1, MaxDupsPerPair: 2}})
+	p := New(Config{Faults: Faults{Seed: 3, DupProb: 1}})
 	a, b := msg.User(0), msg.User(1)
 	clk := &vclock{}
 	total := 0
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 3*maxDupsPerPair; i++ {
 		ds, _ := send(p, a, b, &msg.Message{Kind: msg.KindSend}, clk.now, nil)
 		for _, d := range ds {
 			if d.Dup {
@@ -182,8 +182,8 @@ func TestDuplicateInjectionBoundedPerPair(t *testing.T) {
 			}
 		}
 	}
-	if total != 2 {
-		t.Fatalf("injected %d duplicates, want the per-pair bound 2", total)
+	if total != maxDupsPerPair {
+		t.Fatalf("injected %d duplicates, want the per-pair bound %d", total, maxDupsPerPair)
 	}
 	// The bound is per pair: a different pipe gets its own allowance.
 	ds, _ := send(p, b, a, &msg.Message{Kind: msg.KindSend}, clk.now, nil)
@@ -206,7 +206,6 @@ func TestFaultsValidate(t *testing.T) {
 		{"spike prob below 0", Faults{SpikeProb: -0.5}, false},
 		{"spike prob above 1", Faults{SpikeProb: 1.5}, false},
 		{"dup prob above 1", Faults{DupProb: 2}, false},
-		{"negative dup cap", Faults{MaxDupsPerPair: -3}, false},
 		{"loss plan", Faults{Seed: 2, LossProb: 0.1, LossBurst: 3, RetryBudget: 4, RTO: time.Millisecond, RTOCap: 8 * time.Millisecond}, true},
 		{"crash plan", Faults{CrashRank: 1, CrashAfterSends: 5}, true},
 		{"loss prob below 0", Faults{LossProb: -0.1}, false},

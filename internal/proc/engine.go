@@ -136,9 +136,6 @@ func (g *Engine) Env() transport.Env { return g.env }
 // Layout returns the cluster bootstrap layout.
 func (g *Engine) Layout() *Layout { return g.lay }
 
-// Mode returns the fence mode in force.
-func (g *Engine) Mode() FenceMode { return g.mode }
-
 // SetNICAssist enables routing of RMW and fence traffic to NIC agents.
 // The cluster must have been brought up with agents (see server.Agent).
 func (g *Engine) SetNICAssist(on bool) { g.useNIC = on }

@@ -95,13 +95,6 @@ func (s *Space) ProtectRange(rank, baseWords, baseBytes int) {
 	}
 }
 
-// Protected reports whether rank has a protected set installed.
-func (s *Space) Protected(rank int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.prot != nil && s.prot[rank].on
-}
-
 // mark records the pages touched by a mutation of n cells/bytes at p.
 // Callers hold s.mu. Accesses outside the protected prefix — including
 // every access before Protect — are ignored.
@@ -329,21 +322,4 @@ func (s *Space) WriteRaw(p Ptr, data []byte) {
 		s.mark(p, int64(len(w)))
 	})
 	s.notify(p.Rank)
-}
-
-// ProtectedShape returns the cell/byte counts of rank's protected
-// segments, in allocation order — what a peer needs to lay out a
-// mirrored shadow without communication (allocation is SPMD-symmetric).
-func (s *Space) ProtectedShape(rank int) (words, bytes []int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ps := s.protLocked(rank)
-	r := &s.ranks[rank]
-	for seg := ps.wbase; seg < ps.words; seg++ {
-		words = append(words, len(r.words[seg]))
-	}
-	for seg := ps.bbase; seg < ps.bytes; seg++ {
-		bytes = append(bytes, len(r.bytes[seg]))
-	}
-	return words, bytes
 }

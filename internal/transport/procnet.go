@@ -261,7 +261,9 @@ func AsViewInterrupt(r any) (*ViewInterrupt, bool) {
 // membership (currently procnet). The elastic runner type-asserts its
 // Env to reach it; on fabrics without it, crashes are emulated
 // cooperatively in-process instead. A cluster fault or a newer view
-// aborts each of its waits; OpDeadline bounds each but AwaitResume.
+// aborts each of its waits; OpDeadline bounds each but AwaitResume. (The
+// coordinator repairs one loss per launch and refuses a second, so a newer
+// view cannot arrive today.)
 type ElasticEnv interface {
 	// ElasticEnabled reports whether this run repairs worker loss.
 	ElasticEnabled() bool
@@ -271,11 +273,11 @@ type ElasticEnv interface {
 	// barrier namespace of the current repair.
 	ViewEpoch() uint64
 	// AckView acknowledges the pending view change with this rank's
-	// committed sync epoch and replica state. It clears the view
+	// committed sync epoch. It clears the view
 	// interrupt, fences the aborted epoch's traffic (mailbox purge,
 	// pipeline epoch advance, dead-pair reset) and must be the first
 	// env call on the recovery path.
-	AckView(committed, shadow, staged uint64)
+	AckView(committed uint64)
 	// AwaitResume blocks for the coordinator's recovery hand-off and
 	// returns the replaced node slot and the sync epoch to resume from.
 	// The coordinator bounds it: a respawn that does not rejoin within
@@ -306,10 +308,10 @@ func (e *procEnv) ViewEpoch() uint64 {
 
 // AckView fences the aborted sync epoch and acknowledges the view. Like
 // AwaitResume and ClusterBarrier it waits, so it listens first.
-func (e *procEnv) AckView(committed, shadow, staged uint64) {
+func (e *procEnv) AckView(committed uint64) {
 	e.listen()
 	if err := e.l.sess.SendViewAck(wire.ViewAck{
-		Node: e.l.env.Node, Epoch: e.fenceView(), Committed: committed, Shadow: shadow, Staged: staged,
+		Node: e.l.env.Node, Epoch: e.fenceView(), Committed: committed,
 	}); err != nil {
 		e.l.sessFail("view ack", err)
 	}

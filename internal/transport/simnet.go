@@ -351,7 +351,3 @@ func (e *simEnv) FailStop(op string) {
 	e.f.pipe.CrashNow(e.addr.ID, op)
 	panic(sim.Exit{})
 }
-
-func (e *simEnv) AbortFault(err *pipeline.FaultError) {
-	panic(sim.Abort{Err: err})
-}

@@ -110,10 +110,6 @@ type Env interface {
 	// the crash registry is process-local, so remote waiters cannot
 	// learn of the crash and the run aborts with the FaultError instead.
 	FailStop(op string)
-	// AbortFault terminates the run with a structured fault error: the
-	// protocol layer raises it when a spin discovers it is waiting on a
-	// crashed peer. Never returns.
-	AbortFault(err *pipeline.FaultError)
 	// Trace returns the statistics collector (never nil).
 	Trace() *trace.Stats
 }

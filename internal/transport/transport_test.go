@@ -47,7 +47,6 @@ func TestConfigRejectsBadKnobs(t *testing.T) {
 		{"negative spike delay", Config{Procs: 2, Faults: pipeline.Faults{SpikeDelay: -time.Millisecond, SpikeProb: 0.1}}, "fault plan"},
 		{"spike prob above 1", Config{Procs: 2, Faults: pipeline.Faults{SpikeProb: 1.5}}, "fault plan"},
 		{"negative dup prob", Config{Procs: 2, Faults: pipeline.Faults{DupProb: -0.1}}, "fault plan"},
-		{"negative dup cap", Config{Procs: 2, Faults: pipeline.Faults{MaxDupsPerPair: -1}}, "fault plan"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

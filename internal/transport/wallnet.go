@@ -655,7 +655,3 @@ func (e *wallEnv) vanish() {
 	e.listen()
 	panic(failStop{})
 }
-
-func (e *wallEnv) AbortFault(err *pipeline.FaultError) {
-	panic(abort{err})
-}

@@ -110,9 +110,8 @@ func DecodeView(body []byte) (View, error) {
 }
 
 // ViewAck is a worker's answer to a view change: which view it installed
-// and where its durable state stands, so the coordinator can compute the
-// resume epoch (max over survivors' committed sync epochs) and verify
-// the dead rank's replica covers it.
+// and the last sync epoch it committed, so the coordinator can compute the
+// resume epoch (max over survivors' committed sync epochs).
 type ViewAck struct {
 	// Node is the answering worker's node index.
 	Node int
@@ -120,16 +119,10 @@ type ViewAck struct {
 	Epoch uint64
 	// Committed is the last sync epoch this node completed.
 	Committed uint64
-	// Shadow is the sync epoch of the committed replica this node holds
-	// for its left neighbor.
-	Shadow uint64
-	// Staged is the sync epoch of the neighbor delta staged on this
-	// node but not yet applied to the shadow (0 when none).
-	Staged uint64
 }
 
 // viewAckLen is the exact body size of an encoded view ack.
-const viewAckLen = 36
+const viewAckLen = 20
 
 // EncodeViewAck serializes a into a frame body.
 func EncodeViewAck(a ViewAck) []byte {
@@ -137,8 +130,6 @@ func EncodeViewAck(a ViewAck) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(int32(a.Node)))
 	b = binary.LittleEndian.AppendUint64(b, a.Epoch)
 	b = binary.LittleEndian.AppendUint64(b, a.Committed)
-	b = binary.LittleEndian.AppendUint64(b, a.Shadow)
-	b = binary.LittleEndian.AppendUint64(b, a.Staged)
 	return b
 }
 
@@ -151,8 +142,6 @@ func DecodeViewAck(body []byte) (ViewAck, error) {
 	a.Node = int(int32(binary.LittleEndian.Uint32(body)))
 	a.Epoch = binary.LittleEndian.Uint64(body[4:])
 	a.Committed = binary.LittleEndian.Uint64(body[12:])
-	a.Shadow = binary.LittleEndian.Uint64(body[20:])
-	a.Staged = binary.LittleEndian.Uint64(body[28:])
 	return a, nil
 }
 

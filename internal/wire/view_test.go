@@ -41,7 +41,7 @@ func TestViewRoundTrip(t *testing.T) {
 	}
 	for _, a := range []ViewAck{
 		{},
-		{Node: 3, Epoch: 2, Committed: 9, Shadow: 9, Staged: 10},
+		{Node: 3, Epoch: 2, Committed: 9},
 	} {
 		got, err := DecodeViewAck(EncodeViewAck(a))
 		if err != nil {
@@ -106,7 +106,7 @@ func FuzzMembershipDecode(f *testing.F) {
 	for _, v := range sampleViews() {
 		f.Add(EncodeView(v))
 	}
-	f.Add(EncodeViewAck(ViewAck{Node: 1, Epoch: 3, Committed: 8, Shadow: 8, Staged: 9}))
+	f.Add(EncodeViewAck(ViewAck{Node: 1, Epoch: 3, Committed: 8}))
 	f.Add(EncodeEpochReport(EpochReport{Node: 2, Epoch: 5}))
 	// A truncated valid body, one with trailing garbage, and one whose
 	// member count was inflated past the bytes that follow.

@@ -60,8 +60,8 @@ func stencilBody(sp Spec, cfg Config) func(*armci.Proc) {
 		cur, nxt := a, b
 		for s := 0; s < steps; s++ {
 			if !empty {
-				prlo, prhi := maxInt(0, rlo-halo), minInt(rows, rhi+halo)
-				pclo, pchi := maxInt(0, clo-halo), minInt(cols, chi+halo)
+				prlo, prhi := max(0, rlo-halo), min(rows, rhi+halo)
+				pclo, pchi := max(0, clo-halo), min(cols, chi+halo)
 				patch := cur.Get(prlo, prhi, pclo, pchi)
 				pw := pchi - pclo
 				at := func(r, c int) float64 {
@@ -157,18 +157,4 @@ func stencilModel(rows, cols, halo, steps int) []float64 {
 		cur, nxt = nxt, cur
 	}
 	return cur
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
