@@ -1,11 +1,12 @@
 package ga
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"armci"
-	"armci/mp"
 )
 
 // Elem addresses one global element.
@@ -62,7 +63,7 @@ func (a *Array) Gather(elems []Elem) []float64 {
 		}
 		bufs := a.p.GetV(reads)
 		for k, i := range idxs {
-			out[i] = mp.BytesToFloat64s(bufs[k])[0]
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(bufs[k]))
 		}
 	}
 	return out
@@ -79,11 +80,11 @@ func (a *Array) Scatter(elems []Elem, vals []float64) {
 	for _, rank := range sortedOwners(groups) {
 		idxs := groups[rank]
 		pieces := make([]armci.VecPiece, len(idxs))
+		data := make([]byte, 8*len(idxs))
 		for k, i := range idxs {
-			pieces[k] = armci.VecPiece{
-				Ptr:  a.elemPtr(elems[i]),
-				Data: mp.Float64sToBytes([]float64{vals[i]}),
-			}
+			word := data[8*k : 8*k+8]
+			binary.LittleEndian.PutUint64(word, math.Float64bits(vals[i]))
+			pieces[k] = armci.VecPiece{Ptr: a.elemPtr(elems[i]), Data: word}
 		}
 		a.p.PutV(pieces)
 	}

@@ -10,11 +10,11 @@
 package ga
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
 	"armci"
-	"armci/mp"
 )
 
 // SyncMode selects the implementation behind Sync (GA_Sync).
@@ -206,13 +206,18 @@ func (a *Array) blockRegion(rank, irlo, irhi, iclo, ichi int) (armci.Ptr, armci.
 	return base, armci.Strided{Count: []int{rowBytes, rows}, Stride: []int64{int64(8 * bc)}}
 }
 
-// patchSlice extracts the intersection rows from a row-major patch buffer.
-func patchSlice(buf []float64, rlo, clo, chi int, irlo, irhi, iclo, ichi int) []float64 {
-	cols := chi - clo
-	out := make([]float64, 0, (irhi-irlo)*(ichi-iclo))
+// patchBytes encodes the intersection rows of a row-major patch buffer
+// as little-endian float64s, the layout of the owner's block memory.
+func patchBytes(buf []float64, rlo, clo, chi int, irlo, irhi, iclo, ichi int) []byte {
+	cols, w := chi-clo, ichi-iclo
+	out := make([]byte, 8*(irhi-irlo)*w)
+	o := out
 	for r := irlo; r < irhi; r++ {
 		row := (r-rlo)*cols + (iclo - clo)
-		out = append(out, buf[row:row+(ichi-iclo)]...)
+		for _, v := range buf[row : row+w] {
+			binary.LittleEndian.PutUint64(o, math.Float64bits(v))
+			o = o[8:]
+		}
 	}
 	return out
 }
@@ -227,8 +232,7 @@ func (a *Array) Put(rlo, rhi, clo, chi int, buf []float64) {
 	}
 	a.eachBlock(rlo, rhi, clo, chi, func(rank, irlo, irhi, iclo, ichi int) {
 		dst, desc := a.blockRegion(rank, irlo, irhi, iclo, ichi)
-		piece := patchSlice(buf, rlo, clo, chi, irlo, irhi, iclo, ichi)
-		a.p.PutStrided(dst, desc, mp.Float64sToBytes(piece))
+		a.p.PutStrided(dst, desc, patchBytes(buf, rlo, clo, chi, irlo, irhi, iclo, ichi))
 	})
 }
 
@@ -239,11 +243,14 @@ func (a *Array) Get(rlo, rhi, clo, chi int) []float64 {
 	out := make([]float64, (rhi-rlo)*cols)
 	a.eachBlock(rlo, rhi, clo, chi, func(rank, irlo, irhi, iclo, ichi int) {
 		src, desc := a.blockRegion(rank, irlo, irhi, iclo, ichi)
-		piece := mp.BytesToFloat64s(a.p.GetStrided(src, desc))
+		b := a.p.GetStrided(src, desc)
 		w := ichi - iclo
 		for r := irlo; r < irhi; r++ {
-			row := (r-rlo)*cols + (iclo - clo)
-			copy(out[row:row+w], piece[(r-irlo)*w:(r-irlo+1)*w])
+			row := out[(r-rlo)*cols+(iclo-clo):][:w]
+			for j := range row {
+				row[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))
+			}
+			b = b[8*w:]
 		}
 	})
 	return out
@@ -258,8 +265,7 @@ func (a *Array) Acc(rlo, rhi, clo, chi int, buf []float64, alpha float64) {
 	}
 	a.eachBlock(rlo, rhi, clo, chi, func(rank, irlo, irhi, iclo, ichi int) {
 		dst, desc := a.blockRegion(rank, irlo, irhi, iclo, ichi)
-		piece := patchSlice(buf, rlo, clo, chi, irlo, irhi, iclo, ichi)
-		a.p.Accumulate(armci.AccFloat64, dst, desc, mp.Float64sToBytes(piece), alpha)
+		a.p.Accumulate(armci.AccFloat64, dst, desc, patchBytes(buf, rlo, clo, chi, irlo, irhi, iclo, ichi), alpha)
 	})
 }
 

@@ -153,6 +153,38 @@ func TestGetAssemblesAcrossBlocks(t *testing.T) {
 	})
 }
 
+// TestPatchAllocations pins the allocations of a Get and a Put of a
+// patch spanning both blocks of a one-node, two-rank array, so both
+// owners are local and no message is involved. Each piece is converted
+// once, straight between float64s and the owner's bytes; an intermediate
+// float64 slice per piece, as Get and Put once made, adds two to either
+// count.
+func TestPatchAllocations(t *testing.T) {
+	const wantGet, wantPut = 9, 8
+	var get, put float64
+	_, err := armci.Run(armci.Options{Procs: 2, ProcsPerNode: 2, Fabric: armci.FabricSim}, func(p *armci.Proc) {
+		a, err := ga.Create(p, "allocs", 8, 8)
+		if err != nil {
+			panic(err)
+		}
+		if p.Rank() != 0 {
+			return
+		}
+		if lo, hi := a.Owner(1, 2), a.Owner(6, 5); lo == hi {
+			panic("patch does not span both blocks")
+		}
+		buf := make([]float64, 6*4)
+		get = testing.AllocsPerRun(50, func() { a.Get(1, 7, 2, 6) })
+		put = testing.AllocsPerRun(50, func() { a.Put(1, 7, 2, 6, buf) })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if get != wantGet || put != wantPut {
+		t.Errorf("allocations per patch: Get %v, Put %v; want %d and %d", get, put, wantGet, wantPut)
+	}
+}
+
 // TestAccumulateSums: concurrent accumulates from every rank into the
 // same patch add up exactly.
 func TestAccumulateSums(t *testing.T) {

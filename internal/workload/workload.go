@@ -9,6 +9,8 @@
 //   - stencil: halo-exchange Jacobi sweeps over ga 2-D block-distributed
 //     arrays — strided multi-block gets and puts, with a cell-exact
 //     sequential replay plus a global boundary checksum as the oracle;
+//     the replay is computed once per built body, and it and the ranks'
+//     sweep share one kernel, stencilSweep;
 //   - paramserver: every rank streams Accumulate updates (blocking and
 //     NbAcc) into one hot rank's parameter vector — accumulate
 //     contention, with exact-sum verification (updates are
