@@ -90,7 +90,8 @@ func Elastic(o Opts, procs int) (*Table, error) {
 	}
 	return &Table{
 		Cols: []Col{
-			{Key: "base_us", Prec: 1}, {Key: "repl_us", Prec: 1},
+			{Key: "base_us", Prec: 1, Metric: "elastic/base/us"},
+			{Key: "repl_us", Prec: 1, Metric: "elastic/repl/us"},
 			{Key: "overhead_pct", Prec: 1, Metric: "elastic/repl_overhead_pct", Unit: "pct"},
 			{Key: "recovery_us", Prec: 1, Metric: "elastic/recovery/us"},
 			{Key: "crash_rank"}, {Key: "crash_epoch"}, {Key: "fingerprint"},

@@ -82,12 +82,11 @@ const (
 	// frameViewAck: worker → coordinator; payload is a wire.ViewAck body
 	// answering a view change with the worker's committed sync epoch.
 	frameViewAck
-	// frameEpoch: worker → coordinator; payload is a wire.EpochReport
-	// announcing arrival at one cluster barrier (Epoch is the barrier id).
-	frameEpoch
-	// frameEpochRelease: coordinator → worker, broadcast when every live
-	// node entered a barrier; payload echoes the barrier id.
-	frameEpochRelease
+	// 11 and 12 were the coordinator's barrier arrival and release up to
+	// ClusterVersion 5. Like 4 they stay unassigned, so the frame types
+	// after them keep their numbers.
+	_
+	_
 	// frameResume: coordinator → worker, broadcast once every node of the
 	// new view acked it; payload is a wire.EpochReport whose Node is the
 	// replaced slot and whose Epoch is the sync epoch to resume from.

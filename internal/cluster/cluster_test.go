@@ -524,84 +524,6 @@ func TestConnLossFault(t *testing.T) {
 	}
 }
 
-// TestBarrierArrivalFromBeforeTheViewIsDropped is the elastic recovery
-// hang made deterministic. A survivor's arrival at a barrier that the
-// coordinator reads after a view change but before that survivor acked the
-// view is of the old view. Counted, it lets the others complete the
-// barrier's re-execution without the survivor, whose own entry then opens a
-// barrier nobody joins. Here node 1 is lost and respawned, node 0 enters
-// barrier 24 after seeing the view and before acking it, every node acks,
-// and nodes 1 and 2 enter 24 and then 25. The release of 25 must reach node
-// 0 (which entered 25 too) with no release of 24 before it: the coordinator
-// writes a release of 24 to node 0 before it can read node 1's or node 2's
-// arrival at 25. Only node 0's real entry releases 24.
-func TestBarrierArrivalFromBeforeTheViewIsDropped(t *testing.T) {
-	views, resumed, released := make(chan uint64, 4), make(chan uint64, 1), make(chan uint64, 4)
-	respawn := make(chan WorkerEnv, 1) // what Respawn was asked for; the test joins it
-	co, sess := startCluster(t, Config{Procs: 3, Cookie: 7, Elastic: true,
-		Respawn: func(node int, inc uint32, view uint64) error {
-			respawn <- WorkerEnv{Node: node, Incarnation: inc, ViewEpoch: view}
-			return nil
-		}}, func(node int) Handlers {
-		if node != 0 {
-			return Handlers{}
-		}
-		return Handlers{
-			View:    func(v wire.View) { views <- v.Epoch },
-			Resume:  func(r wire.EpochReport) { resumed <- r.Epoch },
-			Release: func(id uint64) { released <- id },
-		}
-	})
-	within := func(what string, ch <-chan uint64) uint64 {
-		t.Helper()
-		select {
-		case v := <-ch:
-			return v
-		case <-time.After(5 * time.Second):
-			t.Fatalf("timed out waiting for %s", what)
-			return 0
-		}
-	}
-	enter := func(s *Session, id uint64) {
-		t.Helper()
-		if err := s.EnterBarrier(id); err != nil {
-			t.Fatalf("EnterBarrier(%d): %v", id, err)
-		}
-	}
-
-	sess[1].Close() // node 1 is lost before the drain
-	for within("node 0 to see view 1", views) != 1 {
-	}
-	enter(sess[0], 24) // of the old view: node 0 has not acked view 1
-	req := <-respawn
-	env := testEnv(co, req.Node)
-	env.Incarnation, env.ViewEpoch = req.Incarnation, req.ViewEpoch
-	rejoined, err := Join(env, Handlers{})
-	if err != nil {
-		t.Fatalf("respawned node %d did not rejoin: %v", req.Node, err)
-	}
-	t.Cleanup(func() { rejoined.Close() })
-	sess[1] = rejoined
-	for node, s := range sess {
-		if err := s.SendViewAck(wire.ViewAck{Node: node, Epoch: 1}); err != nil {
-			t.Fatalf("node %d ack: %v", node, err)
-		}
-	}
-	within("the resume after every node acked", resumed)
-	for _, s := range sess[1:] {
-		enter(s, 24)
-		enter(s, 25)
-	}
-	enter(sess[0], 25)
-	if id := within("the release of barrier 25", released); id != 25 {
-		t.Fatalf("node 0 got the release of barrier %d before entering it: an arrival from before the view was counted", id)
-	}
-	enter(sess[0], 24)
-	if id := within("the release of barrier 24", released); id != 24 {
-		t.Fatalf("release of barrier %d, want 24", id)
-	}
-}
-
 // TestHeartbeatTimeout wedges one worker (its pings stop, but the
 // connection stays open) and checks the coordinator declares it dead by
 // staleness, attributed to its first rank.

@@ -36,9 +36,9 @@ type Config struct {
 	Logf func(format string, args ...any)
 	// Elastic turns worker loss from a fatal fault into a membership
 	// change: the coordinator bumps the view epoch, respawns the dead
-	// node's worker, and drives survivors through the recovery barrier
-	// protocol instead of failing the launch. One loss per launch is
-	// repaired (maxRecoveries); a later one is a fault.
+	// node's worker, and hands every node the resume epoch once all have
+	// acked the new view, instead of failing the launch. One loss per
+	// launch is repaired (maxRecoveries); a later one is a fault.
 	Elastic bool
 	// Respawn relaunches the worker process for a node slot at the given
 	// incarnation (>= 1) and view epoch. Required when Elastic is set;
@@ -81,7 +81,7 @@ func (c *Config) numNodes() int { return (c.Procs + c.ProcsPerNode - 1) / c.Proc
 
 // Coordinator accepts worker connections, admits them through the hello
 // handshake, broadcasts the roster and the membership views, runs the
-// drain and cluster-barrier services, and watches each worker's
+// drain and the recovery hand-off, and watches each worker's
 // liveness. It carries no data: every frame it writes it originated.
 // One Coordinator serves one launch.
 type Coordinator struct {
@@ -100,14 +100,13 @@ type Coordinator struct {
 	err        error                // final result, set by finish
 
 	// Elastic membership state.
-	inc        []uint32                // per-node incarnation (spawn count)
-	peerAddrs  []string                // per-node direct data-listener address
-	viewEpoch  uint64                  // bumped on every membership change
-	recoveries int                     // membership changes performed so far
-	recovering bool                    // a view change is awaiting acks
-	deadNode   int                     // slot being replaced (valid while recovering)
-	acks       map[int]wire.ViewAck    // node → ack at the current view epoch
-	barriers   map[uint64]map[int]bool // barrier id → nodes arrived
+	inc        []uint32             // per-node incarnation (spawn count)
+	peerAddrs  []string             // per-node direct data-listener address
+	viewEpoch  uint64               // bumped on every membership change
+	recoveries int                  // membership changes performed so far
+	recovering bool                 // a view change is awaiting acks
+	deadNode   int                  // slot being replaced (valid while recovering)
+	acks       map[int]wire.ViewAck // node → ack at the current view epoch
 
 	done     chan struct{}
 	doneOnce sync.Once
@@ -132,7 +131,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		inc:       make([]uint32, cfg.numNodes()),
 		peerAddrs: make([]string, cfg.numNodes()),
 		deadNode:  -1,
-		barriers:  make(map[uint64]map[int]bool),
 		done:      make(chan struct{}),
 	}
 	go Accept(ln, co.serveConn)
@@ -247,13 +245,6 @@ func (co *Coordinator) serveConn(c net.Conn) {
 		case framePing:
 		case frameUserDone:
 			co.userDone(node)
-		case frameEpoch:
-			r, derr := wire.DecodeEpochReport(body[1:])
-			if derr != nil {
-				co.declareFault(node, fmt.Sprintf("worker node %d sent a corrupt epoch report: %v", node, derr))
-				return
-			}
-			co.epochArrive(node, r.Epoch)
 		case frameViewAck:
 			a, derr := wire.DecodeViewAck(body[1:])
 			if derr != nil {
@@ -453,9 +444,6 @@ func (co *Coordinator) elasticRecover(node int, reason string) bool {
 	co.peerAddrs[node] = ""
 	delete(co.conns, node)
 	delete(co.usersDone, node)
-	// Pending barrier arrivals are from the old view: survivors will be
-	// interrupted out of their waits and re-enter after recovery.
-	co.barriers = make(map[uint64]map[int]bool)
 	co.acks = make(map[int]wire.ViewAck)
 	epoch := co.viewEpoch
 	incarnation := co.inc[node]
@@ -516,42 +504,5 @@ func (co *Coordinator) onViewAck(node int, a wire.ViewAck) {
 	payload := wire.EncodeEpochReport(wire.EpochReport{Node: dead, Epoch: resume})
 	for _, cc := range conns {
 		cc.writeFrame(frameResume, payload)
-	}
-}
-
-// epochArrive is the cluster barrier service: one arrival per node per
-// barrier id; when every node of the current view has arrived, the
-// release is broadcast and the barrier forgotten (ids are reused across
-// recovery re-executions).
-//
-// While a view awaits acks, an arrival from a node that has not acked it
-// is of the old view, read after elasticRecover reset the barriers: it is
-// dropped, or the barrier's re-execution would release without that node.
-// A node's arrivals and ack share one ordered connection, and it acks
-// before its first barrier of the new view, so none of those is dropped.
-func (co *Coordinator) epochArrive(node int, id uint64) {
-	co.mu.Lock()
-	if _, acked := co.acks[node]; co.recovering && !acked {
-		co.mu.Unlock()
-		co.cfg.Logf("cluster: dropped node %d's arrival at barrier %d from before the view being recovered", node, id)
-		return
-	}
-	m := co.barriers[id]
-	if m == nil {
-		m = make(map[int]bool)
-		co.barriers[id] = m
-	}
-	m[node] = true
-	if len(m) < co.cfg.numNodes() {
-		co.mu.Unlock()
-		return
-	}
-	delete(co.barriers, id)
-	conns := co.connsLocked(-1)
-	co.mu.Unlock()
-
-	payload := wire.EncodeEpochReport(wire.EpochReport{Node: -1, Epoch: id})
-	for _, cc := range conns {
-		cc.writeFrame(frameEpochRelease, payload)
 	}
 }

@@ -39,9 +39,6 @@ type Handlers struct {
 	// the replaced node slot and the sync epoch to resume from. nil
 	// ignores it.
 	Resume func(wire.EpochReport)
-	// Release receives cluster barrier releases by barrier id. nil
-	// ignores them.
-	Release func(id uint64)
 }
 
 // Session is one worker's membership of its launch: it joins via the
@@ -313,12 +310,6 @@ func (s *Session) SendViewAck(a wire.ViewAck) error {
 	return s.cc.writeFrame(frameViewAck, wire.EncodeViewAck(a))
 }
 
-// EnterBarrier announces arrival at cluster barrier id; the release
-// arrives through Handlers.Release once every node has entered.
-func (s *Session) EnterBarrier(id uint64) error {
-	return s.cc.writeFrame(frameEpoch, wire.EncodeEpochReport(wire.EpochReport{Node: s.env.Node, Epoch: id}))
-}
-
 // UserDone tells the coordinator this node's user ranks all finished.
 func (s *Session) UserDone() error { return s.cc.writeFrame(frameUserDone, nil) }
 
@@ -375,9 +366,9 @@ func (s *Session) fail(fe *pipeline.FaultError) {
 	})
 }
 
-// readLoop drains coordinator frames: drain to the drain channel, views,
-// resumes and barrier releases to their handlers, fault broadcasts (and
-// unexpected connection loss) to the fault handler.
+// readLoop drains coordinator frames: drain to the drain channel, views
+// and resumes to their handlers, fault broadcasts (and unexpected
+// connection loss) to the fault handler.
 func (s *Session) readLoop() {
 	for {
 		body, err := wire.ReadFrame(s.cc.c)
@@ -418,11 +409,6 @@ func (s *Session) readLoop() {
 			r, derr := wire.DecodeEpochReport(body[1:])
 			if derr == nil && s.h.Resume != nil {
 				s.h.Resume(r)
-			}
-		case frameEpochRelease:
-			r, derr := wire.DecodeEpochReport(body[1:])
-			if derr == nil && s.h.Release != nil {
-				s.h.Release(r.Epoch)
 			}
 		case framePing, frameRoster:
 			// Harmless repeats.

@@ -55,6 +55,15 @@ func New(env transport.Env) *Comm {
 // Env returns the underlying environment.
 func (c *Comm) Env() transport.Env { return c.env }
 
+// Rebase starts this communicator's sequence over at the base of
+// membership view view, so ranks that ran different numbers of
+// collectives before a repair — a survivor interrupted inside one, a
+// respawn that ran none — run their next one on the same tags. A tag is
+// seq<<16|phase in a 64-bit message field and a view owns 32 bits of
+// sequence, so no tag of an older view equals one of a newer. Every rank
+// must rebase to the same view before its next collective.
+func (c *Comm) Rebase(view uint64) { c.seq = int(view) << 32 }
+
 // A step is one blocking action of a rank's schedule: a send to peer, or
 // a receive from peer that is added into (recvAdd) or replaces (recvSet)
 // the payload. Messages match on (peer, phase) within one collective.

@@ -295,3 +295,42 @@ func TestMixedCollectiveSequence(t *testing.T) {
 		}
 	})
 }
+
+// TestRebaseJoinsDivergedComms is an elastic repair's collective state in
+// small. Rank 1 is interrupted inside the second barrier after its send:
+// rank 0 completes it, rank 1 does not, so rank 0 is one collective
+// ahead, as a survivor is of one the view change threw out. Rank 1 also
+// leaves a stray frame with the old-base tag of rank 0's next barrier.
+// After both rebase to view 1 a barrier completes, and neither rank's
+// old-base frame was matched by it: each is still in its mailbox.
+func TestRebaseJoinsDivergedComms(t *testing.T) {
+	var seqs [2]int
+	var leftover [2]*msg.Message
+	runCluster(t, 2, model.Myrinet2000(), nil, func(env transport.Env, c *Comm) {
+		me := env.Rank()
+		c.Barrier(BarrierPairwise)
+		phase := c.schedule(BarrierPairwise)[0].phase
+		coll := func(seq int) *msg.Message {
+			return &msg.Message{Kind: msg.KindColl, Tag: seq<<16 | phase}
+		}
+		if me == 1 {
+			env.Send(msg.User(0), coll(1)) // its half of barrier 2, then interrupted
+			env.Send(msg.User(0), coll(2)) // old-base tag of rank 0's next barrier
+		} else {
+			c.Barrier(BarrierPairwise)
+		}
+		seqs[me] = c.seq
+		c.Rebase(1)
+		c.Barrier(BarrierPairwise)
+		stale := 2 - me // rank 0 kept rank 1's stray, rank 1 rank 0's barrier-2 half
+		leftover[me] = env.TryRecv(msg.MatchSrcTag(msg.KindColl, msg.User(1-me), stale<<16|phase))
+	})
+	if seqs != [2]int{2, 1} {
+		t.Fatalf("sequences before the rebase = %v, want [2 1]", seqs)
+	}
+	for r, m := range leftover {
+		if m == nil {
+			t.Errorf("rank %d: the rebased barrier matched an old-base frame", r)
+		}
+	}
+}

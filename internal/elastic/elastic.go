@@ -13,26 +13,32 @@
 // survivors roll back (or forward) to the last cluster-committed epoch,
 // the newcomer rebuilds its Space from the replica its right neighbor
 // holds, in-flight traffic of the aborted epoch is fenced by the
-// pipeline's view-epoch stamp, and everyone resumes from the last
-// completed sync epoch. On the in-process fabrics the same protocol
-// runs with a cooperative crash emulation (wipe-and-restore), so the
-// recovery arithmetic is testable deterministically on the simulator.
+// pipeline's view-epoch stamp, every rank rebases its collectives to the
+// new view, and everyone resumes from the last completed sync epoch. On
+// the in-process fabrics the same protocol runs with a cooperative crash
+// emulation (wipe-and-restore), so the recovery arithmetic is testable
+// deterministically on the simulator.
 //
 // The step protocol, per sync epoch e (committed state is epoch e-1):
 //
 //	body(e)                  deterministic commutative mutations
-//	all-fence; barrier A     every step-e mutation applied everywhere
+//	barrier A                every step-e mutation applied everywhere
 //	capture delta; put blob into peer staging; store header len then
 //	epoch (header-last); fence peer; barrier B
 //	apply own staging to own shadow; snapshot; committed = e; barrier C
 //
-// Barrier B guarantees every rank's staging holds its left neighbor's
-// epoch-e delta before anyone applies; barrier C keeps epoch e+1 puts
-// out of staging areas still being applied. On recovery, "max survivor
-// committed" R is well-defined to within one epoch: a rank at R-1 is
-// provably between barrier B of epoch R and its commit, so its memory
-// already holds the full epoch-R state and it rolls forward by
-// completing the commit; a rank at R rolls back to its snapshot.
+// Barrier A is the only one that must fence: it is the paper's combined
+// fence and barrier in-process and AllFence plus the plain barrier under
+// armci-run -elastic (newRunner says why). Every other barrier, here and
+// in recovery, is the plain collective barrier: the puts it orders were
+// fenced before it, or what it orders is local. Barrier B guarantees
+// every rank's staging holds its left neighbor's epoch-e delta before
+// anyone applies; barrier C keeps epoch e+1 puts out of staging areas
+// still being applied. On recovery, "max survivor committed" R is
+// well-defined to within one epoch: a rank at R-1 is provably between
+// barrier B of epoch R and its commit, so its memory already holds the
+// full epoch-R state and it rolls forward by completing the commit; a
+// rank at R rolls back to its snapshot.
 package elastic
 
 import (
@@ -57,10 +63,10 @@ type Config struct {
 	// Seed varies the operation mix (targets, cells, addends).
 	Seed int64
 	// NoRepl disables the replication machinery entirely: each step is
-	// body + fence + one barrier, nothing captured, streamed or
-	// snapshotted. The benchmark layer prices the steady-state
-	// replication overhead by comparing against this variant. It cannot
-	// combine with a crash — there is no replica to recover from.
+	// body + barrier A, nothing captured, streamed or snapshotted. The
+	// benchmark layer prices the steady-state replication overhead by
+	// comparing against this variant. It cannot combine with a crash —
+	// there is no replica to recover from.
 	NoRepl bool
 	// SkipRollback arms the repl-stale-epoch mutation: survivors skip
 	// the rollback to the resume epoch and keep the aborted epoch's
@@ -123,6 +129,8 @@ type runner struct {
 	// The injected crash (crashStep 0: none), from the fault plan.
 	crashRank, crashStep int
 
+	settle func() // barrier A: the body's writes applied everywhere
+
 	stateW  []armci.Ptr // word: rows cells of fetch-add state       (protected)
 	stateB  []armci.Ptr // byte: n SlotBytes slots, one per writer   (protected)
 	shadowE []armci.Ptr // word: 1 cell, sync epoch of the shadow
@@ -159,11 +167,11 @@ func Run(p *armci.Proc, cfg Config) Result {
 // vectors. In-process (symmetric=false) the bases come from the
 // collective allocator's pointer exchange, which tolerates any
 // asymmetry in what the runtime allocated before us (lock homes, trace
-// buffers). Under the real recovery machinery (symmetric=true) no
-// collective is usable — a respawned incarnation cannot join the dead
-// rank's exchanges — so the vectors are built by SPMD symmetry: the
-// elastic launch pins one rank per node running this exact sequence of
-// local allocations, making every rank's layout identical.
+// buffers). Under the real recovery machinery (symmetric=true) a
+// respawned incarnation cannot join allocation exchanges that ran before
+// it existed, so the vectors are built by SPMD symmetry: the elastic
+// launch pins one rank per node running this exact sequence of local
+// allocations, making every rank's layout identical.
 func newRunner(p *armci.Proc, cfg Config, symmetric bool) *runner {
 	n := p.Size()
 	f := p.Env().Faults()
@@ -171,6 +179,15 @@ func newRunner(p *armci.Proc, cfg Config, symmetric bool) *runner {
 		p: p, cfg: cfg, space: p.Env().Space(),
 		n: n, rank: p.Rank(), peer: (p.Rank() + 1) % n, left: (p.Rank() - 1 + n) % n,
 		crashRank: f.ElasticCrashRank % n, crashStep: f.ElasticCrashStep,
+		settle: p.Barrier,
+	}
+	if symmetric {
+		// The combined barrier's op_init/op_done counters are cumulative
+		// for the life of a run, but a respawned server restarts op_done
+		// at 0, and the frames fenceView drops were counted in op_init and
+		// never applied: across a view change the counters are wrong. So
+		// under the real recovery machinery barrier A fences explicitly.
+		r.settle = p.SyncOld
 	}
 	words := func(count int) []armci.Ptr {
 		if !symmetric {
@@ -346,36 +363,33 @@ func (r *runner) applyStaging(epoch uint64) {
 	r.p.Store(r.shadowE[r.rank], int64(epoch))
 }
 
-// step runs one sync epoch to commit. bar is the global barrier
-// primitive (the coordinator barrier service under -elastic, the
-// collective barrier in-process); ids are reused verbatim on
-// re-execution after a recovery.
-func (r *runner) step(e uint64, partial bool, bar func(id uint64)) {
-	r.body(e, partial)
-	r.p.AllFence()
-	bar(stepBar(e, 0))
+// step runs one sync epoch to commit; re-execution after a recovery
+// runs it again from the body.
+func (r *runner) step(e uint64) {
+	r.body(e, false)
+	r.settle() // A
 	if r.cfg.NoRepl {
 		r.committed = e
 		return
 	}
 	blob := r.blob(r.space.CaptureDelta(r.rank, true))
 	r.stream(blob, e)
-	bar(stepBar(e, 1))
+	r.p.MPIBarrier() // B: the staged deltas, fenced by stream
 	r.applyStaging(e)
 	r.snap = r.space.Snapshot(r.rank, e)
 	r.committed = e
-	bar(stepBar(e, 2))
+	r.p.MPIBarrier() // C: the local applies, before epoch e+1 stages
 }
 
 // reestablish runs a full checkpoint at epoch e: every rank streams its
 // entire protected set, so a respawned rank's empty shadow is rebuilt
 // from nothing. Survivor shadows are overwritten with identical state.
-func (r *runner) reestablish(e uint64, barA, barB func()) {
+func (r *runner) reestablish(e uint64) {
 	blob := r.blob(r.space.CaptureFull(r.rank, true))
 	r.stream(blob, e)
-	barA()
+	r.p.MPIBarrier() // the full blobs, fenced by stream
 	r.applyStaging(e)
-	barB()
+	r.p.MPIBarrier() // the local applies, before the resumed epoch stages
 }
 
 // repairLeases sweeps the run's lock table (when it has one) for leases
@@ -424,14 +438,13 @@ func (r *runner) localFp() uint64 {
 }
 
 // fingerprint combines every rank's local digest into one cluster
-// digest using only one-sided stores — no collective communication, so
-// it works identically before and after a respawn. Each rank stores its
-// digest into rank 0's exchange vector; rank 0 folds them in rank order
-// and stores the result back into every rank's last cell.
-func (r *runner) fingerprint(bar func(id uint64)) uint64 {
+// digest with one-sided stores between two plain barriers. Each rank
+// stores its digest into rank 0's exchange vector; rank 0 folds them in
+// rank order and stores the result back into every rank's last cell.
+func (r *runner) fingerprint() uint64 {
 	r.p.Store(r.fp[0].Add(int64(r.rank)), int64(r.localFp()))
 	r.p.Fence(r.p.NodeOf(0))
-	bar(fpBar(0))
+	r.p.MPIBarrier() // every digest on rank 0, fenced above
 	if r.rank == 0 {
 		h := fnvOffset
 		for q := 0; q < r.n; q++ {
@@ -445,7 +458,7 @@ func (r *runner) fingerprint(bar func(id uint64)) uint64 {
 		}
 		r.p.AllFence()
 	}
-	bar(fpBar(1))
+	r.p.MPIBarrier() // the cluster digest everywhere, fenced by rank 0
 	return uint64(r.p.Load(r.fp[r.rank].Add(int64(r.n))))
 }
 
@@ -492,40 +505,26 @@ func Oracle(cfg Config, n int) uint64 {
 	return h
 }
 
-// --- barrier id namespaces ---
-
-// Step barriers live below 1<<32, recovery barriers above it (scoped by
-// view epoch so re-recoveries never collide), fingerprint barriers in a
-// third window. The coordinator's barrier service deletes an id on
-// release, so re-executed steps reuse their ids safely.
-func stepBar(e uint64, k uint64) uint64 { return e*8 + k }
-func recBar(view uint64, k uint64) uint64 {
-	return (1 << 32) + view*8 + k
-}
-func fpBar(k uint64) uint64 { return (2 << 32) + k }
-
 // --- emulated crash (sim / chan / tcp) ---
 
 // runEmulated drives the workload with a cooperative crash: at the
 // crash step the victim executes only a partial body, every rank meets
-// at a barrier (standing in for crash detection), the victim wipes its
+// at barrier A (standing in for crash detection), the victim wipes its
 // protected memory and restores it from the peer replica through real
 // remote gets, survivors roll back, and a full re-establish checkpoint
-// rebuilds the shadows before the steps re-execute. The global barrier
-// is the collective one — in-process, every rank stays alive.
+// rebuilds the shadows before the steps re-execute. In-process every
+// rank stays alive, so no view changes and no collective is rebased.
 func (r *runner) runEmulated() Result {
-	bar := func(uint64) { r.p.Barrier() }
-	// Allocation is purely local; no remote op may land before every
-	// rank has laid out its segments.
-	r.p.Barrier()
+	// No remote op may land before every rank has protected and
+	// snapshotted its segments.
+	r.p.MPIBarrier()
 	crashed := false
 	for e := uint64(1); e <= uint64(r.cfg.Steps); e++ {
 		if r.crashStep > 0 && e == uint64(r.crashStep) && !crashed {
 			crashed = true
 			victim := r.rank == r.crashRank
 			r.body(e, victim)
-			r.p.AllFence()
-			r.p.Barrier() // all partial-epoch mutations applied: "crash detected"
+			r.settle() // all partial-epoch mutations applied: "crash detected"
 			recT0 := r.p.Now()
 			resume := e - 1
 			if victim {
@@ -537,15 +536,15 @@ func (r *runner) runEmulated() Result {
 					r.space.Restore(r.rank, r.snap)
 				}
 			}
-			r.p.Barrier()
-			r.reestablish(resume, r.p.Barrier, r.p.Barrier)
+			r.p.MPIBarrier() // restored: the victim's gets block, rollbacks are local
+			r.reestablish(resume)
 			r.committed = resume
 			r.recovered = true
 			r.recoveryT = r.p.Now() - recT0
 		}
-		r.step(e, false, bar)
+		r.step(e)
 	}
-	return Result{Fingerprint: r.fingerprint(bar), Recovered: r.recovered, RecoveryTime: r.recoveryT}
+	return Result{Fingerprint: r.fingerprint(), Recovered: r.recovered, RecoveryTime: r.recoveryT}
 }
 
 // --- real crash (procnet under armci-run -elastic) ---
@@ -559,40 +558,39 @@ func (r *runner) runElastic(ee transport.ElasticEnv) Result {
 	if r.p.Env().NumNodes() != r.n {
 		panic(fmt.Sprintf("elastic: %d ranks on %d nodes — elastic recovery needs one rank per node", r.n, r.p.Env().NumNodes()))
 	}
-	bar := ee.ClusterBarrier
 	inc := ee.Incarnation()
 	if inc > 0 {
 		// Respawned incarnation: no step state exists; join the
 		// in-progress recovery directly. (Survivors cannot aim a remote
-		// op at this rank before it allocates: they are parked in the
-		// first recovery barrier, which this rank enters only after
+		// op at this rank before it allocates: their AwaitResume returns
+		// only once this rank acked the view, which it does after
 		// newRunner laid the segments out.)
 		r.recoverVictim(ee)
 	} else {
 		// Allocation is purely local; no remote op may land before
 		// every rank has laid out its segments.
-		bar(stepBar(0, 0))
+		r.p.MPIBarrier()
 	}
 	for e := r.committed + 1; e <= uint64(r.cfg.Steps); e++ {
 		crashHere := inc == 0 && r.crashStep > 0 &&
 			r.rank == r.crashRank && e == uint64(r.crashStep)
-		if r.guarded(func() { r.stepElastic(e, crashHere, bar) }) {
+		if r.guarded(func() { r.stepElastic(e, crashHere) }) {
 			r.recoverSurvivor(ee)
 		}
 		e = r.committed
 	}
-	return Result{Fingerprint: r.fingerprint(bar), Recovered: r.recovered, Incarnation: inc, RecoveryTime: r.recoveryT}
+	return Result{Fingerprint: r.fingerprint(), Recovered: r.recovered, Incarnation: inc, RecoveryTime: r.recoveryT}
 }
 
 // stepElastic is step with the real crash injection: the victim's
 // worker process exits mid-body, taking its server (and its whole Space
 // replica) with it.
-func (r *runner) stepElastic(e uint64, crashHere bool, bar func(id uint64)) {
+func (r *runner) stepElastic(e uint64, crashHere bool) {
 	if crashHere {
 		r.body(e, true)
 		os.Exit(3)
 	}
-	r.step(e, false, bar)
+	r.step(e)
 }
 
 // guarded runs fn and reports whether a membership change aborted it
@@ -610,6 +608,18 @@ func (r *runner) guarded(fn func()) (interrupted bool) {
 	return false
 }
 
+// resumeView acknowledges the view with this rank's committed sync epoch
+// and waits for the coordinator's hand-off. AwaitResume returns only once
+// every node acked, so every node has passed fenceView and dropped the
+// old view's frames; the rebase then puts every rank's collectives on the
+// new view's tags, however many of the old view's each had completed.
+func (r *runner) resumeView(ee transport.ElasticEnv, committed uint64) (dead int, resume uint64) {
+	ee.AckView(committed)
+	dead, resume = ee.AwaitResume()
+	r.p.Comm().Rebase(ee.ViewEpoch())
+	return dead, resume
+}
+
 // recoverSurvivor converges a surviving rank on the cluster resume
 // epoch after a view change. AckView first: it fences the aborted
 // epoch's traffic (epoch bump, mailbox purge, dead-pair reset) and
@@ -617,8 +627,7 @@ func (r *runner) guarded(fn func()) (interrupted bool) {
 // computation.
 func (r *runner) recoverSurvivor(ee transport.ElasticEnv) {
 	recT0 := r.p.Now()
-	ee.AckView(r.committed)
-	dead, resume := ee.AwaitResume()
+	dead, resume := r.resumeView(ee, r.committed)
 	r.repairLeases(dead)
 	switch {
 	case r.committed == resume:
@@ -638,15 +647,7 @@ func (r *runner) recoverSurvivor(ee transport.ElasticEnv) {
 	default:
 		panic(fmt.Sprintf("elastic: rank %d committed %d cannot reach resume epoch %d", r.rank, r.committed, resume))
 	}
-	view := ee.ViewEpoch()
-	ee.ClusterBarrier(recBar(view, 0)) // survivors converged
-	ee.ClusterBarrier(recBar(view, 1)) // victim restored
-	r.reestablish(resume,
-		func() { ee.ClusterBarrier(recBar(view, 2)) },
-		func() { ee.ClusterBarrier(recBar(view, 3)) })
-	r.committed = resume
-	r.recovered = true
-	r.recoveryT = r.p.Now() - recT0
+	r.rejoin(resume, false, recT0)
 }
 
 // recoverVictim is the respawned incarnation's entry: acknowledge the
@@ -654,18 +655,24 @@ func (r *runner) recoverSurvivor(ee transport.ElasticEnv) {
 // memory from the peer replica and rejoin the full checkpoint.
 func (r *runner) recoverVictim(ee transport.ElasticEnv) {
 	recT0 := r.p.Now()
-	ee.AckView(0)
-	dead, resume := ee.AwaitResume()
+	dead, resume := r.resumeView(ee, 0)
 	if dead != r.rank {
 		panic(fmt.Sprintf("elastic: respawned rank %d told node %d is the replaced slot", r.rank, dead))
 	}
-	view := ee.ViewEpoch()
-	ee.ClusterBarrier(recBar(view, 0)) // survivors converged; replica stable
-	r.restoreFromPeer(resume)
-	ee.ClusterBarrier(recBar(view, 1))
-	r.reestablish(resume,
-		func() { ee.ClusterBarrier(recBar(view, 2)) },
-		func() { ee.ClusterBarrier(recBar(view, 3)) })
+	r.rejoin(resume, true, recT0)
+}
+
+// rejoin is the recovery every rank of the new view runs once its own
+// state is at resume: the respawn restores itself from its replica
+// between the first two barriers, then a full checkpoint rebuilds every
+// shadow.
+func (r *runner) rejoin(resume uint64, respawned bool, recT0 time.Duration) {
+	r.p.MPIBarrier() // survivors converged: rollbacks and commits are local
+	if respawned {
+		r.restoreFromPeer(resume)
+	}
+	r.p.MPIBarrier() // the respawn restored: its gets block
+	r.reestablish(resume)
 	r.committed = resume
 	r.recovered = true
 	r.recoveryT = r.p.Now() - recT0

@@ -55,7 +55,6 @@ func NewProc(cfg Config, env cluster.WorkerEnv) (*ProcFabric, error) {
 		env:       env,
 		viewEpoch: env.ViewEpoch,
 		viewDead:  -1,
-		released:  make(map[uint64]bool),
 	}
 	f.link, f.intr, f.crashFatal = l, l.interrupted, true
 	// A respawned incarnation stamps its traffic into the view it was
@@ -100,7 +99,6 @@ type procLink struct {
 	viewDead  int               // node slot replaced by the pending view change
 	viewIntr  bool              // user actors must abort into recovery
 	resume    *wire.EpochReport // latest recovery hand-off, nil until broadcast
-	released  map[uint64]bool   // cluster barrier releases observed
 }
 
 // up joins the launch rendezvous. A worker lost elsewhere in the launch
@@ -113,7 +111,6 @@ func (l *procLink) up() error {
 		Fault:      l.onFault,
 		View:       l.onView,
 		Resume:     l.onResume,
-		Release:    l.onRelease,
 	})
 	if err != nil {
 		var fe *pipeline.FaultError
@@ -211,7 +208,6 @@ func (l *procLink) onView(v wire.View) {
 			l.viewDead = v.Dead
 			l.viewIntr = true
 			l.resume = nil
-			l.released = make(map[uint64]bool)
 		}
 	})
 }
@@ -219,11 +215,6 @@ func (l *procLink) onView(v wire.View) {
 // onResume records the coordinator's recovery hand-off.
 func (l *procLink) onResume(r wire.EpochReport) {
 	l.f.control(func() { l.resume = &r })
-}
-
-// onRelease records a cluster barrier release.
-func (l *procLink) onRelease(id uint64) {
-	l.f.control(func() { l.released[id] = true })
 }
 
 // ViewInterrupt is the abort thrown through a user actor's blocking
@@ -269,8 +260,8 @@ type ElasticEnv interface {
 	ElasticEnabled() bool
 	// Incarnation is this worker's spawn count (0 = initial launch).
 	Incarnation() uint32
-	// ViewEpoch is the installed membership view epoch — the recovery
-	// barrier namespace of the current repair.
+	// ViewEpoch is the installed membership view epoch, from which every
+	// rank rebases its collectives after a repair.
 	ViewEpoch() uint64
 	// AckView acknowledges the pending view change with this rank's
 	// committed sync epoch. It clears the view
@@ -283,9 +274,6 @@ type ElasticEnv interface {
 	// The coordinator bounds it: a respawn that does not rejoin within
 	// the join timeout is a cluster fault.
 	AwaitResume() (dead int, resume uint64)
-	// ClusterBarrier blocks until every node of the launch entered
-	// barrier id. Ids are reused across recovery re-executions.
-	ClusterBarrier(id uint64)
 }
 
 // procEnv is the Env of a user actor on the proc fabric: the shared
@@ -307,7 +295,7 @@ func (e *procEnv) ViewEpoch() uint64 {
 }
 
 // AckView fences the aborted sync epoch and acknowledges the view. Like
-// AwaitResume and ClusterBarrier it waits, so it listens first.
+// AwaitResume it waits, so it listens first.
 func (e *procEnv) AckView(committed uint64) {
 	e.listen()
 	if err := e.l.sess.SendViewAck(wire.ViewAck{
@@ -365,24 +353,4 @@ func (e *procEnv) AwaitResume() (int, uint64) {
 		return r != nil
 	}, 0, false, false)
 	return r.Node, r.Epoch
-}
-
-// ClusterBarrier enters coordinator barrier id and waits
-// ("cluster-barrier") for its release.
-func (e *procEnv) ClusterBarrier(id uint64) {
-	l, f := e.l, e.f
-	e.listen()
-	f.mu.Lock()
-	// A release for this id from a previous use (pre-recovery
-	// re-execution) must not satisfy this entry.
-	delete(l.released, id)
-	f.mu.Unlock()
-	if err := l.sess.EnterBarrier(id); err != nil {
-		l.sessFail(fmt.Sprintf("barrier %d", id), err)
-	}
-	e.block("cluster-barrier", func() bool {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		return l.released[id]
-	}, 0, true, false)
 }

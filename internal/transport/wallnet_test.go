@@ -326,7 +326,7 @@ func TestViewFenceClosesTheEpochWhereOpsAreApplied(t *testing.T) {
 
 // procNodeInLaunch builds node 0 of a live 2-node launch, one rank per
 // node, with its session up: the launch's node 1 is a bare session that
-// never takes part, so a cluster barrier node 0 enters is never released.
+// never takes part.
 func procNodeInLaunch(t *testing.T, opDeadline time.Duration) *ProcFabric {
 	t.Helper()
 	co, err := cluster.NewCoordinator(cluster.Config{Procs: 2, Cookie: 7})
@@ -362,9 +362,9 @@ func procNodeInLaunch(t *testing.T, opDeadline time.Duration) *ProcFabric {
 // TestControlWaitsAreInterruptibleAndBounded: proc's control waits are
 // block calls like every other wait. A cluster fault aborts each with that
 // fault. Under OpDeadline the view fence (on a server that never finishes
-// its frame) and a cluster barrier nobody else enters abort with a
-// FaultOpTimeout naming their tag, while AwaitResume — bounded by the
-// coordinator's rejoin watchdog instead — waits on until the fault.
+// its frame) aborts with a FaultOpTimeout naming its tag, while
+// AwaitResume — bounded by the coordinator's rejoin watchdog instead —
+// waits on until the fault.
 func TestControlWaitsAreInterruptibleAndBounded(t *testing.T) {
 	const deadline = 20 * time.Millisecond
 	lost := &pipeline.FaultError{Rank: 1, Kind: pipeline.FaultPeerLost}
@@ -374,7 +374,6 @@ func TestControlWaitsAreInterruptibleAndBounded(t *testing.T) {
 	}{
 		{"fence", "view-fence", func(e *procEnv) { e.fenceView() }},
 		{"resume", "", func(e *procEnv) { e.AwaitResume() }},
-		{"barrier", "cluster-barrier", func(e *procEnv) { e.ClusterBarrier(3) }},
 	} {
 		for _, bounded := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/deadline=%v", w.name, bounded), func(t *testing.T) {

@@ -1,9 +1,9 @@
 // view.go — the membership messages of elastic runs. A coordinator-owned
 // View names the cluster roster at one view epoch: per node, the
 // incarnation currently admitted and its direct data-listener address.
-// Views travel coordinator→worker on every membership change; ViewAck and
-// EpochReport travel worker→coordinator during recovery and at sync-epoch
-// barriers. All three use the same strict tiling discipline as the batch
+// Views travel coordinator→worker on every membership change, ViewAck
+// answers one worker→coordinator, and EpochReport carries the recovery
+// hand-off coordinator→worker. All three use the same strict tiling discipline as the batch
 // codec: a malformed body is a descriptive error, an accepted body
 // re-encodes byte-identically.
 package wire
@@ -145,14 +145,13 @@ func DecodeViewAck(body []byte) (ViewAck, error) {
 	return a, nil
 }
 
-// EpochReport announces arrival at a sync epoch. Worker→coordinator it
-// is a barrier arrival ("node N completed sync epoch E and staged its
-// replica delta"); coordinator→worker it is the matching release ("every
-// live node reached E — commit and proceed").
+// EpochReport is the recovery hand-off the coordinator broadcasts once
+// every node acked a new view: the replaced node slot and the sync epoch
+// every rank resumes from.
 type EpochReport struct {
-	// Node is the reporting node (ignored in the release direction).
+	// Node is the replaced node slot.
 	Node int
-	// Epoch is the sync epoch reached.
+	// Epoch is the sync epoch to resume from.
 	Epoch uint64
 }
 

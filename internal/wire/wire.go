@@ -40,7 +40,8 @@ const ClusterMagic = 0x434d5241
 // carry bare message frames after a hello that names the dialer's own
 // listener. Version 4 added the launch's clock start to the roster.
 // Version 5 cut the view ack to node, view epoch and committed sync epoch.
-const ClusterVersion = 5
+// Version 6 removed the coordinator's barrier arrival and release frames.
+const ClusterVersion = 6
 
 // clusterHelloFixed is the fixed prefix of a cluster hello frame body:
 // magic(4) + version(2) + node(4) + procs(4) + ppn(4) + cookie(8) +
