@@ -146,10 +146,6 @@ func NewMetrics() *Metrics { return trace.New() }
 // Contig returns the strided descriptor of a contiguous n-byte run.
 func Contig(n int) Strided { return shmem.Contig(n) }
 
-// UnpackPtr decodes a global pointer from the two-word representation
-// produced by Ptr.Pack (how pointers travel through int64 exchanges).
-func UnpackPtr(hi, lo int64) Ptr { return shmem.Unpack(hi, lo) }
-
 // FenceMode selects how put completion is detected (§3.1.1 of the paper).
 type FenceMode = proc.FenceMode
 

@@ -14,7 +14,8 @@
 //	armci-run -n 4 -workload fig7-small  # smoke-sized variant for CI
 //
 // With -ppn k, each worker process hosts k consecutive ranks as one SMP
-// node (n must be a multiple of k).
+// node (n must be a multiple of k). A flag the chosen launch would not
+// use (-faults for fig7, -reps for elastic, …) is refused, not ignored.
 package main
 
 import (
@@ -35,76 +36,146 @@ import (
 	"armci/internal/pipeline"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("armci-run: ")
+// launch is one invocation's command line, checked: what armci-run starts.
+type launch struct {
+	n, ppn   int
+	workload string   // fig7, fig7-small or elastic; "" launches command
+	command  []string // the external program and its arguments
+	// The fig7 workloads' shape (0: the workload's default).
+	reps, block, patch int
+	// The elastic workload's epochs and fault plan.
+	steps   int
+	faults  string
+	plan    armci.Faults
+	elastic bool
+	timeout time.Duration
+	quiet   bool
+	verbose bool
+	worker  bool
+}
 
-	var (
-		n        = flag.Int("n", 4, "total number of ranks (user processes)")
-		ppn      = flag.Int("ppn", 1, "ranks per SMP node; one worker OS process is spawned per node")
-		workload = flag.String("workload", "", "built-in workload instead of an external program: fig7, fig7-small, elastic")
-		reps     = flag.Int("reps", 0, "fig7: timed repetitions per point (default per workload)")
-		block    = flag.Int("block", 0, "fig7: per-process block edge in elements (default per workload)")
-		patch    = flag.Int("patch", 0, "fig7: patch edge written to every remote block (default per workload)")
-		steps    = flag.Int("steps", 0, "elastic: sync epochs of replicated work (default 6)")
-		faults   = flag.String("faults", "", "fault plan for the built-in workloads (armci-bench grammar; elastic honors crashrank=<r>@<n>)")
-		elastf   = flag.Bool("elastic", false, "repair worker loss by respawn instead of failing the launch (requires -ppn 1)")
-		timeout  = flag.Duration("timeout", 0, "kill the launch after this long (default 10m)")
-		quiet    = flag.Bool("q", false, "suppress worker output (built-in workloads still print their result)")
-		verbose  = flag.Bool("v", false, "log coordinator diagnostics to stderr")
-		worker   = flag.Bool("worker", false, "internal: run as a spawned workload worker (set by the launcher)")
-	)
-	flag.Parse()
-
-	if *worker {
-		os.Exit(runWorker(*workload, *n, *reps, *block, *patch, *steps, *faults))
+// parseArgs maps the command line to a launch. Every flag either acts on
+// the chosen launch or is an error that names it: a flag the launch would
+// silently drop is refused.
+func parseArgs(args []string) (launch, error) {
+	var l launch
+	fs := flag.NewFlagSet("armci-run", flag.ExitOnError)
+	fs.IntVar(&l.n, "n", 4, "total number of ranks (user processes)")
+	fs.IntVar(&l.ppn, "ppn", 1, "ranks per SMP node; one worker OS process is spawned per node")
+	fs.StringVar(&l.workload, "workload", "", "built-in workload instead of an external program: fig7, fig7-small, elastic")
+	fs.IntVar(&l.reps, "reps", 0, "fig7: timed repetitions per point (default per workload)")
+	fs.IntVar(&l.block, "block", 0, "fig7: per-process block edge in elements (default per workload)")
+	fs.IntVar(&l.patch, "patch", 0, "fig7: patch edge written to every remote block (default per workload)")
+	fs.IntVar(&l.steps, "steps", 0, "elastic: sync epochs of replicated work (default 6)")
+	fs.StringVar(&l.faults, "faults", "", "elastic: fault plan (armci-bench grammar; the workload honors crashrank=<r>@<n>)")
+	fs.BoolVar(&l.elastic, "elastic", false, "repair worker loss by respawn instead of failing the launch (requires -ppn 1)")
+	fs.DurationVar(&l.timeout, "timeout", 0, "kill the launch after this long (default 10m)")
+	fs.BoolVar(&l.quiet, "q", false, "built-in workloads: suppress worker output (the result line still prints)")
+	fs.BoolVar(&l.verbose, "v", false, "log coordinator diagnostics to stderr (external programs and elastic)")
+	fs.BoolVar(&l.worker, "worker", false, "internal: run as a spawned workload worker (set by the launcher)")
+	fs.Parse(args)
+	l.command = fs.Args()
+	if l.worker {
+		return l, nil // the launcher wrote these arguments
 	}
 
-	if *n <= 0 {
-		log.Fatalf("-n %d: want a positive rank count", *n)
+	if l.n <= 0 {
+		return l, fmt.Errorf("-n %d: want a positive rank count", l.n)
 	}
-	if *ppn <= 0 || *n%*ppn != 0 {
-		log.Fatalf("-ppn %d: rank count %d must be a positive multiple of it", *ppn, *n)
+	if l.ppn <= 0 || l.n%l.ppn != 0 {
+		return l, fmt.Errorf("-ppn %d: rank count %d must be a positive multiple of it", l.ppn, l.n)
 	}
-	if (*workload == "") == (flag.NArg() == 0) {
-		log.Fatal("want exactly one of -workload <name> or a program after -- (e.g. armci-run -n 8 -- ./myprog)")
+	if (l.workload == "") == (len(l.command) == 0) {
+		return l, errors.New("want exactly one of -workload <name> or a program after -- (e.g. armci-run -n 8 -- ./myprog)")
 	}
-
-	var logf func(string, ...any)
-	if *verbose {
-		logf = func(format string, args ...any) { log.Printf(format, args...) }
-	}
-
-	if *elastf && *ppn != 1 {
+	if l.elastic && l.ppn != 1 {
 		// Elastic recovery replaces whole worker processes; with more
 		// than one rank per node a single respawn would have to rebuild
 		// several ranks' memory at once, which the replication protocol
 		// does not cover.
-		log.Fatalf("-elastic requires -ppn 1, got -ppn %d", *ppn)
+		return l, fmt.Errorf("-elastic requires -ppn 1, got -ppn %d", l.ppn)
 	}
-
-	if *workload != "" {
-		if *workload == "elastic" {
-			os.Exit(runElasticWorkload(*n, *steps, *faults, *elastf, *timeout, *quiet, logf))
+	fig7 := l.workload == "fig7" || l.workload == "fig7-small"
+	isElastic := l.workload == "elastic"
+	target := "an external program"
+	switch {
+	case fig7 || isElastic:
+		target = "-workload " + l.workload
+	case l.workload != "":
+		return l, fmt.Errorf("unknown -workload %q (want fig7, fig7-small or elastic)", l.workload)
+	}
+	for _, f := range []struct {
+		flag      string
+		set, used bool
+		users     string
+	}{
+		{"-reps", l.reps != 0, fig7, "the fig7 workloads"},
+		{"-block", l.block != 0, fig7, "the fig7 workloads"},
+		{"-patch", l.patch != 0, fig7, "the fig7 workloads"},
+		{"-steps", l.steps != 0, isElastic, "the elastic workload"},
+		{"-faults", l.faults != "", isElastic, "the elastic workload"},
+		{"-ppn", l.ppn != 1, !isElastic, "the fig7 workloads and external programs (elastic runs one rank per worker)"},
+		{"-elastic", l.elastic, !fig7, "the elastic workload and external programs"},
+		{"-v", l.verbose, !fig7, "the elastic workload and external programs"},
+		{"-q", l.quiet, fig7 || isElastic, "the built-in workloads"},
+	} {
+		if f.set && !f.used {
+			return l, fmt.Errorf("%s is for %s; %s would ignore it", f.flag, f.users, target)
 		}
-		os.Exit(runWorkload(*workload, *n, *ppn, *reps, *block, *patch, *timeout, *quiet, logf))
+	}
+	if isElastic {
+		plan, err := armci.ParseFaults(l.faults)
+		if err != nil {
+			return l, fmt.Errorf("-faults %q: %w", l.faults, err)
+		}
+		if plan.ElasticCrashStep > 0 && !l.elastic {
+			return l, errors.New("-faults crashrank kills a worker for real under the proc fabric; add -elastic to recover it")
+		}
+		l.plan = plan
+	}
+	return l, nil
+}
+
+func main() {
+	log.SetFlags(0)
+	log.SetPrefix("armci-run: ")
+	l, err := parseArgs(os.Args[1:])
+	if err != nil {
+		log.Print(err)
+		os.Exit(2)
+	}
+	switch {
+	case l.worker:
+		os.Exit(runWorker(l))
+	case l.workload == "elastic":
+		os.Exit(runElasticWorkload(l))
+	case l.workload != "":
+		os.Exit(runWorkload(l))
 	}
 
 	// External-program mode: the spawned program reads the rendezvous
 	// from the environment when it runs armci with the proc fabric.
 	out, err := cluster.Launch(cluster.Spec{
-		Procs:          *n,
-		ProcsPerNode:   *ppn,
-		Command:        flag.Args(),
-		RunTimeout:     *timeout,
+		Procs:          l.n,
+		ProcsPerNode:   l.ppn,
+		Command:        l.command,
+		RunTimeout:     l.timeout,
 		ForwardSignals: true,
-		Logf:           logf,
-		Elastic:        *elastf,
+		Logf:           l.logf(),
+		Elastic:        l.elastic,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	os.Exit(reportOutcome(out))
+}
+
+// logf is the coordinator's diagnostic log: stderr under -v, else none.
+func (l launch) logf() func(string, ...any) {
+	if !l.verbose {
+		return nil
+	}
+	return func(format string, args ...any) { log.Printf(format, args...) }
 }
 
 // reportOutcome prints the launch verdict and maps it to an exit code.
@@ -123,45 +194,39 @@ func reportOutcome(out *cluster.Outcome) int {
 
 // runWorkload self-execs this binary as the launch's worker processes,
 // each dispatching into runWorker via the hidden -worker flag.
-func runWorkload(name string, n, ppn, reps, block, patch int, timeout time.Duration, quiet bool, logf func(string, ...any)) int {
-	switch name {
-	case "fig7", "fig7-small":
-	default:
-		log.Printf("unknown -workload %q (want fig7 or fig7-small)", name)
-		return 2
-	}
+func runWorkload(l launch) int {
 	self, err := os.Executable()
 	if err != nil {
 		log.Printf("resolving own binary for self-exec: %v", err)
 		return 2
 	}
-	argv := []string{self, "-worker", "-workload", name,
-		"-n", fmt.Sprint(n),
-		"-reps", fmt.Sprint(reps),
-		"-block", fmt.Sprint(block),
-		"-patch", fmt.Sprint(patch)}
+	argv := []string{self, "-worker", "-workload", l.workload,
+		"-n", fmt.Sprint(l.n),
+		"-reps", fmt.Sprint(l.reps),
+		"-block", fmt.Sprint(l.block),
+		"-patch", fmt.Sprint(l.patch)}
 	var output io.Writer
-	if quiet {
+	if l.quiet {
 		output = io.Discard
 	}
 	row, err := bench.LaunchFig7Proc(bench.Fig7ProcLaunch{
-		Procs:        n,
-		ProcsPerNode: ppn,
+		Procs:        l.n,
+		ProcsPerNode: l.ppn,
 		Command:      argv,
 		Output:       output,
-		RunTimeout:   timeout,
+		RunTimeout:   l.timeout,
 	})
 	if err != nil {
 		var fe *pipeline.FaultError
 		if errors.As(err, &fe) {
 			log.Printf("rank %d lost: %v", fe.Rank, err)
 		} else {
-			log.Printf("%s: %v", name, err)
+			log.Printf("%s: %v", l.workload, err)
 		}
 		return 1
 	}
 	fmt.Printf("fig7 (proc fabric, %d ranks, %d/node): old=%.1fus new=%.1fus factor=%.2f\n",
-		n, ppn, row.OldUS, row.NewUS, row.Factor)
+		l.n, l.ppn, row.OldUS, row.NewUS, row.Factor)
 	return 0
 }
 
@@ -171,16 +236,8 @@ func runWorkload(name string, n, ppn, reps, block, patch int, timeout time.Durat
 // killed mid-epoch and recovered by respawn. The launcher aggregates
 // the per-rank ELASTIC_FP lines and fails unless every rank (including
 // a respawned one) reports the same cluster fingerprint.
-func runElasticWorkload(n, steps int, faults string, elastf bool, timeout time.Duration, quiet bool, logf func(string, ...any)) int {
-	plan, err := armci.ParseFaults(faults)
-	if err != nil {
-		log.Printf("-faults %q: %v", faults, err)
-		return 2
-	}
-	if plan.ElasticCrashStep > 0 && !elastf {
-		log.Printf("-faults crashrank kills a worker for real under the proc fabric; add -elastic to recover it")
-		return 2
-	}
+func runElasticWorkload(l launch) int {
+	n, plan := l.n, l.plan
 	self, err := os.Executable()
 	if err != nil {
 		log.Printf("resolving own binary for self-exec: %v", err)
@@ -188,10 +245,10 @@ func runElasticWorkload(n, steps int, faults string, elastf bool, timeout time.D
 	}
 	argv := []string{self, "-worker", "-workload", "elastic",
 		"-n", fmt.Sprint(n),
-		"-steps", fmt.Sprint(steps),
-		"-faults", faults}
+		"-steps", fmt.Sprint(l.steps),
+		"-faults", l.faults}
 	output := io.Writer(os.Stdout)
-	if quiet {
+	if l.quiet {
 		output = io.Discard
 	}
 	var mu sync.Mutex
@@ -202,10 +259,10 @@ func runElasticWorkload(n, steps int, faults string, elastf bool, timeout time.D
 		ProcsPerNode:   1,
 		Command:        argv,
 		Output:         output,
-		RunTimeout:     timeout,
+		RunTimeout:     l.timeout,
 		ForwardSignals: true,
-		Logf:           logf,
-		Elastic:        elastf,
+		Logf:           l.logf(),
+		Elastic:        l.elastic,
 		OnLine: func(node int, line string) {
 			var fp string
 			var rec, inc int
@@ -235,7 +292,7 @@ func runElasticWorkload(n, steps int, faults string, elastf bool, timeout time.D
 			return 1
 		}
 	}
-	if want := fmt.Sprintf("0x%016x", elastic.Oracle(elastic.Config{Steps: steps}, n)); fps[0] != want {
+	if want := fmt.Sprintf("0x%016x", elastic.Oracle(elastic.Config{Steps: l.steps}, n)); fps[0] != want {
 		log.Printf("elastic: cluster fingerprint %s diverges from the pure-replay oracle %s — ops lost or duplicated", fps[0], want)
 		return 1
 	}
@@ -282,13 +339,13 @@ func runElasticWorker(n, steps int, faults string) int {
 
 // runWorker is the body of one spawned workload worker. The rendezvous
 // comes from the environment the launcher set.
-func runWorker(name string, n, reps, block, patch, steps int, faults string) int {
-	if name == "elastic" {
-		return runElasticWorker(n, steps, faults)
+func runWorker(l launch) int {
+	if l.workload == "elastic" {
+		return runElasticWorker(l.n, l.steps, l.faults)
 	}
-	opts := bench.Fig7Opts{BlockDim: block, PatchDim: patch}
-	opts.Reps = reps
-	switch name {
+	opts := bench.Fig7Opts{BlockDim: l.block, PatchDim: l.patch}
+	opts.Reps = l.reps
+	switch l.workload {
 	case "fig7":
 	case "fig7-small":
 		if opts.BlockDim == 0 {
@@ -301,10 +358,10 @@ func runWorker(name string, n, reps, block, patch, steps int, faults string) int
 			opts.Reps = 5
 		}
 	default:
-		log.Printf("worker: unknown workload %q", name)
+		log.Printf("worker: unknown workload %q", l.workload)
 		return 2
 	}
-	if err := bench.RunFig7ProcWorker(opts, n); err != nil {
+	if err := bench.RunFig7ProcWorker(opts, l.n); err != nil {
 		// Keep the message on one line: the launcher prefixes and
 		// multiplexes this stream with the other ranks'.
 		log.Printf("worker: %s", strings.ReplaceAll(err.Error(), "\n", "; "))

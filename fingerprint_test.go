@@ -10,7 +10,6 @@ import (
 	"armci"
 	"armci/internal/msg"
 	"armci/internal/trace"
-	"armci/mp"
 )
 
 // TestFingerprintStableAcrossFabricsAndSeeds is the regression test for
@@ -27,21 +26,20 @@ import (
 func TestFingerprintStableAcrossFabricsAndSeeds(t *testing.T) {
 	const procs, laps = 5, 3
 	ring := func(p *armci.Proc) {
-		c := mp.Attach(p)
-		me, n := c.Rank(), c.Size()
+		me, n := p.Rank(), p.Size()
 		token := make([]byte, 8)
 		for lap := 0; lap < laps; lap++ {
 			if me == 0 {
 				binary.LittleEndian.PutUint64(token, uint64(lap+1))
-				c.Send(1%n, lap, token)
-				got := c.Recv(n-1, lap)
+				userSend(p, 1%n, lap, token)
+				got := userRecv(p, n-1, lap)
 				if v := binary.LittleEndian.Uint64(got); v != uint64(lap+1+n-1) {
 					panic(fmt.Sprintf("lap %d: token came back as %d, want %d", lap, v, lap+1+n-1))
 				}
 			} else {
-				got := c.Recv(me-1, lap)
+				got := userRecv(p, me-1, lap)
 				binary.LittleEndian.PutUint64(token, binary.LittleEndian.Uint64(got)+1)
-				c.Send((me+1)%n, lap, token)
+				userSend(p, (me+1)%n, lap, token)
 			}
 		}
 	}

@@ -1,8 +1,7 @@
 // Package ga is a compact Global Arrays substrate built on the armci
-// package, sufficient to reproduce the paper's GA_Sync() evaluation and
-// to write realistic distributed-array applications. A two-dimensional
-// float64 array is block-distributed over a near-square process grid;
-// any process reads, writes or accumulates arbitrary global patches with
+// package, as much of it as the paper's GA_Sync() evaluation uses. A
+// two-dimensional float64 array is block-distributed over a near-square
+// process grid; any process reads or writes arbitrary global patches with
 // one-sided strided operations against the owners' memory, and GA_Sync
 // (Sync) fences all outstanding transfers and synchronizes — with either
 // the original AllFence+MPI_Barrier implementation or the paper's
@@ -74,22 +73,8 @@ func Create(p *armci.Proc, name string, rows, cols int) (*Array, error) {
 		bytes = 8 // keep empty blocks addressable
 	}
 	// Collective exchange of the block base pointers (synchronizing).
-	a.ptrs = exchangeBlockPtrs(p, bytes)
+	a.ptrs = p.Malloc(bytes)
 	return a, nil
-}
-
-// exchangeBlockPtrs allocates this rank's block and all-gathers the bases.
-func exchangeBlockPtrs(p *armci.Proc, bytes int) []armci.Ptr {
-	local := p.MallocLocal(bytes)
-	vec := make([]int64, 2*p.Size())
-	hi, lo := local.Pack()
-	vec[2*p.Rank()], vec[2*p.Rank()+1] = hi, lo
-	p.AllReduceSumInt64(vec)
-	out := make([]armci.Ptr, p.Size())
-	for r := range out {
-		out[r] = armci.UnpackPtr(vec[2*r], vec[2*r+1])
-	}
-	return out
 }
 
 // nearSquareRows returns the largest divisor of n not exceeding √n.
@@ -112,21 +97,9 @@ func split(n, k int) []int {
 	return b
 }
 
-// Name returns the array's creation name.
-func (a *Array) Name() string { return a.name }
-
-// Dims returns the global dimensions.
-func (a *Array) Dims() (rows, cols int) { return a.rows, a.cols }
-
-// Grid returns the process-grid dimensions.
-func (a *Array) Grid() (pr, pc int) { return a.pr, a.pc }
-
 // SetSyncMode selects the GA_Sync implementation (default SyncNew). All
 // ranks must agree.
 func (a *Array) SetSyncMode(m SyncMode) { a.mode = m }
-
-// SyncMode returns the current GA_Sync implementation.
-func (a *Array) SyncMode() SyncMode { return a.mode }
 
 // gridPos returns rank's position on the process grid (row-major).
 func (a *Array) gridPos(rank int) (gr, gc int) { return rank / a.pc, rank % a.pc }
@@ -145,23 +118,6 @@ func (a *Array) Distribution(rank int) (rlo, rhi, clo, chi int) {
 func (a *Array) blockDims(rank int) (br, bc int) {
 	rlo, rhi, clo, chi := a.Distribution(rank)
 	return rhi - rlo, chi - clo
-}
-
-// Owner returns the rank owning global element (r, c).
-func (a *Array) Owner(r, c int) int {
-	gr := searchSplit(a.rowSplit, r)
-	gc := searchSplit(a.colSplit, c)
-	return a.rankAt(gr, gc)
-}
-
-// searchSplit returns the block index containing x.
-func searchSplit(b []int, x int) int {
-	for i := 0; i+1 < len(b); i++ {
-		if x < b[i+1] {
-			return i
-		}
-	}
-	return len(b) - 2
 }
 
 // checkPatch validates a half-open patch.
@@ -256,48 +212,6 @@ func (a *Array) Get(rlo, rhi, clo, chi int) []float64 {
 	return out
 }
 
-// Acc atomically adds alpha*buf into the global patch (GA_Acc).
-// Non-blocking like Put.
-func (a *Array) Acc(rlo, rhi, clo, chi int, buf []float64, alpha float64) {
-	a.checkPatch(rlo, rhi, clo, chi)
-	if want := (rhi - rlo) * (chi - clo); len(buf) != want {
-		panic(fmt.Sprintf("ga: %q acc buffer %d elements, patch needs %d", a.name, len(buf), want))
-	}
-	a.eachBlock(rlo, rhi, clo, chi, func(rank, irlo, irhi, iclo, ichi int) {
-		dst, desc := a.blockRegion(rank, irlo, irhi, iclo, ichi)
-		a.p.Accumulate(armci.AccFloat64, dst, desc, patchBytes(buf, rlo, clo, chi, irlo, irhi, iclo, ichi), alpha)
-	})
-}
-
-// Fill collectively sets every element to v (each rank fills its own
-// block) and synchronizes.
-func (a *Array) Fill(v float64) {
-	rlo, rhi, clo, chi := a.Distribution(a.p.Rank())
-	if rhi > rlo && chi > clo {
-		n := (rhi - rlo) * (chi - clo)
-		buf := make([]float64, n)
-		if v != 0 {
-			for i := range buf {
-				buf[i] = v
-			}
-		}
-		a.Put(rlo, rhi, clo, chi, buf)
-	}
-	a.Sync()
-}
-
-// Duplicate collectively creates a new array with the same shape,
-// distribution and sync mode (GA_Duplicate). Contents start zeroed; use
-// Copy to transfer data.
-func (a *Array) Duplicate(name string) (*Array, error) {
-	d, err := Create(a.p, name, a.rows, a.cols)
-	if err != nil {
-		return nil, err
-	}
-	d.SetSyncMode(a.mode)
-	return d, nil
-}
-
 // Sync is GA_Sync: it completes all outstanding array communication
 // everywhere and synchronizes all ranks, using the configured
 // implementation (the paper's combined barrier by default).
@@ -312,20 +226,4 @@ func (a *Array) Sync() {
 	default:
 		panic(fmt.Sprintf("ga: unknown sync mode %v", a.mode))
 	}
-}
-
-// Norm2 collectively computes the Frobenius norm: each rank reduces its
-// own block and the squares are summed with a float all-reduce. (Useful
-// for validating iterative solvers in examples and tests.)
-func (a *Array) Norm2() float64 {
-	rlo, rhi, clo, chi := a.Distribution(a.p.Rank())
-	var sum float64
-	if rhi > rlo && chi > clo {
-		for _, v := range a.Get(rlo, rhi, clo, chi) {
-			sum += v * v
-		}
-	}
-	vec := []float64{sum}
-	a.p.AllReduceSumFloat64(vec)
-	return math.Sqrt(vec[0])
 }

@@ -2,7 +2,6 @@ package ga_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -49,13 +48,6 @@ func TestDistributionPartitions(t *testing.T) {
 						covered[i*cols+j]++
 					}
 				}
-				// Owner agrees with Distribution on interior points.
-				if rhi > rlo && chi > clo {
-					if own := a.Owner(rlo, clo); own != q {
-						ok = false
-						return
-					}
-				}
 			}
 			for _, c := range covered {
 				if c != 1 {
@@ -91,7 +83,6 @@ func TestPutGetRoundTripRandomPatches(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		a.Fill(0)
 		// Patches are applied one at a time, synced between, so later
 		// patches legitimately overwrite earlier ones.
 		for pi, pt := range patches {
@@ -170,7 +161,7 @@ func TestPatchAllocations(t *testing.T) {
 		if p.Rank() != 0 {
 			return
 		}
-		if lo, hi := a.Owner(1, 2), a.Owner(6, 5); lo == hi {
+		if _, _, _, chi := a.Distribution(0); chi <= 2 || chi >= 6 {
 			panic("patch does not span both blocks")
 		}
 		buf := make([]float64, 6*4)
@@ -185,33 +176,6 @@ func TestPatchAllocations(t *testing.T) {
 	}
 }
 
-// TestAccumulateSums: concurrent accumulates from every rank into the
-// same patch add up exactly.
-func TestAccumulateSums(t *testing.T) {
-	const procs, n = 4, 8
-	runGA(t, procs, func(p *armci.Proc) {
-		a, err := ga.Create(p, "acc", n, n)
-		if err != nil {
-			panic(err)
-		}
-		a.Fill(1)
-		ones := make([]float64, n*n)
-		for i := range ones {
-			ones[i] = float64(p.Rank() + 1)
-		}
-		a.Acc(0, n, 0, n, ones, 2)
-		a.Sync()
-		got := a.Get(0, n, 0, n)
-		want := 1.0 + 2*float64(procs*(procs+1)/2)
-		for i, v := range got {
-			if v != want {
-				panic(fmt.Sprintf("element %d = %v, want %v", i, v, want))
-			}
-		}
-		a.Sync()
-	})
-}
-
 // TestSyncModesAllWork: each GA_Sync implementation provides visibility.
 func TestSyncModesAllWork(t *testing.T) {
 	for _, mode := range []ga.SyncMode{ga.SyncNew, ga.SyncOld, ga.SyncOldPipelined} {
@@ -223,9 +187,6 @@ func TestSyncModesAllWork(t *testing.T) {
 					panic(err)
 				}
 				a.SetSyncMode(mode)
-				if a.SyncMode() != mode {
-					panic("mode not set")
-				}
 				me := p.Rank()
 				// Everyone writes one value into every remote block.
 				for q := 0; q < procs; q++ {
@@ -248,22 +209,6 @@ func TestSyncModesAllWork(t *testing.T) {
 			})
 		})
 	}
-}
-
-// TestNorm2MatchesLocalComputation.
-func TestNorm2MatchesLocalComputation(t *testing.T) {
-	const procs, n = 4, 10
-	runGA(t, procs, func(p *armci.Proc) {
-		a, err := ga.Create(p, "norm", n, n)
-		if err != nil {
-			panic(err)
-		}
-		a.Fill(2) // norm = sqrt(100 * 4) = 20
-		got := a.Norm2()
-		if math.Abs(got-20) > 1e-3 {
-			panic(fmt.Sprintf("Norm2 = %v, want 20", got))
-		}
-	})
 }
 
 // TestSingleProcess: the degenerate 1-rank array works end to end.
@@ -298,10 +243,6 @@ func TestUnevenDimensions(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		pr, pc := a.Grid()
-		if pr*pc != procs {
-			panic(fmt.Sprintf("grid %dx%d", pr, pc))
-		}
 		buf := make([]float64, 7*11)
 		for i := range buf {
 			buf[i] = float64(i + 1)
@@ -331,11 +272,10 @@ func TestValidation(t *testing.T) {
 			panic(err)
 		}
 		for _, fn := range []func(){
-			func() { a.Get(0, 5, 0, 4) },                          // row overflow
-			func() { a.Get(-1, 2, 0, 4) },                         // negative
-			func() { a.Get(2, 2, 0, 4) },                          // empty
-			func() { a.Put(0, 2, 0, 2, make([]float64, 3)) },      // size mismatch
-			func() { a.Acc(0, 2, 0, 2, make([]float64, 5), 1.0) }, // size mismatch
+			func() { a.Get(0, 5, 0, 4) },                     // row overflow
+			func() { a.Get(-1, 2, 0, 4) },                    // negative
+			func() { a.Get(2, 2, 0, 4) },                     // empty
+			func() { a.Put(0, 2, 0, 2, make([]float64, 3)) }, // size mismatch
 		} {
 			func() {
 				defer func() {

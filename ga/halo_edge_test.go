@@ -55,7 +55,7 @@ func TestHaloExchangeDegenerateShapes(t *testing.T) {
 				if err != nil {
 					panic(err)
 				}
-				b, err := a.Duplicate("halo-dst")
+				b, err := ga.Create(p, "halo-dst", tc.rows, tc.cols)
 				if err != nil {
 					panic(err)
 				}

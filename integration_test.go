@@ -1,6 +1,7 @@
 package armci_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,13 +10,14 @@ import (
 
 	"armci"
 	"armci/ga"
-	"armci/mp"
+	"armci/internal/msg"
 )
 
 // Integration tests: small applications — a stencil, a histogram, a task
 // farm, a sample sort and a bank — asserted on every fabric, so the full
-// stack (GA patches, strided transfers, accumulate, counters, collectives,
-// locks, syncs) is exercised end to end by `go test` alone.
+// stack (GA patches, strided transfers, accumulate, fetch-and-add,
+// collectives, point-to-point sends, locks, syncs) is exercised end to end
+// by `go test` alone.
 
 // TestIntegrationStencil runs a small Jacobi heat iteration and checks
 // that heat diffuses and energy stays plausible on every fabric and both
@@ -35,7 +37,6 @@ func TestIntegrationStencil(t *testing.T) {
 						}
 						a.SetSyncMode(mode)
 						grids[i] = a
-						a.Fill(0)
 					}
 					if p.Rank() == 0 {
 						hot := []float64{100, 100, 100, 100}
@@ -99,11 +100,7 @@ func TestIntegrationHistogram(t *testing.T) {
 				Procs: procs, Fabric: fk, NumMutexes: 2,
 			}, func(p *armci.Proc) {
 				me := p.Rank()
-				hist, err := ga.Create(p, "h", 1, bins)
-				if err != nil {
-					panic(err)
-				}
-				hist.Fill(0)
+				hist := p.Malloc(8 * bins)
 				contrib := make([]float64, bins)
 				x := uint64(me + 1)
 				for i := 0; i < samples; i++ {
@@ -112,8 +109,12 @@ func TestIntegrationHistogram(t *testing.T) {
 					x ^= x << 17
 					contrib[x%bins]++
 				}
-				hist.Acc(0, 1, 0, bins, contrib, 1.0)
-				hist.Sync()
+				data := make([]byte, 8*bins)
+				for b, v := range contrib {
+					binary.LittleEndian.PutUint64(data[8*b:], math.Float64bits(v))
+				}
+				p.Accumulate(armci.AccFloat64, hist[0], armci.Contig(8*bins), data, 1.0)
+				p.Barrier()
 				counters := p.MallocWords(bins)
 				for s := 0; s < 2; s++ {
 					mu := p.Mutex(s, armci.LockQueue)
@@ -129,9 +130,11 @@ func TestIntegrationHistogram(t *testing.T) {
 				}
 				p.Barrier()
 				if me == 0 {
-					accHist = hist.Get(0, 1, 0, bins)
+					raw := p.Get(hist[0], 8*bins)
+					accHist = make([]float64, bins)
 					lockHist = make([]float64, bins)
 					for b := 0; b < bins; b++ {
+						accHist[b] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*b:]))
 						lockHist[b] = float64(p.Load(counters[0].Add(int64(b))))
 					}
 				}
@@ -155,22 +158,30 @@ func TestIntegrationHistogram(t *testing.T) {
 }
 
 // TestIntegrationTaskfarm checks exactly-once task claiming on every
-// fabric.
+// fabric, then has every worker hand its claims back with one negative
+// fetch-and-add: the counter must return to zero.
 func TestIntegrationTaskfarm(t *testing.T) {
 	for _, fk := range fabrics {
 		t.Run(fk.String(), func(t *testing.T) {
 			const procs, tasks = 4, 30
 			claimed := make([][]int64, procs)
 			_, err := armci.Run(armci.Options{Procs: procs, Fabric: fk}, func(p *armci.Proc) {
-				ctr := ga.NewCounter(p, 0)
+				ctr := p.MallocWords(1)[0] // the claim counter, homed at rank 0
 				for p.Rank() != 0 {
-					idx := ctr.ReadInc(1)
+					idx := p.FetchAdd(ctr, 1)
 					if idx >= tasks {
 						break
 					}
 					claimed[p.Rank()] = append(claimed[p.Rank()], idx)
 				}
 				p.Barrier()
+				if p.Rank() != 0 {
+					p.FetchAdd(ctr, -int64(len(claimed[p.Rank()])+1)) // +1: the claim past the last task
+				}
+				p.Barrier()
+				if p.Rank() == 0 && p.Load(ctr) != 0 {
+					panic(fmt.Sprintf("counter %d after every claim was handed back", p.Load(ctr)))
+				}
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -201,31 +212,26 @@ func TestIntegrationSampleSort(t *testing.T) {
 			const procs, keys = 4, 200
 			violations := 0
 			_, err := armci.Run(armci.Options{Procs: procs, Fabric: fk}, func(p *armci.Proc) {
-				c := mp.Attach(p)
-				me, n := c.Rank(), c.Size()
+				me, n := p.Rank(), p.Size()
 				rng := rand.New(rand.NewSource(int64(me) + 42))
 				local := make([]int64, keys)
 				for i := range local {
 					local[i] = rng.Int63n(1 << 30)
 				}
 				sort.Slice(local, func(i, j int) bool { return local[i] < local[j] })
-				samples := make([]int64, n)
+				// Each rank's samples fill its own n slots, so the sum is
+				// every rank's samples on every rank: all pick the same
+				// splitters.
+				pool := make([]int64, n*n)
 				for i := 0; i < n; i++ {
-					samples[i] = local[(i*len(local))/n]
+					pool[me*n+i] = local[(i*len(local))/n]
 				}
-				gathered := c.Gather(0, i64b(samples))
+				p.AllReduceSumInt64(pool)
+				sort.Slice(pool, func(i, j int) bool { return pool[i] < pool[j] })
 				var splitters []int64
-				if me == 0 {
-					var pool []int64
-					for _, b := range gathered {
-						pool = append(pool, b2i64(b)...)
-					}
-					sort.Slice(pool, func(i, j int) bool { return pool[i] < pool[j] })
-					for i := 1; i < n; i++ {
-						splitters = append(splitters, pool[(i*len(pool))/n])
-					}
+				for i := 1; i < n; i++ {
+					splitters = append(splitters, pool[(i*len(pool))/n])
 				}
-				splitters = b2i64(c.Bcast(0, i64b(splitters)))
 				buckets := make([][]int64, n)
 				b := 0
 				for _, k := range local {
@@ -236,13 +242,13 @@ func TestIntegrationSampleSort(t *testing.T) {
 				}
 				for q := 0; q < n; q++ {
 					if q != me {
-						c.Send(q, 1, i64b(buckets[q]))
+						userSend(p, q, 1, i64b(buckets[q]))
 					}
 				}
 				merged := append([]int64(nil), buckets[me]...)
 				for q := 0; q < n; q++ {
 					if q != me {
-						merged = append(merged, b2i64(c.Recv(q, 1))...)
+						merged = append(merged, b2i64(userRecv(p, q, 1))...)
 					}
 				}
 				sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
@@ -251,16 +257,16 @@ func TestIntegrationSampleSort(t *testing.T) {
 					myMin = merged[0]
 				}
 				if me > 0 {
-					c.SendInt64s(me-1, 2, []int64{myMin})
+					userSend(p, me-1, 2, i64b([]int64{myMin}))
 				}
 				if me < n-1 {
-					rightMin := c.RecvInt64s(me+1, 2)[0]
+					rightMin := b2i64(userRecv(p, me+1, 2))[0]
 					if len(merged) > 0 && merged[len(merged)-1] > rightMin {
 						violations++
 					}
 				}
 				total := []int64{int64(len(merged))}
-				c.AllReduceSumInt64(total)
+				p.AllReduceSumInt64(total)
 				if total[0] != int64(n*keys) {
 					panic(fmt.Sprintf("total %d keys", total[0]))
 				}
@@ -343,6 +349,19 @@ func TestIntegrationBank(t *testing.T) {
 			})
 		}
 	}
+}
+
+// userSend and userRecv are a rank's tagged point-to-point messages, the
+// MPI_Send/MPI_Recv that ARMCI coexists with: a msg.KindSend on the
+// rank's own endpoint, matched by source and tag, sharing the fabric with
+// the one-sided traffic but never touching a data server. The payload is
+// copied, so the caller may reuse its buffer at once.
+func userSend(p *armci.Proc, to, tag int, data []byte) {
+	p.Env().Send(msg.User(to), &msg.Message{Kind: msg.KindSend, Tag: tag, Data: append([]byte(nil), data...)})
+}
+
+func userRecv(p *armci.Proc, from, tag int) []byte {
+	return p.Env().Recv(msg.MatchSrcTag(msg.KindSend, msg.User(from), tag)).Data
 }
 
 func i64b(v []int64) []byte {

@@ -331,8 +331,8 @@ func brokenBarrier(p *armci.Proc, epoch *int) func() {
 }
 
 // mutTagBase is a private tag space for the mutated barrier's raw
-// point-to-point traffic: above any user tag the workloads use and below
-// mp's reserved collectives (1<<30), so a report the bug leaves
+// point-to-point traffic: no user or workload tag reaches it, and the
+// collectives send KindColl, not KindSend, so a report the bug leaves
 // unconsumed can never be matched by a later receive.
 const mutTagBase = 1 << 29
 

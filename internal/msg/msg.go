@@ -196,8 +196,8 @@ type Message struct {
 	// Token correlates a response with its request.
 	Token uint64
 
-	// Tag carries the collective phase / user tag of mp-layer messages,
-	// or the lock index of lock requests.
+	// Tag carries the phase of collective messages, the tag of user
+	// point-to-point sends, or the lock index of lock requests.
 	Tag int
 
 	// Ptr is the target memory location of data and RMW requests.
@@ -226,7 +226,7 @@ type Message struct {
 	Operands [4]int64
 
 	// Data is the payload of puts, accumulates, get responses and
-	// mp-layer messages.
+	// user sends.
 	Data []byte
 
 	// Seq is the per-(Src,Dst) sequence number the transport pipeline
@@ -311,7 +311,8 @@ func MatchKind(k Kind) Match { return Match{kind: k, by: byKind} }
 // MatchToken selects the response carrying a given token.
 func MatchToken(k Kind, token uint64) Match { return Match{kind: k, by: byToken, token: token} }
 
-// MatchSrcTag selects mp-layer messages by kind, source endpoint and tag.
+// MatchSrcTag selects collective and user-send messages by kind, source
+// endpoint and tag.
 func MatchSrcTag(k Kind, src Addr, tag int) Match {
 	return Match{kind: k, by: bySrcTag, src: src, tag: tag}
 }

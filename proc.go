@@ -43,8 +43,9 @@ func (p *Proc) MyNode() int { return p.NodeOf(p.Rank()) }
 // otherwise) — the clock experiments measure with.
 func (p *Proc) Now() time.Duration { return p.eng.Env().Clock().Now() }
 
-// Env exposes the underlying execution environment for the library's
-// companion packages (ga, mp) and the benchmark harness.
+// Env exposes the underlying execution environment for the elastic layer,
+// the conformance and benchmark harnesses, and point-to-point user sends
+// (msg.KindSend) beside the one-sided traffic.
 func (p *Proc) Env() transport.Env { return p.eng.Env() }
 
 // Engine exposes the underlying ARMCI engine (companion packages only).

@@ -21,7 +21,6 @@ import (
 	"armci/internal/pipeline"
 	"armci/internal/trace"
 	"armci/internal/workload"
-	"armci/mp"
 )
 
 // The multi-process tests re-execute this test binary as the launch's
@@ -66,21 +65,20 @@ const (
 // in flight and the protocol-level message stream is identical on every
 // fabric.
 func procTokenRing(p *armci.Proc) {
-	c := mp.Attach(p)
-	me, n := c.Rank(), c.Size()
+	me, n := p.Rank(), p.Size()
 	token := make([]byte, 8)
 	for lap := 0; lap < procRingLaps; lap++ {
 		if me == 0 {
 			binary.LittleEndian.PutUint64(token, uint64(lap+1))
-			c.Send(1%n, lap, token)
-			got := c.Recv(n-1, lap)
+			userSend(p, 1%n, lap, token)
+			got := userRecv(p, n-1, lap)
 			if v := binary.LittleEndian.Uint64(got); v != uint64(lap+1+n-1) {
 				panic(fmt.Sprintf("lap %d: token came back as %d, want %d", lap, v, lap+1+n-1))
 			}
 		} else {
-			got := c.Recv(me-1, lap)
+			got := userRecv(p, me-1, lap)
 			binary.LittleEndian.PutUint64(token, binary.LittleEndian.Uint64(got)+1)
-			c.Send((me+1)%n, lap, token)
+			userSend(p, (me+1)%n, lap, token)
 		}
 	}
 }
