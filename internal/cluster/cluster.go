@@ -29,6 +29,10 @@
 // a drain frame telling workers to stop their servers and close. A
 // connection lost before the drain is a fault; one lost after it is a
 // normal exit.
+//
+// Every coordinator decision is a method of its session state (state.go),
+// which appends the frames, respawns and teardown it decides on and does
+// no I/O; the Coordinator is the driver that carries them out.
 package cluster
 
 import (

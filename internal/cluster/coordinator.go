@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"armci/internal/pipeline"
 	"armci/internal/wire"
 )
 
@@ -79,37 +78,18 @@ const maxRecoveries = 1
 
 func (c *Config) numNodes() int { return (c.Procs + c.ProcsPerNode - 1) / c.ProcsPerNode }
 
-// Coordinator accepts worker connections, admits them through the hello
-// handshake, broadcasts the roster and the membership views, runs the
-// drain and the recovery hand-off, and watches each worker's
-// liveness. It carries no data: every frame it writes it originated.
-// One Coordinator serves one launch.
+// Coordinator is the control plane of one launch, a thin driver around
+// its session state: it accepts worker connections, turns their frames,
+// read errors and the launch's timers into state events, and carries out
+// the frames, respawns and teardown the state decides on. It carries no
+// data: every frame it writes it originated. One Coordinator serves one
+// launch.
 type Coordinator struct {
-	cfg Config
-	ln  net.Listener
+	ln   net.Listener
+	done chan struct{} // closed by the finish action
 
-	mu         sync.Mutex
-	conns      map[int]*clusterConn // node → admitted connection
-	joined     int
-	rosterSent bool
-	clockStart int64 // Unix ns of the roster broadcast: every worker's fabric time 0
-	usersDone  map[int]bool
-	drainSent  bool
-	finished   int                  // conns closed normally after drain
-	fault      *pipeline.FaultError // first declared fault
-	err        error                // final result, set by finish
-
-	// Elastic membership state.
-	inc        []uint32             // per-node incarnation (spawn count)
-	peerAddrs  []string             // per-node direct data-listener address
-	viewEpoch  uint64               // bumped on every membership change
-	recoveries int                  // membership changes performed so far
-	recovering bool                 // a view change is awaiting acks
-	deadNode   int                  // slot being replaced (valid while recovering)
-	acks       map[int]wire.ViewAck // node → ack at the current view epoch
-
-	done     chan struct{}
-	doneOnce sync.Once
+	mu    sync.Mutex // guards state; taken by step and the read-deadline choice
+	state            // cfg is read-only after NewCoordinator
 }
 
 // NewCoordinator binds the rendezvous listener and starts accepting
@@ -123,31 +103,21 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	co := &Coordinator{
-		cfg:       cfg,
-		ln:        ln,
-		conns:     make(map[int]*clusterConn),
-		usersDone: make(map[int]bool),
-		inc:       make([]uint32, cfg.numNodes()),
-		peerAddrs: make([]string, cfg.numNodes()),
-		deadNode:  -1,
-		done:      make(chan struct{}),
-	}
+	cfg.Addr = ln.Addr().String()
+	co := &Coordinator{ln: ln, done: make(chan struct{}), state: newState(cfg)}
 	go Accept(ln, co.serveConn)
-	time.AfterFunc(cfg.JoinTimeout, co.joinDeadline)
+	time.AfterFunc(cfg.JoinTimeout, func() { co.step((*state).joinDeadline) })
 	return co, nil
 }
 
 // Addr returns the address workers must dial.
-func (co *Coordinator) Addr() string { return co.ln.Addr().String() }
+func (co *Coordinator) Addr() string { return co.cfg.Addr }
 
 // Wait blocks until the launch completes and returns nil on a clean
 // drain, a *pipeline.FaultError when a worker was declared dead, or a
 // descriptive error when rendezvous timed out.
 func (co *Coordinator) Wait() error {
-	<-co.done
-	co.mu.Lock()
-	defer co.mu.Unlock()
+	<-co.done // closed after err is settled, and err never changes again
 	return co.err
 }
 
@@ -155,41 +125,49 @@ func (co *Coordinator) Wait() error {
 // Wait; a Close racing a live run surfaces as a closed-coordinator
 // error from Wait.
 func (co *Coordinator) Close() {
-	co.finish(fmt.Errorf("cluster: coordinator closed"))
+	co.step(func(s *state) { s.finish(fmt.Errorf("cluster: coordinator closed")) })
 }
 
-// joinDeadline fails the launch if rendezvous did not complete in time.
-func (co *Coordinator) joinDeadline() {
+// step runs one event on the state under co.mu, then carries out the
+// actions it decided on after the unlock, in order: no frame is written
+// and no socket closed while co.mu is held.
+func (co *Coordinator) step(ev func(*state)) {
 	co.mu.Lock()
-	if co.rosterSent || co.err != nil {
-		co.mu.Unlock()
-		return
-	}
-	joined := co.joined
+	ev(&co.state)
+	acts := co.out
+	co.out = nil
 	co.mu.Unlock()
-	co.finish(fmt.Errorf("cluster: rendezvous timeout: only %d of %d workers joined %s within %v",
-		joined, co.cfg.numNodes(), co.Addr(), co.cfg.JoinTimeout))
-}
-
-// finish settles the launch outcome exactly once and tears everything
-// down. The first caller's error wins.
-func (co *Coordinator) finish(err error) {
-	co.doneOnce.Do(func() {
-		co.mu.Lock()
-		co.err = err
-		conns := co.connsLocked(-1)
-		co.mu.Unlock()
-		co.ln.Close()
-		for _, cc := range conns {
-			cc.c.Close()
+	for _, a := range acts {
+		switch a.kind {
+		case actFrame:
+			if a.typ == frameRoster {
+				// A reader parked since before the roster holds a deadline
+				// sized for the join window; heartbeats are due from now on.
+				a.to.c.SetReadDeadline(time.Now().Add(co.cfg.HeartbeatTimeout))
+			}
+			a.to.writeFrame(a.typ, a.payload)
+		case actRespawn:
+			go func() {
+				if err := co.cfg.Respawn(a.node, a.inc, a.epoch); err != nil {
+					co.step(func(s *state) { s.fault(a.node, fmt.Sprintf("respawn of node %d failed: %v", a.node, err)) })
+				}
+			}()
+			// The respawned worker must rejoin, and the view be acked,
+			// within the join window or the recovery is abandoned.
+			time.AfterFunc(co.cfg.JoinTimeout, func() { co.step(func(s *state) { s.rejoinDeadline(a.epoch) }) })
+		case actFinish:
+			co.ln.Close()
+			for _, cc := range a.conns {
+				cc.c.Close()
+			}
+			close(co.done)
 		}
-		close(co.done)
-	})
+	}
 }
 
 // serveConn runs one worker connection: handshake, then the read loop
 // with per-read liveness deadlines. The socket is closed here on every
-// exit: connFinished and elasticRecover unregister it, so finish cannot.
+// exit: a lost connection is unregistered by the state, so finish cannot.
 func (co *Coordinator) serveConn(c net.Conn) {
 	defer c.Close()
 	cc := &clusterConn{c: c}
@@ -198,12 +176,18 @@ func (co *Coordinator) serveConn(c net.Conn) {
 	if err != nil {
 		return
 	}
-	node, rerr := co.admit(cc, body)
-	if rerr != nil {
-		cc.writeFrame(frameReject, []byte(rerr.Error()))
-		co.cfg.Logf("cluster: rejected %v: %v", c.RemoteAddr(), rerr)
+	var h wire.ClusterHello
+	if len(body) < 1 || body[0] != frameHello {
+		err = fmt.Errorf("first frame is not a cluster hello")
+	} else if h, err = wire.DecodeClusterHello(body[1:]); err == nil {
+		co.step(func(s *state) { err = s.hello(cc, h, time.Now()) })
+	}
+	if err != nil {
+		cc.writeFrame(frameReject, []byte(err.Error()))
+		co.cfg.Logf("cluster: rejected %v: %v", c.RemoteAddr(), err)
 		return
 	}
+	node := h.Node
 
 	for {
 		// Until the roster is out, workers sit quiet waiting for
@@ -220,22 +204,11 @@ func (co *Coordinator) serveConn(c net.Conn) {
 
 		body, err := wire.ReadFrame(c)
 		if err != nil {
-			co.mu.Lock()
-			benign := co.drainSent || co.fault != nil || co.err != nil
-			stale := co.conns[node] != cc // already deposed by a newer incarnation
-			co.mu.Unlock()
-			if benign || stale {
-				co.connFinished(node, cc)
-				return
-			}
 			reason := fmt.Sprintf("connection to worker node %d lost (%v)", node, err)
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				reason = fmt.Sprintf("worker node %d went silent: no heartbeat for %v", node, time.Since(parked).Round(time.Millisecond))
 			}
-			if co.elasticRecover(node, reason) {
-				return
-			}
-			co.declareFault(node, reason)
+			co.step(func(s *state) { s.lost(node, cc, reason) })
 			return
 		}
 		if len(body) == 0 {
@@ -244,265 +217,18 @@ func (co *Coordinator) serveConn(c net.Conn) {
 		switch body[0] {
 		case framePing:
 		case frameUserDone:
-			co.userDone(node)
+			co.step(func(s *state) { s.userDone(node) })
 		case frameViewAck:
 			a, derr := wire.DecodeViewAck(body[1:])
 			if derr != nil {
-				co.declareFault(node, fmt.Sprintf("worker node %d sent a corrupt view ack: %v", node, derr))
+				co.step(func(s *state) { s.fault(node, fmt.Sprintf("worker node %d sent a corrupt view ack: %v", node, derr)) })
 				return
 			}
-			co.onViewAck(node, a)
+			co.step(func(s *state) { s.ack(node, a) })
 		default:
-			co.declareFault(node, fmt.Sprintf("worker node %d sent unknown frame type %#x", node, body[0]))
+			reason := fmt.Sprintf("worker node %d sent unknown frame type %#x", node, body[0])
+			co.step(func(s *state) { s.fault(node, reason) })
 			return
 		}
-	}
-}
-
-// admit validates a hello frame and registers the connection; when the
-// last node arrives it broadcasts the roster. Returns the node index or
-// the rejection reason.
-func (co *Coordinator) admit(cc *clusterConn, body []byte) (int, error) {
-	if len(body) < 1 || body[0] != frameHello {
-		return 0, fmt.Errorf("first frame is not a cluster hello")
-	}
-	h, err := wire.DecodeClusterHello(body[1:])
-	if err != nil {
-		return 0, err
-	}
-	if h.Cookie != co.cfg.Cookie {
-		return 0, fmt.Errorf("cookie mismatch: worker is not from this launch")
-	}
-	if h.Procs != co.cfg.Procs || h.ProcsPerNode != co.cfg.ProcsPerNode {
-		return 0, fmt.Errorf("cluster shape mismatch: worker built for %d procs × %d/node, launch is %d × %d",
-			h.Procs, h.ProcsPerNode, co.cfg.Procs, co.cfg.ProcsPerNode)
-	}
-	if h.Node < 0 || h.Node >= co.cfg.numNodes() {
-		return 0, fmt.Errorf("node claim %d out of range [0,%d)", h.Node, co.cfg.numNodes())
-	}
-
-	co.mu.Lock()
-	if co.conns[h.Node] != nil {
-		co.mu.Unlock()
-		return 0, fmt.Errorf("node %d already joined: duplicate worker", h.Node)
-	}
-	if h.Incarnation != co.inc[h.Node] {
-		cur := co.inc[h.Node]
-		co.mu.Unlock()
-		return 0, fmt.Errorf("node %d presented incarnation %d, current view admits %d", h.Node, h.Incarnation, cur)
-	}
-	co.conns[h.Node] = cc
-	co.peerAddrs[h.Node] = h.PeerAddr
-	if co.rosterSent {
-		// A respawned incarnation rejoining mid-run: hand it the roster
-		// and current view directly, and refresh everyone else's view so
-		// survivors learn its new peer address.
-		view := co.viewLocked()
-		others := co.connsLocked(h.Node)
-		co.mu.Unlock()
-		cc.writeFrame(frameRoster, rosterPayload(co.cfg.Procs, co.cfg.ProcsPerNode, co.cfg.numNodes(), co.clockStart))
-		payload := wire.EncodeView(view)
-		cc.writeFrame(frameView, payload)
-		for _, other := range others {
-			other.writeFrame(frameView, payload)
-		}
-		co.cfg.Logf("cluster: node %d rejoined as incarnation %d", h.Node, h.Incarnation)
-		return h.Node, nil
-	}
-	co.joined++
-	complete := co.joined == co.cfg.numNodes()
-	if complete {
-		co.rosterSent = true
-		co.clockStart = time.Now().UnixNano()
-	}
-	var conns []*clusterConn
-	var view wire.View
-	if complete {
-		conns, view = co.connsLocked(-1), co.viewLocked()
-		for _, other := range conns {
-			// A reader parked since before the roster holds a deadline
-			// sized for the join window; heartbeats are due from now on.
-			other.c.SetReadDeadline(time.Now().Add(co.cfg.HeartbeatTimeout))
-		}
-	}
-	co.mu.Unlock()
-
-	if complete {
-		payload := rosterPayload(co.cfg.Procs, co.cfg.ProcsPerNode, co.cfg.numNodes(), co.clockStart)
-		viewPayload := wire.EncodeView(view)
-		for _, other := range conns {
-			other.writeFrame(frameRoster, payload)
-			other.writeFrame(frameView, viewPayload)
-		}
-	}
-	return h.Node, nil
-}
-
-// connsLocked snapshots the admitted connections, all but node except's
-// (-1 for none), so that frames are written to them outside co.mu.
-// Callers hold co.mu.
-func (co *Coordinator) connsLocked(except int) []*clusterConn {
-	conns := make([]*clusterConn, 0, len(co.conns))
-	for n, cc := range co.conns {
-		if n != except {
-			conns = append(conns, cc)
-		}
-	}
-	return conns
-}
-
-// viewLocked renders the current membership view. Callers hold co.mu.
-func (co *Coordinator) viewLocked() wire.View {
-	v := wire.View{Epoch: co.viewEpoch, Dead: co.deadNode}
-	if !co.recovering {
-		v.Dead = -1
-	}
-	for n := 0; n < co.cfg.numNodes(); n++ {
-		v.Members = append(v.Members, wire.ViewMember{Node: n, Incarnation: co.inc[n], Addr: co.peerAddrs[n]})
-	}
-	return v
-}
-
-// userDone records one node's user ranks finishing; when every node has
-// reported, the drain broadcast tells workers to stop their servers.
-func (co *Coordinator) userDone(node int) {
-	co.mu.Lock()
-	co.usersDone[node] = true
-	if len(co.usersDone) < co.cfg.numNodes() || co.drainSent {
-		co.mu.Unlock()
-		return
-	}
-	co.drainSent = true
-	conns := co.connsLocked(-1)
-	co.mu.Unlock()
-	for _, cc := range conns {
-		cc.writeFrame(frameDrain, nil)
-	}
-}
-
-// connFinished records a post-drain connection close; when the last one
-// goes, the launch completed cleanly. Only the connection currently
-// registered for the node counts — a deposed incarnation's close must
-// not unregister its successor.
-func (co *Coordinator) connFinished(node int, cc *clusterConn) {
-	co.mu.Lock()
-	if co.conns[node] == cc {
-		delete(co.conns, node)
-		co.finished++
-	}
-	clean := co.drainSent && co.finished == co.cfg.numNodes()
-	co.mu.Unlock()
-	if clean {
-		co.finish(nil)
-	}
-}
-
-// declareFault attributes a lost worker to its first rank, broadcasts
-// the fault to survivors (so every blocked peer aborts with the dead
-// worker's rank, not its own), and fails the launch.
-func (co *Coordinator) declareFault(node int, reason string) {
-	fe := &pipeline.FaultError{
-		Rank: node * co.cfg.ProcsPerNode,
-		Op:   reason,
-		Kind: pipeline.FaultPeerLost,
-	}
-	co.mu.Lock()
-	if co.fault != nil || co.err != nil {
-		co.mu.Unlock()
-		return
-	}
-	co.fault = fe
-	conns := co.connsLocked(node)
-	co.mu.Unlock()
-
-	co.cfg.Logf("cluster: fault: %v", fe)
-	payload := faultPayload(fe.Rank, reason)
-	for _, cc := range conns {
-		cc.writeFrame(frameFault, payload)
-	}
-	co.finish(fe)
-}
-
-// elasticRecover turns a lost worker into a membership change: bump the
-// view epoch and the slot's incarnation, broadcast the new view to
-// survivors, and respawn the dead worker. Returns false when the loss
-// cannot be repaired (elastic off, recovery budget spent, rendezvous not
-// complete, or a recovery already in flight) — the caller then falls
-// back to declareFault.
-func (co *Coordinator) elasticRecover(node int, reason string) bool {
-	co.mu.Lock()
-	if !co.cfg.Elastic || !co.rosterSent || co.recovering ||
-		co.recoveries >= maxRecoveries || co.fault != nil || co.err != nil {
-		co.mu.Unlock()
-		return false
-	}
-	co.recoveries++
-	co.recovering = true
-	co.deadNode = node
-	co.viewEpoch++
-	co.inc[node]++
-	co.peerAddrs[node] = ""
-	delete(co.conns, node)
-	delete(co.usersDone, node)
-	co.acks = make(map[int]wire.ViewAck)
-	epoch := co.viewEpoch
-	incarnation := co.inc[node]
-	view := co.viewLocked()
-	survivors := co.connsLocked(-1)
-	co.mu.Unlock()
-
-	co.cfg.Logf("cluster: view %d: node %d lost (%s), respawning incarnation %d", epoch, node, reason, incarnation)
-	payload := wire.EncodeView(view)
-	for _, cc := range survivors {
-		cc.writeFrame(frameView, payload)
-	}
-	go func() {
-		if err := co.cfg.Respawn(node, incarnation, epoch); err != nil {
-			co.declareFault(node, fmt.Sprintf("respawn of node %d failed: %v", node, err))
-		}
-	}()
-	// The respawned worker must rejoin within the join window or the
-	// recovery is abandoned.
-	time.AfterFunc(co.cfg.JoinTimeout, func() {
-		co.mu.Lock()
-		stuck := co.recovering && co.viewEpoch == epoch
-		co.mu.Unlock()
-		if stuck {
-			co.declareFault(node, fmt.Sprintf("respawned node %d did not rejoin within %v", node, co.cfg.JoinTimeout))
-		}
-	})
-	return true
-}
-
-// onViewAck collects view acknowledgments; once every node of the new
-// view (survivors plus the respawned worker) has acked, the resume
-// epoch — the newest sync epoch any survivor committed — is broadcast
-// and the recovery hand-off completes.
-func (co *Coordinator) onViewAck(node int, a wire.ViewAck) {
-	co.mu.Lock()
-	if !co.recovering || a.Epoch != co.viewEpoch {
-		co.mu.Unlock()
-		return
-	}
-	co.acks[node] = a
-	if len(co.acks) < co.cfg.numNodes() {
-		co.mu.Unlock()
-		return
-	}
-	var resume uint64
-	for n, ack := range co.acks {
-		if n != co.deadNode && ack.Committed > resume {
-			resume = ack.Committed
-		}
-	}
-	dead := co.deadNode
-	co.recovering = false
-	conns := co.connsLocked(-1)
-	co.mu.Unlock()
-
-	co.cfg.Logf("cluster: view %d acked by all nodes, resuming from sync epoch %d", a.Epoch, resume)
-	payload := wire.EncodeEpochReport(wire.EpochReport{Node: dead, Epoch: resume})
-	for _, cc := range conns {
-		cc.writeFrame(frameResume, payload)
 	}
 }

@@ -30,6 +30,11 @@ go test -run '^$' -fuzz '^FuzzBatchDecode$' -fuzztime 10s ./internal/wire
 # boundaries, leaving earlier messages untouched.
 go test -run '^$' -fuzz '^FuzzWireDecode$' -fuzztime 10s ./internal/wire
 go test -run '^$' -fuzz '^FuzzLinkDecode$' -fuzztime 10s ./internal/wire
+# The coordinator's session state, driven with no socket in adversarial
+# event orders: no frame to a node without a connection, a resume only
+# once the whole view acked its epoch, one recovery at a time, and one
+# finish per launch.
+go test -run '^$' -fuzz '^FuzzCoordinator$' -fuzztime 10s ./internal/cluster
 # The race detector over every package. -short trims the conformance
 # sweep to the sim-fabric matrix and skips the long soak (`make soak`),
 # the baseline collection and the helper-process tests; the whole root
