@@ -130,5 +130,5 @@ func ExampleRun() {
 	// rank 3: strided tile from rank 2 intact: true
 	// rank 3: sum of deposits = 10 (want 10)
 	//
-	// cluster ran 3.043ms on the sim fabric; 275 msgs, 12384 bytes: put=4 rmw=105 rmw-resp=40 fence-req=15 fence-ack=15 coll=96
+	// cluster ran 2.851ms on the sim fabric; 257 msgs, 11808 bytes: put=4 rmw=95 rmw-resp=40 fence-req=15 fence-ack=15 coll=88
 }

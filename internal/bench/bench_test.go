@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"armci"
+	"armci/internal/msg"
 )
 
 // fastOpts keeps harness tests quick; the simulator is deterministic so
@@ -169,21 +170,34 @@ func TestLockReproducesPaperShape(t *testing.T) {
 
 // TestCrossoverMatchesAnalysis: §3.1.2 predicts the original AllFence
 // wins when fewer than log2(N)/2 servers were written to. At N=16 that
-// threshold is 2.
+// threshold is 2. At K = 0 nothing is outstanding anywhere, so the new
+// barrier ends after its all-reduce.
 func TestCrossoverMatchesAnalysis(t *testing.T) {
 	res, err := Crossover(CrossoverOpts{Opts: fastOpts(), Procs: 16, KValues: []int{0, 1, 2, 3, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := res.Float(1, "new_us") // K = 1
 	for i := range res.Rows {
 		k, oldUS, newUS := res.Cell(i, "targets").(int), res.Float(i, "old_us"), res.Float(i, "new_us")
 		if oldWins, wantOldWins := oldUS < newUS, k < 2; oldWins != wantOldWins {
 			t.Fatalf("K=%d: old=%.1f new=%.1f — crossover off the log2(N)/2 prediction", k, oldUS, newUS)
 		}
-		// The new barrier's cost must not depend on K at all.
-		if base := res.Float(0, "new_us"); math.Abs(newUS-base) > base*0.05 {
+		// Once anything is outstanding, the new barrier's cost must not
+		// depend on K at all.
+		if k >= 1 && math.Abs(newUS-base) > base*0.05 {
 			t.Fatalf("new barrier cost varies with K: %.1f vs %.1f", newUS, base)
 		}
+	}
+	if k0 := res.Float(0, "new_us"); k0 >= base {
+		t.Fatalf("K=0: new barrier %.1f us, want below the K=1 cost %.1f: it has nothing to fence", k0, base)
+	}
+	coll, _, err := syncMessages(16, 0, false, msg.KindColl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if coll != 16*4 {
+		t.Fatalf("K=0: new barrier sent %d collective messages, want the all-reduce's N*log2(N)=64", coll)
 	}
 }
 
@@ -211,6 +225,10 @@ func TestMessageCountFormulas(t *testing.T) {
 		// is exactly the collective messages.
 		if cell("new_total") != cell("new_coll") {
 			t.Fatalf("N=%d: new barrier sent %d extra non-collective messages", n, cell("new_total")-cell("new_coll"))
+		}
+		// With nothing outstanding the new barrier is its all-reduce.
+		if cell("empty_coll") != n*logN {
+			t.Fatalf("N=%d: empty barrier sent %d collective messages, want N*log2(N)=%d", n, cell("empty_coll"), n*logN)
 		}
 	}
 }

@@ -91,8 +91,10 @@ func crossoverRun(opts CrossoverOpts, k int, old bool) (float64, error) {
 // the fence confirmation requests and every message of one all-process
 // SyncOld — N(N−1) requests — and the collective messages and every
 // message of one ARMCI_Barrier — 2·N·log₂(N) for the two binary-exchange
-// stages. To isolate the sync phase exactly, the deterministic simulation
-// is run twice — with one and with two sync calls — and the difference is
+// stages. A last column counts the collective messages of a Barrier with
+// nothing outstanding — N·log₂(N), its all-reduce alone. To isolate the
+// sync phase exactly, the deterministic simulation is run twice — with
+// one and with two sync calls — and the difference, less the writes, is
 // the per-sync cost. A count that is not a power of two is skipped with a
 // note.
 func MessageCounts(procCounts []int) (*Table, error) {
@@ -106,10 +108,11 @@ func MessageCounts(procCounts []int) (*Table, error) {
 			count("old_fence_reqs", "old fence-reqs", 16), count("exp_fence_reqs", "expected N(N-1)", 16),
 			count("new_coll", "new coll", 14), count("exp_coll", "exp 2N*log2N", 14),
 			count("old_total", "old total", 14), count("new_total", "new total", 14),
+			count("empty_coll", "empty coll", 14),
 		},
 		Sections: []Section{{
 			Title: "Message complexity of one all-process sync (all-to-all writers)",
-			Cols:  "procs old_fence_reqs exp_fence_reqs new_coll exp_coll",
+			Cols:  "procs old_fence_reqs exp_fence_reqs new_coll exp_coll empty_coll",
 		}},
 	}
 	for _, n := range procCounts {
@@ -117,11 +120,15 @@ func MessageCounts(procCounts []int) (*Table, error) {
 			t.Notes = append(t.Notes, fmt.Sprintf("counts N=%d: %v (skipped)", n, err))
 			continue
 		}
-		fenceReqs, oldTotal, err := syncMessages(n, true, msg.KindFenceReq)
+		fenceReqs, oldTotal, err := syncMessages(n, n-1, true, msg.KindFenceReq)
 		if err != nil {
 			return nil, err
 		}
-		coll, newTotal, err := syncMessages(n, false, msg.KindColl)
+		coll, newTotal, err := syncMessages(n, n-1, false, msg.KindColl)
+		if err != nil {
+			return nil, err
+		}
+		empty, _, err := syncMessages(n, 0, false, msg.KindColl)
 		if err != nil {
 			return nil, err
 		}
@@ -129,26 +136,29 @@ func MessageCounts(procCounts []int) (*Table, error) {
 		for 1<<logN < n {
 			logN++
 		}
-		t.Rows = append(t.Rows, []any{n, fenceReqs, n * (n - 1), coll, 2 * n * logN, oldTotal, newTotal})
+		t.Rows = append(t.Rows, []any{n, fenceReqs, n * (n - 1), coll, 2 * n * logN, oldTotal, newTotal, empty})
 	}
 	return t, nil
 }
 
 // syncMessages returns how many messages of the given kind, and how many
-// in total, one more sync call adds to a run.
-func syncMessages(procs int, old bool, kind msg.Kind) (ofKind, total int, err error) {
-	one, err := countRun(procs, old, 1)
+// in total but the puts, one more sync adds to a run when each process
+// writes to its next k processes before every sync (k = 0: nothing is
+// outstanding).
+func syncMessages(procs, k int, old bool, kind msg.Kind) (ofKind, total int, err error) {
+	one, err := countRun(procs, k, old, 1)
 	if err != nil {
 		return 0, 0, err
 	}
-	two, err := countRun(procs, old, 2)
+	two, err := countRun(procs, k, old, 2)
 	if err != nil {
 		return 0, 0, err
 	}
-	return two.Count(kind) - one.Count(kind), two.Sends() - one.Sends(), nil
+	sync := func(s *trace.Stats) int { return s.Sends() - s.Count(msg.KindPut) }
+	return two.Count(kind) - one.Count(kind), sync(two) - sync(one), nil
 }
 
-func countRun(procs int, old bool, syncs int) (*trace.Stats, error) {
+func countRun(procs, k int, old bool, syncs int) (*trace.Stats, error) {
 	rep, err := armci.Run(armci.Options{
 		Procs:  procs,
 		Fabric: armci.FabricSim,
@@ -157,13 +167,10 @@ func countRun(procs int, old bool, syncs int) (*trace.Stats, error) {
 		me := p.Rank()
 		ptrs := p.Malloc(8)
 		payload := make([]byte, 8)
-		for q := 0; q < procs; q++ {
-			if q != me {
-				p.Put(ptrs[q], payload)
-			}
-		}
-		p.MPIBarrier()
 		for i := 0; i < syncs; i++ {
+			for j := 1; j <= k; j++ {
+				p.Put(ptrs[(me+j)%procs], payload)
+			}
 			if old {
 				p.SyncOld()
 			} else {

@@ -195,6 +195,7 @@ func TestMutationsDetected(t *testing.T) {
 		MutFlagBeforeData:     1,
 		MutKnomialSkipSubtree: 20,
 		MutReplStaleEpoch:     1,
+		MutBarrierEmptyLocal:  1,
 	}
 	for _, name := range Mutations() {
 		name := name
@@ -235,6 +236,7 @@ func TestMutationsTargetExpectedOracle(t *testing.T) {
 		MutFlagBeforeData:     "state",
 		MutKnomialSkipSubtree: "fence",
 		MutReplStaleEpoch:     "state",
+		MutBarrierEmptyLocal:  "liveness",
 	}
 	for name, oracle := range want {
 		found := false

@@ -48,6 +48,20 @@ const (
 	// plan that keeps some puts in flight past the broken exit.
 	// Detected by the fence oracle (and the state-level read-back).
 	MutBarrierSkipStage2 = "barrier-skip-stage2"
+	// MutBarrierEmptyLocal: a combined barrier whose empty-epoch exit
+	// reads the wrong number. Stage i sums op_init deltas correctly, but
+	// a rank leaves after it when the summed delta to its OWN node is
+	// zero, not when the whole vector is. A rank whose node nobody wrote
+	// skips stages ii and iii while the ranks of a written node run them,
+	// so it can exit before puts it issued elsewhere have landed, and the
+	// ranks left in stage iii wait on a barrier nobody else joins. The
+	// case runs the hybrid lock: its critical sections write rank 0's
+	// node alone, so the first sync has written and unwritten nodes (the
+	// queue lock's links write every node, and the put rounds write every
+	// node or none, where the two rules agree). Detected by the liveness
+	// oracle: the early ranks' next all-reduce meets the stage-iii
+	// barrier of the others.
+	MutBarrierEmptyLocal = "barrier-empty-local"
 	// MutSyncOldSkipFence: a GA_Sync that performs only the MPI barrier,
 	// skipping AllFence entirely. Detected by the fence oracle.
 	MutSyncOldSkipFence = "sync-old-skip-fence"
@@ -181,6 +195,7 @@ var mutationSpecs = map[string]mutationSpec{
 			return brokenTicket{p.Mutex(0, armci.LockTicket).(*core.Ticket), p}
 		}},
 	MutBarrierSkipStage2: {alg: "queue", sync: "barrier", faults: "spike=1ms@0.2", syncFn: brokenBarrier},
+	MutBarrierEmptyLocal: {alg: "hybrid", sync: "barrier", syncFn: brokenEmptyLocalBarrier},
 	MutSyncOldSkipFence:  {alg: "queue", sync: "sync-old", syncFn: brokenSyncOld},
 	MutEventPoolRecycle:  {alg: "queue", sync: "barrier", simHazard: true},
 	MutCoalesceReorder:   {sync: "barrier", coalesceHazard: true},
@@ -204,7 +219,7 @@ func Mutations() []string {
 	return []string{MutQueueSkipLinkWait, MutTicketOffByOne, MutBarrierSkipStage2,
 		MutSyncOldSkipFence, MutEventPoolRecycle, MutCoalesceReorder,
 		MutLeaseStaleRelease, MutAccLostUpdate, MutFlagBeforeData,
-		MutKnomialSkipSubtree, MutReplStaleEpoch}
+		MutKnomialSkipSubtree, MutReplStaleEpoch, MutBarrierEmptyLocal}
 }
 
 // MutationWorkload reports the workload spec a mutation targets (""
@@ -327,6 +342,37 @@ func brokenBarrier(p *armci.Proc, epoch *int) func() {
 		// is skipped.
 		p.Comm().Barrier(collective.BarrierAuto)
 		core.Record(p.Env(), trace.OpEvent{Kind: trace.OpSyncExit, Prev: -1, Ticket: -1, Epoch: *epoch})
+	}
+}
+
+// brokenEmptyLocalBarrier is the combined barrier with its empty-epoch
+// exit taken on the rank's own node's summed delta instead of on the
+// whole summed vector. Stages i, ii and iii are otherwise the real ones.
+func brokenEmptyLocalBarrier(p *armci.Proc, epoch *int) func() {
+	env := p.Env()
+	myNode := env.Node(env.Rank())
+	opDone := p.Engine().Layout().OpDone[myNode]
+	last, sum := make([]int64, p.NumNodes()), make([]int64, p.NumNodes())
+	var want int64
+	return func() {
+		*epoch++
+		core.Record(env, trace.OpEvent{Kind: trace.OpSyncEnter, Prev: -1, Ticket: -1, Epoch: *epoch})
+		opInit := p.Engine().OpInit()
+		for i, v := range opInit {
+			sum[i] = v - last[i]
+		}
+		p.Comm().AllReduceSumInt64(sum)
+		copy(last, opInit)
+		// BUG: the exit must need every element of sum to be zero; a
+		// rank whose own node nobody wrote leaves while others fence.
+		if sum[myNode] != 0 {
+			want += sum[myNode]
+			env.WaitUntil("mut-empty-local-op_done", func() bool {
+				return env.Space().Load(opDone) >= want
+			})
+			p.Comm().Barrier(collective.BarrierAuto)
+		}
+		core.Record(env, trace.OpEvent{Kind: trace.OpSyncExit, Prev: -1, Ticket: -1, Epoch: *epoch})
 	}
 }
 

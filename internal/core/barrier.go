@@ -6,6 +6,8 @@
 package core
 
 import (
+	"slices"
+
 	"armci/internal/collective"
 	"armci/internal/proc"
 	"armci/internal/trace"
@@ -37,9 +39,11 @@ type Sync struct {
 	// conformance fence oracle pairs up across ranks.
 	epoch int
 
-	// Barrier's scratch: the summed op_init[] vector, and its stage-2 wait
-	// predicate, bound once, which compares the node's op_done cell with
-	// want.
+	// Barrier's state: last is op_init[] as the previous Barrier's stage 1
+	// read it, sum the summed delta vector, want the running total of
+	// every summed delta to this node (the op_done stage 2 waits for),
+	// and caught the stage-2 wait predicate, bound once.
+	last   []int64
 	sum    []int64
 	want   int64
 	caught func() bool
@@ -48,7 +52,8 @@ type Sync struct {
 // NewSync builds the synchronization driver for the calling process.
 func NewSync(eng *proc.Engine, comm *collective.Comm) *Sync {
 	env := eng.Env()
-	s := &Sync{eng: eng, comm: comm, sum: make([]int64, env.NumNodes())}
+	nodes := env.NumNodes()
+	s := &Sync{eng: eng, comm: comm, last: make([]int64, nodes), sum: make([]int64, nodes)}
 	space, opDone := env.Space(), eng.Layout().OpDone[env.Node(env.Rank())]
 	s.caught = func() bool { return space.Load(opDone) >= s.want }
 	return s
@@ -112,6 +117,35 @@ func (s *Sync) exit() {
 //     the server as it completes operations — reaches that total;
 //  3. the processes perform a barrier synchronization, after which no
 //     process can have escaped with operations still pending anywhere.
+//
+// Stage 1 sums deltas: each process contributes, per node, the
+// operations it issued since its own previous Barrier read op_init[].
+// The vector is as long as the cumulative one, and stage 2's target is
+// the running total of the summed deltas, the number the cumulative sum
+// gave. The deltas buy an empty-epoch exit: when the summed vector is
+// zero everywhere, Barrier returns after stage 1. That is safe because
+//
+//   - an all-reduce is itself a barrier: no process's result is final
+//     before every process has entered and contributed;
+//   - a zero vector says no process issued a fence-counted operation
+//     since the previous Barrier, and that Barrier completed everything
+//     issued before it (by the full stages, or by this same argument);
+//   - the decision reads only the summed vector, which every process
+//     holds identically, so every process takes the same path and the
+//     collectives stay matched. A process that decided from its own
+//     counts, or from its own node's total alone, would skip stage 3
+//     while others run it.
+//
+// Operations already fenced by AllFence, Fence or SyncOld still count
+// in the delta, so such an epoch takes the full path: conservative, and
+// still correct. last and want move together, only once the all-reduce
+// has returned. A Barrier abandoned inside stage 1 leaves both as they
+// were, and the next Barrier contributes that epoch again; one abandoned
+// in stage 2 or 3 has already counted it. Either way a process that
+// finished stage 1 and one that did not disagree on want, so a run must
+// not call Barrier again after such an abandonment: on the wall fabrics
+// a fault ends the run, and the elastic recovery fences its epochs with
+// SyncOld.
 func (s *Sync) Barrier() {
 	env := s.eng.Env()
 	s.enter()
@@ -135,17 +169,27 @@ func (s *Sync) Barrier() {
 		return
 	}
 
-	// Stage 1: distribute op_init[]. The engine's counters are
-	// cumulative for the life of the run (as are the servers' op_done
-	// counters), so the summed vector is directly comparable.
-	copy(s.sum, s.eng.OpInit())
+	// Stage 1: distribute this epoch's op_init[] deltas. The engine's
+	// counters are cumulative for the life of the run (as are the
+	// servers' op_done counters), so want stays directly comparable.
+	opInit := s.eng.OpInit()
+	for i, v := range opInit {
+		s.sum[i] = v - s.last[i]
+	}
 	s.comm.AllReduceSumInt64Alg(s.sum, s.BarrierAlg)
+	copy(s.last, opInit)
+	if !slices.ContainsFunc(s.sum, nonZero) {
+		s.exit() // an empty epoch: the all-reduce was the barrier
+		return
+	}
 
 	// Stage 2: wait for the local server to catch up.
-	s.want = s.sum[env.Node(env.Rank())]
+	s.want += s.sum[env.Node(env.Rank())]
 	env.WaitUntil("op_done", s.caught)
 
 	// Stage 3: barrier synchronization.
 	s.MPIBarrier()
 	s.exit()
 }
+
+func nonZero(v int64) bool { return v != 0 }

@@ -16,11 +16,12 @@ import (
 	"armci/internal/transport"
 )
 
-// world is the core-test harness: a simulated cluster with engines,
-// collectives, sync drivers and a lock table.
+// world is the core-test harness: a cluster (simulated unless a test
+// names another fabric) with engines, collectives, sync drivers and a
+// lock table.
 type world struct {
 	t      *testing.T
-	fabric *transport.SimFabric
+	fabric transport.Fabric
 	layout *proc.Layout
 	locks  *proc.LockTable
 	stats  *trace.Stats
@@ -34,13 +35,31 @@ func newWorld(t *testing.T, procs, ppn int, params model.Params, lockHomes []int
 // newSeededWorld is newWorld under kernel shuffle seed seed (0 = FIFO).
 func newSeededWorld(t *testing.T, procs, ppn int, params model.Params, lockHomes []int, seed int64) *world {
 	t.Helper()
+	return newWorldOn(t, fabrics[0].build, transport.Config{
+		Procs: procs, ProcsPerNode: ppn, Model: params, ScheduleSeed: seed,
+	}, lockHomes)
+}
+
+// fabrics are the fabrics a fabric-parametric test runs on: the
+// simulator and the in-memory wall-clock one.
+var fabrics = []struct {
+	name  string
+	build func(transport.Config) (transport.Fabric, error)
+}{
+	{"sim", func(c transport.Config) (transport.Fabric, error) { return transport.NewSim(c) }},
+	{"chan", func(c transport.Config) (transport.Fabric, error) { return transport.NewChan(c) }},
+}
+
+// newWorldOn builds a world on the fabric build makes from cfg.
+func newWorldOn(t *testing.T, build func(transport.Config) (transport.Fabric, error), cfg transport.Config, lockHomes []int) *world {
+	t.Helper()
 	stats := trace.New()
-	f, err := transport.NewSim(transport.Config{
-		Procs: procs, ProcsPerNode: ppn, Model: params, Trace: stats, ScheduleSeed: seed,
-	})
+	cfg.Trace = stats
+	f, err := build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	procs, ppn := cfg.Procs, cfg.ProcsPerNode
 	numNodes := (procs + ppn - 1) / ppn
 	lay := proc.NewLayout(f.Space(), procs, numNodes)
 	var locks *proc.LockTable
@@ -77,32 +96,41 @@ func (w *world) run(body func(c *ctx)) {
 // TestBarrierWaitsForOpDone: the combined barrier's stage 2 must not let
 // any rank through before its node's server has completed every put
 // directed at it — even puts from ranks that entered the barrier much
-// earlier.
+// earlier. op_done is cumulative, so over several rounds stage 2 must
+// wait for the running total of the summed deltas, not this round's.
 func TestBarrierWaitsForOpDone(t *testing.T) {
-	const procs = 4
+	const procs, rounds, size = 4, 4, 8 * 1024
 	w := newWorld(t, procs, 1, model.Myrinet2000(), nil)
 	var bufs []shmem.Ptr
 	for r := 0; r < procs; r++ {
-		bufs = append(bufs, w.fabric.Space().AllocBytes(r, 8*1024))
+		bufs = append(bufs, w.fabric.Space().AllocBytes(r, size))
 	}
 	w.run(func(c *ctx) {
 		env := c.g.Env()
 		me := c.g.Rank()
-		// Rank 0 blasts large puts at everyone at the last moment; the
-		// others enter the barrier immediately.
-		if me == 0 {
-			payload := make([]byte, 8*1024)
-			for q := 1; q < procs; q++ {
-				c.g.Put(bufs[q], payload)
+		for round := 1; round <= rounds; round++ {
+			// Rank 0 blasts large puts at everyone at the last moment;
+			// the others enter the barrier immediately.
+			if me == 0 {
+				payload := make([]byte, size)
+				for i := range payload {
+					payload[i] = byte(round)
+				}
+				for q := 1; q < procs; q++ {
+					c.g.Put(bufs[q], payload)
+				}
 			}
-		}
-		c.sync.Barrier()
-		// After the barrier, rank 0's big puts must be complete at every
-		// node — op_done equals the summed op_init by construction.
-		node := env.Node(me)
-		opDone := w.layout.OpDone[node]
-		if me != 0 && env.Space().Load(opDone) == 0 {
-			panic(fmt.Sprintf("rank %d escaped the barrier with op_done=0", me))
+			c.sync.Barrier()
+			// After the barrier, rank 0's big puts must be complete at
+			// every node — op_done reaches the summed op_init by
+			// construction.
+			if me == 0 {
+				continue
+			}
+			done := env.Space().Load(w.layout.OpDone[env.Node(me)])
+			if last := env.Space().ReadRaw(bufs[me].Add(size-1), 1)[0]; done < int64(round) || last != byte(round) {
+				panic(fmt.Sprintf("rank %d escaped barrier %d with op_done=%d, last byte %d", me, round, done, last))
+			}
 		}
 	})
 }

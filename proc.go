@@ -267,7 +267,9 @@ func (p *Proc) SyncOld() { p.sync.SyncOld() }
 func (p *Proc) SyncOldPipelined() { p.sync.SyncOldPipelined() }
 
 // Barrier is the paper's new combined operation ARMCI_Barrier():
-// semantically AllFence+MPIBarrier, in 2·log₂(N) message latencies.
+// semantically AllFence+MPIBarrier, in 2·log₂(N) message latencies, or
+// log₂(N) when no rank issued a fence-counted operation since the
+// previous Barrier.
 func (p *Proc) Barrier() { p.sync.Barrier() }
 
 // --- distributed mutexes ---
