@@ -243,7 +243,12 @@ func Launch(spec Spec) (*Outcome, error) {
 	if spec.ForwardSignals {
 		sigCh := make(chan os.Signal, 2)
 		signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-		defer signal.Stop(sigCh)
+		defer func() {
+			// Stop guarantees no further delivery, so the close is safe
+			// and ends the forwarding goroutine below.
+			signal.Stop(sigCh)
+			close(sigCh)
+		}()
 		go func() {
 			for sig := range sigCh {
 				logf("cluster: forwarding %v to %d workers", sig, numNodes)

@@ -42,7 +42,6 @@ func FuzzMsgRoundTrip(f *testing.F) {
 		if len(data) > 0 {
 			m.Data = data
 			m.Stride = shmem.Strided{Count: []int{len(data)}, Stride: []int64{op1}}
-			m.Vec = []msg.VecSeg{{Ptr: m.Ptr, N: int(int32(n))}}
 		}
 		got, err := wire.Decode(wire.Encode(m)[4:])
 		if err != nil {

@@ -105,12 +105,6 @@ const (
 	// not acknowledged ("the process simply has to initiate sending a
 	// message to the server and need not wait for a reply").
 	KindUnlock
-	// KindPutV is a vector put: one message carrying writes to many
-	// disjoint locations of one node (ARMCI_PutV).
-	KindPutV
-	// KindGetV is a vector get (ARMCI_GetV); answered by KindGetResp
-	// with the concatenated segments.
-	KindGetV
 	// KindColl is a collective-phase message of the message-passing
 	// layer (barrier and all-reduce exchanges); matched by Tag and Src.
 	KindColl
@@ -131,7 +125,6 @@ var kindNames = map[Kind]string{
 	KindAcc: "acc", KindRmw: "rmw", KindRmwResp: "rmw-resp",
 	KindFenceReq: "fence-req", KindFenceAck: "fence-ack",
 	KindLockReq: "lock-req", KindLockGrant: "lock-grant", KindUnlock: "unlock",
-	KindPutV: "putv", KindGetV: "getv",
 	KindColl: "coll", KindSend: "send", KindBatch: "batch",
 }
 
@@ -210,11 +203,6 @@ type Message struct {
 	// N is the byte count of a get request.
 	N int
 
-	// Vec lists the segments of a vector put/get. For KindPutV, Data
-	// holds the segments' payloads concatenated in order; for KindGetV
-	// the response data is concatenated the same way.
-	Vec []VecSeg
-
 	// Op is the RMW sub-operation (KindRmw) or accumulate element type
 	// (KindAcc, as shmem.AccOp).
 	Op uint8
@@ -270,12 +258,6 @@ func (m *Message) PayloadBytes() int {
 func (m *Message) String() string {
 	return fmt.Sprintf("%s %s->%s tok=%d tag=%d ptr=%v n=%d data=%d",
 		m.Kind, m.Src, m.Dst, m.Token, m.Tag, m.Ptr, m.N, len(m.Data))
-}
-
-// VecSeg is one segment of a vector operation: a location and a length.
-type VecSeg struct {
-	Ptr shmem.Ptr
-	N   int
 }
 
 // Match selects messages from a mailbox: those of one kind (any kind for

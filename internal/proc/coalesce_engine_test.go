@@ -96,7 +96,7 @@ func TestEngineCoalescedStoreHandles(t *testing.T) {
 		}
 		g.WaitAll(hs...)
 		for i, h := range hs {
-			if !h.Done() {
+			if !h.Test() {
 				panic(fmt.Sprintf("handle %d not done after WaitAll", i))
 			}
 			h.Wait() // idempotent

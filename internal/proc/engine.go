@@ -140,9 +140,6 @@ func (g *Engine) Layout() *Layout { return g.lay }
 // The cluster must have been brought up with agents (see server.Agent).
 func (g *Engine) SetNICAssist(on bool) { g.useNIC = on }
 
-// NICAssist reports whether NIC routing is enabled.
-func (g *Engine) NICAssist() bool { return g.useNIC }
-
 // SetCoalescing turns the per-destination small-op coalescing stage on
 // or off. Off (the default) leaves the send path untouched.
 func (g *Engine) SetCoalescing(on bool) {
@@ -246,9 +243,6 @@ func (g *Engine) NextToken() uint64 {
 	return g.tokens
 }
 
-// nextToken is the internal alias of NextToken.
-func (g *Engine) nextToken() uint64 { return g.NextToken() }
-
 // countIssue records one fence-counted operation to node, both in
 // op_init[] (what the fence algorithms compare) and, for a loud recorder,
 // as an OpIssue trace event (what the conformance fence oracle compares).
@@ -345,32 +339,17 @@ func (g *Engine) GetStrided(src shmem.Ptr, d shmem.Strided) []byte {
 	return g.get(src, asSent(d), d.TotalBytes())
 }
 
-// get reads the n bytes of region d at src (the zero d: contiguous).
+// get reads the n bytes of region d at src (the zero d: contiguous):
+// directly when src is on the caller's node, else through src's server.
 func (g *Engine) get(src shmem.Ptr, d shmem.Strided, n int) []byte {
-	if local, data := g.getLocal(src, d, n); local {
-		return data
+	if g.local(src.Rank) {
+		g.chargeCopy(n)
+		if d.IsZero() {
+			return g.env.Space().Get(src, n)
+		}
+		return g.env.Space().PackFrom(src, d)
 	}
-	tok := g.sendGet(src, d, n)
-	return g.env.Recv(msg.MatchToken(msg.KindGetResp, tok)).Data
-}
-
-// getLocal reads region d at src directly when src is on the caller's
-// node, and reports whether it was.
-func (g *Engine) getLocal(src shmem.Ptr, d shmem.Strided, n int) (bool, []byte) {
-	if !g.local(src.Rank) {
-		return false, nil
-	}
-	g.chargeCopy(n)
-	if d.IsZero() {
-		return true, g.env.Space().Get(src, n)
-	}
-	return true, g.env.Space().PackFrom(src, d)
-}
-
-// sendGet asks src's server for region d at src, n bytes, and returns the
-// token its response will carry.
-func (g *Engine) sendGet(src shmem.Ptr, d shmem.Strided, n int) uint64 {
-	tok := g.nextToken()
+	tok := g.NextToken()
 	g.sendServer(g.env.Node(int(src.Rank)), g.arena.New(msg.Message{
 		Kind:   msg.KindGet,
 		Origin: g.env.Rank(),
@@ -379,7 +358,7 @@ func (g *Engine) sendGet(src shmem.Ptr, d shmem.Strided, n int) uint64 {
 		Stride: d,
 		N:      n,
 	}))
-	return tok
+	return g.env.Recv(msg.MatchToken(msg.KindGetResp, tok)).Data
 }
 
 // asSent returns the form a transfer over d travels in: the zero
@@ -445,7 +424,7 @@ func (g *Engine) chargeCopy(n int) {
 // rmwBlocking ships an RMW request and waits for its response.
 func (g *Engine) rmwBlocking(p shmem.Ptr, op msg.RmwOp, operands [4]int64) [4]int64 {
 	node := g.env.Node(int(p.Rank))
-	tok := g.nextToken()
+	tok := g.NextToken()
 	g.sendCtl(node, g.arena.New(msg.Message{
 		Kind:     msg.KindRmw,
 		Origin:   g.env.Rank(),

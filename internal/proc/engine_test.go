@@ -399,3 +399,65 @@ func leget(b []byte, off int) int64 {
 	}
 	return int64(v)
 }
+
+func TestEngineFenceAckStoreOps(t *testing.T) {
+	c := newCluster(t, 2, 1, proc.FenceAck, 0)
+	w := c.space().AllocWords(1, 4)
+	done := c.space().AllocWords(1, 1)
+	c.run(func(g *proc.Engine) {
+		env := g.Env()
+		if g.Rank() == 1 {
+			env.WaitUntil("done", func() bool { return env.Space().Load(done) == 1 })
+			return
+		}
+		// Fire-and-forget stores are acknowledged in ack mode and the
+		// fence drains the acks without any fence request.
+		g.Store(w, 1)
+		g.StorePair(w.Add(1), shmem.Pair{Hi: 2, Lo: 3})
+		g.Fence(1)
+		if env.Space().Load(w) != 1 {
+			panic("store not applied after ack fence")
+		}
+		g.Store(done, 1)
+		g.AllFence()
+	})
+	if got := c.stats.Count(msg.KindFenceReq); got != 0 {
+		t.Fatalf("ack-mode fences sent %d requests", got)
+	}
+	if got := c.stats.Count(msg.KindPutAck); got != 3 {
+		t.Fatalf("acks = %d, want 3", got)
+	}
+}
+
+func TestEngineNICFenceRouting(t *testing.T) {
+	// Bring up servers AND NIC agents by hand.
+	c := newCluster(t, 2, 1, proc.FenceRequest, 0)
+	// newCluster spawns only host servers; add agents.
+	for n := 0; n < 2; n++ {
+		c.fabric.SpawnServer(2+n, func(env transport.Env) {
+			server.NewAgent(env, c.layout, server.Options{}).Serve()
+		})
+	}
+	buf := c.space().AllocBytes(1, 8)
+	done := c.space().AllocWords(1, 1)
+	c.stats.SetCapture(true) // PairCount reads the captured sends
+	c.run(func(g *proc.Engine) {
+		env := g.Env()
+		g.SetNICAssist(true)
+		if g.Rank() == 1 {
+			env.WaitUntil("done", func() bool { return env.Space().Load(done) == 1 })
+			return
+		}
+		g.Put(buf, []byte{0xEE})
+		g.Fence(1)
+		if env.Space().Get(buf, 1)[0] != 0xEE {
+			panic("NIC fence acked before the put landed")
+		}
+		g.Store(done, 1)
+		g.Fence(1)
+	})
+	// Fence requests went to the agent, not the host server.
+	if got := c.stats.PairCount(msg.User(0), msg.NICOf(1, 2)); got == 0 {
+		t.Fatal("no traffic reached the NIC agent")
+	}
+}

@@ -26,7 +26,7 @@ func (g *Engine) Fence(node int) {
 		if g.opInit[node] == 0 {
 			return // never issued anything there; nothing to confirm
 		}
-		tok := g.nextToken()
+		tok := g.NextToken()
 		// sendCtl flushes node's coalescing buffer first: buffered ops
 		// are already in op_init, so the confirmation request must trail
 		// them on the FIFO pipe.
@@ -122,7 +122,7 @@ func (g *Engine) AllFencePipelined() {
 		if node == me || g.opInit[node] == 0 {
 			continue
 		}
-		tok := g.nextToken()
+		tok := g.NextToken()
 		tokens = append(tokens, tok)
 		g.Send(g.ctlAddr(node), msg.Message{
 			Kind:     msg.KindFenceReq,

@@ -1,55 +1,20 @@
 package proc
 
 import (
-	"armci/internal/msg"
 	"armci/internal/shmem"
 )
 
-// handleKind classes a completion handle by what finishing means.
-type handleKind uint8
-
-const (
-	// hGet completes when the data response arrives.
-	hGet handleKind = iota
-	// hStore completes when the destination node confirms every
-	// fence-counted operation this process issued there — puts and
-	// accumulates have no per-op response, so a store handle's Wait is a
-	// fence scoped to one node.
-	hStore
-)
-
-// Handle tracks one in-flight non-blocking operation (the ARMCI
-// armci_hdl_t pattern), unified across op kinds: gets carry data,
-// puts/accumulates carry completion. Wait is idempotent — it blocks the
-// first time and afterwards returns the cached result — and Test/Done
-// genuinely poll in-flight progress instead of only reporting
+// Handle tracks the completion of one non-blocking store (the ARMCI
+// armci_hdl_t pattern): a put or accumulate has no per-op response, so
+// it completes when the destination node confirms every fence-counted
+// operation this process issued there, and Wait is a fence scoped to
+// that node. Wait is idempotent — it fences the first time only — and
+// Test polls in-flight progress instead of only reporting
 // already-collected state.
 type Handle struct {
-	g     *Engine
-	kind  handleKind
-	token uint64 // response correlation (hGet)
-	node  int    // destination node (hStore)
-	done  bool
-	data  []byte // collected payload (hGet; cached for repeated Waits)
-}
-
-// NbGet starts a non-blocking contiguous get of n bytes at src.
-func (g *Engine) NbGet(src shmem.Ptr, n int) *Handle {
-	return g.nbGet(src, shmem.Strided{}, n)
-}
-
-// NbGetStrided starts a non-blocking strided get. The caller may issue
-// other operations, then call Wait to collect the flat buffer.
-func (g *Engine) NbGetStrided(src shmem.Ptr, d shmem.Strided) *Handle {
-	return g.nbGet(src, asSent(d), d.TotalBytes())
-}
-
-func (g *Engine) nbGet(src shmem.Ptr, d shmem.Strided, n int) *Handle {
-	if local, data := g.getLocal(src, d, n); local {
-		// Local gets complete immediately; the handle is already done.
-		return &Handle{g: g, kind: hGet, done: true, data: data}
-	}
-	return &Handle{g: g, kind: hGet, token: g.sendGet(src, d, n)}
+	g    *Engine
+	node int // destination node
+	done bool
 }
 
 // NbPut starts a non-blocking contiguous put and returns its completion
@@ -58,12 +23,6 @@ func (g *Engine) nbGet(src shmem.Ptr, d shmem.Strided, n int) *Handle {
 // fence machinery.
 func (g *Engine) NbPut(dst shmem.Ptr, data []byte) *Handle {
 	g.Put(dst, data)
-	return g.storeHandle(dst)
-}
-
-// NbPutStrided starts a non-blocking strided put with a handle.
-func (g *Engine) NbPutStrided(dst shmem.Ptr, d shmem.Strided, data []byte) *Handle {
-	g.PutStrided(dst, d, data)
 	return g.storeHandle(dst)
 }
 
@@ -78,75 +37,44 @@ func (g *Engine) NbAcc(op shmem.AccOp, dst shmem.Ptr, data []byte, scale float64
 func (g *Engine) storeHandle(dst shmem.Ptr) *Handle {
 	if g.local(dst.Rank) {
 		// Local stores apply synchronously; already complete.
-		return &Handle{g: g, kind: hStore, done: true}
+		return &Handle{g: g, done: true}
 	}
-	return &Handle{g: g, kind: hStore, node: g.env.Node(int(dst.Rank))}
+	return &Handle{g: g, node: g.env.Node(int(dst.Rank))}
 }
 
-// Done reports whether the operation has completed, polling in-flight
-// progress: a pending get checks (without blocking) whether its response
-// has been delivered, and a pending put/accumulate checks whether the
-// destination has confirmed completion, where the fence mode makes that
-// observable (FenceAck acknowledgements). In FenceRequest mode a
-// store-class handle's completion is only learnable through a fence
-// round trip, so Done stays false until Wait performs one.
-func (h *Handle) Done() bool { return h.Test() }
-
-// Test is Done under its traditional ARMCI name (ARMCI_Test).
+// Test reports whether the operation has completed (ARMCI_Test), polling
+// in-flight progress: a pending store checks whether the destination has
+// confirmed completion, where the fence mode makes that observable
+// (FenceAck acknowledgements). In FenceRequest mode completion is only
+// learnable through a fence round trip, so Test stays false until Wait
+// performs one.
 func (h *Handle) Test() bool {
-	if h.done {
-		return true
-	}
-	switch h.kind {
-	case hGet:
-		if resp := h.g.env.TryRecv(msg.MatchToken(msg.KindGetResp, h.token)); resp != nil {
-			h.data = resp.Data
-			h.done = true
-		}
-	case hStore:
-		if h.g.mode == FenceAck {
-			h.g.tryDrainAcks()
-			if h.g.outstanding[h.node] == 0 {
-				h.done = true
-			}
-		}
+	if !h.done && h.g.mode == FenceAck {
+		h.g.tryDrainAcks()
+		h.done = h.g.outstanding[h.node] == 0
 	}
 	return h.done
 }
 
-// Wait blocks until the operation completes and returns its data (nil
-// for put/accumulate handles). Wait is idempotent: repeated calls return
-// the same cached result.
-func (h *Handle) Wait() []byte {
-	if h.done {
-		return h.data
-	}
-	switch h.kind {
-	case hGet:
-		resp := h.g.env.Recv(msg.MatchToken(msg.KindGetResp, h.token))
-		h.data = resp.Data
-	case hStore:
+// Wait blocks until the operation completes. It is idempotent: once the
+// handle is done, repeated calls return at once.
+func (h *Handle) Wait() {
+	if !h.done {
 		h.g.Fence(h.node)
+		h.done = true
 	}
-	h.done = true
-	return h.data
 }
 
-// WaitAll completes every handle (ARMCI_WaitAll). Store-class handles
-// against the same node share one fence round trip instead of fencing
-// per handle.
+// WaitAll completes every handle (ARMCI_WaitAll). Handles against the
+// same node share one fence round trip instead of fencing per handle.
 func (g *Engine) WaitAll(hs ...*Handle) {
 	fenced := make(map[int]bool)
-	var stores []*Handle
+	var pending []*Handle
 	for _, h := range hs {
 		if h == nil || h.done {
 			continue
 		}
-		if h.kind == hGet {
-			h.Wait()
-			continue
-		}
-		stores = append(stores, h)
+		pending = append(pending, h)
 		fenced[h.node] = true
 	}
 	for node := 0; node < g.env.NumNodes(); node++ {
@@ -154,7 +82,7 @@ func (g *Engine) WaitAll(hs ...*Handle) {
 			g.Fence(node)
 		}
 	}
-	for _, h := range stores {
+	for _, h := range pending {
 		h.done = true
 	}
 }

@@ -192,28 +192,6 @@ func (s *Server) HandleOne(m *msg.Message) {
 			s.env.Space().AccumulateStrided(shmem.AccOp(m.Op), m.Ptr, m.Stride, m.Data, m.Scale)
 		}
 		s.completeStore(m)
-	case msg.KindPutV:
-		s.env.Charge(p.ServiceTime(len(m.Data)))
-		pos := 0
-		space := s.env.Space()
-		for _, seg := range m.Vec {
-			space.Put(seg.Ptr, m.Data[pos:pos+seg.N])
-			pos += seg.N
-		}
-		s.completeStore(m)
-	case msg.KindGetV:
-		s.env.Charge(p.ServiceTime(m.N))
-		space := s.env.Space()
-		data := make([]byte, 0, m.N)
-		for _, seg := range m.Vec {
-			data = append(data, space.Get(seg.Ptr, seg.N)...)
-		}
-		s.reply(m.Origin, msg.Message{
-			Kind:   msg.KindGetResp,
-			Origin: m.Origin,
-			Token:  m.Token,
-			Data:   data,
-		})
 	case msg.KindGet:
 		s.env.Charge(p.ServiceTime(m.N))
 		var data []byte

@@ -237,31 +237,6 @@ func TestNewRejectsUserEndpoint(t *testing.T) {
 	}
 }
 
-func TestServerVectorOps(t *testing.T) {
-	harness(t, model.Zero(), 0, func(env transport.Env, lay *proc.Layout, _ *proc.LockTable) {
-		b := env.Space().AllocBytes(0, 128)
-		env.Send(msg.ServerOf(0), &msg.Message{
-			Kind: msg.KindPutV, Origin: 0,
-			Vec:  []msg.VecSeg{{Ptr: b.Add(3), N: 2}, {Ptr: b.Add(90), N: 1}},
-			Data: []byte{11, 22, 33},
-		})
-		env.WaitUntil("applied", func() bool { return env.Space().Load(lay.OpDone[0]) == 1 })
-		env.Send(msg.ServerOf(0), &msg.Message{
-			Kind: msg.KindGetV, Origin: 0, Token: 5,
-			Vec: []msg.VecSeg{{Ptr: b.Add(90), N: 1}, {Ptr: b.Add(3), N: 2}},
-			N:   3,
-		})
-		resp := env.Recv(msg.MatchToken(msg.KindGetResp, 5))
-		if len(resp.Data) != 3 || resp.Data[0] != 33 || resp.Data[1] != 11 || resp.Data[2] != 22 {
-			panic(fmt.Sprintf("vector get returned %v", resp.Data))
-		}
-		// Per-origin counter advanced alongside the aggregate.
-		if env.Space().Load(lay.PerOrigin[0]) != 1 {
-			panic("per-origin count wrong")
-		}
-	})
-}
-
 func TestServerAccumulateStrided(t *testing.T) {
 	harness(t, model.Zero(), 0, func(env transport.Env, lay *proc.Layout, _ *proc.LockTable) {
 		b := env.Space().AllocBytes(0, 64)

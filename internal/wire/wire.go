@@ -1,12 +1,14 @@
-// Package wire implements the binary framing used by the TCP fabric.
+// Package wire implements the binary framing of the tcp and proc fabrics.
 // Every protocol message is encoded as a length-prefixed frame:
 //
 //	u32  body length (little endian)
 //	body ...
 //
-// The body is a fixed header followed by the variable-length stride
-// descriptor and payload. Encoding is deliberately explicit — no
-// reflection — so the format is stable, inspectable and cheap.
+// The body is the message's fixed fields with the stride descriptor
+// (one count byte per list, then the list) among them, and the payload
+// last; a contiguous message's frame is frameFixed bytes before its
+// payload. Encoding is deliberately explicit — no reflection — so the
+// format is stable, inspectable and cheap.
 package wire
 
 import (
@@ -41,7 +43,15 @@ const ClusterMagic = 0x434d5241
 // listener. Version 4 added the launch's clock start to the roster.
 // Version 5 cut the view ack to node, view epoch and committed sync epoch.
 // Version 6 removed the coordinator's barrier arrival and release frames.
-const ClusterVersion = 6
+// Version 7 removed the vector-segment list from every data frame.
+const ClusterVersion = 7
+
+// frameFixed is the size of a contiguous message's frame before its
+// payload, length prefix included: prefix(4) + kind(1) + src(5) + dst(5) +
+// origin(4) + token, seq, epoch, sent, arrival, tag (6×8) + ptr(17) +
+// stride list counts(2) + n(4) + op(1) + scale(8) + operands(32) +
+// payload length(4). A stride adds 4 bytes per count and 8 per stride.
+const frameFixed = 135
 
 // clusterHelloFixed is the fixed prefix of a cluster hello frame body:
 // magic(4) + version(2) + node(4) + procs(4) + ppn(4) + cookie(8) +
@@ -146,7 +156,7 @@ func DecodeHello(body []byte) (msg.Addr, error) {
 // on the wire. Dup and FaultDelay are sender-local diagnostics and are
 // not transmitted.
 func Encode(m *msg.Message) []byte {
-	return AppendEncode(make([]byte, 0, 132+len(m.Data)), m)
+	return AppendEncode(make([]byte, 0, frameFixed+len(m.Data)), m)
 }
 
 // AppendEncode appends m's frame (length prefix included) to b and
@@ -167,11 +177,6 @@ func AppendEncode(b []byte, m *msg.Message) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(int64(m.Tag)))
 	b = appendPtr(b, m.Ptr)
 	b = appendStride(b, m.Stride)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(m.Vec)))
-	for _, seg := range m.Vec {
-		b = appendPtr(b, seg.Ptr)
-		b = binary.LittleEndian.AppendUint32(b, uint32(int32(seg.N)))
-	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(int32(m.N)))
 	b = append(b, m.Op)
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.Scale))
@@ -208,13 +213,6 @@ func DecodeIn(a *msg.Arena, body []byte) (*msg.Message, error) {
 	m.Tag = int(int64(d.u64()))
 	m.Ptr = d.ptr()
 	m.Stride = d.stride()
-	if nv := int(d.u16()); nv > 0 && d.err == nil {
-		m.Vec = make([]msg.VecSeg, nv)
-		for i := range m.Vec {
-			m.Vec[i].Ptr = d.ptr()
-			m.Vec[i].N = int(int32(d.u32()))
-		}
-	}
 	m.N = int(int32(d.u32()))
 	m.Op = d.u8()
 	m.Scale = math.Float64frombits(d.u64())

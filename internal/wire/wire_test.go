@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/iotest"
 	"testing/quick"
@@ -51,16 +52,6 @@ func randomMessage(r *rand.Rand) *msg.Message {
 			m.Stride.Stride = append(m.Stride.Stride, r.Int63n(1<<30))
 		}
 	}
-	if nv := r.Intn(5); nv > 0 {
-		m.Vec = make([]msg.VecSeg, nv)
-		for i := range m.Vec {
-			m.Vec[i] = msg.VecSeg{
-				Ptr: shmem.Ptr{Rank: int32(r.Intn(64)), Kind: shmem.KindByte,
-					Seg: int32(1 + r.Intn(8)), Off: r.Int63n(1 << 20)},
-				N: r.Intn(1 << 12),
-			}
-		}
-	}
 	if n := r.Intn(512); n > 0 {
 		m.Data = make([]byte, n)
 		r.Read(m.Data)
@@ -89,14 +80,6 @@ func messagesEquivalent(a, b *msg.Message) bool {
 	}
 	for i := range a.Stride.Stride {
 		if a.Stride.Stride[i] != b.Stride.Stride[i] {
-			return false
-		}
-	}
-	if len(a.Vec) != len(b.Vec) {
-		return false
-	}
-	for i := range a.Vec {
-		if a.Vec[i] != b.Vec[i] {
 			return false
 		}
 	}
@@ -166,21 +149,46 @@ func TestHelloRoundTrip(t *testing.T) {
 }
 
 // TestTruncatedFramesError: every prefix of a valid body must produce an
-// error, never a garbage message or a panic.
+// error, never a garbage message or a panic. A contiguous message's cut
+// inside its fixed fields reads as a truncation, a cut inside its payload
+// as a payload overrun.
 func TestTruncatedFramesError(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	m := randomMessage(r)
-	body := Encode(m)[4:]
-	for cut := 0; cut < len(body); cut++ {
-		if _, err := Decode(body[:cut]); err == nil {
-			// A truncated payload length can still parse if the data
-			// section happens to be self-consistent; only full length
-			// must succeed.
-			t.Fatalf("truncation at %d of %d decoded successfully", cut, len(body))
+	contiguous := &msg.Message{Kind: msg.KindPut, Ptr: shmem.Ptr{Rank: 1, Kind: 1, Seg: 1}, Data: []byte{1, 2, 3}}
+	for _, m := range []*msg.Message{randomMessage(r), contiguous} {
+		body := Encode(m)[4:]
+		for cut := 0; cut < len(body); cut++ {
+			_, err := Decode(body[:cut])
+			if err == nil {
+				t.Fatalf("truncation at %d of %d decoded successfully", cut, len(body))
+			}
+			if m != contiguous {
+				continue
+			}
+			want := "truncated"
+			if cut >= frameFixed-4 {
+				want = "payload length"
+			}
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("truncation at %d of %d: %v, want %q", cut, len(body), err, want)
+			}
+		}
+		if _, err := Decode(body); err != nil {
+			t.Fatalf("full body failed: %v", err)
 		}
 	}
-	if _, err := Decode(body); err != nil {
-		t.Fatalf("full body failed: %v", err)
+}
+
+// TestEncodeSizeIsFrameFixed pins the frame layout: a contiguous
+// message's frame is frameFixed bytes plus its payload, and Encode sizes
+// its buffer exactly for it.
+func TestEncodeSizeIsFrameFixed(t *testing.T) {
+	for _, n := range []int{0, 1, 64, 4096} {
+		m := &msg.Message{Kind: msg.KindPut, Data: make([]byte, n)}
+		f := Encode(m)
+		if len(f) != frameFixed+n || cap(f) != len(f) {
+			t.Fatalf("%d-byte payload: frame len %d cap %d, want both %d", n, len(f), cap(f), frameFixed+n)
+		}
 	}
 }
 
@@ -211,8 +219,8 @@ func TestReadFrameShortBody(t *testing.T) {
 func TestPayloadLengthOverrun(t *testing.T) {
 	m := &msg.Message{Kind: msg.KindPut, Data: []byte{1, 2, 3, 4}}
 	body := Encode(m)[4:]
-	// Corrupt the payload length field (last 4 bytes before data).
-	body[len(body)-8] = 0xFF
+	// Corrupt the payload length field (the last fixed field).
+	body[frameFixed-4-4] = 0xFF
 	if _, err := Decode(body); err == nil {
 		t.Fatal("overrun payload length accepted")
 	}

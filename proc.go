@@ -120,18 +120,10 @@ func (p *Proc) Get(src Ptr, n int) []byte { return p.eng.Get(src, n) }
 // GetStrided gathers the strided region at src (ARMCI_GetS). Blocking.
 func (p *Proc) GetStrided(src Ptr, d Strided) []byte { return p.eng.GetStrided(src, d) }
 
-// Handle tracks one in-flight non-blocking operation (armci_hdl_t),
-// unified across op kinds: gets carry data, puts and accumulates carry
-// completion. Wait is idempotent (repeated calls return the cached
-// result); Test/Done poll in-flight progress without blocking.
+// Handle tracks the completion of one non-blocking put or accumulate
+// (armci_hdl_t). Wait fences the destination node once (repeated calls
+// return at once); Test polls in-flight progress without blocking.
 type Handle = proc.Handle
-
-// NbGet starts a non-blocking get of n bytes at src, letting the caller
-// overlap communication with computation before calling Wait.
-func (p *Proc) NbGet(src Ptr, n int) *Handle { return p.eng.NbGet(src, n) }
-
-// NbGetStrided starts a non-blocking strided get.
-func (p *Proc) NbGetStrided(src Ptr, d Strided) *Handle { return p.eng.NbGetStrided(src, d) }
 
 // NbPut starts a non-blocking contiguous put (ARMCI_NbPut) and returns
 // its completion handle. The transfer behaves exactly like Put —
@@ -139,11 +131,6 @@ func (p *Proc) NbGetStrided(src Ptr, d Strided) *Handle { return p.eng.NbGetStri
 // top: Wait fences the destination node, Test polls where the fence
 // mode makes completion observable.
 func (p *Proc) NbPut(dst Ptr, data []byte) *Handle { return p.eng.NbPut(dst, data) }
-
-// NbPutStrided starts a non-blocking strided put with a handle.
-func (p *Proc) NbPutStrided(dst Ptr, d Strided, data []byte) *Handle {
-	return p.eng.NbPutStrided(dst, d, data)
-}
 
 // NbAcc starts a non-blocking contiguous accumulate (ARMCI_NbAcc) with a
 // completion handle.
@@ -182,21 +169,6 @@ func (p *Proc) FlushAll() { p.eng.FlushAll() }
 func (p *Proc) Accumulate(op AccOp, dst Ptr, d Strided, data []byte, scale float64) {
 	p.eng.Accumulate(op, dst, d, data, scale)
 }
-
-// VecPiece is one segment of a vector put: destination and payload.
-type VecPiece = proc.VecPiece
-
-// VecRead is one segment of a vector get: source and length.
-type VecRead = proc.VecRead
-
-// PutV writes many disjoint segments of one rank's memory with a single
-// message (ARMCI_PutV). Non-blocking and fence-counted.
-func (p *Proc) PutV(pieces []VecPiece) { p.eng.PutV(pieces) }
-
-// GetV reads many disjoint segments of one rank's memory with a single
-// request/response pair (ARMCI_GetV). Blocking; buffers are returned in
-// order.
-func (p *Proc) GetV(reads []VecRead) [][]byte { return p.eng.GetV(reads) }
 
 // --- atomic word operations (ARMCI_Rmw and the paper's pair extensions) ---
 
@@ -346,12 +318,4 @@ func (p *Proc) Mutex(idx int, alg LockAlg) Mutex {
 		return core.NewLeaseLock(p.eng, p.locks, idx, p.leaseTTL)
 	}
 	panic(fmt.Sprintf("armci: unknown lock algorithm %v", alg))
-}
-
-// LockHome returns the home rank of cluster lock idx.
-func (p *Proc) LockHome(idx int) int {
-	if p.locks == nil {
-		panic("armci: run was configured with NumMutexes == 0")
-	}
-	return p.locks.Home[idx]
 }

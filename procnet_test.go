@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -870,6 +872,40 @@ func TestProcnetElasticKillAndRespawn(t *testing.T) {
 	}
 	if inc != 1 {
 		t.Errorf("max incarnation %d, want 1 (victim respawned exactly once)", inc)
+	}
+}
+
+// TestProcnetForwardSignalsLeavesNoGoroutine: a launch that forwards
+// the launcher's signals to its workers stops forwarding when it returns,
+// so the goroutine count settles back to where it was before the launch.
+func TestProcnetForwardSignalsLeavesNoGoroutine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	// The first signal.Notify of a process starts the runtime's signal
+	// loop for good; start it here so it is not counted as the launch's.
+	warm := make(chan os.Signal, 1)
+	signal.Notify(warm, os.Interrupt)
+	signal.Stop(warm)
+	before := runtime.NumGoroutine()
+	out, err := cluster.Launch(cluster.Spec{
+		Procs:          2,
+		Command:        []string{testExe(t)},
+		ExtraEnv:       []string{"ARMCI_PROCNET_TEST_WORKLOAD=ring"},
+		Output:         io.Discard,
+		RunTimeout:     time.Minute,
+		ForwardSignals: true,
+	})
+	if err != nil {
+		t.Fatalf("proc launch: %v (outcome %+v)", err, out)
+	}
+	now := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); now > before && time.Now().Before(deadline); now = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if now > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines before the launch, %d after it settled:\n%s", before, now, buf[:runtime.Stack(buf, true)])
 	}
 }
 
