@@ -104,10 +104,11 @@ const (
 // Coalesce switches the engine's per-destination small-op coalescing
 // stage: eligible puts, accumulates and notify stores (at most
 // pipeline.MaxEntryBytes each) bound for the same node are buffered in
-// program order and shipped as one batched wire frame, flushed when a
-// buffer holds pipeline.MaxOps entries or pipeline.MaxBytes of payload
-// and at every ordering point (fence, barrier, notify flag, or any other
-// message to the same node). The zero value disables coalescing.
+// program order and shipped as one batched wire frame, flushed when the
+// next entry would grow the encoded frame past pipeline.MaxFrameBytes
+// (16 KiB, one link write) and at every ordering point (fence, barrier,
+// notify flag, or any other message to the same node). The zero value
+// disables coalescing.
 type Coalesce struct {
 	Enabled bool
 }

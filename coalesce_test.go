@@ -7,20 +7,21 @@ import (
 	"time"
 
 	"armci"
+	"armci/internal/msg"
 )
 
 // TestCoalescedCallerBufferReuse pins who owns the bytes of a coalesced
 // operation: Put, Accumulate and PutFlag copy the caller's payload
 // before they return. Rank 0 drives every call from one 8-byte source
 // buffer and scribbles over it right after each call; rank 1 checks
-// every target word once the round's notify flag arrives. A round's 40
-// puts and 40 accumulates cross the 16-entry threshold mid-round, so
-// frames leave while the coalescer's arena is being refilled. Under the
+// every target word once the round's notify flag arrives. A round's 200
+// puts and 200 accumulates cross the frame bound mid-round, so frames
+// leave while the coalescer's arena is being refilled. Under the
 // dup+loss plan a duplicated or retransmitted frame must still carry
 // its own bytes, and each accumulate, applied exactly once, shows the
 // duplicates were suppressed.
 func TestCoalescedCallerBufferReuse(t *testing.T) {
-	const rounds, words = 3, 40
+	const rounds, words = 3, 200
 	lossy, err := armci.ParseFaults("dup=0.2,loss=0.1,seed=5")
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +102,40 @@ func TestCoalescedCallerBufferReuse(t *testing.T) {
 			}
 			if f := metrics.Faults(); tc.faults.DupProb > 0 && (f.DupsInjected == 0 || f.Retransmits == 0) {
 				t.Fatalf("fault plan inert: %d duplicates, %d retransmits", f.DupsInjected, f.Retransmits)
+			}
+		})
+	}
+}
+
+// TestCoalescedBurstIsOneFrame: 256 8-byte puts and a Fence to one node
+// travel as exactly one batched frame — the burst's 11,014 bytes are under
+// the frame bound — on the simulator and on chan.
+func TestCoalescedBurstIsOneFrame(t *testing.T) {
+	const puts, width = 256, 8
+	for _, fabric := range []armci.FabricKind{armci.FabricSim, armci.FabricChan} {
+		t.Run(fabric.String(), func(t *testing.T) {
+			opts := armci.Options{Procs: 2, Fabric: fabric, Coalesce: armci.Coalesce{Enabled: true}}
+			if fabric != armci.FabricSim {
+				opts.OpDeadline = 30 * time.Second
+			}
+			rep, err := armci.Run(opts, func(p *armci.Proc) {
+				buf := p.Malloc(puts * width)
+				if p.Rank() == 0 {
+					data := make([]byte, width)
+					for i := 0; i < puts; i++ {
+						p.Put(buf[1].Add(int64(i*width)), data)
+					}
+					p.Fence(p.NodeOf(1))
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rep.Stats.Count(msg.KindBatch); got != 1 {
+				t.Fatalf("%d batched frames for a burst of %d puts, want 1", got, puts)
+			}
+			if got := rep.Stats.Count(msg.KindPut); got != 0 {
+				t.Fatalf("%d puts escaped the coalescer", got)
 			}
 		})
 	}

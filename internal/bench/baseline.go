@@ -31,7 +31,7 @@ const baselineName = "BENCH_%d.json"
 type Metric struct {
 	// Value is the measurement (lower is better for every metric).
 	Value float64 `json:"value"`
-	// Unit is a display unit: "us", "pct", "sends", "cases", "events".
+	// Unit is a display unit: "us", "pct", "sends", "frames", "cases", "events".
 	Unit string `json:"unit"`
 }
 

@@ -268,7 +268,7 @@ func TestCoordinatorFaultsOnDataFrame(t *testing.T) {
 	defer r0.s.Close()
 
 	m := &msg.Message{Kind: msg.KindPut, Src: msg.User(1), Dst: msg.User(0), Seq: 1}
-	if err := cc.writeFrame(frameData, wire.Encode(m)); err != nil {
+	if err := cc.writeFrame(frameData, wire.AppendEncode(nil, m)); err != nil {
 		t.Fatalf("write data frame: %v", err)
 	}
 	werr := co.Wait()
@@ -320,7 +320,7 @@ func TestPeerHelloInstallsRejoinerRoute(t *testing.T) {
 	defer rejoiner.Close()
 	hello := wire.ClusterHello{Node: 1, Procs: 2, ProcsPerNode: 1, Cookie: 7, Incarnation: 1, PeerAddr: rejoiner.Addr().String()}
 	cc := rawHello(t, addr0, framePeerHello, hello)
-	if _, err := cc.c.Write(wire.Encode(&msg.Message{Kind: msg.KindGet, Src: msg.User(1), Dst: msg.ServerOf(0), Seq: 1})); err != nil {
+	if _, err := cc.c.Write(wire.AppendEncode(nil, &msg.Message{Kind: msg.KindGet, Src: msg.User(1), Dst: msg.ServerOf(0), Seq: 1})); err != nil {
 		t.Fatalf("write restore read: %v", err)
 	}
 	select {
@@ -353,7 +353,7 @@ func TestPeerHelloInstallsRejoinerRoute(t *testing.T) {
 		"wrong cookie":      {Node: 1, Procs: 2, ProcsPerNode: 1, Cookie: 8, Incarnation: 2, PeerAddr: "127.0.0.1:1"},
 	} {
 		cc := rawHello(t, addr0, framePeerHello, bad)
-		cc.c.Write(wire.Encode(&msg.Message{Kind: msg.KindGet, Src: msg.User(1), Dst: msg.ServerOf(0), Seq: 2}))
+		cc.c.Write(wire.AppendEncode(nil, &msg.Message{Kind: msg.KindGet, Src: msg.User(1), Dst: msg.ServerOf(0), Seq: 2}))
 		if _, err := wire.ReadFrame(cc.c); !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) {
 			t.Errorf("%s: connection still open (%v), want it dropped", name, err)
 		}
@@ -638,7 +638,7 @@ func TestSendMsgConcurrent(t *testing.T) {
 	put := func(sender, i int) *msg.Message {
 		return &msg.Message{Kind: msg.KindPut, Src: msg.User(0), Dst: msg.User(1), Tag: sender, Seq: uint64(i + 1), Data: []byte("payload")}
 	}
-	frameLen := len(wire.Encode(put(0, 0)))
+	frameLen := len(wire.AppendEncode(nil, put(0, 0)))
 	// launch joins two nodes whose messages go to got, and returns node 0.
 	launch := func(t *testing.T, got chan *msg.Message) *Session {
 		_, sess := startCluster(t, Config{Procs: 2, Cookie: 7}, func(int) Handlers {

@@ -43,7 +43,7 @@ func FuzzMsgRoundTrip(f *testing.F) {
 			m.Data = data
 			m.Stride = shmem.Strided{Count: []int{len(data)}, Stride: []int64{op1}}
 		}
-		got, err := wire.Decode(wire.Encode(m)[4:])
+		got, err := wire.Decode(wire.AppendEncode(nil, m)[4:])
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v (message %v)", err, m)
 		}

@@ -5,13 +5,13 @@ import (
 	"armci/internal/wire"
 )
 
-// Coalescing limits: a buffer flushes once it holds MaxOps entries or
-// MaxBytes of payload, and only operations no larger than MaxEntryBytes
-// are eligible at all (bigger transfers amortize their own per-message
-// overhead and go out directly).
+// Coalescing limits: only operations of at most MaxEntryBytes are eligible
+// (bigger ones amortize their own per-message cost), and a buffer ships
+// when its next entry would grow the frame (wire.BatchSize) past
+// MaxFrameBytes, the link's write size (cluster.WriteCap): a full frame is
+// one write, and a burst of 256 8-byte puts is one frame of 11,014 bytes.
 const (
-	MaxOps        = 16
-	MaxBytes      = 8192
+	MaxFrameBytes = 16 << 10
 	MaxEntryBytes = 1024
 )
 
@@ -19,7 +19,7 @@ const (
 // packs each buffer into one batched wire frame. It belongs to a single
 // actor (one rank's engine) and is not self-synchronizing.
 //
-// Flushing is driven only by the thresholds and by explicit program
+// Flushing is driven only by the frame bound and by explicit program
 // points (fences, barriers, notify flags, any non-coalescable send to
 // the same node) — never by timers — so the resulting message stream is
 // a pure function of the program and the trace fingerprint stays
@@ -65,15 +65,18 @@ func (c *Coalescer) SetReorderHazard(on bool) { c.reorder = on }
 // coalescing at all.
 func (c *Coalescer) Fits(n int) bool { return n > 0 && n <= MaxEntryBytes }
 
-// Add buffers e for node, copying e.Data into the node's arena. If the
-// addition fills the buffer (MaxOps entries or MaxBytes payload), the
-// packed frame is returned and the buffer reset; otherwise Add returns
-// nil.
+// Add buffers e for node, copying e.Data into the node's arena. If e would
+// grow the frame past MaxFrameBytes, Add first packs and returns the frame
+// buffered so far, and e starts the next one; otherwise it returns nil.
 func (c *Coalescer) Add(node int, e wire.BatchEntry) *msg.Message {
 	for node >= len(c.bufs) {
 		c.bufs = append(c.bufs, destBuf{})
 	}
 	b := &c.bufs[node]
+	var full *msg.Message
+	if wire.BatchBodySize(len(b.entries)+1, len(b.arena)+len(e.Data)) > MaxFrameBytes {
+		full = c.Flush(node)
+	}
 	start := len(b.arena)
 	b.arena = append(b.arena, e.Data...)
 	// Field by field, so the caller's e.Data is only read, never kept.
@@ -81,10 +84,7 @@ func (c *Coalescer) Add(node int, e wire.BatchEntry) *msg.Message {
 		Op: e.Op, Ptr: e.Ptr, AccOp: e.AccOp, Scale: e.Scale,
 		Data: b.arena[start:len(b.arena):len(b.arena)],
 	})
-	if len(b.entries) >= MaxOps || len(b.arena) >= MaxBytes {
-		return c.Flush(node)
-	}
-	return nil
+	return full
 }
 
 // Pending returns the number of buffered entries for node.

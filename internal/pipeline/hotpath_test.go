@@ -85,11 +85,11 @@ func hotPathAllocBudget(t *testing.T, rec *trace.Stats, f Faults) {
 }
 
 // TestCoalescerAllocBudget pins the coalesced small-operation path once
-// a node's buffer is warm: an Add that does not fill the buffer
-// allocates nothing (the payload lands in the arena the buffer keeps),
-// a whole frame's worth of Adds allocates at most the filling Add's
-// body and message, and FlushAll with nothing buffered allocates
-// nothing.
+// a node's buffer is warm: an Add that does not ship a frame allocates
+// nothing (the payload lands in the arena the buffer keeps), a whole
+// frame's worth of Adds — filled to MaxFrameBytes — allocates at most the
+// shipped frame's body and message, and FlushAll with nothing buffered
+// allocates nothing.
 func TestCoalescerAllocBudget(t *testing.T) {
 	const node = 1
 	c := NewCoalescer(0)
@@ -98,6 +98,7 @@ func TestCoalescerAllocBudget(t *testing.T) {
 		Ptr:  shmem.Ptr{Rank: 1, Kind: shmem.KindByte, Seg: 1},
 		Data: make([]byte, 8),
 	}
+	perFrame := (MaxFrameBytes - wire.BatchBodySize(0, 0)) / (wire.BatchBodySize(1, 8) - wire.BatchBodySize(0, 0))
 	frames := 0
 	add := func() {
 		if c.Add(node, e) != nil {
@@ -105,26 +106,27 @@ func TestCoalescerAllocBudget(t *testing.T) {
 		}
 	}
 	frame := func() {
-		for i := 0; i < MaxOps; i++ {
+		for i := 0; i < perFrame; i++ {
 			add()
 		}
 	}
-	frame() // warm the node's entry table and arena
-	// AllocsPerRun makes one extra warm-up call: MaxOps-1 Adds in all,
-	// one short of the threshold.
-	if avg := testing.AllocsPerRun(MaxOps-2, add); avg > 0 {
-		t.Errorf("an Add that does not fill the buffer allocates %.2f, budget 0", avg)
+	frame() // warm the node's entry table and arena with one full frame
+	add()   // ship it; this entry opens the next frame
+	// AllocsPerRun makes one extra warm-up call: perFrame-1 Adds in all,
+	// which fill the open frame to the bound without shipping it.
+	if avg := testing.AllocsPerRun(perFrame-2, add); avg > 0 {
+		t.Errorf("an Add that does not ship a frame allocates %.2f, budget 0", avg)
 	}
-	if got := c.Pending(node); got != MaxOps-1 {
-		t.Fatalf("Pending = %d after the non-filling Adds, want %d", got, MaxOps-1)
+	if got := c.Pending(node); got != perFrame {
+		t.Fatalf("Pending = %d after the non-shipping Adds, want %d", got, perFrame)
 	}
-	add() // fill and ship the partial frame
 	if avg := testing.AllocsPerRun(100, frame); avg > 2 {
-		t.Errorf("a frame of %d Adds allocates %.2f, budget 2 (body and message)", MaxOps, avg)
+		t.Errorf("a frame of %d Adds allocates %.2f, budget 2 (body and message)", perFrame, avg)
 	}
-	if want := 2 + 101; frames != want {
+	if want := 1 + 101; frames != want {
 		t.Fatalf("%d frames flushed, want %d", frames, want)
 	}
+	c.Flush(node)
 	emit := func(int, *msg.Message) { t.Fatal("FlushAll emitted a frame with nothing buffered") }
 	if avg := testing.AllocsPerRun(100, func() { c.FlushAll(emit) }); avg > 0 {
 		t.Errorf("an empty FlushAll allocates %.2f, budget 0", avg)

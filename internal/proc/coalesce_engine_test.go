@@ -8,6 +8,7 @@ import (
 	"armci/internal/msg"
 	"armci/internal/pipeline"
 	"armci/internal/proc"
+	"armci/internal/wire"
 )
 
 // TestEngineCoalescedPutsRideOneFrame: with coalescing on, a burst of
@@ -50,24 +51,32 @@ func TestEngineCoalescedPutsRideOneFrame(t *testing.T) {
 	}
 }
 
-// TestEngineCoalescerThresholdFlush: crossing MaxOps mid-stream ships a
-// full frame immediately; the remainder goes out at the fence.
-func TestEngineCoalescerThresholdFlush(t *testing.T) {
-	const maxOps = pipeline.MaxOps
+// TestEngineCoalescerFrameBoundFlush: the put that would grow the frame
+// past MaxFrameBytes ships the full frame at once; it and the remainder go
+// out at the fence.
+func TestEngineCoalescerFrameBoundFlush(t *testing.T) {
+	full := (pipeline.MaxFrameBytes - wire.BatchBodySize(0, 0)) / (wire.BatchBodySize(1, 8) - wire.BatchBodySize(0, 0))
 	c := newCluster(t, 2, 1, proc.FenceRequest, 0)
-	buf := c.space().AllocBytes(1, (maxOps+1)*8)
+	buf := c.space().AllocBytes(1, (full+1)*8)
 	c.run(func(g *proc.Engine) {
 		if g.Rank() != 0 {
 			return
 		}
 		g.SetCoalescing(true)
-		for i := 0; i < maxOps+1; i++ {
+		for i := 0; i < full; i++ {
 			g.Put(buf.Add(int64(i*8)), bytes.Repeat([]byte{0xAB}, 8))
+		}
+		if got := g.Coalescer().Pending(1); got != full {
+			panic(fmt.Sprintf("%d entries pending at the bound, want %d", got, full))
+		}
+		g.Put(buf.Add(int64(full*8)), bytes.Repeat([]byte{0xAB}, 8))
+		if got := g.Coalescer().Pending(1); got != 1 {
+			panic(fmt.Sprintf("%d entries pending past the bound, want 1", got))
 		}
 		g.Fence(1)
 	})
 	if got := c.stats.Count(msg.KindBatch); got != 2 {
-		t.Fatalf("batched frames = %d, want 2 (threshold flush + fence flush)", got)
+		t.Fatalf("batched frames = %d, want 2 (bound flush + fence flush)", got)
 	}
 }
 

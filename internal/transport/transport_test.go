@@ -1086,7 +1086,7 @@ func TestProcCorruptFramesNeverBlockTheReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := append(wire.EncodeHello(msg.User(0)), 3, 0, 0, 0, 0xff, 0xff, 0xff)
-	stream = append(stream, wire.Encode(&msg.Message{Kind: msg.KindSend, Src: msg.User(1), Dst: msg.User(0), Seq: 1})...)
+	stream = append(stream, wire.AppendEncode(nil, &msg.Message{Kind: msg.KindSend, Src: msg.User(1), Dst: msg.User(0), Seq: 1})...)
 	var delivered atomic.Int32
 	done := make(chan struct{})
 	go func() {

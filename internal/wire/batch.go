@@ -84,11 +84,17 @@ func EncodeBatch(entries []BatchEntry) []byte {
 
 // BatchSize returns the encoded size of the batch body for entries.
 func BatchSize(entries []BatchEntry) int {
-	n := batchHeaderSize + len(entries)*batchEntrySize
+	payload := 0
 	for _, e := range entries {
-		n += len(e.Data)
+		payload += len(e.Data)
 	}
-	return n
+	return BatchBodySize(len(entries), payload)
+}
+
+// BatchBodySize returns the encoded size of a batch body of n entries
+// whose payloads total payload bytes.
+func BatchBodySize(n, payload int) int {
+	return batchHeaderSize + n*batchEntrySize + payload
 }
 
 // AppendBatch appends the batch body for entries to b and returns the

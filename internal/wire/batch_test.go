@@ -30,6 +30,19 @@ func sampleBatches() [][]BatchEntry {
 	}
 }
 
+// burst is a coalesced burst's batch: n-1 8-byte puts to consecutive
+// words, closed by a notify store.
+func burst(n int) []BatchEntry {
+	entries := make([]BatchEntry, n)
+	for i := range entries[:n-1] {
+		entries[i] = BatchEntry{Op: BatchPut, Ptr: shmem.Ptr{Rank: 1, Kind: 1, Seg: 1, Off: int64(8 * i)},
+			Data: binary.LittleEndian.AppendUint64(nil, uint64(i))}
+	}
+	entries[n-1] = BatchEntry{Op: BatchStore, Ptr: shmem.Ptr{Rank: 1, Kind: 2, Seg: 1},
+		Data: binary.LittleEndian.AppendUint64(nil, 1)}
+	return entries
+}
+
 // FuzzBatchDecode feeds arbitrary bytes to the batch-body decoder: it
 // must never panic or over-allocate, and any body it accepts must
 // re-encode byte-identically, so truncated, overlapping or padded entry
@@ -44,6 +57,7 @@ func FuzzBatchDecode(f *testing.F) {
 	for _, entries := range sampleBatches() {
 		f.Add(EncodeBatch(entries))
 	}
+	f.Add(EncodeBatch(burst(256)))
 	// A truncated valid body, one with trailing garbage, and one whose
 	// second entry overlaps the first (offset rewound to 0).
 	body := EncodeBatch(sampleBatches()[1])

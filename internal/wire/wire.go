@@ -149,20 +149,18 @@ func DecodeHello(body []byte) (msg.Addr, error) {
 	return a, nil
 }
 
-// Encode serializes m into a ready-to-write frame (length prefix
-// included). The pipeline stamps Seq, Sent and Arrival before a send,
-// and the receive side needs all three (duplicate suppression, latency
-// metrics, enforcing fault-injected arrival times), so they are carried
-// on the wire. Dup and FaultDelay are sender-local diagnostics and are
-// not transmitted.
-func Encode(m *msg.Message) []byte {
-	return AppendEncode(make([]byte, 0, frameFixed+len(m.Data)), m)
-}
-
-// AppendEncode appends m's frame (length prefix included) to b and
-// returns the extended slice. Callers on the hot path pass a reused
-// buffer (b[:0]) so steady-state sends do not allocate per frame.
+// AppendEncode appends m's ready-to-write frame (length prefix included)
+// to b and returns the extended slice, growing b at most once. Callers on
+// the hot path pass a reused buffer (b[:0]) so steady-state sends do not
+// allocate per frame. The pipeline stamps Seq, Sent and Arrival before a
+// send, and the receive side needs all three (duplicate suppression,
+// latency metrics, enforcing fault-injected arrival times), so they are
+// carried on the wire. Dup and FaultDelay are sender-local diagnostics
+// and are not transmitted.
 func AppendEncode(b []byte, m *msg.Message) []byte {
+	if need := frameFixed + 4*len(m.Stride.Count) + 8*len(m.Stride.Stride) + len(m.Data); cap(b)-len(b) < need {
+		b = append(make([]byte, 0, max(2*cap(b), len(b)+need)), b...)
+	}
 	start := len(b)
 	b = append(b, 0, 0, 0, 0) // length prefix, backfilled below
 	b = append(b, byte(m.Kind))
@@ -189,8 +187,8 @@ func AppendEncode(b []byte, m *msg.Message) []byte {
 	return b
 }
 
-// Decode parses a frame body produced by Encode into a message of its own,
-// with a payload of its own.
+// Decode parses a frame body produced by AppendEncode into a message of
+// its own, with a payload of its own.
 func Decode(body []byte) (*msg.Message, error) { return DecodeIn(nil, body) }
 
 // DecodeIn is Decode for a link reader: the message and its payload are

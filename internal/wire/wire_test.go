@@ -91,7 +91,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		m := randomMessage(r)
-		frame := Encode(m)
+		frame := AppendEncode(nil, m)
 		got, err := Decode(frame[4:])
 		if err != nil {
 			t.Logf("decode error: %v", err)
@@ -113,7 +113,7 @@ func TestRoundTripThroughReader(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		m := randomMessage(r)
 		sent = append(sent, m)
-		if err := WriteFrame(&stream, Encode(m)); err != nil {
+		if err := WriteFrame(&stream, AppendEncode(nil, m)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,7 +156,7 @@ func TestTruncatedFramesError(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	contiguous := &msg.Message{Kind: msg.KindPut, Ptr: shmem.Ptr{Rank: 1, Kind: 1, Seg: 1}, Data: []byte{1, 2, 3}}
 	for _, m := range []*msg.Message{randomMessage(r), contiguous} {
-		body := Encode(m)[4:]
+		body := AppendEncode(nil, m)[4:]
 		for cut := 0; cut < len(body); cut++ {
 			_, err := Decode(body[:cut])
 			if err == nil {
@@ -179,22 +179,41 @@ func TestTruncatedFramesError(t *testing.T) {
 	}
 }
 
-// TestEncodeSizeIsFrameFixed pins the frame layout: a contiguous
-// message's frame is frameFixed bytes plus its payload, and Encode sizes
-// its buffer exactly for it.
+// TestEncodeSizeIsFrameFixed pins the frame layout and AppendEncode's
+// growth hint: a contiguous message's frame is frameFixed bytes plus its
+// payload (a stride adds its lists), AppendEncode grows a nil buffer to
+// exactly that in one allocation, and a buffer with that much room in
+// none.
 func TestEncodeSizeIsFrameFixed(t *testing.T) {
-	for _, n := range []int{0, 1, 64, 4096} {
-		m := &msg.Message{Kind: msg.KindPut, Data: make([]byte, n)}
-		f := Encode(m)
-		if len(f) != frameFixed+n || cap(f) != len(f) {
-			t.Fatalf("%d-byte payload: frame len %d cap %d, want both %d", n, len(f), cap(f), frameFixed+n)
+	strided := shmem.Strided{Count: []int{8, 4}, Stride: []int64{64}}
+	for _, tc := range []struct {
+		n      int
+		stride shmem.Strided
+		size   int
+	}{
+		{0, shmem.Strided{}, frameFixed},
+		{1, shmem.Strided{}, frameFixed + 1},
+		{64, shmem.Strided{}, frameFixed + 64},
+		{4096, shmem.Strided{}, frameFixed + 4096},
+		{32, strided, frameFixed + 2*4 + 8 + 32},
+	} {
+		m := &msg.Message{Kind: msg.KindPut, Stride: tc.stride, Data: make([]byte, tc.n)}
+		if f := AppendEncode(nil, m); len(f) != tc.size || cap(f) != len(f) {
+			t.Fatalf("%d-byte payload, stride %v: frame len %d cap %d, want both %d", tc.n, tc.stride, len(f), cap(f), tc.size)
+		}
+		if a := testing.AllocsPerRun(10, func() { AppendEncode(nil, m) }); a != 1 {
+			t.Errorf("%d-byte payload, stride %v: encoding into nil allocates %.0f times, want 1", tc.n, tc.stride, a)
+		}
+		room := make([]byte, 0, tc.size)
+		if a := testing.AllocsPerRun(10, func() { AppendEncode(room, m) }); a != 0 {
+			t.Errorf("%d-byte payload, stride %v: encoding into a buffer with room allocates %.0f times, want 0", tc.n, tc.stride, a)
 		}
 	}
 }
 
 func TestTrailingGarbageErrors(t *testing.T) {
 	m := &msg.Message{Kind: msg.KindColl, Tag: 1}
-	body := Encode(m)[4:]
+	body := AppendEncode(nil, m)[4:]
 	if _, err := Decode(append(body, 0xFF)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
@@ -218,7 +237,7 @@ func TestReadFrameShortBody(t *testing.T) {
 
 func TestPayloadLengthOverrun(t *testing.T) {
 	m := &msg.Message{Kind: msg.KindPut, Data: []byte{1, 2, 3, 4}}
-	body := Encode(m)[4:]
+	body := AppendEncode(nil, m)[4:]
 	// Corrupt the payload length field (the last fixed field).
 	body[frameFixed-4-4] = 0xFF
 	if _, err := Decode(body); err == nil {
@@ -235,7 +254,7 @@ func frameStream(n int) (stream []byte, bodies [][]byte) {
 		if i == n/2 {
 			m.Data = bytes.Repeat([]byte{byte(i)}, 100<<10)
 		}
-		f := Encode(m)
+		f := AppendEncode(nil, m)
 		stream = append(stream, f...)
 		bodies = append(bodies, f[4:])
 	}

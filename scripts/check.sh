@@ -30,6 +30,11 @@ go test -run '^$' -fuzz '^FuzzBatchDecode$' -fuzztime 10s ./internal/wire
 # boundaries, leaving earlier messages untouched.
 go test -run '^$' -fuzz '^FuzzWireDecode$' -fuzztime 10s ./internal/wire
 go test -run '^$' -fuzz '^FuzzLinkDecode$' -fuzztime 10s ./internal/wire
+# And the link's frame reader against ReadFrame, at every read size: a
+# coalesced burst's frame (11 KB) is larger than the reader's first 4 KiB
+# buffer, so a connection's first burst regrows it and later frames often
+# straddle its end.
+go test -run '^$' -fuzz '^FuzzFrameReader$' -fuzztime 10s ./internal/wire
 # The coordinator's session state, driven with no socket in adversarial
 # event orders: no frame to a node without a connection, a resume only
 # once the whole view acked its epoch, one recovery at a time, and one
