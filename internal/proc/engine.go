@@ -115,6 +115,12 @@ type Engine struct {
 	// flagTag is WaitFlag's diagnostic wait tag, read only when a wait
 	// times out; built once so the wait itself allocates nothing.
 	flagTag string
+
+	// handles is the rest of the chunk storeHandle carves handles from;
+	// waitNodes marks, per destination node, whether a WaitAll call has a
+	// pending handle there.
+	handles   []Handle
+	waitNodes []bool
 }
 
 // NewEngine builds the engine for the calling user process.
@@ -125,6 +131,7 @@ func NewEngine(env transport.Env, lay *Layout, mode FenceMode) *Engine {
 		mode:        mode,
 		opInit:      make([]int64, env.NumNodes()),
 		outstanding: make([]int64, env.NumNodes()),
+		waitNodes:   make([]bool, env.NumNodes()),
 		flagTag:     fmt.Sprintf("wait-flag@p%d", env.Rank()),
 		arena:       env.Arena(),
 	}

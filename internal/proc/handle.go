@@ -32,14 +32,28 @@ func (g *Engine) NbAcc(op shmem.AccOp, dst shmem.Ptr, data []byte, scale float64
 	return g.storeHandle(dst)
 }
 
+// handleChunk is how many handles storeHandle carves from one allocation.
+const handleChunk = 16
+
 // storeHandle builds the completion handle of a just-issued store-class
-// operation targeting dst.
+// operation targeting dst. Handles are carved from an engine-owned chunk,
+// the way msg.Arena carves messages: a slot is never handed out twice, so
+// a caller may keep a handle as long as it likes; what it costs is the
+// chunk it pins.
 func (g *Engine) storeHandle(dst shmem.Ptr) *Handle {
+	if len(g.handles) == 0 {
+		g.handles = make([]Handle, handleChunk)
+	}
+	h := &g.handles[0]
+	g.handles = g.handles[1:]
+	h.g = g
 	if g.local(dst.Rank) {
 		// Local stores apply synchronously; already complete.
-		return &Handle{g: g, done: true}
+		h.done = true
+	} else {
+		h.node = g.env.Node(int(dst.Rank))
 	}
-	return &Handle{g: g, node: g.env.Node(int(dst.Rank))}
+	return h
 }
 
 // Test reports whether the operation has completed (ARMCI_Test), polling
@@ -66,23 +80,24 @@ func (h *Handle) Wait() {
 }
 
 // WaitAll completes every handle (ARMCI_WaitAll). Handles against the
-// same node share one fence round trip instead of fencing per handle.
+// same node share one fence round trip instead of fencing per handle. The
+// nodes to fence are marked in an engine-owned slice, so beyond its fences
+// a call allocates nothing.
 func (g *Engine) WaitAll(hs ...*Handle) {
-	fenced := make(map[int]bool)
-	var pending []*Handle
 	for _, h := range hs {
-		if h == nil || h.done {
-			continue
+		if h != nil && !h.done {
+			g.waitNodes[h.node] = true
 		}
-		pending = append(pending, h)
-		fenced[h.node] = true
 	}
-	for node := 0; node < g.env.NumNodes(); node++ {
-		if fenced[node] {
+	for node, marked := range g.waitNodes {
+		if marked {
+			g.waitNodes[node] = false
 			g.Fence(node)
 		}
 	}
-	for _, h := range pending {
-		h.done = true
+	for _, h := range hs {
+		if h != nil {
+			h.done = true
+		}
 	}
 }

@@ -13,9 +13,10 @@
 //     sweep share one kernel, stencilSweep;
 //   - paramserver: every rank streams Accumulate updates (blocking and
 //     NbAcc) into one hot rank's parameter vector — accumulate
-//     contention, with exact-sum verification (updates are
-//     integer-valued, so float/int accumulation is order-independent
-//     and exact);
+//     contention, with exact-sum verification against a closed-form
+//     total (updates are integer-valued, so float/int accumulation is
+//     order-independent and exact); a rank encodes its update vectors
+//     on its first solve and resends the same bytes in every later one;
 //   - prodcons: a pipelined producer→consumer chain over PutFlag /
 //     WaitFlag with per-item flags — notify ordering, with
 //     byte-for-byte no-stale-read verification at every hop;
