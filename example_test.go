@@ -97,7 +97,7 @@ func ExampleRun() {
 		dst := mat[(me+1)%n].Add((2*8 + 3) * 8)
 		p.PutStrided(dst, armci.Strided{Count: []int{4 * 8, 4}, Stride: []int64{8 * 8}}, tile)
 		p.Barrier()
-		back := p.GetStrided(mat[me].Add((2*8+3)*8),
+		back := p.GetStrided(nil, mat[me].Add((2*8+3)*8),
 			armci.Strided{Count: []int{4 * 8, 4}, Stride: []int64{8 * 8}})
 		expect := byte((me-1+n)%n) + 1
 		ok := true

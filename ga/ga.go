@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"armci"
 )
@@ -50,6 +51,7 @@ type Array struct {
 	colSplit   []int // pc+1 block boundaries over cols
 	ptrs       []armci.Ptr
 	mode       SyncMode
+	scratch    []byte // one piece's owner bytes, reused by every Get and Put
 }
 
 // Create collectively builds a rows×cols array distributed uniformly over
@@ -148,6 +150,13 @@ func (a *Array) eachBlock(rlo, rhi, clo, chi int, fn func(rank, irlo, irhi, iclo
 	}
 }
 
+// region backs one piece's descriptor: its count and stride slices are
+// views of one object, so a descriptor is one allocation.
+type region struct {
+	count  [2]int
+	stride [1]int64
+}
+
 // blockRegion maps a global intersection to the owner-local strided
 // descriptor and base pointer.
 func (a *Array) blockRegion(rank, irlo, irhi, iclo, ichi int) (armci.Ptr, armci.Strided) {
@@ -155,32 +164,33 @@ func (a *Array) blockRegion(rank, irlo, irhi, iclo, ichi int) (armci.Ptr, armci.
 	_, bc := a.blockDims(rank)
 	base := a.ptrs[rank].Add(int64(8 * ((irlo-orlo)*bc + (iclo - oclo))))
 	rows := irhi - irlo
-	rowBytes := 8 * (ichi - iclo)
+	g := &region{count: [2]int{8 * (ichi - iclo), rows}, stride: [1]int64{int64(8 * bc)}}
 	if rows == 1 {
-		return base, armci.Contig(rowBytes)
+		return base, armci.Strided{Count: g.count[:1]}
 	}
-	return base, armci.Strided{Count: []int{rowBytes, rows}, Stride: []int64{int64(8 * bc)}}
+	return base, armci.Strided{Count: g.count[:], Stride: g.stride[:]}
 }
 
-// patchBytes encodes the intersection rows of a row-major patch buffer
-// as little-endian float64s, the layout of the owner's block memory.
-func patchBytes(buf []float64, rlo, clo, chi int, irlo, irhi, iclo, ichi int) []byte {
+// patchBytes appends the intersection rows of a row-major patch buffer
+// to dst as little-endian float64s, the layout of the owner's block
+// memory.
+func patchBytes(dst []byte, buf []float64, rlo, clo, chi int, irlo, irhi, iclo, ichi int) []byte {
 	cols, w := chi-clo, ichi-iclo
-	out := make([]byte, 8*(irhi-irlo)*w)
-	o := out
+	dst = slices.Grow(dst, 8*(irhi-irlo)*w)
 	for r := irlo; r < irhi; r++ {
 		row := (r-rlo)*cols + (iclo - clo)
 		for _, v := range buf[row : row+w] {
-			binary.LittleEndian.PutUint64(o, math.Float64bits(v))
-			o = o[8:]
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 		}
 	}
-	return out
+	return dst
 }
 
 // Put writes the row-major buf into the global patch rows [rlo,rhi) ×
 // cols [clo,chi) (GA_Put / NGA_Put). Non-blocking completion semantics:
-// remote pieces are guaranteed visible only after Sync or a fence.
+// remote pieces are guaranteed visible only after Sync or a fence. buf
+// may be reused as soon as Put returns: each piece is encoded into the
+// array's scratch, which the transfer copies before Put moves on.
 func (a *Array) Put(rlo, rhi, clo, chi int, buf []float64) {
 	a.checkPatch(rlo, rhi, clo, chi)
 	if want := (rhi - rlo) * (chi - clo); len(buf) != want {
@@ -188,28 +198,43 @@ func (a *Array) Put(rlo, rhi, clo, chi int, buf []float64) {
 	}
 	a.eachBlock(rlo, rhi, clo, chi, func(rank, irlo, irhi, iclo, ichi int) {
 		dst, desc := a.blockRegion(rank, irlo, irhi, iclo, ichi)
-		a.p.PutStrided(dst, desc, patchBytes(buf, rlo, clo, chi, irlo, irhi, iclo, ichi))
+		a.scratch = patchBytes(a.scratch[:0], buf, rlo, clo, chi, irlo, irhi, iclo, ichi)
+		a.p.PutStrided(dst, desc, a.scratch)
 	})
 }
 
-// Get reads the global patch into a row-major buffer (GA_Get). Blocking.
+// Get reads the global patch into a fresh row-major buffer (GA_Get).
+// Blocking.
 func (a *Array) Get(rlo, rhi, clo, chi int) []float64 {
+	a.checkPatch(rlo, rhi, clo, chi) // before sizing the result
+	out := make([]float64, (rhi-rlo)*(chi-clo))
+	a.GetTo(rlo, rhi, clo, chi, out, chi-clo)
+	return out
+}
+
+// GetTo reads the global patch rows [rlo,rhi) × cols [clo,chi) into buf
+// with leading dimension ld (NGA_Get's form): cell (r, c) lands at
+// buf[(r-rlo)*ld + (c-clo)], and no other element of buf is written.
+// Blocking.
+func (a *Array) GetTo(rlo, rhi, clo, chi int, buf []float64, ld int) {
 	a.checkPatch(rlo, rhi, clo, chi)
-	cols := chi - clo
-	out := make([]float64, (rhi-rlo)*cols)
+	if need := (rhi-rlo-1)*ld + chi - clo; ld < chi-clo || len(buf) < need {
+		panic(fmt.Sprintf("ga: %q get buffer %d elements with leading dimension %d, patch [%d,%d)x[%d,%d) needs %d and ld >= %d",
+			a.name, len(buf), ld, rlo, rhi, clo, chi, need, chi-clo))
+	}
 	a.eachBlock(rlo, rhi, clo, chi, func(rank, irlo, irhi, iclo, ichi int) {
 		src, desc := a.blockRegion(rank, irlo, irhi, iclo, ichi)
-		b := a.p.GetStrided(src, desc)
+		a.scratch = a.p.GetStrided(a.scratch[:0], src, desc)
+		b := a.scratch
 		w := ichi - iclo
 		for r := irlo; r < irhi; r++ {
-			row := out[(r-rlo)*cols+(iclo-clo):][:w]
+			row := buf[(r-rlo)*ld+(iclo-clo):][:w]
 			for j := range row {
 				row[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))
 			}
 			b = b[8*w:]
 		}
 	})
-	return out
 }
 
 // Sync is GA_Sync: it completes all outstanding array communication

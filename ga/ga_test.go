@@ -144,14 +144,76 @@ func TestGetAssemblesAcrossBlocks(t *testing.T) {
 	})
 }
 
+// TestGetToLeadingDimension: a patch spanning all four owners of a 2×2
+// grid lands at its leading-dimension offsets inside a larger buffer,
+// with every element outside it untouched, whether the owners are remote
+// or share the reader's node; a leading dimension narrower than the patch
+// or a buffer too short for its last row is refused.
+func TestGetToLeadingDimension(t *testing.T) {
+	const n, ld, off = 16, 11, 3
+	const rlo, rhi, clo, chi = 5, 11, 6, 12
+	const sentinel = -1.0
+	for _, ppn := range []int{1, 2} {
+		_, err := armci.Run(armci.Options{Procs: 4, ProcsPerNode: ppn, Fabric: armci.FabricSim}, func(p *armci.Proc) {
+			a, err := ga.Create(p, "ld", n, n)
+			if err != nil {
+				panic(err)
+			}
+			brlo, brhi, bclo, bchi := a.Distribution(p.Rank())
+			own := make([]float64, 0, (brhi-brlo)*(bchi-bclo))
+			for i := brlo; i < brhi; i++ {
+				for j := bclo; j < bchi; j++ {
+					own = append(own, float64(i*n+j))
+				}
+			}
+			a.Put(brlo, brhi, bclo, bchi, own)
+			a.Sync()
+			buf := make([]float64, off+(rhi-rlo)*ld+2)
+			for i := range buf {
+				buf[i] = sentinel
+			}
+			a.GetTo(rlo, rhi, clo, chi, buf[off:], ld)
+			for i, v := range buf {
+				want := sentinel
+				if k := i - off; k >= 0 && k/ld < rhi-rlo && k%ld < chi-clo {
+					want = float64((rlo+k/ld)*n + clo + k%ld)
+				}
+				if v != want {
+					panic(fmt.Sprintf("%d per node: buf[%d] = %v, want %v", ppn, i, v, want))
+				}
+			}
+			for _, bad := range []func(){
+				func() { a.GetTo(rlo, rhi, clo, chi, buf, chi-clo-1) },                     // ld narrower than the patch
+				func() { a.GetTo(rlo, rhi, clo, chi, buf[:(rhi-rlo-1)*ld+chi-clo-1], ld) }, // last row cut short
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							panic("expected a panic")
+						}
+					}()
+					bad()
+				}()
+			}
+			a.Sync()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestPatchAllocations pins the allocations of a Get and a Put of a
 // patch spanning both blocks of a one-node, two-rank array, so both
-// owners are local and no message is involved. Each piece is converted
-// once, straight between float64s and the owner's bytes; an intermediate
-// float64 slice per piece, as Get and Put once made, adds two to either
-// count.
+// owners are local and no message is involved. What is left is each
+// piece's strided descriptor, one object backing its count and stride,
+// and Get's result: a piece is packed into and encoded from the array's
+// scratch, and walking a descriptor allocates nothing. A fresh byte
+// slice per piece, as Get and Put once made, adds two to either count, a
+// descriptor's slices made apart two more, and an intermediate float64
+// slice per piece two more.
 func TestPatchAllocations(t *testing.T) {
-	const wantGet, wantPut = 9, 8
+	const wantGet, wantPut = 3, 2
 	var get, put float64
 	_, err := armci.Run(armci.Options{Procs: 2, ProcsPerNode: 2, Fabric: armci.FabricSim}, func(p *armci.Proc) {
 		a, err := ga.Create(p, "allocs", 8, 8)
@@ -275,6 +337,7 @@ func TestValidation(t *testing.T) {
 			func() { a.Get(0, 5, 0, 4) },                     // row overflow
 			func() { a.Get(-1, 2, 0, 4) },                    // negative
 			func() { a.Get(2, 2, 0, 4) },                     // empty
+			func() { a.Get(3, 1, 0, 4) },                     // reversed
 			func() { a.Put(0, 2, 0, 2, make([]float64, 3)) }, // size mismatch
 		} {
 			func() {

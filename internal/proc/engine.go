@@ -337,24 +337,23 @@ func (g *Engine) putCoalesced(dst shmem.Ptr, data []byte) bool {
 
 // Get copies n bytes out of the (byte) memory at src. Blocking.
 func (g *Engine) Get(src shmem.Ptr, n int) []byte {
-	return g.get(src, shmem.Strided{}, n)
+	return g.get(nil, src, shmem.Strided{}, n)
 }
 
-// GetStrided gathers the strided region at src into a flat buffer.
-// Blocking.
-func (g *Engine) GetStrided(src shmem.Ptr, d shmem.Strided) []byte {
-	return g.get(src, asSent(d), d.TotalBytes())
+// GetStrided gathers the strided region at src and appends it, packed,
+// to dst (ARMCI_GetS, whose caller names the destination). Blocking.
+func (g *Engine) GetStrided(dst []byte, src shmem.Ptr, d shmem.Strided) []byte {
+	return g.get(dst, src, asSent(d), d.TotalBytes())
 }
 
-// get reads the n bytes of region d at src (the zero d: contiguous):
-// directly when src is on the caller's node, else through src's server.
-func (g *Engine) get(src shmem.Ptr, d shmem.Strided, n int) []byte {
+// get appends the n bytes of region d at src (the zero d: contiguous) to
+// dst: packed straight into it when src is on the caller's node, else
+// copied from the reply of src's server. A nil dst takes the reply's
+// payload as it is.
+func (g *Engine) get(dst []byte, src shmem.Ptr, d shmem.Strided, n int) []byte {
 	if g.local(src.Rank) {
 		g.chargeCopy(n)
-		if d.IsZero() {
-			return g.env.Space().Get(src, n)
-		}
-		return g.env.Space().PackFrom(src, d)
+		return g.env.Space().AppendGet(dst, src, d, n)
 	}
 	tok := g.NextToken()
 	g.sendServer(g.env.Node(int(src.Rank)), g.arena.New(msg.Message{
@@ -365,7 +364,11 @@ func (g *Engine) get(src shmem.Ptr, d shmem.Strided, n int) []byte {
 		Stride: d,
 		N:      n,
 	}))
-	return g.env.Recv(msg.MatchToken(msg.KindGetResp, tok)).Data
+	data := g.env.Recv(msg.MatchToken(msg.KindGetResp, tok)).Data
+	if dst == nil {
+		return data
+	}
+	return append(dst, data...)
 }
 
 // asSent returns the form a transfer over d travels in: the zero

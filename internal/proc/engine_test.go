@@ -213,7 +213,7 @@ func TestStridedRemoteTransfer(t *testing.T) {
 		data := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 		g.PutStrided(buf, d, data)
 		g.Fence(1)
-		if got := g.GetStrided(buf, d); !bytes.Equal(got, data) {
+		if got := g.GetStrided(nil, buf, d); !bytes.Equal(got, data) {
 			panic(fmt.Sprintf("strided round trip %v", got))
 		}
 		// Check placement: row 1 starts at offset 16.
@@ -450,7 +450,7 @@ func TestEngineNICFenceRouting(t *testing.T) {
 		}
 		g.Put(buf, []byte{0xEE})
 		g.Fence(1)
-		if env.Space().Get(buf, 1)[0] != 0xEE {
+		if env.Space().AppendGet(nil, buf, shmem.Strided{}, 1)[0] != 0xEE {
 			panic("NIC fence acked before the put landed")
 		}
 		g.Store(done, 1)

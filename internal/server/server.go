@@ -194,18 +194,15 @@ func (s *Server) HandleOne(m *msg.Message) {
 		s.completeStore(m)
 	case msg.KindGet:
 		s.env.Charge(p.ServiceTime(m.N))
-		var data []byte
-		if m.Stride.IsZero() {
-			data = s.env.Space().Get(m.Ptr, m.N)
-		} else {
-			data = s.env.Space().PackFrom(m.Ptr, m.Stride)
-		}
-		s.reply(m.Origin, msg.Message{
+		// The reply is born with its payload, and the region is packed
+		// straight into it.
+		r := s.arena.NewWith(msg.Message{
 			Kind:   msg.KindGetResp,
 			Origin: m.Origin,
 			Token:  m.Token,
-			Data:   data,
-		})
+		}, m.N)
+		r.Data = s.env.Space().AppendGet(r.Data[:0], m.Ptr, m.Stride, m.N)
+		s.env.Send(msg.User(m.Origin), r)
 	case msg.KindBatch:
 		s.handleBatch(m)
 	case msg.KindRmw:

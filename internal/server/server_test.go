@@ -66,7 +66,7 @@ func TestServerPutIncrementsOpDone(t *testing.T) {
 	if err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.Space().Get(buf, 3); got[0] != 1 || got[1] != 2 || got[2] != 3 {
+	if got := f.Space().AppendGet(nil, buf, shmem.Strided{}, 3); got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("put data %v", got)
 	}
 }
@@ -112,7 +112,7 @@ func TestServerFenceAfterPuts(t *testing.T) {
 		if env.Space().Load(lay.OpDone[0]) != 8 {
 			panic("fence ack before puts completed")
 		}
-		for _, v := range env.Space().Get(b, 8) {
+		for _, v := range env.Space().AppendGet(nil, b, shmem.Strided{}, 8) {
 			if v != 0xFF {
 				panic("fence ack before put data landed")
 			}
@@ -257,7 +257,7 @@ func TestServerAccumulateStrided(t *testing.T) {
 			})
 		}
 		env.WaitUntil("acc", func() bool { return env.Space().Load(lay.OpDone[0]) == 3 })
-		got := env.Space().Get(b, 8)
+		got := env.Space().AppendGet(nil, b, shmem.Strided{}, 8)
 		// 3 accumulations of 2*1.0 = 6.0
 		if got[6] != 0x18 || got[7] != 0x40 {
 			panic(fmt.Sprintf("accumulated bytes %v", got))
@@ -410,7 +410,7 @@ func TestServerBatchAllocBudget(t *testing.T) {
 	if got := f.Space().Load(lay.PerOrigin[0]); got != want {
 		t.Errorf("per-origin count = %d after %d frames, want %d", got, frames, want)
 	}
-	got := f.Space().Get(buf, 8*entries)
+	got := f.Space().AppendGet(nil, buf, shmem.Strided{}, 8*entries)
 	for i := range batch {
 		if !bytes.Equal(got[8*i:8*i+8], batch[i].Data) {
 			t.Fatalf("entry %d landed as %v, want %v", i, got[8*i:8*i+8], batch[i].Data)

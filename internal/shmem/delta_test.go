@@ -76,7 +76,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if got := s.Load(w); got != 42 {
 		t.Fatalf("restore lost word write: %d", got)
 	}
-	if got := s.Get(b, 5); !bytes.Equal(got, []byte("hello")) {
+	if got := s.AppendGet(nil, b, Strided{}, 5); !bytes.Equal(got, []byte("hello")) {
 		t.Fatalf("restore lost byte write: %q", got)
 	}
 	if got := s.Load(unprot); got != 5 {
@@ -116,7 +116,7 @@ func TestRawRoundTrip(t *testing.T) {
 	rb := s.ReadRaw(b, 16)
 	s.Put(b.Add(2), []byte{0, 0, 0})
 	s.WriteRaw(b, rb)
-	if got := s.Get(b.Add(2), 3); !bytes.Equal(got, []byte{9, 8, 7}) {
+	if got := s.AppendGet(nil, b.Add(2), Strided{}, 3); !bytes.Equal(got, []byte{9, 8, 7}) {
 		t.Fatalf("byte raw round trip lost value: %v", got)
 	}
 }

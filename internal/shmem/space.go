@@ -259,15 +259,6 @@ func (s *Space) Put(p Ptr, data []byte) {
 	s.notify(p.Rank)
 }
 
-// Get copies n bytes out of memory at p.
-func (s *Space) Get(p Ptr, n int) []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]byte, n)
-	copy(out, s.bytesAt(p, int64(n)))
-	return out
-}
-
 // AccOp selects the element type of an accumulate operation.
 type AccOp uint8
 

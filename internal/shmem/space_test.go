@@ -106,12 +106,12 @@ func TestByteOps(t *testing.T) {
 	p := s.AllocBytes(0, 64)
 	data := []byte("hello, remote memory!")
 	s.Put(p.Add(8), data)
-	got := s.Get(p.Add(8), len(data))
+	got := s.AppendGet(nil, p.Add(8), Strided{}, len(data))
 	if string(got) != string(data) {
 		t.Fatalf("Get = %q", got)
 	}
 	// Unwritten bytes stay zero.
-	if head := s.Get(p, 8); string(head) != string(make([]byte, 8)) {
+	if head := s.AppendGet(nil, p, Strided{}, 8); string(head) != string(make([]byte, 8)) {
 		t.Fatalf("head corrupted: %v", head)
 	}
 }
@@ -129,7 +129,7 @@ func TestAccumulateFloat64(t *testing.T) {
 		binary.LittleEndian.PutUint64(add[8*i:], math.Float64bits(10))
 	}
 	s.Accumulate(AccFloat64, p, add, 0.5)
-	out := s.Get(p, 32)
+	out := s.AppendGet(nil, p, Strided{}, 32)
 	for i := 0; i < 4; i++ {
 		got := math.Float64frombits(binary.LittleEndian.Uint64(out[8*i:]))
 		want := float64(i) + 5
@@ -147,7 +147,7 @@ func TestAccumulateInt64(t *testing.T) {
 	neg := int64(-2)
 	binary.LittleEndian.PutUint64(add[8:], uint64(neg)) // negative operand
 	s.Accumulate(AccInt64, p, add, 4)
-	out := s.Get(p, 16)
+	out := s.AppendGet(nil, p, Strided{}, 16)
 	if got := int64(binary.LittleEndian.Uint64(out)); got != 12 {
 		t.Fatalf("element 0 = %d, want 12", got)
 	}
@@ -167,9 +167,9 @@ func TestOutOfRangePanics(t *testing.T) {
 		{"word overflow", func() { s.Load(w.Add(2)) }},
 		{"word negative", func() { s.Load(w.Add(-1)) }},
 		{"pair at tail", func() { s.LoadPair(w.Add(1)) }},
-		{"byte overflow", func() { s.Get(b, 9) }},
+		{"byte overflow", func() { s.AppendGet(nil, b, Strided{}, 9) }},
 		{"kind mismatch word", func() { s.Load(b) }},
-		{"kind mismatch byte", func() { s.Get(w, 1) }},
+		{"kind mismatch byte", func() { s.AppendGet(nil, w, Strided{}, 1) }},
 		{"acc misaligned", func() { s.Accumulate(AccFloat64, b, make([]byte, 7), 1) }},
 		{"alloc zero words", func() { s.AllocWords(0, 0) }},
 		{"alloc zero bytes", func() { s.AllocBytes(0, 0) }},
@@ -282,7 +282,7 @@ func TestOnWriteHookFires(t *testing.T) {
 	// Reads must not fire it.
 	s.Load(w)
 	s.LoadPair(w)
-	s.Get(b, 1)
+	s.AppendGet(nil, b, Strided{}, 1)
 	if count != 9 {
 		t.Fatalf("reads fired onWrite (count %d)", count)
 	}

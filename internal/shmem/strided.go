@@ -1,6 +1,9 @@
 package shmem
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // MaxStrideLevels bounds the nesting depth of a strided transfer, matching
 // ARMCI's ARMCI_MAX_STRIDE_LEVEL.
@@ -87,7 +90,8 @@ func (d Strided) EachRun(fn func(off int64, n int)) {
 		fn(0, d.Count[0])
 		return
 	}
-	idx := make([]int, levels) // idx[l] counts blocks at level l+1
+	var odo [MaxStrideLevels]int
+	idx := odo[:levels] // idx[l] counts blocks at level l+1; Validate bounds levels
 	for {
 		var off int64
 		for l := 0; l < levels; l++ {
@@ -109,17 +113,22 @@ func (d Strided) EachRun(fn func(off int64, n int)) {
 	}
 }
 
-// PackFrom gathers the region described by d at base src in the space into
-// a flat buffer. It is used by the origin side of strided transfers when
-// the source is local memory.
-func (s *Space) PackFrom(src Ptr, d Strided) []byte {
-	out := make([]byte, 0, d.TotalBytes())
+// AppendGet appends the n bytes of the region d at src to dst, packed in
+// EachRun order, and returns the extended slice; the zero d is the
+// contiguous run of n bytes at src. A dst with room for n more bytes is
+// filled in place, so a caller that keeps its buffer — a get's reply
+// payload, a strided get's destination — reads without allocating.
+func (s *Space) AppendGet(dst []byte, src Ptr, d Strided, n int) []byte {
+	dst = slices.Grow(dst, n)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d.EachRun(func(off int64, n int) {
-		out = append(out, s.bytesAt(src.Add(off), int64(n))...)
+	if d.IsZero() {
+		return append(dst, s.bytesAt(src, int64(n))...)
+	}
+	d.EachRun(func(off int64, k int) {
+		dst = append(dst, s.bytesAt(src.Add(off), int64(k))...)
 	})
-	return out
+	return dst
 }
 
 // UnpackTo scatters the flat buffer data into the region described by d at

@@ -108,7 +108,7 @@ func TestPackUnpackStridedRoundTrip(t *testing.T) {
 		sentinel := bytes.Repeat([]byte{0xEE}, size)
 		s.Put(dst, sentinel)
 
-		packed := s.PackFrom(src, d)
+		packed := s.AppendGet(nil, src, d, d.TotalBytes())
 		if len(packed) != d.TotalBytes() {
 			return false
 		}
@@ -121,8 +121,8 @@ func TestPackUnpackStridedRoundTrip(t *testing.T) {
 				inRegion[off+int64(i)] = true
 			}
 		})
-		got := s.Get(dst, size)
-		want := s.Get(src, size)
+		got := s.AppendGet(nil, dst, Strided{}, size)
+		want := s.AppendGet(nil, src, Strided{}, size)
 		for i := 0; i < size; i++ {
 			if inRegion[i] && got[i] != want[i] {
 				return false
@@ -159,17 +159,46 @@ func TestAccumulateStrided(t *testing.T) {
 		lePutUint64(add[8*i:], 0x3FF0000000000000) // 1.0
 	}
 	s.AccumulateStrided(AccFloat64, p, d, add, 2)
-	out := s.PackFrom(p, d)
+	out := s.AppendGet(nil, p, d, d.TotalBytes())
 	for i := 0; i < 4; i++ {
 		if got := leUint64(out[8*i:]); got != 0x4000000000000000 { // 2.0
 			t.Fatalf("element %d = %x", i, got)
 		}
 	}
 	// Bytes between the rows untouched.
-	gap := s.Get(p.Add(16), 16)
+	gap := s.AppendGet(nil, p.Add(16), Strided{}, 16)
 	for _, b := range gap {
 		if b != 0 {
 			t.Fatalf("gap corrupted: %v", gap)
 		}
+	}
+}
+
+// TestAppendGetFillsInPlace: a read appends after what dst holds, the
+// zero descriptor reads n contiguous bytes, and a dst with room for the
+// region is filled without an allocation, strided or not.
+func TestAppendGetFillsInPlace(t *testing.T) {
+	s := NewSpace([]int{0})
+	p := s.AllocBytes(0, 64)
+	src := make([]byte, 64)
+	for i := range src {
+		src[i] = byte(i)
+	}
+	s.Put(p, src)
+	d := Strided{Count: []int{4, 3}, Stride: []int64{16}} // bytes 0-3, 16-19, 32-35
+	got := s.AppendGet([]byte{0xAA}, p, d, d.TotalBytes())
+	want := []byte{0xAA, 0, 1, 2, 3, 16, 17, 18, 19, 32, 33, 34, 35}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("strided append = %v, want %v", got, want)
+	}
+	if got := s.AppendGet(nil, p.Add(60), Strided{}, 4); !bytes.Equal(got, []byte{60, 61, 62, 63}) {
+		t.Fatalf("contiguous read = %v", got)
+	}
+	buf := make([]byte, 0, 16)
+	if n := testing.AllocsPerRun(20, func() {
+		s.AppendGet(buf[:0], p, d, d.TotalBytes())
+		s.AppendGet(buf[:0], p, Strided{}, 16)
+	}); n != 0 {
+		t.Errorf("AppendGet into a buffer with room: %v allocations, want 0", n)
 	}
 }

@@ -90,11 +90,17 @@ func TestParamServerSolveAllocations(t *testing.T) {
 }
 
 // BenchmarkParamServerSolve is one solve of the benchmark's parameter
-// server (hot=0, updates=64, width=64) on 4 chan ranks, after a warm-up
-// solve: the accumulate storm, its WaitAll and the oracle, with the
-// allocations of every rank counted per solve.
+// server (hot=0, updates=64, width=64) on 4 chan ranks: the accumulate
+// storm, its WaitAll and the oracle.
 func BenchmarkParamServerSolve(b *testing.B) {
-	sp, err := Parse("paramserver:hot=0,updates=64,width=64")
+	benchSolve(b, "paramserver:hot=0,updates=64,width=64")
+}
+
+// benchSolve times one solve of the body built from spec on 4 chan
+// ranks, after a warm-up solve, with the allocations of every rank
+// counted per solve.
+func benchSolve(b *testing.B, spec string) {
+	sp, err := Parse(spec)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,12 +9,17 @@ import (
 
 // stencilBody is the halo-exchange workload: Jacobi-style sweeps over a
 // pair of ga 2-D block-distributed arrays. Each step, every rank pulls
-// its block plus a halo of width sp.Halo (clamped at the grid edges —
-// the patch legitimately spans neighbor blocks, and with a halo wider
-// than the tile it spans several), applies the shared cross-neighbor
-// update rule, and puts the result into the other array; the arrays
-// swap roles each step and every write round is closed by the case's
-// sync variant through ga's SyncMode.
+// the cross-shaped halo of width sp.Halo its sweep reads (clamped at the
+// grid edges — it legitimately spans neighbor blocks, and with a halo
+// wider than the tile several): the band of its own columns reaching
+// halo rows up and down, and the two arms of its own rows reaching halo
+// columns left and right. They land in the patch rectangle the sweep
+// takes, whose corners the cross never reads and so are never fetched
+// (a cross stencil skips ghost corners, as in GA_Set_ghost_corner_flag).
+// The rank applies the shared update rule and puts the result into the
+// other array; the arrays swap roles each step and every write round is
+// closed by the case's sync variant through ga's SyncMode. The patch and
+// result buffers are made once per solve.
 //
 // Oracle: the whole computation is replayed sequentially (stencilModel)
 // and each rank compares its final block cell-exactly — values are
@@ -49,24 +54,28 @@ func stencilBody(sp Spec, cfg Config) func(*armci.Proc) {
 		// empty blocks; they skip compute but join every collective.
 		empty := rlo >= rhi || clo >= chi
 		bw := chi - clo
+		// A ga Put may reuse its buffer on return, so one block buffer
+		// holds the initial values, every step's result and the final
+		// read.
+		prlo, prhi := max(0, rlo-halo), min(rows, rhi+halo)
+		pclo, pchi := max(0, clo-halo), min(cols, chi+halo)
+		var patch, out []float64
 		if !empty {
-			buf := make([]float64, (rhi-rlo)*bw)
+			patch = make([]float64, (prhi-prlo)*(pchi-pclo))
+			out = make([]float64, (rhi-rlo)*bw)
 			for r := rlo; r < rhi; r++ {
 				for c := clo; c < chi; c++ {
-					buf[(r-rlo)*bw+(c-clo)] = stencilInit(r, c, cols)
+					out[(r-rlo)*bw+(c-clo)] = stencilInit(r, c, cols)
 				}
 			}
-			a.Put(rlo, rhi, clo, chi, buf)
+			a.Put(rlo, rhi, clo, chi, out)
 		}
 		a.Sync()
 
 		cur, nxt := a, b
 		for s := 0; s < steps; s++ {
 			if !empty {
-				prlo, prhi := max(0, rlo-halo), min(rows, rhi+halo)
-				pclo, pchi := max(0, clo-halo), min(cols, chi+halo)
-				patch := cur.Get(prlo, prhi, pclo, pchi)
-				out := make([]float64, (rhi-rlo)*bw)
+				fetchCross(cur, patch, prlo, prhi, pclo, pchi, rlo, rhi, clo, chi)
 				stencilSweep(patch, prlo, prhi, pclo, pchi, out, rlo, rhi, clo, chi, halo)
 				nxt.Put(rlo, rhi, clo, chi, out)
 			}
@@ -76,7 +85,8 @@ func stencilBody(sp Spec, cfg Config) func(*armci.Proc) {
 
 		model := replay()
 		if !empty {
-			got := cur.Get(rlo, rhi, clo, chi)
+			got := out
+			cur.GetTo(rlo, rhi, clo, chi, got, bw)
 		verify:
 			for r := rlo; r < rhi; r++ {
 				for c := clo; c < chi; c++ {
@@ -107,6 +117,24 @@ func stencilBody(sp Spec, cfg Config) func(*armci.Proc) {
 	}
 }
 
+// fetchCross reads into patch, the row-major rectangle rows
+// [prlo,prhi) × cols [pclo,pchi), the cells of the block rows
+// [rlo,rhi) × cols [clo,chi) and of its clamped halo that a cross
+// stencil reads: the band of the block's columns over every patch row,
+// then the arms of the block's rows left and right of it. The corners
+// of the patch are not written.
+func fetchCross(a *ga.Array, patch []float64, prlo, prhi, pclo, pchi, rlo, rhi, clo, chi int) {
+	pw := pchi - pclo
+	a.GetTo(prlo, prhi, clo, chi, patch[clo-pclo:], pw)
+	arms := patch[(rlo-prlo)*pw:]
+	if pclo < clo {
+		a.GetTo(rlo, rhi, pclo, clo, arms, pw)
+	}
+	if chi < pchi {
+		a.GetTo(rlo, rhi, chi, pchi, arms[chi-pclo:], pw)
+	}
+}
+
 // stencilInit is the initial grid value at (r, c): small positive
 // integers, so sums stay integer-valued.
 func stencilInit(r, c, cols int) float64 { return float64((r*cols+c)%251 + 1) }
@@ -117,8 +145,10 @@ func stencilInit(r, c, cols int) float64 { return float64((r*cols+c)%251 + 1) }
 // row-major patch rows [sr0,sr1) × cols [sc0,sc1). A neighbor outside
 // the patch reads zero; callers pass a patch that reaches halo past the
 // swept cells or the grid edge, so outside the patch means outside the
-// grid. Every value is a non-negative integer below 65·2^20 < 2^27, so
-// the float64 sums are exact and the wrap at 2^20 is a mask. Both the
+// grid. Only the cross through the swept cells is read: a patch cell
+// both outside the swept rows and outside the swept columns never is.
+// Every value is a non-negative integer below 65·2^20 < 2^27, so the
+// float64 sums are exact and the wrap at 2^20 is a mask. Both the
 // distributed sweep and the sequential replay call this, so a mismatch
 // can only come from the communication layer.
 func stencilSweep(src []float64, sr0, sr1, sc0, sc1 int, dst []float64, r0, r1, c0, c1, halo int) {

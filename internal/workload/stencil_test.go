@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"armci"
+	"armci/internal/msg"
 )
 
 // refCell is the update rule as first written, kept as the spec the
@@ -113,6 +114,92 @@ func TestStencilSweepClampedPatch(t *testing.T) {
 	}
 }
 
+// TestStencilSweepIgnoresCorners: the sweep never reads a patch cell
+// outside both the swept rows and the swept columns, so NaN there gives
+// bit-identical output for every block of TestStencilSweepClampedPatch's
+// 3×2 split. That is why the body need not fetch the halo's corners.
+func TestStencilSweepIgnoresCorners(t *testing.T) {
+	const rows, cols, halo = 13, 10, 2
+	grid := refModel(rows, cols, halo, 3)
+	rs, cs := []int{0, 4, 9, 13}, []int{0, 5, 10}
+	for gr := 0; gr+1 < len(rs); gr++ {
+		for gc := 0; gc+1 < len(cs); gc++ {
+			rlo, rhi, clo, chi := rs[gr], rs[gr+1], cs[gc], cs[gc+1]
+			prlo, prhi := max(0, rlo-halo), min(rows, rhi+halo)
+			pclo, pchi := max(0, clo-halo), min(cols, chi+halo)
+			var patch, holed []float64
+			for r := prlo; r < prhi; r++ {
+				for c := pclo; c < pchi; c++ {
+					v := grid[r*cols+c]
+					patch = append(patch, v)
+					if (r < rlo || r >= rhi) && (c < clo || c >= chi) {
+						v = math.NaN()
+					}
+					holed = append(holed, v)
+				}
+			}
+			want := make([]float64, (rhi-rlo)*(chi-clo))
+			got := make([]float64, len(want))
+			stencilSweep(patch, prlo, prhi, pclo, pchi, want, rlo, rhi, clo, chi, halo)
+			stencilSweep(holed, prlo, prhi, pclo, pchi, got, rlo, rhi, clo, chi, halo)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("block [%d,%d)x[%d,%d): cell %d = %v with NaN corners, want %v", rlo, rhi, clo, chi, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestStencilFetchesNoCorner: the benchmark's 64×64 solve on 4 ranks (a
+// 2×2 grid of 32×32 blocks, halo 1) sends exactly 67 gets. Each of the 8
+// steps, every rank reads one row from the block above or below and one
+// column from the block beside it; the 3 more are rank 0's read of the
+// other blocks for the boundary checksum. Fetching the whole halo
+// rectangle, corner block included, sent 99.
+func TestStencilFetchesNoCorner(t *testing.T) {
+	sp, err := Parse("stencil:rows=64,cols=64,halo=1,steps=8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reports []string
+	var mu sync.Mutex
+	body := Build(sp, Config{Report: func(format string, args ...any) {
+		mu.Lock()
+		reports = append(reports, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	rep, err := armci.Run(armci.Options{Procs: 4, Fabric: armci.FabricChan}, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) > 0 {
+		t.Errorf("%d oracle reports, first: %s", len(reports), reports[0])
+	}
+	if got := rep.Stats.Count(msg.KindGet); got != 67 {
+		t.Errorf("%d gets per solve, want 67", got)
+	}
+}
+
+// TestStencilSolveAllocations: a warm solve of the benchmark's stencil
+// on 4 chan ranks stays under a ceiling of allocations. A rank makes its
+// patch and result buffers once per solve and reuses each array's byte
+// scratch for every piece it gets or puts; what is left per step is the
+// pieces' strided descriptors, the messages and the barrier, about 233
+// per solve. A fresh patch, result and byte slice per step and piece,
+// as the body once made, cost about 705.
+func TestStencilSolveAllocations(t *testing.T) {
+	const ceiling = 300
+	allocs, reports := solveMallocs(t, "stencil:rows=64,cols=64,halo=1,steps=8", 16)
+	t.Logf("allocations per solve on 4 ranks: %.1f", allocs)
+	if len(reports) > 0 {
+		t.Errorf("%d oracle reports, first: %s", len(reports), reports[0])
+	}
+	if allocs > ceiling {
+		t.Errorf("%.1f allocations per solve, want at most %d", allocs, ceiling)
+	}
+}
+
 // TestStencilBodySharedAcrossRanks: one built body, its replay memo
 // included, serves every rank of a concurrent run, twice on each rank,
 // with the oracle silent. Under the race detector this is the check
@@ -148,4 +235,11 @@ func BenchmarkStencilReplay(b *testing.B) {
 	for b.Loop() {
 		stencilModel(64, 64, 1, 8)
 	}
+}
+
+// BenchmarkStencilSolve is one solve of the benchmark's stencil (64×64,
+// halo 1, 8 steps) on 4 chan ranks: the halo gets, the sweeps, the puts,
+// the GA_Syncs and the oracle.
+func BenchmarkStencilSolve(b *testing.B) {
+	benchSolve(b, "stencil:rows=64,cols=64,halo=1,steps=8")
 }

@@ -117,8 +117,14 @@ func (p *Proc) PutStrided(dst Ptr, d Strided, data []byte) { p.eng.PutStrided(ds
 // Get copies n bytes from the byte memory at src. Blocking.
 func (p *Proc) Get(src Ptr, n int) []byte { return p.eng.Get(src, n) }
 
-// GetStrided gathers the strided region at src (ARMCI_GetS). Blocking.
-func (p *Proc) GetStrided(src Ptr, d Strided) []byte { return p.eng.GetStrided(src, d) }
+// GetStrided gathers the strided region at src and appends it, packed
+// run by run, to dst, returning the extended slice (ARMCI_GetS, whose
+// caller names the destination buffer). Blocking. A dst with room for
+// d.TotalBytes() more bytes is filled without growing; a nil dst gets a
+// fresh slice.
+func (p *Proc) GetStrided(dst []byte, src Ptr, d Strided) []byte {
+	return p.eng.GetStrided(dst, src, d)
+}
 
 // Handle tracks the completion of one non-blocking put or accumulate
 // (armci_hdl_t). Wait fences the destination node once (repeated calls

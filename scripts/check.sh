@@ -16,8 +16,9 @@ go build ./...
 # the newest BENCH_<n>.json, bit-equal, and no other.
 go test ./...
 # go test only compiles the benchmarks; run each generated workload's one
-# once: the stencil's replay and a parameter-server solve on 4 chan ranks.
-go test -run '^$' -bench 'StencilReplay|ParamServerSolve' -benchtime 1x ./internal/workload
+# once: the stencil's replay, a stencil solve and a parameter-server solve
+# on 4 chan ranks.
+go test -run '^$' -bench 'StencilReplay|StencilSolve|ParamServerSolve' -benchtime 1x ./internal/workload
 # The two textual grammars are tables (faultKnobs, the workload knobs);
 # their round-trip fuzzers are the contract the tables lean on, so the
 # fuzz engine explores past the seed corpora `go test` replays.
