@@ -26,8 +26,9 @@ type intField struct {
 }
 
 // faultKnobs is the fault-plan grammar, one row per knob in canonical
-// order. ParseFaults and FormatFaults read it; nothing else lists the
-// knobs but documentation (ParseFaults' comment, the README).
+// order. ParseFaults reads it, as does the tests' canonical renderer
+// (FormatFaults); nothing else lists the knobs but documentation
+// (ParseFaults' comment, the README).
 var faultKnobs = []faultKnob{
 	// uniform extra delay in [0, dur) per message
 	{"jitter", "<dur>", func(f *Faults) []any { return []any{&f.Jitter} }},
@@ -73,7 +74,7 @@ var faultKnobs = []faultKnob{
 //
 // A rank is >= 0 and a count (<burst>, <n>, <sends>) >= 1. The empty
 // string parses to the zero Faults (no faults). Any accepted plan
-// round-trips: ParseFaults(FormatFaults(f)) returns f again.
+// round-trips through its canonical rendering (FuzzParseFaults).
 func ParseFaults(s string) (Faults, error) {
 	var f Faults
 	if s == "" {
@@ -131,46 +132,4 @@ func setFaultField(field any, s string) (err error) {
 		}
 	}
 	return err
-}
-
-// renderFaultField returns a field's canonical text and whether it turns
-// its knob on. A rank only says which rank a knob strikes, so it never
-// does: a crash knob is on when its count is.
-func renderFaultField(field any) (string, bool) {
-	switch p := field.(type) {
-	case *time.Duration:
-		return p.String(), *p != 0
-	case *float64:
-		// The shortest representation that parses back to the same float.
-		return strconv.FormatFloat(*p, 'g', -1, 64), *p != 0
-	case *int64:
-		return strconv.FormatInt(*p, 10), *p != 0
-	}
-	p := field.(intField)
-	return strconv.Itoa(*p.p), p.min > 0 && *p.p != 0
-}
-
-// FormatFaults renders a fault plan in the canonical form of the
-// ParseFaults grammar: knobs in faultKnobs order, knobs that are off
-// omitted, an optional '@' value omitted when zero. The output re-parses
-// to the same struct for any plan ParseFaults accepts.
-func FormatFaults(f Faults) string {
-	var parts []string
-	for _, k := range faultKnobs {
-		var vals []string
-		knobOn, lastOn := false, false
-		for _, field := range k.fields(&f) {
-			s, on := renderFaultField(field)
-			vals = append(vals, s)
-			knobOn, lastOn = knobOn || on, on
-		}
-		if !knobOn {
-			continue
-		}
-		if len(vals) == 2 && !lastOn && strings.Contains(k.form, "[") {
-			vals = vals[:1]
-		}
-		parts = append(parts, k.key+"="+strings.Join(vals, "@"))
-	}
-	return strings.Join(parts, ",")
 }

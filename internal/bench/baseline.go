@@ -124,22 +124,3 @@ func WriteBaseline(b *Baseline, path string) error {
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
-
-// ReadBaseline loads a BENCH_*.json document.
-func ReadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("bench: parse %s: %w", path, err)
-	}
-	if b.Schema != BaselineSchema {
-		return nil, fmt.Errorf("bench: %s has schema %d, this build understands %d", path, b.Schema, BaselineSchema)
-	}
-	if len(b.Metrics) == 0 {
-		return nil, fmt.Errorf("bench: %s tracks no metrics", path)
-	}
-	return &b, nil
-}

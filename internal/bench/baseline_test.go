@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"maps"
 	"math"
@@ -179,4 +180,23 @@ func TestReadBaselineRejectsBadDocuments(t *testing.T) {
 	if err != nil || old.Metrics["x"] != (Metric{Value: 1.5, Unit: "us"}) {
 		t.Errorf("document with tolerance fields: %+v, %v", old, err)
 	}
+}
+
+// ReadBaseline loads a BENCH_*.json document.
+func ReadBaseline(path string) (*Baseline, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var b Baseline
+	if err := json.Unmarshal(data, &b); err != nil {
+		return nil, fmt.Errorf("bench: parse %s: %w", path, err)
+	}
+	if b.Schema != BaselineSchema {
+		return nil, fmt.Errorf("bench: %s has schema %d, this build understands %d", path, b.Schema, BaselineSchema)
+	}
+	if len(b.Metrics) == 0 {
+		return nil, fmt.Errorf("bench: %s tracks no metrics", path)
+	}
+	return &b, nil
 }

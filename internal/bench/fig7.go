@@ -22,8 +22,10 @@ type Fig7Opts struct {
 // Fig7Row is one cluster size of the GA_Sync comparison.
 type Fig7Row struct {
 	Procs int
-	// OldUS and NewUS are the mean GA_Sync times in microseconds under
-	// the original and the combined implementation.
+	// OldUS and NewUS are the GA_Sync times in microseconds under the
+	// original and the combined implementation: the mean over ranks and
+	// repetitions, or on the proc fabric the ranks' mean of each rank's
+	// median (RunFig7ProcWorker).
 	OldUS, NewUS float64
 	// Factor is OldUS / NewUS — Figure 7(b).
 	Factor float64

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -48,8 +49,10 @@ func ParseFig7ProcResult(line string) (Fig7Row, bool) {
 // point — both sync modes are measured inside a single armci.Run, with
 // ga.SetSyncMode switching implementations between the phases.
 //
-// Per-rank means are combined across the processes with an in-band
-// all-reduce; rank 0 prints the tagged result line for the launcher.
+// Each rank's statistic is its median GA_Sync time over the timed
+// repetitions, which a scheduling stall of a few of them does not move;
+// the ranks' medians are averaged with an in-band all-reduce, and rank 0
+// prints the tagged result line for the launcher.
 func RunFig7ProcWorker(opts Fig7Opts, procs int) error {
 	opts.Opts = opts.Opts.withDefaults()
 	if opts.BlockDim <= 0 {
@@ -82,9 +85,9 @@ func RunFig7ProcWorker(opts Fig7Opts, procs int) error {
 		l.loop(p, step)
 		a.SetSyncMode(ga.SyncNew)
 		l.loop(p, step)
-		// Every rank contributes its mean; the all-reduce leaves the
+		// Every rank contributes its medians; the all-reduce leaves the
 		// cluster-wide sums everywhere, and rank 0 reports the average.
-		vec := []float64{mean(l.cols[me][0]), mean(l.cols[me][1])}
+		vec := []float64{median(l.cols[me][0]), median(l.cols[me][1])}
 		p.AllReduceSumFloat64(vec)
 		if me == 0 {
 			n := float64(procs)
@@ -94,6 +97,20 @@ func RunFig7ProcWorker(opts Fig7Opts, procs int) error {
 		}
 	})
 	return err
+}
+
+// median returns the middle sample of xs, or the mean of the two middle
+// ones for an even count; it sorts xs in place.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	n := len(xs)
+	switch {
+	case n == 0:
+		return 0
+	case n%2 == 1:
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // Fig7Proc sweeps Figure 7 across real OS processes: one cluster launch

@@ -181,9 +181,6 @@ type Result struct {
 	Panicked bool
 }
 
-// Passed reports whether the case ran and every oracle held.
-func (r Result) Passed() bool { return r.Err == nil && len(r.Violations) == 0 }
-
 // collector gathers state-level assertion failures from inside workload
 // bodies (which run concurrently on the chan/tcp fabrics).
 type collector struct {
@@ -378,7 +375,7 @@ func Matrix(fabrics []armci.FabricKind, workloads, algs, syncs, faults []string,
 	return cases
 }
 
-// SweepResult summarizes a RunAll pass.
+// SweepResult summarizes a RunAllParallel pass.
 type SweepResult struct {
 	Cases      int
 	Events     int
@@ -388,10 +385,4 @@ type SweepResult struct {
 	// its recovered error to Errs). A sweep with Panics > 0 must not be
 	// reported as clean.
 	Panics int
-}
-
-// RunAll executes every case sequentially, invoking onResult (may be
-// nil) after each. It is RunAllParallel with one worker.
-func RunAll(cases []Case, onResult func(Result)) SweepResult {
-	return RunAllParallel(cases, 1, onResult)
 }

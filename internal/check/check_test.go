@@ -380,3 +380,12 @@ func TestLockMutantsMatchRealLockWhileDormant(t *testing.T) {
 		})
 	}
 }
+
+// Passed reports whether the case ran and every oracle held.
+func (r Result) Passed() bool { return r.Err == nil && len(r.Violations) == 0 }
+
+// RunAll executes every case sequentially, invoking onResult (may be
+// nil) after each. It is RunAllParallel with one worker.
+func RunAll(cases []Case, onResult func(Result)) SweepResult {
+	return RunAllParallel(cases, 1, onResult)
+}

@@ -8,7 +8,8 @@ import (
 )
 
 // RunAllParallel executes the cases on up to workers concurrent workers
-// (workers <= 0 means GOMAXPROCS) and aggregates exactly like RunAll.
+// (workers <= 0 means GOMAXPROCS) and aggregates exactly like a
+// sequential run.
 // Each case already owns its kernel and seed, so cases are independent;
 // determinism of the sweep is preserved by construction:
 //

@@ -52,9 +52,6 @@ func New(env transport.Env) *Comm {
 	return &Comm{env: env}
 }
 
-// Env returns the underlying environment.
-func (c *Comm) Env() transport.Env { return c.env }
-
 // Rebase starts this communicator's sequence over at the base of
 // membership view view, so ranks that ran different numbers of
 // collectives before a repair — a survivor interrupted inside one, a

@@ -302,10 +302,11 @@ func TestMixedCollectiveSequence(t *testing.T) {
 // ahead, as a survivor is of one the view change threw out. Rank 1 also
 // leaves a stray frame with the old-base tag of rank 0's next barrier.
 // After both rebase to view 1 a barrier completes, and neither rank's
-// old-base frame was matched by it: each is still in its mailbox.
+// old-base frame was matched by it: each is still in its mailbox, where a
+// Recv takes it (had the barrier taken it, the Recv would wait forever
+// and the run would end stuck).
 func TestRebaseJoinsDivergedComms(t *testing.T) {
 	var seqs [2]int
-	var leftover [2]*msg.Message
 	runCluster(t, 2, model.Myrinet2000(), nil, func(env transport.Env, c *Comm) {
 		me := env.Rank()
 		c.Barrier(BarrierPairwise)
@@ -323,14 +324,9 @@ func TestRebaseJoinsDivergedComms(t *testing.T) {
 		c.Rebase(1)
 		c.Barrier(BarrierPairwise)
 		stale := 2 - me // rank 0 kept rank 1's stray, rank 1 rank 0's barrier-2 half
-		leftover[me] = env.TryRecv(msg.MatchSrcTag(msg.KindColl, msg.User(1-me), stale<<16|phase))
+		env.Recv(msg.MatchSrcTag(msg.KindColl, msg.User(1-me), stale<<16|phase))
 	})
 	if seqs != [2]int{2, 1} {
 		t.Fatalf("sequences before the rebase = %v, want [2 1]", seqs)
-	}
-	for r, m := range leftover {
-		if m == nil {
-			t.Errorf("rank %d: the rebased barrier matched an old-base frame", r)
-		}
 	}
 }

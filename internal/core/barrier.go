@@ -59,12 +59,6 @@ func NewSync(eng *proc.Engine, comm *collective.Comm) *Sync {
 	return s
 }
 
-// Engine returns the underlying ARMCI engine.
-func (s *Sync) Engine() *proc.Engine { return s.eng }
-
-// Comm returns the underlying collective communicator.
-func (s *Sync) Comm() *collective.Comm { return s.comm }
-
 // MPIBarrier performs a plain barrier synchronization (the message-passing
 // library's MPI_Barrier): log₂(N) overlapped message latencies.
 func (s *Sync) MPIBarrier() {

@@ -5,7 +5,6 @@ package msg
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -141,11 +140,6 @@ type RmwOp uint8
 const (
 	// RmwFetchAdd adds Operands[0] and returns the old value.
 	RmwFetchAdd RmwOp = iota + 1
-	// RmwSwap stores Operands[0] and returns the old value.
-	RmwSwap
-	// RmwCAS stores Operands[1] if the cell holds Operands[0]; returns
-	// the observed value.
-	RmwCAS
 	// RmwSwapPair stores Operands[0:2] in a pair of cells and returns
 	// the old pair — one of the operations the paper adds to ARMCI.
 	RmwSwapPair
@@ -163,9 +157,8 @@ const (
 )
 
 var rmwNames = map[RmwOp]string{
-	RmwFetchAdd: "fetch-add", RmwSwap: "swap", RmwCAS: "cas",
-	RmwSwapPair: "swap-pair", RmwCASPair: "cas-pair", RmwLoadPair: "load-pair",
-	RmwStore: "store", RmwStorePair: "store-pair",
+	RmwFetchAdd: "fetch-add", RmwSwapPair: "swap-pair", RmwCASPair: "cas-pair",
+	RmwLoadPair: "load-pair", RmwStore: "store", RmwStorePair: "store-pair",
 }
 
 func (o RmwOp) String() string {
@@ -324,13 +317,9 @@ type Queue struct {
 func (q *Queue) Put(m *Message) { q.items = append(q.items, m) }
 
 // TryPop removes and returns the first message match selects, or nil.
-func (q *Queue) TryPop(match Match) *Message { return q.TryPopArrived(match, math.MaxInt64) }
-
-// TryPopArrived is TryPop over the messages whose Arrival is at or before
-// now: a poll that must not see a message before its stamped arrival.
-func (q *Queue) TryPopArrived(match Match, now time.Duration) *Message {
+func (q *Queue) TryPop(match Match) *Message {
 	for i, m := range q.items {
-		if m.Arrival <= now && match.Matches(m) {
+		if match.Matches(m) {
 			q.items = slices.Delete(q.items, i, i+1) // clears the vacated slot
 			return m
 		}

@@ -37,8 +37,8 @@ func TestKindAndRmwNames(t *testing.T) {
 	if Kind(200).String() != "Kind(200)" {
 		t.Fatal("unknown kind formatting")
 	}
-	ops := []RmwOp{RmwFetchAdd, RmwSwap, RmwCAS, RmwSwapPair, RmwCASPair,
-		RmwLoadPair, RmwStore, RmwStorePair}
+	ops := []RmwOp{RmwFetchAdd, RmwSwapPair, RmwCASPair, RmwLoadPair,
+		RmwStore, RmwStorePair}
 	for _, o := range ops {
 		if strings.HasPrefix(o.String(), "RmwOp(") {
 			t.Fatalf("rmw op %d has no name", o)
@@ -120,22 +120,6 @@ func TestMatchKindAnyNone(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("building and applying a Match allocates %.2f, want 0", avg)
-	}
-}
-
-func TestQueueArrivalCutoff(t *testing.T) {
-	var q Queue
-	q.Put(&Message{Kind: KindSend, Tag: 0, Arrival: 30})
-	q.Put(&Message{Kind: KindColl, Tag: 1, Arrival: 10})
-	q.Put(&Message{Kind: KindSend, Tag: 2, Arrival: 20})
-	if m := q.TryPopArrived(MatchKind(KindSend), 25); m == nil || m.Tag != 2 {
-		t.Fatalf("arrived send popped %+v, want tag 2", m)
-	}
-	if m := q.TryPopArrived(MatchKind(KindSend), 25); m != nil {
-		t.Fatalf("a send arriving at 30 popped at 25: %+v", m)
-	}
-	if m := q.TryPop(MatchKind(KindSend)); m == nil || m.Tag != 0 {
-		t.Fatalf("TryPop has no cutoff: popped %+v, want tag 0", m)
 	}
 }
 

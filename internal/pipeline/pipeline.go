@@ -556,9 +556,6 @@ func (p *Pipeline) Faults() Faults { return p.cfg.Faults }
 // which is what fences out traffic from deposed incarnations.
 func (p *Pipeline) SetEpoch(e uint64) { p.epoch.Store(e) }
 
-// Epoch returns the current membership view epoch.
-func (p *Pipeline) Epoch() uint64 { return p.epoch.Load() }
-
 // ResetPeer clears the sequencing state of every directed pipe whose
 // source or destination endpoint matches. A respawned incarnation
 // restarts its sequence numbers at 1, so survivors must forget both the

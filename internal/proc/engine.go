@@ -458,27 +458,6 @@ func (g *Engine) FetchAdd(p shmem.Ptr, delta int64) int64 {
 	return r[0]
 }
 
-// Swap atomically replaces the word at p, returning the old value.
-func (g *Engine) Swap(p shmem.Ptr, v int64) int64 {
-	if g.local(p.Rank) {
-		g.env.Charge(g.env.Params().AtomicOp)
-		return g.env.Space().Swap(p, v)
-	}
-	r := g.rmwBlocking(p, msg.RmwSwap, [4]int64{v})
-	return r[0]
-}
-
-// CompareAndSwap atomically stores new at p if it holds old, returning the
-// observed value.
-func (g *Engine) CompareAndSwap(p shmem.Ptr, old, new int64) int64 {
-	if g.local(p.Rank) {
-		g.env.Charge(g.env.Params().AtomicOp)
-		return g.env.Space().CompareAndSwap(p, old, new)
-	}
-	r := g.rmwBlocking(p, msg.RmwCAS, [4]int64{old, new})
-	return r[0]
-}
-
 // SwapPair atomically replaces the pair of words at p — one of the
 // operations the paper adds to ARMCI for the queuing lock.
 func (g *Engine) SwapPair(p shmem.Ptr, v shmem.Pair) shmem.Pair {

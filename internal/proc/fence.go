@@ -65,18 +65,6 @@ func (g *Engine) creditAck(m *msg.Message) {
 	g.outstanding[node]--
 }
 
-// tryDrainAcks credits every put acknowledgement already delivered,
-// without blocking (FenceAck handle polling).
-func (g *Engine) tryDrainAcks() {
-	for {
-		m := g.env.TryRecv(msg.MatchKind(msg.KindPutAck))
-		if m == nil {
-			return
-		}
-		g.creditAck(m)
-	}
-}
-
 // AllFence blocks until every fence-counted operation this process has
 // issued has completed at every server (ARMCI_AllFence). This is the
 // *original* implementation the paper improves on: in FenceRequest mode

@@ -7,12 +7,9 @@ import (
 // Handle tracks the completion of one non-blocking store (the ARMCI
 // armci_hdl_t pattern): a put or accumulate has no per-op response, so
 // it completes when the destination node confirms every fence-counted
-// operation this process issued there, and Wait is a fence scoped to
-// that node. Wait is idempotent — it fences the first time only — and
-// Test polls in-flight progress instead of only reporting
-// already-collected state.
+// operation this process issued there. WaitAll completes handles with
+// one fence per destination node; a handle already done costs nothing.
 type Handle struct {
-	g    *Engine
 	node int // destination node
 	done bool
 }
@@ -46,7 +43,6 @@ func (g *Engine) storeHandle(dst shmem.Ptr) *Handle {
 	}
 	h := &g.handles[0]
 	g.handles = g.handles[1:]
-	h.g = g
 	if g.local(dst.Rank) {
 		// Local stores apply synchronously; already complete.
 		h.done = true
@@ -54,29 +50,6 @@ func (g *Engine) storeHandle(dst shmem.Ptr) *Handle {
 		h.node = g.env.Node(int(dst.Rank))
 	}
 	return h
-}
-
-// Test reports whether the operation has completed (ARMCI_Test), polling
-// in-flight progress: a pending store checks whether the destination has
-// confirmed completion, where the fence mode makes that observable
-// (FenceAck acknowledgements). In FenceRequest mode completion is only
-// learnable through a fence round trip, so Test stays false until Wait
-// performs one.
-func (h *Handle) Test() bool {
-	if !h.done && h.g.mode == FenceAck {
-		h.g.tryDrainAcks()
-		h.done = h.g.outstanding[h.node] == 0
-	}
-	return h.done
-}
-
-// Wait blocks until the operation completes. It is idempotent: once the
-// handle is done, repeated calls return at once.
-func (h *Handle) Wait() {
-	if !h.done {
-		h.g.Fence(h.node)
-		h.done = true
-	}
 }
 
 // WaitAll completes every handle (ARMCI_WaitAll). Handles against the

@@ -1,7 +1,6 @@
 package proc_test
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -59,11 +58,6 @@ func TestStoreHandleAllocations(t *testing.T) {
 		}
 		g.AllFence() // confirms the stores; the handles stay pending
 		wait = mallocsPer(1, func(int) { g.WaitAll(hs2...) })
-		for i, h := range hs2 {
-			if !h.Test() {
-				panic(fmt.Sprintf("handle %d not done after WaitAll", i))
-			}
-		}
 	})
 	t.Logf("allocations per call: NbAcc %.4f, NbPut %.4f, WaitAll of %d handles %.0f", acc, put, calls, wait)
 	if acc > 1.0/16 || put > 1.0/16 {

@@ -51,10 +51,10 @@ const (
 	CounterWord = 1
 )
 
-// Word offsets within a rank's queue-node structure.
+// Word offsets within a rank's queue-node structure: the next pointer is
+// the pair at words 0 and 1, the locked flag word 2.
 const (
 	QNodeNextHi = 0
-	QNodeNextLo = 1
 	QNodeLocked = 2
 )
 

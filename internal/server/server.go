@@ -345,10 +345,6 @@ func (s *Server) handleRmw(m *msg.Message) {
 	switch msg.RmwOp(m.Op) {
 	case msg.RmwFetchAdd:
 		out[0] = space.FetchAdd(m.Ptr, m.Operands[0])
-	case msg.RmwSwap:
-		out[0] = space.Swap(m.Ptr, m.Operands[0])
-	case msg.RmwCAS:
-		out[0] = space.CompareAndSwap(m.Ptr, m.Operands[0], m.Operands[1])
 	case msg.RmwSwapPair:
 		r := space.SwapPair(m.Ptr, shmem.Pair{Hi: m.Operands[0], Lo: m.Operands[1]})
 		out[0], out[1] = r.Hi, r.Lo

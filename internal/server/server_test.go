@@ -312,7 +312,7 @@ func TestAgentServesRmwAndFence(t *testing.T) {
 		agent := msg.NICOf(0, 1)
 		env.Send(agent, &msg.Message{
 			Kind: msg.KindRmw, Origin: 0, Token: 1, Ptr: w,
-			Op: uint8(msg.RmwSwap), Operands: [4]int64{42},
+			Op: uint8(msg.RmwFetchAdd), Operands: [4]int64{42},
 		})
 		resp := env.Recv(msg.MatchToken(msg.KindRmwResp, 1))
 		if resp.Operands[0] != 0 || env.Space().Load(w) != 42 {

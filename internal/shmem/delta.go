@@ -62,18 +62,15 @@ type RankSnapshot struct {
 	bytes [][]byte
 }
 
-// Protect marks rank's current segments as its protected set and starts
-// dirty-page tracking over them. Call it once, after the application's
-// collective allocations and before the first delta capture; segments
-// allocated later are excluded from tracking, capture, snapshot and
-// restore.
-func (s *Space) Protect(rank int) { s.ProtectRange(rank, 0, 0) }
-
-// ProtectRange is Protect with an explicit lower bound: the first
-// baseWords word segments and baseBytes byte segments — runtime
-// internals allocated before the application's state — stay outside
-// the protected set, so captures, snapshots and rollbacks never touch
-// live synchronization machinery.
+// ProtectRange marks rank's current segments from the first baseWords
+// word segments and baseBytes byte segments on as its protected set and
+// starts dirty-page tracking over them. The segments below the bound —
+// runtime internals allocated before the application's state — stay
+// outside the protected set, so captures, snapshots and rollbacks never
+// touch live synchronization machinery. Call it once, after the
+// application's collective allocations and before the first delta
+// capture; segments allocated later are excluded from tracking, capture,
+// snapshot and restore.
 func (s *Space) ProtectRange(rank, baseWords, baseBytes int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

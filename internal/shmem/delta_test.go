@@ -14,7 +14,7 @@ func TestDirtyTrackingCapturesMutations(t *testing.T) {
 	s := NewSpace([]int{0, 1})
 	w := s.AllocWords(0, 3*PageWords)
 	b := s.AllocBytes(0, 2*PageBytes)
-	s.Protect(0)
+	s.ProtectRange(0, 0, 0)
 
 	if got := s.CaptureDelta(0, true); len(got) != 0 {
 		t.Fatalf("fresh protected set already dirty: %v", got)
@@ -62,7 +62,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	s := NewSpace([]int{0})
 	w := s.AllocWords(0, PageWords)
 	b := s.AllocBytes(0, PageBytes)
-	s.Protect(0)
+	s.ProtectRange(0, 0, 0)
 	unprot := s.AllocWords(0, 1)
 
 	s.Store(w, 42)

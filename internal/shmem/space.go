@@ -57,9 +57,6 @@ func (s *Space) NumRanks() int { return len(s.ranks) }
 // Node returns the node index of rank.
 func (s *Space) Node(rank int) int { return s.nodeOf[rank] }
 
-// SameNode reports whether the two ranks are co-located on one SMP node.
-func (s *Space) SameNode(a, b int) bool { return s.nodeOf[a] == s.nodeOf[b] }
-
 // notify runs the onWrite hook, if any, for a mutation of rank's memory.
 func (s *Space) notify(rank int32) {
 	if s.onWrite != nil {
@@ -159,37 +156,6 @@ func (s *Space) FetchAdd(p Ptr, delta int64) int64 {
 	})
 	s.notify(p.Rank)
 	return old
-}
-
-// Swap atomically replaces the cell at p with v and returns the previous
-// value.
-func (s *Space) Swap(p Ptr, v int64) int64 {
-	var old int64
-	s.locked(func() {
-		w := s.words(p, 1)
-		old = w[0]
-		w[0] = v
-		s.mark(p, 1)
-	})
-	s.notify(p.Rank)
-	return old
-}
-
-// CompareAndSwap atomically stores new in the cell at p if it holds old.
-// It returns the value observed before the operation (equal to old exactly
-// when the swap happened).
-func (s *Space) CompareAndSwap(p Ptr, old, new int64) int64 {
-	var prev int64
-	s.locked(func() {
-		w := s.words(p, 1)
-		prev = w[0]
-		if prev == old {
-			w[0] = new
-			s.mark(p, 1)
-		}
-	})
-	s.notify(p.Rank)
-	return prev
 }
 
 // Pair is a pair of longs — the operand size of the atomic operations the

@@ -68,15 +68,6 @@ func (d Strided) TotalBytes() int {
 	return n
 }
 
-// NumRuns returns the number of contiguous runs the descriptor covers.
-func (d Strided) NumRuns() int {
-	n := 1
-	for _, c := range d.Count[1:] {
-		n *= c
-	}
-	return n
-}
-
 // EachRun invokes fn once per contiguous run, passing the byte offset of
 // the run relative to the base pointer and the run length. Runs are
 // visited in ascending level order (innermost first), which matches the

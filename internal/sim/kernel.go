@@ -230,7 +230,6 @@ const (
 // it is the one running.
 type Proc struct {
 	k     *Kernel
-	id    int
 	name  string
 	state procState
 	fn    func(p *Proc)
@@ -255,7 +254,6 @@ type Proc struct {
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
 		k:      k,
-		id:     len(k.procs),
 		name:   name,
 		state:  stateNew,
 		fn:     fn,
@@ -271,15 +269,6 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	k.procs = append(k.procs, p)
 	return p
 }
-
-// ID returns the process's kernel-assigned index.
-func (p *Proc) ID() int { return p.id }
-
-// Name returns the process's diagnostic name.
-func (p *Proc) Name() string { return p.name }
-
-// Kernel returns the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.k.now }

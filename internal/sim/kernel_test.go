@@ -256,24 +256,6 @@ func TestManyProcessesManyEvents(t *testing.T) {
 	}
 }
 
-func TestProcIdentity(t *testing.T) {
-	k := New()
-	p0 := k.Spawn("alpha", func(p *Proc) {})
-	p1 := k.Spawn("beta", func(p *Proc) {})
-	if p0.ID() != 0 || p1.ID() != 1 {
-		t.Fatalf("IDs %d,%d want 0,1", p0.ID(), p1.ID())
-	}
-	if p0.Name() != "alpha" || p1.Name() != "beta" {
-		t.Fatalf("names %q,%q", p0.Name(), p1.Name())
-	}
-	if p0.Kernel() != k {
-		t.Fatal("Kernel() does not return the owner")
-	}
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPokedWaitersWakeInRegistrationOrder: the order of the pokes inside
 // one event batch is not the order of the wake-ups — waiters run in the
 // order they registered, which is what keeps every virtual time where the

@@ -530,21 +530,6 @@ func FingerprintEvents(events []Event) string {
 	return b.String()
 }
 
-// FingerprintOpEvents digests a protocol-level event slice, numbered by
-// position like FingerprintEvents. It folds in the fields the lock
-// oracles reason about — kind, rank, lock, predecessor, ticket, epoch —
-// and leaves out Time (virtual on sim, wall elsewhere) and Seq (a
-// filtered lock sub-stream would inherit unrelated interleaving), so two
-// runs whose hand-off history agrees match across fabrics and seeds.
-func FingerprintOpEvents(events []OpEvent) string {
-	var b strings.Builder
-	for i, e := range events {
-		fmt.Fprintf(&b, "%d:%s:r%d:l%d:p%d:t%d:e%d;",
-			i+1, e.Kind, e.Rank, e.Lock, e.Prev, e.Ticket, e.Epoch)
-	}
-	return b.String()
-}
-
 func appendFingerprint(b *strings.Builder, e Event, seq int) {
 	fmt.Fprintf(b, "%d:%s:%v>%v:%d", seq, e.Kind, e.Src, e.Dst, e.Size)
 	if e.PairSeq != 0 {

@@ -287,16 +287,6 @@ func (e *simEnv) pollMailbox() bool {
 	return e.late != nil && *e.late
 }
 
-func (e *simEnv) TryRecv(match msg.Match) *msg.Message {
-	// Messages reach the mailbox only at their delivery instant (the
-	// kernel's At callback), so anything queued has already arrived.
-	m := e.q.TryPop(match)
-	if m != nil {
-		e.f.pipe.RecvCharge(e.Charge)
-	}
-	return m
-}
-
 // watch is the one memory wait: it blocks until pred holds or bound
 // passes (0 = never) and reports which. While it lasts the actor is on
 // the fabric's watcher list, where every Space write pokes it.

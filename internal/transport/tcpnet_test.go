@@ -50,7 +50,7 @@ func TestTCPLoneFrameLeavesAtOnce(t *testing.T) {
 		for i := range seen {
 			env.Send(msg.User(1), &msg.Message{Kind: msg.KindSend, Tag: i})
 			<-seen[i]
-			env.TryRecv(msg.MatchAny) // a listen that receives nothing
+			listen(env) // a listen that receives nothing
 		}
 	})
 	f.SpawnUser(1, func(env Env) {
@@ -131,8 +131,9 @@ func TestTCPBurstRidesTogether(t *testing.T) {
 
 // TestTCPEveryWayOfWaitingFlushes: frames behind a pair's first leave at
 // the sender's next fabric call of any kind. A sender that from then on only
-// sleeps on the fabric clock, or only polls TryRecv, still delivers them —
-// as does one that blocks, fail-stops or simply returns.
+// sleeps on the fabric clock, or only waits on a predicate that already
+// holds, still delivers them — as does one that blocks, fail-stops or
+// simply returns.
 func TestTCPEveryWayOfWaitingFlushes(t *testing.T) {
 	const frames = 3
 	ways := map[string]func(env Env, delivered func() bool){
@@ -141,9 +142,9 @@ func TestTCPEveryWayOfWaitingFlushes(t *testing.T) {
 				env.Clock().Sleep(100 * time.Microsecond)
 			}
 		},
-		"TryRecv": func(env Env, delivered func() bool) {
+		"listen": func(env Env, delivered func() bool) {
 			for !delivered() {
-				env.TryRecv(msg.MatchAny)
+				listen(env)
 				runtime.Gosched()
 			}
 		},
@@ -191,7 +192,7 @@ func runTCPFailsWhileCorked(t *testing.T) {
 			env.Send(msg.User(1), &msg.Message{Kind: msg.KindSend, Tag: i})
 		}
 		<-release
-		env.TryRecv(msg.MatchAny)
+		listen(env)
 		t.Error("rank 0 listened past a refused write")
 	})
 	f.SpawnUser(1, func(env Env) {

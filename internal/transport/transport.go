@@ -68,13 +68,6 @@ type Env interface {
 	// Recv blocks until a message satisfying match is available, removes
 	// it from the mailbox and returns it.
 	Recv(match msg.Match) *msg.Message
-	// TryRecv removes and returns an already-delivered message
-	// satisfying match without blocking, or nil when none is pending.
-	// "Delivered" means the message's (possibly fault-delayed) arrival
-	// time has been reached; TryRecv never observes a message earlier
-	// than Recv would, so per-pair FIFO is preserved. Handle polling
-	// (Test/Done) is built on it.
-	TryRecv(match msg.Match) *msg.Message
 	// Charge models d of CPU work by this actor.
 	Charge(d time.Duration)
 	// WaitUntil blocks until pred() is true. pred may read the memory of

@@ -641,7 +641,7 @@ func TestSimScheduleShuffleDeterminism(t *testing.T) {
 // TestStampsOnlyForAReader pins when a message carries send and arrival
 // times (pipeline.Stamps): in a quiet run on chan and tcp never — Sent and
 // Arrival stay 0 and no clock is read for them; under capture, a NewRun
-// recorder or a jitter plan always, with 0 < Sent <= Arrival and TryRecv
+// recorder or a jitter plan always, with 0 < Sent <= Arrival and Recv
 // never handing out a message before its stamped arrival; on sim always,
 // since its cost model reads them.
 func TestStampsOnlyForAReader(t *testing.T) {
@@ -670,11 +670,7 @@ func TestStampsOnlyForAReader(t *testing.T) {
 				})
 				f.SpawnUser(1, func(env Env) {
 					for len(got) < n {
-						m := env.TryRecv(msg.MatchKind(msg.KindSend))
-						if m == nil {
-							env.Clock().Sleep(20 * time.Microsecond)
-							continue
-						}
+						m := env.Recv(msg.MatchKind(msg.KindSend))
 						if m.Arrival > env.Clock().Now() {
 							early++
 						}
@@ -685,7 +681,7 @@ func TestStampsOnlyForAReader(t *testing.T) {
 					t.Fatal(err)
 				}
 				if early > 0 {
-					t.Fatalf("TryRecv handed out %d of %d messages before their stamped arrival", early, n)
+					t.Fatalf("Recv handed out %d of %d messages before their stamped arrival", early, n)
 				}
 				stamped := reader != "quiet" || fabric == "sim"
 				for _, m := range got {
@@ -747,6 +743,10 @@ func TestQuietCountsEqualCaptured(t *testing.T) {
 
 // never is the predicate of a wait nothing will ever satisfy.
 func never() bool { return false }
+
+// listen is the cheapest fabric call that is not a Send: a wait whose
+// predicate already holds, which returns without parking.
+func listen(env Env) { env.WaitUntil("listen", func() bool { return true }) }
 
 // wantFault runs f and requires a *pipeline.FaultError of the given kind.
 func wantFault(t *testing.T, f Fabric, kind pipeline.FaultKind) *pipeline.FaultError {

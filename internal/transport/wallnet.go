@@ -3,7 +3,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -505,28 +504,6 @@ func (e *wallEnv) pop(match msg.Match) *msg.Message {
 	b.mu.Unlock()
 	if drained {
 		e.f.wakeAll()
-	}
-	return m
-}
-
-func (e *wallEnv) TryRecv(match msg.Match) *msg.Message {
-	f, b := e.f, e.b
-	// Where arrivals can lie ahead (Delays), only messages whose stamped
-	// arrival time has passed are eligible: polling must never observe a
-	// message earlier than Recv (which sleeps out the remaining latency)
-	// would deliver it. Per-pair arrival times are monotone, so gating on
-	// arrival keeps FIFO.
-	cutoff := time.Duration(math.MaxInt64)
-	if f.pipe.Delays() {
-		cutoff = time.Since(f.start)
-	}
-	e.listen()
-	e.interrupt()
-	b.mu.Lock()
-	m := b.q.TryPopArrived(match, cutoff)
-	b.mu.Unlock()
-	if m != nil {
-		f.pipe.RecvCharge(e.Charge)
 	}
 	return m
 }

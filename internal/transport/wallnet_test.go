@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"armci/internal/cluster"
-	"armci/internal/model"
 	"armci/internal/msg"
 	"armci/internal/pipeline"
 	"armci/internal/wire"
@@ -282,10 +281,12 @@ func TestViewFenceClosesTheEpochWhereOpsAreApplied(t *testing.T) {
 	fence := make(chan struct{})
 	var fenced uint64
 	var sawAtFence int64
+	var returned atomic.Bool
 	f.SpawnUser(0, func(env Env) {
 		<-fence
 		fenced = env.(*procEnv).fenceView()
 		sawAtFence = env.Space().Load(cell)
+		returned.Store(true)
 	})
 	f.SpawnUser(1, func(Env) {})
 	wg := startActors(f.wallFabric)
@@ -305,7 +306,7 @@ func TestViewFenceClosesTheEpochWhereOpsAreApplied(t *testing.T) {
 		return server.draining
 	})
 	close(release)
-	eventually(t, "the fence to return", func() bool { return f.pipe.Epoch() == 1 })
+	eventually(t, "the fence to return", returned.Load)
 
 	f.arrive(server, frame(0, 9)) // the old epoch, late: refused at the box
 	f.arrive(server, frame(1, 10))
@@ -424,9 +425,7 @@ func TestControlWaitsAreInterruptibleAndBounded(t *testing.T) {
 // it shows: with an op deadline in force, a user Recv that finds its
 // message arms nothing, and a bounded wait that parks re-arms the box's
 // own timer — neither allocates. A match is a value, so a Recv by token
-// allocates nothing either, and neither does a TryRecv polling a chan
-// fabric under latency injection, whose arrival cutoff is a queue
-// operation rather than a wrapped match.
+// allocates nothing either.
 func TestBoundedWaitsAllocateNothing(t *testing.T) {
 	const runs = 50
 	f, err := NewChan(Config{Procs: 1, OpDeadline: 10 * time.Second})
@@ -457,29 +456,6 @@ func TestBoundedWaitsAllocateNothing(t *testing.T) {
 	if recvAllocs != 0 || waitAllocs != 0 || tokenAllocs != 0 {
 		t.Fatalf("allocations per call: Recv of a queued message %v, WaitUntilFor that parks once %v, Recv by token %v; want 0, 0 and 0",
 			recvAllocs, waitAllocs, tokenAllocs)
-	}
-
-	delayed, err := NewChan(Config{Procs: 1, Model: model.Myrinet2000()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !delayed.pipe.Delays() {
-		t.Fatal("a chan fabric with a latency model does not inject delays")
-	}
-	var pollAllocs float64
-	delayed.SpawnUser(0, func(env Env) {
-		env.Send(msg.User(0), &msg.Message{Kind: msg.KindColl}) // queued, never selected
-		pollAllocs = testing.AllocsPerRun(runs, func() {
-			if env.TryRecv(msg.MatchKind(msg.KindSend)) != nil {
-				t.Error("a poll popped a message of another kind")
-			}
-		})
-	})
-	if err := delayed.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if pollAllocs != 0 {
-		t.Fatalf("a TryRecv poll under latency injection allocates %v, want 0", pollAllocs)
 	}
 }
 

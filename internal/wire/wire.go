@@ -44,7 +44,9 @@ const ClusterMagic = 0x434d5241
 // Version 5 cut the view ack to node, view epoch and committed sync epoch.
 // Version 6 removed the coordinator's barrier arrival and release frames.
 // Version 7 removed the vector-segment list from every data frame.
-const ClusterVersion = 7
+// Version 8 removed the single-word swap and compare&swap, renumbering
+// the atomic operation codes after fetch-add.
+const ClusterVersion = 8
 
 // frameFixed is the size of a contiguous message's frame before its
 // payload, length prefix included: prefix(4) + kind(1) + src(5) + dst(5) +

@@ -127,15 +127,14 @@ func (p *Proc) GetStrided(dst []byte, src Ptr, d Strided) []byte {
 }
 
 // Handle tracks the completion of one non-blocking put or accumulate
-// (armci_hdl_t). Wait fences the destination node once (repeated calls
-// return at once); Test polls in-flight progress without blocking.
+// (armci_hdl_t). WaitAll completes it: one fence per destination node,
+// nothing for a handle already done.
 type Handle = proc.Handle
 
 // NbPut starts a non-blocking contiguous put (ARMCI_NbPut) and returns
 // its completion handle. The transfer behaves exactly like Put —
 // including coalescing eligibility — with per-operation completion on
-// top: Wait fences the destination node, Test polls where the fence
-// mode makes completion observable.
+// top: WaitAll fences the destination node.
 func (p *Proc) NbPut(dst Ptr, data []byte) *Handle { return p.eng.NbPut(dst, data) }
 
 // NbAcc starts a non-blocking contiguous accumulate (ARMCI_NbAcc) with a
@@ -161,15 +160,6 @@ func (p *Proc) PutFlag(dst Ptr, data []byte, flag Ptr, val int64) {
 // half of the notify/wait pattern.
 func (p *Proc) WaitFlag(flag Ptr, val int64) { p.eng.WaitFlag(flag, val) }
 
-// Flush ships any operations coalescing has buffered for the given node.
-// A no-op when coalescing is off; never needed for correctness (every
-// fence, barrier and notify flushes implicitly) but available to bound
-// latency by hand.
-func (p *Proc) Flush(node int) { p.eng.Flush(node) }
-
-// FlushAll ships every buffered coalesced operation.
-func (p *Proc) FlushAll() { p.eng.FlushAll() }
-
 // Accumulate atomically adds scale*data into the strided region at dst
 // (ARMCI_AccS). Non-blocking and fence-counted like Put.
 func (p *Proc) Accumulate(op AccOp, dst Ptr, d Strided, data []byte, scale float64) {
@@ -181,27 +171,6 @@ func (p *Proc) Accumulate(op AccOp, dst Ptr, d Strided, data []byte, scale float
 // FetchAdd atomically adds delta to the word at ptr, returning the prior
 // value.
 func (p *Proc) FetchAdd(ptr Ptr, delta int64) int64 { return p.eng.FetchAdd(ptr, delta) }
-
-// Swap atomically replaces the word at ptr, returning the prior value.
-func (p *Proc) Swap(ptr Ptr, v int64) int64 { return p.eng.Swap(ptr, v) }
-
-// CompareAndSwap stores new at ptr if it holds old, returning the
-// observed value.
-func (p *Proc) CompareAndSwap(ptr Ptr, old, new int64) int64 {
-	return p.eng.CompareAndSwap(ptr, old, new)
-}
-
-// SwapPair atomically replaces the pair of words at ptr.
-func (p *Proc) SwapPair(ptr Ptr, v Pair) Pair { return p.eng.SwapPair(ptr, v) }
-
-// CompareAndSwapPair stores new at the pair at ptr if it holds old,
-// returning the observed pair.
-func (p *Proc) CompareAndSwapPair(ptr Ptr, old, new Pair) Pair {
-	return p.eng.CompareAndSwapPair(ptr, old, new)
-}
-
-// LoadPair atomically reads the pair of words at ptr.
-func (p *Proc) LoadPair(ptr Ptr) Pair { return p.eng.LoadPair(ptr) }
 
 // Load atomically reads the word at ptr.
 func (p *Proc) Load(ptr Ptr) int64 { return p.eng.Load(ptr) }
