@@ -37,7 +37,6 @@ var callerAllowlist = map[string]string{
 	"armci/internal/trace.Stats.Fingerprint":   "the determinism digest; read by the root tests (fingerprint, faults, fuzz, options, procnet) and trace's and transport's",
 	"armci/internal/trace.FingerprintEvents":   "Fingerprint over a filtered stream (it shares appendFingerprint); read by the root fingerprint, hier_parity, procnet and workload_fingerprint tests",
 	"armci/internal/trace.Stats.Stream":        "the captured stream in order; read by the root stream test and trace's",
-	"armci/internal/trace.Stats.LinkWrites":    "the socket link's write count; read by the root procnet test and trace's and transport's",
 	"armci/internal/trace.Stats.PairCount":     "captured sends per pair; read by the root nic test and proc's and trace's",
 	"armci/internal/trace.Stats.KindHistogram": "one kind's latency histogram; read by the root faults and options tests and pipeline's and trace's",
 	"armci/internal/trace.Stats.Summary":       "the per-kind counter line ExampleRun prints; read by the root example and options tests and trace's",

@@ -1,7 +1,8 @@
 // Baseline mode: a machine-readable snapshot of the paper's numbers
 // (BENCH_<n>.json). Every metric is deterministic — a simulated virtual
-// time or message count of a figure, or the case and event count of a
-// fixed conformance sweep — so the newest committed file is an exact
+// time or message count of a figure, what one operation of a wall-clock
+// workload sends on its real fabric (Wall), or the case and event count
+// of a fixed conformance sweep — so the newest committed file is an exact
 // contract: this build must report the same metric names with bit-equal
 // values (TestBaselineRoundTripAndGate). An intended change writes the
 // next file with `go run ./cmd/armci-bench -baseline`.

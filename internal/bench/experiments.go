@@ -92,6 +92,9 @@ var Experiments = []Experiment{
 		body: func(a Args) (*Table, error) { return SmallPut(a.Opts, a.size()) }},
 	{Name: "workloads", SimOnly: true, gate: &Args{},
 		body: func(a Args) (*Table, error) { return Workloads(a.Opts, a.Specs) }},
+	// Counts on the real fabrics: it runs tcp and chan itself, whatever
+	// -fabric says, and only what repeats exactly is in it.
+	{Name: "wall", gate: &Args{}, body: func(Args) (*Table, error) { return Wall() }},
 }
 
 // Find returns the experiment -fig name selects, or nil.

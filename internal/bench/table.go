@@ -151,7 +151,8 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
-// Metrics reports every cell of every gated column as a BENCH metric.
+// Metrics reports every numeric cell of every gated column as a BENCH
+// metric; a text cell ("-") says the row has no such value.
 func (t *Table) Metrics(emit func(name string, v float64, unit string)) {
 	for _, c := range t.Cols {
 		if c.Metric == "" {
@@ -162,6 +163,9 @@ func (t *Table) Metrics(emit func(name string, v float64, unit string)) {
 			unit = "us"
 		}
 		for i, row := range t.Rows {
+			if _, text := t.Cell(i, c.Key).(string); text {
+				continue
+			}
 			emit(strings.ReplaceAll(c.Metric, "{}", fmt.Sprint(row[0])), t.Float(i, c.Key), unit)
 		}
 	}

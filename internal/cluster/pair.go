@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"time"
 
 	"armci/internal/msg"
 	"armci/internal/wire"
@@ -21,15 +20,17 @@ const WriteCap = 16 << 10
 // goroutine uses it.
 type Sender struct{ corked []*Pair }
 
-// Pair is the dialed end of a pair connection — a tcpnet (source,
-// destination) pair, or a proc worker's route to one node, shared by all
-// the worker's actors — and its write buffer. A burst rides in one write: a
-// frame leaves at once unless the frame before it on the connection is its
-// own sender's of the same generation (no listen since) and the buffer is
-// short of WriteCap; else it waits for the sender's Flush. That is Nagle's
-// rule with "the sender listened" for the ACK: program points, no timer. On
-// a shared connection another sender's frame takes the held ones along, so
-// a frame can leave earlier than its sender's rule says, never later.
+// Pair is the writing end of a pair connection, with its write buffer: on
+// tcpnet, one endpoint's end of the connection it shares with one peer,
+// whose frames the link reads off the same socket; on proc, a worker's
+// route to one node, shared by all the worker's actors. A burst rides in
+// one write: a frame leaves at once unless the frame before it on the end
+// is its own sender's of the same generation (no listen since) and the
+// buffer is short of WriteCap; else it waits for the sender's Flush. That
+// is Nagle's rule with "the sender listened" for the ACK: program points,
+// no timer. On a shared route another sender's frame takes the held ones
+// along, so a frame can leave earlier than its sender's rule says, never
+// later.
 type Pair struct {
 	c    net.Conn
 	fail func(error) // told of a refused write, on the writer's goroutine, no lock held
@@ -42,15 +43,15 @@ type Pair struct {
 	writes, written int
 }
 
-// DialPair connects to addr. The frame of hello, a frame body, leads the
-// stream, written with the first message; fail is told of refused writes.
-func DialPair(addr string, hello []byte, fail func(error)) (*Pair, error) {
-	c, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		return nil, err
+// NewPair makes c the writing end of a pair connection. hello, when not
+// nil, is a frame body that leads the stream, written with the first
+// message; fail is told of refused writes.
+func NewPair(c net.Conn, hello []byte, fail func(error)) *Pair {
+	p := &Pair{c: c, fail: fail}
+	if hello != nil {
+		p.buf = append(binary.LittleEndian.AppendUint32(nil, uint32(len(hello))), hello...)
 	}
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(hello)))
-	return &Pair{c: c, fail: fail, buf: append(buf, hello...)}, nil
+	return p
 }
 
 // Send appends m, sent by from in its generation gen, and writes the buffer
@@ -103,19 +104,21 @@ func (p *Pair) Close() (writes, written int) {
 	return p.writes, p.written
 }
 
-// ServePair is the accepting end of a pair connection, which it closes
-// when done: admit judges the hello, deliver gets the messages behind it,
-// each born in the reader's own msg.Arena. A frame that is not a message
-// (over wire.MaxFrame, or undecodable) goes to corrupt and ends the
-// connection; a stream that ends or fails, between frames or inside one,
-// ends it silently: the peer's fate is the link's.
+// ServePair is the reading end of a pair connection, which it closes when
+// done: admit, when set, judges the hello that leads the stream, deliver
+// gets the messages behind it, each born in the reader's own msg.Arena. A
+// frame that is not a message (over wire.MaxFrame, or undecodable) goes to
+// corrupt and ends the connection; a stream that ends or fails, between
+// frames or inside one, ends it silently: the peer's fate is the link's.
 func ServePair(c io.ReadCloser, admit func(hello []byte) bool, deliver func(*msg.Message), corrupt func(error)) {
 	defer c.Close()
 	fr := wire.FrameReader{R: c}
 	var arena msg.Arena
-	hello, err := fr.Next()
-	if err != nil || !admit(hello) {
-		return
+	if admit != nil {
+		hello, err := fr.Next()
+		if err != nil || !admit(hello) {
+			return
+		}
 	}
 	for {
 		body, err := fr.Next()

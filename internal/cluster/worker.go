@@ -229,11 +229,12 @@ func (s *Session) peerConn(node int) *Pair {
 		s.unreachableLocked(node)
 		return nil
 	}
-	p, err := DialPair(s.peerAddrs[node], s.peerHello, func(error) {})
+	c, err := net.DialTimeout("tcp", s.peerAddrs[node], 2*time.Second)
 	if err != nil {
 		s.unreachableLocked(node)
 		return nil
 	}
+	p := NewPair(c, s.peerHello, func(error) {})
 	s.peerConns[node] = p
 	return p
 }

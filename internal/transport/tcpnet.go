@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
 	"armci/internal/cluster"
 	"armci/internal/msg"
-	"armci/internal/wire"
 )
 
 // TCPFabric runs the cluster as real goroutines whose every message —
@@ -27,29 +27,35 @@ func NewTCP(cfg Config) (*TCPFabric, error) {
 	// The TCP fabric measures real socket costs, so the cost-model
 	// stage is inactive; trace, fault injection and metrics still run.
 	f := newWallFabric("tcpnet", cfg, false)
-	f.link = &tcpLink{f: f, to: make(map[msg.Addr]map[msg.Addr]*cluster.Pair)}
+	f.link = &tcpLink{f: f, to: make(map[msg.Addr]map[msg.Addr]*cluster.Pair), ends: make(map[[2]msg.Addr]*cluster.Pair)}
 	return &TCPFabric{f}, nil
 }
 
 // tcpLink is the pair-sockets link: one loopback listener as the
-// rendezvous, and one cluster.Pair per (source, destination) pair, dialed
-// by the source on the pair's first frame — so only one actor sends on
-// each. The hello that opens a connection names the destination and the
-// pair's frames follow it on the same stream, so none can overtake it; the
-// accepting side reads each connection straight into the destination's
-// mailbox. Frames of different pairs are not ordered against each other.
+// rendezvous, and one connection per unordered pair of endpoints that
+// talk, opened on the first frame either sends the other. Each end is one
+// direction: a cluster.Pair its owner writes its frames to the peer
+// through — so only one actor sends on each — and a reader filing the
+// peer's frames into the owner's box. A request and its reply therefore
+// share a connection, and the reply carries the ACK of the request, so the
+// kernel seldom sends a segment that is only an ACK. Frames of one (source,
+// destination) pair ride one stream in order; frames of different pairs
+// are not ordered against each other.
 type tcpLink struct {
 	f        *wallFabric
 	listener net.Listener
-	// By source, fixed once up returns, then by destination, the source's.
+	// By source, fixed once up returns, then by destination: the source's
+	// end. Only the source's actor touches its map, so a frame takes no
+	// lock once its pair is open.
 	to map[msg.Addr]map[msg.Addr]*cluster.Pair
 
-	mu    sync.Mutex
-	pairs []*cluster.Pair // every pair dialed, for down
+	mu sync.Mutex
+	// ends holds every end opened, by (owner, peer), for open and down.
+	ends map[[2]msg.Addr]*cluster.Pair
 }
 
 // up opens the rendezvous listener. No connection exists yet: each pair
-// that talks dials its own on first use.
+// that talks opens its own on first use.
 func (l *tcpLink) up() (err error) {
 	// cluster.Listen reports the address on failure and rides out
 	// ephemeral-port rebind races, so repeated -count runs never flake.
@@ -60,11 +66,10 @@ func (l *tcpLink) up() (err error) {
 	for addr := range l.f.boxes {
 		l.to[addr] = make(map[msg.Addr]*cluster.Pair)
 	}
-	go cluster.Accept(l.listener, l.serve)
 	return nil
 }
 
-// carry sends m down its pair, which its first frame dials.
+// carry sends m down its sender's end, which its pair's first frame opens.
 func (l *tcpLink) carry(from *cluster.Sender, m *msg.Message, gen uint64) (held bool) {
 	to := l.to[m.Src]
 	if to == nil {
@@ -72,33 +77,70 @@ func (l *tcpLink) carry(from *cluster.Sender, m *msg.Message, gen uint64) (held 
 	}
 	p := to[m.Dst]
 	if p == nil {
-		p = l.dial(m.Src, m.Dst)
+		p = l.open(m.Src, m.Dst)
 		to[m.Dst] = p
 	}
 	return p.Send(from, gen, m)
 }
 
-// dial opens the pair src -> dst, whose refused write aborts src's actor.
-// It holds l.mu from dial to registration, and a dial after down closed the
-// listener fails: down closes every pair, an outliving actor's too.
-func (l *tcpLink) dial(src, dst msg.Addr) *cluster.Pair {
+// open returns src's end of the connection src and dst share, opening it
+// if neither has sent the other a frame yet; a refused connection aborts
+// src's actor. It holds l.mu from the dial to the registration, and a dial
+// after down closed the listener fails: down closes every end, an
+// outliving actor's too.
+func (l *tcpLink) open(src, dst msg.Addr) *cluster.Pair {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	p, err := cluster.DialPair(l.listener.Addr().String(), wire.EncodeHello(dst)[4:], func(err error) {
-		panic(fmt.Sprintf("tcpnet: send %v -> %v: %v", src, dst, err))
-	})
-	if err != nil {
-		panic(fmt.Sprintf("tcpnet: dial %v -> %v: %v", src, dst, err))
+	key := [2]msg.Addr{src, dst}
+	if p := l.ends[key]; p != nil {
+		return p // dst opened it
 	}
-	l.pairs = append(l.pairs, p)
-	return p
+	a, b, err := l.connect()
+	if err != nil {
+		panic(fmt.Sprintf("tcpnet: connect %v <-> %v: %v", src, dst, err))
+	}
+	l.end(src, dst, a)
+	l.end(dst, src, b)
+	return l.ends[key]
+}
+
+// connect dials the listener and accepts the connection inline, so both
+// ends come back together; a stranger accepted meanwhile is hung up on.
+// The caller holds l.mu, so no other dial of the link is in flight.
+func (l *tcpLink) connect() (a, b net.Conn, err error) {
+	if a, err = net.DialTimeout("tcp", l.listener.Addr().String(), 2*time.Second); err != nil {
+		return nil, nil, err
+	}
+	for {
+		if b, err = l.listener.Accept(); err != nil {
+			a.Close()
+			return nil, nil, err
+		}
+		if b.RemoteAddr().String() == a.LocalAddr().String() {
+			return a, b, nil
+		}
+		b.Close()
+	}
+}
+
+// end makes c owner's end of its connection to peer: the Pair owner
+// writes through, and a reader that files what arrives on c — peer's
+// frames — into owner's box (nil when nobody hosts it, and arrive drops
+// them). The caller holds l.mu.
+func (l *tcpLink) end(owner, peer msg.Addr, c net.Conn) {
+	l.ends[[2]msg.Addr{owner, peer}] = cluster.NewPair(c, nil, func(err error) {
+		panic(fmt.Sprintf("tcpnet: send %v -> %v: %v", owner, peer, err))
+	})
+	b := l.f.boxes[owner]
+	go cluster.ServePair(c, nil, func(m *msg.Message) { l.f.arrive(b, m) }, func(err error) {
+		l.f.report(fmt.Errorf("tcpnet: endpoint %v received corrupt frame: %w", owner, err))
+	})
 }
 
 func (*tcpLink) usersDone() error { return nil }
 
-// down closes the listener, which ends accept, and the dialed end of
-// every pair, which ends that pair's reader; each reader closes the
-// accepted end.
+// down closes the listener, so no connection opens from here on, and
+// every end, which ends a write blocked on it and its reader.
 func (l *tcpLink) down() {
 	if l.listener == nil {
 		return
@@ -107,24 +149,9 @@ func (l *tcpLink) down() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var writes, written int
-	for _, p := range l.pairs {
+	for _, p := range l.ends {
 		w, n := p.Close()
 		writes, written = writes+w, written+n
 	}
 	l.f.cfg.Trace.RecordLinkWrites(writes, written)
-}
-
-// serve drains one pair's connection into the box of the destination its
-// hello named — nil when nobody hosts it, and arrive drops the frames.
-func (l *tcpLink) serve(c net.Conn) {
-	var dst msg.Addr
-	var b *box
-	cluster.ServePair(c, func(hello []byte) bool {
-		var err error
-		dst, err = wire.DecodeHello(hello)
-		b = l.f.boxes[dst]
-		return err == nil
-	}, func(m *msg.Message) { l.f.arrive(b, m) }, func(err error) {
-		l.f.report(fmt.Errorf("tcpnet: endpoint %v received corrupt frame: %w", dst, err))
-	})
 }

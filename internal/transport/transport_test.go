@@ -898,7 +898,7 @@ func TestCrashGraceBoundsEachWait(t *testing.T) {
 // TestTCPRunLeavesNoFDs: every socket a TCP run opens — listener, both
 // ends of every pair connection — is closed by the time Run returns (or
 // moments later, when the reader goroutine holding it unblocks), not left
-// to a GC finalizer, and the accept loop and per-connection readers exit:
+// to a GC finalizer, and the per-end readers exit:
 // after a clean run and after one that failed with frames still buffered.
 func TestTCPRunLeavesNoFDs(t *testing.T) {
 	countFDs := func() int {
@@ -939,13 +939,13 @@ func settledGoroutines(want int) int {
 	return n
 }
 
-// dialedPairs counts the pair connections a finished TCP run opened; each
-// was accepted once, so this is also the number of accepted connections.
+// dialedPairs counts the connections a finished TCP run opened, not their
+// ends: each has two, one per direction.
 func dialedPairs(f *TCPFabric) int {
 	l := f.link.(*tcpLink)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.pairs)
+	return len(l.ends) / 2
 }
 
 // runTCPRing runs a 4-rank token ring, two ranks and one idle server per
@@ -975,12 +975,28 @@ func runTCPRing(t *testing.T) *TCPFabric {
 	return f
 }
 
-// TestTCPDialsOnlyPairsThatTalk: connections are per (source, destination)
-// pair and dialed on the pair's first frame only, so a 4-rank ring with
-// two idle servers opens 4 of them — not one per endpoint, not the mesh.
+// TestTCPDialsOnlyPairsThatTalk: connections are per unordered pair of
+// endpoints and opened on the pair's first frame only, so a 4-rank ring with
+// two idle servers opens 4 of them — not one per endpoint, not the mesh —
+// and a request with its reply opens one, which carries both.
 func TestTCPDialsOnlyPairsThatTalk(t *testing.T) {
 	if got := dialedPairs(runTCPRing(t)); got != 4 {
 		t.Fatalf("a 4-rank ring opened %d connections, want 4", got)
+	}
+	f, _ := newTCPPair(t)
+	f.SpawnUser(0, func(env Env) {
+		env.Send(msg.User(1), &msg.Message{Kind: msg.KindSend})
+		env.Recv(msg.MatchSrcTag(msg.KindSend, msg.User(1), 0))
+	})
+	f.SpawnUser(1, func(env Env) {
+		env.Recv(tagged(0))
+		env.Send(msg.User(0), &msg.Message{Kind: msg.KindSend})
+	})
+	if err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dialedPairs(f); got != 1 {
+		t.Fatalf("a request and its reply opened %d connections, want 1", got)
 	}
 }
 
@@ -1023,54 +1039,70 @@ func TestTCPPerPairFIFOAcrossConnections(t *testing.T) {
 	}
 }
 
-// TestTCPCorruptFramesFailRunOnceAndLeakNothing: more pair connections
-// than the failure channel has room for each deliver a corrupt frame. Run
-// fails with one of the reports, and every reader — also those whose
-// report nobody will read — exits and closes its connection.
+// closeCount is a connection that counts the calls of its Close.
+type closeCount struct {
+	net.Conn
+	n atomic.Int32
+}
+
+func (c *closeCount) Close() error {
+	c.n.Add(1)
+	return c.Conn.Close()
+}
+
+// TestTCPCorruptFramesFailRunOnceAndLeakNothing: more connections than the
+// failure channel has room for, each opened and registered as a pair's
+// first frame opens it, carry a corrupt frame written on one of their real
+// ends. Run fails with one of the reports, and every reader — also those
+// whose report nobody will read — exits and closes its end, on top of
+// down's close of it.
 func TestTCPCorruptFramesFailRunOnceAndLeakNothing(t *testing.T) {
 	beforeG := runtime.NumGoroutine()
 	f, err := NewTCP(Config{Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	l := f.link.(*tcpLink)
 	release := make(chan struct{})
-	var conns []net.Conn
-	var dialErr error
+	var ends []*closeCount
+	var openErr error
 	f.SpawnUser(0, func(env Env) {
-		// Dial them all before corrupting any: the first report fails Run,
-		// which closes the listener.
-		for i := 0; i < cap(f.panics)+8 && dialErr == nil; i++ {
-			var c net.Conn
-			if c, dialErr = net.Dial("tcp", f.link.(*tcpLink).listener.Addr().String()); dialErr == nil {
-				conns = append(conns, c)
-				_, dialErr = c.Write(wire.EncodeHello(msg.User(1)))
+		// Open them all before corrupting any: the first report fails Run,
+		// which closes the listener. The peers are hosted by nobody.
+		l.mu.Lock()
+		for i := 0; i < cap(f.panics)+8 && openErr == nil; i++ {
+			var a, b net.Conn
+			if a, b, openErr = l.connect(); openErr == nil {
+				ca, cb := &closeCount{Conn: a}, &closeCount{Conn: b}
+				peer := msg.User(100 + i)
+				l.end(msg.User(1), peer, ca)
+				l.end(peer, msg.User(1), cb)
+				ends = append(ends, ca, cb)
 			}
 		}
-		for _, c := range conns {
-			c.Write([]byte{3, 0, 0, 0, 0xff, 0xff, 0xff}) // fails only on one reset while still unaccepted
+		l.mu.Unlock()
+		for i := 0; i < len(ends); i += 2 {
+			ends[i].Write([]byte{3, 0, 0, 0, 0xff, 0xff, 0xff}) // read by the peer's reader
 		}
 		<-release
 	})
 	f.SpawnUser(1, func(Env) { <-release })
 	err = f.Run()
 	close(release)
-	if dialErr != nil {
-		t.Fatal(dialErr)
+	if openErr != nil {
+		t.Fatal(openErr)
 	}
 	if err == nil || !strings.Contains(err.Error(), "corrupt frame") {
 		t.Fatalf("Run returned %v, want a corrupt-frame failure", err)
 	}
-	// Each reader closed its end, so no injected connection stays readable.
-	deadline := time.Now().Add(2 * time.Second)
-	for i, c := range conns {
-		c.SetReadDeadline(deadline)
-		if _, rerr := c.Read(make([]byte, 1)); rerr == nil || errors.Is(rerr, os.ErrDeadlineExceeded) {
-			t.Errorf("connection %d: reader left its end open (%v)", i, rerr)
-		}
-		c.Close()
-	}
 	if afterG := settledGoroutines(beforeG); afterG > beforeG {
 		t.Fatalf("%d reader goroutines leaked (%d -> %d)", afterG-beforeG, beforeG, afterG)
+	}
+	// down closed every end once; its reader, once it exited, again.
+	for i, c := range ends {
+		if n := c.n.Load(); n != 2 {
+			t.Errorf("end %d was closed %d times, want 2: by down and by its reader", i, n)
+		}
 	}
 }
 
@@ -1085,7 +1117,7 @@ func TestProcCorruptFramesNeverBlockTheReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := append(wire.EncodeHello(msg.User(0)), 3, 0, 0, 0, 0xff, 0xff, 0xff)
+	stream := []byte{0, 0, 0, 0, 3, 0, 0, 0, 0xff, 0xff, 0xff} // an empty hello, then a corrupt frame
 	stream = append(stream, wire.AppendEncode(nil, &msg.Message{Kind: msg.KindSend, Src: msg.User(1), Dst: msg.User(0), Seq: 1})...)
 	var delivered atomic.Int32
 	done := make(chan struct{})

@@ -129,28 +129,6 @@ func DecodeClusterHello(body []byte) (ClusterHello, error) {
 	return h, nil
 }
 
-// EncodeHello builds the first frame on a tcpnet pair connection: just
-// the address of the destination endpoint every following frame on the
-// stream is for, encoded with the same primitives.
-func EncodeHello(a msg.Addr) []byte {
-	b := make([]byte, 0, 9)
-	b = appendAddr(b, a)
-	return frame(b)
-}
-
-// DecodeHello parses a hello frame body.
-func DecodeHello(body []byte) (msg.Addr, error) {
-	d := decoder{buf: body}
-	a := d.addr()
-	if d.err == nil && d.pos != len(body) {
-		d.err = fmt.Errorf("wire: %d trailing bytes", len(body)-d.pos)
-	}
-	if d.err != nil {
-		return msg.Addr{}, fmt.Errorf("wire: bad hello: %w", d.err)
-	}
-	return a, nil
-}
-
 // AppendEncode appends m's ready-to-write frame (length prefix included)
 // to b and returns the extended slice, growing b at most once. Callers on
 // the hot path pass a reused buffer (b[:0]) so steady-state sends do not

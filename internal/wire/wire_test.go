@@ -135,19 +135,6 @@ func TestRoundTripThroughReader(t *testing.T) {
 	}
 }
 
-func TestHelloRoundTrip(t *testing.T) {
-	for _, a := range []msg.Addr{msg.User(0), msg.User(123), msg.ServerOf(0), msg.ServerOf(7)} {
-		frame := EncodeHello(a)
-		got, err := DecodeHello(frame[4:])
-		if err != nil {
-			t.Fatalf("%v: %v", a, err)
-		}
-		if got != a {
-			t.Fatalf("hello round trip %v -> %v", a, got)
-		}
-	}
-}
-
 // TestTruncatedFramesError: every prefix of a valid body must produce an
 // error, never a garbage message or a panic. A contiguous message's cut
 // inside its fixed fields reads as a truncation, a cut inside its payload
