@@ -32,14 +32,13 @@ var callerAllowlist = map[string]string{
 	"armci.FaultPeerLost":       "a FaultKind callers switch on",
 	"armci.AccFloat64":          "the float64 element type of Proc.Accumulate beside AccInt64, the public API's only name for it",
 
-	// Recorder readouts that several packages' tests share.
-	"armci/internal/trace.Stats.Faults":        "the fault counters of Metrics; read by the root tests (faults, coalesce, leaselock, options) and pipeline's, trace's and transport's",
-	"armci/internal/trace.Stats.Fingerprint":   "the determinism digest; read by the root tests (fingerprint, faults, fuzz, options, procnet) and trace's and transport's",
-	"armci/internal/trace.FingerprintEvents":   "Fingerprint over a filtered stream (it shares appendFingerprint); read by the root fingerprint, hier_parity, procnet and workload_fingerprint tests",
-	"armci/internal/trace.Stats.Stream":        "the captured stream in order; read by the root stream test and trace's",
-	"armci/internal/trace.Stats.PairCount":     "captured sends per pair; read by the root nic test and proc's and trace's",
-	"armci/internal/trace.Stats.KindHistogram": "one kind's latency histogram; read by the root faults and options tests and pipeline's and trace's",
-	"armci/internal/trace.Stats.Summary":       "the per-kind counter line ExampleRun prints; read by the root example and options tests and trace's",
+	// Recorder readouts that several packages' tests share. None is a
+	// copy of the spine: Records and Timeline, its readers, have program
+	// callers.
+	"armci/internal/trace.Stats.Faults":        "the fault counters, not the spine; read by the root tests (faults, coalesce, leaselock, options) and pipeline's, trace's and transport's",
+	"armci/internal/trace.FingerprintEvents":   "the determinism digest of a send view, Timeline whole or filtered; read by the root tests (fingerprint, faults, fuzz, options, hier_parity, procnet, workload_fingerprint) and trace's and transport's",
+	"armci/internal/trace.Stats.KindHistogram": "one kind's latency histogram, fed apart from the spine; read by the root faults and options tests and pipeline's and trace's",
+	"armci/internal/trace.Stats.Summary":       "the per-kind counter line ExampleRun prints, not the spine; read by the root example and options tests and trace's",
 }
 
 // TestEveryIdentifierHasACaller: every exported identifier, and every

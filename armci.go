@@ -281,7 +281,7 @@ type Options struct {
 	// Coalesce switches per-destination small-op coalescing on the send
 	// path. Zero value: every operation is its own wire frame.
 	Coalesce Coalesce
-	// CaptureTrace records the run's stream for inspection: every message
+	// CaptureTrace records the run's spine for inspection: every message
 	// send and admission and every protocol step, in one order.
 	CaptureTrace bool
 	// Faults configures deterministic fault injection (jitter, latency
@@ -347,7 +347,7 @@ type Report struct {
 	// wall for the concurrent fabrics.
 	Elapsed time.Duration
 	// Stats is the recorder of the run: message and fault counters, plus
-	// the captured stream (Stats.Stream) under Options.CaptureTrace.
+	// the captured spine (Stats.Records) under Options.CaptureTrace.
 	Stats *trace.Stats
 }
 
@@ -370,7 +370,7 @@ func Run(opt Options, body func(p *Proc)) (*Report, error) {
 		stats = opt.Metrics.NewRun()
 	}
 	if opt.CaptureTrace {
-		stats.SetCapture(true)
+		stats.SetTimeline(true)
 	}
 	cfg := transport.Config{
 		Procs:        opt.Procs,

@@ -125,7 +125,7 @@ func TestTCPTraceArrivalPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := rep.Stats.Events()
+	events := rep.Stats.Timeline()
 	if len(events) == 0 {
 		t.Fatal("no events captured")
 	}
@@ -346,7 +346,7 @@ func TestLossDeterminismAcrossFabrics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep.Stats.Fingerprint(), metrics.Faults().Retransmits
+		return fingerprint(rep.Stats), metrics.Faults().Retransmits
 	}
 
 	simFP, simRetrans := run(armci.FabricSim, 7)

@@ -12,6 +12,22 @@ import (
 	"armci/internal/trace"
 )
 
+// fingerprint is the determinism digest of a run's captured sends, which
+// every parity test compares.
+func fingerprint(s *armci.Metrics) string { return trace.FingerprintEvents(s.Timeline()) }
+
+// sendsBetween counts a run's captured sends from src to dst, injected
+// duplicates included.
+func sendsBetween(s *armci.Metrics, src, dst msg.Addr) int {
+	n := 0
+	for _, e := range s.Timeline() {
+		if e.Src == src && e.Dst == dst {
+			n++
+		}
+	}
+	return n
+}
+
 // TestFingerprintStableAcrossFabricsAndSeeds is the regression test for
 // the stability guarantee documented on trace.Stats.Fingerprint: for a
 // workload whose message order is data-dependent rather than
@@ -61,7 +77,7 @@ func TestFingerprintStableAcrossFabricsAndSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fabric %v seed %d: %v", fabric, seed, err)
 		}
-		return rep.Stats.Fingerprint()
+		return fingerprint(rep.Stats)
 	}
 	run := func(fabric armci.FabricKind, seed int64) string {
 		t.Helper()
@@ -176,7 +192,7 @@ func TestCoalescedFingerprintParity(t *testing.T) {
 			t.Fatalf("fabric %v seed %d: %v", fabric, seed, err)
 		}
 		var ring []trace.Event
-		for _, e := range rep.Stats.Events() {
+		for _, e := range rep.Stats.Timeline() {
 			if ringTraffic(e) {
 				ring = append(ring, e)
 			}

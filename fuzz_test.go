@@ -246,7 +246,7 @@ func TestFuzzScheduleExploration(t *testing.T) {
 		if err != nil {
 			return "", err
 		}
-		return rep.Stats.Fingerprint(), nil
+		return fingerprint(rep.Stats), nil
 	}
 
 	fingerprints := map[string]bool{}

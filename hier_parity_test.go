@@ -83,7 +83,7 @@ func TestHierarchicalBarrierFingerprintParity(t *testing.T) {
 		var parts []string
 		for r := 0; r < procs; r++ {
 			var own []trace.Event
-			for _, e := range rep.Stats.Events() {
+			for _, e := range rep.Stats.Timeline() {
 				if e.Src == msg.User(r) {
 					own = append(own, e)
 				}

@@ -100,7 +100,7 @@ func LockCrash(o Opts, procs int) (*Table, error) {
 		hazard      bool // a crash or repair happened since lastRelease
 		handoffSum  float64
 	)
-	for _, e := range rep.Stats.OpEvents() {
+	for e := range rep.Stats.Records() {
 		switch e.Kind {
 		case trace.OpCrash:
 			crashSeen, crashAt = true, e.Time

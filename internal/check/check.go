@@ -2,7 +2,7 @@
 // a workload — a lock algorithm exercising a shared counter plus put
 // rounds separated by a global synchronization variant — across a sweep
 // of kernel shuffle seeds and fabrics, captures the protocol-level event
-// history (trace.OpEvent) the instrumented algorithms record, and
+// history the instrumented algorithms record (trace.Stats.Records), and
 // validates the history against invariant oracles:
 //
 //   - mutual exclusion: at most one rank holds a lock between its
@@ -39,7 +39,6 @@ package check
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -257,14 +256,19 @@ func RunCase(c Case) Result {
 		r.Violations = append(r.Violations, Violation{Oracle: "state", Detail: f, Case: c})
 	}
 	if rep != nil {
-		events := rep.Stats.OpEvents()
-		r.Events = len(events)
-		r.Violations = append(r.Violations, checkHistory(events, c)...)
+		history := rep.Stats.Records()
+		r.Violations = append(r.Violations, checkHistory(history, c)...)
 		// A crashheld plan the victim's iterations reach must leave its
 		// OpCrash witness; a sweep whose crash never happened proved
 		// nothing about crashes and must not read as a clean pass.
-		crashed := func(e trace.OpEvent) bool { return e.Kind == trace.OpCrash }
-		if n := faults.CrashHeldAcquire; n > 0 && n <= c.Iters && !slices.ContainsFunc(events, crashed) {
+		crashed := false
+		for e := range history {
+			if e.Kind != trace.OpSend {
+				r.Events++
+			}
+			crashed = crashed || e.Kind == trace.OpCrash
+		}
+		if n := faults.CrashHeldAcquire; n > 0 && n <= c.Iters && !crashed {
 			r.Err = fmt.Errorf("check: fault plan %q did not fire: no crash witness in the trace of %s", c.Faults, c.Reproducer())
 		}
 	}

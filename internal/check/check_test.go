@@ -354,7 +354,7 @@ func TestLockMutantsMatchRealLockWhileDormant(t *testing.T) {
 					t.Fatal(err)
 				}
 				var ops []trace.OpEvent
-				for _, e := range rep.Stats.OpEvents() {
+				for e := range rep.Stats.Records() {
 					switch e.Kind {
 					case trace.OpAcquire, trace.OpRelease, trace.OpRepair, trace.OpStaleRelease, trace.OpCrash:
 						e.Seq, e.Time = 0, 0 // positions among non-lock events, not lock behaviour

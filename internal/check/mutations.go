@@ -334,14 +334,14 @@ func (l brokenTicket) Lock() {
 func brokenBarrier(p *armci.Proc, epoch *int) func() {
 	return func() {
 		*epoch++
-		core.Record(p.Env(), trace.OpEvent{Kind: trace.OpSyncEnter, Prev: -1, Ticket: -1, Epoch: *epoch})
+		core.Record(p.Env(), trace.OpEvent{Kind: trace.OpSyncEnter, Epoch: *epoch})
 		sum := make([]int64, p.NumNodes())
 		copy(sum, p.Engine().OpInit())
 		p.Comm().AllReduceSumInt64(sum)
 		// BUG: stage ii — the wait for op_done[myNode] >= sum[myNode] —
 		// is skipped.
 		p.Comm().Barrier(collective.BarrierAuto)
-		core.Record(p.Env(), trace.OpEvent{Kind: trace.OpSyncExit, Prev: -1, Ticket: -1, Epoch: *epoch})
+		core.Record(p.Env(), trace.OpEvent{Kind: trace.OpSyncExit, Epoch: *epoch})
 	}
 }
 
@@ -356,7 +356,7 @@ func brokenEmptyLocalBarrier(p *armci.Proc, epoch *int) func() {
 	var want int64
 	return func() {
 		*epoch++
-		core.Record(env, trace.OpEvent{Kind: trace.OpSyncEnter, Prev: -1, Ticket: -1, Epoch: *epoch})
+		core.Record(env, trace.OpEvent{Kind: trace.OpSyncEnter, Epoch: *epoch})
 		opInit := p.Engine().OpInit()
 		for i, v := range opInit {
 			sum[i] = v - last[i]
@@ -372,7 +372,7 @@ func brokenEmptyLocalBarrier(p *armci.Proc, epoch *int) func() {
 			})
 			p.Comm().Barrier(collective.BarrierAuto)
 		}
-		core.Record(env, trace.OpEvent{Kind: trace.OpSyncExit, Prev: -1, Ticket: -1, Epoch: *epoch})
+		core.Record(env, trace.OpEvent{Kind: trace.OpSyncExit, Epoch: *epoch})
 	}
 }
 
@@ -393,7 +393,7 @@ const mutTagBase = 1 << 29
 func brokenKnomialBarrier(p *armci.Proc, epoch *int) func() {
 	return func() {
 		*epoch++
-		core.Record(p.Env(), trace.OpEvent{Kind: trace.OpSyncEnter, Prev: -1, Ticket: -1, Epoch: *epoch})
+		core.Record(p.Env(), trace.OpEvent{Kind: trace.OpSyncEnter, Epoch: *epoch})
 		env := p.Env()
 
 		// Stage i, correct: distribute op_init.
@@ -430,7 +430,7 @@ func brokenKnomialBarrier(p *armci.Proc, epoch *int) func() {
 				env.Send(msg.User(child), &msg.Message{Kind: msg.KindSend, Tag: release})
 			}
 		}
-		core.Record(p.Env(), trace.OpEvent{Kind: trace.OpSyncExit, Prev: -1, Ticket: -1, Epoch: *epoch})
+		core.Record(p.Env(), trace.OpEvent{Kind: trace.OpSyncExit, Epoch: *epoch})
 	}
 }
 
@@ -439,9 +439,9 @@ func brokenKnomialBarrier(p *armci.Proc, epoch *int) func() {
 func brokenSyncOld(p *armci.Proc, epoch *int) func() {
 	return func() {
 		*epoch++
-		core.Record(p.Env(), trace.OpEvent{Kind: trace.OpSyncEnter, Prev: -1, Ticket: -1, Epoch: *epoch})
+		core.Record(p.Env(), trace.OpEvent{Kind: trace.OpSyncEnter, Epoch: *epoch})
 		// BUG: AllFence skipped entirely.
 		p.Comm().Barrier(collective.BarrierAuto)
-		core.Record(p.Env(), trace.OpEvent{Kind: trace.OpSyncExit, Prev: -1, Ticket: -1, Epoch: *epoch})
+		core.Record(p.Env(), trace.OpEvent{Kind: trace.OpSyncExit, Epoch: *epoch})
 	}
 }

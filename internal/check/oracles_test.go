@@ -1,6 +1,8 @@
 package check
 
 import (
+	"iter"
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,13 +10,13 @@ import (
 	"armci/internal/trace"
 )
 
-// evs assigns the global sequence numbers RecordOp would have and returns
-// the slice — synthetic histories for oracle unit tests.
-func evs(events ...trace.OpEvent) []trace.OpEvent {
+// evs numbers the records as Records would and returns them as a
+// history — synthetic histories for oracle unit tests.
+func evs(events ...trace.OpEvent) iter.Seq[trace.OpEvent] {
 	for i := range events {
 		events[i].Seq = i + 1
 	}
-	return events
+	return slices.Values(events)
 }
 
 func acq(rank, lock, prev int, ticket int64) trace.OpEvent {
@@ -165,4 +167,106 @@ func TestDeliveryOracleCatchesReorder(t *testing.T) {
 	h := evs(deliverEv(0, 1, 2), deliverEv(0, 1, 1))
 	vs := checkDelivery(h, Case{})
 	wantOracle(t, vs, "delivery", "out of order")
+}
+
+func leaseAcq(rank, lock, prev, epoch int) trace.OpEvent {
+	return trace.OpEvent{Kind: trace.OpAcquire, Rank: rank, Lock: lock, Prev: prev, Ticket: -1, Epoch: epoch}
+}
+
+func leaseStep(kind trace.OpKind, rank, lock, prev int) trace.OpEvent {
+	return trace.OpEvent{Kind: kind, Rank: rank, Lock: lock, Prev: prev, Ticket: -1}
+}
+
+func TestLeaseOracleCleanHistory(t *testing.T) {
+	// Rank 1 crashes holding the lock; rank 2 deposes it, takes the lock
+	// under a fresh epoch, and the victim's late release is rejected.
+	h := evs(
+		leaseAcq(0, 0, -1, 1), rel(0, 0),
+		leaseAcq(1, 0, 0, 2),
+		leaseStep(trace.OpCrash, 1, 0, -1),
+		leaseStep(trace.OpRepair, 2, 0, 1),
+		leaseAcq(2, 0, -1, 4),
+		leaseStep(trace.OpStaleRelease, 1, 0, -1),
+		rel(2, 0),
+	)
+	if vs := checkMutexLease(h, Case{}); len(vs) != 0 {
+		t.Fatalf("clean history flagged: %v", vs)
+	}
+}
+
+func TestLeaseOracleCatchesAcquireWhileHeld(t *testing.T) {
+	h := evs(leaseAcq(0, 0, -1, 1), leaseAcq(1, 0, -1, 2))
+	vs := checkMutexLease(h, Case{})
+	wantOracle(t, vs, "mutual-exclusion", "while rank 0 holds it and no repair deposed it")
+}
+
+func TestLeaseOracleCatchesReusedEpoch(t *testing.T) {
+	h := evs(leaseAcq(0, 0, -1, 3), rel(0, 0), leaseAcq(1, 0, -1, 3))
+	vs := checkMutexLease(h, Case{})
+	wantOracle(t, vs, "mutual-exclusion", "epoch reused")
+}
+
+func TestLeaseOracleCatchesStaleReleaseWithoutRepair(t *testing.T) {
+	h := evs(leaseAcq(0, 0, -1, 1), leaseStep(trace.OpStaleRelease, 1, 0, -1), rel(0, 0))
+	vs := checkMutexLease(h, Case{})
+	wantOracle(t, vs, "mutual-exclusion", "rejected as stale, but no repair deposed it")
+}
+
+func TestLeaseOracleCatchesRepairWithoutCrash(t *testing.T) {
+	h := evs(leaseAcq(0, 0, -1, 1), leaseStep(trace.OpRepair, 1, 0, 0))
+	vs := checkMutexLease(h, Case{})
+	wantOracle(t, vs, "mutual-exclusion", "no crash on record")
+}
+
+func TestFenceOracleSkipsRoundNotEnteredByEveryRank(t *testing.T) {
+	// Round 1 is clean. Rank 0 then enters and leaves round 2 with its
+	// put to node 1 incomplete, but rank 1 never enters round 2: the run
+	// was cut short, so the round is not judged.
+	h := evs(
+		syncEv(trace.OpSyncEnter, 0, 1),
+		syncEv(trace.OpSyncEnter, 1, 1),
+		syncEv(trace.OpSyncExit, 0, 1),
+		syncEv(trace.OpSyncExit, 1, 1),
+		issueEv(0, 1),
+		syncEv(trace.OpSyncEnter, 0, 2),
+		syncEv(trace.OpSyncExit, 0, 2),
+	)
+	if vs := checkFence(h, Case{Procs: 2}); len(vs) != 0 {
+		t.Fatalf("unfinished round judged: %v", vs)
+	}
+}
+
+func TestFenceOracleSkipsRunWhereARankNeverSyncs(t *testing.T) {
+	// Rank 0 leaves before rank 1 enters and with a put incomplete, but
+	// rank 2 records no sync at all: nothing in the run is pairable.
+	h := evs(
+		issueEv(1, 0),
+		syncEv(trace.OpSyncEnter, 0, 1),
+		syncEv(trace.OpSyncExit, 0, 1),
+		syncEv(trace.OpSyncEnter, 1, 1),
+		syncEv(trace.OpSyncExit, 1, 1),
+	)
+	if vs := checkFence(h, Case{Procs: 3}); len(vs) != 0 {
+		t.Fatalf("aborted run judged: %v", vs)
+	}
+}
+
+func TestFenceOracleJudgesEarlyExitOnceTheRoundFills(t *testing.T) {
+	// Rank 1 leaves round 1 before rank 0 enters it, and before rank 0's
+	// put to node 1, issued ahead of its enter, completes: both halves
+	// are judged when rank 0's enter fills the round.
+	h := evs(
+		syncEv(trace.OpSyncEnter, 1, 1),
+		syncEv(trace.OpSyncExit, 1, 1),
+		issueEv(0, 1),
+		syncEv(trace.OpSyncEnter, 0, 1),
+		completeEv(0, 1),
+		syncEv(trace.OpSyncExit, 0, 1),
+	)
+	vs := checkFence(h, Case{Procs: 2})
+	wantOracle(t, vs, "fence", "event 2: rank 1 exited sync round 1 before rank 0 entered it")
+	wantOracle(t, vs, "fence", "event 2: rank 1 exited sync round 1 with 0 of 1 operations complete at node 1")
+	if len(vs) != 2 {
+		t.Fatalf("want exactly the two violations of rank 1's exit, got %v", vs)
+	}
 }

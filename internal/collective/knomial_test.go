@@ -244,13 +244,13 @@ func TestHierarchicalBarrierSafety(t *testing.T) {
 func TestHierarchicalBarrierWireTraffic(t *testing.T) {
 	const procs, ppn = 8, 4 // 2 nodes
 	stats := trace.New()
-	stats.SetCapture(true)
+	stats.SetTimeline(true)
 	runClusterPPN(t, procs, ppn, model.Zero(), stats, func(env transport.Env, c *Comm) {
 		c.Barrier(BarrierHierarchical)
 	})
 	node := func(a msg.Addr) int { return a.ID / ppn }
 	total, wire := 0, 0
-	for _, e := range stats.Events() {
+	for _, e := range stats.Timeline() {
 		if e.Kind != msg.KindColl {
 			continue
 		}

@@ -139,7 +139,7 @@ func TestSchedulesPairUp(t *testing.T) {
 func TestSetRadixRebuildsSchedule(t *testing.T) {
 	const procs = 16
 	stats := trace.New()
-	stats.SetCapture(true)
+	stats.SetTimeline(true)
 	runCluster(t, procs, model.Zero(), stats, func(env transport.Env, c *Comm) {
 		c.SetRadix(2)
 		c.Barrier(BarrierKnomial)
@@ -147,7 +147,7 @@ func TestSetRadixRebuildsSchedule(t *testing.T) {
 		c.Barrier(BarrierKnomial)
 	})
 	toRoot := 0
-	for _, e := range stats.Events() {
+	for _, e := range stats.Timeline() {
 		if e.Kind == msg.KindColl && e.Dst == msg.User(0) {
 			toRoot++
 		}

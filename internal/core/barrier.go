@@ -91,11 +91,11 @@ func (s *Sync) SyncOldPipelined() {
 // before anyone's exit of the same epoch".
 func (s *Sync) enter() {
 	s.epoch++
-	Record(s.eng.Env(), trace.OpEvent{Kind: trace.OpSyncEnter, Prev: -1, Ticket: -1, Epoch: s.epoch})
+	Record(s.eng.Env(), trace.OpEvent{Kind: trace.OpSyncEnter, Epoch: s.epoch})
 }
 
 func (s *Sync) exit() {
-	Record(s.eng.Env(), trace.OpEvent{Kind: trace.OpSyncExit, Prev: -1, Ticket: -1, Epoch: s.epoch})
+	Record(s.eng.Env(), trace.OpEvent{Kind: trace.OpSyncExit, Epoch: s.epoch})
 }
 
 // Barrier is the new combined operation, ARMCI_Barrier(): semantically

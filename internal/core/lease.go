@@ -76,7 +76,7 @@ func (w *Lease) Release(epoch int64) bool {
 	me := int64(w.eng.Rank())
 	held := shmem.Pair{Hi: epoch, Lo: me + 1}
 	if w.eng.CompareAndSwapPair(w.state, held, shmem.Pair{Hi: epoch + 1, Lo: -(me + 1)}) != held {
-		Record(env, trace.OpEvent{Kind: trace.OpStaleRelease, Lock: w.idx, Prev: -1, Ticket: -1, Epoch: int(epoch)})
+		Record(env, trace.OpEvent{Kind: trace.OpStaleRelease, Lock: w.idx})
 		return false
 	}
 	w.Stamp(env.Clock().Now())
@@ -96,7 +96,7 @@ func (w *Lease) Depose(st shmem.Pair, now time.Duration, q *Queue) bool {
 		return false
 	}
 	victim := int(st.Lo) - 1
-	Record(w.eng.Env(), trace.OpEvent{Kind: trace.OpRepair, Lock: w.idx, Prev: victim, Ticket: -1, Epoch: int(st.Hi) + 1})
+	Record(w.eng.Env(), trace.OpEvent{Kind: trace.OpRepair, Lock: w.idx, Prev: victim, Epoch: int(st.Hi) + 1})
 	w.Stamp(now)
 	q.WakeSuccessorOf(victim)
 	return true

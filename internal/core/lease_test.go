@@ -65,7 +65,7 @@ func TestRepairLeasesHeldBy(t *testing.T) {
 // countOps counts the recorded op events of one kind.
 func countOps(w *world, kind trace.OpKind) int {
 	n := 0
-	for _, e := range w.stats.OpEvents() {
+	for e := range w.stats.Records() {
 		if e.Kind == kind {
 			n++
 		}
@@ -79,7 +79,7 @@ func countOps(w *world, kind trace.OpKind) int {
 // OpStaleRelease; the release under the live epoch then frees it.
 func TestLeaseStaleReleaseChangesNothing(t *testing.T) {
 	w := newWorld(t, 2, 1, model.Myrinet2000(), []int{0})
-	w.stats.SetCapture(true)
+	w.stats.SetTimeline(true)
 	sp, locks := w.fabric.Space(), w.locks
 	held := shmem.Pair{Hi: 6, Lo: 1 + 1}
 	sp.StorePair(locks.LeaseState[0], held)
@@ -121,7 +121,7 @@ func TestLeaseRacingDeposersOneWins(t *testing.T) {
 	const procs, dead = 6, 4
 	for seed := int64(0); seed < 8; seed++ {
 		w := newSeededWorld(t, procs, 2, model.Myrinet2000(), []int{1}, seed)
-		w.stats.SetCapture(true)
+		w.stats.SetTimeline(true)
 		sp, locks := w.fabric.Space(), w.locks
 		expired := shmem.Pair{Hi: 9, Lo: dead + 1} // what every waiter observed
 		sp.StorePair(locks.LeaseState[0], expired)

@@ -147,7 +147,7 @@ func TestInboundStampsArrival(t *testing.T) {
 		t.Fatalf("a quiet pipeline stamped an arrival: %v", quiet.Arrival)
 	}
 	loud := trace.New()
-	loud.SetCapture(true)
+	loud.SetTimeline(true)
 	p := New(Config{Stats: loud})
 	m := &msg.Message{Kind: msg.KindSend, Src: msg.User(0), Dst: msg.User(1), Seq: 1}
 	p.Inbound(m, 42*time.Microsecond)
@@ -266,8 +266,13 @@ func TestPipelineFeedsRecorder(t *testing.T) {
 			t.Fatalf("timeline[%d] = %+v, want arrival %v joined", i, e, ats[i])
 		}
 	}
-	ops := rec.OpEvents()
-	if len(ops) != 4 || ops[3].Kind != trace.OpDeliver || ops[3].PairSeq != 4 {
+	var ops []trace.OpEvent
+	for e := range rec.Records() {
+		if e.Kind != trace.OpSend {
+			ops = append(ops, e)
+		}
+	}
+	if len(ops) != 4 || ops[3].Kind != trace.OpDeliver || ops[3].PairSeq != 4 || ops[3].Seq != 4 {
 		t.Fatalf("op events: %+v", ops)
 	}
 	if rec.Faults() != (trace.FaultCounts{}) {

@@ -260,8 +260,7 @@ func (g *Engine) countIssue(node int) {
 	}
 	if tr := g.env.Trace(); tr.Loud() {
 		tr.RecordOp(trace.OpEvent{
-			Kind: trace.OpIssue, Rank: g.env.Rank(), Node: node,
-			Prev: -1, Ticket: -1, Time: g.env.Clock().Now(),
+			Kind: trace.OpIssue, Rank: g.env.Rank(), Node: node, Time: g.env.Clock().Now(),
 		})
 	}
 }

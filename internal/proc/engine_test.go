@@ -3,6 +3,7 @@ package proc_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"armci/internal/model"
@@ -434,7 +435,7 @@ func TestEngineNICFenceRouting(t *testing.T) {
 	}
 	buf := c.space().AllocBytes(1, 8)
 	done := c.space().AllocWords(1, 1)
-	c.stats.SetCapture(true) // PairCount reads the captured sends
+	c.stats.SetTimeline(true) // the NIC's traffic is read from the captured sends
 	c.run(func(g *proc.Engine) {
 		env := g.Env()
 		g.SetNICAssist(true)
@@ -451,7 +452,8 @@ func TestEngineNICFenceRouting(t *testing.T) {
 		g.Fence(1)
 	})
 	// Fence requests went to the agent, not the host server.
-	if got := c.stats.PairCount(msg.User(0), msg.NICOf(1, 2)); got == 0 {
+	nic := msg.NICOf(1, 2)
+	if !slices.ContainsFunc(c.stats.Timeline(), func(e trace.Event) bool { return e.Src == msg.User(0) && e.Dst == nic }) {
 		t.Fatal("no traffic reached the NIC agent")
 	}
 }

@@ -285,8 +285,7 @@ func (s *Server) completeStore(m *msg.Message) {
 func (s *Server) recordComplete(m *msg.Message) {
 	if tr := s.env.Trace(); tr.Loud() {
 		tr.RecordOp(trace.OpEvent{
-			Kind: trace.OpComplete, Rank: m.Origin, Node: s.node,
-			Prev: -1, Ticket: -1, Time: s.env.Clock().Now(),
+			Kind: trace.OpComplete, Rank: m.Origin, Node: s.node, Time: s.env.Clock().Now(),
 		})
 	}
 }

@@ -166,10 +166,6 @@ func (s *Stats) KindHistogram(k msg.Kind) Histogram {
 	return Histogram{}
 }
 
-// Timeline returns the captured sends under the name latency collectors
-// use: each carries Sent and the actual Arrival.
-func (s *Stats) Timeline() []Event { return s.Events() }
-
 // TimelineCSV renders the captured sends as CSV (times in microseconds
 // — virtual or wall, per the fabric that fed the recorder).
 func (s *Stats) TimelineCSV() string {

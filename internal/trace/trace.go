@@ -11,9 +11,9 @@
 // per step. A send takes only its actor's lock, and a reader folds every
 // actor's counts in. A socket link reports its writes (RecordLinkWrites).
 //
-// A capturing recorder keeps one stream (Stream) of sends, admissions and
-// steps in the one order its mutex gave them. Events, Timeline, OpEvents,
-// Fingerprint, TimelineCSV and PairCount are filters over it.
+// A capturing recorder keeps one spine of sends, admissions and steps in
+// the one order its mutex gave them. Records reads it in place; Timeline
+// and TimelineCSV are its sends, each joined to its arrival.
 //
 // A recorder is loud while it captures or feeds latency histograms, and
 // quiet otherwise. Only a loud one reads message stamps or op events, so
@@ -24,7 +24,7 @@ package trace
 
 import (
 	"fmt"
-	"slices"
+	"iter"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,21 +34,22 @@ import (
 )
 
 // Stats is the recorder of one run: message counters, fault counters,
-// and — when switched on — the captured stream and latency histograms. All
+// and — when switched on — the captured spine and latency histograms. All
 // methods are safe for concurrent use.
 type Stats struct {
 	mu sync.Mutex
 	counts
-	actors    []*Actor  // their counts are folded into counts by every reader
-	writes    int       // write(2) calls of the socket link (tcp only)
-	written   int64     // the encoded bytes they carried, hellos included
-	stream    []OpEvent // capture mode: sends, deliveries and steps in record order
+	actors    []*Actor // their counts are folded into counts by every reader
+	writes    int      // write(2) calls of the socket link (tcp only)
+	written   int64    // the encoded bytes they carried, hellos included
+	spine     []*chunk // capture mode: sends, deliveries and steps in record order
+	recorded  int      // records in spine
 	capture   atomic.Bool
 	latency   bool // feed the histograms: set by NewRun, never changed
 	latByKind map[msg.Kind]*Histogram
 }
 
-// Event is one captured message: the view Events returns of a send, and
+// Event is one captured message: the view Timeline returns of a send, and
 // the message an OpSend or OpDeliver record carries.
 type Event struct {
 	Seq      int
@@ -61,7 +62,7 @@ type Event struct {
 	// Sent is the fabric time the send was initiated.
 	Sent time.Duration
 	// Arrival is the fabric delivery time of the message. A send record
-	// carries the modeled arrival when the fabric computed one; Events
+	// carries the modeled arrival when the fabric computed one; Timeline
 	// joins in the arrival its receiver admitted it at, so it is set on
 	// every fabric — including TCP, where only the receiver knows it.
 	Arrival time.Duration
@@ -71,7 +72,7 @@ type Event struct {
 	FaultDelay time.Duration
 }
 
-// OpKind classifies a record of the captured stream: a message send, or a
+// OpKind classifies a record of the captured spine: a message send, or a
 // step of the *semantic* history of a run — lock hand-offs, fence/barrier
 // crossings, the issue and completion of fence-counted stores, and
 // post-dedup deliveries. The steps are what the conformance oracles in
@@ -80,12 +81,13 @@ type OpKind uint8
 
 const (
 	// OpAcquire: a rank acquired a lock (recorded after the acquire
-	// completes, before the critical section begins). Carries Lock,
-	// Rank, and — per algorithm — Prev (MCS predecessor rank, -1 when
-	// the lock was taken free) or Ticket (hybrid/ticket lock number).
+	// completes, before the critical section begins). Carries Lock, Rank,
+	// Prev (MCS predecessor rank; -1 when the lock was taken free or the
+	// lock has tickets), Ticket (hybrid/ticket number, else -1) and Epoch
+	// (the lease epoch registered under, else 0).
 	OpAcquire OpKind = iota + 1
 	// OpRelease: a rank began releasing a lock (recorded before the
-	// release protocol starts).
+	// release protocol starts). Carries Lock and Rank.
 	OpRelease
 	// OpSyncEnter: a rank entered a combined fence+barrier operation
 	// (Sync.Barrier, SyncOld, or a harness-provided variant). Carries
@@ -116,8 +118,8 @@ const (
 	// was rejected (Lock, Rank: the deposed rank). It witnesses that the
 	// release had no effect; an oracle treats it as a no-op.
 	OpStaleRelease
-	// OpCrash: a rank fail-stopped by fault injection (crash/crashheld).
-	// Carries Rank, whose later lock events are excused from liveness.
+	// OpCrash: a rank fail-stopped holding a lock (crashheld). Carries
+	// Rank.
 	OpCrash
 	// OpSend: a message, or an injected duplicate (Dup), left its sender.
 	// Its Event is the message, Arrival the modeled one; Time is Sent.
@@ -139,16 +141,18 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("OpKind(%d)", uint8(k))
 }
 
-// OpEvent is one record of the captured stream (capture mode only): a
-// message send or admission, or a protocol step. All records of a run
-// share one sequence: because every record goes through the collector's
-// mutex at the instant the event happens, the recorded order is
-// consistent with the happens-before order of the run on every fabric —
+// OpEvent is one record of the captured spine (capture mode only), as
+// Records yields it: a message send or admission, or a protocol step. All
+// records of a run share one order: because every record goes through the
+// collector's mutex at the instant the event happens, the recorded order
+// is consistent with the happens-before order of the run on every fabric —
 // which is what makes the order usable as a linearization witness by the
-// invariant oracles, and lets a send be ordered against a lock step.
+// invariant oracles, and lets a send be ordered against a lock step. A
+// step carries Rank, Time and the fields its kind names (see OpKind); the
+// others are zero.
 type OpEvent struct {
-	// Seq is the record order, 1-based: over every record in Stream,
-	// over the deliveries and steps in OpEvents.
+	// Seq numbers a record within its view, from 1: a send among the
+	// sends (as Timeline does), any other record among the others.
 	Seq int
 	// Kind classifies the event.
 	Kind OpKind
@@ -156,24 +160,71 @@ type OpEvent struct {
 	Rank int
 	// Node is the destination node of OpIssue/OpComplete.
 	Node int
-	// Lock is the lock index of OpAcquire/OpRelease.
+	// Lock is the lock index of a lock step.
 	Lock int
-	// Prev is the MCS predecessor rank of an OpAcquire (-1: lock was
-	// free; also -1 for non-queue algorithms).
+	// Prev is the predecessor rank of an OpAcquire (see OpAcquire) or the
+	// deposed rank of an OpRepair.
 	Prev int
-	// Ticket is the ticket number of a hybrid/ticket OpAcquire (-1 for
-	// other algorithms).
+	// Ticket is the ticket number of an OpAcquire.
 	Ticket int64
-	// Epoch is the per-rank sync epoch of OpSyncEnter/OpSyncExit.
+	// Epoch is the per-rank sync epoch of OpSyncEnter/OpSyncExit, or the
+	// lease epoch of OpAcquire/OpRepair.
 	Epoch int
 	// Time is the fabric time at the record (virtual on sim, wall
-	// otherwise). Diagnostic only; oracles use Seq.
+	// otherwise): a send's is its Sent, a delivery's its admission.
 	Time time.Duration
 	// Event is the message of an OpSend or OpDeliver record, zero on a
-	// step. Its Src, Dst and PairSeq identify the message; its own Seq
-	// and Kind, which the record's shadow, are the send's number in
-	// Events and the message kind.
+	// step; a delivery's carries no Sent. Its Src, Dst and PairSeq
+	// identify the message; its own Seq and Kind, which the record's
+	// shadow, are the send's number and the message kind.
 	Event
+}
+
+// record is how the spine stores an OpEvent, in 80 bytes: ranks, nodes,
+// locks, epochs, sizes and send numbers fit in 32 bits, endpoints in a
+// msg.Pair, and a send's Sent is its time.
+type record struct {
+	kind                                     OpKind
+	msgKind                                  msg.Kind
+	dup                                      bool
+	seq, rank, node, lock, prev, epoch, size int32
+	ticket                                   int64
+	pair                                     msg.Pair
+	pairSeq                                  uint64
+	time, arrival, faultDelay                time.Duration
+}
+
+// chunkLen is how many records a chunk of the spine holds. The spine grows
+// a chunk at a time and never moves a record: no reader needs one slice.
+const chunkLen = 256
+
+type chunk [chunkLen]record
+
+// storeMsg is the record of m's send (k = OpSend) or admission at time at.
+func storeMsg(k OpKind, m *Event, at time.Duration) record {
+	return record{
+		kind: k, msgKind: m.Kind, dup: m.Dup, seq: int32(m.Seq), size: int32(m.Size),
+		time: at, pair: msg.PairOf(m.Src, m.Dst), pairSeq: m.PairSeq,
+		arrival: m.Arrival, faultDelay: m.FaultDelay,
+	}
+}
+
+// message writes the message of r, an OpSend or OpDeliver, into e (in
+// place: a 168-byte OpEvent returned by value costs several copies).
+func (r *record) message(e *Event) {
+	e.Seq, e.Kind, e.Src, e.Dst = int(r.seq), r.msgKind, r.pair.Src(), r.pair.Dst()
+	e.Size, e.PairSeq, e.Arrival, e.Dup, e.FaultDelay = int(r.size), r.pairSeq, r.arrival, r.dup, r.faultDelay
+	e.Sent = 0
+	if r.kind == OpSend {
+		e.Sent = r.time
+	}
+}
+
+// view writes r into e as Records yields it, but for Seq.
+func (r *record) view(e *OpEvent) {
+	e.Kind, e.Rank, e.Node, e.Lock = r.kind, int(r.rank), int(r.node), int(r.lock)
+	e.Prev, e.Ticket, e.Epoch, e.Time = int(r.prev), r.ticket, int(r.epoch), r.time
+	r.message(&e.Event) // a step stores no message: it reads as zero
 }
 
 // New returns an empty recorder: counters on, capture and latency
@@ -193,19 +244,14 @@ func (s *Stats) NewRun() *Stats {
 	return r
 }
 
-// SetCapture toggles recording of the stream of sends, deliveries and
-// steps (for determinism tests, timelines and debugging); counting is
-// always on. Set it before the run: a message sent while the recorder was
-// quiet carries no stamps.
-func (s *Stats) SetCapture(on bool) { s.capture.Store(on) }
+// SetTimeline toggles capture of the spine (for the oracles, timelines
+// and determinism tests); counting is always on. Set it before the run: a
+// message sent while the recorder was quiet carries no stamps.
+func (s *Stats) SetTimeline(on bool) { s.capture.Store(on) }
 
 // Loud reports whether the recorder reads what a quiet run never needs:
 // message send and arrival stamps and op events. It takes no lock.
 func (s *Stats) Loud() bool { return s.latency || s.capture.Load() }
-
-// SetTimeline is SetCapture under the name latency collectors use: the
-// captured sends are the timeline.
-func (s *Stats) SetTimeline(on bool) { s.SetCapture(on) }
 
 // counts is what a recorder always keeps: RecordSend's counters.
 type counts struct {
@@ -251,7 +297,7 @@ func (s *Stats) Actor() *Actor {
 // RecordSend accounts one send of a's actor: the message m, its injected
 // duplicate dup (nil when there is none), and the fault decisions the send
 // drew. It takes only the actor's lock, unless the recorder captures: then
-// it takes the recorder's, which numbers the stream in one order.
+// it takes the recorder's, which puts the spine in one order.
 func (a *Actor) RecordSend(m, dup *msg.Message, f FaultCounts) {
 	s, c, mu := a.s, &a.counts, &a.mu
 	capture := s.capture.Load()
@@ -272,24 +318,22 @@ func (a *Actor) RecordSend(m, dup *msg.Message, f FaultCounts) {
 	c.faults.add(f)
 }
 
-// record appends e as the stream's next record; s.mu is held. A full
-// stream doubles: append would grow a long one by a quarter, copying more.
-func (s *Stats) record(e OpEvent) {
-	e.Seq = len(s.stream) + 1
-	if len(s.stream) == cap(s.stream) {
-		s.stream = slices.Grow(s.stream, len(s.stream)+64)
+// record appends r to the spine; s.mu is held.
+func (s *Stats) record(r record) {
+	if s.recorded == len(s.spine)*chunkLen {
+		s.spine = append(s.spine, new(chunk))
 	}
-	s.stream = append(s.stream, e)
+	s.spine[s.recorded/chunkLen][s.recorded%chunkLen] = r
+	s.recorded++
 }
 
 // recordMsg records the send (OpSend, the recorder's send number seq) or
 // the admission (OpDeliver) of m at fabric time at; s.mu is held.
 func (s *Stats) recordMsg(k OpKind, m *msg.Message, seq int, at time.Duration) {
-	s.record(OpEvent{Kind: k, Rank: -1, Prev: -1, Ticket: -1, Time: at, Event: Event{
-		Seq: seq, Kind: m.Kind, Src: m.Src, Dst: m.Dst,
-		Size: m.PayloadBytes(), PairSeq: m.Seq, Sent: m.Sent,
-		Arrival: m.Arrival, Dup: m.Dup, FaultDelay: m.FaultDelay,
-	}})
+	s.record(storeMsg(k, &Event{
+		Seq: seq, Kind: m.Kind, Src: m.Src, Dst: m.Dst, Size: m.PayloadBytes(),
+		PairSeq: m.Seq, Arrival: m.Arrival, Dup: m.Dup, FaultDelay: m.FaultDelay,
+	}, at))
 }
 
 // lockFolded takes s.mu and moves every actor's counters into s's own, as
@@ -327,7 +371,7 @@ func (s *Stats) RecordLinkWrites(writes, bytes int) {
 
 // RecordArrival accounts the admission of m into the destination mailbox
 // at fabric time now (the pipeline's post-dedup receive stage): in capture
-// mode an OpDeliver, whose arrival Events joins into the send — the only
+// mode an OpDeliver, whose arrival Timeline joins into the send — the only
 // source of it where the sender cannot know it (TCP); on a NewRun recorder
 // the latency histograms. A quiet recorder returns before its mutex.
 func (s *Stats) RecordArrival(m *msg.Message, now time.Duration) {
@@ -344,8 +388,8 @@ func (s *Stats) RecordArrival(m *msg.Message, now time.Duration) {
 	}
 }
 
-// RecordOp records one protocol step (capture mode only; see OpEvent).
-// Callers fill every field but Seq, which is assigned here.
+// RecordOp records one protocol step (capture mode only): e's Kind, Rank,
+// Time and the fields its kind carries (see OpKind); Seq is the reader's.
 // The call must be placed so that the record order witnesses the claim
 // being recorded: acquires after the lock is held, releases before the
 // hand-off starts, completions before they become observable. Callers
@@ -355,7 +399,10 @@ func (s *Stats) RecordOp(e OpEvent) {
 		return
 	}
 	s.mu.Lock()
-	s.record(e)
+	s.record(record{
+		kind: e.Kind, rank: int32(e.Rank), node: int32(e.Node), lock: int32(e.Lock),
+		prev: int32(e.Prev), epoch: int32(e.Epoch), ticket: e.Ticket, time: e.Time,
+	})
 	s.mu.Unlock()
 }
 
@@ -371,7 +418,7 @@ func (s *Stats) Add(run *Stats) {
 	if s.capture.Load() {
 		for _, e := range run.events() {
 			e.Seq += s.sends
-			s.record(OpEvent{Kind: OpSend, Rank: -1, Prev: -1, Ticket: -1, Time: e.Sent, Event: e})
+			s.record(storeMsg(OpSend, &e, e.Sent))
 		}
 	}
 	s.add(&run.counts)
@@ -382,27 +429,30 @@ func (s *Stats) Add(run *Stats) {
 	}
 }
 
-// Stream returns a copy of the captured records — sends, deliveries and
-// protocol steps — in their one recorded order.
-func (s *Stats) Stream() []OpEvent {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]OpEvent(nil), s.stream...)
-}
-
-// OpEvents returns the captured deliveries and protocol steps, numbered
-// among themselves.
-func (s *Stats) OpEvents() []OpEvent {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ops := make([]OpEvent, 0, len(s.stream)) // one allocation: cap covers the sends it skips
-	for _, e := range s.stream {
-		if e.Kind != OpSend {
-			e.Seq = len(ops) + 1
-			ops = append(ops, e)
+// Records yields the captured spine — sends, deliveries and protocol
+// steps — in its one recorded order, each numbered within its view (see
+// OpEvent.Seq). It reads the records there when the loop starts, in place:
+// a record never moves and is never rewritten, so the lock is held only
+// to count them, and a loop body may call the recorder.
+func (s *Stats) Records() iter.Seq[OpEvent] {
+	return func(yield func(OpEvent) bool) {
+		s.mu.Lock()
+		spine, n := s.spine, s.recorded
+		s.mu.Unlock()
+		var e OpEvent
+		ops := 0
+		for i := range n {
+			spine[i/chunkLen][i%chunkLen].view(&e)
+			e.Seq = e.Event.Seq // a send keeps its send number
+			if e.Kind != OpSend {
+				ops++
+				e.Seq = ops
+			}
+			if !yield(e) {
+				return
+			}
 		}
 	}
-	return ops
 }
 
 // Sends returns the total number of messages sent.
@@ -434,48 +484,35 @@ func (s *Stats) LinkWrites() (writes int, bytes int64) {
 	return s.writes, s.written
 }
 
-// PairCount returns the number of captured messages sent from src to dst,
-// injected duplicates included. It needs capture: a quiet recorder reads 0.
-func (s *Stats) PairCount(src, dst msg.Addr) int {
-	n := 0
-	for _, e := range s.Events() {
-		if e.Src == src && e.Dst == dst {
-			n++
-		}
-	}
-	return n
-}
-
-// Events returns the captured sends, each joined to its arrival.
-func (s *Stats) Events() []Event {
+// Timeline returns the captured sends, each joined to its arrival: Sent
+// and the actual Arrival.
+func (s *Stats) Timeline() []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.events()
 }
 
-// events is the send view of the stream; s.mu is held. A delivery's
+// events is the send view of the spine; s.mu is held. A delivery's
 // arrival lands on the latest send of its (pair, PairSeq) recorded before
 // it that is no injected duplicate and has a PairSeq — so a duplicate
 // admitted first stands for its original, and a restarted pair joins its
 // new sends.
 func (s *Stats) events() []Event {
-	type key struct {
-		pr  msg.Pair
-		seq uint64
-	}
 	var events []Event
-	latest := make(map[key]int) // index into events
-	for _, e := range s.stream {
-		k := key{msg.PairOf(e.Src, e.Dst), e.PairSeq}
-		switch e.Kind {
+	latest := make(map[[2]uint64]int) // (pair, PairSeq) -> index into events
+	for i := range s.recorded {
+		r := &s.spine[i/chunkLen][i%chunkLen]
+		k := [2]uint64{uint64(r.pair), r.pairSeq}
+		switch r.kind {
 		case OpSend:
-			if !e.Dup && e.PairSeq != 0 {
+			if !r.dup && r.pairSeq != 0 {
 				latest[k] = len(events)
 			}
-			events = append(events, e.Event)
+			events = append(events, Event{})
+			r.message(&events[len(events)-1])
 		case OpDeliver:
 			if i, ok := latest[k]; ok {
-				events[i].Arrival = e.Arrival
+				events[i].Arrival = r.arrival
 			}
 		}
 	}
@@ -494,34 +531,16 @@ func (s *Stats) Summary() string {
 	return b.String()
 }
 
-// Fingerprint returns a deterministic digest of the captured sends, used
-// by determinism and replay tests to compare two runs. It is a pure
-// function of the global send order and, per message, of (kind, src,
-// dst, payload size, per-pair sequence number, injected fault delay,
-// duplicate marker): two runs with different fault seeds differ even when
-// they exchange the same messages, and two runs that exchange the same
-// messages in the same send order agree — across fabrics, and across sim
-// schedule seeds for workloads whose message order is data-dependent.
-// Arrival times (virtual on sim, wall elsewhere) and the deliveries and
-// steps beside the sends are left out. Changing the digested fields or
-// their encoding breaks those tests.
-func (s *Stats) Fingerprint() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var b strings.Builder
-	for _, e := range s.stream {
-		if e.Kind == OpSend {
-			appendFingerprint(&b, e.Event, e.Event.Seq)
-		}
-	}
-	return b.String()
-}
-
-// FingerprintEvents digests an arbitrary event slice with Fingerprint's
-// per-event encoding, numbered by position in the slice rather than by
-// the recorded Seq, so the digest of a filtered sub-stream compares to a
-// capture that only ever saw it — e.g. a cluster worker's local trace,
-// whose sends are the global ones restricted to sources on its node.
+// FingerprintEvents returns the determinism digest of a send view — a
+// recorder's Timeline, or a filter of it, which compares to a capture that
+// only ever saw it (a cluster worker's local trace). It is a pure function
+// of the send order and, per message, of (position, kind, src, dst,
+// payload size, per-pair sequence number, injected fault delay, duplicate
+// marker): runs with different fault seeds differ even when they exchange
+// the same messages; runs that exchange the same messages in the same
+// order agree, across fabrics and schedule seeds. Arrival times are left
+// out. Changing the digested fields or their encoding breaks the tests
+// that pin it.
 func FingerprintEvents(events []Event) string {
 	var b strings.Builder
 	for i, e := range events {

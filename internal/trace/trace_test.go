@@ -36,34 +36,32 @@ func TestCountsAndBytes(t *testing.T) {
 func TestCaptureAndFingerprint(t *testing.T) {
 	mk := func() *Stats {
 		s := New()
-		s.SetCapture(true)
+		s.SetTimeline(true)
 		send(s, msg.KindColl, msg.User(0), msg.User(1), 8)
 		send(s, msg.KindColl, msg.User(1), msg.User(0), 8)
 		return s
 	}
+	fp := func(s *Stats) string { return FingerprintEvents(s.Timeline()) }
 	a, b := mk(), mk()
-	if a.Fingerprint() != b.Fingerprint() {
+	if fp(a) != fp(b) {
 		t.Fatal("identical streams produced different fingerprints")
 	}
 	c := New()
-	c.SetCapture(true)
+	c.SetTimeline(true)
 	send(c, msg.KindColl, msg.User(1), msg.User(0), 8)
 	send(c, msg.KindColl, msg.User(0), msg.User(1), 8)
-	if a.Fingerprint() == c.Fingerprint() {
+	if fp(a) == fp(c) {
 		t.Fatal("reordered streams produced equal fingerprints")
 	}
-	if len(a.Events()) != 2 {
-		t.Fatalf("captured %d events", len(a.Events()))
-	}
-	if n := a.PairCount(msg.User(0), msg.User(1)); n != 1 {
-		t.Fatalf("pair count = %d", n)
+	if tl := a.Timeline(); len(tl) != 2 || tl[0].Src != msg.User(0) || tl[0].Dst != msg.User(1) {
+		t.Fatalf("captured %+v", tl)
 	}
 }
 
 func TestCaptureOffByDefault(t *testing.T) {
 	s := New()
 	send(s, msg.KindPut, msg.User(0), msg.ServerOf(0), 1)
-	if len(s.Events()) != 0 || s.PairCount(msg.User(0), msg.ServerOf(0)) != 0 {
+	if len(s.Timeline()) != 0 || countRecords(s) != 0 {
 		t.Fatal("events captured without capture mode")
 	}
 	if s.Sends() != 1 {
@@ -220,8 +218,8 @@ func TestRecorderLatencyAndTimeline(t *testing.T) {
 			if tc.events > 0 && !strings.Contains(csv, "\n1,send,p0,p1,1,") {
 				t.Fatalf("timeline CSV rows: %q", csv)
 			}
-			if ops := tc.rec.OpEvents(); len(ops) != tc.ops {
-				t.Fatalf("%d deliver op events, want %d", len(ops), tc.ops)
+			if ops := countRecords(tc.rec) - len(tl); ops != tc.ops {
+				t.Fatalf("%d deliver op events, want %d", ops, tc.ops)
 			}
 		})
 	}
@@ -256,7 +254,7 @@ func TestLinkWritesFoldAndPrint(t *testing.T) {
 	}
 }
 
-// TestTimelineJoinRule pins how Events joins each captured send to the
+// TestTimelineJoinRule pins how Timeline joins each captured send to the
 // arrival its receiver admitted it at: the latest send of the same pair and
 // PairSeq recorded before the admission, counting only sends that are not
 // injected duplicates and carry a sequence number.
@@ -272,7 +270,7 @@ func TestTimelineJoinRule(t *testing.T) {
 	}
 	capturing := func() *Stats {
 		s := New()
-		s.SetCapture(true)
+		s.SetTimeline(true)
 		return s
 	}
 	type want struct {
@@ -338,48 +336,97 @@ func TestTimelineJoinRule(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.feed()
-			for _, view := range [][]Event{s.Events(), s.Timeline()} {
-				if len(view) != len(tc.want) {
-					t.Fatalf("%d events, want %d: %+v", len(view), len(tc.want), view)
-				}
-				for i, w := range tc.want {
-					e := view[i]
-					if got := (want{e.Seq, e.PairSeq, e.Dup, e.Arrival}); got != w {
-						t.Errorf("event %d = %+v, want %+v", i, got, w)
-					}
+			view := s.Timeline()
+			if len(view) != len(tc.want) {
+				t.Fatalf("%d events, want %d: %+v", len(view), len(tc.want), view)
+			}
+			for i, w := range tc.want {
+				e := view[i]
+				if got := (want{e.Seq, e.PairSeq, e.Dup, e.Arrival}); got != w {
+					t.Errorf("event %d = %+v, want %+v", i, got, w)
 				}
 			}
 		})
 	}
 }
 
-// TestStreamOrder: sends, admissions and steps share one sequence, and the
-// views keep their own numbering — Events the send count, OpEvents the
-// position among deliveries and steps.
+// countRecords is how many records s's spine holds.
+func countRecords(s *Stats) int {
+	n := 0
+	for range s.Records() {
+		n++
+	}
+	return n
+}
+
+// TestStreamOrder: sends, admissions and steps share one order, and each
+// record is numbered within its view — a send by the send count, as
+// Timeline numbers it, a delivery or step by its position among the
+// deliveries and steps. A message record yields the message it stored.
 func TestStreamOrder(t *testing.T) {
 	s := New()
-	s.SetCapture(true)
-	m := &msg.Message{Kind: msg.KindPut, Src: msg.User(0), Dst: msg.ServerOf(1), Seq: 1}
-	s.RecordOp(OpEvent{Kind: OpIssue, Rank: 0, Node: 1, Prev: -1, Ticket: -1})
+	s.SetTimeline(true)
+	m := &msg.Message{Kind: msg.KindPut, Src: msg.User(0), Dst: msg.NICOf(1, 4), Seq: 1,
+		Data: make([]byte, 24), Sent: 5, Arrival: 9, FaultDelay: 3}
+	s.RecordOp(OpEvent{Kind: OpIssue, Rank: 0, Node: 1})
 	s.Actor().RecordSend(m, nil, FaultCounts{})
-	s.RecordArrival(m, 0)
-	s.RecordOp(OpEvent{Kind: OpComplete, Rank: 0, Node: 1, Prev: -1, Ticket: -1})
+	s.RecordArrival(m, 7)
+	s.RecordOp(OpEvent{Kind: OpAcquire, Rank: 2, Lock: 1, Prev: -1, Ticket: 9, Epoch: 4, Time: 8})
 	var got []string
-	for i, e := range s.Stream() {
-		if e.Seq != i+1 {
-			t.Fatalf("record %d numbered %d", i, e.Seq)
+	var recs []OpEvent
+	for e := range s.Records() {
+		got = append(got, fmt.Sprintf("%s#%d", e.Kind, e.Seq))
+		recs = append(recs, e)
+	}
+	if want := "op-issue#1 send#1 deliver#2 acquire#3"; strings.Join(got, " ") != want {
+		t.Fatalf("records %v, want %s", got, want)
+	}
+	sent := Event{Seq: 1, Kind: msg.KindPut, Src: m.Src, Dst: m.Dst, Size: m.PayloadBytes(),
+		PairSeq: 1, Sent: 5, Arrival: 9, FaultDelay: 3}
+	if e := recs[1]; e.Event != sent || e.Time != 5 {
+		t.Fatalf("send record: %+v", e)
+	}
+	admitted := sent
+	admitted.Seq, admitted.Sent = 0, 0 // a delivery's time is its admission
+	if e := recs[2]; e.Event != admitted || e.Time != 7 {
+		t.Fatalf("delivery record: %+v", e)
+	}
+	if e := recs[3]; e != (OpEvent{Seq: 3, Kind: OpAcquire, Rank: 2, Lock: 1, Prev: -1, Ticket: 9, Epoch: 4, Time: 8}) {
+		t.Fatalf("step record: %+v", e)
+	}
+	if ev := s.Timeline(); len(ev) != 1 || ev[0] != sent {
+		t.Fatalf("timeline: %+v", ev)
+	}
+}
+
+// TestRecordsWhileRecording: a reader ranges over the spine while a writer
+// grows it across chunks. Each loop sees a prefix of the records in their
+// order, and a loop body may call the recorder.
+func TestRecordsWhileRecording(t *testing.T) {
+	const n = 3*chunkLen + 7
+	s := New()
+	s.SetTimeline(true)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= n; i++ {
+			s.RecordOp(OpEvent{Kind: OpIssue, Rank: i})
 		}
-		got = append(got, e.Kind.String())
+	}()
+	for seen := 0; seen < n; {
+		seen = 0
+		for e := range s.Records() {
+			if seen++; e.Seq != seen || e.Rank != seen {
+				t.Fatalf("record %d = %+v", seen, e)
+			}
+			s.Loud() // a loop body may call the recorder
+		}
 	}
-	if want := "op-issue send deliver op-complete"; strings.Join(got, " ") != want {
-		t.Fatalf("stream %v, want %s", got, want)
-	}
-	ops := s.OpEvents()
-	if len(ops) != 3 || ops[1].Kind != OpDeliver || ops[1].Seq != 2 || ops[1].PairSeq != 1 || ops[2].Seq != 3 {
-		t.Fatalf("op events: %+v", ops)
-	}
-	if ev := s.Events(); len(ev) != 1 || ev[0].Seq != 1 || ev[0].Kind != msg.KindPut {
-		t.Fatalf("events: %+v", ev)
+	<-done
+	for e := range s.Records() {
+		if e.Seq == 2 {
+			break // a loop may stop early
+		}
 	}
 }
 
@@ -395,7 +442,7 @@ func BenchmarkRecordCaptured(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if i%1024 == 0 {
 			s = New()
-			s.SetCapture(true)
+			s.SetTimeline(true)
 			a = s.Actor()
 		}
 		m.Seq = uint64(i%1024 + 1)

@@ -265,7 +265,7 @@ func TestSimIntraNodeLatency(t *testing.T) {
 func TestSimDeterminism(t *testing.T) {
 	run := func() (string, time.Duration) {
 		stats := trace.New()
-		stats.SetCapture(true)
+		stats.SetTimeline(true)
 		f, err := NewSim(Config{Procs: 4, Model: model.Myrinet2000(), Trace: stats})
 		if err != nil {
 			t.Fatal(err)
@@ -289,7 +289,7 @@ func TestSimDeterminism(t *testing.T) {
 		if err := f.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return stats.Fingerprint(), f.Now()
+		return trace.FingerprintEvents(stats.Timeline()), f.Now()
 	}
 	fp1, t1 := run()
 	fp2, t2 := run()
@@ -556,7 +556,7 @@ func TestFaultSeedDeterminismAcrossFabrics(t *testing.T) {
 	const rounds = 30
 	run := func(mk func(Config) (Fabric, error), seed int64) string {
 		stats := trace.New()
-		stats.SetCapture(true)
+		stats.SetTimeline(true)
 		f, err := mk(Config{
 			Procs: 2,
 			Trace: stats,
@@ -586,7 +586,7 @@ func TestFaultSeedDeterminismAcrossFabrics(t *testing.T) {
 		if err := f.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return stats.Fingerprint()
+		return trace.FingerprintEvents(stats.Timeline())
 	}
 	mkSim := func(c Config) (Fabric, error) { return NewSim(c) }
 	mkChan := func(c Config) (Fabric, error) { return NewChan(c) }
@@ -611,7 +611,7 @@ func TestFaultSeedDeterminismAcrossFabrics(t *testing.T) {
 func TestSimScheduleShuffleDeterminism(t *testing.T) {
 	run := func(seed int64) string {
 		stats := trace.New()
-		stats.SetCapture(true)
+		stats.SetTimeline(true)
 		f, err := NewSim(Config{Procs: 4, Model: model.Myrinet2000(), Trace: stats, ScheduleSeed: seed})
 		if err != nil {
 			t.Fatal(err)
@@ -628,7 +628,7 @@ func TestSimScheduleShuffleDeterminism(t *testing.T) {
 		if err := f.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return stats.Fingerprint()
+		return trace.FingerprintEvents(stats.Timeline())
 	}
 	if run(5) != run(5) {
 		t.Fatal("seeded shuffle did not replay")
@@ -648,7 +648,7 @@ func TestStampsOnlyForAReader(t *testing.T) {
 	const n = 20
 	readers := map[string]func(*Config){
 		"quiet":        func(*Config) {},
-		"capture":      func(c *Config) { c.Trace = trace.New(); c.Trace.SetCapture(true) },
+		"capture":      func(c *Config) { c.Trace = trace.New(); c.Trace.SetTimeline(true) },
 		"run recorder": func(c *Config) { c.Trace = trace.New().NewRun() },
 		"jitter":       func(c *Config) { c.Faults = pipeline.Faults{Seed: 1, Jitter: time.Millisecond} },
 	}
@@ -702,7 +702,7 @@ func TestQuietCountsEqualCaptured(t *testing.T) {
 	const procs, each = 4, 50
 	run := func(capture bool) *trace.Stats {
 		rec := trace.New()
-		rec.SetCapture(capture)
+		rec.SetTimeline(capture)
 		f, err := NewChan(Config{Procs: procs, Model: model.Zero(), Trace: rec})
 		if err != nil {
 			t.Fatal(err)
@@ -728,7 +728,7 @@ func TestQuietCountsEqualCaptured(t *testing.T) {
 		return rec
 	}
 	quiet, captured := run(false), run(true)
-	if n := len(captured.Events()); quiet.Sends() != n || captured.Sends() != n || n != procs*(procs-1)*each {
+	if n := len(captured.Timeline()); quiet.Sends() != n || captured.Sends() != n || n != procs*(procs-1)*each {
 		t.Fatalf("sends: quiet %d, captured %d, %d events", quiet.Sends(), captured.Sends(), n)
 	}
 	for _, k := range []msg.Kind{msg.KindSend, msg.KindColl} {

@@ -76,11 +76,11 @@ func runLeaseCrashWorkload(fabric armci.FabricKind, seed int64, metrics *armci.M
 	})
 }
 
-// lockEvents filters a run's op-event stream down to the lock-protocol
+// lockEvents filters a run's recorded history down to the lock-protocol
 // kinds the lease oracles and determinism checks reason about.
 func lockEvents(rep *armci.Report) []trace.OpEvent {
 	var out []trace.OpEvent
-	for _, e := range rep.Stats.OpEvents() {
+	for e := range rep.Stats.Records() {
 		switch e.Kind {
 		case trace.OpAcquire, trace.OpRelease, trace.OpRepair, trace.OpStaleRelease, trace.OpCrash:
 			out = append(out, e)

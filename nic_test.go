@@ -75,7 +75,7 @@ func TestNICRoutesControlTraffic(t *testing.T) {
 		Procs:        procs,
 		Fabric:       armci.FabricSim,
 		NIC:          armci.NICAgent,
-		CaptureTrace: true, // PairCount reads the captured sends
+		CaptureTrace: true, // sendsBetween reads the captured sends
 	}, func(p *armci.Proc) {
 		ptrs := p.Malloc(64)
 		words := p.MallocWords(1)
@@ -92,10 +92,10 @@ func TestNICRoutesControlTraffic(t *testing.T) {
 	srv := msg.ServerOf(1)
 	nic := msg.NICOf(1, procs)
 	user := msg.User(0)
-	if got := rep.Stats.PairCount(user, srv); got != 1 {
+	if got := sendsBetween(rep.Stats, user, srv); got != 1 {
 		t.Fatalf("server received %d messages from rank 0, want exactly the put", got)
 	}
-	if got := rep.Stats.PairCount(user, nic); got != 2 {
+	if got := sendsBetween(rep.Stats, user, nic); got != 2 {
 		t.Fatalf("NIC agent received %d messages from rank 0, want rmw + fence = 2", got)
 	}
 }

@@ -171,7 +171,7 @@ func TestRecorderAddAggregates(t *testing.T) {
 	}
 	// The aggregate asked for a timeline, so each run captured its events
 	// (numbered from 1) and the aggregate holds both, numbered through.
-	e1, e2, all := s1.Events(), s2.Events(), metrics.Timeline()
+	e1, e2, all := s1.Timeline(), s2.Timeline(), metrics.Timeline()
 	if len(e1) != s1.Sends() || len(e2) != s2.Sends() || e2[0].Seq != 1 {
 		t.Fatalf("per-run capture: %d and %d events for %d and %d sends, run 2 starts at seq %d",
 			len(e1), len(e2), s1.Sends(), s2.Sends(), e2[0].Seq)
@@ -214,7 +214,7 @@ func TestSimRunsAreDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep.Stats.Fingerprint(), rep.Elapsed
+		return fingerprint(rep.Stats), rep.Elapsed
 	}
 	fp1, t1 := run()
 	fp2, t2 := run()

@@ -105,7 +105,7 @@ func procWorkerRing() int {
 		return 1
 	}
 	writes, _ := rep.Stats.LinkWrites()
-	fmt.Printf("RING_FP node=%d fp=%s writes=%d sends=%d\n", we.Node, rep.Stats.Fingerprint(), writes, rep.Stats.Sends())
+	fmt.Printf("RING_FP node=%d fp=%s writes=%d sends=%d\n", we.Node, fingerprint(rep.Stats), writes, rep.Stats.Sends())
 	return 0
 }
 
@@ -191,7 +191,7 @@ func procWorkerCoalRing() int {
 		return 1
 	}
 	var ring []trace.Event
-	for _, e := range rep.Stats.Events() {
+	for _, e := range rep.Stats.Timeline() {
 		if coalRingTraffic(e) {
 			ring = append(ring, e)
 		}
@@ -300,7 +300,7 @@ func procWorkerWorkload() int {
 		return 1
 	}
 	var own []trace.Event
-	for _, e := range rep.Stats.Events() {
+	for _, e := range rep.Stats.Timeline() {
 		if e.Src == msg.User(we.Node) { // ppn=1: rank == node
 			own = append(own, e)
 		}
@@ -380,7 +380,7 @@ func procWorkerHier() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	fmt.Printf("HIER_FP node=%d fp=%s\n", we.Node, procHierNodeFingerprint(rep.Stats.Events(), we.Node))
+	fmt.Printf("HIER_FP node=%d fp=%s\n", we.Node, procHierNodeFingerprint(rep.Stats.Timeline(), we.Node))
 	return 0
 }
 
@@ -426,7 +426,7 @@ func TestProcnetRingParityWithTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("tcp baseline: %v", err)
 	}
-	events := rep.Stats.Events()
+	events := rep.Stats.Timeline()
 	if len(events) == 0 {
 		t.Fatal("tcp baseline captured no events")
 	}
@@ -503,7 +503,7 @@ func TestProcnetCoalescedRingParityWithTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("tcp baseline: %v", err)
 	}
-	events := rep.Stats.Events()
+	events := rep.Stats.Timeline()
 	want := make([]string, procRingProcs)
 	sawBatch := false
 	for node := range want {
@@ -595,7 +595,7 @@ func TestProcnetWorkloadParityWithTCP(t *testing.T) {
 			want := make([]string, procs)
 			for node := range want {
 				var own []trace.Event
-				for _, e := range rep.Stats.Events() {
+				for _, e := range rep.Stats.Timeline() {
 					if e.Src == msg.User(node) {
 						own = append(own, e)
 					}
@@ -671,7 +671,7 @@ func TestProcnetHierarchicalParityWithTCP(t *testing.T) {
 	numNodes := (procHierProcs + procHierPPN - 1) / procHierPPN
 	want := make([]string, numNodes)
 	for node := range want {
-		want[node] = procHierNodeFingerprint(rep.Stats.Events(), node)
+		want[node] = procHierNodeFingerprint(rep.Stats.Timeline(), node)
 		if strings.Contains(want[node], "r"+strconv.Itoa(node*procHierPPN)+":,") || want[node] == "" {
 			t.Fatalf("tcp baseline captured no sends for node %d: %q", node, want[node])
 		}

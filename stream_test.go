@@ -1,6 +1,7 @@
 package armci_test
 
 import (
+	"slices"
 	"testing"
 
 	"armci"
@@ -8,7 +9,7 @@ import (
 	"armci/internal/trace"
 )
 
-// TestStreamOrdersSendsAndSteps: the captured stream puts messages and
+// TestStreamOrdersSendsAndSteps: the captured spine puts messages and
 // protocol steps in one order, which neither view alone can show. In a
 // contended queue lock the releaser's release comes before the hand-off
 // store it sends, that store's send before its admission at the
@@ -39,7 +40,7 @@ func TestStreamOrdersSendsAndSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := rep.Stats.Stream()
+	stream := slices.Collect(rep.Stats.Records())
 	// find returns the index of the first record at or after from that
 	// matches, -1 if none does.
 	find := func(from int, match func(trace.OpEvent) bool) int {
