@@ -429,22 +429,22 @@ func Run(opt Options, body func(p *Proc)) (*Report, error) {
 
 	nicFence, nicAgent := opt.NIC == NICFence, opt.NIC == NICAgent
 	for n := 0; n < numNodes; n++ {
-		fabric.SpawnServer(n, func(env transport.Env) {
-			server.New(env, layout, server.Options{
+		fabric.SpawnServer(n, func(env transport.Env) transport.Handler {
+			return server.New(env, layout, server.Options{
 				FenceMode: opt.FenceMode,
 				Locks:     locks,
 				NICFence:  nicFence,
-			}).Serve()
+			}).HandleOne
 		})
 	}
 	if nicAgent {
 		for n := 0; n < numNodes; n++ {
 			// NIC agents live in the server ID space above the node
 			// count and share the server lifecycle.
-			fabric.SpawnServer(numNodes+n, func(env transport.Env) {
-				server.NewAgent(env, layout, server.Options{
+			fabric.SpawnServer(numNodes+n, func(env transport.Env) transport.Handler {
+				return server.NewAgent(env, layout, server.Options{
 					FenceMode: opt.FenceMode,
-				}).Serve()
+				}).HandleOne
 			})
 		}
 	}

@@ -10,6 +10,7 @@ import (
 
 	"armci"
 	"armci/internal/msg"
+	"armci/internal/shmem"
 )
 
 // faultPlan is the stress plan the invariant tests run under: jitter on
@@ -473,7 +474,7 @@ func TestOpDeadlineBoundsAWedgedWait(t *testing.T) {
 				if p.Rank() != 0 {
 					return
 				}
-				p.Env().WaitUntil("wedged", func() bool { return false })
+				p.Env().WaitUntil("wedged", shmem.Cells{}, func() bool { return false })
 			})
 			var fe *armci.FaultError
 			if !errors.As(err, &fe) {
@@ -512,7 +513,7 @@ func TestSimRunLeavesNoGoroutines(t *testing.T) {
 		{"op-timeout", armci.Options{OpDeadline: 100 * time.Millisecond}, func(p *armci.Proc) {
 			ring(p)
 			if p.Rank() == 0 {
-				p.Env().WaitUntil("wedged", func() bool { return false })
+				p.Env().WaitUntil("wedged", shmem.Cells{}, func() bool { return false })
 			}
 			p.Barrier()
 		}},

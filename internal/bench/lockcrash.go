@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"armci"
+	"armci/internal/shmem"
 	"armci/internal/trace"
 )
 
@@ -80,7 +81,7 @@ func LockCrash(o Opts, procs int) (*Table, error) {
 		// Survivors fence their increments before releasing; wait until
 		// the last one lands so the history below is complete.
 		want := int64((n-1)*lockCrashIters + victimIters)
-		p.Env().WaitUntilFor("lockcrash-counter", func() bool {
+		p.Env().WaitUntilFor("lockcrash-counter", shmem.Cell(counter), func() bool {
 			return p.Load(counter) >= want
 		}, time.Second)
 	})

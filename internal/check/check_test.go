@@ -196,6 +196,7 @@ func TestMutationsDetected(t *testing.T) {
 		MutKnomialSkipSubtree: 20,
 		MutReplStaleEpoch:     1,
 		MutBarrierEmptyLocal:  1,
+		MutWaitWrongCell:      1,
 	}
 	for _, name := range Mutations() {
 		name := name
@@ -237,6 +238,7 @@ func TestMutationsTargetExpectedOracle(t *testing.T) {
 		MutKnomialSkipSubtree: "fence",
 		MutReplStaleEpoch:     "state",
 		MutBarrierEmptyLocal:  "liveness",
+		MutWaitWrongCell:      "liveness",
 	}
 	for name, oracle := range want {
 		found := false
@@ -333,6 +335,7 @@ func TestLockMutantsMatchRealLockWhileDormant(t *testing.T) {
 		{MutLeaseStaleRelease, armci.LockLease, 2,
 			map[msg.Kind]int{msg.KindRmwResp: rounds * (procs - 2)}}, // one per remote release
 		{MutTicketOffByOne, armci.LockTicket, procs, nil},
+		{MutWaitWrongCell, armci.LockQueue, 2, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.mutation, func(t *testing.T) {

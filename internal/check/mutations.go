@@ -8,6 +8,7 @@ import (
 	"armci/internal/collective"
 	"armci/internal/core"
 	"armci/internal/msg"
+	"armci/internal/proc"
 	"armci/internal/shmem"
 	"armci/internal/trace"
 	"armci/internal/workload"
@@ -140,6 +141,15 @@ const (
 	// puts are idempotent and would mask the bug; only the fetch-add
 	// half of the workload exposes it.
 	MutReplStaleEpoch = "repl-stale-epoch"
+	// MutWaitWrongCell: a queue lock whose wake wait declares the wrong
+	// cells — its node's next pointer instead of the flag its predicate
+	// reads. On a wall-clock fabric the releaser's store to the flag
+	// signals nobody, and the waiter sleeps through its hand-off (or
+	// wakes late, by chance, on a successor's link). Detected by the
+	// simulator's declaration check, which fails the run as a liveness
+	// violation ("undeclared read") the first time a hand-off wakes the
+	// waiter with no write to its declared cells.
+	MutWaitWrongCell = "wait-wrong-cell"
 	// MutPanicCase: not an algorithm bug — the workload panics outright
 	// mid-case, simulating a harness defect. It exists to test that the
 	// sweep runner recovers per case, attributes the panic to its
@@ -211,7 +221,11 @@ var mutationSpecs = map[string]mutationSpec{
 	MutKnomialSkipSubtree: {alg: "queue", sync: "barrier-knomial", faults: "spike=5ms@0.05",
 		syncFn: brokenKnomialBarrier},
 	MutReplStaleEpoch: {sync: "barrier", faults: "crashrank=1@2", elastic: true},
-	MutPanicCase:      {alg: "queue", sync: "barrier", harnessPanic: true},
+	MutWaitWrongCell: {alg: "queue", sync: "barrier",
+		lock: func(p *armci.Proc) armci.Mutex {
+			return brokenWaitCell{p.Mutex(0, armci.LockQueue).(*core.QueueLock), p}
+		}},
+	MutPanicCase: {alg: "queue", sync: "barrier", harnessPanic: true},
 }
 
 // Mutations returns the broken variant names, in a fixed order.
@@ -219,7 +233,7 @@ func Mutations() []string {
 	return []string{MutQueueSkipLinkWait, MutTicketOffByOne, MutBarrierSkipStage2,
 		MutSyncOldSkipFence, MutEventPoolRecycle, MutCoalesceReorder,
 		MutLeaseStaleRelease, MutAccLostUpdate, MutFlagBeforeData,
-		MutKnomialSkipSubtree, MutReplStaleEpoch, MutBarrierEmptyLocal}
+		MutKnomialSkipSubtree, MutReplStaleEpoch, MutBarrierEmptyLocal, MutWaitWrongCell}
 }
 
 // MutationWorkload reports the workload spec a mutation targets (""
@@ -310,6 +324,26 @@ func (l brokenLeaseLock) Unlock() {
 	l.HandOff()
 }
 
+// brokenWaitCell is core.QueueLock except that its wake wait declares the
+// caller's next pointer, which its predicate never reads, instead of the
+// flag, which it does.
+type brokenWaitCell struct {
+	*core.QueueLock
+	p *armci.Proc
+}
+
+func (q brokenWaitCell) Lock() {
+	prev := q.Enqueue()
+	if prev >= 0 {
+		env, node := q.p.Env(), q.Node()
+		flag := node.Add(proc.QNodeLocked)
+		// BUG: should be shmem.Cell(flag).
+		next := shmem.Cells{P: node.Add(proc.QNodeNextHi), N: 2}
+		env.WaitUntil("queue-wake", next, func() bool { return env.Space().Load(flag) == 0 })
+	}
+	q.Acquired(prev, -1, 0)
+}
+
 // brokenTicket is core.Ticket except that its poll admits one position
 // early: counter >= ticket-1 instead of == ticket, so the next waiter
 // overlaps the current holder.
@@ -320,7 +354,8 @@ type brokenTicket struct {
 
 func (l brokenTicket) Lock() {
 	ticket := l.Take()
-	l.p.Env().WaitUntil("broken-ticket-gate", func() bool {
+	counter := shmem.Cell(l.p.Locks().TicketCounter[0].Add(proc.CounterWord))
+	l.p.Env().WaitUntil("broken-ticket-gate", counter, func() bool {
 		return l.Counter() >= ticket-1 // BUG: off by one
 	})
 	l.Acquired(-1, ticket, 0)
@@ -367,7 +402,7 @@ func brokenEmptyLocalBarrier(p *armci.Proc, epoch *int) func() {
 		// rank whose own node nobody wrote leaves while others fence.
 		if sum[myNode] != 0 {
 			want += sum[myNode]
-			env.WaitUntil("mut-empty-local-op_done", func() bool {
+			env.WaitUntil("mut-empty-local-op_done", shmem.Cell(opDone), func() bool {
 				return env.Space().Load(opDone) >= want
 			})
 			p.Comm().Barrier(collective.BarrierAuto)
@@ -405,7 +440,7 @@ func brokenKnomialBarrier(p *armci.Proc, epoch *int) func() {
 		myNode := env.Node(env.Rank())
 		opDone := p.Engine().Layout().OpDone[myNode]
 		want := sum[myNode]
-		env.WaitUntil(fmt.Sprintf("mut-knomial-op_done>=%d", want), func() bool {
+		env.WaitUntil(fmt.Sprintf("mut-knomial-op_done>=%d", want), shmem.Cell(opDone), func() bool {
 			return env.Space().Load(opDone) >= want
 		})
 

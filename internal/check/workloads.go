@@ -7,6 +7,7 @@ import (
 
 	"armci"
 	"armci/internal/elastic"
+	"armci/internal/shmem"
 	"armci/internal/workload"
 )
 
@@ -196,7 +197,7 @@ func crashWorkloadBody(c Case, col *collector, f armci.Faults) func(p *armci.Pro
 		if c.Fabric != armci.FabricSim {
 			bound = 10 * time.Second
 		}
-		p.Env().WaitUntilFor("crash-counter", func() bool {
+		p.Env().WaitUntilFor("crash-counter", shmem.Cell(counter), func() bool {
 			return p.Load(counter) >= want
 		}, bound)
 		if got := p.Load(counter); got != want {

@@ -10,6 +10,7 @@ import (
 
 	"armci/internal/collective"
 	"armci/internal/proc"
+	"armci/internal/shmem"
 	"armci/internal/trace"
 )
 
@@ -42,10 +43,12 @@ type Sync struct {
 	// Barrier's state: last is op_init[] as the previous Barrier's stage 1
 	// read it, sum the summed delta vector, want the running total of
 	// every summed delta to this node (the op_done stage 2 waits for),
-	// and caught the stage-2 wait predicate, bound once.
+	// and caught the stage-2 wait predicate, bound once, which reads the
+	// node's op_done cell.
 	last   []int64
 	sum    []int64
 	want   int64
+	opDone shmem.Cells
 	caught func() bool
 }
 
@@ -55,6 +58,7 @@ func NewSync(eng *proc.Engine, comm *collective.Comm) *Sync {
 	nodes := env.NumNodes()
 	s := &Sync{eng: eng, comm: comm, last: make([]int64, nodes), sum: make([]int64, nodes)}
 	space, opDone := env.Space(), eng.Layout().OpDone[env.Node(env.Rank())]
+	s.opDone = shmem.Cell(opDone)
 	s.caught = func() bool { return space.Load(opDone) >= s.want }
 	return s
 }
@@ -179,7 +183,7 @@ func (s *Sync) Barrier() {
 
 	// Stage 2: wait for the local server to catch up.
 	s.want += s.sum[env.Node(env.Rank())]
-	env.WaitUntil("op_done", s.caught)
+	env.WaitUntil("op_done", s.opDone, s.caught)
 
 	// Stage 3: barrier synchronization.
 	s.MPIBarrier()

@@ -67,8 +67,8 @@ func newWorldOn(t *testing.T, build func(transport.Config) (transport.Fabric, er
 		locks = proc.NewLockTable(f.Space(), lockHomes)
 	}
 	for n := 0; n < numNodes; n++ {
-		f.SpawnServer(n, func(env transport.Env) {
-			server.New(env, lay, server.Options{Locks: locks}).Serve()
+		f.SpawnServer(n, func(env transport.Env) transport.Handler {
+			return server.New(env, lay, server.Options{Locks: locks}).HandleOne
 		})
 	}
 	return &world{t: t, fabric: f, layout: lay, locks: locks, stats: stats}
@@ -254,7 +254,7 @@ func TestLockHandoffLatency(t *testing.T) {
 			case 0:
 				mu.Lock()
 				// Wait until rank 1 is provably enqueued, then release.
-				env.WaitUntil("waiter", func() bool { return env.Space().Load(ready) == 1 })
+				env.WaitUntil("waiter", shmem.Cell(ready), func() bool { return env.Space().Load(ready) == 1 })
 				env.Clock().Sleep(500 * time.Microsecond) // let the enqueue fully settle
 				releaseAt = env.Clock().Now()
 				mu.Unlock()

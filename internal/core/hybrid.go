@@ -111,7 +111,7 @@ func (g *Gate) Counter() int64 {
 // Await polls until ticket is admitted.
 func (g *Gate) Await(ticket int64) {
 	g.wait.ticket = ticket
-	g.eng.Env().WaitUntil("ticket-gate", g.wait.admitted)
+	g.eng.Env().WaitUntil("ticket-gate", shmem.Cell(g.base.Add(proc.CounterWord)), g.wait.admitted)
 }
 
 // Advance admits the next ticket.

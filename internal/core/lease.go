@@ -28,17 +28,25 @@ const DefaultLeaseTTL = 10 * time.Millisecond
 // invariant: each epoch is granted at most once, and a release or depose
 // presenting an epoch that has moved on changes nothing. The stamp is
 // advisory: written fire-and-forget by each CAS winner, read by waiters
-// deciding whether the lease has expired.
+// deciding whether the lease has expired. A stamp can therefore lag the
+// state it dates: the tenant of a registration whose stamp is still on
+// its way reads as the previous tenure's age, so a registered tenant is
+// judged by the stamp only when it is the rank on record as crashed, and
+// otherwise by the caller's own watch of it (seen, seenAt).
 type Lease struct {
 	eng          *proc.Engine
 	idx          int
 	state, stamp shmem.Ptr
 	ttl          time.Duration
+	// seen is the registered state Recover last found, and seenAt the
+	// fabric time it first found it.
+	seen   shmem.Pair
+	seenAt time.Duration
 }
 
 // NewLease returns the calling rank's view of lock idx's lease word.
 func NewLease(eng *proc.Engine, t *proc.LockTable, idx int, ttl time.Duration) Lease {
-	return Lease{eng, idx, t.LeaseState[idx], t.LeaseStamp[idx], ttl}
+	return Lease{eng: eng, idx: idx, state: t.LeaseState[idx], stamp: t.LeaseStamp[idx], ttl: ttl}
 }
 
 // Stamp renews the freshness stamp to the fabric time now.
@@ -107,7 +115,10 @@ func (w *Lease) Depose(st shmem.Pair, now time.Duration, q *Queue) bool {
 // (Env.CrashedRank) and the stamp is more than one TTL old; a fresh
 // stamp means the lease, or the hand-off in flight, is live. An expired
 // holder is deposed — the repair wake or the next Register completes the
-// acquisition, so ok stays false. A lock that is free but stale was
+// acquisition, so ok stays false. The holder is expired if it is the
+// crashed rank, or if this caller has found it registered under the same
+// epoch for more than a TTL: a live rank that has just registered may not
+// have stamped its tenure yet. A lock that is free but stale was
 // released (or repaired) at least one TTL ago and nobody registered: the
 // wake chain is wedged (a waiter died between enqueue and link, or the
 // woken successor died), so the caller self-grants by registering
@@ -124,7 +135,12 @@ func (w *Lease) Recover(q *Queue) (epoch int64, ok bool) {
 		return 0, false
 	}
 	if st.Lo > 0 {
-		w.Depose(st, now, q)
+		if st != w.seen {
+			w.seen, w.seenAt = st, now
+		}
+		if int(st.Lo)-1 == env.CrashedRank() || now-w.seenAt > w.ttl {
+			w.Depose(st, now, q)
+		}
 		return 0, false
 	}
 	_, ok = w.claim(st)

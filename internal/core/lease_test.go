@@ -151,3 +151,48 @@ func TestLeaseRacingDeposersOneWins(t *testing.T) {
 		}
 	}
 }
+
+// TestLeaseRecoverDatesALiveTenureItself: once a crash is on record, a
+// stale stamp deposes a registered tenant at first sight only if the
+// tenant is the crashed rank. A live tenant's stamp may still be on its
+// way — the previous tenure's stamp then reads as its age — so the
+// repairer deposes it only after finding it registered under the same
+// epoch for more than a TTL itself.
+func TestLeaseRecoverDatesALiveTenureItself(t *testing.T) {
+	const ttl, dead, live = time.Millisecond, 2, 1
+	w := newWorld(t, 3, 1, model.Myrinet2000(), []int{0, 0})
+	sp, locks := w.fabric.Space(), w.locks
+	tenant := shmem.Pair{Hi: 4, Lo: live + 1}
+	sp.StorePair(locks.LeaseState[0], tenant)
+	sp.StorePair(locks.LeaseState[1], shmem.Pair{Hi: 4, Lo: dead + 1})
+	var first, second, crashed shmem.Pair
+	w.run(func(c *ctx) {
+		env := c.g.Env()
+		switch c.g.Rank() {
+		case dead:
+			env.FailStop("test")
+		case 0:
+			env.Clock().Sleep(2 * ttl) // both stamps (0) are more than a TTL old
+			l := core.NewLease(c.g, locks, 0, ttl)
+			q := core.NewQueue(c.g, locks.LeaseTail[0], locks.LeaseQNode[0], ttl)
+			l.Recover(&q)
+			first = sp.LoadPair(locks.LeaseState[0])
+			env.Clock().Sleep(2 * ttl)
+			l.Recover(&q)
+			second = sp.LoadPair(locks.LeaseState[0])
+			l1 := core.NewLease(c.g, locks, 1, ttl)
+			q1 := core.NewQueue(c.g, locks.LeaseTail[1], locks.LeaseQNode[1], ttl)
+			l1.Recover(&q1)
+			crashed = sp.LoadPair(locks.LeaseState[1])
+		}
+	})
+	if first != tenant {
+		t.Errorf("a live tenant was deposed at first sight: state %+v, want %+v", first, tenant)
+	}
+	if want := (shmem.Pair{Hi: 5, Lo: -(live + 1)}); second != want {
+		t.Errorf("a live tenant registered for two TTLs: state %+v, want deposed %+v", second, want)
+	}
+	if want := (shmem.Pair{Hi: 5, Lo: -(dead + 1)}); crashed != want {
+		t.Errorf("the crashed tenant: state %+v, want deposed at first sight %+v", crashed, want)
+	}
+}

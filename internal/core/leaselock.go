@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"armci/internal/proc"
+	"armci/internal/shmem"
 )
 
 // LeaseLock is the crash-survivable variant of the software queuing
@@ -75,7 +76,7 @@ func (l *LeaseLock) Lock() {
 		if l.register(prev) {
 			return
 		}
-		l.env.WaitUntilFor("lease-backoff", func() bool { return false }, l.ttl)
+		l.env.WaitUntilFor("lease-backoff", shmem.Cells{}, func() bool { return false }, l.ttl)
 		if l.repair() {
 			return
 		}

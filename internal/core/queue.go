@@ -35,19 +35,24 @@ type Queue struct {
 	// forever: a woken waiter is the owner, so nothing may be given up.
 	bound time.Duration
 	// woken is AwaitWake's predicate, bound once: the caller's flag is
-	// clear.
-	woken func() bool
+	// clear. flag and next are the cells of the caller's node its waits
+	// read: the flag, and the next pointer's two words.
+	woken      func() bool
+	flag, next shmem.Cells
 }
 
 // NewQueue returns the calling rank's view of the queue over tail and
 // the per-rank nodes.
 func NewQueue(eng *proc.Engine, tail shmem.Ptr, node []shmem.Ptr, bound time.Duration) Queue {
-	space, locked := eng.Env().Space(), node[eng.Rank()].Add(proc.QNodeLocked)
+	mine := node[eng.Rank()]
+	space, locked := eng.Env().Space(), mine.Add(proc.QNodeLocked)
 	woken := func() bool { return space.Load(locked) == 0 }
-	return Queue{eng: eng, tail: tail, node: node, bound: bound, woken: woken}
+	return Queue{eng: eng, tail: tail, node: node, bound: bound, woken: woken,
+		flag: shmem.Cell(locked), next: shmem.Cells{P: mine.Add(proc.QNodeNextHi), N: 2}}
 }
 
-func (q *Queue) mine() shmem.Ptr { return q.node[q.eng.Rank()] }
+// Node returns the caller's queue node.
+func (q *Queue) Node() shmem.Ptr { return q.node[q.eng.Rank()] }
 
 // Enqueue appends the caller's node (Figure 5, request) and returns the
 // rank it queued behind — queue nodes live in their owner's memory, so
@@ -61,7 +66,7 @@ func (q *Queue) mine() shmem.Ptr { return q.node[q.eng.Rank()] }
 // its recorded crash-recovery histories were produced under.
 func (q *Queue) Enqueue() (prev int) {
 	space := q.eng.Env().Space()
-	mine := q.mine()
+	mine := q.Node()
 	// Our own memory, always direct stores.
 	space.StorePair(mine.Add(proc.QNodeNextHi), shmem.Pair{})
 	space.Store(mine.Add(proc.QNodeLocked), 1)
@@ -85,16 +90,16 @@ func (q *Queue) link(behind, node shmem.Ptr) {
 func (q *Queue) AwaitWake() bool {
 	env := q.eng.Env()
 	if q.bound <= 0 {
-		env.WaitUntil("queue-wake", q.woken)
+		env.WaitUntil("queue-wake", q.flag, q.woken)
 		return true
 	}
-	return env.WaitUntilFor("queue-wake", q.woken, q.bound)
+	return env.WaitUntilFor("queue-wake", q.flag, q.woken, q.bound)
 }
 
 // Successor returns the node linked behind the caller's, nil when none
 // is visible yet.
 func (q *Queue) Successor() shmem.Ptr {
-	return q.eng.Env().Space().LoadPair(q.mine().Add(proc.QNodeNextHi)).UnpackPtr()
+	return q.eng.Env().Space().LoadPair(q.Node().Add(proc.QNodeNextHi)).UnpackPtr()
 }
 
 // Detach is compare&swap(Lock, mynode, NULL): it reports whether the
@@ -102,7 +107,7 @@ func (q *Queue) Successor() shmem.Ptr {
 // queue is now empty. Remote locks pay a full round trip here — the one
 // case where the queuing lock is slower than the hybrid (Figure 10).
 func (q *Queue) Detach() bool {
-	mine := shmem.PackPtr(q.mine())
+	mine := shmem.PackPtr(q.Node())
 	return q.eng.CompareAndSwapPair(q.tail, mine, shmem.Pair{}) == mine
 }
 
@@ -115,7 +120,7 @@ func (q *Queue) Detach() bool {
 // when there was none) for the caller to splice its successors behind.
 func (q *Queue) DetachSwap() (usurper shmem.Ptr, empty bool) {
 	oldTail := q.eng.SwapPair(q.tail, shmem.Pair{}).UnpackPtr()
-	if oldTail == q.mine() {
+	if oldTail == q.Node() {
 		return shmem.Ptr{}, true
 	}
 	return q.eng.SwapPair(q.tail, shmem.PackPtr(oldTail)).UnpackPtr(), false
@@ -131,10 +136,10 @@ func (q *Queue) AwaitLink() shmem.Ptr {
 	env := q.eng.Env()
 	linked := func() bool { return !q.Successor().IsNil() }
 	if q.bound <= 0 {
-		env.WaitUntil("queue-link", linked)
+		env.WaitUntil("queue-link", q.next, linked)
 		return q.Successor()
 	}
-	for !env.WaitUntilFor("queue-link", linked, q.bound) {
+	for !env.WaitUntilFor("queue-link", q.next, linked, q.bound) {
 		if env.CrashedRank() >= 0 {
 			return shmem.Ptr{}
 		}

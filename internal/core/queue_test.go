@@ -7,6 +7,8 @@ import (
 
 	"armci/internal/core"
 	"armci/internal/model"
+	"armci/internal/proc"
+	"armci/internal/shmem"
 )
 
 // The Queue module alone — no ownership rule, no lease, no recorder.
@@ -79,7 +81,7 @@ func TestQueueHandOffMessages(t *testing.T) {
 				return
 			}
 			q.Enqueue()
-			env.WaitUntil("linked", func() bool { return !q.Successor().IsNil() })
+			env.WaitUntil("linked", shmem.Cells{P: q.Node().Add(proc.QNodeNextHi), N: 2}, func() bool { return !q.Successor().IsNil() })
 			before := w.stats.Sends()
 			q.HandOff()
 			sent = w.stats.Sends() - before

@@ -43,7 +43,7 @@ func TestMCSReleaseWaitsForLateLink(t *testing.T) {
 			space.Store(phase, 1)
 			// Wait until rank 1 has swapped itself in (lock tail = qnode1)
 			// but before it links (it is deliberately stalling).
-			env.WaitUntil("swapped", func() bool { return space.Load(phase) == 2 })
+			env.WaitUntil("swapped", shmem.Cell(phase), func() bool { return space.Load(phase) == 2 })
 			releaseStartAt = env.Clock().Now()
 			mu.Unlock() // CAS fails; must wait for qnode0.next, then hand off
 			handoffAt = env.Clock().Now()
@@ -51,7 +51,7 @@ func TestMCSReleaseWaitsForLateLink(t *testing.T) {
 		}
 
 		// Rank 1, by hand: half-enqueue.
-		env.WaitUntil("lock-held", func() bool { return space.Load(phase) == 1 })
+		env.WaitUntil("lock-held", shmem.Cell(phase), func() bool { return space.Load(phase) == 1 })
 		space.StorePair(mine.Add(proc.QNodeNextHi), shmem.Pair{})
 		prev := c.g.SwapPair(lockPtr, minePacked).UnpackPtr()
 		if prev.IsNil() {
@@ -64,7 +64,7 @@ func TestMCSReleaseWaitsForLateLink(t *testing.T) {
 		c.g.StorePair(prev.Add(proc.QNodeNextHi), minePacked)
 		// Complete the acquire and release normally.
 		locked := mine.Add(proc.QNodeLocked)
-		env.WaitUntil("granted", func() bool { return space.Load(locked) == 0 })
+		env.WaitUntil("granted", shmem.Cell(locked), func() bool { return space.Load(locked) == 0 })
 		mu := core.NewQueueLock(c.g, w.locks, 0)
 		mu.Unlock() // release the lock acquired via the manual path
 	})
@@ -107,7 +107,7 @@ func TestNoCASUsurperSplice(t *testing.T) {
 			acquired[0] = env.Clock().Now()
 			space.Store(phase, 1)
 			// Wait for rank 1's half-enqueue (swap done, link withheld).
-			env.WaitUntil("detached-waiter", func() bool { return space.Load(phase) == 2 })
+			env.WaitUntil("detached-waiter", shmem.Cell(phase), func() bool { return space.Load(phase) == 2 })
 			// Release, swap-only, step 1: detach. oldTail is rank 1's
 			// node; the lock now reads free.
 			oldTail := c.g.SwapPair(lockPtr, shmem.Pair{}).UnpackPtr()
@@ -116,7 +116,7 @@ func TestNoCASUsurperSplice(t *testing.T) {
 			}
 			// Hold the window open: let rank 2 acquire the "free" lock.
 			space.Store(phase, 3)
-			env.WaitUntil("usurper-in", func() bool { return space.Load(phase) == 4 })
+			env.WaitUntil("usurper-in", shmem.Cell(phase), func() bool { return space.Load(phase) == 4 })
 			// Step 2: re-install the detached tail; the usurper's node
 			// comes back.
 			usurper := c.g.SwapPair(lockPtr, shmem.PackPtr(oldTail)).UnpackPtr()
@@ -126,14 +126,14 @@ func TestNoCASUsurperSplice(t *testing.T) {
 			// Step 3: wait for our late successor's link, then splice the
 			// detached chain behind the usurper.
 			nextField := mine.Add(proc.QNodeNextHi)
-			env.WaitUntil("late-link", func() bool {
+			env.WaitUntil("late-link", shmem.Cells{P: nextField, N: 2}, func() bool {
 				return !space.LoadPair(nextField).UnpackPtr().IsNil()
 			})
 			next := space.LoadPair(nextField).UnpackPtr()
 			c.g.StorePair(usurper.Add(proc.QNodeNextHi), shmem.PackPtr(next))
 
 		case 1: // half-enqueues, links late
-			env.WaitUntil("held", func() bool { return space.Load(phase) == 1 })
+			env.WaitUntil("held", shmem.Cell(phase), func() bool { return space.Load(phase) == 1 })
 			space.StorePair(mine.Add(proc.QNodeNextHi), shmem.Pair{})
 			prev := c.g.SwapPair(lockPtr, minePacked).UnpackPtr()
 			space.Store(mine.Add(proc.QNodeLocked), 1)
@@ -141,13 +141,13 @@ func TestNoCASUsurperSplice(t *testing.T) {
 			env.Clock().Sleep(3 * time.Millisecond) // let release + usurper happen
 			c.g.StorePair(prev.Add(proc.QNodeNextHi), minePacked)
 			locked := mine.Add(proc.QNodeLocked)
-			env.WaitUntil("granted-1", func() bool { return space.Load(locked) == 0 })
+			env.WaitUntil("granted-1", shmem.Cell(locked), func() bool { return space.Load(locked) == 0 })
 			acquired[1] = env.Clock().Now()
 			mu := core.NewQueueLockNoCAS(c.g, w.locks, 0)
 			mu.Unlock()
 
 		case 2: // the usurper: requests normally inside the window
-			env.WaitUntil("window", func() bool { return space.Load(phase) == 3 })
+			env.WaitUntil("window", shmem.Cell(phase), func() bool { return space.Load(phase) == 3 })
 			mu := core.NewQueueLockNoCAS(c.g, w.locks, 0)
 			mu.Lock() // the lock reads free: instant acquisition
 			acquired[2] = env.Clock().Now()

@@ -31,7 +31,10 @@ const (
 // same direction.
 //
 // The zero Arena is ready to use; a nil *Arena allocates every message and
-// payload on its own. An Arena belongs to one goroutine.
+// payload on its own. An Arena is not safe for concurrent use: its owner
+// uses it from one goroutine at a time. That is the actor's own, except
+// for a data server served on delivery, whose handler runs on its
+// requesters' goroutines, one request at a time (transport.Handler).
 type Arena struct {
 	slots   []slot // the current chunk's slots not yet handed out
 	slab    []byte // the current slab's bytes not yet handed out

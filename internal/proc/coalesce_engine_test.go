@@ -8,6 +8,7 @@ import (
 	"armci/internal/msg"
 	"armci/internal/pipeline"
 	"armci/internal/proc"
+	"armci/internal/shmem"
 	"armci/internal/wire"
 )
 
@@ -22,7 +23,7 @@ func TestEngineCoalescedPutsRideOneFrame(t *testing.T) {
 	c.run(func(g *proc.Engine) {
 		env := g.Env()
 		if g.Rank() == 1 {
-			env.WaitUntil("done", func() bool { return env.Space().Load(done) == 1 })
+			env.WaitUntil("done", shmem.Cell(done), func() bool { return env.Space().Load(done) == 1 })
 			return
 		}
 		g.SetCoalescing(true)

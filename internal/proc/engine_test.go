@@ -46,8 +46,8 @@ func newCluster(t *testing.T, procs, ppn int, mode proc.FenceMode, nLocks int) *
 		locks = proc.NewLockTable(f.Space(), homes)
 	}
 	for n := 0; n < numNodes; n++ {
-		f.SpawnServer(n, func(env transport.Env) {
-			server.New(env, lay, server.Options{FenceMode: mode, Locks: locks}).Serve()
+		f.SpawnServer(n, func(env transport.Env) transport.Handler {
+			return server.New(env, lay, server.Options{FenceMode: mode, Locks: locks}).HandleOne
 		})
 	}
 	return &cluster{t: t, fabric: f, layout: lay, locks: locks, stats: stats, mode: mode}
@@ -77,7 +77,7 @@ func TestRemotePutFenceGet(t *testing.T) {
 	c.run(func(g *proc.Engine) {
 		env := g.Env()
 		if g.Rank() == 1 {
-			env.WaitUntil("done", func() bool { return env.Space().Load(done) == 1 })
+			env.WaitUntil("done", shmem.Cell(done), func() bool { return env.Space().Load(done) == 1 })
 			return
 		}
 		data := bytes.Repeat([]byte{0x5C}, 32)
@@ -165,7 +165,7 @@ func TestRemoteAtomicsThroughServer(t *testing.T) {
 	c.run(func(g *proc.Engine) {
 		env := g.Env()
 		if g.Rank() == 1 {
-			env.WaitUntil("done", func() bool { return env.Space().Load(w.Add(3)) == 1 })
+			env.WaitUntil("done", shmem.Cell(w.Add(3)), func() bool { return env.Space().Load(w.Add(3)) == 1 })
 			return
 		}
 		if old := g.FetchAdd(w, 5); old != 100 {
@@ -200,7 +200,7 @@ func TestStridedRemoteTransfer(t *testing.T) {
 	c.run(func(g *proc.Engine) {
 		env := g.Env()
 		if g.Rank() == 1 {
-			env.WaitUntil("done", func() bool { return env.Space().Load(done) == 1 })
+			env.WaitUntil("done", shmem.Cell(done), func() bool { return env.Space().Load(done) == 1 })
 			return
 		}
 		// A 3x4 tile into a 16-byte-wide matrix.
@@ -226,7 +226,7 @@ func TestRemoteAccumulate(t *testing.T) {
 	c.run(func(g *proc.Engine) {
 		env := g.Env()
 		if g.Rank() == 1 {
-			env.WaitUntil("done", func() bool { return env.Space().Load(done) == 1 })
+			env.WaitUntil("done", shmem.Cell(done), func() bool { return env.Space().Load(done) == 1 })
 			return
 		}
 		one := make([]byte, 16)
@@ -269,7 +269,7 @@ func TestFenceAckMode(t *testing.T) {
 		if me == 0 {
 			g.FetchAdd(done, 1) // not fence-relevant; just progress marker
 		}
-		env.WaitUntil("all-done", func() bool { return env.Space().Load(done) >= 1 })
+		env.WaitUntil("all-done", shmem.Cell(done), func() bool { return env.Space().Load(done) >= 1 })
 	})
 	if got := c.stats.Count(msg.KindFenceReq); got != 0 {
 		t.Fatalf("ack mode sent %d fence requests", got)
@@ -319,7 +319,7 @@ func TestAllFenceVariants(t *testing.T) {
 					}
 				}
 				g.FetchAdd(done, 1)
-				env.WaitUntil("everyone", func() bool { return env.Space().Load(done) == procs })
+				env.WaitUntil("everyone", shmem.Cell(done), func() bool { return env.Space().Load(done) == procs })
 			})
 		})
 	}
@@ -402,7 +402,7 @@ func TestEngineFenceAckStoreOps(t *testing.T) {
 	c.run(func(g *proc.Engine) {
 		env := g.Env()
 		if g.Rank() == 1 {
-			env.WaitUntil("done", func() bool { return env.Space().Load(done) == 1 })
+			env.WaitUntil("done", shmem.Cell(done), func() bool { return env.Space().Load(done) == 1 })
 			return
 		}
 		// Fire-and-forget stores are acknowledged in ack mode and the
@@ -429,8 +429,8 @@ func TestEngineNICFenceRouting(t *testing.T) {
 	c := newCluster(t, 2, 1, proc.FenceRequest, 0)
 	// newCluster spawns only host servers; add agents.
 	for n := 0; n < 2; n++ {
-		c.fabric.SpawnServer(2+n, func(env transport.Env) {
-			server.NewAgent(env, c.layout, server.Options{}).Serve()
+		c.fabric.SpawnServer(2+n, func(env transport.Env) transport.Handler {
+			return server.NewAgent(env, c.layout, server.Options{}).HandleOne
 		})
 	}
 	buf := c.space().AllocBytes(1, 8)
@@ -440,7 +440,7 @@ func TestEngineNICFenceRouting(t *testing.T) {
 		env := g.Env()
 		g.SetNICAssist(true)
 		if g.Rank() == 1 {
-			env.WaitUntil("done", func() bool { return env.Space().Load(done) == 1 })
+			env.WaitUntil("done", shmem.Cell(done), func() bool { return env.Space().Load(done) == 1 })
 			return
 		}
 		g.Put(buf, []byte{0xEE})

@@ -74,7 +74,7 @@ func (g *Engine) WaitFlag(flag shmem.Ptr, val int64) {
 		panic(fmt.Sprintf("proc: WaitFlag flag %v is not on the caller's node; notify flags are spun on locally", flag))
 	}
 	space := g.env.Space()
-	g.env.WaitUntil(g.flagTag, func() bool {
+	g.env.WaitUntil(g.flagTag, shmem.Cell(flag), func() bool {
 		return space.Load(flag) == val
 	})
 }

@@ -1,7 +1,10 @@
 // Package server implements the ARMCI data server: the thread that runs
 // on every SMP node and executes remote-memory operations on behalf of
-// processes on other nodes (§2 of the paper). One server goroutine serves
-// all user processes of its node. The server:
+// processes on other nodes (§2 of the paper). One Server serves all user
+// processes of its node, one request at a time: the fabric hands each
+// request to HandleOne, on the server's own goroutine (its serve loop) or,
+// on chan, on the requester's while the server is idle (see
+// transport.Fabric.SpawnServer). The server:
 //
 //   - applies put / accumulate / fire-and-forget word stores and counts
 //     each in the node's op_done cell (the counter the new combined
@@ -55,8 +58,9 @@ type waiter struct {
 
 // Server is the per-node data server state. Create one with New (host
 // data server) or NewAgent (NIC agent, the paper's §5 future-work
-// offload) and drive it with Serve; tests may instead call HandleOne
-// directly.
+// offload) and hand its HandleOne to the fabric as the server's handler;
+// tests may instead call HandleOne directly. Its state is touched only by
+// HandleOne, which the fabric never runs twice at once.
 type Server struct {
 	env  transport.Env
 	opt  Options
@@ -117,25 +121,6 @@ func NewAgent(env transport.Env, lay *proc.Layout, opt Options) *Server {
 		nic:        true,
 		lockQueues: make(map[int][]waiter),
 		arena:      env.Arena(),
-	}
-}
-
-// Serve processes requests until the fabric shuts the cluster down (Recv
-// returns nil). The loop is crash-aware: when a fault — an injected
-// crash, an exhausted retry budget, or a per-op timeout — aborts a rank
-// elsewhere in the cluster, the fabric flags shutdown and the server
-// drains its mailbox and exits cleanly instead of wedging in Recv; a
-// fault during one of the server's own reply sends aborts the server
-// with the rank-attributed error (fabrics surface it from Run). Server
-// Recvs are deliberately exempt from the per-op deadline: an idle server
-// is the normal state, not a stuck one.
-func (s *Server) Serve() {
-	for {
-		m := s.env.Recv(msg.MatchAny)
-		if m == nil {
-			return
-		}
-		s.HandleOne(m)
 	}
 }
 
@@ -317,7 +302,7 @@ func (s *Server) handleOneNIC(m *msg.Message) {
 		// origin had issued when it fenced has completed at this node.
 		want := m.Operands[0]
 		cell := s.lay.PerOrigin[s.node].Add(int64(m.Origin))
-		s.env.WaitUntil("nic-fence", func() bool {
+		s.env.WaitUntil("nic-fence", shmem.Cell(cell), func() bool {
 			return s.env.Space().Load(cell) >= want
 		})
 		s.reply(m.Origin, msg.Message{

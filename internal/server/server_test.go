@@ -29,8 +29,8 @@ func harness(t *testing.T, params model.Params, nLocks int,
 	if nLocks > 0 {
 		locks = proc.NewLockTable(f.Space(), make([]int, nLocks))
 	}
-	f.SpawnServer(0, func(env transport.Env) {
-		server.New(env, lay, server.Options{Locks: locks}).Serve()
+	f.SpawnServer(0, func(env transport.Env) transport.Handler {
+		return server.New(env, lay, server.Options{Locks: locks}).HandleOne
 	})
 	f.SpawnUser(0, func(env transport.Env) {
 		script(env, lay, locks)
@@ -51,8 +51,8 @@ func TestServerPutIncrementsOpDone(t *testing.T) {
 	}
 	lay := proc.NewLayout(f.Space(), 1, 1)
 	buf := f.Space().AllocBytes(0, 16)
-	f.SpawnServer(0, func(env transport.Env) {
-		server.New(env, lay, server.Options{}).Serve()
+	f.SpawnServer(0, func(env transport.Env) transport.Handler {
+		return server.New(env, lay, server.Options{}).HandleOne
 	})
 	f.SpawnUser(0, func(env transport.Env) {
 		for i := 0; i < 3; i++ {
@@ -61,7 +61,7 @@ func TestServerPutIncrementsOpDone(t *testing.T) {
 				Stride: shmem.Contig(1), Data: []byte{byte(i + 1)},
 			})
 		}
-		env.WaitUntil("done", func() bool { return env.Space().Load(lay.OpDone[0]) == 3 })
+		env.WaitUntil("done", shmem.Cell(lay.OpDone[0]), func() bool { return env.Space().Load(lay.OpDone[0]) == 3 })
 	})
 	if err := f.Run(); err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestServerLockGrantOrder(t *testing.T) {
 		// The final unlock is fire-and-forget; wait for the counter to
 		// catch the ticket, proving full release.
 		base := locks.TicketCounter[0]
-		env.WaitUntil("released", func() bool {
+		env.WaitUntil("released", shmem.Cells{P: base, N: 2}, func() bool {
 			return env.Space().Load(base.Add(proc.TicketWord)) ==
 				env.Space().Load(base.Add(proc.CounterWord))
 		})
@@ -185,8 +185,8 @@ func TestServerRejectsUnknownKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	lay := proc.NewLayout(f.Space(), 1, 1)
-	f.SpawnServer(0, func(env transport.Env) {
-		server.New(env, lay, server.Options{}).Serve()
+	f.SpawnServer(0, func(env transport.Env) transport.Handler {
+		return server.New(env, lay, server.Options{}).HandleOne
 	})
 	f.SpawnUser(0, func(env transport.Env) {
 		env.Send(msg.ServerOf(0), &msg.Message{Kind: msg.KindGetResp})
@@ -204,8 +204,8 @@ func TestServerLockWithoutTablePanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	lay := proc.NewLayout(f.Space(), 1, 1)
-	f.SpawnServer(0, func(env transport.Env) {
-		server.New(env, lay, server.Options{}).Serve()
+	f.SpawnServer(0, func(env transport.Env) transport.Handler {
+		return server.New(env, lay, server.Options{}).HandleOne
 	})
 	f.SpawnUser(0, func(env transport.Env) {
 		env.Send(msg.ServerOf(0), &msg.Message{Kind: msg.KindLockReq, Tag: 0})
@@ -256,7 +256,7 @@ func TestServerAccumulateStrided(t *testing.T) {
 				Op:     uint8(shmem.AccFloat64), Scale: 2, Data: one,
 			})
 		}
-		env.WaitUntil("acc", func() bool { return env.Space().Load(lay.OpDone[0]) == 3 })
+		env.WaitUntil("acc", shmem.Cell(lay.OpDone[0]), func() bool { return env.Space().Load(lay.OpDone[0]) == 3 })
 		got := env.Space().AppendGet(nil, b, shmem.Strided{}, 8)
 		// 3 accumulations of 2*1.0 = 6.0
 		if got[6] != 0x18 || got[7] != 0x40 {
@@ -304,8 +304,8 @@ func TestAgentServesRmwAndFence(t *testing.T) {
 		t.Fatal(err)
 	}
 	lay := proc.NewLayout(f.Space(), 1, 1)
-	f.SpawnServer(1, func(env transport.Env) { // agent id = numNodes(1) + node(0)
-		server.NewAgent(env, lay, server.Options{}).Serve()
+	f.SpawnServer(1, func(env transport.Env) transport.Handler { // agent id = numNodes(1) + node(0)
+		return server.NewAgent(env, lay, server.Options{}).HandleOne
 	})
 	f.SpawnUser(0, func(env transport.Env) {
 		w := env.Space().AllocWords(0, 1)
@@ -333,8 +333,8 @@ func TestAgentRejectsBulkTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	lay := proc.NewLayout(f.Space(), 1, 1)
-	f.SpawnServer(1, func(env transport.Env) {
-		server.NewAgent(env, lay, server.Options{}).Serve()
+	f.SpawnServer(1, func(env transport.Env) transport.Handler {
+		return server.NewAgent(env, lay, server.Options{}).HandleOne
 	})
 	f.SpawnUser(0, func(env transport.Env) {
 		b := env.Space().AllocBytes(0, 8)
@@ -354,17 +354,15 @@ func TestNewAgentRejectsHostAddress(t *testing.T) {
 		t.Fatal(err)
 	}
 	lay := proc.NewLayout(f.Space(), 1, 1)
-	f.SpawnServer(0, func(env transport.Env) { // host id, not agent id
-		defer func() {
-			if recover() == nil {
-				panic("NewAgent accepted a host server endpoint")
-			}
-		}()
-		server.NewAgent(env, lay, server.Options{})
-	})
-	f.SpawnUser(0, func(env transport.Env) {})
-	if err := f.Run(); err != nil {
-		t.Fatal(err)
+	panicked := false
+	func() {
+		defer func() { panicked = recover() != nil }()
+		f.SpawnServer(0, func(env transport.Env) transport.Handler { // host id, not agent id
+			return server.NewAgent(env, lay, server.Options{}).HandleOne
+		})
+	}()
+	if !panicked {
+		t.Fatal("NewAgent accepted a host server endpoint")
 	}
 }
 
@@ -387,8 +385,12 @@ func TestServerBatchAllocBudget(t *testing.T) {
 	m := &msg.Message{Kind: msg.KindBatch, Origin: 0, N: entries, Data: wire.EncodeBatch(batch)}
 	var avg float64
 	frames := 0
-	f.SpawnServer(0, func(env transport.Env) {
-		s := server.New(env, lay, server.Options{})
+	var s *server.Server
+	f.SpawnServer(0, func(env transport.Env) transport.Handler {
+		s = server.New(env, lay, server.Options{})
+		return s.HandleOne
+	})
+	f.SpawnUser(0, func(transport.Env) {
 		handle := func() {
 			s.HandleOne(m)
 			frames++
@@ -396,7 +398,6 @@ func TestServerBatchAllocBudget(t *testing.T) {
 		handle() // warm
 		avg = testing.AllocsPerRun(100, handle)
 	})
-	f.SpawnUser(0, func(transport.Env) {})
 	if err := f.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -253,7 +253,7 @@ func (s *Space) Restore(rank int, snap *RankSnapshot) {
 		}
 		ps.dirty = make(map[pageKey]struct{})
 	})
-	s.notify(int32(rank))
+	s.notify(Ptr{Rank: int32(rank)}, 0)
 }
 
 // WipeProtected zeroes rank's protected segments — the in-process
@@ -277,7 +277,7 @@ func (s *Space) WipeProtected(rank int) {
 		}
 		ps.dirty = make(map[pageKey]struct{})
 	})
-	s.notify(int32(rank))
+	s.notify(Ptr{Rank: int32(rank)}, 0)
 }
 
 // ReadRaw serializes n bytes of memory at p into little-endian raw form.
@@ -318,5 +318,9 @@ func (s *Space) WriteRaw(p Ptr, data []byte) {
 		}
 		s.mark(p, int64(len(w)))
 	})
-	s.notify(p.Rank)
+	n := int64(len(data))
+	if p.Kind == KindWord {
+		n /= 8
+	}
+	s.notify(p, n)
 }

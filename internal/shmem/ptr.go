@@ -91,3 +91,26 @@ func Unpack(hi, lo int64) Ptr {
 		Off:  lo,
 	}
 }
+
+// Cells names the memory a wait's predicate reads: N consecutive cells
+// (words or bytes, by P's kind) from P. The zero Cells names nothing — a
+// predicate that reads no memory, or only fabric state.
+type Cells struct {
+	P Ptr
+	N int64
+}
+
+// Cell returns the Cells of the one cell at p.
+func Cell(p Ptr) Cells { return Cells{p, 1} }
+
+// Overlaps reports whether a write of n cells from p — or, p of no kind,
+// of all of p.Rank's memory — touches any of c.
+func (c Cells) Overlaps(p Ptr, n int64) bool {
+	if c.N <= 0 || p.Rank != c.P.Rank {
+		return false
+	}
+	if p.Kind == 0 {
+		return true
+	}
+	return p.Kind == c.P.Kind && p.Seg == c.P.Seg && p.Off < c.P.Off+c.N && c.P.Off < p.Off+n
+}

@@ -19,11 +19,12 @@ type Space struct {
 	prot     []protState // per-rank dirty-page tracking (nil until Protect)
 
 	// onWrite, when non-nil, is invoked (outside the space lock) after
-	// every mutation with the rank whose memory was written. The
-	// concurrent fabrics use it to wake the processes of that rank's node
-	// blocked in WaitUntil on local memory (MCS locked flags, op_done
-	// counters); the simulated fabric pokes every process in a WaitUntil.
-	onWrite func(rank int)
+	// every mutation with the region written: n cells (words or bytes, by
+	// p's kind) from p, or — p of no kind — all of p.Rank's memory. The
+	// concurrent fabrics use it to wake the processes blocked in WaitUntil
+	// on cells it overlaps (MCS locked flags, op_done counters); the
+	// simulated fabric pokes every process in a WaitUntil.
+	onWrite func(p Ptr, n int64)
 }
 
 type rankMem struct {
@@ -49,7 +50,7 @@ func NewSpace(nodeOf []int) *Space {
 func (s *Space) NumNodes() int { return s.numNodes }
 
 // SetOnWrite installs the post-mutation notification hook.
-func (s *Space) SetOnWrite(fn func(rank int)) { s.onWrite = fn }
+func (s *Space) SetOnWrite(fn func(p Ptr, n int64)) { s.onWrite = fn }
 
 // NumRanks returns the number of processes in the space.
 func (s *Space) NumRanks() int { return len(s.ranks) }
@@ -57,10 +58,10 @@ func (s *Space) NumRanks() int { return len(s.ranks) }
 // Node returns the node index of rank.
 func (s *Space) Node(rank int) int { return s.nodeOf[rank] }
 
-// notify runs the onWrite hook, if any, for a mutation of rank's memory.
-func (s *Space) notify(rank int32) {
+// notify runs the onWrite hook, if any, for a mutation of n cells from p.
+func (s *Space) notify(p Ptr, n int64) {
 	if s.onWrite != nil {
-		s.onWrite(int(rank))
+		s.onWrite(p, n)
 	}
 }
 
@@ -141,7 +142,7 @@ func (s *Space) Load(p Ptr) int64 {
 // Store atomically writes v to the cell at p.
 func (s *Space) Store(p Ptr, v int64) {
 	s.locked(func() { s.words(p, 1)[0] = v; s.mark(p, 1) })
-	s.notify(p.Rank)
+	s.notify(p, 1)
 }
 
 // FetchAdd atomically adds delta to the cell at p and returns the previous
@@ -154,7 +155,7 @@ func (s *Space) FetchAdd(p Ptr, delta int64) int64 {
 		w[0] += delta
 		s.mark(p, 1)
 	})
-	s.notify(p.Rank)
+	s.notify(p, 1)
 	return old
 }
 
@@ -183,7 +184,7 @@ func (s *Space) StorePair(p Ptr, v Pair) {
 		w[0], w[1] = v.Hi, v.Lo
 		s.mark(p, 2)
 	})
-	s.notify(p.Rank)
+	s.notify(p, 2)
 }
 
 // SwapPair atomically replaces the two consecutive cells at p with v and
@@ -196,7 +197,7 @@ func (s *Space) SwapPair(p Ptr, v Pair) Pair {
 		w[0], w[1] = v.Hi, v.Lo
 		s.mark(p, 2)
 	})
-	s.notify(p.Rank)
+	s.notify(p, 2)
 	return old
 }
 
@@ -213,7 +214,7 @@ func (s *Space) CompareAndSwapPair(p Ptr, old, new Pair) Pair {
 			s.mark(p, 2)
 		}
 	})
-	s.notify(p.Rank)
+	s.notify(p, 2)
 	return prev
 }
 
@@ -222,7 +223,7 @@ func (s *Space) CompareAndSwapPair(p Ptr, old, new Pair) Pair {
 // Put copies data into memory at p.
 func (s *Space) Put(p Ptr, data []byte) {
 	s.locked(func() { copy(s.bytesAt(p, int64(len(data))), data); s.mark(p, int64(len(data))) })
-	s.notify(p.Rank)
+	s.notify(p, int64(len(data)))
 }
 
 // AccOp selects the element type of an accumulate operation.
@@ -264,7 +265,7 @@ func (s *Space) Accumulate(op AccOp, p Ptr, data []byte, scale float64) {
 			panic(fmt.Sprintf("shmem: unknown accumulate op %d", op))
 		}
 	})
-	s.notify(p.Rank)
+	s.notify(p, int64(len(data)))
 }
 
 func leUint64(b []byte) uint64 {

@@ -3,6 +3,7 @@ package shmem
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -234,23 +235,29 @@ func TestConcurrentPairSwapChain(t *testing.T) {
 func TestOnWriteHookFires(t *testing.T) {
 	s := newTestSpace(t, 2)
 	count := 0
-	s.SetOnWrite(func(rank int) {
-		if rank != 1 {
-			t.Errorf("onWrite named rank %d for a write to rank 1", rank)
+	var got []Cells
+	s.SetOnWrite(func(p Ptr, n int64) {
+		if p.Rank != 1 {
+			t.Errorf("onWrite named rank %d for a write to rank 1", p.Rank)
 		}
+		got = append(got, Cells{p, n})
 		count++
 	})
 	w := s.AllocWords(1, 2)
 	b := s.AllocBytes(1, 16)
 	s.Store(w, 1)
-	s.FetchAdd(w, 1)
+	s.FetchAdd(w.Add(1), 1)
 	s.StorePair(w, Pair{})
 	s.SwapPair(w, Pair{1, 1})
 	s.CompareAndSwapPair(w, Pair{1, 1}, Pair{2, 2})
 	s.Put(b, []byte{1})
-	s.Accumulate(AccInt64, b, make([]byte, 8), 1)
+	s.Accumulate(AccInt64, b.Add(8), make([]byte, 8), 1)
 	if count != 7 {
 		t.Fatalf("onWrite fired %d times, want 7", count)
+	}
+	want := []Cells{{w, 1}, {w.Add(1), 1}, {w, 2}, {w, 2}, {w, 2}, {b, 1}, {b.Add(8), 8}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("onWrite reported %v, want %v", got, want)
 	}
 	// Reads must not fire it.
 	s.Load(w)
@@ -258,5 +265,38 @@ func TestOnWriteHookFires(t *testing.T) {
 	s.AppendGet(nil, b, Strided{}, 1)
 	if count != 7 {
 		t.Fatalf("reads fired onWrite (count %d)", count)
+	}
+}
+
+// TestCellsOverlaps: a wait's cells overlap exactly the writes that touch
+// one of them, and a whole-rank write touches every cell of its rank.
+func TestCellsOverlaps(t *testing.T) {
+	s := newTestSpace(t, 2)
+	w := s.AllocWords(1, 4)
+	other := s.AllocWords(1, 4)
+	b := s.AllocBytes(1, 32)
+	pair := Cells{w.Add(1), 2}
+	for _, c := range []struct {
+		p    Ptr
+		n    int64
+		want bool
+	}{
+		{w, 1, false},
+		{w, 2, true},
+		{w.Add(1), 1, true},
+		{w.Add(2), 2, true},
+		{w.Add(3), 1, false},
+		{other.Add(1), 2, false}, // another segment
+		{b.Add(1), 16, false},    // byte memory at the same offsets
+		{Ptr{Rank: 1}, 0, true},  // all of rank 1's memory
+		{Ptr{Rank: 0}, 0, false}, // all of rank 0's
+		{Ptr{Rank: 0, Kind: KindWord, Seg: w.Seg, Off: 1}, 1, false},
+	} {
+		if got := pair.Overlaps(c.p, c.n); got != c.want {
+			t.Errorf("%v+2 overlaps a write of %d from %v: %v, want %v", pair.P, c.n, c.p, got, c.want)
+		}
+	}
+	if (Cells{}).Overlaps(Ptr{Rank: 0}, 0) {
+		t.Error("the zero Cells overlaps a whole-rank write of rank 0")
 	}
 }

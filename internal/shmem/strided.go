@@ -128,15 +128,17 @@ func (s *Space) UnpackTo(dst Ptr, d Strided, data []byte) {
 	if want := d.TotalBytes(); want != len(data) {
 		panic(fmt.Sprintf("shmem: strided unpack of %d bytes into descriptor covering %d", len(data), want))
 	}
+	var end int64 // the region's extent from dst, what the hook reports
 	s.locked(func() {
 		pos := 0
 		d.EachRun(func(off int64, n int) {
 			copy(s.bytesAt(dst.Add(off), int64(n)), data[pos:pos+n])
 			s.mark(dst.Add(off), int64(n))
 			pos += n
+			end = max(end, off+int64(n))
 		})
 	})
-	s.notify(dst.Rank)
+	s.notify(dst, end)
 }
 
 // AccumulateStrided performs dst += scale*src elementwise over the strided

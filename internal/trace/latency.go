@@ -213,6 +213,9 @@ func (s *Stats) String() string {
 	if s.writes > 0 {
 		fmt.Fprintf(&b, "; link: sends=%d writes=%d written=%dB", s.sends, s.writes, s.written)
 	}
+	if s.parks > 0 {
+		fmt.Fprintf(&b, "; parks=%d futile=%d", s.parks, s.futile)
+	}
 	b.WriteString("):\n")
 	for _, k := range sortedKinds(s.latByKind) {
 		h := s.latByKind[k]

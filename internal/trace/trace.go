@@ -9,7 +9,8 @@
 // admission (RecordArrival), or with the fault counters of a send or copy
 // that did not get through (RecordFaults); protocol layers call RecordOp
 // per step. A send takes only its actor's lock, and a reader folds every
-// actor's counts in. A socket link reports its writes (RecordLinkWrites).
+// actor's counts in. A socket link reports its writes (RecordLinkWrites),
+// a wall-clock fabric its actors' parks (RecordParks).
 //
 // A capturing recorder keeps one spine of sends, admissions and steps in
 // the one order its mutex gave them. Records reads it in place; Timeline
@@ -42,6 +43,8 @@ type Stats struct {
 	actors    []*Actor // their counts are folded into counts by every reader
 	writes    int      // write(2) calls of the socket link (tcp only)
 	written   int64    // the encoded bytes they carried, hellos included
+	parks     int      // times a wall-clock actor parked (RecordParks)
+	futile    int      // wake-ups from a park that found the wait unmet
 	spine     []*chunk // capture mode: sends, deliveries and steps in record order
 	recorded  int      // records in spine
 	capture   atomic.Bool
@@ -369,6 +372,17 @@ func (s *Stats) RecordLinkWrites(writes, bytes int) {
 	s.mu.Unlock()
 }
 
+// RecordParks accounts the parks of a wall-clock fabric's actors, the
+// goroutine hand-offs a run paid for: parks times an actor waited in its
+// box, futile of which the wake-up found what it waited for still unmet.
+// The fabric reports them when its actors are done.
+func (s *Stats) RecordParks(parks, futile int) {
+	s.mu.Lock()
+	s.parks += parks
+	s.futile += futile
+	s.mu.Unlock()
+}
+
 // RecordArrival accounts the admission of m into the destination mailbox
 // at fabric time now (the pipeline's post-dedup receive stage): in capture
 // mode an OpDeliver, whose arrival Timeline joins into the send — the only
@@ -406,8 +420,8 @@ func (s *Stats) RecordOp(e OpEvent) {
 	s.mu.Unlock()
 }
 
-// Add folds the finished run recorded by run into s: message and link-write
-// counters, fault counters, latency histograms and — while s is capturing —
+// Add folds the finished run recorded by run into s: message, link-write
+// and park counters, fault counters, latency histograms and — while s is capturing —
 // the run's sends, joined to their arrivals and renumbered after s's own.
 // Deliveries and steps stay with the run: a per-run linearization witness.
 func (s *Stats) Add(run *Stats) {
@@ -424,6 +438,8 @@ func (s *Stats) Add(run *Stats) {
 	s.add(&run.counts)
 	s.writes += run.writes
 	s.written += run.written
+	s.parks += run.parks
+	s.futile += run.futile
 	for k, h := range run.latByKind {
 		histogramOf(s.latByKind, k).merge(h)
 	}

@@ -254,6 +254,23 @@ func TestLinkWritesFoldAndPrint(t *testing.T) {
 	}
 }
 
+// TestParksFoldAndPrint: a wall-clock fabric's parks are folded like the
+// link writes and printed beside them, only when there are any.
+func TestParksFoldAndPrint(t *testing.T) {
+	agg := New()
+	for i := 0; i < 2; i++ {
+		run := agg.NewRun()
+		run.RecordParks(5, 1)
+		agg.Add(run)
+	}
+	if got, want := agg.String(), "(0 deliveries; parks=10 futile=2):"; !strings.Contains(got, want) {
+		t.Fatalf("report %q does not say %q", got, want)
+	}
+	if got := New().String(); strings.Contains(got, "parks=") {
+		t.Fatalf("report of a run with no park: %q", got)
+	}
+}
+
 // TestTimelineJoinRule pins how Timeline joins each captured send to the
 // arrival its receiver admitted it at: the latest send of the same pair and
 // PairSeq recorded before the admission, counting only sends that are not

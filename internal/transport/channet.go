@@ -22,6 +22,9 @@ func NewChan(cfg Config) (*ChanFabric, error) {
 	}
 	f := newWallFabric("channet", cfg, cfg.Model.Latency > 0)
 	f.link = chanLink{f}
+	// Delivery is on the sender's goroutine; only a stamped future arrival
+	// (the cost model, a fault plan) would have to wait in the mailbox.
+	f.inline = !f.pipe.Delays()
 	return &ChanFabric{f}, nil
 }
 

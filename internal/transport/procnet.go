@@ -8,6 +8,7 @@ import (
 	"armci/internal/cluster"
 	"armci/internal/msg"
 	"armci/internal/pipeline"
+	"armci/internal/shmem"
 	"armci/internal/wire"
 )
 
@@ -72,11 +73,11 @@ func (f *ProcFabric) SpawnUser(rank int, body func(Env)) {
 	}
 }
 
-// SpawnServer registers the body of node's data server (or NIC agent,
-// for IDs at or beyond the node count). Non-local ones are ignored.
-func (f *ProcFabric) SpawnServer(node int, body func(Env)) {
+// SpawnServer registers node's data server (or NIC agent, for IDs at or
+// beyond the node count). Non-local ones are ignored.
+func (f *ProcFabric) SpawnServer(node int, start func(Env) Handler) {
 	if endpointNode(f.space, msg.ServerOf(node)) == f.proc.env.Node {
-		f.wallFabric.SpawnServer(node, body)
+		f.wallFabric.SpawnServer(node, start)
 	}
 }
 
@@ -329,11 +330,11 @@ func (e *procEnv) fenceView() uint64 {
 		b.q.DropBelow(epoch)
 		b.draining = b.inService
 		b.mu.Unlock()
-		e.block("view-fence", func() bool {
+		e.block("view-fence", shmem.Cells{}, func() bool {
 			b.mu.Lock()
 			defer b.mu.Unlock()
 			return !b.draining
-		}, 0, true, false)
+		}, 0, true)
 	}
 	f.pipe.SetEpoch(epoch)
 	f.pipe.ResetPeer(func(a msg.Addr) bool { return endpointNode(f.space, a) == dead })
@@ -346,11 +347,11 @@ func (e *procEnv) fenceView() uint64 {
 func (e *procEnv) AwaitResume() (int, uint64) {
 	l, f := e.l, e.f
 	var r *wire.EpochReport
-	e.block("resume", func() bool {
+	e.block("resume", shmem.Cells{}, func() bool {
 		f.mu.Lock()
 		r = l.resume
 		f.mu.Unlock()
 		return r != nil
-	}, 0, false, false)
+	}, 0, false)
 	return r.Node, r.Epoch
 }

@@ -21,7 +21,11 @@ import (
 // where the state its waits read changes: a delivery pokes the mailbox's
 // owner, a Space write or a registered crash pokes every actor in a memory
 // wait (a predicate may read any node's cells), a deadline timer pokes its
-// own waiter, the last user's exit pokes the servers.
+// own waiter, the last user's exit pokes the servers. A memory wait names
+// the cells its predicate reads, which the wall-clock fabrics wake it for
+// alone; pokes do not depend on them, so neither do wake order and virtual
+// times, but a predicate that turns true when only writes outside its
+// cells poked it fails the run as an undeclared read.
 type SimFabric struct {
 	cfg    Config
 	kernel *sim.Kernel
@@ -55,8 +59,12 @@ func NewSim(cfg Config) (*SimFabric, error) {
 		envs:   make(map[msg.Addr]*simEnv),
 	}
 	f.pipe = cfg.newPipeline(f.space, true)
-	f.space.SetOnWrite(func(int) { f.pokeWatchers() })
-	f.pipe.SetCrashNotify(f.pokeWatchers)
+	f.space.SetOnWrite(f.pokeWrite)
+	f.pipe.SetCrashNotify(func() {
+		for _, e := range f.watchers {
+			e.poke(pokeOther)
+		}
+	})
 	if cfg.ScheduleSeed != 0 {
 		f.kernel.SetShuffle(cfg.ScheduleSeed)
 	}
@@ -83,9 +91,13 @@ func (f *SimFabric) SpawnUser(rank int, body func(Env)) {
 	f.users = append(f.users, f.newEnv(msg.User(rank), body))
 }
 
-// SpawnServer registers the body of node's data server.
-func (f *SimFabric) SpawnServer(node int, body func(Env)) {
-	f.servers = append(f.servers, f.newEnv(msg.ServerOf(node), body))
+// SpawnServer registers node's data server: start builds it on its Env,
+// and its actor serves its mailbox with the handler start returns.
+func (f *SimFabric) SpawnServer(node int, start func(Env) Handler) {
+	e := f.newEnv(msg.ServerOf(node), nil)
+	h := start(e)
+	e.body = func(Env) { serve(e, h) }
+	f.servers = append(f.servers, e)
 }
 
 // newEnv makes addr's endpoint record: its mailbox, and what every Recv
@@ -93,6 +105,7 @@ func (f *SimFabric) SpawnServer(node int, body func(Env)) {
 func (f *SimFabric) newEnv(addr msg.Addr, body func(Env)) *simEnv {
 	e := &simEnv{f: f, addr: addr, body: body, recvTag: "recv@" + addr.String()}
 	e.recvReady = e.pollMailbox
+	e.watchReady = e.pollWatch
 	f.envs[addr] = e
 	return e
 }
@@ -131,11 +144,15 @@ func (f *SimFabric) Run() error {
 	return err
 }
 
-// pokeWatchers has every actor in a memory wait re-evaluated: Space
-// memory or the crash registry, which such a wait may read, has changed.
-func (f *SimFabric) pokeWatchers() {
+// pokeWrite has every actor in a memory wait re-evaluated after a write of
+// n cells from p, noting for each whether the write touched its cells.
+func (f *SimFabric) pokeWrite(p shmem.Ptr, n int64) {
 	for _, e := range f.watchers {
-		e.p.Poke()
+		if e.cells.Overlaps(p, n) {
+			e.poke(pokeOther)
+		} else {
+			e.poke(pokeStray)
+		}
 	}
 }
 
@@ -151,7 +168,7 @@ func (f *SimFabric) userDone() {
 	if f.liveUsers == 0 {
 		f.shutdown = true
 		for _, e := range f.servers {
-			e.p.Poke()
+			e.poke(pokeOther)
 		}
 	}
 }
@@ -175,7 +192,30 @@ type simEnv struct {
 	got       *msg.Message
 	late      *bool
 
-	watchAt int // index in f.watchers while inside a memory wait
+	// The memory wait in progress: its predicate and cells, whether the
+	// predicate held at its last evaluation, and the pokes since then.
+	watchAt    int         // index in f.watchers
+	watchReady func() bool // pollWatch, bound once
+	cond       func() bool
+	cells      shmem.Cells
+	held       bool
+	pokes      pokeSet
+	undeclared bool // the predicate turned true on stray pokes alone
+}
+
+// pokeSet is what poked a waiting actor since its predicate last ran: a
+// write to none of its cells (stray), or anything else.
+type pokeSet uint8
+
+const (
+	pokeStray pokeSet = 1 << iota
+	pokeOther
+)
+
+// poke marks e's wait for re-evaluation, noting why.
+func (e *simEnv) poke(why pokeSet) {
+	e.pokes |= why
+	e.p.Poke()
 }
 
 var _ Env = (*simEnv)(nil)
@@ -211,7 +251,7 @@ func (e *simEnv) Send(to msg.Addr, m *msg.Message) {
 		e.f.kernel.At(d.At, func() {
 			if e.f.pipe.Inbound(dm, e.f.kernel.Now()) {
 				dst.q.Put(dm)
-				dst.p.Poke()
+				dst.poke(pokeOther)
 			}
 		})
 	})
@@ -241,7 +281,7 @@ func (e *simEnv) deadlineFlag(d time.Duration) *bool {
 	late := new(bool)
 	e.f.kernel.After(d, func() {
 		*late = true
-		e.p.Poke()
+		e.poke(pokeOther)
 	})
 	return late
 }
@@ -289,21 +329,32 @@ func (e *simEnv) pollMailbox() bool {
 
 // watch is the one memory wait: it blocks until pred holds or bound
 // passes (0 = never) and reports which. While it lasts the actor is on
-// the fabric's watcher list, where every Space write pokes it.
-func (e *simEnv) watch(tag string, pred func() bool, bound time.Duration) bool {
-	late := e.deadlineFlag(bound)
-	done := false
+// the fabric's watcher list, where every Space write pokes it. A
+// predicate that turned true on writes outside cells alone fails the run:
+// on a wall-clock fabric none of them would have woken it.
+func (e *simEnv) watch(tag string, cells shmem.Cells, pred func() bool, bound time.Duration) bool {
+	e.cond, e.cells, e.late, e.pokes = pred, cells, e.deadlineFlag(bound), 0
 	e.watchAt = len(e.f.watchers)
 	e.f.watchers = append(e.f.watchers, e)
-	e.p.WaitUntil(tag, func() bool {
-		done = pred()
-		return done || late != nil && *late
-	})
+	e.p.WaitUntil(tag, e.watchReady)
 	last := len(e.f.watchers) - 1
 	moved := e.f.watchers[last]
 	e.f.watchers[e.watchAt], moved.watchAt = moved, e.watchAt
 	e.f.watchers = e.f.watchers[:last]
-	return done
+	e.cond = nil
+	if e.undeclared {
+		panic(sim.Abort{Err: fmt.Errorf("simnet: undeclared read at %v: %s(%s) turned true on writes outside its %d cells at %v only",
+			e.p.Now(), e.addr, tag, e.cells.N, e.cells.P)})
+	}
+	return e.held
+}
+
+// pollWatch is a memory wait's predicate.
+func (e *simEnv) pollWatch() bool {
+	e.held = e.cond()
+	e.undeclared = e.held && e.pokes == pokeStray
+	e.pokes = 0
+	return e.held || e.late != nil && *e.late
 }
 
 // pollGap models the detection delay between the memory write and the
@@ -314,19 +365,19 @@ func (e *simEnv) pollGap() {
 	}
 }
 
-func (e *simEnv) WaitUntil(tag string, pred func() bool) {
-	if !e.watch(tag, pred, e.f.cfg.OpDeadline) {
+func (e *simEnv) WaitUntil(tag string, cells shmem.Cells, pred func() bool) {
+	if !e.watch(tag, cells, pred, e.f.cfg.OpDeadline) {
 		e.abortLate(tag)
 	}
 	e.pollGap()
 }
 
-func (e *simEnv) WaitUntilFor(tag string, pred func() bool, d time.Duration) bool {
+func (e *simEnv) WaitUntilFor(tag string, cells shmem.Cells, pred func() bool, d time.Duration) bool {
 	if d <= 0 {
-		e.WaitUntil(tag, pred)
+		e.WaitUntil(tag, cells, pred)
 		return true
 	}
-	done := e.watch(tag, pred, d)
+	done := e.watch(tag, cells, pred, d)
 	e.pollGap()
 	return done
 }

@@ -8,6 +8,7 @@ import (
 
 	"armci/internal/model"
 	"armci/internal/msg"
+	"armci/internal/shmem"
 	"armci/internal/sim"
 )
 
@@ -24,7 +25,7 @@ func TestSimWriteWakesWatchersOfAnyNode(t *testing.T) {
 	remote := f.Space().AllocWords(1, 1) // rank 1's node, watched from rank 0's
 	var seen, wrote time.Duration
 	f.SpawnUser(0, func(env Env) {
-		env.WaitUntil("remote-cell", func() bool { return env.Space().Load(remote) == 7 })
+		env.WaitUntil("remote-cell", shmem.Cell(remote), func() bool { return env.Space().Load(remote) == 7 })
 		seen = env.Clock().Now()
 	})
 	f.SpawnUser(1, func(env Env) {
@@ -55,10 +56,10 @@ func TestSimMissedPokeIsNotADrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	flag := false // not Space memory: setting it pokes nobody
-	f.SpawnServer(0, func(env Env) {
-		env.WaitUntil("go-variable", func() bool { return flag })
+	spawnServerBody(f, 0, func(env Env) {
+		env.WaitUntil("go-variable", shmem.Cells{}, func() bool { return flag })
 	})
-	f.SpawnServer(1, func(env Env) {
+	spawnServerBody(f, 1, func(env Env) {
 		env.Recv(msg.MatchAny) // nil once the users are done
 		env.Clock().Sleep(time.Millisecond)
 		flag = true
@@ -92,7 +93,7 @@ func TestSimStaleDeadlineTimerSparesLaterWaits(t *testing.T) {
 		env.Recv(msg.MatchSrcTag(msg.KindSend, msg.User(1), 0)) // timer A: fires at od
 		env.Clock().Sleep(od * 6 / 10)
 		env.Recv(msg.MatchSrcTag(msg.KindSend, msg.User(1), 1)) // spans A, satisfied at 1.2 od
-		env.WaitUntil("cell", func() bool { return env.Space().Load(cell) == 1 })
+		env.WaitUntil("cell", shmem.Cell(cell), func() bool { return env.Space().Load(cell) == 1 })
 	})
 	f.SpawnUser(1, func(env Env) {
 		env.Send(msg.User(0), &msg.Message{Kind: msg.KindSend, Tag: 0})

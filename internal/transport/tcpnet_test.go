@@ -10,6 +10,7 @@ import (
 
 	"armci/internal/cluster"
 	"armci/internal/msg"
+	"armci/internal/shmem"
 	"armci/internal/trace"
 )
 
@@ -150,7 +151,7 @@ func TestTCPEveryWayOfWaitingFlushes(t *testing.T) {
 		},
 		"WaitUntilFor": func(env Env, delivered func() bool) {
 			for !delivered() {
-				env.WaitUntilFor("never", never, 100*time.Microsecond)
+				env.WaitUntilFor("never", shmem.Cells{}, never, 100*time.Microsecond)
 			}
 		},
 		"FailStop": func(env Env, _ func() bool) { env.FailStop("test") },

@@ -39,7 +39,8 @@ type Clock interface {
 }
 
 // Env is the execution environment of one actor — a user process or a data
-// server. All methods must be called from the actor's own goroutine.
+// server. All methods must be called from the actor's own goroutine, or,
+// for a data server's, from its Handler, wherever the fabric runs it.
 type Env interface {
 	// Self returns this actor's endpoint address.
 	Self() msg.Addr
@@ -70,23 +71,25 @@ type Env interface {
 	Recv(match msg.Match) *msg.Message
 	// Charge models d of CPU work by this actor.
 	Charge(d time.Duration)
-	// WaitUntil blocks until pred() is true. pred may read the memory of
-	// the caller's own node (its own and co-located ranks' segments) and
-	// fabric control state (CrashedRank), nothing else: the wall-clock
-	// fabrics re-evaluate it when a rank of that node is written or a
-	// control event occurs — not on writes elsewhere, where proc holds
-	// only a stale replica anyway, and not on deliveries. (The simulated
-	// fabric re-evaluates it on a write to any node and on a registered
-	// crash, and names a predicate that turned true on anything else as a
-	// missed wake-up when the run ends.) tag is diagnostic.
-	WaitUntil(tag string, pred func() bool)
+	// WaitUntil blocks until pred() is true. pred may read cells, which
+	// lie in the memory of the caller's own node (its own and co-located
+	// ranks' segments), and fabric control state (CrashedRank), nothing
+	// else: the wall-clock fabrics re-evaluate it when a write overlaps
+	// cells or a control event occurs — not on other writes, and not on
+	// deliveries. (The simulated fabric re-evaluates it on every write and
+	// on a registered crash; it fails the run when the predicate turns
+	// true after a slice in which only writes outside cells poked it — a
+	// read the wait did not declare — and names a predicate that turned
+	// true on anything else as a missed wake-up when the run ends.) tag is
+	// diagnostic.
+	WaitUntil(tag string, cells shmem.Cells, pred func() bool)
 	// WaitUntilFor is the bounded form of WaitUntil: it blocks until
 	// pred() is true or d has elapsed (virtual time on the simulated
 	// fabric, wall time on the concurrent ones), reporting whether the
 	// predicate was satisfied. Unlike WaitUntil it never aborts on
 	// timeout — the caller owns the recovery decision (the lease lock's
 	// TTL spin is built on it). d <= 0 degrades to an unbounded wait.
-	WaitUntilFor(tag string, pred func() bool, d time.Duration) bool
+	WaitUntilFor(tag string, cells shmem.Cells, pred func() bool, d time.Duration) bool
 	// Faults returns the fault plan in force (zero value: no faults).
 	// The lock layer consults it for the crash-while-holding knobs.
 	Faults() pipeline.Faults
@@ -239,13 +242,32 @@ type Fabric interface {
 	Config() *Config
 	// SpawnUser registers the body of rank's user process.
 	SpawnUser(rank int, body func(Env))
-	// SpawnServer registers the body of node's data server. Servers are
-	// expected to run until every user process has finished; the fabric
-	// stops them afterwards by delivering a poison message, see Stop.
-	SpawnServer(node int, body func(Env))
+	// SpawnServer registers node's data server (or NIC agent): start
+	// builds it on its Env at once and returns its request handler. The
+	// server's actor serves its mailbox with the handler until every user
+	// process has finished (serve); on chan a request may instead be
+	// served on delivery, on its sender's goroutine, never beside another.
+	SpawnServer(node int, start func(Env) Handler)
 	// Run executes all registered actors to completion of the user
 	// processes and returns the first error (panic, deadlock, deadline).
 	Run() error
+}
+
+// Handler serves one request of a data server. A server's handler runs
+// once at a time, on the server's goroutine or, on chan, its requester's.
+type Handler func(m *msg.Message)
+
+// serve is the serve loop of every data server: it hands each request its
+// Recv takes to h until the fabric shuts the cluster down (Recv returns
+// nil). Server Recvs are exempt from the per-op deadline: an idle server
+// is the normal state, not a stuck one. A fault elsewhere in the cluster
+// flags shutdown, so the loop drains its mailbox and ends instead of
+// wedging in Recv; a fault of one of the handler's own reply sends aborts
+// the server with the rank-attributed error, which Run returns.
+func serve(e Env, h Handler) {
+	for m := e.Recv(msg.MatchAny); m != nil; m = e.Recv(msg.MatchAny) {
+		h(m)
+	}
 }
 
 // abort is the panic value the wall-clock fabrics use to terminate an

@@ -18,6 +18,7 @@ import (
 	"armci/internal/model"
 	"armci/internal/msg"
 	"armci/internal/pipeline"
+	"armci/internal/shmem"
 	"armci/internal/trace"
 	"armci/internal/wire"
 )
@@ -80,6 +81,23 @@ func TestConfigTopology(t *testing.T) {
 }
 
 // fabricsUnderTest builds each fabric kind for a config.
+// spawnServerBody registers body as node's server actor in place of a
+// serve loop, for the tests of how a server's Recv waits and is released.
+func spawnServerBody(f Fabric, node int, body func(Env)) {
+	switch f := f.(type) {
+	case *SimFabric:
+		f.servers = append(f.servers, f.newEnv(msg.ServerOf(node), body))
+	case *ChanFabric:
+		f.spawn(msg.ServerOf(node), body)
+	case *TCPFabric:
+		f.spawn(msg.ServerOf(node), body)
+	case *ProcFabric:
+		f.spawn(msg.ServerOf(node), body)
+	default:
+		panic(fmt.Sprintf("spawnServerBody: fabric %T", f))
+	}
+}
+
 func fabricsUnderTest(t *testing.T, cfg Config) map[string]func() (Fabric, error) {
 	t.Helper()
 	return map[string]func() (Fabric, error){
@@ -144,7 +162,7 @@ func TestServerShutdownNilRecv(t *testing.T) {
 			}
 			served := 0
 			clean := false
-			f.SpawnServer(0, func(env Env) {
+			spawnServerBody(f, 0, func(env Env) {
 				for {
 					m := env.Recv(msg.MatchAny)
 					if m == nil {
@@ -311,19 +329,13 @@ func TestWaitUntilAcrossActors(t *testing.T) {
 				t.Fatal(err)
 			}
 			cell := f.Space().AllocWords(0, 1)
-			f.SpawnServer(0, func(env Env) {
-				m := env.Recv(msg.MatchAny)
-				if m == nil {
-					return
-				}
-				env.Space().Store(cell, 42)
-				for env.Recv(msg.MatchAny) != nil {
-				}
+			f.SpawnServer(0, func(env Env) Handler {
+				return func(*msg.Message) { env.Space().Store(cell, 42) }
 			})
 			var got int64
 			f.SpawnUser(0, func(env Env) {
 				env.Send(msg.ServerOf(0), &msg.Message{Kind: msg.KindRmw, Op: uint8(msg.RmwStore)})
-				env.WaitUntil("cell", func() bool { return env.Space().Load(cell) != 0 })
+				env.WaitUntil("cell", shmem.Cell(cell), func() bool { return env.Space().Load(cell) != 0 })
 				got = env.Space().Load(cell)
 			})
 			if err := f.Run(); err != nil {
@@ -374,12 +386,8 @@ func TestManyToOneStress(t *testing.T) {
 			}
 			// One node hosting all 8 ranks? No — default one node per
 			// rank; use server 0 as the shared echo target.
-			f.SpawnServer(0, func(env Env) {
-				for {
-					m := env.Recv(msg.MatchAny)
-					if m == nil {
-						return
-					}
+			f.SpawnServer(0, func(env Env) Handler {
+				return func(m *msg.Message) {
 					env.Send(msg.User(m.Origin), &msg.Message{Kind: msg.KindRmwResp, Token: m.Token})
 				}
 			})
@@ -746,7 +754,7 @@ func never() bool { return false }
 
 // listen is the cheapest fabric call that is not a Send: a wait whose
 // predicate already holds, which returns without parking.
-func listen(env Env) { env.WaitUntil("listen", func() bool { return true }) }
+func listen(env Env) { env.WaitUntil("listen", shmem.Cells{}, func() bool { return true }) }
 
 // wantFault runs f and requires a *pipeline.FaultError of the given kind.
 func wantFault(t *testing.T, f Fabric, kind pipeline.FaultKind) *pipeline.FaultError {
@@ -786,7 +794,7 @@ func TestOpDeadlineBoundsUserRecvOnly(t *testing.T) {
 				t.Fatal(err)
 			}
 			released := false
-			f.SpawnServer(0, func(env Env) { released = env.Recv(msg.MatchAny) == nil })
+			spawnServerBody(f, 0, func(env Env) { released = env.Recv(msg.MatchAny) == nil })
 			f.SpawnUser(0, func(env Env) { env.Clock().Sleep(4 * od) })
 			f.SpawnUser(1, func(env Env) {})
 			if err := f.Run(); err != nil {
@@ -814,9 +822,9 @@ func TestWaitUntilForOwnsItsBound(t *testing.T) {
 			var took time.Duration
 			f.SpawnUser(0, func(env Env) {
 				t0 := env.Clock().Now()
-				satisfied = env.WaitUntilFor("bounded", never, d)
+				satisfied = env.WaitUntilFor("bounded", shmem.Cells{}, never, d)
 				took = env.Clock().Now() - t0
-				env.WaitUntilFor("unbounded", never, 0)
+				env.WaitUntilFor("unbounded", shmem.Cells{}, never, 0)
 			})
 			fe := wantFault(t, f, pipeline.FaultOpTimeout)
 			if satisfied || took < d {
@@ -845,21 +853,19 @@ func TestCrashGraceBoundsEachWait(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f.SpawnServer(0, func(env Env) {
-				for m := env.Recv(msg.MatchAny); m != nil; m = env.Recv(msg.MatchAny) {
-					env.Send(m.Src, &msg.Message{Kind: msg.KindRmwResp, Token: m.Token})
-				}
+			f.SpawnServer(0, func(env Env) Handler {
+				return func(m *msg.Message) { env.Send(m.Src, &msg.Message{Kind: msg.KindRmwResp, Token: m.Token}) }
 			})
 			f.SpawnUser(1, func(env Env) { env.FailStop("test") })
 			var wedged time.Time
 			f.SpawnUser(0, func(env Env) {
-				env.WaitUntil("crash on record", func() bool { return env.CrashedRank() == 1 })
+				env.WaitUntil("crash on record", shmem.Cells{}, func() bool { return env.CrashedRank() == 1 })
 				for tok, t0 := uint64(0), time.Now(); time.Since(t0) < 2*grace; tok++ {
 					env.Send(msg.ServerOf(0), &msg.Message{Kind: msg.KindRmw, Token: tok})
 					env.Recv(msg.MatchToken(msg.KindRmwResp, tok))
 				}
 				wedged = time.Now()
-				env.WaitUntil("wedged", never)
+				env.WaitUntil("wedged", shmem.Cells{}, never)
 			})
 			fe := wantFault(t, f, pipeline.FaultCrash)
 			if fe.Rank != 1 || fe.Op != "wedged" {
@@ -883,7 +889,7 @@ func TestCrashGraceBoundsEachWait(t *testing.T) {
 				crashed = time.Now()
 				env.FailStop("test")
 			})
-			f.SpawnUser(0, func(env Env) { env.WaitUntil("wedged", never) })
+			f.SpawnUser(0, func(env Env) { env.WaitUntil("wedged", shmem.Cells{}, never) })
 			fe := wantFault(t, f, pipeline.FaultCrash)
 			if fe.Rank != 1 || fe.Op != "wedged" {
 				t.Fatalf("crash attributed to %+v, want rank 1 at the wedged wait", fe)
@@ -956,10 +962,7 @@ func runTCPRing(t *testing.T) *TCPFabric {
 		t.Fatal(err)
 	}
 	for n := 0; n < 2; n++ {
-		f.SpawnServer(n, func(env Env) {
-			for env.Recv(msg.MatchAny) != nil {
-			}
-		})
+		f.SpawnServer(n, func(Env) Handler { return func(*msg.Message) {} })
 	}
 	for r := 0; r < 4; r++ {
 		f.SpawnUser(r, func(env Env) {

@@ -42,14 +42,16 @@ type link interface {
 // wallFabric is the one wall-clock runtime behind the chan, tcp and proc
 // fabrics: real goroutines as actors, each parking in its own box. On the
 // data path a wake-up disturbs only whom it addresses: a delivery signals
-// its destination's box (arrive), and a write to a rank's memory signals
-// the boxes of that rank's node whose owner is in WaitUntil/WaitUntilFor
-// (the Space write hook) — a Recv never wakes for a memory write. f.mu
-// guards control state only; an event changes it through control, which
-// then signals every box, and a wait looks at it only while alert is set,
-// so the steady-state wait takes no fabric-wide lock. Lock order: a box's
-// mu, then f.mu. What the three fabrics do differently is the link plus
-// the three fields below it.
+// its destination's box (arrive), and a write signals the boxes whose
+// owner is in a WaitUntil/WaitUntilFor on cells it overlaps (the Space
+// write hook) — a Recv never wakes for a memory write, a wait never for a
+// write to a cell its predicate does not read. On chan, a request that
+// finds its data server idle is served on its sender's goroutine, so a
+// round trip to it wakes nobody (inline). f.mu guards control state only;
+// an event changes it through control, which then signals every box, and
+// a wait looks at it only while alert is set, so the steady-state wait
+// takes no fabric-wide lock. Lock order: a box's mu, then f.mu. What the
+// three fabrics do differently is the link plus the four fields below it.
 type wallFabric struct {
 	name  string // error-message prefix: "channet", "tcpnet", "procnet node N"
 	cfg   Config
@@ -74,6 +76,11 @@ type wallFabric struct {
 	// every send while alert is set; a non-nil error aborts the actor. Only
 	// proc has one: the cluster fault and the membership-view interrupt.
 	intr func(server bool) error
+	// inline has a data server's requests served on delivery (arrive), on
+	// the sender's goroutine: chan, where the link delivers there, with
+	// nothing to hold a frame back until its stamped arrival (no cost model,
+	// no fault plan). NIC agents keep their serve loop: a fence waits.
+	inline bool
 
 	// Both fixed before any actor starts, read without a lock from then on.
 	boxes  map[msg.Addr]*box
@@ -100,23 +107,41 @@ type wallFabric struct {
 type box struct {
 	addr msg.Addr
 	body func(Env)
+	env  *wallEnv // the owner's Env, made with the box
+	// serve is a data server's request handler where the fabric serves
+	// requests on delivery (inline), else nil.
+	serve Handler
 	// ready is the park/ready slot, of one token: a signal never blocks,
 	// one sent before the owner parks is not lost, and a stale one costs a
 	// spurious re-check.
 	ready chan struct{}
 	timer *time.Timer // the owner's one deadline; its fire signals this box only
-	// watching marks the owner as inside WaitUntil/WaitUntilFor; set before
-	// the predicate runs, so a write is seen by one or the other.
-	watching atomic.Bool
+	// The cells of the owner's WaitUntil/WaitUntilFor in progress, which a
+	// write must overlap to signal it: watchKey is the high word of the
+	// first cell's Ptr.Pack, 0 while the owner watches nothing. They are
+	// set before the predicate runs, so a write is seen by one or the
+	// other. A write that reads them as the owner moves from one wait to
+	// the next may miss the earlier wait, which is over, or signal the
+	// later one spuriously, which costs a re-check.
+	watchKey, watchOff, watchN atomic.Int64
+	// parks counts the owner's parks, futile the wake-ups from them that
+	// found its wait still unmet. Only the owner writes them; Run reports
+	// them once every actor is done.
+	parks, futile int
 
 	mu     sync.Mutex
 	q      msg.Queue
 	parked bool // the owner's last look at q found nothing: a delivery signals it
+	// A server is in service from the Recv that popped a frame to its next,
+	// and while a request is served on its sender's goroutine (inline); a
+	// request served so finds it in neither and its mailbox empty, so
+	// frames of a pair are served in the order they arrived.
+	inService, inline bool
 	// The membership fence (proc): frames of an epoch below fence are
-	// refused; a server is in service from the Recv that popped a frame to
-	// its next; a fence finding it so sets draining and is woken at that.
-	fence               uint64
-	inService, draining bool
+	// refused; a fence finding the server in service sets draining and is
+	// woken at the end of it.
+	fence    uint64
+	draining bool
 }
 
 // signal readies the box's owner.
@@ -125,6 +150,29 @@ func (b *box) signal() {
 	case b.ready <- struct{}{}:
 	default:
 	}
+}
+
+// watch sets the cells the owner's wait reads; the zero Cells clears them.
+func (b *box) watch(c shmem.Cells) {
+	if c.N <= 0 {
+		b.watchKey.Store(0)
+		return
+	}
+	key, off := c.P.Pack()
+	b.watchOff.Store(off)
+	b.watchN.Store(c.N)
+	b.watchKey.Store(key)
+}
+
+// watches reports whether a write of n cells from p overlaps the cells of
+// the owner's wait.
+func (b *box) watches(p shmem.Ptr, n int64) bool {
+	key := b.watchKey.Load()
+	if key == 0 {
+		return false
+	}
+	c := shmem.Cells{P: shmem.Unpack(key, b.watchOff.Load()), N: b.watchN.Load()}
+	return c.Overlaps(p, n)
 }
 
 func newWallFabric(name string, cfg Config, charge bool) *wallFabric {
@@ -144,9 +192,9 @@ func newWallFabric(name string, cfg Config, charge bool) *wallFabric {
 		f.model = cfg.Model
 	}
 	f.pipe = cfg.newPipeline(f.space, charge)
-	f.space.SetOnWrite(func(rank int) {
-		for _, b := range f.byNode[f.space.Node(rank)] {
-			if b.watching.Load() {
+	f.space.SetOnWrite(func(p shmem.Ptr, n int64) {
+		for _, b := range f.byNode[f.space.Node(int(p.Rank))] {
+			if b.watches(p, n) {
 				b.signal()
 			}
 		}
@@ -154,14 +202,16 @@ func newWallFabric(name string, cfg Config, charge bool) *wallFabric {
 	return f
 }
 
-// spawn registers an actor: it makes its box.
-func (f *wallFabric) spawn(addr msg.Addr, body func(Env)) {
+// spawn registers an actor: it makes its box and the Env its body gets.
+func (f *wallFabric) spawn(addr msg.Addr, body func(Env)) *box {
 	b := &box{addr: addr, body: body, ready: make(chan struct{}, 1)}
+	b.env = &wallEnv{f: f, addr: addr, b: b, recvTag: "recv@" + addr.String()}
 	b.timer = time.AfterFunc(time.Hour, b.signal)
 	b.timer.Stop()
 	f.boxes[addr] = b
 	node := endpointNode(f.space, addr)
 	f.byNode[node] = append(f.byNode[node], b)
+	return b
 }
 
 // control changes control state: set runs under f.mu, then every box is
@@ -192,9 +242,16 @@ func (f *wallFabric) SpawnUser(rank int, body func(Env)) {
 	f.spawn(msg.User(rank), body)
 }
 
-// SpawnServer registers the body of node's data server.
-func (f *wallFabric) SpawnServer(node int, body func(Env)) {
-	f.spawn(msg.ServerOf(node), body)
+// SpawnServer registers node's data server: start builds it on its Env
+// and returns its handler, which the server's actor serves its mailbox
+// with and, where requests are served on delivery, arrive runs.
+func (f *wallFabric) SpawnServer(node int, start func(Env) Handler) {
+	b := f.spawn(msg.ServerOf(node), nil)
+	h := start(b.env)
+	b.body = func(e Env) { serve(e, h) }
+	if f.inline && !b.addr.IsNIC(f.cfg.numNodes()) {
+		b.serve = h
+	}
 }
 
 // Run brings the link up, starts every actor goroutine, waits for all
@@ -251,6 +308,12 @@ func (f *wallFabric) Run() error {
 	if err := f.await(waitChan(&serverWG), "servers to drain"); err != nil {
 		return err
 	}
+	var parks, futile int
+	for _, b := range f.boxes {
+		parks += b.parks
+		futile += b.futile
+	}
+	f.cfg.Trace.RecordParks(parks, futile)
 	select {
 	case err := <-f.panics:
 		return err
@@ -261,7 +324,7 @@ func (f *wallFabric) Run() error {
 
 // runActor runs one actor body and turns its panics into Run's error.
 func (f *wallFabric) runActor(b *box, wg *sync.WaitGroup) {
-	e := &wallEnv{f: f, addr: b.addr, b: b, recvTag: "recv@" + b.addr.String()}
+	e := b.env
 	defer wg.Done()
 	defer func() {
 		e.pop(msg.MatchNone) // an actor that is gone serves nothing
@@ -327,6 +390,12 @@ func waitChan(wg *sync.WaitGroup) <-chan struct{} {
 // requires, so the dedup watermark is the box's own — and only its owner, if
 // parked on it, is woken. The fence is checked under the lock of the Put, so
 // a frame of a closed epoch cannot follow the purge.
+//
+// A user's request to a data server served on delivery (box.serve) that
+// finds the server out of service and its mailbox empty is not filed: it
+// is served here, on the sender's goroutine (serveInline), and its reply
+// is in the sender's mailbox before the sender's Send returns. Any other
+// frame queues behind what is there.
 func (f *wallFabric) arrive(b *box, m *msg.Message) {
 	if b == nil {
 		return
@@ -345,13 +414,47 @@ func (f *wallFabric) arrive(b *box, m *msg.Message) {
 		f.cfg.Trace.RecordFaults(trace.FaultCounts{StaleEpochs: 1})
 		return
 	}
+	if b.serve != nil && !m.Src.Server && !b.inService && !b.inline && b.q.Len() == 0 {
+		b.inline = true
+		b.mu.Unlock()
+		f.serveInline(b, m)
+		return
+	}
 	b.q.Put(m)
-	parked := b.parked
-	b.parked = false
+	// A frame queued behind an inline service is the end of that
+	// service's to wake the server for.
+	wake := b.parked && !b.inline
+	b.parked = b.parked && !wake
 	b.mu.Unlock()
-	if parked {
+	if wake {
 		b.signal()
 	}
+}
+
+// serveInline runs b's handler on m on the calling goroutine. The server
+// is in service (b.inline) until the handler returns or panics; then its
+// owner is woken if frames queued meanwhile. No lock is held while the
+// handler runs, its replies' deliveries included. A handler panic fails
+// the run in the server's name, as in its own serve loop.
+func (f *wallFabric) serveInline(b *box, m *msg.Message) {
+	defer func() {
+		b.mu.Lock()
+		b.inline = false
+		wake := b.parked && b.q.Len() > 0
+		b.parked = b.parked && !wake
+		b.mu.Unlock()
+		if wake {
+			b.signal()
+		}
+		if r := recover(); r != nil {
+			switch r.(type) {
+			case abort, failStop:
+				panic(r)
+			}
+			panic(abort{fmt.Errorf("%s: actor %v panicked: %v", f.name, b.addr, r)})
+		}
+	}()
+	b.serve(m)
 }
 
 // abortLocked fails the calling actor with err; the caller holds f.mu.
@@ -433,7 +536,12 @@ func (c wallClock) Sleep(d time.Duration) {
 // sends each pair's first at once — and has the link send what it held
 // back of the last. With nothing held it costs an increment: a sender's
 // steps between its write and its park are on every round trip's path.
+// Where requests are served on delivery it does nothing: chan holds no
+// frame back, and a server's Sends may run on its requesters' goroutines.
 func (e *wallEnv) listen() {
+	if e.f.inline {
+		return
+	}
 	e.listens++
 	if e.held {
 		e.held = false
@@ -476,7 +584,7 @@ func (e *wallEnv) Recv(match msg.Match) *msg.Message {
 	var m *msg.Message
 	// Servers are exempt from the per-op deadline: idling in the serve
 	// loop is their job.
-	if !e.block(e.recvTag, func() bool { m = e.pop(match); return m != nil }, 0, !e.addr.Server, false) {
+	if !e.block(e.recvTag, shmem.Cells{}, func() bool { m = e.pop(match); return m != nil }, 0, !e.addr.Server) {
 		return nil // a server released by shutdown
 	}
 	// Enforce the stamped arrival in wall time: the modeled latency or a
@@ -492,13 +600,17 @@ func (e *wallEnv) Recv(match msg.Match) *msg.Message {
 
 // pop is Recv's look at the mailbox. One critical section ends a server's
 // service of its last frame and begins that of this one, so a fence never
-// finds a busy server between frames.
+// finds a busy server between frames. While a request is served inline the
+// server takes nothing: the end of that service wakes it.
 func (e *wallEnv) pop(match msg.Match) *msg.Message {
 	b := e.b
 	b.mu.Lock()
 	drained := b.draining
 	b.draining = false
-	m := b.q.TryPop(match)
+	var m *msg.Message
+	if !b.inline {
+		m = b.q.TryPop(match)
+	}
 	b.inService = e.addr.Server && m != nil
 	b.parked = m == nil
 	b.mu.Unlock()
@@ -508,22 +620,23 @@ func (e *wallEnv) pop(match msg.Match) *msg.Message {
 	return m
 }
 
-func (e *wallEnv) WaitUntil(tag string, pred func() bool) {
-	e.block(tag, pred, 0, true, true)
+func (e *wallEnv) WaitUntil(tag string, cells shmem.Cells, pred func() bool) {
+	e.block(tag, cells, pred, 0, true)
 }
 
-func (e *wallEnv) WaitUntilFor(tag string, pred func() bool, d time.Duration) bool {
+func (e *wallEnv) WaitUntilFor(tag string, cells shmem.Cells, pred func() bool, d time.Duration) bool {
 	if d <= 0 {
-		e.WaitUntil(tag, pred)
+		e.WaitUntil(tag, cells, pred)
 		return true
 	}
-	return e.block(tag, pred, d, false, true)
+	return e.block(tag, cells, pred, d, false)
 }
 
 // block is the one wait of the wall-clock fabrics — Recv, WaitUntil and
 // proc's control waits alike: it parks the actor in its box until done
-// holds, re-evaluating done on every signal — a delivery, with watch a
-// memory write on the actor's node, the box timer, a control event. done
+// holds, re-evaluating done on every signal — a delivery, a write that
+// overlaps cells (a memory wait's; Recv and the control waits name none),
+// the box timer, a control event. done
 // is called with no lock held, so it may take a box's mu or f.mu (proc's
 // control waits do), in the fabric's lock order. The clock is read only
 // for a bound: a caller's limit or the op deadline at the start, the
@@ -542,7 +655,7 @@ func (e *wallEnv) WaitUntilFor(tag string, pred func() bool, d time.Duration) bo
 // crash found parked counts from crashAt, one that begins with the crash
 // on record reads the clock. The box timer is kept at the earliest bound,
 // so the loop re-checks when one falls due.
-func (e *wallEnv) block(tag string, done func() bool, limit time.Duration, opBound, watch bool) bool {
+func (e *wallEnv) block(tag string, cells shmem.Cells, done func() bool, limit time.Duration, opBound bool) bool {
 	f, b := e.f, e.b
 	e.listen() // whether or not it parks
 	if done() {
@@ -562,10 +675,10 @@ func (e *wallEnv) block(tag string, done func() bool, limit time.Duration, opBou
 			b.timer.Stop() // a fire already under way is a spurious re-check later
 		}
 	}()
-	if watch {
-		defer b.watching.Store(false)
-		b.watching.Store(true)
-		if done() { // a write may have landed before the mark was up
+	if cells.N > 0 {
+		defer b.watch(shmem.Cells{})
+		b.watch(cells)
+		if done() { // a write may have landed before the cells were up
 			return true
 		}
 	}
@@ -606,10 +719,12 @@ func (e *wallEnv) block(tag string, done func() bool, limit time.Duration, opBou
 			b.timer.Reset(time.Until(due))
 			armed = due
 		}
+		b.parks++
 		<-b.ready
 		if done() {
 			return true
 		}
+		b.futile++
 	}
 }
 

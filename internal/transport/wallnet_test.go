@@ -11,6 +11,7 @@ import (
 	"armci/internal/cluster"
 	"armci/internal/msg"
 	"armci/internal/pipeline"
+	"armci/internal/shmem"
 	"armci/internal/wire"
 )
 
@@ -29,7 +30,7 @@ func TestWakeupIsAddressed(t *testing.T) {
 		cell := f.Space().AllocWords(0, 1)
 		var evals atomic.Int64
 		f.SpawnUser(0, func(env Env) {
-			env.WaitUntil("quiet", func() bool {
+			env.WaitUntil("quiet", shmem.Cell(cell), func() bool {
 				evals.Add(1)
 				return env.Space().Load(cell) != 0
 			})
@@ -68,10 +69,10 @@ func TestWakeupIsAddressed(t *testing.T) {
 		}
 		theirs := f.Space().AllocWords(1, 1)
 		f.SpawnUser(0, func(env Env) {
-			env.WaitUntil("neighbour", func() bool { return env.Space().Load(theirs) != 0 })
+			env.WaitUntil("neighbour", shmem.Cell(theirs), func() bool { return env.Space().Load(theirs) != 0 })
 		})
 		f.SpawnUser(1, func(env Env) {
-			for !f.boxes[msg.User(0)].watching.Load() {
+			for f.boxes[msg.User(0)].watchKey.Load() == 0 {
 				time.Sleep(50 * time.Microsecond)
 			}
 			env.Space().Store(theirs, 1)
@@ -98,14 +99,14 @@ func TestNoLostWakeup(t *testing.T) {
 		written := func() bool { return f.Space().Load(cell) != 0 }
 		bound := time.Duration(1+round%5*20) * time.Microsecond
 		served := 0
-		f.SpawnServer(0, func(env Env) {
+		spawnServerBody(f, 0, func(env Env) {
 			for env.Recv(msg.MatchAny) != nil { // parks again as stop() comes
 				served++
 			}
 		})
 		f.SpawnUser(0, func(env Env) {
-			if !env.WaitUntilFor("bounded", written, bound) {
-				env.WaitUntil("unbounded", written)
+			if !env.WaitUntilFor("bounded", shmem.Cell(cell), written, bound) {
+				env.WaitUntil("unbounded", shmem.Cell(cell), written)
 			}
 			env.Recv(msg.MatchAny)
 		})
@@ -140,7 +141,7 @@ func TestShutdownAndCrashReachEveryBox(t *testing.T) {
 	}
 	var released, noticed atomic.Int64
 	for s := 0; s < 8; s++ { // data servers and NIC agents alike
-		f.SpawnServer(s, func(env Env) {
+		spawnServerBody(f, s, func(env Env) {
 			if env.Recv(msg.MatchAny) == nil {
 				released.Add(1)
 			}
@@ -148,7 +149,7 @@ func TestShutdownAndCrashReachEveryBox(t *testing.T) {
 	}
 	for r := 0; r < 2; r++ {
 		f.SpawnUser(r, func(env Env) {
-			env.WaitUntil("crash on record", func() bool { return env.CrashedRank() == 3 })
+			env.WaitUntil("crash on record", shmem.Cells{}, func() bool { return env.CrashedRank() == 3 })
 			noticed.Add(1)
 		})
 	}
@@ -229,13 +230,14 @@ func TestProcInterruptsReachRecvAndWaitUntil(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			f := procNode0(t)
 			serverReleased := false
-			f.SpawnServer(0, func(env Env) { serverReleased = env.Recv(msg.MatchAny) == nil })
+			cell := f.Space().AllocWords(1, 1)
+			spawnServerBody(f, 0, func(env Env) { serverReleased = env.Recv(msg.MatchAny) == nil })
 			f.SpawnUser(0, func(env Env) { env.Recv(msg.MatchAny) })
-			f.SpawnUser(1, func(env Env) { env.WaitUntil("wedged", never) })
+			f.SpawnUser(1, func(env Env) { env.WaitUntil("wedged", shmem.Cell(cell), never) })
 			wg := startActors(f.wallFabric)
 			eventually(t, "all three actors to park", func() bool {
 				return f.boxes[msg.ServerOf(0)].isParked() && f.boxes[msg.User(0)].isParked() &&
-					f.boxes[msg.User(1)].watching.Load()
+					f.boxes[msg.User(1)].watchKey.Load() != 0
 			})
 			tc.fire(f)
 			wg.Wait() // an aborted actor shuts the fabric down, which releases a server left parked
@@ -268,8 +270,8 @@ func TestViewFenceClosesTheEpochWhereOpsAreApplied(t *testing.T) {
 	cell := f.Space().AllocWords(0, 1)
 	popped, release := make(chan struct{}), make(chan struct{})
 	var applied atomic.Int64
-	f.SpawnServer(0, func(env Env) {
-		for m := env.Recv(msg.MatchAny); m != nil; m = env.Recv(msg.MatchAny) {
+	f.SpawnServer(0, func(env Env) Handler {
+		return func(m *msg.Message) {
 			if applied.Load() == 0 {
 				close(popped)
 				<-release // descheduled between Recv and apply
@@ -384,7 +386,7 @@ func TestControlWaitsAreInterruptibleAndBounded(t *testing.T) {
 				}
 				f := procNodeInLaunch(t, d)
 				release := make(chan struct{})
-				f.SpawnServer(0, func(Env) { <-release })
+				f.spawn(msg.ServerOf(0), func(Env) { <-release })
 				server := f.boxes[msg.ServerOf(0)]
 				server.inService = true // a frame popped and never applied: the fence waits on it
 				got := make(chan error, 1)
@@ -438,7 +440,7 @@ func TestBoundedWaitsAllocateNothing(t *testing.T) {
 			env.Send(msg.User(0), &msg.Message{Kind: msg.KindColl})
 		}
 		recvAllocs = testing.AllocsPerRun(runs, func() { env.Recv(msg.MatchAny) })
-		waitAllocs = testing.AllocsPerRun(runs, func() { env.WaitUntilFor("bounded", never, 100*time.Microsecond) })
+		waitAllocs = testing.AllocsPerRun(runs, func() { env.WaitUntilFor("bounded", shmem.Cells{}, never, 100*time.Microsecond) })
 		for i := 0; i <= runs; i++ {
 			env.Send(msg.User(0), &msg.Message{Kind: msg.KindRmwResp, Token: uint64(i)})
 		}

@@ -58,6 +58,12 @@ go test -race -count=5 ./internal/core
 # The wall-clock runtime likewise: whether a signal lands before or after
 # its box's owner parks is the scheduler's choice on every wait.
 go test -race -count=5 ./internal/transport
+# The conformance sweeps on chan, where a request to an idle data server is
+# served on its sender's goroutine and a write wakes only the waits whose
+# cells it touches: the default matrix, and the same under loss and
+# duplication, which keep the serve loop (~10 s each).
+go run ./cmd/armci-check -fabrics chan -seeds 16
+go run ./cmd/armci-check -fabrics chan -faults 'loss=0.15,retry=12;dup=0.2' -seeds 8
 # And the per-actor state under it: a reset landing mid-stream on other
 # actors' pipes, a reader folding counters an actor is still adding to.
 go test -race -count=5 ./internal/pipeline ./internal/trace
