@@ -109,6 +109,12 @@ func run(args []string, out io.Writer) int {
 			}
 		}
 	}
+	// A lock mutant replaces the lock of every case, whichever it names:
+	// default -algs to the algorithm it is a mutant of, so each case runs
+	// once and its reproducer names the lock that ran.
+	if alg := check.MutationLock(*mutation); alg != "" && !flagSet(fs, "algs") {
+		*algsF = alg
+	}
 	// The self-test sweeps mutations at MutationCase's deeper iteration
 	// count; a replayed reproducer must run the identical case or the
 	// printed seed may come up clean.
@@ -169,6 +175,13 @@ func runMutations(out io.Writer, seedLo, seedHi int64, verbose bool) int {
 		}
 	}
 	return code
+}
+
+// flagSet reports whether the command line set the named flag.
+func flagSet(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
 }
 
 func parseFabrics(s string) ([]armci.FabricKind, error) {

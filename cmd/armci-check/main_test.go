@@ -53,3 +53,37 @@ func TestRunExitsNonZeroOnPanic(t *testing.T) {
 		}
 	}
 }
+
+// TestLockMutantSweepsItsOwnAlgorithm: a lock mutant replaces the lock
+// whatever a case names, so without -algs the sweep runs the algorithm it
+// is a mutant of and no other, and every reproducer names that one. An
+// explicit -algs still wins.
+func TestLockMutantSweepsItsOwnAlgorithm(t *testing.T) {
+	var b strings.Builder
+	code := run([]string{"-mutation", "wait-wrong-cell", "-syncs", "barrier", "-seeds", "2", "-v"}, &b)
+	out := b.String()
+	if code == 0 {
+		t.Fatalf("the mutant's sweep exited 0:\n%s", out)
+	}
+	if !strings.HasPrefix(out, "sweeping 2 cases") {
+		t.Fatalf("want one case per seed:\n%s", out)
+	}
+	lines := 0
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.Contains(line, "{fabric=") {
+			continue
+		}
+		lines++
+		if !strings.Contains(line, "alg=queue/") {
+			t.Errorf("reproducer names another algorithm than the mutant's: %s", line)
+		}
+	}
+	if lines == 0 {
+		t.Fatalf("no reproducer printed:\n%s", out)
+	}
+	b.Reset()
+	run([]string{"-mutation", "wait-wrong-cell", "-algs", "queue,hybrid", "-syncs", "barrier", "-seeds", "1"}, &b)
+	if !strings.HasPrefix(b.String(), "sweeping 2 cases") {
+		t.Fatalf("an explicit -algs was not kept:\n%s", b.String())
+	}
+}

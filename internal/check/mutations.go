@@ -245,6 +245,18 @@ func MutationWorkload(name string) (workloadSpec string, ppn int) {
 	return m.workload, m.ppn
 }
 
+// MutationLock reports the lock algorithm a lock mutant replaces (""
+// for every other mutation). The mutant stands in for whatever lock a
+// case names, so a sweep driver runs it under that algorithm's name
+// alone: under any other, the reproducer would name a lock that never
+// ran.
+func MutationLock(name string) string {
+	if m := mutationSpecs[name]; m.lock != nil {
+		return m.alg
+	}
+	return ""
+}
+
 // MutationIters is the per-rank critical-section count the mutation
 // self-test sweeps at — deeper than the default case so narrow race
 // windows get more chances per seed. Reproducer replays must use the

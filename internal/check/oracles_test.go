@@ -143,7 +143,7 @@ func TestFenceOracleCatchesEarlyExit(t *testing.T) {
 
 func deliverEv(srcID, dstID int, seq uint64) trace.OpEvent {
 	return trace.OpEvent{Kind: trace.OpDeliver, Rank: -1, Prev: -1, Ticket: -1,
-		Event: trace.Event{Src: msg.Addr{ID: srcID}, Dst: msg.Addr{ID: dstID}, PairSeq: seq}}
+		Event: trace.Event{Src: msg.User(srcID), Dst: msg.User(dstID), PairSeq: seq}}
 }
 
 func TestDeliveryOracleCleanHistory(t *testing.T) {

@@ -2,6 +2,7 @@ package check
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -35,6 +36,11 @@ import (
 //     overtake its data, which the byte verification catches (the
 //     chunks are sized so the stale window exceeds the consumer's poll
 //     gap). Outstanding NbPut handles are then collected with WaitAll.
+//     With coalescing on, each round's frame also writes one word of the
+//     neighbor's twice, and the neighbor checks after the round's sync
+//     that the later value is the one that stayed: an order check that
+//     holds whatever the timing, where the stale-chunk check needs the
+//     consumer to poll inside the server's apply.
 //
 // All phases route every global synchronization through the case's sync
 // variant (real or mutated), so a broken barrier is exposed to both the
@@ -83,6 +89,10 @@ func workloadBody(c Case, col *collector) func(p *armci.Proc) {
 		slots := p.MallocWords(n)
 		nbuf := p.Malloc(notifyChunks * notifyChunkBytes)
 		nflag := p.MallocWords(1)
+		var rewrite []shmem.Ptr // round r's twice-written word at +8r
+		if c.Coalesce || mutationSpecs[c.Mutation].coalesceHazard {
+			rewrite = p.Malloc(8 * c.Rounds)
+		}
 		var epoch int
 		syncFn := syncFor(p, c, &epoch)
 
@@ -129,6 +139,10 @@ func workloadBody(c Case, col *collector) func(p *armci.Proc) {
 			dst := (me + 1) % n
 			src := (me - 1 + n) % n
 			var hs []*armci.Handle
+			if rewrite != nil {
+				w := rewrite[dst].Add(int64(8 * r))
+				hs = append(hs, p.NbPut(w, rewriteVal(r, me, 1)), p.NbPut(w, rewriteVal(r, me, 2)))
+			}
 			for k := 0; k < notifyChunks-1; k++ {
 				hs = append(hs, p.NbPut(nbuf[dst].Add(int64(k*notifyChunkBytes)), chunkData(r, me, k)))
 			}
@@ -147,6 +161,13 @@ func workloadBody(c Case, col *collector) func(p *armci.Proc) {
 			// One synchronization per round: the consumer verified before
 			// entering, so next round's producer cannot overwrite early.
 			syncFn()
+			if rewrite != nil {
+				got := p.Get(rewrite[me].Add(int64(8*r)), 8)
+				if want := rewriteVal(r, src, 2); !bytes.Equal(got, want) {
+					col.addf("notify round %d: rank %d's word written twice by rank %d in one frame holds %x, want the later %x (the batch was applied out of order)",
+						r+1, me, src, got, want)
+				}
+			}
 		}
 	}
 }
@@ -225,6 +246,12 @@ func chunkData(r, src, k int) []byte {
 		b[i] = byte(r*131 + src*17 + k*7 + i)
 	}
 	return b
+}
+
+// rewriteVal is the i-th value rank src writes to its neighbor's word in
+// notify round r.
+func rewriteVal(r, src, i int) []byte {
+	return binary.LittleEndian.AppendUint64(nil, uint64(r*1000+src*10+i))
 }
 
 // roundVal is the value rank src writes in put round r — unique per

@@ -101,10 +101,10 @@ func runLaunch(t *testing.T) {
 	for len(arrived) < cap(got) {
 		select {
 		case m := <-got:
-			if m.Kind != msg.KindPut || m.Tag != 42 || string(m.Data) != "ring token" || arrived[[2]int{m.Src.ID, m.Dst.ID}] {
+			if m.Kind != msg.KindPut || m.Tag != 42 || string(m.Data) != "ring token" || arrived[[2]int{m.Src.ID(), m.Dst.ID()}] {
 				t.Fatalf("message mutated or duplicated on the way: got %+v", m)
 			}
-			arrived[[2]int{m.Src.ID, m.Dst.ID}] = true
+			arrived[[2]int{m.Src.ID(), m.Dst.ID()}] = true
 		case <-time.After(5 * time.Second):
 			t.Fatalf("only %d of %d messages arrived: %v", len(arrived), cap(got), arrived)
 		}

@@ -248,7 +248,7 @@ func TestHierarchicalBarrierWireTraffic(t *testing.T) {
 	runClusterPPN(t, procs, ppn, model.Zero(), stats, func(env transport.Env, c *Comm) {
 		c.Barrier(BarrierHierarchical)
 	})
-	node := func(a msg.Addr) int { return a.ID / ppn }
+	node := func(a msg.Addr) int { return a.ID() / ppn }
 	total, wire := 0, 0
 	for _, e := range stats.Timeline() {
 		if e.Kind != msg.KindColl {

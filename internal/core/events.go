@@ -18,7 +18,9 @@ import (
 //     under ticket-ordered algorithms, Epoch: the lease epoch registered
 //     under);
 //   - OpRelease at the start of the release, before any hand-off store
-//     or unlock message, so it precedes the successor's acquire;
+//     or unlock message, so it precedes the successor's acquire — but for
+//     a lease tenure a repair may have deposed, which records it once its
+//     epoch CAS has won (LeaseLock.Unlock);
 //   - OpRepair only by the winner of the depose CAS, immediately after
 //     it (Prev: the victim, Epoch: the epoch installed); OpStaleRelease
 //     by a release that lost the epoch check and touched nothing;

@@ -1,9 +1,13 @@
 package msg
 
-import "math/rand/v2"
+import (
+	"math/rand/v2"
+
+	"armci/internal/shmem"
+)
 
 // Arena sizes. A chunk holds ChunkMessages slots of a message and
-// InlineBytes of payload each (5.5 KB); a payload longer than that is
+// InlineBytes of payload each (3.6 KB); a payload longer than that is
 // carved from a slab of SlabBytes, and one over a quarter of SlabBytes is
 // allocated on its own.
 const (
@@ -22,13 +26,14 @@ const (
 // between goroutines and passed on like any heap object; what it costs is
 // the chunk and slab it pins.
 //
-// What an owner allocates is one chunk per ChunkMessages messages, and a
-// slab now and then for the payloads that do not fit a slot. The first
-// chunk is of a random length: arenas fed in step — every rank's in a
-// collective, every link's of one exchange — would otherwise all open
-// their next chunk at the same message, and allocations counted over a
-// part of a run that repeats would be off by one per arena, all in the
-// same direction.
+// What an owner allocates is one chunk per ChunkMessages messages, a slab
+// now and then for the payloads that do not fit a slot, and a chunk of
+// ChunkMessages stride descriptors per as many strided messages (Strided,
+// StridedN). The first chunk of each is of a random length: arenas fed in
+// step — every rank's in a collective, every link's of one exchange —
+// would otherwise all open their next chunk at the same message, and
+// allocations counted over a part of a run that repeats would be off by
+// one per arena, all in the same direction.
 //
 // The zero Arena is ready to use; a nil *Arena allocates every message and
 // payload on its own. An Arena is not safe for concurrent use: its owner
@@ -36,15 +41,28 @@ const (
 // for a data server served on delivery, whose handler runs on its
 // requesters' goroutines, one request at a time (transport.Handler).
 type Arena struct {
-	slots   []slot // the current chunk's slots not yet handed out
-	slab    []byte // the current slab's bytes not yet handed out
-	chunked bool   // the first chunk was made
+	slots   []slot       // the current chunk's slots not yet handed out
+	strides []strideSlot // the current descriptor chunk's, likewise
+	slab    []byte       // the current slab's bytes not yet handed out
+
+	slotsOpened, stridesOpened bool // the first chunk of each was made
 }
 
 // slot is one message and room for a short payload of its own.
 type slot struct {
 	m       Message
 	payload [InlineBytes]byte
+}
+
+// inlineLevels is how many stride levels a descriptor slot holds the
+// vectors of; a deeper descriptor's vectors are allocated on their own.
+const inlineLevels = 2
+
+// strideSlot is one stride descriptor and room for its vectors.
+type strideSlot struct {
+	d      shmem.Strided
+	count  [inlineLevels + 1]int
+	stride [inlineLevels]int64
 }
 
 // New returns a message holding m's fields, in a slot no other message
@@ -88,16 +106,63 @@ func (a *Arena) NewWith(m Message, n int) *Message {
 	return a.New(m)
 }
 
-// next hands out the next slot, opening a chunk when the last is used up.
-func (a *Arena) next() *slot {
-	if len(a.slots) == 0 {
-		n := ChunkMessages
-		if !a.chunked {
-			n, a.chunked = 1+rand.IntN(ChunkMessages), true
-		}
-		a.slots = make([]slot, n)
+// Strided returns a copy of d, its vectors included, for a message's
+// Stride (see StridedN): nil for a descriptor with neither counts nor
+// strides (a contiguous transfer).
+func (a *Arena) Strided(d shmem.Strided) *shmem.Strided {
+	if len(d.Count) == 0 && len(d.Stride) == 0 {
+		return nil
 	}
-	s := &a.slots[0]
-	a.slots = a.slots[1:]
-	return s
+	p := a.StridedN(len(d.Count), len(d.Stride))
+	copy(p.Count, d.Count)
+	copy(p.Stride, d.Stride)
+	return p
+}
+
+// StridedN returns a zero descriptor of nc counts and ns strides for the
+// caller to fill, in a descriptor slot no other message ever had, with its
+// vectors in the slot when they fit (inlineLevels) — a strided message
+// costs no heap object of its own. An empty vector is nil, and each
+// vector's capacity is its length.
+func (a *Arena) StridedN(nc, ns int) *shmem.Strided {
+	var s *strideSlot
+	if a == nil {
+		s = new(strideSlot)
+	} else {
+		s = carve(&a.strides, &a.stridesOpened)
+	}
+	switch {
+	case nc == 0:
+	case nc <= len(s.count):
+		s.d.Count = s.count[:nc:nc]
+	default:
+		s.d.Count = make([]int, nc)
+	}
+	switch {
+	case ns == 0:
+	case ns <= len(s.stride):
+		s.d.Stride = s.stride[:ns:ns]
+	default:
+		s.d.Stride = make([]int64, ns)
+	}
+	return &s.d
+}
+
+// next hands out the next message slot.
+func (a *Arena) next() *slot { return carve(&a.slots, &a.slotsOpened) }
+
+// carve hands out the next element of a chunk, opening a chunk when the
+// last is used up: ChunkMessages long, but for the first, whose length is
+// random.
+func carve[T any](chunk *[]T, opened *bool) *T {
+	if len(*chunk) == 0 {
+		n := ChunkMessages
+		if !*opened {
+			n, *opened = 1+rand.IntN(ChunkMessages), true
+		}
+		*chunk = make([]T, n)
+	}
+	p := &(*chunk)[0]
+	*chunk = (*chunk)[1:]
+	return p
 }

@@ -2,8 +2,11 @@ package msg
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"unsafe"
+
+	"armci/internal/shmem"
 )
 
 // TestArenaNeverReusesASlot: every message an arena hands out has a slot
@@ -103,5 +106,63 @@ func TestArenaAllocations(t *testing.T) {
 	var none *Arena
 	if avg := testing.AllocsPerRun(10, func() { sink = none.New(Message{Kind: KindPut}) }); avg != 1 {
 		t.Fatalf("a nil arena allocates %.2f per message, want 1", avg)
+	}
+}
+
+// TestArenaStrided: a strided message's descriptor is a copy, vectors
+// included, in a slot of its own — one chunk per ChunkMessages of them once
+// warm, vectors inline up to inlineLevels — and a contiguous one's is nil,
+// in a nil arena too.
+func TestArenaStrided(t *testing.T) {
+	var a Arena
+	if a.Strided(shmem.Strided{}) != nil || (*Arena)(nil).Strided(shmem.Strided{}) != nil {
+		t.Fatal("a contiguous transfer's descriptor is not nil")
+	}
+	d := shmem.Strided{Count: []int{8, 4}, Stride: []int64{64}}
+	var all []*shmem.Strided
+	for i := 0; i < 3*ChunkMessages; i++ {
+		d.Stride[0] = int64(i)
+		p := a.Strided(d)
+		if slices.Contains(all, p) {
+			t.Fatalf("descriptor %d reuses a slot", i)
+		}
+		all = append(all, p)
+	}
+	for i, p := range all {
+		if p.Stride[0] != int64(i) || !slices.Equal(p.Count, d.Count) {
+			t.Fatalf("descriptor %d was overwritten or shares the caller's vectors: %+v", i, *p)
+		}
+	}
+	deep := shmem.Strided{Count: []int{8, 2, 2, 2}, Stride: []int64{16, 32, 64}}
+	if p := a.Strided(deep); !slices.Equal(p.Count, deep.Count) || !slices.Equal(p.Stride, deep.Stride) {
+		t.Fatalf("a %d-level descriptor came back as %+v", deep.Levels(), *p)
+	}
+	for len(a.strides) > 0 {
+		a.Strided(d)
+	}
+	per := testing.AllocsPerRun(10, func() {
+		for i := 0; i < ChunkMessages; i++ {
+			a.Strided(d)
+		}
+	})
+	if per != 1 {
+		t.Fatalf("%d one-level descriptors allocate %.2f times, want 1", ChunkMessages, per)
+	}
+}
+
+// TestMessageSize pins the message to what its kinds use: 168 bytes, a
+// slot (the message and its inline payload) 232 and a chunk of
+// ChunkMessages slots 3,712. A field every kind does not need belongs in
+// one that several share, or behind a pointer (see Message); adding one
+// back fails here first.
+func TestMessageSize(t *testing.T) {
+	if got := unsafe.Sizeof(Message{}); got != 168 {
+		t.Errorf("Message is %d bytes, want 168", got)
+	}
+	if got := unsafe.Sizeof(slot{}); got != 232 {
+		t.Errorf("an arena slot is %d bytes, want 232", got)
+	}
+	if got := unsafe.Sizeof([ChunkMessages]slot{}); got != 3712 {
+		t.Errorf("a chunk is %d bytes, want 3712", got)
 	}
 }

@@ -5,6 +5,7 @@ package msg
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -14,60 +15,66 @@ import (
 // Addr names an endpoint of the emulated cluster: either the user process
 // of a rank or the data server of a node. ARMCI runs one server thread per
 // SMP node; it handles remote-memory requests for every process of the
-// node.
-type Addr struct {
-	Server bool
-	ID     int // rank for user endpoints, node index for servers
-}
+// node. An Addr is one word, the ID in its low 31 bits and the top bit set
+// for a server, so a message carries its two endpoints in 8 bytes and a
+// pair of them packs into a Pair. Endpoint IDs fit in 31 bits. The zero
+// Addr is rank 0's user process.
+type Addr uint32
+
+const serverBit = 1 << 31
 
 // User returns the endpoint address of rank's user process.
-func User(rank int) Addr { return Addr{ID: rank} }
+func User(rank int) Addr { return Addr(uint32(rank) &^ serverBit) }
 
 // ServerOf returns the endpoint address of node's data server.
-func ServerOf(node int) Addr { return Addr{Server: true, ID: node} }
+func ServerOf(node int) Addr { return Addr(uint32(node) | serverBit) }
 
 // NICOf returns the endpoint address of node's NIC agent — the paper's
 // §5 future-work offload target. Agents share the server lifecycle and
 // occupy server IDs at numNodes+node.
-func NICOf(node, numNodes int) Addr { return Addr{Server: true, ID: numNodes + node} }
+func NICOf(node, numNodes int) Addr { return ServerOf(numNodes + node) }
+
+// Server reports whether a is a data server's (or NIC agent's) address.
+func (a Addr) Server() bool { return a&serverBit != 0 }
+
+// ID returns a's rank, for a user endpoint, or its node index, for a
+// server.
+func (a Addr) ID() int { return int(a &^ serverBit) }
+
+// Index numbers the endpoints densely from 0: rank r's user process is 2r,
+// node n's server 2n+1. It indexes the per-endpoint tables of the fabrics
+// and the pipeline.
+func (a Addr) Index() int {
+	i := 2 * a.ID()
+	if a.Server() {
+		i++
+	}
+	return i
+}
 
 func (a Addr) String() string {
-	if a.Server {
-		return fmt.Sprintf("srv%d", a.ID)
+	if a.Server() {
+		return fmt.Sprintf("srv%d", a.ID())
 	}
-	return fmt.Sprintf("p%d", a.ID)
+	return fmt.Sprintf("p%d", a.ID())
 }
 
 // IsNIC reports whether a is a NIC agent address, given the node count.
-func (a Addr) IsNIC(numNodes int) bool { return a.Server && a.ID >= numNodes }
+func (a Addr) IsNIC(numNodes int) bool { return a.Server() && a.ID() >= numNodes }
 
 // Pair is a directed (source, destination) endpoint pair packed into one
 // word: the key of every per-pair table on the message path (pipeline
-// sequencing, the recorder's counters and histograms). A map keyed by a
-// uint64 takes the runtime's fast path, where a two-Addr struct is hashed
-// as 32 bytes on every send and every arrival. Endpoint IDs fit in 31 bits.
+// sequencing, the recorder's counters and histograms).
 type Pair uint64
 
 // PairOf packs the pair src → dst.
-func PairOf(src, dst Addr) Pair { return Pair(addrWord(src))<<32 | Pair(addrWord(dst)) }
+func PairOf(src, dst Addr) Pair { return Pair(src)<<32 | Pair(dst) }
 
 // Src returns the pair's source endpoint.
-func (p Pair) Src() Addr { return wordAddr(uint32(p >> 32)) }
+func (p Pair) Src() Addr { return Addr(p >> 32) }
 
 // Dst returns the pair's destination endpoint.
-func (p Pair) Dst() Addr { return wordAddr(uint32(p)) }
-
-const serverBit = 1 << 31
-
-func addrWord(a Addr) uint32 {
-	w := uint32(a.ID) &^ serverBit
-	if a.Server {
-		w |= serverBit
-	}
-	return w
-}
-
-func wordAddr(w uint32) Addr { return Addr{Server: w&serverBit != 0, ID: int(w &^ serverBit)} }
+func (p Pair) Dst() Addr { return Addr(uint32(p)) }
 
 // Kind is the protocol message type.
 type Kind uint8
@@ -168,15 +175,24 @@ func (o RmwOp) String() string {
 	return fmt.Sprintf("RmwOp(%d)", uint8(o))
 }
 
-// Message is one protocol message. A single struct covers every kind; the
-// populated fields depend on Kind.
+// Message is one protocol message. A single struct covers every kind, and
+// it holds only what several kinds use: what one or two kinds carry shares
+// a field (Operands) or sits behind a pointer (Stride), and the fault
+// stage's per-send diagnostics (an injected duplicate, its delay) reach the
+// recorder beside the message, not in it. Field order packs it into 168
+// bytes (TestMessageSize).
 type Message struct {
 	Kind Kind
-	Src  Addr
-	Dst  Addr
+
+	// Op is the RMW sub-operation (KindRmw) or accumulate element type
+	// (KindAcc, as shmem.AccOp).
+	Op uint8
+
+	Src Addr
+	Dst Addr
 
 	// Origin is the rank on whose behalf a server request is made (for
-	// requests relayed through servers it can differ from Src.ID).
+	// requests relayed through servers it can differ from Src.ID()).
 	Origin int
 
 	// Token correlates a response with its request.
@@ -189,21 +205,16 @@ type Message struct {
 	// Ptr is the target memory location of data and RMW requests.
 	Ptr shmem.Ptr
 
-	// Stride describes non-contiguous put/get/acc layouts. Zero value
-	// means contiguous (length given by Data or N).
-	Stride shmem.Strided
+	// Stride describes a non-contiguous put, get or accumulate: nil for a
+	// contiguous one (its length is Data's, or N). The descriptor lives
+	// where the message does, in its arena (Arena.Strided).
+	Stride *shmem.Strided
 
 	// N is the byte count of a get request.
 	N int
 
-	// Op is the RMW sub-operation (KindRmw) or accumulate element type
-	// (KindAcc, as shmem.AccOp).
-	Op uint8
-
-	// Scale is the accumulate scale factor.
-	Scale float64
-
-	// Operands carries RMW operands and results.
+	// Operands carries RMW operands and results and, for an accumulate,
+	// the scale factor's bits in Operands[0] (Scale, ScaleOperands).
 	Operands [4]int64
 
 	// Data is the payload of puts, accumulates, get responses and
@@ -230,15 +241,22 @@ type Message struct {
 	// Arrival is stamped by the fabric: the (virtual or wall) time at
 	// which the message is available at the destination.
 	Arrival time.Duration
+}
 
-	// Dup marks an injected duplicate copy (fault injection only);
-	// duplicates are suppressed before delivery and never reach
-	// protocol code. Not transmitted on the wire.
-	Dup bool
+// ScaleOperands returns the Operands of an accumulate whose scale factor
+// is scale.
+func ScaleOperands(scale float64) [4]int64 { return [4]int64{int64(math.Float64bits(scale))} }
 
-	// FaultDelay is the extra latency the fault-injection stage added
-	// to this message (diagnostic; not transmitted on the wire).
-	FaultDelay time.Duration
+// Scale returns an accumulate's scale factor.
+func (m *Message) Scale() float64 { return math.Float64frombits(uint64(m.Operands[0])) }
+
+// Strided returns the message's stride descriptor: the zero descriptor for
+// a contiguous transfer.
+func (m *Message) Strided() shmem.Strided {
+	if m.Stride == nil {
+		return shmem.Strided{}
+	}
+	return *m.Stride
 }
 
 // PayloadBytes returns the modeled wire payload size of the message, used

@@ -7,11 +7,11 @@ import (
 
 func TestAddrConstructors(t *testing.T) {
 	u := User(3)
-	if u.Server || u.ID != 3 {
+	if u.Server() || u.ID() != 3 {
 		t.Fatalf("User(3) = %+v", u)
 	}
 	s := ServerOf(2)
-	if !s.Server || s.ID != 2 {
+	if !s.Server() || s.ID() != 2 {
 		t.Fatalf("ServerOf(2) = %+v", s)
 	}
 	if u.String() != "p3" || s.String() != "srv2" {

@@ -84,3 +84,44 @@ func TestTCPSyncAllocBudget(t *testing.T) {
 		t.Errorf("a 4-rank put-to-each-peer and Barrier on tcp allocates %.2f times per operation, budget 8", per)
 	}
 }
+
+// TestSimSyncAllocBudget pins the model-sim16 operation: 16 simulated
+// ranks (one goroutine, the kernel's), each putting 64 B to every peer and
+// then entering the combined Barrier, allocate at most 28 objects per
+// operation, counted across the whole process: the 23 arena chunks its
+// 368 messages are born in (about 24 measured), and nothing per message —
+// a delivery is a kernel event naming its message; a closure per
+// delivery would add one allocation per message, about 390 an operation.
+func TestSimSyncAllocBudget(t *testing.T) {
+	const procs, runs = 16, 200
+	var per float64
+	_, err := armci.Run(armci.Options{Procs: procs, Fabric: armci.FabricSim, Preset: armci.PresetMyrinet2000}, func(p *armci.Proc) {
+		slots := p.Malloc(64 * procs)
+		payload := make([]byte, 64)
+		op := func() {
+			for q := range procs {
+				if q != p.Rank() {
+					p.Put(slots[q].Add(int64(64*p.Rank())), payload)
+				}
+			}
+			p.Barrier()
+		}
+		for range runs {
+			op() // warm every pair, arena and event pool
+		}
+		if p.Rank() == 0 {
+			per = mallocsPer(runs, op) // the barrier keeps the others in step
+		} else {
+			for range runs {
+				op()
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%.2f allocations per operation", per)
+	if per > 28 {
+		t.Errorf("a 16-rank put-to-each-peer and Barrier on sim allocates %.2f times per operation, budget 28", per)
+	}
+}

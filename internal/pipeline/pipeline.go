@@ -241,13 +241,13 @@ func (e *FaultError) Error() string {
 // at a user endpoint belong to that rank; faults at a server endpoint are
 // charged to the user rank it was talking to.
 func attrRank(src, dst msg.Addr) (rank int, server bool) {
-	if !src.Server {
-		return src.ID, false
+	if !src.Server() {
+		return src.ID(), false
 	}
-	if !dst.Server {
-		return dst.ID, true
+	if !dst.Server() {
+		return dst.ID(), true
 	}
-	return src.ID, true
+	return src.ID(), true
 }
 
 // Hash salts, one per independent fault decision.
@@ -294,8 +294,8 @@ func mix64(x uint64) uint64 {
 }
 
 func addrBits(a msg.Addr) uint64 {
-	b := uint64(uint32(a.ID))
-	if a.Server {
+	b := uint64(uint32(a.ID()))
+	if a.Server() {
 		b |= 1 << 32
 	}
 	return b
@@ -498,10 +498,7 @@ func (p *Pipeline) Delays() bool { return p.delays }
 // endpoint returns a's share of the pipeline: one load, unless a is new to
 // the table, which then grows to twice its size.
 func (p *Pipeline) endpoint(a msg.Addr) *endpoint {
-	i := 2 * a.ID
-	if a.Server {
-		i++
-	}
+	i := a.Index()
 	if t := *p.eps.Load(); i < len(t) {
 		return t[i]
 	}
@@ -651,14 +648,13 @@ func (p *Pipeline) SendTo(src, dst msg.Addr, m *msg.Message, clock func() time.D
 	ep := p.endpoint(src)
 	if p.faulty && p.crashes(ep, src) {
 		p.countCrash()
-		return &FaultError{Rank: src.ID, Op: m.Kind.String(), Kind: FaultCrash}
+		return &FaultError{Rank: src.ID(), Op: m.Kind.String(), Kind: FaultCrash}
 	}
 	ps := ep.pair(p, msg.PairOf(src, dst))
 	ps.seq++
 	m.Src, m.Dst = src, dst
 	m.Seq, m.Sent = ps.seq, now
 	m.Epoch = p.epoch.Load()
-	m.Dup, m.FaultDelay = false, 0
 
 	var wire time.Duration
 	if p.cfg.ChargeModel {
@@ -667,15 +663,16 @@ func (p *Pipeline) SendTo(src, dst msg.Addr, m *msg.Message, clock func() time.D
 	}
 	var dup *msg.Message
 	var faults trace.FaultCounts
+	var delay time.Duration
 	if p.faulty {
 		var err error
-		if dup, faults, err = p.inject(ps, m, now, wire); err != nil {
+		if dup, faults, delay, err = p.inject(ps, m, now, wire); err != nil {
 			return err
 		}
 	} else {
 		m.Arrival = ps.arrival(now, wire)
 	}
-	ep.rec.RecordSend(m, dup, faults)
+	ep.rec.RecordSend(m, dup, faults, delay)
 	emit(Delivery{Msg: m, At: m.Arrival})
 	if dup != nil {
 		emit(Delivery{Msg: dup, At: dup.Arrival, Dup: true})
@@ -685,15 +682,16 @@ func (p *Pipeline) SendTo(src, dst msg.Addr, m *msg.Message, clock func() time.D
 
 // inject runs the fault and reliability stages on m, stamped at now with
 // wire time wire: it fails the send, or sets m's arrival and returns the
-// duplicate to deliver after it (nil: none) and the faults the send drew.
-func (p *Pipeline) inject(ps *pairState, m *msg.Message, now, wire time.Duration) (*msg.Message, trace.FaultCounts, error) {
+// duplicate to deliver after it (nil: none), the faults the send drew and
+// the extra latency they added.
+func (p *Pipeline) inject(ps *pairState, m *msg.Message, now, wire time.Duration) (*msg.Message, trace.FaultCounts, time.Duration, error) {
 	f := &p.cfg.Faults
 	src, dst, seq := m.Src, m.Dst, m.Seq
 	drops, retransDelay, exhausted := f.lossAttempts(src, dst, seq)
 	if exhausted {
 		rank, server := attrRank(src, dst)
 		p.cfg.Stats.RecordFaults(trace.FaultCounts{Dropped: drops, Retransmits: drops - 1, RetryExhausted: 1})
-		return nil, trace.FaultCounts{}, &FaultError{Rank: rank, Server: server, Op: m.Kind.String(), Kind: FaultRetryExhausted}
+		return nil, trace.FaultCounts{}, 0, &FaultError{Rank: rank, Server: server, Op: m.Kind.String(), Kind: FaultRetryExhausted}
 	}
 	// Every drop of a delivered message triggered exactly one
 	// retransmission.
@@ -706,24 +704,22 @@ func (p *Pipeline) inject(ps *pairState, m *msg.Message, now, wire time.Duration
 		faults.Spiked = 1
 	}
 	extra += retransDelay
-	m.FaultDelay = extra
 	m.Arrival = ps.arrival(now, wire+extra)
 	if !f.dup(src, dst, seq) || ps.dups >= maxDupsPerPair {
-		return nil, faults, nil
+		return nil, faults, extra, nil
 	}
 	ps.dups++
 	c := *m // shallow copy; payload is read-only in transit
-	c.Dup = true
 	c.Arrival = ps.arrival(now, wire+extra+f.dupDelay())
 	faults.DupsInjected = 1
-	return &c, faults, nil
+	return &c, faults, extra, nil
 }
 
 // crashes applies the fail-stop crash fault: when src is the crash rank,
 // its CrashAfterSends-th send — and every later one — fails.
 func (p *Pipeline) crashes(ep *endpoint, src msg.Addr) bool {
 	f := &p.cfg.Faults
-	if f.CrashAfterSends <= 0 || src.Server || src.ID != f.CrashRank {
+	if f.CrashAfterSends <= 0 || src.Server() || src.ID() != f.CrashRank {
 		return false
 	}
 	ep.sends++

@@ -120,8 +120,7 @@ func TestInboundSuppressesDuplicates(t *testing.T) {
 	if !p.Inbound(m, 0) {
 		t.Fatal("first delivery rejected")
 	}
-	c := *m
-	c.Dup = true
+	c := *m // an injected duplicate is a copy of the message
 	if p.Inbound(&c, time.Microsecond) {
 		t.Fatal("duplicate admitted")
 	}
@@ -164,7 +163,9 @@ func TestInboundStampsArrival(t *testing.T) {
 }
 
 func TestDuplicateInjectionBoundedPerPair(t *testing.T) {
-	p := New(Config{Faults: Faults{Seed: 3, DupProb: 1}})
+	mx := trace.New()
+	mx.SetTimeline(true)
+	p := New(Config{Faults: Faults{Seed: 3, DupProb: 1}, Stats: mx})
 	a, b := msg.User(0), msg.User(1)
 	clk := &vclock{}
 	total := 0
@@ -173,9 +174,6 @@ func TestDuplicateInjectionBoundedPerPair(t *testing.T) {
 		for _, d := range ds {
 			if d.Dup {
 				total++
-				if !d.Msg.Dup {
-					t.Fatal("duplicate delivery not marked on the message")
-				}
 				if d.At < ds[0].At {
 					t.Fatalf("duplicate before original: %v < %v", d.At, ds[0].At)
 				}
@@ -184,6 +182,16 @@ func TestDuplicateInjectionBoundedPerPair(t *testing.T) {
 	}
 	if total != maxDupsPerPair {
 		t.Fatalf("injected %d duplicates, want the per-pair bound %d", total, maxDupsPerPair)
+	}
+	// The recorder got each duplicate beside its message, marked.
+	marked := 0
+	for _, e := range mx.Timeline() {
+		if e.Dup {
+			marked++
+		}
+	}
+	if marked != total {
+		t.Fatalf("recorder marked %d sends as duplicates, want %d", marked, total)
 	}
 	// The bound is per pair: a different pipe gets its own allowance.
 	ds, _ := send(p, b, a, &msg.Message{Kind: msg.KindSend}, clk.now, nil)
@@ -399,6 +407,7 @@ func TestRetryExhaustionAttributesServerSends(t *testing.T) {
 
 func TestRecoveredLossDelaysArrivalAndCounts(t *testing.T) {
 	mx := trace.New()
+	mx.SetTimeline(true)
 	base := Faults{Seed: 11, LossProb: 0.25, RTO: 100 * time.Microsecond, RetryBudget: 8}
 	p := New(Config{Faults: base, Stats: mx})
 	clean := New(Config{})
@@ -415,8 +424,8 @@ func TestRecoveredLossDelaysArrivalAndCounts(t *testing.T) {
 		}
 		ref, _ := send(clean, a, b, &msg.Message{Kind: msg.KindSend}, clk.now, nil)
 		if drops > 0 {
-			if ds[0].Msg.FaultDelay < delay {
-				t.Fatalf("seq %d: retransmit delay %v not folded into FaultDelay %v", seq, delay, ds[0].Msg.FaultDelay)
+			if tl := mx.Timeline(); tl[len(tl)-1].FaultDelay < delay {
+				t.Fatalf("seq %d: retransmit delay %v not folded into the recorded FaultDelay %v", seq, delay, tl[len(tl)-1].FaultDelay)
 			}
 			if ds[0].At < ref[0].At+delay {
 				t.Fatalf("seq %d: arrival %v not delayed by %v", seq, ds[0].At, delay)

@@ -317,7 +317,7 @@ func (g *Engine) put(dst shmem.Ptr, d shmem.Strided, data []byte) {
 		Kind:   msg.KindPut,
 		Origin: g.env.Rank(),
 		Ptr:    dst,
-		Stride: d,
+		Stride: g.arena.Strided(d),
 	}, data))
 }
 
@@ -360,7 +360,7 @@ func (g *Engine) get(dst []byte, src shmem.Ptr, d shmem.Strided, n int) []byte {
 		Origin: g.env.Rank(),
 		Token:  tok,
 		Ptr:    src,
-		Stride: d,
+		Stride: g.arena.Strided(d),
 		N:      n,
 	}))
 	data := g.env.Recv(msg.MatchToken(msg.KindGetResp, tok)).Data
@@ -413,12 +413,12 @@ func (g *Engine) accumulate(op shmem.AccOp, dst shmem.Ptr, d shmem.Strided, data
 		return
 	}
 	g.sendServer(node, g.withCopy(msg.Message{
-		Kind:   msg.KindAcc,
-		Origin: g.env.Rank(),
-		Ptr:    dst,
-		Stride: d,
-		Op:     uint8(op),
-		Scale:  scale,
+		Kind:     msg.KindAcc,
+		Origin:   g.env.Rank(),
+		Ptr:      dst,
+		Stride:   g.arena.Strided(d),
+		Op:       uint8(op),
+		Operands: msg.ScaleOperands(scale),
 	}, data))
 }
 

@@ -58,7 +58,7 @@ func (g *Engine) consumeAck() {
 // acknowledged once per entry, matching the per-entry countIssue on the
 // send side.
 func (g *Engine) creditAck(m *msg.Message) {
-	node := m.Src.ID
+	node := m.Src.ID()
 	if g.outstanding[node] <= 0 {
 		panic(fmt.Sprintf("proc: rank %d received excess put-ack from node %d", g.env.Rank(), node))
 	}

@@ -88,14 +88,14 @@ type Server struct {
 
 // New builds a server for the node identified by env (a server endpoint).
 func New(env transport.Env, lay *proc.Layout, opt Options) *Server {
-	if !env.Self().Server {
+	if !env.Self().Server() {
 		panic(fmt.Sprintf("server: endpoint %v is not a server address", env.Self()))
 	}
 	return &Server{
 		env:        env,
 		opt:        opt,
 		lay:        lay,
-		node:       env.Self().ID,
+		node:       env.Self().ID(),
 		lockQueues: make(map[int][]waiter),
 		arena:      env.Arena(),
 	}
@@ -117,7 +117,7 @@ func NewAgent(env transport.Env, lay *proc.Layout, opt Options) *Server {
 		env:        env,
 		opt:        opt,
 		lay:        lay,
-		node:       env.Self().ID - env.NumNodes(),
+		node:       env.Self().ID() - env.NumNodes(),
 		nic:        true,
 		lockQueues: make(map[int][]waiter),
 		arena:      env.Arena(),
@@ -163,18 +163,18 @@ func (s *Server) HandleOne(m *msg.Message) {
 	switch m.Kind {
 	case msg.KindPut:
 		s.env.Charge(p.ServiceTime(len(m.Data)))
-		if m.Stride.IsZero() {
+		if d := m.Strided(); d.IsZero() {
 			s.env.Space().Put(m.Ptr, m.Data)
 		} else {
-			s.env.Space().UnpackTo(m.Ptr, m.Stride, m.Data)
+			s.env.Space().UnpackTo(m.Ptr, d, m.Data)
 		}
 		s.completeStore(m)
 	case msg.KindAcc:
 		s.env.Charge(p.ServiceTime(len(m.Data)))
-		if m.Stride.IsZero() {
-			s.env.Space().Accumulate(shmem.AccOp(m.Op), m.Ptr, m.Data, m.Scale)
+		if d := m.Strided(); d.IsZero() {
+			s.env.Space().Accumulate(shmem.AccOp(m.Op), m.Ptr, m.Data, m.Scale())
 		} else {
-			s.env.Space().AccumulateStrided(shmem.AccOp(m.Op), m.Ptr, m.Stride, m.Data, m.Scale)
+			s.env.Space().AccumulateStrided(shmem.AccOp(m.Op), m.Ptr, d, m.Data, m.Scale())
 		}
 		s.completeStore(m)
 	case msg.KindGet:
@@ -186,7 +186,7 @@ func (s *Server) HandleOne(m *msg.Message) {
 			Origin: m.Origin,
 			Token:  m.Token,
 		}, m.N)
-		r.Data = s.env.Space().AppendGet(r.Data[:0], m.Ptr, m.Stride, m.N)
+		r.Data = s.env.Space().AppendGet(r.Data[:0], m.Ptr, m.Strided(), m.N)
 		s.env.Send(msg.User(m.Origin), r)
 	case msg.KindBatch:
 		s.handleBatch(m)

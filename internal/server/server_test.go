@@ -58,7 +58,7 @@ func TestServerPutIncrementsOpDone(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			env.Send(msg.ServerOf(0), &msg.Message{
 				Kind: msg.KindPut, Origin: 0, Ptr: buf.Add(int64(i)),
-				Stride: shmem.Contig(1), Data: []byte{byte(i + 1)},
+				Stride: stride(shmem.Contig(1)), Data: []byte{byte(i + 1)},
 			})
 		}
 		env.WaitUntil("done", shmem.Cell(lay.OpDone[0]), func() bool { return env.Space().Load(lay.OpDone[0]) == 3 })
@@ -87,7 +87,7 @@ func TestServerGetAndRmw(t *testing.T) {
 		env.Space().Put(b, []byte{9, 8, 7, 6, 5, 4, 3, 2})
 		env.Send(msg.ServerOf(0), &msg.Message{
 			Kind: msg.KindGet, Origin: 0, Token: 2, Ptr: b.Add(2),
-			Stride: shmem.Contig(4), N: 4,
+			Stride: stride(shmem.Contig(4)), N: 4,
 		})
 		g := env.Recv(msg.MatchToken(msg.KindGetResp, 2))
 		if len(g.Data) != 4 || g.Data[0] != 7 {
@@ -104,7 +104,7 @@ func TestServerFenceAfterPuts(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			env.Send(msg.ServerOf(0), &msg.Message{
 				Kind: msg.KindPut, Origin: 0, Ptr: b.Add(int64(i)),
-				Stride: shmem.Contig(1), Data: []byte{0xFF},
+				Stride: stride(shmem.Contig(1)), Data: []byte{0xFF},
 			})
 		}
 		env.Send(msg.ServerOf(0), &msg.Message{Kind: msg.KindFenceReq, Origin: 0, Token: 9})
@@ -252,8 +252,9 @@ func TestServerAccumulateStrided(t *testing.T) {
 		for k := 0; k < 3; k++ {
 			env.Send(msg.ServerOf(0), &msg.Message{
 				Kind: msg.KindAcc, Origin: 0, Ptr: b,
-				Stride: shmem.Strided{Count: []int{8, 2}, Stride: []int64{32}},
-				Op:     uint8(shmem.AccFloat64), Scale: 2, Data: one,
+				Stride:   &shmem.Strided{Count: []int{8, 2}, Stride: []int64{32}},
+				Op:       uint8(shmem.AccFloat64),
+				Operands: msg.ScaleOperands(2), Data: one,
 			})
 		}
 		env.WaitUntil("acc", shmem.Cell(lay.OpDone[0]), func() bool { return env.Space().Load(lay.OpDone[0]) == 3 })
@@ -339,7 +340,7 @@ func TestAgentRejectsBulkTraffic(t *testing.T) {
 	f.SpawnUser(0, func(env transport.Env) {
 		b := env.Space().AllocBytes(0, 8)
 		env.Send(msg.NICOf(0, 1), &msg.Message{
-			Kind: msg.KindPut, Origin: 0, Ptr: b, Stride: shmem.Contig(1), Data: []byte{1},
+			Kind: msg.KindPut, Origin: 0, Ptr: b, Stride: stride(shmem.Contig(1)), Data: []byte{1},
 		})
 		env.Clock().Sleep(time.Second)
 	})
@@ -418,3 +419,6 @@ func TestServerBatchAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// stride is d as a request carries it.
+func stride(d shmem.Strided) *shmem.Strided { return &d }

@@ -79,12 +79,21 @@ func (k *Kernel) SetShuffle(seed int64) {
 	k.shuffle = rand.New(rand.NewSource(seed))
 }
 
-// event is a scheduled callback. Events fire in (at, seq) order so that
+// Handler is what an event does when it fires, given the argument it was
+// scheduled with. A handler is bound once (a function, or a method value
+// its owner keeps) and an event names it beside its argument, so
+// scheduling one allocates nothing: a message delivery is the fabric's
+// deliver handler and the message, a sleep's wake-up wakeProc and the
+// process.
+type Handler func(arg any)
+
+// event is a scheduled handler call. Events fire in (at, seq) order so that
 // simultaneous events fire in scheduling order, keeping runs deterministic.
 type event struct {
 	at  time.Duration
 	seq uint64
-	fn  func()
+	h   Handler
+	arg any
 }
 
 // initialHeapCap pre-sizes a kernel's event heap so steady-state
@@ -145,23 +154,23 @@ func (h *eventHeap) pop() *event {
 
 func (h eventHeap) peek() *event { return h[0] }
 
-// At schedules fn to run at absolute virtual time at (clamped to now).
-// It may be called from process context or from another event callback.
-func (k *Kernel) At(at time.Duration, fn func()) {
+// At schedules h(arg) to run at absolute virtual time at (clamped to now).
+// It may be called from process context or from another event's handler.
+func (k *Kernel) At(at time.Duration, h Handler, arg any) {
 	if at < k.now {
 		at = k.now
 	}
 	k.eventSeq++
 	e := k.getEvent()
-	e.at, e.seq, e.fn = at, k.eventSeq, fn
+	e.at, e.seq, e.h, e.arg = at, k.eventSeq, h, arg
 	k.events.push(e)
 	if k.hazard {
 		k.hazardCount++
 		if k.hazardCount%hazardEvery == 0 {
 			// BUG (deliberate): queue the event for reuse while it is
 			// still sitting in the heap. The next At overwrites its
-			// fields in place, losing this callback and double-firing
-			// the new one.
+			// fields in place, losing this handler call and
+			// double-firing the new one.
 			k.hazardStash = e
 		}
 	}
@@ -186,14 +195,15 @@ func (k *Kernel) getEvent() *event {
 	return new(event)
 }
 
-// putEvent returns a fired event to the free list, fn cleared so the list
-// never pins a dead closure. A hazard kernel's heap can hold the same
-// event twice, still to fire again, so it recycles only through its stash.
+// putEvent returns a fired event to the free list, its argument cleared
+// so the list never pins a dead message. A hazard kernel's heap can hold
+// the same event twice, still to fire again, so it recycles only through
+// its stash.
 func (k *Kernel) putEvent(e *event) {
 	if k.hazard {
 		return
 	}
-	e.fn = nil
+	e.h, e.arg = nil, nil
 	k.free = append(k.free, e)
 }
 
@@ -204,15 +214,15 @@ const hazardEvery = 3
 
 // SetEventPoolHazard enables a deliberately broken event-recycling
 // scheme: every hazardEvery-th scheduled event is recycled while still
-// scheduled, so a later At clobbers its fire time and callback in place.
+// scheduled, so a later At clobbers its fire time and handler in place.
 // It exists solely as a mutation hook for the conformance harness's
 // oracle self-test (the bug class a correct event pool must not have);
 // never enable it outside tests. It may be called before Run or from
 // process context; it affects the events scheduled after the call.
 func (k *Kernel) SetEventPoolHazard(on bool) { k.hazard = on }
 
-// After schedules fn to run d from now.
-func (k *Kernel) After(d time.Duration, fn func()) { k.At(k.now+d, fn) }
+// After schedules h(arg) to run d from now.
+func (k *Kernel) After(d time.Duration, h Handler, arg any) { k.At(k.now+d, h, arg) }
 
 // procState is the lifecycle of a process.
 type procState int
@@ -243,29 +253,14 @@ type Proc struct {
 
 	cond  func() bool // predicate when blocked in WaitUntil
 	poked bool        // cond is due a recheck
-	wake  func()      // cached Sleep-timer callback (built once in Spawn)
 
-	wakeAt   time.Duration // diagnostic: time of pending timer, -1 if none
-	blockTag string        // diagnostic: what the process is blocked on
+	blockTag string // diagnostic: what the process is blocked on
 }
 
 // Spawn registers a new process executing fn. Processes are started when
 // Run is called; fn receives its Proc handle.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		name:   name,
-		state:  stateNew,
-		fn:     fn,
-		wakeAt: -1,
-	}
-	// One wake closure per process, reused by every Sleep: a process can
-	// have at most one pending timer, so sharing it is safe and keeps
-	// the Sleep hot path allocation-free.
-	p.wake = func() {
-		p.wakeAt = -1
-		k.markRunnable(p)
-	}
+	p := &Proc{k: k, name: name, state: stateNew, fn: fn}
 	k.procs = append(k.procs, p)
 	return p
 }
@@ -326,9 +321,9 @@ func (k *Kernel) Run(deadline time.Duration) error {
 		k.now = next
 		for len(k.events) > 0 && k.events.peek().at == k.now {
 			e := k.events.pop()
-			fn := e.fn
+			h, arg := e.h, e.arg
 			k.putEvent(e)
-			fn()
+			h(arg)
 		}
 		k.recheckConds()
 	}
@@ -416,9 +411,15 @@ func (p *Proc) Sleep(d time.Duration) {
 	}
 	p.state = stateBlocked
 	p.blockTag = "sleep"
-	p.wakeAt = p.k.now + d
-	p.k.After(d, p.wake)
+	p.k.After(d, wakeProc, p)
 	p.yield()
+}
+
+// wakeProc is a sleep's timer: it makes the process, its argument,
+// runnable.
+func wakeProc(arg any) {
+	p := arg.(*Proc)
+	p.k.markRunnable(p)
 }
 
 // YieldProc re-queues the process at the back of the run queue without

@@ -8,6 +8,9 @@ import (
 	"time"
 )
 
+// call is the handler of a test's events: it runs its argument.
+func call(arg any) { arg.(func())() }
+
 func TestSleepAdvancesVirtualTime(t *testing.T) {
 	k := New()
 	var woke time.Duration
@@ -79,9 +82,9 @@ func TestEventsFireInTimeThenSeqOrder(t *testing.T) {
 	k := New()
 	var fired []string
 	k.Spawn("scheduler", func(p *Proc) {
-		k.At(20*time.Millisecond, func() { fired = append(fired, "b1") })
-		k.At(10*time.Millisecond, func() { fired = append(fired, "a") })
-		k.At(20*time.Millisecond, func() { fired = append(fired, "b2") })
+		k.At(20*time.Millisecond, call, func() { fired = append(fired, "b1") })
+		k.At(10*time.Millisecond, call, func() { fired = append(fired, "a") })
+		k.At(20*time.Millisecond, call, func() { fired = append(fired, "b2") })
 		p.Sleep(30 * time.Millisecond)
 	})
 	if err := k.Run(0); err != nil {
@@ -208,7 +211,7 @@ func TestAfterSchedulesRelative(t *testing.T) {
 	var at time.Duration
 	k.Spawn("p", func(p *Proc) {
 		p.Sleep(10 * time.Millisecond)
-		k.After(5*time.Millisecond, func() { at = k.Now() })
+		k.After(5*time.Millisecond, call, func() { at = k.Now() })
 		p.Sleep(20 * time.Millisecond)
 	})
 	if err := k.Run(0); err != nil {
@@ -224,7 +227,7 @@ func TestAtClampsToPast(t *testing.T) {
 	fired := time.Duration(-1)
 	k.Spawn("p", func(p *Proc) {
 		p.Sleep(10 * time.Millisecond)
-		k.At(1*time.Millisecond, func() { fired = k.Now() }) // in the past
+		k.At(1*time.Millisecond, call, func() { fired = k.Now() }) // in the past
 		p.Sleep(1 * time.Millisecond)
 	})
 	if err := k.Run(0); err != nil {
@@ -272,8 +275,8 @@ func TestPokedWaitersWakeInRegistrationOrder(t *testing.T) {
 		})
 	}
 	k.Spawn("opener", func(p *Proc) {
-		k.After(time.Millisecond, func() { open = true; procs["C"].Poke() })
-		k.After(time.Millisecond, func() { procs["A"].Poke() })
+		k.After(time.Millisecond, call, func() { open = true; procs["C"].Poke() })
+		k.After(time.Millisecond, call, func() { procs["A"].Poke() })
 		p.Sleep(2 * time.Millisecond)
 		procs["B"].Poke()
 	})

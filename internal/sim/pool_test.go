@@ -7,8 +7,8 @@ import (
 
 // BenchmarkKernelSchedule measures the event-scheduling hot path: one
 // Sleep per iteration is one event pushed, popped and fired plus a
-// coroutine switch each way. With the recycled events and the cached
-// per-proc wake closure this path is allocation-free in steady state.
+// coroutine switch each way. With the recycled events and the one wake
+// handler this path is allocation-free in steady state.
 func BenchmarkKernelSchedule(b *testing.B) {
 	b.ReportAllocs()
 	k := New()
@@ -114,7 +114,7 @@ func TestEventPoolHazardCorrupts(t *testing.T) {
 			// stashed event is still scheduled when it gets reused.
 			for i := 0; i < 12; i++ {
 				i := i
-				k.After(time.Duration(10+i)*time.Microsecond, func() {
+				k.After(time.Duration(10+i)*time.Microsecond, call, func() {
 					fired = append(fired, i)
 				})
 			}

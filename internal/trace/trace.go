@@ -69,9 +69,11 @@ type Event struct {
 	// joins in the arrival its receiver admitted it at, so it is set on
 	// every fabric — including TCP, where only the receiver knows it.
 	Arrival time.Duration
-	// Dup marks an injected duplicate delivery (fault injection).
-	Dup bool
-	// FaultDelay is the extra latency fault injection added.
+	// Dup marks an injected duplicate delivery (fault injection), and
+	// FaultDelay is the extra latency fault injection added. A send
+	// record carries both, as the fault stage reported them beside the
+	// message; a delivery record neither.
+	Dup        bool
 	FaultDelay time.Duration
 }
 
@@ -90,7 +92,8 @@ const (
 	// (the lease epoch registered under, else 0).
 	OpAcquire OpKind = iota + 1
 	// OpRelease: a rank began releasing a lock (recorded before the
-	// release protocol starts). Carries Lock and Rank.
+	// release hands the lock on; a lease tenure that a repair may have
+	// deposed, once its epoch CAS has won). Carries Lock and Rank.
 	OpRelease
 	// OpSyncEnter: a rank entered a combined fence+barrier operation
 	// (Sync.Barrier, SyncOld, or a harness-provided variant). Carries
@@ -177,7 +180,7 @@ type OpEvent struct {
 	// otherwise): a send's is its Sent, a delivery's its admission.
 	Time time.Duration
 	// Event is the message of an OpSend or OpDeliver record, zero on a
-	// step; a delivery's carries no Sent. Its Src, Dst and PairSeq
+	// step; a delivery's carries no Sent, Dup or FaultDelay. Its Src, Dst and PairSeq
 	// identify the message; its own Seq and Kind, which the record's
 	// shadow, are the send's number and the message kind.
 	Event
@@ -298,10 +301,11 @@ func (s *Stats) Actor() *Actor {
 }
 
 // RecordSend accounts one send of a's actor: the message m, its injected
-// duplicate dup (nil when there is none), and the fault decisions the send
-// drew. It takes only the actor's lock, unless the recorder captures: then
-// it takes the recorder's, which puts the spine in one order.
-func (a *Actor) RecordSend(m, dup *msg.Message, f FaultCounts) {
+// duplicate dup (nil when there is none), the fault decisions the send drew
+// and the extra latency they added to m and dup. It takes only the actor's
+// lock, unless the recorder captures: then it takes the recorder's, which
+// puts the spine in one order.
+func (a *Actor) RecordSend(m, dup *msg.Message, f FaultCounts, delay time.Duration) {
 	s, c, mu := a.s, &a.counts, &a.mu
 	capture := s.capture.Load()
 	if capture {
@@ -309,13 +313,13 @@ func (a *Actor) RecordSend(m, dup *msg.Message, f FaultCounts) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	for _, m := range [2]*msg.Message{m, dup} {
+	for i, m := range [2]*msg.Message{m, dup} {
 		if m == nil {
 			continue
 		}
 		c.send(m)
 		if capture {
-			s.recordMsg(OpSend, m, s.sends, m.Sent)
+			s.recordMsg(OpSend, m, s.sends, m.Sent, i == 1, delay)
 		}
 	}
 	c.faults.add(f)
@@ -330,12 +334,13 @@ func (s *Stats) record(r record) {
 	s.recorded++
 }
 
-// recordMsg records the send (OpSend, the recorder's send number seq) or
-// the admission (OpDeliver) of m at fabric time at; s.mu is held.
-func (s *Stats) recordMsg(k OpKind, m *msg.Message, seq int, at time.Duration) {
+// recordMsg records the send (OpSend, the recorder's send number seq; dup
+// for an injected duplicate, delay the fault stage's) or the admission
+// (OpDeliver) of m at fabric time at; s.mu is held.
+func (s *Stats) recordMsg(k OpKind, m *msg.Message, seq int, at time.Duration, dup bool, delay time.Duration) {
 	s.record(storeMsg(k, &Event{
 		Seq: seq, Kind: m.Kind, Src: m.Src, Dst: m.Dst, Size: m.PayloadBytes(),
-		PairSeq: m.Seq, Arrival: m.Arrival, Dup: m.Dup, FaultDelay: m.FaultDelay,
+		PairSeq: m.Seq, Arrival: m.Arrival, Dup: dup, FaultDelay: delay,
 	}, at))
 }
 
@@ -395,7 +400,7 @@ func (s *Stats) RecordArrival(m *msg.Message, now time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.capture.Load() {
-		s.recordMsg(OpDeliver, m, 0, now)
+		s.recordMsg(OpDeliver, m, 0, now, false, 0)
 	}
 	if s.latency {
 		histogramOf(s.latByKind, m.Kind).add(m.Arrival - m.Sent)

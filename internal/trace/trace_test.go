@@ -11,7 +11,7 @@ import (
 )
 
 func send(s *Stats, kind msg.Kind, src, dst msg.Addr, n int) {
-	s.Actor().RecordSend(&msg.Message{Kind: kind, Src: src, Dst: dst, Data: make([]byte, n)}, nil, FaultCounts{})
+	s.Actor().RecordSend(&msg.Message{Kind: kind, Src: src, Dst: dst, Data: make([]byte, n)}, nil, FaultCounts{}, 0)
 }
 
 func TestCountsAndBytes(t *testing.T) {
@@ -97,7 +97,7 @@ func TestConcurrentRecording(t *testing.T) {
 				if w%2 == 0 {
 					send(s, msg.KindPut, msg.User(w), msg.ServerOf(0), 4)
 				} else {
-					a.RecordSend(&msg.Message{Kind: msg.KindPut, Src: msg.User(w), Dst: msg.ServerOf(0)}, nil, FaultCounts{Jittered: 1})
+					a.RecordSend(&msg.Message{Kind: msg.KindPut, Src: msg.User(w), Dst: msg.ServerOf(0)}, nil, FaultCounts{Jittered: 1}, 0)
 				}
 			}
 		}()
@@ -165,7 +165,7 @@ func TestRecorderLatencyAndTimeline(t *testing.T) {
 		for i := 1; i <= n; i++ {
 			sent := time.Duration(i) * 100 * time.Microsecond
 			m := &msg.Message{Kind: msg.KindSend, Src: a, Dst: b, Seq: uint64(i), Sent: sent}
-			s.Actor().RecordSend(m, nil, FaultCounts{})
+			s.Actor().RecordSend(m, nil, FaultCounts{}, 0)
 			m.Arrival = sent + time.Duration(10+i)*time.Microsecond // known only at the receiver
 			s.RecordArrival(m, m.Arrival)
 		}
@@ -234,7 +234,7 @@ func TestLinkWritesFoldAndPrint(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		run := agg.NewRun()
 		for j := 0; j < 3; j++ {
-			run.Actor().RecordSend(&msg.Message{Kind: msg.KindSend}, nil, FaultCounts{})
+			run.Actor().RecordSend(&msg.Message{Kind: msg.KindSend}, nil, FaultCounts{}, 0)
 		}
 		run.RecordLinkWrites(1, 100)
 		run.RecordLinkWrites(1, 20)
@@ -304,7 +304,7 @@ func TestTimelineJoinRule(t *testing.T) {
 		{"a send and its arrival", func() *Stats {
 			s := capturing()
 			m := mk(1, 10)
-			s.Actor().RecordSend(m, nil, FaultCounts{})
+			s.Actor().RecordSend(m, nil, FaultCounts{}, 0)
 			arrive(s, m, 40)
 			return s
 		}, []want{{1, 1, false, 40}}},
@@ -312,39 +312,39 @@ func TestTimelineJoinRule(t *testing.T) {
 			s := capturing()
 			m := mk(1, 10)
 			dup := *m
-			dup.Dup, dup.Arrival = true, 20
-			s.Actor().RecordSend(m, &dup, FaultCounts{DupsInjected: 1})
+			dup.Arrival = 20
+			s.Actor().RecordSend(m, &dup, FaultCounts{DupsInjected: 1}, 0)
 			arrive(s, &dup, 30) // the copy wins; the original is suppressed
 			return s
 		}, []want{{1, 1, false, 30}, {2, 1, true, 20}}},
 		{"a message without a sequence number is never joined", func() *Stats {
 			s := capturing()
 			m := mk(0, 10)
-			s.Actor().RecordSend(m, nil, FaultCounts{})
+			s.Actor().RecordSend(m, nil, FaultCounts{}, 0)
 			arrive(s, m, 40)
 			return s
 		}, []want{{1, 0, false, 15}}},
 		{"a pair whose numbering restarted joins its new send", func() *Stats {
 			s := capturing()
 			first, second := mk(1, 10), mk(1, 100)
-			s.Actor().RecordSend(first, nil, FaultCounts{})
+			s.Actor().RecordSend(first, nil, FaultCounts{}, 0)
 			arrive(s, first, 40)
-			s.Actor().RecordSend(second, nil, FaultCounts{})
+			s.Actor().RecordSend(second, nil, FaultCounts{}, 0)
 			arrive(s, second, 140)
 			return s
 		}, []want{{1, 1, false, 40}, {2, 1, false, 140}}},
 		{"an arrival with no captured send", func() *Stats {
 			s := capturing()
 			arrive(s, mk(7, 10), 40)
-			s.Actor().RecordSend(mk(1, 50), nil, FaultCounts{})
+			s.Actor().RecordSend(mk(1, 50), nil, FaultCounts{}, 0)
 			return s
 		}, []want{{1, 1, false, 55}}},
 		{"Add into a capturing aggregate", func() *Stats {
 			agg := capturing()
-			agg.Actor().RecordSend(mk(0, 1), nil, FaultCounts{})
+			agg.Actor().RecordSend(mk(0, 1), nil, FaultCounts{}, 0)
 			run := agg.NewRun()
 			m := mk(1, 10)
-			run.Actor().RecordSend(m, nil, FaultCounts{})
+			run.Actor().RecordSend(m, nil, FaultCounts{}, 0)
 			arrive(run, m, 40)
 			agg.Add(run)
 			return agg
@@ -384,9 +384,9 @@ func TestStreamOrder(t *testing.T) {
 	s := New()
 	s.SetTimeline(true)
 	m := &msg.Message{Kind: msg.KindPut, Src: msg.User(0), Dst: msg.NICOf(1, 4), Seq: 1,
-		Data: make([]byte, 24), Sent: 5, Arrival: 9, FaultDelay: 3}
+		Data: make([]byte, 24), Sent: 5, Arrival: 9}
 	s.RecordOp(OpEvent{Kind: OpIssue, Rank: 0, Node: 1})
-	s.Actor().RecordSend(m, nil, FaultCounts{})
+	s.Actor().RecordSend(m, nil, FaultCounts{}, 3)
 	s.RecordArrival(m, 7)
 	s.RecordOp(OpEvent{Kind: OpAcquire, Rank: 2, Lock: 1, Prev: -1, Ticket: 9, Epoch: 4, Time: 8})
 	var got []string
@@ -405,6 +405,7 @@ func TestStreamOrder(t *testing.T) {
 	}
 	admitted := sent
 	admitted.Seq, admitted.Sent = 0, 0 // a delivery's time is its admission
+	admitted.FaultDelay = 0            // and the fault stage's delay is the send's
 	if e := recs[2]; e.Event != admitted || e.Time != 7 {
 		t.Fatalf("delivery record: %+v", e)
 	}
@@ -463,7 +464,7 @@ func BenchmarkRecordCaptured(b *testing.B) {
 			a = s.Actor()
 		}
 		m.Seq = uint64(i%1024 + 1)
-		a.RecordSend(m, nil, FaultCounts{})
+		a.RecordSend(m, nil, FaultCounts{}, 0)
 		s.RecordArrival(m, time.Duration(i))
 		s.RecordOp(step)
 	}

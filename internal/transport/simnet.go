@@ -32,7 +32,7 @@ type SimFabric struct {
 	space  *shmem.Space
 	pipe   *pipeline.Pipeline
 
-	envs    map[msg.Addr]*simEnv
+	eps     []*simEnv // by endpoint index (msg.Addr.Index)
 	users   []*simEnv
 	servers []*simEnv
 	// watchers are the actors inside WaitUntil/WaitUntilFor right now; a
@@ -45,6 +45,12 @@ type SimFabric struct {
 
 	// arena is every actor's: they all run on the kernel's goroutine.
 	arena msg.Arena
+
+	// The kernel handlers and the pipeline's emit, bound once: a send
+	// schedules its delivery as the event (deliver, message), and a
+	// bounded wait its deadline as (expire, endpoint record).
+	deliverH, expireH sim.Handler
+	emit              func(pipeline.Delivery)
 }
 
 // NewSim builds a simulated fabric for the given configuration.
@@ -56,8 +62,8 @@ func NewSim(cfg Config) (*SimFabric, error) {
 		cfg:    cfg,
 		kernel: sim.New(),
 		space:  shmem.NewSpace(cfg.nodeMap()),
-		envs:   make(map[msg.Addr]*simEnv),
 	}
+	f.deliverH, f.expireH, f.emit = f.deliver, f.expire, f.schedule
 	f.pipe = cfg.newPipeline(f.space, true)
 	f.space.SetOnWrite(f.pokeWrite)
 	f.pipe.SetCrashNotify(func() {
@@ -106,8 +112,20 @@ func (f *SimFabric) newEnv(addr msg.Addr, body func(Env)) *simEnv {
 	e := &simEnv{f: f, addr: addr, body: body, recvTag: "recv@" + addr.String()}
 	e.recvReady = e.pollMailbox
 	e.watchReady = e.pollWatch
-	f.envs[addr] = e
+	i := addr.Index()
+	if i >= len(f.eps) {
+		f.eps = append(f.eps, make([]*simEnv, i+1-len(f.eps))...)
+	}
+	f.eps[i] = e
 	return e
+}
+
+// endpoint returns addr's endpoint record, or nil when it has none.
+func (f *SimFabric) endpoint(addr msg.Addr) *simEnv {
+	if i := addr.Index(); i < len(f.eps) {
+		return f.eps[i]
+	}
+	return nil
 }
 
 // Run executes the simulation until every user process finishes. Servers
@@ -184,13 +202,16 @@ type simEnv struct {
 	body func(Env)
 	q    msg.Queue // the mailbox
 
-	// The Recv in progress: what it matches, what it got, and its
-	// deadline flag (nil when the wait has no bound).
+	// The Recv in progress: what it matches and what it got.
 	recvTag   string
 	recvReady func() bool // pollMailbox, bound once
 	match     msg.Match
 	got       *msg.Message
-	late      *bool
+
+	// The bound of the wait in progress: when it ends (0: unbounded), and
+	// whether it has.
+	lateAt time.Duration
+	late   bool
 
 	// The memory wait in progress: its predicate and cells, whether the
 	// predicate held at its last evaluation, and the pokes since then.
@@ -221,7 +242,7 @@ func (e *simEnv) poke(why pokeSet) {
 var _ Env = (*simEnv)(nil)
 
 func (e *simEnv) Self() msg.Addr       { return e.addr }
-func (e *simEnv) Rank() int            { return e.addr.ID }
+func (e *simEnv) Rank() int            { return e.addr.ID() }
 func (e *simEnv) Size() int            { return e.f.cfg.Procs }
 func (e *simEnv) NumNodes() int        { return e.f.cfg.numNodes() }
 func (e *simEnv) Node(rank int) int    { return e.f.space.Node(rank) }
@@ -242,26 +263,17 @@ func (e *simEnv) Charge(d time.Duration) {
 }
 
 func (e *simEnv) Send(to msg.Addr, m *msg.Message) {
-	dst, ok := e.f.envs[to]
-	if !ok {
+	if e.f.endpoint(to) == nil {
 		panic(fmt.Sprintf("simnet: send to unknown endpoint %v", to))
 	}
-	err := e.f.pipe.SendTo(e.addr, to, m, e.p.Now, e.Charge, func(d pipeline.Delivery) {
-		dm := d.Msg
-		e.f.kernel.At(d.At, func() {
-			if e.f.pipe.Inbound(dm, e.f.kernel.Now()) {
-				dst.q.Put(dm)
-				dst.poke(pokeOther)
-			}
-		})
-	})
+	err := e.f.pipe.SendTo(e.addr, to, m, e.p.Now, e.Charge, e.f.emit)
 	if err != nil {
 		var fe *pipeline.FaultError
-		if errors.As(err, &fe) && fe.Kind == pipeline.FaultCrash && !e.addr.Server {
+		if errors.As(err, &fe) && fe.Kind == pipeline.FaultCrash && !e.addr.Server() {
 			// An injected crash is a fail-stop of this actor only: register
 			// the death so crash-aware waiters (and the lease lock's repair
 			// path) can observe it, then vanish without failing the run.
-			e.f.pipe.NoteCrash(e.addr.ID)
+			e.f.pipe.NoteCrash(e.addr.ID())
 			panic(sim.Exit{})
 		}
 		// Retry exhaustion (or a server-side fault) fails the whole run
@@ -270,20 +282,43 @@ func (e *simEnv) Send(to msg.Addr, m *msg.Message) {
 	}
 }
 
-// deadlineFlag arms a virtual-time timer for one wait: at d it sets the
-// returned flag and pokes the waiter. The flag is the wait's own, so a
-// timer that outlives its wait can never fire into a later one. With
-// d <= 0 the wait is unbounded and the flag nil.
-func (e *simEnv) deadlineFlag(d time.Duration) *bool {
-	if d <= 0 {
-		return nil
+// schedule is the pipeline's emit: a delivery is the event (deliver, m)
+// at the message's arrival.
+func (f *SimFabric) schedule(d pipeline.Delivery) { f.kernel.At(d.At, f.deliverH, d.Msg) }
+
+// deliver is a delivery event's handler: the message, its argument, enters
+// its destination's mailbox unless the pipeline's receive side suppresses
+// it.
+func (f *SimFabric) deliver(arg any) {
+	m := arg.(*msg.Message)
+	if f.pipe.Inbound(m, f.kernel.Now()) {
+		dst := f.endpoint(m.Dst)
+		dst.q.Put(m)
+		dst.poke(pokeOther)
 	}
-	late := new(bool)
-	e.f.kernel.After(d, func() {
-		*late = true
-		e.poke(pokeOther)
-	})
-	return late
+}
+
+// arm starts a wait bounded by d (none for d <= 0): a timer, the event
+// (expire, e), fires d from now.
+func (e *simEnv) arm(d time.Duration) {
+	e.late, e.lateAt = false, 0
+	if d > 0 {
+		e.lateAt = e.f.kernel.Now() + d
+		e.f.kernel.After(d, e.f.expireH, e)
+	}
+}
+
+// expire is a deadline timer's handler: it pokes its endpoint, and makes
+// the wait in progress late if the timer is that wait's own. A timer that
+// outlived its wait fires at another time than the wait in progress ends
+// (or at the same time, when both mean the same), so it never makes a
+// later wait late early.
+func (f *SimFabric) expire(arg any) {
+	e := arg.(*simEnv)
+	if e.lateAt != 0 && e.lateAt == f.kernel.Now() {
+		e.late = true
+	}
+	e.poke(pokeOther)
 }
 
 // abortLate fails the run for a wait that outlived Config.OpDeadline.
@@ -300,13 +335,14 @@ func (e *simEnv) Recv(match msg.Match) *msg.Message {
 	// User-process Recvs are bounded by the per-op deadline. Servers are
 	// exempt: idling in the serve loop is their normal state.
 	var bound time.Duration
-	if !e.addr.Server {
+	if !e.addr.Server() {
 		bound = e.f.cfg.OpDeadline
 	}
-	e.match, e.got, e.late = match, nil, e.deadlineFlag(bound)
+	e.match, e.got = match, nil
+	e.arm(bound)
 	e.p.WaitUntil(e.recvTag, e.recvReady)
 	if e.got == nil {
-		if e.late != nil && *e.late {
+		if e.late {
 			e.abortLate(e.recvTag)
 		}
 		return nil // a server, drained and released by shutdown
@@ -317,14 +353,14 @@ func (e *simEnv) Recv(match msg.Match) *msg.Message {
 
 // pollMailbox is Recv's wait predicate.
 func (e *simEnv) pollMailbox() bool {
-	if e.addr.Server && e.f.shutdown && e.q.Len() == 0 {
+	if e.addr.Server() && e.f.shutdown && e.q.Len() == 0 {
 		return true // drained and cluster is shutting down
 	}
 	if m := e.q.TryPop(e.match); m != nil {
 		e.got = m
 		return true
 	}
-	return e.late != nil && *e.late
+	return e.late
 }
 
 // watch is the one memory wait: it blocks until pred holds or bound
@@ -333,7 +369,8 @@ func (e *simEnv) pollMailbox() bool {
 // predicate that turned true on writes outside cells alone fails the run:
 // on a wall-clock fabric none of them would have woken it.
 func (e *simEnv) watch(tag string, cells shmem.Cells, pred func() bool, bound time.Duration) bool {
-	e.cond, e.cells, e.late, e.pokes = pred, cells, e.deadlineFlag(bound), 0
+	e.cond, e.cells, e.pokes = pred, cells, 0
+	e.arm(bound)
 	e.watchAt = len(e.f.watchers)
 	e.f.watchers = append(e.f.watchers, e)
 	e.p.WaitUntil(tag, e.watchReady)
@@ -354,7 +391,7 @@ func (e *simEnv) pollWatch() bool {
 	e.held = e.cond()
 	e.undeclared = e.held && e.pokes == pokeStray
 	e.pokes = 0
-	return e.held || e.late != nil && *e.late
+	return e.held || e.late
 }
 
 // pollGap models the detection delay between the memory write and the
@@ -389,6 +426,6 @@ func (e *simEnv) Arena() *msg.Arena { return &e.f.arena }
 func (e *simEnv) CrashedRank() int { return e.f.pipe.FirstCrashed() }
 
 func (e *simEnv) FailStop(op string) {
-	e.f.pipe.CrashNow(e.addr.ID, op)
+	e.f.pipe.CrashNow(e.addr.ID(), op)
 	panic(sim.Exit{})
 }

@@ -286,18 +286,18 @@ type failStop struct{}
 // opTimeout builds the fault raised when one operation of the actor at a
 // exceeds Config.OpDeadline.
 func opTimeout(a msg.Addr, op string) *pipeline.FaultError {
-	return &pipeline.FaultError{Rank: a.ID, Server: a.Server, Op: op, Kind: pipeline.FaultOpTimeout}
+	return &pipeline.FaultError{Rank: a.ID(), Server: a.Server(), Op: op, Kind: pipeline.FaultOpTimeout}
 }
 
 // endpointNode returns the node an endpoint lives on. Server-class
 // endpoints with IDs at or beyond the node count are NIC agents: agent i
 // serves node i - NumNodes (see msg.NICOf).
 func endpointNode(space *shmem.Space, a msg.Addr) int {
-	if a.Server {
-		if a.ID >= space.NumNodes() {
-			return a.ID - space.NumNodes()
+	if a.Server() {
+		if a.ID() >= space.NumNodes() {
+			return a.ID() - space.NumNodes()
 		}
-		return a.ID
+		return a.ID()
 	}
-	return space.Node(a.ID)
+	return space.Node(a.ID())
 }

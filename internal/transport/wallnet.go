@@ -291,7 +291,7 @@ func (f *wallFabric) Run() error {
 	var userWG, serverWG sync.WaitGroup
 	for _, b := range f.boxes {
 		wg := &userWG
-		if b.addr.Server {
+		if b.addr.Server() {
 			wg = &serverWG
 		}
 		wg.Add(1)
@@ -414,7 +414,7 @@ func (f *wallFabric) arrive(b *box, m *msg.Message) {
 		f.cfg.Trace.RecordFaults(trace.FaultCounts{StaleEpochs: 1})
 		return
 	}
-	if b.serve != nil && !m.Src.Server && !b.inService && !b.inline && b.q.Len() == 0 {
+	if b.serve != nil && !m.Src.Server() && !b.inService && !b.inline && b.q.Len() == 0 {
 		b.inline = true
 		b.mu.Unlock()
 		f.serveInline(b, m)
@@ -467,7 +467,7 @@ func (f *wallFabric) abortLocked(err error) {
 // says so; the caller holds f.mu.
 func (e *wallEnv) interruptLocked() {
 	if e.f.intr != nil {
-		if err := e.f.intr(e.addr.Server); err != nil {
+		if err := e.f.intr(e.addr.Server()); err != nil {
 			e.f.abortLocked(err)
 		}
 	}
@@ -500,7 +500,7 @@ type wallEnv struct {
 var _ Env = (*wallEnv)(nil)
 
 func (e *wallEnv) Self() msg.Addr          { return e.addr }
-func (e *wallEnv) Rank() int               { return e.addr.ID }
+func (e *wallEnv) Rank() int               { return e.addr.ID() }
 func (e *wallEnv) Size() int               { return e.f.cfg.Procs }
 func (e *wallEnv) NumNodes() int           { return e.f.cfg.numNodes() }
 func (e *wallEnv) Node(rank int) int       { return e.f.space.Node(rank) }
@@ -570,10 +570,10 @@ func (e *wallEnv) Send(to msg.Addr, m *msg.Message) {
 		})
 	if err != nil {
 		var fe *pipeline.FaultError
-		if !f.crashFatal && !e.addr.Server && errors.As(err, &fe) && fe.Kind == pipeline.FaultCrash {
+		if !f.crashFatal && !e.addr.Server() && errors.As(err, &fe) && fe.Kind == pipeline.FaultCrash {
 			// Injected crash: fail-stop this actor only; survivors learn of
 			// it through the crash registry (and the grace timer).
-			f.pipe.NoteCrash(e.addr.ID)
+			f.pipe.NoteCrash(e.addr.ID())
 			e.vanish()
 		}
 		panic(abort{err}) // retry exhaustion, or any fault where crashes are job-fatal
@@ -584,7 +584,7 @@ func (e *wallEnv) Recv(match msg.Match) *msg.Message {
 	var m *msg.Message
 	// Servers are exempt from the per-op deadline: idling in the serve
 	// loop is their job.
-	if !e.block(e.recvTag, shmem.Cells{}, func() bool { m = e.pop(match); return m != nil }, 0, !e.addr.Server) {
+	if !e.block(e.recvTag, shmem.Cells{}, func() bool { m = e.pop(match); return m != nil }, 0, !e.addr.Server()) {
 		return nil // a server released by shutdown
 	}
 	// Enforce the stamped arrival in wall time: the modeled latency or a
@@ -611,7 +611,7 @@ func (e *wallEnv) pop(match msg.Match) *msg.Message {
 	if !b.inline {
 		m = b.q.TryPop(match)
 	}
-	b.inService = e.addr.Server && m != nil
+	b.inService = e.addr.Server() && m != nil
 	b.parked = m == nil
 	b.mu.Unlock()
 	if drained {
@@ -687,11 +687,11 @@ func (e *wallEnv) block(tag string, cells shmem.Cells, done func() bool, limit t
 			f.mu.Lock()
 			e.interruptLocked()
 			if !callerBound {
-				if e.addr.Server && f.shutdown {
+				if e.addr.Server() && f.shutdown {
 					f.mu.Unlock()
 					return done() // a frame filed before the shutdown is still served
 				}
-				if !e.addr.Server && !f.crashAt.IsZero() {
+				if !e.addr.Server() && !f.crashAt.IsZero() {
 					if graceFrom.IsZero() {
 						graceFrom = f.crashAt
 						if !parked {
@@ -733,7 +733,7 @@ func (e *wallEnv) block(tag string, cells shmem.Cells, done func() bool, limit t
 // where crashes are job-fatal, the run aborts with the rank-attributed
 // FaultError instead of silently dropping the actor.
 func (e *wallEnv) FailStop(op string) {
-	fe := e.f.pipe.CrashNow(e.addr.ID, op)
+	fe := e.f.pipe.CrashNow(e.addr.ID(), op)
 	if e.f.crashFatal {
 		panic(abort{fe})
 	}

@@ -158,13 +158,14 @@ func sampleMessages() []*msg.Message {
 		{Kind: msg.KindRmw, Src: msg.User(2), Dst: msg.ServerOf(0), Origin: 2, Token: 7,
 			Op: uint8(msg.RmwCASPair), Operands: [4]int64{1, 2, 3, 4}},
 		{Kind: msg.KindGet, Src: msg.User(1), Dst: msg.ServerOf(1), N: 64,
-			Stride: shmem.Strided{Count: []int{8, 4}, Stride: []int64{32}}},
+			Stride: &shmem.Strided{Count: []int{8, 4}, Stride: []int64{32}}},
 		{Kind: msg.KindAcc, Src: msg.User(3), Dst: msg.ServerOf(0), Seq: 4,
-			Ptr: shmem.Ptr{Rank: 0, Kind: 1, Seg: 2, Off: 16}, Op: uint8(shmem.AccFloat64), Scale: -0.5,
-			Stride: shmem.Strided{Count: []int{8, 2, 2}, Stride: []int64{32, 128}},
-			Data:   make([]byte, 32)},
+			Ptr: shmem.Ptr{Rank: 0, Kind: 1, Seg: 2, Off: 16}, Op: uint8(shmem.AccFloat64),
+			Operands: msg.ScaleOperands(-0.5),
+			Stride:   &shmem.Strided{Count: []int{8, 2, 2}, Stride: []int64{32, 128}},
+			Data:     make([]byte, 32)},
 		{Kind: msg.KindColl, Src: msg.User(4), Dst: msg.User(5), Tag: -3,
-			Scale: 2.5, Data: []byte("reduce")},
+			Data: []byte("reduce")},
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"armci/internal/msg"
@@ -135,11 +134,18 @@ func DecodeClusterHello(body []byte) (ClusterHello, error) {
 // allocate per frame. The pipeline stamps Seq, Sent and Arrival before a
 // send, and the receive side needs all three (duplicate suppression,
 // latency metrics, enforcing fault-injected arrival times), so they are
-// carried on the wire. Dup and FaultDelay are sender-local diagnostics
-// and are not transmitted.
+// carried on the wire. The frame has a scale field and four operands: an
+// accumulate's scale, which the message keeps in Operands[0], goes in the
+// first, and every other kind's operands in the four.
 func AppendEncode(b []byte, m *msg.Message) []byte {
-	if need := frameFixed + 4*len(m.Stride.Count) + 8*len(m.Stride.Stride) + len(m.Data); cap(b)-len(b) < need {
+	d := m.Strided()
+	if need := frameFixed + 4*len(d.Count) + 8*len(d.Stride) + len(m.Data); cap(b)-len(b) < need {
 		b = append(make([]byte, 0, max(2*cap(b), len(b)+need)), b...)
+	}
+	var scale uint64
+	ops := m.Operands
+	if m.Kind == msg.KindAcc {
+		scale, ops = uint64(ops[0]), [4]int64{}
 	}
 	start := len(b)
 	b = append(b, 0, 0, 0, 0) // length prefix, backfilled below
@@ -154,11 +160,11 @@ func AppendEncode(b []byte, m *msg.Message) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(int64(m.Arrival)))
 	b = binary.LittleEndian.AppendUint64(b, uint64(int64(m.Tag)))
 	b = appendPtr(b, m.Ptr)
-	b = appendStride(b, m.Stride)
+	b = appendStride(b, d)
 	b = binary.LittleEndian.AppendUint32(b, uint32(int32(m.N)))
 	b = append(b, m.Op)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.Scale))
-	for _, v := range m.Operands {
+	b = binary.LittleEndian.AppendUint64(b, scale)
+	for _, v := range ops {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Data)))
@@ -171,11 +177,14 @@ func AppendEncode(b []byte, m *msg.Message) []byte {
 // its own, with a payload of its own.
 func Decode(body []byte) (*msg.Message, error) { return DecodeIn(nil, body) }
 
-// DecodeIn is Decode for a link reader: the message and its payload are
-// born in a, which belongs to the caller's goroutine (nil: allocated on
-// their own). The payload of a get response or of a user-level send is the
-// one exception: it goes to the caller of Get or Recv, who may keep it for
-// as long as it likes, so it is always an exact allocation of its own.
+// DecodeIn is Decode for a link reader: the message, its stride
+// descriptor and its payload are born in a, which belongs to the caller's
+// goroutine (nil: allocated on their own). The payload of a get response
+// or of a user-level send is the one exception: it goes to the caller of
+// Get or Recv, who may keep it for as long as it likes, so it is always an
+// exact allocation of its own. A frame no message encodes to is an error:
+// an endpoint ID past 31 bits, an accumulate with operands or another kind
+// with a scale.
 func DecodeIn(a *msg.Arena, body []byte) (*msg.Message, error) {
 	d := decoder{buf: body}
 	var m msg.Message
@@ -190,12 +199,21 @@ func DecodeIn(a *msg.Arena, body []byte) (*msg.Message, error) {
 	m.Arrival = time.Duration(int64(d.u64()))
 	m.Tag = int(int64(d.u64()))
 	m.Ptr = d.ptr()
-	m.Stride = d.stride()
+	m.Stride = d.stride(a)
 	m.N = int(int32(d.u32()))
 	m.Op = d.u8()
-	m.Scale = math.Float64frombits(d.u64())
+	scale := d.u64()
 	for i := range m.Operands {
 		m.Operands[i] = int64(d.u64())
+	}
+	switch {
+	case d.err != nil:
+	case m.Kind == msg.KindAcc && m.Operands != [4]int64{}:
+		d.err = fmt.Errorf("wire: accumulate frame carries operands %v", m.Operands)
+	case m.Kind == msg.KindAcc:
+		m.Operands[0] = int64(scale)
+	case scale != 0:
+		d.err = fmt.Errorf("wire: %s frame carries a scale", m.Kind)
 	}
 	n := int(d.u32())
 	if d.err == nil && (n < 0 || n > len(d.buf)-d.pos) {
@@ -303,11 +321,11 @@ func frame(body []byte) []byte {
 
 func appendAddr(b []byte, a msg.Addr) []byte {
 	flag := byte(0)
-	if a.Server {
+	if a.Server() {
 		flag = 1
 	}
 	b = append(b, flag)
-	return binary.LittleEndian.AppendUint32(b, uint32(int32(a.ID)))
+	return binary.LittleEndian.AppendUint32(b, uint32(a.ID()))
 }
 
 func appendPtr(b []byte, p shmem.Ptr) []byte {
@@ -386,8 +404,14 @@ func (d *decoder) addr() msg.Addr {
 	if flag > 1 && d.err == nil {
 		d.err = fmt.Errorf("wire: bad endpoint flag %#x", flag)
 	}
-	id := int(int32(d.u32()))
-	return msg.Addr{Server: flag == 1, ID: id}
+	id := d.u32()
+	if id >= 1<<31 && d.err == nil {
+		d.err = fmt.Errorf("wire: endpoint id %d past 31 bits", id)
+	}
+	if flag == 1 {
+		return msg.ServerOf(int(id))
+	}
+	return msg.User(int(id))
 }
 
 func (d *decoder) ptr() shmem.Ptr {
@@ -399,21 +423,30 @@ func (d *decoder) ptr() shmem.Ptr {
 	return p
 }
 
-func (d *decoder) stride() shmem.Strided {
-	var s shmem.Strided
+// stride decodes a stride descriptor into a (nil for one with neither
+// counts nor strides), its vectors in the arena's descriptor slot.
+func (d *decoder) stride(a *msg.Arena) *shmem.Strided {
 	nc := int(d.u8())
-	if nc > 0 {
-		s.Count = make([]int, nc)
-		for i := range s.Count {
-			s.Count[i] = int(int32(d.u32()))
-		}
+	if d.err != nil || nc*4 > len(d.buf)-d.pos {
+		d.fail()
+		return nil
 	}
+	var counts []byte
+	counts, d.pos = d.buf[d.pos:d.pos+nc*4], d.pos+nc*4
 	ns := int(d.u8())
-	if ns > 0 {
-		s.Stride = make([]int64, ns)
-		for i := range s.Stride {
-			s.Stride[i] = int64(d.u64())
-		}
+	if d.err != nil || ns*8 > len(d.buf)-d.pos {
+		d.fail()
+		return nil
+	}
+	if nc == 0 && ns == 0 {
+		return nil
+	}
+	s := a.StridedN(nc, ns)
+	for i := range s.Count {
+		s.Count[i] = int(int32(binary.LittleEndian.Uint32(counts[4*i:])))
+	}
+	for i := range s.Stride {
+		s.Stride[i] = int64(d.u64())
 	}
 	return s
 }

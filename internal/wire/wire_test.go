@@ -3,8 +3,8 @@ package wire
 import (
 	"bytes"
 	"io"
-	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -19,13 +19,12 @@ import (
 func randomMessage(r *rand.Rand) *msg.Message {
 	m := &msg.Message{
 		Kind:   msg.Kind(1 + r.Intn(14)),
-		Src:    msg.Addr{Server: r.Intn(2) == 0, ID: r.Intn(1 << 16)},
-		Dst:    msg.Addr{Server: r.Intn(2) == 0, ID: r.Intn(1 << 16)},
+		Src:    randomAddr(r),
+		Dst:    randomAddr(r),
 		Origin: r.Intn(1 << 16),
 		Token:  r.Uint64(),
 		Tag:    int(int32(r.Uint32())),
 		Op:     uint8(r.Intn(9)),
-		Scale:  r.NormFloat64(),
 		N:      r.Intn(1 << 20),
 		Seq:    r.Uint64(),
 		Sent:   time.Duration(r.Int63n(1 << 40)),
@@ -41,16 +40,21 @@ func randomMessage(r *rand.Rand) *msg.Message {
 			Off:  r.Int63n(1 << 40),
 		}
 	}
-	for i := range m.Operands {
-		m.Operands[i] = r.Int63() - r.Int63()
+	if m.Kind == msg.KindAcc {
+		m.Operands = msg.ScaleOperands(r.NormFloat64())
+	} else {
+		for i := range m.Operands {
+			m.Operands[i] = r.Int63() - r.Int63()
+		}
 	}
 	levels := r.Intn(4)
 	if levels > 0 || r.Intn(2) == 0 {
-		m.Stride = shmem.Strided{Count: []int{1 + r.Intn(256)}}
+		d := shmem.Strided{Count: []int{1 + r.Intn(256)}}
 		for l := 0; l < levels; l++ {
-			m.Stride.Count = append(m.Stride.Count, 1+r.Intn(16))
-			m.Stride.Stride = append(m.Stride.Stride, r.Int63n(1<<30))
+			d.Count = append(d.Count, 1+r.Intn(16))
+			d.Stride = append(d.Stride, r.Int63n(1<<30))
 		}
+		m.Stride = &d
 	}
 	if n := r.Intn(512); n > 0 {
 		m.Data = make([]byte, n)
@@ -59,7 +63,16 @@ func randomMessage(r *rand.Rand) *msg.Message {
 	return m
 }
 
-// messagesEquivalent compares every wire-carried field.
+// randomAddr is a user or server endpoint of a 16-bit ID.
+func randomAddr(r *rand.Rand) msg.Addr {
+	if r.Intn(2) == 0 {
+		return msg.ServerOf(r.Intn(1 << 16))
+	}
+	return msg.User(r.Intn(1 << 16))
+}
+
+// messagesEquivalent compares every wire-carried field. The operands are
+// compared as bits, so an accumulate's NaN scale equals itself.
 func messagesEquivalent(a, b *msg.Message) bool {
 	if a.Kind != b.Kind || a.Src != b.Src || a.Dst != b.Dst || a.Origin != b.Origin ||
 		a.Token != b.Token || a.Tag != b.Tag || a.Ptr != b.Ptr || a.N != b.N ||
@@ -67,23 +80,7 @@ func messagesEquivalent(a, b *msg.Message) bool {
 		a.Seq != b.Seq || a.Sent != b.Sent || a.Arrival != b.Arrival {
 		return false
 	}
-	if a.Scale != b.Scale && !(math.IsNaN(a.Scale) && math.IsNaN(b.Scale)) {
-		return false
-	}
-	if len(a.Stride.Count) != len(b.Stride.Count) || len(a.Stride.Stride) != len(b.Stride.Stride) {
-		return false
-	}
-	for i := range a.Stride.Count {
-		if a.Stride.Count[i] != b.Stride.Count[i] {
-			return false
-		}
-	}
-	for i := range a.Stride.Stride {
-		if a.Stride.Stride[i] != b.Stride.Stride[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.Strided().Count, b.Strided().Count) && slices.Equal(a.Strided().Stride, b.Strided().Stride)
 }
 
 // TestEncodeDecodeRoundTrip is the codec property test.
@@ -184,7 +181,7 @@ func TestEncodeSizeIsFrameFixed(t *testing.T) {
 		{4096, shmem.Strided{}, frameFixed + 4096},
 		{32, strided, frameFixed + 2*4 + 8 + 32},
 	} {
-		m := &msg.Message{Kind: msg.KindPut, Stride: tc.stride, Data: make([]byte, tc.n)}
+		m := &msg.Message{Kind: msg.KindPut, Stride: new(msg.Arena).Strided(tc.stride), Data: make([]byte, tc.n)}
 		if f := AppendEncode(nil, m); len(f) != tc.size || cap(f) != len(f) {
 			t.Fatalf("%d-byte payload, stride %v: frame len %d cap %d, want both %d", tc.n, tc.stride, len(f), cap(f), tc.size)
 		}

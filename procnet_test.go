@@ -404,7 +404,7 @@ func procWorkerFig7() int {
 // procSrcNode maps a send event's source endpoint to the node that
 // recorded it. The tests run one rank per node with no NIC assist, so
 // both user and server IDs are the node index.
-func procSrcNode(a msg.Addr) int { return a.ID }
+func procSrcNode(a msg.Addr) int { return a.ID() }
 
 // TestProcnetRingParityWithTCP is the cross-fabric parity check: the
 // token ring's send stream, restricted to each node, must be identical

@@ -114,7 +114,7 @@ func TestStreamOrdersSendsAndSteps(t *testing.T) {
 			issued[[2]int{e.Rank, e.Node}]++
 		case e.Kind == trace.OpSend && e.Event.Kind == msg.KindPut:
 			puts++
-			origin, node := e.Src.ID, e.Dst.ID
+			origin, node := e.Src.ID(), e.Dst.ID()
 			k, done := issued[[2]int{origin, node}], -1
 			for i, c := range stream {
 				if c.Kind == trace.OpComplete && c.Rank == origin && c.Node == node {
