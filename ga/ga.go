@@ -52,6 +52,7 @@ type Array struct {
 	ptrs       []armci.Ptr
 	mode       SyncMode
 	scratch    []byte // one piece's owner bytes, reused by every Get and Put
+	region     region // one piece's descriptor, reused by every Get and Put
 }
 
 // Create collectively builds a rows×cols array distributed uniformly over
@@ -151,20 +152,24 @@ func (a *Array) eachBlock(rlo, rhi, clo, chi int, fn func(rank, irlo, irhi, iclo
 }
 
 // region backs one piece's descriptor: its count and stride slices are
-// views of one object, so a descriptor is one allocation.
+// views of it. An Array keeps one and rewrites it for every piece, since
+// no transfer keeps a descriptor past its call (a message copies it into
+// its arena).
 type region struct {
 	count  [2]int
 	stride [1]int64
 }
 
 // blockRegion maps a global intersection to the owner-local strided
-// descriptor and base pointer.
+// descriptor and base pointer. The descriptor is a view of a.region,
+// valid until the next call.
 func (a *Array) blockRegion(rank, irlo, irhi, iclo, ichi int) (armci.Ptr, armci.Strided) {
 	orlo, _, oclo, _ := a.Distribution(rank)
 	_, bc := a.blockDims(rank)
 	base := a.ptrs[rank].Add(int64(8 * ((irlo-orlo)*bc + (iclo - oclo))))
 	rows := irhi - irlo
-	g := &region{count: [2]int{8 * (ichi - iclo), rows}, stride: [1]int64{int64(8 * bc)}}
+	g := &a.region
+	*g = region{count: [2]int{8 * (ichi - iclo), rows}, stride: [1]int64{int64(8 * bc)}}
 	if rows == 1 {
 		return base, armci.Strided{Count: g.count[:1]}
 	}

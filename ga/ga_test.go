@@ -205,15 +205,15 @@ func TestGetToLeadingDimension(t *testing.T) {
 
 // TestPatchAllocations pins the allocations of a Get and a Put of a
 // patch spanning both blocks of a one-node, two-rank array, so both
-// owners are local and no message is involved. What is left is each
-// piece's strided descriptor, one object backing its count and stride,
-// and Get's result: a piece is packed into and encoded from the array's
-// scratch, and walking a descriptor allocates nothing. A fresh byte
-// slice per piece, as Get and Put once made, adds two to either count, a
-// descriptor's slices made apart two more, and an intermediate float64
-// slice per piece two more.
+// owners are local and no message is involved. What is left is Get's
+// result: a piece is packed into and encoded from the array's scratch,
+// its descriptor is the array's own, rewritten for every piece, and
+// walking a descriptor allocates nothing. A descriptor allocated per
+// piece adds two to either count (four if its slices are made apart), a
+// fresh byte slice per piece, as Get and Put once made, two more, and an
+// intermediate float64 slice per piece two more.
 func TestPatchAllocations(t *testing.T) {
-	const wantGet, wantPut = 3, 2
+	const wantGet, wantPut = 1, 0
 	var get, put float64
 	_, err := armci.Run(armci.Options{Procs: 2, ProcsPerNode: 2, Fabric: armci.FabricSim}, func(p *armci.Proc) {
 		a, err := ga.Create(p, "allocs", 8, 8)

@@ -78,8 +78,10 @@ type Server struct {
 	lastFinish time.Duration
 	everBusy   bool
 
-	// batch is handleBatch's entry table, reused from frame to frame.
-	batch []wire.BatchEntry
+	// batch is handleBatch's entry table and writes the batch it applies
+	// them through, both reused from frame to frame.
+	batch  []wire.BatchEntry
+	writes shmem.Batch
 
 	// arena is where the server's replies are born: its actor's
 	// (Env.Arena).
@@ -216,17 +218,23 @@ func (s *Server) HandleOne(m *msg.Message) {
 
 // handleBatch unpacks one coalesced frame. The per-message costs — wake
 // penalty, receive overhead, the fixed ServiceSmall — are paid once for
-// the whole frame (that is the point of batching); each entry then pays
-// its own copy cost and records its own completion, and after the last
-// entry the fence accounting advances once by the entry count, so
-// op_done and the per-origin counter agree exactly with the per-entry
-// countIssue on the client. The frame travels as one pipeline message:
-// loss, retransmission and duplicate suppression apply to the batch as
-// a unit, so exactly-once covers all entries or none.
+// the whole frame (that is the point of batching), then each entry's copy
+// cost, in entry order, before any entry is applied. The entries are then
+// applied in order, one critical section per maximal run of entries that
+// target one rank's memory, so a batch's writes to one rank become
+// visible together at its end. That is within ARMCI's put semantics: a
+// put is guaranteed visible only after a fence, and the fence reply
+// follows the whole frame. Each entry records its own completion, and
+// the fence accounting then advances once by the entry count, so op_done
+// and the per-origin counter agree exactly with the per-entry countIssue
+// on the client. The frame travels as one pipeline message: loss,
+// retransmission and duplicate suppression apply to the batch as a unit,
+// so exactly-once covers all entries or none.
 //
 // The server owns m.Data, so the decoded entries alias it: no payload
-// is copied before the store into node memory, and the entry table is
-// the server's own, so a warm frame allocates nothing.
+// is copied before the store into node memory, and the entry table and
+// the write batch are the server's own, so a warm frame allocates
+// nothing.
 func (s *Server) handleBatch(m *msg.Message) {
 	entries, err := wire.AppendDecodeBatch(s.batch[:0], m.Data)
 	s.batch = entries
@@ -237,20 +245,37 @@ func (s *Server) handleBatch(m *msg.Message) {
 	}
 	p := s.env.Params()
 	s.env.Charge(p.ServiceSmall)
-	space := s.env.Space()
 	for i := range entries {
-		e := &entries[i]
-		switch e.Op {
-		case wire.BatchPut:
-			s.env.Charge(time.Duration(len(e.Data)) * p.ServiceByteTime)
-			space.Put(e.Ptr, e.Data)
-		case wire.BatchAcc:
-			s.env.Charge(time.Duration(len(e.Data)) * p.ServiceByteTime)
-			space.Accumulate(shmem.AccOp(e.AccOp), e.Ptr, e.Data, e.Scale)
-		case wire.BatchStore:
+		if entries[i].Op == wire.BatchStore {
 			s.env.Charge(p.AtomicOp)
-			space.Store(e.Ptr, int64(binary.LittleEndian.Uint64(e.Data)))
+		} else {
+			s.env.Charge(time.Duration(len(entries[i].Data)) * p.ServiceByteTime)
 		}
+	}
+	space := s.env.Space()
+	for i := 0; i < len(entries); {
+		rank := entries[i].Ptr.Rank
+		j := i + 1
+		for j < len(entries) && entries[j].Ptr.Rank == rank {
+			j++
+		}
+		run := entries[i:j]
+		space.Apply(&s.writes, int(rank), func(b *shmem.Batch) {
+			for k := range run {
+				e := &run[k]
+				switch e.Op {
+				case wire.BatchPut:
+					b.Put(e.Ptr, e.Data)
+				case wire.BatchAcc:
+					b.Accumulate(shmem.AccOp(e.AccOp), e.Ptr, e.Data, e.Scale)
+				case wire.BatchStore:
+					b.Store(e.Ptr, int64(binary.LittleEndian.Uint64(e.Data)))
+				}
+			}
+		})
+		i = j
+	}
+	for range entries {
 		s.recordComplete(m)
 	}
 	s.countComplete(m, len(entries))

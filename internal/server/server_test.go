@@ -2,7 +2,9 @@ package server_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -367,57 +369,165 @@ func TestNewAgentRejectsHostAddress(t *testing.T) {
 	}
 }
 
-// TestServerBatchAllocBudget pins the server half of the coalesced path:
-// a warm 16-entry KindBatch allocates nothing — the entries alias the
-// frame's body and the entry table is the server's own — and op_done
-// and the per-origin cell each advance by the frame's entry count.
-func TestServerBatchAllocBudget(t *testing.T) {
-	const entries = 16
-	f, err := transport.NewSim(transport.Config{Procs: 1, Model: model.Zero()})
+// batchServer runs one server for procs ranks, ppn to a node, on a
+// simulated fabric, and hands body the server and rank 0's Env; body
+// calls HandleOne itself, as the fabric would.
+func batchServer(t testing.TB, procs, ppn int, body func(f *transport.SimFabric, lay *proc.Layout, s *server.Server)) {
+	t.Helper()
+	f, err := transport.NewSim(transport.Config{Procs: procs, ProcsPerNode: ppn, Model: model.Zero()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay := proc.NewLayout(f.Space(), 1, 1)
-	buf := f.Space().AllocBytes(0, 8*entries)
-	batch := make([]wire.BatchEntry, entries)
-	for i := range batch {
-		batch[i] = wire.BatchEntry{Op: wire.BatchPut, Ptr: buf.Add(int64(8 * i)), Data: []byte{byte(i + 1), 0, 0, 0, 0, 0, 0, 0}}
-	}
-	m := &msg.Message{Kind: msg.KindBatch, Origin: 0, N: entries, Data: wire.EncodeBatch(batch)}
-	var avg float64
-	frames := 0
+	lay := proc.NewLayout(f.Space(), procs, f.Space().NumNodes())
 	var s *server.Server
 	f.SpawnServer(0, func(env transport.Env) transport.Handler {
 		s = server.New(env, lay, server.Options{})
 		return s.HandleOne
 	})
-	f.SpawnUser(0, func(transport.Env) {
-		handle := func() {
-			s.HandleOne(m)
-			frames++
-		}
-		handle() // warm
-		avg = testing.AllocsPerRun(100, handle)
-	})
+	f.SpawnUser(0, func(transport.Env) { body(f, lay, s) })
 	if err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if avg > 0 {
-		t.Errorf("a warm %d-entry batch allocates %.2f, budget 0", entries, avg)
-	}
-	want := int64(entries * frames)
-	if got := f.Space().Load(lay.OpDone[0]); got != want {
-		t.Errorf("op_done = %d after %d frames, want %d", got, frames, want)
-	}
-	if got := f.Space().Load(lay.PerOrigin[0]); got != want {
-		t.Errorf("per-origin count = %d after %d frames, want %d", got, frames, want)
-	}
-	got := f.Space().AppendGet(nil, buf, shmem.Strided{}, 8*entries)
+}
+
+// putBatch returns a KindBatch from rank 0 of one 8-byte put per cell of
+// buf, the i-th holding i+1.
+func putBatch(buf shmem.Ptr, entries int) (*msg.Message, []wire.BatchEntry) {
+	batch := make([]wire.BatchEntry, entries)
 	for i := range batch {
-		if !bytes.Equal(got[8*i:8*i+8], batch[i].Data) {
-			t.Fatalf("entry %d landed as %v, want %v", i, got[8*i:8*i+8], batch[i].Data)
-		}
+		batch[i] = wire.BatchEntry{Op: wire.BatchPut, Ptr: buf.Add(int64(8 * i)), Data: []byte{byte(i + 1), byte((i + 1) >> 8), 0, 0, 0, 0, 0, 0}}
 	}
+	return &msg.Message{Kind: msg.KindBatch, Origin: 0, N: entries, Data: wire.EncodeBatch(batch)}, batch
+}
+
+// TestServerBatchAllocBudget pins the server half of the coalesced path:
+// a warm KindBatch, of 16 entries or of a full burst's 256, allocates
+// nothing — the entries alias the frame's body and the entry table and
+// write batch are the server's own — and op_done and the per-origin cell
+// each advance by the frame's entry count.
+func TestServerBatchAllocBudget(t *testing.T) {
+	for _, entries := range []int{16, 256} {
+		t.Run(fmt.Sprint(entries), func(t *testing.T) {
+			var avg float64
+			frames := 0
+			var buf shmem.Ptr
+			var batch []wire.BatchEntry
+			batchServer(t, 1, 1, func(f *transport.SimFabric, lay *proc.Layout, s *server.Server) {
+				buf = f.Space().AllocBytes(0, 8*entries)
+				var m *msg.Message
+				m, batch = putBatch(buf, entries)
+				handle := func() {
+					s.HandleOne(m)
+					frames++
+				}
+				handle() // warm
+				avg = testing.AllocsPerRun(100, handle)
+				want := int64(entries * frames)
+				if got := f.Space().Load(lay.OpDone[0]); got != want {
+					t.Errorf("op_done = %d after %d frames, want %d", got, frames, want)
+				}
+				if got := f.Space().Load(lay.PerOrigin[0]); got != want {
+					t.Errorf("per-origin count = %d after %d frames, want %d", got, frames, want)
+				}
+				got := f.Space().AppendGet(nil, buf, shmem.Strided{}, 8*entries)
+				for i := range batch {
+					if !bytes.Equal(got[8*i:8*i+8], batch[i].Data) {
+						t.Fatalf("entry %d landed as %v, want %v", i, got[8*i:8*i+8], batch[i].Data)
+					}
+				}
+			})
+			if avg > 0 {
+				t.Errorf("a warm %d-entry batch allocates %.2f, budget 0", entries, avg)
+			}
+		})
+	}
+}
+
+// TestServerBatchNotifiesOncePerRun: the write hook fires once per
+// maximal run of contiguous cells a batch wrote, so 256 contiguous puts
+// signal the waits on their cells once, not 256 times.
+func TestServerBatchNotifiesOncePerRun(t *testing.T) {
+	const entries = 256
+	batchServer(t, 1, 1, func(f *transport.SimFabric, lay *proc.Layout, s *server.Server) {
+		buf := f.Space().AllocBytes(0, 8*entries)
+		m, _ := putBatch(buf, entries)
+		var got []shmem.Cells
+		f.Space().SetOnWrite(func(p shmem.Ptr, n int64) {
+			if p.Kind == buf.Kind && p.Seg == buf.Seg {
+				got = append(got, shmem.Cells{P: p, N: n})
+			}
+		})
+		s.HandleOne(m)
+		if want := []shmem.Cells{{P: buf, N: 8 * entries}}; !slices.Equal(got, want) {
+			t.Errorf("write hook on the burst's segment: %v, want %v", got, want)
+		}
+	})
+}
+
+// TestServerBatchSpansRanksInEntryOrder: at two ranks per node one frame
+// carries entries for both ranks' memory, interleaved. They land in
+// entry order — a later entry to a cell overwrites an earlier one, and a
+// flag store follows the data before it — and op_done and the per-origin
+// counter advance by the entry count.
+func TestServerBatchSpansRanksInEntryOrder(t *testing.T) {
+	batchServer(t, 2, 2, func(f *transport.SimFabric, lay *proc.Layout, s *server.Server) {
+		sp := f.Space()
+		b0, b1 := sp.AllocBytes(0, 16), sp.AllocBytes(1, 16)
+		w0, w1 := sp.AllocWords(0, 1), sp.AllocWords(1, 1)
+		le := func(v int) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(v)) }
+		batch := []wire.BatchEntry{
+			{Op: wire.BatchPut, Ptr: b0, Data: le(1)},
+			{Op: wire.BatchPut, Ptr: b1, Data: le(2)},
+			{Op: wire.BatchPut, Ptr: b0, Data: le(3)}, // overwrites entry 0
+			{Op: wire.BatchAcc, Ptr: b1, Data: le(5), AccOp: uint8(shmem.AccInt64), Scale: 2},
+			{Op: wire.BatchPut, Ptr: b1.Add(8), Data: le(6)},
+			{Op: wire.BatchStore, Ptr: w1, Data: le(7)},
+			{Op: wire.BatchStore, Ptr: w0, Data: le(8)},
+			{Op: wire.BatchStore, Ptr: w0, Data: le(9)}, // overwrites entry 6
+		}
+		s.HandleOne(&msg.Message{Kind: msg.KindBatch, Origin: 1, N: len(batch), Data: wire.EncodeBatch(batch)})
+		word := func(p shmem.Ptr) uint64 {
+			return binary.LittleEndian.Uint64(sp.AppendGet(nil, p, shmem.Strided{}, 8))
+		}
+		if got := word(b0); got != 3 {
+			t.Errorf("rank 0 cell = %d, want the later put's 3", got)
+		}
+		if got := word(b1); got != 2+2*5 {
+			t.Errorf("rank 1 cell = %d, want 2 accumulated with 2*5", got)
+		}
+		if got := word(b1.Add(8)); got != 6 {
+			t.Errorf("rank 1 second cell = %d, want 6", got)
+		}
+		if got0, got1 := sp.Load(w0), sp.Load(w1); got0 != 9 || got1 != 7 {
+			t.Errorf("flags = %d, %d; want 9 (the later store), 7", got0, got1)
+		}
+		want := int64(len(batch))
+		if got := sp.Load(lay.OpDone[0]); got != want {
+			t.Errorf("op_done = %d, want %d", got, want)
+		}
+		if got := sp.Load(lay.PerOrigin[0].Add(1)); got != want {
+			t.Errorf("rank 1's per-origin count = %d, want %d", got, want)
+		}
+		if got := sp.Load(lay.PerOrigin[0]); got != 0 {
+			t.Errorf("rank 0's per-origin count = %d, want 0", got)
+		}
+	})
+}
+
+// BenchmarkServerBatch times the server's apply of a warm 256 × 8 B
+// batch, a coalesced burst's frame: decode, charges (zero), the writes
+// and the completion counting.
+func BenchmarkServerBatch(b *testing.B) {
+	const entries = 256
+	batchServer(b, 1, 1, func(f *transport.SimFabric, _ *proc.Layout, s *server.Server) {
+		m, _ := putBatch(f.Space().AllocBytes(0, 8*entries), entries)
+		s.HandleOne(m) // warm
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			s.HandleOne(m)
+		}
+	})
 }
 
 // stride is d as a request carries it.

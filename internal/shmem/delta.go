@@ -72,17 +72,14 @@ type RankSnapshot struct {
 // capture; segments allocated later are excluded from tracking, capture,
 // snapshot and restore.
 func (s *Space) ProtectRange(rank, baseWords, baseBytes int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.prot == nil {
-		s.prot = make([]protState, len(s.ranks))
-	}
 	r := &s.ranks[rank]
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if baseWords > len(r.words) || baseBytes > len(r.bytes) {
 		panic(fmt.Sprintf("shmem: protect base %d/%d beyond rank %d's %d/%d segments",
 			baseWords, baseBytes, rank, len(r.words), len(r.bytes)))
 	}
-	s.prot[rank] = protState{
+	r.prot = protState{
 		on:    true,
 		wbase: baseWords,
 		bbase: baseBytes,
@@ -92,15 +89,13 @@ func (s *Space) ProtectRange(rank, baseWords, baseBytes int) {
 	}
 }
 
-// mark records the pages touched by a mutation of n cells/bytes at p.
-// Callers hold s.mu. Accesses outside the protected prefix — including
-// every access before Protect — are ignored.
-func (s *Space) mark(p Ptr, n int64) {
-	if s.prot == nil || n <= 0 {
-		return
-	}
-	ps := &s.prot[p.Rank]
-	if !ps.on {
+// mark records the pages touched by a mutation of n cells/bytes at p, a
+// pointer into this rank's memory. Callers hold r.mu. Accesses outside
+// the protected prefix — including every access before Protect — are
+// ignored.
+func (r *rankMem) mark(p Ptr, n int64) {
+	ps := &r.prot
+	if !ps.on || n <= 0 {
 		return
 	}
 	pageSize := int64(PageBytes)
@@ -122,9 +117,10 @@ func (s *Space) mark(p Ptr, n int64) {
 // segment merged. reset clears the dirty set, so the next capture
 // carries only later mutations.
 func (s *Space) CaptureDelta(rank int, reset bool) []DeltaRange {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ps := s.protLocked(rank)
+	r := &s.ranks[rank]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ps := r.protected(rank)
 	keys := make([]pageKey, 0, len(ps.dirty))
 	for k := range ps.dirty {
 		keys = append(keys, k)
@@ -146,7 +142,7 @@ func (s *Space) CaptureDelta(rank int, reset bool) []DeltaRange {
 			keys[j].page == keys[j-1].page+1 {
 			j++
 		}
-		out = append(out, s.rangeLocked(rank, keys[i], int(keys[j-1].page-keys[i].page)+1))
+		out = append(out, r.rangeAt(rank, keys[i], int(keys[j-1].page-keys[i].page)+1))
 		i = j
 	}
 	if reset {
@@ -159,10 +155,10 @@ func (s *Space) CaptureDelta(rank int, reset bool) []DeltaRange {
 // segment — the re-establishing transfer after a membership change,
 // which must rebuild a respawned peer's replica from nothing.
 func (s *Space) CaptureFull(rank int, reset bool) []DeltaRange {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ps := s.protLocked(rank)
 	r := &s.ranks[rank]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ps := r.protected(rank)
 	out := make([]DeltaRange, 0, (ps.words-ps.wbase)+(ps.bytes-ps.bbase))
 	for seg := ps.wbase; seg < ps.words; seg++ {
 		data := make([]byte, 8*len(r.words[seg]))
@@ -180,10 +176,10 @@ func (s *Space) CaptureFull(rank int, reset bool) []DeltaRange {
 	return out
 }
 
-// rangeLocked serializes pages consecutive pages of one segment starting
-// at key k, clamped to the segment end. Callers hold s.mu.
-func (s *Space) rangeLocked(rank int, k pageKey, pages int) DeltaRange {
-	r := &s.ranks[rank]
+// rangeAt serializes pages consecutive pages of one segment of rank's
+// memory r starting at key k, clamped to the segment end. Callers hold
+// r.mu.
+func (r *rankMem) rangeAt(rank int, k pageKey, pages int) DeltaRange {
 	if k.kind == KindWord {
 		seg := r.words[k.seg-1]
 		lo := int(k.page) * PageWords
@@ -206,24 +202,24 @@ func (s *Space) rangeLocked(rank int, k pageKey, pages int) DeltaRange {
 	return DeltaRange{Ptr: Ptr{Rank: int32(rank), Kind: KindByte, Seg: k.seg, Off: int64(lo)}, Data: append([]byte(nil), seg[lo:hi]...)}
 }
 
-// protLocked returns rank's tracking state, panicking when Protect was
-// never called — capturing an unprotected rank is a protocol bug, not a
-// recoverable condition. Callers hold s.mu.
-func (s *Space) protLocked(rank int) *protState {
-	if s.prot == nil || !s.prot[rank].on {
+// protected returns the tracking state of rank's memory r, panicking
+// when Protect was never called — capturing an unprotected rank is a
+// protocol bug, not a recoverable condition. Callers hold r.mu.
+func (r *rankMem) protected(rank int) *protState {
+	if !r.prot.on {
 		panic(fmt.Sprintf("shmem: rank %d has no protected set (Protect not called)", rank))
 	}
-	return &s.prot[rank]
+	return &r.prot
 }
 
 // Snapshot deep-copies rank's protected segments. The elastic runner
 // takes one at every sync-epoch commit; Restore rewinds to it when a
 // membership change forces survivors back to the resume epoch.
 func (s *Space) Snapshot(rank int, epoch uint64) *RankSnapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ps := s.protLocked(rank)
 	r := &s.ranks[rank]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ps := r.protected(rank)
 	snap := &RankSnapshot{Epoch: epoch}
 	for seg := ps.wbase; seg < ps.words; seg++ {
 		snap.words = append(snap.words, append([]int64(nil), r.words[seg]...))
@@ -238,9 +234,8 @@ func (s *Space) Snapshot(rank int, epoch uint64) *RankSnapshot {
 // dirty set (the restored state is exactly the peer-replicated epoch, so
 // nothing is pending replication).
 func (s *Space) Restore(rank int, snap *RankSnapshot) {
-	s.locked(func() {
-		ps := s.protLocked(rank)
-		r := &s.ranks[rank]
+	s.locked(int32(rank), func(r *rankMem) {
+		ps := r.protected(rank)
 		if len(snap.words) != ps.words-ps.wbase || len(snap.bytes) != ps.bytes-ps.bbase {
 			panic(fmt.Sprintf("shmem: snapshot shape %d/%d does not match protected set %d/%d",
 				len(snap.words), len(snap.bytes), ps.words-ps.wbase, ps.bytes-ps.bbase))
@@ -260,9 +255,8 @@ func (s *Space) Restore(rank int, snap *RankSnapshot) {
 // emulation of a rank crash losing its memory, so restore paths can be
 // exercised on the single-process fabrics.
 func (s *Space) WipeProtected(rank int) {
-	s.locked(func() {
-		ps := s.protLocked(rank)
-		r := &s.ranks[rank]
+	s.locked(int32(rank), func(r *rankMem) {
+		ps := r.protected(rank)
 		for seg := ps.wbase; seg < ps.words; seg++ {
 			w := r.words[seg]
 			for i := range w {
@@ -283,15 +277,16 @@ func (s *Space) WipeProtected(rank int) {
 // ReadRaw serializes n bytes of memory at p into little-endian raw form.
 // For word pointers, p.Off is in cells and n in bytes (8 per cell).
 func (s *Space) ReadRaw(p Ptr, n int) []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	r := &s.ranks[p.Rank]
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if p.Kind == KindByte {
-		return append([]byte(nil), s.bytesAt(p, int64(n))...)
+		return append([]byte(nil), r.bytesAt(p, int64(n))...)
 	}
 	if n%8 != 0 {
 		panic(fmt.Sprintf("shmem: raw word read %v+%d not cell-aligned", p, n))
 	}
-	w := s.words(p, int64(n/8))
+	w := r.wordsAt(p, int64(n/8))
 	out := make([]byte, n)
 	for i, v := range w {
 		lePutUint64(out[8*i:], uint64(v))
@@ -303,20 +298,19 @@ func (s *Space) ReadRaw(p Ptr, n int) []byte {
 // and the application side of a replica range: word pointers take p.Off
 // in cells and data as 8 bytes per cell.
 func (s *Space) WriteRaw(p Ptr, data []byte) {
-	s.locked(func() {
+	s.locked(p.Rank, func(r *rankMem) {
 		if p.Kind == KindByte {
-			copy(s.bytesAt(p, int64(len(data))), data)
-			s.mark(p, int64(len(data)))
+			r.put(p, data)
 			return
 		}
 		if len(data)%8 != 0 {
 			panic(fmt.Sprintf("shmem: raw word write of %d bytes not cell-aligned", len(data)))
 		}
-		w := s.words(p, int64(len(data)/8))
+		w := r.wordsAt(p, int64(len(data)/8))
 		for i := range w {
 			w[i] = int64(leUint64(data[8*i:]))
 		}
-		s.mark(p, int64(len(w)))
+		r.mark(p, int64(len(w)))
 	})
 	n := int64(len(data))
 	if p.Kind == KindWord {

@@ -7,18 +7,17 @@ import (
 )
 
 // Space is the cluster-wide collection of remotely accessible segments.
-// One Space backs one emulated cluster. All mutating operations are
-// serialized by an internal mutex so that the concurrent fabrics (channel
-// and TCP) are data-race free; the simulated fabric runs one actor at a
-// time and never contends.
+// One Space backs one emulated cluster. Every operation touches one rank's
+// segments and is serialized by that rank's mutex, so the concurrent
+// fabrics (channel and TCP) are data-race free and accesses to different
+// ranks' memory never wait on each other; the simulated fabric runs one
+// actor at a time and never contends.
 type Space struct {
-	mu       sync.Mutex
 	nodeOf   []int // rank -> node index
 	numNodes int
 	ranks    []rankMem
-	prot     []protState // per-rank dirty-page tracking (nil until Protect)
 
-	// onWrite, when non-nil, is invoked (outside the space lock) after
+	// onWrite, when non-nil, is invoked (outside every rank lock) after
 	// every mutation with the region written: n cells (words or bytes, by
 	// p's kind) from p, or — p of no kind — all of p.Rank's memory. The
 	// concurrent fabrics use it to wake the processes blocked in WaitUntil
@@ -27,9 +26,20 @@ type Space struct {
 	onWrite func(p Ptr, n int64)
 }
 
+// cacheLine is the padding that keeps neighbouring ranks' locks off each
+// other's cache lines: two 64-byte lines, the unit adjacent-line
+// prefetchers move.
+const cacheLine = 128
+
+// rankMem is one rank's memory, its dirty-page tracking and the mutex
+// that serializes every access to them.
 type rankMem struct {
+	mu    sync.Mutex
 	words [][]int64
 	bytes [][]byte
+	prot  protState
+
+	_ [cacheLine]byte
 }
 
 // NewSpace creates a Space for len(nodeOf) processes, where nodeOf maps
@@ -65,17 +75,18 @@ func (s *Space) notify(p Ptr, n int64) {
 	}
 }
 
-// locked runs fn holding the space mutex. Mutators route through it so
-// that a panic inside fn — a bad pointer, an out-of-range access —
-// unwinds with the mutex released: on the simulated fabric such a panic
-// is recovered and reported as the run's failure, and a mutex left
-// locked would instead freeze every other process into a silent hang.
-// The onWrite hook deliberately stays outside fn: it re-enters
-// scheduler state that must never be touched under the space lock.
-func (s *Space) locked(fn func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fn()
+// locked runs fn holding rank's mutex. Mutators route through it so that
+// a panic inside fn — a bad pointer, an out-of-range access — unwinds
+// with the mutex released: on the simulated fabric such a panic is
+// recovered and reported as the run's failure, and a mutex left locked
+// would instead freeze every other process into a silent hang. The
+// onWrite hook deliberately stays outside fn: it re-enters scheduler
+// state that must never be touched under a rank lock.
+func (s *Space) locked(rank int32, fn func(r *rankMem)) {
+	r := &s.ranks[rank]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	fn(r)
 }
 
 // AllocWords allocates a zeroed word segment of n cells owned by rank and
@@ -84,9 +95,9 @@ func (s *Space) AllocWords(rank, n int) Ptr {
 	if n <= 0 {
 		panic(fmt.Sprintf("shmem: AllocWords(%d, %d): non-positive size", rank, n))
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	r := &s.ranks[rank]
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.words = append(r.words, make([]int64, n))
 	return Ptr{Rank: int32(rank), Kind: KindWord, Seg: int32(len(r.words)), Off: 0}
 }
@@ -97,33 +108,33 @@ func (s *Space) AllocBytes(rank, n int) Ptr {
 	if n <= 0 {
 		panic(fmt.Sprintf("shmem: AllocBytes(%d, %d): non-positive size", rank, n))
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	r := &s.ranks[rank]
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.bytes = append(r.bytes, make([]byte, n))
 	return Ptr{Rank: int32(rank), Kind: KindByte, Seg: int32(len(r.bytes)), Off: 0}
 }
 
-// words resolves a word pointer to its backing slice starting at p.
-// Callers must hold s.mu.
-func (s *Space) words(p Ptr, n int64) []int64 {
+// wordsAt resolves a word pointer into this rank's memory to its backing
+// slice starting at p. Callers hold r.mu.
+func (r *rankMem) wordsAt(p Ptr, n int64) []int64 {
 	if p.Kind != KindWord {
 		panic(fmt.Sprintf("shmem: %v is not a word pointer", p))
 	}
-	seg := s.ranks[p.Rank].words[p.Seg-1]
+	seg := r.words[p.Seg-1]
 	if p.Off < 0 || p.Off+n > int64(len(seg)) {
 		panic(fmt.Sprintf("shmem: word access %v+%d out of range (segment %d cells)", p, n, len(seg)))
 	}
 	return seg[p.Off : p.Off+n]
 }
 
-// bytesAt resolves a byte pointer to its backing slice starting at p.
-// Callers must hold s.mu.
-func (s *Space) bytesAt(p Ptr, n int64) []byte {
+// bytesAt resolves a byte pointer into this rank's memory to its backing
+// slice starting at p. Callers hold r.mu.
+func (r *rankMem) bytesAt(p Ptr, n int64) []byte {
 	if p.Kind != KindByte {
 		panic(fmt.Sprintf("shmem: %v is not a byte pointer", p))
 	}
-	seg := s.ranks[p.Rank].bytes[p.Seg-1]
+	seg := r.bytes[p.Seg-1]
 	if p.Off < 0 || p.Off+n > int64(len(seg)) {
 		panic(fmt.Sprintf("shmem: byte access %v+%d out of range (segment %d bytes)", p, n, len(seg)))
 	}
@@ -134,26 +145,33 @@ func (s *Space) bytesAt(p Ptr, n int64) []byte {
 
 // Load atomically reads the cell at p.
 func (s *Space) Load(p Ptr) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.words(p, 1)[0]
+	r := &s.ranks[p.Rank]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.wordsAt(p, 1)[0]
 }
 
 // Store atomically writes v to the cell at p.
 func (s *Space) Store(p Ptr, v int64) {
-	s.locked(func() { s.words(p, 1)[0] = v; s.mark(p, 1) })
+	s.locked(p.Rank, func(r *rankMem) { r.store(p, v) })
 	s.notify(p, 1)
+}
+
+// store writes v to the cell at p. Callers hold r.mu.
+func (r *rankMem) store(p Ptr, v int64) {
+	r.wordsAt(p, 1)[0] = v
+	r.mark(p, 1)
 }
 
 // FetchAdd atomically adds delta to the cell at p and returns the previous
 // value (ARMCI_RMW fetch-and-add; the ticket lock's fetch-and-increment).
 func (s *Space) FetchAdd(p Ptr, delta int64) int64 {
 	var old int64
-	s.locked(func() {
-		w := s.words(p, 1)
+	s.locked(p.Rank, func(r *rankMem) {
+		w := r.wordsAt(p, 1)
 		old = w[0]
 		w[0] += delta
-		s.mark(p, 1)
+		r.mark(p, 1)
 	})
 	s.notify(p, 1)
 	return old
@@ -171,18 +189,19 @@ func (v Pair) UnpackPtr() Ptr { return Unpack(v.Hi, v.Lo) }
 
 // LoadPair atomically reads the two consecutive cells at p.
 func (s *Space) LoadPair(p Ptr) Pair {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w := s.words(p, 2)
+	r := &s.ranks[p.Rank]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	w := r.wordsAt(p, 2)
 	return Pair{w[0], w[1]}
 }
 
 // StorePair atomically writes the two consecutive cells at p.
 func (s *Space) StorePair(p Ptr, v Pair) {
-	s.locked(func() {
-		w := s.words(p, 2)
+	s.locked(p.Rank, func(r *rankMem) {
+		w := r.wordsAt(p, 2)
 		w[0], w[1] = v.Hi, v.Lo
-		s.mark(p, 2)
+		r.mark(p, 2)
 	})
 	s.notify(p, 2)
 }
@@ -191,11 +210,11 @@ func (s *Space) StorePair(p Ptr, v Pair) {
 // returns their previous contents.
 func (s *Space) SwapPair(p Ptr, v Pair) Pair {
 	var old Pair
-	s.locked(func() {
-		w := s.words(p, 2)
+	s.locked(p.Rank, func(r *rankMem) {
+		w := r.wordsAt(p, 2)
 		old = Pair{w[0], w[1]}
 		w[0], w[1] = v.Hi, v.Lo
-		s.mark(p, 2)
+		r.mark(p, 2)
 	})
 	s.notify(p, 2)
 	return old
@@ -206,12 +225,12 @@ func (s *Space) SwapPair(p Ptr, v Pair) Pair {
 // (equal to old exactly when the swap happened).
 func (s *Space) CompareAndSwapPair(p Ptr, old, new Pair) Pair {
 	var prev Pair
-	s.locked(func() {
-		w := s.words(p, 2)
+	s.locked(p.Rank, func(r *rankMem) {
+		w := r.wordsAt(p, 2)
 		prev = Pair{w[0], w[1]}
 		if prev == old {
 			w[0], w[1] = new.Hi, new.Lo
-			s.mark(p, 2)
+			r.mark(p, 2)
 		}
 	})
 	s.notify(p, 2)
@@ -222,8 +241,14 @@ func (s *Space) CompareAndSwapPair(p Ptr, old, new Pair) Pair {
 
 // Put copies data into memory at p.
 func (s *Space) Put(p Ptr, data []byte) {
-	s.locked(func() { copy(s.bytesAt(p, int64(len(data))), data); s.mark(p, int64(len(data))) })
+	s.locked(p.Rank, func(r *rankMem) { r.put(p, data) })
 	s.notify(p, int64(len(data)))
+}
+
+// put copies data into memory at p. Callers hold r.mu.
+func (r *rankMem) put(p Ptr, data []byte) {
+	copy(r.bytesAt(p, int64(len(data))), data)
+	r.mark(p, int64(len(data)))
 }
 
 // AccOp selects the element type of an accumulate operation.
@@ -241,31 +266,35 @@ const (
 // Accumulate atomically performs dst += scale*src elementwise at p. The
 // data length must be a multiple of 8. scale is interpreted per op.
 func (s *Space) Accumulate(op AccOp, p Ptr, data []byte, scale float64) {
+	s.locked(p.Rank, func(r *rankMem) { r.accumulate(op, p, data, scale) })
+	s.notify(p, int64(len(data)))
+}
+
+// accumulate performs dst += scale*src elementwise at p. Callers hold
+// r.mu.
+func (r *rankMem) accumulate(op AccOp, p Ptr, data []byte, scale float64) {
 	if len(data)%8 != 0 {
 		panic(fmt.Sprintf("shmem: accumulate length %d not a multiple of 8", len(data)))
 	}
-	s.locked(func() {
-		dst := s.bytesAt(p, int64(len(data)))
-		s.mark(p, int64(len(data)))
-		switch op {
-		case AccFloat64:
-			for i := 0; i+8 <= len(data); i += 8 {
-				d := math.Float64frombits(leUint64(dst[i:]))
-				v := math.Float64frombits(leUint64(data[i:]))
-				lePutUint64(dst[i:], math.Float64bits(d+scale*v))
-			}
-		case AccInt64:
-			k := int64(scale)
-			for i := 0; i+8 <= len(data); i += 8 {
-				d := int64(leUint64(dst[i:]))
-				v := int64(leUint64(data[i:]))
-				lePutUint64(dst[i:], uint64(d+k*v))
-			}
-		default:
-			panic(fmt.Sprintf("shmem: unknown accumulate op %d", op))
+	dst := r.bytesAt(p, int64(len(data)))
+	r.mark(p, int64(len(data)))
+	switch op {
+	case AccFloat64:
+		for i := 0; i+8 <= len(data); i += 8 {
+			d := math.Float64frombits(leUint64(dst[i:]))
+			v := math.Float64frombits(leUint64(data[i:]))
+			lePutUint64(dst[i:], math.Float64bits(d+scale*v))
 		}
-	})
-	s.notify(p, int64(len(data)))
+	case AccInt64:
+		k := int64(scale)
+		for i := 0; i+8 <= len(data); i += 8 {
+			d := int64(leUint64(dst[i:]))
+			v := int64(leUint64(data[i:]))
+			lePutUint64(dst[i:], uint64(d+k*v))
+		}
+	default:
+		panic(fmt.Sprintf("shmem: unknown accumulate op %d", op))
+	}
 }
 
 func leUint64(b []byte) uint64 {

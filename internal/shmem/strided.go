@@ -111,13 +111,14 @@ func (d Strided) EachRun(fn func(off int64, n int)) {
 // payload, a strided get's destination — reads without allocating.
 func (s *Space) AppendGet(dst []byte, src Ptr, d Strided, n int) []byte {
 	dst = slices.Grow(dst, n)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	r := &s.ranks[src.Rank]
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if d.IsZero() {
-		return append(dst, s.bytesAt(src, int64(n))...)
+		return append(dst, r.bytesAt(src, int64(n))...)
 	}
 	d.EachRun(func(off int64, k int) {
-		dst = append(dst, s.bytesAt(src.Add(off), int64(k))...)
+		dst = append(dst, r.bytesAt(src.Add(off), int64(k))...)
 	})
 	return dst
 }
@@ -129,11 +130,10 @@ func (s *Space) UnpackTo(dst Ptr, d Strided, data []byte) {
 		panic(fmt.Sprintf("shmem: strided unpack of %d bytes into descriptor covering %d", len(data), want))
 	}
 	var end int64 // the region's extent from dst, what the hook reports
-	s.locked(func() {
+	s.locked(dst.Rank, func(r *rankMem) {
 		pos := 0
 		d.EachRun(func(off int64, n int) {
-			copy(s.bytesAt(dst.Add(off), int64(n)), data[pos:pos+n])
-			s.mark(dst.Add(off), int64(n))
+			r.put(dst.Add(off), data[pos:pos+n])
 			pos += n
 			end = max(end, off+int64(n))
 		})
@@ -141,15 +141,20 @@ func (s *Space) UnpackTo(dst Ptr, d Strided, data []byte) {
 	s.notify(dst, end)
 }
 
-// AccumulateStrided performs dst += scale*src elementwise over the strided
-// region at dst, consuming the flat buffer data run by run.
+// AccumulateStrided atomically performs dst += scale*src elementwise over
+// the strided region at dst, consuming the flat buffer data run by run.
 func (s *Space) AccumulateStrided(op AccOp, dst Ptr, d Strided, data []byte, scale float64) {
 	if want := d.TotalBytes(); want != len(data) {
 		panic(fmt.Sprintf("shmem: strided accumulate of %d bytes into descriptor covering %d", len(data), want))
 	}
-	pos := 0
-	d.EachRun(func(off int64, n int) {
-		s.Accumulate(op, dst.Add(off), data[pos:pos+n], scale)
-		pos += n
+	var end int64 // the region's extent from dst, what the hook reports
+	s.locked(dst.Rank, func(r *rankMem) {
+		pos := 0
+		d.EachRun(func(off int64, n int) {
+			r.accumulate(op, dst.Add(off), data[pos:pos+n], scale)
+			pos += n
+			end = max(end, off+int64(n))
+		})
 	})
+	s.notify(dst, end)
 }

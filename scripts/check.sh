@@ -64,6 +64,10 @@ go test -race -count=5 ./internal/transport
 # duplication, which keep the serve loop (~10 s each).
 go run ./cmd/armci-check -fabrics chan -seeds 16
 go run ./cmd/armci-check -fabrics chan -faults 'loss=0.15,retry=12;dup=0.2' -seeds 8
+# And coalescing on both in-process wall-clock fabrics, where a data server
+# applies a frame while other ranks read the same memory: at the default
+# two ranks per node one frame spans two ranks' memory (~5 s).
+go run ./cmd/armci-check -fabrics chan,tcp -coalesce -seeds 8
 # And the per-actor state under it: a reset landing mid-stream on other
 # actors' pipes, a reader folding counters an actor is still adding to.
 go test -race -count=5 ./internal/pipeline ./internal/trace
