@@ -92,6 +92,10 @@ func run(args []string, out io.Writer) int {
 		return runMutations(out, *seedStart, *seedStart+*seeds-1, *verbose)
 	}
 
+	// A mutation of a fabric's substrate runs on that fabric alone.
+	if *mutation != "" && !flagSet(fs, "fabrics") {
+		*fabricsF = check.MutationFabric(*mutation).String()
+	}
 	fabrics, err := parseFabrics(*fabricsF)
 	if err != nil {
 		log.Print(err)

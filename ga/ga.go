@@ -153,8 +153,8 @@ func (a *Array) eachBlock(rlo, rhi, clo, chi int, fn func(rank, irlo, irhi, iclo
 
 // region backs one piece's descriptor: its count and stride slices are
 // views of it. An Array keeps one and rewrites it for every piece, since
-// no transfer keeps a descriptor past its call (a message copies it into
-// its arena).
+// no transfer keeps a descriptor past its call (a send only borrows it,
+// and a fabric that delivers later copies it).
 type region struct {
 	count  [2]int
 	stride [1]int64
@@ -195,7 +195,7 @@ func patchBytes(dst []byte, buf []float64, rlo, clo, chi int, irlo, irhi, iclo, 
 // cols [clo,chi) (GA_Put / NGA_Put). Non-blocking completion semantics:
 // remote pieces are guaranteed visible only after Sync or a fence. buf
 // may be reused as soon as Put returns: each piece is encoded into the
-// array's scratch, which the transfer copies before Put moves on.
+// array's scratch, which the transfer is done with before Put moves on.
 func (a *Array) Put(rlo, rhi, clo, chi int, buf []float64) {
 	a.checkPatch(rlo, rhi, clo, chi)
 	if want := (rhi - rlo) * (chi - clo); len(buf) != want {

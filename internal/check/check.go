@@ -38,6 +38,7 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"time"
@@ -129,7 +130,9 @@ func (c Case) withDefaults() Case {
 		c.Preset = armci.PresetMyrinet2000
 	}
 	if c.OpDeadline == 0 && c.Fabric != armci.FabricSim {
-		c.OpDeadline = 30 * time.Second
+		// A mutation whose bug hangs a wall-clock run says how soon to
+		// call it; replaying its tuple picks the same bound.
+		c.OpDeadline = cmp.Or(mutationSpecs[c.Mutation].opDeadline, 30*time.Second)
 	}
 	return c
 }
@@ -277,16 +280,19 @@ func RunCase(c Case) Result {
 
 // armSubstrate returns body with the mutation's substrate bug, if it has
 // one, armed in its first statement: the simulated kernel every rank
-// shares, or the rank's own coalescer, reached through the handles the
-// body holds. It is armed before the rank's first operation, so the bug
-// bites from the start of the run.
+// shares, or the rank's own coalescer or chan link, reached through the
+// handles the body holds. It is armed before the rank's first operation,
+// so the bug bites from the start of the run.
 func armSubstrate(spec mutationSpec, body func(*armci.Proc)) func(*armci.Proc) {
-	if !spec.simHazard && !spec.coalesceHazard {
+	if !spec.simHazard && !spec.coalesceHazard && !spec.chanHazard {
 		return body
 	}
 	return func(p *armci.Proc) {
 		if spec.simHazard {
 			transport.SimKernel(p.Env()).SetEventPoolHazard(true)
+		}
+		if spec.chanHazard {
+			transport.SetLendQueuedHazard(p.Env())
 		}
 		if spec.coalesceHazard {
 			p.Engine().Coalescer().SetReorderHazard(true)
@@ -312,6 +318,9 @@ func validateCase(c Case) error {
 	}
 	if m.simHazard && c.Fabric != armci.FabricSim {
 		return fmt.Errorf("check: mutation %q breaks the simulated kernel; fabric %s has none", c.Mutation, c.Fabric)
+	}
+	if m.chanHazard && c.Fabric != armci.FabricChan {
+		return fmt.Errorf("check: mutation %q breaks the chan link; fabric %s has none", c.Mutation, c.Fabric)
 	}
 	if c.Workload != "" {
 		sp, err := workload.Parse(c.Workload)

@@ -150,6 +150,17 @@ const (
 	// violation ("undeclared read") the first time a hand-off wakes the
 	// waiter with no write to its declared cells.
 	MutWaitWrongCell = "wait-wrong-cell"
+	// MutChanLendQueued: the algorithms are untouched — the bug is in the
+	// chan link (transport.SetLendQueuedHazard). A frame it queues in a
+	// mailbox is the sender's message itself, not the copy a send owes a
+	// frame delivered after it returns, so the sender's next send rewrites
+	// a frame still waiting: a collective's next phase its last payload
+	// and tag, the engine's next request its last. Detected as a liveness
+	// violation (a receive that never matches, a barrier that never
+	// completes) or by the state and fence oracles when a rewritten frame
+	// still matches. Proves the oracles catch a fabric that keeps what it
+	// was only lent.
+	MutChanLendQueued = "chan-lend-queued"
 	// MutPanicCase: not an algorithm bug — the workload panics outright
 	// mid-case, simulating a harness defect. It exists to test that the
 	// sweep runner recovers per case, attributes the panic to its
@@ -171,6 +182,13 @@ type mutationSpec struct {
 	// simHazard arms the simulated kernel's event-pool bug instead of
 	// mutating an algorithm (sim fabric only; see armSubstrate).
 	simHazard bool
+	// chanHazard arms every user's chan link bug instead (chan fabric
+	// only; see armSubstrate).
+	chanHazard bool
+	// opDeadline overrides the case's per-operation bound on a wall-clock
+	// fabric, where the bug's usual symptom is a receive that never
+	// matches.
+	opDeadline time.Duration
 	// coalesceHazard runs the case with coalescing enabled and each
 	// rank's coalescer's within-batch reorder bug armed.
 	coalesceHazard bool
@@ -225,7 +243,8 @@ var mutationSpecs = map[string]mutationSpec{
 		lock: func(p *armci.Proc) armci.Mutex {
 			return brokenWaitCell{p.Mutex(0, armci.LockQueue).(*core.QueueLock), p}
 		}},
-	MutPanicCase: {alg: "queue", sync: "barrier", harnessPanic: true},
+	MutChanLendQueued: {alg: "queue", sync: "barrier", chanHazard: true, opDeadline: 2 * time.Second},
+	MutPanicCase:      {alg: "queue", sync: "barrier", harnessPanic: true},
 }
 
 // Mutations returns the broken variant names, in a fixed order.
@@ -233,7 +252,17 @@ func Mutations() []string {
 	return []string{MutQueueSkipLinkWait, MutTicketOffByOne, MutBarrierSkipStage2,
 		MutSyncOldSkipFence, MutEventPoolRecycle, MutCoalesceReorder,
 		MutLeaseStaleRelease, MutAccLostUpdate, MutFlagBeforeData,
-		MutKnomialSkipSubtree, MutReplStaleEpoch, MutBarrierEmptyLocal, MutWaitWrongCell}
+		MutKnomialSkipSubtree, MutReplStaleEpoch, MutBarrierEmptyLocal, MutWaitWrongCell,
+		MutChanLendQueued}
+}
+
+// MutationFabric reports the fabric a mutation's sweep runs on: chan for
+// the chan link's bug, sim for every other.
+func MutationFabric(name string) armci.FabricKind {
+	if mutationSpecs[name].chanHazard {
+		return armci.FabricChan
+	}
+	return armci.FabricSim
 }
 
 // MutationWorkload reports the workload spec a mutation targets (""
@@ -267,7 +296,7 @@ const MutationIters = 6
 func MutationCase(name string, seed int64) Case {
 	m := mutationSpecs[name]
 	return Case{
-		Fabric:   armci.FabricSim,
+		Fabric:   MutationFabric(name),
 		Alg:      m.alg,
 		Workload: m.workload,
 		Sync:     m.sync,

@@ -45,6 +45,11 @@ type Comm struct {
 	// This rank's schedule per shape, built on first use: size, rank and
 	// topology are fixed for the Comm's life, and SetRadix drops them all.
 	sched [numShapes][]step
+
+	// out is the send in progress and buf its payload, both reused from
+	// send to send: Env.Send borrows a message only until it returns.
+	out msg.Message
+	buf []byte
 }
 
 // New builds a collective communicator over env.
@@ -105,18 +110,18 @@ func (c *Comm) schedule(sh BarrierAlg) []step {
 // collective touches the fabric. Every send carries the current vec as
 // 8-byte little-endian words (nothing for a barrier's nil vec); every
 // receive must bring exactly len(vec) words. The tag seq<<16|phase keeps
-// the phases of one collective, and consecutive collectives, apart. The
-// sends and their payloads are born in the actor's arena.
+// the phases of one collective, and consecutive collectives, apart. A
+// send is the Comm's message over its payload buffer, rewritten each time.
 func run[T int64 | float64](c *Comm, sh BarrierAlg, vec []T) {
-	arena := c.env.Arena()
 	for _, s := range c.schedule(sh) {
 		tag := c.seq<<16 | s.phase
 		if s.op == send {
-			m := arena.NewWith(msg.Message{Kind: msg.KindColl, Tag: tag}, 8*len(vec))
-			for i, v := range vec {
-				binary.LittleEndian.PutUint64(m.Data[8*i:], toWord(v))
+			c.buf = c.buf[:0]
+			for _, v := range vec {
+				c.buf = binary.LittleEndian.AppendUint64(c.buf, toWord(v))
 			}
-			c.env.Send(msg.User(s.peer), m)
+			c.out = msg.Message{Kind: msg.KindColl, Tag: tag, Data: c.buf}
+			c.env.Send(msg.User(s.peer), &c.out)
 			continue
 		}
 		m := c.env.Recv(msg.MatchSrcTag(msg.KindColl, msg.User(s.peer), tag))

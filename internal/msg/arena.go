@@ -16,15 +16,17 @@ const (
 	SlabBytes     = 8 << 10
 )
 
-// Arena is where one owner's messages are born: the sends of one actor, or
-// the frames one link reader decodes. A message and its payload are born
-// together (New, NewWith): the message in the next slot of a chunk, a
-// short payload in the same slot, a longer one in a slab. The arena never
-// hands out a slot or a byte twice, so nothing is ever returned to it: the
-// collector frees a chunk or a slab once the last message or payload in it
-// is gone. A message, or its payload, may therefore be kept, shared
-// between goroutines and passed on like any heap object; what it costs is
-// the chunk and slab it pins.
+// Arena is where one owner keeps the messages it holds past a call: the
+// frames one link reader decodes, or the copies a fabric makes of the sends
+// it delivers later (Keep) — never a message being sent, which its sender
+// lends the fabric until Send returns (transport.Env.Send). A message and
+// its payload are born together (New, NewWith, Keep): the message in the
+// next slot of a chunk, a short payload in the same slot, a longer one in a
+// slab. The arena never hands out a slot or a byte twice, so nothing is
+// ever returned to it: the collector frees a chunk or a slab once the last
+// message or payload in it is gone. A message, or its payload, may
+// therefore be kept, shared between goroutines and passed on like any heap
+// object; what it costs is the chunk and slab it pins.
 //
 // What an owner allocates is one chunk per ChunkMessages messages, a slab
 // now and then for the payloads that do not fit a slot, and a chunk of
@@ -37,9 +39,9 @@ const (
 //
 // The zero Arena is ready to use; a nil *Arena allocates every message and
 // payload on its own. An Arena is not safe for concurrent use: its owner
-// uses it from one goroutine at a time. That is the actor's own, except
-// for a data server served on delivery, whose handler runs on its
-// requesters' goroutines, one request at a time (transport.Handler).
+// uses it from one goroutine at a time — a link reader's own, or the
+// sending actor's, which for a data server served on delivery is one of
+// its requesters' goroutines, one request at a time (transport.Handler).
 type Arena struct {
 	slots   []slot       // the current chunk's slots not yet handed out
 	strides []strideSlot // the current descriptor chunk's, likewise
@@ -85,25 +87,46 @@ func (a *Arena) New(m Message) *Message {
 // the caller fills: m.Data is replaced (nil for n == 0). The payload's
 // capacity is n, so an append to it reallocates instead of writing into a
 // neighbour's bytes.
-func (a *Arena) NewWith(m Message, n int) *Message {
+func (a *Arena) NewWith(m Message, n int) *Message { return a.with(&m, n) }
+
+// Keep returns a copy of m that the arena's owner may hold: its fields,
+// its payload and its stride descriptor, vectors included, are the copy's
+// own, so the sender may rewrite any of them once Keep returns.
+func (a *Arena) Keep(m *Message) *Message {
+	p := a.with(m, len(m.Data))
+	copy(p.Data, m.Data)
+	if m.Stride != nil {
+		p.Stride = a.Strided(*m.Stride)
+	}
+	return p
+}
+
+// with is NewWith for a message given by pointer: *m's fields are copied
+// once, straight into the message's slot.
+func (a *Arena) with(m *Message, n int) *Message {
+	if a == nil || n > SlabBytes/4 {
+		p := new(Message)
+		*p = *m
+		p.Data = nil
+		if n > 0 {
+			p.Data = make([]byte, n)
+		}
+		return p
+	}
+	s := a.next()
+	s.m = *m
 	switch {
 	case n == 0:
-		m.Data = nil
-	case a == nil || n > SlabBytes/4:
-		m.Data = make([]byte, n)
-		return a.New(m)
+		s.m.Data = nil
 	case n > InlineBytes:
 		if len(a.slab) < n {
 			a.slab = make([]byte, SlabBytes)
 		}
-		m.Data, a.slab = a.slab[:n:n], a.slab[n:]
+		s.m.Data, a.slab = a.slab[:n:n], a.slab[n:]
 	default:
-		s := a.next()
-		s.m = m
 		s.m.Data = s.payload[:n:n]
-		return &s.m
 	}
-	return a.New(m)
+	return &s.m
 }
 
 // Strided returns a copy of d, its vectors included, for a message's

@@ -206,8 +206,9 @@ type Message struct {
 	Ptr shmem.Ptr
 
 	// Stride describes a non-contiguous put, get or accumulate: nil for a
-	// contiguous one (its length is Data's, or N). The descriptor lives
-	// where the message does, in its arena (Arena.Strided).
+	// contiguous one (its length is Data's, or N). A sender may point it
+	// at vectors it rewrites after Send returns; a kept message's lives in
+	// its arena (Arena.Keep).
 	Stride *shmem.Strided
 
 	// N is the byte count of a get request.

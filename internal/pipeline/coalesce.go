@@ -27,17 +27,18 @@ const (
 //
 // Bytes change hands twice. Add copies each payload into its node's
 // arena, so the caller may reuse its buffer as soon as Add returns. A
-// flush encodes the buffer into a body of exact size that belongs to the
-// returned message alone, so a duplicated or retransmitted frame still
-// carries its own bytes after the arena has been refilled. Each buffer's
-// entry table and arena keep their capacity across flushes, and a frame's
-// message and body are carved from the coalescer's msg.Arena: a warm
-// buffer allocates a share of a chunk and of a slab per frame.
+// flush encodes the buffer into the coalescer's one frame, message and
+// body, which the caller sends before the next flush: a send borrows its
+// message only until it returns (transport.Env.Send), and a fabric that
+// delivers the frame later — a duplicate, a queued or scheduled copy —
+// delivers its own copy. Each buffer's entry table and arena, and the
+// frame's body, keep their capacity across flushes: a warm coalescer
+// allocates nothing.
 type Coalescer struct {
 	origin  int
 	reorder bool      // see SetReorderHazard
 	bufs    []destBuf // indexed by destination node, grown on first use
-	frames  msg.Arena // where flushed frames are born
+	frame   msg.Message
 }
 
 // destBuf is one node's pending frame: the entry table and the arena its
@@ -96,7 +97,8 @@ func (c *Coalescer) Pending(node int) int {
 }
 
 // Flush packs node's buffered entries into one KindBatch message and
-// resets the buffer. Returns nil when the buffer is empty.
+// resets the buffer. Returns nil when the buffer is empty. The message is
+// the coalescer's, valid until its next flush (Add's included).
 func (c *Coalescer) Flush(node int) *msg.Message {
 	if c.Pending(node) == 0 {
 		return nil
@@ -112,19 +114,19 @@ func (c *Coalescer) Flush(node int) *msg.Message {
 			entries[i], entries[j] = entries[j], entries[i]
 		}
 	}
-	m := c.frames.NewWith(msg.Message{
+	c.frame = msg.Message{
 		Kind:   msg.KindBatch,
 		Origin: c.origin,
 		N:      len(entries),
-	}, wire.BatchSize(entries))
-	m.Data = wire.AppendBatch(m.Data[:0], entries)
+		Data:   wire.AppendBatch(c.frame.Data[:0], entries),
+	}
 	b.entries, b.arena = entries[:0], b.arena[:0]
-	return m
+	return &c.frame
 }
 
 // FlushAll flushes every non-empty buffer and hands each frame to emit,
 // in ascending node order so the emitted message sequence is
-// deterministic.
+// deterministic; a frame is valid until emit returns.
 func (c *Coalescer) FlushAll(emit func(node int, m *msg.Message)) {
 	for node := range c.bufs {
 		if m := c.Flush(node); m != nil {

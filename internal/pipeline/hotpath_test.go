@@ -86,10 +86,10 @@ func hotPathAllocBudget(t *testing.T, rec *trace.Stats, f Faults) {
 
 // TestCoalescerAllocBudget pins the coalesced small-operation path once
 // a node's buffer is warm: an Add that does not ship a frame allocates
-// nothing (the payload lands in the arena the buffer keeps), a whole
-// frame's worth of Adds — filled to MaxFrameBytes — allocates at most the
-// shipped frame's body and message, and FlushAll with nothing buffered
-// allocates nothing.
+// nothing (the payload lands in the arena the buffer keeps), nor does a
+// whole frame's worth of Adds — filled to MaxFrameBytes — whose frame is
+// encoded into the coalescer's one reused body, nor FlushAll with
+// nothing buffered.
 func TestCoalescerAllocBudget(t *testing.T) {
 	const node = 1
 	c := NewCoalescer(0)
@@ -120,8 +120,8 @@ func TestCoalescerAllocBudget(t *testing.T) {
 	if got := c.Pending(node); got != perFrame {
 		t.Fatalf("Pending = %d after the non-shipping Adds, want %d", got, perFrame)
 	}
-	if avg := testing.AllocsPerRun(100, frame); avg > 2 {
-		t.Errorf("a frame of %d Adds allocates %.2f, budget 2 (body and message)", perFrame, avg)
+	if avg := testing.AllocsPerRun(100, frame); avg > 0 {
+		t.Errorf("a frame of %d Adds allocates %.2f, budget 0", perFrame, avg)
 	}
 	if want := 1 + 101; frames != want {
 		t.Fatalf("%d frames flushed, want %d", frames, want)

@@ -108,9 +108,12 @@ type Engine struct {
 	outstanding []int64 // unacknowledged ops, per destination node (FenceAck)
 	tokens      uint64
 
-	// arena is where the engine's requests and their payloads are born:
-	// its actor's (Env.Arena).
-	arena *msg.Arena
+	// out is the engine's request being sent, and stride its region:
+	// each send rewrites them, since Env.Send borrows a message only
+	// until it returns. A request's payload and stride vectors are its
+	// caller's own, lent the same way.
+	out    msg.Message
+	stride shmem.Strided
 
 	// flagTag is WaitFlag's diagnostic wait tag, read only when a wait
 	// times out; built once so the wait itself allocates nothing.
@@ -133,7 +136,6 @@ func NewEngine(env transport.Env, lay *Layout, mode FenceMode) *Engine {
 		outstanding: make([]int64, env.NumNodes()),
 		waitNodes:   make([]bool, env.NumNodes()),
 		flagTag:     fmt.Sprintf("wait-flag@p%d", env.Rank()),
-		arena:       env.Arena(),
 	}
 }
 
@@ -192,18 +194,30 @@ func (g *Engine) sendBatch(node int, m *msg.Message) {
 	g.env.Send(msg.ServerOf(node), m)
 }
 
-// Send ships a message holding m's fields, born in the engine's arena, to
-// the endpoint to. m.Data is not copied: it must be the message's own.
+// Send ships a message holding m's fields to the endpoint to. m.Data is
+// lent to the send, as Env.Send borrows it: the caller may reuse it once
+// Send returns.
 func (g *Engine) Send(to msg.Addr, m msg.Message) {
-	g.env.Send(to, g.arena.New(m))
+	g.env.Send(to, g.request(m))
 }
 
-// withCopy returns a message holding m's fields and a copy of data, both
-// born in the engine's arena.
-func (g *Engine) withCopy(m msg.Message, data []byte) *msg.Message {
-	p := g.arena.NewWith(m, len(data))
-	copy(p.Data, data)
-	return p
+// request returns the engine's outgoing message, set to m's fields. It is
+// valid until the engine's next request: every send is over by then. A
+// coalescing flush that sendServer or sendCtl makes first sends the
+// coalescer's own frame, never this one.
+func (g *Engine) request(m msg.Message) *msg.Message {
+	g.out = m
+	return &g.out
+}
+
+// region returns the stride descriptor a request over d carries: nil for
+// a contiguous d, else the engine's, viewing the caller's vectors.
+func (g *Engine) region(d shmem.Strided) *shmem.Strided {
+	if len(d.Count) == 0 && len(d.Stride) == 0 {
+		return nil
+	}
+	g.stride = d
+	return &g.stride
 }
 
 // sendServer flushes node's coalescing buffer and ships m to node's
@@ -313,12 +327,13 @@ func (g *Engine) put(dst shmem.Ptr, d shmem.Strided, data []byte) {
 	}
 	node := g.env.Node(int(dst.Rank))
 	g.countIssue(node)
-	g.sendServer(node, g.withCopy(msg.Message{
+	g.sendServer(node, g.request(msg.Message{
 		Kind:   msg.KindPut,
 		Origin: g.env.Rank(),
 		Ptr:    dst,
-		Stride: g.arena.Strided(d),
-	}, data))
+		Stride: g.region(d),
+		Data:   data,
+	}))
 }
 
 // putCoalesced buffers a contiguous put for a remote node when
@@ -355,12 +370,12 @@ func (g *Engine) get(dst []byte, src shmem.Ptr, d shmem.Strided, n int) []byte {
 		return g.env.Space().AppendGet(dst, src, d, n)
 	}
 	tok := g.NextToken()
-	g.sendServer(g.env.Node(int(src.Rank)), g.arena.New(msg.Message{
+	g.sendServer(g.env.Node(int(src.Rank)), g.request(msg.Message{
 		Kind:   msg.KindGet,
 		Origin: g.env.Rank(),
 		Token:  tok,
 		Ptr:    src,
-		Stride: g.arena.Strided(d),
+		Stride: g.region(d),
 		N:      n,
 	}))
 	data := g.env.Recv(msg.MatchToken(msg.KindGetResp, tok)).Data
@@ -412,14 +427,15 @@ func (g *Engine) accumulate(op shmem.AccOp, dst shmem.Ptr, d shmem.Strided, data
 		})
 		return
 	}
-	g.sendServer(node, g.withCopy(msg.Message{
+	g.sendServer(node, g.request(msg.Message{
 		Kind:     msg.KindAcc,
 		Origin:   g.env.Rank(),
 		Ptr:      dst,
-		Stride:   g.arena.Strided(d),
+		Stride:   g.region(d),
 		Op:       uint8(op),
 		Operands: msg.ScaleOperands(scale),
-	}, data))
+		Data:     data,
+	}))
 }
 
 // chargeCopy models the CPU cost of a local memory copy.
@@ -434,7 +450,7 @@ func (g *Engine) chargeCopy(n int) {
 func (g *Engine) rmwBlocking(p shmem.Ptr, op msg.RmwOp, operands [4]int64) [4]int64 {
 	node := g.env.Node(int(p.Rank))
 	tok := g.NextToken()
-	g.sendCtl(node, g.arena.New(msg.Message{
+	g.sendCtl(node, g.request(msg.Message{
 		Kind:     msg.KindRmw,
 		Origin:   g.env.Rank(),
 		Token:    tok,
@@ -511,7 +527,7 @@ func (g *Engine) Store(p shmem.Ptr, v int64) {
 	// Word stores are lock hand-offs; they never coalesce (buffering one
 	// would stall a spinning successor), but they must flush what program
 	// order put before them.
-	g.sendCtl(node, g.arena.New(msg.Message{
+	g.sendCtl(node, g.request(msg.Message{
 		Kind:     msg.KindRmw,
 		Origin:   g.env.Rank(),
 		Ptr:      p,
@@ -530,7 +546,7 @@ func (g *Engine) StorePair(p shmem.Ptr, v shmem.Pair) {
 	}
 	node := g.env.Node(int(p.Rank))
 	g.countIssue(node)
-	g.sendCtl(node, g.arena.New(msg.Message{
+	g.sendCtl(node, g.request(msg.Message{
 		Kind:     msg.KindRmw,
 		Origin:   g.env.Rank(),
 		Ptr:      p,

@@ -30,7 +30,7 @@ func (g *Engine) Fence(node int) {
 		// sendCtl flushes node's coalescing buffer first: buffered ops
 		// are already in op_init, so the confirmation request must trail
 		// them on the FIFO pipe.
-		g.sendCtl(node, g.arena.New(msg.Message{
+		g.sendCtl(node, g.request(msg.Message{
 			Kind:   msg.KindFenceReq,
 			Origin: g.env.Rank(),
 			Token:  tok,

@@ -46,11 +46,12 @@ func (g *Engine) PutFlag(dst shmem.Ptr, data []byte, flag shmem.Ptr, val int64) 
 		g.Flush(node)
 		return
 	}
-	g.sendServer(node, g.withCopy(msg.Message{
+	g.sendServer(node, g.request(msg.Message{
 		Kind:   msg.KindPut,
 		Origin: g.env.Rank(),
 		Ptr:    dst,
-	}, data))
+		Data:   data,
+	}))
 	// The flag store goes to the data server, not ctlAddr: with NIC
 	// assist on, routing it to the agent would race it past the put on a
 	// different FIFO pipe.

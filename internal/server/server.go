@@ -83,9 +83,11 @@ type Server struct {
 	batch  []wire.BatchEntry
 	writes shmem.Batch
 
-	// arena is where the server's replies are born: its actor's
-	// (Env.Arena).
-	arena *msg.Arena
+	// out is the reply being sent and get the payload a Get reply packs
+	// into, both reused from reply to reply: Env.Send borrows a message
+	// only until it returns.
+	out msg.Message
+	get []byte
 }
 
 // New builds a server for the node identified by env (a server endpoint).
@@ -99,7 +101,6 @@ func New(env transport.Env, lay *proc.Layout, opt Options) *Server {
 		lay:        lay,
 		node:       env.Self().ID(),
 		lockQueues: make(map[int][]waiter),
-		arena:      env.Arena(),
 	}
 }
 
@@ -122,18 +123,25 @@ func NewAgent(env transport.Env, lay *proc.Layout, opt Options) *Server {
 		node:       env.Self().ID() - env.NumNodes(),
 		nic:        true,
 		lockQueues: make(map[int][]waiter),
-		arena:      env.Arena(),
 	}
 }
 
-// reply sends a message holding m's fields, born in the server's arena,
-// to the user process of rank.
+// reply sends a message holding m's fields to the user process of rank.
+// A reply is never sent while another is: a handler runs once at a time,
+// and a reply's delivery runs no handler of this server (a frame from a
+// server is never served on delivery).
 func (s *Server) reply(rank int, m msg.Message) {
-	s.env.Send(msg.User(rank), s.arena.New(m))
+	s.out = m
+	s.env.Send(msg.User(rank), &s.out)
 }
 
 // HandleOne executes a single request, including the idle-wake and
-// service-time accounting.
+// service-time accounting. It reads nothing of m past its return — not
+// the message, not its payload, not its region — since on chan m may be
+// the requester's own, lent for the call (transport.Handler): a put or
+// accumulate copies the payload into node memory, a batch's entries
+// alias it only until applied (the entry table is refilled before it is
+// read again), and a lock request is queued as a waiter value.
 func (s *Server) HandleOne(m *msg.Message) {
 	p := s.env.Params()
 	if s.nic {
@@ -181,15 +189,15 @@ func (s *Server) HandleOne(m *msg.Message) {
 		s.completeStore(m)
 	case msg.KindGet:
 		s.env.Charge(p.ServiceTime(m.N))
-		// The reply is born with its payload, and the region is packed
-		// straight into it.
-		r := s.arena.NewWith(msg.Message{
+		// The region is packed into the server's reply buffer, which the
+		// reply lends to its send.
+		s.get = s.env.Space().AppendGet(s.get[:0], m.Ptr, m.Strided(), m.N)
+		s.reply(m.Origin, msg.Message{
 			Kind:   msg.KindGetResp,
 			Origin: m.Origin,
 			Token:  m.Token,
-		}, m.N)
-		r.Data = s.env.Space().AppendGet(r.Data[:0], m.Ptr, m.Strided(), m.N)
-		s.env.Send(msg.User(m.Origin), r)
+			Data:   s.get,
+		})
 	case msg.KindBatch:
 		s.handleBatch(m)
 	case msg.KindRmw:
@@ -231,7 +239,7 @@ func (s *Server) HandleOne(m *msg.Message) {
 // retransmission and duplicate suppression apply to the batch as a unit,
 // so exactly-once covers all entries or none.
 //
-// The server owns m.Data, so the decoded entries alias it: no payload
+// The decoded entries alias m.Data while the call lasts: no payload
 // is copied before the store into node memory, and the entry table and
 // the write batch are the server's own, so a warm frame allocates
 // nothing.

@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 
-	"armci/internal/cluster"
 	"armci/internal/msg"
 )
 
@@ -29,20 +28,37 @@ func NewChan(cfg Config) (*ChanFabric, error) {
 }
 
 // chanLink is the in-memory link: there is no medium, so a frame goes
-// straight from the sender's goroutine into the destination mailbox.
+// straight from the sender's goroutine into the destination mailbox — as a
+// copy in the sender's arena, the one thing chan keeps of a send.
 type chanLink struct{ f *wallFabric }
 
 func (chanLink) up() error        { return nil }
 func (chanLink) usersDone() error { return nil }
 func (chanLink) down()            {}
 
-func (l chanLink) carry(_ *cluster.Sender, m *msg.Message, _ uint64) (held bool) {
+func (l chanLink) carry(from *wallEnv, m *msg.Message) (held bool) {
 	// Stricter than the socket links, which drop such frames: a local
 	// send to an unregistered endpoint is a bug in the caller.
 	b, ok := l.f.boxes[m.Dst]
 	if !ok {
 		panic(fmt.Sprintf("channet: send to unknown endpoint %v", m.Dst))
 	}
-	l.f.arrive(b, m)
+	keep := &from.arena
+	if from.lendQueued {
+		keep = nil // the armed bug: the mailbox gets the loan itself
+	}
+	l.f.arrive(b, m, keep)
 	return false
+}
+
+// SetLendQueuedHazard arms a deliberately broken chan link for env's
+// sends: a frame it queues in a mailbox is the sender's loan itself, not a
+// copy, so the sender's next use of its message or buffer rewrites a frame
+// still waiting to be received. It exists solely as a mutation hook for
+// the conformance harness's oracle self-test, armed by env's own actor
+// before its first send; on any other fabric it does nothing.
+func SetLendQueuedHazard(env Env) {
+	if e, ok := env.(*wallEnv); ok {
+		e.lendQueued = true
+	}
 }

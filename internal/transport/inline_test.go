@@ -151,9 +151,9 @@ func TestQueuedRequestWaitsItsTurn(t *testing.T) {
 		return &msg.Message{Kind: msg.KindRmw, Src: msg.User(0), Dst: msg.ServerOf(0), Tag: tag}
 	}
 	b.inService = true // the server has taken a frame and is serving it
-	f.arrive(b, req(1))
+	f.arrive(b, req(1), nil)
 	b.inService = false
-	f.arrive(b, req(2))
+	f.arrive(b, req(2), nil)
 	if len(served) != 0 || b.q.Len() != 2 {
 		t.Fatalf("with an earlier request queued, %v were served on delivery and %d queued; want none and 2", served, b.q.Len())
 	}
@@ -163,7 +163,7 @@ func TestQueuedRequestWaitsItsTurn(t *testing.T) {
 		}
 	}
 	b.env.pop(msg.MatchAny) // the server leaves service: nothing is left
-	f.arrive(b, req(3))
+	f.arrive(b, req(3), nil)
 	if len(served) != 1 || served[0] != 3 || b.q.Len() != 0 || b.inline {
 		t.Fatalf("a request to an idle server with an empty mailbox: served %v, %d queued, in service %v", served, b.q.Len(), b.inline)
 	}

@@ -126,8 +126,8 @@ func (l *procLink) up() error {
 
 // carry cannot fail: a frame the session cannot deliver is dropped, and
 // the loss behind it arrives as a cluster fault or a view.
-func (l *procLink) carry(from *cluster.Sender, m *msg.Message, gen uint64) (held bool) {
-	return l.sess.SendMsg(from, gen, endpointNode(l.f.space, m.Dst), m)
+func (l *procLink) carry(from *wallEnv, m *msg.Message) (held bool) {
+	return l.sess.SendMsg(&from.out, from.listens, endpointNode(l.f.space, m.Dst), m)
 }
 
 // usersDone is the cluster drain. Local users finished, but the servers
@@ -181,7 +181,7 @@ func (l *procLink) interrupted(server bool) error {
 func (l *procLink) onClockStart(t time.Time) { l.f.start = t }
 
 // onData is the session's delivery callback.
-func (l *procLink) onData(m *msg.Message) { l.f.arrive(l.f.boxes[m.Dst], m) }
+func (l *procLink) onData(m *msg.Message) { l.f.arrive(l.f.boxes[m.Dst], m, nil) }
 
 // onCorrupt reports a peer connection's corrupt frame, which ended it.
 func (l *procLink) onCorrupt(err error) {

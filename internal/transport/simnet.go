@@ -43,7 +43,8 @@ type SimFabric struct {
 	liveUsers int
 	shutdown  bool
 
-	// arena is every actor's: they all run on the kernel's goroutine.
+	// arena keeps the copy of every frame in flight (schedule): every
+	// actor's, since they all run on the kernel's goroutine.
 	arena msg.Arena
 
 	// The kernel handlers and the pipeline's emit, bound once: a send
@@ -283,8 +284,11 @@ func (e *simEnv) Send(to msg.Addr, m *msg.Message) {
 }
 
 // schedule is the pipeline's emit: a delivery is the event (deliver, m)
-// at the message's arrival.
-func (f *SimFabric) schedule(d pipeline.Delivery) { f.kernel.At(d.At, f.deliverH, d.Msg) }
+// at the message's arrival, m being a copy of the sender's loan (Env.Send)
+// — its stride vectors included, which the sender may rewrite at once.
+func (f *SimFabric) schedule(d pipeline.Delivery) {
+	f.kernel.At(d.At, f.deliverH, f.arena.Keep(d.Msg))
+}
 
 // deliver is a delivery event's handler: the message, its argument, enters
 // its destination's mailbox unless the pipeline's receive side suppresses
@@ -420,8 +424,6 @@ func (e *simEnv) WaitUntilFor(tag string, cells shmem.Cells, pred func() bool, d
 }
 
 func (e *simEnv) Faults() pipeline.Faults { return e.f.pipe.Faults() }
-
-func (e *simEnv) Arena() *msg.Arena { return &e.f.arena }
 
 func (e *simEnv) CrashedRank() int { return e.f.pipe.FirstCrashed() }
 

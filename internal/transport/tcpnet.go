@@ -69,8 +69,9 @@ func (l *tcpLink) up() (err error) {
 	return nil
 }
 
-// carry sends m down its sender's end, which its pair's first frame opens.
-func (l *tcpLink) carry(from *cluster.Sender, m *msg.Message, gen uint64) (held bool) {
+// carry encodes m into its sender's end, which its pair's first frame
+// opens.
+func (l *tcpLink) carry(from *wallEnv, m *msg.Message) (held bool) {
 	to := l.to[m.Src]
 	if to == nil {
 		panic(fmt.Sprintf("tcpnet: send from unknown endpoint %v", m.Src))
@@ -80,7 +81,7 @@ func (l *tcpLink) carry(from *cluster.Sender, m *msg.Message, gen uint64) (held 
 		p = l.open(m.Src, m.Dst)
 		to[m.Dst] = p
 	}
-	return p.Send(from, gen, m)
+	return p.Send(&from.out, from.listens, m)
 }
 
 // open returns src's end of the connection src and dst share, opening it
@@ -132,7 +133,7 @@ func (l *tcpLink) end(owner, peer msg.Addr, c net.Conn) {
 		panic(fmt.Sprintf("tcpnet: send %v -> %v: %v", owner, peer, err))
 	})
 	b := l.f.boxes[owner]
-	go cluster.ServePair(c, nil, func(m *msg.Message) { l.f.arrive(b, m) }, func(err error) {
+	go cluster.ServePair(c, nil, func(m *msg.Message) { l.f.arrive(b, m, nil) }, func(err error) {
 		l.f.report(fmt.Errorf("tcpnet: endpoint %v received corrupt frame: %w", owner, err))
 	})
 }

@@ -61,11 +61,18 @@ type Env interface {
 	// Send transmits m to the given endpoint. Delivery is reliable and
 	// FIFO per (source, destination) pair. Send charges the sender the
 	// modeled send overhead and returns without waiting for delivery.
+	//
+	// Send borrows m — its fields, its payload and its stride descriptor's
+	// vectors — only until it returns (it stamps the pipeline's fields on
+	// it meanwhile); the caller may then rewrite or reuse all of it, as an
+	// ARMCI put's caller may its buffer. A fabric that delivers m after
+	// Send returns copies it first, once, into an arena (msg.Arena.Keep):
+	// chan a frame it queues in a mailbox, in the sender's; sim every
+	// frame it schedules, in the fabric's. tcp and proc have encoded the
+	// frame by then and copy nothing. A frame chan serves on the sender's
+	// goroutine is handled from the borrowed m, so a Handler keeps nothing
+	// of its message past its return.
 	Send(to msg.Addr, m *msg.Message)
-	// Arena returns the arena the actor's messages are born in: its own on
-	// a wall-clock fabric; on the simulated one, the fabric's, which every
-	// actor shares, since they all run on the kernel's goroutine.
-	Arena() *msg.Arena
 	// Recv blocks until a message satisfying match is available, removes
 	// it from the mailbox and returns it.
 	Recv(match msg.Match) *msg.Message
@@ -254,7 +261,10 @@ type Fabric interface {
 }
 
 // Handler serves one request of a data server. A server's handler runs
-// once at a time, on the server's goroutine or, on chan, its requester's.
+// once at a time, on the server's goroutine or, on chan, its requester's;
+// in the latter case m is the requester's, lent for the call (Env.Send),
+// so a handler keeps no part of m — its payload included — past its
+// return.
 type Handler func(m *msg.Message)
 
 // serve is the serve loop of every data server: it hands each request its

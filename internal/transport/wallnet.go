@@ -24,13 +24,14 @@ type link interface {
 	// clock epoch exist and before any actor starts; frames may reach
 	// wallFabric.arrive from the moment it returns (or earlier).
 	up() error
-	// carry takes one stamped frame (m.Src and m.Dst are set) towards its
-	// destination, which files it with wallFabric.arrive. It is called on
-	// the sender's goroutine outside every fabric lock, and aborts the
-	// sender by panicking when the medium refuses the frame. gen counts the
-	// sender's listens (wallEnv.listen) so far; a socket link may hold the
-	// frame back for from.Flush (cluster.Pair.Send), and says so.
-	carry(from *cluster.Sender, m *msg.Message, gen uint64) (held bool)
+	// carry takes one stamped frame (m.Src and m.Dst are set), lent by
+	// its sender from until carry returns, towards its destination, which
+	// files it with wallFabric.arrive. It is called on the sender's
+	// goroutine outside every fabric lock, and aborts the sender by
+	// panicking when the medium refuses the frame. A socket link encodes
+	// the frame before it returns, and may hold the encoded frame back for
+	// the sender's next listen (cluster.Pair.Send), and says so.
+	carry(from *wallEnv, m *msg.Message) (held bool)
 	// usersDone runs between the last local user finishing and the local
 	// servers being shut down: the place for a cluster-wide drain.
 	usersDone() error
@@ -380,7 +381,7 @@ func waitChan(wg *sync.WaitGroup) <-chan struct{} {
 }
 
 // arrive is the receive side of every link: it runs the inbound pipeline
-// stages on a frame that reached its destination's process (duplicate
+// stages on a frame m that reached its destination's process (duplicate
 // suppression, arrival stamping — the actual arrival, or the modeled or
 // fault-injected future one the frame carries — the recorder's admission
 // record, metrics) and files it in b, the destination's box, which the link
@@ -395,8 +396,10 @@ func waitChan(wg *sync.WaitGroup) <-chan struct{} {
 // finds the server out of service and its mailbox empty is not filed: it
 // is served here, on the sender's goroutine (serveInline), and its reply
 // is in the sender's mailbox before the sender's Send returns. Any other
-// frame queues behind what is there.
-func (f *wallFabric) arrive(b *box, m *msg.Message) {
+// frame queues behind what is there. A frame the link decoded is the
+// box's to keep (keep == nil); one lent by its sender (Env.Send) is served
+// from the loan, or queued as a copy in keep, the sender's arena.
+func (f *wallFabric) arrive(b *box, m *msg.Message, keep *msg.Arena) {
 	if b == nil {
 		return
 	}
@@ -419,6 +422,9 @@ func (f *wallFabric) arrive(b *box, m *msg.Message) {
 		b.mu.Unlock()
 		f.serveInline(b, m)
 		return
+	}
+	if keep != nil {
+		m = keep.Keep(m)
 	}
 	b.q.Put(m)
 	// A frame queued behind an inline service is the end of that
@@ -494,7 +500,11 @@ type wallEnv struct {
 	listens uint64
 	held    bool
 	out     cluster.Sender
-	arena   msg.Arena
+	// arena keeps the copies of the actor's frames chan queues in a
+	// mailbox (arrive); the socket links copy nothing. lendQueued is the
+	// mutation hook that skips the copy (SetLendQueuedHazard).
+	arena      msg.Arena
+	lendQueued bool
 }
 
 var _ Env = (*wallEnv)(nil)
@@ -509,7 +519,6 @@ func (e *wallEnv) Params() model.Params    { return e.f.model }
 func (e *wallEnv) Trace() *trace.Stats     { return e.f.cfg.Trace }
 func (e *wallEnv) Clock() Clock            { return wallClock{e} }
 func (e *wallEnv) Faults() pipeline.Faults { return e.f.pipe.Faults() }
-func (e *wallEnv) Arena() *msg.Arena       { return &e.arena }
 
 // CrashedRank consults the process-local registry. On proc that never
 // holds a rank fail-stopped on another worker — the cluster layer reports
@@ -564,7 +573,7 @@ func (e *wallEnv) Send(to msg.Addr, m *msg.Message) {
 	err := f.pipe.SendTo(e.addr, to, m,
 		func() time.Duration { return time.Since(f.start) }, e.Charge,
 		func(d pipeline.Delivery) {
-			if f.link.carry(&e.out, d.Msg, e.listens) {
+			if f.link.carry(e, d.Msg) {
 				e.held = true
 			}
 		})

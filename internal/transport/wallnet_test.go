@@ -297,9 +297,9 @@ func TestViewFenceClosesTheEpochWhereOpsAreApplied(t *testing.T) {
 		return &msg.Message{Kind: msg.KindRmw, Src: msg.User(1), Dst: msg.ServerOf(0), Epoch: epoch, Operands: [4]int64{v}}
 	}
 
-	f.arrive(server, frame(0, 7))
+	f.arrive(server, frame(0, 7), nil)
 	<-popped
-	f.arrive(server, frame(0, 8)) // queued behind the one in service: purged
+	f.arrive(server, frame(0, 8), nil) // queued behind the one in service: purged
 	f.proc.onView(wire.View{Epoch: 1, Dead: 1})
 	close(fence)
 	eventually(t, "the fence to wait on the server in service", func() bool {
@@ -310,8 +310,8 @@ func TestViewFenceClosesTheEpochWhereOpsAreApplied(t *testing.T) {
 	close(release)
 	eventually(t, "the fence to return", returned.Load)
 
-	f.arrive(server, frame(0, 9)) // the old epoch, late: refused at the box
-	f.arrive(server, frame(1, 10))
+	f.arrive(server, frame(0, 9), nil) // the old epoch, late: refused at the box
+	f.arrive(server, frame(1, 10), nil)
 	eventually(t, "the new epoch's frame to be applied", func() bool { return applied.Load() == 2 })
 	f.stop()
 	wg.Wait()

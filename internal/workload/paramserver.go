@@ -16,7 +16,10 @@ import (
 // A rank's vectors are a pure function of (update, rank, cell), so it
 // encodes them on its first solve and every later solve sends those same
 // bytes; one built body serves any number of ranks (the harness runs one
-// on every rank), each with its own vectors.
+// on every rank), each with its own vectors. Shared memory is never
+// freed, so the parameter region is allocated by a rank's first solve of
+// a run and reused by the later ones, whose hot rank first zeroes the
+// accumulator in its own memory, with no message.
 //
 // Oracle: accumulate-sum exactness. The deltas are integer-valued, so
 // addition is commutative and exact regardless of arrival order: after
@@ -26,9 +29,20 @@ import (
 func paramServerBody(sp Spec, cfg Config) func(*armci.Proc) {
 	sy, _ := SyncNamed(cfg.Sync)
 	updates, width := sp.Updates, sp.Width
+	// A rank's parameter region, with the Proc that allocated it, and on
+	// the hot rank a zero vector. It is kept by rank and reused only by
+	// that Proc: a new run's Procs are new, and every rank of a run makes
+	// the same choice, so Malloc stays collective. The entry holds its
+	// Proc, whose address therefore cannot be reused.
+	type region struct {
+		p      *armci.Proc
+		params []armci.Ptr
+		zero   []byte
+	}
 	var (
-		mu   sync.Mutex
-		vecs = map[int][][]byte{} // rank → its encoded update vectors
+		mu      sync.Mutex
+		vecs    = map[int][][]byte{} // rank → its encoded update vectors
+		regions = map[int]region{}
 	)
 	vectorsOf := func(rank int) [][]byte {
 		mu.Lock()
@@ -46,7 +60,23 @@ func paramServerBody(sp Spec, cfg Config) func(*armci.Proc) {
 		if hot >= n {
 			hot = 0 // defensive; check.validateCase rejects this earlier
 		}
-		params := p.Malloc(8 * width)
+		mu.Lock()
+		r, ok := regions[me]
+		mu.Unlock()
+		if ok && r.p == p {
+			if me == hot {
+				p.Put(r.params[hot], r.zero) // the rank's own memory
+			}
+		} else {
+			r = region{p: p, params: p.Malloc(8 * width)}
+			if me == hot {
+				r.zero = make([]byte, 8*width)
+			}
+			mu.Lock()
+			regions[me] = r
+			mu.Unlock()
+		}
+		params := r.params
 		sy.Proc(p)
 
 		if cfg.Hazards.AccLostUpdate {

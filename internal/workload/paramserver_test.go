@@ -125,3 +125,48 @@ func benchSolve(b *testing.B, spec string) {
 		b.Fatal(err)
 	}
 }
+
+// TestLaterSolvesReuseTheRegion: a body's later solves in one run
+// allocate no shared memory, and the reused region looks fresh to the
+// oracle — the hot rank zeroed its accumulator, or every later solve
+// would read twice the total. A probe segment allocated after each solve
+// gets the next segment number only when the solve allocated none.
+func TestLaterSolvesReuseTheRegion(t *testing.T) {
+	const ranks, solves = 4, 3
+	for _, fabric := range []armci.FabricKind{armci.FabricSim, armci.FabricChan} {
+		t.Run(fabric.String(), func(t *testing.T) {
+			sp, err := Parse("paramserver:hot=1,updates=4,width=8")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			var reports []string
+			body := Build(sp, Config{Report: func(format string, args ...any) {
+				mu.Lock()
+				reports = append(reports, fmt.Sprintf(format, args...))
+				mu.Unlock()
+			}})
+			var segs [ranks][]int32 // each rank's, written by it alone
+			_, err = armci.Run(armci.Options{Procs: ranks, Fabric: fabric}, func(p *armci.Proc) {
+				me := p.Rank()
+				for range solves {
+					body(p)
+					segs[me] = append(segs[me], p.Env().Space().AllocBytes(me, 8).Seg)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(reports) > 0 {
+				t.Fatalf("%d oracle reports over %d solves, first: %s", len(reports), solves, reports[0])
+			}
+			for r, s := range segs {
+				for i := 1; i < solves; i++ {
+					if s[i] != s[i-1]+1 {
+						t.Errorf("rank %d: probe segments %v: solve %d allocated shared memory", r, s, i+1)
+					}
+				}
+			}
+		})
+	}
+}

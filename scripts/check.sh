@@ -64,6 +64,10 @@ go test -race -count=5 ./internal/transport
 # duplication, which keep the serve loop (~10 s each).
 go run ./cmd/armci-check -fabrics chan -seeds 16
 go run ./cmd/armci-check -fabrics chan -faults 'loss=0.15,retry=12;dup=0.2' -seeds 8
+# The same fault sweep on tcp: a send lends its message, and an injected
+# duplicate is a shallow copy of the loan that the socket link encodes
+# after the original.
+go run ./cmd/armci-check -fabrics tcp -faults 'loss=0.15,retry=12;dup=0.2' -seeds 8
 # And coalescing on both in-process wall-clock fabrics, where a data server
 # applies a frame while other ranks read the same memory: at the default
 # two ranks per node one frame spans two ranks' memory (~5 s).
