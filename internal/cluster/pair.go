@@ -2,10 +2,9 @@ package cluster
 
 import (
 	"encoding/binary"
-	"errors"
-	"io"
 	"net"
 	"sync"
+	"syscall"
 
 	"armci/internal/msg"
 	"armci/internal/wire"
@@ -108,30 +107,67 @@ func (p *Pair) Close() (writes, written int) {
 // done: admit, when set, judges the hello that leads the stream, deliver
 // gets the messages behind it, each born in the reader's own msg.Arena. A
 // frame that is not a message (over wire.MaxFrame, or undecodable) goes to
-// corrupt and ends the connection; a stream that ends or fails, between
-// frames or inside one, ends it silently: the peer's fate is the link's.
-func ServePair(c io.ReadCloser, admit func(hello []byte) bool, deliver func(*msg.Message), corrupt func(error)) {
+// corrupt and ends the connection; a stream that ends or fails, a close and
+// an expired read deadline end it silently: the peer's fate is the link's.
+//
+// It reads once per wake-up, inside c's RawConn.Read: a read(2) shorter than
+// the free buffer drained the socket, so the reader delivers the frames it
+// completed and parks without the read that would return EAGAIN. No wake-up
+// is lost: readiness is cleared only as RawRead starts, right before a read,
+// and every byte that lands after a read's walk of the socket fires a fresh
+// edge. A full read may leave more, so RawRead returns and is entered again,
+// where a Close (which waits for the callback) or a deadline is seen. A
+// peer's close queued behind data a read returned goes unseen, so the owner
+// closes what it reads; admit and deliver run inside the callback and must
+// not close c.
+func ServePair(c net.Conn, admit func(hello []byte) bool, deliver func(*msg.Message), corrupt func(error)) {
 	defer c.Close()
-	fr := wire.FrameReader{R: c}
-	var arena msg.Arena
-	if admit != nil {
-		hello, err := fr.Next()
-		if err != nil || !admit(hello) {
-			return
-		}
+	raw, err := c.(syscall.Conn).SyscallConn()
+	if err != nil {
+		return
 	}
-	for {
-		body, err := fr.Next()
-		var m *msg.Message
-		if err == nil {
-			m, err = wire.DecodeIn(&arena, body)
-		} else if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.As(err, new(net.Error)) {
-			return
+	var (
+		frames wire.FrameBuf
+		arena  msg.Arena
+		done   bool  // the stream ended, or a frame ended it
+		bad    error // the frame that ended it
+	)
+	serve := func(fd uintptr) bool {
+		free := frames.Free()
+		n, err := syscall.Read(int(fd), free)
+		switch {
+		case err == syscall.EAGAIN:
+			return false
+		case err == syscall.EINTR: // read again
+			return true
+		case n <= 0: // the peer closed, or the socket failed
+			done = true
+			return true
 		}
-		if err != nil {
-			corrupt(err)
-			return
+		frames.Filled(n)
+		for !done {
+			body, ok, err := frames.Next()
+			switch {
+			case err != nil:
+				bad, done = err, true
+			case !ok: // park after a short read, read on after a full one
+				return n == len(free)
+			case admit != nil:
+				done, admit = !admit(body), nil
+			default:
+				var m *msg.Message
+				if m, bad = wire.DecodeIn(&arena, body); bad != nil {
+					done = true
+				} else {
+					deliver(m)
+				}
+			}
 		}
-		deliver(m)
+		return true
+	}
+	for !done && raw.Read(serve) == nil {
+	}
+	if bad != nil {
+		corrupt(bad)
 	}
 }

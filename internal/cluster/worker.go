@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -60,6 +62,9 @@ type Session struct {
 	closed bool
 	err    *pipeline.FaultError
 	fOnce  sync.Once
+	// The accepted peer connections still read, which Close closes: their
+	// reader may miss the peer's close (ServePair).
+	inbound map[net.Conn]bool
 
 	// Peer routing state. Workers advertise a data listener in their
 	// hello; the coordinator redistributes the addresses through
@@ -187,6 +192,7 @@ func Join(env WorkerEnv, h Handlers) (*Session, error) {
 		peerAddrs: make([]string, env.NumNodes()),
 		peerInc:   make([]uint32, env.NumNodes()),
 		peerBad:   make(map[int]bool),
+		inbound:   make(map[net.Conn]bool),
 	}
 	s.installView(*initView)
 	if h.ClockStart != nil {
@@ -283,6 +289,19 @@ func (s *Session) installMemberLocked(m wire.ViewMember) bool {
 // dialed send path, validated by a peer hello and then drained into
 // Handlers.Data until the peer closes it.
 func (s *Session) servePeer(conn net.Conn) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		conn.Close()
+		return
+	}
+	s.inbound[conn] = true
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		delete(s.inbound, conn)
+		s.mu.Unlock()
+	}()
 	conn.SetReadDeadline(time.Now().Add(s.env.joinTimeout()))
 	ServePair(conn, func(body []byte) bool {
 		if len(body) < 1 || body[0] != framePeerHello {
@@ -333,10 +352,14 @@ func (s *Session) Close() (writes, written int) {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()
 		s.closed = true
+		inbound := slices.Collect(maps.Keys(s.inbound))
 		s.mu.Unlock()
 		close(s.pingDone)
 		s.cc.c.Close()
 		s.peerLn.Close()
+		for _, c := range inbound { // each waits for its reader's callback
+			c.Close()
+		}
 	})
 	s.peerMu.Lock()
 	defer s.peerMu.Unlock()

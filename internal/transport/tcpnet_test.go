@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"strings"
@@ -212,5 +213,51 @@ func runTCPFailsWhileCorked(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("rank 0's refused write was never reported")
+	}
+}
+
+// parkedReaders counts the pair readers parked on the netpoller.
+func parkedReaders() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("[IO wait")) && bytes.Contains(g, []byte("cluster.ServePair")) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestTCPDownEndsAParkedReader: both readers of a pair connection, parked on
+// a socket with nothing to read, end when down closes their ends, each
+// closing its end once more on the way out.
+func TestTCPDownEndsAParkedReader(t *testing.T) {
+	f, _ := newTCPPair(t)
+	l := f.link.(*tcpLink)
+	if err := l.up(); err != nil {
+		t.Fatal(err)
+	}
+	before := parkedReaders()
+	l.mu.Lock()
+	a, b, err := l.connect()
+	if err != nil {
+		l.mu.Unlock()
+		t.Fatal(err)
+	}
+	ca, cb := &closeCount{Conn: a}, &closeCount{Conn: b}
+	l.end(msg.User(0), msg.User(1), ca)
+	l.end(msg.User(1), msg.User(0), cb)
+	l.mu.Unlock()
+	for wait := time.Now(); parkedReaders() < before+2; time.Sleep(time.Millisecond) {
+		if time.Since(wait) > 5*time.Second {
+			t.Fatalf("%d readers parked, want %d", parkedReaders(), before+2)
+		}
+	}
+	l.down()
+	for wait := time.Now(); ca.n.Load() < 2 || cb.n.Load() < 2; time.Sleep(time.Millisecond) {
+		if time.Since(wait) > 5*time.Second {
+			t.Fatalf("ends closed %d and %d times, want 2 each: the parked readers did not end", ca.n.Load(), cb.n.Load())
+		}
 	}
 }

@@ -1,16 +1,15 @@
 package transport
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -1053,6 +1052,11 @@ func (c *closeCount) Close() error {
 	return c.Conn.Close()
 }
 
+// SyscallConn hands the pair reader the socket under the count.
+func (c *closeCount) SyscallConn() (syscall.RawConn, error) {
+	return c.Conn.(syscall.Conn).SyscallConn()
+}
+
 // TestTCPCorruptFramesFailRunOnceAndLeakNothing: more connections than the
 // failure channel has room for, each opened and registered as a pair's
 // first frame opens it, carry a corrupt frame written on one of their real
@@ -1122,12 +1126,33 @@ func TestProcCorruptFramesNeverBlockTheReader(t *testing.T) {
 	}
 	stream := []byte{0, 0, 0, 0, 3, 0, 0, 0, 0xff, 0xff, 0xff} // an empty hello, then a corrupt frame
 	stream = append(stream, wire.AppendEncode(nil, &msg.Message{Kind: msg.KindSend, Src: msg.User(1), Dst: msg.User(0), Seq: 1})...)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var readEnds []net.Conn
+	for i := 0; i < cap(f.panics)+2; i++ {
+		w, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		r, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(stream); err != nil {
+			t.Fatal(err)
+		}
+		readEnds = append(readEnds, r)
+	}
 	var delivered atomic.Int32
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < cap(f.panics)+2; i++ {
-			cluster.ServePair(io.NopCloser(bytes.NewReader(stream)), func([]byte) bool { return true },
+		for _, r := range readEnds {
+			cluster.ServePair(r, func([]byte) bool { return true },
 				func(*msg.Message) { delivered.Add(1) }, f.proc.onCorrupt)
 		}
 	}()

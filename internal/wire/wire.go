@@ -260,57 +260,57 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	return body, nil
 }
 
-// FrameReader reads a stream of frames from R through one reused buffer:
-// a single read usually brings in a frame's header and body together,
-// often several frames, and nothing is allocated per frame. The zero
-// value with R set is ready to use.
-type FrameReader struct {
-	R    io.Reader
+// FrameBuf is a frame stream's parse state: the bytes read but not yet
+// returned as frames, in one reused buffer. It is the frame parser of the
+// socket link's reader (cluster.ServePair): a read(2) fills Free, Filled
+// records it, and Next returns every frame it completed. A single read
+// usually brings in a frame's header and body together, often several
+// frames. The buffer starts at 4 KiB, grows to the largest frame and is
+// never allocated per frame. The zero value is ready to use.
+type FrameBuf struct {
 	buf  []byte
-	r, w int // buf[r:w] is read from R but not yet returned
+	r, w int // buf[r:w] is read but not yet returned
 }
 
-// Next returns the next frame body. The slice aliases the reader's buffer
-// and is valid only until the next call. A stream that ends between
-// frames yields a bare io.EOF.
-func (fr *FrameReader) Next() ([]byte, error) {
-	if err := fr.fill(4); err != nil {
-		return nil, err
+// Free returns the buffer's free tail for the next read once Next found no
+// frame, first moving the unread bytes to the front of a buffer large
+// enough for the frame they begin. It invalidates Next's bodies.
+func (b *FrameBuf) Free() []byte {
+	have, need := b.w-b.r, 4
+	if have >= 4 {
+		need += int(binary.LittleEndian.Uint32(b.buf[b.r:]))
 	}
-	n := binary.LittleEndian.Uint32(fr.buf[fr.r:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrame)
-	}
-	fr.r += 4
-	if err := fr.fill(int(n)); err != nil {
-		return nil, fmt.Errorf("wire: short frame: %w", err)
-	}
-	body := fr.buf[fr.r : fr.r+int(n)]
-	fr.r += int(n)
-	return body, nil
-}
-
-// fill reads until buf[r:w] holds at least n bytes, first moving the
-// unread bytes to the front of a buffer large enough for them.
-func (fr *FrameReader) fill(n int) error {
-	have := fr.w - fr.r
-	if have >= n {
-		return nil
-	}
-	if have == 0 || fr.r+n > len(fr.buf) { // with nothing unread the move is free
-		buf := fr.buf
-		if n > len(buf) {
-			buf = make([]byte, max(n, 2*len(buf), 4096))
+	if have == 0 || b.r+need > len(b.buf) { // with nothing unread the move is free
+		buf := b.buf
+		if need > len(buf) {
+			buf = make([]byte, max(need, 2*len(buf), 4096))
 		}
-		copy(buf, fr.buf[fr.r:fr.w])
-		fr.buf, fr.r, fr.w = buf, 0, have
+		copy(buf, b.buf[b.r:b.w])
+		b.buf, b.r, b.w = buf, 0, have
 	}
-	got, err := io.ReadAtLeast(fr.R, fr.buf[fr.w:], n-have)
-	fr.w += got
-	if err == io.EOF && have > 0 {
-		err = io.ErrUnexpectedEOF // the stream ended inside a frame
+	return b.buf[b.w:]
+}
+
+// Filled records that a read put n bytes at the start of Free's slice.
+func (b *FrameBuf) Filled(n int) { b.w += n }
+
+// Next returns the next complete frame's body, which aliases the buffer
+// until the next Free, or ok false when the bytes held end short of one. A
+// length over MaxFrame is an error.
+func (b *FrameBuf) Next() (body []byte, ok bool, err error) {
+	if b.w-b.r < 4 {
+		return nil, false, nil
 	}
-	return err
+	n := binary.LittleEndian.Uint32(b.buf[b.r:])
+	if n > MaxFrame {
+		return nil, false, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrame)
+	}
+	end := b.r + 4 + int(n)
+	if end > b.w {
+		return nil, false, nil
+	}
+	body, b.r = b.buf[b.r+4:end], end
+	return body, true, nil
 }
 
 func frame(body []byte) []byte {

@@ -51,6 +51,10 @@ go test -run '^$' -fuzz '^FuzzCoordinator$' -fuzztime 10s ./internal/cluster
 # barrier parity, elastic recovery — is covered by the same line, so a
 # new test needs no entry here.
 go test -race -short ./...
+# The socket readers twenty times over: each parks after a short read
+# without reading to EAGAIN, so a lost wake-up there shows only as a
+# 10 s deadline, and a single run can miss it.
+go test -count=20 -run 'TCP|Pair|Session|Peer' ./internal/cluster ./internal/transport
 # The lock modules once more, five times over: the late-link and usurper
 # splice windows of the MCS queue are schedule-dependent, and one race
 # pass rarely enters them.
