@@ -6,11 +6,11 @@
 // validates the history against invariant oracles:
 //
 //   - mutual exclusion: at most one rank holds a lock between its
-//     acquire and release records; for the lease lock the invariant is
-//     "modulo lease expiry" — a second holder is legal only after a
-//     repair event deposed the first, epochs never repeat, a deposed
-//     rank's release must be rejected as stale, and repairs may only
-//     happen once a fail-stop is on record;
+//     acquire and release records; the lease lock is judged in epoch
+//     order instead — each epoch claimed once and in turn, each ended by
+//     its holder's release or one repair deposing it, a deposed holder's
+//     release rejected as stale, and repairs only once a fail-stop is on
+//     record;
 //   - FIFO hand-off: MCS acquires chain through their predecessor ranks
 //     (QueueLock, and LeaseLock until the first crash), ticket-ordered
 //     algorithms grant in strictly increasing ticket order (Hybrid,

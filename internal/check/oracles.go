@@ -1,8 +1,10 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
 	"iter"
+	"maps"
 	"slices"
 
 	"armci"
@@ -20,7 +22,8 @@ import (
 // first stage, sync-exit after the last). The record order is therefore
 // consistent with the happens-before order of the run on every fabric,
 // and a history that violates an invariant in record order violates it
-// in the run.
+// in the run. The lease oracle alone orders a lock's records by the epoch
+// each carries, the linearization order of the lease word (checkLease).
 
 // fifoKind selects the hand-off order check of a lock algorithm.
 type fifoKind int
@@ -29,7 +32,6 @@ const (
 	fifoNone   fifoKind = iota // QueueLockNoCAS: FIFO legitimately violable
 	fifoQueue                  // MCS: acquires chain through predecessor ranks
 	fifoTicket                 // Hybrid/Ticket: strictly increasing tickets
-	fifoLease                  // LeaseLock: MCS until the first crash, modulo lease expiry
 )
 
 // fifoOf is the hand-off order check of each lock algorithm name; a name
@@ -44,7 +46,7 @@ var fifoOf = map[string]fifoKind{
 func checkHistory(history iter.Seq[trace.OpEvent], c Case) []Violation {
 	var vs []Violation
 	if c.Alg == armci.LockLease.String() { // the lease algorithm, real or mutated
-		vs = append(vs, checkMutexLease(history, c)...)
+		vs = append(vs, checkLease(history, c)...)
 	} else {
 		vs = append(vs, checkMutex(history, c, fifoOf[c.Alg])...)
 	}
@@ -58,113 +60,172 @@ func violation(c Case, oracle, format string, args ...any) Violation {
 	return Violation{Oracle: oracle, Case: c, Detail: fmt.Sprintf(format, args...)}
 }
 
-// checkMutexLease validates the lease lock's "mutual exclusion modulo
-// lease expiry" contract; see checkMutex under fifoLease.
-func checkMutexLease(history iter.Seq[trace.OpEvent], c Case) []Violation {
-	return checkMutex(history, c, fifoLease)
-}
-
 // checkMutex validates mutual exclusion and — per fifo kind — FIFO
-// hand-off order, lock by lock, in one scan. Under fifoLease the contract
-// is "mutual exclusion modulo lease expiry":
-//
-//   - an acquire while a rank holds the lock is a violation, unless that
-//     holder was first deposed by a repair event — leases make a second
-//     holder legal only across a repair boundary;
-//   - acquire epochs are strictly increasing: every tenure ends in
-//     exactly one epoch advance (release or repair), so a repeated or
-//     regressed epoch means two ranks were registered under one;
-//   - a release must come from the recorded holder — a deposed rank's
-//     ordinary release means the epoch check failed to reject it (the
-//     protocol demands it surface as a stale-release instead);
-//   - a stale-release may only come from a rank some repair deposed;
-//   - a repair may only depose the recorded holder, and only after a
-//     crash is on record — recovery must never arm in crash-free runs.
-//
-// FIFO hand-off: until the first crash the lease lock is MCS plus a
-// registration CAS, so acquires chain through their predecessor ranks
-// exactly as fifoQueue demands. After a crash, repairs and self-grants
-// legitimately restart the chain, so the predecessor check stands down.
+// hand-off order, lock by lock, in one scan of the record order.
 func checkMutex(history iter.Seq[trace.OpEvent], c Case, fifo fifoKind) []Violation {
 	var vs []Violation
-	lease := fifo == fifoLease
-	unless, overtaken := "", "queue overtaken"
-	if lease {
-		unless, overtaken = " and no repair deposed it", "queue overtaken with no crash on record"
-	}
 	holder := make(map[int]int)  // lock -> holding rank, -1 free
 	lastAcq := make(map[int]int) // lock -> rank of the latest acquire
 	lastTicket := make(map[int]int64)
-	epoch := make(map[int]int) // lock -> lease epoch of the latest acquire
 	haveAcq := make(map[int]bool)
-	deposed := make(map[int]map[int]bool) // lock -> ranks repairs deposed
-	crashed := false
 	for e := range history {
 		switch e.Kind {
-		case trace.OpCrash:
-			crashed = true
 		case trace.OpAcquire:
 			if h, ok := holder[e.Lock]; ok && h != -1 {
-				vs = append(vs, violation(c, "mutual-exclusion", "event %d: rank %d acquired lock %d while rank %d holds it%s",
-					e.Seq, e.Rank, e.Lock, h, unless))
+				vs = append(vs, violation(c, "mutual-exclusion", "event %d: rank %d acquired lock %d while rank %d holds it",
+					e.Seq, e.Rank, e.Lock, h))
 			}
-			if lease && haveAcq[e.Lock] && e.Epoch <= epoch[e.Lock] {
-				vs = append(vs, violation(c, "mutual-exclusion", "event %d: rank %d acquired lock %d under epoch %d, not past epoch %d (epoch reused: two tenures under one lease)",
-					e.Seq, e.Rank, e.Lock, e.Epoch, epoch[e.Lock]))
-			}
-			switch {
-			case fifo == fifoQueue || lease && !crashed:
+			switch fifo {
+			case fifoQueue:
 				// An acquire with Prev == -1 took the lock free (the
 				// predecessor's release emptied the queue first); any
 				// other Prev must be the rank that acquired immediately
 				// before — the MCS queue hands off in swap order.
 				if haveAcq[e.Lock] && e.Prev != -1 && e.Prev != lastAcq[e.Lock] {
-					vs = append(vs, violation(c, "fifo", "event %d: rank %d acquired lock %d behind rank %d, but the previous holder was rank %d (%s)",
-						e.Seq, e.Rank, e.Lock, e.Prev, lastAcq[e.Lock], overtaken))
+					vs = append(vs, violation(c, "fifo", "event %d: rank %d acquired lock %d behind rank %d, but the previous holder was rank %d (queue overtaken)",
+						e.Seq, e.Rank, e.Lock, e.Prev, lastAcq[e.Lock]))
 				}
-			case fifo == fifoTicket:
+			case fifoTicket:
 				if haveAcq[e.Lock] && e.Ticket <= lastTicket[e.Lock] {
 					vs = append(vs, violation(c, "fifo", "event %d: rank %d acquired lock %d with ticket %d after ticket %d (grants out of ticket order)",
 						e.Seq, e.Rank, e.Lock, e.Ticket, lastTicket[e.Lock]))
 				}
 			}
 			holder[e.Lock], lastAcq[e.Lock], haveAcq[e.Lock] = e.Rank, e.Rank, true
-			lastTicket[e.Lock], epoch[e.Lock] = e.Ticket, e.Epoch
+			lastTicket[e.Lock] = e.Ticket
 		case trace.OpRelease:
 			if h, ok := holder[e.Lock]; !ok || h != e.Rank {
 				was := "free"
 				if ok && h != -1 {
 					was = fmt.Sprintf("held by rank %d", h)
 				}
-				if deposed[e.Lock][e.Rank] {
-					was += "; rank was deposed — the epoch check must reject this as stale"
-				}
 				vs = append(vs, violation(c, "mutual-exclusion", "event %d: rank %d released lock %d it does not hold (lock %s)",
 					e.Seq, e.Rank, e.Lock, was))
-				if lease {
-					continue // an invalid release frees nothing
-				}
 			}
 			holder[e.Lock] = -1
-		case trace.OpStaleRelease:
-			if !deposed[e.Lock][e.Rank] {
-				vs = append(vs, violation(c, "mutual-exclusion", "event %d: rank %d had its release of lock %d rejected as stale, but no repair deposed it",
-					e.Seq, e.Rank, e.Lock))
+		}
+	}
+	return vs
+}
+
+// leaseKey names one epoch of one lock.
+type leaseKey struct{ lock, epoch int }
+
+// leaseEpoch is one epoch's records by kind: claims (OpAcquire), releases
+// and stale releases presenting it, and the repairs that ended it.
+type leaseEpoch map[trace.OpKind][]trace.OpEvent
+
+// holder is the rank whose claim of the epoch is on record, -1 if none.
+func (ep leaseEpoch) holder() int {
+	if claims := ep[trace.OpAcquire]; len(claims) > 0 {
+		return claims[0].Rank
+	}
+	return -1
+}
+
+// deposed reports whether a repair ended the epoch by deposing its holder.
+func (ep leaseEpoch) deposed() bool {
+	repairs := ep[trace.OpRepair]
+	return len(repairs) > 0 && repairs[0].Prev == ep.holder()
+}
+
+// ended reports whether a repair deposed the holder, or the holder's
+// release won its CAS (no stale release of the holder's beside it).
+func (ep leaseEpoch) ended() bool {
+	h := ep.holder()
+	return ep.deposed() || by(ep[trace.OpRelease], h) && !by(ep[trace.OpStaleRelease], h)
+}
+
+// by reports whether one of records is rank's.
+func by(records []trace.OpEvent, rank int) bool {
+	return slices.ContainsFunc(records, func(e trace.OpEvent) bool { return e.Rank == rank })
+}
+
+// checkLease validates the lease lock per lock in epoch order: every lease
+// transition is one CAS on its {epoch, tenant} word (a claim keeps e, a
+// release or depose moves it to e+1), and each record carries the epoch
+// its CAS saw, so a claim of e+1 recorded before the repair that ended e
+// is no overlap. Claimed epochs are contiguous and each claimed once; a
+// claim of e+1 follows the end of e (its holder's release, or one repair
+// deposing that holder); a release of e is its holder's, and a deposed
+// holder's is paired with its stale release; a stale release has a repair
+// behind it; a repair follows a crash record in record order; FIFO from
+// Prev holds on the claims recorded before the first crash (MCS plus a
+// registration CAS until then). Violations come out in (lock, epoch)
+// order, each naming the event number of the record it judges.
+func checkLease(history iter.Seq[trace.OpEvent], c Case) []Violation {
+	epochs := make(map[leaseKey]leaseEpoch)
+	crash := 0 // the event number of the first crash record; 0: none
+	for e := range history {
+		switch e.Kind {
+		case trace.OpCrash:
+			crash = cmp.Or(crash, e.Seq)
+		case trace.OpAcquire, trace.OpRelease, trace.OpStaleRelease, trace.OpRepair:
+			k := leaseKey{e.Lock, e.Epoch}
+			if e.Kind == trace.OpRepair {
+				k.epoch-- // it ended the epoch before the one it installed
 			}
-		case trace.OpRepair:
-			if !crashed {
-				vs = append(vs, violation(c, "mutual-exclusion", "event %d: rank %d repaired lock %d with no crash on record (recovery armed in a crash-free run)",
-					e.Seq, e.Rank, e.Lock))
+			if epochs[k] == nil {
+				epochs[k] = make(leaseEpoch)
 			}
-			if h, ok := holder[e.Lock]; ok && h != -1 && h != e.Prev {
-				vs = append(vs, violation(c, "mutual-exclusion", "event %d: rank %d repaired lock %d by deposing rank %d, but rank %d holds it",
-					e.Seq, e.Rank, e.Lock, e.Prev, h))
+			epochs[k][e.Kind] = append(epochs[k][e.Kind], e)
+		}
+	}
+	var vs []Violation
+	bad := func(e trace.OpEvent, oracle, format string, args ...any) {
+		vs = append(vs, violation(c, oracle, "event %d: rank %d "+format, append([]any{e.Seq, e.Rank}, args...)...))
+	}
+	claimed := make(map[int]bool) // lock -> an epoch below the one judged was claimed
+	for _, k := range slices.SortedFunc(maps.Keys(epochs), func(a, b leaseKey) int {
+		return cmp.Or(cmp.Compare(a.lock, b.lock), cmp.Compare(a.epoch, b.epoch))
+	}) {
+		ep, prev := epochs[k], epochs[leaseKey{k.lock, k.epoch - 1}]
+		h, was := ep.holder(), prev.holder()
+		holds := fmt.Sprintf("rank %d holds it", h)
+		if h < 0 {
+			holds = "nobody claimed it"
+		}
+		for i, a := range ep[trace.OpAcquire] {
+			switch {
+			case i > 0:
+				bad(a, "mutual-exclusion", "acquired lock %d under epoch %d, which rank %d claimed at event %d (epoch reused: two tenures under one lease)",
+					k.lock, k.epoch, h, ep[trace.OpAcquire][0].Seq)
+			case was < 0 && claimed[k.lock]:
+				bad(a, "mutual-exclusion", "acquired lock %d under epoch %d, but nobody claimed epoch %d (an epoch advanced unclaimed)",
+					k.lock, k.epoch, k.epoch-1)
+			case was >= 0 && !prev.ended():
+				bad(a, "mutual-exclusion", "acquired lock %d under epoch %d while rank %d holds epoch %d and no repair deposed it",
+					k.lock, k.epoch, was, k.epoch-1)
+			case was >= 0 && a.Prev != -1 && a.Prev != was && (crash == 0 || a.Seq < crash):
+				bad(a, "fifo", "acquired lock %d behind rank %d, but the previous holder was rank %d (queue overtaken with no crash on record)",
+					k.lock, a.Prev, was)
 			}
-			if deposed[e.Lock] == nil {
-				deposed[e.Lock] = make(map[int]bool)
+		}
+		claimed[k.lock] = claimed[k.lock] || h >= 0
+		for _, r := range ep[trace.OpRelease] {
+			switch {
+			case r.Rank != h:
+				bad(r, "mutual-exclusion", "released lock %d under epoch %d, which it does not hold (%s)", k.lock, k.epoch, holds)
+			case ep.deposed() && !by(ep[trace.OpStaleRelease], h):
+				bad(r, "mutual-exclusion", "released lock %d under epoch %d after a repair deposed it, and no stale release followed (the epoch check must reject it)",
+					k.lock, k.epoch)
 			}
-			deposed[e.Lock][e.Prev] = true
-			holder[e.Lock] = -1 // the depose freed the lock under a new epoch
+		}
+		for _, s := range ep[trace.OpStaleRelease] {
+			if s.Rank != h || !ep.deposed() {
+				bad(s, "mutual-exclusion", "had its release of lock %d under epoch %d rejected as stale, but no repair deposed it", k.lock, k.epoch)
+			}
+		}
+		for i, r := range ep[trace.OpRepair] {
+			switch {
+			case crash == 0 || r.Seq < crash:
+				bad(r, "mutual-exclusion", "repaired lock %d with no crash on record (recovery armed in a crash-free run)", k.lock)
+			case i > 0:
+				bad(r, "mutual-exclusion", "repaired lock %d out of epoch %d, which rank %d's repair at event %d already ended",
+					k.lock, k.epoch, ep[trace.OpRepair][0].Rank, ep[trace.OpRepair][0].Seq)
+			case r.Prev != h:
+				bad(r, "mutual-exclusion", "repaired lock %d by deposing rank %d from epoch %d, but %s", k.lock, r.Prev, k.epoch, holds)
+			}
 		}
 	}
 	return vs

@@ -173,49 +173,123 @@ func leaseAcq(rank, lock, prev, epoch int) trace.OpEvent {
 	return trace.OpEvent{Kind: trace.OpAcquire, Rank: rank, Lock: lock, Prev: prev, Ticket: -1, Epoch: epoch}
 }
 
-func leaseStep(kind trace.OpKind, rank, lock, prev int) trace.OpEvent {
-	return trace.OpEvent{Kind: kind, Rank: rank, Lock: lock, Prev: prev, Ticket: -1}
+// leaseStep is a lease record other than an acquire: a release or stale
+// release presenting epoch, a repair deposing prev to install epoch, or a
+// crash.
+func leaseStep(kind trace.OpKind, rank, lock, prev, epoch int) trace.OpEvent {
+	return trace.OpEvent{Kind: kind, Rank: rank, Lock: lock, Prev: prev, Ticket: -1, Epoch: epoch}
+}
+
+func leaseRel(rank, lock, epoch int) trace.OpEvent {
+	return leaseStep(trace.OpRelease, rank, lock, -1, epoch)
 }
 
 func TestLeaseOracleCleanHistory(t *testing.T) {
-	// Rank 1 crashes holding the lock; rank 2 deposes it, takes the lock
-	// under a fresh epoch, and the victim's late release is rejected.
+	// Rank 1 crashes holding epoch 1; rank 2 deposes it, installing epoch
+	// 2, and self-grants. Rank 3 queues behind rank 2 and then stalls
+	// past the TTL under epoch 3: rank 4 deposes it, and rank 3's late
+	// release of epoch 3 is rejected as stale.
 	h := evs(
-		leaseAcq(0, 0, -1, 1), rel(0, 0),
-		leaseAcq(1, 0, 0, 2),
-		leaseStep(trace.OpCrash, 1, 0, -1),
-		leaseStep(trace.OpRepair, 2, 0, 1),
-		leaseAcq(2, 0, -1, 4),
-		leaseStep(trace.OpStaleRelease, 1, 0, -1),
-		rel(2, 0),
+		leaseAcq(0, 0, -1, 0), leaseRel(0, 0, 0),
+		leaseAcq(1, 0, 0, 1),
+		leaseStep(trace.OpCrash, 1, 0, -1, 0),
+		leaseStep(trace.OpRepair, 2, 0, 1, 2),
+		leaseAcq(2, 0, -1, 2), leaseRel(2, 0, 2),
+		leaseAcq(3, 0, 2, 3),
+		leaseStep(trace.OpRepair, 4, 0, 3, 4),
+		leaseAcq(4, 0, -1, 4),
+		leaseRel(3, 0, 3), leaseStep(trace.OpStaleRelease, 3, 0, -1, 3),
+		leaseRel(4, 0, 4),
 	)
-	if vs := checkMutexLease(h, Case{}); len(vs) != 0 {
+	if vs := checkLease(h, Case{}); len(vs) != 0 {
 		t.Fatalf("clean history flagged: %v", vs)
 	}
 }
 
+// TestLeaseOracleOrdersByEpoch: a repair's CAS frees epoch 1, and rank 0,
+// local to the lock's home, claims epoch 2 and records its acquire before
+// the repairer's record of the depose reaches the spine. In record order
+// rank 0 acquires while rank 1 holds; in epoch order the repair ended
+// epoch 1 first, which is what the lease word saw.
+func TestLeaseOracleOrdersByEpoch(t *testing.T) {
+	h := evs(
+		leaseAcq(0, 0, -1, 0), leaseRel(0, 0, 0),
+		leaseAcq(1, 0, 0, 1),
+		leaseStep(trace.OpCrash, 1, 0, -1, 0),
+		leaseAcq(0, 0, -1, 2),
+		leaseStep(trace.OpRepair, 2, 0, 1, 2),
+		leaseRel(0, 0, 2),
+	)
+	if vs := checkLease(h, Case{}); len(vs) != 0 {
+		t.Fatalf("an acquire recorded before the repair that freed its epoch was flagged: %v", vs)
+	}
+}
+
 func TestLeaseOracleCatchesAcquireWhileHeld(t *testing.T) {
-	h := evs(leaseAcq(0, 0, -1, 1), leaseAcq(1, 0, -1, 2))
-	vs := checkMutexLease(h, Case{})
-	wantOracle(t, vs, "mutual-exclusion", "while rank 0 holds it and no repair deposed it")
+	h := evs(leaseAcq(0, 0, -1, 0), leaseAcq(1, 0, -1, 1))
+	vs := checkLease(h, Case{})
+	wantOracle(t, vs, "mutual-exclusion", "event 2: rank 1 acquired lock 0 under epoch 1 while rank 0 holds epoch 0 and no repair deposed it")
 }
 
 func TestLeaseOracleCatchesReusedEpoch(t *testing.T) {
-	h := evs(leaseAcq(0, 0, -1, 3), rel(0, 0), leaseAcq(1, 0, -1, 3))
-	vs := checkMutexLease(h, Case{})
-	wantOracle(t, vs, "mutual-exclusion", "epoch reused")
+	// Rank 0's release never advanced the epoch, so rank 1 claims epoch 0
+	// again.
+	h := evs(leaseAcq(0, 0, -1, 0), leaseRel(0, 0, 0), leaseAcq(1, 0, -1, 0))
+	vs := checkLease(h, Case{})
+	wantOracle(t, vs, "mutual-exclusion", "event 3: rank 1 acquired lock 0 under epoch 0, which rank 0 claimed at event 1 (epoch reused")
+}
+
+func TestLeaseOracleCatchesSkippedEpoch(t *testing.T) {
+	h := evs(leaseAcq(0, 0, -1, 0), leaseRel(0, 0, 0), leaseAcq(1, 0, -1, 2))
+	vs := checkLease(h, Case{})
+	wantOracle(t, vs, "mutual-exclusion", "nobody claimed epoch 1")
 }
 
 func TestLeaseOracleCatchesStaleReleaseWithoutRepair(t *testing.T) {
-	h := evs(leaseAcq(0, 0, -1, 1), leaseStep(trace.OpStaleRelease, 1, 0, -1), rel(0, 0))
-	vs := checkMutexLease(h, Case{})
-	wantOracle(t, vs, "mutual-exclusion", "rejected as stale, but no repair deposed it")
+	h := evs(leaseAcq(0, 0, -1, 0), leaseRel(0, 0, 0), leaseStep(trace.OpStaleRelease, 0, 0, -1, 0))
+	vs := checkLease(h, Case{})
+	wantOracle(t, vs, "mutual-exclusion", "event 3: rank 0 had its release of lock 0 under epoch 0 rejected as stale, but no repair deposed it")
+}
+
+func TestLeaseOracleCatchesDeposedHolderRelease(t *testing.T) {
+	// Rank 0 was deposed, yet its release of epoch 0 was never rejected.
+	h := evs(
+		leaseAcq(0, 0, -1, 0),
+		leaseStep(trace.OpCrash, 3, 0, -1, 0),
+		leaseStep(trace.OpRepair, 1, 0, 0, 1),
+		leaseAcq(1, 0, -1, 1),
+		leaseRel(0, 0, 0),
+	)
+	vs := checkLease(h, Case{})
+	wantOracle(t, vs, "mutual-exclusion", "event 5: rank 0 released lock 0 under epoch 0 after a repair deposed it, and no stale release followed")
 }
 
 func TestLeaseOracleCatchesRepairWithoutCrash(t *testing.T) {
-	h := evs(leaseAcq(0, 0, -1, 1), leaseStep(trace.OpRepair, 1, 0, 0))
-	vs := checkMutexLease(h, Case{})
-	wantOracle(t, vs, "mutual-exclusion", "no crash on record")
+	h := evs(leaseAcq(0, 0, -1, 0), leaseStep(trace.OpRepair, 1, 0, 0, 1))
+	vs := checkLease(h, Case{})
+	wantOracle(t, vs, "mutual-exclusion", "event 2: rank 1 repaired lock 0 with no crash on record")
+}
+
+// TestLeaseOracleReportsInLockEpochOrder: violations come out by lock,
+// then epoch, whatever order their records landed in.
+func TestLeaseOracleReportsInLockEpochOrder(t *testing.T) {
+	h := evs(
+		leaseAcq(0, 1, -1, 0), leaseAcq(1, 1, -1, 1), // lock 1, epoch 1: acquired while held
+		leaseAcq(2, 0, -1, 4), leaseRel(2, 0, 4), leaseAcq(3, 0, -1, 4), // lock 0, epoch 4: reused
+		leaseRel(4, 0, 3), // lock 0, epoch 3: nobody claimed it
+	)
+	var got []string
+	for _, v := range checkLease(h, Case{}) {
+		got = append(got, v.Detail)
+	}
+	want := []string{
+		"event 6: rank 4 released lock 0 under epoch 3, which it does not hold (nobody claimed it)",
+		"event 5: rank 3 acquired lock 0 under epoch 4, which rank 2 claimed at event 3 (epoch reused: two tenures under one lease)",
+		"event 2: rank 1 acquired lock 1 under epoch 1 while rank 0 holds epoch 0 and no repair deposed it",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("violations\n got %q\nwant %q", got, want)
+	}
 }
 
 func TestFenceOracleSkipsRoundNotEnteredByEveryRank(t *testing.T) {

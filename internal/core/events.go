@@ -18,12 +18,12 @@ import (
 //     under ticket-ordered algorithms, Epoch: the lease epoch registered
 //     under);
 //   - OpRelease at the start of the release, before any hand-off store
-//     or unlock message, so it precedes the successor's acquire — but for
-//     a lease tenure a repair may have deposed, which records it once its
-//     epoch CAS has won (LeaseLock.Unlock);
+//     or unlock message, so it precedes the successor's acquire (Epoch:
+//     the lease epoch of the tenure);
 //   - OpRepair only by the winner of the depose CAS, immediately after
 //     it (Prev: the victim, Epoch: the epoch installed); OpStaleRelease
-//     by a release that lost the epoch check and touched nothing;
+//     by a release that lost the epoch check and touched nothing (Epoch:
+//     the stale one);
 //   - OpSyncEnter / OpSyncExit around a global synchronization (Epoch
 //     numbers the rank's calls from 1).
 func Record(env transport.Env, ev trace.OpEvent) {
@@ -69,9 +69,10 @@ func (h *Holder) Acquired(prev int, ticket, epoch int64) {
 	}
 }
 
-// Released records that the calling rank is giving the lock up.
+// Released records that the calling rank is giving the lock up, under
+// the lease epoch of its tenure.
 func (h *Holder) Released() {
-	Record(h.env, trace.OpEvent{Kind: trace.OpRelease, Lock: h.idx})
+	Record(h.env, trace.OpEvent{Kind: trace.OpRelease, Lock: h.idx, Epoch: int(h.epoch)})
 }
 
 // Epoch returns the lease epoch of the current tenure.

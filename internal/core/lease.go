@@ -78,13 +78,14 @@ func (w *Lease) Register() (epoch int64, ok bool) {
 // Release frees the lease held under epoch by advancing it. A holder
 // that was deposed while slow (or dead) presents a stale epoch, loses
 // the CAS and touches nothing — resurrected holders cannot free a lock
-// somebody else now owns — which is recorded as OpStaleRelease.
+// somebody else now owns — which is recorded as OpStaleRelease under the
+// stale epoch.
 func (w *Lease) Release(epoch int64) bool {
 	env := w.eng.Env()
 	me := int64(w.eng.Rank())
 	held := shmem.Pair{Hi: epoch, Lo: me + 1}
 	if w.eng.CompareAndSwapPair(w.state, held, shmem.Pair{Hi: epoch + 1, Lo: -(me + 1)}) != held {
-		Record(env, trace.OpEvent{Kind: trace.OpStaleRelease, Lock: w.idx})
+		Record(env, trace.OpEvent{Kind: trace.OpStaleRelease, Lock: w.idx, Epoch: int(epoch)})
 		return false
 	}
 	w.Stamp(env.Clock().Now())

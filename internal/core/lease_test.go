@@ -76,7 +76,8 @@ func countOps(w *world, kind trace.OpKind) int {
 // TestLeaseStaleReleaseChangesNothing: rank 1 holds the lease under
 // epoch 6. A release presenting epoch 5 — a holder deposed while slow —
 // must leave the word and the stamp untouched and record exactly one
-// OpStaleRelease; the release under the live epoch then frees it.
+// OpStaleRelease, which carries the stale epoch; the release under the
+// live epoch then frees it.
 func TestLeaseStaleReleaseChangesNothing(t *testing.T) {
 	w := newWorld(t, 2, 1, model.Myrinet2000(), []int{0})
 	w.stats.SetTimeline(true)
@@ -111,6 +112,11 @@ func TestLeaseStaleReleaseChangesNothing(t *testing.T) {
 	}
 	if got := countOps(w, trace.OpStaleRelease); got != 1 {
 		t.Errorf("recorded %d stale releases, want exactly 1", got)
+	}
+	for e := range w.stats.Records() {
+		if e.Kind == trace.OpStaleRelease && (e.Epoch != 5 || e.Rank != 1 || e.Lock != 0) {
+			t.Errorf("stale release recorded as rank %d, lock %d, epoch %d; want rank 1, lock 0, epoch 5", e.Rank, e.Lock, e.Epoch)
+		}
 	}
 }
 

@@ -31,7 +31,6 @@ type LeaseLock struct {
 	Holder
 	Queue
 	Lease
-	since time.Duration // fabric time the current tenure began
 }
 
 // NewLeaseLock returns rank-local state for lock idx of the table. ttl
@@ -88,7 +87,6 @@ func (l *LeaseLock) Lock() {
 func (l *LeaseLock) register(prev int) bool {
 	epoch, ok := l.Register()
 	if ok {
-		l.since = l.env.Clock().Now()
 		l.Acquired(prev, -1, epoch)
 	}
 	return ok
@@ -99,35 +97,18 @@ func (l *LeaseLock) register(prev int) bool {
 func (l *LeaseLock) repair() bool {
 	epoch, ok := l.Recover(&l.Queue)
 	if ok {
-		l.since = l.env.Clock().Now()
 		l.Acquired(-1, -1, epoch)
 	}
 	return ok
 }
 
-// Unlock releases the lock, and records the release where no acquire it
-// lets through can be recorded first and no deposed holder's can be:
-//
-//   - A repair deposes a live tenant only once a crash is on record and
-//     only after watching it registered for a TTL (Lease.Recover), so a
-//     tenure shorter than a TTL has not been deposed: its CAS wins (unless
-//     the CAS itself is delayed past the TTL), and its release is recorded
-//     before the CAS, ahead of any rank the freed lease admits.
-//   - A tenure of a TTL or more, after a crash, may have been deposed: its
-//     release is recorded only once its CAS has won. One that a repair
-//     deposed loses the CAS, which Release records as a stale release
-//     alone.
-//
-// The queue hand-off runs regardless, after the record: our successors
-// are queued behind this node, and wake hints are always safe to pass
-// on, whichever epoch grants them the lock.
+// Unlock releases the lock. Its record comes first, as every lock's does;
+// a tenure a repair deposed loses the epoch CAS, which Release records as
+// a stale release of the same epoch. The queue hand-off runs regardless:
+// our successors are queued behind this node, and wake hints are always
+// safe to pass on, whichever epoch grants them the lock.
 func (l *LeaseLock) Unlock() {
-	late := l.env.CrashedRank() >= 0 && l.env.Clock().Now()-l.since >= l.ttl
-	if !late {
-		l.Released()
-	}
-	if l.Release(l.Epoch()) && late {
-		l.Released()
-	}
+	l.Released()
+	l.Release(l.Epoch())
 	l.HandOff()
 }

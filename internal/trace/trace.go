@@ -92,8 +92,9 @@ const (
 	// (the lease epoch registered under, else 0).
 	OpAcquire OpKind = iota + 1
 	// OpRelease: a rank began releasing a lock (recorded before the
-	// release hands the lock on; a lease tenure that a repair may have
-	// deposed, once its epoch CAS has won). Carries Lock and Rank.
+	// release hands the lock on, and for the lease lock before its epoch
+	// CAS). Carries Lock, Rank and Epoch (the lease epoch of the tenure,
+	// else 0).
 	OpRelease
 	// OpSyncEnter: a rank entered a combined fence+barrier operation
 	// (Sync.Barrier, SyncOld, or a harness-provided variant). Carries
@@ -121,8 +122,8 @@ const (
 	// by Prev under an older epoch are stale and must not free the lock.
 	OpRepair
 	// OpStaleRelease: a deposed holder's release lost the epoch check and
-	// was rejected (Lock, Rank: the deposed rank). It witnesses that the
-	// release had no effect; an oracle treats it as a no-op.
+	// was rejected (Lock, Rank: the deposed rank, Epoch: the stale epoch
+	// its OpRelease carried). It witnesses that the release had no effect.
 	OpStaleRelease
 	// OpCrash: a rank fail-stopped holding a lock (crashheld). Carries
 	// Rank.
@@ -173,8 +174,9 @@ type OpEvent struct {
 	Prev int
 	// Ticket is the ticket number of an OpAcquire.
 	Ticket int64
-	// Epoch is the per-rank sync epoch of OpSyncEnter/OpSyncExit, or the
-	// lease epoch of OpAcquire/OpRepair.
+	// Epoch is the per-rank sync epoch of OpSyncEnter/OpSyncExit, or a
+	// lease epoch: the one an OpAcquire claimed, an OpRelease or
+	// OpStaleRelease presented, an OpRepair installed.
 	Epoch int
 	// Time is the fabric time at the record (virtual on sim, wall
 	// otherwise): a send's is its Sent, a delivery's its admission.

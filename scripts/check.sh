@@ -68,6 +68,10 @@ go test -race -count=5 ./internal/transport
 # duplication, which keep the serve loop (~10 s each).
 go run ./cmd/armci-check -fabrics chan -seeds 16
 go run ./cmd/armci-check -fabrics chan -faults 'loss=0.15,retry=12;dup=0.2' -seeds 8
+# And the lease lock's crash row on chan, judged in epoch order: a holder
+# fail-stops, waiters depose it, and on chan a claim of the freed epoch can
+# be recorded before the repair that freed it (~22 s).
+go run ./cmd/armci-check -fabrics chan -algs lease -faults 'crashheld=1@1;crashheld=2@2'
 # The same fault sweep on tcp: a send lends its message, and an injected
 # duplicate is a shallow copy of the loan that the socket link encodes
 # after the original.
