@@ -198,6 +198,7 @@ func TestMutationsDetected(t *testing.T) {
 		MutBarrierEmptyLocal:  1,
 		MutWaitWrongCell:      1,
 		MutChanLendQueued:     1,
+		MutLeaseDoubleClaim:   1,
 	}
 	for _, name := range Mutations() {
 		name := name
@@ -252,6 +253,7 @@ func TestMutationsTargetExpectedOracle(t *testing.T) {
 		MutBarrierEmptyLocal:  "liveness",
 		MutWaitWrongCell:      "liveness",
 		MutChanLendQueued:     "liveness",
+		MutLeaseDoubleClaim:   "mutual-exclusion",
 	}
 	for name, oracle := range want {
 		if racyUnderRace(name) {
@@ -350,6 +352,8 @@ func TestLockMutantsMatchRealLockWhileDormant(t *testing.T) {
 		{MutQueueSkipLinkWait, armci.LockQueue, 2, nil},
 		{MutLeaseStaleRelease, armci.LockLease, 2,
 			map[msg.Kind]int{msg.KindRmwResp: rounds * (procs - 2)}}, // one per remote release
+		{MutLeaseDoubleClaim, armci.LockLease, 2,
+			map[msg.Kind]int{msg.KindRmwResp: rounds * (procs - 2)}}, // one per remote claim
 		{MutTicketOffByOne, armci.LockTicket, procs, nil},
 		{MutWaitWrongCell, armci.LockQueue, 2, nil},
 	}
